@@ -12,13 +12,21 @@ to catch gross, order-of-magnitude regressions, not noise):
 
 Also fails when any fresh result did not match the serial reference grid.
 
+With ``--plan`` (a ``repro run --plan-out`` file of the *default* plan) the
+gate also checks the tuner's engine decision against the same fresh JSON:
+the plan's CPU-phase engine may not be more than 1.25x (``PLAN_BOUND``,
+the tuner's own acceptance bound) slower than the fastest serial-family
+engine benched on the plan's application — both walls come from one
+process on one machine, so the ratio is machine-neutral.
+
 Usage (CI):
 
     python -m repro bench --dim 96 --apps synthetic,lcs \
         --executors serial,vectorized,cpu-parallel,mp-parallel \
         --out /tmp/perf_smoke.json
+    python -m repro run --app lcs --dim 96 --system local --plan-out /tmp/plan.json
     python scripts/check_perf.py --fresh /tmp/perf_smoke.json \
-        --baseline benchmarks/results/ci_baseline.json
+        --baseline benchmarks/results/ci_baseline.json --plan /tmp/plan.json
 """
 
 from __future__ import annotations
@@ -50,6 +58,43 @@ def load_normalised(path: Path) -> tuple[dict[tuple[str, str], float], list[str]
     return normalised, errors
 
 
+#: The tuner's own acceptance bound: how much slower than the fastest
+#: serial-family engine the default plan's engine may measure.
+PLAN_BOUND = 1.25
+
+
+def check_plan(fresh: dict[tuple[str, str], float], plan_path: Path) -> list[str]:
+    """Failures of the default plan's engine against the fresh serial family.
+
+    ``fresh`` is :func:`load_normalised`'s map; both engines are normalised
+    by the same serial wall, so their quotient is the plain wall ratio.
+    """
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from repro.runtime.registry import SERIAL_ENGINES
+
+    plan = json.loads(plan_path.read_text(encoding="utf-8"))
+    app, engine = plan["app"], plan.get("engine")
+    family = {e: fresh[(app, e)] for e in SERIAL_ENGINES if (app, e) in fresh}
+    if engine not in family:
+        return [
+            f"plan engine {engine!r} of {app} was not benched among the serial "
+            f"family {sorted(family)}"
+        ]
+    fastest = min(family, key=family.get)
+    ratio = family[engine] / family[fastest]
+    status = "FAIL" if ratio > PLAN_BOUND else "ok"
+    print(
+        f"{app:<20} plan engine {engine}: {ratio:.2f}x the fastest serial-family "
+        f"engine ({fastest}, base {family[fastest]:.3f}x serial)  {status}"
+    )
+    if ratio > PLAN_BOUND:
+        return [
+            f"default plan of {app} sweeps on {engine!r}, {ratio:.2f}x slower "
+            f"than {fastest!r} (bound {PLAN_BOUND:.2f}x)"
+        ]
+    return []
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fresh", type=Path, required=True, help="bench JSON just measured")
@@ -64,6 +109,12 @@ def main() -> int:
         type=float,
         default=3.0,
         help="fail when fresh normalised time exceeds baseline by this factor",
+    )
+    parser.add_argument(
+        "--plan",
+        type=Path,
+        help="default-plan JSON (repro run --plan-out) whose engine is gated "
+        "against the fastest serial-family engine in --fresh",
     )
     args = parser.parse_args()
 
@@ -89,6 +140,8 @@ def main() -> int:
                 f"(threshold {args.threshold:.1f}x)"
             )
 
+    if args.plan is not None:
+        failures.extend(check_plan(fresh, args.plan))
     if compared == 0:
         failures.append("no overlapping (application, executor) pairs to compare")
     if failures:

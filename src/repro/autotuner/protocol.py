@@ -130,12 +130,11 @@ class ExhaustiveTuner(Tuner):
                 f"{self.search.threshold_s:g}s threshold"
             )
         best = min(records, key=lambda r: r.rtime)
-        engine = self.search.search_space.best_engine(params, self.search.cost_model)
         return PlanDecision(
             backend="hybrid",
             tunables=best.tunables,
             workers=1,
-            engine=engine,
+            engine=self.search.search_space.engines[0],
             expected_s=best.rtime,
         )
 

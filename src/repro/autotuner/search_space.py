@@ -9,11 +9,13 @@ Beyond the paper's five tunables the space carries an *engine* dimension —
 which single-core backend (scalar ``serial`` or batched ``vectorized``) the
 CPU phases run on — plus a *CPU backend* and a *worker-count* dimension for
 the shared-memory multicore backend (``mp-parallel``).  None of these
-interact with band / halo, so instead of multiplying the swept grid they
-are decided per instance by direct cost-model comparison
-(:meth:`SearchSpace.best_engine`, :meth:`SearchSpace.best_cpu_backend`,
-:meth:`SearchSpace.best_workers` — the latter two through the cost model's
-parallel-efficiency term).
+interact with band / halo, so they do not multiply the swept grid.  The
+engine a tuned plan runs on the live host is not priced at all: it is
+the first entry of :attr:`SearchSpace.engines`, the registry's preference
+order.  The CPU-backend and worker-count dimensions of the *simulated*
+platforms are decided per instance by direct cost-model comparison
+(:meth:`SearchSpace.best_cpu_backend`, :meth:`SearchSpace.best_workers`,
+through the cost model's parallel-efficiency term).
 """
 
 from __future__ import annotations
@@ -41,19 +43,17 @@ class SearchSpace:
 
     @property
     def engines(self) -> tuple[str, ...]:
-        """Serial-engine backends available for the CPU phases.
+        """Serial-engine backends available for the CPU phases, best first.
 
         ``("vectorized", "serial")`` when NumPy is importable, otherwise just
-        ``("serial",)`` — the engine dimension of the search space.
+        ``("serial",)`` — the registry's ``serial_rank`` preference order.
+        Every tuner-resolved plan sweeps its CPU phases on the first entry;
+        ``serial`` is the reference engine, reached only by an explicit
+        policy or a measured profile.
         """
         from repro.runtime.registry import available_serial_engines
 
         return tuple(available_serial_engines())
-
-    def best_engine(self, instance: InputParams, cost_model: CostModel | None = None) -> str:
-        """Cheapest available engine for ``instance`` under the cost model."""
-        model = cost_model if cost_model is not None else CostModel(self.system)
-        return min(self.engines, key=lambda e: model.engine_time(e, instance))
 
     @property
     def worker_counts(self) -> tuple[int, ...]:
@@ -158,7 +158,8 @@ class SearchSpace:
         engines (and the compiled tier) and :meth:`best_workers` for the
         multicore backends (``mp-parallel`` and ``pipelined``).  As in
         :meth:`best_workers`, ``cpu_tile=None`` co-optimises the multicore
-        backend's tile side.
+        backend's tile side.  This ranks the *simulated* platform's backends
+        on the cost model's testbed clock, not what the live host runs fastest.
         """
         model = cost_model if cost_model is not None else CostModel(self.system)
         workers = self.best_workers(instance, cpu_tile, model)

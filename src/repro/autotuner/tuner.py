@@ -118,38 +118,23 @@ class AutoTuner(Tuner):
         params = self._as_input_params(target)
         return self.model.predict(params.features())
 
-    def select_engine(self, target) -> str:
-        """Pick the CPU-phase backend (the search space's engine dimension).
-
-        Unlike band / halo this is not learned: the scalar-vs-vectorized
-        trade-off is a direct cost-model comparison per instance, so the
-        tuner resolves it analytically (``vectorized`` wins whenever its
-        per-diagonal batch overhead is amortised, i.e. on all but degenerate
-        instances — and it is only offered when NumPy is available).
-        """
-        params = self._as_input_params(target)
-        return self.search.search_space.best_engine(params, self.cost_model)
-
-    def tune_with_engine(self, target) -> tuple[TunableParams, str]:
-        """Tuned parameters plus the selected CPU-phase engine backend."""
-        return self.tune(target), self.select_engine(target)
-
     def resolve(self, app: str, params: InputParams) -> PlanDecision:
         """The :class:`~repro.autotuner.protocol.Tuner` protocol entry point.
 
         Answers with the hybrid three-phase executor under the learned
-        tunables and the cost-model-selected CPU engine — exactly the
-        configuration the historical :func:`autotune_and_run` helper built
-        by hand.  ``app`` is accepted for protocol compatibility; the
-        cost-model tuner is application-blind by design (an instance *is*
-        its (dim, tsize, dsize) signature).
+        tunables, its CPU phases on the host's preferred serial engine (the
+        registry's preference order — the engine is not learned and not
+        priced by the cost model, whose clock is the simulated testbed's).
+        ``app`` is accepted for protocol compatibility; the cost-model tuner
+        is application-blind by design (an instance *is* its (dim, tsize,
+        dsize) signature).
         """
-        tunables, engine = self.tune_with_engine(params)
+        tunables = self.tune(params)
         return PlanDecision(
             backend="hybrid",
             tunables=tunables.clipped(params.dim),
             workers=1,
-            engine=engine,
+            engine=self.search.search_space.engines[0],
             expected_s=self.predicted_rtime(params, tunables),
         )
 
@@ -161,13 +146,13 @@ class AutoTuner(Tuner):
     def select_cpu_backend(self, target) -> tuple[str, int]:
         """Pick the CPU backend and its worker count for an instance.
 
-        Extends :meth:`select_engine` with the multicore dimension: the
-        shared-memory ``mp-parallel`` backend competes with the single-core
-        engines under the cost model's parallel-efficiency term, and its
-        worker count is resolved per instance
+        The shared-memory ``mp-parallel`` backend competes with the
+        single-core engines under the cost model's parallel-efficiency term,
+        and its worker count is resolved per instance
         (:meth:`repro.autotuner.search_space.SearchSpace.best_cpu_backend`).
         Returns ``(backend_name, workers)`` — ``workers`` is 1 for the
-        single-core engines.
+        single-core engines.  This ranks the *simulated* platform's backends
+        on the cost model's testbed clock, not what the live host runs fastest.
         """
         params = self._as_input_params(target)
         return self.search.search_space.best_cpu_backend(params, cost_model=self.cost_model)

@@ -30,7 +30,6 @@ from repro.runtime.vectorized import (
     DiagonalSweepEngine,
     VectorizedSerialExecutor,
     compute_diagonal_range_vectorized,
-    engine_for,
     numpy_available,
 )
 from repro.runtime.cpu_parallel import CPUParallelExecutor
@@ -68,7 +67,6 @@ __all__ = [
     "VectorizedSerialExecutor",
     "DiagonalSweepEngine",
     "compute_diagonal_range_vectorized",
-    "engine_for",
     "numpy_available",
     "CPUParallelExecutor",
     "CompiledExecutor",

@@ -16,7 +16,7 @@ Numba is strictly optional: the import is guarded, :func:`numba_available`
 is the registry's availability probe (so the ``compiled`` strategy simply
 never appears in :func:`repro.runtime.registry.available_executors` on
 hosts without it), and nothing else in the package imports :mod:`numba`.
-Kernels without a port fall back to the cached vectorized sweep — same
+Kernels without a port fall back to the vectorized sweep — same
 grids, ``compiled_kernel: False`` in the stats — so sweeping every app
 through the ``compiled`` backend stays total.
 """
@@ -31,7 +31,7 @@ from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.executor_base import Executor
-from repro.runtime.vectorized import engine_for
+from repro.runtime.vectorized import DiagonalSweepEngine
 
 try:  # pragma: no cover - exercised only where numba is installed
     from numba import njit
@@ -170,8 +170,8 @@ def compiled_fill_for(problem: WavefrontProblem):
     """The problem's compiled whole-grid fill, or ``None`` without a port.
 
     The table precompute (substitution grid, match mask, emission table) is
-    cached on the problem like the vectorized engine, so repeated requests
-    pay it once; the jitted machine code itself is cached per process.
+    cached on the problem, so repeated requests pay it once; the jitted
+    machine code itself is cached per process.
     Returns ``None`` when numba is missing or the kernel has no port.
     """
     if not numba_available():
@@ -189,7 +189,7 @@ class CompiledExecutor(Executor):
     """Single-core execution through the JIT-compiled kernel tier.
 
     Ported kernels run as one machine-code pass over the grid (no numpy
-    dispatch anywhere); unported kernels fall back to the cached vectorized
+    dispatch anywhere); unported kernels fall back to the vectorized
     sweep so the strategy is total over the app registry.  Functional
     execution without numba raises a typed
     :class:`~repro.core.exceptions.ExecutionError`; the registry's
@@ -214,7 +214,7 @@ class CompiledExecutor(Executor):
         grid = problem.make_grid()
         fill = compiled_fill_for(problem)
         if fill is None:
-            cells = engine_for(problem).sweep(grid, 0, 2 * problem.dim - 2)
+            cells = DiagonalSweepEngine(problem).sweep(grid, 0, 2 * problem.dim - 2)
             return grid, {"cells_computed": cells, "compiled_kernel": False}
         fill(grid.values)
         return grid, {

@@ -85,15 +85,15 @@ class HybridExecutor(Executor):
 
         # One engine serves both CPU phases: its fused-evaluator precompute
         # (e.g. a dim x dim substitution grid) is O(dim^2) and must not be
-        # paid per phase.  The vectorized engine is additionally cached per
-        # problem, so repeated executions reuse it too.
+        # paid per phase.  It is dropped with the run: this executor is
+        # cached by the engine host and must not pin evaluator tables.
         self._sweep_engine = None
         self._mp_pool = None
         self._pool_borrowed = False
         if self.cpu_engine == "vectorized":
-            from repro.runtime.vectorized import engine_for
+            from repro.runtime.vectorized import DiagonalSweepEngine
 
-            self._sweep_engine = engine_for(problem)
+            self._sweep_engine = DiagonalSweepEngine(problem)
         elif self.cpu_engine == "mp":
             from repro.runtime.mp_parallel import MPWavefrontPool, resolve_worker_count
 
@@ -126,6 +126,7 @@ class HybridExecutor(Executor):
             cells_post = self._compute_cpu_span(problem, grid, plan.post.lo, plan.post.hi, tunables)
             stats["phase3_cells"] = cells_post
         finally:
+            self._sweep_engine = None
             if self._mp_pool is not None:
                 if self._pool_borrowed:
                     self._mp_pool.release()

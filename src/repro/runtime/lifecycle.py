@@ -1,11 +1,10 @@
-"""Session-owned lifecycle of executors, sweep engines and worker pools.
+"""Session-owned lifecycle of executors and worker pools.
 
 Executors used to be constructed ad hoc at every call site (the CLI, the
 benchmark driver, ``autotune_and_run``), and the expensive runtime state
-behind them — worker-process pools, shared-memory segments, per-problem
-fused-evaluator precomputes — lived and died with a single ``execute()``
-call.  :class:`EngineHost` gives that state an explicit owner with an
-explicit lifetime:
+behind them — worker-process pools, shared-memory segments — lived and
+died with a single ``execute()`` call.  :class:`EngineHost` gives that
+state an explicit owner with an explicit lifetime:
 
 * :meth:`EngineHost.executor_for` maps a resolved backend decision
   (strategy name, hybrid CPU engine, worker count) to a constructed
@@ -95,7 +94,8 @@ class EngineHost:
         ``backend`` is an executor strategy name or a ``hybrid-<engine>``
         alias; an explicit ``engine`` wins over the alias.  For the hybrid
         executor an unspecified engine defaults to the preferred serial
-        engine of this environment (vectorized when NumPy is available).
+        engine of this environment (vectorized when NumPy is available) —
+        the same registry order the tuners resolve their plans' engine from.
         The multicore executors are wired back to :meth:`pool_for`, so
         their worker pools persist across calls.  ``dispatch`` selects the
         tile dispatch order of the multicore backends: ``"pipelined"``

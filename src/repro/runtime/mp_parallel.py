@@ -20,8 +20,8 @@ count.  This module is the real thing:
   per worker in the pool initializer, not once per tile.
 
 When fewer than two cores are available (or one worker is requested) the
-backend degrades gracefully to the in-process whole-diagonal sweep of the
-cached :class:`repro.runtime.vectorized.DiagonalSweepEngine`, producing
+backend degrades gracefully to the in-process whole-diagonal sweep of a
+:class:`repro.runtime.vectorized.DiagonalSweepEngine`, producing
 identical grids without any shared-memory machinery — and without paying
 the tile-granular dispatch that only parallel workers amortise.
 """
@@ -54,7 +54,7 @@ from repro.runtime.scheduler import (
     run_schedule,
 )
 from repro.runtime.shared_grid import SharedGridBuffer
-from repro.runtime.vectorized import TileSweeper, engine_for
+from repro.runtime.vectorized import DiagonalSweepEngine, TileSweeper
 
 
 def resolve_worker_count(workers: int | None, system: SystemSpec | None = None) -> int:
@@ -142,8 +142,9 @@ class MPWavefrontPool:
       unlinks the segment.
 
     With ``workers == 1`` no processes or shared memory are involved: the
-    range is swept in-process by the problem's cached whole-grid
-    :class:`repro.runtime.vectorized.DiagonalSweepEngine` — tile-local
+    range is swept in-process by one whole-grid
+    :class:`repro.runtime.vectorized.DiagonalSweepEngine` built with the
+    pool and reused by every :meth:`run_range` — tile-local
     sweeps pay one NumPy dispatch per *tile* diagonal, which only buys
     anything when real workers share the bill, so the single-core fallback
     uses the strictly cheaper whole-diagonal batches (identical grids
@@ -179,7 +180,7 @@ class MPWavefrontPool:
                 initargs=(problem, self._buffer.name, dim),
             )
         else:
-            self._engine = engine_for(problem)
+            self._engine = DiagonalSweepEngine(problem)
         if grid is not None:
             self.bind(grid)
 
@@ -281,7 +282,9 @@ class MPWavefrontPool:
             # Single-core (or dtype-fallback) path: whole-diagonal batches,
             # no tile penalty.  Dispatch order is moot with one in-process
             # worker, so both modes share this sweep.
-            return 0, engine_for(self.problem).sweep(self.grid, d_lo, d_hi)
+            if self._engine is None:  # dtype fallback of a multiprocess pool
+                self._engine = DiagonalSweepEngine(self.problem)
+            return 0, self._engine.sweep(self.grid, d_lo, d_hi)
         cells = 0
 
         def collect(n: object) -> None:

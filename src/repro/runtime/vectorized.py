@@ -69,9 +69,9 @@ class TileSweeper:
     column 0) touch at most the two end elements of a local diagonal.
 
     One sweeper serves any number of tiles of its problem; building it pays
-    the kernel's fused-evaluator precompute exactly once, which is why both
-    the per-problem engine cache (:func:`engine_for`) and the worker pool's
-    per-process cache hold on to one.
+    the kernel's fused-evaluator precompute exactly once, which is why an
+    execution builds one and the worker pool's per-process cache holds on
+    to one.
     """
 
     def __init__(self, problem: WavefrontProblem) -> None:
@@ -197,8 +197,10 @@ class TileSweeper:
 class DiagonalSweepEngine:
     """Batched anti-diagonal sweep of one wavefront problem.
 
-    The engine is built once per problem (so fused evaluators can precompute
-    their tables) and then run over any diagonal range with :meth:`sweep`.
+    The engine is built once per execution (so fused evaluators precompute
+    their position tables once) and then run over any diagonal range with
+    :meth:`sweep`; it is dropped with the run, so the tables — one to three
+    extra grids — never outlive it on a cached problem.
     Neighbour values are read from the grid itself through strided diagonal
     views, which makes a mid-grid range (``d_lo > 0``) correct by
     construction — exactly what the hybrid executor's trailing CPU phase
@@ -277,32 +279,11 @@ class DiagonalSweepEngine:
                 )
 
 
-#: Attribute the per-problem engine cache lives under.  Caching *on* the
-#: problem (rather than in a module-level map) ties the engine's lifetime to
-#: the problem's: no registry to invalidate, nothing kept alive after the
-#: problem is garbage collected.
-_ENGINE_ATTR = "_cached_sweep_engine"
-
-
-def engine_for(problem: WavefrontProblem) -> DiagonalSweepEngine:
-    """The cached :class:`DiagonalSweepEngine` of ``problem`` (built once).
-
-    Repeated range calls (the hybrid executor's CPU phases, incremental
-    sweeps) reuse one engine, so the O(dim^2) fused-evaluator precompute is
-    paid once per problem instead of once per call.
-    """
-    engine = getattr(problem, _ENGINE_ATTR, None)
-    if engine is None or engine.problem is not problem:
-        engine = DiagonalSweepEngine(problem)
-        setattr(problem, _ENGINE_ATTR, engine)
-    return engine
-
-
 def compute_diagonal_range_vectorized(
     problem: WavefrontProblem, grid: WavefrontGrid, d_lo: int, d_hi: int
 ) -> int:
     """Vectorized counterpart of :func:`repro.runtime.compute.compute_diagonal_range`."""
-    return engine_for(problem).sweep(grid, d_lo, d_hi)
+    return DiagonalSweepEngine(problem).sweep(grid, d_lo, d_hi)
 
 
 class VectorizedSerialExecutor(Executor):
@@ -325,7 +306,7 @@ class VectorizedSerialExecutor(Executor):
         self, problem: WavefrontProblem, tunables: TunableParams
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
-        engine = engine_for(problem)
+        engine = DiagonalSweepEngine(problem)
         cells = engine.sweep(grid)
         return grid, {
             "cells_computed": cells,

@@ -21,7 +21,7 @@ Design points:
   plugs in unchanged; the session never looks past
   :meth:`~repro.autotuner.protocol.Tuner.resolve`.
 * **Batched serving** — :meth:`Session.solve_many` answers streams of
-  requests out of the tuned-plan cache, the problem/engine cache and the
+  requests out of the tuned-plan cache, the problem cache and the
   persistent worker pools of :class:`repro.runtime.lifecycle.EngineHost`,
   instead of re-tuning and re-spawning per request.
 * **Bounded state** — every cache is an LRU with a size configured by
@@ -83,7 +83,7 @@ class Session:
 
     ``mode`` is the default execution mode (``"functional"`` really
     computes, ``"simulate"`` evaluates the cost model only);
-    ``cache_size`` bounds the tuned-plan and problem/engine caches;
+    ``cache_size`` bounds the tuned-plan and problem caches;
     ``workers`` — when set — overrides every plan's worker count (useful to
     force or forbid multiprocessing).  ``cache_dir`` — when set — roots a
     persistent content-addressed result cache consulted by :meth:`solve` /

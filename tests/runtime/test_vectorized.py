@@ -112,53 +112,94 @@ class TestDiagonalSweepEngine:
             VectorizedSerialExecutor(i7_2600k).execute(problem)
 
 
-class TestEngineCache:
-    def test_engine_reused_across_range_calls(self, small_synthetic):
-        from repro.runtime import engine_for
+@pytest.fixture()
+def built_engines(monkeypatch):
+    """Weak references to every ``DiagonalSweepEngine`` constructed in the test."""
+    import weakref
 
-        assert engine_for(small_synthetic) is engine_for(small_synthetic)
+    import repro.runtime.vectorized as vec
 
-    def test_compute_range_uses_the_cached_engine(self, small_synthetic, monkeypatch):
-        import repro.runtime.vectorized as vec
+    refs = []
+    original = vec.DiagonalSweepEngine.__init__
 
-        calls = {"built": 0}
-        original = vec.DiagonalSweepEngine.__init__
+    def recording_init(self, problem):
+        refs.append(weakref.ref(self))
+        original(self, problem)
 
-        def counting_init(self, problem):
-            calls["built"] += 1
-            original(self, problem)
+    monkeypatch.setattr(vec.DiagonalSweepEngine, "__init__", recording_init)
+    return refs
 
-        monkeypatch.setattr(vec.DiagonalSweepEngine, "__init__", counting_init)
-        grid = small_synthetic.make_grid()
+
+class TestNothingRetained:
+    """Evaluator tables live for one run, never for the life of a problem."""
+
+    @pytest.mark.parametrize("app_name", ["stochastic-path", "edit-distance"])
+    def test_session_solve_drops_the_run_engine(
+        self, app_name, built_engines, quick_tuner_i3, i3
+    ):
+        import gc
+
+        from repro.session import Session
+
+        with Session(system=i3, tuner=quick_tuner_i3) as session:
+            plan = session.plan(app_name, 48)
+            assert plan.engine == "vectorized"
+            session.solve(app_name, 48)
+            gc.collect()
+            assert len(built_engines) == 1
+            assert built_engines[0]() is None  # dead while the problem is cached
+            assert not [name for name in vars(plan.problem) if "engine" in name]
+
+    def test_hybrid_builds_one_engine_per_run(
+        self, small_synthetic, built_engines, i7_2600k
+    ):
+        tunables = TunableParams.from_encoding(cpu_tile=4, band=6, halo=2, gpu_tile=4)
+        executor = HybridExecutor(i7_2600k, cpu_engine="vectorized")
+        for run in (1, 2):
+            result = executor.execute(small_synthetic, tunables)
+            assert result.stats["phase1_cells"] > 0
+            assert result.stats["phase3_cells"] > 0
+            assert len(built_engines) == run  # shared by both CPU phases
+        assert executor._sweep_engine is None
+
+    def test_single_core_pool_builds_one_engine_per_pool(
+        self, small_synthetic, built_engines
+    ):
+        from repro.runtime import MPWavefrontPool
+
         last = 2 * small_synthetic.dim - 2
-        compute_diagonal_range_vectorized(small_synthetic, grid, 0, last // 2)
-        compute_diagonal_range_vectorized(small_synthetic, grid, last // 2 + 1, last)
-        assert calls["built"] == 1  # the O(dim^2) precompute was paid once
+        with MPWavefrontPool(small_synthetic, tile=4, workers=1) as pool:
+            for _ in range(2):
+                grid = small_synthetic.make_grid()
+                pool.bind(grid)
+                pool.run_range(0, last // 2)
+                pool.run_range(last // 2 + 1, last)
+                pool.release()
+        assert len(built_engines) == 1
 
-    def test_problem_stays_picklable_with_cached_engine(self, small_synthetic):
+    def test_problem_stays_picklable_after_a_vectorized_run(
+        self, small_synthetic, i7_2600k
+    ):
         # The multicore backend ships problems to pool workers (pickled under
-        # spawn start methods); the cached engine holds closure evaluators
-        # and must be excluded from the pickled state.
+        # spawn start methods); fused evaluators are closures, so a run must
+        # leave none of them on the problem.
         import pickle
 
-        from repro.runtime import engine_for
-
-        engine_for(small_synthetic)
+        VectorizedSerialExecutor(i7_2600k).execute(small_synthetic)
         clone = pickle.loads(pickle.dumps(small_synthetic))
         assert clone.dim == small_synthetic.dim
-        assert not hasattr(clone, "_cached_sweep_engine")
+        assert vars(clone).keys() == vars(small_synthetic).keys()
 
-    def test_cache_does_not_keep_problems_alive(self, i7_2600k):
+    def test_a_run_does_not_keep_problems_alive(self, i7_2600k):
         import gc
         import weakref
 
         from repro.apps.synthetic import SyntheticApp
-        from repro.runtime import engine_for
 
         problem = SyntheticApp(dim=16).problem()
-        engine_for(problem)
+        result = VectorizedSerialExecutor(i7_2600k).execute(problem)
         ref = weakref.ref(problem)
-        del problem
+        del problem, result
         gc.collect()
         assert ref() is None
 
@@ -263,6 +304,24 @@ class TestRegistry:
             register_executor(Nameless)
 
 
+@pytest.fixture(
+    scope="module",
+    params=[
+        (system, tuner)
+        for system in ("local", "i3-540")
+        for tuner in ("learned", "exhaustive")
+    ],
+    ids=lambda p: f"{p[0]}-{p[1]}",
+)
+def decision_session(request, tiny_space):
+    """One planning session per (system, tuner) pair on the tiny space."""
+    from repro.session import Session
+
+    system, tuner = request.param
+    with Session(system=system, tuner=tuner, space=tiny_space) as session:
+        yield session
+
+
 class TestEngineDimension:
     def test_search_space_exposes_engines(self, tiny_space, i7_2600k):
         from repro.autotuner.search_space import SearchSpace
@@ -272,18 +331,35 @@ class TestEngineDimension:
         assert "serial" in space.engines
         assert "engines" in space.describe()
 
-    def test_best_engine_is_vectorized_for_typical_instances(self, tiny_space, i7_2600k):
-        from repro.autotuner.search_space import SearchSpace
-        from repro.core.params import InputParams
+    @pytest.mark.parametrize("dim", [12, 96, 512])
+    @pytest.mark.parametrize("app_name", available_applications())
+    def test_default_plan_sweeps_on_the_preferred_engine(
+        self, app_name, dim, decision_session
+    ):
+        plan = decision_session.plan(app_name, dim)
+        assert plan.engine == available_serial_engines()[0] == "vectorized"
 
-        space = SearchSpace(tiny_space, i7_2600k)
-        params = InputParams(dim=1900, tsize=750, dsize=1)
-        assert space.best_engine(params) == "vectorized"
+    @pytest.mark.parametrize("tuner", ["learned", "exhaustive"])
+    def test_numpy_gate_falls_back_to_serial(self, tuner, tiny_space, i3, monkeypatch):
+        import dataclasses
 
-    def test_tuner_selects_engine(self, trained_tuner_i7):
+        from repro.runtime.registry import ENGINE_SPECS
+        from repro.session import Session
+
+        gated = dataclasses.replace(ENGINE_SPECS["vectorized"], available=lambda: False)
+        monkeypatch.setitem(ENGINE_SPECS, "vectorized", gated)
+        assert available_serial_engines() == ["serial"]
+        with Session(system=i3, tuner=tuner, space=tiny_space) as session:
+            plan = session.plan("lcs", 24)
+            assert plan.engine == "serial"
+            result = session.run(plan)
+        reference = SerialExecutor(i3).execute(get_application("lcs", dim=24).problem(24))
+        assert result.matches(reference)
+
+    def test_tuner_resolves_tunables_and_engine(self, trained_tuner_i7):
         from repro.core.params import InputParams
 
         params = InputParams(dim=128, tsize=500, dsize=1)
-        tunables, engine = trained_tuner_i7.tune_with_engine(params)
-        assert engine in ("vectorized", "serial")
-        assert isinstance(tunables, TunableParams)
+        decision = trained_tuner_i7.resolve("synthetic", params)
+        assert decision.engine == "vectorized"
+        assert isinstance(decision.tunables, TunableParams)

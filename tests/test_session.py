@@ -131,10 +131,10 @@ class TestEquivalenceWithLegacyPath:
         from repro.apps.registry import get_application
 
         problem = get_application(app_name, dim=SMALL_DIM).problem(SMALL_DIM)
-        tunables, engine = quick_tuner_i3.tune_with_engine(problem)
+        decision = quick_tuner_i3.resolve(app_name, problem.input_params())
         legacy = HybridExecutor(
-            i3, quick_tuner_i3.constants, cpu_engine=engine
-        ).execute(problem, tunables, mode="functional")
+            i3, quick_tuner_i3.constants, cpu_engine=decision.engine
+        ).execute(problem, decision.tunables, mode="functional")
 
         result = i3_session.solve(app_name, SMALL_DIM)
         assert result.matches(legacy)
@@ -144,10 +144,10 @@ class TestEquivalenceWithLegacyPath:
         from repro.apps.registry import get_application
 
         problem = get_application("synthetic", dim=64).problem(64)
-        tunables, engine = quick_tuner_i3.tune_with_engine(problem)
+        decision = quick_tuner_i3.resolve("synthetic", problem.input_params())
         legacy = HybridExecutor(
-            i3, quick_tuner_i3.constants, cpu_engine=engine
-        ).execute(problem, tunables, mode="simulate")
+            i3, quick_tuner_i3.constants, cpu_engine=decision.engine
+        ).execute(problem, decision.tunables, mode="simulate")
         result = i3_session.solve("synthetic", 64, mode="simulate")
         assert result.rtime == pytest.approx(legacy.rtime)
 
