@@ -12,7 +12,6 @@ import pytest
 from repro.apps.synthetic import SyntheticApp
 from repro.core.params import InputParams, TunableParams
 from repro.core.plan import ThreePhasePlan
-from repro.device.context import DeviceContext
 from repro.hardware.costmodel import CostModel
 from repro.runtime.band import BandRunner
 from repro.runtime.serial import SerialExecutor
@@ -67,9 +66,7 @@ def test_functional_swap_counts_match_halo(benchmark, systems):
         grid = problem.make_grid()
         for d in range(0, plan.gpu.lo):
             grid.set_diagonal(d, serial_grid.get_diagonal(d))
-        with DeviceContext(system, 2) as ctx:
-            stats = BandRunner(problem, grid, plan, tunables, ctx).run()
-        return stats["halo_swaps"]
+        return BandRunner(problem, grid, plan, tunables).run()["halo_swaps"]
 
     def sweep():
         return {halo: run_with_halo(halo) for halo in (0, 1, 3, 6)}

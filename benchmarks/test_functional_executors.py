@@ -1,7 +1,7 @@
 """Micro-benchmarks of the functional executors.
 
 Not a paper figure: these measure the reproduction's own machinery (serial
-sweep, tiled CPU schedule, simulated GPU band with halo exchange) on a small
+sweep, simulated GPU band with halo exchange) on a small
 grid so regressions in the executors' overheads are visible over time.
 """
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.apps.synthetic import SyntheticApp
 from repro.core.params import TunableParams
-from repro.runtime.cpu_parallel import CPUParallelExecutor
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.serial import SerialExecutor
 
@@ -22,12 +21,6 @@ def small_problem():
 def test_serial_functional_sweep(benchmark, systems, small_problem):
     executor = SerialExecutor(systems[1])
     result = benchmark(executor.execute, small_problem)
-    assert result.grid is not None
-
-
-def test_cpu_parallel_functional_sweep(benchmark, systems, small_problem):
-    executor = CPUParallelExecutor(systems[1])
-    result = benchmark(executor.execute, small_problem, TunableParams(cpu_tile=8))
     assert result.grid is not None
 
 

@@ -18,7 +18,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import Session
+from repro import ExecutionPolicy, Session
 from repro.hardware import platforms
 from repro.utils.logging import configure_logging, get_logger
 
@@ -50,7 +50,9 @@ def main() -> None:
         # 2. Execute the plan functionally and verify against serial.
         # --------------------------------------------------------------
         tuned = session.run(plan)
-        serial = session.solve("nash-equilibrium", 64, backend="serial")
+        serial = session.solve(
+            "nash-equilibrium", 64, policy=ExecutionPolicy(backend="serial")
+        )
         assert tuned.matches(serial), "tuned execution must agree with the serial sweep"
         print(
             f"  functional run OK (matches serial); simulated rtime "

@@ -22,7 +22,7 @@ process on one machine, so the ratio is machine-neutral.
 Usage (CI):
 
     python -m repro bench --dim 96 --apps synthetic,lcs \
-        --executors serial,vectorized,cpu-parallel,mp-parallel \
+        --executors serial,vectorized,mp-parallel \
         --out /tmp/perf_smoke.json
     python -m repro run --app lcs --dim 96 --system local --plan-out /tmp/plan.json
     python scripts/check_perf.py --fresh /tmp/perf_smoke.json \

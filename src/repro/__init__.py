@@ -5,12 +5,12 @@ The package provides:
 
 * :mod:`repro.core` — the wavefront pattern abstraction, tunable-parameter
   model and the three-phase hybrid decomposition.
-* :mod:`repro.hardware` — heterogeneous platform descriptions (Table 4 of the
-  paper) and the analytic cost model used in place of the 2014 testbed.
-* :mod:`repro.device` — a simulated OpenCL-like harness (contexts, buffers,
-  command queues, kernels, work-groups).
-* :mod:`repro.runtime` — serial, tiled CPU-parallel, single-GPU, multi-GPU and
-  hybrid three-phase executors with both *functional* and *simulate* modes.
+* :mod:`repro.hardware` — the simulated testbed: heterogeneous platform
+  descriptions (Table 4 of the paper) and the analytic cost model that
+  charges time for the operation counts the runtime reports.
+* :mod:`repro.runtime` — the six executors (serial, vectorized, compiled,
+  mp-parallel, pipelined and the hybrid three-phase CPU / GPU-band / CPU
+  strategy), each with a *functional* and a *simulate* mode.
 * :mod:`repro.apps` — the synthetic training application and the real
   evaluation applications (Nash equilibrium, biological sequence comparison,
   0/1 knapsack).
@@ -37,8 +37,7 @@ The supported entry point is the session::
         result = session.run(plan)
 
 Everything below it (executors, tuners, registries) remains public for
-research use, but :func:`~repro.autotuner.tuner.autotune_and_run` is
-deprecated in favour of :meth:`~repro.session.Session.solve`.
+research use.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from repro.hardware.system import SystemSpec
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.result import ExecutionResult
 from repro.autotuner.protocol import PlanDecision, Tuner
-from repro.autotuner.tuner import AutoTuner, autotune_and_run
+from repro.autotuner.tuner import AutoTuner
 from repro.facade.plan import ResolvedPlan, load_plan, save_plan
 from repro.facade.policy import ExecutionPolicy
 from repro.runtime.registry import EngineSpec
@@ -70,7 +69,6 @@ __all__ = [
     "HybridExecutor",
     "ExecutionResult",
     "AutoTuner",
-    "autotune_and_run",
     "Session",
     "ResolvedPlan",
     "ExecutionPolicy",

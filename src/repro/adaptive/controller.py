@@ -237,7 +237,11 @@ class AdaptiveController:
     def _plan_for(
         self, app: Any, dim: int | None, plan_kwargs: dict
     ) -> ResolvedPlan | None:
-        """The active plan of one signature, or ``None`` when unresolvable."""
+        """The active plan of one signature, or ``None`` when unresolvable.
+
+        ``plan_kwargs`` are the request's :meth:`Session.plan` keywords as
+        the server admitted them: ``policy=`` plus constructor overrides.
+        """
         try:
             return self.session.plan(app, dim, **plan_kwargs)
         except ReproError:

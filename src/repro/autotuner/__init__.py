@@ -29,7 +29,7 @@ from repro.autotuner.random_search import RandomSearch
 from repro.autotuner.baselines import SimpleSchemes, simple_scheme_times
 from repro.autotuner.training import TrainingSetBuilder, TrainingSet
 from repro.autotuner.models import LearnedTuner
-from repro.autotuner.tuner import AutoTuner, autotune_and_run
+from repro.autotuner.tuner import AutoTuner
 from repro.autotuner.persistence import save_tuner, load_tuner
 from repro.autotuner.measured import (
     MeasuredProfile,
@@ -58,7 +58,6 @@ __all__ = [
     "TrainingSet",
     "LearnedTuner",
     "AutoTuner",
-    "autotune_and_run",
     "save_tuner",
     "load_tuner",
     "MeasuredProfile",

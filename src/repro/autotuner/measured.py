@@ -8,7 +8,7 @@ the machine actually running the code:
 1. **Profile** — :func:`profile_host` introspects the local host
    (:func:`repro.hardware.system.detect_local_system`), runs timed
    functional sweeps of the registered CPU backends (``serial``,
-   ``vectorized``, ``cpu-parallel``, ``mp-parallel`` and the hybrid
+   ``vectorized``, ``mp-parallel``, ``pipelined`` and the hybrid
    executor's CPU engines) over an instance grid, and collects the
    wall-clocks into a :class:`MeasuredProfile`.
 2. **Train** — :meth:`MeasuredTuner.train` converts the profile into
@@ -70,7 +70,6 @@ DEFAULT_REPORT_PATH = Path("benchmarks") / "results" / "local_profile_report.txt
 PROFILED_BACKENDS = (
     "serial",
     "vectorized",
-    "cpu-parallel",
     "mp-parallel",
     "pipelined",
     "compiled",
@@ -429,8 +428,6 @@ def _backend_configs(
     the instance), and the multicore ones additionally sweep worker counts.
     """
     tiles = tuple(dict.fromkeys(min(t, dim) for t in config.tiles))
-    if name in ("serial", "vectorized", "compiled"):
-        return [(TunableParams(cpu_tile=1), 1)]
     if name == "hybrid-vectorized":
         return [(TunableParams(cpu_tile=tiles[0]), 1)]
     if name in ("mp-parallel", "pipelined", "hybrid-mp"):
@@ -439,8 +436,7 @@ def _backend_configs(
             for t in tiles
             for w in worker_candidates
         ]
-    # cpu-parallel: tiled, in-process (worker threads are GIL-bound).
-    return [(TunableParams(cpu_tile=t), 1) for t in tiles]
+    return [(TunableParams(cpu_tile=1), 1)]
 
 
 def profile_host(

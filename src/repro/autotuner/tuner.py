@@ -9,8 +9,7 @@ This module ties the whole Figure 4 workflow together:
   dsize) features to tuned parameter settings;
 * :meth:`AutoTuner.efficiency` measures the fraction of the exhaustive-search
   optimum the tuned configuration achieves (the paper reports 98% on
-  average, Figure 10);
-* :func:`autotune_and_run` is the one-call convenience used by the examples.
+  average, Figure 10).
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from repro.autotuner.protocol import PlanDecision, Tuner
 from repro.autotuner.training import TrainingSetBuilder, TrainingSet
 from repro.hardware.costmodel import CostConstants, CostModel
 from repro.hardware.system import SystemSpec
-from repro.runtime.executor_base import ExecutionMode
-from repro.runtime.hybrid import HybridExecutor
-from repro.runtime.result import ExecutionResult
 
 
 @dataclass
@@ -212,55 +208,3 @@ class AutoTuner(Tuner):
     def quick(cls, system: SystemSpec, seed: int | None = None) -> "AutoTuner":
         """A small, fast tuner (reduced space) — used by examples and tests."""
         return cls(system, space=ParameterSpace.reduced(), seed=seed).train()
-
-
-# ----------------------------------------------------------------------
-# Deprecated convenience entry point (kept as a Session shim)
-# ----------------------------------------------------------------------
-#: Sessions reused across calls, keyed by (system name, tuner identity).
-_SESSION_CACHE: dict = {}
-
-
-def autotune_and_run(
-    app: WavefrontApplication | WavefrontProblem,
-    system: SystemSpec,
-    mode: ExecutionMode | str = ExecutionMode.SIMULATE,
-    tuner: AutoTuner | None = None,
-    use_cache: bool = True,
-) -> ExecutionResult:
-    """Deprecated: tune ``app`` for ``system`` and execute it in one call.
-
-    Thin shim over :class:`repro.session.Session` — equivalent to
-    ``Session(system=system, tuner=tuner or "learned").solve(app,
-    mode=mode)`` — kept so pre-session code and the paper-era examples keep
-    running.  New code should hold a session (plan reuse, persistent pools,
-    bounded caches) instead of paying a fresh lookup per call.
-
-    ``mode`` defaults to ``simulate`` because the functional mode really
-    computes every cell and is only sensible for small grids; the quickstart
-    example shows both.
-    """
-    import warnings
-
-    warnings.warn(
-        "autotune_and_run() is deprecated; use repro.Session "
-        "(session.solve(app, dim)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import Session
-
-    target = app.problem() if isinstance(app, WavefrontApplication) else app
-    if not use_cache:
-        # Ephemeral session: close it so worker pools and shared-memory
-        # segments never outlive the call (the old helper's behaviour).
-        with Session(
-            system=system, tuner=tuner if tuner is not None else "learned"
-        ) as session:
-            return session.solve(target, mode=mode)
-    key = (system.name, id(tuner) if tuner is not None else None)
-    session = _SESSION_CACHE.get(key)
-    if session is None:
-        session = Session(system=system, tuner=tuner if tuner is not None else "learned")
-        _SESSION_CACHE[key] = session
-    return session.solve(target, mode=mode)

@@ -38,9 +38,8 @@ Two serving verbs build on the ``repro.server`` subsystem:
   throughput/latency JSON artifact under ``benchmarks/results/`` that
   ``scripts/check_serve.py`` gates in CI.
 
-Two auxiliary verbs: ``systems`` lists the Table 4 platforms plus the
-introspected local host, and ``sweep`` survives as a deprecated alias of
-``report --kind heatmap``.
+One auxiliary verb: ``systems`` lists the Table 4 platforms plus the
+introspected local host.
 
 Error handling is centralised in :func:`main`: every
 :class:`repro.core.exceptions.ReproError` subclass maps to one exit code
@@ -560,19 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"artifact path (default: {DEFAULT_BENCH_DIR}/serve_loadgen.json)",
     )
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="deprecated alias of 'report --kind heatmap'",
-        description="Deprecated alias of 'report --kind heatmap' (kept for "
-        "pre-session scripts).",
-    )
-    _add_report_args(sweep)
     return parser
 
 
 def _add_report_args(parser: argparse.ArgumentParser) -> None:
-    """Shared arguments of the ``report`` verb and its ``sweep`` alias."""
+    """Arguments of the ``report`` verb."""
     parser.add_argument(
         "--kind",
         default="heatmap",
@@ -647,16 +638,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.backend is not None:
                 if args.dim is None:
                     raise UsageError("--backend needs an explicit --dim")
-                tunables = _bench_tunables(
+                policy_kwargs["backend"] = args.backend
+                policy_kwargs["tunables"] = _bench_tunables(
                     args.backend, args.dim, session.system.max_usable_gpus
                 )
-                if tunables is None:
-                    raise UsageError(
-                        f"backend {args.backend!r} cannot run on system "
-                        f"{session.system.name!r}"
-                    )
-                policy_kwargs["backend"] = args.backend
-                policy_kwargs["tunables"] = tunables
             if args.workers is not None:
                 policy_kwargs["workers"] = args.workers
             plan = session.plan(
@@ -775,30 +760,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_tunables(executor: str, dim: int, max_gpus: int) -> TunableParams | None:
-    """Default configuration each executor is benchmarked under.
-
-    Returns ``None`` when the executor cannot run on the system (e.g. the
-    dual-GPU band executor on a single-GPU platform).
-    """
-    if executor in ("serial", "vectorized"):
-        return TunableParams()
-    if executor == "cpu-parallel":
-        return TunableParams(cpu_tile=8)
+def _bench_tunables(executor: str, dim: int, max_gpus: int) -> TunableParams:
+    """Default configuration each executor is benchmarked under."""
     if executor in ("mp-parallel", "pipelined"):
         # Coarse tiles amortise the per-tile pool dispatch while still
         # exposing enough tile-parallelism across a wave (barriered or not).
         return TunableParams(cpu_tile=max(32, dim // 8))
-    if executor == "compiled":
-        return TunableParams()
-    if executor == "gpu-only-single":
-        if max_gpus < 1:
-            return None
-        return TunableParams.from_encoding(cpu_tile=1, band=dim - 1, halo=-1, gpu_tile=8)
-    if executor == "gpu-only-multi":
-        if max_gpus < 2:
-            return None
-        return TunableParams.from_encoding(cpu_tile=1, band=dim - 1, halo=0, gpu_tile=8)
     if executor == "hybrid":
         if max_gpus < 1:
             return TunableParams(cpu_tile=8)
@@ -845,12 +812,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             reference = None
             serial_best = None
             for executor_name in executor_names:
-                tunables = _bench_tunables(executor_name, args.dim, system.max_usable_gpus)
-                if tunables is None:
-                    continue
                 policy_kwargs: dict = {
                     "backend": executor_name,
-                    "tunables": tunables,
+                    "tunables": _bench_tunables(
+                        executor_name, args.dim, system.max_usable_gpus
+                    ),
                 }
                 if executor_name == "hybrid":
                     # The paper's tiled serial CPU phases (the historical
@@ -965,13 +931,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace, deprecated_alias: bool = False) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     """The ``report`` verb: render the heatmap or measured report."""
-    if deprecated_alias:
-        print(
-            "note: 'sweep' is deprecated; use 'repro-tune report --kind heatmap'\n",
-            file=sys.stderr,
-        )
     if args.kind == "measured":
         return _report_measured(args)
     if args.kind == "adaptive":
@@ -1315,7 +1276,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: Verb dispatch table (the ``sweep`` alias forwards to ``report``).
+#: Verb dispatch table.
 _HANDLERS = {
     "systems": cmd_systems,
     "run": cmd_run,
@@ -1325,7 +1286,6 @@ _HANDLERS = {
     "report": cmd_report,
     "serve": cmd_serve,
     "loadgen": cmd_loadgen,
-    "sweep": lambda args: cmd_report(args, deprecated_alias=True),
 }
 
 

@@ -33,14 +33,6 @@ class KernelError(ReproError):
     """A wavefront kernel produced invalid output or was misconfigured."""
 
 
-class DeviceError(ReproError):
-    """An operation on the simulated device layer was invalid.
-
-    Examples: reading a buffer that was never written, enqueuing a kernel on
-    a released context, exceeding device memory.
-    """
-
-
 class ExecutionError(ReproError):
     """A runtime executor failed to complete an execution."""
 
@@ -88,7 +80,7 @@ class UnknownApplicationError(RegistryError):
 
 
 class UnknownExecutorError(RegistryError):
-    """An executor name is not in :data:`repro.runtime.registry.EXECUTORS`."""
+    """An executor name is not in :data:`repro.runtime.registry.ENGINE_SPECS`."""
 
 
 class UnknownSystemError(RegistryError):

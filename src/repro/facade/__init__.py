@@ -7,8 +7,8 @@ live here so they can be reused (and tested) independently:
   inspectable, JSON-serialisable, replayable unit the session's
   plan/execute separation exchanges;
 * :mod:`repro.facade.policy` — :class:`~repro.facade.policy.ExecutionPolicy`,
-  the typed bundle of plan overrides (backend / engine / workers / dispatch /
-  tunables) that replaces the scattered keyword arguments;
+  the typed bundle of plan overrides (backend / engine / workers /
+  tunables), the one spelling of an override;
 * :mod:`repro.facade.tuners` — :func:`~repro.facade.tuners.make_tuner`,
   the one place tuner strategy names (``"learned"``, ``"measured"``,
   ``"exhaustive"``) are resolved into
@@ -16,14 +16,13 @@ live here so they can be reused (and tested) independently:
 """
 
 from repro.facade.plan import PLAN_FORMAT_VERSION, ResolvedPlan, load_plan, save_plan
-from repro.facade.policy import DISPATCH_MODES, ExecutionPolicy
+from repro.facade.policy import ExecutionPolicy
 from repro.facade.tuners import make_tuner
 
 __all__ = [
     "ResolvedPlan",
     "PLAN_FORMAT_VERSION",
     "ExecutionPolicy",
-    "DISPATCH_MODES",
     "save_plan",
     "load_plan",
     "make_tuner",

@@ -52,11 +52,6 @@ class ResolvedPlan:
     system: str
     engine: str | None = None
     workers: int = 1
-    #: Tile dispatch order of the multicore backends: ``"barrier"`` fans
-    #: tile-diagonals with a barrier between them, ``"pipelined"`` drains the
-    #: dependency graph with no barrier at all.  Single-core backends ignore
-    #: it.  Plans persisted before the field existed load as ``"barrier"``.
-    dispatch: str = "barrier"
     tuner: str = "manual"
     expected_s: float | None = None
     app_kwargs: tuple[tuple[str, object], ...] = ()
@@ -85,8 +80,6 @@ class ResolvedPlan:
         strategy, engine = self.split()
         engine_txt = f", engine={engine}" if engine else ""
         workers_txt = f", workers={self.workers}" if self.workers > 1 else ""
-        if self.dispatch != "barrier":
-            workers_txt += f", dispatch={self.dispatch}"
         expected_txt = (
             f"  ~{self.expected_s * 1e3:.2f} ms expected"
             if self.expected_s is not None
@@ -122,7 +115,6 @@ class ResolvedPlan:
             "backend": self.backend,
             "engine": self.engine,
             "workers": self.workers,
-            "dispatch": self.dispatch,
             "system": self.system,
             "tuner": self.tuner,
             "expected_s": self.expected_s,
@@ -134,7 +126,11 @@ class ResolvedPlan:
         """Rebuild a plan serialised by :meth:`to_dict`.
 
         Raises :class:`repro.core.exceptions.ArtifactError` on a stale
-        ``format_version`` or a payload that is not a plan.
+        ``format_version`` or a payload that is not a plan.  Plans written
+        while the tile dispatch order was a separate field may carry a
+        ``"dispatch"`` key: ``"barrier"`` was the default and is ignored,
+        ``"pipelined"`` is only accepted on the ``pipelined`` backend (which
+        is how that request is spelled now).
         """
         if not isinstance(data, dict) or "backend" not in data or "app" not in data:
             raise ArtifactError("payload does not contain a resolved plan")
@@ -143,6 +139,11 @@ class ResolvedPlan:
             raise ArtifactError(
                 f"unsupported plan format version {version!r} "
                 f"(expected {PLAN_FORMAT_VERSION})"
+            )
+        if data.get("dispatch") == "pipelined" and data["backend"] != "pipelined":
+            raise ArtifactError(
+                f"plan asks for pipelined dispatch on backend {data['backend']!r}; "
+                "re-plan with backend='pipelined'"
             )
         p = data["params"]
         t = data["tunables"]
@@ -162,7 +163,6 @@ class ResolvedPlan:
             backend=str(data["backend"]),
             engine=data.get("engine"),
             workers=int(data.get("workers", 1)),
-            dispatch=str(data.get("dispatch", "barrier")),
             system=str(data["system"]),
             tuner=str(data.get("tuner", "manual")),
             expected_s=(

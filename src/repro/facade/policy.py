@@ -1,12 +1,11 @@
 """Typed execution policy: every plan override in one declarative object.
 
-Planning overrides grew by accretion — ``backend=`` here, ``engine=`` and
-``workers=`` there, ``dispatch`` nowhere at all — so
-:class:`ExecutionPolicy` folds them into one frozen, validated value that
-:meth:`repro.session.Session.plan` accepts as ``policy=``.  The legacy
-keyword arguments keep working (they coerce into a policy and emit a
-:class:`DeprecationWarning`), and a policy-built plan serialises exactly
-like a kwargs-built one, so persisted plans are unaffected.
+:class:`ExecutionPolicy` is the one spelling of a plan override: a frozen,
+validated value that :meth:`repro.session.Session.plan` and
+:meth:`~repro.session.Session.solve` accept as ``policy=``.  The HTTP layer
+lifts the ``backend`` / ``engine`` / ``workers`` / ``tunables`` keys of a
+``POST /solve`` body into the same object at decode time, so every request
+— in process or over the wire — reaches the session in one shape.
 """
 
 from __future__ import annotations
@@ -16,35 +15,26 @@ from dataclasses import dataclass
 from repro.core.exceptions import InvalidParameterError
 from repro.core.params import TunableParams
 
-#: Tile dispatch orders a policy may request.
-DISPATCH_MODES: tuple[str, ...] = ("barrier", "pipelined")
-
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How a plan should execute: backend, engine, workers, dispatch, tunables.
+    """How a plan should execute: backend, engine, workers, tunables.
 
     Every field is optional; ``None`` means "let the tuner decide".  Setting
-    ``backend`` (or ``tunables``) makes the resulting plan *manual*, exactly
-    as the legacy ``backend=`` keyword did.  ``dispatch`` selects the tile
-    dispatch order of the multicore backends (``"barrier"`` or
-    ``"pipelined"``); it is carried into the plan and honoured by the
-    engine host when the plan runs.
+    ``backend`` (or ``tunables``) makes the resulting plan *manual*: the
+    tuner is bypassed and the plan's ``tuner`` field reads ``"manual"``.
+    The tile dispatch order of the multicore pool is part of the backend
+    choice: ``"mp-parallel"`` barriers per tile-diagonal, ``"pipelined"``
+    drains the dependency graph with no barrier.
     """
 
     backend: str | None = None
     engine: str | None = None
     workers: int | None = None
-    dispatch: str | None = None
     tunables: TunableParams | None = None
 
     def __post_init__(self) -> None:
-        """Validate the dispatch vocabulary and the worker count."""
-        if self.dispatch is not None and self.dispatch not in DISPATCH_MODES:
-            raise InvalidParameterError(
-                f"unknown dispatch mode {self.dispatch!r}; expected one of: "
-                f"{', '.join(DISPATCH_MODES)}"
-            )
+        """Validate the worker count."""
         if self.workers is not None and int(self.workers) < 1:
             raise InvalidParameterError(
                 f"workers must be >= 1, got {self.workers}"
@@ -53,13 +43,7 @@ class ExecutionPolicy:
     @property
     def is_default(self) -> bool:
         """True when no field is set (the tuner decides everything)."""
-        return (
-            self.backend is None
-            and self.engine is None
-            and self.workers is None
-            and self.dispatch is None
-            and self.tunables is None
-        )
+        return not self.overrides()
 
     def overrides(self) -> dict:
         """The non-``None`` fields as a name -> value dict (cache keys, repr)."""
@@ -67,7 +51,6 @@ class ExecutionPolicy:
             "backend": self.backend,
             "engine": self.engine,
             "workers": self.workers,
-            "dispatch": self.dispatch,
             "tunables": self.tunables,
         }
         return {name: value for name, value in fields.items() if value is not None}

@@ -343,8 +343,6 @@ class CostModel:
         if backend == "pipelined":
             effective = workers if workers is not None else self.system.cpu.workers
             return self.pipelined_time(params, cpu_tile, effective)
-        if backend == "cpu-parallel":
-            return self.cpu_parallel_time(params, cpu_tile)
         return self.engine_time(backend, params)
 
     # ------------------------------------------------------------------

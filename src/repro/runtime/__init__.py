@@ -1,6 +1,6 @@
 """Execution engines for the wavefront pattern.
 
-Executors come in two flavours:
+Six executors, each executing differently:
 
 * :class:`repro.runtime.serial.SerialExecutor` — the optimised sequential
   baseline, also the reference implementation the others are validated
@@ -8,10 +8,17 @@ Executors come in two flavours:
 * :class:`repro.runtime.vectorized.VectorizedSerialExecutor` — the same
   sweep with every anti-diagonal evaluated as one NumPy batch; the default
   single-core backend when NumPy is available;
+* :class:`repro.runtime.compiled.CompiledExecutor` — the JIT-compiled tier
+  (registered only where :mod:`numba` imports);
+* :class:`repro.runtime.mp_parallel.MPParallelExecutor` /
+  :class:`repro.runtime.mp_parallel.PipelinedMPExecutor` — the tile
+  wavefront on a shared-memory worker-process pool, with a barrier per
+  tile-diagonal or dependency-driven with none;
 * :class:`repro.runtime.hybrid.HybridExecutor` — the paper's three-phase
-  CPU / GPU / CPU strategy, parameterised by
-  :class:`repro.core.params.TunableParams`, built from the tiled CPU-parallel
-  executor and the single-/multi-GPU band executors.
+  CPU / GPU-band / CPU strategy, parameterised by
+  :class:`repro.core.params.TunableParams`; its GPU band is emulated by
+  :class:`repro.runtime.band.BandRunner`, which counts the operations the
+  cost model charges for.
 
 All executors are registered by strategy name in
 :mod:`repro.runtime.registry`; construct them uniformly with
@@ -32,7 +39,6 @@ from repro.runtime.vectorized import (
     compute_diagonal_range_vectorized,
     numpy_available,
 )
-from repro.runtime.cpu_parallel import CPUParallelExecutor
 from repro.runtime.compiled import CompiledExecutor, compiled_fill_for, numba_available
 from repro.runtime.mp_parallel import (
     MPParallelExecutor,
@@ -43,12 +49,9 @@ from repro.runtime.mp_parallel import (
 )
 from repro.runtime.scheduler import DependencyGraph, PipelinedSchedule, run_pipelined
 from repro.runtime.shared_grid import SharedGridBuffer
-from repro.runtime.gpu_single import SingleGPUBandExecutor
-from repro.runtime.gpu_multi import MultiGPUBandExecutor
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.registry import (
     ENGINE_SPECS,
-    EXECUTORS,
     EngineSpec,
     available_executors,
     available_serial_engines,
@@ -68,7 +71,6 @@ __all__ = [
     "DiagonalSweepEngine",
     "compute_diagonal_range_vectorized",
     "numpy_available",
-    "CPUParallelExecutor",
     "CompiledExecutor",
     "compiled_fill_for",
     "numba_available",
@@ -81,11 +83,8 @@ __all__ = [
     "run_pipelined",
     "SharedGridBuffer",
     "resolve_worker_count",
-    "SingleGPUBandExecutor",
-    "MultiGPUBandExecutor",
     "HybridExecutor",
     "ENGINE_SPECS",
-    "EXECUTORS",
     "EngineSpec",
     "available_executors",
     "engines_with",

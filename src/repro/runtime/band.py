@@ -1,7 +1,7 @@
 """Functional execution of the GPU band (phase 2 of the hybrid strategy).
 
-One :class:`BandRunner` drives 1 or 2 simulated GPUs through the band of
-diagonals assigned to phase 2:
+One :class:`BandRunner` emulates 1 or 2 GPUs sweeping the band of diagonals
+assigned to phase 2:
 
 * every diagonal is split across the devices by
   :func:`repro.core.partition.partition_diagonal`, with each device also
@@ -17,8 +17,11 @@ diagonals assigned to phase 2:
 
 The runner's results are bit-identical to the serial sweep by construction —
 this is asserted by the integration and property tests — while its operation
-counts (kernel launches, halo swaps, transfer volumes) are what the analytic
-cost model charges time for.
+counters (kernel launches, halo swaps, transfer volumes) are what the analytic
+cost model charges time for.  The simulated platform is exactly those
+counters: kernels are the problem's own ``diagonal`` callable evaluated on
+the host, and every launch, transfer and swap a real harness would enqueue
+increments an integer here.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ from repro.core.params import TunableParams
 from repro.core.partition import partition_diagonal
 from repro.core.pattern import WavefrontProblem
 from repro.core.plan import ThreePhasePlan
-from repro.device.context import DeviceContext
-from repro.device.events import DeviceEvent, EventKind
-from repro.device.kernel import KernelSpec, WorkGroupConfig
 
 
 @dataclass
@@ -115,7 +115,11 @@ def _lookup(diag: _DeviceDiagonal | None, k: np.ndarray, needed: np.ndarray):
 
 
 class BandRunner:
-    """Drives the simulated devices through one band of diagonals."""
+    """Sweeps one band of diagonals on ``tunables.gpu_count`` emulated devices.
+
+    The integer attributes are the operation counters of the simulated
+    platform.
+    """
 
     def __init__(
         self,
@@ -123,43 +127,44 @@ class BandRunner:
         grid: WavefrontGrid,
         plan: ThreePhasePlan,
         tunables: TunableParams,
-        context: DeviceContext,
     ) -> None:
         if plan.gpu.is_empty:
             raise ExecutionError("BandRunner created for a plan with no GPU phase")
-        if context.gpu_count != tunables.gpu_count:
-            raise ExecutionError(
-                f"device context has {context.gpu_count} devices but the "
-                f"configuration requests {tunables.gpu_count}"
-            )
         self.problem = problem
         self.grid = grid
         self.plan = plan
         self.tunables = tunables
-        self.context = context
+        self.gpu_count = tunables.gpu_count
         self.dim = problem.dim
         self.halo = max(0, tunables.halo) if tunables.gpu_count == 2 else 0
-        self.kernel = KernelSpec(
-            name=f"{problem.name}-diagonal",
-            func=lambda gids, i, j, west, north, nw: problem.kernel.diagonal(
-                i, j, west, north, nw
-            ),
-        )
-        self.workgroup = WorkGroupConfig(group_size=max(1, tunables.gpu_tile))
+        self.elem_nbytes = problem.input_params().element_nbytes
         self.halo_swaps = 0
         self.kernel_launches = 0
         self.redundant_cells = 0
+        self.bytes_h2d = 0
+        self.bytes_d2h = 0
+        self.transfers = 0
+
+    def _h2d(self, nbytes: int) -> None:
+        """Count one host-to-device transfer."""
+        self.bytes_h2d += nbytes
+        self.transfers += 1
+
+    def _d2h(self, nbytes: int) -> None:
+        """Count one device-to-host transfer."""
+        self.bytes_d2h += nbytes
+        self.transfers += 1
 
     # ------------------------------------------------------------------
     def run(self) -> dict[str, int]:
         """Execute the band; returns operation statistics."""
         lo, hi = self.plan.gpu.lo, self.plan.gpu.hi
-        states = [_DeviceState(index=i) for i in range(self.context.gpu_count)]
+        states = [_DeviceState(index=i) for i in range(self.gpu_count)]
         self._offload_boundary(states, lo)
 
         for d in range(lo, hi + 1):
             length = dg.diagonal_length(d, self.dim, self.dim)
-            parts = partition_diagonal(length, self.context.gpu_count, self.halo)
+            parts = partition_diagonal(length, self.gpu_count, self.halo)
             if not self._owned_computable(states, d, parts):
                 self._halo_swap(states, d)
                 if not self._owned_computable(states, d, parts):
@@ -179,6 +184,13 @@ class BandRunner:
             "band_diagonals": hi - lo + 1,
             "band_cells": self.plan.gpu.cells(self.dim),
             "redundant_cells": self.redundant_cells,
+            "bytes_h2d": self.bytes_h2d,
+            "bytes_d2h": self.bytes_d2h,
+            "devices_initialised": self.gpu_count,
+            # Every device operation: start-ups, transfers, launches, swaps.
+            "events": (
+                self.gpu_count + self.transfers + self.kernel_launches + self.halo_swaps
+            ),
         }
 
     # ------------------------------------------------------------------
@@ -186,53 +198,27 @@ class BandRunner:
     # ------------------------------------------------------------------
     def _offload_boundary(self, states: list[_DeviceState], lo: int) -> None:
         """Send the two boundary diagonals preceding the band to every device."""
-        elem = self.problem.input_params().element_nbytes
-        max_len = max(self.plan.gpu_diagonal_lengths())
+        # The boundary travels as one (2, longest band diagonal) float64
+        # buffer per device; the band's input data ships alongside it, so
+        # transfer volumes track the cost model's offload bytes.
+        boundary_nbytes = 2 * max(self.plan.gpu_diagonal_lengths()) * np.dtype(float).itemsize
+        share = self.plan.offload_nbytes() // len(states)
+
+        def host_diagonal(d: int) -> _DeviceDiagonal | None:
+            return _DeviceDiagonal.full(d, self.grid.get_diagonal(d)) if d >= 0 else None
+
         for state in states:
-            device = self.context.device(state.index)
-            queue = self.context.queue(state.index)
-            device.create_buffer("boundary", (2, max_len))
-            boundary = np.zeros((2, max_len))
-            for slot, d in enumerate((lo - 1, lo - 2)):
-                if d >= 0:
-                    vals = self.grid.get_diagonal(d)
-                    boundary[slot, : vals.size] = vals
-                    diag = _DeviceDiagonal.full(d, vals)
-                else:
-                    diag = None
-                if slot == 0:
-                    state.prev1 = diag
-                else:
-                    state.prev2 = diag
-            queue.enqueue_write("boundary", boundary, label="band-boundary")
-            # The real harness ships the band's input data alongside the
-            # boundary; account for it explicitly so event volumes track the
-            # cost model's offload bytes.
-            share = self.plan.offload_nbytes() // len(states)
-            device.log.record(
-                DeviceEvent(
-                    kind=EventKind.H2D,
-                    device=state.index,
-                    nbytes=share,
-                    label="band-offload",
-                )
-            )
+            state.prev1 = host_diagonal(lo - 1)
+            state.prev2 = host_diagonal(lo - 2)
+            self._h2d(boundary_nbytes)
+            self._h2d(share)
 
     def _flush_results(self, states: list[_DeviceState]) -> None:
         """Write every device's owned results back into the host grid."""
-        elem = self.problem.input_params().element_nbytes
         for state in states:
-            device = self.context.device(state.index)
             for d, own_start, vals in state.own_segments:
                 self.grid.set_diagonal_segment(d, own_start, vals)
-            device.log.record(
-                DeviceEvent(
-                    kind=EventKind.D2H,
-                    device=state.index,
-                    nbytes=state.owned_cells() * elem,
-                    label="band-results",
-                )
-            )
+            self._d2h(state.owned_cells() * self.elem_nbytes)
 
     # ------------------------------------------------------------------
     # Computability / halo swaps
@@ -260,7 +246,6 @@ class BandRunner:
             raise ExecutionError(
                 f"diagonal {d}: a halo swap was required but only one device is in use"
             )
-        elem = self.problem.input_params().element_nbytes
         for attr in ("prev1", "prev2"):
             diags = [getattr(state, attr) for state in states]
             if any(diag is None for diag in diags):
@@ -271,22 +256,15 @@ class BandRunner:
             # forwards it to the other device.
             for sender, part in zip(states, parts):
                 seg = diags[sender.index].vals[part.own_start : part.own_stop]
-                nbytes = seg.size * elem
-                self.context.device(sender.index).log.record(
-                    DeviceEvent(EventKind.D2H, sender.index, nbytes=nbytes, label="halo-out")
-                )
+                nbytes = seg.size * self.elem_nbytes
+                self._d2h(nbytes)
                 for receiver in states:
                     if receiver.index == sender.index:
                         continue
                     target = diags[receiver.index]
                     target.vals[part.own_start : part.own_stop] = seg
                     target.valid[part.own_start : part.own_stop] = True
-                    self.context.device(receiver.index).log.record(
-                        DeviceEvent(EventKind.H2D, receiver.index, nbytes=nbytes, label="halo-in")
-                    )
-        self.context.log.record(
-            DeviceEvent(EventKind.HALO_SWAP, device=0, label=f"swap-before-diag-{d}")
-        )
+                    self._h2d(nbytes)
         self.halo_swaps += 1
 
     # ------------------------------------------------------------------
@@ -317,14 +295,7 @@ class BandRunner:
         north = np.where(has_n, north_vals, self.problem.boundary)
         nw = np.where(has_nw, nw_vals, self.problem.boundary)
 
-        queue = self.context.queue(state.index)
-        values = queue.enqueue_kernel(
-            self.kernel,
-            global_size=ks.size,
-            args={"i": i, "j": j, "west": west, "north": north, "nw": nw},
-            workgroup=self.workgroup,
-            label=f"diag-{d}-dev-{state.index}",
-        )
+        values = self.problem.kernel.diagonal(i, j, west, north, nw)
         values = self.problem.kernel.validate_output(values, ks.size)
         self.kernel_launches += 1
 

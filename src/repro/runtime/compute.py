@@ -1,8 +1,8 @@
 """Shared functional computation helpers.
 
 Everything that actually evaluates kernel values on the host grid lives here,
-so that the serial executor, the tiled CPU-parallel executor and the CPU
-phases of the hybrid executor produce bit-identical results by construction.
+so that the serial executor and the CPU phases of the hybrid executor
+produce bit-identical results by construction.
 
 The probabilistic application family (:mod:`repro.apps.viterbi`,
 :mod:`repro.apps.stochastic_path`, :mod:`repro.apps.knapsack`'s
@@ -24,7 +24,6 @@ from repro.core import diagonal as dg
 from repro.core.exceptions import ExecutionError
 from repro.core.grid import WavefrontGrid
 from repro.core.pattern import WavefrontProblem
-from repro.core.tiling import Tile
 
 
 # ----------------------------------------------------------------------
@@ -151,24 +150,6 @@ def compute_diagonal_range(
     total = 0
     for d in range(d_lo, d_hi + 1):
         total += compute_diagonal(problem, grid, d)
-    return total
-
-
-def compute_tile(problem: WavefrontProblem, grid: WavefrontGrid, tile: Tile) -> int:
-    """Compute every cell of ``tile``, sweeping the tile's own anti-diagonals.
-
-    The caller is responsible for ordering tiles so that the west / north /
-    north-west neighbour tiles are already complete (the tile wavefront).
-    """
-    n_local_diags = tile.n_rows + tile.n_cols - 1
-    total = 0
-    for ld in range(n_local_diags):
-        i_lo = max(0, ld - (tile.n_cols - 1))
-        i_hi = min(tile.n_rows - 1, ld)
-        li = np.arange(i_lo, i_hi + 1)
-        lj = ld - li
-        compute_cells(problem, grid, tile.row_start + li, tile.col_start + lj)
-        total += li.size
     return total
 
 

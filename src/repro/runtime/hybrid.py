@@ -18,7 +18,6 @@ from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.core.plan import ThreePhasePlan
 from repro.core.tiling import TileDecomposition
-from repro.device.context import DeviceContext
 from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.band import BandRunner
 from repro.runtime.compute import compute_cells
@@ -116,11 +115,7 @@ class HybridExecutor(Executor):
             # Phase 2: the GPU band.  With the mp engine, grid.values is the
             # shared view, so band results land where the workers read.
             if not plan.gpu.is_empty:
-                with DeviceContext(self.system, tunables.gpu_count) as context:
-                    runner = BandRunner(problem, grid, plan, tunables, context)
-                    band_stats = runner.run()
-                    stats.update(band_stats)
-                    stats.update(context.log.summary())
+                stats.update(BandRunner(problem, grid, plan, tunables).run())
 
             # Phase 3: CPU tiles over the trailing triangle.
             cells_post = self._compute_cpu_span(problem, grid, plan.post.lo, plan.post.hi, tunables)

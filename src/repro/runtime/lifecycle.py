@@ -1,10 +1,9 @@
 """Session-owned lifecycle of executors and worker pools.
 
-Executors used to be constructed ad hoc at every call site (the CLI, the
-benchmark driver, ``autotune_and_run``), and the expensive runtime state
-behind them — worker-process pools, shared-memory segments — lived and
-died with a single ``execute()`` call.  :class:`EngineHost` gives that
-state an explicit owner with an explicit lifetime:
+The expensive runtime state behind an executor — worker-process pools,
+shared-memory segments — must outlive a single ``execute()`` call to be
+worth having.  :class:`EngineHost` gives that state an explicit owner with
+an explicit lifetime:
 
 * :meth:`EngineHost.executor_for` maps a resolved backend decision
   (strategy name, hybrid CPU engine, worker count) to a constructed
@@ -87,7 +86,6 @@ class EngineHost:
         backend: str,
         engine: str | None = None,
         workers: int = 1,
-        dispatch: str = "barrier",
     ) -> Executor:
         """The cached executor behind one resolved backend decision.
 
@@ -97,52 +95,34 @@ class EngineHost:
         engine of this environment (vectorized when NumPy is available) —
         the same registry order the tuners resolve their plans' engine from.
         The multicore executors are wired back to :meth:`pool_for`, so
-        their worker pools persist across calls.  ``dispatch`` selects the
-        tile dispatch order of the multicore backends: ``"pipelined"``
-        upgrades an mp-parallel request to the dependency-driven executor;
-        backends without tile pools ignore it.
+        their worker pools persist across calls.
         """
         self._check_open()
         strategy, alias_engine = split_backend(backend)
         engine = engine if engine is not None else alias_engine
         workers = max(1, int(workers))
-        key = (strategy, engine, workers, dispatch)
+        key = (strategy, engine, workers)
         with self._lock:
             cached = self._executors.get(key)
             if cached is not None:
                 return cached
-            executor = self._build_executor(strategy, engine, workers, dispatch)
+            executor = self._build_executor(strategy, engine, workers)
             self.stats["executors_built"] += 1
             return self._executors.put(key, executor)
 
-    def _build_executor(
-        self, strategy: str, engine: str | None, workers: int, dispatch: str
-    ) -> Executor:
-        """Construct the executor for one (strategy, engine, workers, dispatch) key."""
-        from repro.runtime.hybrid import HybridExecutor
-        from repro.runtime.mp_parallel import MPParallelExecutor, PipelinedMPExecutor
-        from repro.runtime.registry import available_serial_engines, get_executor
+    def _build_executor(self, strategy: str, engine: str | None, workers: int) -> Executor:
+        """Construct the executor for one (strategy, engine, workers) key."""
+        from repro.runtime.registry import available_serial_engines, engines_with, get_executor
 
+        kwargs: dict = {}
         if strategy == "hybrid":
-            cpu_engine = engine if engine is not None else available_serial_engines()[0]
-            return HybridExecutor(
-                self.system,
-                self.constants,
-                cpu_engine=cpu_engine,
-                workers=workers,
-                pool_source=self.pool_for,
+            kwargs["cpu_engine"] = (
+                engine if engine is not None else available_serial_engines()[0]
             )
-        if strategy == PipelinedMPExecutor.strategy or (
-            strategy == MPParallelExecutor.strategy and dispatch == "pipelined"
-        ):
-            return PipelinedMPExecutor(
-                self.system, self.constants, workers=workers, pool_source=self.pool_for
-            )
-        if strategy == MPParallelExecutor.strategy:
-            return MPParallelExecutor(
-                self.system, self.constants, workers=workers, pool_source=self.pool_for
-            )
-        return get_executor(strategy, self.system, self.constants)
+        if strategy == "hybrid" or strategy in engines_with("requires_shm"):
+            # Engines that can run on worker pools borrow the host's.
+            kwargs.update(workers=workers, pool_source=self.pool_for)
+        return get_executor(strategy, self.system, self.constants, **kwargs)
 
     # ------------------------------------------------------------------
     # Worker pools

@@ -1,9 +1,8 @@
 """True multicore wavefront execution: shared-memory tiled-vectorized backend.
 
-The paper's scheme (b) is *parallel* tiled CPU execution, but
-:class:`repro.runtime.cpu_parallel.CPUParallelExecutor` runs tiles either
-sequentially or on a GIL-bound thread pool, so it never scales with core
-count.  This module is the real thing:
+The paper's scheme (b) is *parallel* tiled CPU execution; threads cannot
+deliver it in Python (the GIL serialises the kernels), so this module runs
+the tile wavefront on worker processes:
 
 * the value grid lives in a :class:`repro.runtime.shared_grid.SharedGridBuffer`
   (a :mod:`multiprocessing.shared_memory` segment wrapped as a zero-copy
@@ -344,7 +343,7 @@ class MPParallelExecutor(Executor):
     tile wavefront (barrier per tile-diagonal), and every worker sweeps its
     tiles with the tile-local strided-diagonal engine — combining the
     vectorized engine's batched evaluation with parallelism that actually
-    scales with cores, unlike the GIL-bound ``cpu-parallel`` strategy.
+    scales with cores.
     Produces grids cell-for-cell identical to the serial reference.
     """
 

@@ -15,15 +15,10 @@ specs' ``serial_rank``, not hand-maintained, and capability queries go
 through :func:`engines_with`, which raises the typed
 :class:`~repro.core.exceptions.UnknownExecutorError` on capability typos
 instead of leaking a ``KeyError``.
-
-Registering a bare executor class (the pre-spec API) still works but emits
-a :class:`DeprecationWarning`; such engines get an empty capability set and
-are always available.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,10 +26,7 @@ from repro.core.exceptions import InvalidParameterError, UnknownExecutorError
 from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec
 from repro.runtime.compiled import CompiledExecutor, numba_available
-from repro.runtime.cpu_parallel import CPUParallelExecutor
 from repro.runtime.executor_base import Executor
-from repro.runtime.gpu_multi import MultiGPUBandExecutor
-from repro.runtime.gpu_single import SingleGPUBandExecutor
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.mp_parallel import MPParallelExecutor, PipelinedMPExecutor
 from repro.runtime.serial import SerialExecutor
@@ -91,44 +83,13 @@ class EngineSpec:
         return True if self.available is None else bool(self.available())
 
 
-#: Declarative specs by strategy name (the source of truth).
+#: Declarative specs by strategy name: the one registry of executors.
 ENGINE_SPECS: dict[str, EngineSpec] = {}
 
-#: Executor classes by strategy name.  Kept in lockstep with
-#: :data:`ENGINE_SPECS` for backward compatibility — pre-spec code (and the
-#: registry tests) reads and mutates this mapping directly.
-EXECUTORS: dict[str, type[Executor]] = {}
 
-
-def register_executor(spec: "EngineSpec | type[Executor]"):
-    """Register an executor under its strategy name.
-
-    The declarative path takes an :class:`EngineSpec`.  Passing a bare
-    executor class — the pre-spec API, still usable as a decorator by
-    out-of-tree executors::
-
-        @register_executor
-        class MyExecutor(Executor):
-            strategy = "my-strategy"
-
-    — is deprecated: it emits a :class:`DeprecationWarning` and registers a
-    spec with no declared capabilities and no availability probe.  Returns
-    whatever was passed in, so decorator use keeps working.
-    """
-    if not isinstance(spec, EngineSpec):
-        cls = spec
-        warnings.warn(
-            "registering a bare executor class is deprecated; register an "
-            "EngineSpec(name=..., factory=..., capabilities=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = EngineSpec(name=getattr(cls, "strategy", ""), factory=cls)
-        ENGINE_SPECS[spec.name] = spec
-        EXECUTORS[spec.name] = cls
-        return cls
+def register_executor(spec: EngineSpec) -> EngineSpec:
+    """Register an :class:`EngineSpec` under its strategy name; returns it."""
     ENGINE_SPECS[spec.name] = spec
-    EXECUTORS[spec.name] = spec.factory
     return spec
 
 
@@ -137,11 +98,11 @@ def get_executor(
 ) -> Executor:
     """Construct a registered executor by strategy name."""
     try:
-        cls = EXECUTORS[name]
+        spec = ENGINE_SPECS[name]
     except KeyError:
-        known = ", ".join(sorted(EXECUTORS))
+        known = ", ".join(sorted(ENGINE_SPECS))
         raise UnknownExecutorError(f"unknown executor {name!r}; known: {known}") from None
-    return cls(system, constants, **kwargs)
+    return spec.factory(system, constants, **kwargs)
 
 
 def available_executors() -> list[str]:
@@ -152,11 +113,7 @@ def available_executors() -> list[str]:
     absent, so enumerating callers — the bench driver, the search space —
     never construct an engine that cannot run.
     """
-    return sorted(
-        name
-        for name in EXECUTORS
-        if name not in ENGINE_SPECS or ENGINE_SPECS[name].is_available()
-    )
+    return sorted(spec.name for spec in ENGINE_SPECS.values() if spec.is_available())
 
 
 def engines_with(capability: str) -> list[str]:
@@ -174,9 +131,7 @@ def engines_with(capability: str) -> list[str]:
     return sorted(
         spec.name
         for spec in ENGINE_SPECS.values()
-        if capability in spec.capabilities
-        and spec.name in EXECUTORS
-        and spec.is_available()
+        if capability in spec.capabilities and spec.is_available()
     )
 
 
@@ -222,11 +177,6 @@ for _spec in (
         serial_rank=0,
     ),
     EngineSpec(
-        name=CPUParallelExecutor.strategy,
-        factory=CPUParallelExecutor,
-        capabilities=frozenset({"multicore", "subrange_safe"}),
-    ),
-    EngineSpec(
         name=MPParallelExecutor.strategy,
         factory=MPParallelExecutor,
         capabilities=frozenset({"multicore", "requires_shm", "subrange_safe"}),
@@ -245,16 +195,6 @@ for _spec in (
         available=numba_available,
     ),
     EngineSpec(
-        name=SingleGPUBandExecutor.strategy,
-        factory=SingleGPUBandExecutor,
-        capabilities=frozenset({"gpu"}),
-    ),
-    EngineSpec(
-        name=MultiGPUBandExecutor.strategy,
-        factory=MultiGPUBandExecutor,
-        capabilities=frozenset({"gpu"}),
-    ),
-    EngineSpec(
         name=HybridExecutor.strategy,
         factory=HybridExecutor,
         capabilities=frozenset({"gpu", "multicore"}),
@@ -263,5 +203,5 @@ for _spec in (
     register_executor(_spec)
 
 #: The serial (single-core, whole-grid) engine family, in preference order.
-#: Derived from the specs' ``serial_rank`` — no longer hand-maintained.
+#: Derived from the specs' ``serial_rank``.
 SERIAL_ENGINES: tuple[str, ...] = _derived_serial_engines()

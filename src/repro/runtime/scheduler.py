@@ -4,8 +4,8 @@ The tiled CPU phases execute the tile wavefront: within one tile-diagonal all
 tiles are independent and are distributed over the worker pool; tile-diagonals
 are separated by a barrier.  :class:`TileScheduler` produces that schedule as
 data so both the functional executors and the tests can inspect it, and
-:func:`run_schedule` executes it sequentially, on a thread pool, or on any
-persistent :class:`concurrent.futures.Executor` — the multicore backend
+:func:`run_schedule` executes it sequentially or on any persistent
+:class:`concurrent.futures.Executor` — the multicore backend
 (:mod:`repro.runtime.mp_parallel`) passes its worker-process pool so each
 wave fans its tiles across real cores with a barrier per tile-diagonal.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures import Executor as FuturesExecutor
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -101,22 +100,18 @@ class TileScheduler:
 def run_schedule(
     waves: Iterable[list[ScheduledTile]],
     tile_fn: Callable[[Tile], object],
-    use_threads: bool = False,
-    max_workers: int | None = None,
     pool: FuturesExecutor | None = None,
     collect: Callable[[object], None] | None = None,
 ) -> int:
     """Execute a tile schedule; returns the number of tiles executed.
 
-    Three execution paths share the same wave-barrier structure:
+    Two execution paths share the same wave-barrier structure:
 
     * ``pool`` — submit every wave's tiles to an existing
       :class:`concurrent.futures.Executor` and barrier on the futures.  This
       is how the multicore backend drives its persistent process pool;
       ``tile_fn`` (and each :class:`~repro.core.tiling.Tile`) must then be
       picklable.
-    * ``use_threads`` — same, on a transient thread pool (GIL-bound; kept
-      for kernels that release the GIL).
     * default — sequential in schedule order, which is fastest for the small
       grids used in tests because the kernels are NumPy-bound.
 
@@ -134,23 +129,12 @@ def run_schedule(
             executed += len(futures)
         return executed
 
-    if not use_threads:
-        for wave in waves:
-            for item in wave:
-                result = tile_fn(item.tile)
-                if collect is not None:
-                    collect(result)
-                executed += 1
-        return executed
-
-    with ThreadPoolExecutor(max_workers=max_workers) as thread_pool:
-        for wave in waves:
-            futures = [thread_pool.submit(tile_fn, item.tile) for item in wave]
-            for future in futures:
-                result = future.result()
-                if collect is not None:
-                    collect(result)
-            executed += len(futures)
+    for wave in waves:
+        for item in wave:
+            result = tile_fn(item.tile)
+            if collect is not None:
+                collect(result)
+            executed += 1
     return executed
 
 

@@ -8,9 +8,12 @@ admission control, and overload answers ``429`` instead of stalling.
 Routes (all JSON):
 
 * ``POST /solve`` — body ``{"app": ..., "dim": ..., "mode": ...,
-  "backend": ..., "workers": ..., ...}`` (everything beyond app/dim/mode
-  forwards to :meth:`repro.session.Session.plan`); answers the result
-  payload of :func:`result_payload`.
+  "backend": ..., "workers": ..., ...}``: the keys ``backend``, ``engine``,
+  ``workers`` and ``tunables`` are lifted into one
+  :class:`~repro.facade.policy.ExecutionPolicy` at decode time
+  (:func:`policy_from_body`), everything else beyond app/dim/mode forwards
+  to the application constructor; answers the result payload of
+  :func:`result_payload`.
 * ``GET /metrics`` — the server's metrics snapshot
   (:meth:`repro.server.ReproServer.metrics`).
 * ``GET /healthz`` — liveness: ``{"status": "ok", "uptime_s": ...}``.
@@ -44,10 +47,13 @@ from repro.core.exceptions import (
     ArtifactError,
     BackpressureError,
     DeadlineError,
+    InvalidParameterError,
     RegistryError,
     ServerError,
     UsageError,
 )
+from repro.core.params import TunableParams
+from repro.facade.policy import ExecutionPolicy
 from repro.runtime.result import ExecutionResult
 from repro.server.service import ReproServer
 
@@ -111,6 +117,56 @@ def result_payload(app: str, dim: int | None, result: ExecutionResult) -> dict:
         payload["witness"] = [int(x) for x in result.witness]
         payload["witness_sha256"] = witness_digest(result)
     return payload
+
+
+#: Body keys of ``tunables``: the dict :meth:`ResolvedPlan.to_dict` writes.
+_TUNABLE_KEYS = frozenset(TunableParams().features())
+
+
+def _body_int(name: str, value) -> int:
+    """``value`` as a JSON integer, or a typed usage error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def policy_from_body(body: dict) -> ExecutionPolicy | None:
+    """Pop the plan-override keys of a ``POST /solve`` body into a policy.
+
+    ``backend`` and ``engine`` are strings, ``workers`` an integer >= 1 and
+    ``tunables`` the five-integer dict :meth:`repro.facade.plan.ResolvedPlan.\
+to_dict` writes; ``null`` means unset.  Returns ``None`` when the body pins
+    nothing.  Any malformed value raises :class:`UsageError` (a 400), never
+    an untyped error from deeper in the stack.
+    """
+    if "policy" in body:
+        raise UsageError(
+            "policy is not a body key; send backend/engine/workers/tunables"
+        )
+    fields: dict = {}
+    for name in ("backend", "engine"):
+        value = body.pop(name, None)
+        if value is not None:
+            if not isinstance(value, str):
+                raise UsageError(f"{name} must be a string, got {value!r}")
+            fields[name] = value
+    workers = body.pop("workers", None)
+    if workers is not None:
+        fields["workers"] = _body_int("workers", workers)
+    tunables = body.pop("tunables", None)
+    try:
+        if tunables is not None:
+            if not isinstance(tunables, dict) or set(tunables) != _TUNABLE_KEYS:
+                raise UsageError(
+                    f"tunables must be an object with exactly the keys "
+                    f"{sorted(_TUNABLE_KEYS)}, got {tunables!r}"
+                )
+            fields["tunables"] = TunableParams(
+                **{k: _body_int(f"tunables.{k}", v) for k, v in tunables.items()}
+            )
+        return ExecutionPolicy(**fields) if fields else None
+    except InvalidParameterError as error:
+        raise UsageError(str(error)) from None
 
 
 #: ``Retry-After`` seconds suggested to backpressured (429) clients.
@@ -201,6 +257,13 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 error = UsageError(f"deadline_s must be a number, got {deadline_s!r}")
                 self._reply(400, _error_body(error, 400))
                 return
+        try:
+            policy = policy_from_body(body)
+        except UsageError as error:
+            self._reply(400, _error_body(error, 400))
+            return
+        if policy is not None:
+            body["policy"] = policy
         ticket = None
         try:
             ticket = self.endpoint.repro_server.submit(

@@ -300,7 +300,7 @@ ShardUnavailableError` subclass when every shard's restart budget is
         shutting down.  ``deadline_s`` bounds the request end-to-end
         (default: the config's ``default_deadline_s``; pass ``0`` or a
         negative value to wait unboundedly).  ``plan_kwargs`` forward to
-        :meth:`repro.session.Session.plan` (backend/engine/workers/app
+        :meth:`repro.session.Session.solve` (``policy=`` and application
         constructor overrides).
         """
         if deadline_s is None:

@@ -36,16 +36,13 @@ Design points:
 The CLI's workflow verbs (``run``, ``tune``, ``bench``, ``profile``,
 ``report``, ``serve``, ``loadgen``) are thin adapters over this class (the
 serving verbs through :class:`repro.server.ReproServer`, which shares one
-thread-safe session across its workers); the historical
-:func:`repro.autotuner.tuner.autotune_and_run` helper survives as a
-deprecated shim delegating here.
+thread-safe session across its workers).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.apps.base import WavefrontApplication
@@ -69,6 +66,8 @@ from repro.utils.lru import LRUCache
 
 #: Default bound of the session's plan and problem caches.
 DEFAULT_CACHE_SIZE = 128
+#: The policy of a request that pins nothing: the tuner decides everything.
+_TUNER_DECIDES = ExecutionPolicy()
 
 
 class Session:
@@ -210,17 +209,17 @@ class Session:
 
         The plan replaces whatever the tuned-plan LRU holds for the same
         tuner-resolved query — ``(plan.app, plan.dim, plan.app_kwargs)``
-        with no overrides — so every subsequent :meth:`plan`/:meth:`solve`
-        call for that signature executes the adopted plan.  This is the
-        adaptive controller's promotion primitive
+        under the default policy — so every subsequent :meth:`plan`/
+        :meth:`solve` call for that signature executes the adopted plan.
+        This is the adaptive controller's promotion primitive
         (:class:`repro.adaptive.AdaptiveController`): the LRU ``put`` runs
         under the plan lock, so concurrent planners observe either the old
-        plan or the new one, never a mixture.  Manual-override queries
-        (explicit ``backend=``/``tunables=``) are unaffected.
+        plan or the new one, never a mixture.  Queries under a non-default
+        policy are unaffected.
         """
         with self._plan_lock:
             self._check_open()
-            query = (plan.app, plan.dim, plan.app_kwargs, None, None, None, None, None)
+            query = (plan.app, plan.dim, plan.app_kwargs, _TUNER_DECIDES)
             self.stats["plans_adopted"] += 1
             return self._plans.put(query, plan)
 
@@ -249,28 +248,20 @@ class Session:
         dim: int | None = None,
         *,
         policy: ExecutionPolicy | None = None,
-        backend: str | None = None,
-        engine: str | None = None,
-        workers: int | None = None,
-        tunables: TunableParams | None = None,
         **app_kwargs,
     ) -> ResolvedPlan:
         """Resolve one application instance to an executable plan.
 
         ``app`` is a registered application name (``app_kwargs`` forward to
         its constructor), an application instance, or a bare
-        :class:`~repro.core.pattern.WavefrontProblem`.  Without overrides
+        :class:`~repro.core.pattern.WavefrontProblem`.  Without a policy
         the session's tuner decides backend, workers and tunables; passing
         a ``policy`` (:class:`~repro.facade.policy.ExecutionPolicy`) whose
         ``backend`` (or ``tunables``) is set pins an explicit configuration
         and bypasses the tuner entirely — the plan's ``tuner`` field then
-        reads ``"manual"``.  The bare ``backend=``/``engine=``/``workers=``/
-        ``tunables=`` keywords are the **deprecated** spelling of the same
-        overrides: they coerce into a policy and emit a
-        :class:`DeprecationWarning`; combining them with ``policy=`` is a
-        :class:`~repro.core.exceptions.UsageError`.
+        reads ``"manual"``.
 
-        Registry-name requests are cached per (instance, overrides) query,
+        Registry-name requests are cached per (instance, policy) query,
         so repeated requests cost one LRU hit.  Caller-supplied application
         instances and problems are planned against their *own* objects
         (identity-keyed, never conflated with the registry defaults of the
@@ -278,7 +269,8 @@ class Session:
         :meth:`run` executes exactly what was handed in.
         """
         self._check_open()
-        policy = self._coerce_policy(policy, backend, engine, workers, tunables)
+        if policy is None:
+            policy = _TUNER_DECIDES
         with self._plan_lock:
             if isinstance(app, WavefrontProblem):
                 if app_kwargs:
@@ -299,16 +291,7 @@ class Session:
             app_obj = resolve_application(app, **self._ctor_kwargs(dim, app_kwargs))
             dim = dim if dim is not None else app_obj.default_dim
             kwargs_key = tuple(sorted(app_kwargs.items()))
-            query = (
-                app,
-                dim,
-                kwargs_key,
-                policy.backend,
-                policy.engine,
-                policy.workers,
-                policy.tunables,
-                policy.dispatch,
-            )
+            query = (app, dim, kwargs_key, policy)
             cached = self._plans.get(query)
             if cached is not None:
                 return cached
@@ -317,37 +300,6 @@ class Session:
             )
             plan = self._resolve(problem, app, kwargs_key, policy)
             return self._plans.put(query, plan)
-
-    @staticmethod
-    def _coerce_policy(
-        policy: ExecutionPolicy | None, backend, engine, workers, tunables
-    ) -> ExecutionPolicy:
-        """One :class:`ExecutionPolicy` from either spelling of the overrides."""
-        legacy = (
-            backend is not None
-            or engine is not None
-            or workers is not None
-            or tunables is not None
-        )
-        if policy is not None:
-            if legacy:
-                raise UsageError(
-                    "pass overrides either as policy= or as the legacy "
-                    "backend=/engine=/workers=/tunables= keywords, not both"
-                )
-            return policy
-        if legacy:
-            warnings.warn(
-                "the backend=/engine=/workers=/tunables= keywords of "
-                "Session.plan()/solve() are deprecated; pass "
-                "policy=ExecutionPolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return ExecutionPolicy(
-                backend=backend, engine=engine, workers=workers, tunables=tunables
-            )
-        return ExecutionPolicy()
 
     @staticmethod
     def _ctor_kwargs(dim, app_kwargs: dict) -> dict:
@@ -409,7 +361,6 @@ class Session:
             backend=decision.backend,
             engine=decision.engine,
             workers=max(1, int(resolved_workers)),
-            dispatch=policy.dispatch if policy.dispatch is not None else "barrier",
             system=self.system.name,
             tuner=source,
             expected_s=decision.expected_s,
@@ -447,9 +398,7 @@ class Session:
         strategy, engine = plan.split()
         with self._run_lock:
             self._check_open()
-            executor = self.host.executor_for(
-                strategy, engine, plan.workers, dispatch=plan.dispatch
-            )
+            executor = self.host.executor_for(strategy, engine, plan.workers)
             self.stats["runs"] += 1
             started = time.perf_counter()
             result = executor.execute(problem, plan.tunables, mode=mode)
@@ -462,9 +411,13 @@ class Session:
         app: str | WavefrontApplication | WavefrontProblem,
         dim: int | None = None,
         mode: ExecutionMode | str | None = None,
-        **plan_kwargs,
+        *,
+        policy: ExecutionPolicy | None = None,
+        **app_kwargs,
     ) -> ExecutionResult:
         """Plan and execute in one call (the "just solve it" entry point).
+
+        ``policy`` and ``app_kwargs`` are those of :meth:`plan`.
 
         With a persistent result cache configured (``cache_dir=`` /
         ``result_cache=``), functional registry-name requests are answered
@@ -474,43 +427,29 @@ class Session:
         problem requests and requests whose arguments the key codec cannot
         canonicalise bypass the cache and execute directly.
         """
-        plan = self.plan(app, dim, **plan_kwargs)
-        key = self._request_key_for(app, plan, mode, plan_kwargs)
+        plan = self.plan(app, dim, policy=policy, **app_kwargs)
+        key = self._request_key_for(app, plan, mode, policy)
         if key is None:
             return self.run(plan, mode=mode)
         return self.result_cache.get_or_solve(key, lambda: self.run(plan, mode=mode))
 
-    def _request_key_for(self, app, plan: ResolvedPlan, mode, plan_kwargs):
+    def _request_key_for(self, app, plan: ResolvedPlan, mode, policy: ExecutionPolicy | None):
         """The cache key of one solve request, or ``None`` when uncacheable.
 
         Only functional registry-name requests are cached: instance and
         problem requests carry caller-owned state the codec cannot see, and
         simulate-mode answers have no bit-exact payload worth addressing.
-        Plan-relevant overrides (``backend``/``engine``/``workers``/
-        ``tunables``, plus a non-default ``dispatch``) enter the key —
-        whether spelled as a ``policy=`` or as the legacy keywords, the same
-        overrides produce the same key, so persisted caches survive the
-        migration.  Un-canonicalisable values make the request silently
-        uncacheable rather than unsolvable.
+        The policy's set fields enter the key under their field names, so a
+        request decoded from an HTTP body and the same policy built in
+        process address the same entry.  Un-canonicalisable values make the
+        request silently uncacheable rather than unsolvable.
         """
         if self.result_cache is None or not isinstance(app, str):
             return None
         resolved_mode = ExecutionMode.coerce(mode) if mode is not None else self.mode
         if resolved_mode is not ExecutionMode.FUNCTIONAL:
             return None
-        policy = plan_kwargs.get("policy")
-        if isinstance(policy, ExecutionPolicy):
-            overrides = policy.overrides()
-            # Default dispatch is key-invisible so pre-existing cache
-            # entries keep matching.
-            if overrides.get("dispatch") == "barrier":
-                del overrides["dispatch"]
-        else:
-            overrides = {
-                name: plan_kwargs[name]
-                for name in ("backend", "engine", "workers", "tunables")
-                if plan_kwargs.get(name) is not None
-            }
+        overrides = policy.overrides() if policy is not None else {}
         if self.workers is not None:
             # The session-wide override changes the executed plan, so it
             # must change the key too.
@@ -536,7 +475,7 @@ class Session:
         """Serve a batch of requests, reusing plans, engines and pools.
 
         Each request is a registered application name, an
-        ``(app, dim)`` pair, a mapping of :meth:`plan` keyword arguments,
+        ``(app, dim)`` pair, a mapping of :meth:`solve` keyword arguments,
         or a ready :class:`~repro.facade.plan.ResolvedPlan`.  Repeated
         requests hit the tuned-plan cache (one tuner resolution for the
         whole stream) and the multicore backends keep their worker pools

@@ -33,6 +33,7 @@ from repro.autotuner.measured import (
 )
 from repro.core.exceptions import UsageError
 from repro.core.params import InputParams, TunableParams
+from repro.facade.policy import ExecutionPolicy
 from repro.server import FaultPlan, ReproServer, ServerConfig
 from repro.server.loadgen import _adaptive_delta
 from repro.session import Session
@@ -295,7 +296,9 @@ class TestSessionPrimitives:
         assert adaptive_session.plan("matrix-chain", 24) is adopted
         assert adaptive_session.stats["plans_adopted"] == before + 1
         # manual overrides bypass the adopted plan
-        manual = adaptive_session.plan("matrix-chain", 24, backend="serial")
+        manual = adaptive_session.plan(
+            "matrix-chain", 24, policy=ExecutionPolicy(backend="serial")
+        )
         assert manual.tuner == "manual"
 
     def test_run_observer_sees_every_solve(self, adaptive_session):

@@ -24,6 +24,7 @@ from repro.adaptive.observations import (
     percentile,
     signature_label,
 )
+from repro.facade.policy import ExecutionPolicy
 from repro.server.queue import request_signature
 
 
@@ -31,8 +32,8 @@ class TestObservationSignature:
     def test_matches_the_server_coalescing_key(self):
         for app, dim, mode, kwargs in [
             ("lcs", 48, "functional", {}),
-            ("edit-distance", 40, None, {"workers": 2}),
-            ("matrix-chain", 32, "simulate", {"backend": "serial"}),
+            ("edit-distance", 40, None, {"policy": ExecutionPolicy(workers=2)}),
+            ("matrix-chain", 32, "simulate", {"policy": ExecutionPolicy(backend="serial")}),
         ]:
             assert observation_signature(app, dim, mode, kwargs) == (
                 request_signature(app, dim, mode, kwargs)

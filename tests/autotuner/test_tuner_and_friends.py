@@ -7,7 +7,8 @@ from repro.apps.synthetic import SyntheticApp
 from repro.autotuner.baselines import simple_scheme_times
 from repro.autotuner.persistence import load_tuner, save_tuner
 from repro.autotuner.random_search import RandomSearch
-from repro.autotuner.tuner import AutoTuner, autotune_and_run
+from repro.autotuner.tuner import AutoTuner
+from repro.session import Session
 from repro.core.exceptions import ModelNotFittedError, SearchError
 from repro.core.params import InputParams
 from repro.hardware import platforms
@@ -99,13 +100,15 @@ class TestPersistence:
             load_tuner(bad)
 
 
-class TestAutotuneAndRun:
+class TestTuneAndSolveInOneCall:
     def test_one_call_simulate(self, i3, quick_tuner_i3):
         app = SyntheticApp(dim=256, tsize=750, dsize=1)
-        result = autotune_and_run(app, i3, mode="simulate", tuner=quick_tuner_i3)
+        with Session(system=i3, tuner=quick_tuner_i3) as session:
+            result = session.solve(app, mode="simulate")
         assert result.rtime > 0 and result.grid is None
 
     def test_one_call_functional_small(self, i3, quick_tuner_i3):
         app = NashEquilibriumApp(dim=20)
-        result = autotune_and_run(app, i3, mode="functional", tuner=quick_tuner_i3)
+        with Session(system=i3, tuner=quick_tuner_i3) as session:
+            result = session.solve(app, mode="functional")
         assert result.grid is not None and result.wall_time > 0

@@ -20,7 +20,11 @@ import pytest
 
 from repro.cache import DiskCacheStore, ResultCache, request_key
 from repro.core.exceptions import CacheError
+from repro.facade.policy import ExecutionPolicy
 from repro.session import Session
+
+#: Pin the serial backend: these tests are about the cache, not the tuner.
+SERIAL = ExecutionPolicy(backend="serial")
 
 #: The small keyspace every battery test draws from (distinct signatures,
 #: including two witness-bearing probabilistic apps).
@@ -67,7 +71,7 @@ def expected_grids():
     """Sequential, uncached reference answers for the whole keyspace."""
     with Session(system="i7-2600K") as session:
         return {
-            (app, dim): session.solve(app, dim, backend="serial").grid.values.copy()
+            (app, dim): session.solve(app, dim, policy=SERIAL).grid.values.copy()
             for app, dim in KEYSPACE
         }
 
@@ -78,7 +82,7 @@ def expected_witnesses():
     with Session(system="i7-2600K") as session:
         witnesses = {}
         for app, dim in KEYSPACE:
-            witness = session.solve(app, dim, backend="serial").witness
+            witness = session.solve(app, dim, policy=SERIAL).witness
             witnesses[(app, dim)] = None if witness is None else witness.copy()
         return witnesses
 
@@ -112,7 +116,7 @@ class TestSharedSessionBattery:
                     if item is None:
                         return
                     app, dim = item
-                    result = session.solve(app, dim, backend="serial")
+                    result = session.solve(app, dim, policy=SERIAL)
                     assert np.array_equal(
                         result.grid.values, expected_grids[(app, dim)]
                     ), f"{app}:{dim} diverged from sequential solving"
@@ -135,13 +139,13 @@ class TestSharedSessionBattery:
     ):
         with Session(system="i7-2600K", cache_dir=tmp_path) as warmup:
             for app, dim in KEYSPACE:
-                warmup.solve(app, dim, backend="serial")
+                warmup.solve(app, dim, policy=SERIAL)
         requests = zipf_requests(16, seed=11)
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
 
             def worker():
                 for app, dim in requests:
-                    result = session.solve(app, dim, backend="serial")
+                    result = session.solve(app, dim, policy=SERIAL)
                     assert np.array_equal(
                         result.grid.values, expected_grids[(app, dim)]
                     )
@@ -164,7 +168,7 @@ class TestStampedeProtection:
 
             def solve():
                 solves.append(threading.get_ident())
-                return session.solve("lcs", 20, backend="serial")
+                return session.solve("lcs", 20, policy=SERIAL)
 
             def worker():
                 gate.wait()  # maximise the race on the cold key
@@ -196,7 +200,7 @@ class TestStampedeProtection:
         # The in-flight slot is retired: a later solve succeeds normally.
         with Session(system="i7-2600K") as session:
             result = cache.get_or_solve(
-                key, lambda: session.solve("lcs", 24, backend="serial")
+                key, lambda: session.solve("lcs", 24, policy=SERIAL)
             )
         assert result.grid is not None
 
@@ -210,7 +214,7 @@ class TestEvictionUnderLoad:
 
             def worker():
                 for app, dim in zipf_requests(24, seed=17, s=0.5):
-                    result = session.solve(app, dim, backend="serial")
+                    result = session.solve(app, dim, policy=SERIAL)
                     assert np.array_equal(
                         result.grid.values, expected_grids[(app, dim)]
                     ), f"{app}:{dim} served a wrong grid under eviction pressure"
@@ -226,7 +230,7 @@ class TestCorruptionUnderLoad:
         self, tmp_path, expected_grids
     ):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
-            session.solve("lcs", 20, backend="serial")
+            session.solve("lcs", 20, policy=SERIAL)
             digest = next(iter(p.stem for p in tmp_path.glob("*.npz")))
             path = tmp_path / f"{digest}.npz"
             path.write_bytes(b"garbage" * 100)
@@ -234,7 +238,7 @@ class TestCorruptionUnderLoad:
             runs_before = session.stats["runs"]
 
             def worker():
-                result = session.solve("lcs", 20, backend="serial")
+                result = session.solve("lcs", 20, policy=SERIAL)
                 assert np.array_equal(
                     result.grid.values, expected_grids[("lcs", 20)]
                 )
@@ -259,20 +263,20 @@ class TestWitnessEndToEnd:
     @pytest.mark.parametrize("app,dim", [("viterbi", 16), ("stochastic-path", 16)])
     def test_witness_identical_across_all_cache_tiers(self, tmp_path, app, dim):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
-            cold = session.solve(app, dim, backend="serial")
+            cold = session.solve(app, dim, policy=SERIAL)
             assert cold.witness is not None and cold.witness.dtype == np.int64
-            warm = session.solve(app, dim, backend="serial")
+            warm = session.solve(app, dim, policy=SERIAL)
             assert session.cache_info()["results"]["memory_hits"] >= 1
             assert np.array_equal(warm.witness, cold.witness)
         # A fresh session over the same directory hits the disk tier only.
         with Session(system="i7-2600K", cache_dir=tmp_path) as restarted:
-            disk = restarted.solve(app, dim, backend="serial")
+            disk = restarted.solve(app, dim, policy=SERIAL)
             assert restarted.stats["runs"] == 0
             assert disk.witness.dtype == cold.witness.dtype
             assert np.array_equal(disk.witness, cold.witness)
 
     def test_witness_free_apps_stay_witness_free_through_the_tiers(self, tmp_path):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
-            assert session.solve("lcs", 20, backend="serial").witness is None
+            assert session.solve("lcs", 20, policy=SERIAL).witness is None
         with Session(system="i7-2600K", cache_dir=tmp_path) as restarted:
-            assert restarted.solve("lcs", 20, backend="serial").witness is None
+            assert restarted.solve("lcs", 20, policy=SERIAL).witness is None

@@ -11,23 +11,27 @@ import pytest
 
 from repro.apps.lcs import LCSApp
 from repro.server import ReproServer, ServerConfig
+from repro.facade.policy import ExecutionPolicy
 from repro.session import Session
+
+#: Pin the serial backend: these tests are about the cache, not the tuner.
+SERIAL = ExecutionPolicy(backend="serial")
 
 
 class TestSolveCaching:
     def test_repeated_solve_executes_once(self, tmp_path):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
-            first = session.solve("lcs", 24, backend="serial")
+            first = session.solve("lcs", 24, policy=SERIAL)
             runs = session.stats["runs"]
-            second = session.solve("lcs", 24, backend="serial")
+            second = session.solve("lcs", 24, policy=SERIAL)
             assert session.stats["runs"] == runs
             assert np.array_equal(first.grid.values, second.grid.values)
 
     def test_results_persist_across_sessions(self, tmp_path):
         with Session(system="i7-2600K", cache_dir=tmp_path) as first:
-            original = session_solve = first.solve("lcs", 24, backend="serial")
+            original = session_solve = first.solve("lcs", 24, policy=SERIAL)
         with Session(system="i7-2600K", cache_dir=tmp_path) as second:
-            replayed = second.solve("lcs", 24, backend="serial")
+            replayed = second.solve("lcs", 24, policy=SERIAL)
             assert second.stats["runs"] == 0
             assert second.cache_info()["results"]["disk_hits"] == 1
         assert np.array_equal(original.grid.values, replayed.grid.values)
@@ -38,7 +42,7 @@ class TestSolveCaching:
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
             # Warm the plan path manually so every request is a manual plan.
             results = session.solve_many(
-                [{"app": app, "dim": dim, "backend": "serial"} for app, dim in requests]
+                [{"app": app, "dim": dim, "policy": SERIAL} for app, dim in requests]
             )
             assert session.stats["runs"] == 2  # two distinct signatures
             assert np.array_equal(results[0].grid.values, results[1].grid.values)
@@ -46,8 +50,8 @@ class TestSolveCaching:
     def test_simulate_mode_bypasses_the_cache(self, tmp_path):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
             runs = session.stats["runs"]
-            session.solve("lcs", 24, backend="serial", mode="simulate")
-            session.solve("lcs", 24, backend="serial", mode="simulate")
+            session.solve("lcs", 24, policy=SERIAL, mode="simulate")
+            session.solve("lcs", 24, policy=SERIAL, mode="simulate")
             assert session.stats["runs"] == runs + 2
             assert session.cache_info()["results"]["lookups"] == 0
 
@@ -55,15 +59,15 @@ class TestSolveCaching:
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
             app = LCSApp(dim=24, seed=5)
             runs = session.stats["runs"]
-            session.solve(app, 24, backend="serial")
-            session.solve(app, 24, backend="serial")
+            session.solve(app, 24, policy=SERIAL)
+            session.solve(app, 24, policy=SERIAL)
             assert session.stats["runs"] == runs + 2
             assert session.cache_info()["results"]["lookups"] == 0
 
     def test_distinct_overrides_get_distinct_entries(self, tmp_path):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
-            serial = session.solve("lcs", 24, backend="serial")
-            vectorized = session.solve("lcs", 24, backend="vectorized")
+            serial = session.solve("lcs", 24, policy=SERIAL)
+            vectorized = session.solve("lcs", 24, policy=ExecutionPolicy(backend="vectorized"))
             assert session.stats["runs"] == 2
             assert session.cache_info()["results"]["misses"] == 2
             # Same mathematics, separately addressed.
@@ -71,10 +75,10 @@ class TestSolveCaching:
 
     def test_cached_answers_match_uncached_sessions(self, tmp_path):
         with Session(system="i7-2600K") as plain:
-            expected = plain.solve("lcs", 24, backend="serial")
+            expected = plain.solve("lcs", 24, policy=SERIAL)
         with Session(system="i7-2600K", cache_dir=tmp_path) as cached:
-            cached.solve("lcs", 24, backend="serial")
-            warm = cached.solve("lcs", 24, backend="serial")
+            cached.solve("lcs", 24, policy=SERIAL)
+            warm = cached.solve("lcs", 24, policy=SERIAL)
         assert np.array_equal(warm.grid.values, expected.grid.values)
 
 
@@ -86,8 +90,8 @@ class TestIntrospection:
 
     def test_cache_info_reports_every_tier(self, tmp_path):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
-            session.solve("lcs", 24, backend="serial")
-            session.solve("lcs", 24, backend="serial")
+            session.solve("lcs", 24, policy=SERIAL)
+            session.solve("lcs", 24, policy=SERIAL)
             info = session.cache_info()["results"]
         assert info["lookups"] == 2 and info["misses"] == 1
         assert info["memory_hits"] == 1
@@ -98,8 +102,8 @@ class TestIntrospection:
     def test_server_metrics_carry_the_cache_section(self, tmp_path):
         session = Session(system="i7-2600K", cache_dir=tmp_path, space=None)
         with ReproServer(session, ServerConfig(), own_session=True) as server:
-            server.solve("lcs", 24, backend="serial", timeout=30)
-            server.solve("lcs", 24, backend="serial", timeout=30)
+            server.solve("lcs", 24, policy=SERIAL, timeout=30)
+            server.solve("lcs", 24, policy=SERIAL, timeout=30)
             snapshot = server.metrics()
         assert snapshot["cache"] is not None
         assert snapshot["cache"]["lookups"] >= 2

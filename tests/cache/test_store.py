@@ -21,7 +21,11 @@ from repro.cache import (
 )
 from repro.cache.store import FORMAT_MARKER
 from repro.core.exceptions import CacheError, InvalidParameterError
+from repro.facade.policy import ExecutionPolicy
 from repro.session import Session
+
+#: Pin the serial backend: these tests are about the cache, not the tuner.
+SERIAL = ExecutionPolicy(backend="serial")
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +33,7 @@ def solved():
     """One solved lcs result reused by every store test (solves are slow)."""
     with Session(system="i7-2600K") as session:
         results = {
-            dim: session.solve("lcs", dim, backend="serial") for dim in (16, 20, 24, 28)
+            dim: session.solve("lcs", dim, policy=SERIAL) for dim in (16, 20, 24, 28)
         }
     return results
 
@@ -205,7 +209,7 @@ class TestCodecHelpers:
 
     def test_encode_simulate_result_has_no_grid(self):
         with Session(system="i7-2600K") as session:
-            result = session.solve("lcs", 16, backend="serial", mode="simulate")
+            result = session.solve("lcs", 16, policy=SERIAL, mode="simulate")
         arrays = encode_result(result, request=None)
         assert "values" not in arrays and "meta" not in arrays
         header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
@@ -217,7 +221,7 @@ class TestWitnessCodec:
     def witnessed(self):
         """One witness-bearing solved result shared by the codec tests."""
         with Session(system="i7-2600K") as session:
-            return session.solve("viterbi", 16, backend="serial")
+            return session.solve("viterbi", 16, policy=SERIAL)
 
     def test_codec_round_trips_the_witness_bit_exactly(self, witnessed):
         assert witnessed.witness is not None

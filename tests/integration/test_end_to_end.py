@@ -10,7 +10,7 @@ from repro.apps.nash import NASH_DSIZE, NASH_TSIZE, NashEquilibriumApp
 from repro.apps.sequence import SW_DSIZE, SW_TSIZE
 from repro.apps.knapsack import KnapsackApp
 from repro.autotuner.persistence import load_tuner, save_tuner
-from repro.autotuner.tuner import autotune_and_run
+from repro.session import Session
 from repro.core.params import InputParams
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.serial import SerialExecutor
@@ -42,7 +42,8 @@ class TestDeploymentWorkflow:
     def test_tuned_functional_execution_matches_serial(self, i3, quick_tuner_i3):
         """The tuned configuration must still compute the correct answer."""
         app = NashEquilibriumApp(dim=22)
-        result = autotune_and_run(app, i3, mode="functional", tuner=quick_tuner_i3)
+        with Session(system=i3, tuner=quick_tuner_i3) as session:
+            result = session.solve(app, mode="functional")
         serial = SerialExecutor(i3).execute(app.problem())
         assert result.matches(serial)
 

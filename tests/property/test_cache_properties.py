@@ -23,7 +23,11 @@ from repro.cache import (
 )
 from repro.core.exceptions import CacheError
 from repro.core.params import TunableParams
+from repro.facade.policy import ExecutionPolicy
 from repro.session import Session
+
+#: Pin the serial backend: these tests are about the cache, not the tuner.
+SERIAL = ExecutionPolicy(backend="serial")
 
 #: JSON-representable scalar leaves of override mappings.
 scalars = st.one_of(
@@ -138,7 +142,7 @@ class TestStoreRoundTripProperties:
     def test_roundtrip_is_bit_exact_for_every_registered_app(self, app, tmp_path):
         """store→load returns the identical grid for every application."""
         with Session(system="i7-2600K") as session:
-            result = session.solve(app, 20, backend="serial")
+            result = session.solve(app, 20, policy=SERIAL)
         store = DiskCacheStore(tmp_path / app)
         key = request_key(app, 20, overrides={"backend": "serial"})
         store.put(key.digest, result, request=key.payload)

@@ -8,13 +8,11 @@ as the serial sweep.
 import numpy as np
 import pytest
 
+from repro.core.exceptions import InvalidParameterError
 from repro.core.params import TunableParams
 from repro.core.plan import ThreePhasePlan
-from repro.device.context import DeviceContext
 from repro.runtime.band import BandRunner
 from repro.runtime.executor_base import ExecutionMode
-from repro.runtime.gpu_multi import MultiGPUBandExecutor
-from repro.runtime.gpu_single import SingleGPUBandExecutor
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.serial import SerialExecutor
 from repro.apps.nash import NashEquilibriumApp
@@ -63,7 +61,7 @@ class TestHybridCorrectness:
 
     def test_dual_gpu_config_rejected_on_single_gpu_system(self, i3):
         problem = SyntheticApp(dim=24, tsize=100, dsize=1).problem()
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidParameterError):
             HybridExecutor(i3).execute(problem, TunableParams.from_encoding(4, 10, 2, 1))
 
     def test_functional_and_simulate_report_same_rtime(self, i7_2600k):
@@ -98,30 +96,25 @@ class TestBandRunnerOperations:
 
     def test_kernel_launch_count_untiled(self, i7_2600k):
         problem, grid, plan, tunables, _ = self.make_band(i7_2600k)
-        with DeviceContext(i7_2600k, tunables.gpu_count) as ctx:
-            stats = BandRunner(problem, grid, plan, tunables, ctx).run()
-            # One launch per diagonal per device when gpu_tile == 1.
-            assert stats["kernel_launches"] == stats["band_diagonals"] * tunables.gpu_count
-            assert ctx.log.kernel_launches == stats["kernel_launches"]
+        stats = BandRunner(problem, grid, plan, tunables).run()
+        # One launch per diagonal per device when gpu_tile == 1.
+        assert stats["kernel_launches"] == stats["band_diagonals"] * tunables.gpu_count
 
     def test_halo_swaps_counted_and_bounded(self, i7_2600k):
         problem, grid, plan, tunables, _ = self.make_band(i7_2600k, halo=2)
-        with DeviceContext(i7_2600k, 2) as ctx:
-            stats = BandRunner(problem, grid, plan, tunables, ctx).run()
+        stats = BandRunner(problem, grid, plan, tunables).run()
         n_diags = stats["band_diagonals"]
         assert 0 < stats["halo_swaps"] <= n_diags
         # Larger halo => no more swaps than a zero halo needs.
         problem, grid, plan, tunables, _ = self.make_band(i7_2600k, halo=0)
-        with DeviceContext(i7_2600k, 2) as ctx:
-            stats_zero = BandRunner(problem, grid, plan, tunables, ctx).run()
+        stats_zero = BandRunner(problem, grid, plan, tunables).run()
         assert stats["halo_swaps"] <= stats_zero["halo_swaps"]
 
     def test_redundant_cells_grow_with_halo(self, i7_2600k):
         baseline = None
         for halo in (0, 3):
             problem, grid, plan, tunables, _ = self.make_band(i7_2600k, halo=halo)
-            with DeviceContext(i7_2600k, 2) as ctx:
-                stats = BandRunner(problem, grid, plan, tunables, ctx).run()
+            stats = BandRunner(problem, grid, plan, tunables).run()
             if baseline is None:
                 baseline = stats["redundant_cells"]
             else:
@@ -129,29 +122,33 @@ class TestBandRunnerOperations:
 
     def test_band_results_written_back_correctly(self, i7_2600k):
         problem, grid, plan, tunables, serial_grid = self.make_band(i7_2600k, halo=1)
-        with DeviceContext(i7_2600k, 2) as ctx:
-            BandRunner(problem, grid, plan, tunables, ctx).run()
+        BandRunner(problem, grid, plan, tunables).run()
         for d in range(plan.gpu.lo, plan.gpu.hi + 1):
             assert np.allclose(grid.get_diagonal(d), serial_grid.get_diagonal(d))
 
     def test_transfers_recorded(self, i7_2600k):
         problem, grid, plan, tunables, _ = self.make_band(i7_2600k, halo=2)
-        with DeviceContext(i7_2600k, 2) as ctx:
-            BandRunner(problem, grid, plan, tunables, ctx).run()
-            assert ctx.log.bytes_h2d > 0 and ctx.log.bytes_d2h > 0
+        stats = BandRunner(problem, grid, plan, tunables).run()
+        assert stats["bytes_h2d"] > 0 and stats["bytes_d2h"] > 0
 
 
-class TestGPUOnlyExecutors:
+class TestGPUOnlyPlans:
+    """The whole grid in the GPU band: the hybrid executor at ``band = dim - 1``."""
+
     def test_single_gpu_whole_grid(self, i3):
         problem = SyntheticApp(dim=20, tsize=100, dsize=1).problem()
         serial = SerialExecutor(i3).execute(problem)
-        gpu = SingleGPUBandExecutor(i3).execute(problem)
+        whole_grid = TunableParams.from_encoding(cpu_tile=1, band=19, halo=-1, gpu_tile=1)
+        gpu = HybridExecutor(i3).execute(problem, whole_grid)
         assert serial.matches(gpu)
         assert gpu.tunables.band == 19 and gpu.tunables.gpu_count == 1
+        assert gpu.stats["phase1_cells"] == gpu.stats["phase3_cells"] == 0
 
     def test_multi_gpu_whole_grid(self, i7_3820):
         problem = SyntheticApp(dim=20, tsize=100, dsize=1).problem()
         serial = SerialExecutor(i7_3820).execute(problem)
-        gpu = MultiGPUBandExecutor(i7_3820, halo=2).execute(problem)
+        whole_grid = TunableParams.from_encoding(cpu_tile=1, band=19, halo=2, gpu_tile=1)
+        gpu = HybridExecutor(i7_3820).execute(problem, whole_grid)
         assert serial.matches(gpu)
         assert gpu.tunables.gpu_count == 2
+        assert gpu.stats["phase1_cells"] == gpu.stats["phase3_cells"] == 0

@@ -1,22 +1,23 @@
 """Tests of the declarative :class:`~repro.runtime.registry.EngineSpec` API.
 
-The redesigned registration path: specs declare capabilities and
-availability probes, the serial-engine preference order is derived from the
-specs, capability queries raise typed errors on typos, and the pre-spec
-bare-class registration survives as a deprecated compatibility path.
+Specs declare capabilities and availability probes, the serial-engine
+preference order is derived from the specs, and capability queries raise
+typed errors on typos.
 """
 
+import numpy as np
 import pytest
 
+from repro import ExecutionPolicy, Session
+from repro.apps.registry import available_applications
 from repro.core.exceptions import InvalidParameterError, UnknownExecutorError
+from repro.core.params import TunableParams
 from repro.runtime import EngineSpec, available_executors, engines_with
 from repro.runtime.registry import (
     ENGINE_SPECS,
-    EXECUTORS,
     KNOWN_CAPABILITIES,
     SERIAL_ENGINES,
     _derived_serial_engines,
-    register_executor,
 )
 from repro.runtime.serial import SerialExecutor
 from repro.runtime.vectorized import numpy_available
@@ -45,10 +46,8 @@ class TestSpecValidation:
 
 class TestBuiltinSpecs:
     def test_every_builtin_executor_has_a_spec(self):
-        assert set(EXECUTORS) == set(ENGINE_SPECS)
         for name, spec in ENGINE_SPECS.items():
-            assert spec.name == name
-            assert spec.factory is EXECUTORS[name]
+            assert spec.name == name == spec.factory.strategy
             assert spec.capabilities <= KNOWN_CAPABILITIES
 
     def test_serial_engines_derived_from_ranks(self):
@@ -77,19 +76,29 @@ class TestBuiltinSpecs:
         assert issubclass(UnknownExecutorError, KeyError)
 
 
-class TestDeprecatedBareClassPath:
-    def test_bare_class_registration_warns_and_registers(self):
-        class LegacyProbe(SerialExecutor):
-            strategy = "legacy-probe-executor"
+class TestEveryEngineMatchesSerial:
+    """Generated from the registry: a new engine cannot forget to be compared."""
 
-        try:
-            with pytest.warns(DeprecationWarning, match="bare executor class"):
-                returned = register_executor(LegacyProbe)
-            assert returned is LegacyProbe  # decorator-compatible
-            assert EXECUTORS["legacy-probe-executor"] is LegacyProbe
-            spec = ENGINE_SPECS["legacy-probe-executor"]
-            assert spec.capabilities == frozenset()
-            assert spec.is_available()
-        finally:
-            del EXECUTORS["legacy-probe-executor"]
-            del ENGINE_SPECS["legacy-probe-executor"]
+    DIM = 24
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        with Session(system="i7-2600K") as session:
+            yield session
+
+    # Engine varies fastest, so both pool backends borrow one pool per app.
+    @pytest.mark.parametrize("engine", available_executors())
+    @pytest.mark.parametrize("app", available_applications())
+    def test_grid_and_witness_equal_the_serial_reference(self, session, engine, app):
+        # A real band on two devices for the GPU strategy, several tiles on
+        # two workers for the pools; the whole-grid engines ignore both.
+        policy = ExecutionPolicy(
+            backend=engine,
+            workers=2,
+            tunables=TunableParams.from_encoding(cpu_tile=8, band=6, halo=1, gpu_tile=1),
+        )
+        result = session.solve(app, self.DIM, policy=policy)
+        serial = session.solve(app, self.DIM, policy=ExecutionPolicy(backend="serial"))
+        assert result.stats["strategy"] == engine
+        assert np.array_equal(serial.grid.values, result.grid.values)
+        assert serial.matches(result)

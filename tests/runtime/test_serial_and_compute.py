@@ -6,10 +6,8 @@ import pytest
 from repro.core.exceptions import ExecutionError
 from repro.core.params import TunableParams
 from repro.core.pattern import FunctionKernel, WavefrontProblem
-from repro.core.tiling import TileDecomposition
 from repro.runtime.compute import (
     compute_diagonal_range,
-    compute_tile,
     reference_grid,
     verify_against_reference,
 )
@@ -31,15 +29,6 @@ class TestComputeHelpers:
         grid = reference_grid(problem)
         i, j = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
         assert np.array_equal(grid.values, i + j + 1.0)
-
-    def test_compute_tile_respects_internal_dependencies(self):
-        problem = counting_problem(9)
-        grid = problem.make_grid()
-        decomp = TileDecomposition(9, 9, 3)
-        for wave in decomp.schedule():
-            for tile in wave:
-                compute_tile(problem, grid, tile)
-        assert grid.allclose(reference_grid(problem))
 
     def test_compute_diagonal_range_counts_cells(self):
         problem = counting_problem(6)

@@ -59,6 +59,17 @@ class TestRoutes:
         assert status == 200
         assert body["checksum"] == serve_session.solve("lcs", 48).checksum
 
+    def test_solve_accepts_the_tunables_a_plan_file_writes(self, endpoint, serve_session):
+        pinned = serve_session.plan("lcs", 48).to_dict()["tunables"]
+        pinned["cpu_tile"] = 6
+        status, body = post_json(
+            endpoint.url + "/solve",
+            {"app": "lcs", "dim": 48, "backend": "hybrid", "tunables": pinned},
+        )
+        assert status == 200
+        assert body["tunables"] == pinned
+        assert body["checksum"] == serve_session.solve("lcs", 48).checksum
+
     def test_witness_bearing_app_answers_the_exact_path(
         self, endpoint, serve_session
     ):
@@ -99,6 +110,13 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post_json(endpoint.url + "/solve", {"dim": 8})
         assert excinfo.value.code == 400
+
+    def test_malformed_override_maps_to_400_not_500(self, endpoint):
+        for override in ({"workers": "two"}, {"backend": ["serial"]}, {"tunables": {"cpu_tile": 4}}):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_json(endpoint.url + "/solve", {"app": "lcs", "dim": 48, **override})
+            assert excinfo.value.code == 400, override
+            assert json.loads(excinfo.value.read())["error"]["type"] == "UsageError"
 
     def test_unknown_route_maps_to_404(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

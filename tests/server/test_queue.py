@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.core.exceptions import BackpressureError, ReproError, ServerError
+from repro.facade.policy import ExecutionPolicy
 from repro.server.queue import RequestQueue, ServeRequest, request_signature
 
 
@@ -30,7 +31,7 @@ class TestSignature:
         assert make_request(dim=64).signature != base
         assert make_request(app="knapsack").signature != base
         assert make_request(mode="simulate").signature != base
-        assert make_request(backend="serial").signature != base
+        assert make_request(policy=ExecutionPolicy(backend="serial")).signature != base
 
     def test_unhashable_override_values_are_admitted(self):
         # repr-keying keeps admission working for list/dict override values.

@@ -50,12 +50,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 5 heatmap" in out and "band" in out
 
-    def test_sweep_alias_still_works_with_deprecation_note(self, capsys):
-        assert main(["sweep", "--system", "i3-540", "--space", "tiny"]) == 0
-        captured = capsys.readouterr()
-        assert "Figure 5 heatmap" in captured.out
-        assert "deprecated" in captured.err
-
     def test_tune_tiny_prints_configuration(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
         code = main(

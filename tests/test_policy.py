@@ -1,22 +1,24 @@
-"""Tests of the typed :class:`~repro.facade.policy.ExecutionPolicy` redesign.
+"""Tests of :class:`~repro.facade.policy.ExecutionPolicy`, the one spelling of an override.
 
 Covers the policy value itself (validation, override extraction), its
-acceptance by :meth:`Session.plan`/:meth:`Session.solve`, the equivalence
-and deprecation of the legacy keyword spelling, and the backward-compatible
-plan serialisation (``dispatch`` round-trips; legacy plan files without the
-field load as ``"barrier"``).
+acceptance by :meth:`Session.plan`/:meth:`Session.solve`, the HTTP body
+decoding into the same value (and the same result-cache key), and how plan
+files written while the tile dispatch order was a separate field load.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import ExecutionPolicy, Session
-from repro.core.exceptions import InvalidParameterError, UsageError
+from repro.core.exceptions import ArtifactError, InvalidParameterError, UsageError
 from repro.core.params import TunableParams
 from repro.facade.plan import ResolvedPlan, load_plan, save_plan
-from repro.facade.policy import DISPATCH_MODES
+from repro.server.http import policy_from_body
+
+#: ``request_key`` digest of ``lcs`` at dim 48 pinned to the serial backend,
+#: recorded at the commit before the legacy override keywords were removed:
+#: persisted result caches written by either spelling must keep hitting.
+LCS48_SERIAL_DIGEST = "3b77be6a956098e44198c48edc1383d5a7a5f3ff20449b4b1e5907a259199844"
 
 
 class TestPolicyValue:
@@ -30,110 +32,32 @@ class TestPolicyValue:
         assert policy.overrides() == {"backend": "serial", "workers": 2}
         assert not policy.is_default
 
-    def test_unknown_dispatch_rejected(self):
-        with pytest.raises(InvalidParameterError, match="dispatch"):
-            ExecutionPolicy(dispatch="bogus")
-
-    def test_dispatch_vocabulary(self):
-        assert DISPATCH_MODES == ("barrier", "pipelined")
-        for mode in DISPATCH_MODES:
-            assert ExecutionPolicy(dispatch=mode).dispatch == mode
-
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(InvalidParameterError, match="workers"):
             ExecutionPolicy(workers=0)
 
-
-class TestSessionAcceptance:
-    def test_policy_and_legacy_kwargs_resolve_identically(self):
+    def test_policies_key_the_plan_cache_by_value(self):
         with Session() as session:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = session.plan(
-                    "lcs", 32, backend="serial", tunables=TunableParams()
-                )
-            modern = session.plan(
-                "lcs",
-                32,
-                policy=ExecutionPolicy(backend="serial", tunables=TunableParams()),
+            pinned = ExecutionPolicy(backend="serial", tunables=TunableParams())
+            first = session.plan("lcs", 32, policy=pinned)
+            again = session.plan(
+                "lcs", 32, policy=ExecutionPolicy(backend="serial", tunables=TunableParams())
             )
-            assert legacy.backend == modern.backend
-            assert legacy.tunables == modern.tunables
-            assert legacy.workers == modern.workers
-            assert legacy.dispatch == modern.dispatch == "barrier"
+            other = session.plan("lcs", 32, policy=ExecutionPolicy(backend="vectorized"))
+            assert again is first
+            assert other is not first and other.backend == "vectorized"
 
-    def test_legacy_kwargs_warn(self):
-        with Session() as session:
-            with pytest.warns(DeprecationWarning, match="policy=ExecutionPolicy"):
-                session.plan("lcs", 32, backend="serial")
 
-    def test_both_spellings_is_a_usage_error(self):
-        with Session() as session:
-            with pytest.raises(UsageError, match="not both"):
-                session.plan(
-                    "lcs", 32, policy=ExecutionPolicy(backend="serial"), workers=2
-                )
-
-    def test_policy_dispatch_reaches_plan_and_execution(self):
+class TestPipelinedIsABackend:
+    def test_pipelined_backend_reaches_execution(self):
         with Session(workers=2) as session:
             policy = ExecutionPolicy(
-                backend="mp-parallel",
-                tunables=TunableParams(cpu_tile=8),
-                dispatch="pipelined",
+                backend="pipelined", tunables=TunableParams(cpu_tile=8)
             )
-            plan = session.plan("lcs", 32, policy=policy)
-            assert plan.dispatch == "pipelined"
-            result = session.run(plan)
+            result = session.solve("lcs", 32, policy=policy)
             assert result.stats["dispatch"] == "pipelined"
-            reference = session.run(
-                session.plan("lcs", 32, policy=ExecutionPolicy(backend="serial"))
-            )
+            reference = session.solve("lcs", 32, policy=ExecutionPolicy(backend="serial"))
             assert np.array_equal(reference.grid.values, result.grid.values)
-
-    def test_distinct_dispatches_are_distinct_plan_cache_entries(self):
-        with Session() as session:
-            manual = ExecutionPolicy(backend="mp-parallel", tunables=TunableParams())
-            barrier = session.plan("lcs", 32, policy=manual)
-            pipelined = session.plan(
-                "lcs",
-                32,
-                policy=ExecutionPolicy(
-                    backend="mp-parallel",
-                    tunables=TunableParams(),
-                    dispatch="pipelined",
-                ),
-            )
-            assert barrier.dispatch == "barrier"
-            assert pipelined.dispatch == "pipelined"
-            assert session.plan("lcs", 32, policy=manual) is barrier
-
-
-class TestPlanSerialisation:
-    def test_dispatch_round_trips(self, tmp_path):
-        with Session() as session:
-            plan = session.plan(
-                "lcs",
-                32,
-                policy=ExecutionPolicy(
-                    backend="mp-parallel",
-                    tunables=TunableParams(cpu_tile=8),
-                    dispatch="pipelined",
-                ),
-            )
-            path = save_plan(plan, tmp_path / "plan.json")
-            loaded = load_plan(path)
-            assert loaded.dispatch == "pipelined"
-            assert loaded == plan.with_(problem=None)
-
-    def test_legacy_plan_dict_without_dispatch_loads_as_barrier(self):
-        with Session() as session:
-            plan = session.plan(
-                "lcs", 32, policy=ExecutionPolicy(backend="serial")
-            )
-        payload = plan.to_dict()
-        del payload["dispatch"]  # a plan file persisted before the field
-        loaded = ResolvedPlan.from_dict(payload)
-        assert loaded.dispatch == "barrier"
 
     def test_replayed_pipelined_plan_executes(self, tmp_path):
         with Session(workers=2) as session:
@@ -141,30 +65,94 @@ class TestPlanSerialisation:
                 "lcs",
                 24,
                 policy=ExecutionPolicy(
-                    backend="mp-parallel",
-                    tunables=TunableParams(cpu_tile=8),
-                    workers=2,
-                    dispatch="pipelined",
+                    backend="pipelined", tunables=TunableParams(cpu_tile=8), workers=2
                 ),
             )
             path = save_plan(plan, tmp_path / "plan.json")
+        loaded = load_plan(path)
+        assert loaded == plan.with_(problem=None)
         with Session(workers=2) as fresh:
-            result = fresh.run(load_plan(path))
-            assert result.stats["dispatch"] == "pipelined"
+            assert fresh.run(loaded).stats["dispatch"] == "pipelined"
 
-    def test_describe_mentions_nondefault_dispatch_only(self):
-        base = dict(
-            app="lcs",
-            dim=32,
-            params=None,
-            tunables=TunableParams(),
-            backend="mp-parallel",
-            system="local",
+
+class TestPersistedDispatchField:
+    """Plan files written while ``dispatch`` was a plan field still load."""
+
+    @staticmethod
+    def payload(backend: str, dispatch: str) -> dict:
+        with Session() as session:
+            plan = session.plan(
+                "lcs", 32, policy=ExecutionPolicy(backend=backend, tunables=TunableParams())
+            )
+        payload = plan.to_dict()
+        assert "dispatch" not in payload
+        payload["dispatch"] = dispatch
+        return payload
+
+    def test_barrier_is_ignored(self):
+        loaded = ResolvedPlan.from_dict(self.payload("mp-parallel", "barrier"))
+        assert loaded.backend == "mp-parallel"
+        assert "dispatch" not in loaded.to_dict()
+
+    def test_pipelined_on_the_pipelined_backend_loads(self):
+        assert ResolvedPlan.from_dict(self.payload("pipelined", "pipelined")).backend == "pipelined"
+
+    def test_pipelined_on_any_other_backend_is_an_artifact_error(self):
+        with pytest.raises(ArtifactError, match="backend='pipelined'"):
+            ResolvedPlan.from_dict(self.payload("mp-parallel", "pipelined"))
+
+
+class TestHttpBodyDecoding:
+    def test_body_keys_lift_into_one_policy(self):
+        body = {
+            "backend": "hybrid",
+            "engine": "vectorized",
+            "workers": 2,
+            "tunables": {"cpu_tile": 4, "band": 8, "gpu_count": 1, "gpu_tile": 1, "halo": -1},
+            "seed": 3,
+        }
+        policy = policy_from_body(body)
+        assert policy == ExecutionPolicy(
+            backend="hybrid",
+            engine="vectorized",
+            workers=2,
+            tunables=TunableParams.from_encoding(4, 8, -1, 1),
         )
-        from repro.core.params import InputParams
+        assert body == {"seed": 3}  # constructor arguments stay behind
 
-        base["params"] = InputParams(dim=32, tsize=0.5, dsize=0)
-        assert "dispatch" not in ResolvedPlan(**base).describe()
-        assert "dispatch=pipelined" in ResolvedPlan(
-            **base, dispatch="pipelined"
-        ).describe()
+    def test_body_without_overrides_pins_nothing(self):
+        assert policy_from_body({"seed": 3, "backend": None}) is None
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"backend": 3},
+            {"engine": ["serial"]},
+            {"workers": 0},
+            {"workers": "2"},
+            {"workers": True},
+            {"tunables": [4, 8, -1, 1]},
+            {"tunables": {"cpu_tile": 4}},
+            {"tunables": {"cpu_tile": 0, "band": 8, "gpu_count": 1, "gpu_tile": 1, "halo": -1}},
+            {"tunables": {"cpu_tile": 1.5, "band": 8, "gpu_count": 1, "gpu_tile": 1, "halo": -1}},
+            {"policy": {"backend": "serial"}},
+        ],
+        ids=lambda body: next(iter(body)) + "=" + repr(next(iter(body.values())))[:24],
+    )
+    def test_malformed_values_are_usage_errors(self, body):
+        with pytest.raises(UsageError):
+            policy_from_body(body)
+
+    def test_http_and_in_process_requests_share_the_persisted_cache_key(self, tmp_path):
+        body = {"app": "lcs", "dim": 48, "backend": "serial"}
+        app, dim = body.pop("app"), body.pop("dim")
+        decoded = policy_from_body(body)
+        in_process = ExecutionPolicy(backend="serial")
+        with Session(cache_dir=tmp_path) as session:
+            keys = [
+                session._request_key_for(
+                    app, session.plan(app, dim, policy=policy), None, policy
+                )
+                for policy in (decoded, in_process)
+            ]
+        assert keys[0].digest == keys[1].digest == LCS48_SERIAL_DIGEST

@@ -15,7 +15,7 @@ Covers the acceptance contract of the session API:
 import numpy as np
 import pytest
 
-from repro import Session, autotune_and_run
+from repro import ExecutionPolicy, Session
 from repro.apps.lcs import LCSApp
 from repro.apps.registry import available_applications
 from repro.autotuner.measured import MeasuredTuner, ProfileConfig, profile_host
@@ -78,7 +78,9 @@ class TestPlanResolution:
     def test_manual_backend_bypasses_tuner(self, i3):
         with Session(system=i3) as session:
             plan = session.plan(
-                "lcs", SMALL_DIM, backend="vectorized", tunables=TunableParams()
+                "lcs",
+                SMALL_DIM,
+                policy=ExecutionPolicy(backend="vectorized", tunables=TunableParams()),
             )
             assert plan.tuner == "manual"
             assert not session.tuner_ready  # the tuner was never built
@@ -88,7 +90,11 @@ class TestPlanResolution:
     def test_session_worker_override_wins(self, i3):
         with Session(system=i3, workers=1) as session:
             plan = session.plan(
-                "lcs", SMALL_DIM, backend="mp-parallel", tunables=TunableParams(cpu_tile=8)
+                "lcs",
+                SMALL_DIM,
+                policy=ExecutionPolicy(
+                    backend="mp-parallel", tunables=TunableParams(cpu_tile=8)
+                ),
             )
             assert plan.workers == 1
 
@@ -151,12 +157,11 @@ class TestEquivalenceWithLegacyPath:
         result = i3_session.solve("synthetic", 64, mode="simulate")
         assert result.rtime == pytest.approx(legacy.rtime)
 
-    def test_deprecated_shim_goes_through_session(self, i3, quick_tuner_i3):
+    def test_application_instance_solve_matches_serial(self, i3, i3_session):
         from repro.apps.nash import NashEquilibriumApp
 
         app = NashEquilibriumApp(dim=20)
-        with pytest.warns(DeprecationWarning):
-            result = autotune_and_run(app, i3, mode="functional", tuner=quick_tuner_i3)
+        result = i3_session.solve(app, mode="functional")
         serial = SerialExecutor(i3).execute(app.problem())
         assert result.matches(serial)
 
@@ -202,10 +207,12 @@ class TestSolveManyServing:
             plan = session.plan(
                 "lcs",
                 SMALL_DIM,
-                backend="hybrid",
-                engine="mp",
-                workers=2,
-                tunables=TunableParams(cpu_tile=8),
+                policy=ExecutionPolicy(
+                    backend="hybrid",
+                    engine="mp",
+                    workers=2,
+                    tunables=TunableParams(cpu_tile=8),
+                ),
             )
             results = [session.run(plan) for _ in range(3)]
             builds = session.cache_info()["builds"]
@@ -294,12 +301,11 @@ class TestBoundedCaches:
 
     def test_pool_eviction_closes_pools(self, i7_2600k):
         with Session(system=i7_2600k, max_pools=1) as session:
-            p1 = session.plan(
-                "lcs", 16, backend="mp-parallel", workers=2, tunables=TunableParams(cpu_tile=4)
+            pooled = ExecutionPolicy(
+                backend="mp-parallel", workers=2, tunables=TunableParams(cpu_tile=4)
             )
-            p2 = session.plan(
-                "lcs", 24, backend="mp-parallel", workers=2, tunables=TunableParams(cpu_tile=4)
-            )
+            p1 = session.plan("lcs", 16, policy=pooled)
+            p2 = session.plan("lcs", 24, policy=pooled)
             session.run(p1)
             session.run(p2)  # evicts (and closes) the dim-16 pool
             session.run(p1)  # rebuilt
@@ -365,7 +371,7 @@ class TestErrorUnification:
         session = Session(system=i3)
         session.close()
         with pytest.raises(UsageError):
-            session.plan("lcs", SMALL_DIM, backend="serial", tunables=TunableParams())
+            session.plan("lcs", SMALL_DIM, policy=ExecutionPolicy(backend="serial"))
 
 
 class TestTunerProtocol:
