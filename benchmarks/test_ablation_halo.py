@@ -1,20 +1,17 @@
 """Ablation — halo size vs swap count (Section 2.1).
 
 Reproduces the dual-GPU halo trade-off directly from the cost model and from
-the functional band executor's operation counts: a larger halo reduces the
+the emulated band's operation counts: a larger halo reduces the
 number of halo swaps (less communication) at the price of redundant
 computation, so the optimal halo shrinks as task granularity grows.
 """
 
-import numpy as np
 import pytest
 
-from repro.apps.synthetic import SyntheticApp
 from repro.core.params import InputParams, TunableParams
 from repro.core.plan import ThreePhasePlan
 from repro.hardware.costmodel import CostModel
-from repro.runtime.band import BandRunner
-from repro.runtime.serial import SerialExecutor
+from repro.runtime.band import band_counters
 from repro.utils.tables import format_table
 
 from benchmarks._common import write_result
@@ -54,19 +51,14 @@ def test_optimal_halo_shrinks_with_granularity(benchmark, systems):
     assert best_halos[0] > best_halos[-1] or best_halos[0] > 0
 
 
-def test_functional_swap_counts_match_halo(benchmark, systems):
-    """The functional band executor's swap counts fall as the halo grows."""
-    system = systems[2]
-    problem = SyntheticApp(dim=40, tsize=50, dsize=1).problem()
-    serial_grid = SerialExecutor(system).execute(problem).grid
+def test_functional_swap_counts_match_halo(benchmark):
+    """The emulated band's swap counts fall as the halo grows."""
+    params = InputParams(dim=40, tsize=50, dsize=1)
 
     def run_with_halo(halo: int) -> int:
-        tunables = TunableParams.from_encoding(4, 12, halo, 1).clipped(problem.dim)
-        plan = ThreePhasePlan(problem.input_params(), tunables)
-        grid = problem.make_grid()
-        for d in range(0, plan.gpu.lo):
-            grid.set_diagonal(d, serial_grid.get_diagonal(d))
-        return BandRunner(problem, grid, plan, tunables).run()["halo_swaps"]
+        tunables = TunableParams.from_encoding(4, 12, halo, 1).clipped(params.dim)
+        plan = ThreePhasePlan(params, tunables)
+        return band_counters(plan, tunables, params.element_nbytes)["halo_swaps"]
 
     def sweep():
         return {halo: run_with_halo(halo) for halo in (0, 1, 3, 6)}

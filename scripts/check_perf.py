@@ -19,6 +19,13 @@ the tuner's own acceptance bound) slower than the fastest serial-family
 engine benched on the plan's application — both walls come from one
 process on one machine, so the ratio is machine-neutral.
 
+Every run also measures one paired in-process ratio (``check_hybrid_band``):
+the paper's hybrid plan against the plain vectorized sweep of the same grid,
+both on the vectorized engine.  The hybrid plan's band is computed by that
+engine too, so all it may add is the integer replay of the simulated
+devices; the ratio is bounded by ``HYBRID_BOUND`` so the band can never
+silently grow a sweep of its own again.
+
 Usage (CI):
 
     python -m repro bench --dim 96 --apps synthetic,lcs \
@@ -33,8 +40,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import time
 from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def load_normalised(path: Path) -> tuple[dict[tuple[str, str], float], list[str]]:
@@ -69,7 +80,7 @@ def check_plan(fresh: dict[tuple[str, str], float], plan_path: Path) -> list[str
     ``fresh`` is :func:`load_normalised`'s map; both engines are normalised
     by the same serial wall, so their quotient is the plain wall ratio.
     """
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, SRC)
     from repro.runtime.registry import SERIAL_ENGINES
 
     plan = json.loads(plan_path.read_text(encoding="utf-8"))
@@ -91,6 +102,54 @@ def check_plan(fresh: dict[tuple[str, str], float], plan_path: Path) -> list[str
         return [
             f"default plan of {app} sweeps on {engine!r}, {ratio:.2f}x slower "
             f"than {fastest!r} (bound {PLAN_BOUND:.2f}x)"
+        ]
+    return []
+
+
+#: How much slower than the plain vectorized sweep the pinned hybrid plan
+#: may run (it measured 8-14x while the band emulation carried values).
+HYBRID_BOUND = 2.0
+
+
+def check_hybrid_band() -> list[str]:
+    """Failure of the pinned hybrid plan against the pinned vectorized sweep.
+
+    nash-equilibrium at dim 256 on the simulated i7-2600K, plan
+    ``(cpu_tile, band, halo, gpu_tile) = (4, 192, 2, 1)``; both walls are
+    medians of 5 alternating solves in this process, so the ratio is
+    machine-neutral.
+    """
+    sys.path.insert(0, SRC)
+    from repro import ExecutionPolicy, Session
+    from repro.core.params import TunableParams
+
+    policies = {
+        "hybrid": ExecutionPolicy(
+            tunables=TunableParams.from_encoding(4, 192, 2, 1), engine="vectorized"
+        ),
+        "vectorized": ExecutionPolicy(backend="vectorized"),
+    }
+    walls: dict[str, list[float]] = {name: [] for name in policies}
+    with Session(system="i7-2600K") as session:
+        for repeat in range(6):
+            for name, policy in policies.items():
+                start = time.perf_counter()
+                result = session.solve("nash-equilibrium", 256, policy=policy)
+                if repeat:  # the first pass warms plans and problem caches
+                    walls[name].append(time.perf_counter() - start)
+                if name == "hybrid" and not result.stats.get("band_cells"):
+                    return ["the pinned hybrid plan executed no GPU band"]
+    hybrid, vectorized = (statistics.median(walls[name]) for name in policies)
+    ratio = hybrid / vectorized
+    status = "FAIL" if ratio > HYBRID_BOUND else "ok"
+    print(
+        f"{'nash-equilibrium':<20} hybrid plan (4, 192, 2, 1): {ratio:.2f}x the "
+        f"vectorized sweep (base {vectorized * 1e3:.1f} ms)  {status}"
+    )
+    if ratio > HYBRID_BOUND:
+        return [
+            f"hybrid plan (4, 192, 2, 1) of nash-equilibrium/256 runs {ratio:.2f}x "
+            f"the vectorized sweep (bound {HYBRID_BOUND:.1f}x)"
         ]
     return []
 
@@ -142,6 +201,7 @@ def main() -> int:
 
     if args.plan is not None:
         failures.extend(check_plan(fresh, args.plan))
+    failures.extend(check_hybrid_band())
     if compared == 0:
         failures.append("no overlapping (application, executor) pairs to compare")
     if failures:

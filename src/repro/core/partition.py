@@ -7,20 +7,20 @@ neighbour.  The halo data goes stale as successive diagonals are computed
 locally; after ``halo`` steps (or every step when ``halo == 0``) the fresh
 border values must be exchanged through the host — a *halo swap*.
 
-The functions here are pure geometry/bookkeeping; the actual data movement is
-performed by :mod:`repro.runtime.gpu_multi` through the simulated device
-layer, and the costs are charged by :mod:`repro.hardware.costmodel`.
+The functions here are pure geometry/bookkeeping; the swaps, redundant cells
+and transfer volumes of a whole band are counted by
+:func:`repro.runtime.band.band_counters`, and the costs are charged by
+:mod:`repro.hardware.costmodel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.exceptions import PartitionError
 
 
-@dataclass(frozen=True)
-class DiagonalPartition:
+class DiagonalPartition(NamedTuple):
     """One GPU's share of a diagonal, in diagonal-local offsets.
 
     ``own_start .. own_stop`` (half-open) is the region this GPU owns (writes

@@ -16,9 +16,9 @@ Six executors, each executing differently:
   tile-diagonal or dependency-driven with none;
 * :class:`repro.runtime.hybrid.HybridExecutor` — the paper's three-phase
   CPU / GPU-band / CPU strategy, parameterised by
-  :class:`repro.core.params.TunableParams`; its GPU band is emulated by
-  :class:`repro.runtime.band.BandRunner`, which counts the operations the
-  cost model charges for.
+  :class:`repro.core.params.TunableParams`; one engine computes all three
+  phases, and :func:`repro.runtime.band.band_counters` counts the device
+  operations of the GPU band the cost model charges for.
 
 All executors are registered by strategy name in
 :mod:`repro.runtime.registry`; construct them uniformly with

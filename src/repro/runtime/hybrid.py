@@ -5,6 +5,12 @@ phase 2 offloads the band to one or two (simulated) GPUs, phase 3 finishes
 the remaining diagonals on the CPU.  Any phase may be empty depending on the
 tunable parameters, so this executor subsumes the pure-CPU and pure-GPU
 strategies as special cases.
+
+Functionally the phases are one sweep: a single engine computes every cell
+directly in the host grid, and the simulated GPUs contribute the operation
+counts of :func:`repro.runtime.band.band_counters`, which are a function of
+the plan.  What distinguishes the phases is what the cost model charges for
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from repro.core.pattern import WavefrontProblem
 from repro.core.plan import ThreePhasePlan
 from repro.core.tiling import TileDecomposition
 from repro.hardware.costmodel import PhaseBreakdown
-from repro.runtime.band import BandRunner
+from repro.runtime.band import band_counters
 from repro.runtime.compute import compute_cells
 from repro.runtime.executor_base import Executor
 
@@ -27,19 +33,17 @@ from repro.runtime.executor_base import Executor
 class HybridExecutor(Executor):
     """CPU / GPU / CPU three-phase execution of one wavefront instance.
 
-    ``cpu_engine`` selects the backend of the CPU phases: ``"serial"`` (the
-    default) follows the paper's tiled access order cell group by cell
-    group, ``"vectorized"`` evaluates each diagonal of the CPU triangles as
-    one NumPy batch through :class:`repro.runtime.vectorized.DiagonalSweepEngine`,
-    and ``"mp"`` runs the tile wavefront of both CPU triangles on the
-    shared-memory worker-process pool of
+    ``cpu_engine`` selects the engine that computes the values — of the CPU
+    phases and of the band alike: ``"serial"`` (the default) follows the
+    paper's tiled access order cell group by cell group, ``"vectorized"``
+    evaluates each diagonal as one NumPy batch through
+    :class:`repro.runtime.vectorized.DiagonalSweepEngine`, and ``"mp"`` runs
+    the tile wavefront on the shared-memory worker-process pool of
     :class:`repro.runtime.mp_parallel.MPWavefrontPool` (one persistent pool
-    serves phases 1 and 3; the GPU band phase in between writes into the
-    same shared view the workers read).  All produce identical grids; the
-    vectorized engine is what single-core tuned deployments use, the mp
-    engine what multicore hosts use.  ``workers`` only applies to
-    ``cpu_engine="mp"`` (``None`` auto-detects, with a single-core
-    fallback).
+    serves all three phases).  All produce identical grids; the vectorized
+    engine is what single-core tuned deployments use, the mp engine what
+    multicore hosts use.  ``workers`` only applies to ``cpu_engine="mp"``
+    (``None`` auto-detects, with a single-core fallback).
     """
 
     strategy = "hybrid"
@@ -64,10 +68,6 @@ class HybridExecutor(Executor):
         #: :class:`repro.runtime.lifecycle.EngineHost`); borrowed pools are
         #: released after the run, never closed, so they stay warm.
         self.pool_source = pool_source
-        # Built once per functional run; shared by both CPU phases.
-        self._sweep_engine = None
-        self._mp_pool = None
-        self._pool_borrowed = False
 
     def _breakdown(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
         return self.cost_model.hybrid_breakdown(problem.input_params(), tunables)
@@ -79,84 +79,60 @@ class HybridExecutor(Executor):
         self, problem: WavefrontProblem, tunables: TunableParams
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
-        plan = ThreePhasePlan(problem.input_params(), tunables)
+        params = problem.input_params()
+        plan = ThreePhasePlan(params, tunables)
         stats: dict = {"plan": plan.describe()}
 
-        # One engine serves both CPU phases: its fused-evaluator precompute
-        # (e.g. a dim x dim substitution grid) is O(dim^2) and must not be
-        # paid per phase.  It is dropped with the run: this executor is
-        # cached by the engine host and must not pin evaluator tables.
-        self._sweep_engine = None
-        self._mp_pool = None
-        self._pool_borrowed = False
+        # The simulated devices never hold a value the host grid does not,
+        # so the phases differ in what the platform is charged for them, not
+        # in how their cells are computed: one sweep of this executor's
+        # engine fills the grid, crossing the three spans in wavefront order.
         if self.cpu_engine == "vectorized":
             from repro.runtime.vectorized import DiagonalSweepEngine
 
-            self._sweep_engine = DiagonalSweepEngine(problem)
+            # The engine is dropped with the run: this executor is cached by
+            # the engine host and must not pin evaluator tables.
+            DiagonalSweepEngine(problem).sweep(grid)
         elif self.cpu_engine == "mp":
-            from repro.runtime.mp_parallel import MPWavefrontPool, resolve_worker_count
+            stats["cpu_workers"] = self._sweep_on_pool(problem, grid, tunables.cpu_tile)
+        else:
+            self._sweep_in_tile_order(problem, grid, tunables.cpu_tile)
 
-            workers = resolve_worker_count(self.workers, self.system)
-            if self.pool_source is not None:
-                self._mp_pool = self.pool_source(problem, tunables.cpu_tile, workers)
-                self._pool_borrowed = True
-                self._mp_pool.bind(grid)
-            else:
-                self._mp_pool = MPWavefrontPool(
-                    problem, grid, tunables.cpu_tile, workers
-                )
-            stats["cpu_workers"] = self._mp_pool.workers
-
-        try:
-            # Phase 1: CPU tiles over the leading triangle.
-            cells_pre = self._compute_cpu_span(problem, grid, plan.pre.lo, plan.pre.hi, tunables)
-            stats["phase1_cells"] = cells_pre
-
-            # Phase 2: the GPU band.  With the mp engine, grid.values is the
-            # shared view, so band results land where the workers read.
-            if not plan.gpu.is_empty:
-                stats.update(BandRunner(problem, grid, plan, tunables).run())
-
-            # Phase 3: CPU tiles over the trailing triangle.
-            cells_post = self._compute_cpu_span(problem, grid, plan.post.lo, plan.post.hi, tunables)
-            stats["phase3_cells"] = cells_post
-        finally:
-            self._sweep_engine = None
-            if self._mp_pool is not None:
-                if self._pool_borrowed:
-                    self._mp_pool.release()
-                else:
-                    self._mp_pool.close()
-                self._mp_pool = None
-                self._pool_borrowed = False
+        stats["phase1_cells"] = plan.pre.cells(problem.dim)
+        if not plan.gpu.is_empty:
+            stats.update(band_counters(plan, tunables, params.element_nbytes))
+        stats["phase3_cells"] = plan.post.cells(problem.dim)
         return grid, stats
 
-    def _compute_cpu_span(
-        self,
-        problem: WavefrontProblem,
-        grid: WavefrontGrid,
-        d_lo: int,
-        d_hi: int,
-        tunables: TunableParams,
-    ) -> int:
-        """Compute diagonals ``d_lo .. d_hi`` on the CPU, following the tile order.
+    def _sweep_on_pool(self, problem: WavefrontProblem, grid: WavefrontGrid, tile: int) -> int:
+        """Run the tile wavefront on a worker pool; returns its worker count."""
+        from repro.runtime.mp_parallel import MPWavefrontPool, resolve_worker_count
+
+        workers = resolve_worker_count(self.workers, self.system)
+        last = 2 * problem.dim - 2
+        if self.pool_source is None:
+            with MPWavefrontPool(problem, grid, tile, workers) as pool:
+                pool.run_range(0, last)
+                return pool.workers
+        pool = self.pool_source(problem, tile, workers)
+        pool.bind(grid)
+        try:
+            pool.run_range(0, last)
+        finally:
+            pool.release()
+        return pool.workers
+
+    @staticmethod
+    def _sweep_in_tile_order(problem: WavefrontProblem, grid: WavefrontGrid, tile: int) -> None:
+        """The serial engine: every diagonal, following the paper's tile order.
 
         Within each cell diagonal the cells are grouped by the CPU tile they
         belong to and computed group by group, mirroring how the tiled
         schedule touches memory, while preserving the wavefront dependency
-        order exactly.  With ``cpu_engine="vectorized"`` the span is instead
-        swept diagonal batch by diagonal batch.
+        order exactly.
         """
-        if d_hi < d_lo:
-            return 0
-        if self._mp_pool is not None:
-            _, cells = self._mp_pool.run_range(d_lo, d_hi)
-            return cells
-        if self._sweep_engine is not None:
-            return self._sweep_engine.sweep(grid, d_lo, d_hi)
-        decomp = TileDecomposition(problem.dim, problem.dim, tunables.cpu_tile)
-        total = 0
-        for d in range(d_lo, d_hi + 1):
+        decomp = TileDecomposition(problem.dim, problem.dim, tile)
+        for d in range(2 * problem.dim - 1):
             cells = dg.diagonal_cells(d, problem.dim, problem.dim)
             i, j = cells[:, 0], cells[:, 1]
             # Group the diagonal's cells by tile column so the access pattern
@@ -164,5 +140,3 @@ class HybridExecutor(Executor):
             # correctness because the cells are mutually independent.
             order = np.argsort(j // decomp.tile, kind="stable")
             compute_cells(problem, grid, i[order], j[order])
-            total += cells.shape[0]
-        return total

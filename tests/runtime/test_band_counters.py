@@ -1,24 +1,62 @@
 """The simulated platform is a set of counters: pin them and check their sums.
 
-``BandRunner`` emulates the GPU band functionally and counts the operations
-a real harness would enqueue; the cost model charges time for exactly those
-counts.  The golden test pins every counter of the benchmark's
-``paper-hybrid`` plans to the values recorded before the device-object
-harness was replaced by integers; the accounting tests check that the
-counters add up to what the plan says must move.
+``band_counters`` replays the GPU band's device emulation on integers and
+counts the operations a real harness would enqueue; the cost model charges
+time for exactly those counts.  Three layers of pinning:
+
+* ``test_paper_hybrid_stats_are_pinned`` holds every counter of the
+  benchmark's ``paper-hybrid`` plans to the values recorded before the
+  device-object harness was replaced by integers;
+* ``data/band_counters_golden.json`` holds the counters of 768 plans x 2
+  element sizes as the value-carrying emulation (``BandRunner``, deleted by
+  the same change that added the fixture) reported them.  It was generated
+  at that change's parent commit with::
+
+      COLUMNS = ["kernel_launches", "halo_swaps", "band_diagonals", "band_cells",
+                 "redundant_cells", "bytes_h2d", "bytes_d2h", "devices_initialised", "events"]
+      entries = {}
+      for app in ("synthetic", "nash-equilibrium"):
+          for dim in (5, 8, 17, 32, 48, 96):
+              problem = get_application(app, dim=dim).problem(dim)
+              serial = reference_grid(problem)
+              bands = (0, 1, 2, 3, dim // 4, dim // 2, dim - 8, dim - 2, dim - 1)
+              for band in sorted({b for b in bands if b >= 0}):
+                  for halo in (-1, 0, 1, 2, 3, 4, 8, 16):
+                      for cpu_tile in (1, 4):
+                          tunables = TunableParams.from_encoding(cpu_tile, band, halo, 1).clipped(dim)
+                          plan = ThreePhasePlan(problem.input_params(), tunables)
+                          grid = problem.make_grid()
+                          for d in range(plan.gpu.lo):
+                              grid.set_diagonal(d, serial.get_diagonal(d))
+                          stats = BandRunner(problem, grid, plan, tunables).run()
+                          assert list(stats) == COLUMNS
+                          entries[f"{app}/{dim}/{band}/{halo}/{cpu_tile}"] = list(stats.values())
+
+  and written as ``{"columns": COLUMNS, "entries": entries}``;
+* the accounting tests check that the counters add up to what the plan says
+  must move, and the audit tests that the cost model's closed-form swap and
+  redundancy counts never fall below the emulation's.
+
+The band's *values* are the hybrid executor's business: every engine must
+reproduce the serial grid and witness on the ``paper-hybrid`` plans.
 """
 
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import ExecutionPolicy, Session
 from repro.apps.registry import get_application
-from repro.core.params import TunableParams
+from repro.core.params import InputParams, TunableParams
+from repro.core.partition import count_halo_swaps, redundant_cells_for_band
 from repro.core.plan import ThreePhasePlan
-from repro.runtime.band import BandRunner
-from repro.runtime.compute import reference_grid
+from repro.hardware.platforms import get_system
+from repro.runtime.band import band_counters
+from repro.runtime.hybrid import HybridExecutor
+from repro.runtime.serial import SerialExecutor
 
 DIM = 96
 
@@ -77,24 +115,84 @@ def test_paper_hybrid_stats_are_pinned(session, app, encoding):
 
 
 @functools.lru_cache(maxsize=None)
-def serial_grid(app: str):
-    return reference_grid(get_application(app, dim=DIM).problem(DIM))
+def input_params(app: str, dim: int) -> InputParams:
+    return get_application(app, dim=dim).problem(dim).input_params()
 
 
-def run_band(app: str, encoding) -> tuple[ThreePhasePlan, dict, int]:
-    """Run only the band of one plan, on a grid holding just the CPU prefix."""
+def counters(app: str, dim: int, encoding) -> tuple[ThreePhasePlan, dict]:
+    """The band counters of one plan, as the hybrid executor derives them."""
+    params = input_params(app, dim)
+    tunables = TunableParams.from_encoding(*encoding).clipped(dim)
+    plan = ThreePhasePlan(params, tunables)
+    return plan, band_counters(plan, tunables, params.element_nbytes)
+
+
+@pytest.mark.parametrize("cpu_engine", ["serial", "vectorized", "mp"])
+@pytest.mark.parametrize("app,encoding", sorted(BYTES), ids=lambda v: str(v))
+def test_every_engine_computes_the_band_like_serial(app, encoding, cpu_engine):
+    system = get_system("i7-2600K")
     problem = get_application(app, dim=DIM).problem(DIM)
-    tunables = TunableParams.from_encoding(*encoding).clipped(DIM)
-    plan = ThreePhasePlan(problem.input_params(), tunables)
-    grid = problem.make_grid()
-    for d in range(plan.gpu.lo):
-        grid.set_diagonal(d, serial_grid(app).get_diagonal(d))
-    stats = BandRunner(problem, grid, plan, tunables).run()
-    for d in range(plan.gpu.lo, plan.gpu.hi + 1):
-        assert np.array_equal(grid.get_diagonal(d), serial_grid(app).get_diagonal(d))
-    return plan, stats, problem.input_params().element_nbytes
+    serial = SerialExecutor(system).execute(problem)
+    hybrid = HybridExecutor(system, cpu_engine=cpu_engine, workers=2).execute(
+        problem, TunableParams.from_encoding(*encoding)
+    )
+    assert hybrid.stats["band_cells"] == GEOMETRY[encoding]["band_cells"]
+    assert np.array_equal(serial.grid.values, hybrid.grid.values)
+    assert serial.witness == hybrid.witness
+    assert serial.matches(hybrid)
 
 
+# ----------------------------------------------------------------------
+# The parent-generated fixture
+# ----------------------------------------------------------------------
+GOLDEN = json.loads((Path(__file__).parent / "data" / "band_counters_golden.json").read_text())
+
+
+def golden_plans(app: str, dim: int) -> list[tuple[tuple, dict]]:
+    """``(encoding, expected stats)`` of the fixture's entries for one app and dim."""
+    plans = []
+    for key, row in GOLDEN["entries"].items():
+        name, *numbers = key.split("/")
+        entry_dim, band, halo, cpu_tile = map(int, numbers)
+        if (name, entry_dim) == (app, dim):
+            plans.append(((cpu_tile, band, halo, 1), dict(zip(GOLDEN["columns"], row))))
+    assert plans
+    return plans
+
+
+@pytest.mark.parametrize("dim", [5, 8, 17, 32, 48, 96])
+@pytest.mark.parametrize("app", ["synthetic", "nash-equilibrium"])
+def test_band_counters_equal_the_value_carrying_emulation(app, dim):
+    for encoding, expected in golden_plans(app, dim):
+        _, stats = counters(app, dim, encoding)
+        assert stats == expected, (app, dim, encoding)
+        assert list(stats) == GOLDEN["columns"]
+
+
+@pytest.mark.parametrize("dim", [5, 8, 17, 32, 48, 96])
+def test_cost_model_never_undercounts_swaps_or_redundancy(dim):
+    """The closed forms the model charges are upper bounds of the emulation.
+
+    They assume a swap every ``halo`` diagonals and a full halo on every
+    diagonal; the emulation swaps only when an owned cell would go stale,
+    and a device's valid interval shrinks between swaps.  docs/tuning.md
+    records the size of the gap.
+    """
+    audited = 0
+    for encoding, _ in golden_plans("synthetic", dim):
+        plan, stats = counters("synthetic", dim, encoding)
+        if stats["devices_initialised"] != 2:
+            continue
+        lengths, halo = plan.gpu_diagonal_lengths(), plan.tunables.halo
+        assert stats["halo_swaps"] <= count_halo_swaps(len(lengths), halo), encoding
+        assert stats["redundant_cells"] <= redundant_cells_for_band(lengths, 2, halo), encoding
+        audited += 1
+    assert audited > 0
+
+
+# ----------------------------------------------------------------------
+# Accounting
+# ----------------------------------------------------------------------
 def fixed_h2d_nbytes(plan: ThreePhasePlan, gpu_count: int) -> int:
     """Offload share plus the (2, longest band diagonal) float64 boundary, per device."""
     boundary = 2 * max(plan.gpu_diagonal_lengths()) * 8
@@ -104,7 +202,8 @@ def fixed_h2d_nbytes(plan: ThreePhasePlan, gpu_count: int) -> int:
 @pytest.mark.parametrize("app", ["synthetic", "nash-equilibrium"])
 class TestCounterAccounting:
     def test_single_gpu_moves_the_band_once_and_never_swaps(self, app):
-        plan, stats, elem = run_band(app, SINGLE_GPU)
+        plan, stats = counters(app, DIM, SINGLE_GPU)
+        elem = input_params(app, DIM).element_nbytes
         assert stats["halo_swaps"] == 0 and stats["redundant_cells"] == 0
         assert stats["kernel_launches"] == stats["band_diagonals"]
         assert stats["bytes_d2h"] == stats["band_cells"] * elem
@@ -113,7 +212,8 @@ class TestCounterAccounting:
         assert stats["events"] == 1 + 2 + stats["kernel_launches"] + 1
 
     def test_dual_gpu_halo_traffic_is_all_that_exceeds_the_plan(self, app):
-        plan, stats, elem = run_band(app, DUAL_GPU_HALO)
+        plan, stats = counters(app, DIM, DUAL_GPU_HALO)
+        elem = input_params(app, DIM).element_nbytes
         assert stats["kernel_launches"] == stats["band_diagonals"] * 2
         halo_out = stats["bytes_d2h"] - stats["band_cells"] * elem
         halo_in = stats["bytes_h2d"] - fixed_h2d_nbytes(plan, 2)
@@ -124,8 +224,8 @@ class TestCounterAccounting:
         assert elem <= halo_out <= stats["halo_swaps"] * 2 * longest * elem
 
     def test_wider_halo_trades_swaps_for_redundant_cells(self, app):
-        _, narrow, _ = run_band(app, DUAL_GPU_HALO)
-        _, wide, _ = run_band(app, (4, DIM - 64, 8, 1))
+        _, narrow = counters(app, DIM, DUAL_GPU_HALO)
+        _, wide = counters(app, DIM, (4, DIM - 64, 8, 1))
         assert wide["halo_swaps"] < narrow["halo_swaps"]
         assert wide["redundant_cells"] > narrow["redundant_cells"]
         assert wide["bytes_d2h"] < narrow["bytes_d2h"]

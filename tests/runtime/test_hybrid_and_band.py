@@ -5,13 +5,12 @@ the tunable parameters, the hybrid execution produces exactly the same grid
 as the serial sweep.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.exceptions import InvalidParameterError
-from repro.core.params import TunableParams
+from repro.core.exceptions import ExecutionError, InvalidParameterError
+from repro.core.params import InputParams, TunableParams
 from repro.core.plan import ThreePhasePlan
-from repro.runtime.band import BandRunner
+from repro.runtime.band import band_counters
 from repro.runtime.executor_base import ExecutionMode
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.serial import SerialExecutor
@@ -81,55 +80,40 @@ class TestHybridCorrectness:
         assert b.pre_s > 0 and b.post_s > 0 and b.gpu_compute_s > 0 and b.startup_s > 0
 
 
-class TestBandRunnerOperations:
-    def make_band(self, system, dim=30, band=10, halo=2, gpu_count=2, gpu_tile=1, tsize=100):
-        problem = SyntheticApp(dim=dim, tsize=tsize, dsize=1).problem()
-        halo_enc = halo if gpu_count == 2 else -1
-        tunables = TunableParams.from_encoding(4, band, halo_enc, gpu_tile).clipped(dim)
-        plan = ThreePhasePlan(problem.input_params(), tunables)
-        grid = problem.make_grid()
-        # Compute the CPU prefix so the band has its boundary data.
-        serial_grid = SerialExecutor(system).execute(problem).grid
-        for d in range(0, plan.gpu.lo):
-            grid.set_diagonal(d, serial_grid.get_diagonal(d))
-        return problem, grid, plan, tunables, serial_grid
+class TestBandCounterOperations:
+    def band_stats(self, dim=30, band=10, halo=2):
+        params = InputParams(dim=dim, tsize=100, dsize=1)
+        tunables = TunableParams.from_encoding(4, band, halo, 1).clipped(dim)
+        plan = ThreePhasePlan(params, tunables)
+        return tunables, band_counters(plan, tunables, params.element_nbytes)
 
-    def test_kernel_launch_count_untiled(self, i7_2600k):
-        problem, grid, plan, tunables, _ = self.make_band(i7_2600k)
-        stats = BandRunner(problem, grid, plan, tunables).run()
+    def test_kernel_launch_count_untiled(self):
+        tunables, stats = self.band_stats()
         # One launch per diagonal per device when gpu_tile == 1.
         assert stats["kernel_launches"] == stats["band_diagonals"] * tunables.gpu_count
 
-    def test_halo_swaps_counted_and_bounded(self, i7_2600k):
-        problem, grid, plan, tunables, _ = self.make_band(i7_2600k, halo=2)
-        stats = BandRunner(problem, grid, plan, tunables).run()
+    def test_halo_swaps_counted_and_bounded(self):
+        _, stats = self.band_stats(halo=2)
         n_diags = stats["band_diagonals"]
         assert 0 < stats["halo_swaps"] <= n_diags
         # Larger halo => no more swaps than a zero halo needs.
-        problem, grid, plan, tunables, _ = self.make_band(i7_2600k, halo=0)
-        stats_zero = BandRunner(problem, grid, plan, tunables).run()
+        _, stats_zero = self.band_stats(halo=0)
         assert stats["halo_swaps"] <= stats_zero["halo_swaps"]
 
-    def test_redundant_cells_grow_with_halo(self, i7_2600k):
-        baseline = None
-        for halo in (0, 3):
-            problem, grid, plan, tunables, _ = self.make_band(i7_2600k, halo=halo)
-            stats = BandRunner(problem, grid, plan, tunables).run()
-            if baseline is None:
-                baseline = stats["redundant_cells"]
-            else:
-                assert stats["redundant_cells"] > baseline
+    def test_redundant_cells_grow_with_halo(self):
+        _, narrow = self.band_stats(halo=0)
+        _, wide = self.band_stats(halo=3)
+        assert wide["redundant_cells"] > narrow["redundant_cells"]
 
-    def test_band_results_written_back_correctly(self, i7_2600k):
-        problem, grid, plan, tunables, serial_grid = self.make_band(i7_2600k, halo=1)
-        BandRunner(problem, grid, plan, tunables).run()
-        for d in range(plan.gpu.lo, plan.gpu.hi + 1):
-            assert np.allclose(grid.get_diagonal(d), serial_grid.get_diagonal(d))
-
-    def test_transfers_recorded(self, i7_2600k):
-        problem, grid, plan, tunables, _ = self.make_band(i7_2600k, halo=2)
-        stats = BandRunner(problem, grid, plan, tunables).run()
+    def test_transfers_recorded(self):
+        _, stats = self.band_stats(halo=2)
         assert stats["bytes_h2d"] > 0 and stats["bytes_d2h"] > 0
+
+    def test_plan_without_a_band_is_rejected(self):
+        params = InputParams(dim=30, tsize=100, dsize=1)
+        tunables = TunableParams(cpu_tile=4)
+        with pytest.raises(ExecutionError):
+            band_counters(ThreePhasePlan(params, tunables), tunables, params.element_nbytes)
 
 
 class TestGPUOnlyPlans:
