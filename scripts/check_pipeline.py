@@ -17,6 +17,13 @@ Also fails when any fresh result did not match the serial reference grid:
 a pipelined schedule that reorders tile retirement incorrectly shows up
 here as a correctness failure, not just a perf number.
 
+Finally the no-refork gate, run in this process: six tiled signatures
+(three applications x two tile sizes, alternating both tiled backends)
+through one session, twice.  The second pass must fork nothing (same worker
+pids, ``teams_built`` still 1), the session must hold exactly one
+``/dev/shm`` segment while open, and ``close()`` must leave ``/dev/shm`` as
+it found it.
+
 Usage (CI):
 
     python -m repro bench --dim 96 --apps synthetic,lcs \
@@ -30,8 +37,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 BARRIERED = "mp-parallel"
 PIPELINED = "pipelined"
@@ -60,6 +70,55 @@ def load_ratios(path: Path) -> tuple[dict[str, float], list[str]]:
         else:
             ratios[app] = wall / barriered
     return ratios, errors
+
+
+def check_no_refork() -> list[str]:
+    """Failures of the resident-team contract (see the module docstring)."""
+    if not os.path.isdir("/dev/shm"):
+        print("no-refork gate skipped: no /dev/shm to audit")
+        return []
+    sys.path.insert(0, SRC)
+    from repro import ExecutionPolicy, Session
+    from repro.core.params import TunableParams
+
+    failures: list[str] = []
+    before = set(os.listdir("/dev/shm"))
+    with Session(system="i7-2600K") as session:
+        plans = [
+            session.plan(
+                app,
+                96,
+                policy=ExecutionPolicy(
+                    backend=backend, workers=2, tunables=TunableParams(cpu_tile=tile)
+                ),
+            )
+            for app in ("lcs", "viterbi", "nash-equilibrium")
+            for tile, backend in ((16, BARRIERED), (32, PIPELINED))
+        ]
+        passes = []
+        for _ in range(2):
+            for plan in plans:
+                session.run(plan)
+            info = session.cache_info()
+            passes.append((info["teams"]["pids"], info["builds"]["teams_built"]))
+            held = set(os.listdir("/dev/shm")) - before
+            if len(held) != 1:
+                failures.append(f"open session holds {len(held)} /dev/shm segments, not 1")
+        (first_pids, _), (second_pids, built) = passes
+        if built != 1 or first_pids != second_pids or len(first_pids) != 2:
+            failures.append(
+                f"second pass re-forked: teams_built={built}, worker pids "
+                f"{first_pids} -> {second_pids}"
+            )
+    leaked = set(os.listdir("/dev/shm")) - before
+    if leaked:
+        failures.append(f"close() left {sorted(leaked)} in /dev/shm")
+    if not failures:
+        print(
+            f"no-refork gate ok: {len(plans)} tiled signatures x 2 passes on one "
+            f"team (pids {first_pids}), one segment while open, none after close"
+        )
+    return failures
 
 
 def main() -> int:
@@ -105,6 +164,7 @@ def main() -> int:
 
     if compared == 0:
         failures.append("no applications with both pipelined and barriered records")
+    failures += check_no_refork()
     if failures:
         print("\npipeline check FAILED:")
         for failure in failures:

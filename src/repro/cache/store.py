@@ -8,8 +8,10 @@ On-disk layout (documented in ``docs/caching.md``)::
 
 Each entry is a single NumPy ``.npz`` archive holding a JSON header (the
 result's scalar fields plus the request payload that produced it) and the
-grid's raw arrays (``values``, optional ``payload``, ``meta``, optional
-``witness``) — bit-exact, no float round-tripping through text.
+result's raw arrays (``values``, optional ``witness``) — bit-exact, no float
+round-tripping through text.  Entries written before the grid became
+values-only also hold ``meta`` / ``payload`` members (all zeros); they are
+not read.
 
 Durability contract:
 
@@ -91,9 +93,6 @@ def encode_result(result: ExecutionResult, request: dict | None = None) -> dict:
             "dtype": str(result.grid.values.dtype),
         }
         arrays["values"] = result.grid.values
-        arrays["meta"] = result.grid.meta
-        if result.grid.payload is not None:
-            arrays["payload"] = result.grid.payload
     if result.witness is not None:
         # Witness arrays are raw npz members like the grid — bit-exact, no
         # text round-tripping.  Absence stays representable (old entries and
@@ -127,9 +126,6 @@ def decode_result(archive) -> ExecutionResult:
         g = header["grid"]
         grid = WavefrontGrid(int(g["dim"]), int(g["dsize"]), dtype=np.dtype(g["dtype"]))
         grid.values[...] = archive["values"]
-        grid.meta[...] = archive["meta"]
-        if grid.payload is not None:
-            grid.payload[...] = archive["payload"]
     witness = None
     if header.get("witness") is not None:
         witness = np.asarray(

@@ -1,15 +1,14 @@
 """The wavefront value grid and its diagonal-major view.
 
-:class:`WavefrontGrid` stores the values of the recurrence.  Each element
-carries a scalar *value* (the quantity the recurrence is defined over, e.g.
-the alignment score in Smith-Waterman) plus ``dsize`` floating-point payload
-slots and two integer bookkeeping slots, mirroring the element layout of the
-paper's synthetic application (Section 3.1.1).
+:class:`WavefrontGrid` stores the values of the recurrence: one scalar per
+cell (the quantity the recurrence is defined over, e.g. the alignment score
+in Smith-Waterman), and nothing else.
 
-Only the scalar value participates in the recurrence; the payload exists to
-give data-size (``dsize``) its performance meaning, and the executors move it
-around faithfully so that transfer volumes in the functional mode match the
-cost model's assumptions.
+The element of the paper's synthetic application (Section 3.1.1) also
+carries ``dsize`` payload floats and two integers.  Only the scalar takes
+part in any recurrence, so the grid keeps ``dsize`` as a number: what an
+element costs to move is :attr:`repro.core.params.InputParams.element_nbytes`,
+which the cost model and the band's transfer counters read.
 """
 
 from __future__ import annotations
@@ -28,9 +27,10 @@ class WavefrontGrid:
     dim:
         Side length of the square grid.
     dsize:
-        Number of float payload slots per element.
+        Payload floats per element of the modelled application (metadata:
+        it sizes transfers in the cost model, not an array here).
     dtype:
-        Floating point dtype of the value and payload arrays.
+        Floating point dtype of the value array.
     """
 
     def __init__(self, dim: int, dsize: int = 0, dtype=np.float64) -> None:
@@ -41,10 +41,6 @@ class WavefrontGrid:
         self.dim = int(dim)
         self.dsize = int(dsize)
         self.values = np.zeros((dim, dim), dtype=dtype)
-        # Payload floats; kept contiguous per cell for realistic transfers.
-        self.payload = np.zeros((dim, dim, dsize), dtype=dtype) if dsize else None
-        # The two int bookkeeping fields of the synthetic element.
-        self.meta = np.zeros((dim, dim, 2), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Basic geometry
@@ -139,17 +135,11 @@ class WavefrontGrid:
         """Deep copy of the grid."""
         out = WavefrontGrid(self.dim, self.dsize, dtype=self.values.dtype)
         out.values[...] = self.values
-        if self.payload is not None:
-            out.payload[...] = self.payload
-        out.meta[...] = self.meta
         return out
 
     def nbytes(self) -> int:
-        """Total bytes of value + payload + meta arrays."""
-        total = self.values.nbytes + self.meta.nbytes
-        if self.payload is not None:
-            total += self.payload.nbytes
-        return total
+        """Bytes of the value array."""
+        return self.values.nbytes
 
     def allclose(self, other: "WavefrontGrid", rtol: float = 1e-9, atol: float = 1e-9) -> bool:
         """True when the value arrays of two grids agree element-wise."""

@@ -12,7 +12,7 @@ Six executors, each executing differently:
   (registered only where :mod:`numba` imports);
 * :class:`repro.runtime.mp_parallel.MPParallelExecutor` /
   :class:`repro.runtime.mp_parallel.PipelinedMPExecutor` — the tile
-  wavefront on a shared-memory worker-process pool, with a barrier per
+  wavefront on a resident shared-memory worker team, with a barrier per
   tile-diagonal or dependency-driven with none;
 * :class:`repro.runtime.hybrid.HybridExecutor` — the paper's three-phase
   CPU / GPU-band / CPU strategy, parameterised by
@@ -45,6 +45,7 @@ from repro.runtime.mp_parallel import (
     MPWavefrontPool,
     PipelinedMPExecutor,
     TileSweeper,
+    WorkerTeam,
     resolve_worker_count,
 )
 from repro.runtime.scheduler import DependencyGraph, PipelinedSchedule, run_pipelined
@@ -78,6 +79,7 @@ __all__ = [
     "MPWavefrontPool",
     "PipelinedMPExecutor",
     "TileSweeper",
+    "WorkerTeam",
     "DependencyGraph",
     "PipelinedSchedule",
     "run_pipelined",

@@ -38,9 +38,8 @@ class HybridExecutor(Executor):
     paper's tiled access order cell group by cell group, ``"vectorized"``
     evaluates each diagonal as one NumPy batch through
     :class:`repro.runtime.vectorized.DiagonalSweepEngine`, and ``"mp"`` runs
-    the tile wavefront on the shared-memory worker-process pool of
-    :class:`repro.runtime.mp_parallel.MPWavefrontPool` (one persistent pool
-    serves all three phases).  All produce identical grids; the vectorized
+    the tile wavefront on the shared-memory worker team behind a
+    :class:`repro.runtime.mp_parallel.MPWavefrontPool`.  All produce identical grids; the vectorized
     engine is what single-core tuned deployments use, the mp engine what
     multicore hosts use.  ``workers`` only applies to ``cpu_engine="mp"``
     (``None`` auto-detects, with a single-core fallback).
@@ -65,8 +64,8 @@ class HybridExecutor(Executor):
         self.workers = workers
         #: Optional ``(problem, tile, workers) -> MPWavefrontPool`` provider
         #: of borrowed pools for ``cpu_engine="mp"`` (the session's
-        #: :class:`repro.runtime.lifecycle.EngineHost`); borrowed pools are
-        #: released after the run, never closed, so they stay warm.
+        #: :class:`repro.runtime.lifecycle.EngineHost`), whose worker team
+        #: outlives the run and stays warm.
         self.pool_source = pool_source
 
     def _breakdown(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
@@ -106,20 +105,13 @@ class HybridExecutor(Executor):
 
     def _sweep_on_pool(self, problem: WavefrontProblem, grid: WavefrontGrid, tile: int) -> int:
         """Run the tile wavefront on a worker pool; returns its worker count."""
-        from repro.runtime.mp_parallel import MPWavefrontPool, resolve_worker_count
+        from repro.runtime.mp_parallel import pool_from, resolve_worker_count
 
         workers = resolve_worker_count(self.workers, self.system)
-        last = 2 * problem.dim - 2
-        if self.pool_source is None:
-            with MPWavefrontPool(problem, grid, tile, workers) as pool:
-                pool.run_range(0, last)
-                return pool.workers
-        pool = self.pool_source(problem, tile, workers)
-        pool.bind(grid)
-        try:
-            pool.run_range(0, last)
-        finally:
-            pool.release()
+        # Leaving the block releases the grid; it stops only a private team.
+        with pool_from(self.pool_source, problem, tile, workers) as pool:
+            pool.bind(grid)
+            pool.run_range(0, 2 * problem.dim - 2)
         return pool.workers
 
     @staticmethod

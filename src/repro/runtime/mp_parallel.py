@@ -4,19 +4,25 @@ The paper's scheme (b) is *parallel* tiled CPU execution; threads cannot
 deliver it in Python (the GIL serialises the kernels), so this module runs
 the tile wavefront on worker processes:
 
-* the value grid lives in a :class:`repro.runtime.shared_grid.SharedGridBuffer`
+* a :class:`WorkerTeam` is a set of **resident worker processes**, forked
+  once, plus one **arena**: a :class:`repro.runtime.shared_grid.SharedGridBuffer`
   (a :mod:`multiprocessing.shared_memory` segment wrapped as a zero-copy
-  NumPy view), so workers read neighbours and write results in place — only
-  tiny tile descriptors cross process boundaries;
-* a **persistent worker-process pool** executes the tile wavefront with the
-  schedule of :class:`repro.runtime.scheduler.TileScheduler`: a barrier per
-  tile-diagonal, the tiles within a diagonal fanned across the workers;
+  NumPy view) sized for the largest grid seen.  The grid of the request
+  being served lives there, so workers read neighbours and write results in
+  place — only tiny tile descriptors cross process boundaries, and a
+  problem crosses once per worker;
+* an :class:`MPWavefrontPool` is the cheap per-(problem, tile size) half:
+  the tile decomposition and its schedules
+  (:class:`repro.runtime.scheduler.TileScheduler`: a barrier per
+  tile-diagonal; :class:`repro.runtime.scheduler.PipelinedSchedule`:
+  dependency-counted), bound to one grid at a time on a team it borrows;
 * each worker evaluates its tile's interior with a **tile-local
   strided-diagonal sweep** (:class:`TileSweeper`) that reuses the fused
   kernel evaluators of the vectorized engine
-  (:meth:`repro.core.pattern.WavefrontKernel.make_diagonal_evaluator`).  The
-  sweeper — and with it the O(dim^2) evaluator precompute — is built once
-  per worker in the pool initializer, not once per tile.
+  (:meth:`repro.core.pattern.WavefrontKernel.make_diagonal_evaluator`), and
+  validates the tile finite before it reports it done.  The sweeper — and
+  with it the O(dim^2) evaluator precompute — is built on a problem's
+  first tile in that worker and kept in a small LRU.
 
 When fewer than two cores are available (or one worker is requested) the
 backend degrades gracefully to the in-process whole-diagonal sweep of a
@@ -29,8 +35,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import pickle
+from collections import OrderedDict, deque
+from multiprocessing import connection
 
 import numpy as np
 
@@ -76,78 +83,299 @@ def resolve_worker_count(workers: int | None, system: SystemSpec | None = None) 
 
 
 def _mp_context() -> mp.context.BaseContext:
-    """Fork where available: cheap worker start-up and no initargs pickling."""
+    """Fork where available: cheap start-up, start-up problems inherited."""
     if "fork" in mp.get_all_start_methods():
         return mp.get_context("fork")
     return mp.get_context()  # pragma: no cover - non-fork platforms
 
 
+#: Tile sweepers (fused-evaluator tables included) each worker keeps, least
+#: recently used out first.  The parent mirrors the order per worker, which
+#: is how it knows when a task has to carry its problem along.
+SWEEPER_SLOTS = 4
+#: How long ``close()`` waits for a worker to exit before killing it.
+_JOIN_TIMEOUT_S = 5.0
+
+
+def _lru_touch(lru: OrderedDict, key: int, value: object) -> None:
+    """Make ``key`` the newest of ``lru``, inserting ``value`` unless ``None``.
+
+    A worker's sweepers and the parent's mirror of them both go through
+    here, on the same sequence of tasks, which is what keeps them in step.
+    """
+    if value is not None:
+        lru[key] = value
+    lru.move_to_end(key)
+    while len(lru) > SWEEPER_SLOTS:
+        lru.popitem(last=False)
+
+
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-#: Per-worker state: the tile sweeper (with its one-off fused-evaluator
-#: precompute) and the attached shared grid.  Populated by the pool
-#: initializer, read by every task the worker executes.
-_WORKER_STATE: dict = {}
+def _worker_main(conn, inherited, problems) -> None:
+    """Serve tile tasks from ``conn`` until it closes or sends ``None``.
+
+    A task is ``(key, problem, arena_name, arena_dim, dim, d_lo, d_hi,
+    tile)``: sweep ``tile`` of the ``dim x dim`` grid at the start of the
+    named arena.  ``problem`` is ``None`` when this worker already holds the
+    sweeper for ``key``.  The reply is ``(True, cells)`` or ``(False,
+    exception)``.
+    """
+    for other in inherited:  # the parent's ends of earlier workers' pipes
+        other.close()
+    sweepers: OrderedDict = OrderedDict((id(p), TileSweeper(p)) for p in problems)
+    arena: SharedGridBuffer | None = None
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        if task is None:
+            return
+        key, problem, arena_name, arena_dim, dim, d_lo, d_hi, tile = task
+        try:
+            _lru_touch(sweepers, key, None if problem is None else TileSweeper(problem))
+            if arena is None or arena.name != arena_name:
+                if arena is not None:
+                    arena.close()
+                arena = SharedGridBuffer.attach(arena_name, arena_dim)
+            reply = (True, _sweep(sweepers[key], arena, dim, tile, d_lo, d_hi))
+        except Exception as error:  # noqa: BLE001 - reported to the caller
+            # Whatever failed, start this problem afresh next time (the parent
+            # forgets it too).  Without its traceback the error pins no frame,
+            # hence no arena view.
+            sweepers.pop(key, None)
+            reply = (False, error.with_traceback(None))
+        try:
+            conn.send(reply)
+        except Exception as error:  # noqa: BLE001 - an exception that does not pickle
+            conn.send((False, ExecutionError(f"{type(error).__name__}: {reply[1]!r}")))
 
 
-def _init_worker(problem: WavefrontProblem, shm_name: str, dim: int) -> None:
-    """Pool initializer: attach the shared grid, build the per-worker engine."""
-    buffer = SharedGridBuffer.attach(shm_name, dim)
-    _WORKER_STATE["buffer"] = buffer  # keep the mapping alive
-    _WORKER_STATE["flat"] = buffer.values.reshape(-1)
-    _WORKER_STATE["sweeper"] = TileSweeper(problem)
+def _sweep(sweeper: TileSweeper, arena: SharedGridBuffer, dim, tile, d_lo, d_hi) -> int:
+    """One tile on the arena; the view it sweeps dies with this frame."""
+    return sweeper.sweep_tile(arena.view(dim).reshape(-1), tile, d_lo, d_hi)
 
 
-class _TileTask:
-    """Picklable task: sweep one tile's diagonals in ``[d_lo, d_hi]``."""
+class _Worker:
+    """Parent-side record of one worker process."""
 
-    __slots__ = ("d_lo", "d_hi")
+    __slots__ = ("process", "conn", "held", "key", "tile")
 
-    def __init__(self, d_lo: int, d_hi: int | None) -> None:
-        self.d_lo = d_lo
-        self.d_hi = d_hi
-
-    def __call__(self, tile: Tile) -> int:
-        state = _WORKER_STATE
-        return state["sweeper"].sweep_tile(state["flat"], tile, self.d_lo, self.d_hi)
+    def __init__(self, process, conn, problems) -> None:
+        self.process = process
+        self.conn = conn
+        #: Mirror of the worker's sweeper LRU, ``key -> problem``.  Holding
+        #: the problem keeps its ``id()`` — the key — from being recycled.
+        self.held: OrderedDict = OrderedDict((id(p), p) for p in problems)
+        #: The tile in flight (``None`` when idle) and its problem's key.
+        self.tile: Tile | None = None
+        self.key = 0
 
 
 # ----------------------------------------------------------------------
 # Parent-process side
 # ----------------------------------------------------------------------
+class WorkerTeam:
+    """Resident worker processes and the one shared arena they sweep.
+
+    A team is forked once and serves every tiled request of its owner — any
+    problem, any tile size — until it is closed or a worker dies:
+
+    * **the arena** is one shared-memory segment, replaced by a larger one
+      when a grid larger than any before is bound; one grid occupies it at
+      a time (:meth:`claim` checks; the session's run lock guarantees);
+    * **problems** reach a worker pickled inside the first task that needs
+      them there and stay in its :data:`SWEEPER_SLOTS`-entry LRU of tile
+      sweepers; ``problems`` given at construction are inherited through
+      the fork instead, so a private team can run a kernel that does not
+      pickle;
+    * **tiles** go through :meth:`submit` / :meth:`completed` (the
+      :class:`~repro.runtime.scheduler.TilePool` protocol): one tile per
+      worker at a time over the worker's own pipe, the rest queued here.
+      A task is the ``(problem, d_lo, d_hi)`` of its ``run_range``.
+
+    A worker that dies surfaces as one :class:`WorkerCrashError` and leaves
+    the team :attr:`broken` for good; a kernel failure is re-raised after
+    the other tiles in flight have finished, so nothing still writes to the
+    arena when the caller sees the error.
+    """
+
+    def __init__(self, workers: int, problems: tuple = ()) -> None:
+        if workers < 2:
+            raise InvalidParameterError(f"a worker team needs >= 2 workers, got {workers}")
+        context = _mp_context()
+        self.workers = workers
+        #: True once a worker died, or after :meth:`close`.
+        self.broken = False
+        self._workers: list[_Worker] = []
+        for _ in range(workers):
+            ours, theirs = context.Pipe()
+            inherited = [w.conn for w in self._workers] + [ours]
+            process = context.Process(
+                target=_worker_main, args=(theirs, inherited, problems), daemon=True
+            )
+            process.start()
+            theirs.close()
+            self._workers.append(_Worker(process, ours, problems))
+        self._arena: SharedGridBuffer | None = None
+        self._dim: int | None = None  # of the grid in the arena, if any
+        self._backlog: deque = deque()
+
+    def pids(self) -> list[int]:
+        """Process ids of the workers."""
+        return [w.process.pid for w in self._workers]
+
+    # ------------------------------------------------------------------
+    # The arena
+    # ------------------------------------------------------------------
+    def claim(self, dim: int) -> np.ndarray:
+        """Reserve the arena for one grid; returns its ``(dim, dim)`` view."""
+        if self._dim is not None:
+            raise ExecutionError(
+                "the worker team's arena already holds a bound grid; release() it first"
+            )
+        if self._arena is None or self._arena.dim < dim:
+            self._drop_arena()
+            self._arena = SharedGridBuffer.create(dim)
+        self._dim = dim
+        return self._arena.view(dim)
+
+    def unclaim(self) -> None:
+        """Give the arena back (the caller has dropped its view)."""
+        self._dim = None
+
+    def _drop_arena(self) -> None:
+        if self._arena is not None:
+            self._arena.close()
+            self._arena.unlink()
+            self._arena = None
+
+    # ------------------------------------------------------------------
+    # Tile dispatch
+    # ------------------------------------------------------------------
+    def submit(self, task: tuple, tile: Tile) -> None:
+        """Queue one tile; it starts as soon as a worker is idle."""
+        if self.broken:
+            raise WorkerCrashError("the worker team is broken (or closed); it cannot run")
+        self._backlog.append((task, tile))
+        self._feed()
+
+    def _feed(self) -> None:
+        """Hand backlog tiles to idle workers, shipping problems as needed."""
+        while self._backlog:
+            idle = [w for w in self._workers if w.tile is None]
+            if not idle:
+                return
+            (problem, d_lo, d_hi), tile = self._backlog.popleft()
+            key = id(problem)
+            worker = next((w for w in idle if key in w.held), idle[0])
+            message = (
+                key, None if key in worker.held else problem,
+                self._arena.name, self._arena.dim, self._dim, d_lo, d_hi, tile,
+            )
+            try:
+                worker.conn.send(message)
+            except OSError as error:
+                raise self._crashed(worker, error) from error
+            except (pickle.PicklingError, AttributeError, TypeError) as error:
+                # Nothing was sent, and nothing of this problem is in flight:
+                # its first tile is the first to need it shipped.
+                raise ExecutionError(
+                    f"problem {problem.name!r} cannot be sent to a resident "
+                    f"worker team ({type(error).__name__}: {error}); a kernel built "
+                    "from a lambda or a local function runs on the private team of "
+                    "an executor constructed without a session"
+                ) from error
+            _lru_touch(worker.held, key, problem)
+            worker.key, worker.tile = key, tile
+
+    def completed(self) -> list[tuple[Tile, object]]:
+        """Block until a tile in flight finishes; ``(tile, cells)`` pairs."""
+        busy = {w.conn: w for w in self._workers if w.tile is not None}
+        if not busy:
+            raise ExecutionError("WorkerTeam.completed() called with no tile in flight")
+        finished = []
+        failure: Exception | None = None
+        for conn in connection.wait(list(busy)):  # a dead worker's pipe reads EOF
+            tile, ok, value = self._receive(busy[conn])
+            if ok:
+                finished.append((tile, value))
+            else:
+                failure = value
+        if failure is not None:
+            self._backlog.clear()
+            for worker in self._workers:  # wait out the tiles still running
+                if worker.tile is not None:
+                    self._receive(worker)
+            raise failure
+        self._feed()
+        return finished
+
+    def _receive(self, worker: _Worker) -> tuple[Tile, bool, object]:
+        """The reply of a busy worker (blocking): ``(tile, ok, value)``."""
+        try:
+            ok, value = worker.conn.recv()
+        except Exception as error:  # noqa: BLE001 - EOF from a dead worker, or a
+            # reply that does not unpickle: either way its state is unknown.
+            raise self._crashed(worker, error) from error
+        tile, worker.tile = worker.tile, None
+        if not ok:
+            worker.held.pop(worker.key, None)  # the worker dropped its sweeper too
+        return tile, ok, value
+
+    def _crashed(self, worker: _Worker, error: Exception) -> WorkerCrashError:
+        self.broken = True
+        self._backlog.clear()
+        return WorkerCrashError(
+            f"worker process {worker.process.pid} of the {self.workers}-worker "
+            f"team died mid-execution: {type(error).__name__}: {error}"
+        )
+
+    def close(self) -> None:
+        """Stop the workers and unlink the arena."""
+        for worker in self._workers:
+            try:
+                worker.conn.send(None)
+            except OSError:  # it is dead already
+                pass
+            worker.conn.close()
+        for worker in self._workers:
+            worker.process.join(_JOIN_TIMEOUT_S)
+            if worker.process.is_alive():  # wedged in a kernel
+                worker.process.kill()
+                worker.process.join()
+        self._workers = []
+        self.broken = True  # nothing left to run on
+        self._drop_arena()
+
+
 class MPWavefrontPool:
-    """Persistent worker pool executing tile wavefronts on a shared grid.
+    """The tile geometry of one (problem, tile size) on a worker team.
 
-    The pool's lifecycle is split from the grid it operates on so one pool
-    (worker processes, shared-memory segment, per-worker engines) can serve
-    many requests of the same problem — the serving path of
-    :class:`repro.session.Session` via
-    :class:`repro.runtime.lifecycle.EngineHost`:
+    Cheap to build — a tile decomposition and the two schedules over it —
+    and short-lived: :class:`repro.runtime.lifecycle.EngineHost` makes one
+    per request around its resident :class:`WorkerTeam`.  Built without a
+    ``team`` (and ``workers >= 2``) the pool forks a private one, the
+    single-shot path of :class:`MPParallelExecutor`, and closes it with
+    itself.
 
-    * **Construction** (with ``workers >= 2``) allocates the shared segment
-      sized for the problem and starts the worker processes, whose
-      initializer attaches the segment and builds the per-worker
-      :class:`TileSweeper` once.
     * :meth:`bind` attaches one grid for a request: its values are copied
-      into the shared segment and ``grid.values`` becomes the zero-copy
-      shared view, so phases running in the parent between
-      :meth:`run_range` calls (the hybrid executor's GPU band) write where
-      the workers read.  :meth:`release` copies the values back into the
-      grid's original private array, leaving the pool warm for the next
-      request.  Constructing with a ``grid`` binds it immediately (the
-      single-shot path of :class:`MPParallelExecutor`).
-    * :meth:`close` releases any bound grid, shuts the workers down and
-      unlinks the segment.
+      into the team's arena and ``grid.values`` becomes the zero-copy shared
+      view, so code running in the parent between :meth:`run_range` calls
+      writes where the workers read.  :meth:`release` copies the values back
+      into the grid's original private array and frees the arena.
+      Constructing with a ``grid`` binds it immediately.
+    * :meth:`close` releases any bound grid (and closes a private team).
 
     With ``workers == 1`` no processes or shared memory are involved: the
     range is swept in-process by one whole-grid
-    :class:`repro.runtime.vectorized.DiagonalSweepEngine` built with the
-    pool and reused by every :meth:`run_range` — tile-local
-    sweeps pay one NumPy dispatch per *tile* diagonal, which only buys
-    anything when real workers share the bill, so the single-core fallback
-    uses the strictly cheaper whole-diagonal batches (identical grids
-    either way).
+    :class:`repro.runtime.vectorized.DiagonalSweepEngine` reused by every
+    :meth:`run_range` of the pool — tile-local sweeps pay one NumPy dispatch
+    per *tile* diagonal, which only buys anything when real workers share
+    the bill, so the single-core fallback uses the strictly cheaper
+    whole-diagonal batches (identical grids either way).
     """
 
     def __init__(
@@ -156,6 +384,7 @@ class MPWavefrontPool:
         grid: WavefrontGrid | None = None,
         tile: int = 1,
         workers: int = 1,
+        team: WorkerTeam | None = None,
     ) -> None:
         self.problem = problem
         self.grid: WavefrontGrid | None = None
@@ -165,61 +394,34 @@ class MPWavefrontPool:
         self.workers = max(1, int(workers))
         self.scheduler = TileScheduler(self.decomposition, workers=self.workers)
         self.pipeline = PipelinedSchedule(self.decomposition)
-        self._pool: ProcessPoolExecutor | None = None
-        self._buffer: SharedGridBuffer | None = None
+        self._owns_team = team is None and self.workers >= 2
+        #: The worker team behind the pool (``None`` with one worker).
+        self.team = WorkerTeam(self.workers, (problem,)) if self._owns_team else team
         self._orig_values: np.ndarray | None = None
-        self._engine = None
-        self._broken = False
-        if self.workers >= 2:
-            self._buffer = SharedGridBuffer.create(dim, dtype=np.float64)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_mp_context(),
-                initializer=_init_worker,
-                initargs=(problem, self._buffer.name, dim),
-            )
-        else:
-            self._engine = DiagonalSweepEngine(problem)
+        self._engine: DiagonalSweepEngine | None = None
         if grid is not None:
             self.bind(grid)
 
     @property
     def is_multiprocess(self) -> bool:
-        """True when a real worker-process pool backs :meth:`run_range`."""
-        return self._pool is not None
-
-    @property
-    def is_bound(self) -> bool:
-        """True while a grid is attached via :meth:`bind`."""
-        return self.grid is not None
+        """True when a worker team backs :meth:`run_range`."""
+        return self.team is not None
 
     @property
     def broken(self) -> bool:
-        """True once a worker process died (the pool cannot run again).
+        """True once a worker of the pool's team died.
 
-        A broken pool still releases its bound grid and :meth:`close`\\ s
-        cleanly (the shared segment is unlinked); it is simply never reused —
-        :meth:`repro.runtime.lifecycle.EngineHost.pool_for` builds a fresh
-        pool in its place on the next request.
+        A broken pool still releases its bound grid and closes cleanly;
+        :meth:`repro.runtime.lifecycle.EngineHost.pool_for` forks a fresh
+        team (and unlinks this one's arena) on the next request.
         """
-        return self._broken
-
-    @property
-    def bound_multiprocess(self) -> bool:
-        """True while the *bound* grid actually lives in the shared segment.
-
-        Differs from :attr:`is_multiprocess` exactly when a grid whose
-        dtype does not match the segment fell back to the in-process sweep.
-        """
-        return self._pool is not None and self._orig_values is not None
+        return self.team is not None and self.team.broken
 
     def bind(self, grid: WavefrontGrid) -> "MPWavefrontPool":
         """Attach one request's grid to the pool (shared view while bound).
 
-        In multiprocess mode the grid's values move into the shared segment
-        (``grid.values`` becomes the shared view) unless the dtype does not
-        match the segment, in which case the range is swept in-process — the
-        same graceful degradation the single-shot constructor applied.
+        In multiprocess mode the grid's values move into the team's float64
+        arena and ``grid.values`` becomes the shared view.
         """
         if self.grid is not None:
             raise ExecutionError(
@@ -230,26 +432,27 @@ class MPWavefrontPool:
                 f"grid of dim {grid.dim} bound to a pool built for "
                 f"dim {self.problem.dim}"
             )
-        self.grid = grid
-        if self._buffer is not None and grid.values.dtype == self._buffer.values.dtype:
-            self._buffer.values[...] = grid.values
+        if self.team is not None:
+            shared = self.team.claim(grid.dim)
+            shared[...] = grid.values
             self._orig_values = grid.values
-            grid.values = self._buffer.values
+            grid.values = shared
+        self.grid = grid
         return self
 
     def release(self) -> None:
         """Detach the bound grid, copying shared values back to private memory.
 
-        The pool (workers, segment, per-worker engines) stays warm; call
-        :meth:`bind` again to serve the next request.  A no-op when no grid
-        is bound.
+        The team stays warm for the next request.  A no-op when no grid is
+        bound.
         """
         if self.grid is None:
             return
         if self._orig_values is not None:
-            self._orig_values[...] = self._buffer.values
+            self._orig_values[...] = self.grid.values
             self.grid.values = self._orig_values
             self._orig_values = None
+            self.team.unclaim()
         self.grid = None
 
     def run_range(
@@ -259,14 +462,16 @@ class MPWavefrontPool:
 
         Returns ``(tiles_executed, cells_computed)``.  ``dispatch`` selects
         how tiles reach the workers: ``"barrier"`` fans each tile-diagonal
-        across the pool and barriers between diagonals
+        across the team and barriers between diagonals
         (:func:`~repro.runtime.scheduler.run_schedule`); ``"pipelined"``
         drains a :class:`~repro.runtime.scheduler.DependencyGraph` instead,
         starting any tile the moment its west/north/north-west neighbours
         retire (:func:`~repro.runtime.scheduler.run_pipelined`).  Both
         orders respect the exact dependency contract of
         :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile`, so the
-        resulting grids are bit-identical.
+        resulting grids are bit-identical.  A dead worker raises
+        :class:`WorkerCrashError` — typed, so the caller (session / shard
+        supervisor) can retry on the fresh team the next request gets.
         """
         if dispatch not in ("barrier", "pipelined"):
             raise InvalidParameterError(
@@ -277,11 +482,11 @@ class MPWavefrontPool:
             return 0, 0
         if self.grid is None:
             raise ExecutionError("MPWavefrontPool.run_range called with no grid bound")
-        if self._pool is None or self._orig_values is None:
-            # Single-core (or dtype-fallback) path: whole-diagonal batches,
-            # no tile penalty.  Dispatch order is moot with one in-process
-            # worker, so both modes share this sweep.
-            if self._engine is None:  # dtype fallback of a multiprocess pool
+        if self.team is None:
+            # Single-core path: whole-diagonal batches, no tile penalty.
+            # Dispatch order is moot with one in-process worker, so both
+            # modes share this sweep.
+            if self._engine is None:
                 self._engine = DiagonalSweepEngine(self.problem)
             return 0, self._engine.sweep(self.grid, d_lo, d_hi)
         cells = 0
@@ -290,44 +495,23 @@ class MPWavefrontPool:
             nonlocal cells
             cells += int(n)  # type: ignore[arg-type]
 
-        try:
-            if dispatch == "pipelined":
-                executed = run_pipelined(
-                    self.pipeline.graph(d_lo, d_hi),
-                    _TileTask(d_lo, d_hi),
-                    pool=self._pool,
-                    collect=collect,
-                )
-            else:
-                executed = run_schedule(
-                    self.scheduler.waves(d_lo, d_hi),
-                    _TileTask(d_lo, d_hi),
-                    pool=self._pool,
-                    collect=collect,
-                )
-        except BrokenProcessPool as crash:
-            # A worker died (killed, OOM, segfault).  Mark the pool broken —
-            # it can never run again — and surface a typed error so the
-            # caller (session / shard supervisor) can rebuild and retry
-            # instead of hanging or crashing the service.
-            self._broken = True
-            raise WorkerCrashError(
-                f"worker process of the {self.workers}-worker pool died "
-                f"mid-execution (dim {self.problem.dim}, tile {self.tile}): "
-                f"{crash}"
-            ) from crash
+        task = (self.problem, d_lo, d_hi)
+        if dispatch == "pipelined":
+            executed = run_pipelined(
+                self.pipeline.graph(d_lo, d_hi), task, pool=self.team, collect=collect
+            )
+        else:
+            executed = run_schedule(
+                self.scheduler.waves(d_lo, d_hi), task, pool=self.team, collect=collect
+            )
         return executed, cells
 
     def close(self) -> None:
-        """Release any bound grid, shut the workers down, unlink the segment."""
+        """Release any bound grid; stop a private team."""
         self.release()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._buffer is not None:
-            self._buffer.close()
-            self._buffer.unlink()
-            self._buffer = None
+        if self._owns_team and self.team is not None:
+            self.team.close()
+            self.team = None
 
     def __enter__(self) -> "MPWavefrontPool":
         return self
@@ -336,10 +520,17 @@ class MPWavefrontPool:
         self.close()
 
 
+def pool_from(pool_source, problem: WavefrontProblem, tile: int, workers: int) -> MPWavefrontPool:
+    """A pool on ``pool_source``'s team or, without a source, on a private one."""
+    if pool_source is not None:
+        return pool_source(problem, tile, workers)
+    return MPWavefrontPool(problem, tile=tile, workers=workers)
+
+
 class MPParallelExecutor(Executor):
     """Shared-memory multicore execution of the whole grid (scheme (b), real).
 
-    The grid lives in shared memory, a persistent process pool executes the
+    The grid lives in shared memory, a worker team executes the
     tile wavefront (barrier per tile-diagonal), and every worker sweeps its
     tiles with the tile-local strided-diagonal engine — combining the
     vectorized engine's batched evaluation with parallelism that actually
@@ -362,9 +553,9 @@ class MPParallelExecutor(Executor):
         self.workers = workers
         #: Optional ``(problem, tile, workers) -> MPWavefrontPool`` provider
         #: of *borrowed* pools (e.g. the session's
-        #: :meth:`repro.runtime.lifecycle.EngineHost.pool_for`): the executor
-        #: binds/releases the request's grid but never closes a borrowed
-        #: pool, so the workers stay warm across requests.
+        #: :meth:`repro.runtime.lifecycle.EngineHost.pool_for`), whose team
+        #: is the provider's, so the workers stay warm across requests.
+        #: Without one every run forks (and stops) a private team.
         self.pool_source = pool_source
 
     def _resolved_workers(self) -> int:
@@ -383,39 +574,26 @@ class MPParallelExecutor(Executor):
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
         workers = self._resolved_workers()
-        if self.pool_source is not None:
-            pool = self.pool_source(problem, tunables.cpu_tile, workers)
+        # Leaving the block releases the grid; it stops only a private team.
+        with pool_from(self.pool_source, problem, tunables.cpu_tile, workers) as pool:
             pool.bind(grid)
-            try:
-                executed, cells = pool.run_range(
-                    0, 2 * problem.dim - 2, dispatch=self.dispatch
-                )
-                stats = self._pool_stats(pool, executed, cells)
-                stats["pool"] = "borrowed"
-            finally:
-                pool.release()
-            return grid, stats
-        with MPWavefrontPool(problem, grid, tunables.cpu_tile, workers) as pool:
             executed, cells = pool.run_range(
                 0, 2 * problem.dim - 2, dispatch=self.dispatch
             )
             stats = self._pool_stats(pool, executed, cells)
+        if self.pool_source is not None:
+            stats["pool"] = "borrowed"
         return grid, stats
 
     def _pool_stats(self, pool: MPWavefrontPool, executed: int, cells: int) -> dict:
-        """The per-run statistics block shared by both pool ownership modes.
-
-        ``mode`` reports how *this run* executed (the dtype fallback sweeps
-        in-process even when a worker pool exists), so timings are never
-        attributed to workers that did not participate.
-        """
+        """The per-run statistics block shared by both pool ownership modes."""
         return {
             "tiles_executed": executed,
             "cells_computed": cells,
             "tile_waves": pool.scheduler.n_waves,
             "workers": pool.workers,
             "dispatch": self.dispatch,
-            "mode": "process-pool" if pool.bound_multiprocess else "in-process",
+            "mode": "process-pool" if pool.is_multiprocess else "in-process",
         }
 
     def _validate(self, problem: WavefrontProblem, tunables: TunableParams) -> TunableParams:

@@ -4,10 +4,10 @@ The tiled CPU phases execute the tile wavefront: within one tile-diagonal all
 tiles are independent and are distributed over the worker pool; tile-diagonals
 are separated by a barrier.  :class:`TileScheduler` produces that schedule as
 data so both the functional executors and the tests can inspect it, and
-:func:`run_schedule` executes it sequentially or on any persistent
-:class:`concurrent.futures.Executor` — the multicore backend
-(:mod:`repro.runtime.mp_parallel`) passes its worker-process pool so each
-wave fans its tiles across real cores with a barrier per tile-diagonal.
+:func:`run_schedule` executes it sequentially or on a :class:`TilePool` —
+the multicore backend (:mod:`repro.runtime.mp_parallel`) passes its worker
+team so each wave fans its tiles across real cores with a barrier per
+tile-diagonal.
 
 The barrier is not required for correctness — a tile only reads its west,
 north and north-west neighbour tiles — so the module also provides the
@@ -21,10 +21,8 @@ neighbours retire, so tiles of wave ``d + 1`` overlap wave ``d`` stragglers.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures import Executor as FuturesExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Protocol
 
 from repro.core.exceptions import ExecutionError, InvalidParameterError
 from repro.core.tiling import Tile, TileDecomposition
@@ -37,6 +35,37 @@ class ScheduledTile:
     wave: int
     worker: int
     tile: Tile
+
+
+class TilePool(Protocol):
+    """What the drivers below need of whatever executes their tiles.
+
+    :class:`repro.runtime.mp_parallel.WorkerTeam` runs them on worker
+    processes; without a pool they run in the calling thread.
+    """
+
+    def submit(self, tile_fn: object, tile: Tile) -> None:
+        """Queue ``tile`` for execution; returns at once."""
+
+    def completed(self) -> list[tuple[Tile, object]]:
+        """Block until a submitted tile finishes; ``(tile, result)`` pairs.
+
+        Raises what the tile raised.
+        """
+
+
+class _InlinePool:
+    """The pool of no workers: a submitted tile runs on the spot."""
+
+    def __init__(self) -> None:
+        self._done: list[tuple[Tile, object]] = []
+
+    def submit(self, tile_fn: Callable[[Tile], object], tile: Tile) -> None:
+        self._done.append((tile, tile_fn(tile)))
+
+    def completed(self) -> list[tuple[Tile, object]]:
+        done, self._done = self._done, []
+        return done
 
 
 def tile_intersects_range(tile: Tile, d_lo: int, d_hi: int) -> bool:
@@ -99,42 +128,34 @@ class TileScheduler:
 
 def run_schedule(
     waves: Iterable[list[ScheduledTile]],
-    tile_fn: Callable[[Tile], object],
-    pool: FuturesExecutor | None = None,
+    tile_fn: object,
+    pool: TilePool | None = None,
     collect: Callable[[object], None] | None = None,
 ) -> int:
     """Execute a tile schedule; returns the number of tiles executed.
 
-    Two execution paths share the same wave-barrier structure:
-
-    * ``pool`` — submit every wave's tiles to an existing
-      :class:`concurrent.futures.Executor` and barrier on the futures.  This
-      is how the multicore backend drives its persistent process pool;
-      ``tile_fn`` (and each :class:`~repro.core.tiling.Tile`) must then be
-      picklable.
-    * default — sequential in schedule order, which is fastest for the small
-      grids used in tests because the kernels are NumPy-bound.
+    Every wave's tiles are submitted to ``pool`` and the wave barriers until
+    all of them have completed.  The multicore backend passes its worker
+    team, and ``tile_fn`` is then whatever the team takes as the description
+    of the work; without a pool ``tile_fn(tile)`` is called in schedule
+    order, which is fastest for the small grids used in tests because the
+    kernels are NumPy-bound.
 
     ``collect`` receives each tile's return value (e.g. its cell count) in
     completion order within a wave.
     """
+    pool = pool if pool is not None else _InlinePool()
     executed = 0
-    if pool is not None:
-        for wave in waves:
-            futures = [pool.submit(tile_fn, item.tile) for item in wave]
-            for future in futures:
-                result = future.result()
-                if collect is not None:
-                    collect(result)
-            executed += len(futures)
-        return executed
-
     for wave in waves:
         for item in wave:
-            result = tile_fn(item.tile)
-            if collect is not None:
-                collect(result)
-            executed += 1
+            pool.submit(tile_fn, item.tile)
+        outstanding = len(wave)
+        while outstanding:
+            for _, result in pool.completed():
+                outstanding -= 1
+                if collect is not None:
+                    collect(result)
+        executed += len(wave)
     return executed
 
 
@@ -259,50 +280,33 @@ class PipelinedSchedule:
 
 def run_pipelined(
     graph: DependencyGraph,
-    tile_fn: Callable[[Tile], object],
-    pool: FuturesExecutor | None = None,
+    tile_fn: object,
+    pool: TilePool | None = None,
     collect: Callable[[object], None] | None = None,
 ) -> int:
     """Drain a dependency graph; returns the number of tiles executed.
 
-    With ``pool``, every currently-ready tile is submitted at once and each
+    Every currently-ready tile is submitted to ``pool`` at once and each
     completion immediately retires the tile and submits whatever it released
     — no barrier ever forms, so a straggler in one tile-diagonal only delays
-    its own successors.  Without a pool the graph is drained sequentially in
-    its deterministic readiness order.  ``collect`` receives each tile's
-    return value in completion order.  A graph that stalls with work left
-    (nothing ready, nothing in flight, not done) raises
+    its own successors.  Without a pool the tiles run in the calling thread,
+    in the graph's deterministic readiness order.  ``collect`` receives each
+    tile's return value in completion order.  A graph that stalls with work
+    left (nothing ready, nothing in flight, not done) raises
     :class:`~repro.core.exceptions.ExecutionError` rather than hanging.
     """
-    executed = 0
-    if pool is None:
-        tile = graph.acquire()
-        while tile is not None:
-            result = tile_fn(tile)
-            if collect is not None:
-                collect(result)
-            executed += 1
-            graph.retire(tile)
-            tile = graph.acquire()
-        if not graph.done:
-            raise ExecutionError(
-                f"pipelined drain starved with {graph.n_tiles - executed} "
-                "tiles unexecuted (cyclic or inconsistent dependency graph)"
-            )
-        return executed
-
-    pending: dict[object, Tile] = {}
+    pool = pool if pool is not None else _InlinePool()
+    executed = in_flight = 0
     while True:
         tile = graph.acquire()
         while tile is not None:
-            pending[pool.submit(tile_fn, tile)] = tile
+            pool.submit(tile_fn, tile)
+            in_flight += 1
             tile = graph.acquire()
-        if not pending:
+        if not in_flight:
             break
-        completed, _ = wait(pending, return_when=FIRST_COMPLETED)
-        for future in completed:
-            done_tile = pending.pop(future)
-            result = future.result()
+        for done_tile, result in pool.completed():
+            in_flight -= 1
             if collect is not None:
                 collect(result)
             executed += 1

@@ -2,17 +2,18 @@
 
 The multicore backend (:mod:`repro.runtime.mp_parallel`) needs every worker
 process to read and write the *same* grid without serialising tiles over
-pipes.  :class:`SharedGridBuffer` places the ``dim x dim`` value array in a
-POSIX shared-memory segment (:mod:`multiprocessing.shared_memory`) and wraps
-it as a zero-copy NumPy view:
+pipes.  :class:`SharedGridBuffer` places a ``dim x dim`` float64 array in a
+POSIX shared-memory segment (:mod:`multiprocessing.shared_memory`) and hands
+out zero-copy NumPy views of it:
 
-* the parent **creates** the segment, copies the grid values in and swaps
+* the parent **creates** the segment, copies a grid's values in and swaps
   the :class:`repro.core.grid.WavefrontGrid`'s ``values`` array for the
-  shared view, so the band runner and any in-process sweeps write straight
-  into shared memory;
-* each worker **attaches** by name during pool initialisation and keeps a
-  flattened view for the strided-diagonal tile sweeps — tile results are
-  never pickled, only tiny tile descriptors travel between processes.
+  shared view, so in-process sweeps write straight into shared memory;
+* each worker **attaches** by the name its tile tasks carry — tile results
+  are never pickled, only tiny tile descriptors travel between processes;
+* a segment serves any grid that fits in it (:meth:`SharedGridBuffer.view`),
+  which is how one arena sized for the largest grid seen backs every
+  request of a :class:`repro.runtime.mp_parallel.WorkerTeam`.
 
 Ownership is explicit: only the creating side may :meth:`unlink` the
 segment; attachers merely :meth:`close` their mapping.  Attaching
@@ -31,75 +32,61 @@ from repro.core.exceptions import InvalidParameterError
 
 
 class SharedGridBuffer:
-    """A ``dim x dim`` float array in shared memory with a zero-copy view.
+    """A ``dim x dim`` float64 array in shared memory with zero-copy views.
 
     Use the :meth:`create` / :meth:`attach` constructors rather than
     instantiating directly; the buffer is also a context manager that closes
     (and, for the owner, unlinks) the segment on exit.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, dim: int, dtype, owner: bool) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory, dim: int, owner: bool) -> None:
         self._shm = shm
+        self._closed = False
         self.dim = int(dim)
-        self.dtype = np.dtype(dtype)
         self.owner = bool(owner)
-        self._values: np.ndarray | None = np.ndarray(
-            (self.dim, self.dim), dtype=self.dtype, buffer=shm.buf
-        )
+        #: System-wide segment name workers attach by.
+        self.name = shm.name
 
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
     @classmethod
-    def create(cls, dim: int, dtype=np.float64) -> "SharedGridBuffer":
+    def create(cls, dim: int) -> "SharedGridBuffer":
         """Allocate a new zero-initialised shared segment (caller owns it)."""
         if dim < 2:
             raise InvalidParameterError(f"dim must be >= 2, got {dim}")
-        nbytes = int(dim) * int(dim) * np.dtype(dtype).itemsize
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        buffer = cls(shm, dim, dtype, owner=True)
-        buffer.values[...] = 0.0
-        return buffer
+        # A new POSIX segment reads as zeros.
+        shm = shared_memory.SharedMemory(create=True, size=int(dim) * int(dim) * 8)
+        return cls(shm, dim, owner=True)
 
     @classmethod
-    def attach(cls, name: str, dim: int, dtype=np.float64) -> "SharedGridBuffer":
+    def attach(cls, name: str, dim: int) -> "SharedGridBuffer":
         """Map an existing segment by name (non-owning, e.g. in a worker)."""
         try:
             # Python >= 3.13: opt out of the per-process resource tracker.
             shm = shared_memory.SharedMemory(name=name, track=False)
         except TypeError:
             shm = _attach_untracked(name)
-        return cls(shm, dim, dtype, owner=False)
+        return cls(shm, dim, owner=False)
 
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """System-wide segment name workers attach by."""
-        return self._shm.name
+    def view(self, dim: int) -> np.ndarray:
+        """A zero-copy ``(dim, dim)`` view of the segment's first cells.
+
+        Every view must be dropped before :meth:`close`.
+        """
+        if self._closed:
+            raise InvalidParameterError("shared grid buffer is closed")
+        if not 2 <= dim <= self.dim:
+            raise InvalidParameterError(
+                f"no {dim}x{dim} view of a shared grid buffer sized for dim {self.dim}"
+            )
+        return np.ndarray((dim, dim), dtype=np.float64, buffer=self._shm.buf)
 
     @property
     def values(self) -> np.ndarray:
-        """The zero-copy ``(dim, dim)`` view of the segment."""
-        if self._values is None:
-            raise InvalidParameterError("shared grid buffer is closed")
-        return self._values
+        """The zero-copy view of the whole ``(dim, dim)`` segment."""
+        return self.view(self.dim)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the value array backed by the segment."""
-        return self.dim * self.dim * self.dtype.itemsize
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drop this process's mapping (the view becomes unusable)."""
-        if self._values is not None:
-            # The memoryview exported to NumPy must be released before the
-            # mapping can close without raising BufferError.
-            self._values = None
+        """Drop this process's mapping (views taken from it must be gone)."""
+        self._closed = True
         self._shm.close()
 
     def unlink(self) -> None:
@@ -117,13 +104,6 @@ class SharedGridBuffer:
         self.close()
         if self.owner:
             self.unlink()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._values is None else "open"
-        return (
-            f"SharedGridBuffer(name={self.name!r}, dim={self.dim}, "
-            f"owner={self.owner}, {state})"
-        )
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:

@@ -28,7 +28,6 @@ the default single-core backend whenever NumPy is available).
 
 from __future__ import annotations
 
-from repro.core import diagonal as dg
 from repro.core.exceptions import KernelError
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
@@ -70,8 +69,8 @@ class TileSweeper:
 
     One sweeper serves any number of tiles of its problem; building it pays
     the kernel's fused-evaluator precompute exactly once, which is why an
-    execution builds one and the worker pool's per-process cache holds on
-    to one.
+    execution builds one and every worker of a team keeps the few it used
+    last.
     """
 
     def __init__(self, problem: WavefrontProblem) -> None:
@@ -99,17 +98,19 @@ class TileSweeper:
         tile: Tile,
         d_lo: int = 0,
         d_hi: int | None = None,
-        check: bool = True,
     ) -> int:
         """Compute ``tile``'s cells on diagonals ``[d_lo, d_hi]``; returns cells.
 
         ``flat`` is the flattened ``dim * dim`` value array.  All cells of
         the tile's west / north / north-west neighbour tiles on earlier
         diagonals, and all cells before ``d_lo``, must already hold final
-        values (the tile-wavefront + range contract).  With ``check`` each
-        diagonal's output is validated for finiteness as it is produced
-        (what the pool workers use); callers that batch the check over the
-        whole range — the engine — pass ``check=False``.
+        values (the tile-wavefront + range contract).  The output is
+        validated for finiteness before the call returns, i.e. before the
+        tile retires and a successor (or the caller) may read it: a tile
+        swept whole is checked once as a 2-D block, a range-clipped one
+        diagonal by diagonal as it is produced, so the cost is proportional
+        to the cells computed and values elsewhere are none of this
+        sweep's business.
         """
         dim = self.dim
         stride = dim - 1
@@ -121,6 +122,7 @@ class TileSweeper:
         last = (r1 - 1) + (c1 - 1)
         if d_hi is None:
             d_hi = last
+        whole = d_lo <= first and d_hi >= last
         total = 0
         for d in range(max(first, d_lo), min(last, d_hi) + 1):
             i_min = max(r0, d - (c1 - 1))
@@ -176,13 +178,22 @@ class TileSweeper:
                         f"expected ({m},)"
                     )
                 out[:] = values
-            if check and not np.all(np.isfinite(out)):
-                raise KernelError(
-                    f"kernel {self.kernel.name!r} produced non-finite values "
-                    f"on diagonal {d} of tile ({tile.tile_row}, {tile.tile_col})"
-                )
+            if not whole and not np.all(np.isfinite(out)):
+                raise self._non_finite(d, tile)
             total += m
+        if whole:
+            block = flat.reshape(dim, dim)[r0:r1, c0:c1]
+            if not np.all(np.isfinite(block)):
+                # Name the diagonal the per-diagonal check would have.
+                rows, cols = np.nonzero(~np.isfinite(block))
+                raise self._non_finite(first + int(np.min(rows + cols)), tile)
         return total
+
+    def _non_finite(self, d: int, tile: Tile) -> KernelError:
+        return KernelError(
+            f"kernel {self.kernel.name!r} produced non-finite values "
+            f"on diagonal {d} of tile ({tile.tile_row}, {tile.tile_col})"
+        )
 
     def sweep_grid(self, grid: WavefrontGrid, decomposition: TileDecomposition) -> int:
         """In-process sweep of a whole tile schedule (reference/testing path)."""
@@ -205,8 +216,8 @@ class DiagonalSweepEngine:
     views, which makes a mid-grid range (``d_lo > 0``) correct by
     construction — exactly what the hybrid executor's trailing CPU phase
     needs.  The sweep itself is the whole-grid special case of
-    :class:`TileSweeper`, with the finiteness check batched over the range
-    instead of per diagonal.
+    :class:`TileSweeper`: the grid is one tile, validated finite as one
+    block when swept whole and diagonal by diagonal when the range clips it.
     """
 
     def __init__(self, problem: WavefrontProblem) -> None:
@@ -244,39 +255,9 @@ class DiagonalSweepEngine:
             raise KernelError(
                 f"diagonal range [{d_lo}, {d_hi}] out of bounds for dim={dim}"
             )
-        total = self._sweeper.sweep_tile(
-            grid.values.reshape(-1), self._grid_tile, d_lo, d_hi, check=False
+        return self._sweeper.sweep_tile(
+            grid.values.reshape(-1), self._grid_tile, d_lo, d_hi
         )
-        self._check_finite(grid, d_lo, d_hi)
-        return total
-
-    def _check_finite(self, grid: WavefrontGrid, d_lo: int, d_hi: int) -> None:
-        """Finiteness check over exactly the diagonals the sweep computed.
-
-        The scalar path validates every diagonal as it is produced; doing it
-        once at the end keeps the per-diagonal loop lean without weakening
-        the guarantee that non-finite kernel output raises
-        :class:`KernelError`.  A full-grid sweep is one whole-array check;
-        a sub-range scans only its own diagonals, so the cost is
-        proportional to the cells computed and values elsewhere (e.g. a
-        band the GPU phase has not filled yet) are none of this sweep's
-        business.
-        """
-        if d_lo <= 0 and d_hi >= 2 * grid.dim - 2:
-            if not np.all(np.isfinite(grid.values)):
-                raise KernelError(
-                    f"kernel {self.kernel.name!r} produced non-finite values "
-                    f"in diagonals [{d_lo}, {d_hi}]"
-                )
-            return
-        flat = grid.values.reshape(-1)
-        for d in range(d_lo, d_hi + 1):
-            view = flat[dg.flat_diagonal_slice(d, grid.dim)]
-            if not np.all(np.isfinite(view)):
-                raise KernelError(
-                    f"kernel {self.kernel.name!r} produced non-finite values "
-                    f"on diagonal {d} of range [{d_lo}, {d_hi}]"
-                )
 
 
 def compute_diagonal_range_vectorized(

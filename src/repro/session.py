@@ -22,7 +22,7 @@ Design points:
   :meth:`~repro.autotuner.protocol.Tuner.resolve`.
 * **Batched serving** — :meth:`Session.solve_many` answers streams of
   requests out of the tuned-plan cache, the problem cache and the
-  persistent worker pools of :class:`repro.runtime.lifecycle.EngineHost`,
+  resident worker team of :class:`repro.runtime.lifecycle.EngineHost`,
   instead of re-tuning and re-spawning per request.
 * **Bounded state** — every cache is an LRU with a size configured by
   ``cache_size``, so a session serving millions of requests holds a
@@ -91,14 +91,14 @@ class Session:
     bounds); a directory written under an incompatible cache format raises
     :class:`repro.core.exceptions.CacheError` here, at construction.  Close
     the session (or use it as a context manager) to shut down its worker
-    pools deterministically.
+    team deterministically.
 
     **Thread safety.**  One session may be shared by many threads (the
     serving layer, :class:`repro.server.ReproServer`, does exactly that):
     planning runs under a plan lock — so the tuner is built once and N
     concurrent requests for one signature cost one resolution — and
     execution runs under a run lock, so the stateful runtime resources
-    (borrowed worker pools, shared-memory grids) are never entered
+    (the worker team and its shared-memory arena) are never entered
     concurrently.  Executions therefore serialise per session; concurrent
     throughput comes from batching (:meth:`solve_many` and the server's
     coalescing scheduler), not from overlapping grid sweeps.
@@ -116,7 +116,6 @@ class Session:
         workers: int | None = None,
         model_path=None,
         profile_path=None,
-        max_pools: int | None = None,
         cache_dir=None,
         result_cache: ResultCache | None = None,
     ) -> None:
@@ -137,10 +136,7 @@ class Session:
         self.profile_path = profile_path
         self._tuner_spec: str | Tuner = tuner
         self._tuner: Tuner | None = tuner if isinstance(tuner, Tuner) else None
-        host_kwargs: dict[str, int] = {}
-        if max_pools is not None:
-            host_kwargs["max_pools"] = max_pools
-        self.host = EngineHost(self.system, constants, **host_kwargs)
+        self.host = EngineHost(self.system, constants)
         #: Content-addressed persistent result tier (None = disabled).
         self.result_cache: ResultCache | None = result_cache
         if self.result_cache is None and cache_dir is not None:
@@ -197,7 +193,7 @@ class Session:
         """Swap in a ready tuner (e.g. freshly trained on a new profile).
 
         Cached plans from the previous strategy are dropped; problems,
-        engines and worker pools are kept (they are tuner-independent).
+        engines and the worker team are kept (they are tuner-independent).
         """
         with self._plan_lock:
             self._tuner = tuner
@@ -382,7 +378,7 @@ class Session:
         overrides).  ``mode`` defaults to the session's mode.
 
         The whole execution holds the session's run lock: borrowed worker
-        pools and shared-memory grids are single-request resources, so
+        pools and the shared-memory arena are single-request resources, so
         concurrent callers queue here and run one after another.
         """
         self._check_open()
@@ -478,7 +474,7 @@ class Session:
         ``(app, dim)`` pair, a mapping of :meth:`solve` keyword arguments,
         or a ready :class:`~repro.facade.plan.ResolvedPlan`.  Repeated
         requests hit the tuned-plan cache (one tuner resolution for the
-        whole stream) and the multicore backends keep their worker pools
+        whole stream) and the multicore backends keep their worker team
         warm across the batch — the serving behaviour the per-call helpers
         could not offer.
 
@@ -587,10 +583,10 @@ class Session:
         return info
 
     def close(self) -> None:
-        """Release worker pools, engines and caches; the session stays closed.
+        """Release the worker team, engines and caches; the session stays closed.
 
         Takes both locks (plan first, then run — the only nesting order used
-        anywhere), so an in-flight execution finishes before its pools are
+        anywhere), so an in-flight execution finishes before its workers are
         torn down.
         """
         with self._plan_lock, self._run_lock:

@@ -1,15 +1,14 @@
-"""A small least-recently-used cache with eviction hooks and hit statistics.
+"""A small least-recently-used cache with hit statistics.
 
 Long-lived serving sessions (:class:`repro.session.Session`) cache tuned
-plans, constructed problems and worker pools across requests; left unbounded
+plans, constructed problems and executors across requests; left unbounded
 those caches grow with every distinct request ever seen.  This module is the
 one bounded-cache implementation they all share: an ordered-dict LRU with a
-configurable ``maxsize``, an optional ``on_evict`` callback (used to close
-worker pools when their cache slot is reclaimed) and hit/miss counters that
+configurable ``maxsize`` and hit/miss counters that
 the session surfaces through :meth:`repro.session.Session.cache_info`.
 
-The cache is **thread-safe**: every operation (including the eviction hook
-and :meth:`LRUCache.get_or_create`'s factory call) runs under one reentrant
+The cache is **thread-safe**: every operation (including
+:meth:`LRUCache.get_or_create`'s factory call) runs under one reentrant
 lock, so a session shared across server worker threads
 (:class:`repro.server.ReproServer`) cannot corrupt the recency order or
 build the same expensive entry twice.
@@ -30,28 +29,21 @@ _MISSING = object()
 class LRUCache:
     """Bounded mapping evicting the least-recently-used entry on overflow.
 
-    ``maxsize`` must be at least 1; ``on_evict(key, value)`` — when given —
-    is called for every entry leaving the cache, whether evicted by capacity,
-    replaced by :meth:`put`, or flushed by :meth:`clear`.  Only :meth:`get`
+    ``maxsize`` must be at least 1.  Only :meth:`get`
     and :meth:`put` refresh recency; membership tests and :meth:`values`
     observe without touching the LRU order.
 
     All operations hold one :class:`threading.RLock`.  The lock is reentrant
-    because both the eviction hook and :meth:`get_or_create`'s factory may
+    because :meth:`get_or_create`'s factory may
     legitimately touch the same cache again from the same thread; holding it
     across the factory also guarantees concurrent ``get_or_create`` calls
     for one key build the value exactly once.
     """
 
-    def __init__(
-        self,
-        maxsize: int,
-        on_evict: Callable[[Hashable, Any], None] | None = None,
-    ) -> None:
+    def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise InvalidParameterError(f"LRU maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        self._on_evict = on_evict
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -88,15 +80,11 @@ class LRUCache:
         Returns ``value`` so call sites can cache and use in one expression.
         """
         with self._lock:
-            if key in self._data:
-                old = self._data.pop(key)
-                if old is not value:
-                    self._evicted(key, old)
             self._data[key] = value
+            self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
-                old_key, old_value = self._data.popitem(last=False)
+                self._data.popitem(last=False)
                 self.evictions += 1
-                self._evicted(old_key, old_value)
             return value
 
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
@@ -112,7 +100,7 @@ class LRUCache:
             return value
 
     def pop(self, key: Hashable, default: Any = _MISSING) -> Any:
-        """Remove and return an entry *without* firing the eviction hook."""
+        """Remove and return an entry (``default``, when given, if absent)."""
         with self._lock:
             if key in self._data:
                 return self._data.pop(key)
@@ -121,15 +109,13 @@ class LRUCache:
         return default
 
     def clear(self) -> None:
-        """Drop every entry, firing the eviction hook for each.
+        """Drop every entry.
 
         Counters survive a clear so post-shutdown introspection (e.g. a
         closed session's ``cache_info``) still reports lifetime statistics.
         """
         with self._lock:
-            while self._data:
-                key, value = self._data.popitem(last=False)
-                self._evicted(key, value)
+            self._data.clear()
 
     def values(self) -> list[Any]:
         """Current values, oldest first (does not refresh recency)."""
@@ -146,8 +132,3 @@ class LRUCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
-
-    # ------------------------------------------------------------------
-    def _evicted(self, key: Hashable, value: Any) -> None:
-        if self._on_evict is not None:
-            self._on_evict(key, value)

@@ -8,6 +8,8 @@ instances over one tmp directory).
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from repro.session import Session
 
 #: Pin the serial backend: these tests are about the cache, not the tuner.
 SERIAL = ExecutionPolicy(backend="serial")
+
+#: Entries written by the commit before the grid became values-only (they
+#: carry ``meta`` and, for nash, ``payload`` members): dim 12, serial backend.
+PARENT_LAYOUT = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +54,8 @@ class TestRoundTrip:
         key = _key(16)
         store.put(key.digest, solved[16], request=key.payload)
         loaded = store.get(key.digest)
-        assert np.array_equal(loaded.grid.values, solved[16].grid.values)
-        assert np.array_equal(loaded.grid.meta, solved[16].grid.meta)
+        assert loaded.grid.values.tobytes() == solved[16].grid.values.tobytes()
+        assert loaded.witness is None and solved[16].witness is None
         assert store.hits == 1 and store.stores == 1
         assert key.digest in store and len(store) == 1
         assert store.total_bytes > 0
@@ -254,3 +260,42 @@ class TestWitnessCodec:
             json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
         assert decode_result(arrays).witness is None
+
+
+class TestValuesOnlyEntries:
+    """The grid planes left the entry; entries that still have them decode."""
+
+    @pytest.mark.parametrize("app", ["nash-equilibrium", "viterbi"])
+    def test_parent_layout_entry_decodes_to_the_same_result(self, tmp_path, app):
+        key = request_key(app, 12, overrides={"backend": "serial"})
+        fixture = PARENT_LAYOUT / f"parent_layout_{app}.npz"
+        with np.load(fixture, allow_pickle=False) as archive:
+            assert "meta" in archive.files  # really the old layout
+            assert ("payload" in archive.files) == (app == "nash-equilibrium")
+        shutil.copy(fixture, tmp_path / f"{key.digest}.npz")
+        store = DiskCacheStore(tmp_path)
+        loaded = store.get(key.digest)
+        assert loaded is not None and store.corrupt_dropped == 0
+        with Session(system="i7-2600K") as session:
+            fresh = session.solve(app, 12, policy=SERIAL)
+        assert loaded.grid.values.tobytes() == fresh.grid.values.tobytes()
+        assert loaded.grid.dsize == fresh.grid.dsize
+        if fresh.witness is None:
+            assert loaded.witness is None
+        else:
+            assert loaded.witness.tobytes() == fresh.witness.tobytes()
+        assert loaded.matches(fresh)
+
+    @pytest.mark.parametrize("app", ["nash-equilibrium", "viterbi", "lcs"])
+    def test_new_entry_is_about_the_size_of_its_values(self, tmp_path, app):
+        with Session(system="i7-2600K") as session:
+            result = session.solve(app, 64, policy=SERIAL)
+        key = request_key(app, 64, overrides={"backend": "serial"})
+        store = DiskCacheStore(tmp_path)
+        store.put(key.digest, result, request=key.payload)
+        with np.load(tmp_path / f"{key.digest}.npz", allow_pickle=False) as archive:
+            assert sorted(archive.files) == sorted(
+                ["header", "values"] + (["witness"] if result.witness is not None else [])
+            )
+        witness_bytes = 0 if result.witness is None else result.witness.nbytes
+        assert store.total_bytes <= result.grid.values.nbytes + witness_bytes + 2048

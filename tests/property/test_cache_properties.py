@@ -149,10 +149,13 @@ class TestStoreRoundTripProperties:
         loaded = store.get(key.digest)
         assert loaded is not None
         assert loaded.grid.values.dtype == result.grid.values.dtype
-        assert np.array_equal(loaded.grid.values, result.grid.values)
-        assert np.array_equal(loaded.grid.meta, result.grid.meta)
-        if result.grid.payload is not None:
-            assert np.array_equal(loaded.grid.payload, result.grid.payload)
+        assert loaded.grid.values.tobytes() == result.grid.values.tobytes()
+        assert loaded.grid.dsize == result.grid.dsize
+        if result.witness is None:
+            assert loaded.witness is None
+        else:
+            assert loaded.witness.dtype == result.witness.dtype
+            assert loaded.witness.tobytes() == result.witness.tobytes()
         assert loaded.params == result.params
         assert loaded.tunables.features() == result.tunables.features()
         assert loaded.mode == result.mode

@@ -1,10 +1,10 @@
 """Crash recovery of the multiprocessing backend.
 
 A worker process killed mid-service must surface as a typed
-``WorkerCrashError`` (never a hang or a bare ``BrokenProcessPool``), mark
-the pool broken, and cost exactly one request: the ``EngineHost`` hands
-out a fresh pool on the next borrow and the broken pool's shared-memory
-segment is unlinked, not leaked.
+``WorkerCrashError`` (never a hang or a bare pipe error), mark the team
+broken, and cost exactly one request: the ``EngineHost`` forks a fresh
+team on the next borrow and the broken team's shared-memory arena is
+unlinked, not leaked.
 """
 
 import multiprocessing as mp
@@ -30,13 +30,11 @@ pytestmark = pytest.mark.skipif(
 def kill_one_worker(pool):
     """SIGKILL one live worker process of a bound multiprocess pool.
 
-    ``ProcessPoolExecutor`` spawns its workers lazily, so the pool is
-    warmed with one tiny sweep first — which also proves the kill (not a
-    cold pool) is what breaks the subsequent run.
+    One tiny sweep first proves the kill (not a cold team) is what breaks
+    the subsequent run.
     """
     pool.run_range(0, 0)
-    pid = next(iter(pool._pool._processes))
-    os.kill(pid, signal.SIGKILL)
+    os.kill(pool.team.pids()[0], signal.SIGKILL)
 
 
 class TestWorkerCrashRecovery:
@@ -62,10 +60,18 @@ class TestWorkerCrashRecovery:
                 pool.run_range(0, 2 * small_synthetic.dim - 2)
             pool.release()
             assert pool.broken
+            with pytest.raises(WorkerCrashError):  # broken stays broken
+                pool.bind(grid).run_range(0, 2 * small_synthetic.dim - 2)
+            pool.release()
+            old_pids = pool.team.pids()
 
             fresh = host.pool_for(small_synthetic, tile=4, workers=2)
-            assert fresh is not pool
+            assert fresh.team is not pool.team
             assert not fresh.broken
+            assert len(old_pids) == 2 and not set(fresh.team.pids()) & set(old_pids)
+            info = host.cache_info()
+            assert info["builds"]["teams_built"] == 2
+            assert info["teams"] == {"size": 1, "pids": fresh.team.pids()}
 
             # The replacement pool serves the next request correctly.
             grid = small_synthetic.make_grid()
@@ -90,7 +96,7 @@ class TestWorkerCrashRecovery:
             with pytest.raises(WorkerCrashError):
                 pool.run_range(0, 2 * small_synthetic.dim - 2)
             pool.release()
-            # Replacing the broken pool closes it (unlinking its segment).
+            # Replacing the broken team closes it (unlinking its arena).
             host.pool_for(small_synthetic, tile=4, workers=2)
         finally:
             host.close()

@@ -14,7 +14,8 @@ import pytest
 from repro.apps.registry import available_applications, get_application
 from repro.core.exceptions import InvalidParameterError, KernelError
 from repro.core.params import InputParams, TunableParams
-from repro.core.pattern import FunctionKernel, WavefrontProblem
+from repro.core.pattern import FunctionKernel, WavefrontKernel, WavefrontProblem
+from repro.facade.policy import ExecutionPolicy
 from repro.core.tiling import TileDecomposition
 from repro.runtime import (
     HybridExecutor,
@@ -28,6 +29,7 @@ from repro.runtime import (
     resolve_worker_count,
 )
 from repro.runtime.compute import compute_diagonal_range, reference_grid
+from repro.session import Session
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
@@ -131,6 +133,138 @@ class TestMPWavefrontPool:
         problem = WavefrontProblem(dim=12, kernel=kernel)
         with pytest.raises(KernelError):
             MPParallelExecutor(i7_2600k, workers=2).execute(problem, TunableParams(cpu_tile=4))
+
+
+class OneBadCellKernel(WavefrontKernel):
+    """``i + j`` everywhere, NaN at one cell; no neighbour is read, so the
+    NaN stays where it is put.  Module-level: a session's resident team
+    receives its problems pickled."""
+
+    name = "one-bad-cell"
+
+    def __init__(self, row, col):
+        self.row, self.col = row, col
+
+    def diagonal(self, i, j, west, north, northwest):
+        out = (i + j).astype(float)
+        out[(i == self.row) & (j == self.col)] = np.nan
+        return out
+
+
+class TestWorkersValidateWhatTheyCompute:
+    """Non-finite kernel output raises in the caller, naming tile and diagonal."""
+
+    @pytest.mark.parametrize("backend", ["mp-parallel", "pipelined"])
+    def test_nan_in_a_whole_tile_names_its_tile_and_diagonal(self, backend, i7_2600k):
+        # Cell (9, 6): tile (2, 1) of a tile-4 decomposition, diagonal 15 —
+        # not the first diagonal of the tile (12), so the block check has
+        # to locate it.
+        problem = WavefrontProblem(dim=16, kernel=OneBadCellKernel(9, 6))
+        policy = ExecutionPolicy(
+            backend=backend, workers=2, tunables=TunableParams(cpu_tile=4)
+        )
+        with Session(system=i7_2600k) as session:
+            with pytest.raises(
+                KernelError,
+                match=r"'one-bad-cell' produced non-finite values on diagonal 15 "
+                r"of tile \(2, 1\)",
+            ):
+                session.solve(problem, policy=policy)
+            # The failure cost one request: the same team serves the next.
+            good = WavefrontProblem(dim=16, kernel=OneBadCellKernel(-1, -1))
+            result = session.solve(good, policy=policy)
+            assert result.grid.values[9, 6] == 15.0
+            assert session.cache_info()["builds"]["teams_built"] == 1
+
+    def _clipped_run(self, kernel, poke=None):
+        problem = WavefrontProblem(dim=16, kernel=kernel)
+        grid = problem.make_grid()
+        i, j = np.indices((16, 16))
+        split = 13  # diagonals 0..13 are the caller's; the pool sweeps 14..30
+        grid.values[i + j <= split] = (i + j)[i + j <= split]
+        if poke is not None:
+            grid.values[poke] = np.nan
+        with MPWavefrontPool(problem, grid, tile=4, workers=2) as pool:
+            pool.run_range(split + 1, 30)
+        return grid
+
+    def test_clipped_range_raises_for_a_nan_inside_it(self):
+        # Cell (9, 6) again: tile (2, 1) spans diagonals 12..18, so the range
+        # 14..30 clips it and the per-diagonal check is the one that fires.
+        with pytest.raises(KernelError, match=r"on diagonal 15 of tile \(2, 1\)"):
+            self._clipped_run(OneBadCellKernel(9, 6))
+
+    def test_clipped_range_ignores_a_nan_outside_it(self):
+        # (8, 5) is on diagonal 13 of the same tile: before the range, so
+        # none of this sweep's business even though its tile is swept.
+        grid = self._clipped_run(OneBadCellKernel(-1, -1), poke=(8, 5))
+        i, j = np.indices((16, 16))
+        expected = (i + j).astype(float)
+        expected[8, 5] = np.nan
+        assert np.array_equal(grid.values, expected, equal_nan=True)
+
+
+class TestWorkerTeam:
+    def test_more_problems_than_sweeper_slots_stay_correct(self, i7_2600k):
+        """Cycling past the per-worker LRU re-ships evicted problems: the
+        parent's mirror and the workers' LRUs must agree on who holds what."""
+        from repro.runtime.lifecycle import EngineHost
+        from repro.runtime.mp_parallel import SWEEPER_SLOTS
+
+        problems = [
+            get_application(app, dim=dim).problem(dim)
+            for app in ("lcs", "synthetic", "viterbi")
+            for dim in (12, 17)
+        ]
+        assert len(problems) > SWEEPER_SLOTS
+        references = [reference_grid(p).values for p in problems]
+        with EngineHost(i7_2600k) as host:
+            for _ in range(3):
+                for problem, reference in zip(problems, references):
+                    grid = problem.make_grid()
+                    with host.pool_for(problem, tile=5, workers=2) as pool:
+                        pool.bind(grid).run_range(0, 2 * problem.dim - 2, "pipelined")
+                    assert np.array_equal(grid.values, reference)
+            assert host.cache_info()["builds"]["teams_built"] == 1
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the private-team half needs fork inheritance")
+    def test_a_problem_that_does_not_pickle_is_a_typed_error_on_a_resident_team(
+        self, small_synthetic, i7_2600k
+    ):
+        from repro.core.exceptions import ExecutionError
+
+        kernel = FunctionKernel(lambda i, j, w, n, nw: (i + j).astype(float), name="local")
+        problem = WavefrontProblem(dim=12, kernel=kernel)
+        policy = ExecutionPolicy(
+            backend="mp-parallel", workers=2, tunables=TunableParams(cpu_tile=4)
+        )
+        with Session(system=i7_2600k) as session:
+            with pytest.raises(ExecutionError, match="cannot be sent to a resident"):
+                session.solve(problem, policy=policy)
+            # Nothing was left half-shipped: the team serves the next request.
+            result = session.solve(small_synthetic, policy=policy)
+            assert np.array_equal(
+                result.grid.values, reference_grid(small_synthetic).values
+            )
+            assert session.cache_info()["builds"]["teams_built"] == 1
+        # A private team inherits the problem through the fork instead.
+        result = MPParallelExecutor(i7_2600k, workers=2).execute(
+            problem, TunableParams(cpu_tile=4)
+        )
+        assert result.grid.values[5, 6] == 11.0
+
+    def test_the_arena_holds_one_grid_at_a_time(self, small_synthetic, i7_2600k):
+        from repro.core.exceptions import ExecutionError
+        from repro.runtime.lifecycle import EngineHost
+
+        with EngineHost(i7_2600k) as host:
+            first = host.pool_for(small_synthetic, tile=4, workers=2)
+            second = host.pool_for(small_synthetic, tile=8, workers=2)
+            first.bind(small_synthetic.make_grid())
+            with pytest.raises(ExecutionError, match="already holds a bound grid"):
+                second.bind(small_synthetic.make_grid())
+            first.release()
+            second.bind(small_synthetic.make_grid()).release()
 
 
 class TestTileSweeper:

@@ -140,9 +140,10 @@ class TestLifecycle:
         server.start()
         assert server.solve("lcs", 48, timeout=60).grid is not None
         server.close()
-        # Owned session (and its EngineHost pools/executors) are released.
+        # Owned session (and its EngineHost team/executors) are released.
         info = session.cache_info()
-        assert info["pools"]["size"] == 0 and info["executors"]["size"] == 0
+        assert info["teams"] == {"size": 0, "pids": []}
+        assert info["executors"]["size"] == 0
         with pytest.raises(ReproError):
             session.solve("lcs", 48)
 

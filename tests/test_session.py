@@ -12,6 +12,8 @@ Covers the acceptance contract of the session API:
 * failures surface as ``repro.core.exceptions`` subclasses.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,7 @@ class TestSolveManyServing:
             info = session.cache_info()
         assert len(results) == 12
         assert tuner.calls == 1  # one tuned-plan resolution for the stream
-        assert info["builds"]["pools_built"] == 1  # one worker pool ...
+        assert info["builds"]["teams_built"] == 1  # one worker team ...
         assert info["builds"]["pool_requests"] == 12  # ... serving every request
         assert all(r.stats["mode"] == "process-pool" for r in results)
         assert all(r.stats["workers"] == 2 for r in results)
@@ -216,7 +218,7 @@ class TestSolveManyServing:
             )
             results = [session.run(plan) for _ in range(3)]
             builds = session.cache_info()["builds"]
-        assert builds["pools_built"] == 1
+        assert builds["teams_built"] == 1
         reference = SerialExecutor(i7_2600k).execute(LCSApp(dim=SMALL_DIM).problem())
         for r in results:
             assert r.matches(reference)
@@ -299,19 +301,70 @@ class TestBoundedCaches:
         assert bounded.cache_info()["plans"] <= 2
         assert bounded.cache_info()["evictions"] > 0
 
-    def test_pool_eviction_closes_pools(self, i7_2600k):
-        with Session(system=i7_2600k, max_pools=1) as session:
-            pooled = ExecutionPolicy(
-                backend="mp-parallel", workers=2, tunables=TunableParams(cpu_tile=4)
+
+
+def _shm_entries():
+    return set(os.listdir("/dev/shm"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs a /dev/shm to audit")
+class TestResidentWorkerTeam:
+    """Tiled solves fork once per session, whatever they solve."""
+
+    @staticmethod
+    def _plans(session, dim=24):
+        return [
+            session.plan(
+                app,
+                dim,
+                policy=ExecutionPolicy(
+                    backend=backend, workers=2, tunables=TunableParams(cpu_tile=tile)
+                ),
             )
-            p1 = session.plan("lcs", 16, policy=pooled)
-            p2 = session.plan("lcs", 24, policy=pooled)
-            session.run(p1)
-            session.run(p2)  # evicts (and closes) the dim-16 pool
-            session.run(p1)  # rebuilt
-            info = session.cache_info()
-        assert info["builds"]["pools_built"] == 3
-        assert info["pools"]["evictions"] >= 2
+            for app in ("lcs", "viterbi", "nash-equilibrium")
+            for tile in (4, 8)
+            for backend in ("mp-parallel", "pipelined")
+        ]
+
+    def test_one_team_one_segment_for_every_problem_tile_and_backend(self, i7_2600k):
+        before = _shm_entries()
+        with Session(system=i7_2600k) as session:
+            plans = self._plans(session)
+            passes = []
+            for _ in range(2):
+                results = [session.run(plan) for plan in plans]
+                info = session.cache_info()
+                passes.append(info["teams"]["pids"])
+                assert info["builds"]["teams_built"] == 1
+                assert info["teams"]["size"] == 1
+                assert len(_shm_entries() - before) == 1
+            assert len(passes[0]) == 2 and passes[0] == passes[1]
+            assert info["builds"]["pool_requests"] == 2 * len(plans)
+            assert all(r.stats["mode"] == "process-pool" for r in results)
+            for plan, result in zip(plans, results):
+                serial = session.run(
+                    session.plan(plan.app, plan.dim, policy=ExecutionPolicy(backend="serial"))
+                )
+                assert result.matches(serial)
+        assert _shm_entries() == before
+
+    def test_a_larger_grid_grows_the_arena_without_leaking_the_old_one(self, i7_2600k):
+        before = _shm_entries()
+        with Session(system=i7_2600k) as session:
+            small, large = self._plans(session, dim=16)[0], self._plans(session, dim=40)[0]
+            session.run(small)
+            (first,) = _shm_entries() - before
+            session.run(large)
+            (grown,) = _shm_entries() - before  # the old segment is gone
+            assert grown != first
+            result = session.run(small)  # a smaller grid fits the grown arena
+            assert _shm_entries() - before == {grown}
+            assert session.cache_info()["builds"]["teams_built"] == 1
+            serial = session.run(
+                session.plan("lcs", 16, policy=ExecutionPolicy(backend="serial"))
+            )
+            assert result.matches(serial)
+        assert _shm_entries() == before
 
 
 class TestPlanSerialization:

@@ -17,16 +17,14 @@ class TestLRUCache:
         cache.put("c", 3)  # evicts 'b', the least recently used
         assert "b" not in cache and "a" in cache and "c" in cache
 
-    def test_on_evict_fires_for_capacity_replacement_and_clear(self):
-        closed = []
-        cache = LRUCache(2, on_evict=lambda k, v: closed.append((k, v)))
+    def test_replacement_refreshes_recency_without_counting_an_eviction(self):
+        cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.put("a", 10)  # replacement evicts the old value
+        cache.put("a", 10)  # replaces, and makes 'a' the most recent
         cache.put("c", 3)  # capacity evicts 'b'
-        cache.clear()  # flushes 'a' and 'c'
-        assert ("a", 1) in closed and ("b", 2) in closed
-        assert ("a", 10) in closed and ("c", 3) in closed
+        assert cache.get("a") == 10 and "b" not in cache
+        assert cache.info()["evictions"] == 1
 
     def test_counters_and_info(self):
         cache = LRUCache(4)
@@ -50,11 +48,10 @@ class TestLRUCache:
         cache.clear()
         assert cache.info()["hits"] == 1 and len(cache) == 0
 
-    def test_pop_skips_eviction_hook(self):
-        closed = []
-        cache = LRUCache(2, on_evict=lambda k, v: closed.append(k))
+    def test_pop_removes_without_counting_an_eviction(self):
+        cache = LRUCache(2)
         cache.put("a", 1)
-        assert cache.pop("a") == 1 and closed == []
+        assert cache.pop("a") == 1 and cache.info()["evictions"] == 0
         with pytest.raises(KeyError):
             cache.pop("a")
         assert cache.pop("a", default=None) is None
@@ -68,13 +65,12 @@ class TestThreadSafety:
     """The cache is shared by server worker threads; it must stay coherent."""
 
     def test_concurrent_put_get_keeps_bound_and_accounting(self):
-        evicted = []
-        cache = LRUCache(8, on_evict=lambda k, v: evicted.append(k))
+        cache = LRUCache(8)
         threads_n, per_thread = 8, 200
 
         def worker(tid):
             for i in range(per_thread):
-                key = (tid * per_thread + i) % 40
+                key = tid * per_thread + i  # every put inserts a new key
                 cache.put(key, (tid, i))
                 cache.get(key)
                 cache.get("missing")
@@ -89,9 +85,9 @@ class TestThreadSafety:
         info = cache.info()
         assert len(cache) <= 8
         assert info["misses"] >= threads_n * per_thread  # every 'missing' get
-        # Every entry that ever left the cache fired the hook exactly once:
-        # inserts == still-cached + hook firings (eviction or replacement).
-        assert threads_n * per_thread == len(cache) + len(evicted)
+        # Every entry that ever left the cache was counted exactly once:
+        # inserts == still-cached + evictions.
+        assert threads_n * per_thread == len(cache) + info["evictions"]
 
     def test_get_or_create_builds_once_under_contention(self):
         cache = LRUCache(4)
