@@ -90,8 +90,6 @@ class EditDistanceKernel(WavefrontKernel):
         row/column only ever touches the two end elements of a diagonal on
         the growing half of the sweep, patched as scalars.
         """
-        from repro.core import diagonal as dg
-
         idx = np.arange(dim, dtype=np.int64)
         sub = np.where(
             self.seq_a[idx % self.seq_a.size][:, None]
@@ -103,10 +101,10 @@ class EditDistanceKernel(WavefrontKernel):
         gap = self.gap
         scratch = np.empty(dim)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
             t = scratch[:m]
-            np.add(northwest, sub_flat[dg.flat_diagonal_segment(d, dim, i_min, i_max)], out=out)
+            np.add(northwest, sub_flat[seg], out=out)
             np.add(north, gap, out=t)
             np.minimum(out, t, out=out)
             np.add(west, gap, out=t)

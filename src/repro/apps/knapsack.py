@@ -62,7 +62,7 @@ class KnapsackKernel(WavefrontKernel):
         """
         row_values = self.values[np.arange(dim, dtype=np.int64) % self.values.size]
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             np.add(northwest, row_values[i_min : i_max + 1], out=out)
             if i_max == d:  # last element sits in column j == 0
                 out[i_max - i_min] = 0.0
@@ -197,16 +197,13 @@ class ExpectedKnapsackKernel(WavefrontKernel):
 
     def make_diagonal_evaluator(self, dim, boundary):
         """Fused sweep path: flat decision/increment tables, one masked copy."""
-        from repro.core import diagonal as dg
-
         take, add, _ = self._tables(dim)
         take_flat = np.ascontiguousarray(take).reshape(-1)
         add_flat = np.ascontiguousarray(add).reshape(-1)
         scratch = np.empty(dim)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
-            seg = dg.flat_diagonal_segment(d, dim, i_min, i_max)
             t = scratch[:m]
             np.add(northwest, add_flat[seg], out=t)
             np.copyto(out, north)

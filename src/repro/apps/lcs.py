@@ -61,8 +61,6 @@ class LCSKernel(WavefrontKernel):
         The zero boundary is the recurrence's natural base case, so no edge
         patching is needed anywhere in the sweep.
         """
-        from repro.core import diagonal as dg
-
         idx = np.arange(dim, dtype=np.int64)
         match = (
             self.seq_a[idx % self.seq_a.size][:, None]
@@ -71,12 +69,12 @@ class LCSKernel(WavefrontKernel):
         match_flat = match.reshape(-1)
         scratch = np.empty(dim)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
             t = scratch[:m]
             np.add(northwest, 1.0, out=t)
             np.maximum(north, west, out=out)
-            np.copyto(out, t, where=match_flat[dg.flat_diagonal_segment(d, dim, i_min, i_max)])
+            np.copyto(out, t, where=match_flat[seg])
 
         return evaluate
 

@@ -84,7 +84,7 @@ class MatrixChainKernel(WavefrontKernel):
         p_rev = self.dims[::-1].copy()  # p_rev[k] == p[n - k]
         scratch = np.empty(dim)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             if d <= n - 1:
                 out[:] = 0.0
                 return

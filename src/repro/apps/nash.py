@@ -82,7 +82,7 @@ class NashKernel(WavefrontKernel):
         half = np.empty(dim)
         scratch = np.empty(dim)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
             p0 = half[:m]
             s = scratch[:m]

@@ -108,12 +108,11 @@ class SmithWatermanKernel(WavefrontKernel):
     def make_diagonal_evaluator(self, dim, boundary):
         """Fused sweep path: one precomputed ``dim x dim`` substitution grid.
 
-        Diagonals of the substitution grid are zero-copy strided slices, so
-        each anti-diagonal of the recurrence reduces to six in-place ufuncs
-        (an add and three maxima) with a single scratch vector.
+        Diagonals of the substitution grid are zero-copy strided slices (the
+        engine's ``seg``), so each anti-diagonal of the recurrence reduces to
+        six in-place ufuncs (an add and three maxima) with a single scratch
+        vector.
         """
-        from repro.core import diagonal as dg
-
         idx = np.arange(dim, dtype=np.int64)
         sub = np.where(
             self.seq_a[idx % self.seq_a.size][:, None]
@@ -125,10 +124,10 @@ class SmithWatermanKernel(WavefrontKernel):
         gap = self.gap
         scratch = np.empty(dim)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
             t = scratch[:m]
-            np.add(northwest, sub_flat[dg.flat_diagonal_segment(d, dim, i_min, i_max)], out=out)
+            np.add(northwest, sub_flat[seg], out=out)
             np.maximum(out, 0.0, out=out)
             np.subtract(north, gap, out=t)
             np.maximum(out, t, out=out)

@@ -109,8 +109,6 @@ class StochasticPathKernel(WavefrontKernel):
         ``j == 0`` edge cells are at most the first / last element of any
         anti-diagonal segment and are patched as scalars.
         """
-        from repro.core import diagonal as dg
-
         idx = np.arange(dim, dtype=np.int64)
         rows = (idx % self.costs.shape[0])[:, None]
         cols = (idx % self.costs.shape[1])[None, :]
@@ -119,9 +117,8 @@ class StochasticPathKernel(WavefrontKernel):
         pn_flat = self.log_pn[rows, cols].reshape(-1)
         scratch = np.empty(dim)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
-            seg = dg.flat_diagonal_segment(d, dim, i_min, i_max)
             tmp = scratch[:m]
             np.add(west, pw_flat[seg], out=out)
             np.add(north, pn_flat[seg], out=tmp)

@@ -76,7 +76,7 @@ class SyntheticKernel(WavefrontKernel):
         # diagonal() because the operands are small exact integers.
         table = seed_term * (1.0 + (-t) % 7)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
             np.add(west, north, out=out)
             out += northwest

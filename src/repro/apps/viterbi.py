@@ -125,8 +125,6 @@ class ViterbiKernel(WavefrontKernel):
         interior recurrence evaluated with in-place ufuncs through the
         shared :func:`~repro.runtime.compute.max_product_pair` primitive.
         """
-        from repro.core import diagonal as dg
-
         idx = np.arange(dim, dtype=np.int64)
         n_states = self.log_pi.size
         stay_col = self.log_stay[idx % n_states]
@@ -138,7 +136,7 @@ class ViterbiKernel(WavefrontKernel):
         ].reshape(-1)
         scratch = np.empty(dim)
 
-        def evaluate(d, i_min, i_max, west, north, northwest, out):
+        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
             # Column index of cell (i, d - i) along the diagonal descends as
             # the row grows: j = d - i for i in [i_min, i_max].
@@ -150,9 +148,7 @@ class ViterbiKernel(WavefrontKernel):
             max_product_pair(out, stay, out=out)
             if i_max == d:  # last element sits in column j == 0: stay only
                 out[m - 1] = stay[m - 1]
-            np.add(
-                out, emit_flat[dg.flat_diagonal_segment(d, dim, i_min, i_max)], out=out
-            )
+            np.add(out, emit_flat[seg], out=out)
             if i_min == 0:  # first element sits in row i == 0, column d
                 out[0] = pi_col[d] + emit_flat[d]
 

@@ -92,7 +92,8 @@ class SearchSpace:
             engines = engines + ("mp-parallel", "pipelined")
         return engines + tuple(engines_with("compiled"))
 
-    def mp_tile_candidates(self, instance: InputParams) -> tuple[int, ...]:
+    @staticmethod
+    def mp_tile_candidates(instance: InputParams) -> tuple[int, ...]:
         """Candidate tile sides for the multicore backend on ``instance``.
 
         The backend's sweet spot is much coarser than the paper's cache

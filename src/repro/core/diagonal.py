@@ -81,33 +81,12 @@ def flat_diagonal_slice(d: int, dim: int) -> slice:
     index ``d + i * (dim - 1)``, so one anti-diagonal is an arithmetic
     sequence with stride ``dim - 1``: ``values.reshape(-1)[flat_diagonal_slice(d, dim)]``
     is a zero-copy *view* of the diagonal in canonical (increasing-row)
-    order.  This is what lets the vectorized engine read and write whole
-    diagonals without fancy indexing.
+    order.  This is what lets the vectorized engine store each computed
+    diagonal (and load the two it starts from) without fancy indexing.
     """
     if dim < 2:
         raise InvalidParameterError(f"dim must be >= 2, got {dim}")
     i_min, i_max = diagonal_bounds(d, dim, dim)
-    stride = dim - 1
-    start = i_min * dim + (d - i_min)
-    stop = i_max * dim + (d - i_max) + 1
-    return slice(start, stop, stride)
-
-
-def flat_diagonal_segment(d: int, dim: int, i_min: int, i_max: int) -> slice:
-    """Strided slice of the diagonal-``d`` cells with rows ``i_min .. i_max``.
-
-    The sub-range counterpart of :func:`flat_diagonal_slice`, used by fused
-    kernel evaluators so their position tables line up with *any* row range
-    an engine sweeps — the tile-local sweeps of the multicore backend hand
-    evaluators partial diagonals, not just whole ones.
-    """
-    if dim < 2:
-        raise InvalidParameterError(f"dim must be >= 2, got {dim}")
-    lo, hi = diagonal_bounds(d, dim, dim)
-    if i_min < lo or i_max > hi or i_max < i_min:
-        raise InvalidParameterError(
-            f"row range [{i_min}, {i_max}] invalid for diagonal {d} of dim={dim}"
-        )
     stride = dim - 1
     start = i_min * dim + (d - i_min)
     stop = i_max * dim + (d - i_max) + 1

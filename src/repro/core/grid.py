@@ -66,10 +66,10 @@ class WavefrontGrid:
         """Zero-copy strided view of the values on diagonal ``d``.
 
         Writing through the view writes straight into :attr:`values` — the
-        same strided-slice arithmetic the vectorized engine inlines on its
-        hot path (:class:`repro.runtime.vectorized.DiagonalSweepEngine`),
-        exposed here for other layers, tooling and tests; no fancy indexing
-        as in :meth:`get_diagonal` / :meth:`set_diagonal`.
+        strided slice the vectorized engine stores each computed diagonal
+        through (it computes on contiguous rows, not on such views), exposed
+        here for other layers, tooling and tests; no fancy indexing as in
+        :meth:`get_diagonal` / :meth:`set_diagonal`.
         """
         return self.values.reshape(-1)[dg.flat_diagonal_slice(d, self.dim)]
 

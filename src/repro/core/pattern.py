@@ -20,8 +20,12 @@ from repro.core.grid import WavefrontGrid
 from repro.core.params import InputParams
 
 #: Signature of a fused diagonal evaluator:
-#: ``evaluate(d, i_min, i_max, west, north, northwest, out) -> None``.
-DiagonalEvaluator = Callable[[int, int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
+#: ``evaluate(d, i_min, i_max, west, north, northwest, out, seg) -> None``;
+#: the four arrays are C-contiguous, ``seg`` is the slice of the flattened
+#: row-major grid addressing the cells ``(i, d - i)`` being computed.
+DiagonalEvaluator = Callable[
+    [int, int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, slice], None
+]
 
 
 class WavefrontKernel(abc.ABC):
@@ -75,13 +79,18 @@ class WavefrontKernel(abc.ABC):
         """Optional fused fast path used by the vectorized engine.
 
         A kernel may return a callable ``evaluate(d, i_min, i_max, west,
-        north, northwest, out)`` that writes the values of rows
+        north, northwest, out, seg)`` that writes the values of rows
         ``i_min .. i_max`` of diagonal ``d`` into the 1-D array ``out``
-        (length ``i_max - i_min + 1``), given read-only neighbour views of
-        the same length.  The evaluator is built once per sweep, so it can
-        precompute position-dependent tables (substitution scores, payoff
-        preferences, ...) and use in-place ufuncs; it must produce results
-        numerically identical to :meth:`diagonal`.
+        (length ``i_max - i_min + 1``), given read-only neighbour arrays of
+        the same length.  All four are C-contiguous float64 (slices of the
+        engine's rolling rows, not of the grid: the engine stores ``out``
+        itself), and ``seg`` is the slice addressing those cells in a
+        flattened row-major ``dim x dim`` array, so ``table.reshape(-1)[seg]``
+        lines a position table up with any row range.  The evaluator is
+        built once per sweep, so it can precompute position-dependent tables
+        (substitution scores, payoff preferences, ...) and use in-place
+        ufuncs; it must produce results numerically identical to
+        :meth:`diagonal`.
 
         The default returns ``None``, meaning the engine falls back to
         :meth:`diagonal` with explicit index arrays — still batched per

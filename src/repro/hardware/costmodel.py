@@ -277,7 +277,7 @@ class CostModel:
     def mp_parallel_time(self, params: InputParams, cpu_tile: int, workers: int) -> float:
         """Shared-memory multicore backend: tiled-vectorized tiles on real cores.
 
-        Each tile is swept with the tile-local strided-diagonal engine (so
+        Each tile is swept with the tile-local rolling-row diagonal engine (so
         per-cell work is the vectorized rate plus per-local-diagonal batch
         overhead) and pays one pool dispatch; the critical path is the ideal
         per-worker share divided by the wavefront's parallel-efficiency

@@ -43,7 +43,7 @@ def logsumexp_pair(a, b, out: np.ndarray | None = None) -> np.ndarray:
     * ``+inf`` anywhere      → ``+inf``.
 
     ``out`` (optional) receives the result in place — the fused diagonal
-    evaluators pass the grid's strided output view directly.  Scalars in,
+    evaluators pass their contiguous output row directly.  Scalars in,
     scalar-shaped 0-d array out; use ``float(...)`` when a Python float is
     needed.
     """

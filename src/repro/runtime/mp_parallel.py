@@ -17,7 +17,9 @@ the tile wavefront on worker processes:
   tile-diagonal; :class:`repro.runtime.scheduler.PipelinedSchedule`:
   dependency-counted), bound to one grid at a time on a team it borrows;
 * each worker evaluates its tile's interior with a **tile-local
-  strided-diagonal sweep** (:class:`TileSweeper`) that reuses the fused
+  rolling-row diagonal sweep** (:class:`TileSweeper`: contiguous neighbour
+  rows, halo cells read from the neighbouring tiles, one store per
+  diagonal) that reuses the fused
   kernel evaluators of the vectorized engine
   (:meth:`repro.core.pattern.WavefrontKernel.make_diagonal_evaluator`), and
   validates the tile finite before it reports it done.  The sweeper — and
@@ -532,7 +534,7 @@ class MPParallelExecutor(Executor):
 
     The grid lives in shared memory, a worker team executes the
     tile wavefront (barrier per tile-diagonal), and every worker sweeps its
-    tiles with the tile-local strided-diagonal engine — combining the
+    tiles with the tile-local rolling-row diagonal engine — combining the
     vectorized engine's batched evaluation with parallelism that actually
     scales with cores.
     Produces grids cell-for-cell identical to the serial reference.

@@ -6,17 +6,23 @@ index arrays, gather three neighbour arrays with ``np.where`` masks and
 scatter the result back.  For fine-grained kernels that machinery dominates
 the runtime.  This module removes it:
 
+* the last two diagonals of the region being swept live in three rolling
+  row buffers indexed by grid row, so the west / north / north-west
+  neighbours of diagonal ``d`` and its output are plain *contiguous* slices
+  of those buffers — no gathers, and no stride-``(dim - 1)`` operand in any
+  ufunc.  The two slots around a diagonal are its halo: a neighbouring
+  tile's cell read from the grid as a scalar, or the boundary value;
 * a diagonal of a row-major square grid is an arithmetic sequence in the
-  flattened array (:func:`repro.core.diagonal.flat_diagonal_slice`), so whole
-  diagonals are read and written through zero-copy strided *views*;
-* the west / north / north-west neighbours of diagonal ``d`` are sub-slices
-  of the views of diagonals ``d - 1`` and ``d - 2`` — no gathers at all.
-  Boundary cells only occur on the growing half of the sweep and touch at
-  most the two end elements of a diagonal;
+  flattened array (:func:`repro.core.diagonal.flat_diagonal_slice`), so each
+  computed diagonal is stored to the grid exactly once through one strided
+  slice, and the two diagonals before the first one swept are loaded the
+  same way — which is what makes tiles and mid-grid ranges correct with no
+  special case;
 * kernels may provide a fused evaluator
   (:meth:`repro.core.pattern.WavefrontKernel.make_diagonal_evaluator`) that
   precomputes position-dependent tables once per sweep and evaluates each
-  diagonal with in-place ufuncs, writing straight into the grid.
+  diagonal with in-place ufuncs on the contiguous rows; the engine hands it
+  the store's row-major slice so row-major tables line up with any range.
 
 The engine is exposed three ways: :class:`DiagonalSweepEngine` (the raw
 sweep over any diagonal range, used by the hybrid executor's CPU phases),
@@ -28,7 +34,7 @@ the default single-core backend whenever NumPy is available).
 
 from __future__ import annotations
 
-from repro.core.exceptions import KernelError
+from repro.core.exceptions import InvalidParameterError, KernelError
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
@@ -56,16 +62,17 @@ def numpy_available() -> bool:
 
 
 class TileSweeper:
-    """Strided-diagonal sweep of one rectangular region of the grid.
+    """Rolling-row diagonal sweep of one rectangular region of the grid.
 
     The workhorse shared by the whole-grid engine and the multicore
-    backend's worker processes: a region's local anti-diagonals are
-    arithmetic sequences of stride ``dim - 1`` in the flattened grid, so
-    the sweep reads and writes them through zero-copy views, and the west /
-    north / north-west neighbours are the same views shifted by one flat
-    position — even when they live outside the region (in an
-    already-computed neighbouring tile).  Boundary patches (grid row 0 /
-    column 0) touch at most the two end elements of a local diagonal.
+    backend's worker processes.  The last two anti-diagonals of the region
+    live in three rolling row buffers indexed by grid row (slot
+    ``i - row_start + 1``), so the west / north / north-west neighbours and
+    the output of every diagonal are contiguous slices of those buffers;
+    the diagonal is stored to the row-major grid once.  Slot 0 and the slot
+    one past a diagonal's last cell are the halo: a cell of the north /
+    west / north-west neighbour tile read from the grid as a scalar, or the
+    boundary value where the region touches grid row 0 / column 0.
 
     One sweeper serves any number of tiles of its problem; building it pays
     the kernel's fused-evaluator precompute exactly once, which is why an
@@ -81,16 +88,26 @@ class TileSweeper:
         self.dim = problem.dim
         self.boundary = float(problem.boundary)
         self._evaluator = self.kernel.make_diagonal_evaluator(self.dim, self.boundary)
-        # Scratch for boundary-patched neighbour assembly (worst case: the
-        # longest diagonal of a whole-grid region).
-        self._west = np.empty(self.dim)
-        self._north = np.empty(self.dim)
-        self._nw = np.empty(self.dim)
+        # Diagonals d - 2, d - 1 and d of the region being swept; a tile of
+        # ``rows`` rows uses the first ``rows + 2`` slots of each.
+        self._rows = np.empty((3, self.dim + 2))
 
     @property
     def fused(self) -> bool:
         """True when the kernel supplied a fused diagonal evaluator."""
         return self._evaluator is not None
+
+    def _load_diagonal(self, flat: np.ndarray, buf: np.ndarray, d: int, lo: int, hi: int, r0: int) -> None:
+        """Fill ``buf`` with cells ``(i, d - i)`` for rows ``lo .. hi``.
+
+        Out-of-grid cells (row or column -1) take the boundary value.
+        """
+        dim = self.dim
+        buf[lo - r0 + 1 : hi - r0 + 2] = self.boundary
+        lo = max(lo, 0)
+        hi = min(hi, d)
+        if lo <= hi:
+            buf[lo - r0 + 1 : hi - r0 + 2] = flat[lo * dim + d - lo : hi * dim + d - hi + 1 : dim - 1]
 
     def sweep_tile(
         self,
@@ -104,13 +121,15 @@ class TileSweeper:
         ``flat`` is the flattened ``dim * dim`` value array.  All cells of
         the tile's west / north / north-west neighbour tiles on earlier
         diagonals, and all cells before ``d_lo``, must already hold final
-        values (the tile-wavefront + range contract).  The output is
-        validated for finiteness before the call returns, i.e. before the
-        tile retires and a successor (or the caller) may read it: a tile
-        swept whole is checked once as a 2-D block, a range-clipped one
-        diagonal by diagonal as it is produced, so the cost is proportional
-        to the cells computed and values elsewhere are none of this
-        sweep's business.
+        values (the tile-wavefront + range contract): the two diagonals
+        before the first one swept are loaded from the grid on entry, and
+        each later diagonal reads at most two halo cells from it.  The
+        output is validated for finiteness before the call returns, i.e.
+        before the tile retires and a successor (or the caller) may read it:
+        a tile swept whole is checked once as a 2-D block, a range-clipped
+        one diagonal by diagonal as it is produced, so the cost is
+        proportional to the cells computed and values elsewhere are none of
+        this sweep's business.
         """
         dim = self.dim
         stride = dim - 1
@@ -118,69 +137,64 @@ class TileSweeper:
         evaluator = self._evaluator
         r0, r1 = tile.row_start, tile.row_stop
         c0, c1 = tile.col_start, tile.col_stop
+        if not (0 <= r0 < r1 <= dim and 0 <= c0 < c1 <= dim):
+            raise InvalidParameterError(
+                f"tile rows [{r0}, {r1}) x cols [{c0}, {c1}) lies outside the dim={dim} grid"
+            )
         first = r0 + c0
         last = (r1 - 1) + (c1 - 1)
         if d_hi is None:
             d_hi = last
         whole = d_lo <= first and d_hi >= last
+        d_start = max(first, d_lo)
+        d_stop = min(last, d_hi)
+        if d_start > d_stop:
+            return 0
+        prev2, prev1, cur = self._rows
+        i_min = max(r0, d_start - (c1 - 1))
+        i_max = min(r1 - 1, d_start - c0)
+        self._load_diagonal(flat, prev1, d_start - 1, i_min - 1, i_max, r0)
+        self._load_diagonal(flat, prev2, d_start - 2, i_min - 1, i_max - 1, r0)
         total = 0
-        for d in range(max(first, d_lo), min(last, d_hi) + 1):
-            i_min = max(r0, d - (c1 - 1))
-            i_max = min(r1 - 1, d - c0)
-            m = i_max - i_min + 1
-            # Cell (i, d - i) sits at flat index i * dim + (d - i); the local
-            # diagonal is the stride-(dim-1) sequence from rows i_min..i_max.
+        for d in range(d_start, d_stop + 1):
+            # max / min spelled as conditionals: this runs once per diagonal.
+            i_min = d - (c1 - 1)
+            if i_min < r0:
+                i_min = r0
+            i_max = d - c0
+            if i_max >= r1:
+                i_max = r1 - 1
+            a = i_min - r0 + 1
+            b = i_max - r0 + 2
+            # Diagonal d - 1 as left by the previous iteration lacks at most
+            # its two halo cells: (r0 - 1, d - r0) above the first row and
+            # (i_max, c0 - 1) left of the last.
+            if i_min == r0:
+                prev1[0] = flat[(r0 - 1) * dim + d - r0] if r0 else boundary
+            if i_max == d - c0:
+                prev1[b - 1] = flat[i_max * dim + c0 - 1] if c0 else boundary
+            west, north, nw = prev1[a:b], prev1[a - 1 : b - 1], prev2[a - 1 : b - 1]
+            out = cur[a:b]
+            # Cell (i, d - i) sits at flat index i * dim + (d - i): the
+            # stride-(dim-1) sequence from rows i_min..i_max.
             start = i_min * dim + (d - i_min)
-            end = start + (m - 1) * stride
-            out = flat[start : end + 1 : stride]
-            j_min = d - i_max
-
-            if i_min > 0 and j_min > 0:
-                # Interior: every neighbour exists, west/north/north-west are
-                # the same strided sequence shifted by 1 / dim / dim + 1.
-                west = flat[start - 1 : end : stride]
-                north = flat[start - dim : end - dim + 1 : stride]
-                nw = flat[start - dim - 1 : end - dim : stride]
-            else:
-                # The region touches grid row 0 and/or column 0: assemble
-                # the neighbours in scratch, patching the out-of-grid
-                # elements (at most the first and last of each array) with
-                # the boundary value.
-                west = self._west[:m]
-                north = self._north[:m]
-                nw = self._nw[:m]
-                w_hi = m - 1 if j_min == 0 else m  # valid west entries
-                n_lo = 1 if i_min == 0 else 0  # first valid north entry
-                if j_min == 0:
-                    west[m - 1] = boundary
-                    nw[m - 1] = boundary
-                if i_min == 0:
-                    north[0] = boundary
-                    nw[0] = boundary
-                if w_hi > 0:
-                    west[:w_hi] = flat[start - 1 : start - 1 + (w_hi - 1) * stride + 1 : stride]
-                if n_lo < m:
-                    base = start - dim + n_lo * stride
-                    north[n_lo:] = flat[base : start - dim + (m - 1) * stride + 1 : stride]
-                nw_hi = m - 2 if j_min == 0 else m - 1
-                if n_lo <= nw_hi:
-                    base = start - dim - 1 + n_lo * stride
-                    nw[n_lo : nw_hi + 1] = flat[base : start - dim - 1 + nw_hi * stride + 1 : stride]
-
+            seg = slice(start, start + (b - a - 1) * stride + 1, stride)
             if evaluator is not None:
-                evaluator(d, i_min, i_max, west, north, nw, out)
+                evaluator(d, i_min, i_max, west, north, nw, out, seg)
             else:
                 i = np.arange(i_min, i_max + 1, dtype=np.int64)
                 values = np.asarray(self.kernel.diagonal(i, d - i, west, north, nw), dtype=float)
-                if values.ndim != 1 or values.shape[0] != m:
+                if values.ndim != 1 or values.shape[0] != b - a:
                     raise KernelError(
                         f"kernel {self.kernel.name!r} returned shape {values.shape}, "
-                        f"expected ({m},)"
+                        f"expected ({b - a},)"
                     )
                 out[:] = values
-            if not whole and not np.all(np.isfinite(out)):
+            flat[seg] = out
+            if not whole and not np.isfinite(out).all():
                 raise self._non_finite(d, tile)
-            total += m
+            prev2, prev1, cur = prev1, cur, prev2
+            total += b - a
         if whole:
             block = flat.reshape(dim, dim)[r0:r1, c0:c1]
             if not np.all(np.isfinite(block)):
@@ -212,10 +226,10 @@ class DiagonalSweepEngine:
     their position tables once) and then run over any diagonal range with
     :meth:`sweep`; it is dropped with the run, so the tables — one to three
     extra grids — never outlive it on a cached problem.
-    Neighbour values are read from the grid itself through strided diagonal
-    views, which makes a mid-grid range (``d_lo > 0``) correct by
-    construction — exactly what the hybrid executor's trailing CPU phase
-    needs.  The sweep itself is the whole-grid special case of
+    The two diagonals before ``d_lo`` are loaded from the grid itself, which
+    makes a mid-grid range (``d_lo > 0``) correct by construction — exactly
+    what the hybrid executor's trailing CPU phase needs.  The sweep itself
+    is the whole-grid special case of
     :class:`TileSweeper`: the grid is one tile, validated finite as one
     block when swept whole and diagonal by diagonal when the range clips it.
     """
@@ -224,8 +238,6 @@ class DiagonalSweepEngine:
         if not _HAS_NUMPY:
             raise KernelError("the vectorized engine requires NumPy")
         self.problem = problem
-        self.kernel = problem.kernel
-        self.boundary = float(problem.boundary)
         self._sweeper = TileSweeper(problem)
         dim = problem.dim
         self._grid_tile = Tile(

@@ -48,6 +48,7 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.apps.base import WavefrontApplication
 from repro.apps.registry import resolve_application
 from repro.autotuner.protocol import PlanDecision, Tuner
+from repro.autotuner.search_space import SearchSpace
 from repro.cache import ResultCache, request_key
 from repro.core.exceptions import CacheError, DeadlineError, UsageError
 from repro.core.params import TunableParams
@@ -61,6 +62,7 @@ from repro.hardware.platforms import resolve_system
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import ExecutionMode
 from repro.runtime.lifecycle import EngineHost
+from repro.runtime.registry import engines_with
 from repro.runtime.result import ExecutionResult
 from repro.utils.lru import LRUCache
 
@@ -323,11 +325,14 @@ class Session:
         """Combine the tuner's decision with the policy's overrides."""
         params = problem.input_params()
         if policy.backend is not None or policy.tunables is not None:
+            tunables = policy.tunables
+            if tunables is None and policy.backend in engines_with("multicore"):
+                # A tiled backend named without a tile: the coarsest tile the
+                # tuners search, never the scalar default's one-cell tiles.
+                tunables = TunableParams(cpu_tile=SearchSpace.mp_tile_candidates(params)[-1])
             decision = PlanDecision(
                 backend=policy.backend if policy.backend is not None else "hybrid",
-                tunables=(
-                    policy.tunables if policy.tunables is not None else TunableParams()
-                ),
+                tunables=tunables if tunables is not None else TunableParams(),
                 workers=policy.workers if policy.workers is not None else 1,
                 engine=policy.engine,
             )

@@ -102,6 +102,44 @@ class TestPersistedDispatchField:
             ResolvedPlan.from_dict(self.payload("mp-parallel", "pipelined"))
 
 
+class TestTiledBackendWithoutATile:
+    """A tiled backend pinned without ``tunables`` must not run one-cell tiles."""
+
+    @pytest.mark.parametrize("dim", [96, 256, 1536])
+    def test_plan_takes_the_coarsest_searched_tile(self, dim):
+        in_process = ExecutionPolicy(backend="pipelined", workers=2)
+        body = {"app": "lcs", "dim": dim, "backend": "pipelined", "workers": 2}
+        app, body_dim = body.pop("app"), body.pop("dim")
+        with Session() as session:
+            for policy in (in_process, policy_from_body(body)):
+                plan = session.plan(app, body_dim, policy=policy)
+                assert plan.tuner == "manual"
+                assert plan.tunables.cpu_tile >= min(64, dim)
+
+    @pytest.mark.parametrize("backend", ["mp-parallel", "pipelined"])
+    @pytest.mark.parametrize("dim", [96, 1536])
+    def test_solve_executes_a_handful_of_tiles(self, backend, dim):
+        with Session() as session:
+            result = session.solve(
+                "lcs", dim, policy=ExecutionPolicy(backend=backend, workers=2)
+            )
+            assert 1 <= result.stats["tiles_executed"] <= 64
+            reference = session.solve("lcs", dim, policy=ExecutionPolicy(backend="vectorized"))
+            assert np.array_equal(reference.grid.values, result.grid.values)
+
+    def test_explicit_one_cell_tiles_are_still_honoured(self):
+        policy = ExecutionPolicy(
+            backend="pipelined", workers=2, tunables=TunableParams(cpu_tile=1)
+        )
+        with Session() as session:
+            assert session.plan("lcs", 96, policy=policy).tunables.cpu_tile == 1
+
+    def test_untiled_backends_keep_the_scalar_default(self):
+        with Session() as session:
+            plan = session.plan("lcs", 96, policy=ExecutionPolicy(backend="vectorized"))
+            assert plan.tunables == TunableParams()
+
+
 class TestHttpBodyDecoding:
     def test_body_keys_lift_into_one_policy(self):
         body = {
