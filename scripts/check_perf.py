@@ -81,11 +81,11 @@ def check_plan(fresh: dict[tuple[str, str], float], plan_path: Path) -> list[str
     by the same serial wall, so their quotient is the plain wall ratio.
     """
     sys.path.insert(0, SRC)
-    from repro.runtime.registry import SERIAL_ENGINES
+    from repro.runtime.registry import available_serial_engines
 
     plan = json.loads(plan_path.read_text(encoding="utf-8"))
     app, engine = plan["app"], plan.get("engine")
-    family = {e: fresh[(app, e)] for e in SERIAL_ENGINES if (app, e) in fresh}
+    family = {e: fresh[(app, e)] for e in available_serial_engines() if (app, e) in fresh}
     if engine not in family:
         return [
             f"plan engine {engine!r} of {app} was not benched among the serial "

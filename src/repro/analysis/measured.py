@@ -71,7 +71,7 @@ def measured_report_rows(
         if model is not None:
             predicted_ms = (
                 model.cpu_backend_time(
-                    _cost_backend(plan.backend),
+                    plan.backend,
                     params,
                     cpu_tile=plan.tunables.cpu_tile,
                     workers=plan.workers,
@@ -95,14 +95,6 @@ def measured_report_rows(
             ]
         )
     return rows
-
-
-def _cost_backend(backend: str) -> str:
-    """Map a profiled backend name onto a cost-model backend name."""
-    if backend.startswith("hybrid-"):
-        engine = backend.removeprefix("hybrid-")
-        return "mp-parallel" if engine == "mp" else engine
-    return backend
 
 
 def render_measured_report(

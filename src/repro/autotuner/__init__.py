@@ -40,7 +40,6 @@ from repro.autotuner.measured import (
     load_profile,
     profile_host,
     save_profile,
-    train_measured_tuner,
 )
 
 __all__ = [
@@ -68,5 +67,4 @@ __all__ = [
     "load_profile",
     "profile_host",
     "save_profile",
-    "train_measured_tuner",
 ]

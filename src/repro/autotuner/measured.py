@@ -7,10 +7,10 @@ the machine actually running the code:
 
 1. **Profile** — :func:`profile_host` introspects the local host
    (:func:`repro.hardware.system.detect_local_system`), runs timed
-   functional sweeps of the registered CPU backends (``serial``,
-   ``vectorized``, ``mp-parallel``, ``pipelined`` and the hybrid
-   executor's CPU engines) over an instance grid, and collects the
-   wall-clocks into a :class:`MeasuredProfile`.
+   functional sweeps of the registered CPU engines (``serial``,
+   ``vectorized``, ``mp-parallel``, ``pipelined``, and ``compiled`` where
+   available) over an instance grid, and collects the wall-clocks into a
+   :class:`MeasuredProfile`.
 2. **Train** — :meth:`MeasuredTuner.train` converts the profile into
    :class:`repro.autotuner.exhaustive.SearchResults`-compatible records and
    feeds them through the existing
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.core.exceptions import SearchError
+from repro.core.exceptions import ArtifactError, SearchError
 from repro.core.params import InputParams, TunableParams
 from repro.apps.registry import available_applications, get_application
 from repro.autotuner.exhaustive import SearchRecord, SearchResults
@@ -51,11 +51,13 @@ from repro.autotuner.training import TrainingSetBuilder
 from repro.hardware.calibration import constants_from_measurements
 from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec, detect_local_system
+from repro.runtime.registry import available_executors, engines_with, get_executor
 from repro.utils.lru import LRUCache
 from repro.utils.serialization import load_json, save_json
 
-#: Format marker written into every profile file (bumped on layout changes).
-PROFILE_FORMAT_VERSION = 1
+#: Format marker written into every profile file (bumped on layout changes;
+#: 2: ``backend`` is a registry engine name, no ``hybrid-<engine>`` rows).
+PROFILE_FORMAT_VERSION = 2
 
 #: Default artifact locations, relative to the working directory
 #: (see ``docs/artifacts.md`` for the naming scheme).
@@ -63,19 +65,8 @@ DEFAULT_PROFILE_PATH = Path("benchmarks") / "results" / "local_profile.json"
 DEFAULT_MODEL_PATH = Path("benchmarks") / "results" / "local_tuner.json"
 DEFAULT_REPORT_PATH = Path("benchmarks") / "results" / "local_profile_report.txt"
 
-#: CPU backends the profiler can time.  ``hybrid-vectorized`` / ``hybrid-mp``
-#: are the hybrid executor with the corresponding ``cpu_engine`` — on the
-#: GPU-less local system they exercise exactly the dispatch overhead the
-#: hybrid path adds around the CPU engines.
-PROFILED_BACKENDS = (
-    "serial",
-    "vectorized",
-    "mp-parallel",
-    "pipelined",
-    "compiled",
-    "hybrid-vectorized",
-    "hybrid-mp",
-)
+#: CPU backends the profiler can time, by registry name.
+PROFILED_BACKENDS = ("serial", "vectorized", "mp-parallel", "pipelined", "compiled")
 
 #: The backend every profile must contain: it is the speedup reference and
 #: the source of the training set's serial baselines.
@@ -287,9 +278,9 @@ class MeasuredProfile:
         """Rebuild a profile serialised by :meth:`to_dict`."""
         version = data.get("format_version")
         if version != PROFILE_FORMAT_VERSION:
-            raise SearchError(
+            raise ArtifactError(
                 f"unsupported profile format version {version!r} "
-                f"(expected {PROFILE_FORMAT_VERSION})"
+                f"(expected {PROFILE_FORMAT_VERSION}); re-run `repro profile`"
             )
         return cls(
             system=str(data["system"]),
@@ -307,7 +298,8 @@ def load_profile(path: str | Path) -> MeasuredProfile:
     """Restore a profile saved by :func:`save_profile`.
 
     Raises :class:`repro.core.exceptions.SearchError` when the file is not a
-    profile or carries a stale ``format_version``.
+    profile and :class:`repro.core.exceptions.ArtifactError` when it carries
+    a stale ``format_version``.
     """
     payload = load_json(path)
     if not isinstance(payload, dict) or "records" not in payload:
@@ -354,7 +346,7 @@ class ProfileConfig:
         return cls(
             apps=("lcs", "synthetic", "viterbi"),
             dims=(128, 256, 512),
-            backends=("serial", "vectorized", "mp-parallel", "hybrid-vectorized", "hybrid-mp"),
+            backends=("serial", "vectorized", "mp-parallel"),
             tiles=(32, 128),
             repeats=2,
             budget_s=50.0,
@@ -392,51 +384,19 @@ def _worker_candidates(system: SystemSpec) -> tuple[int, ...]:
     return tuple(dict.fromkeys(counts))
 
 
-def _backend_available(name: str) -> bool:
-    """Whether one profiled backend can run in this environment.
-
-    Consults the registry's availability probes (the compiled tier without
-    :mod:`numba`, the vectorized engine without NumPy); the hybrid aliases
-    are always constructible.
-    """
-    from repro.runtime.registry import ENGINE_SPECS
-
-    spec = ENGINE_SPECS.get(name)
-    return True if spec is None else spec.is_available()
-
-
-def _backend_executor(name: str, system: SystemSpec, workers: int):
-    """Construct the functional executor behind one profiled backend name."""
-    from repro.runtime.registry import get_executor
-
-    if name == "hybrid-vectorized":
-        return get_executor("hybrid", system, cpu_engine="vectorized")
-    if name == "hybrid-mp":
-        return get_executor("hybrid", system, cpu_engine="mp", workers=workers)
-    if name in ("mp-parallel", "pipelined"):
-        return get_executor(name, system, workers=workers)
-    return get_executor(name, system)
-
-
 def _backend_configs(
-    name: str, dim: int, config: ProfileConfig, worker_candidates: tuple[int, ...]
+    tiled: bool, dim: int, config: ProfileConfig, worker_candidates: tuple[int, ...]
 ) -> list[tuple[TunableParams, int]]:
     """(tunables, workers) points measured for one backend at one ``dim``.
 
     The single-core whole-grid engines ignore the tile, so they contribute
-    exactly one point; the tiled backends sweep the tile grid (clipped to
-    the instance), and the multicore ones additionally sweep worker counts.
+    exactly one point; the ``tiled`` (multicore) engines sweep the tile grid
+    (clipped to the instance) and the worker counts.
     """
-    tiles = tuple(dict.fromkeys(min(t, dim) for t in config.tiles))
-    if name == "hybrid-vectorized":
-        return [(TunableParams(cpu_tile=tiles[0]), 1)]
-    if name in ("mp-parallel", "pipelined", "hybrid-mp"):
-        return [
-            (TunableParams(cpu_tile=t), w)
-            for t in tiles
-            for w in worker_candidates
-        ]
-    return [(TunableParams(cpu_tile=1), 1)]
+    if not tiled:
+        return [(TunableParams(cpu_tile=1), 1)]
+    tiles = dict.fromkeys(min(t, dim) for t in config.tiles)
+    return [(TunableParams(cpu_tile=t), w) for t in tiles for w in worker_candidates]
 
 
 def profile_host(
@@ -482,8 +442,9 @@ def profile_host(
     ordered_backends = [REFERENCE_BACKEND] + [
         b
         for b in config.backends
-        if b != REFERENCE_BACKEND and _backend_available(b)
+        if b != REFERENCE_BACKEND and b in available_executors()
     ]
+    tiled = engines_with("multicore")  # only these take a tile and a worker count
     t_start = time.perf_counter()
     truncated = False
     for app_name in config.apps:
@@ -493,7 +454,7 @@ def profile_host(
             params = problem.input_params()
             for backend in ordered_backends:
                 for tunables, workers in _backend_configs(
-                    backend, dim, config, worker_candidates
+                    backend in tiled, dim, config, worker_candidates
                 ):
                     if (
                         backend != REFERENCE_BACKEND
@@ -501,7 +462,8 @@ def profile_host(
                     ):
                         truncated = True
                         break
-                    executor = _backend_executor(backend, system, workers)
+                    engine_kwargs = {"workers": workers} if backend in tiled else {}
+                    executor = get_executor(backend, system, **engine_kwargs)
                     best = math.inf
                     for _ in range(config.repeats):
                         t0 = time.perf_counter()
@@ -672,16 +634,6 @@ class MeasuredTuner(Tuner):
 
         return min(instances, key=distance)
 
-    def select_backend(self, params: InputParams, app: str | None = None) -> tuple[str, int]:
-        """Measured-best backend (and worker count) for an instance.
-
-        The measured analogue of the cost-model tuner's engine dimension:
-        the best backend at the nearest profiled instance, by measured wall.
-        """
-        anchor = self.nearest_instance(params, app)
-        best = self.profile.best(anchor, app=app)
-        return best.backend, best.workers
-
     def _snap_tile(
         self, backend: str, anchor: InputParams, tile: int, app: str | None = None
     ) -> tuple[TunableParams, int, float]:
@@ -786,10 +738,3 @@ class MeasuredTuner(Tuner):
     def cache_info(self) -> dict[str, int]:
         """Size and hit statistics of the tuned-plan cache."""
         return {"plans": len(self._plan_cache), **self._plan_cache.info()}
-
-
-def train_measured_tuner(
-    profile: MeasuredProfile, builder: TrainingSetBuilder | None = None
-) -> MeasuredTuner:
-    """Convenience wrapper around :meth:`MeasuredTuner.train`."""
-    return MeasuredTuner.train(profile, builder)

@@ -31,22 +31,6 @@ from dataclasses import dataclass
 from repro.core.exceptions import SearchError
 from repro.core.params import InputParams, TunableParams
 
-#: Hybrid backend aliases: ``hybrid-<engine>`` selects the three-phase
-#: executor with that CPU engine.  :func:`split_backend` decodes them.
-HYBRID_PREFIX = "hybrid-"
-
-
-def split_backend(backend: str) -> tuple[str, str | None]:
-    """Split a backend name into (executor strategy, hybrid CPU engine).
-
-    ``"hybrid-vectorized"`` -> ``("hybrid", "vectorized")``; plain strategy
-    names pass through with ``None`` for the engine.  ``"hybrid-mp"`` maps to
-    the hybrid executor's ``cpu_engine="mp"``.
-    """
-    if backend.startswith(HYBRID_PREFIX):
-        return "hybrid", backend[len(HYBRID_PREFIX) :]
-    return backend, None
-
 
 @dataclass(frozen=True)
 class PlanDecision:
@@ -54,10 +38,10 @@ class PlanDecision:
 
     The decision is executor-ready but application-agnostic: the session
     combines it with the app/dim it asked about to form a full
-    :class:`repro.facade.plan.ResolvedPlan`.  ``backend`` is an executor
-    strategy name (``"hybrid"``, ``"mp-parallel"``, ...) or a hybrid alias
-    (``"hybrid-vectorized"``); ``engine`` — when set — is the hybrid
-    executor's CPU engine and wins over any engine encoded in ``backend``;
+    :class:`repro.facade.plan.ResolvedPlan`.  ``backend`` and ``engine``
+    are names of :mod:`repro.runtime.registry` (``"hybrid"``,
+    ``"mp-parallel"``, ...): the backend executes the plan, and ``engine``
+    — when set — is the engine the hybrid executor fills its grid through;
     ``expected_s`` is the strategy's runtime estimate (cost-model or
     measured), ``None`` when the strategy cannot estimate.
     """
@@ -67,11 +51,6 @@ class PlanDecision:
     workers: int = 1
     engine: str | None = None
     expected_s: float | None = None
-
-    def split(self) -> tuple[str, str | None]:
-        """(executor strategy, CPU engine) with the alias decoded."""
-        strategy, alias_engine = split_backend(self.backend)
-        return strategy, self.engine if self.engine is not None else alias_engine
 
 
 class Tuner(abc.ABC):

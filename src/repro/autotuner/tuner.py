@@ -139,25 +139,6 @@ class AutoTuner(Tuner):
         state = "trained" if self.trained else "untrained"
         return f"learned cost-model tuner for {self.system.name} ({state})"
 
-    def select_cpu_backend(self, target) -> tuple[str, int]:
-        """Pick the CPU backend and its worker count for an instance.
-
-        The shared-memory ``mp-parallel`` backend competes with the
-        single-core engines under the cost model's parallel-efficiency term,
-        and its worker count is resolved per instance
-        (:meth:`repro.autotuner.search_space.SearchSpace.best_cpu_backend`).
-        Returns ``(backend_name, workers)`` — ``workers`` is 1 for the
-        single-core engines.  This ranks the *simulated* platform's backends
-        on the cost model's testbed clock, not what the live host runs fastest.
-        """
-        params = self._as_input_params(target)
-        return self.search.search_space.best_cpu_backend(params, cost_model=self.cost_model)
-
-    def select_workers(self, target) -> int:
-        """Worker count minimising the multicore backend's predicted runtime."""
-        params = self._as_input_params(target)
-        return self.search.search_space.best_workers(params, cost_model=self.cost_model)
-
     def predicted_rtime(self, target, tunables: TunableParams | None = None) -> float:
         """Cost-model runtime of the tuned (or given) configuration."""
         params = self._as_input_params(target)

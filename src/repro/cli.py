@@ -639,9 +639,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 if args.dim is None:
                     raise UsageError("--backend needs an explicit --dim")
                 policy_kwargs["backend"] = args.backend
-                policy_kwargs["tunables"] = _bench_tunables(
-                    args.backend, args.dim, session.system.max_usable_gpus
-                )
+                if args.backend == "hybrid":
+                    # A band to offload; a tiled backend's tile is the
+                    # session's to choose.
+                    policy_kwargs["tunables"] = _hybrid_tunables(
+                        args.dim, session.system.max_usable_gpus
+                    )
             if args.workers is not None:
                 policy_kwargs["workers"] = args.workers
             plan = session.plan(
@@ -748,9 +751,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
             f"\napplication: {plan.app}  "
             f"(dim={params.dim}, tsize={params.tsize:g}, dsize={params.dsize})"
         )
-        strategy, engine = plan.split()
         print(
-            f"tuned configuration: {plan.tunables.describe()}  [cpu engine: {engine}]"
+            f"tuned configuration: {plan.tunables.describe()}  [engine: {plan.engine}]"
         )
         serial = tuner.cost_model.baseline_serial(params)
         print(
@@ -760,23 +762,17 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_tunables(executor: str, dim: int, max_gpus: int) -> TunableParams:
-    """Default configuration each executor is benchmarked under."""
-    if executor in ("mp-parallel", "pipelined"):
-        # Coarse tiles amortise the per-tile pool dispatch while still
-        # exposing enough tile-parallelism across a wave (barriered or not).
-        return TunableParams(cpu_tile=max(32, dim // 8))
-    if executor == "hybrid":
-        if max_gpus < 1:
-            return TunableParams(cpu_tile=8)
-        return TunableParams.from_encoding(cpu_tile=8, band=dim // 3, halo=-1, gpu_tile=8)
-    return TunableParams()
+def _hybrid_tunables(dim: int, max_gpus: int) -> TunableParams:
+    """The three-phase configuration ``--backend hybrid`` / ``bench`` run under."""
+    if max_gpus < 1:
+        return TunableParams(cpu_tile=8)
+    return TunableParams.from_encoding(cpu_tile=8, band=dim // 3, halo=-1, gpu_tile=8)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """The ``bench`` verb: wall-clock the executor x application grid."""
     # Enumeration only — construction happens inside the session.
-    from repro.runtime.registry import available_executors
+    from repro.runtime.registry import available_executors, engines_with
 
     app_names = (
         available_applications() if args.apps == "all" else args.apps.split(",")
@@ -812,21 +808,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
             reference = None
             serial_best = None
             for executor_name in executor_names:
-                policy_kwargs: dict = {
-                    "backend": executor_name,
-                    "tunables": _bench_tunables(
-                        executor_name, args.dim, system.max_usable_gpus
-                    ),
-                }
+                policy_kwargs: dict = {"backend": executor_name}
                 if executor_name == "hybrid":
-                    # The paper's tiled serial CPU phases (the historical
+                    # Filled by the scalar reference engine (the historical
                     # bench configuration), not the session's default engine.
                     policy_kwargs["engine"] = "serial"
-                if (
-                    executor_name in ("mp-parallel", "pipelined")
-                    and args.workers is not None
-                ):
-                    policy_kwargs["workers"] = args.workers
+                    policy_kwargs["tunables"] = _hybrid_tunables(
+                        args.dim, system.max_usable_gpus
+                    )
+                elif executor_name in engines_with("multicore"):
+                    # Coarse tiles amortise the per-tile pool dispatch while
+                    # still exposing tile-parallelism across a wave.
+                    policy_kwargs["tunables"] = TunableParams(
+                        cpu_tile=max(32, args.dim // 8)
+                    )
+                    if args.workers is not None:
+                        policy_kwargs["workers"] = args.workers
                 plan = session.plan(
                     app_name, args.dim, policy=ExecutionPolicy(**policy_kwargs)
                 )

@@ -35,6 +35,7 @@ def diagonal_lengths(rows: int, cols: int) -> np.ndarray:
     d = np.arange(rows + cols - 1)
     return np.minimum.reduce([d + 1, np.full_like(d, rows), np.full_like(d, cols), rows + cols - 1 - d])
 
+
 def diagonal_bounds(d: int, rows: int, cols: int) -> tuple[int, int]:
     """Return the inclusive row range ``(i_min, i_max)`` of diagonal ``d``.
 
@@ -59,38 +60,6 @@ def diagonal_cells(d: int, rows: int, cols: int) -> np.ndarray:
     i_min, i_max = diagonal_bounds(d, rows, cols)
     i = np.arange(i_min, i_max + 1)
     return np.stack([i, d - i], axis=1)
-
-
-def diagonal_index_arrays(d: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return the ``(i, j)`` index arrays of diagonal ``d`` in canonical order.
-
-    Equivalent to splitting :func:`diagonal_cells` into its columns but
-    without materialising the stacked ``(n, 2)`` array — the whole-diagonal
-    index form that kernels' ``diagonal()`` methods consume (the vectorized
-    engine inlines the same arithmetic on its hot path).
-    """
-    i_min, i_max = diagonal_bounds(d, rows, cols)
-    i = np.arange(i_min, i_max + 1)
-    return i, d - i
-
-
-def flat_diagonal_slice(d: int, dim: int) -> slice:
-    """Strided slice addressing diagonal ``d`` in the flattened square grid.
-
-    In a row-major ``dim x dim`` array the cell ``(i, d - i)`` sits at flat
-    index ``d + i * (dim - 1)``, so one anti-diagonal is an arithmetic
-    sequence with stride ``dim - 1``: ``values.reshape(-1)[flat_diagonal_slice(d, dim)]``
-    is a zero-copy *view* of the diagonal in canonical (increasing-row)
-    order.  This is what lets the vectorized engine store each computed
-    diagonal (and load the two it starts from) without fancy indexing.
-    """
-    if dim < 2:
-        raise InvalidParameterError(f"dim must be >= 2, got {dim}")
-    i_min, i_max = diagonal_bounds(d, dim, dim)
-    stride = dim - 1
-    start = i_min * dim + (d - i_min)
-    stop = i_max * dim + (d - i_max) + 1
-    return slice(start, stop, stride)
 
 
 def cells_before_diagonal(d: int, dim: int) -> int:

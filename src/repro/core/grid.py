@@ -1,4 +1,4 @@
-"""The wavefront value grid and its diagonal-major view.
+"""The wavefront value grid.
 
 :class:`WavefrontGrid` stores the values of the recurrence: one scalar per
 cell (the quantity the recurrence is defined over, e.g. the alignment score
@@ -20,7 +20,7 @@ from repro.core.exceptions import InvalidParameterError
 
 
 class WavefrontGrid:
-    """Square grid of wavefront values with diagonal accessors.
+    """Square grid of wavefront values.
 
     Parameters
     ----------
@@ -53,57 +53,6 @@ class WavefrontGrid:
     def diagonal_length(self, d: int) -> int:
         """Length of anti-diagonal ``d``."""
         return dg.diagonal_length(d, self.dim, self.dim)
-
-    def diagonal_indices(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (row, col) index arrays for diagonal ``d`` in canonical order."""
-        cells = dg.diagonal_cells(d, self.dim, self.dim)
-        return cells[:, 0], cells[:, 1]
-
-    # ------------------------------------------------------------------
-    # Diagonal-major access
-    # ------------------------------------------------------------------
-    def diagonal_view(self, d: int) -> np.ndarray:
-        """Zero-copy strided view of the values on diagonal ``d``.
-
-        Writing through the view writes straight into :attr:`values` — the
-        strided slice the vectorized engine stores each computed diagonal
-        through (it computes on contiguous rows, not on such views), exposed
-        here for other layers, tooling and tests; no fancy indexing as in
-        :meth:`get_diagonal` / :meth:`set_diagonal`.
-        """
-        return self.values.reshape(-1)[dg.flat_diagonal_slice(d, self.dim)]
-
-    def get_diagonal(self, d: int) -> np.ndarray:
-        """Copy of the values on diagonal ``d`` (ordered by increasing row)."""
-        i, j = self.diagonal_indices(d)
-        return self.values[i, j].copy()
-
-    def set_diagonal(self, d: int, vals: np.ndarray) -> None:
-        """Overwrite the values on diagonal ``d``."""
-        i, j = self.diagonal_indices(d)
-        vals = np.asarray(vals)
-        if vals.shape != i.shape:
-            raise InvalidParameterError(
-                f"diagonal {d} has {i.size} cells, got {vals.size} values"
-            )
-        self.values[i, j] = vals
-
-    def get_diagonal_segment(self, d: int, start: int, stop: int) -> np.ndarray:
-        """Values of cells ``start .. stop-1`` (diagonal-local offsets) on diagonal ``d``."""
-        i, j = self.diagonal_indices(d)
-        return self.values[i[start:stop], j[start:stop]].copy()
-
-    def set_diagonal_segment(self, d: int, start: int, vals: np.ndarray) -> None:
-        """Write a contiguous segment of diagonal ``d`` starting at offset ``start``."""
-        i, j = self.diagonal_indices(d)
-        vals = np.asarray(vals)
-        stop = start + vals.size
-        if start < 0 or stop > i.size:
-            raise InvalidParameterError(
-                f"segment [{start}, {stop}) out of range for diagonal {d} "
-                f"of length {i.size}"
-            )
-        self.values[i[start:stop], j[start:stop]] = vals
 
     # ------------------------------------------------------------------
     # Neighbour gathering (the wavefront dependency stencil)

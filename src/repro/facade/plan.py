@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.autotuner.protocol import split_backend
 from repro.core.exceptions import ArtifactError
 from repro.core.params import InputParams, TunableParams
 from repro.core.pattern import WavefrontProblem
@@ -34,9 +33,12 @@ PLAN_FORMAT_VERSION = 1
 class ResolvedPlan:
     """One fully-resolved, executable tuning decision for one instance.
 
-    ``backend`` is an executor strategy name or a ``hybrid-<engine>`` alias;
-    ``engine`` (when set) selects the hybrid executor's CPU engine and wins
-    over the alias.  ``tuner`` records the strategy kind that produced the
+    ``backend`` and ``engine`` are names of :mod:`repro.runtime.registry`:
+    the backend executes the plan and ``engine`` (when set) is the engine
+    the hybrid executor fills its grid through — there is no other spelling,
+    and a name the registry does not know fails
+    :meth:`repro.session.Session.plan` / :meth:`~repro.session.Session.run`
+    with a typed error.  ``tuner`` records the strategy kind that produced the
     plan (``"learned"``, ``"measured"``, ``"exhaustive"``, ``"manual"``) and
     ``expected_s`` its runtime estimate, ``None`` when the strategy cannot
     estimate.  ``app_kwargs`` are the constructor overrides needed to
@@ -70,15 +72,9 @@ class ResolvedPlan:
         """The application constructor overrides as a dictionary."""
         return dict(self.app_kwargs)
 
-    def split(self) -> tuple[str, str | None]:
-        """(executor strategy, CPU engine) with any backend alias decoded."""
-        strategy, alias_engine = split_backend(self.backend)
-        return strategy, self.engine if self.engine is not None else alias_engine
-
     def describe(self) -> str:
         """Human-readable one-line description of the whole plan."""
-        strategy, engine = self.split()
-        engine_txt = f", engine={engine}" if engine else ""
+        engine_txt = f", engine={self.engine}" if self.engine else ""
         workers_txt = f", workers={self.workers}" if self.workers > 1 else ""
         expected_txt = (
             f"  ~{self.expected_s * 1e3:.2f} ms expected"
@@ -86,7 +82,7 @@ class ResolvedPlan:
             else ""
         )
         return (
-            f"{self.app}[dim={self.dim}] -> {strategy}"
+            f"{self.app}[dim={self.dim}] -> {self.backend}"
             f"({self.tunables.describe()}{engine_txt}{workers_txt}) "
             f"on {self.system} via {self.tuner}{expected_txt}"
         )

@@ -23,9 +23,14 @@ class ExecutionPolicy:
     Every field is optional; ``None`` means "let the tuner decide".  Setting
     ``backend`` (or ``tunables``) makes the resulting plan *manual*: the
     tuner is bypassed and the plan's ``tuner`` field reads ``"manual"``.
-    The tile dispatch order of the multicore pool is part of the backend
-    choice: ``"mp-parallel"`` barriers per tile-diagonal, ``"pipelined"``
-    drains the dependency graph with no barrier.
+    ``backend`` and ``engine`` are names of :mod:`repro.runtime.registry`
+    and nothing else: the backend executes the plan, and ``engine`` is the
+    engine the hybrid executor fills its grid through (``engine`` alone
+    keeps the tuner's decision and swaps only that).  A name the registry
+    does not know is a typed error at plan time.  A tiled engine
+    (``"mp-parallel"`` barriers per tile-diagonal, ``"pipelined"`` drains
+    the dependency graph with no barrier) named without ``tunables`` gets
+    the coarsest tile the tuners search.
     """
 
     backend: str | None = None

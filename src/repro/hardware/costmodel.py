@@ -261,19 +261,6 @@ class CostModel:
     # ------------------------------------------------------------------
     # The shared-memory multicore backend (``mp-parallel``)
     # ------------------------------------------------------------------
-    def mp_parallel_efficiency(self, params: InputParams, cpu_tile: int, workers: int) -> float:
-        """Load-balance efficiency of the tile wavefront on ``workers`` cores.
-
-        The ratio of ideal to critical-path tile rounds
-        (:meth:`repro.core.tiling.TileDecomposition.parallel_efficiency`):
-        1.0 means every wave keeps all workers busy; small grids or large
-        tiles expose fewer independent tiles than workers on the early/late
-        tile-diagonals and push it below 1.
-        """
-        tile = max(1, min(cpu_tile, params.dim))
-        decomp = TileDecomposition(params.dim, params.dim, tile)
-        return decomp.parallel_efficiency(workers)
-
     def mp_parallel_time(self, params: InputParams, cpu_tile: int, workers: int) -> float:
         """Shared-memory multicore backend: tiled-vectorized tiles on real cores.
 

@@ -6,8 +6,8 @@ Six executors, each executing differently:
   baseline, also the reference implementation the others are validated
   against;
 * :class:`repro.runtime.vectorized.VectorizedSerialExecutor` — the same
-  sweep with every anti-diagonal evaluated as one NumPy batch; the default
-  single-core backend when NumPy is available;
+  sweep with every anti-diagonal evaluated as one NumPy batch; the
+  preferred single-core engine;
 * :class:`repro.runtime.compiled.CompiledExecutor` — the JIT-compiled tier
   (registered only where :mod:`numba` imports);
 * :class:`repro.runtime.mp_parallel.MPParallelExecutor` /
@@ -16,13 +16,19 @@ Six executors, each executing differently:
   tile-diagonal or dependency-driven with none;
 * :class:`repro.runtime.hybrid.HybridExecutor` — the paper's three-phase
   CPU / GPU-band / CPU strategy, parameterised by
-  :class:`repro.core.params.TunableParams`; one engine computes all three
-  phases, and :func:`repro.runtime.band.band_counters` counts the device
+  :class:`repro.core.params.TunableParams`; any one of the engines above
+  fills the grid across all three phases (``engine=`` — a registry name),
+  and :func:`repro.runtime.band.band_counters` counts the device
   operations of the GPU band the cost model charges for.
 
 All executors are registered by strategy name in
-:mod:`repro.runtime.registry`; construct them uniformly with
-:func:`repro.runtime.registry.get_executor`.
+:mod:`repro.runtime.registry` — the one list of engines and the one engine
+vocabulary: a plan's ``backend``, a plan's ``engine``, the hybrid
+executor's ``engine=`` and a profiled backend are all names registered
+there.  Construct executors uniformly with
+:func:`repro.runtime.registry.get_executor`;
+:func:`repro.runtime.registry.fill_engine` says which engine fills the grid
+of a ``(backend, engine)`` choice and rejects a name that is not registered.
 
 Every executor supports two modes: ``functional`` (cell values are really
 computed, results validated against the serial sweep) and ``simulate`` (only
@@ -37,7 +43,6 @@ from repro.runtime.vectorized import (
     DiagonalSweepEngine,
     VectorizedSerialExecutor,
     compute_diagonal_range_vectorized,
-    numpy_available,
 )
 from repro.runtime.compiled import CompiledExecutor, compiled_fill_for, numba_available
 from repro.runtime.mp_parallel import (
@@ -56,8 +61,8 @@ from repro.runtime.registry import (
     EngineSpec,
     available_executors,
     available_serial_engines,
-    default_serial_executor,
     engines_with,
+    fill_engine,
     get_executor,
     register_executor,
 )
@@ -71,7 +76,6 @@ __all__ = [
     "VectorizedSerialExecutor",
     "DiagonalSweepEngine",
     "compute_diagonal_range_vectorized",
-    "numpy_available",
     "CompiledExecutor",
     "compiled_fill_for",
     "numba_available",
@@ -91,7 +95,7 @@ __all__ = [
     "available_executors",
     "engines_with",
     "available_serial_engines",
-    "default_serial_executor",
+    "fill_engine",
     "get_executor",
     "register_executor",
 ]

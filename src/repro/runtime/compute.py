@@ -1,8 +1,8 @@
 """Shared functional computation helpers.
 
-Everything that actually evaluates kernel values on the host grid lives here,
-so that the serial executor and the CPU phases of the hybrid executor
-produce bit-identical results by construction.
+The scalar reference evaluation of kernel values on the host grid lives
+here: the serial executor sweeps with it, and every other engine is tested
+bit-identical against it.
 
 The probabilistic application family (:mod:`repro.apps.viterbi`,
 :mod:`repro.apps.stochastic_path`, :mod:`repro.apps.knapsack`'s

@@ -6,8 +6,9 @@ having.  :class:`EngineHost` gives that state an explicit owner with an
 explicit lifetime:
 
 * :meth:`EngineHost.executor_for` maps a resolved backend decision
-  (strategy name, hybrid CPU engine, worker count) to a constructed
-  executor, LRU-cached so repeated requests reuse one instance;
+  (backend, the hybrid executor's engine, worker count — registry names
+  throughout) to a constructed executor, LRU-cached so repeated requests
+  reuse one instance;
 * :meth:`EngineHost.pool_for` hands out a
   :class:`repro.runtime.mp_parallel.MPWavefrontPool` — per-request tile
   geometry — on the host's resident
@@ -27,12 +28,12 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from repro.autotuner.protocol import split_backend
 from repro.core.exceptions import ExecutionError
 from repro.core.pattern import WavefrontProblem
 from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import Executor
+from repro.runtime.registry import engines_with, fill_engine, get_executor
 from repro.utils.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -87,40 +88,31 @@ class EngineHost:
     ) -> Executor:
         """The cached executor behind one resolved backend decision.
 
-        ``backend`` is an executor strategy name or a ``hybrid-<engine>``
-        alias; an explicit ``engine`` wins over the alias.  For the hybrid
-        executor an unspecified engine defaults to the preferred serial
-        engine of this environment (vectorized when NumPy is available) —
-        the same registry order the tuners resolve their plans' engine from.
-        The multicore executors are wired back to :meth:`pool_for`, so
-        their worker team persists across calls.
+        ``backend`` and ``engine`` are registry names;
+        :func:`repro.runtime.registry.fill_engine` says which of them fills
+        the grid (an unset hybrid engine is the preferred serial engine of
+        this environment — the same registry order the tuners resolve their
+        plans' engine from) and raises the typed error for a name that is
+        not registered, before anything is built.  An engine that runs on a
+        worker team is wired back to :meth:`pool_for`, so its team persists
+        across calls.
         """
         self._check_open()
-        strategy, alias_engine = split_backend(backend)
-        engine = engine if engine is not None else alias_engine
+        fill = fill_engine(backend, engine)
         workers = max(1, int(workers))
-        key = (strategy, engine, workers)
+        key = (backend, fill, workers)
         with self._lock:
             cached = self._executors.get(key)
             if cached is not None:
                 return cached
-            executor = self._build_executor(strategy, engine, workers)
+            kwargs: dict = {}
+            if fill != backend:
+                kwargs["engine"] = fill
+            if fill in engines_with("multicore"):
+                kwargs.update(workers=workers, pool_source=self.pool_for)
+            executor = get_executor(backend, self.system, self.constants, **kwargs)
             self.stats["executors_built"] += 1
             return self._executors.put(key, executor)
-
-    def _build_executor(self, strategy: str, engine: str | None, workers: int) -> Executor:
-        """Construct the executor for one (strategy, engine, workers) key."""
-        from repro.runtime.registry import available_serial_engines, engines_with, get_executor
-
-        kwargs: dict = {}
-        if strategy == "hybrid":
-            kwargs["cpu_engine"] = (
-                engine if engine is not None else available_serial_engines()[0]
-            )
-        if strategy == "hybrid" or strategy in engines_with("requires_shm"):
-            # Engines that can run on a worker team borrow the host's.
-            kwargs.update(workers=workers, pool_source=self.pool_for)
-        return get_executor(strategy, self.system, self.constants, **kwargs)
 
     # ------------------------------------------------------------------
     # Worker teams

@@ -522,13 +522,6 @@ class MPWavefrontPool:
         self.close()
 
 
-def pool_from(pool_source, problem: WavefrontProblem, tile: int, workers: int) -> MPWavefrontPool:
-    """A pool on ``pool_source``'s team or, without a source, on a private one."""
-    if pool_source is not None:
-        return pool_source(problem, tile, workers)
-    return MPWavefrontPool(problem, tile=tile, workers=workers)
-
-
 class MPParallelExecutor(Executor):
     """Shared-memory multicore execution of the whole grid (scheme (b), real).
 
@@ -576,27 +569,27 @@ class MPParallelExecutor(Executor):
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
         workers = self._resolved_workers()
+        if self.pool_source is not None:
+            pool = self.pool_source(problem, tunables.cpu_tile, workers)
+        else:
+            pool = MPWavefrontPool(problem, tile=tunables.cpu_tile, workers=workers)
         # Leaving the block releases the grid; it stops only a private team.
-        with pool_from(self.pool_source, problem, tunables.cpu_tile, workers) as pool:
+        with pool:
             pool.bind(grid)
             executed, cells = pool.run_range(
                 0, 2 * problem.dim - 2, dispatch=self.dispatch
             )
-            stats = self._pool_stats(pool, executed, cells)
+            stats = {
+                "tiles_executed": executed,
+                "cells_computed": cells,
+                "tile_waves": pool.scheduler.n_waves,
+                "workers": pool.workers,
+                "dispatch": self.dispatch,
+                "mode": "process-pool" if pool.is_multiprocess else "in-process",
+            }
         if self.pool_source is not None:
             stats["pool"] = "borrowed"
         return grid, stats
-
-    def _pool_stats(self, pool: MPWavefrontPool, executed: int, cells: int) -> dict:
-        """The per-run statistics block shared by both pool ownership modes."""
-        return {
-            "tiles_executed": executed,
-            "cells_computed": cells,
-            "tile_waves": pool.scheduler.n_waves,
-            "workers": pool.workers,
-            "dispatch": self.dispatch,
-            "mode": "process-pool" if pool.is_multiprocess else "in-process",
-        }
 
     def _validate(self, problem: WavefrontProblem, tunables: TunableParams) -> TunableParams:
         # A pure-CPU strategy: keep the cpu_tile choice, drop GPU settings.

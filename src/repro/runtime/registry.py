@@ -1,20 +1,20 @@
-"""Registry of the available execution engines (backends).
+"""Registry of the execution engines: the one list of what can fill a grid.
 
 Mirrors :mod:`repro.apps.registry` on the executor side: every strategy is
-registered under its ``strategy`` name so the CLI, the benchmark driver and
-the autotuner can enumerate and construct backends uniformly.
+registered under its ``strategy`` name so the CLI, the benchmark driver,
+the session and the hybrid executor enumerate and construct engines
+uniformly.  An *engine* anywhere in the package — a plan's ``backend``, a
+plan's ``engine``, ``HybridExecutor(engine=...)``, a profiled backend — is
+a name registered here; there is no other spelling.
 
 Registration is declarative: an :class:`EngineSpec` names the executor
-class, the *capabilities* it offers (``pipelined``, ``compiled``,
-``requires_shm``, ``subrange_safe``, ...) and an optional availability
-probe — the gate that keeps the vectorized engine out of NumPy-less
-environments and the compiled tier silent wherever :mod:`numba` is not
-installed, without the rest of the system ever having to care.  The serial
-engine preference order (:data:`SERIAL_ENGINES`) is **derived** from the
-specs' ``serial_rank``, not hand-maintained, and capability queries go
-through :func:`engines_with`, which raises the typed
-:class:`~repro.core.exceptions.UnknownExecutorError` on capability typos
-instead of leaking a ``KeyError``.
+class, the *capabilities* it offers and an optional availability probe (the
+gate that keeps the compiled tier silent wherever :mod:`numba` is not
+installed).  Registration order is preference order: the first available
+``serial`` engine is the one an unpinned hybrid plan fills with
+(:func:`fill_engine`).  Capability queries go through :func:`engines_with`,
+which raises the typed :class:`~repro.core.exceptions.UnknownExecutorError`
+on capability typos instead of leaking a ``KeyError``.
 """
 
 from __future__ import annotations
@@ -30,18 +30,13 @@ from repro.runtime.executor_base import Executor
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.mp_parallel import MPParallelExecutor, PipelinedMPExecutor
 from repro.runtime.serial import SerialExecutor
-from repro.runtime.vectorized import VectorizedSerialExecutor, numpy_available
+from repro.runtime.vectorized import VectorizedSerialExecutor
 
 #: The capability vocabulary an :class:`EngineSpec` may declare.
 KNOWN_CAPABILITIES: frozenset[str] = frozenset(
     {
-        "serial",  # single-core whole-grid engine (hybrid CPU-phase candidate)
-        "multicore",  # scales with worker count
-        "gpu",  # drives (simulated) GPU devices
-        "pipelined",  # dependency-driven tile dispatch, no wave barrier
-        "compiled",  # JIT-compiled kernel tier
-        "requires_shm",  # needs POSIX shared memory for its grid
-        "subrange_safe",  # can sweep partial diagonal ranges in place
+        "serial",  # single-core whole-grid engine: ignores the tile and the worker count
+        "multicore",  # tiled engine on a shared-memory worker team: takes workers, wants a coarse tile
     }
 )
 
@@ -52,17 +47,14 @@ class EngineSpec:
 
     ``name`` is the registry key (must match ``factory.strategy``),
     ``capabilities`` the subset of :data:`KNOWN_CAPABILITIES` the engine
-    offers, ``available`` an optional zero-argument probe consulted by every
-    enumeration (``None`` means always available), and ``serial_rank`` the
-    engine's position in the derived :data:`SERIAL_ENGINES` preference order
-    (``None`` keeps it out of the serial-engine family).
+    offers and ``available`` an optional zero-argument probe consulted by
+    every enumeration (``None`` means always available).
     """
 
     name: str
     factory: type[Executor]
     capabilities: frozenset[str] = field(default_factory=frozenset)
     available: Callable[[], bool] | None = None
-    serial_rank: int | None = None
 
     def __post_init__(self) -> None:
         """Validate the name and the capability vocabulary."""
@@ -83,7 +75,8 @@ class EngineSpec:
         return True if self.available is None else bool(self.available())
 
 
-#: Declarative specs by strategy name: the one registry of executors.
+#: Declarative specs by strategy name, in preference order: the one registry
+#: of executors.
 ENGINE_SPECS: dict[str, EngineSpec] = {}
 
 
@@ -93,31 +86,34 @@ def register_executor(spec: EngineSpec) -> EngineSpec:
     return spec
 
 
+def _spec(name: str) -> EngineSpec:
+    """The spec registered as ``name``, or the typed error naming what is."""
+    try:
+        return ENGINE_SPECS[name]
+    except KeyError:
+        known = ", ".join(sorted(ENGINE_SPECS))
+        raise UnknownExecutorError(f"unknown executor {name!r}; known: {known}") from None
+
+
 def get_executor(
     name: str, system: SystemSpec, constants: CostConstants | None = None, **kwargs
 ) -> Executor:
     """Construct a registered executor by strategy name."""
-    try:
-        spec = ENGINE_SPECS[name]
-    except KeyError:
-        known = ", ".join(sorted(ENGINE_SPECS))
-        raise UnknownExecutorError(f"unknown executor {name!r}; known: {known}") from None
-    return spec.factory(system, constants, **kwargs)
+    return _spec(name).factory(system, constants, **kwargs)
 
 
 def available_executors() -> list[str]:
     """Names of the registered executors usable in this environment, sorted.
 
     Engines whose availability probe answers ``False`` (the compiled tier
-    without :mod:`numba`, the vectorized engine without NumPy) are silently
-    absent, so enumerating callers — the bench driver, the search space —
-    never construct an engine that cannot run.
+    without :mod:`numba`) are silently absent, so enumerating callers — the
+    bench driver, the profiler — never construct an engine that cannot run.
     """
     return sorted(spec.name for spec in ENGINE_SPECS.values() if spec.is_available())
 
 
 def engines_with(capability: str) -> list[str]:
-    """Names of available engines declaring ``capability``, sorted.
+    """Names of available engines declaring ``capability``, best first.
 
     Unknown capabilities raise the typed
     :class:`~repro.core.exceptions.UnknownExecutorError` (the CLI's usage
@@ -128,80 +124,75 @@ def engines_with(capability: str) -> list[str]:
         raise UnknownExecutorError(
             f"unknown engine capability {capability!r}; known: {known}"
         )
-    return sorted(
+    return [
         spec.name
         for spec in ENGINE_SPECS.values()
         if capability in spec.capabilities and spec.is_available()
-    )
-
-
-def _derived_serial_engines() -> tuple[str, ...]:
-    """The serial engine family in preference order, derived from the specs."""
-    ranked = [
-        spec for spec in ENGINE_SPECS.values() if spec.serial_rank is not None
     ]
-    return tuple(spec.name for spec in sorted(ranked, key=lambda s: s.serial_rank))
 
 
 def available_serial_engines() -> list[str]:
     """Serial engine names usable in this environment, in preference order."""
-    return [
-        name
-        for name in _derived_serial_engines()
-        if ENGINE_SPECS[name].is_available()
-    ]
+    return engines_with("serial")
 
 
-def default_serial_executor(
-    system: SystemSpec, constants: CostConstants | None = None
-) -> Executor:
-    """The preferred single-core executor: vectorized when NumPy is available."""
-    return get_executor(available_serial_engines()[0], system, constants)
+def fill_engine(backend: str, engine: str | None = None) -> str:
+    """Name of the engine that fills the grid of one ``(backend, engine)`` choice.
+
+    Every backend fills its own grid except the hybrid executor, which
+    delegates to ``engine`` — any registered strategy but itself, the
+    preferred serial engine when unset.  This is where a plan's engine
+    vocabulary is checked: a name that is not registered (``"fpga"``, or a
+    retired alias of the hybrid executor's engines) and a hybrid executor
+    asked to fill through itself raise
+    :class:`~repro.core.exceptions.UnknownExecutorError` naming the known
+    engines, before anything is constructed.
+    """
+    _spec(backend)
+    if engine is not None:
+        _spec(engine)
+    if backend != HybridExecutor.strategy:
+        return backend
+    if engine is None:
+        return available_serial_engines()[0]
+    if engine == backend:
+        known = ", ".join(sorted(set(ENGINE_SPECS) - {backend}))
+        raise UnknownExecutorError(
+            f"the {backend!r} executor cannot fill its grid through itself; "
+            f"known engines: {known}"
+        )
+    return engine
 
 
 # ----------------------------------------------------------------------
-# The built-in engines
+# The built-in engines, in preference order
 # ----------------------------------------------------------------------
-for _spec in (
-    EngineSpec(
-        name=SerialExecutor.strategy,
-        factory=SerialExecutor,
-        capabilities=frozenset({"serial", "subrange_safe"}),
-        serial_rank=1,
-    ),
+for _builtin in (
     EngineSpec(
         name=VectorizedSerialExecutor.strategy,
         factory=VectorizedSerialExecutor,
-        capabilities=frozenset({"serial", "subrange_safe"}),
-        available=numpy_available,
-        serial_rank=0,
+        capabilities=frozenset({"serial"}),
+    ),
+    EngineSpec(
+        name=SerialExecutor.strategy,
+        factory=SerialExecutor,
+        capabilities=frozenset({"serial"}),
     ),
     EngineSpec(
         name=MPParallelExecutor.strategy,
         factory=MPParallelExecutor,
-        capabilities=frozenset({"multicore", "requires_shm", "subrange_safe"}),
+        capabilities=frozenset({"multicore"}),
     ),
     EngineSpec(
         name=PipelinedMPExecutor.strategy,
         factory=PipelinedMPExecutor,
-        capabilities=frozenset(
-            {"multicore", "requires_shm", "subrange_safe", "pipelined"}
-        ),
+        capabilities=frozenset({"multicore"}),
     ),
     EngineSpec(
         name=CompiledExecutor.strategy,
         factory=CompiledExecutor,
-        capabilities=frozenset({"compiled"}),
         available=numba_available,
     ),
-    EngineSpec(
-        name=HybridExecutor.strategy,
-        factory=HybridExecutor,
-        capabilities=frozenset({"gpu", "multicore"}),
-    ),
+    EngineSpec(name=HybridExecutor.strategy, factory=HybridExecutor),
 ):
-    register_executor(_spec)
-
-#: The serial (single-core, whole-grid) engine family, in preference order.
-#: Derived from the specs' ``serial_rank``.
-SERIAL_ENGINES: tuple[str, ...] = _derived_serial_engines()
+    register_executor(_builtin)

@@ -13,7 +13,7 @@ the runtime.  This module removes it:
   ufunc.  The two slots around a diagonal are its halo: a neighbouring
   tile's cell read from the grid as a scalar, or the boundary value;
 * a diagonal of a row-major square grid is an arithmetic sequence in the
-  flattened array (:func:`repro.core.diagonal.flat_diagonal_slice`), so each
+  flattened array (cell ``(i, d - i)`` sits at ``d + i * (dim - 1)``), so each
   computed diagonal is stored to the grid exactly once through one strided
   slice, and the two diagonals before the first one swept are loaded the
   same way — which is what makes tiles and mid-grid ranges correct with no
@@ -25,41 +25,24 @@ the runtime.  This module removes it:
   the store's row-major slice so row-major tables line up with any range.
 
 The engine is exposed three ways: :class:`DiagonalSweepEngine` (the raw
-sweep over any diagonal range, used by the hybrid executor's CPU phases),
+sweep over any diagonal range),
 :func:`compute_diagonal_range_vectorized` (drop-in counterpart of
 :func:`repro.runtime.compute.compute_diagonal_range`) and
 :class:`VectorizedSerialExecutor` (the registered ``vectorized`` strategy,
-the default single-core backend whenever NumPy is available).
+the preferred single-core engine).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.exceptions import InvalidParameterError, KernelError
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
-from repro.core.tiling import Tile, TileDecomposition
+from repro.core.tiling import Tile
 from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.executor_base import Executor
-
-try:  # pragma: no cover - exercised indirectly by numpy_available()
-    import numpy as np
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - the toolchain always ships numpy
-    np = None  # type: ignore[assignment]
-    _HAS_NUMPY = False
-
-
-def numpy_available() -> bool:
-    """True when NumPy importable — the gate for the vectorized backend.
-
-    NumPy is a hard dependency of the core package, but the registry keeps
-    the check explicit so stripped-down deployments (or a future non-NumPy
-    core) degrade to the scalar serial executor instead of crashing.
-    """
-    return _HAS_NUMPY
-
 
 class TileSweeper:
     """Rolling-row diagonal sweep of one rectangular region of the grid.
@@ -81,8 +64,6 @@ class TileSweeper:
     """
 
     def __init__(self, problem: WavefrontProblem) -> None:
-        if not _HAS_NUMPY:
-            raise KernelError("the vectorized engine requires NumPy")
         self.problem = problem
         self.kernel = problem.kernel
         self.dim = problem.dim
@@ -209,15 +190,6 @@ class TileSweeper:
             f"on diagonal {d} of tile ({tile.tile_row}, {tile.tile_col})"
         )
 
-    def sweep_grid(self, grid: WavefrontGrid, decomposition: TileDecomposition) -> int:
-        """In-process sweep of a whole tile schedule (reference/testing path)."""
-        flat = grid.values.reshape(-1)
-        total = 0
-        for tiles in decomposition.schedule():
-            for tile in tiles:
-                total += self.sweep_tile(flat, tile)
-        return total
-
 
 class DiagonalSweepEngine:
     """Batched anti-diagonal sweep of one wavefront problem.
@@ -227,16 +199,13 @@ class DiagonalSweepEngine:
     :meth:`sweep`; it is dropped with the run, so the tables — one to three
     extra grids — never outlive it on a cached problem.
     The two diagonals before ``d_lo`` are loaded from the grid itself, which
-    makes a mid-grid range (``d_lo > 0``) correct by construction — exactly
-    what the hybrid executor's trailing CPU phase needs.  The sweep itself
-    is the whole-grid special case of
-    :class:`TileSweeper`: the grid is one tile, validated finite as one
-    block when swept whole and diagonal by diagonal when the range clips it.
+    makes a mid-grid range (``d_lo > 0``) correct by construction.  The
+    sweep itself is the whole-grid special case of :class:`TileSweeper`: the
+    grid is one tile, validated finite as one block when swept whole and
+    diagonal by diagonal when the range clips it.
     """
 
     def __init__(self, problem: WavefrontProblem) -> None:
-        if not _HAS_NUMPY:
-            raise KernelError("the vectorized engine requires NumPy")
         self.problem = problem
         self._sweeper = TileSweeper(problem)
         dim = problem.dim
@@ -285,8 +254,7 @@ class VectorizedSerialExecutor(Executor):
     Produces grids identical to :class:`repro.runtime.serial.SerialExecutor`
     (the test suite asserts cell-for-cell equality on every registered
     application) while running several times faster, and is therefore the
-    default serial fallback whenever NumPy is available
-    (:func:`repro.runtime.registry.default_serial_executor`).
+    first of :func:`repro.runtime.registry.available_serial_engines`.
     """
 
     strategy = "vectorized"

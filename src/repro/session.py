@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.apps.base import WavefrontApplication
@@ -62,7 +63,7 @@ from repro.hardware.platforms import resolve_system
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import ExecutionMode
 from repro.runtime.lifecycle import EngineHost
-from repro.runtime.registry import engines_with
+from repro.runtime.registry import engines_with, fill_engine
 from repro.runtime.result import ExecutionResult
 from repro.utils.lru import LRUCache
 
@@ -325,14 +326,9 @@ class Session:
         """Combine the tuner's decision with the policy's overrides."""
         params = problem.input_params()
         if policy.backend is not None or policy.tunables is not None:
-            tunables = policy.tunables
-            if tunables is None and policy.backend in engines_with("multicore"):
-                # A tiled backend named without a tile: the coarsest tile the
-                # tuners search, never the scalar default's one-cell tiles.
-                tunables = TunableParams(cpu_tile=SearchSpace.mp_tile_candidates(params)[-1])
             decision = PlanDecision(
                 backend=policy.backend if policy.backend is not None else "hybrid",
-                tunables=tunables if tunables is not None else TunableParams(),
+                tunables=policy.tunables if policy.tunables is not None else TunableParams(),
                 workers=policy.workers if policy.workers is not None else 1,
                 engine=policy.engine,
             )
@@ -342,13 +338,21 @@ class Session:
             self.stats["plans_resolved"] += 1
             source = self.tuner.kind
             if policy.engine is not None:
-                decision = PlanDecision(
-                    backend=decision.backend,
-                    tunables=decision.tunables,
-                    workers=decision.workers,
-                    engine=policy.engine,
-                    expected_s=decision.expected_s,
-                )
+                decision = replace(decision, engine=policy.engine)
+        # Typed error here, at plan time, for a name the registry does not know.
+        fill = fill_engine(decision.backend, decision.engine)
+        tunables = decision.tunables
+        if (
+            policy.tunables is None
+            and fill in (policy.backend, policy.engine)
+            and fill in engines_with("multicore")
+        ):
+            # A tiled engine the caller named without a tile: the coarsest
+            # tile the tuners search, never the scalar phases' cache tile
+            # (one-cell tiles through worker pipes by default).
+            tunables = replace(
+                tunables, cpu_tile=SearchSpace.mp_tile_candidates(params)[-1]
+            )
         resolved_workers = (
             policy.workers if policy.workers is not None else decision.workers
         )
@@ -358,7 +362,7 @@ class Session:
             app=name,
             dim=problem.dim,
             params=params,
-            tunables=decision.tunables.clipped(problem.dim),
+            tunables=tunables.clipped(problem.dim),
             backend=decision.backend,
             engine=decision.engine,
             workers=max(1, int(resolved_workers)),
@@ -396,10 +400,9 @@ class Session:
                     plan.app, dim=plan.dim, **plan.app_options
                 ).problem(plan.dim),
             )
-        strategy, engine = plan.split()
         with self._run_lock:
             self._check_open()
-            executor = self.host.executor_for(strategy, engine, plan.workers)
+            executor = self.host.executor_for(plan.backend, plan.engine, plan.workers)
             self.stats["runs"] += 1
             started = time.perf_counter()
             result = executor.execute(problem, plan.tunables, mode=mode)

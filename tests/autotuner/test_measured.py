@@ -22,10 +22,11 @@ from repro.autotuner.measured import (
     save_profile,
 )
 from repro.autotuner.persistence import load_tuner, save_tuner
-from repro.core.exceptions import SearchError
+from repro.core.exceptions import ArtifactError, SearchError
 from repro.core.params import InputParams, TunableParams
 from repro.hardware.calibration import constants_from_measurements
 from repro.hardware.system import detect_local_system
+from repro.session import Session
 from repro.utils.serialization import load_json, save_json
 
 TINY_CONFIG = ProfileConfig(
@@ -113,13 +114,18 @@ class TestProfilePersistence:
         assert restored.records == tiny_profile.records
         assert restored.host["cores"] == tiny_profile.host["cores"]
 
-    def test_stale_format_version_raises(self, tiny_profile, tmp_path):
+    @pytest.mark.parametrize("version", [1, PROFILE_FORMAT_VERSION + 1])
+    def test_stale_format_version_raises(self, tiny_profile, tmp_path, version):
+        # Version 1 profiles carry ``hybrid-<engine>`` rows no engine answers to.
         path = save_profile(tiny_profile, tmp_path / "profile.json")
         payload = load_json(path)
-        payload["format_version"] = PROFILE_FORMAT_VERSION + 1
+        payload["format_version"] = version
         save_json(payload, path)
-        with pytest.raises(SearchError, match="format version"):
+        with pytest.raises(ArtifactError, match="format version .* re-run `repro profile`"):
             load_profile(path)
+        with Session(system="local", tuner="measured", profile_path=path) as session:
+            with pytest.raises(ArtifactError, match="re-run `repro profile`"):
+                session.plan("lcs", 48)
 
     def test_not_a_profile_raises(self, tmp_path):
         path = save_json({"something": "else"}, tmp_path / "junk.json")

@@ -19,30 +19,6 @@ class TestWavefrontGrid:
                   if isinstance(v, np.ndarray)]
         assert len(arrays) == 1 and arrays[0].shape == (4, 4)
 
-    def test_diagonal_roundtrip(self):
-        grid = WavefrontGrid(dim=5)
-        vals = np.arange(4, dtype=float)
-        grid.set_diagonal(3, vals)
-        assert np.array_equal(grid.get_diagonal(3), vals)
-
-    def test_set_diagonal_wrong_length_rejected(self):
-        grid = WavefrontGrid(dim=5)
-        with pytest.raises(InvalidParameterError):
-            grid.set_diagonal(3, np.zeros(5))
-
-    def test_segment_roundtrip(self):
-        grid = WavefrontGrid(dim=6)
-        grid.set_diagonal(5, np.arange(6, dtype=float))
-        seg = grid.get_diagonal_segment(5, 2, 5)
-        assert np.array_equal(seg, [2.0, 3.0, 4.0])
-        grid.set_diagonal_segment(5, 0, np.array([9.0, 8.0]))
-        assert grid.get_diagonal(5)[0] == 9.0 and grid.get_diagonal(5)[1] == 8.0
-
-    def test_segment_out_of_range_rejected(self):
-        grid = WavefrontGrid(dim=4)
-        with pytest.raises(InvalidParameterError):
-            grid.set_diagonal_segment(0, 0, np.zeros(2))
-
     def test_neighbours_boundary(self):
         grid = WavefrontGrid(dim=4)
         grid.values[:] = 7.0

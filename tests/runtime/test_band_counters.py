@@ -37,8 +37,9 @@ time for exactly those counts.  Three layers of pinning:
   must move, and the audit tests that the cost model's closed-form swap and
   redundancy counts never fall below the emulation's.
 
-The band's *values* are the hybrid executor's business: every engine must
-reproduce the serial grid and witness on the ``paper-hybrid`` plans.
+The band's *values* are the hybrid executor's business: filled through
+every available engine of the registry it must reproduce the serial grid
+and witness on the ``paper-hybrid`` plans.
 """
 
 import functools
@@ -56,6 +57,7 @@ from repro.core.plan import ThreePhasePlan
 from repro.hardware.platforms import get_system
 from repro.runtime.band import band_counters
 from repro.runtime.hybrid import HybridExecutor
+from repro.runtime.registry import available_executors, engines_with
 from repro.runtime.serial import SerialExecutor
 
 DIM = 96
@@ -108,7 +110,11 @@ def test_paper_hybrid_stats_are_pinned(session, app, encoding):
     result = session.solve(app, DIM, policy=policy)
     stats = dict(result.stats)
     del stats["plan"]  # the human-readable description
-    assert stats == {"strategy": "hybrid", **GEOMETRY[encoding], **BYTES[app, encoding]}
+    del stats["fused_kernel"]  # the fill engine's own business
+    assert stats == {
+        "strategy": "hybrid", "engine": "vectorized", "cells_computed": DIM * DIM,
+        **GEOMETRY[encoding], **BYTES[app, encoding],
+    }
     serial = session.solve(app, DIM, policy=ExecutionPolicy(backend="serial"))
     assert np.array_equal(serial.grid.values, result.grid.values)
     assert serial.matches(result)
@@ -127,15 +133,18 @@ def counters(app: str, dim: int, encoding) -> tuple[ThreePhasePlan, dict]:
     return plan, band_counters(plan, tunables, params.element_nbytes)
 
 
-@pytest.mark.parametrize("cpu_engine", ["serial", "vectorized", "mp"])
+# Generated from the registry: a new engine cannot forget to fill the band.
+@pytest.mark.parametrize("engine", sorted(set(available_executors()) - {"hybrid"}))
 @pytest.mark.parametrize("app,encoding", sorted(BYTES), ids=lambda v: str(v))
-def test_every_engine_computes_the_band_like_serial(app, encoding, cpu_engine):
+def test_every_engine_computes_the_band_like_serial(app, encoding, engine):
     system = get_system("i7-2600K")
     problem = get_application(app, dim=DIM).problem(DIM)
     serial = SerialExecutor(system).execute(problem)
-    hybrid = HybridExecutor(system, cpu_engine=cpu_engine, workers=2).execute(
+    engine_kwargs = {"workers": 2} if engine in engines_with("multicore") else {}
+    hybrid = HybridExecutor(system, engine=engine, **engine_kwargs).execute(
         problem, TunableParams.from_encoding(*encoding)
     )
+    assert hybrid.stats["engine"] == engine
     assert hybrid.stats["band_cells"] == GEOMETRY[encoding]["band_cells"]
     assert np.array_equal(serial.grid.values, hybrid.grid.values)
     assert serial.witness == hybrid.witness

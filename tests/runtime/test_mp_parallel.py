@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import available_applications, get_application
-from repro.core.exceptions import InvalidParameterError, KernelError
+from repro.core.exceptions import InvalidParameterError, KernelError, UnknownExecutorError
 from repro.core.params import InputParams, TunableParams
 from repro.core.pattern import FunctionKernel, WavefrontKernel, WavefrontProblem
 from repro.facade.policy import ExecutionPolicy
@@ -271,7 +271,9 @@ class TestTileSweeper:
     def test_whole_grid_single_tile_matches_reference(self, small_synthetic):
         grid = small_synthetic.make_grid()
         decomp = TileDecomposition(small_synthetic.dim, small_synthetic.dim, small_synthetic.dim)
-        cells = TileSweeper(small_synthetic).sweep_grid(grid, decomp)
+        cells = TileSweeper(small_synthetic).sweep_tile(
+            grid.values.reshape(-1), decomp.tile_at(0, 0)
+        )
         assert cells == small_synthetic.dim**2
         assert np.array_equal(reference_grid(small_synthetic).values, grid.values)
 
@@ -318,16 +320,20 @@ class TestSharedGridBuffer:
 class TestHybridMPEngine:
     def test_hybrid_mp_engine_produces_identical_grid(self, small_synthetic, i7_2600k):
         tunables = TunableParams.from_encoding(cpu_tile=4, band=6, halo=2, gpu_tile=4)
-        scalar = HybridExecutor(i7_2600k).execute(small_synthetic, tunables)
-        pooled = HybridExecutor(i7_2600k, cpu_engine="mp", workers=2).execute(
+        scalar = HybridExecutor(i7_2600k, engine="serial").execute(small_synthetic, tunables)
+        pooled = HybridExecutor(i7_2600k, engine="mp-parallel", workers=2).execute(
             small_synthetic, tunables
         )
         assert np.array_equal(scalar.grid.values, pooled.grid.values)
-        assert pooled.stats["cpu_workers"] == 2
+        # The fill engine's own statistics ride along with the band's.
+        assert pooled.stats["workers"] == 2
+        assert pooled.stats["tiles_executed"] == (small_synthetic.dim // 4) ** 2
+        assert pooled.stats["band_cells"] > 0
 
-    def test_hybrid_rejects_unknown_engine(self, i7_2600k):
-        with pytest.raises(InvalidParameterError):
-            HybridExecutor(i7_2600k, cpu_engine="fpga")
+    @pytest.mark.parametrize("engine", ["fpga", "mp", "hybrid"])
+    def test_hybrid_rejects_unregistered_engines_and_itself(self, i7_2600k, engine):
+        with pytest.raises(UnknownExecutorError, match="mp-parallel"):
+            HybridExecutor(i7_2600k, engine=engine)
 
 
 class TestRegistryAndCostModel:
@@ -348,66 +354,3 @@ class TestRegistryAndCostModel:
         model = MPParallelExecutor(i7_2600k).cost_model
         params = InputParams(dim=512, tsize=100, dsize=1)
         assert model.mp_parallel_time(params, 8, 1) == model.vectorized_time(params)
-
-    def test_parallel_efficiency_term_bounded(self, i7_2600k):
-        model = MPParallelExecutor(i7_2600k).cost_model
-        params = InputParams(dim=256, tsize=100, dsize=1)
-        eff = model.mp_parallel_efficiency(params, 32, 4)
-        assert 0.0 < eff <= 1.0
-        # A huge tile exposes almost no tile-parallelism.
-        assert model.mp_parallel_efficiency(params, 256, 4) <= eff
-
-
-class TestSearchSpaceDimensions:
-    def test_worker_counts_cover_the_platform_budget(self, tiny_space, i7_2600k):
-        from repro.autotuner.search_space import SearchSpace
-
-        space = SearchSpace(tiny_space, i7_2600k)
-        counts = space.worker_counts
-        assert counts[0] == 1
-        assert counts[-1] == i7_2600k.cpu.workers
-        assert all(b > a for a, b in zip(counts, counts[1:]))
-
-    def test_cpu_backends_include_mp(self, tiny_space, i7_2600k):
-        from repro.autotuner.search_space import SearchSpace
-
-        space = SearchSpace(tiny_space, i7_2600k)
-        assert "mp-parallel" in space.cpu_backends
-        info = space.describe()
-        assert "cpu_backends" in info and "worker_counts" in info
-
-    def test_best_cpu_backend_is_multicore_for_large_coarse_instances(self, tiny_space, i7_2600k):
-        from repro.autotuner.search_space import SearchSpace
-
-        # Pipelined dispatch drops the per-wave straggler wait, so its cost
-        # estimate dominates barriered mp-parallel whenever multicore wins.
-        space = SearchSpace(tiny_space, i7_2600k)
-        backend, workers = space.best_cpu_backend(InputParams(dim=1900, tsize=750, dsize=1))
-        assert backend == "pipelined"
-        assert workers > 1
-
-    def test_best_cpu_backend_co_optimises_the_tile(self, tiny_space, i7_2600k):
-        from repro.autotuner.search_space import SearchSpace
-
-        # dim=2700/tsize=100 only wins for the multicore backends at coarse
-        # tiles: a hardwired cache-sized tile (8) would mis-select vectorized.
-        space = SearchSpace(tiny_space, i7_2600k)
-        params = InputParams(dim=2700, tsize=100, dsize=1)
-        assert space.best_cpu_backend(params)[0] in ("mp-parallel", "pipelined")
-        assert space.best_cpu_backend(params, cpu_tile=8)[0] == "vectorized"
-
-    def test_best_cpu_backend_stays_single_core_for_tiny_instances(self, tiny_space, i7_2600k):
-        from repro.autotuner.search_space import SearchSpace
-
-        space = SearchSpace(tiny_space, i7_2600k)
-        backend, workers = space.best_cpu_backend(InputParams(dim=32, tsize=1, dsize=1))
-        assert backend in ("serial", "vectorized")
-        assert workers == 1
-
-    def test_tuner_selects_cpu_backend(self, trained_tuner_i7):
-        params = InputParams(dim=1900, tsize=750, dsize=1)
-        backend, workers = trained_tuner_i7.select_cpu_backend(params)
-        assert backend in ("serial", "vectorized", "mp-parallel", "pipelined")
-        assert workers >= 1
-        if backend in ("mp-parallel", "pipelined"):
-            assert workers == trained_tuner_i7.select_workers(params)

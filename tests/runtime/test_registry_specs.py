@@ -1,8 +1,9 @@
 """Tests of the declarative :class:`~repro.runtime.registry.EngineSpec` API.
 
-Specs declare capabilities and availability probes, the serial-engine
-preference order is derived from the specs, and capability queries raise
-typed errors on typos.
+Specs declare capabilities and availability probes, registration order is
+preference order, capability queries raise typed errors on typos, and
+:func:`~repro.runtime.registry.fill_engine` is the one check of a plan's
+engine vocabulary.
 """
 
 import numpy as np
@@ -12,15 +13,15 @@ from repro import ExecutionPolicy, Session
 from repro.apps.registry import available_applications
 from repro.core.exceptions import InvalidParameterError, UnknownExecutorError
 from repro.core.params import TunableParams
-from repro.runtime import EngineSpec, available_executors, engines_with
-from repro.runtime.registry import (
-    ENGINE_SPECS,
-    KNOWN_CAPABILITIES,
-    SERIAL_ENGINES,
-    _derived_serial_engines,
+from repro.runtime import (
+    EngineSpec,
+    available_executors,
+    available_serial_engines,
+    engines_with,
+    fill_engine,
 )
+from repro.runtime.registry import ENGINE_SPECS, KNOWN_CAPABILITIES
 from repro.runtime.serial import SerialExecutor
-from repro.runtime.vectorized import numpy_available
 
 
 class TestSpecValidation:
@@ -50,30 +51,50 @@ class TestBuiltinSpecs:
             assert spec.name == name == spec.factory.strategy
             assert spec.capabilities <= KNOWN_CAPABILITIES
 
-    def test_serial_engines_derived_from_ranks(self):
-        assert SERIAL_ENGINES == _derived_serial_engines()
-        assert [ENGINE_SPECS[n].serial_rank for n in SERIAL_ENGINES] == sorted(
-            ENGINE_SPECS[n].serial_rank for n in SERIAL_ENGINES
-        )
-        if numpy_available():
-            assert SERIAL_ENGINES[0] == "vectorized"
+    def test_serial_engines_follow_registration_order(self):
+        assert available_serial_engines() == engines_with("serial") == ["vectorized", "serial"]
 
-    def test_pipelined_engine_registered_with_capability(self):
-        assert "pipelined" in ENGINE_SPECS
-        assert "pipelined" in ENGINE_SPECS["pipelined"].capabilities
-        assert "pipelined" in available_executors()
+    def test_only_what_something_queries_is_a_capability(self):
+        assert KNOWN_CAPABILITIES == {"serial", "multicore"}
 
     def test_multicore_capability_query(self):
-        multicore = engines_with("multicore")
-        assert "mp-parallel" in multicore
-        assert "pipelined" in multicore
-        assert "serial" not in multicore
+        assert engines_with("multicore") == ["mp-parallel", "pipelined"]
 
     def test_unknown_capability_is_a_typed_error(self):
         with pytest.raises(UnknownExecutorError, match="unknown engine capability"):
             engines_with("bogus-capability")
         # Typed errors still satisfy pre-existing KeyError expectations.
         assert issubclass(UnknownExecutorError, KeyError)
+
+
+class TestFillEngine:
+    """One function says which registered engine fills a (backend, engine) grid."""
+
+    @pytest.mark.parametrize("name", sorted(set(available_executors()) - {"hybrid"}))
+    def test_every_backend_but_hybrid_fills_its_own_grid(self, name):
+        assert fill_engine(name) == name
+        assert fill_engine(name, "serial") == name
+        assert fill_engine("hybrid", name) == name
+
+    def test_unpinned_hybrid_fills_on_the_preferred_serial_engine(self):
+        assert fill_engine("hybrid") == available_serial_engines()[0] == "vectorized"
+
+    @pytest.mark.parametrize(
+        "backend,engine",
+        [
+            ("hybrid", "fpga"),
+            ("hybrid", "mp"),
+            ("hybrid-mp", None),
+            ("hybrid-vectorized", None),
+            ("serial", "fpga"),
+            ("hybrid", "hybrid"),
+        ],
+    )
+    def test_unknown_and_retired_names_are_one_typed_error(self, backend, engine):
+        with pytest.raises(UnknownExecutorError) as error:
+            fill_engine(backend, engine)
+        for known in ("serial", "vectorized", "mp-parallel", "pipelined"):
+            assert known in str(error.value)
 
 
 class TestEveryEngineMatchesSerial:

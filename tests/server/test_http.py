@@ -162,6 +162,20 @@ class TestErrorMapping:
             assert excinfo.value.code == 400, override
             assert json.loads(excinfo.value.read())["error"]["type"] == "UsageError"
 
+    def test_names_the_registry_does_not_know_map_to_400_not_500(self, endpoint):
+        for override in (
+            {"engine": "fpga"},
+            {"engine": "mp"},
+            {"backend": "hybrid-mp"},
+            {"backend": "hybrid", "engine": "hybrid"},
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_json(endpoint.url + "/solve", {"app": "lcs", "dim": 48, **override})
+            assert excinfo.value.code == 400, override
+            error = json.loads(excinfo.value.read())["error"]
+            assert error["type"] == "UnknownExecutorError"
+            assert "mp-parallel, pipelined, serial" in error["message"]
+
     def test_unknown_route_maps_to_404(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(endpoint.url + "/nope")

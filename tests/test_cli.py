@@ -162,6 +162,34 @@ class TestRun:
         assert code == 0
         assert "via manual" in capsys.readouterr().out
 
+    def test_run_tiled_backend_without_a_tile_verifies(self, capsys):
+        code = main(
+            ["run", "--app", "lcs", "--dim", "96", "--backend", "pipelined",
+             "--workers", "2", "--verify"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "pipelined(CPU-only(cpu_tile=64), workers=2)" in out
+        assert "serial verification: OK" in out
+
+    def test_run_retired_backend_alias_is_usage_error(self, capsys):
+        code = main(["run", "--app", "lcs", "--dim", "32", "--backend", "hybrid-mp"])
+        assert code == EXIT_USAGE
+        assert "known: compiled, hybrid, mp-parallel" in capsys.readouterr().err
+
+    def test_run_replayed_plan_with_a_retired_engine_is_usage_error(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        assert main(
+            ["run", "--app", "lcs", "--dim", "32", "--backend", "hybrid",
+             "--plan-out", str(plan_path)]
+        ) == 0
+        payload = json.loads(plan_path.read_text())
+        payload["engine"] = "mp"
+        plan_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["run", "--replay", str(plan_path)]) == EXIT_USAGE
+        assert "unknown executor 'mp'" in capsys.readouterr().err
+
     def test_run_without_app_is_usage_error(self, capsys):
         assert main(["run", "--system", "i3-540"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err

@@ -2,15 +2,24 @@
 
 Covers the policy value itself (validation, override extraction), its
 acceptance by :meth:`Session.plan`/:meth:`Session.solve`, the HTTP body
-decoding into the same value (and the same result-cache key), and how plan
-files written while the tile dispatch order was a separate field load.
+decoding into the same value (and the same result-cache key), the one
+engine vocabulary (registry names; anything else is a typed error at plan
+time), the one tile rule for tiled engines named without a tile, and how
+plan files written while the tile dispatch order was a separate field load.
 """
 
 import numpy as np
 import pytest
 
 from repro import ExecutionPolicy, Session
-from repro.core.exceptions import ArtifactError, InvalidParameterError, UsageError
+from repro.autotuner.protocol import PlanDecision, Tuner
+from repro.autotuner.search_space import SearchSpace
+from repro.core.exceptions import (
+    ArtifactError,
+    InvalidParameterError,
+    UnknownExecutorError,
+    UsageError,
+)
 from repro.core.params import TunableParams
 from repro.facade.plan import ResolvedPlan, load_plan, save_plan
 from repro.server.http import policy_from_body
@@ -19,6 +28,13 @@ from repro.server.http import policy_from_body
 #: recorded at the commit before the legacy override keywords were removed:
 #: persisted result caches written by either spelling must keep hitting.
 LCS48_SERIAL_DIGEST = "3b77be6a956098e44198c48edc1383d5a7a5f3ff20449b4b1e5907a259199844"
+
+
+@pytest.fixture(scope="module")
+def i3_session(quick_tuner_i3, i3):
+    """A session over the shared tiny-space tuner (no retraining per test)."""
+    with Session(system=i3, tuner=quick_tuner_i3) as session:
+        yield session
 
 
 class TestPolicyValue:
@@ -102,8 +118,66 @@ class TestPersistedDispatchField:
             ResolvedPlan.from_dict(self.payload("mp-parallel", "pipelined"))
 
 
+#: Every way of asking for a tiled fill, as the override keys of a body.
+TILED_FILLS = [
+    {"backend": "mp-parallel"},
+    {"backend": "pipelined"},
+    {"backend": "hybrid", "engine": "mp-parallel"},
+    {"engine": "pipelined"},
+]
+
+
 class TestTiledBackendWithoutATile:
-    """A tiled backend pinned without ``tunables`` must not run one-cell tiles."""
+    """A tiled engine named without ``tunables`` must not run one-cell tiles."""
+
+    @pytest.mark.parametrize("over_http", [False, True], ids=["in-process", "body"])
+    @pytest.mark.parametrize("fill", TILED_FILLS, ids=lambda f: "+".join(f.values()))
+    def test_every_spelling_of_a_tiled_fill_gets_the_same_coarse_tile(self, fill, over_http):
+        if over_http:
+            policy = policy_from_body({**fill, "workers": 2})
+        else:
+            policy = ExecutionPolicy(**fill, workers=2)
+        with Session() as session:
+            plan = session.plan("lcs", 256, policy=policy)
+            assert plan.tunables.cpu_tile in SearchSpace.mp_tile_candidates(plan.params)
+            assert plan.tunables.cpu_tile == SearchSpace.mp_tile_candidates(plan.params)[-1]
+            result = session.run(plan)
+            assert 1 <= result.stats["tiles_executed"] <= 64
+            reference = session.solve("lcs", 256, policy=ExecutionPolicy(backend="vectorized"))
+            assert np.array_equal(reference.grid.values, result.grid.values)
+
+    def test_engine_override_keeps_what_the_tuner_decided(self, i7_2600k):
+        decided = PlanDecision(
+            backend="hybrid",
+            tunables=TunableParams.from_encoding(cpu_tile=4, band=32, halo=2, gpu_tile=1),
+            engine="vectorized",
+            expected_s=0.5,
+        )
+
+        class BandTuner(Tuner):
+            kind = "stub-band"
+
+            def resolve(self, app, params):
+                return decided
+
+        with Session(system=i7_2600k, tuner=BandTuner()) as session:
+            assert session.plan("lcs", 256).tunables == decided.tunables
+            plan = session.plan(
+                "lcs", 256, policy=ExecutionPolicy(engine="pipelined", workers=2)
+            )
+        assert (plan.tuner, plan.backend, plan.engine) == ("stub-band", "hybrid", "pipelined")
+        assert plan.expected_s == decided.expected_s
+        # Band and halo kept; only the scalar phases' cache tile is replaced.
+        assert plan.tunables == TunableParams.from_encoding(
+            cpu_tile=256, band=32, halo=2, gpu_tile=1
+        )
+
+    @pytest.mark.parametrize("fill", TILED_FILLS, ids=lambda f: "+".join(f.values()))
+    def test_explicit_tunables_are_honoured_verbatim(self, fill):
+        tunables = TunableParams(cpu_tile=3)
+        policy = ExecutionPolicy(**fill, workers=2, tunables=tunables)
+        with Session() as session:
+            assert session.plan("lcs", 96, policy=policy).tunables == tunables
 
     @pytest.mark.parametrize("dim", [96, 256, 1536])
     def test_plan_takes_the_coarsest_searched_tile(self, dim):
@@ -138,6 +212,50 @@ class TestTiledBackendWithoutATile:
         with Session() as session:
             plan = session.plan("lcs", 96, policy=ExecutionPolicy(backend="vectorized"))
             assert plan.tunables == TunableParams()
+
+
+class TestEngineVocabulary:
+    """An engine is a registry name; every other spelling is one typed error."""
+
+    NOT_ENGINES = [
+        {"engine": "fpga"},
+        {"engine": "mp"},
+        {"backend": "hybrid-mp"},
+        {"backend": "hybrid-vectorized"},
+        {"backend": "hybrid", "engine": "hybrid"},
+    ]
+
+    @pytest.mark.parametrize("over_http", [False, True], ids=["in-process", "body"])
+    @pytest.mark.parametrize("fields", NOT_ENGINES, ids=lambda f: "+".join(f.values()))
+    def test_plan_time_typed_error_names_the_known_engines(self, fields, over_http, i3_session):
+        policy = policy_from_body(dict(fields)) if over_http else ExecutionPolicy(**fields)
+        builds = i3_session.cache_info()["builds"]
+        with pytest.raises(UnknownExecutorError, match="mp-parallel, pipelined, serial"):
+            i3_session.plan("lcs", 32, policy=policy)
+        # Nothing was constructed on the way to the error.
+        assert i3_session.cache_info()["builds"] == builds
+
+    @pytest.mark.parametrize("field,value", [("engine", "mp"), ("backend", "hybrid-mp")])
+    def test_saved_plan_with_a_retired_spelling_fails_run(self, field, value, i3_session):
+        payload = i3_session.plan("lcs", 32).to_dict()
+        payload[field] = value
+        with pytest.raises(UnknownExecutorError, match="mp-parallel, pipelined, serial"):
+            i3_session.run(ResolvedPlan.from_dict(payload))
+
+    def test_any_registered_engine_fills_the_hybrid_with_no_code_of_its_own(self):
+        tunables = TunableParams.from_encoding(cpu_tile=8, band=6, halo=1, gpu_tile=1)
+        with Session(system="i7-2600K") as session:
+            reference = session.solve("lcs", 32, policy=ExecutionPolicy(backend="serial"))
+            result = session.solve(
+                "lcs",
+                32,
+                policy=ExecutionPolicy(
+                    backend="hybrid", engine="pipelined", workers=2, tunables=tunables
+                ),
+            )
+        assert result.stats["engine"] == result.stats["dispatch"] == "pipelined"
+        assert result.stats["tiles_executed"] == 16 and result.stats["band_cells"] > 0
+        assert reference.matches(result)
 
 
 class TestHttpBodyDecoding:

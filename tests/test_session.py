@@ -141,7 +141,7 @@ class TestEquivalenceWithLegacyPath:
         problem = get_application(app_name, dim=SMALL_DIM).problem(SMALL_DIM)
         decision = quick_tuner_i3.resolve(app_name, problem.input_params())
         legacy = HybridExecutor(
-            i3, quick_tuner_i3.constants, cpu_engine=decision.engine
+            i3, quick_tuner_i3.constants, engine=decision.engine
         ).execute(problem, decision.tunables, mode="functional")
 
         result = i3_session.solve(app_name, SMALL_DIM)
@@ -154,7 +154,7 @@ class TestEquivalenceWithLegacyPath:
         problem = get_application("synthetic", dim=64).problem(64)
         decision = quick_tuner_i3.resolve("synthetic", problem.input_params())
         legacy = HybridExecutor(
-            i3, quick_tuner_i3.constants, cpu_engine=decision.engine
+            i3, quick_tuner_i3.constants, engine=decision.engine
         ).execute(problem, decision.tunables, mode="simulate")
         result = i3_session.solve("synthetic", 64, mode="simulate")
         assert result.rtime == pytest.approx(legacy.rtime)
@@ -211,7 +211,7 @@ class TestSolveManyServing:
                 SMALL_DIM,
                 policy=ExecutionPolicy(
                     backend="hybrid",
-                    engine="mp",
+                    engine="mp-parallel",
                     workers=2,
                     tunables=TunableParams(cpu_tile=8),
                 ),
