@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.apps.base import WavefrontApplication
-from repro.core.exceptions import UnknownApplicationError
+from repro.core.exceptions import InvalidParameterError, UnknownApplicationError
 from repro.apps.editdistance import EditDistanceApp
 from repro.apps.knapsack import ExpectedKnapsackApp, KnapsackApp
 from repro.apps.lcs import LCSApp
@@ -35,7 +35,10 @@ def get_application(name: str, **kwargs) -> WavefrontApplication:
     """Build a registered application by name.
 
     Keyword arguments are forwarded to the application's constructor, e.g.
-    ``get_application("synthetic", dim=256, tsize=750)``.
+    ``get_application("synthetic", dim=256, tsize=750)``; one it does not
+    take, or a value it cannot use, is a typed
+    :class:`~repro.core.exceptions.InvalidParameterError` naming them — this
+    is where caller-supplied overrides (CLI, ``POST /solve``) are applied.
     """
     try:
         factory = APPLICATIONS[name]
@@ -44,7 +47,14 @@ def get_application(name: str, **kwargs) -> WavefrontApplication:
         raise UnknownApplicationError(
             f"unknown application {name!r}; known: {known}"
         ) from None
-    return factory(**kwargs)
+    try:
+        return factory(**kwargs)
+    except InvalidParameterError:
+        raise
+    except (TypeError, ValueError) as error:
+        raise InvalidParameterError(
+            f"invalid arguments {sorted(kwargs)} for application {name!r}: {error}"
+        ) from None
 
 
 def resolve_application(

@@ -366,12 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max same-signature requests coalesced per solve_many (default: 8)",
     )
     serve.add_argument(
-        "--server-workers",
-        type=int,
-        default=1,
-        help="scheduler worker threads (default: 1)",
-    )
-    serve.add_argument(
         "--request-timeout",
         type=float,
         default=120.0,
@@ -1048,7 +1042,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             ServerConfig(
                 queue_capacity=args.queue_size,
                 max_batch=args.max_batch,
-                workers=args.server_workers,
                 default_deadline_s=(
                     args.default_deadline if args.default_deadline > 0 else None
                 ),
@@ -1083,7 +1076,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {session.system.name} on {endpoint.url}  "
             f"(queue={args.queue_size}, max-batch={args.max_batch}, "
-            f"workers={args.server_workers}, shards={args.shards}, "
+            f"shards={args.shards}, "
             f"deadline={args.default_deadline:g}s, mode={args.mode}, "
             f"adaptive={args.adaptive})"
         )

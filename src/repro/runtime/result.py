@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -27,6 +29,10 @@ class ExecutionResult:
     functional sweep; ``None`` for witness-free kernels and in simulate
     mode.  It is a 1-D ``int64`` array and travels with the result through
     the cache and the serving stack.
+
+    Results are read-only by contract (a cache hit and a coalesced batch
+    hand one object to many readers), so ``checksum``, ``grid_sha256`` and
+    ``witness_sha256`` are computed once per object and remembered.
     """
 
     params: InputParams
@@ -50,12 +56,33 @@ class ExecutionResult:
             raise ValueError("functional grid not available for this result")
         return float(self.grid.values[-1, -1])
 
-    @property
+    @cached_property
     def checksum(self) -> float:
         """Sum of all grid values; a cheap whole-grid equality fingerprint."""
         if self.grid is None:
             raise ValueError("functional grid not available for this result")
         return float(np.sum(self.grid.values))
+
+    @cached_property
+    def grid_sha256(self) -> str | None:
+        """SHA-256 of the grid's raw bytes; ``None`` without a grid.
+
+        Two grids share a digest iff their values are byte-identical: how a
+        served answer is proven equal to in-process solving without the grid.
+        """
+        if self.grid is None:
+            return None
+        return hashlib.sha256(np.ascontiguousarray(self.grid.values)).hexdigest()
+
+    @cached_property
+    def witness_sha256(self) -> str | None:
+        """SHA-256 of the witness array's bytes; ``None`` without one.
+
+        Separate from the grid's, so a traceback bug fails on its own digest.
+        """
+        if self.witness is None:
+            return None
+        return hashlib.sha256(np.ascontiguousarray(self.witness)).hexdigest()
 
     def matches(self, other: "ExecutionResult", rtol: float = 1e-9, atol: float = 1e-9) -> bool:
         """True when both results carry grids with element-wise equal values.

@@ -2,13 +2,14 @@
 
 The session facade (:class:`repro.session.Session`) made the tuned runtime
 callable; this package makes it **servable**: a thread-safe bounded request
-queue with explicit backpressure, a coalescing scheduler that collapses
-same-signature requests into single
-:meth:`~repro.session.Session.solve_many` executions (every ticket in a
+queue with explicit backpressure, supervised shard threads that take
+coalesced same-signature batches from it and serve each with a single
+:meth:`~repro.session.Session.solve_many` execution (every ticket in a
 batch shares the one deterministic result), JSON metrics (latency
 percentiles, throughput, queue depth, batch sizes, cache hit rates), a
-stdlib HTTP/JSON endpoint and a load generator — the pieces behind the
-``repro serve`` and ``repro loadgen`` CLI verbs.
+small HTTP/1.1 JSON endpoint on reused connection threads and a load
+generator — the pieces behind the ``repro serve`` and ``repro loadgen``
+CLI verbs.
 
 Layering, bottom up:
 
@@ -22,13 +23,15 @@ Layering, bottom up:
   (``scripts/check_chaos.py``);
 * :mod:`repro.server.supervisor` — :class:`ShardSupervisor`,
   :class:`SupervisorConfig`, :class:`Shard` and :class:`ShardTask`: worker
-  shards with heartbeat health checks, crash detection, jittered-backoff
-  restarts, a restart-budget circuit breaker and bounded re-dispatch;
-* :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`,
-  the scheduler workers (dispatching through the supervisor), per-request
-  deadlines and graceful drain/shutdown;
+  shards that take their work from the queue themselves, with heartbeats,
+  crash detection, jittered-backoff restarts, a restart-budget circuit
+  breaker, bounded re-dispatch and deadline expiry;
+* :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`:
+  admission, the shards' work source (one coalesced batch per task), ticket
+  completion, per-request deadlines and graceful drain/shutdown;
 * :mod:`repro.server.http` — :class:`ServingEndpoint`, the bound HTTP
-  endpoint (``POST /solve``, ``GET /metrics``, ``GET /healthz``,
+  endpoint: accept loop, reused connection threads, bounded hand-parsed
+  HTTP/1.1 (``POST /solve``, ``GET /metrics``, ``GET /healthz``,
   ``GET /readyz``, ``POST /shutdown``);
 * :mod:`repro.server.loadgen` — :class:`LoadgenConfig`, targets and
   :func:`run_loadgen`, writing the artifact ``scripts/check_serve.py``

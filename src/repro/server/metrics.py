@@ -66,7 +66,7 @@ class ServerMetrics:
     """Thread-safe counters, latency reservoir and batch histogram.
 
     All ``record_*`` methods are safe to call from any thread (HTTP handler
-    threads, scheduler workers, the admission path); :meth:`snapshot` can be
+    threads, shard threads, the admission path); :meth:`snapshot` can be
     taken at any time, including after shutdown.
     """
 
@@ -135,31 +135,23 @@ class ServerMetrics:
         if signature is not None:
             stats.record(latency_s)
 
-    def record_failed(self, latency_s: float | None) -> None:
+    def record_failed(
+        self, latency_s: float | None, deadline_expired: bool = False
+    ) -> None:
         """One admitted request failed after ``latency_s`` seconds.
 
         Pass ``None`` for requests that never executed (e.g. stranded in
         the queue at shutdown): they count as failed but contribute no
         latency sample, for the same reason as :meth:`record_cancelled`.
+        A missed deadline (typed 504) is a failure that *also* increments
+        the dedicated ``deadline_expired`` counter in the same lock
+        acquisition, so the ``accepted == completed + failed + cancelled +
+        in_flight`` invariant is preserved while the chaos gate can still
+        see deadline misses separately.
         """
         with self._lock:
             self.failed += 1
-            self.in_flight -= 1
-            if latency_s is not None:
-                self._latencies_s.append(latency_s)
-
-    def record_deadline_expired(self, latency_s: float | None) -> None:
-        """One admitted request missed its deadline (typed 504 failure).
-
-        Counts as a failure *and* increments the dedicated
-        ``deadline_expired`` counter in the same lock acquisition, so the
-        ``accepted == completed + failed + cancelled + in_flight`` invariant
-        is preserved while the chaos gate can still see deadline misses
-        separately.
-        """
-        with self._lock:
-            self.failed += 1
-            self.deadline_expired += 1
+            self.deadline_expired += deadline_expired
             self.in_flight -= 1
             if latency_s is not None:
                 self._latencies_s.append(latency_s)
@@ -185,7 +177,7 @@ class ServerMetrics:
             self.in_flight -= 1
 
     def record_batch(self, size: int) -> None:
-        """The scheduler drained one batch of ``size`` coalesced requests."""
+        """A shard took one batch of ``size`` coalesced requests."""
         with self._lock:
             self._batch_sizes[int(size)] += 1
 

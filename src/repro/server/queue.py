@@ -7,7 +7,7 @@ latency grow without bound, which is the explicit-backpressure half of the
 serving contract (the other half, batching, lives in
 :mod:`repro.server.service`).
 
-The queue also implements *signature-aware draining*: a scheduler worker
+The queue also implements *signature-aware draining*: a shard thread
 calling :meth:`RequestQueue.next_batch` receives the oldest request **plus
 every queued request with the same signature** (up to the batch bound), even
 when other signatures are interleaved between them.  Same-signature requests
@@ -38,7 +38,7 @@ def request_signature(
 
     Two requests with equal signatures resolve to the same tuned plan (same
     application instance, same overrides, same execution mode), so the
-    scheduler may serve them in one batch.  Delegates to
+    server may serve them in one batch.  Delegates to
     :func:`repro.adaptive.observations.observation_signature` — the one
     canonical signature implementation — so coalescing keys and adaptive
     observation keys can never diverge.
@@ -51,8 +51,8 @@ class ServeRequest:
     """One queued request and its completion state.
 
     Created by :meth:`repro.server.ReproServer.submit`; callers hold it as a
-    ticket and block on :meth:`result`.  The scheduler worker fills exactly
-    one of ``_result`` / ``_error`` and sets the event.
+    ticket and block on :meth:`result`.  The thread that resolves its batch
+    fills exactly one of ``_result`` / ``_error`` and sets the event.
     """
 
     app: str
@@ -98,17 +98,10 @@ class ServeRequest:
             and time.perf_counter() > self.deadline_at
         )
 
-    @property
-    def remaining_s(self) -> float | None:
-        """Seconds left until the deadline (``None`` when unbounded)."""
-        if self.deadline_at is None:
-            return None
-        return max(0.0, self.deadline_at - time.perf_counter())
-
     def cancel(self) -> bool:
         """Mark the request abandoned; return whether it was still pending.
 
-        Best-effort: a still-queued request is skipped by the scheduler
+        Best-effort: a still-queued request is skipped by the shards
         (no ghost work for a client that gave up); one already mid-execution
         completes normally — compute cannot be aborted part-way.
         """
@@ -138,7 +131,7 @@ class ServeRequest:
         :class:`~repro.core.exceptions.ServerError`.
         """
         if timeout is None and self.deadline_at is not None:
-            # Grace of 0.25s: the scheduler fails expired tickets with the
+            # Grace of 0.25s: the server fails expired tickets with the
             # typed DeadlineError; this local fallback only fires when the
             # server never answered at all.
             remaining = self.deadline_at + 0.25 - time.perf_counter()
@@ -163,8 +156,8 @@ class RequestQueue:
     ``capacity`` bounds the number of *queued* (admitted, not yet scheduled)
     requests; :meth:`submit` beyond it raises
     :class:`~repro.core.exceptions.BackpressureError`.  :meth:`close` stops
-    admission and wakes every waiting scheduler worker so the server can
-    drain and exit.
+    admission and wakes every waiting drainer so the server can drain and
+    exit.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -180,7 +173,7 @@ class RequestQueue:
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
-        """Number of admitted requests not yet handed to a scheduler."""
+        """Number of admitted requests not yet taken by a shard."""
         with self._cond:
             return len(self._items)
 
@@ -243,7 +236,7 @@ class RequestQueue:
             return batch
 
     def close(self) -> None:
-        """Stop admission and wake every waiting scheduler worker."""
+        """Stop admission and wake every waiting drainer."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()

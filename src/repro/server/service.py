@@ -2,18 +2,21 @@
 
 Architecture (one box per thread role)::
 
-    clients (any threads)          scheduler workers            session
-    ---------------------          ------------------           -------
+    clients (any threads)            shard threads              session
+    ---------------------            -------------              -------
     submit() --admission--> [RequestQueue] --next_batch--> solve_many()
         ^   BackpressureError        |   same-signature            |
         |                            v   coalescing                v
     ticket.result() <-------- complete()/fail() <-------- ExecutionResult
 
-    ``start()`` spawns the workers; ``close()`` drains and joins them and
-    (for a server that owns its session) releases the worker pools of
-    :class:`repro.runtime.lifecycle.EngineHost`.
+    ``start()`` starts the supervised shards; ``close()`` drains and joins
+    them and (for a server that owns its session) releases the worker pools
+    of :class:`repro.runtime.lifecycle.EngineHost`.
 
-The server adds exactly three behaviours on top of
+A request crosses threads exactly twice: the submitting thread queues it; an
+idle shard thread (:mod:`repro.server.supervisor`) takes a coalesced batch
+from the queue itself and completes its tickets on the spot.  The server
+adds exactly three behaviours on top of
 :meth:`repro.session.Session.solve_many`:
 
 * **admission control** — a bounded queue with an explicit, typed
@@ -26,8 +29,8 @@ The server adds exactly three behaviours on top of
   (:mod:`repro.server.metrics`) and graceful drain/shutdown.
 
 Requests may be submitted before :meth:`ReproServer.start`; they queue (and
-count against capacity) until the scheduler workers come up — which also
-makes batching deterministic to test.
+count against capacity) until the shards come up — which also makes
+batching deterministic to test.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.adaptive.controller import (
@@ -51,7 +55,7 @@ from repro.core.exceptions import (
 from repro.server.faults import FaultPlan
 from repro.server.metrics import ServerMetrics
 from repro.server.queue import RequestQueue, ServeRequest
-from repro.server.supervisor import ShardSupervisor, SupervisorConfig
+from repro.server.supervisor import ShardSupervisor, ShardTask, SupervisorConfig
 from repro.session import Session
 
 #: Default bound of the request queue (admission control).
@@ -60,8 +64,6 @@ DEFAULT_QUEUE_CAPACITY = 64
 DEFAULT_MAX_BATCH = 8
 #: Default per-request deadline (seconds) when the client sends none.
 DEFAULT_DEADLINE_S = 30.0
-#: How long an idle scheduler worker waits before re-checking for shutdown.
-_IDLE_WAIT_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,17 @@ class ServerConfig:
 
     ``queue_capacity`` bounds admitted-but-unscheduled requests (overflow is
     rejected with backpressure); ``max_batch`` bounds how many coalesced
-    same-signature requests one coalesced execution serves; ``workers`` is
-    the number of scheduler threads (more than one only overlaps planning —
-    the session's run lock serialises grid execution); ``drain_timeout_s``
-    bounds how long :meth:`ReproServer.close` waits for in-flight work.
+    same-signature requests one coalesced execution serves;
+    ``drain_timeout_s`` bounds how long :meth:`ReproServer.close` waits for
+    in-flight work.
 
     ``default_deadline_s`` is the per-request deadline applied when the
     client sends none (``None`` disables the default — requests without an
     explicit deadline then wait unboundedly); ``shards`` is the number of
-    supervised worker shards (1 = the degenerate in-thread shard sharing
-    the server's session); ``degraded_fallback`` makes the scheduler solve
-    directly on the server's session when every shard is unavailable,
-    instead of shedding the request with 429.
+    supervised worker shards — the execution concurrency (1 = the
+    degenerate in-thread shard sharing the server's session);
+    ``degraded_fallback`` solves directly on the server's session when
+    every shard is unavailable, instead of shedding the request with 429.
 
     ``adaptive`` selects how far the online tuning loop runs
     (:data:`repro.adaptive.ADAPTIVE_MODES`): ``"off"`` builds no
@@ -92,7 +93,6 @@ class ServerConfig:
 
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     max_batch: int = DEFAULT_MAX_BATCH
-    workers: int = 1
     drain_timeout_s: float = 30.0
     default_deadline_s: float | None = DEFAULT_DEADLINE_S
     shards: int = 1
@@ -101,21 +101,14 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         """Validate the knobs once, at construction."""
-        if self.queue_capacity < 1:
-            raise ServerError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.max_batch < 1:
-            raise ServerError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.workers < 1:
-            raise ServerError(f"workers must be >= 1, got {self.workers}")
+        for name in ("queue_capacity", "max_batch", "shards"):
+            if getattr(self, name) < 1:
+                raise ServerError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ServerError(
                 f"default_deadline_s must be > 0 or None, "
                 f"got {self.default_deadline_s}"
             )
-        if self.shards < 1:
-            raise ServerError(f"shards must be >= 1, got {self.shards}")
         if self.adaptive not in ADAPTIVE_MODES:
             raise ServerError(
                 f"adaptive must be one of {ADAPTIVE_MODES}, got {self.adaptive!r}"
@@ -153,19 +146,19 @@ class ReproServer:
         self.metrics_store = ServerMetrics()
         self._queue = RequestQueue(self.config.queue_capacity)
         self._own_session = own_session
-        self._threads: list[threading.Thread] = []
         self._lifecycle = threading.Lock()
         self._started = False
         self._closed = False
-        # Every execution goes through the supervisor.  With shards == 1 and
-        # no factory this is the degenerate in-thread shard borrowing the
-        # server's own session — same execution semantics as before, but the
-        # supervision/chaos path is always exercised.  A factory builds one
-        # session per shard (share a warmed tuner and one ResultCache across
-        # them so re-dispatches coalesce); `session` stays the degraded
-        # fallback and the metrics/cache-info source either way.
+        # Every execution goes through the supervisor, whose shard threads
+        # take their batches from the queue themselves.  With shards == 1
+        # and no factory this is the degenerate in-thread shard borrowing
+        # the server's own session.  A factory builds one session per shard
+        # (share a warmed tuner and one ResultCache across them so
+        # re-dispatches coalesce); `session` stays the degraded fallback
+        # and the metrics/cache-info source either way.
         self.supervisor = ShardSupervisor(
             session=None if session_factory is not None else session,
+            source=self._next_task,
             shards=self.config.shards,
             session_factory=session_factory,
             config=supervisor_config,
@@ -184,15 +177,13 @@ class ReproServer:
 
     def _adaptive_sessions(self) -> list[Session]:
         """Every session a live plan swap must reach (server + shards)."""
-        sessions = [self.session]
-        sessions.extend(shard.session for shard in self.supervisor.shards)
-        return sessions
+        return [self.session, *(shard.session for shard in self.supervisor.shards)]
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ReproServer":
-        """Spawn the scheduler workers; idempotent until :meth:`close`."""
+        """Start the supervised shards; idempotent until :meth:`close`."""
         with self._lifecycle:
             if self._closed:
                 raise ServerError("cannot start a closed server")
@@ -204,14 +195,6 @@ class ReproServer:
                 # the run-observation log (shadow retraining evidence).
                 for session in {id(s): s for s in self._adaptive_sessions()}.values():
                     session.attach_observer(self.adaptive.record_run)
-            for index in range(self.config.workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"repro-serve-worker-{index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
             self._started = True
             return self
 
@@ -225,20 +208,19 @@ class ReproServer:
         timeout = timeout if timeout is not None else self.config.drain_timeout_s
         self._queue.close()
         with self._lifecycle:
-            started = self._started
-        if not started:
-            # No scheduler workers exist, so waiting cannot make progress;
-            # report the truth immediately (close() fails any stragglers).
-            return self._queue.depth == 0 and self.metrics_store.in_flight == 0
+            if not self._started:
+                # No shard thread exists, so waiting cannot make progress;
+                # report the truth immediately (close() fails any stragglers).
+                timeout = 0.0
         deadline = time.perf_counter() + timeout
-        while time.perf_counter() < deadline:
-            if self._queue.depth == 0 and self.metrics_store.in_flight == 0:
-                return True
+        while self._queue.depth or self.metrics_store.in_flight:
+            if time.perf_counter() >= deadline:
+                return False
             time.sleep(0.01)
-        return self._queue.depth == 0 and self.metrics_store.in_flight == 0
+        return True
 
     def close(self) -> None:
-        """Graceful shutdown: drain, join workers, release owned resources.
+        """Graceful shutdown: drain, join shards, release owned resources.
 
         Safe to call more than once.  Requests still queued after the drain
         timeout are failed with :class:`~repro.core.exceptions.ServerError`
@@ -259,9 +241,6 @@ class ReproServer:
                 # survives shutdown; no latency sample — they never ran, so
                 # their queue wait would distort the service percentiles.
                 self.metrics_store.record_failed(None)
-        for thread in self._threads:
-            thread.join(timeout=self.config.drain_timeout_s)
-        self._threads.clear()
         self.supervisor.close()
         if self._own_session:
             self.session.close()
@@ -323,7 +302,7 @@ ShardUnavailableError` subclass when every shard's restart budget is
             enqueued_at=now,
             deadline_at=deadline_at,
         )
-        # Count acceptance BEFORE the request becomes visible to workers, so
+        # Count acceptance BEFORE the request becomes visible to shards, so
         # a fast completion can never be recorded ahead of it (in_flight
         # would transiently read -1 and drain() could return early).
         self.metrics_store.record_accepted()
@@ -399,140 +378,89 @@ ShardUnavailableError` subclass when every shard's restart budget is
         }
 
     # ------------------------------------------------------------------
-    # Scheduler workers
+    # The shards' work source
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        """Drain coalesced batches until the queue closes and empties."""
-        while True:
-            batch = self._queue.next_batch(self.config.max_batch, _IDLE_WAIT_S)
-            if not batch:
-                if self._queue.closed and self._queue.depth == 0:
-                    return
-                continue
-            self._serve_batch(batch)
+    def _next_task(self, timeout: float) -> ShardTask | None:
+        """One coalesced batch as a shard task (the supervisor's ``source``).
 
-    def _serve_batch(self, batch: list[ServeRequest]) -> None:
-        """Serve one same-signature batch with a single execution.
-
-        Requests whose waiter already gave up (``cancel()``) are dropped
-        here instead of executed — no ghost work for absent clients.  The
-        batch is identical by construction (one signature → one plan, one
-        deterministic answer), so it is **executed once** and every ticket
-        completes with the same shared :class:`ExecutionResult` — callers
-        must treat results as read-only, which every shipped consumer (HTTP
-        payload, verification, metrics) already does.  A failure applies to
-        the whole batch, is delivered to each waiting client, and never
-        kills the worker — the server keeps serving subsequent batches.
+        Called by whichever shard thread is idle, waiting up to ``timeout``
+        for a request.  Requests whose waiter already gave up (``cancel()``)
+        or whose deadline passed in the queue are resolved here, not
+        executed — no ghost work for absent clients.  The rest is identical
+        by construction (one signature → one plan, one deterministic
+        answer): **one** task whose result every ticket shares.
         """
+        batch = self._queue.next_batch(self.config.max_batch, timeout)
+        if not batch and self._queue.closed:
+            time.sleep(timeout)  # nothing will arrive: idle the poll out
         live = []
         for request in batch:
             if request.cancelled:
                 request.fail(ServerError("request was cancelled by its client"))
                 self.metrics_store.record_cancelled()
             elif request.expired:
-                # The deadline passed while the request sat in the queue:
-                # fail it typed instead of executing work nobody can use.
                 request.fail(
                     DeadlineError(
                         f"request {request.app}[dim={request.dim}] expired "
                         "in the queue before execution"
                     )
                 )
-                self.metrics_store.record_deadline_expired(None)
+                self.metrics_store.record_failed(None, deadline_expired=True)
             else:
                 live.append(request)
         if not live:
-            return
-        batch = live
-        self.metrics_store.record_batch(len(batch))
+            return None
+        self.metrics_store.record_batch(len(live))
         # The strictest deadline in the batch bounds the shared execution;
         # coalesced peers are identical apart from their deadlines, so the
         # tightest one is the only one that can expire first.
-        deadlines = [r.deadline_at for r in batch if r.deadline_at is not None]
-        deadline_at = min(deadlines) if deadlines else None
-        executed_at = time.perf_counter()
-        try:
-            result = self.supervisor.execute(
-                batch[0].as_request(),
-                mode=batch[0].mode,
-                deadline_at=deadline_at,
-                signature=batch[0].signature,
-                count=len(batch),
-            )
-        except DeadlineError as error:
-            now = time.perf_counter()
-            for request in batch:
-                request.fail(error)
-                self.metrics_store.record_deadline_expired(
-                    now - request.enqueued_at
-                )
-            return
-        except ShardUnavailableError as error:
-            if self.config.degraded_fallback:
-                self._serve_degraded(batch)
-                return
-            now = time.perf_counter()
-            for request in batch:
-                request.fail(error)
-                self.metrics_store.record_failed(now - request.enqueued_at)
-            return
-        except Exception as error:  # noqa: BLE001 - delivered to the client
-            now = time.perf_counter()
-            for request in batch:
-                request.fail(error)
-                self.metrics_store.record_failed(now - request.enqueued_at)
-            return
-        now = time.perf_counter()
-        service_s = now - executed_at
-        for request in batch:
-            request.complete(result)
-            self.metrics_store.record_completed(
-                now - request.enqueued_at, signature=request.signature
-            )
-        if self.adaptive is not None:
-            head = batch[0]
-            self.adaptive.observe(
-                head.app,
-                head.dim,
-                head.mode,
-                head.plan_kwargs,
-                service_s,
-                count=len(batch),
-            )
+        deadlines = [r.deadline_at for r in live if r.deadline_at is not None]
+        return ShardTask(
+            live[0].as_request(),
+            live[0].mode,
+            min(deadlines) if deadlines else None,
+            count=len(live),
+            on_done=partial(self._deliver, live, time.perf_counter()),
+        )
 
-    def _serve_degraded(self, batch: list[ServeRequest]) -> None:
-        """Answer one batch directly on the server's session (last resort).
+    def _deliver(
+        self, batch: list[ServeRequest], taken_at: float, task: ShardTask
+    ) -> None:
+        """Complete every ticket of one resolved batch, on the resolving thread.
 
-        Graceful degradation: every shard is dead, but going dark is worse
-        than serving slowly — solve in the scheduler thread on the borrowed
-        session.  Deterministic execution keeps the response bit-exact with
-        what a shard would have produced.
+        Callers must treat the shared :class:`ExecutionResult` as read-only,
+        which every shipped consumer (HTTP payload, verification, metrics)
+        does.  A failure is delivered to each waiting client.  Graceful
+        degradation: when every shard is gone and ``degraded_fallback`` is
+        set, the batch is solved right here on the borrowed session —
+        deterministic, so bit-exact with what a shard would have produced.
         """
-        executed_at = time.perf_counter()
-        try:
-            result = self.session.solve_many(
-                [batch[0].as_request()], mode=batch[0].mode
-            )[0]
-        except Exception as error:  # noqa: BLE001 - delivered to the client
-            now = time.perf_counter()
+        head, result, error = batch[0], task.result, task.error
+        if isinstance(error, ShardUnavailableError) and self.config.degraded_fallback:
+            taken_at = time.perf_counter()
+            try:
+                result = self.session.solve_many([head.as_request()], mode=head.mode)[0]
+                error = None
+            except Exception as failure:  # noqa: BLE001 - delivered to the client
+                error = failure
+        now = time.perf_counter()
+        if error is not None:
+            missed = isinstance(error, DeadlineError)
             for request in batch:
                 request.fail(error)
-                self.metrics_store.record_failed(now - request.enqueued_at)
+                self.metrics_store.record_failed(now - request.enqueued_at, missed)
             return
-        now = time.perf_counter()
-        service_s = now - executed_at
         for request in batch:
             request.complete(result)
             self.metrics_store.record_completed(
                 now - request.enqueued_at, signature=request.signature
             )
         if self.adaptive is not None:
-            head = batch[0]
             self.adaptive.observe(
                 head.app,
                 head.dim,
                 head.mode,
                 head.plan_kwargs,
-                service_s,
+                now - taken_at,
                 count=len(batch),
             )

@@ -3,9 +3,10 @@
 The hardest part of sharded serving is not the fan-out but surviving it: a
 shard that dies mid-solve must not take the service down or lose the
 request.  :class:`ShardSupervisor` owns N worker :class:`Shard` lanes (each
-hosting its own :class:`~repro.session.Session` and executing
-:class:`ShardTask` work items from a signature-routed inbox) plus one
-monitor thread, and guarantees:
+hosting its own :class:`~repro.session.Session`) plus one monitor thread.
+An idle shard thread takes its next :class:`ShardTask` straight from the
+supervisor's ``source`` (the server's admission queue) and resolves it on
+the spot; its inbox only carries re-dispatched work.  Guarantees:
 
 * **crash detection** — a shard is declared crashed when its loop raises
   :class:`~repro.core.exceptions.ShardCrashError` (injected kill) or
@@ -24,27 +25,29 @@ monitor thread, and guarantees:
   deterministic and, when the shards share one persistent
   :class:`repro.cache.ResultCache`, retried requests coalesce on the
   cache's leader/follower keys so a retry never double-solves;
-* **deadline enforcement** — :meth:`ShardSupervisor.execute` never blocks
-  past the request deadline: an unanswered task fails with a typed
+* **deadline enforcement** — the monitor fails every task a shard holds
+  unanswered past its deadline with a typed
   :class:`~repro.core.exceptions.DeadlineError` (HTTP 504), which is also
-  how a chaos ``drop`` fault (response discarded after solving) resolves.
+  how a chaos ``drop`` fault (response discarded after solving) resolves;
+  once every shard is dead it also takes what is still admitted and fails
+  it :class:`~repro.core.exceptions.ShardUnavailableError`.
 
 The degenerate configuration — one in-thread shard borrowing the server's
 session — is the default, so a 1-core CI host exercises every code path:
-dispatch, heartbeats, crash, backoff, restart, re-dispatch and circuit
-breaking all behave identically at N=1.  Chaos injection
-(:mod:`repro.server.faults`) hooks the shard loop between dequeue and
-execution, which is what keeps injected kills at-most-once: the fault
-fires *before* any solve starts.
+heartbeats, crash, backoff, restart, re-dispatch and circuit breaking all
+behave identically at N=1.  Chaos injection (:mod:`repro.server.faults`)
+hooks the shard loop between dequeue and execution, which is what keeps
+injected kills at-most-once: the fault fires *before* any solve starts.
 """
 
 from __future__ import annotations
 
+import queue
 import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.exceptions import (
@@ -57,7 +60,7 @@ from repro.core.exceptions import (
 from repro.server.faults import FaultInjector, FaultPlan
 from repro.session import Session
 
-#: Extra seconds a waiter allows past the deadline before failing the task,
+#: Extra seconds the monitor allows past the deadline before failing a task,
 #: absorbing scheduler wake-up latency without weakening the guarantee.
 DEADLINE_GRACE_S = 0.1
 
@@ -90,136 +93,86 @@ class SupervisorConfig:
 
     def __post_init__(self) -> None:
         """Validate the knobs once, at construction."""
-        if self.heartbeat_interval_s <= 0:
-            raise ServerError(
-                f"heartbeat_interval_s must be > 0, got {self.heartbeat_interval_s}"
-            )
+        for name in ("heartbeat_interval_s", "restart_window_s"):
+            if getattr(self, name) <= 0:
+                raise ServerError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.missed_heartbeats < 1:
             raise ServerError(
                 f"missed_heartbeats must be >= 1, got {self.missed_heartbeats}"
             )
-        for name in ("hang_grace_s", "backoff_base_s", "backoff_cap_s"):
+        for name in (
+            "hang_grace_s",
+            "backoff_base_s",
+            "backoff_cap_s",
+            "backoff_jitter",
+            "restart_budget",
+            "max_redispatch",
+        ):
             if getattr(self, name) < 0:
                 raise ServerError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.backoff_jitter < 0:
-            raise ServerError(
-                f"backoff_jitter must be >= 0, got {self.backoff_jitter}"
-            )
-        if self.restart_budget < 0:
-            raise ServerError(
-                f"restart_budget must be >= 0, got {self.restart_budget}"
-            )
-        if self.restart_window_s <= 0:
-            raise ServerError(
-                f"restart_window_s must be > 0, got {self.restart_window_s}"
-            )
-        if self.max_redispatch < 0:
-            raise ServerError(
-                f"max_redispatch must be >= 0, got {self.max_redispatch}"
-            )
 
 
+@dataclass(eq=False, slots=True)
 class ShardTask:
     """One unit of shard work: a coalesced batch's single execution.
 
-    Created by :meth:`ShardSupervisor.execute`, carried through a shard
-    inbox, possibly re-dispatched after a crash.  ``request`` is the
+    Built by the supervisor's ``source``, executed by whichever shard took
+    it, possibly re-dispatched after a crash.  ``request`` is the
     :meth:`repro.session.Session.solve_many` mapping of the batch head;
     ``count`` is the number of coalesced client requests it answers (the
-    fault injector advances its request ordinal by this much).  Exactly one
-    of result/error is delivered; a chaos ``drop`` fault delivers neither,
-    leaving the waiter to fail at its deadline.
+    fault injector advances its request ordinal by this much).  The task
+    resolves **exactly once** — the first :meth:`complete` / :meth:`fail`
+    wins, whichever thread makes it (shard, monitor, ``close()``) — and the
+    winner calls ``on_done(task)``, where the server completes the tickets.
+    A chaos ``drop`` fault resolves nothing: the monitor fails the task at
+    its deadline.
     """
 
-    __slots__ = (
-        "request",
-        "mode",
-        "deadline_at",
-        "signature",
-        "count",
-        "attempts",
-        "abandoned",
-        "dropped",
-        "_done",
-        "_result",
-        "_error",
-    )
+    request: dict
+    mode: str | None
+    deadline_at: float | None
+    count: int = 1
+    on_done: Callable[["ShardTask"], None] | None = None
+    #: Executions started (first dispatch + re-dispatches).
+    attempts: int = 0
+    #: Set when a chaos drop fault discarded the computed response.
+    dropped: bool = False
+    #: True once a result or error was delivered; a done task still sitting
+    #: in an inbox is skipped, not run late.
+    done: bool = False
+    result: Any = None
+    error: BaseException | None = None
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def __init__(
-        self,
-        request: dict,
-        mode: str | None,
-        deadline_at: float | None,
-        signature: Any = None,
-        count: int = 1,
-    ) -> None:
-        self.request = request
-        self.mode = mode
-        self.deadline_at = deadline_at
-        self.signature = signature
-        self.count = max(1, int(count))
-        #: Executions started (first dispatch + re-dispatches).
-        self.attempts = 0
-        #: Set by the waiter at deadline so a queued task is skipped.
-        self.abandoned = False
-        #: Set when a chaos drop fault discarded the computed response.
-        self.dropped = False
-        self._done = threading.Event()
-        self._result: Any = None
-        self._error: BaseException | None = None
+    def complete(self, result: Any) -> bool:
+        """Deliver the execution result; False when already resolved."""
+        return self._resolve(result, None)
 
-    @property
-    def done(self) -> bool:
-        """True once a result or error was delivered."""
-        return self._done.is_set()
+    def fail(self, error: BaseException) -> bool:
+        """Deliver a failure; False when already resolved."""
+        return self._resolve(None, error)
 
-    @property
-    def expired(self) -> bool:
-        """True once the task's deadline (if any) has passed."""
-        return (
-            self.deadline_at is not None
-            and time.perf_counter() > self.deadline_at
-        )
-
-    def complete(self, result: Any) -> None:
-        """Deliver the execution result and wake the waiter."""
-        self._result = result
-        self._done.set()
-
-    def fail(self, error: BaseException) -> None:
-        """Deliver a failure and wake the waiter."""
-        self._error = error
-        self._done.set()
-
-    def wait(self) -> bool:
-        """Block until resolved or the deadline (+grace) passes.
-
-        Returns ``True`` when the task resolved in time; ``False`` means
-        the deadline expired with no response (crash re-dispatch could not
-        finish in time, or a drop fault discarded the answer).
-        """
-        if self.deadline_at is None:
-            self._done.wait()
-            return True
-        remaining = self.deadline_at + DEADLINE_GRACE_S - time.perf_counter()
-        return self._done.wait(max(0.0, remaining))
-
-    def outcome(self) -> Any:
-        """The delivered result, or re-raise the delivered error."""
-        if self._error is not None:
-            raise self._error
-        return self._result
+    def _resolve(self, result: Any, error: BaseException | None) -> bool:
+        with self._lock:
+            if self.done:
+                return False
+            self.done = True
+        self.result, self.error = result, error
+        if self.on_done is not None:
+            self.on_done(self)
+        return True
 
 
 class Shard:
     """One supervised worker lane: a session, an inbox and a beat clock.
 
-    The shard thread loops dequeue → chaos hooks → execute → deliver,
-    beating ``last_beat`` between tasks.  All mutable state (inbox,
-    ``current`` task, ``state``, ``epoch``) is guarded by one condition;
-    the ``epoch`` counter retires superseded threads — a thread that wakes
-    from a hang after the monitor already restarted the shard observes a
-    stale epoch and exits without touching anything.
+    The shard thread loops take → chaos hooks → execute → resolve, beating
+    ``last_beat`` between tasks; it takes from its inbox (re-dispatched
+    work) first, else from the supervisor's source, where it also waits
+    when idle.  All mutable state (inbox, ``current`` task, ``state``,
+    ``epoch``) is guarded by one lock; the ``epoch`` counter retires
+    superseded threads — a thread that wakes from a hang after the monitor
+    already restarted the shard sees a stale epoch and exits untouched.
 
     States: ``healthy`` (thread serving), ``restarting`` (crashed, waiting
     out its backoff), ``dead`` (restart budget exhausted — circuit open).
@@ -247,14 +200,14 @@ class Shard:
         self.restarts = 0
         self.crashes = 0
         self.dropped = 0
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn (or respawn) the shard thread under a fresh epoch."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self.epoch += 1
@@ -269,22 +222,9 @@ class Shard:
             )
             self._thread.start()
 
-    def dispatch(self, task: ShardTask, front: bool = False) -> None:
-        """Queue one task; ``front`` puts a re-dispatched task first."""
-        with self._cond:
-            if self._closed or self.state == "dead":
-                raise ShardUnavailableError(
-                    f"shard {self.index} is {'closed' if self._closed else 'dead'}"
-                )
-            if front:
-                self.inbox.appendleft(task)
-            else:
-                self.inbox.append(task)
-            self._cond.notify()
-
     def snapshot(self) -> dict:
         """JSON-safe view of this shard for readiness and metrics pages."""
-        with self._cond:
+        with self._lock:
             return {
                 "index": self.index,
                 "state": self.state,
@@ -297,7 +237,7 @@ class Shard:
 
     def close(self) -> None:
         """Retire the thread and fail every unanswered task."""
-        with self._cond:
+        with self._lock:
             self._closed = True
             self.epoch += 1  # retire any live or hung thread
             stranded = list(self.inbox)
@@ -305,12 +245,10 @@ class Shard:
             if self.current is not None:
                 stranded.append(self.current)
                 self.current = None
-            self._cond.notify_all()
             thread = self._thread
         error = ServerError("shard shut down before the request completed")
         for task in stranded:
-            if not task.done:
-                task.fail(error)
+            task.fail(error)
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=2.0)
         if self.owns_session:
@@ -318,34 +256,44 @@ class Shard:
 
     # ------------------------------------------------------------------
     def _loop(self, epoch: int) -> None:
-        """Serve inbox tasks until superseded or closed, beating in between."""
+        """Serve tasks until superseded or closed, beating in between."""
         interval = self.supervisor.config.heartbeat_interval_s / 2
         while True:
-            with self._cond:
+            with self._lock:
                 if self.epoch != epoch or self._closed:
                     return
                 self.last_beat = time.perf_counter()
-                if not self.inbox:
-                    self._cond.wait(interval)
-                    continue
-                task = self.inbox.popleft()
-                if task.abandoned or task.done:
-                    continue
-                self.current = task
+                task = self.inbox.popleft() if self.inbox else None
+            if task is None:
+                # Idle: wait on the admission queue itself, half a beat at a
+                # time, so an admitted request wakes this thread directly.
+                task = self.supervisor.source(interval)
+            if task is None or task.done:
+                continue
+            with self._lock:
+                live = self.epoch == epoch and not self._closed
+                if live:
+                    self.current = task
+            if not live:
+                # Retired while it waited: hand the unstarted task on.
+                self.supervisor._redispatch(
+                    task, self, ShardCrashError(f"shard {self.index} was retired")
+                )
+                return
             try:
                 self._execute(task, epoch)
             except (ShardCrashError, WorkerCrashError) as crash:
                 self.supervisor._on_crash(self, task, crash, epoch)
                 return
             finally:
-                with self._cond:
+                with self._lock:
                     if self.epoch == epoch:
                         self.current = None
                         self.last_beat = time.perf_counter()
 
     def _stale(self, epoch: int) -> bool:
         """True when this thread was superseded by a restart."""
-        with self._cond:
+        with self._lock:
             return self.epoch != epoch or self._closed
 
     def _execute(self, task: ShardTask, epoch: int) -> None:
@@ -366,15 +314,8 @@ class Shard:
                 f"chaos kill fault on shard {self.index} "
                 f"(request ordinal {kill.at})"
             )
-        if task.expired:
-            task.fail(
-                DeadlineError(
-                    f"request {task.request.get('app')!r} expired in the "
-                    f"shard inbox before execution"
-                )
-            )
-            return
         try:
+            # Past its deadline by now, the session itself refuses the task.
             result = self.session.solve_many(
                 [task.request], mode=task.mode, deadline_at=task.deadline_at
             )[0]
@@ -386,11 +327,12 @@ class Shard:
         if self._stale(epoch):
             return
         if drop:
-            # Chaos: the work happened, the response vanishes.  The waiter
-            # resolves the ticket at its deadline with DeadlineError.
+            # Chaos: the work happened, the response vanishes; the monitor
+            # resolves the task at its deadline with DeadlineError.
             task.dropped = True
-            with self._cond:
+            with self._lock:
                 self.dropped += 1
+            self.supervisor._unanswered.put(task)
             return
         task.complete(result)
 
@@ -406,12 +348,17 @@ class ShardSupervisor:
     re-dispatched requests stay at-most-once across shards).  The
     supervisor closes factory-built sessions on :meth:`close` and never
     closes a borrowed one.
+
+    Idle shard threads take their work from ``source(timeout)``: the next
+    :class:`ShardTask`, or ``None`` after at most ``timeout`` seconds
+    (:class:`~repro.server.ReproServer` passes its admission queue's view).
     """
 
     def __init__(
         self,
         session: Session | None = None,
         *,
+        source: Callable[[float], ShardTask | None],
         shards: int = 1,
         session_factory: Callable[[int], Session] | None = None,
         config: SupervisorConfig | None = None,
@@ -423,6 +370,7 @@ class ShardSupervisor:
             raise ServerError(
                 "ShardSupervisor needs a session or a session_factory"
             )
+        self.source = source
         self.config = config if config is not None else SupervisorConfig()
         self.injector = FaultInjector(
             plan=fault_plan if fault_plan is not None else FaultPlan()
@@ -434,14 +382,13 @@ class ShardSupervisor:
         self._monitor: threading.Thread | None = None
         self._monitor_stop = threading.Event()
         self.redispatches = 0
+        #: Tasks a shard let go of without an answer (chaos drops); the
+        #: monitor fails them at their deadline.
+        self._unanswered: queue.SimpleQueue[ShardTask] = queue.SimpleQueue()
         self.shards: list[Shard] = []
+        owns = session_factory is not None
         for index in range(int(shards)):
-            if session_factory is not None:
-                shard_session = session_factory(index)
-                owns = True
-            else:
-                shard_session = session  # type: ignore[assignment]
-                owns = False
+            shard_session = session_factory(index) if owns else session
             self.shards.append(Shard(index, shard_session, self, owns))
 
     # ------------------------------------------------------------------
@@ -474,6 +421,10 @@ class ShardSupervisor:
             self._monitor.join(timeout=2.0)
         for shard in self.shards:
             shard.close()
+        while not self._unanswered.empty():
+            self._unanswered.get().fail(
+                ServerError("shard shut down before the request completed")
+            )
 
     @property
     def ready(self) -> bool:
@@ -484,56 +435,6 @@ class ShardSupervisor:
     def circuit_open(self) -> bool:
         """True once every shard is dead (restart budgets exhausted)."""
         return all(shard.state == "dead" for shard in self.shards)
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        request: dict,
-        mode: str | None = None,
-        deadline_at: float | None = None,
-        signature: Any = None,
-        count: int = 1,
-    ):
-        """Run one (batch-head) request on a shard; block for the outcome.
-
-        Routes by signature hash so equal-signature streams keep hitting
-        one shard's warm caches, falling back to the next healthy lane.
-        Raises :class:`~repro.core.exceptions.DeadlineError` when the
-        deadline passes unanswered — the caller decides whether that fails
-        the batch or triggers degraded fallback — and
-        :class:`~repro.core.exceptions.ShardUnavailableError` when no lane
-        can accept work at all.
-        """
-        task = ShardTask(request, mode, deadline_at, signature, count)
-        self._pick_shard(signature).dispatch(task)
-        if task.wait():
-            return task.outcome()
-        task.abandoned = True  # a still-queued task is skipped, not run late
-        raise DeadlineError(
-            f"request {request.get('app')!r} missed its deadline after "
-            f"{task.attempts} execution attempt(s)"
-            + (" (response dropped)" if task.dropped else "")
-        )
-
-    def _pick_shard(self, signature: Any) -> Shard:
-        """The dispatch target: preferred healthy lane, else any viable one."""
-        n = len(self.shards)
-        preferred = (hash(signature) % n) if signature is not None else 0
-        order = [self.shards[(preferred + i) % n] for i in range(n)]
-        for shard in order:
-            if shard.state == "healthy":
-                return shard
-        for shard in order:
-            if shard.state == "restarting":
-                # Queue behind the restart: the task runs once the backoff
-                # elapses, bounded by its own deadline either way.
-                return shard
-        raise ShardUnavailableError(
-            "no shard can accept work: every restart budget is exhausted; "
-            "retry later or reduce the offered load"
-        )
 
     # ------------------------------------------------------------------
     # Crash handling
@@ -547,7 +448,7 @@ class ShardSupervisor:
     ) -> None:
         """Handle one shard crash: retire, back off or trip, re-dispatch."""
         now = time.perf_counter()
-        with shard._cond:
+        with shard._lock:
             if shard.epoch != epoch or shard._closed:
                 return  # already handled (monitor and loop can race here)
             shard.epoch += 1  # retire the crashed/hung thread
@@ -574,8 +475,7 @@ class ShardSupervisor:
             f"{self.config.restart_window_s:g}s)"
         )
         for queued in stranded:
-            if not queued.done:
-                queued.fail(breaker)
+            queued.fail(breaker)
         if task is not None and not task.done:
             self._redispatch(task, shard, error)
 
@@ -589,7 +489,7 @@ class ShardSupervisor:
         self, task: ShardTask, crashed: Shard, error: BaseException
     ) -> None:
         """Give a crashed shard's in-flight task its bounded second chance."""
-        if task.abandoned or task.expired:
+        if task.deadline_at is not None and time.perf_counter() > task.deadline_at:
             task.fail(
                 DeadlineError(
                     f"request {task.request.get('app')!r} crashed with its "
@@ -611,10 +511,13 @@ class ShardSupervisor:
             if shard is not crashed and shard.state == "healthy":
                 target = shard
                 break
-        try:
-            target.dispatch(task, front=True)
-        except ShardUnavailableError as unavailable:
-            task.fail(unavailable)
+        with target._lock:
+            # Ahead of everything else the lane holds, unless it is gone.
+            gone = target._closed or target.state == "dead"
+            if not gone:
+                target.inbox.appendleft(task)
+        if gone:
+            task.fail(ShardUnavailableError(f"shard {target.index} is gone"))
             return
         with self._lock:
             self.redispatches += 1
@@ -623,25 +526,63 @@ class ShardSupervisor:
     # Monitor
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
-        """Detect hung/silent shards and restart crashed ones on schedule."""
+        """Detect hung/silent shards, restart crashed ones, expire deadlines.
+
+        Once every shard is dead no lane is left to drain the source, so
+        the monitor takes what is still admitted and fails it typed (the
+        server's ``on_done`` may then degrade-serve it).
+        """
         interval = self.config.heartbeat_interval_s
-        while not self._monitor_stop.wait(interval):
+        while not self._monitor_stop.is_set():
+            if self.circuit_open:
+                task = self.source(interval)
+                if task is not None:
+                    reason = "no shard can accept work: every restart budget is exhausted"
+                    task.fail(ShardUnavailableError(reason + "; retry later"))
+            else:
+                self._monitor_stop.wait(interval)
             now = time.perf_counter()
             for shard in self.shards:
                 self._check_shard(shard, now)
+            for _ in range(self._unanswered.qsize()):
+                task = self._unanswered.get()
+                if not self._expire(task, now):
+                    self._unanswered.put(task)
+
+    @staticmethod
+    def _expire(task: ShardTask, now: float) -> bool:
+        """Fail ``task`` typed once past deadline + grace; True when done."""
+        if (
+            not task.done
+            and task.deadline_at is not None
+            and now > task.deadline_at + DEADLINE_GRACE_S
+        ):
+            task.fail(
+                DeadlineError(
+                    f"request {task.request.get('app')!r} missed its deadline "
+                    f"after {task.attempts} execution attempt(s)"
+                    + (" (response dropped)" if task.dropped else "")
+                )
+            )
+        return task.done
 
     def _check_shard(self, shard: Shard, now: float) -> None:
         """One monitor tick for one shard."""
-        with shard._cond:
+        with shard._lock:
             state = shard.state
             epoch = shard.epoch
             current = shard.current
             last_beat = shard.last_beat
             restart_at = shard.restart_at
+            held = list(shard.inbox)
+        if current is not None:
+            held.append(current)
+        for task in held:
+            self._expire(task, now)
         if state == "restarting":
             if now >= restart_at and not self._closed:
                 shard.start()
-                with shard._cond:
+                with shard._lock:
                     shard.restarts += 1
             return
         if state != "healthy":

@@ -6,11 +6,13 @@ cache surfaces in ``cache_info()`` and the server's metrics snapshot, and
 that cached answers stay bit-identical to fresh solving.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.apps.lcs import LCSApp
-from repro.server import ReproServer, ServerConfig
+from repro.server import ReproServer, ServerConfig, result_payload
 from repro.facade.policy import ExecutionPolicy
 from repro.session import Session
 
@@ -80,6 +82,40 @@ class TestSolveCaching:
             cached.solve("lcs", 24, policy=SERIAL)
             warm = cached.solve("lcs", 24, policy=SERIAL)
         assert np.array_equal(warm.grid.values, expected.grid.values)
+
+
+class TestSharedResultIsHashedOnce:
+    """A memory-tier hit hands every reader the same result object, so its
+    digests are computed once per object, not once per reply."""
+
+    def test_two_payloads_of_one_result_hash_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_sha256 = hashlib.sha256
+        monkeypatch.setattr(
+            hashlib, "sha256", lambda data: calls.append(1) or real_sha256(data)
+        )
+        with Session(system="i7-2600K", cache_dir=tmp_path) as session:
+            first = session.solve("viterbi", 24, policy=SERIAL)
+            again = session.solve("viterbi", 24, policy=SERIAL)  # memory hit
+            assert again is first
+            del calls[:]  # the request keys above are SHA-256 digests too
+            payloads = [result_payload("viterbi", 24, r) for r in (first, again)]
+        assert payloads[0] == payloads[1]
+        assert len(calls) == 2  # one grid digest + one witness digest, ever
+        assert payloads[0]["checksum"] == float(np.sum(first.grid.values))
+
+    def test_a_disk_hit_decoded_into_a_new_object_hashes_the_same(self, tmp_path):
+        with Session(system="i7-2600K", cache_dir=tmp_path) as first:
+            original = first.solve("viterbi", 24, policy=SERIAL)
+        with Session(system="i7-2600K", cache_dir=tmp_path) as second:
+            replayed = second.solve("viterbi", 24, policy=SERIAL)
+            assert second.cache_info()["results"]["disk_hits"] == 1
+        assert replayed is not original
+        assert replayed.grid_sha256 == original.grid_sha256
+        assert replayed.witness_sha256 == original.witness_sha256
+        assert replayed.checksum == original.checksum
+        expected = hashlib.sha256(original.grid.values.tobytes()).hexdigest()
+        assert original.grid_sha256 == expected
 
 
 class TestIntrospection:

@@ -2,7 +2,7 @@
 
 import http.client
 import json
-import socketserver
+import socket
 import threading
 import time
 import urllib.error
@@ -11,19 +11,6 @@ import urllib.request
 import pytest
 
 from repro.server import ReproServer, ServerConfig, ServingEndpoint, witness_digest
-
-
-@pytest.fixture()
-def endpoint(serve_session):
-    """A live endpoint on an ephemeral port, torn down after the test."""
-    server = ReproServer(serve_session, ServerConfig(queue_capacity=32))
-    ep = ServingEndpoint(server, port=0)
-    thread = threading.Thread(target=ep.serve_forever, daemon=True)
-    thread.start()
-    yield ep
-    ep.begin_shutdown()
-    thread.join(timeout=10)
-    server.close()
 
 
 def get_json(url, timeout=10):
@@ -106,13 +93,14 @@ class TestKeepAlive:
 
     def test_a_response_leaves_in_a_single_write(self, endpoint, monkeypatch):
         writes = []
-        real_write = socketserver._SocketWriter.write
+        real_sendall = socket.socket.sendall
 
-        def counting_write(self, data):
-            writes.append(len(data))
-            return real_write(self, data)
+        def counting_sendall(self, data):
+            if threading.current_thread().name.startswith("repro-http-"):
+                writes.append(len(data))
+            return real_sendall(self, data)
 
-        monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+        monkeypatch.setattr(socket.socket, "sendall", counting_sendall, raising=False)
         assert get_json(endpoint.url + "/healthz")["status"] == "ok"
         assert len(writes) == 1  # headers + body: nothing for Nagle to hold back
         del writes[:]
@@ -181,26 +169,49 @@ class TestErrorMapping:
             get_json(endpoint.url + "/nope")
         assert excinfo.value.code == 404
 
-    def test_non_framework_error_maps_to_500_not_dropped_connection(
-        self, endpoint
-    ):
-        # A bogus plan kwarg raises TypeError in the app constructor; the
-        # handler must still answer a JSON error body, never drop the socket.
+    @pytest.mark.parametrize(
+        "body, error_type",
+        [
+            ({"app": "lcs", "dim": 12, "bogus": 1}, "InvalidParameterError"),
+            ({"app": "lcs", "dim": "12"}, "UsageError"),
+            ({"app": "lcs", "dim": -3}, "InvalidParameterError"),
+            ({"app": "lcs", "dim": 12, "similarity": "x"}, "InvalidParameterError"),
+            ({"app": ["lcs"], "dim": 12}, "UsageError"),
+            ({"app": "lcs", "dim": 12, "mode": 7}, "UsageError"),
+            ({"app": "lcs", "dim": 12, "mode": "warp"}, "InvalidParameterError"),
+            ({"app": "lcs", "dim": 12, "deadline_s": 1e999}, "UsageError"),
+        ],
+    )
+    def test_a_client_mistake_maps_to_400_not_500(self, endpoint, body, error_type):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post_json(
-                endpoint.url + "/solve",
-                {"app": "lcs", "dim": 48, "bogus_kwarg": 1},
-            )
+            post_json(endpoint.url + "/solve", body)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == error_type
+        if "bogus" in body:  # the constructor's complaint names the argument
+            assert "'bogus'" in error["message"]
+
+    def test_non_framework_error_maps_to_500_not_dropped_connection(
+        self, endpoint, monkeypatch
+    ):
+        # A failure that is not the client's doing must still answer a JSON
+        # error body, never drop the socket.
+        def broken_submit(*args, **kwargs):
+            raise RuntimeError("the server's own bug")
+
+        monkeypatch.setattr(endpoint.repro_server, "submit", broken_submit)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_json(endpoint.url + "/solve", {"app": "lcs", "dim": 48})
         assert excinfo.value.code == 500
         body = json.loads(excinfo.value.read())
-        assert body["error"]["type"] == "TypeError"
+        assert body["error"]["type"] == "RuntimeError"
 
     def test_backpressure_maps_to_429(self, serve_session):
         # A server that is not started never drains, so filling the queue
         # through the back door makes the next HTTP request overflow.
         server = ReproServer(serve_session, ServerConfig(queue_capacity=1))
         ep = ServingEndpoint(server, port=0)
-        thread = threading.Thread(target=ep._httpd.serve_forever, daemon=True)
+        thread = threading.Thread(target=ep.accept_forever, daemon=True)
         thread.start()
         try:
             server.submit("lcs", 48)  # occupies the single queue slot
@@ -210,7 +221,7 @@ class TestErrorMapping:
             body = json.loads(excinfo.value.read())
             assert body["error"]["type"] == "BackpressureError"
         finally:
-            ep._httpd.shutdown()
+            ep.begin_shutdown()
             thread.join(timeout=10)
             server.start()
             server.close()
@@ -246,7 +257,7 @@ class TestFaultTolerantRoutes:
         # Same back-door overflow as the backpressure mapping test above.
         server = ReproServer(serve_session, ServerConfig(queue_capacity=1))
         ep = ServingEndpoint(server, port=0)
-        thread = threading.Thread(target=ep._httpd.serve_forever, daemon=True)
+        thread = threading.Thread(target=ep.accept_forever, daemon=True)
         thread.start()
         try:
             server.submit("lcs", 48)
@@ -255,7 +266,7 @@ class TestFaultTolerantRoutes:
             assert excinfo.value.code == 429
             assert excinfo.value.headers.get("Retry-After") == "1"
         finally:
-            ep._httpd.shutdown()
+            ep.begin_shutdown()
             thread.join(timeout=10)
             server.start()
             server.close()

@@ -1,11 +1,12 @@
 """Tests for shard supervision and chaos injection.
 
-The unit layer drives :class:`ShardSupervisor` against a stub session so
-crash/restart/re-dispatch logic is exercised in milliseconds; the
-integration layer at the bottom runs a real :class:`ReproServer` over the
-shared serving session with a fault plan armed.
+The unit layer drives :class:`ShardSupervisor` against a stub session and a
+hand-fed work source so crash/restart/re-dispatch logic is exercised in
+milliseconds; the integration layer at the bottom runs a real
+:class:`ReproServer` over the shared serving session with a fault plan armed.
 """
 
+import queue
 import threading
 import time
 
@@ -26,6 +27,7 @@ from repro.server import (
     ReproServer,
     ServerConfig,
     ShardSupervisor,
+    ShardTask,
     SupervisorConfig,
 )
 
@@ -60,6 +62,29 @@ def wait_until(predicate, timeout_s=3.0):
     raise AssertionError("condition not reached in time")
 
 
+class Feed:
+    """A hand-fed work source: what the server's admission queue is to a
+    real supervisor.  ``run`` feeds one task and waits for its outcome."""
+
+    def __init__(self):
+        self.tasks = queue.SimpleQueue()
+
+    def __call__(self, timeout):
+        try:
+            return self.tasks.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    def run(self, deadline_at, request=REQUEST, timeout_s=5.0):
+        done = threading.Event()
+        task = ShardTask(request, None, deadline_at, on_done=lambda _: done.set())
+        self.tasks.put(task)
+        assert done.wait(timeout_s), "task was never resolved"
+        if task.error is not None:
+            raise task.error
+        return task.result
+
+
 class StubSession:
     """A deterministic stand-in session that can crash on demand."""
 
@@ -70,6 +95,8 @@ class StubSession:
         self._lock = threading.Lock()
 
     def solve_many(self, requests, mode=None, deadline_at=None):
+        if deadline_at is not None and time.perf_counter() > deadline_at:
+            raise DeadlineError("batch deadline expired")  # as Session does
         with self._lock:
             self.calls += 1
             if self.crashes_left > 0:
@@ -86,19 +113,11 @@ class StubSession:
 def supervised():
     """One started single-shard supervisor over a fresh stub session."""
 
-    def build(crashes=0, config=FAST, plan=None, shards=1):
+    def build(crashes=0, config=FAST, plan=None):
         stub = StubSession(crashes=crashes)
-        if shards == 1:
-            supervisor = ShardSupervisor(
-                stub, config=config, fault_plan=plan
-            )
-        else:
-            supervisor = ShardSupervisor(
-                shards=shards,
-                session_factory=lambda index: StubSession(),
-                config=config,
-                fault_plan=plan,
-            )
+        supervisor = ShardSupervisor(
+            stub, source=Feed(), config=config, fault_plan=plan
+        )
         supervisor.start()
         built.append(supervisor)
         return supervisor, stub
@@ -189,22 +208,22 @@ class TestSupervisorConfig:
 
     def test_supervisor_needs_a_session_or_factory(self):
         with pytest.raises(ServerError):
-            ShardSupervisor()
+            ShardSupervisor(source=Feed())
         with pytest.raises(ServerError):
-            ShardSupervisor(StubSession(), shards=0)
+            ShardSupervisor(StubSession(), source=Feed(), shards=0)
 
 
 class TestSupervision:
     def test_execute_round_trips_through_the_shard(self, supervised):
         supervisor, stub = supervised()
         assert supervisor.ready and not supervisor.circuit_open
-        answer = supervisor.execute(REQUEST, deadline_at=soon())
+        answer = supervisor.source.run(deadline_at=soon())
         assert answer == "answer:lcs:8"
         assert stub.calls == 1
 
     def test_worker_crash_restarts_and_redispatches(self, supervised):
         supervisor, stub = supervised(crashes=1)
-        answer = supervisor.execute(REQUEST, deadline_at=soon())
+        answer = supervisor.source.run(deadline_at=soon())
         assert answer == "answer:lcs:8"  # second attempt succeeded
         assert stub.calls == 2
         info = supervisor.info()
@@ -215,7 +234,7 @@ class TestSupervision:
 
     def test_chaos_kill_is_survived_and_counted_once(self, supervised):
         supervisor, stub = supervised(plan=FaultPlan.parse("kill@1"))
-        answer = supervisor.execute(REQUEST, deadline_at=soon())
+        answer = supervisor.source.run(deadline_at=soon())
         assert answer == "answer:lcs:8"
         assert stub.calls == 1  # the kill fired before any solve
         info = supervisor.info()
@@ -225,23 +244,23 @@ class TestSupervision:
     def test_chaos_drop_fails_typed_at_the_deadline(self, supervised):
         supervisor, stub = supervised(plan=FaultPlan.parse("drop@1"))
         with pytest.raises(DeadlineError, match="dropped"):
-            supervisor.execute(REQUEST, deadline_at=soon(0.3))
+            supervisor.source.run(deadline_at=soon(0.3))
         assert stub.calls == 1  # the work happened, the response vanished
         assert supervisor.info()["shards"][0]["dropped_responses"] == 1
 
     def test_chaos_hang_is_detected_and_the_shard_restarted(self, supervised):
         supervisor, stub = supervised(plan=FaultPlan.parse("hang@1:1.0"))
         with pytest.raises(DeadlineError):
-            supervisor.execute(REQUEST, deadline_at=soon(0.2))
+            supervisor.source.run(deadline_at=soon(0.2))
         wait_until(lambda: supervisor.info()["restarts"] >= 1)
         wait_until(lambda: supervisor.ready)
         # The recovered shard serves the next request normally.
-        assert supervisor.execute(REQUEST, deadline_at=soon()) == "answer:lcs:8"
+        assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
 
     def test_request_expired_in_the_inbox_fails_typed(self, supervised):
         supervisor, _ = supervised()
         with pytest.raises(DeadlineError):
-            supervisor.execute(REQUEST, deadline_at=time.perf_counter())
+            supervisor.source.run(deadline_at=time.perf_counter())
 
     def test_restart_budget_trips_the_circuit_breaker(self, supervised):
         config = SupervisorConfig(
@@ -253,10 +272,10 @@ class TestSupervision:
         )
         supervisor, _ = supervised(crashes=10, config=config)
         with pytest.raises(ShardCrashError):
-            supervisor.execute(REQUEST, deadline_at=soon())
+            supervisor.source.run(deadline_at=soon())
         assert supervisor.circuit_open and not supervisor.ready
         with pytest.raises(ShardUnavailableError):
-            supervisor.execute(REQUEST, deadline_at=soon())
+            supervisor.source.run(deadline_at=soon())
 
     def test_redispatch_budget_bounds_the_attempts(self, supervised):
         config = SupervisorConfig(
@@ -268,18 +287,18 @@ class TestSupervision:
         )
         supervisor, stub = supervised(crashes=5, config=config)
         with pytest.raises(ShardCrashError, match="2 times"):
-            supervisor.execute(REQUEST, deadline_at=soon())
+            supervisor.source.run(deadline_at=soon())
         assert stub.calls == 2  # initial attempt + exactly one re-dispatch
         assert supervisor.info()["redispatches"] == 1
 
     def test_missed_heartbeats_restart_an_idle_shard(self, supervised):
         supervisor, _ = supervised()
         shard = supervisor.shards[0]
-        with shard._cond:
+        with shard._lock:
             shard.epoch += 1  # silently retire the thread: beats stop
         wait_until(lambda: shard.crashes >= 1)
         wait_until(lambda: supervisor.ready)
-        assert supervisor.execute(REQUEST, deadline_at=soon()) == "answer:lcs:8"
+        assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
 
     def test_factory_shards_route_and_close_their_sessions(self):
         sessions = {}
@@ -289,15 +308,12 @@ class TestSupervision:
             return sessions[index]
 
         supervisor = ShardSupervisor(
-            shards=3, session_factory=factory, config=FAST
+            shards=3, source=Feed(), session_factory=factory, config=FAST
         )
         supervisor.start()
         try:
-            for signature in ("a", "b", "c", "d"):
-                answer = supervisor.execute(
-                    REQUEST, deadline_at=soon(), signature=signature
-                )
-                assert answer == "answer:lcs:8"
+            for _ in range(4):
+                assert supervisor.source.run(soon()) == "answer:lcs:8"
             assert len(supervisor.info()["shards"]) == 3
         finally:
             supervisor.close()
@@ -308,11 +324,31 @@ class TestSupervision:
         supervisor.close()
         assert not stub.closed
 
-    def test_closed_supervisor_sheds_new_work(self, supervised):
-        supervisor, _ = supervised()
+    def test_close_fails_unanswered_tasks_typed(self, supervised):
+        # A dropped response is held for the monitor's deadline check; a
+        # supervisor that closes first must not leave it unresolved.
+        supervisor, _ = supervised(plan=FaultPlan.parse("drop@1"))
+        outcome = []
+
+        def client():
+            try:
+                outcome.append(supervisor.source.run(deadline_at=soon(30)))
+            except ServerError as error:
+                outcome.append(error)
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        wait_until(lambda: supervisor.info()["shards"][0]["dropped_responses"] == 1)
         supervisor.close()
-        with pytest.raises(ShardUnavailableError):
-            supervisor.execute(REQUEST, deadline_at=soon())
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert isinstance(outcome[0], ServerError) and "shut down" in str(outcome[0])
+
+    def test_an_exactly_once_task_ignores_the_second_resolution(self):
+        calls = []
+        task = ShardTask(REQUEST, None, soon(), on_done=calls.append)
+        assert task.complete("first") and not task.fail(ServerError("late"))
+        assert calls == [task] and task.result == "first" and task.error is None
 
 
 class TestServerIntegration:
