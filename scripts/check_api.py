@@ -10,8 +10,9 @@ without reading the source:
   :class:`repro.session.Session`, :class:`repro.facade.plan.ResolvedPlan`,
   :class:`repro.facade.policy.ExecutionPolicy`,
   :class:`repro.runtime.registry.EngineSpec`,
-  :class:`repro.autotuner.protocol.Tuner` and
-  :class:`repro.autotuner.protocol.PlanDecision` — and of the serving
+  :class:`repro.autotuner.protocol.Tuner`,
+  :class:`repro.autotuner.protocol.PlanDecision` and the kernel interface
+  :class:`repro.core.pattern.WavefrontKernel` — and of the serving
   types :class:`repro.server.ReproServer` / :class:`repro.server.ServerConfig`
   / :class:`repro.server.LoadgenConfig`;
 * the CLI verb names.
@@ -68,6 +69,7 @@ def current_surface() -> dict:
     import repro.server
     from repro.autotuner.protocol import PlanDecision, Tuner
     from repro.cli import build_parser
+    from repro.core.pattern import WavefrontKernel
     from repro.facade.plan import ResolvedPlan
     from repro.facade.policy import ExecutionPolicy
     from repro.runtime.registry import EngineSpec
@@ -89,6 +91,7 @@ def current_surface() -> dict:
         "EngineSpec.fields": _dataclass_fields(EngineSpec),
         "PlanDecision.fields": _dataclass_fields(PlanDecision),
         "Tuner": _signatures(Tuner),
+        "WavefrontKernel": _signatures(WavefrontKernel),
         "ReproServer.__init__": str(inspect.signature(ReproServer.__init__)),
         "ReproServer": _signatures(ReproServer),
         "ServerConfig.fields": _dataclass_fields(ServerConfig),

@@ -28,7 +28,7 @@ silently grow a sweep of its own again.
 
 Usage (CI):
 
-    python -m repro bench --dim 96 --apps synthetic,lcs \
+    python -m repro bench --dim 96 --apps synthetic,lcs,viterbi \
         --executors serial,vectorized,mp-parallel \
         --out /tmp/perf_smoke.json
     python -m repro run --app lcs --dim 96 --system local --plan-out /tmp/plan.json

@@ -11,9 +11,22 @@ from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 from repro.core.exceptions import InvalidParameterError
 from repro.core.params import InputParams
 from repro.core.pattern import WavefrontKernel, WavefrontProblem
+
+
+def position_table_flat(table: np.ndarray, dim: int) -> np.ndarray:
+    """Row-major ``dim x dim`` position table of a 2-D ``table`` tiled modulo its shape.
+
+    A table that already has the grid's shape is viewed, not re-gathered.
+    """
+    if table.shape == (dim, dim):
+        return np.ascontiguousarray(table).reshape(-1)
+    idx = np.arange(dim, dtype=np.int64)
+    return table[(idx % table.shape[0])[:, None], (idx % table.shape[1])[None, :]].reshape(-1)
 
 
 class WavefrontApplication(abc.ABC):

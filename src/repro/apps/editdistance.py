@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import WavefrontApplication
-from repro.apps.sequence import mutate, random_dna
+from repro.apps.sequence import letter_rows, mutate, random_dna
 from repro.core.exceptions import InvalidParameterError
 from repro.core.pattern import WavefrontKernel
 
@@ -123,6 +123,43 @@ class EditDistanceKernel(WavefrontKernel):
                 out[m - 1] = min(
                     north[m - 1] + gap, (d + 1.0) * gap + gap, d * gap + subl
                 )
+
+        return evaluate
+
+    def make_row_evaluator(self, dim, boundary):
+        """Scan row: ``D[j] = min(t[j], D[j-1] + gap)`` as one running minimum.
+
+        With ``t = min(N + gap, NW + sub)`` the west chain is a running
+        minimum of ``t[j] - j * gap``.  The shift is exact — and the row
+        bit-identical to :meth:`diagonal` — only while every value is an
+        integer below 2**53, so non-integer costs decline.  The virtual
+        first row / column is supplied here, as in the diagonal evaluator.
+        """
+        gap, mismatch = self.gap, self.mismatch
+        exact = gap.is_integer() and mismatch.is_integer()
+        if not exact or (2 * dim + 2) * gap + mismatch >= 2.0**53:
+            return None
+        rows, code = letter_rows(self.seq_a, self.seq_b, dim, 0.0, mismatch)
+        ramp = np.arange(dim + 1) * gap  # the virtual first row, and the shift
+        scratch = np.empty(dim)
+
+        def evaluate(i, c0, c1, north, west, out):
+            t = scratch[: c1 - c0]
+            shift = ramp[: c1 - c0]
+            sub = rows[code[i], c0:c1]
+            if i == 0:
+                north = ramp[c0 : c1 + 1]
+            np.add(north[:-1], sub, out=out)
+            np.add(north[1:], gap, out=t)
+            np.minimum(out, t, out=out)
+            if c0 == 0:  # virtual first column: W = (i + 1) * gap, NW = i * gap
+                west = (i + 1.0) * gap
+                out[0] = min(t[0], i * gap + sub[0])
+            out -= shift
+            if west + gap < out[0]:
+                out[0] = west + gap
+            np.minimum.accumulate(out, out=out)
+            out += shift
 
         return evaluate
 

@@ -70,6 +70,18 @@ class KnapsackKernel(WavefrontKernel):
 
         return evaluate
 
+    def make_row_evaluator(self, dim, boundary):
+        """Row-parallel (no west term): the cell operations of :meth:`diagonal`."""
+        item_values = self.values
+
+        def evaluate(i, c0, c1, north, west, out):
+            np.add(north[:-1], item_values[i % item_values.size], out=out)
+            if c0 == 0:  # capacity 0 can hold nothing
+                out[0] = 0.0
+            np.maximum(out, north[1:], out=out)
+
+        return evaluate
+
     def optimum(self, capacity: int, n_items: int | None = None) -> float:
         """Reference optimum computed directly (greedy on the best values).
 
@@ -208,6 +220,19 @@ class ExpectedKnapsackKernel(WavefrontKernel):
             np.add(northwest, add_flat[seg], out=t)
             np.copyto(out, north)
             np.copyto(out, t, where=take_flat[seg])
+
+        return evaluate
+
+    def make_row_evaluator(self, dim, boundary):
+        """Row-parallel (no west term): rows of the cached policy tables, as views."""
+        take, add, _ = self._tables(dim)
+        scratch = np.empty(dim)
+
+        def evaluate(i, c0, c1, north, west, out):
+            t = scratch[: c1 - c0]
+            np.add(north[:-1], add[i, c0:c1], out=t)
+            np.copyto(out, north[1:])
+            np.copyto(out, t, where=take[i, c0:c1])
 
         return evaluate
 

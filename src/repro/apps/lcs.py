@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import WavefrontApplication
-from repro.apps.sequence import mutate, random_dna
+from repro.apps.sequence import letter_rows, mutate, random_dna
 from repro.core.exceptions import InvalidParameterError
 from repro.core.pattern import WavefrontKernel
 
@@ -75,6 +75,24 @@ class LCSKernel(WavefrontKernel):
             np.add(northwest, 1.0, out=t)
             np.maximum(north, west, out=out)
             np.copyto(out, t, where=match_flat[seg])
+
+        return evaluate
+
+    def make_row_evaluator(self, dim, boundary):
+        """Scan row: ``max(NW + match, N)``, then a running maximum over the west.
+
+        Equal to :meth:`diagonal` on every LCS grid, whatever the boundary:
+        ``NW <= N`` and ``W <= NW + 1``, so ``where(match, NW + 1, max(N, W))``
+        is the maximum of all three candidates, and a maximum never rounds.
+        """
+        rows, code = letter_rows(self.seq_a, self.seq_b, dim, 1.0, 0.0)
+
+        def evaluate(i, c0, c1, north, west, out):
+            np.add(north[:-1], rows[code[i], c0:c1], out=out)
+            np.maximum(out, north[1:], out=out)
+            if west > out[0]:
+                out[0] = west
+            np.maximum.accumulate(out, out=out)
 
         return evaluate
 

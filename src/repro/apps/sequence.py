@@ -59,6 +59,21 @@ def mutate(sequence: np.ndarray, rate: float, seed: int | None = None) -> np.nda
     return out
 
 
+def letter_rows(
+    seq_a: np.ndarray, seq_b: np.ndarray, dim: int, hit: float, miss: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, code)`` with ``rows[code[i]] == where(a[i] == b[:dim], hit, miss)``.
+
+    One score row per distinct letter of ``a`` — O(alphabet x dim) state
+    standing in for a ``dim x dim`` substitution table; both sequences wrap
+    modulo their length, the registry-wide convention.
+    """
+    idx = np.arange(dim, dtype=np.int64)
+    letters, code = np.unique(seq_a[idx % seq_a.size], return_inverse=True)
+    rows = np.where(letters[:, None] == seq_b[idx % seq_b.size][None, :], hit, miss)
+    return rows, code
+
+
 def decode_dna(sequence: np.ndarray) -> str:
     """Human-readable string of an encoded DNA sequence."""
     return "".join(DNA_LETTERS[int(b)] for b in sequence)
@@ -133,6 +148,37 @@ class SmithWatermanKernel(WavefrontKernel):
             np.maximum(out, t, out=out)
             np.subtract(west, gap, out=t)
             np.maximum(out, t, out=out)
+
+        return evaluate
+
+    def make_row_evaluator(self, dim, boundary):
+        """Scan row: ``H[j] = max(t[j], H[j-1] - gap)`` as one running maximum.
+
+        With ``t = max(0, NW + score, N - gap)`` the west chain is a running
+        maximum of ``t[j] + j * gap``.  The shift is exact — and the row
+        bit-identical to :meth:`diagonal` — only while every value is an
+        integer below 2**53, so non-integer scores or boundary decline.
+        """
+        scores = (self.match, self.mismatch, self.gap, float(boundary))
+        if not all(x.is_integer() for x in scores) or 2 * dim * sum(map(abs, scores)) >= 2.0**53:
+            return None
+        rows, code = letter_rows(self.seq_a, self.seq_b, dim, self.match, self.mismatch)
+        gap = self.gap
+        ramp = np.arange(dim) * gap
+        scratch = np.empty(dim)
+
+        def evaluate(i, c0, c1, north, west, out):
+            t = scratch[: c1 - c0]
+            shift = ramp[: c1 - c0]
+            np.add(north[:-1], rows[code[i], c0:c1], out=out)
+            np.maximum(out, 0.0, out=out)
+            np.subtract(north[1:], gap, out=t)
+            np.maximum(out, t, out=out)
+            out += shift
+            if west - gap > out[0]:
+                out[0] = west - gap
+            np.maximum.accumulate(out, out=out)
+            out -= shift
 
         return evaluate
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import WavefrontApplication
+from repro.apps.base import WavefrontApplication, position_table_flat
 from repro.core.exceptions import InvalidParameterError
 from repro.core.pattern import WavefrontKernel
 from repro.runtime.compute import logsumexp_pair
@@ -109,12 +109,9 @@ class StochasticPathKernel(WavefrontKernel):
         ``j == 0`` edge cells are at most the first / last element of any
         anti-diagonal segment and are patched as scalars.
         """
-        idx = np.arange(dim, dtype=np.int64)
-        rows = (idx % self.costs.shape[0])[:, None]
-        cols = (idx % self.costs.shape[1])[None, :]
-        cost_flat = self.costs[rows, cols].reshape(-1)
-        pw_flat = self.log_pw[rows, cols].reshape(-1)
-        pn_flat = self.log_pn[rows, cols].reshape(-1)
+        cost_flat = position_table_flat(self.costs, dim)
+        pw_flat = position_table_flat(self.log_pw, dim)
+        pn_flat = position_table_flat(self.log_pn, dim)
         scratch = np.empty(dim)
 
         def evaluate(d, i_min, i_max, west, north, northwest, out, seg):

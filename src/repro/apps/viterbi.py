@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import WavefrontApplication
+from repro.apps.base import WavefrontApplication, position_table_flat
 from repro.core.exceptions import InvalidParameterError
 from repro.core.pattern import WavefrontKernel
 from repro.runtime.compute import max_product_pair
@@ -116,6 +116,11 @@ class ViterbiKernel(WavefrontKernel):
         # (boundary-valued) previous row.
         return np.where(i == 0, self.log_pi[j % n_states] + self._emit(i, j), values)
 
+    def _state_columns(self, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(log_stay, log_adv, log_pi)`` per grid column (tiled modulo the states)."""
+        cols = np.arange(dim, dtype=np.int64) % self.log_pi.size
+        return self.log_stay[cols], self.log_adv[cols], self.log_pi[cols]
+
     def make_diagonal_evaluator(self, dim, boundary):
         """Fused sweep path: row-0 / column-0 cells patched as scalars.
 
@@ -125,15 +130,8 @@ class ViterbiKernel(WavefrontKernel):
         interior recurrence evaluated with in-place ufuncs through the
         shared :func:`~repro.runtime.compute.max_product_pair` primitive.
         """
-        idx = np.arange(dim, dtype=np.int64)
-        n_states = self.log_pi.size
-        stay_col = self.log_stay[idx % n_states]
-        adv_col = self.log_adv[idx % n_states]
-        pi_col = self.log_pi[idx % n_states]
-        emit_flat = self.log_emit[
-            (idx % self.log_emit.shape[0])[:, None],
-            (idx % self.log_emit.shape[1])[None, :],
-        ].reshape(-1)
+        stay_col, adv_col, pi_col = self._state_columns(dim)
+        emit_flat = position_table_flat(self.log_emit, dim)
         scratch = np.empty(dim)
 
         def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
@@ -151,6 +149,33 @@ class ViterbiKernel(WavefrontKernel):
             np.add(out, emit_flat[seg], out=out)
             if i_min == 0:  # first element sits in row i == 0, column d
                 out[0] = pi_col[d] + emit_flat[d]
+
+        return evaluate
+
+    def make_row_evaluator(self, dim, boundary):
+        """Row-parallel (no west term): the cell operations of :meth:`diagonal`.
+
+        A row of the grid is one time step: its emissions are a row of
+        ``log_emit`` (gathered only where the table is narrower than the grid).
+        """
+        stay_col, adv_col, pi_col = self._state_columns(dim)
+        log_emit = self.log_emit
+        wrapped = None if log_emit.shape[1] >= dim else np.arange(dim) % log_emit.shape[1]
+        scratch = np.empty(dim)
+
+        def evaluate(i, c0, c1, north, west, out):
+            emit = log_emit[i % log_emit.shape[0]]
+            emit = emit[c0:c1] if wrapped is None else emit[wrapped[c0:c1]]
+            if i == 0:  # time step 0 scores from the initial distribution
+                np.add(pi_col[c0:c1], emit, out=out)
+                return
+            stay = scratch[: c1 - c0]
+            np.add(north[1:], stay_col[c0:c1], out=stay)
+            np.add(north[:-1], adv_col[c0:c1], out=out)
+            max_product_pair(out, stay, out=out)
+            if c0 == 0:  # state 0 has no advance predecessor: stay only
+                out[0] = stay[0]
+            np.add(out, emit, out=out)
 
         return evaluate
 

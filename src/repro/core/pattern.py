@@ -27,6 +27,9 @@ DiagonalEvaluator = Callable[
     [int, int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, slice], None
 ]
 
+#: Signature of a row evaluator: ``evaluate(i, c0, c1, north, west, out) -> None``.
+RowEvaluator = Callable[[int, int, int, np.ndarray, float, np.ndarray], None]
+
 
 class WavefrontKernel(abc.ABC):
     """The per-element recurrence of a wavefront application.
@@ -95,6 +98,29 @@ class WavefrontKernel(abc.ABC):
         The default returns ``None``, meaning the engine falls back to
         :meth:`diagonal` with explicit index arrays — still batched per
         diagonal, just without the fused precomputation.
+        """
+        return None
+
+    def make_row_evaluator(self, dim: int, boundary: float) -> "RowEvaluator | None":
+        """Optional row-major fast path for tiles one thread sweeps whole.
+
+        A recurrence whose west dependence is absent, or a constant gap in a
+        max / min semiring (one ``accumulate``), can fill a whole row of a
+        tile at once.  A kernel may return ``evaluate(i, c0, c1, north, west,
+        out)`` writing cells ``(i, c0 .. c1 - 1)`` into ``out`` — the grid
+        row itself, ``values[i, c0:c1]``.  ``north`` is a C-contiguous
+        float64 vector of length ``c1 - c0 + 1`` holding cells ``(i - 1,
+        c0 - 1 .. c1 - 1)``, the boundary value where those lie outside the
+        grid (``north[1:]`` is the north operand, ``north[:-1]`` the
+        north-west one; read-only — inside the grid it is a view of the
+        previous row); ``west`` is the scalar cell ``(i, c0 - 1)`` or the
+        boundary.
+
+        Return ``None`` (the default) unless the row form is bit-identical
+        to :meth:`diagonal` for *this* instance: a gap-shifted scan is exact
+        only on integer-valued scores, so the kernel probes its own
+        parameters and declines otherwise.  State is O(dim): index the
+        kernel's sequences by row instead of building position tables.
         """
         return None
 

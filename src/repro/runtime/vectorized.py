@@ -22,7 +22,11 @@ the runtime.  This module removes it:
   (:meth:`repro.core.pattern.WavefrontKernel.make_diagonal_evaluator`) that
   precomputes position-dependent tables once per sweep and evaluates each
   diagonal with in-place ufuncs on the contiguous rows; the engine hands it
-  the store's row-major slice so row-major tables line up with any range.
+  the store's row-major slice so row-major tables line up with any range;
+* the diagonal is the unit of *parallelism*, the row the serial one: a tile
+  that one call owns whole is walked row-major instead, each grid row
+  written once, in place, from the row above, when the kernel offers a row
+  evaluator (:meth:`~repro.core.pattern.WavefrontKernel.make_row_evaluator`).
 
 The engine is exposed three ways: :class:`DiagonalSweepEngine` (the raw
 sweep over any diagonal range),
@@ -33,6 +37,8 @@ the preferred single-core engine).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +51,7 @@ from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.executor_base import Executor
 
 class TileSweeper:
-    """Rolling-row diagonal sweep of one rectangular region of the grid.
+    """Diagonal (rolling-row) or row-major sweep of one rectangular grid region.
 
     The workhorse shared by the whole-grid engine and the multicore
     backend's worker processes.  The last two anti-diagonals of the region
@@ -68,15 +74,24 @@ class TileSweeper:
         self.kernel = problem.kernel
         self.dim = problem.dim
         self.boundary = float(problem.boundary)
-        self._evaluator = self.kernel.make_diagonal_evaluator(self.dim, self.boundary)
+        self._row_evaluator = self.kernel.make_row_evaluator(self.dim, self.boundary)
         # Diagonals d - 2, d - 1 and d of the region being swept; a tile of
-        # ``rows`` rows uses the first ``rows + 2`` slots of each.
+        # ``rows`` rows uses the first ``rows + 2`` slots of each.  The row
+        # walk borrows the first as its north halo buffer.
         self._rows = np.empty((3, self.dim + 2))
+        #: ``"rows"`` or ``"diagonals"``: the walk the last sweep took.
+        self.traversal: str | None = None
+
+    @cached_property
+    def _evaluator(self):
+        """The kernel's fused diagonal evaluator, if any: built on first use, its
+        position tables are up to three grids a sweeper walking rows never reads."""
+        return self.kernel.make_diagonal_evaluator(self.dim, self.boundary)
 
     @property
     def fused(self) -> bool:
-        """True when the kernel supplied a fused diagonal evaluator."""
-        return self._evaluator is not None
+        """True when the kernel supplied a fused (row or diagonal) evaluator."""
+        return self._row_evaluator is not None or self._evaluator is not None
 
     def _load_diagonal(self, flat: np.ndarray, buf: np.ndarray, d: int, lo: int, hi: int, r0: int) -> None:
         """Fill ``buf`` with cells ``(i, d - i)`` for rows ``lo .. hi``.
@@ -113,9 +128,6 @@ class TileSweeper:
         this sweep's business.
         """
         dim = self.dim
-        stride = dim - 1
-        boundary = self.boundary
-        evaluator = self._evaluator
         r0, r1 = tile.row_start, tile.row_stop
         c0, c1 = tile.col_start, tile.col_stop
         if not (0 <= r0 < r1 <= dim and 0 <= c0 < c1 <= dim):
@@ -131,6 +143,48 @@ class TileSweeper:
         d_stop = min(last, d_hi)
         if d_start > d_stop:
             return 0
+        values = flat.reshape(dim, dim)
+        # Selected from what is observed: a range-clipped tile must follow diagonals.
+        if whole and self._row_evaluator is not None:
+            self.traversal = "rows"
+            total = self._sweep_rows(values, r0, r1, c0, c1)
+        else:
+            self.traversal = "diagonals"
+            total = self._sweep_diagonals(flat, tile, d_start, d_stop, whole)
+        if whole:
+            block = values[r0:r1, c0:c1]
+            if not np.all(np.isfinite(block)):
+                # Name the diagonal the per-diagonal check would have.
+                rows, cols = np.nonzero(~np.isfinite(block))
+                raise self._non_finite(first + int(np.min(rows + cols)), tile)
+        return total
+
+    def _sweep_rows(self, values: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> int:
+        """Rows ``r0 .. r1 - 1`` of the tile, each written once, in place."""
+        evaluate = self._row_evaluator
+        boundary = self.boundary
+        halo = self._rows[0, : c1 - c0 + 1]
+        for i in range(r0, r1):
+            row = values[i]
+            if i and c0:
+                north = values[i - 1, c0 - 1 : c1]
+            else:  # the boundary stands in for row -1 / column -1
+                north = halo
+                north[0] = boundary
+                north[1:] = values[i - 1, :c1] if i else boundary
+            evaluate(i, c0, c1, north, row[c0 - 1] if c0 else boundary, row[c0:c1])
+        return (r1 - r0) * (c1 - c0)
+
+    def _sweep_diagonals(
+        self, flat: np.ndarray, tile: Tile, d_start: int, d_stop: int, whole: bool
+    ) -> int:
+        """Diagonals ``d_start .. d_stop`` of the tile on the rolling rows."""
+        dim = self.dim
+        stride = dim - 1
+        boundary = self.boundary
+        evaluator = self._evaluator
+        r0, r1 = tile.row_start, tile.row_stop
+        c0, c1 = tile.col_start, tile.col_stop
         prev2, prev1, cur = self._rows
         i_min = max(r0, d_start - (c1 - 1))
         i_max = min(r1 - 1, d_start - c0)
@@ -176,12 +230,6 @@ class TileSweeper:
                 raise self._non_finite(d, tile)
             prev2, prev1, cur = prev1, cur, prev2
             total += b - a
-        if whole:
-            block = flat.reshape(dim, dim)[r0:r1, c0:c1]
-            if not np.all(np.isfinite(block)):
-                # Name the diagonal the per-diagonal check would have.
-                rows, cols = np.nonzero(~np.isfinite(block))
-                raise self._non_finite(first + int(np.min(rows + cols)), tile)
         return total
 
     def _non_finite(self, d: int, tile: Tile) -> KernelError:
@@ -207,16 +255,11 @@ class DiagonalSweepEngine:
 
     def __init__(self, problem: WavefrontProblem) -> None:
         self.problem = problem
-        self._sweeper = TileSweeper(problem)
+        self.sweeper = TileSweeper(problem)
         dim = problem.dim
         self._grid_tile = Tile(
             tile_row=0, tile_col=0, row_start=0, row_stop=dim, col_start=0, col_stop=dim
         )
-
-    @property
-    def _evaluator(self):
-        """The kernel's fused evaluator, if any (``None`` -> generic path)."""
-        return self._sweeper._evaluator
 
     # ------------------------------------------------------------------
     def sweep(self, grid: WavefrontGrid, d_lo: int = 0, d_hi: int | None = None) -> int:
@@ -236,7 +279,7 @@ class DiagonalSweepEngine:
             raise KernelError(
                 f"diagonal range [{d_lo}, {d_hi}] out of bounds for dim={dim}"
             )
-        return self._sweeper.sweep_tile(
+        return self.sweeper.sweep_tile(
             grid.values.reshape(-1), self._grid_tile, d_lo, d_hi
         )
 
@@ -271,7 +314,8 @@ class VectorizedSerialExecutor(Executor):
         cells = engine.sweep(grid)
         return grid, {
             "cells_computed": cells,
-            "fused_kernel": engine._evaluator is not None,
+            "fused_kernel": engine.sweeper.fused,
+            "traversal": engine.sweeper.traversal,
         }
 
     def _validate(self, problem: WavefrontProblem, tunables: TunableParams) -> TunableParams:

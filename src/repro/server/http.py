@@ -43,6 +43,7 @@ oversize heads and bodies, malformed framing — is listed at
 
 from __future__ import annotations
 
+import inspect
 import json
 import queue
 import re
@@ -53,6 +54,7 @@ from email.utils import formatdate
 from http import HTTPStatus
 from typing import Callable
 
+from repro.apps.registry import get_application, resolve_application
 from repro.core.exceptions import (
     ArtifactError,
     BackpressureError,
@@ -66,6 +68,7 @@ from repro.core.params import TunableParams
 from repro.facade.policy import ExecutionPolicy
 from repro.runtime.result import ExecutionResult
 from repro.server.service import ReproServer
+from repro.session import Session
 
 #: Default solve timeout an HTTP handler waits before answering 503
 #: (the timeout surfaces as a ``ServerError``).
@@ -122,6 +125,14 @@ def result_payload(app: str, dim: int | None, result: ExecutionResult) -> dict:
         payload["witness_sha256"] = witness_digest(result)
     return payload
 
+
+#: Parameter names of the functions a body's application overrides travel
+#: through as ``**kwargs``: an override spelled like one would bind to it.
+_RESERVED_KEYS = frozenset(
+    name
+    for function in (ReproServer.submit, Session.solve, Session.plan, resolve_application, get_application)
+    for name in inspect.signature(function).parameters
+)
 
 #: Body keys of ``tunables``: the dict :meth:`ResolvedPlan.to_dict` writes.
 _TUNABLE_KEYS = frozenset(TunableParams().features())
@@ -475,6 +486,11 @@ class ServingEndpoint:
                 if not abs(deadline_s) < threading.TIMEOUT_MAX / 2:  # or NaN
                     raise UsageError(f"deadline_s must be finite, got {deadline_s!r}")
             policy = policy_from_body(body)
+            clash = sorted(_RESERVED_KEYS.intersection(body))
+            if clash:
+                raise InvalidParameterError(
+                    f"invalid arguments {clash} for application {app!r}: reserved names"
+                )
         except (ValueError, RecursionError, UsageError) as error:
             return 400, _error_body(error, 400)
         if policy is not None:

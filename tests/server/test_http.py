@@ -173,6 +173,9 @@ class TestErrorMapping:
         "body, error_type",
         [
             ({"app": "lcs", "dim": 12, "bogus": 1}, "InvalidParameterError"),
+            # Spelled like a parameter of a function the overrides pass through.
+            ({"app": "lcs", "dim": 12, "self": 1}, "InvalidParameterError"),
+            ({"app": "lcs", "dim": 12, "name": "x"}, "InvalidParameterError"),
             ({"app": "lcs", "dim": "12"}, "UsageError"),
             ({"app": "lcs", "dim": -3}, "InvalidParameterError"),
             ({"app": "lcs", "dim": 12, "similarity": "x"}, "InvalidParameterError"),
@@ -190,6 +193,22 @@ class TestErrorMapping:
         assert error["type"] == error_type
         if "bogus" in body:  # the constructor's complaint names the argument
             assert "'bogus'" in error["message"]
+
+    def test_a_reserved_body_key_answers_400_and_the_connection_serves_on(self, endpoint):
+        host, port = endpoint.address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for key in ("self", "name", "app_kwargs"):
+                body = json.dumps({"app": "lcs", "dim": 12, key: 1})
+                connection.request("POST", "/solve", body=body)
+                response = connection.getresponse()
+                assert response.status == 400, key
+                assert repr(key) in json.loads(response.read())["error"]["message"]
+            connection.request("POST", "/solve", body=json.dumps({"app": "lcs", "dim": 12}))
+            response = connection.getresponse()
+            assert response.status == 200 and response.read()
+        finally:
+            connection.close()
 
     def test_non_framework_error_maps_to_500_not_dropped_connection(
         self, endpoint, monkeypatch
