@@ -57,8 +57,7 @@ def test_functional_swap_counts_match_halo(benchmark):
 
     def run_with_halo(halo: int) -> int:
         tunables = TunableParams.from_encoding(4, 12, halo, 1).clipped(params.dim)
-        plan = ThreePhasePlan(params, tunables)
-        return band_counters(plan, tunables, params.element_nbytes)["halo_swaps"]
+        return band_counters(ThreePhasePlan(params, tunables))["halo_swaps"]
 
     def sweep():
         return {halo: run_with_halo(halo) for halo in (0, 1, 3, 6)}

@@ -22,9 +22,12 @@ process on one machine, so the ratio is machine-neutral.
 Every run also measures one paired in-process ratio (``check_hybrid_band``):
 the paper's hybrid plan against the plain vectorized sweep of the same grid,
 both on the vectorized engine.  The hybrid plan's band is computed by that
-engine too, so all it may add is the integer replay of the simulated
-devices; the ratio is bounded by ``HYBRID_BOUND`` so the band can never
-silently grow a sweep of its own again.
+engine too, and everything else a hybrid solve reports — phase geometry,
+the simulated devices' operation counts, the simulated breakdown — depends
+on the plan alone and is kept with it after the first solve; the ratio is
+bounded by ``HYBRID_BOUND`` so none of it can silently return to the
+per-request path (the per-solve accounting it replaced measured 2.5x on this
+grid, whose sweep is short enough for it to show).
 
 Usage (CI):
 
@@ -107,17 +110,19 @@ def check_plan(fresh: dict[tuple[str, str], float], plan_path: Path) -> list[str
 
 
 #: How much slower than the plain vectorized sweep the pinned hybrid plan
-#: may run (it measured 8-14x while the band emulation carried values).
-HYBRID_BOUND = 2.0
+#: may run once its plan has been solved before (2.5x with per-solve band
+#: accounting, 8-14x while the band emulation carried values).
+HYBRID_BOUND = 1.3
 
 
 def check_hybrid_band() -> list[str]:
     """Failure of the pinned hybrid plan against the pinned vectorized sweep.
 
-    nash-equilibrium at dim 256 on the simulated i7-2600K, plan
-    ``(cpu_tile, band, halo, gpu_tile) = (4, 192, 2, 1)``; both walls are
-    medians of 5 alternating solves in this process, so the ratio is
-    machine-neutral.
+    synthetic at dim 256 on the simulated i7-2600K, plan
+    ``(cpu_tile, band, halo, gpu_tile) = (4, 192, 2, 1)`` — a 2 ms sweep, so
+    a millisecond of per-request accounting cannot hide behind it; both
+    walls are medians of 9 alternating solves in this process, so the ratio
+    is machine-neutral.
     """
     sys.path.insert(0, SRC)
     from repro import ExecutionPolicy, Session
@@ -131,10 +136,10 @@ def check_hybrid_band() -> list[str]:
     }
     walls: dict[str, list[float]] = {name: [] for name in policies}
     with Session(system="i7-2600K") as session:
-        for repeat in range(6):
+        for repeat in range(10):
             for name, policy in policies.items():
                 start = time.perf_counter()
-                result = session.solve("nash-equilibrium", 256, policy=policy)
+                result = session.solve("synthetic", 256, policy=policy)
                 if repeat:  # the first pass warms plans and problem caches
                     walls[name].append(time.perf_counter() - start)
                 if name == "hybrid" and not result.stats.get("band_cells"):
@@ -143,12 +148,12 @@ def check_hybrid_band() -> list[str]:
     ratio = hybrid / vectorized
     status = "FAIL" if ratio > HYBRID_BOUND else "ok"
     print(
-        f"{'nash-equilibrium':<20} hybrid plan (4, 192, 2, 1): {ratio:.2f}x the "
+        f"{'synthetic':<20} hybrid plan (4, 192, 2, 1): {ratio:.2f}x the "
         f"vectorized sweep (base {vectorized * 1e3:.1f} ms)  {status}"
     )
     if ratio > HYBRID_BOUND:
         return [
-            f"hybrid plan (4, 192, 2, 1) of nash-equilibrium/256 runs {ratio:.2f}x "
+            f"hybrid plan (4, 192, 2, 1) of synthetic/256 runs {ratio:.2f}x "
             f"the vectorized sweep (bound {HYBRID_BOUND:.1f}x)"
         ]
     return []

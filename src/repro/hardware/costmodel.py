@@ -31,7 +31,7 @@ from repro.core import diagonal as dg
 from repro.core.exceptions import InvalidParameterError
 from repro.core.params import InputParams, TunableParams
 from repro.core.partition import count_halo_swaps, halo_swap_nbytes
-from repro.core.plan import ThreePhasePlan
+from repro.core.plan import Phase, ThreePhasePlan, plan_for
 from repro.core.tiling import TileDecomposition, triangular_tile_waves
 from repro.hardware.system import SystemSpec
 
@@ -349,7 +349,7 @@ class CostModel:
             )
         gpu = self.system.gpu(0)
         width = gpu.parallel_width
-        lengths = np.asarray(plan.gpu_diagonal_lengths(), dtype=np.int64)
+        lengths = plan.gpu_diagonal_lengths()
         n_diags = lengths.size
         elem = params.element_nbytes
         halo = tun.halo if gpu_count == 2 else 0
@@ -413,14 +413,14 @@ class CostModel:
             raise InvalidParameterError(
                 f"configuration uses a GPU but system {self.system.name!r} has none"
             )
-        plan = ThreePhasePlan(params, tunables)
-        dim = params.dim
+        plan = plan_for(params, tunables)
+        cells = plan.cells_per_phase()
 
         pre_s = self.cpu_region_time(
-            params, plan.pre.n_diagonals, plan.pre.cells(dim), tunables.cpu_tile
+            params, plan.pre.n_diagonals, cells[Phase.CPU_PRE], tunables.cpu_tile
         )
         post_s = self.cpu_region_time(
-            params, plan.post.n_diagonals, plan.post.cells(dim), tunables.cpu_tile
+            params, plan.post.n_diagonals, cells[Phase.CPU_POST], tunables.cpu_tile
         )
         if plan.gpu.is_empty:
             return PhaseBreakdown(pre_s=pre_s, post_s=post_s)

@@ -10,9 +10,11 @@ from repro.core.exceptions import ExecutionError, InvalidParameterError
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
+from repro.core.plan import PLAN_CACHE_SIZE
 from repro.hardware.costmodel import CostConstants, CostModel, PhaseBreakdown
 from repro.hardware.system import SystemSpec
 from repro.runtime.result import ExecutionResult
+from repro.utils.lru import LRUCache
 
 
 class ExecutionMode(enum.Enum):
@@ -56,6 +58,8 @@ class Executor(abc.ABC):
     ) -> None:
         self.system = system
         self.cost_model = CostModel(system, constants)
+        # As many simulated breakdowns as there are plans to derive them from.
+        self._breakdowns = LRUCache(PLAN_CACHE_SIZE)
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -80,6 +84,19 @@ class Executor(abc.ABC):
             )
         return tunables
 
+    def _simulated(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
+        """:meth:`_breakdown`, evaluated once per ``(input params, tunables)``.
+
+        The breakdown is a function of that pair and of this executor's
+        platform and constants, so repeated executions of one plan share one
+        (immutable) :class:`PhaseBreakdown`.  Sweeps over configurations that
+        never repeat — tuner training — price through :class:`CostModel`
+        directly and keep nothing.
+        """
+        return self._breakdowns.get_or_create(
+            (problem.input_params(), tunables), lambda: self._breakdown(problem, tunables)
+        )
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -93,7 +110,7 @@ class Executor(abc.ABC):
         mode = ExecutionMode.coerce(mode)
         tunables = self._validate(problem, tunables or TunableParams())
         params = problem.input_params()
-        breakdown = self._breakdown(problem, tunables)
+        breakdown = self._simulated(problem, tunables)
 
         grid = None
         witness = None
@@ -131,4 +148,4 @@ class Executor(abc.ABC):
     def predict(self, problem: WavefrontProblem, tunables: TunableParams | None = None) -> float:
         """Predicted runtime (seconds) without any functional execution."""
         tunables = self._validate(problem, tunables or TunableParams())
-        return self._breakdown(problem, tunables).total_s
+        return self._simulated(problem, tunables).total_s

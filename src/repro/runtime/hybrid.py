@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
-from repro.core.plan import ThreePhasePlan
+from repro.core.plan import Phase, plan_for
 from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.band import band_counters
 from repro.runtime.executor_base import Executor
@@ -58,7 +58,7 @@ class HybridExecutor(Executor):
         self, problem: WavefrontProblem, tunables: TunableParams
     ) -> tuple[WavefrontGrid, dict]:
         params = problem.input_params()
-        plan = ThreePhasePlan(params, tunables)
+        plan = plan_for(params, tunables)
         # The simulated devices never hold a value the host grid does not,
         # so the phases differ in what the platform is charged for them, not
         # in how their cells are computed: one sweep of this executor's
@@ -66,8 +66,9 @@ class HybridExecutor(Executor):
         fill = self.fill
         grid, fill_stats = fill._run_functional(problem, fill._validate(problem, tunables))
         stats: dict = {"plan": plan.describe(), "engine": fill.strategy, **fill_stats}
-        stats["phase1_cells"] = plan.pre.cells(problem.dim)
+        cells = plan.cells_per_phase()
+        stats["phase1_cells"] = cells[Phase.CPU_PRE]
         if not plan.gpu.is_empty:
-            stats.update(band_counters(plan, tunables, params.element_nbytes))
-        stats["phase3_cells"] = plan.post.cells(problem.dim)
+            stats.update(band_counters(plan))
+        stats["phase3_cells"] = cells[Phase.CPU_POST]
         return grid, stats

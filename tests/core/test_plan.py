@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.exceptions import PlanError
 from repro.core.params import InputParams, TunableParams
-from repro.core.plan import Phase, ThreePhasePlan
+from repro.core.plan import PLAN_CACHE_SIZE, Phase, ThreePhasePlan
+from repro.core.plan import plan_for as shared_plan
 
 
 def plan_for(dim=20, band=-1, halo=-1, cpu_tile=4, tsize=100, dsize=1, gpu_tile=1):
@@ -51,8 +52,8 @@ class TestThreePhasePlan:
 
     def test_gpu_diagonal_lengths(self):
         plan = plan_for(dim=10, band=1)
-        assert plan.gpu_diagonal_lengths() == [9, 10, 9]
-        assert plan_for(dim=10, band=-1).gpu_diagonal_lengths() == []
+        assert plan.gpu_diagonal_lengths().tolist() == [9, 10, 9]
+        assert plan_for(dim=10, band=-1).gpu_diagonal_lengths().size == 0
 
     def test_offload_bytes_include_boundary(self):
         params = InputParams(dim=10, tsize=1, dsize=1)
@@ -77,3 +78,57 @@ class TestThreePhasePlan:
         plan = plan_for(dim=30, band=10, halo=2)
         assert plan.tunables.gpu_count == 2
         assert not plan.gpu.is_empty
+
+
+class TestSharedPlans:
+    """``plan_for`` hands out one plan per pair; ``once`` keeps what was derived from it."""
+
+    PARAMS = InputParams(dim=40, tsize=100, dsize=1)
+
+    def test_equal_pairs_share_one_plan_object(self):
+        first = shared_plan(self.PARAMS, TunableParams.from_encoding(4, 9, 2, 1))
+        again = shared_plan(InputParams(dim=40, tsize=100, dsize=1), TunableParams.from_encoding(4, 9, 2, 1))
+        assert again is first
+        assert shared_plan(self.PARAMS, TunableParams.from_encoding(4, 9, 3, 1)) is not first
+
+    def test_the_factory_is_bounded(self):
+        """A stream of distinct pairs evicts: nothing grows with the number of pairs seen."""
+        tunables = TunableParams.from_encoding(4, 5, -1, 1)
+        first = shared_plan(self.PARAMS, tunables)
+        for dim in range(41, 41 + PLAN_CACHE_SIZE):
+            shared_plan(InputParams(dim=dim, tsize=100, dsize=1), tunables)
+        assert shared_plan(self.PARAMS, tunables) is not first
+
+    def test_an_invalid_pair_raises_every_time_and_is_not_kept(self, monkeypatch):
+        calls = []
+
+        def refuse(self):
+            calls.append(self)
+            raise PlanError("refused")
+
+        monkeypatch.setattr(ThreePhasePlan, "_validate", refuse)
+        pair = (InputParams(dim=33, tsize=7, dsize=2), TunableParams.from_encoding(2, 3, -1, 1))
+        for _ in range(2):
+            with pytest.raises(PlanError):
+                shared_plan(*pair)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert shared_plan(*pair).gpu.n_diagonals == 7
+
+    def test_once_derives_once_and_forgets_failures(self):
+        plan = plan_for(dim=12, band=3)
+        attempts = []
+
+        def derive(p):
+            attempts.append(p)
+            if len(attempts) == 1:
+                raise ValueError("first attempt fails")
+            return ("derived", len(attempts))
+
+        with pytest.raises(ValueError):
+            plan.once(derive)
+        assert plan.once(derive) == ("derived", 2)
+        assert plan.once(derive) == ("derived", 2)
+        assert attempts == [plan, plan]
+        # Another plan derives for itself.
+        assert plan_for(dim=12, band=3).once(derive) == ("derived", 3)

@@ -1,8 +1,10 @@
 """The simulated platform is a set of counters: pin them and check their sums.
 
-``band_counters`` replays the GPU band's device emulation on integers and
-counts the operations a real harness would enqueue; the cost model charges
-time for exactly those counts.  Three layers of pinning:
+``band_counters`` counts the operations a real harness would enqueue for the
+GPU band, from the plan alone (the per-diagonal device emulation it closes
+is ``tests/band_oracle.py``; ``tests/property/test_plan_exactness.py`` holds
+the two equal); the cost model charges time for exactly those counts.  Three
+layers of pinning:
 
 * ``test_paper_hybrid_stats_are_pinned`` holds every counter of the
   benchmark's ``paper-hybrid`` plans to the values recorded before the
@@ -130,7 +132,7 @@ def counters(app: str, dim: int, encoding) -> tuple[ThreePhasePlan, dict]:
     params = input_params(app, dim)
     tunables = TunableParams.from_encoding(*encoding).clipped(dim)
     plan = ThreePhasePlan(params, tunables)
-    return plan, band_counters(plan, tunables, params.element_nbytes)
+    return plan, band_counters(plan)
 
 
 # Generated from the registry: a new engine cannot forget to fill the band.

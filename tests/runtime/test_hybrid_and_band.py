@@ -5,12 +5,16 @@ the tunable parameters, the hybrid execution produces exactly the same grid
 as the serial sweep.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.exceptions import ExecutionError, InvalidParameterError
 from repro.core.params import InputParams, TunableParams
-from repro.core.plan import ThreePhasePlan
+from repro.core.plan import PLAN_CACHE_SIZE, ThreePhasePlan, plan_for
 from repro.runtime.band import band_counters
+from repro.runtime import band
 from repro.runtime.executor_base import ExecutionMode
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.serial import SerialExecutor
@@ -85,7 +89,7 @@ class TestBandCounterOperations:
         params = InputParams(dim=dim, tsize=100, dsize=1)
         tunables = TunableParams.from_encoding(4, band, halo, 1).clipped(dim)
         plan = ThreePhasePlan(params, tunables)
-        return tunables, band_counters(plan, tunables, params.element_nbytes)
+        return tunables, band_counters(plan)
 
     def test_kernel_launch_count_untiled(self):
         tunables, stats = self.band_stats()
@@ -113,7 +117,7 @@ class TestBandCounterOperations:
         params = InputParams(dim=30, tsize=100, dsize=1)
         tunables = TunableParams(cpu_tile=4)
         with pytest.raises(ExecutionError):
-            band_counters(ThreePhasePlan(params, tunables), tunables, params.element_nbytes)
+            band_counters(ThreePhasePlan(params, tunables))
 
 
 class TestGPUOnlyPlans:
@@ -136,3 +140,98 @@ class TestGPUOnlyPlans:
         assert serial.matches(gpu)
         assert gpu.tunables.gpu_count == 2
         assert gpu.stats["phase1_cells"] == gpu.stats["phase3_cells"] == 0
+
+
+class TestPlanDerivedStateIsNotShared:
+    """Counters and breakdowns are computed once per plan; results never share them."""
+
+    CONFIG = TunableParams.from_encoding(4, 9, 2, 1)
+
+    def test_mutating_one_results_stats_does_not_reach_the_next_solve(self, i7_2600k):
+        problem = SyntheticApp(dim=28, tsize=200, dsize=1).problem()
+        executor = HybridExecutor(i7_2600k)
+        first = executor.execute(problem, self.CONFIG)
+        pinned = dict(first.stats)
+        assert pinned["halo_swaps"] > 0
+        first.stats["halo_swaps"] = -1
+        first.stats.pop("band_cells")
+        second = executor.execute(problem, self.CONFIG)
+        assert second.stats is not first.stats
+        assert second.stats == pinned
+        assert second.breakdown == first.breakdown and second.rtime == first.rtime
+
+    def test_counters_are_emulated_once_per_plan_and_copied_per_call(self, monkeypatch):
+        sweeps = []
+        emulate = band._two_device_sweep
+        monkeypatch.setattr(
+            band, "_two_device_sweep", lambda *args: sweeps.append(args) or emulate(*args)
+        )
+        plan = ThreePhasePlan(InputParams(dim=30, tsize=100, dsize=1), self.CONFIG)
+        first, second = band_counters(plan), band_counters(plan)
+        assert first == second and first is not second
+        first["events"] = 0
+        assert band_counters(plan) == second
+        assert len(sweeps) == 1
+
+    def test_a_refused_plan_is_refused_again_not_remembered(self):
+        plan = plan_for(InputParams(dim=30, tsize=100, dsize=1), TunableParams(cpu_tile=4))
+        for _ in range(2):
+            with pytest.raises(ExecutionError):
+                band_counters(plan)
+
+    def test_breakdowns_are_priced_once_per_pair_bounded_and_not_kept_on_failure(
+        self, i7_2600k, monkeypatch
+    ):
+        executor = HybridExecutor(i7_2600k)
+        priced = []
+        price = executor.cost_model.hybrid_breakdown
+
+        def counting(params, tunables):
+            priced.append(params.dim)
+            if len(priced) == 1:
+                raise ExecutionError("first pricing fails")
+            return price(params, tunables)
+
+        monkeypatch.setattr(executor.cost_model, "hybrid_breakdown", counting)
+        problem = SyntheticApp(dim=28, tsize=200, dsize=1).problem()
+        with pytest.raises(ExecutionError):
+            executor.execute(problem, self.CONFIG, mode="simulate")
+        first = executor.execute(problem, self.CONFIG, mode="simulate")
+        assert executor.execute(problem, self.CONFIG, mode="simulate").breakdown is first.breakdown
+        assert priced == [28, 28]
+        # Distinct pairs past the bound push the first one out: it is priced again.
+        for dim in range(29, 29 + PLAN_CACHE_SIZE):
+            executor.execute(SyntheticApp(dim=dim, tsize=200, dsize=1).problem(), self.CONFIG, mode="simulate")
+        assert executor.execute(problem, self.CONFIG, mode="simulate").breakdown == first.breakdown
+        assert priced == [28, 28, *range(29, 29 + PLAN_CACHE_SIZE), 28]
+
+    def test_threads_sharing_plans_all_read_the_same_counters(self):
+        """More threads than cores race first use of shared plans; nobody sees a torn value."""
+        pairs = [
+            (InputParams(dim=dim, tsize=100, dsize=1), TunableParams.from_encoding(4, dim // 2, halo, 1))
+            for dim in (61, 62, 63)
+            for halo in (-1, 0, 3)
+        ]
+        expected = [band_counters(ThreePhasePlan(*pair)) for pair in pairs]
+        wrong = []
+
+        def worker():
+            for _ in range(40):
+                for pair, counters in zip(pairs, expected):
+                    stats = band_counters(plan_for(*pair))
+                    if stats != counters:
+                        wrong.append(stats)
+                    stats.clear()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
