@@ -32,8 +32,8 @@ grid, whose sweep is short enough for it to show).
 Usage (CI):
 
     python -m repro bench --dim 96 --apps synthetic,lcs,viterbi \
-        --executors serial,vectorized,mp-parallel \
-        --out /tmp/perf_smoke.json
+        --executors serial,vectorized,mp-parallel,pipelined \
+        --repeats 3 --workers 2 --out /tmp/perf_smoke.json
     python -m repro run --app lcs --dim 96 --system local --plan-out /tmp/plan.json
     python scripts/check_perf.py --fresh /tmp/perf_smoke.json \
         --baseline benchmarks/results/ci_baseline.json --plan /tmp/plan.json

@@ -8,7 +8,7 @@ The package provides:
 * :mod:`repro.hardware` — the simulated testbed: heterogeneous platform
   descriptions (Table 4 of the paper) and the analytic cost model that
   charges time for the operation counts the runtime reports.
-* :mod:`repro.runtime` — the six executors (serial, vectorized, compiled,
+* :mod:`repro.runtime` — the five executors (serial, vectorized,
   mp-parallel, pipelined and the hybrid three-phase CPU / GPU-band / CPU
   strategy), each with a *functional* and a *simulate* mode.
 * :mod:`repro.apps` — the synthetic training application and the real

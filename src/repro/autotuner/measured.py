@@ -8,9 +8,8 @@ the machine actually running the code:
 1. **Profile** — :func:`profile_host` introspects the local host
    (:func:`repro.hardware.system.detect_local_system`), runs timed
    functional sweeps of the registered CPU engines (``serial``,
-   ``vectorized``, ``mp-parallel``, ``pipelined``, and ``compiled`` where
-   available) over an instance grid, and collects the wall-clocks into a
-   :class:`MeasuredProfile`.
+   ``vectorized``, ``mp-parallel``, ``pipelined``) over an instance grid,
+   and collects the wall-clocks into a :class:`MeasuredProfile`.
 2. **Train** — :meth:`MeasuredTuner.train` converts the profile into
    :class:`repro.autotuner.exhaustive.SearchResults`-compatible records and
    feeds them through the existing
@@ -51,7 +50,7 @@ from repro.autotuner.training import TrainingSetBuilder
 from repro.hardware.calibration import constants_from_measurements
 from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec, detect_local_system
-from repro.runtime.registry import available_executors, engines_with, get_executor
+from repro.runtime.registry import engines_with, get_executor
 from repro.utils.lru import LRUCache
 from repro.utils.serialization import load_json, save_json
 
@@ -65,8 +64,9 @@ DEFAULT_PROFILE_PATH = Path("benchmarks") / "results" / "local_profile.json"
 DEFAULT_MODEL_PATH = Path("benchmarks") / "results" / "local_tuner.json"
 DEFAULT_REPORT_PATH = Path("benchmarks") / "results" / "local_profile_report.txt"
 
-#: CPU backends the profiler can time, by registry name.
-PROFILED_BACKENDS = ("serial", "vectorized", "mp-parallel", "pipelined", "compiled")
+#: CPU backends the profiler can time: every registered whole-grid and
+#: tiled engine (the hybrid executor would re-time the engine it fills with).
+PROFILED_BACKENDS = tuple(engines_with("serial") + engines_with("multicore"))
 
 #: The backend every profile must contain: it is the speedup reference and
 #: the source of the training set's serial baselines.
@@ -436,13 +436,9 @@ def profile_host(
         },
     )
     # Reference backend first within every instance (serial baselines), then
-    # the cheap whole-grid engines, then the tiled/multicore sweeps.  Backends
-    # whose availability probe fails here (e.g. the compiled tier without
-    # numba) are skipped, so one profile grid works across environments.
+    # the cheap whole-grid engines, then the tiled/multicore sweeps.
     ordered_backends = [REFERENCE_BACKEND] + [
-        b
-        for b in config.backends
-        if b != REFERENCE_BACKEND and b in available_executors()
+        b for b in config.backends if b != REFERENCE_BACKEND
     ]
     tiled = engines_with("multicore")  # only these take a tile and a worker count
     t_start = time.perf_counter()

@@ -265,11 +265,14 @@ class DiskCacheStore:
             if digest in self._index:
                 self._index.move_to_end(digest)
             else:
-                # Entry appeared behind our back (another process); adopt it.
+                # Entry appeared behind our back (another process); adopt it,
+                # unless a concurrent put evicted it while it was being read.
                 try:
                     self._index[digest] = path.stat().st_size
                 except OSError:
-                    self._index[digest] = 0
+                    pass
+                else:
+                    self._enforce_bounds()
             self.hits += 1
         return result
 

@@ -219,8 +219,7 @@ class WavefrontProblem:
         """Pickle without process-local caches.
 
         Runtime layers memoise derived state on the problem under
-        ``_cached_*`` attributes (e.g. the compiled tier's jitted fill, a
-        closure and unpicklable).  Those caches are meaningless in another
+        ``_cached_*`` attributes.  Those caches are meaningless in another
         process — the multicore backend ships problems to pool workers
         under spawn start methods — so they are dropped here and rebuilt
         lazily on the receiving side.

@@ -82,10 +82,6 @@ class CostConstants:
     cpu_vector_speedup: float = 6.0
     #: Per-diagonal batch dispatch overhead of the vectorized engine.
     vector_diag_overhead_us: float = 2.0
-    #: Per-cell speedup of the compiled (JIT whole-grid) tier over the scalar
-    #: serial sweep; recalibrated from measured compiled walls when a profile
-    #: includes them.
-    compiled_speedup: float = 12.0
     #: Per-tile dispatch cost of the shared-memory process pool (submitting
     #: the tile descriptor, collecting the result, barrier bookkeeping).
     mp_task_overhead_us: float = 60.0
@@ -214,18 +210,7 @@ class CostModel:
             return self.serial_time(params)
         if engine == "vectorized":
             return self.vectorized_time(params)
-        if engine == "compiled":
-            return self.compiled_time(params)
         raise InvalidParameterError(f"unknown serial engine {engine!r}")
-
-    def compiled_time(self, params: InputParams) -> float:
-        """Single-core compiled (JIT) tier: whole-grid scalar fill, no batches.
-
-        The compiled fill visits cells in row-major order with no per-diagonal
-        dispatch at all, so the model is a pure per-cell rate — the serial
-        scalar cost divided by the calibrated compiled speedup.
-        """
-        return self.serial_time(params) / self.constants.compiled_speedup
 
     def cpu_region_time(
         self, params: InputParams, n_diagonals: int, cells: int, cpu_tile: int

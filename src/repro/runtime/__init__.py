@@ -1,6 +1,6 @@
 """Execution engines for the wavefront pattern.
 
-Six executors, each executing differently:
+Five executors, each executing differently:
 
 * :class:`repro.runtime.serial.SerialExecutor` — the optimised sequential
   baseline, also the reference implementation the others are validated
@@ -8,8 +8,6 @@ Six executors, each executing differently:
 * :class:`repro.runtime.vectorized.VectorizedSerialExecutor` — the same
   sweep with every anti-diagonal evaluated as one NumPy batch; the
   preferred single-core engine;
-* :class:`repro.runtime.compiled.CompiledExecutor` — the JIT-compiled tier
-  (registered only where :mod:`numba` imports);
 * :class:`repro.runtime.mp_parallel.MPParallelExecutor` /
   :class:`repro.runtime.mp_parallel.PipelinedMPExecutor` — the tile
   wavefront on a resident shared-memory worker team, with a barrier per
@@ -44,7 +42,6 @@ from repro.runtime.vectorized import (
     VectorizedSerialExecutor,
     compute_diagonal_range_vectorized,
 )
-from repro.runtime.compiled import CompiledExecutor, compiled_fill_for, numba_available
 from repro.runtime.mp_parallel import (
     MPParallelExecutor,
     MPWavefrontPool,
@@ -76,9 +73,6 @@ __all__ = [
     "VectorizedSerialExecutor",
     "DiagonalSweepEngine",
     "compute_diagonal_range_vectorized",
-    "CompiledExecutor",
-    "compiled_fill_for",
-    "numba_available",
     "MPParallelExecutor",
     "MPWavefrontPool",
     "PipelinedMPExecutor",

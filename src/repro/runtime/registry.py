@@ -8,10 +8,8 @@ plan's ``engine``, ``HybridExecutor(engine=...)``, a profiled backend — is
 a name registered here; there is no other spelling.
 
 Registration is declarative: an :class:`EngineSpec` names the executor
-class, the *capabilities* it offers and an optional availability probe (the
-gate that keeps the compiled tier silent wherever :mod:`numba` is not
-installed).  Registration order is preference order: the first available
-``serial`` engine is the one an unpinned hybrid plan fills with
+class and the *capabilities* it offers.  Registration order is preference
+order: the first ``serial`` engine is the one an unpinned hybrid plan fills with
 (:func:`fill_engine`).  Capability queries go through :func:`engines_with`,
 which raises the typed :class:`~repro.core.exceptions.UnknownExecutorError`
 on capability typos instead of leaking a ``KeyError``.
@@ -20,12 +18,10 @@ on capability typos instead of leaking a ``KeyError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.exceptions import InvalidParameterError, UnknownExecutorError
 from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec
-from repro.runtime.compiled import CompiledExecutor, numba_available
 from repro.runtime.executor_base import Executor
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.mp_parallel import MPParallelExecutor, PipelinedMPExecutor
@@ -45,16 +41,14 @@ KNOWN_CAPABILITIES: frozenset[str] = frozenset(
 class EngineSpec:
     """Declarative registration record of one executor strategy.
 
-    ``name`` is the registry key (must match ``factory.strategy``),
+    ``name`` is the registry key (must match ``factory.strategy``) and
     ``capabilities`` the subset of :data:`KNOWN_CAPABILITIES` the engine
-    offers and ``available`` an optional zero-argument probe consulted by
-    every enumeration (``None`` means always available).
+    offers.
     """
 
     name: str
     factory: type[Executor]
     capabilities: frozenset[str] = field(default_factory=frozenset)
-    available: Callable[[], bool] | None = None
 
     def __post_init__(self) -> None:
         """Validate the name and the capability vocabulary."""
@@ -69,10 +63,6 @@ class EngineSpec:
                 f"engine spec {self.name!r} declares unknown capabilities "
                 f"{sorted(unknown)}; known: {sorted(KNOWN_CAPABILITIES)}"
             )
-
-    def is_available(self) -> bool:
-        """Whether the engine can run in this environment."""
-        return True if self.available is None else bool(self.available())
 
 
 #: Declarative specs by strategy name, in preference order: the one registry
@@ -103,17 +93,12 @@ def get_executor(
 
 
 def available_executors() -> list[str]:
-    """Names of the registered executors usable in this environment, sorted.
-
-    Engines whose availability probe answers ``False`` (the compiled tier
-    without :mod:`numba`) are silently absent, so enumerating callers — the
-    bench driver, the profiler — never construct an engine that cannot run.
-    """
-    return sorted(spec.name for spec in ENGINE_SPECS.values() if spec.is_available())
+    """Names of the registered executors, sorted."""
+    return sorted(ENGINE_SPECS)
 
 
 def engines_with(capability: str) -> list[str]:
-    """Names of available engines declaring ``capability``, best first.
+    """Names of the engines declaring ``capability``, best first.
 
     Unknown capabilities raise the typed
     :class:`~repro.core.exceptions.UnknownExecutorError` (the CLI's usage
@@ -124,15 +109,11 @@ def engines_with(capability: str) -> list[str]:
         raise UnknownExecutorError(
             f"unknown engine capability {capability!r}; known: {known}"
         )
-    return [
-        spec.name
-        for spec in ENGINE_SPECS.values()
-        if capability in spec.capabilities and spec.is_available()
-    ]
+    return [spec.name for spec in ENGINE_SPECS.values() if capability in spec.capabilities]
 
 
 def available_serial_engines() -> list[str]:
-    """Serial engine names usable in this environment, in preference order."""
+    """Serial engine names, in preference order."""
     return engines_with("serial")
 
 
@@ -187,11 +168,6 @@ for _builtin in (
         name=PipelinedMPExecutor.strategy,
         factory=PipelinedMPExecutor,
         capabilities=frozenset({"multicore"}),
-    ),
-    EngineSpec(
-        name=CompiledExecutor.strategy,
-        factory=CompiledExecutor,
-        available=numba_available,
     ),
     EngineSpec(name=HybridExecutor.strategy, factory=HybridExecutor),
 ):

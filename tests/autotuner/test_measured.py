@@ -13,6 +13,7 @@ from repro.autotuner.measured import (
     DEFAULT_MODEL_PATH,
     DEFAULT_PROFILE_PATH,
     PROFILE_FORMAT_VERSION,
+    PROFILED_BACKENDS,
     MeasuredProfile,
     MeasuredRecord,
     MeasuredTuner,
@@ -82,6 +83,17 @@ class TestProfileHost:
     def test_reference_backend_required(self):
         with pytest.raises(SearchError):
             ProfileConfig(backends=("vectorized",)).validate()
+
+    def test_unregistered_backend_rejected(self):
+        with pytest.raises(SearchError, match="unknown backends"):
+            ProfileConfig(backends=("serial", "compiled")).validate()
+
+    def test_profiled_backends_are_the_registered_cpu_engines(self):
+        # No second hand-written list: the registry's whole-grid engines,
+        # best first, then its tiled ones.
+        assert PROFILED_BACKENDS == ("vectorized", "serial", "mp-parallel", "pipelined")
+        assert ProfileConfig().backends == PROFILED_BACKENDS
+        ProfileConfig().validate()
 
     def test_budget_truncates_but_keeps_serial(self):
         config = ProfileConfig(

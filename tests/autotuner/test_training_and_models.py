@@ -37,10 +37,12 @@ class TestTrainingSetBuilder:
         cpu = tiny_training.dataset("cpu_tile")
         assert cpu.n_samples == len(tiny_training)
 
-    def test_gpu_dataset_filters_cpu_best_instances(self, tiny_training):
-        if not tiny_training.has_gpu_records():
-            pytest.skip("tiny space produced no GPU-favouring instances")
-        ds = tiny_training.gpu_dataset("band", ("dim", "tsize", "dsize"))
+    def test_gpu_dataset_filters_cpu_best_instances(self, reduced_tuner_i7):
+        # The tiny space has no GPU-favouring instance on any system; the
+        # reduced one does.
+        training = reduced_tuner_i7.training
+        assert training.has_gpu_records()
+        ds = training.gpu_dataset("band", ("dim", "tsize", "dsize"))
         assert (ds.y >= 0).all()
 
     def test_summary_statistics(self, tiny_training):

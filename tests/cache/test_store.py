@@ -173,6 +173,27 @@ class TestBoundsAndEviction:
         store.put(_key(20).digest, solved[20], request=None)
         assert not (tmp_path / f"{_key(16).digest}.npz").exists()
 
+    def test_entry_evicted_while_being_read_is_not_re_adopted(
+        self, tmp_path, solved, monkeypatch
+    ):
+        from repro.cache import store as store_module
+
+        store = DiskCacheStore(tmp_path, max_entries=1)
+        store.put(_key(16).digest, solved[16], request=None)
+        decode = store_module.decode_result
+
+        def decode_then_evict(archive):
+            # Another thread's put lands between the read and the index update.
+            monkeypatch.setattr(store_module, "decode_result", decode)
+            store.put(_key(20).digest, solved[20], request=None)
+            return decode(archive)
+
+        monkeypatch.setattr(store_module, "decode_result", decode_then_evict)
+        loaded = store.get(_key(16).digest)
+        assert np.array_equal(loaded.grid.values, solved[16].grid.values)
+        assert len(store) == 1 and store.evictions == 1
+        assert _key(16).digest not in store and _key(20).digest in store
+
 
 class TestReopen:
     def test_existing_entries_are_adopted(self, tmp_path, solved):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.autotuner.measured import PROFILED_BACKENDS
 from repro.core.exceptions import InvalidParameterError
 from repro.core.params import InputParams, TunableParams
 from repro.hardware import platforms
@@ -71,6 +72,20 @@ class TestCostModelBasics:
         model = CostModel(i3)
         with pytest.raises(InvalidParameterError):
             model.predict(ip(), TunableParams.from_encoding(1, 100, 5, 1))
+
+
+class TestBackendPricing:
+    """Every engine the profiler times is one the model can price."""
+
+    @pytest.mark.parametrize("backend", PROFILED_BACKENDS)
+    def test_every_profiled_backend_is_priced(self, backend, i7_2600k):
+        model = CostModel(i7_2600k)
+        params = ip(dim=256, tsize=100)
+        assert 0 < model.cpu_backend_time(backend, params, cpu_tile=32, workers=2) < float("inf")
+
+    def test_an_unregistered_engine_is_not_priced(self, i7_2600k):
+        with pytest.raises(InvalidParameterError, match="unknown serial engine 'compiled'"):
+            CostModel(i7_2600k).cpu_backend_time("compiled", ip())
 
 
 class TestPaperTradeoffs:

@@ -330,7 +330,7 @@ class TestHybridMPEngine:
         assert pooled.stats["tiles_executed"] == (small_synthetic.dim // 4) ** 2
         assert pooled.stats["band_cells"] > 0
 
-    @pytest.mark.parametrize("engine", ["fpga", "mp", "hybrid"])
+    @pytest.mark.parametrize("engine", ["fpga", "mp", "compiled", "hybrid"])
     def test_hybrid_rejects_unregistered_engines_and_itself(self, i7_2600k, engine):
         with pytest.raises(UnknownExecutorError, match="mp-parallel"):
             HybridExecutor(i7_2600k, engine=engine)

@@ -1,10 +1,13 @@
 """Tests of the declarative :class:`~repro.runtime.registry.EngineSpec` API.
 
-Specs declare capabilities and availability probes, registration order is
-preference order, capability queries raise typed errors on typos, and
+Specs declare capabilities, every registered engine is available,
+registration order is preference order, capability queries raise typed
+errors on typos, and
 :func:`~repro.runtime.registry.fill_engine` is the one check of a plan's
 engine vocabulary.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from repro.runtime import (
     available_serial_engines,
     engines_with,
     fill_engine,
+    register_executor,
 )
 from repro.runtime.registry import ENGINE_SPECS, KNOWN_CAPABILITIES
 from repro.runtime.serial import SerialExecutor
@@ -40,9 +44,16 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameterError, match="strategy"):
             EngineSpec(name="", factory=Nameless)
 
-    def test_availability_defaults_to_true(self):
-        spec = EngineSpec(name="probe-free", factory=SerialExecutor)
-        assert spec.is_available()
+    def test_available_executors_are_the_registered_names(self):
+        assert available_executors() == sorted(ENGINE_SPECS)
+
+    def test_a_spec_is_a_name_a_factory_and_capabilities(self):
+        # No availability probe: registered is the one meaning of known.
+        assert [f.name for f in dataclasses.fields(EngineSpec)] == [
+            "name",
+            "factory",
+            "capabilities",
+        ]
 
 
 class TestBuiltinSpecs:
@@ -88,6 +99,8 @@ class TestFillEngine:
             ("hybrid-vectorized", None),
             ("serial", "fpga"),
             ("hybrid", "hybrid"),
+            ("compiled", None),
+            ("hybrid", "compiled"),
         ],
     )
     def test_unknown_and_retired_names_are_one_typed_error(self, backend, engine):
@@ -95,6 +108,41 @@ class TestFillEngine:
             fill_engine(backend, engine)
         for known in ("serial", "vectorized", "mp-parallel", "pipelined"):
             assert known in str(error.value)
+
+    def test_the_error_names_exactly_the_registered_engines(self):
+        # One notion of a known engine: what the error offers is what runs.
+        with pytest.raises(UnknownExecutorError) as error:
+            fill_engine("compiled")
+        assert error.value.args[0].endswith("known: " + ", ".join(available_executors()))
+
+
+class TestRegisteringAnEngine:
+    """Bringing an engine (back) is one registration; the registry does the rest."""
+
+    def test_one_registration_makes_an_engine_known_everywhere(self, monkeypatch):
+        from repro.runtime import registry
+        from repro.runtime.vectorized import VectorizedSerialExecutor
+
+        class Rebadged(VectorizedSerialExecutor):
+            strategy = "rebadged"
+
+        # A copy, so the registration leaves with the test.
+        monkeypatch.setattr(registry, "ENGINE_SPECS", dict(ENGINE_SPECS))
+        register_executor(
+            EngineSpec(name="rebadged", factory=Rebadged, capabilities=frozenset({"serial"}))
+        )
+        assert available_executors() == sorted([*ENGINE_SPECS, "rebadged"])
+        assert available_serial_engines() == ["vectorized", "serial", "rebadged"]
+        assert fill_engine("hybrid", "rebadged") == "rebadged"
+        with Session(system="i7-2600K") as session:
+            reference = session.solve("lcs", 24, policy=ExecutionPolicy(backend="serial"))
+            for policy in (
+                ExecutionPolicy(backend="rebadged"),
+                ExecutionPolicy(backend="hybrid", engine="rebadged"),
+            ):
+                result = session.solve("lcs", 24, policy=policy)
+                assert np.array_equal(reference.grid.values, result.grid.values)
+        assert result.stats["engine"] == "rebadged"
 
 
 class TestEveryEngineMatchesSerial:

@@ -311,16 +311,16 @@ class TestEngineDimension:
         assert plan.engine == available_serial_engines()[0] == "vectorized"
 
     @pytest.mark.parametrize("tuner", ["learned", "exhaustive"])
-    def test_unavailable_preferred_engine_falls_back_to_serial(
+    def test_unregistered_preferred_engine_falls_back_to_serial(
         self, tuner, tiny_space, i3, monkeypatch
     ):
-        import dataclasses
-
-        from repro.runtime.registry import ENGINE_SPECS
+        from repro.runtime import registry
         from repro.session import Session
 
-        gated = dataclasses.replace(ENGINE_SPECS["vectorized"], available=lambda: False)
-        monkeypatch.setitem(ENGINE_SPECS, "vectorized", gated)
+        # A copy without the preferred engine: undoing a delitem would
+        # re-append it last and reorder the preferences for later tests.
+        unregistered = {name: spec for name, spec in ENGINE_SPECS.items() if name != "vectorized"}
+        monkeypatch.setattr(registry, "ENGINE_SPECS", unregistered)
         assert available_serial_engines() == ["serial"]
         with Session(system=i3, tuner=tuner, space=tiny_space) as session:
             plan = session.plan("lcs", 24)

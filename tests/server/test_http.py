@@ -156,6 +156,8 @@ class TestErrorMapping:
             {"engine": "mp"},
             {"backend": "hybrid-mp"},
             {"backend": "hybrid", "engine": "hybrid"},
+            {"backend": "compiled"},
+            {"engine": "compiled"},
         ):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post_json(endpoint.url + "/solve", {"app": "lcs", "dim": 48, **override})

@@ -173,9 +173,10 @@ class TestRun:
         assert "serial verification: OK" in out
 
     def test_run_retired_backend_alias_is_usage_error(self, capsys):
-        code = main(["run", "--app", "lcs", "--dim", "32", "--backend", "hybrid-mp"])
-        assert code == EXIT_USAGE
-        assert "known: compiled, hybrid, mp-parallel" in capsys.readouterr().err
+        for backend in ("hybrid-mp", "compiled"):
+            code = main(["run", "--app", "lcs", "--dim", "32", "--backend", backend])
+            assert code == EXIT_USAGE, backend
+            assert "known: hybrid, mp-parallel" in capsys.readouterr().err
 
     def test_run_replayed_plan_with_a_retired_engine_is_usage_error(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

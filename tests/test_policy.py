@@ -223,6 +223,9 @@ class TestEngineVocabulary:
         {"backend": "hybrid-mp"},
         {"backend": "hybrid-vectorized"},
         {"backend": "hybrid", "engine": "hybrid"},
+        # The retired compiled tier, as a backend and as the hybrid's engine.
+        pytest.param({"backend": "compiled"}, id="backend=compiled"),
+        pytest.param({"engine": "compiled"}, id="engine=compiled"),
     ]
 
     @pytest.mark.parametrize("over_http", [False, True], ids=["in-process", "body"])
@@ -235,7 +238,10 @@ class TestEngineVocabulary:
         # Nothing was constructed on the way to the error.
         assert i3_session.cache_info()["builds"] == builds
 
-    @pytest.mark.parametrize("field,value", [("engine", "mp"), ("backend", "hybrid-mp")])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("engine", "mp"), ("backend", "hybrid-mp"), ("engine", "compiled"), ("backend", "compiled")],
+    )
     def test_saved_plan_with_a_retired_spelling_fails_run(self, field, value, i3_session):
         payload = i3_session.plan("lcs", 32).to_dict()
         payload[field] = value
