@@ -10,7 +10,11 @@ to catch gross, order-of-magnitude regressions, not noise):
 
     fresh_norm > threshold * baseline_norm   ->  FAIL
 
-Also fails when any fresh result did not match the serial reference grid.
+Also fails when any fresh result did not match the serial reference:
+``matches_serial`` is ``ExecutionResult.matches``, bit-identical grids and
+witnesses.  The benched apps cover both walks of the tiled engines with a
+witness each (``knapsack-ev`` by rows, ``stochastic-path`` by diagonals);
+pairs absent from the baseline are checked for correctness only.
 
 With ``--plan`` (a ``repro run --plan-out`` file of the *default* plan) the
 gate also checks the tuner's engine decision against the same fresh JSON:
@@ -31,7 +35,7 @@ grid, whose sweep is short enough for it to show).
 
 Usage (CI):
 
-    python -m repro bench --dim 96 --apps synthetic,lcs,viterbi \
+    python -m repro bench --dim 96 --apps synthetic,lcs,viterbi,knapsack-ev,stochastic-path \
         --executors serial,vectorized,mp-parallel,pipelined \
         --repeats 3 --workers 2 --out /tmp/perf_smoke.json
     python -m repro run --app lcs --dim 96 --system local --plan-out /tmp/plan.json
@@ -65,7 +69,7 @@ def load_normalised(path: Path) -> tuple[dict[tuple[str, str], float], list[str]
     for r in records:
         app, executor = r["application"], r["executor"]
         if r.get("matches_serial") is False:
-            errors.append(f"{app}/{executor}: grid did not match the serial reference")
+            errors.append(f"{app}/{executor}: grid or witness did not match the serial reference")
         if app not in serial:
             continue
         normalised[(app, executor)] = r["wall_s_best"] / serial[app]

@@ -23,8 +23,9 @@
 
 All applications register themselves in :mod:`repro.apps.registry`; every
 kernel is expressible both per-cell (:meth:`WavefrontKernel.cell`) and
-diagonal-vectorized (:meth:`WavefrontKernel.diagonal`, optionally fused via
-:meth:`WavefrontKernel.make_diagonal_evaluator`).
+diagonal-vectorized (:meth:`WavefrontKernel.diagonal`), and fused by rows
+(:meth:`WavefrontKernel.make_row_evaluator`) or by diagonals
+(:meth:`WavefrontKernel.make_diagonal_evaluator`) — docs/apps.md says which.
 """
 
 from repro.apps.base import WavefrontApplication

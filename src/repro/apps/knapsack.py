@@ -53,23 +53,6 @@ class KnapsackKernel(WavefrontKernel):
         skip = north
         return np.maximum(take, skip)
 
-    def make_diagonal_evaluator(self, dim, boundary):
-        """Fused sweep path: row-tiled item values, two in-place ufuncs.
-
-        The only ``j``-dependence of the recurrence is the ``j == 0`` column,
-        which along one anti-diagonal is at most its last element (and only
-        on the growing half of the sweep), so it is patched as one scalar.
-        """
-        row_values = self.values[np.arange(dim, dtype=np.int64) % self.values.size]
-
-        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
-            np.add(northwest, row_values[i_min : i_max + 1], out=out)
-            if i_max == d:  # last element sits in column j == 0
-                out[i_max - i_min] = 0.0
-            np.maximum(out, north, out=out)
-
-        return evaluate
-
     def make_row_evaluator(self, dim, boundary):
         """Row-parallel (no west term): the cell operations of :meth:`diagonal`."""
         item_values = self.values
@@ -206,22 +189,6 @@ class ExpectedKnapsackKernel(WavefrontKernel):
         dim = int(max(np.max(i), np.max(j))) + 1
         take, add, _ = self._tables(dim)
         return np.where(take[i, j], northwest + add[i, j], north)
-
-    def make_diagonal_evaluator(self, dim, boundary):
-        """Fused sweep path: flat decision/increment tables, one masked copy."""
-        take, add, _ = self._tables(dim)
-        take_flat = np.ascontiguousarray(take).reshape(-1)
-        add_flat = np.ascontiguousarray(add).reshape(-1)
-        scratch = np.empty(dim)
-
-        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
-            m = i_max - i_min + 1
-            t = scratch[:m]
-            np.add(northwest, add_flat[seg], out=t)
-            np.copyto(out, north)
-            np.copyto(out, t, where=take_flat[seg])
-
-        return evaluate
 
     def make_row_evaluator(self, dim, boundary):
         """Row-parallel (no west term): rows of the cached policy tables, as views."""

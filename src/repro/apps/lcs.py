@@ -55,29 +55,6 @@ class LCSKernel(WavefrontKernel):
             self.matches(i, j), northwest + 1.0, np.maximum(north, west)
         )
 
-    def make_diagonal_evaluator(self, dim, boundary):
-        """Fused sweep path: precomputed match mask, three ufuncs per diagonal.
-
-        The zero boundary is the recurrence's natural base case, so no edge
-        patching is needed anywhere in the sweep.
-        """
-        idx = np.arange(dim, dtype=np.int64)
-        match = (
-            self.seq_a[idx % self.seq_a.size][:, None]
-            == self.seq_b[idx % self.seq_b.size][None, :]
-        )
-        match_flat = match.reshape(-1)
-        scratch = np.empty(dim)
-
-        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
-            m = i_max - i_min + 1
-            t = scratch[:m]
-            np.add(northwest, 1.0, out=t)
-            np.maximum(north, west, out=out)
-            np.copyto(out, t, where=match_flat[seg])
-
-        return evaluate
-
     def make_row_evaluator(self, dim, boundary):
         """Scan row: ``max(NW + match, N)``, then a running maximum over the west.
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import WavefrontApplication, position_table_flat
+from repro.apps.base import WavefrontApplication
 from repro.core.exceptions import InvalidParameterError
 from repro.core.pattern import WavefrontKernel
 from repro.runtime.compute import max_product_pair
@@ -116,49 +116,14 @@ class ViterbiKernel(WavefrontKernel):
         # (boundary-valued) previous row.
         return np.where(i == 0, self.log_pi[j % n_states] + self._emit(i, j), values)
 
-    def _state_columns(self, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(log_stay, log_adv, log_pi)`` per grid column (tiled modulo the states)."""
-        cols = np.arange(dim, dtype=np.int64) % self.log_pi.size
-        return self.log_stay[cols], self.log_adv[cols], self.log_pi[cols]
-
-    def make_diagonal_evaluator(self, dim, boundary):
-        """Fused sweep path: row-0 / column-0 cells patched as scalars.
-
-        On an anti-diagonal, ``i == 0`` is at most the first element (when
-        ``i_min == 0``) and ``j == 0`` at most the last (when ``i_max == d``),
-        so both corrections are scalar writes; everything in between is the
-        interior recurrence evaluated with in-place ufuncs through the
-        shared :func:`~repro.runtime.compute.max_product_pair` primitive.
-        """
-        stay_col, adv_col, pi_col = self._state_columns(dim)
-        emit_flat = position_table_flat(self.log_emit, dim)
-        scratch = np.empty(dim)
-
-        def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
-            m = i_max - i_min + 1
-            # Column index of cell (i, d - i) along the diagonal descends as
-            # the row grows: j = d - i for i in [i_min, i_max].
-            j_lo = d - i_max
-            j_cols = slice(d - i_min, j_lo - 1 if j_lo > 0 else None, -1)
-            stay = scratch[:m]
-            np.add(north, stay_col[j_cols], out=stay)
-            np.add(northwest, adv_col[j_cols], out=out)
-            max_product_pair(out, stay, out=out)
-            if i_max == d:  # last element sits in column j == 0: stay only
-                out[m - 1] = stay[m - 1]
-            np.add(out, emit_flat[seg], out=out)
-            if i_min == 0:  # first element sits in row i == 0, column d
-                out[0] = pi_col[d] + emit_flat[d]
-
-        return evaluate
-
     def make_row_evaluator(self, dim, boundary):
         """Row-parallel (no west term): the cell operations of :meth:`diagonal`.
 
         A row of the grid is one time step: its emissions are a row of
         ``log_emit`` (gathered only where the table is narrower than the grid).
         """
-        stay_col, adv_col, pi_col = self._state_columns(dim)
+        cols = np.arange(dim, dtype=np.int64) % self.log_pi.size
+        stay_col, adv_col, pi_col = self.log_stay[cols], self.log_adv[cols], self.log_pi[cols]
         log_emit = self.log_emit
         wrapped = None if log_emit.shape[1] >= dim else np.arange(dim) % log_emit.shape[1]
         scratch = np.empty(dim)

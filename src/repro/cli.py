@@ -829,9 +829,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     walls.append(time.perf_counter() - t0)
                 best = min(walls)
                 if executor_name == "serial":
-                    reference = result.grid
+                    reference = result
                     serial_best = best
-                matches = bool(reference.allclose(result.grid)) if reference is not None else None
+                matches = result.matches(reference) if reference is not None else None
                 speedup = serial_best / best if serial_best else None
                 records.append(
                     {

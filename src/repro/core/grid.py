@@ -90,11 +90,5 @@ class WavefrontGrid:
         """Bytes of the value array."""
         return self.values.nbytes
 
-    def allclose(self, other: "WavefrontGrid", rtol: float = 1e-9, atol: float = 1e-9) -> bool:
-        """True when the value arrays of two grids agree element-wise."""
-        if self.dim != other.dim:
-            return False
-        return np.allclose(self.values, other.values, rtol=rtol, atol=atol)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WavefrontGrid(dim={self.dim}, dsize={self.dsize})"

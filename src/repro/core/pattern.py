@@ -79,18 +79,21 @@ class WavefrontKernel(abc.ABC):
         return float(out[0])
 
     def make_diagonal_evaluator(self, dim: int, boundary: float) -> "DiagonalEvaluator | None":
-        """Optional fused fast path used by the vectorized engine.
+        """Optional fused fast path for sweeps that walk diagonals.
 
-        A kernel may return a callable ``evaluate(d, i_min, i_max, west,
-        north, northwest, out, seg)`` that writes the values of rows
-        ``i_min .. i_max`` of diagonal ``d`` into the 1-D array ``out``
-        (length ``i_max - i_min + 1``), given read-only neighbour arrays of
-        the same length.  All four are C-contiguous float64 (slices of the
-        engine's rolling rows, not of the grid: the engine stores ``out``
-        itself), and ``seg`` is the slice addressing those cells in a
-        flattened row-major ``dim x dim`` array, so ``table.reshape(-1)[seg]``
-        lines a position table up with any row range.  The evaluator is
-        built once per sweep, so it can precompute position-dependent tables
+        A sweep walks diagonals only when :meth:`make_row_evaluator`
+        declines, so a kernel whose row form never declines needs no
+        diagonal evaluator.  A kernel may return a callable ``evaluate(d,
+        i_min, i_max, west, north, northwest, out, seg)`` that writes the
+        values of rows ``i_min .. i_max`` of diagonal ``d`` into the 1-D
+        array ``out`` (length ``i_max - i_min + 1``), given read-only
+        neighbour arrays of the same length.  All four are C-contiguous
+        float64 (slices of the engine's rolling rows, not of the grid: the
+        engine stores ``out`` itself), and ``seg`` is the slice addressing
+        those cells in a flattened row-major ``dim x dim`` array, so
+        ``table.reshape(-1)[seg]`` lines a position table up with any tile.
+        The evaluator is built once per sweeper, so it can precompute
+        position-dependent tables
         (substitution scores, payoff preferences, ...) and use in-place
         ufuncs; it must produce results numerically identical to
         :meth:`diagonal`.
@@ -102,7 +105,7 @@ class WavefrontKernel(abc.ABC):
         return None
 
     def make_row_evaluator(self, dim: int, boundary: float) -> "RowEvaluator | None":
-        """Optional row-major fast path for tiles one thread sweeps whole.
+        """Optional row-major fast path: offered, it walks every tile by rows.
 
         A recurrence whose west dependence is absent, or a constant gap in a
         max / min semiring (one ``accumulate``), can fill a whole row of a
@@ -119,8 +122,10 @@ class WavefrontKernel(abc.ABC):
         Return ``None`` (the default) unless the row form is bit-identical
         to :meth:`diagonal` for *this* instance: a gap-shifted scan is exact
         only on integer-valued scores, so the kernel probes its own
-        parameters and declines otherwise.  State is O(dim): index the
-        kernel's sequences by row instead of building position tables.
+        parameters and declines otherwise, and the sweep walks diagonals
+        through :meth:`make_diagonal_evaluator`.  A kernel whose row form
+        never declines needs no diagonal evaluator.  State is O(dim): index
+        the kernel's sequences by row instead of building position tables.
         """
         return None
 

@@ -5,13 +5,16 @@ Five executors, each executing differently:
 * :class:`repro.runtime.serial.SerialExecutor` — the optimised sequential
   baseline, also the reference implementation the others are validated
   against;
-* :class:`repro.runtime.vectorized.VectorizedSerialExecutor` — the same
-  sweep with every anti-diagonal evaluated as one NumPy batch; the
-  preferred single-core engine;
+* :class:`repro.runtime.vectorized.VectorizedSerialExecutor` — one
+  :class:`~repro.runtime.vectorized.TileSweeper` sweep of the whole grid,
+  by rows where the kernel offers a row evaluator and by NumPy-batched
+  anti-diagonals otherwise; the preferred single-core engine;
 * :class:`repro.runtime.mp_parallel.MPParallelExecutor` /
   :class:`repro.runtime.mp_parallel.PipelinedMPExecutor` — the tile
-  wavefront on a resident shared-memory worker team, with a barrier per
-  tile-diagonal or dependency-driven with none;
+  wavefront on a resident shared-memory worker team, each tile one whole
+  ``TileSweeper`` sweep, with a barrier per tile-diagonal
+  (:func:`~repro.runtime.scheduler.run_schedule`) or dependency-driven with
+  none (:func:`~repro.runtime.scheduler.run_pipelined`);
 * :class:`repro.runtime.hybrid.HybridExecutor` — the paper's three-phase
   CPU / GPU-band / CPU strategy, parameterised by
   :class:`repro.core.params.TunableParams`; any one of the engines above
@@ -37,11 +40,7 @@ from repro.runtime.result import ExecutionResult
 from repro.runtime.timeline import Timeline
 from repro.runtime.executor_base import ExecutionMode, Executor
 from repro.runtime.serial import SerialExecutor
-from repro.runtime.vectorized import (
-    DiagonalSweepEngine,
-    VectorizedSerialExecutor,
-    compute_diagonal_range_vectorized,
-)
+from repro.runtime.vectorized import VectorizedSerialExecutor
 from repro.runtime.mp_parallel import (
     MPParallelExecutor,
     MPWavefrontPool,
@@ -50,7 +49,7 @@ from repro.runtime.mp_parallel import (
     WorkerTeam,
     resolve_worker_count,
 )
-from repro.runtime.scheduler import DependencyGraph, PipelinedSchedule, run_pipelined
+from repro.runtime.scheduler import DependencyGraph, run_pipelined, run_schedule
 from repro.runtime.shared_grid import SharedGridBuffer
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.registry import (
@@ -71,16 +70,14 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "VectorizedSerialExecutor",
-    "DiagonalSweepEngine",
-    "compute_diagonal_range_vectorized",
     "MPParallelExecutor",
     "MPWavefrontPool",
     "PipelinedMPExecutor",
     "TileSweeper",
     "WorkerTeam",
     "DependencyGraph",
-    "PipelinedSchedule",
     "run_pipelined",
+    "run_schedule",
     "SharedGridBuffer",
     "resolve_worker_count",
     "HybridExecutor",

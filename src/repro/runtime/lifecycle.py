@@ -13,8 +13,8 @@ explicit lifetime:
   :class:`repro.runtime.mp_parallel.MPWavefrontPool` — per-request tile
   geometry — on the host's resident
   :class:`repro.runtime.mp_parallel.WorkerTeam` for that worker count: the
-  multicore executors bind a grid, run and release without a process ever
-  being started per request, per problem or per tile size;
+  multicore executors run a grid on it without a process ever being
+  started per request, per problem or per tile size;
 * :meth:`EngineHost.close` tears everything down deterministically.
 
 A host holds one team per worker count it has been asked for (one, in
@@ -48,12 +48,12 @@ class EngineHost:
 
     One host serves one system.  Lookups and construction are guarded by an
     internal lock, so concurrent threads cannot corrupt its state; a team's
-    arena, however, holds one grid at a time — the borrowing executor binds
-    the request's grid, runs, and releases before the next request is
-    served.  :class:`repro.session.Session` enforces that contract by
-    holding its run lock across every execution; direct multi-threaded users
-    must serialise executions the same way (a second ``bind`` on a busy
-    team raises).
+    arena, however, holds one grid at a time — the borrowing executor's
+    :meth:`~repro.runtime.mp_parallel.MPWavefrontPool.run` claims it for the
+    request's grid and gives it back before the next request is served.
+    :class:`repro.session.Session` enforces that contract by holding its run
+    lock across every execution; direct multi-threaded users must serialise
+    executions the same way (a second ``run`` on a busy team raises).
     """
 
     def __init__(
@@ -122,11 +122,10 @@ class EngineHost:
     ) -> "MPWavefrontPool":
         """The tile geometry of one request on the resident worker team.
 
-        The returned pool is *borrowed*: callers bind a grid, run, and
-        release (or ``close()``, which for a borrowed pool is the same) —
-        the team underneath is the host's, forked on the first request for
-        its worker count and reused by every later one whatever the
-        problem or tile size.  A team whose worker died (``team.broken``)
+        The returned pool is *borrowed*: callers ``run`` a grid on it, and
+        ``close()`` leaves the team alone — the team underneath is the
+        host's, forked on the first request for its worker count and reused
+        by every later one whatever the problem or tile size.  A team whose worker died (``team.broken``)
         is never handed out again: it is closed here — its arena unlinked —
         and a fresh one forked, so one crashed worker costs one failed
         request, never a poisoned session or a leaked segment.

@@ -12,25 +12,22 @@ the tile wavefront on worker processes:
   place — only tiny tile descriptors cross process boundaries, and a
   problem crosses once per worker;
 * an :class:`MPWavefrontPool` is the cheap per-(problem, tile size) half:
-  the tile decomposition and its schedules
-  (:class:`repro.runtime.scheduler.TileScheduler`: a barrier per
-  tile-diagonal; :class:`repro.runtime.scheduler.PipelinedSchedule`:
-  dependency-counted), bound to one grid at a time on a team it borrows;
-* each worker evaluates its tile's interior with a **tile-local
-  rolling-row diagonal sweep** (:class:`TileSweeper`: contiguous neighbour
-  rows, halo cells read from the neighbouring tiles, one store per
-  diagonal) that reuses the fused
-  kernel evaluators of the vectorized engine
-  (:meth:`repro.core.pattern.WavefrontKernel.make_diagonal_evaluator`), and
-  validates the tile finite before it reports it done.  The sweeper — and
-  with it the O(dim^2) evaluator precompute — is built on a problem's
-  first tile in that worker and kept in a small LRU.
+  the tile decomposition, run over one grid at a time on a team it
+  borrows, either wave by wave with a barrier per tile-diagonal
+  (:func:`repro.runtime.scheduler.run_schedule`) or dependency-counted
+  (:func:`repro.runtime.scheduler.run_pipelined`);
+* a task is a tile and its problem.  Each worker sweeps the tile whole with
+  a :class:`TileSweeper` — by rows where the kernel offers a row evaluator,
+  by rolling-row diagonals otherwise, halo cells read from the neighbouring
+  tiles — and validates it finite before it reports it done.  The sweeper —
+  and with it the kernel's O(dim^2) evaluator precompute — is built on a
+  problem's first tile in that worker and kept in a small LRU.
 
 When fewer than two cores are available (or one worker is requested) the
-backend degrades gracefully to the in-process whole-diagonal sweep of a
-:class:`repro.runtime.vectorized.DiagonalSweepEngine`, producing
-identical grids without any shared-memory machinery — and without paying
-the tile-granular dispatch that only parallel workers amortise.
+backend degrades gracefully to one in-process whole-grid ``TileSweeper``
+sweep, producing identical grids without any shared-memory machinery — and
+without paying the tile-granular dispatch that only parallel workers
+amortise.
 """
 
 from __future__ import annotations
@@ -55,14 +52,9 @@ from repro.core.tiling import Tile, TileDecomposition
 from repro.hardware.costmodel import PhaseBreakdown
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import Executor
-from repro.runtime.scheduler import (
-    PipelinedSchedule,
-    TileScheduler,
-    run_pipelined,
-    run_schedule,
-)
+from repro.runtime.scheduler import DependencyGraph, run_pipelined, run_schedule
 from repro.runtime.shared_grid import SharedGridBuffer
-from repro.runtime.vectorized import DiagonalSweepEngine, TileSweeper
+from repro.runtime.vectorized import TileSweeper
 
 
 def resolve_worker_count(workers: int | None, system: SystemSpec | None = None) -> int:
@@ -118,11 +110,10 @@ def _lru_touch(lru: OrderedDict, key: int, value: object) -> None:
 def _worker_main(conn, inherited, problems) -> None:
     """Serve tile tasks from ``conn`` until it closes or sends ``None``.
 
-    A task is ``(key, problem, arena_name, arena_dim, dim, d_lo, d_hi,
-    tile)``: sweep ``tile`` of the ``dim x dim`` grid at the start of the
-    named arena.  ``problem`` is ``None`` when this worker already holds the
-    sweeper for ``key``.  The reply is ``(True, cells)`` or ``(False,
-    exception)``.
+    A task is ``(key, problem, arena_name, arena_dim, dim, tile)``: sweep
+    ``tile`` of the ``dim x dim`` grid at the start of the named arena.
+    ``problem`` is ``None`` when this worker already holds the sweeper for
+    ``key``.  The reply is ``(True, cells)`` or ``(False, exception)``.
     """
     for other in inherited:  # the parent's ends of earlier workers' pipes
         other.close()
@@ -135,14 +126,14 @@ def _worker_main(conn, inherited, problems) -> None:
             return
         if task is None:
             return
-        key, problem, arena_name, arena_dim, dim, d_lo, d_hi, tile = task
+        key, problem, arena_name, arena_dim, dim, tile = task
         try:
             _lru_touch(sweepers, key, None if problem is None else TileSweeper(problem))
             if arena is None or arena.name != arena_name:
                 if arena is not None:
                     arena.close()
                 arena = SharedGridBuffer.attach(arena_name, arena_dim)
-            reply = (True, _sweep(sweepers[key], arena, dim, tile, d_lo, d_hi))
+            reply = (True, _sweep(sweepers[key], arena, dim, tile))
         except Exception as error:  # noqa: BLE001 - reported to the caller
             # Whatever failed, start this problem afresh next time (the parent
             # forgets it too).  Without its traceback the error pins no frame,
@@ -155,9 +146,9 @@ def _worker_main(conn, inherited, problems) -> None:
             conn.send((False, ExecutionError(f"{type(error).__name__}: {reply[1]!r}")))
 
 
-def _sweep(sweeper: TileSweeper, arena: SharedGridBuffer, dim, tile, d_lo, d_hi) -> int:
+def _sweep(sweeper: TileSweeper, arena: SharedGridBuffer, dim, tile) -> int:
     """One tile on the arena; the view it sweeps dies with this frame."""
-    return sweeper.sweep_tile(arena.view(dim).reshape(-1), tile, d_lo, d_hi)
+    return sweeper.sweep_tile(arena.view(dim).reshape(-1), tile)
 
 
 class _Worker:
@@ -186,8 +177,8 @@ class WorkerTeam:
     problem, any tile size — until it is closed or a worker dies:
 
     * **the arena** is one shared-memory segment, replaced by a larger one
-      when a grid larger than any before is bound; one grid occupies it at
-      a time (:meth:`claim` checks; the session's run lock guarantees);
+      when a grid larger than any before is claimed; one grid occupies it
+      at a time (:meth:`claim` checks; the session's run lock guarantees);
     * **problems** reach a worker pickled inside the first task that needs
       them there and stay in its :data:`SWEEPER_SLOTS`-entry LRU of tile
       sweepers; ``problems`` given at construction are inherited through
@@ -196,7 +187,7 @@ class WorkerTeam:
     * **tiles** go through :meth:`submit` / :meth:`completed` (the
       :class:`~repro.runtime.scheduler.TilePool` protocol): one tile per
       worker at a time over the worker's own pipe, the rest queued here.
-      A task is the ``(problem, d_lo, d_hi)`` of its ``run_range``.
+      A task is the problem its tile belongs to.
 
     A worker that dies surfaces as one :class:`WorkerCrashError` and leaves
     the team :attr:`broken` for good; a kernel failure is re-raised after
@@ -236,7 +227,7 @@ class WorkerTeam:
         """Reserve the arena for one grid; returns its ``(dim, dim)`` view."""
         if self._dim is not None:
             raise ExecutionError(
-                "the worker team's arena already holds a bound grid; release() it first"
+                "the worker team's arena already holds a grid; one run at a time"
             )
         if self._arena is None or self._arena.dim < dim:
             self._drop_arena()
@@ -257,11 +248,11 @@ class WorkerTeam:
     # ------------------------------------------------------------------
     # Tile dispatch
     # ------------------------------------------------------------------
-    def submit(self, task: tuple, tile: Tile) -> None:
+    def submit(self, problem: WavefrontProblem, tile: Tile) -> None:
         """Queue one tile; it starts as soon as a worker is idle."""
         if self.broken:
             raise WorkerCrashError("the worker team is broken (or closed); it cannot run")
-        self._backlog.append((task, tile))
+        self._backlog.append((problem, tile))
         self._feed()
 
     def _feed(self) -> None:
@@ -270,12 +261,12 @@ class WorkerTeam:
             idle = [w for w in self._workers if w.tile is None]
             if not idle:
                 return
-            (problem, d_lo, d_hi), tile = self._backlog.popleft()
+            problem, tile = self._backlog.popleft()
             key = id(problem)
             worker = next((w for w in idle if key in w.held), idle[0])
             message = (
                 key, None if key in worker.held else problem,
-                self._arena.name, self._arena.dim, self._dim, d_lo, d_hi, tile,
+                self._arena.name, self._arena.dim, self._dim, tile,
             )
             try:
                 worker.conn.send(message)
@@ -356,161 +347,111 @@ class WorkerTeam:
 class MPWavefrontPool:
     """The tile geometry of one (problem, tile size) on a worker team.
 
-    Cheap to build — a tile decomposition and the two schedules over it —
-    and short-lived: :class:`repro.runtime.lifecycle.EngineHost` makes one
-    per request around its resident :class:`WorkerTeam`.  Built without a
-    ``team`` (and ``workers >= 2``) the pool forks a private one, the
-    single-shot path of :class:`MPParallelExecutor`, and closes it with
-    itself.
+    Cheap to build — a tile decomposition — and short-lived:
+    :class:`repro.runtime.lifecycle.EngineHost` makes one per request around
+    its resident :class:`WorkerTeam`.  Built without a ``team`` (and
+    ``workers >= 2``) the pool forks a private one, the single-shot path of
+    :class:`MPParallelExecutor`, and :meth:`close` stops it.
 
-    * :meth:`bind` attaches one grid for a request: its values are copied
-      into the team's arena and ``grid.values`` becomes the zero-copy shared
-      view, so code running in the parent between :meth:`run_range` calls
-      writes where the workers read.  :meth:`release` copies the values back
-      into the grid's original private array and frees the arena.
-      Constructing with a ``grid`` binds it immediately.
-    * :meth:`close` releases any bound grid (and closes a private team).
+    :meth:`run` is the whole request: the grid's values are copied into the
+    team's arena, the tile wavefront runs there, and the values are copied
+    back and the arena given up on every way out — success, a kernel error
+    or a dead worker.
 
     With ``workers == 1`` no processes or shared memory are involved: the
-    range is swept in-process by one whole-grid
-    :class:`repro.runtime.vectorized.DiagonalSweepEngine` reused by every
-    :meth:`run_range` of the pool — tile-local sweeps pay one NumPy dispatch
-    per *tile* diagonal, which only buys anything when real workers share
-    the bill, so the single-core fallback uses the strictly cheaper
-    whole-diagonal batches (identical grids either way).
+    grid is swept in-process as one whole-grid tile — tile-local sweeps pay
+    one NumPy dispatch per *tile* row or diagonal, which only buys anything
+    when real workers share the bill (identical grids either way).
     """
 
     def __init__(
         self,
         problem: WavefrontProblem,
-        grid: WavefrontGrid | None = None,
         tile: int = 1,
         workers: int = 1,
         team: WorkerTeam | None = None,
     ) -> None:
         self.problem = problem
-        self.grid: WavefrontGrid | None = None
         dim = problem.dim
         self.decomposition = TileDecomposition(dim, dim, tile)
-        self.tile = int(tile)
         self.workers = max(1, int(workers))
-        self.scheduler = TileScheduler(self.decomposition, workers=self.workers)
-        self.pipeline = PipelinedSchedule(self.decomposition)
         self._owns_team = team is None and self.workers >= 2
         #: The worker team behind the pool (``None`` with one worker).
         self.team = WorkerTeam(self.workers, (problem,)) if self._owns_team else team
-        self._orig_values: np.ndarray | None = None
-        self._engine: DiagonalSweepEngine | None = None
-        if grid is not None:
-            self.bind(grid)
 
     @property
     def is_multiprocess(self) -> bool:
-        """True when a worker team backs :meth:`run_range`."""
+        """True when a worker team backs :meth:`run`."""
         return self.team is not None
 
     @property
     def broken(self) -> bool:
         """True once a worker of the pool's team died.
 
-        A broken pool still releases its bound grid and closes cleanly;
+        A broken pool still closes cleanly;
         :meth:`repro.runtime.lifecycle.EngineHost.pool_for` forks a fresh
         team (and unlinks this one's arena) on the next request.
         """
         return self.team is not None and self.team.broken
 
-    def bind(self, grid: WavefrontGrid) -> "MPWavefrontPool":
-        """Attach one request's grid to the pool (shared view while bound).
+    def run(self, grid: WavefrontGrid, dispatch: str = "barrier") -> tuple[int, int]:
+        """Fill ``grid`` with the tile wavefront; returns ``(tiles, cells)``.
 
-        In multiprocess mode the grid's values move into the team's float64
-        arena and ``grid.values`` becomes the shared view.
-        """
-        if self.grid is not None:
-            raise ExecutionError(
-                "MPWavefrontPool is already bound to a grid; release() it first"
-            )
-        if grid.dim != self.problem.dim:
-            raise ExecutionError(
-                f"grid of dim {grid.dim} bound to a pool built for "
-                f"dim {self.problem.dim}"
-            )
-        if self.team is not None:
-            shared = self.team.claim(grid.dim)
-            shared[...] = grid.values
-            self._orig_values = grid.values
-            grid.values = shared
-        self.grid = grid
-        return self
-
-    def release(self) -> None:
-        """Detach the bound grid, copying shared values back to private memory.
-
-        The team stays warm for the next request.  A no-op when no grid is
-        bound.
-        """
-        if self.grid is None:
-            return
-        if self._orig_values is not None:
-            self._orig_values[...] = self.grid.values
-            self.grid.values = self._orig_values
-            self._orig_values = None
-            self.team.unclaim()
-        self.grid = None
-
-    def run_range(
-        self, d_lo: int, d_hi: int, dispatch: str = "barrier"
-    ) -> tuple[int, int]:
-        """Execute the tile wavefront over cell diagonals ``[d_lo, d_hi]``.
-
-        Returns ``(tiles_executed, cells_computed)``.  ``dispatch`` selects
-        how tiles reach the workers: ``"barrier"`` fans each tile-diagonal
-        across the team and barriers between diagonals
+        ``dispatch`` selects how tiles reach the workers: ``"barrier"`` fans
+        each tile-diagonal across the team and barriers between diagonals
         (:func:`~repro.runtime.scheduler.run_schedule`); ``"pipelined"``
         drains a :class:`~repro.runtime.scheduler.DependencyGraph` instead,
         starting any tile the moment its west/north/north-west neighbours
         retire (:func:`~repro.runtime.scheduler.run_pipelined`).  Both
-        orders respect the exact dependency contract of
+        orders respect the dependency contract of
         :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile`, so the
         resulting grids are bit-identical.  A dead worker raises
         :class:`WorkerCrashError` — typed, so the caller (session / shard
         supervisor) can retry on the fresh team the next request gets.
+        The in-process path executes no tiles: it reports ``0`` of them.
         """
         if dispatch not in ("barrier", "pipelined"):
             raise InvalidParameterError(
                 f"unknown dispatch mode {dispatch!r}; expected 'barrier' or "
                 "'pipelined'"
             )
-        if d_hi < d_lo:
-            return 0, 0
-        if self.grid is None:
-            raise ExecutionError("MPWavefrontPool.run_range called with no grid bound")
+        if grid.dim != self.problem.dim:
+            raise ExecutionError(
+                f"grid of dim {grid.dim} run on a pool built for "
+                f"dim {self.problem.dim}"
+            )
         if self.team is None:
-            # Single-core path: whole-diagonal batches, no tile penalty.
-            # Dispatch order is moot with one in-process worker, so both
-            # modes share this sweep.
-            if self._engine is None:
-                self._engine = DiagonalSweepEngine(self.problem)
-            return 0, self._engine.sweep(self.grid, d_lo, d_hi)
-        cells = 0
+            # Single-core path: one whole-grid sweep; dispatch order is moot
+            # with one in-process worker, so both modes share it.
+            sweeper = TileSweeper(self.problem)
+            return 0, sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid)
+        shared = self.team.claim(grid.dim)
+        try:
+            shared[...] = grid.values
+            cells = 0
 
-        def collect(n: object) -> None:
-            nonlocal cells
-            cells += int(n)  # type: ignore[arg-type]
+            def collect(n: object) -> None:
+                nonlocal cells
+                cells += int(n)  # type: ignore[arg-type]
 
-        task = (self.problem, d_lo, d_hi)
-        if dispatch == "pipelined":
-            executed = run_pipelined(
-                self.pipeline.graph(d_lo, d_hi), task, pool=self.team, collect=collect
-            )
-        else:
-            executed = run_schedule(
-                self.scheduler.waves(d_lo, d_hi), task, pool=self.team, collect=collect
-            )
-        return executed, cells
+            if dispatch == "pipelined":
+                executed = run_pipelined(
+                    DependencyGraph(self.decomposition), self.problem,
+                    pool=self.team, collect=collect,
+                )
+            else:
+                executed = run_schedule(
+                    self.decomposition.schedule(), self.problem,
+                    pool=self.team, collect=collect,
+                )
+            return executed, cells
+        finally:
+            grid.values[...] = shared
+            del shared  # a raised error's traceback must not pin the arena view
+            self.team.unclaim()
 
     def close(self) -> None:
-        """Release any bound grid; stop a private team."""
-        self.release()
+        """Stop a private team (a borrowed one stays warm)."""
         if self._owns_team and self.team is not None:
             self.team.close()
             self.team = None
@@ -526,15 +467,15 @@ class MPParallelExecutor(Executor):
     """Shared-memory multicore execution of the whole grid (scheme (b), real).
 
     The grid lives in shared memory, a worker team executes the
-    tile wavefront (barrier per tile-diagonal), and every worker sweeps its
-    tiles with the tile-local rolling-row diagonal engine — combining the
+    tile wavefront (barrier per tile-diagonal), and every worker sweeps each
+    of its tiles whole with a :class:`TileSweeper` — combining the
     vectorized engine's batched evaluation with parallelism that actually
     scales with cores.
     Produces grids cell-for-cell identical to the serial reference.
     """
 
     strategy = "mp-parallel"
-    #: Tile dispatch order handed to :meth:`MPWavefrontPool.run_range`.
+    #: Tile dispatch order handed to :meth:`MPWavefrontPool.run`.
     dispatch = "barrier"
 
     def __init__(
@@ -573,16 +514,13 @@ class MPParallelExecutor(Executor):
             pool = self.pool_source(problem, tunables.cpu_tile, workers)
         else:
             pool = MPWavefrontPool(problem, tile=tunables.cpu_tile, workers=workers)
-        # Leaving the block releases the grid; it stops only a private team.
+        # Leaving the block stops only a private team.
         with pool:
-            pool.bind(grid)
-            executed, cells = pool.run_range(
-                0, 2 * problem.dim - 2, dispatch=self.dispatch
-            )
+            executed, cells = pool.run(grid, dispatch=self.dispatch)
             stats = {
                 "tiles_executed": executed,
                 "cells_computed": cells,
-                "tile_waves": pool.scheduler.n_waves,
+                "tile_waves": pool.decomposition.n_tile_diagonals,
                 "workers": pool.workers,
                 "dispatch": self.dispatch,
                 "mode": "process-pool" if pool.is_multiprocess else "in-process",

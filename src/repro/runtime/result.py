@@ -84,20 +84,19 @@ class ExecutionResult:
             return None
         return hashlib.sha256(np.ascontiguousarray(self.witness)).hexdigest()
 
-    def matches(self, other: "ExecutionResult", rtol: float = 1e-9, atol: float = 1e-9) -> bool:
-        """True when both results carry grids with element-wise equal values.
+    def matches(self, other: "ExecutionResult") -> bool:
+        """True when both results carry bit-identical grids and witnesses.
 
-        Witnesses, when present on either side, must be *exactly* equal —
-        a traceback certificate has no meaningful tolerance.
+        Every engine reproduces the serial sweep exactly, so no tolerance
+        applies: the grids' values must be equal element for element and
+        the witnesses, when present on either side, exactly equal.
         """
         if self.grid is None or other.grid is None:
             return False
-        if not self.grid.allclose(other.grid, rtol=rtol, atol=atol):
+        if not np.array_equal(self.grid.values, other.grid.values):
             return False
-        if self.witness is None and other.witness is None:
-            return True
         if self.witness is None or other.witness is None:
-            return False
+            return self.witness is None and other.witness is None
         return np.array_equal(self.witness, other.witness)
 
     def summary(self) -> dict[str, Any]:

@@ -1,44 +1,38 @@
-"""The vectorized wavefront engine: whole anti-diagonals as NumPy batches.
+"""The vectorized wavefront engine: a whole tile per call, as NumPy batches.
 
 The scalar executors evaluate diagonals through fancy-indexed gathers
 (:func:`repro.runtime.compute.compute_cells`): per diagonal they materialise
 index arrays, gather three neighbour arrays with ``np.where`` masks and
 scatter the result back.  For fine-grained kernels that machinery dominates
-the runtime.  This module removes it:
+the runtime.  This module removes it.  A sweep is always a whole tile — the
+whole grid is the one-tile case — walked one of two ways:
 
-* the last two diagonals of the region being swept live in three rolling
-  row buffers indexed by grid row, so the west / north / north-west
+* by rows, when the kernel offers a row evaluator
+  (:meth:`~repro.core.pattern.WavefrontKernel.make_row_evaluator`): each grid
+  row written once, in place, from the row above;
+* by diagonals otherwise: the last two diagonals of the tile live in three
+  rolling row buffers indexed by grid row, so the west / north / north-west
   neighbours of diagonal ``d`` and its output are plain *contiguous* slices
   of those buffers — no gathers, and no stride-``(dim - 1)`` operand in any
   ufunc.  The two slots around a diagonal are its halo: a neighbouring
-  tile's cell read from the grid as a scalar, or the boundary value;
-* a diagonal of a row-major square grid is an arithmetic sequence in the
+  tile's cell read from the grid as a scalar, or the boundary value.  A
+  diagonal of a row-major square grid is an arithmetic sequence in the
   flattened array (cell ``(i, d - i)`` sits at ``d + i * (dim - 1)``), so each
   computed diagonal is stored to the grid exactly once through one strided
-  slice, and the two diagonals before the first one swept are loaded the
-  same way — which is what makes tiles and mid-grid ranges correct with no
-  special case;
-* kernels may provide a fused evaluator
+  slice, and the two diagonals before the tile's first one are loaded the
+  same way — which is how a tile reads its neighbour tiles.  A kernel may
+  provide a fused evaluator
   (:meth:`repro.core.pattern.WavefrontKernel.make_diagonal_evaluator`) that
-  precomputes position-dependent tables once per sweep and evaluates each
-  diagonal with in-place ufuncs on the contiguous rows; the engine hands it
-  the store's row-major slice so row-major tables line up with any range;
-* the diagonal is the unit of *parallelism*, the row the serial one: a tile
-  that one call owns whole is walked row-major instead, each grid row
-  written once, in place, from the row above, when the kernel offers a row
-  evaluator (:meth:`~repro.core.pattern.WavefrontKernel.make_row_evaluator`).
+  precomputes position-dependent tables once per sweeper and evaluates each
+  diagonal with in-place ufuncs on the contiguous rows; the sweeper hands it
+  the store's row-major slice so row-major tables line up with any tile.
 
-The engine is exposed three ways: :class:`DiagonalSweepEngine` (the raw
-sweep over any diagonal range),
-:func:`compute_diagonal_range_vectorized` (drop-in counterpart of
-:func:`repro.runtime.compute.compute_diagonal_range`) and
-:class:`VectorizedSerialExecutor` (the registered ``vectorized`` strategy,
-the preferred single-core engine).
+:class:`TileSweeper` is the sweep; :class:`VectorizedSerialExecutor` (the
+registered ``vectorized`` strategy, the preferred single-core engine) runs
+it once over the whole-grid tile.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -50,18 +44,20 @@ from repro.core.tiling import Tile
 from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.executor_base import Executor
 
+
 class TileSweeper:
-    """Diagonal (rolling-row) or row-major sweep of one rectangular grid region.
+    """Row-major or diagonal (rolling-row) sweep of one rectangular grid region.
 
     The workhorse shared by the whole-grid engine and the multicore
-    backend's worker processes.  The last two anti-diagonals of the region
-    live in three rolling row buffers indexed by grid row (slot
-    ``i - row_start + 1``), so the west / north / north-west neighbours and
-    the output of every diagonal are contiguous slices of those buffers;
-    the diagonal is stored to the row-major grid once.  Slot 0 and the slot
-    one past a diagonal's last cell are the halo: a cell of the north /
-    west / north-west neighbour tile read from the grid as a scalar, or the
-    boundary value where the region touches grid row 0 / column 0.
+    backend's worker processes.  A kernel with a row evaluator is walked by
+    rows; otherwise the last two anti-diagonals of the region live in three
+    rolling row buffers indexed by grid row (slot ``i - row_start + 1``), so
+    the west / north / north-west neighbours and the output of every
+    diagonal are contiguous slices of those buffers; the diagonal is stored
+    to the row-major grid once.  Slot 0 and the slot one past a diagonal's
+    last cell are the halo: a cell of the north / west / north-west
+    neighbour tile read from the grid as a scalar, or the boundary value
+    where the region touches grid row 0 / column 0.
 
     One sweeper serves any number of tiles of its problem; building it pays
     the kernel's fused-evaluator precompute exactly once, which is why an
@@ -75,18 +71,25 @@ class TileSweeper:
         self.dim = problem.dim
         self.boundary = float(problem.boundary)
         self._row_evaluator = self.kernel.make_row_evaluator(self.dim, self.boundary)
+        # A kernel with a row form never walks diagonals, so the diagonal
+        # evaluator's position tables (up to three grids) are not built.
+        self._evaluator = (
+            self.kernel.make_diagonal_evaluator(self.dim, self.boundary)
+            if self._row_evaluator is None
+            else None
+        )
         # Diagonals d - 2, d - 1 and d of the region being swept; a tile of
         # ``rows`` rows uses the first ``rows + 2`` slots of each.  The row
         # walk borrows the first as its north halo buffer.
         self._rows = np.empty((3, self.dim + 2))
-        #: ``"rows"`` or ``"diagonals"``: the walk the last sweep took.
-        self.traversal: str | None = None
+        #: ``"rows"`` or ``"diagonals"``: the walk every sweep takes.
+        self.traversal = "rows" if self._row_evaluator is not None else "diagonals"
 
-    @cached_property
-    def _evaluator(self):
-        """The kernel's fused diagonal evaluator, if any: built on first use, its
-        position tables are up to three grids a sweeper walking rows never reads."""
-        return self.kernel.make_diagonal_evaluator(self.dim, self.boundary)
+    @property
+    def whole_grid(self) -> Tile:
+        """The grid as one tile: what a single-core sweep hands :meth:`sweep_tile`."""
+        dim = self.dim
+        return Tile(tile_row=0, tile_col=0, row_start=0, row_stop=dim, col_start=0, col_stop=dim)
 
     @property
     def fused(self) -> bool:
@@ -105,27 +108,17 @@ class TileSweeper:
         if lo <= hi:
             buf[lo - r0 + 1 : hi - r0 + 2] = flat[lo * dim + d - lo : hi * dim + d - hi + 1 : dim - 1]
 
-    def sweep_tile(
-        self,
-        flat: np.ndarray,
-        tile: Tile,
-        d_lo: int = 0,
-        d_hi: int | None = None,
-    ) -> int:
-        """Compute ``tile``'s cells on diagonals ``[d_lo, d_hi]``; returns cells.
+    def sweep_tile(self, flat: np.ndarray, tile: Tile) -> int:
+        """Compute every cell of ``tile``; returns the number of cells.
 
         ``flat`` is the flattened ``dim * dim`` value array.  All cells of
-        the tile's west / north / north-west neighbour tiles on earlier
-        diagonals, and all cells before ``d_lo``, must already hold final
-        values (the tile-wavefront + range contract): the two diagonals
-        before the first one swept are loaded from the grid on entry, and
-        each later diagonal reads at most two halo cells from it.  The
-        output is validated for finiteness before the call returns, i.e.
-        before the tile retires and a successor (or the caller) may read it:
-        a tile swept whole is checked once as a 2-D block, a range-clipped
-        one diagonal by diagonal as it is produced, so the cost is
-        proportional to the cells computed and values elsewhere are none of
-        this sweep's business.
+        the tile's west / north / north-west neighbour tiles must already
+        hold final values (the tile-wavefront contract): the row walk reads
+        the row above and the cell to the west of each tile row, the
+        diagonal walk loads the two diagonals before the tile's first one on
+        entry and reads at most two halo cells per later diagonal.  The tile
+        is validated finite as one block before the call returns, i.e.
+        before it retires and a successor (or the caller) may read it.
         """
         dim = self.dim
         r0, r1 = tile.row_start, tile.row_stop
@@ -134,32 +127,21 @@ class TileSweeper:
             raise InvalidParameterError(
                 f"tile rows [{r0}, {r1}) x cols [{c0}, {c1}) lies outside the dim={dim} grid"
             )
-        first = r0 + c0
-        last = (r1 - 1) + (c1 - 1)
-        if d_hi is None:
-            d_hi = last
-        whole = d_lo <= first and d_hi >= last
-        d_start = max(first, d_lo)
-        d_stop = min(last, d_hi)
-        if d_start > d_stop:
-            return 0
         values = flat.reshape(dim, dim)
-        # Selected from what is observed: a range-clipped tile must follow diagonals.
-        if whole and self._row_evaluator is not None:
-            self.traversal = "rows"
-            total = self._sweep_rows(values, r0, r1, c0, c1)
+        if self._row_evaluator is not None:
+            self._sweep_rows(values, r0, r1, c0, c1)
         else:
-            self.traversal = "diagonals"
-            total = self._sweep_diagonals(flat, tile, d_start, d_stop, whole)
-        if whole:
-            block = values[r0:r1, c0:c1]
-            if not np.all(np.isfinite(block)):
-                # Name the diagonal the per-diagonal check would have.
-                rows, cols = np.nonzero(~np.isfinite(block))
-                raise self._non_finite(first + int(np.min(rows + cols)), tile)
-        return total
+            self._sweep_diagonals(flat, r0, r1, c0, c1)
+        block = values[r0:r1, c0:c1]
+        if not np.all(np.isfinite(block)):
+            rows, cols = np.nonzero(~np.isfinite(block))
+            raise KernelError(
+                f"kernel {self.kernel.name!r} produced non-finite values on diagonal "
+                f"{r0 + c0 + int(np.min(rows + cols))} of tile ({tile.tile_row}, {tile.tile_col})"
+            )
+        return (r1 - r0) * (c1 - c0)
 
-    def _sweep_rows(self, values: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> int:
+    def _sweep_rows(self, values: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> None:
         """Rows ``r0 .. r1 - 1`` of the tile, each written once, in place."""
         evaluate = self._row_evaluator
         boundary = self.boundary
@@ -173,25 +155,18 @@ class TileSweeper:
                 north[0] = boundary
                 north[1:] = values[i - 1, :c1] if i else boundary
             evaluate(i, c0, c1, north, row[c0 - 1] if c0 else boundary, row[c0:c1])
-        return (r1 - r0) * (c1 - c0)
 
-    def _sweep_diagonals(
-        self, flat: np.ndarray, tile: Tile, d_start: int, d_stop: int, whole: bool
-    ) -> int:
-        """Diagonals ``d_start .. d_stop`` of the tile on the rolling rows."""
+    def _sweep_diagonals(self, flat: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> None:
+        """Diagonals ``r0 + c0 .. r1 + c1 - 2`` of the tile on the rolling rows."""
         dim = self.dim
         stride = dim - 1
         boundary = self.boundary
         evaluator = self._evaluator
-        r0, r1 = tile.row_start, tile.row_stop
-        c0, c1 = tile.col_start, tile.col_stop
         prev2, prev1, cur = self._rows
-        i_min = max(r0, d_start - (c1 - 1))
-        i_max = min(r1 - 1, d_start - c0)
-        self._load_diagonal(flat, prev1, d_start - 1, i_min - 1, i_max, r0)
-        self._load_diagonal(flat, prev2, d_start - 2, i_min - 1, i_max - 1, r0)
-        total = 0
-        for d in range(d_start, d_stop + 1):
+        first = r0 + c0
+        self._load_diagonal(flat, prev1, first - 1, r0 - 1, r0, r0)
+        self._load_diagonal(flat, prev2, first - 2, r0 - 1, r0 - 1, r0)
+        for d in range(first, r1 + c1 - 1):
             # max / min spelled as conditionals: this runs once per diagonal.
             i_min = d - (c1 - 1)
             if i_min < r0:
@@ -226,69 +201,7 @@ class TileSweeper:
                     )
                 out[:] = values
             flat[seg] = out
-            if not whole and not np.isfinite(out).all():
-                raise self._non_finite(d, tile)
             prev2, prev1, cur = prev1, cur, prev2
-            total += b - a
-        return total
-
-    def _non_finite(self, d: int, tile: Tile) -> KernelError:
-        return KernelError(
-            f"kernel {self.kernel.name!r} produced non-finite values "
-            f"on diagonal {d} of tile ({tile.tile_row}, {tile.tile_col})"
-        )
-
-
-class DiagonalSweepEngine:
-    """Batched anti-diagonal sweep of one wavefront problem.
-
-    The engine is built once per execution (so fused evaluators precompute
-    their position tables once) and then run over any diagonal range with
-    :meth:`sweep`; it is dropped with the run, so the tables — one to three
-    extra grids — never outlive it on a cached problem.
-    The two diagonals before ``d_lo`` are loaded from the grid itself, which
-    makes a mid-grid range (``d_lo > 0``) correct by construction.  The
-    sweep itself is the whole-grid special case of :class:`TileSweeper`: the
-    grid is one tile, validated finite as one block when swept whole and
-    diagonal by diagonal when the range clips it.
-    """
-
-    def __init__(self, problem: WavefrontProblem) -> None:
-        self.problem = problem
-        self.sweeper = TileSweeper(problem)
-        dim = problem.dim
-        self._grid_tile = Tile(
-            tile_row=0, tile_col=0, row_start=0, row_stop=dim, col_start=0, col_stop=dim
-        )
-
-    # ------------------------------------------------------------------
-    def sweep(self, grid: WavefrontGrid, d_lo: int = 0, d_hi: int | None = None) -> int:
-        """Compute diagonals ``d_lo .. d_hi`` inclusive; returns cells computed.
-
-        Diagonals before ``d_lo`` must already hold their final values (or be
-        outside the grid); this matches the contract of
-        :func:`repro.runtime.compute.compute_diagonal_range`.
-        """
-        dim = grid.dim
-        last = 2 * dim - 2
-        if d_hi is None:
-            d_hi = last
-        if d_hi < d_lo:
-            return 0
-        if d_lo < 0 or d_hi > last:
-            raise KernelError(
-                f"diagonal range [{d_lo}, {d_hi}] out of bounds for dim={dim}"
-            )
-        return self.sweeper.sweep_tile(
-            grid.values.reshape(-1), self._grid_tile, d_lo, d_hi
-        )
-
-
-def compute_diagonal_range_vectorized(
-    problem: WavefrontProblem, grid: WavefrontGrid, d_lo: int, d_hi: int
-) -> int:
-    """Vectorized counterpart of :func:`repro.runtime.compute.compute_diagonal_range`."""
-    return DiagonalSweepEngine(problem).sweep(grid, d_lo, d_hi)
 
 
 class VectorizedSerialExecutor(Executor):
@@ -310,12 +223,12 @@ class VectorizedSerialExecutor(Executor):
         self, problem: WavefrontProblem, tunables: TunableParams
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
-        engine = DiagonalSweepEngine(problem)
-        cells = engine.sweep(grid)
+        sweeper = TileSweeper(problem)
+        cells = sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid)
         return grid, {
             "cells_computed": cells,
-            "fused_kernel": engine.sweeper.fused,
-            "traversal": engine.sweeper.traversal,
+            "fused_kernel": sweeper.fused,
+            "traversal": sweeper.traversal,
         }
 
     def _validate(self, problem: WavefrontProblem, tunables: TunableParams) -> TunableParams:

@@ -39,14 +39,6 @@ class TestWavefrontGrid:
         clone.values[0, 0] = 42.0
         assert grid.values[0, 0] == 0.0
 
-    def test_allclose(self):
-        a = WavefrontGrid(dim=4)
-        b = WavefrontGrid(dim=4)
-        assert a.allclose(b)
-        b.values[2, 2] = 1e-3
-        assert not a.allclose(b)
-        assert not a.allclose(WavefrontGrid(dim=5))
-
     def test_nbytes_is_the_value_array(self):
         assert WavefrontGrid(dim=8, dsize=0).nbytes() == 8 * 8 * 8
         assert WavefrontGrid(dim=8, dsize=5).nbytes() == 8 * 8 * 8

@@ -34,7 +34,7 @@ class TestHybridFunctionalEquivalence:
         system = platforms.I7_2600K
         expected = reference_grid(problem)
         result = HybridExecutor(system).execute(problem, tunables)
-        assert result.grid.allclose(expected)
+        assert np.array_equal(result.grid.values, expected.values)
 
 
 class TestCostModelProperties:

@@ -1,13 +1,10 @@
-"""Property-based tests of the tile-wavefront schedules.
+"""Property-based tests of the tile-wavefront schedule.
 
-The multicore backend's correctness rests on two schedule invariants,
-checked here for arbitrary grids, tile sizes and worker counts:
-
-* every tile is executed exactly once, in a wave that respects the tile
-  wavefront (waves are tile-diagonals in increasing order);
-* range-clipped schedules (the hybrid executor's partial CPU phases) cover
-  exactly the tiles intersecting the requested cell-diagonal range, again
-  exactly once.
+The multicore backend's barriered dispatch walks
+:meth:`~repro.core.tiling.TileDecomposition.schedule`; its correctness rests
+on one invariant, checked here for arbitrary grids and tile sizes: every
+tile is executed exactly once, in a wave that respects the tile wavefront
+(waves are tile-diagonals in increasing order).
 """
 
 from collections import Counter
@@ -15,11 +12,9 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tiling import TileDecomposition
-from repro.runtime.scheduler import TileScheduler, tile_intersects_range
 
 grid_sides = st.integers(min_value=1, max_value=40)
 tiles = st.integers(min_value=1, max_value=12)
-workers = st.integers(min_value=1, max_value=9)
 
 
 def _tile_key(tile):
@@ -27,72 +22,19 @@ def _tile_key(tile):
 
 
 class TestFullSchedule:
-    @given(rows=grid_sides, cols=grid_sides, tile=tiles, n_workers=workers)
+    @given(rows=grid_sides, cols=grid_sides, tile=tiles)
     @settings(max_examples=80, deadline=None)
-    def test_each_tile_scheduled_exactly_once(self, rows, cols, tile, n_workers):
+    def test_each_tile_scheduled_exactly_once(self, rows, cols, tile):
         decomp = TileDecomposition(rows, cols, tile)
-        scheduler = TileScheduler(decomp, workers=n_workers)
-        seen = Counter(
-            _tile_key(item.tile) for wave in scheduler.waves() for item in wave
-        )
+        seen = Counter(_tile_key(t) for wave in decomp.schedule() for t in wave)
         assert len(seen) == decomp.n_tiles
         assert all(count == 1 for count in seen.values())
 
-    @given(rows=grid_sides, cols=grid_sides, tile=tiles, n_workers=workers)
+    @given(rows=grid_sides, cols=grid_sides, tile=tiles)
     @settings(max_examples=80, deadline=None)
-    def test_waves_are_tile_diagonals_in_order(self, rows, cols, tile, n_workers):
+    def test_waves_are_tile_diagonals_in_order(self, rows, cols, tile):
         decomp = TileDecomposition(rows, cols, tile)
-        scheduler = TileScheduler(decomp, workers=n_workers)
-        for wave in scheduler.waves():
+        for index, wave in enumerate(decomp.schedule()):
             # All tiles of one wave are mutually independent: they share one
             # tile-diagonal, and the wave index is that diagonal.
-            diagonals = {item.tile.tile_row + item.tile.tile_col for item in wave}
-            assert diagonals == {wave[0].wave}
-            assert all(0 <= item.worker < n_workers for item in wave)
-
-    @given(rows=grid_sides, cols=grid_sides, tile=tiles, n_workers=workers)
-    @settings(max_examples=60, deadline=None)
-    def test_worker_loads_sum_to_tile_count(self, rows, cols, tile, n_workers):
-        decomp = TileDecomposition(rows, cols, tile)
-        scheduler = TileScheduler(decomp, workers=n_workers)
-        assert sum(scheduler.worker_loads()) == decomp.n_tiles
-
-
-class TestRangeClippedSchedule:
-    @given(
-        dim=st.integers(min_value=2, max_value=40),
-        tile=tiles,
-        n_workers=workers,
-        data=st.data(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_clipped_schedule_covers_intersecting_tiles_exactly_once(
-        self, dim, tile, n_workers, data
-    ):
-        last = 2 * dim - 2
-        d_lo = data.draw(st.integers(0, last), label="d_lo")
-        d_hi = data.draw(st.integers(d_lo, last), label="d_hi")
-        decomp = TileDecomposition(dim, dim, tile)
-        scheduler = TileScheduler(decomp, workers=n_workers)
-
-        expected = {
-            _tile_key(t) for t in decomp.all_tiles() if tile_intersects_range(t, d_lo, d_hi)
-        }
-        seen = Counter(
-            _tile_key(item.tile)
-            for wave in scheduler.waves(d_lo, d_hi)
-            for item in wave
-        )
-        assert set(seen) == expected
-        assert all(count == 1 for count in seen.values())
-        # Clipping never produces empty waves (no wasted barriers).
-        assert all(wave for wave in scheduler.waves(d_lo, d_hi))
-
-    @given(dim=st.integers(min_value=2, max_value=40), tile=tiles, n_workers=workers)
-    @settings(max_examples=60, deadline=None)
-    def test_full_range_clip_equals_unclipped_schedule(self, dim, tile, n_workers):
-        decomp = TileDecomposition(dim, dim, tile)
-        scheduler = TileScheduler(decomp, workers=n_workers)
-        full = scheduler.waves()
-        clipped = scheduler.waves(0, 2 * dim - 2)
-        assert full == clipped
+            assert {t.tile_row + t.tile_col for t in wave} == {index}

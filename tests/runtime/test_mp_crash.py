@@ -28,25 +28,34 @@ pytestmark = pytest.mark.skipif(
 
 
 def kill_one_worker(pool):
-    """SIGKILL one live worker process of a bound multiprocess pool.
+    """SIGKILL one live worker process of a multiprocess pool.
 
-    One tiny sweep first proves the kill (not a cold team) is what breaks
-    the subsequent run.
+    One sweep first proves the kill (not a cold team) is what breaks the
+    subsequent run.
     """
-    pool.run_range(0, 0)
+    pool.run(pool.problem.make_grid())
     os.kill(pool.team.pids()[0], signal.SIGKILL)
+
+
+def assert_arena_free(pool):
+    """The crashed run gave the arena back: it can be claimed again."""
+    pool.team.claim(pool.problem.dim)
+    pool.team.unclaim()
 
 
 class TestWorkerCrashRecovery:
     def test_killed_worker_raises_typed_error_not_hang(self, small_synthetic):
         grid = small_synthetic.make_grid()
-        pool = MPWavefrontPool(small_synthetic, grid, tile=4, workers=2)
+        original = grid.values
+        pool = MPWavefrontPool(small_synthetic, tile=4, workers=2)
         try:
             assert pool.is_multiprocess and not pool.broken
             kill_one_worker(pool)
             with pytest.raises(WorkerCrashError):
-                pool.run_range(0, 2 * small_synthetic.dim - 2)
+                pool.run(grid)
             assert pool.broken
+            assert grid.values is original
+            assert_arena_free(pool)
         finally:
             pool.close()
 
@@ -54,15 +63,13 @@ class TestWorkerCrashRecovery:
         with EngineHost(i7_2600k) as host:
             pool = host.pool_for(small_synthetic, tile=4, workers=2)
             grid = small_synthetic.make_grid()
-            pool.bind(grid)
             kill_one_worker(pool)
             with pytest.raises(WorkerCrashError):
-                pool.run_range(0, 2 * small_synthetic.dim - 2)
-            pool.release()
+                pool.run(grid)
             assert pool.broken
             with pytest.raises(WorkerCrashError):  # broken stays broken
-                pool.bind(grid).run_range(0, 2 * small_synthetic.dim - 2)
-            pool.release()
+                pool.run(grid)
+            assert_arena_free(pool)
             old_pids = pool.team.pids()
 
             fresh = host.pool_for(small_synthetic, tile=4, workers=2)
@@ -75,9 +82,7 @@ class TestWorkerCrashRecovery:
 
             # The replacement pool serves the next request correctly.
             grid = small_synthetic.make_grid()
-            fresh.bind(grid)
-            fresh.run_range(0, 2 * small_synthetic.dim - 2)
-            fresh.release()
+            fresh.run(grid)
             assert np.array_equal(
                 reference_grid(small_synthetic).values, grid.values
             )
@@ -90,12 +95,9 @@ class TestWorkerCrashRecovery:
         host = EngineHost(i7_2600k)
         try:
             pool = host.pool_for(small_synthetic, tile=4, workers=2)
-            grid = small_synthetic.make_grid()
-            pool.bind(grid)
             kill_one_worker(pool)
             with pytest.raises(WorkerCrashError):
-                pool.run_range(0, 2 * small_synthetic.dim - 2)
-            pool.release()
+                pool.run(small_synthetic.make_grid())
             # Replacing the broken team closes it (unlinking its arena).
             host.pool_for(small_synthetic, tile=4, workers=2)
         finally:

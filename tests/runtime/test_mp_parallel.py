@@ -28,7 +28,7 @@ from repro.runtime import (
     get_executor,
     resolve_worker_count,
 )
-from repro.runtime.compute import compute_diagonal_range, reference_grid
+from repro.runtime.compute import reference_grid
 from repro.session import Session
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
@@ -96,34 +96,45 @@ class TestWorkerResolution:
 
 
 class TestMPWavefrontPool:
-    def test_range_execution_continues_a_scalar_prefix(self, small_synthetic):
+    def test_run_fills_the_grid_and_counts_its_tiles(self, small_synthetic):
         dim = small_synthetic.dim
-        split = dim + 3
-        reference = reference_grid(small_synthetic)
-
         grid = small_synthetic.make_grid()
-        compute_diagonal_range(small_synthetic, grid, 0, split)
-        with MPWavefrontPool(small_synthetic, grid, tile=5, workers=2) as pool:
+        with MPWavefrontPool(small_synthetic, tile=5, workers=2) as pool:
             assert pool.is_multiprocess
-            _, cells = pool.run_range(split + 1, 2 * dim - 2)
-        assert cells > 0
-        assert np.array_equal(reference.values, grid.values)
+            tiles, cells = pool.run(grid)
+            assert tiles == pool.decomposition.n_tiles
+        assert cells == dim * dim
+        assert np.array_equal(reference_grid(small_synthetic).values, grid.values)
 
-    def test_empty_range_is_noop(self, small_synthetic):
-        grid = small_synthetic.make_grid()
-        with MPWavefrontPool(small_synthetic, grid, tile=4, workers=1) as pool:
-            assert pool.run_range(5, 4) == (0, 0)
-        assert np.all(grid.values == 0.0)
-
-    def test_grid_restored_to_private_memory_after_close(self, small_synthetic):
+    def test_grid_stays_in_private_memory_and_the_arena_is_given_back(self, small_synthetic):
         grid = small_synthetic.make_grid()
         original = grid.values
-        pool = MPWavefrontPool(small_synthetic, grid, tile=8, workers=2)
-        assert grid.values is not original  # shared view while the pool lives
-        pool.run_range(0, 2 * small_synthetic.dim - 2)
-        pool.close()
-        assert grid.values is original
+        with MPWavefrontPool(small_synthetic, tile=8, workers=2) as pool:
+            pool.run(grid)
+            assert grid.values is original
+            pool.team.claim(small_synthetic.dim)  # free again after the run
+            pool.team.unclaim()
         assert np.array_equal(reference_grid(small_synthetic).values, grid.values)
+
+    @pytest.mark.parametrize("dispatch", ["barrier", "pipelined"])
+    def test_a_kernel_error_copies_back_and_gives_the_arena_back(self, dispatch):
+        problem = WavefrontProblem(dim=16, kernel=OneBadCellKernel(9, 6))
+        grid = problem.make_grid()
+        with MPWavefrontPool(problem, tile=4, workers=2) as pool:
+            with pytest.raises(KernelError, match=r"diagonal 15 of tile \(2, 1\)"):
+                pool.run(grid, dispatch)
+            pool.team.claim(problem.dim)  # free again after the failed run
+            pool.team.unclaim()
+        # What the team computed before the failure came back to private memory.
+        assert grid.values[0, 0] == 0.0 and grid.values[3, 3] == 6.0
+
+    def test_a_grid_of_another_dim_is_rejected(self, small_synthetic):
+        from repro.core.exceptions import ExecutionError
+        from repro.core.grid import WavefrontGrid
+
+        with MPWavefrontPool(small_synthetic, tile=4, workers=1) as pool:
+            with pytest.raises(ExecutionError, match="dim"):
+                pool.run(WavefrontGrid(small_synthetic.dim + 1))
 
     @pytest.mark.skipif(not HAS_FORK, reason="lambda kernels need fork inheritance")
     def test_worker_kernel_error_propagates(self, i7_2600k):
@@ -176,33 +187,6 @@ class TestWorkersValidateWhatTheyCompute:
             assert result.grid.values[9, 6] == 15.0
             assert session.cache_info()["builds"]["teams_built"] == 1
 
-    def _clipped_run(self, kernel, poke=None):
-        problem = WavefrontProblem(dim=16, kernel=kernel)
-        grid = problem.make_grid()
-        i, j = np.indices((16, 16))
-        split = 13  # diagonals 0..13 are the caller's; the pool sweeps 14..30
-        grid.values[i + j <= split] = (i + j)[i + j <= split]
-        if poke is not None:
-            grid.values[poke] = np.nan
-        with MPWavefrontPool(problem, grid, tile=4, workers=2) as pool:
-            pool.run_range(split + 1, 30)
-        return grid
-
-    def test_clipped_range_raises_for_a_nan_inside_it(self):
-        # Cell (9, 6) again: tile (2, 1) spans diagonals 12..18, so the range
-        # 14..30 clips it and the per-diagonal check is the one that fires.
-        with pytest.raises(KernelError, match=r"on diagonal 15 of tile \(2, 1\)"):
-            self._clipped_run(OneBadCellKernel(9, 6))
-
-    def test_clipped_range_ignores_a_nan_outside_it(self):
-        # (8, 5) is on diagonal 13 of the same tile: before the range, so
-        # none of this sweep's business even though its tile is swept.
-        grid = self._clipped_run(OneBadCellKernel(-1, -1), poke=(8, 5))
-        i, j = np.indices((16, 16))
-        expected = (i + j).astype(float)
-        expected[8, 5] = np.nan
-        assert np.array_equal(grid.values, expected, equal_nan=True)
-
 
 class TestWorkerTeam:
     def test_more_problems_than_sweeper_slots_stay_correct(self, i7_2600k):
@@ -223,7 +207,7 @@ class TestWorkerTeam:
                 for problem, reference in zip(problems, references):
                     grid = problem.make_grid()
                     with host.pool_for(problem, tile=5, workers=2) as pool:
-                        pool.bind(grid).run_range(0, 2 * problem.dim - 2, "pipelined")
+                        pool.run(grid, "pipelined")
                     assert np.array_equal(grid.values, reference)
             assert host.cache_info()["builds"]["teams_built"] == 1
 
@@ -258,13 +242,14 @@ class TestWorkerTeam:
         from repro.runtime.lifecycle import EngineHost
 
         with EngineHost(i7_2600k) as host:
-            first = host.pool_for(small_synthetic, tile=4, workers=2)
-            second = host.pool_for(small_synthetic, tile=8, workers=2)
-            first.bind(small_synthetic.make_grid())
-            with pytest.raises(ExecutionError, match="already holds a bound grid"):
-                second.bind(small_synthetic.make_grid())
-            first.release()
-            second.bind(small_synthetic.make_grid()).release()
+            pool = host.pool_for(small_synthetic, tile=8, workers=2)
+            pool.team.claim(small_synthetic.dim)  # a run still in progress
+            with pytest.raises(ExecutionError, match="already holds a grid"):
+                pool.run(small_synthetic.make_grid())
+            pool.team.unclaim()
+            grid = small_synthetic.make_grid()
+            pool.run(grid)
+            assert np.array_equal(reference_grid(small_synthetic).values, grid.values)
 
 
 class TestTileSweeper:
@@ -279,15 +264,6 @@ class TestTileSweeper:
 
     def test_fused_evaluator_used_where_available(self, small_synthetic):
         assert TileSweeper(small_synthetic).fused is True
-
-    def test_clipped_tile_sweep_counts_only_range_cells(self, small_synthetic):
-        grid = small_synthetic.make_grid()
-        sweeper = TileSweeper(small_synthetic)
-        decomp = TileDecomposition(small_synthetic.dim, small_synthetic.dim, small_synthetic.dim)
-        tile = decomp.tile_at(0, 0)
-        # Diagonals 0..2 of the whole grid: 1 + 2 + 3 cells.
-        cells = sweeper.sweep_tile(grid.values.reshape(-1), tile, 0, 2)
-        assert cells == 6
 
 
 class TestSharedGridBuffer:

@@ -6,7 +6,7 @@ Two layers are covered:
   :func:`~repro.runtime.scheduler.run_pipelined` — the readiness protocol
   itself: every tile retired exactly once, no successor released before its
   last predecessor retires, strict errors on protocol misuse, and no
-  starvation on any decomposition or clipped range;
+  starvation on any decomposition;
 * the executor surface — ``dispatch="pipelined"`` on the worker pool and
   :class:`~repro.runtime.mp_parallel.PipelinedMPExecutor` — whose acceptance
   property is **bit-identical grids and witnesses** to the barriered
@@ -30,12 +30,10 @@ from repro.runtime import (
     MPParallelExecutor,
     MPWavefrontPool,
     PipelinedMPExecutor,
-    PipelinedSchedule,
     SerialExecutor,
     run_pipelined,
 )
 from repro.runtime.compute import reference_grid
-from repro.runtime.scheduler import tile_intersects_range
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
@@ -66,7 +64,7 @@ def _drain(graph):
 
 
 class TestDependencyGraph:
-    """The readiness protocol on the full (unclipped) decomposition."""
+    """The readiness protocol on the tile decomposition."""
 
     @given(rows=grid_sides, cols=grid_sides, tile=tiles)
     @settings(max_examples=80, deadline=None)
@@ -130,41 +128,6 @@ class TestDependencyGraph:
         assert {_key(t) for t in graph.retire(second)} == {(1, 1)}
 
 
-class TestClippedGraph:
-    """Range-clipped graphs cover exactly the intersecting tiles."""
-
-    @given(
-        rows=grid_sides,
-        cols=grid_sides,
-        tile=tiles,
-        lo=st.integers(min_value=0, max_value=80),
-        span=st.integers(min_value=0, max_value=80),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_clipped_drain_covers_intersecting_tiles_once(
-        self, rows, cols, tile, lo, span
-    ):
-        decomp = TileDecomposition(rows, cols, tile)
-        hi = lo + span
-        expected = {
-            _key(t) for t in decomp.all_tiles() if tile_intersects_range(t, lo, hi)
-        }
-        graph = PipelinedSchedule(decomp).graph(lo, hi)
-        seen = Counter(_drain(graph))
-        assert set(seen) == expected
-        assert all(count == 1 for count in seen.values())
-
-    def test_empty_range_graph_is_immediately_done(self):
-        graph = PipelinedSchedule(TileDecomposition(10, 10, 4)).graph(50, 40)
-        assert graph.n_tiles == 0
-        assert graph.done
-        assert graph.acquire() is None
-
-    def test_critical_path_is_the_tile_diagonal_count(self):
-        decomp = TileDecomposition(20, 12, 4)
-        assert PipelinedSchedule(decomp).critical_path == decomp.n_tile_diagonals
-
-
 class TestRunPipelined:
     """The drain driver, sequential and pooled."""
 
@@ -190,34 +153,22 @@ class TestPoolDispatch:
     """``dispatch="pipelined"`` on the worker pool is bit-identical."""
 
     def test_unknown_dispatch_rejected(self, small_synthetic):
-        grid = small_synthetic.make_grid()
-        with MPWavefrontPool(small_synthetic, grid, tile=4, workers=1) as pool:
+        with MPWavefrontPool(small_synthetic, tile=4, workers=1) as pool:
             with pytest.raises(InvalidParameterError, match="dispatch"):
-                pool.run_range(0, 2 * small_synthetic.dim - 2, dispatch="bogus")
+                pool.run(small_synthetic.make_grid(), dispatch="bogus")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pipelined_full_sweep_matches_reference(self, small_synthetic, workers):
         reference = reference_grid(small_synthetic)
         grid = small_synthetic.make_grid()
         dim = small_synthetic.dim
-        with MPWavefrontPool(small_synthetic, grid, tile=5, workers=workers) as pool:
-            tiles, cells = pool.run_range(0, 2 * dim - 2, dispatch="pipelined")
-            # The in-process fallback sweeps whole diagonals (0 tiles).
+        with MPWavefrontPool(small_synthetic, tile=5, workers=workers) as pool:
+            tiles, cells = pool.run(grid, dispatch="pipelined")
+            # The in-process fallback sweeps the whole grid (0 tiles).
             expected_tiles = pool.decomposition.n_tiles if pool.is_multiprocess else 0
         assert cells == dim * dim
         assert tiles == expected_tiles
         assert np.array_equal(reference.values, grid.values)
-
-    def test_pipelined_subrange_matches_barrier(self, small_synthetic):
-        dim = small_synthetic.dim
-        split = dim - 2
-        grid_a = small_synthetic.make_grid()
-        grid_b = small_synthetic.make_grid()
-        for grid, dispatch in ((grid_a, "barrier"), (grid_b, "pipelined")):
-            with MPWavefrontPool(small_synthetic, grid, tile=5, workers=2) as pool:
-                pool.run_range(0, split, dispatch=dispatch)
-                pool.run_range(split + 1, 2 * dim - 2, dispatch=dispatch)
-        assert np.array_equal(grid_a.values, grid_b.values)
 
 
 class TestPipelinedExecutor:

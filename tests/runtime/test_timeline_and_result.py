@@ -1,5 +1,6 @@
 """Tests for the timeline accumulator and the execution result object."""
 
+import numpy as np
 import pytest
 
 from repro.core.exceptions import ExecutionError
@@ -80,6 +81,23 @@ class TestExecutionResult:
         c = self.make_result(with_grid=False)
         assert a.matches(b)
         assert not a.matches(c)
+
+    def test_matches_is_bit_identity_one_ulp_breaks_it(self):
+        a = self.make_result(with_grid=True)
+        b = self.make_result(with_grid=True)
+        cell = b.grid.values[1, 2]
+        b.grid.values[1, 2] = np.nextafter(cell, np.inf)
+        assert not a.matches(b) and not b.matches(a)
+
+    def test_matches_compares_witnesses_exactly(self):
+        a = self.make_result(with_grid=True)
+        b = self.make_result(with_grid=True)
+        a.witness = np.array([0, 1, 2], dtype=np.int64)
+        assert not a.matches(b) and not b.matches(a)
+        b.witness = np.array([0, 1, 3], dtype=np.int64)
+        assert not a.matches(b)
+        b.witness = a.witness.copy()
+        assert a.matches(b)
 
     def test_summary_includes_config_and_breakdown(self):
         summary = self.make_result(with_grid=False).summary()

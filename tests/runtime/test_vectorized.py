@@ -7,20 +7,19 @@ from repro.apps.registry import available_applications, get_application
 from repro.core.exceptions import KernelError, UnknownExecutorError
 from repro.core.params import TunableParams
 from repro.core.pattern import FunctionKernel, WavefrontProblem
+from repro.facade.policy import ExecutionPolicy
 from repro.runtime import (
     ENGINE_SPECS,
-    DiagonalSweepEngine,
     EngineSpec,
     HybridExecutor,
     SerialExecutor,
+    TileSweeper,
     VectorizedSerialExecutor,
     available_executors,
     available_serial_engines,
-    compute_diagonal_range_vectorized,
     get_executor,
     register_executor,
 )
-from repro.runtime.compute import compute_diagonal_range
 
 
 class TestEquivalenceWithSerial:
@@ -65,34 +64,49 @@ class TestEquivalenceWithSerial:
         assert np.array_equal(serial.grid.values, vectorized.grid.values)
 
 
-class TestDiagonalSweepEngine:
-    def test_partial_range_continues_a_scalar_prefix(self, small_synthetic):
-        dim = small_synthetic.dim
-        split = dim + 3
-        scalar = small_synthetic.make_grid()
-        compute_diagonal_range(small_synthetic, scalar, 0, 2 * dim - 2)
+#: The walk each registered application's whole-grid sweep takes at its
+#: default parameters: rows where the kernel offers a row evaluator.
+WALKS = {
+    "edit-distance": "rows",
+    "knapsack": "rows",
+    "knapsack-ev": "rows",
+    "lcs": "rows",
+    "sequence-comparison": "rows",
+    "viterbi": "rows",
+    "matrix-chain": "diagonals",
+    "nash-equilibrium": "diagonals",
+    "stochastic-path": "diagonals",
+    "synthetic": "diagonals",
+}
 
-        mixed = small_synthetic.make_grid()
-        compute_diagonal_range(small_synthetic, mixed, 0, split)
-        cells = compute_diagonal_range_vectorized(small_synthetic, mixed, split + 1, 2 * dim - 2)
-        assert cells > 0
-        assert np.array_equal(scalar.values, mixed.values)
 
-    def test_range_sweep_returns_cell_count(self, small_synthetic):
+@pytest.fixture(scope="module")
+def walk_session():
+    from repro.session import Session
+
+    with Session() as session:
+        yield session
+
+
+class TestEachAppsWalk:
+    """Generated from the registry: a fused form per app, and the walk it takes."""
+
+    def test_every_registered_app_has_a_pinned_walk(self):
+        assert sorted(WALKS) == sorted(available_applications())
+
+    @pytest.mark.parametrize("app_name", available_applications())
+    def test_fused_walk_at_default_parameters(self, app_name, walk_session):
+        result = walk_session.solve(app_name, 37, policy=ExecutionPolicy(backend="vectorized"))
+        assert result.stats["fused_kernel"] is True
+        assert result.stats["traversal"] == WALKS[app_name]
+
+
+class TestWholeGridSweep:
+    def test_whole_grid_sweep_returns_cell_count(self, small_synthetic):
         grid = small_synthetic.make_grid()
-        engine = DiagonalSweepEngine(small_synthetic)
-        cells = engine.sweep(grid)
+        sweeper = TileSweeper(small_synthetic)
+        cells = sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid)
         assert cells == small_synthetic.dim**2
-
-    def test_empty_range_is_noop(self, small_synthetic):
-        grid = small_synthetic.make_grid()
-        assert DiagonalSweepEngine(small_synthetic).sweep(grid, 5, 4) == 0
-        assert np.all(grid.values == 0.0)
-
-    def test_out_of_bounds_range_rejected(self, small_synthetic):
-        grid = small_synthetic.make_grid()
-        with pytest.raises(KernelError):
-            DiagonalSweepEngine(small_synthetic).sweep(grid, 0, 2 * small_synthetic.dim)
 
     def test_non_finite_kernel_output_raises(self, i7_2600k):
         kernel = FunctionKernel(
@@ -112,20 +126,20 @@ class TestDiagonalSweepEngine:
 
 
 @pytest.fixture()
-def built_engines(monkeypatch):
-    """Weak references to every ``DiagonalSweepEngine`` constructed in the test."""
+def built_sweepers(monkeypatch):
+    """Weak references to every ``TileSweeper`` constructed in the test."""
     import weakref
 
     import repro.runtime.vectorized as vec
 
     refs = []
-    original = vec.DiagonalSweepEngine.__init__
+    original = vec.TileSweeper.__init__
 
     def recording_init(self, problem):
         refs.append(weakref.ref(self))
         original(self, problem)
 
-    monkeypatch.setattr(vec.DiagonalSweepEngine, "__init__", recording_init)
+    monkeypatch.setattr(vec.TileSweeper, "__init__", recording_init)
     return refs
 
 
@@ -133,8 +147,8 @@ class TestNothingRetained:
     """Evaluator tables live for one run, never for the life of a problem."""
 
     @pytest.mark.parametrize("app_name", ["stochastic-path", "edit-distance"])
-    def test_session_solve_drops_the_run_engine(
-        self, app_name, built_engines, quick_tuner_i3, i3
+    def test_session_solve_drops_the_run_sweeper(
+        self, app_name, built_sweepers, quick_tuner_i3, i3
     ):
         import gc
 
@@ -145,12 +159,12 @@ class TestNothingRetained:
             assert plan.engine == "vectorized"
             session.solve(app_name, 48)
             gc.collect()
-            assert len(built_engines) == 1
-            assert built_engines[0]() is None  # dead while the problem is cached
-            assert not [name for name in vars(plan.problem) if "engine" in name]
+            assert len(built_sweepers) == 1
+            assert built_sweepers[0]() is None  # dead while the problem is cached
+            assert not [name for name in vars(plan.problem) if "sweeper" in name]
 
-    def test_hybrid_builds_one_engine_per_run(
-        self, small_synthetic, built_engines, i7_2600k
+    def test_hybrid_builds_one_sweeper_per_run(
+        self, small_synthetic, built_sweepers, i7_2600k
     ):
         import gc
 
@@ -160,24 +174,23 @@ class TestNothingRetained:
             result = executor.execute(small_synthetic, tunables)
             assert result.stats["phase1_cells"] > 0
             assert result.stats["phase3_cells"] > 0
-            assert len(built_engines) == run  # shared by all three phases
+            assert len(built_sweepers) == run  # shared by all three phases
         gc.collect()
-        assert all(ref() is None for ref in built_engines)  # nothing pinned
+        assert all(ref() is None for ref in built_sweepers)  # nothing pinned
 
-    def test_single_core_pool_builds_one_engine_per_pool(
-        self, small_synthetic, built_engines
+    def test_single_core_pool_builds_one_sweeper_per_run(
+        self, small_synthetic, built_sweepers
     ):
+        import gc
+
         from repro.runtime import MPWavefrontPool
 
-        last = 2 * small_synthetic.dim - 2
         with MPWavefrontPool(small_synthetic, tile=4, workers=1) as pool:
-            for _ in range(2):
-                grid = small_synthetic.make_grid()
-                pool.bind(grid)
-                pool.run_range(0, last // 2)
-                pool.run_range(last // 2 + 1, last)
-                pool.release()
-        assert len(built_engines) == 1
+            for run in (1, 2):
+                pool.run(small_synthetic.make_grid())
+                assert len(built_sweepers) == run
+        gc.collect()
+        assert all(ref() is None for ref in built_sweepers)
 
     def test_problem_stays_picklable_after_a_vectorized_run(
         self, small_synthetic, i7_2600k
@@ -204,30 +217,6 @@ class TestNothingRetained:
         del problem, result
         gc.collect()
         assert ref() is None
-
-
-class TestRangeLimitedFiniteCheck:
-    def test_non_finite_outside_the_swept_range_is_ignored(self, small_synthetic):
-        dim = small_synthetic.dim
-        grid = small_synthetic.make_grid()
-        # Poison a cell on a diagonal far after the swept range; the sweep of
-        # the leading diagonals must not scan (or reject) it.
-        grid.values[dim - 1, dim - 1] = np.inf
-        engine = DiagonalSweepEngine(small_synthetic)
-        assert engine.sweep(grid, 0, 3) == 10
-
-    def test_non_finite_inside_the_swept_range_raises(self, i7_2600k):
-        kernel = FunctionKernel(
-            lambda i, j, w, n, nw: np.where(i + j == 3, np.inf, 1.0),
-            tsize=1.0,
-            name="poison-d3",
-        )
-        problem = WavefrontProblem(dim=8, kernel=kernel)
-        grid = problem.make_grid()
-        engine = DiagonalSweepEngine(problem)
-        assert engine.sweep(grid, 0, 2) == 6  # before the poisoned diagonal
-        with pytest.raises(KernelError, match="diagonal 3"):
-            engine.sweep(grid, 3, 5)
 
 
 class TestVectorizedExecutor:
