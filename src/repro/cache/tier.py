@@ -15,6 +15,13 @@
    leader, every follower blocks on the leader's outcome instead of
    re-solving, and a failing solve propagates its error to the whole group.
 
+A miss is **answered, then written**: the leader publishes its result to
+memory, followers and caller first; a writer thread persists it afterwards.
+A lookup finds a pending entry before it touches disk (a disk hit).  Past
+:data:`MAX_PENDING_WRITES` the leader writes inline; :meth:`ResultCache.flush`
+waits for the writes, so a crash loses at most the pending entries.  A
+failed write never fails the answer: it is counted as ``write_errors``.
+
 Counters distinguish the tiers (``memory_hits`` / ``disk_hits`` /
 ``coalesced`` / ``misses``) so the ``/metrics`` page can show *where*
 answers come from, and ``hit_rate`` condenses them into the number the CI
@@ -34,10 +41,14 @@ from repro.cache.store import (
     DiskCacheStore,
 )
 from repro.runtime.result import ExecutionResult
+from repro.utils.logging import get_logger
 from repro.utils.lru import LRUCache
 
 #: Default bound of the in-memory result tier (entries, not bytes).
 DEFAULT_MEMORY_ENTRIES = 64
+
+#: Bound of answered-but-unwritten entries; past it the leader writes inline.
+MAX_PENDING_WRITES = 16
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 _MISS = object()
@@ -76,11 +87,16 @@ class ResultCache:
         self._memory: LRUCache = LRUCache(memory_entries)
         self._lock = threading.Lock()
         self._inflight: dict[str, _InFlight] = {}
+        #: digest -> (result, request payload) answered but not yet on disk,
+        #: oldest first; the writer thread runs exactly while it is non-empty.
+        self._pending: dict[str, tuple[ExecutionResult, dict]] = {}
+        self._written = threading.Condition(self._lock)
         self.lookups = 0
         self.memory_hits = 0
         self.disk_hits = 0
         self.coalesced = 0
         self.misses = 0
+        self.write_errors = 0
 
     # ------------------------------------------------------------------
     def get_or_solve(
@@ -102,6 +118,11 @@ class ResultCache:
                 if cached is not _MISS:
                     self.memory_hits += 1
                     return cached
+                pending = self._pending.get(digest)
+                if pending is not None:
+                    # Answered, not yet written: the disk tier's entry-to-be.
+                    self.disk_hits += 1
+                    return self._memory.put(digest, pending[0])
                 flight = self._inflight.get(digest)
                 if flight is None:
                     flight = self._inflight[digest] = _InFlight()
@@ -146,13 +167,61 @@ class ResultCache:
         result = solve()
         with self._lock:
             self.misses += 1
-        if result.grid is not None:
-            # Grid-less (simulate-mode) answers are never persisted: they
-            # carry no bit-exact payload worth addressing by content.
-            self.store.put(digest, result, request=key.payload)
-            with self._lock:
-                self._memory.put(digest, result)
+            if result.grid is None:
+                # Grid-less (simulate-mode) answers are never persisted: they
+                # carry no bit-exact payload worth addressing by content.
+                return result
+            self._memory.put(digest, result)
+            deferred = len(self._pending) < MAX_PENDING_WRITES
+            if deferred:
+                start_writer = not self._pending
+                self._pending[digest] = (result, key.payload)
+        if not deferred:
+            self._write(digest, result, key.payload)
+        elif start_writer:
+            # Not a daemon: interpreter exit waits for the pending writes.
+            threading.Thread(target=self._write_pending, name="repro-cache-writer").start()
         return result
+
+    def _write_pending(self) -> None:
+        """The writer thread: persist pending entries oldest first, then exit."""
+        while True:
+            with self._lock:
+                digest, (result, request) = next(iter(self._pending.items()))
+            self._write(digest, result, request)
+            with self._lock:
+                del self._pending[digest]
+                if not self._pending:
+                    self._written.notify_all()
+                    return
+
+    def _write(self, digest: str, result: ExecutionResult, request: dict) -> None:
+        """Persist one answered entry; a failure is counted, never raised."""
+        try:
+            self.store.put(digest, result, request=request)
+        except Exception:  # noqa: BLE001 - the answer was already served
+            get_logger("cache").exception("cache write of %s failed", digest[:12])
+            with self._lock:
+                self.write_errors += 1
+
+    def flush(self) -> None:
+        """Block until every pending entry is written (or counted as failed)."""
+        with self._written:
+            while self._pending:
+                self._written.wait()
+
+    def peek(self, key: CacheKey) -> ExecutionResult | None:
+        """The memory tier's answer for ``key``, or ``None``; never disk or solve.
+
+        Only a hit is counted: a miss is counted by the caller's fallback
+        :meth:`get_or_solve`.
+        """
+        with self._lock:
+            if key.digest not in self._memory:
+                return None
+            self.lookups += 1
+            self.memory_hits += 1
+            return self._memory.get(key.digest)
 
     # ------------------------------------------------------------------
     def clear_memory(self) -> None:
@@ -179,5 +248,5 @@ class ResultCache:
                 "hit_rate": served / self.lookups if self.lookups else 0.0,
                 "memory": self._memory.info(),
             }
-        out["disk"] = self.store.info()
+        out["disk"] = {**self.store.info(), "write_errors": self.write_errors}
         return out

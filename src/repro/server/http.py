@@ -8,7 +8,8 @@ everything for its connection — ``recv`` into a bounded buffer, split the
 request line and the headers that matter, read the body, route, submit into
 the server's bounded queue, block on its ticket, answer with one
 ``sendall`` — so HTTP concurrency is naturally capped by admission control,
-and overload answers ``429`` instead of stalling.
+and overload answers ``429`` instead of stalling.  A result-cache memory
+hit is answered at submission and never leaves its connection thread.
 
 Routes (all JSON):
 

@@ -5,8 +5,8 @@ Architecture (one box per thread role)::
     clients (any threads)            shard threads              session
     ---------------------            -------------              -------
     submit() --admission--> [RequestQueue] --next_batch--> solve_many()
-        ^   BackpressureError        |   same-signature            |
-        |                            v   coalescing                v
+        |   BackpressureError        |   same-signature            |
+        |   memory-tier hit          v   coalescing                v
     ticket.result() <-------- complete()/fail() <-------- ExecutionResult
 
     ``start()`` starts the supervised shards; ``close()`` drains and joins
@@ -15,8 +15,9 @@ Architecture (one box per thread role)::
 
 A request crosses threads exactly twice: the submitting thread queues it; an
 idle shard thread (:mod:`repro.server.supervisor`) takes a coalesced batch
-from the queue itself and completes its tickets on the spot.  The server
-adds exactly three behaviours on top of
+from the queue itself and completes its tickets on the spot.  Memory hits
+cross none: :meth:`repro.session.Session.serve_from_memory` answers them at
+admission.  The server adds exactly three behaviours on top of
 :meth:`repro.session.Session.solve_many`:
 
 * **admission control** — a bounded queue with an explicit, typed
@@ -270,6 +271,7 @@ class ReproServer:
     ) -> ServeRequest:
         """Admit one request; return its ticket immediately.
 
+        A memory-tier result-cache hit returns an already completed ticket.
         Raises :class:`~repro.core.exceptions.BackpressureError` when the
         queue is full (including its :class:`~repro.core.exceptions.\
 ShardUnavailableError` subclass when every shard's restart budget is
@@ -302,6 +304,18 @@ ShardUnavailableError` subclass when every shard's restart budget is
             enqueued_at=now,
             deadline_at=deadline_at,
         )
+        # A memory hit is answered on this thread: it never queues behind a
+        # sweep, nor reaches the adaptive loop (nothing ran).  A closed queue
+        # skips the lookup, so the queued path refuses exactly as before.
+        if not self._queue.closed:
+            hit = self.session.serve_from_memory(app, dim, mode, **plan_kwargs)
+            if hit is not None:
+                self.metrics_store.record_accepted()
+                request.complete(hit)
+                self.metrics_store.record_completed(
+                    time.perf_counter() - now, signature=request.signature
+                )
+                return request
         # Count acceptance BEFORE the request becomes visible to shards, so
         # a fast completion can never be recorded ahead of it (in_flight
         # would transiently read -1 and drain() could return early).

@@ -31,7 +31,8 @@ Design points:
   :meth:`Session.solve`/:meth:`Session.solve_many` answers are served from
   a content-addressed :class:`repro.cache.ResultCache` (memory LRU → disk
   → solve): identical requests across time, threads and processes cost one
-  grid sweep, and concurrent misses on one key are stampede-protected.
+  grid sweep, and concurrent misses on one key are stampede-protected;
+  :meth:`Session.serve_from_memory` answers from its memory tier alone.
 
 The CLI's workflow verbs (``run``, ``tune``, ``bench``, ``profile``,
 ``report``, ``serve``, ``loadgen``) are thin adapters over this class (the
@@ -151,6 +152,8 @@ class Session:
         # taken in that order, never nested the other way round.
         self._plan_lock = threading.RLock()
         self._run_lock = threading.RLock()
+        # stats["requests_served"] only: memory hits must not wait for a run.
+        self._served_lock = threading.Lock()
         self._closed = False
         #: Run observer (``observer(plan, mode, wall_s)``) — see
         #: :meth:`attach_observer`; ``None`` = no observation.
@@ -508,9 +511,39 @@ class Session:
                 results.append(self.solve(app, dim, mode=mode))
             else:
                 results.append(self.solve(request, mode=mode))
-            with self._run_lock:
+            with self._served_lock:
                 self.stats["requests_served"] += 1
         return results
+
+    def serve_from_memory(
+        self,
+        app: str,
+        dim: int | None = None,
+        mode: ExecutionMode | str | None = None,
+        *,
+        policy: ExecutionPolicy | None = None,
+        **app_kwargs,
+    ) -> ExecutionResult | None:
+        """Answer one :meth:`solve` request from the result cache's memory tier.
+
+        Looks only at an already resolved plan and the memory LRU — never
+        builds the tuner, resolves a plan, reads disk or sweeps — so the
+        server's admission path can ask before queueing.  A hit counts as a
+        served request; a miss or error is ``None`` and counts nothing.
+        """
+        if self.result_cache is None or self._closed:
+            return None
+        try:
+            query = (app, dim, tuple(sorted(app_kwargs.items())), policy or _TUNER_DECIDES)
+            plan = self._plans.get(query) if query in self._plans else None
+            key = None if plan is None else self._request_key_for(app, plan, mode, policy)
+        except Exception:  # noqa: BLE001 - the queued path reports it, typed
+            return None
+        result = self.result_cache.peek(key) if key is not None else None
+        if result is not None:
+            with self._served_lock:
+                self.stats["requests_served"] += 1
+        return result
 
     # ------------------------------------------------------------------
     # Profiling / sweeping (the CLI's remaining verbs)
@@ -595,11 +628,13 @@ class Session:
 
         Takes both locks (plan first, then run — the only nesting order used
         anywhere), so an in-flight execution finishes before its workers are
-        torn down.
+        torn down, and waits for the result cache's pending disk writes.
         """
         with self._plan_lock, self._run_lock:
             if self._closed:
                 return
+            if self.result_cache is not None:
+                self.result_cache.flush()
             self.host.close()
             self._plans.clear()
             self._problems.clear()

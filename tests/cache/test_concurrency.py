@@ -231,6 +231,7 @@ class TestCorruptionUnderLoad:
     ):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
             session.solve("lcs", 20, policy=SERIAL)
+            session.result_cache.flush()
             digest = next(iter(p.stem for p in tmp_path.glob("*.npz")))
             path = tmp_path / f"{digest}.npz"
             path.write_bytes(b"garbage" * 100)
@@ -248,6 +249,7 @@ class TestCorruptionUnderLoad:
             assert store.corrupt_dropped == 1, "corruption must be counted once"
             assert session.stats["runs"] == runs_before + 1, "one repair re-solve"
             # Self-repair: the entry is valid again for a cold reader.
+            session.result_cache.flush()
             fresh = DiskCacheStore(tmp_path)
             assert fresh.get(digest) is not None
 
@@ -264,6 +266,7 @@ class TestWitnessEndToEnd:
     def test_witness_identical_across_all_cache_tiers(self, tmp_path, app, dim):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
             cold = session.solve(app, dim, policy=SERIAL)
+            session.result_cache.flush()
             assert cold.witness is not None and cold.witness.dtype == np.int64
             warm = session.solve(app, dim, policy=SERIAL)
             assert session.cache_info()["results"]["memory_hits"] >= 1

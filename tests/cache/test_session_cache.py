@@ -128,6 +128,7 @@ class TestIntrospection:
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
             session.solve("lcs", 24, policy=SERIAL)
             session.solve("lcs", 24, policy=SERIAL)
+            session.result_cache.flush()
             info = session.cache_info()["results"]
         assert info["lookups"] == 2 and info["misses"] == 1
         assert info["memory_hits"] == 1

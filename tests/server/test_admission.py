@@ -1,0 +1,206 @@
+"""Memory-tier result-cache hits are answered at admission.
+
+``ReproServer.submit`` asks the server session for a memory-tier answer
+before it queues anything: a hit returns an already-completed ticket on the
+submitting thread, a miss queues exactly as before, and the refusals
+(closed server, open circuit without fallback) still come first.  Most
+tests here use a server that was built but never started, so no shard
+thread exists and "was it queued?" is a plain read of the queue depth.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core.exceptions import ServerError, ShardUnavailableError
+from repro.facade.policy import ExecutionPolicy
+from repro.server import ReproServer, ServerConfig
+from repro.session import Session
+
+#: Pin the serial backend: a manual plan needs no tuner.
+SERIAL = ExecutionPolicy(backend="serial")
+
+
+@pytest.fixture()
+def cached_session(tmp_path):
+    """A cached session with ``lcs`` 24 solved once (plan + memory tier)."""
+    with Session(system="i7-2600K", cache_dir=tmp_path) as session:
+        session.solve("lcs", 24, policy=SERIAL)
+        yield session
+
+
+def unstarted(session, **config):
+    """A server that admits requests but has no shard thread to take them."""
+    return ReproServer(session, ServerConfig(adaptive="off", **config))
+
+
+def assert_invariants(server):
+    """Both accounting identities of the serving path and the cache."""
+    requests = server.metrics()["requests"]
+    assert requests["accepted"] == (
+        requests["completed"] + requests["failed"]
+        + requests["cancelled"] + requests["in_flight"]
+    )
+    cache = server.session.result_cache.info()
+    assert cache["lookups"] == (
+        cache["memory_hits"] + cache["disk_hits"] + cache["coalesced"] + cache["misses"]
+    )
+
+
+class TestAnsweredAtAdmission:
+    def test_a_primed_hit_completes_without_a_shard(self, cached_session):
+        server = unstarted(cached_session)
+        cache = cached_session.result_cache
+        lookups, hits = cache.lookups, cache.memory_hits
+        served = cached_session.stats["requests_served"]
+        try:
+            ticket = server.submit("lcs", 24, policy=SERIAL)
+            assert ticket.done
+            metrics = server.metrics()
+            assert metrics["queue"]["depth"] == 0
+            assert metrics["requests"]["accepted"] == 1
+            assert metrics["requests"]["completed"] == 1
+            assert metrics["requests"]["in_flight"] == 0
+            assert metrics["latency_ms"]["samples"] == 1
+            assert len(metrics["signatures"]) == 1
+            assert cache.lookups == lookups + 1
+            assert cache.memory_hits == hits + 1
+            assert cached_session.stats["requests_served"] == served + 1
+            expected = cached_session.solve("lcs", 24, policy=SERIAL)
+            assert ticket.result(timeout=0) is expected
+        finally:
+            server.close()
+
+    def test_a_miss_queues_and_counts_nothing_at_admission(self, cached_session):
+        server = unstarted(cached_session)
+        cache = cached_session.result_cache
+        before = cache.info()
+        try:
+            ticket = server.submit("lcs", 20, policy=SERIAL)  # never solved
+            assert not ticket.done
+            assert server.metrics()["queue"]["depth"] == 1
+            after = cache.info()
+            assert after["lookups"] == before["lookups"]
+            assert after["misses"] == before["misses"]
+            assert after["memory"]["misses"] == before["memory"]["misses"]
+        finally:
+            server.close()
+        with pytest.raises(ServerError):
+            ticket.result(timeout=0)
+
+    @pytest.mark.parametrize(
+        "request_kwargs",
+        [
+            {"mode": "simulate"},  # simulate answers are never cached
+            {"policy": ExecutionPolicy(backend="vectorized")},  # plan never resolved
+            {"seed": 7},  # other constructor arguments, another instance
+        ],
+        ids=["simulate", "unresolved-policy", "other-instance"],
+    )
+    def test_what_the_memory_tier_cannot_answer_queues(
+        self, cached_session, request_kwargs
+    ):
+        request_kwargs = {"policy": SERIAL, **request_kwargs}
+        server = unstarted(cached_session)
+        try:
+            ticket = server.submit("lcs", 24, **request_kwargs)
+            assert not ticket.done
+            assert server.metrics()["queue"]["depth"] == 1
+        finally:
+            server.close()
+
+    def test_a_session_without_a_result_cache_never_answers(self, tmp_path):
+        with Session(system="i7-2600K") as session:
+            session.solve("lcs", 24, policy=SERIAL)
+            assert session.serve_from_memory("lcs", 24, policy=SERIAL) is None
+
+    def test_lookup_errors_read_as_a_miss(self, cached_session):
+        # An unhashable constructor argument and an unknown mode: the queued
+        # path reports them with their typed errors, admission stays silent.
+        assert cached_session.serve_from_memory("lcs", 24, policy=SERIAL, seq=[1]) is None
+        assert cached_session.serve_from_memory("lcs", 24, "warp", policy=SERIAL) is None
+
+
+class TestRefusalsComeFirst:
+    def test_a_closed_server_refuses_even_a_primed_hit(self, cached_session):
+        server = unstarted(cached_session)
+        server.close()
+        hits = cached_session.result_cache.memory_hits
+        with pytest.raises(ServerError):
+            server.submit("lcs", 24, policy=SERIAL)
+        assert cached_session.result_cache.memory_hits == hits
+        assert server.metrics()["requests"]["accepted"] == 0
+
+    def test_an_open_circuit_without_fallback_sheds_a_primed_hit(self, cached_session):
+        server = unstarted(cached_session)
+        for shard in server.supervisor.shards:
+            shard.state = "dead"
+        hits = cached_session.result_cache.memory_hits
+        try:
+            with pytest.raises(ShardUnavailableError):
+                server.submit("lcs", 24, policy=SERIAL)
+            assert cached_session.result_cache.memory_hits == hits
+            assert server.metrics()["requests"]["rejected"] == 1
+        finally:
+            server.close()
+
+
+class TestMixedRun:
+    def test_hits_misses_and_disk_hits_keep_both_invariants(self, tmp_path):
+        # One entry on disk from an earlier process lifetime.
+        with Session(system="i7-2600K", cache_dir=tmp_path) as earlier:
+            on_disk = earlier.solve("edit-distance", 20, policy=SERIAL)
+        stream = [
+            ("edit-distance", 20),  # disk hit (queued: the plan is new)
+            ("lcs", 20),            # miss
+            ("lcs", 20),            # memory hit at admission
+            ("edit-distance", 20),  # memory hit at admission
+            ("lcs", 24),            # miss
+            ("lcs", 20),            # memory hit at admission
+        ]
+        with Session(system="i7-2600K", cache_dir=tmp_path) as session:
+            with ReproServer(session, ServerConfig(adaptive="off")) as server:
+                results = [
+                    server.solve(app, dim, policy=SERIAL, timeout=30)
+                    for app, dim in stream
+                ]
+                assert_invariants(server)
+                cache = session.result_cache.info()
+                assert (cache["disk_hits"], cache["misses"]) == (1, 2)
+                assert cache["memory_hits"] == 3
+                assert server.metrics()["batches"]["count"] == 3  # only 3 queued
+            assert session.stats["runs"] == 2
+            assert session.stats["requests_served"] == len(stream)
+        assert np.array_equal(results[0].grid.values, on_disk.grid.values)
+        assert results[2] is results[1] and results[5] is results[1]
+        with Session(system="i7-2600K") as plain:
+            for (app, dim), result in zip(stream, results):
+                assert result.matches(plain.solve(app, dim, policy=SERIAL))
+
+
+class TestAdaptiveLoop:
+    def test_an_admission_hit_is_not_observed(self, tmp_path, quick_tuner_i3, i3):
+        session = Session(system=i3, tuner=quick_tuner_i3, cache_dir=tmp_path)
+        with ReproServer(session, ServerConfig(adaptive="shadow"), own_session=True) as server:
+            adaptive = server.adaptive
+            observe, observed = adaptive.observe, threading.Event()
+            calls = []
+
+            def recording_observe(*args, **kwargs):
+                calls.append(args)
+                observe(*args, **kwargs)
+                observed.set()
+
+            adaptive.observe = recording_observe
+            server.solve("lcs", 32, timeout=30)  # a miss: queued, executed
+            assert observed.wait(timeout=30)
+            observations = adaptive.serve_log.observations
+            assessments = adaptive.detector.assessments
+            completed = server.metrics()["requests"]["completed"]
+            ticket = server.submit("lcs", 32)
+            assert ticket.done, "the second request is a memory hit"
+            assert len(calls) == 1
+            assert adaptive.serve_log.observations == observations
+            assert adaptive.detector.assessments == assessments
+            assert server.metrics()["requests"]["completed"] == completed + 1
