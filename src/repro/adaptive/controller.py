@@ -14,7 +14,7 @@ derived:
 * a latched drift event triggers one shadow resolution
   (:mod:`repro.adaptive.shadow`), always logged;
 * in ``live`` mode a differing shadow decision is **promoted**: the plan
-  is swapped atomically through every session's tuned-plan LRU
+  is swapped atomically through the session's tuned-plan LRU
   (:meth:`repro.session.Session.adopt_plan`), bounded by ``swap_budget``;
   the signature's statistics and drift state restart, and after
   ``min_samples`` fresh observations the swap is either confirmed or —
@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.core.exceptions import ReproError, UsageError
 from repro.facade.plan import ResolvedPlan
@@ -106,24 +106,17 @@ class _ActiveSwap:
 class AdaptiveController:
     """Owner of the whole online-tuning loop for one serving stack.
 
-    ``session`` is the server's primary session (plans are looked up
-    there); ``sessions`` — when given — is a zero-argument callable
-    returning every session a live swap must reach (the shard sessions),
-    so sharded servers stay consistent.  All decision state is guarded by
-    one lock; :meth:`record_run` deliberately bypasses it (it only
-    touches the run log's own locks) so a session observer can never
-    deadlock against a swap in progress.
+    ``session`` is the server's session: plans are looked up there, live
+    swaps are installed there, and its observer hook feeds
+    :meth:`record_run`.  All decision state is guarded by one lock;
+    :meth:`record_run` deliberately bypasses it (it only touches the run
+    log's own locks) so a session observer can never deadlock against a
+    swap in progress.
     """
 
-    def __init__(
-        self,
-        session,
-        config: AdaptiveConfig | None = None,
-        sessions: Callable[[], list] | None = None,
-    ) -> None:
+    def __init__(self, session, config: AdaptiveConfig | None = None) -> None:
         self.session = session
         self.config = config if config is not None else AdaptiveConfig()
-        self._sessions = sessions if sessions is not None else (lambda: [session])
         self.serve_log = ObservationLog(
             maxsize=self.config.signatures, reservoir_size=self.config.reservoir
         )
@@ -264,8 +257,7 @@ class AdaptiveController:
             expected_s=proposed.expected_s,
             tuner="adaptive",
         )
-        for session in self._distinct_sessions():
-            session.adopt_plan(new_plan)
+        self.session.adopt_plan(new_plan)
         self.swaps_applied += 1
         self._watch[signature] = _ActiveSwap(plan, new_plan, stats.mean)
         # Fresh statistics + drift calibration for the new plan: the old
@@ -280,8 +272,7 @@ class AdaptiveController:
             return
         del self._watch[signature]
         if stats.mean > swap.pre_mean_s * self.config.rollback_ratio:
-            for session in self._distinct_sessions():
-                session.adopt_plan(swap.old_plan)
+            self.session.adopt_plan(swap.old_plan)
             self.swaps_rolled_back += 1
             self._pinned.add(signature)
             self.serve_log.reset(signature)
@@ -289,13 +280,6 @@ class AdaptiveController:
             return
         self.swaps_confirmed += 1
         self._swapped[signature] = swap
-
-    def _distinct_sessions(self) -> list:
-        """Every session a swap must reach, deduplicated by identity."""
-        seen: dict[int, Any] = {}
-        for session in self._sessions():
-            seen.setdefault(id(session), session)
-        return list(seen.values())
 
     # ------------------------------------------------------------------
     # Observability

@@ -373,13 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 120)",
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="supervised worker shards, each hosting its own session "
-        "(default: 1, an in-thread shard sharing the server session)",
-    )
-    serve.add_argument(
         "--default-deadline",
         type=float,
         default=30.0,
@@ -389,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--degraded-fallback",
         action="store_true",
-        help="when every shard is unavailable, solve directly in-process "
-        "instead of shedding load with 429",
+        help="when the shard's restart budget is exhausted, solve directly "
+        "in-process instead of shedding load with 429",
     )
     serve.add_argument(
         "--chaos",
@@ -1020,20 +1013,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         print(f"warming the {args.tuner!r} tuner for {session.system.name} ...")
         session.tuner  # noqa: B018 - train/load before accepting traffic
-        session_factory = None
-        if args.shards > 1:
-            # Each shard hosts its own session but shares the warmed tuner
-            # (one training) and the persistent result cache (re-dispatched
-            # requests coalesce on its leader/follower keys — at-most-once).
-            def session_factory(index: int) -> Session:
-                return Session(
-                    system=session.system,
-                    tuner=session.tuner,
-                    space=_space(args.space),
-                    mode=args.mode,
-                    result_cache=session.result_cache,
-                )
-
         # Built after the warm-up so the metrics uptime clock (the
         # denominator of throughput_rps) starts when serving can, not when
         # training did.
@@ -1045,12 +1024,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 default_deadline_s=(
                     args.default_deadline if args.default_deadline > 0 else None
                 ),
-                shards=args.shards,
                 degraded_fallback=args.degraded_fallback,
                 adaptive=args.adaptive,
             ),
             own_session=True,
-            session_factory=session_factory,
             fault_plan=fault_plan,
         )
         try:
@@ -1076,7 +1053,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {session.system.name} on {endpoint.url}  "
             f"(queue={args.queue_size}, max-batch={args.max_batch}, "
-            f"shards={args.shards}, "
             f"deadline={args.default_deadline:g}s, mode={args.mode}, "
             f"adaptive={args.adaptive})"
         )

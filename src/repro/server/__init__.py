@@ -2,8 +2,8 @@
 
 The session facade (:class:`repro.session.Session`) made the tuned runtime
 callable; this package makes it **servable**: a thread-safe bounded request
-queue with explicit backpressure, supervised shard threads that take
-coalesced same-signature batches from it and serve each with a single
+queue with explicit backpressure, one supervised shard thread that takes
+coalesced same-signature batches from it and serves each with a single
 :meth:`~repro.session.Session.solve_many` execution (every ticket in a
 batch shares the one deterministic result), JSON metrics (latency
 percentiles, throughput, queue depth, batch sizes, cache hit rates), a
@@ -22,12 +22,12 @@ Layering, bottom up:
   ``repro serve --chaos`` and the chaos-smoke gate
   (``scripts/check_chaos.py``);
 * :mod:`repro.server.supervisor` — :class:`ShardSupervisor`,
-  :class:`SupervisorConfig`, :class:`Shard` and :class:`ShardTask`: worker
-  shards that take their work from the queue themselves, with heartbeats,
-  crash detection, jittered-backoff restarts, a restart-budget circuit
-  breaker, bounded re-dispatch and deadline expiry;
+  :class:`SupervisorConfig` and :class:`ShardTask`: one supervised lane on
+  the server's session that takes its work from the queue itself, with
+  heartbeats, crash detection, jittered-backoff restarts, a restart-budget
+  circuit breaker, bounded re-dispatch and deadline expiry;
 * :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`:
-  admission, the shards' work source (one coalesced batch per task), ticket
+  admission, the shard's work source (one coalesced batch per task), ticket
   completion, per-request deadlines and graceful drain/shutdown;
 * :mod:`repro.server.http` — :class:`ServingEndpoint`, the bound HTTP
   endpoint: accept loop, reused connection threads, bounded hand-parsed
@@ -75,12 +75,7 @@ from repro.server.http import (
 from repro.server.metrics import ServerMetrics, summarise_latencies
 from repro.server.queue import RequestQueue, ServeRequest, request_signature
 from repro.server.service import ReproServer, ServerConfig
-from repro.server.supervisor import (
-    Shard,
-    ShardSupervisor,
-    ShardTask,
-    SupervisorConfig,
-)
+from repro.server.supervisor import ShardSupervisor, ShardTask, SupervisorConfig
 from repro.server.trace import (
     TRACE_FORMAT_VERSION,
     RequestTrace,
@@ -99,7 +94,6 @@ __all__ = [
     "ServeRequest",
     "ShardSupervisor",
     "SupervisorConfig",
-    "Shard",
     "ShardTask",
     "FaultPlan",
     "FaultSpec",

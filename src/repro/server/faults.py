@@ -12,7 +12,9 @@ Spec grammar (one comma-separated string)::
     kill@7,kill@31,slow@18:0.2,hang@40:3,drop@47
 
 Each entry is ``kind@k[:seconds]`` — fire fault ``kind`` when the ``k``-th
-request (1-based, counted across every shard dispatch) reaches a shard:
+request (1-based, counted over every dispatch) reaches the shard.  With a
+plan armed, :class:`~repro.server.ReproServer` answers no memory hit at
+admission, so ``k`` counts requests, not only the result cache's misses:
 
 * ``kill`` — the shard raises :class:`~repro.core.exceptions.ShardCrashError`
   *before* executing, simulating a worker death; the supervisor restarts it
@@ -31,9 +33,9 @@ request (1-based, counted across every shard dispatch) reaches a shard:
   typed :class:`~repro.core.exceptions.DeadlineError` (HTTP 504), proving
   no request ever hangs past its deadline.
 
-:class:`FaultInjector` is the runtime consumer: one per supervisor, shared
-by every shard, counting dispatched requests under a lock and handing each
-shard the faults scheduled for its slice of the ordinal space.
+:class:`FaultInjector` is the runtime consumer: one per supervisor,
+counting dispatched requests under a lock and handing the shard the faults
+scheduled for its slice of the ordinal space.
 """
 
 from __future__ import annotations
@@ -150,9 +152,9 @@ class FaultPlan:
 
 @dataclass
 class FaultInjector:
-    """Runtime consumer of one :class:`FaultPlan`, shared across shards.
+    """Runtime consumer of one :class:`FaultPlan`.
 
-    Shards call :meth:`take` with the number of requests they are about to
+    The shard calls :meth:`take` with the number of requests it is about to
     execute; the injector advances the global ordinal under its lock and
     returns the faults whose scheduled ordinal falls inside that window
     (each fault fires exactly once).  Counters are JSON-safe and surface on

@@ -24,12 +24,12 @@ Routes (all JSON):
   (:meth:`repro.server.ReproServer.metrics`) plus this endpoint's ``http``
   section (:meth:`ServingEndpoint.info`).
 * ``GET /healthz`` — liveness: ``{"status": "ok", "uptime_s": ...}``.
-  Answers 200 while the process serves HTTP at all — restarting shards do
-  not flip liveness, only readiness.
-* ``GET /readyz`` — readiness: per-shard state (``healthy`` / ``restarting``
-  / ``dead``), restart counts and degraded mode
-  (:meth:`repro.server.ReproServer.readiness`); answers ``503`` when no
-  shard can take traffic so external probes route around the instance.
+  Answers 200 while the process serves HTTP at all — a restarting shard
+  does not flip liveness, only readiness.
+* ``GET /readyz`` — readiness: the shard's state (``healthy`` /
+  ``restarting`` / ``dead``), restart counts and degraded mode
+  (:meth:`repro.server.ReproServer.readiness`); answers ``503`` when the
+  shard cannot take traffic so external probes route around the instance.
 * ``POST /shutdown`` — begins a graceful drain + stop; answers ``202``.
 
 Error mapping: deadline expiry → 504, backpressure → 429 (with a
@@ -406,16 +406,20 @@ class ServingEndpoint:
     def _connection_thread(self, conn: socket.socket | None) -> None:
         """Serve one connection after another, parked in between."""
         while conn is not None:
-            try:
-                self._serve_connection(conn)
-            except OSError:  # timeout, reset, end of stream: the peer is gone
-                pass
-            finally:
-                conn.close()
-            with self._lock:
-                if self._shutdown_requested.is_set():
-                    return
-                self._idle += 1
+            with conn:
+                try:
+                    self._serve_connection(conn)
+                except OSError:  # timeout, reset, end of stream: the peer is gone
+                    pass
+                # Count this thread parked before the peer sees end of stream:
+                # a `Connection: close` client reconnects at once, and the
+                # accept loop must find a parked thread, not spawn another.
+                with self._lock:
+                    park = not self._shutdown_requested.is_set()
+                    if park:
+                        self._idle += 1
+            if not park:
+                return
             conn = self._handoff.get()
 
     def _serve_connection(self, conn: socket.socket) -> None:

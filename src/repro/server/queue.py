@@ -101,7 +101,7 @@ class ServeRequest:
     def cancel(self) -> bool:
         """Mark the request abandoned; return whether it was still pending.
 
-        Best-effort: a still-queued request is skipped by the shards
+        Best-effort: a still-queued request is skipped by the shard
         (no ghost work for a client that gave up); one already mid-execution
         completes normally — compute cannot be aborted part-way.
         """

@@ -2,22 +2,22 @@
 
 Architecture (one box per thread role)::
 
-    clients (any threads)            shard threads              session
-    ---------------------            -------------              -------
+    clients (any threads)            shard thread               session
+    ---------------------            ------------               -------
     submit() --admission--> [RequestQueue] --next_batch--> solve_many()
         |   BackpressureError        |   same-signature            |
         |   memory-tier hit          v   coalescing                v
     ticket.result() <-------- complete()/fail() <-------- ExecutionResult
 
-    ``start()`` starts the supervised shards; ``close()`` drains and joins
-    them and (for a server that owns its session) releases the worker pools
+    ``start()`` starts the supervised shard; ``close()`` drains and joins
+    it and (for a server that owns its session) releases the worker pools
     of :class:`repro.runtime.lifecycle.EngineHost`.
 
-A request crosses threads exactly twice: the submitting thread queues it; an
-idle shard thread (:mod:`repro.server.supervisor`) takes a coalesced batch
-from the queue itself and completes its tickets on the spot.  Memory hits
-cross none: :meth:`repro.session.Session.serve_from_memory` answers them at
-admission.  The server adds exactly three behaviours on top of
+A request crosses threads exactly twice: the submitting thread queues it;
+the idle shard thread (:mod:`repro.server.supervisor`, one supervised lane
+on the server's own session) takes a coalesced batch from the queue itself
+and completes its tickets on the spot.  Memory hits cross none:
+:meth:`repro.session.Session.serve_from_memory` answers them at admission.  The server adds exactly three behaviours on top of
 :meth:`repro.session.Session.solve_many`:
 
 * **admission control** — a bounded queue with an explicit, typed
@@ -30,7 +30,7 @@ admission.  The server adds exactly three behaviours on top of
   (:mod:`repro.server.metrics`) and graceful drain/shutdown.
 
 Requests may be submitted before :meth:`ReproServer.start`; they queue (and
-count against capacity) until the shards come up — which also makes
+count against capacity) until the shard comes up — which also makes
 batching deterministic to test.
 """
 
@@ -40,7 +40,6 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from repro.adaptive.controller import (
     ADAPTIVE_MODES,
@@ -79,11 +78,9 @@ class ServerConfig:
 
     ``default_deadline_s`` is the per-request deadline applied when the
     client sends none (``None`` disables the default — requests without an
-    explicit deadline then wait unboundedly); ``shards`` is the number of
-    supervised worker shards — the execution concurrency (1 = the
-    degenerate in-thread shard sharing the server's session);
-    ``degraded_fallback`` solves directly on the server's session when
-    every shard is unavailable, instead of shedding the request with 429.
+    explicit deadline then wait unboundedly); ``degraded_fallback`` solves
+    directly on the server's session once the shard's restart budget is
+    exhausted, instead of shedding the request with 429.
 
     ``adaptive`` selects how far the online tuning loop runs
     (:data:`repro.adaptive.ADAPTIVE_MODES`): ``"off"`` builds no
@@ -96,13 +93,12 @@ class ServerConfig:
     max_batch: int = DEFAULT_MAX_BATCH
     drain_timeout_s: float = 30.0
     default_deadline_s: float | None = DEFAULT_DEADLINE_S
-    shards: int = 1
     degraded_fallback: bool = False
     adaptive: str = "shadow"
 
     def __post_init__(self) -> None:
         """Validate the knobs once, at construction."""
-        for name in ("queue_capacity", "max_batch", "shards"):
+        for name in ("queue_capacity", "max_batch"):
             if getattr(self, name) < 1:
                 raise ServerError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
@@ -137,7 +133,6 @@ class ReproServer:
         config: ServerConfig | None = None,
         *,
         own_session: bool = False,
-        session_factory: Callable[[int], Session] | None = None,
         supervisor_config: SupervisorConfig | None = None,
         fault_plan: FaultPlan | None = None,
         adaptive_config: AdaptiveConfig | None = None,
@@ -150,21 +145,18 @@ class ReproServer:
         self._lifecycle = threading.Lock()
         self._started = False
         self._closed = False
-        # Every execution goes through the supervisor, whose shard threads
-        # take their batches from the queue themselves.  With shards == 1
-        # and no factory this is the degenerate in-thread shard borrowing
-        # the server's own session.  A factory builds one session per shard
-        # (share a warmed tuner and one ResultCache across them so
-        # re-dispatches coalesce); `session` stays the degraded fallback
-        # and the metrics/cache-info source either way.
+        # Every execution goes through the supervisor, whose one shard
+        # thread takes its batches from the queue itself and runs them on
+        # this server's session.
         self.supervisor = ShardSupervisor(
-            session=None if session_factory is not None else session,
+            session,
             source=self._next_task,
-            shards=self.config.shards,
-            session_factory=session_factory,
             config=supervisor_config,
             fault_plan=fault_plan,
         )
+        # Under a chaos plan every request reaches the shard, so a fault's
+        # ordinal counts requests, not only the memory tier's misses.
+        self._answer_hits = fault_plan is None or not len(fault_plan)
         # The online tuning loop.  An explicit adaptive_config wins; the
         # ServerConfig.adaptive mode otherwise selects the defaults; "off"
         # builds nothing and costs nothing on the serving path.
@@ -172,19 +164,13 @@ class ReproServer:
             adaptive_config = AdaptiveConfig(mode=self.config.adaptive)
         self.adaptive: AdaptiveController | None = None
         if adaptive_config.mode != "off":
-            self.adaptive = AdaptiveController(
-                session, adaptive_config, sessions=self._adaptive_sessions
-            )
-
-    def _adaptive_sessions(self) -> list[Session]:
-        """Every session a live plan swap must reach (server + shards)."""
-        return [self.session, *(shard.session for shard in self.supervisor.shards)]
+            self.adaptive = AdaptiveController(session, adaptive_config)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ReproServer":
-        """Start the supervised shards; idempotent until :meth:`close`."""
+        """Start the supervised shard; idempotent until :meth:`close`."""
         with self._lifecycle:
             if self._closed:
                 raise ServerError("cannot start a closed server")
@@ -192,10 +178,9 @@ class ReproServer:
                 return self
             self.supervisor.start()
             if self.adaptive is not None:
-                # Shard sessions exist by now; their pure solve walls feed
-                # the run-observation log (shadow retraining evidence).
-                for session in {id(s): s for s in self._adaptive_sessions()}.values():
-                    session.attach_observer(self.adaptive.record_run)
+                # Pure solve walls feed the run-observation log (shadow
+                # retraining evidence).
+                self.session.attach_observer(self.adaptive.record_run)
             self._started = True
             return self
 
@@ -221,7 +206,7 @@ class ReproServer:
         return True
 
     def close(self) -> None:
-        """Graceful shutdown: drain, join shards, release owned resources.
+        """Graceful shutdown: drain, join the shard, release owned resources.
 
         Safe to call more than once.  Requests still queued after the drain
         timeout are failed with :class:`~repro.core.exceptions.ServerError`
@@ -271,10 +256,11 @@ class ReproServer:
     ) -> ServeRequest:
         """Admit one request; return its ticket immediately.
 
-        A memory-tier result-cache hit returns an already completed ticket.
+        A memory-tier result-cache hit returns an already completed ticket
+        (unless a fault plan is armed: then every request queues).
         Raises :class:`~repro.core.exceptions.BackpressureError` when the
         queue is full (including its :class:`~repro.core.exceptions.\
-ShardUnavailableError` subclass when every shard's restart budget is
+ShardUnavailableError` subclass when the shard's restart budget is
         exhausted and no degraded fallback is configured — shedding early
         beats queueing into a black hole) and
         :class:`~repro.core.exceptions.ServerError` once the server is
@@ -293,7 +279,7 @@ ShardUnavailableError` subclass when every shard's restart budget is
         if self.supervisor.circuit_open and not self.config.degraded_fallback:
             self.metrics_store.record_rejected()
             raise ShardUnavailableError(
-                "no healthy shard available (restart budgets exhausted); "
+                "no healthy shard available (restart budget exhausted); "
                 "shedding load — retry later"
             )
         request = ServeRequest(
@@ -307,7 +293,7 @@ ShardUnavailableError` subclass when every shard's restart budget is
         # A memory hit is answered on this thread: it never queues behind a
         # sweep, nor reaches the adaptive loop (nothing ran).  A closed queue
         # skips the lookup, so the queued path refuses exactly as before.
-        if not self._queue.closed:
+        if self._answer_hits and not self._queue.closed:
             hit = self.session.serve_from_memory(app, dim, mode, **plan_kwargs)
             if hit is not None:
                 self.metrics_store.record_accepted()
@@ -316,7 +302,7 @@ ShardUnavailableError` subclass when every shard's restart budget is
                     time.perf_counter() - now, signature=request.signature
                 )
                 return request
-        # Count acceptance BEFORE the request becomes visible to shards, so
+        # Count acceptance BEFORE the request becomes visible to the shard, so
         # a fast completion can never be recorded ahead of it (in_flight
         # would transiently read -1 and drain() could return early).
         self.metrics_store.record_accepted()
@@ -374,30 +360,28 @@ ShardUnavailableError` subclass when every shard's restart budget is
         )
 
     def readiness(self) -> dict:
-        """The ``GET /readyz`` payload: per-shard state and degraded mode.
+        """The ``GET /readyz`` payload: the supervisor snapshot, degraded mode.
 
-        ``ready`` is true while at least one shard is healthy *or* the
-        degraded fallback can still answer requests on the server's own
-        session; external probes should route traffic away on 503.
+        ``ready`` is true while the shard is healthy *or* the degraded
+        fallback can still answer requests on the server's own session;
+        external probes should route traffic away on 503.
         """
         info = self.supervisor.info()
         degraded = info["circuit_open"] and self.config.degraded_fallback
         return {
+            **info,
             "ready": self.running and (info["ready"] or degraded),
             "running": self.running,
             "degraded": degraded,
-            "shards": info["shards"],
-            "restarts": info["restarts"],
-            "circuit_open": info["circuit_open"],
         }
 
     # ------------------------------------------------------------------
-    # The shards' work source
+    # The shard's work source
     # ------------------------------------------------------------------
     def _next_task(self, timeout: float) -> ShardTask | None:
         """One coalesced batch as a shard task (the supervisor's ``source``).
 
-        Called by whichever shard thread is idle, waiting up to ``timeout``
+        Called by the idle shard thread, waiting up to ``timeout``
         for a request.  Requests whose waiter already gave up (``cancel()``)
         or whose deadline passed in the queue are resolved here, not
         executed — no ghost work for absent clients.  The rest is identical
@@ -445,9 +429,9 @@ ShardUnavailableError` subclass when every shard's restart budget is
         Callers must treat the shared :class:`ExecutionResult` as read-only,
         which every shipped consumer (HTTP payload, verification, metrics)
         does.  A failure is delivered to each waiting client.  Graceful
-        degradation: when every shard is gone and ``degraded_fallback`` is
+        degradation: when the shard is gone and ``degraded_fallback`` is
         set, the batch is solved right here on the borrowed session —
-        deterministic, so bit-exact with what a shard would have produced.
+        deterministic, so bit-exact with what the shard would have produced.
         """
         head, result, error = batch[0], task.result, task.error
         if isinstance(error, ShardUnavailableError) and self.config.degraded_fallback:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.exceptions import ServerError, ShardUnavailableError
 from repro.facade.policy import ExecutionPolicy
-from repro.server import ReproServer, ServerConfig
+from repro.server import FaultPlan, ReproServer, ServerConfig
 from repro.session import Session
 
 #: Pin the serial backend: a manual plan needs no tuner.
@@ -69,6 +69,23 @@ class TestAnsweredAtAdmission:
             assert cached_session.stats["requests_served"] == served + 1
             expected = cached_session.solve("lcs", 24, policy=SERIAL)
             assert ticket.result(timeout=0) is expected
+        finally:
+            server.close()
+
+    def test_an_armed_fault_plan_queues_a_primed_hit(self, cached_session):
+        # A fault's ordinal counts requests reaching the shard: with a plan
+        # armed, a hit answered at admission would never advance it.
+        server = ReproServer(
+            cached_session,
+            ServerConfig(adaptive="off"),
+            fault_plan=FaultPlan.parse("kill@2"),
+        )
+        hits = cached_session.result_cache.memory_hits
+        try:
+            ticket = server.submit("lcs", 24, policy=SERIAL)
+            assert not ticket.done
+            assert server.metrics()["queue"]["depth"] == 1
+            assert cached_session.result_cache.memory_hits == hits
         finally:
             server.close()
 
@@ -134,8 +151,7 @@ class TestRefusalsComeFirst:
 
     def test_an_open_circuit_without_fallback_sheds_a_primed_hit(self, cached_session):
         server = unstarted(cached_session)
-        for shard in server.supervisor.shards:
-            shard.state = "dead"
+        server.supervisor.state = "dead"
         hits = cached_session.result_cache.memory_hits
         try:
             with pytest.raises(ShardUnavailableError):

@@ -253,7 +253,7 @@ class TestFaultTolerantRoutes:
         body = get_json(endpoint.url + "/readyz")
         assert body["ready"] is True and body["running"] is True
         assert body["degraded"] is False
-        assert body["shards"][0]["state"] == "healthy"
+        assert body["state"] == "healthy"
         assert "restarts" in body and "circuit_open" in body
 
     def test_expired_deadline_maps_to_504(self, endpoint):

@@ -261,6 +261,45 @@ class TestThreadAccounting:
         info = endpoint.info()
         assert info["connections"] == 200 and info["threads_spawned"] <= 2
 
+    def test_a_thread_is_parked_before_its_peer_sees_the_close(self, serve_session):
+        # A `Connection: close` client reconnects on end of stream; a thread
+        # not yet counted parked then makes the accept loop spawn another.
+        # Record the parked count at the instant the server closes each
+        # accepted socket.
+        idle_at_close = []
+        server = ReproServer(serve_session, ServerConfig(adaptive="off"))
+        ep = ServingEndpoint(server, port=0)
+        listener = ep._listener
+
+        class RecordingSocket(socket.socket):
+            def close(self):
+                idle_at_close.append(ep.info()["threads_idle"])
+                super().close()
+
+        class RecordingListener:
+            def accept(self):
+                conn, address = listener.accept()
+                return RecordingSocket(fileno=conn.detach()), address
+
+            def __getattr__(self, name):
+                return getattr(listener, name)
+
+        ep._listener = RecordingListener()
+        thread = threading.Thread(target=ep.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for _ in range(3):
+                with connect(ep) as sock:
+                    sock.sendall(request_bytes("GET", "/healthz", b"", headers=("Connection: close",)))
+                    assert read_all(sock)[0][0] == 200
+            info = ep.info()
+        finally:
+            ep.begin_shutdown()
+            thread.join(timeout=10)
+            server.close()
+        assert idle_at_close == [1, 1, 1]
+        assert info["threads_spawned"] == 1
+
     def test_eight_concurrent_keep_alive_clients_get_eight_threads(self, endpoint):
         socks = [connect(endpoint) for _ in range(8)]
         try:

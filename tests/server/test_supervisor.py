@@ -206,11 +206,9 @@ class TestSupervisorConfig:
         with pytest.raises(ServerError):
             SupervisorConfig(**kwargs)
 
-    def test_supervisor_needs_a_session_or_factory(self):
-        with pytest.raises(ServerError):
+    def test_supervisor_needs_a_session(self):
+        with pytest.raises(TypeError):
             ShardSupervisor(source=Feed())
-        with pytest.raises(ServerError):
-            ShardSupervisor(StubSession(), source=Feed(), shards=0)
 
 
 class TestSupervision:
@@ -246,7 +244,7 @@ class TestSupervision:
         with pytest.raises(DeadlineError, match="dropped"):
             supervisor.source.run(deadline_at=soon(0.3))
         assert stub.calls == 1  # the work happened, the response vanished
-        assert supervisor.info()["shards"][0]["dropped_responses"] == 1
+        assert supervisor.info()["dropped_responses"] == 1
 
     def test_chaos_hang_is_detected_and_the_shard_restarted(self, supervised):
         supervisor, stub = supervised(plan=FaultPlan.parse("hang@1:1.0"))
@@ -293,31 +291,11 @@ class TestSupervision:
 
     def test_missed_heartbeats_restart_an_idle_shard(self, supervised):
         supervisor, _ = supervised()
-        shard = supervisor.shards[0]
-        with shard._lock:
-            shard.epoch += 1  # silently retire the thread: beats stop
-        wait_until(lambda: shard.crashes >= 1)
+        with supervisor._lock:
+            supervisor.epoch += 1  # silently retire the thread: beats stop
+        wait_until(lambda: supervisor.crashes >= 1)
         wait_until(lambda: supervisor.ready)
         assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
-
-    def test_factory_shards_route_and_close_their_sessions(self):
-        sessions = {}
-
-        def factory(index):
-            sessions[index] = StubSession()
-            return sessions[index]
-
-        supervisor = ShardSupervisor(
-            shards=3, source=Feed(), session_factory=factory, config=FAST
-        )
-        supervisor.start()
-        try:
-            for _ in range(4):
-                assert supervisor.source.run(soon()) == "answer:lcs:8"
-            assert len(supervisor.info()["shards"]) == 3
-        finally:
-            supervisor.close()
-        assert all(stub.closed for stub in sessions.values())
 
     def test_borrowed_session_is_not_closed(self, supervised):
         supervisor, stub = supervised()
@@ -338,7 +316,7 @@ class TestSupervision:
 
         thread = threading.Thread(target=client)
         thread.start()
-        wait_until(lambda: supervisor.info()["shards"][0]["dropped_responses"] == 1)
+        wait_until(lambda: supervisor.info()["dropped_responses"] == 1)
         supervisor.close()
         thread.join(timeout=5)
         assert not thread.is_alive()
@@ -372,7 +350,7 @@ class TestServerIntegration:
         assert supervisor["redispatches"] == 1
         assert metrics["requests"]["completed"] == 1
         assert metrics["requests"]["deadline_expired"] == 0
-        for key in ("restarts", "crashes", "shards", "faults"):
+        for key in ("state", "restarts", "crashes", "faults"):
             assert key in supervisor
 
     def test_degraded_fallback_keeps_serving_past_the_breaker(
