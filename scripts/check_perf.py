@@ -13,8 +13,11 @@ to catch gross, order-of-magnitude regressions, not noise):
 Also fails when any fresh result did not match the serial reference:
 ``matches_serial`` is ``ExecutionResult.matches``, bit-identical grids and
 witnesses.  The benched apps cover both walks of the tiled engines with a
-witness each (``knapsack-ev`` by rows, ``stochastic-path`` by diagonals);
-pairs absent from the baseline are checked for correctness only.
+witness each (``knapsack-ev`` by rows, ``stochastic-path`` by diagonals),
+and ``nash-equilibrium``, whose fused evaluator makes the most ufunc calls
+per diagonal (6 per inner iteration), so a slower dispatch spelling shows
+there first; pairs absent from the baseline are checked for correctness
+only.
 
 With ``--plan`` (a ``repro run --plan-out`` file of the *default* plan) the
 gate also checks the tuner's engine decision against the same fresh JSON:
@@ -35,7 +38,8 @@ grid, whose sweep is short enough for it to show).
 
 Usage (CI):
 
-    python -m repro bench --dim 96 --apps synthetic,lcs,viterbi,knapsack-ev,stochastic-path \
+    python -m repro bench --dim 96 \
+        --apps synthetic,lcs,viterbi,knapsack-ev,stochastic-path,nash-equilibrium \
         --executors serial,vectorized,mp-parallel,pipelined \
         --repeats 3 --workers 2 --out /tmp/perf_smoke.json
     python -m repro run --app lcs --dim 96 --system local --plan-out /tmp/plan.json

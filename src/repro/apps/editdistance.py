@@ -155,11 +155,11 @@ class EditDistanceKernel(WavefrontKernel):
             if c0 == 0:  # virtual first column: W = (i + 1) * gap, NW = i * gap
                 west = (i + 1.0) * gap
                 out[0] = min(t[0], i * gap + sub[0])
-            out -= shift
+            np.subtract(out, shift, out=out)
             if west + gap < out[0]:
                 out[0] = west + gap
             np.minimum.accumulate(out, out=out)
-            out += shift
+            np.add(out, shift, out=out)
 
         return evaluate
 

@@ -82,24 +82,25 @@ class MatrixChainKernel(WavefrontKernel):
             return None
         n = self.n
         p_rev = self.dims[::-1].copy()  # p_rev[k] == p[n - k]
+        # p[s] * p[s+1] depends on the row alone: one product per row, the
+        # same two factors diagonal() multiplies.
+        p_ss1 = p_rev[1:] * p_rev[:-1]
         scratch = np.empty(dim)
 
         def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             if d <= n - 1:
-                out[:] = 0.0
+                out.fill(0.0)
                 return
             m = i_max - i_min + 1
             t = scratch[:m]
             p_s = p_rev[i_min + 1 : i_max + 2]  # p[n-1-i]
-            p_s1 = p_rev[i_min : i_max + 1]  # p[n-i]
             p_e = p_rev[n - d + i_min : n - d + i_min + m]  # p[d-i]
             p_e1 = p_rev[n - d + i_min - 1 : n - d + i_min - 1 + m]  # p[d-i+1]
-            np.multiply(p_s, p_e, out=out)
-            out *= p_e1
-            out += west
-            np.multiply(p_s, p_s1, out=t)
-            t *= p_e1
-            t += north
+            np.multiply(p_s, p_e, out)
+            np.multiply(out, p_e1, out)
+            np.add(out, west, out)
+            np.multiply(p_ss1[i_min : i_max + 1], p_e1, t)
+            np.add(t, north, t)
             np.minimum(out, t, out=out)
 
         return evaluate

@@ -76,9 +76,11 @@ class NashKernel(WavefrontKernel):
         # t0 == (i_min - d) mod 13 (same periodic-slice trick as synthetic).
         t = np.arange(dim + 13, dtype=np.int64)
         col_table = ((5.0 * ((-t) % 13) + 2.0) % 13.0) / 13.0
-        damping = self.damping
-        keep = 1.0 - damping
-        iters = self.inner_iterations
+        damping = np.array(self.damping)
+        keep = np.array(1.0 - self.damping)
+        half_c, quarter = np.array(0.5), np.array(0.25)
+        w_edge, w_nw = np.array(0.4), np.array(0.2)
+        iters = range(self.inner_iterations)
         half = np.empty(dim)
         scratch = np.empty(dim)
 
@@ -88,21 +90,21 @@ class NashKernel(WavefrontKernel):
             s = scratch[:m]
             t0 = (i_min - d) % 13
             # Static payoff half: 0.5 * (row_pref + col_pref).
-            np.add(row_pref[i_min : i_max + 1], col_table[t0 : t0 + m], out=p0)
-            p0 *= 0.5
+            np.add(row_pref[i_min : i_max + 1], col_table[t0 : t0 + m], p0)
+            np.multiply(p0, half_c, p0)
             # Seed: 0.4 * west + 0.4 * north + 0.2 * northwest.
-            np.multiply(west, 0.4, out=out)
-            np.multiply(north, 0.4, out=s)
-            out += s
-            np.multiply(northwest, 0.2, out=s)
-            out += s
-            for _ in range(iters):
-                np.tanh(out, out=s)
-                s *= 0.25
-                s += p0
-                out *= keep
-                s *= damping
-                out += s
+            np.multiply(west, w_edge, out)
+            np.multiply(north, w_edge, s)
+            np.add(out, s, out)
+            np.multiply(northwest, w_nw, s)
+            np.add(out, s, out)
+            for _ in iters:
+                np.tanh(out, s)
+                np.multiply(s, quarter, s)
+                np.add(s, p0, s)
+                np.multiply(out, keep, out)
+                np.multiply(s, damping, s)
+                np.add(out, s, out)
 
         return evaluate
 

@@ -174,11 +174,11 @@ class SmithWatermanKernel(WavefrontKernel):
             np.maximum(out, 0.0, out=out)
             np.subtract(north[1:], gap, out=t)
             np.maximum(out, t, out=out)
-            out += shift
+            np.add(out, shift, out=out)
             if west - gap > out[0]:
                 out[0] = west - gap
             np.maximum.accumulate(out, out=out)
-            out -= shift
+            np.subtract(out, shift, out=out)
 
         return evaluate
 

@@ -117,8 +117,8 @@ class StochasticPathKernel(WavefrontKernel):
         def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
             tmp = scratch[:m]
-            np.add(west, pw_flat[seg], out=out)
-            np.add(north, pn_flat[seg], out=tmp)
+            np.add(west, pw_flat[seg], out)
+            np.add(north, pn_flat[seg], tmp)
             logsumexp_pair(out, tmp, out=out)
             if i_min == 0:  # first element sits in row i == 0: west only
                 out[0] = west[0]
@@ -126,7 +126,7 @@ class StochasticPathKernel(WavefrontKernel):
                 out[m - 1] = north[m - 1]
             if d == 0:  # the origin has no predecessor at all
                 out[0] = 0.0
-            np.subtract(out, cost_flat[seg], out=out)
+            np.subtract(out, cost_flat[seg], out)
 
         return evaluate
 

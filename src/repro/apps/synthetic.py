@@ -75,14 +75,15 @@ class SyntheticKernel(WavefrontKernel):
         # t0 == (i_min - 2d) mod 7; bit-identical to the float arithmetic of
         # diagonal() because the operands are small exact integers.
         table = seed_term * (1.0 + (-t) % 7)
+        three = np.array(3.0)
 
         def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
-            np.add(west, north, out=out)
-            out += northwest
-            out /= 3.0
+            np.add(west, north, out)
+            np.add(out, northwest, out)
+            np.divide(out, three, out)
             t0 = (i_min - 2 * d) % 7
-            out += table[t0 : t0 + m]
+            np.add(out, table[t0 : t0 + m], out)
 
         return evaluate
 

@@ -42,34 +42,35 @@ def logsumexp_pair(a, b, out: np.ndarray | None = None) -> np.ndarray:
     * one operand ``-inf``   → the other operand unchanged;
     * ``+inf`` anywhere      → ``+inf``.
 
-    ``out`` (optional) receives the result in place — the fused diagonal
-    evaluators pass their contiguous output row directly.  Scalars in,
-    scalar-shaped 0-d array out; use ``float(...)`` when a Python float is
-    needed.
+    Invalid and divide cannot occur: ``big - small`` is only taken where
+    the two differ (``inf - inf`` is masked, not silenced), and ``exp`` of a
+    non-positive number is at most 1.  The gap itself overflows only past
+    the float range (opposite-sign operands beyond ``±8.9e307``), and the
+    result is then ``big`` exactly.  ``exp`` may underflow for large gaps,
+    which numpy's default error state ignores.
+
+    ``out`` (optional) receives the result in place and doubles as the gap
+    buffer, so the fused diagonal evaluators, which pass their output row
+    (``a`` itself), allocate only ``big`` and ``small``.  Scalars in, a
+    ``numpy.float64`` out.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     big = np.maximum(a, b)
     small = np.minimum(a, b)
-    # |a - b| via the ordered pair so inf - inf never happens for the
-    # both--inf / both-+inf columns (big == small there → diff forced to 0).
-    with np.errstate(invalid="ignore"):
-        diff = np.subtract(big, small)
-    same = big == small  # covers both -inf and both +inf (and exact ties)
-    diff = np.where(same, 0.0, diff)
-    # exp(-diff) underflows harmlessly to 0.0 for large gaps; suppress the
-    # underflow signal rather than let it leak as a RuntimeWarning.
-    with np.errstate(under="ignore"):
-        correction = np.log1p(np.exp(-diff))
-    # Where the dominant operand is infinite the correction must not drag a
-    # finite term in (e.g. -inf + log(2) is still -inf, but inf + c is nan
-    # only through inf - inf, which `same` already removed).
-    correction = np.where(np.isinf(big), 0.0, correction)
-    result = big + correction
-    if out is not None:
-        out[...] = result
-        return out
-    return result
+    # big and small are fresh, so the gap may overwrite an `out` aliasing a
+    # or b.  Where big == small (ties, both -inf, both +inf) it stays 0.
+    if out is None:
+        diff = np.zeros(np.shape(big))
+    else:
+        diff = out
+        diff.fill(0.0)
+    np.subtract(big, small, diff, where=np.not_equal(big, small))
+    np.negative(diff, diff)
+    np.exp(diff, diff)
+    # The correction lies in [0, ln 2], so an infinite big absorbs it.
+    np.log1p(diff, diff)
+    return np.add(big, diff, out)
 
 
 def max_product_pair(a, b, out: np.ndarray | None = None) -> np.ndarray:

@@ -9,13 +9,17 @@ vectorisation shortcuts with the kernels under test:
   so grid values AND the decoded witness path are compared **bit-exactly**
   (ties included; the reference scans predecessor states in ascending
   order and keeps the first maximum, which is the documented tie rule).
-* **stochastic-path** — log-space sums round, so values are ``allclose``
-  with ``rtol=atol=1e-10`` (both sides shift by the pairwise max before
-  exponentiating; at the battery's dims the error is a few ulps, the
-  tolerance leaves three orders of headroom).  The witness is compared
-  exactly whenever every decision along the engine's path has margin
-  ``> 1e-6`` (a rounding-tight tie may legitimately flip between the two
-  arithmetics); its structural invariants hold unconditionally.
+* **stochastic-path** — for ``dim <= 6`` every cell is compared with the
+  exact ``log E[exp(-C)]``: every monotone path enumerated in ``mpmath`` at
+  50 digits, its probability and cost multiplied out, in the manner of
+  "This Is the Moment for Probabilistic Loops" (exact moments, not
+  approximations); the grid must lie within :data:`EXACT_ULPS` of it.
+  Larger dims (7–10), which enumeration cannot reach cheaply, keep the
+  ``allclose`` comparison (``rtol=atol=1e-10``) against the pure-``math``
+  recurrence.  The witness is compared exactly whenever every decision
+  along the reference path has margin ``> 1e-6`` (a rounding-tight tie may
+  legitimately flip between two arithmetics); its structural invariants
+  hold unconditionally.
 * **knapsack-ev** — the first-moment DP and its decisions are bit-exact
   (identical IEEE adds and ``>=`` comparisons on both sides), hence the
   witness (the taken-item set) is compared exactly; the second-moment grid
@@ -29,6 +33,7 @@ decoded path must match the brute-force argmax path exactly.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +45,12 @@ from repro.runtime.compute import reference_grid
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 dims = st.integers(min_value=2, max_value=10)
+#: Largest stochastic-path grid whose paths are enumerated (252 to the corner).
+EXACT_DIM = 6
+#: Distance of every stochastic-path cell from the exact value, in ulps of
+#: the exact value.  Measured on the 2-vCPU build host: at most 3 ulps over
+#: 3000 seeds x dims 2-6 (about 270 000 cells); the bound leaves one ulp.
+EXACT_ULPS = 4
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +134,53 @@ def brute_stochastic_path(kernel, dim):
     return values, np.array(path[::-1], dtype=np.int64), margin
 
 
+def exact_stochastic_path(kernel, dim):
+    """``log E[exp(-C)]`` of every cell by enumerating every monotone path.
+
+    A walk extends each path prefix east and south; arriving at an interior
+    cell from the west has probability ``p_west``, from the north
+    ``1 - p_west``, at an edge cell 1.  Every path adds its probability times
+    ``exp(-cost)`` to the cell it reaches, in ``mpmath`` at 50 digits from
+    the exact float64 tables.  Returns the exact values and the MAP path
+    traced on them (ties prefer west) with its smallest decision margin.
+    """
+    with mpmath.workdps(50):
+        rows, cols = kernel.costs.shape
+        weight = [[mpmath.exp(-mpmath.mpf(float(kernel.costs[i % rows, j % cols]))) for j in range(dim)] for i in range(dim)]
+        p_west = [[mpmath.mpf(float(kernel.p_west[i % kernel.p_west.shape[0], j % kernel.p_west.shape[1]])) for j in range(dim)] for i in range(dim)]
+        total = [[mpmath.mpf(0)] * dim for _ in range(dim)]
+
+        def walk(i, j, mass):
+            total[i][j] += mass
+            if j + 1 < dim:
+                walk(i, j + 1, mass * (p_west[i][j + 1] if i else 1) * weight[i][j + 1])
+            if i + 1 < dim:
+                walk(i + 1, j, mass * ((1 - p_west[i + 1][j]) if j else 1) * weight[i + 1][j])
+
+        walk(0, 0, weight[0][0])
+        exact = [[mpmath.log(t) for t in row] for row in total]
+        path, margin = [], math.inf
+        i = j = dim - 1
+        while True:
+            path.append(i * dim + j)
+            if i == 0 and j == 0:
+                break
+            if i and j:
+                west = mpmath.log(p_west[i][j]) + exact[i][j - 1]
+                north = mpmath.log(1 - p_west[i][j]) + exact[i - 1][j]
+                margin = min(margin, float(abs(west - north)))
+                if west >= north:
+                    j -= 1
+                else:
+                    i -= 1
+            elif j:
+                j -= 1
+            else:
+                i -= 1
+        values = np.array([[float(x) for x in row] for row in exact])
+    return values, np.array(path[::-1], dtype=np.int64), margin
+
+
 def brute_expected_knapsack(kernel, dim):
     """Pure-Python moment DP: M1 policy (ties take), then M2 under it."""
     n = kernel.values.size
@@ -186,6 +244,36 @@ class TestViterbiDifferential:
         assert np.all((steps == 0) | (steps == 1)), "only stay/advance moves"
 
 
+class TestStochasticPathExactOracle:
+    #: Decisions closer than this may legitimately flip between exact and
+    #: float arithmetic; the exact-witness comparison is gated on it.
+    DECISION_MARGIN = 1e-6
+
+    @given(seed=seeds, dim=st.integers(min_value=2, max_value=EXACT_DIM))
+    @settings(max_examples=200, deadline=None)
+    def test_every_cell_within_ulps_of_the_exact_expectation(self, seed, dim):
+        problem = StochasticPathApp(dim=dim, seed=seed).problem(dim)
+        grid = reference_grid(problem).values
+        exact, exact_path, margin = exact_stochastic_path(problem.kernel, dim)
+        ulps = np.abs(grid - exact) / np.spacing(np.abs(exact))
+        assert ulps.max() <= EXACT_ULPS, (seed, dim, ulps.max())
+        witness = problem.kernel.reconstruct_witness(grid)
+        # Structural invariants hold for every instance.
+        assert witness.shape == (2 * dim - 1,)
+        assert witness[0] == 0 and witness[-1] == dim * dim - 1
+        steps = np.diff(witness)
+        assert np.all((steps == 1) | (steps == dim)), "only east/south moves"
+        if margin > self.DECISION_MARGIN:
+            assert np.array_equal(witness, exact_path)
+
+    def test_the_enumeration_is_the_recurrence(self):
+        """Two cells by hand: the origin and its east neighbour."""
+        kernel = StochasticPathApp(dim=3, seed=5).problem(3).kernel
+        exact, _, _ = exact_stochastic_path(kernel, 3)
+        assert exact[0, 0] == -kernel.costs[0, 0]
+        assert exact[0, 1] == -(kernel.costs[0, 0] + kernel.costs[0, 1])
+
+
 class TestStochasticPathDifferential:
     #: Documented value tolerance: both arithmetics shift by the pairwise
     #: max before exponentiating, leaving only a few ulps of divergence.
@@ -194,7 +282,7 @@ class TestStochasticPathDifferential:
     #: arithmetics; the exact-witness comparison is gated on it.
     DECISION_MARGIN = 1e-6
 
-    @given(seed=seeds, dim=dims)
+    @given(seed=seeds, dim=st.integers(min_value=EXACT_DIM + 1, max_value=10))
     @settings(max_examples=200, deadline=None)
     def test_grid_allclose_and_witness_vs_brute_force(self, seed, dim):
         problem = StochasticPathApp(dim=dim, seed=seed).problem(dim)

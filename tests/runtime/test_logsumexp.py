@@ -7,13 +7,20 @@ columns are empty probability sums), agreement with extended-precision
 oracles (``np.longdouble`` always; ``mpmath`` when the host has it), and
 **no RuntimeWarning leaks** from any edge case: every test in this module
 runs under warnings-as-errors.
+
+``TestBitIdenticalToTheOracle`` pins the floating-point contract itself:
+``logsumexp_pair`` returns the same bits as the spelling kept in
+``tests/runtime/lse_oracle.py`` on every input, and no edge case raises a
+floating-point error other than underflow.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lse_oracle import logsumexp_pair as oracle_logsumexp_pair
 from repro.runtime.compute import logsumexp, logsumexp_pair, max_product_pair
 
 
@@ -162,3 +169,122 @@ class TestSemiringAlgebra:
         assert np.array_equal(max_product_pair(a, b), np.maximum(a, b))
         out = np.empty(3)
         assert max_product_pair(a, b, out=out) is out
+
+
+# ----------------------------------------------------------------------
+# Bit identity with the oracle spelling, and the floating-point contract
+# ----------------------------------------------------------------------
+def same_bits(x, y) -> bool:
+    """Equal shapes and bit patterns, except that any NaN equals any NaN."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        return False
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
+        x[~nan].view(np.uint64), y[~nan].view(np.uint64)
+    )
+
+
+TINY = 5e-324  # the smallest subnormal
+#: Every special class of operand pair: both / one infinite, NaN, ties,
+#: signed zeros, logits near the ends of exp's range, subnormals.
+EDGE_TABLE = [
+    (-np.inf, -np.inf),
+    (np.inf, np.inf),
+    (np.inf, -np.inf),
+    (-np.inf, np.inf),
+    (-np.inf, 3.25),
+    (3.25, -np.inf),
+    (np.inf, 0.0),
+    (-1e308, np.inf),
+    (np.nan, 1.0),
+    (1.0, np.nan),
+    (np.nan, np.nan),
+    (np.nan, -np.inf),
+    (np.inf, np.nan),
+    (2.5, 2.5),
+    (0.0, -0.0),
+    (-0.0, 0.0),
+    (-0.0, -np.inf),
+    (-700.0, -700.0),
+    (-745.0, -745.0),
+    (-745.0, -740.0),
+    (0.0, -745.0),
+    (745.0, 0.0),
+    (-744.5, 0.0),
+    (709.7, 709.7),
+    (1e308, 1e308),
+    (TINY, 0.0),
+    (TINY, -TINY),
+    (-TINY, -np.inf),
+    (2.2250738585072014e-308 / 2, 2.2250738585072014e-308),
+]
+EDGE_IDS = [f"{a!r},{b!r}" for a, b in EDGE_TABLE]
+
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+logits = st.floats(min_value=-800.0, max_value=800.0)
+
+
+class TestBitIdenticalToTheOracle:
+    @given(st.lists(st.tuples(any_float, any_float), max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_arrays_of_any_floats(self, pairs):
+        a = np.array([p[0] for p in pairs], dtype=float)
+        b = np.array([p[1] for p in pairs], dtype=float)
+        # Opposite-sign operands beyond ±8.9e307 overflow in the gap on both
+        # sides; the bits are what is compared here, not the warnings.
+        with np.errstate(all="ignore"):
+            assert same_bits(logsumexp_pair(a, b), oracle_logsumexp_pair(a, b))
+
+    @given(logits, st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_near_ties(self, a, ulps):
+        b = a + ulps * float(np.spacing(a))
+        got = logsumexp_pair(a, b)
+        assert type(got) is np.float64
+        assert same_bits(got, oracle_logsumexp_pair(a, b))
+
+    @given(st.lists(logits, min_size=1, max_size=32), logits)
+    @settings(max_examples=200, deadline=None)
+    def test_broadcast_and_out(self, row, scalar):
+        a = np.array(row)
+        out = np.empty_like(a)
+        assert logsumexp_pair(a, scalar, out=out) is out
+        assert same_bits(out, oracle_logsumexp_pair(a, scalar))
+
+    @given(st.lists(st.tuples(logits, logits, st.booleans()), min_size=1, max_size=32))
+    @settings(max_examples=200, deadline=None)
+    def test_out_aliasing_an_operand(self, rows):
+        """The fused evaluator's call, ``f(out, b, out=out)``; ties included."""
+        a = np.array([x for x, _, _ in rows])
+        b = np.array([x if tie else y for x, y, tie in rows])
+        expected = oracle_logsumexp_pair(a, b)
+        for alias in ("a", "b"):
+            x, y = a.copy(), b.copy()
+            out = x if alias == "a" else y
+            assert logsumexp_pair(x, y, out=out) is out
+            assert same_bits(out, expected), alias
+
+    @pytest.mark.parametrize("a,b", EDGE_TABLE, ids=EDGE_IDS)
+    def test_edge_row_matches_the_oracle(self, a, b):
+        assert same_bits(logsumexp_pair(a, b), oracle_logsumexp_pair(a, b))
+        pair = np.array([a, b])
+        assert same_bits(
+            logsumexp_pair(pair, pair[::-1]), oracle_logsumexp_pair(pair, pair[::-1])
+        )
+
+    @pytest.mark.parametrize("a,b", EDGE_TABLE, ids=EDGE_IDS)
+    def test_edge_row_raises_no_floating_point_error(self, a, b):
+        """inf - inf is masked, not silenced: nothing but underflow can fire."""
+        with np.errstate(all="raise", under="ignore"):
+            logsumexp_pair(a, b)
+            logsumexp_pair(np.array([a, b]), np.array([b, a]))
+
+    def test_opposite_huge_operands_overflow_only_in_the_gap(self):
+        # |a - b| beyond the float range is the one overflow: the gap is inf,
+        # its correction 0, and the result the larger operand exactly.
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            logsumexp_pair(1e308, -1e308)
+        with np.errstate(over="ignore"):
+            assert logsumexp_pair(1e308, -1e308) == 1e308
