@@ -33,10 +33,10 @@ Two serving verbs build on the ``repro.server`` subsystem:
   ``GET /metrics`` page; shuts down gracefully on SIGINT/SIGTERM or
   ``POST /shutdown``, draining the queue and releasing worker pools;
 * ``repro-tune loadgen --url http://127.0.0.1:8077`` — drive a serving
-  endpoint (or an in-process server) with a deterministic mixed workload,
-  verify every answer bit-exactly against in-process solving, and write a
-  throughput/latency JSON artifact under ``benchmarks/results/`` that
-  ``scripts/check_serve.py`` gates in CI.
+  endpoint with a deterministic mixed workload, verify every answer
+  bit-exactly against in-process solving, and write a throughput/latency
+  JSON artifact under ``benchmarks/results/`` that ``scripts/gates.py``
+  gates in CI.
 
 One auxiliary verb: ``systems`` lists the Table 4 platforms plus the
 introspected local host.
@@ -424,32 +424,25 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = sub.add_parser(
         "loadgen",
         help="drive a serving endpoint with a mixed workload; write the artifact",
-        description="Generate closed-loop (default) or open-loop (--rate) "
-        "load against a 'repro serve' endpoint (--url) or an in-process "
-        "server (no --url), verify every answer bit-exactly against "
-        "in-process Session.solve, and write a throughput/latency JSON "
-        "artifact.  The --system/--tuner/--space flags describe the serving "
-        "session so the verification reference resolves identical plans; "
-        "they must match the target server's configuration.",
+        description="Generate closed-loop load against a 'repro serve' "
+        "endpoint, verify every answer bit-exactly against in-process "
+        "Session.solve, and write a throughput/latency JSON artifact.  The "
+        "--system/--tuner/--space flags describe the serving session the "
+        "verification reference is built with.",
         epilog="examples:\n"
         "  repro-tune loadgen --url http://127.0.0.1:8077 --system i3-540 --space tiny\n"
-        "  repro-tune loadgen --requests 60 --clients 4   # in-process server\n"
-        "  repro-tune loadgen --rate 50 --requests 200    # open loop, 50 req/s\n"
-        "  repro-tune loadgen --mix lcs:128,knapsack:96 --out /tmp/load.json",
+        "  repro-tune loadgen --url http://127.0.0.1:8077 --seed 42 --trace-out trace.json\n"
+        "  repro-tune loadgen --url http://127.0.0.1:8077 --mix lcs:128,knapsack:96 "
+        "--out /tmp/load.json",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     _add_system_arg(loadgen, "local", local=True)
-    loadgen.add_argument(
-        "--url",
-        default=None,
-        help="target endpoint base URL; omitted = drive an in-process server",
-    )
+    loadgen.add_argument("--url", required=True, help="target endpoint base URL")
     loadgen.add_argument(
         "--tuner", default="learned", choices=TUNER_KINDS,
-        help="tuner of the reference (and in-process) session",
+        help="tuner of the reference session",
     )
     loadgen.add_argument("--space", default="tiny", choices=("paper", "reduced", "tiny"))
-    loadgen.add_argument("--mode", default="functional", choices=("functional", "simulate"))
     loadgen.add_argument(
         "--mix",
         default=DEFAULT_MIX,
@@ -458,15 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--requests", type=int, default=60, help="total requests to issue")
     loadgen.add_argument("--clients", type=int, default=4, help="concurrent client threads")
     loadgen.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="open-loop aggregate arrival rate in req/s (default: closed loop)",
-    )
-    loadgen.add_argument(
-        "--timeout", type=float, default=120.0, help="per-request timeout in seconds"
-    )
-    loadgen.add_argument(
         "--retries",
         type=int,
         default=3,
@@ -474,43 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
         "request before recording it rejected (default: 3)",
     )
     loadgen.add_argument(
-        "--retry-base",
-        type=float,
-        default=0.05,
-        help="base of the exponential retry backoff in seconds (default: 0.05)",
-    )
-    loadgen.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="per-request deadline in seconds sent with every request; "
-        "504 answers are counted as deadline_expired (default: none)",
-    )
-    loadgen.add_argument(
-        "--queue-size", type=int, default=64, help="in-process server queue bound"
-    )
-    loadgen.add_argument(
-        "--max-batch", type=int, default=8, help="in-process server batch bound"
-    )
-    loadgen.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the bit-exact verification against in-process solving "
-        "(completed requests are then counted as skipped_verification)",
-    )
-    loadgen.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persistent result cache directory of the in-process server "
-        "(the verification reference always solves uncached)",
-    )
-    loadgen.add_argument(
         "--trace",
         type=Path,
         default=None,
         help="replay a recorded request trace bit-exactly (overrides "
-        "--mix/--requests/--rate ordering)",
+        "--mix/--requests)",
     )
     loadgen.add_argument(
         "--trace-out",
@@ -532,13 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.1,
         help="Zipf skew exponent of the generated trace's popularity "
         "distribution; 0 = uniform (default: 1.1)",
-    )
-    loadgen.add_argument(
-        "--burst",
-        type=float,
-        default=1.0,
-        help="burstiness of generated open-loop arrivals: 1 = Poisson, "
-        "larger = clumpier at the same mean --rate (default: 1)",
     )
     loadgen.add_argument(
         "--out",
@@ -1110,13 +1055,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    """The ``loadgen`` verb: drive a serving target, verify, write artifact."""
+    """The ``loadgen`` verb: drive a serving endpoint, verify, write artifact."""
     from repro.server import (
         HTTPTarget,
-        InProcessTarget,
         LoadgenConfig,
-        ReproServer,
-        ServerConfig,
         build_reference,
         generate_trace,
         load_trace,
@@ -1125,11 +1067,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         save_trace,
     )
 
-    if args.mode != "functional" and not args.no_verify:
-        raise UsageError(
-            "--mode simulate produces no grids to verify; pass --no-verify "
-            "to load-generate without the bit-exact check"
-        )
     if args.trace is not None and args.trace_out is not None:
         raise UsageError("--trace (replay) and --trace-out (record) are exclusive")
     mix = parse_mix(args.mix)
@@ -1140,14 +1077,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         mix = trace.distinct_mix()
     elif args.trace_out is not None or args.seed is not None:
         seed = args.seed if args.seed is not None else 0
-        trace = generate_trace(
-            mix,
-            args.requests,
-            seed,
-            zipf_s=args.zipf,
-            rate_rps=args.rate,
-            burst=args.burst,
-        )
+        trace = generate_trace(mix, args.requests, seed, zipf_s=args.zipf)
         print(f"generated {trace.describe()}")
         if args.trace_out is not None:
             save_trace(trace, args.trace_out)
@@ -1156,55 +1086,21 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         mix=mix,
         requests=len(trace) if trace is not None else args.requests,
         clients=args.clients,
-        rate_rps=args.rate,
-        mode=args.mode,
-        timeout_s=args.timeout,
         retries=args.retries,
-        retry_base_s=args.retry_base,
-        deadline_s=args.deadline,
     )
-
-    def make_session(cache_dir=None) -> Session:
-        """One session with the serving configuration of this invocation.
-
-        ``cache_dir`` is only ever passed for the in-process *server*
-        session — the verification reference must solve uncached, so a
-        cache bug can never vouch for itself.
-        """
-        return Session(
-            system=args.system, tuner=args.tuner, space=_space(args.space),
-            mode=args.mode, cache_dir=cache_dir,
-        )
-
-    own_server: ReproServer | None = None
-    if args.url is not None:
-        target: HTTPTarget | InProcessTarget = HTTPTarget(args.url)
-    else:
-        own_server = ReproServer(
-            make_session(cache_dir=args.cache_dir),
-            ServerConfig(queue_capacity=args.queue_size, max_batch=args.max_batch),
-            own_session=True,
-        ).start()
-        target = InProcessTarget(own_server)
+    target = HTTPTarget(args.url)
     print(
-        f"loadgen -> {target.describe()}  "
-        f"({'open loop @ %g req/s' % args.rate if args.rate else 'closed loop'}, "
-        f"{config.requests} requests, {args.clients} clients, "
+        f"loadgen -> {target.url}  ({config.requests} requests, "
+        f"{args.clients} clients, "
         f"{'trace' if trace is not None else 'mix ' + args.mix})"
     )
-    try:
-        reference = None
-        if not args.no_verify:
-            with make_session() as reference_session:
-                reference = build_reference(reference_session, mix, args.mode)
-            print(
-                f"reference: {len(reference.expected)} distinct instances, "
-                f"mean direct solve {reference.mean_solve_ms:.2f} ms"
-            )
-        payload = run_loadgen(target, config, reference, progress=print, trace=trace)
-    finally:
-        if own_server is not None:
-            own_server.close()
+    # The reference solves uncached, so a cache bug can never vouch for itself.
+    with Session(
+        system=args.system, tuner=args.tuner, space=_space(args.space)
+    ) as reference_session:
+        reference = build_reference(reference_session, mix)
+    print(f"reference: {len(reference)} distinct instances")
+    payload = run_loadgen(target, config, reference, progress=print, trace=trace)
 
     out = args.out
     if out is None:

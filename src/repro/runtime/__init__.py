@@ -37,7 +37,6 @@ the analytic cost model is evaluated, used by the large parameter sweeps).
 """
 
 from repro.runtime.result import ExecutionResult
-from repro.runtime.timeline import Timeline
 from repro.runtime.executor_base import ExecutionMode, Executor
 from repro.runtime.serial import SerialExecutor
 from repro.runtime.vectorized import VectorizedSerialExecutor
@@ -65,7 +64,6 @@ from repro.runtime.registry import (
 
 __all__ = [
     "ExecutionResult",
-    "Timeline",
     "ExecutionMode",
     "Executor",
     "SerialExecutor",

@@ -20,7 +20,7 @@ Layering, bottom up:
 * :mod:`repro.server.faults` — :class:`FaultPlan` / :class:`FaultSpec` /
   :class:`FaultInjector`, the deterministic chaos-injection layer behind
   ``repro serve --chaos`` and the chaos-smoke gate
-  (``scripts/check_chaos.py``);
+  (``scripts/gates.py chaos``);
 * :mod:`repro.server.supervisor` — :class:`ShardSupervisor`,
   :class:`SupervisorConfig` and :class:`ShardTask`: one supervised lane on
   the server's session that takes its work from the queue itself, with
@@ -33,13 +33,14 @@ Layering, bottom up:
   endpoint: accept loop, reused connection threads, bounded hand-parsed
   HTTP/1.1 (``POST /solve``, ``GET /metrics``, ``GET /healthz``,
   ``GET /readyz``, ``POST /shutdown``);
-* :mod:`repro.server.loadgen` — :class:`LoadgenConfig`, targets and
-  :func:`run_loadgen`, writing the artifact ``scripts/check_serve.py``
-  gates;
-* :mod:`repro.server.trace` — :class:`RequestTrace` and the seeded
-  Zipf/bursty workload generator behind ``loadgen --trace/--trace-out``,
-  the record/replay substrate of the cache-efficacy gate
-  (``scripts/check_cache.py``).
+* :mod:`repro.server.loadgen` — :class:`LoadgenConfig`,
+  :class:`HTTPTarget` and :func:`run_loadgen`: the closed-loop HTTP client
+  that verifies every answer and writes the artifact the four
+  ``scripts/gates.py`` gates (``serve``, ``cache``, ``chaos``,
+  ``adaptive``) read;
+* :mod:`repro.server.trace` — :class:`RequestTrace` and the seeded Zipf
+  workload generator behind ``loadgen --trace/--trace-out``, the
+  record/replay substrate of the cache, chaos and adaptive gates.
 
 Typical embedding::
 
@@ -57,9 +58,7 @@ reference.
 from repro.server.loadgen import (
     DEFAULT_MIX,
     HTTPTarget,
-    InProcessTarget,
     LoadgenConfig,
-    ReferenceAnswers,
     build_reference,
     build_schedule,
     parse_mix,
@@ -100,8 +99,6 @@ __all__ = [
     "FaultInjector",
     "LoadgenConfig",
     "HTTPTarget",
-    "InProcessTarget",
-    "ReferenceAnswers",
     "DEFAULT_MIX",
     "build_reference",
     "build_schedule",

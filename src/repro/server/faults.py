@@ -5,7 +5,7 @@ explored *deterministically*, not discovered in production.  A
 :class:`FaultPlan` is a committed, replayable schedule of faults keyed by
 the global request ordinal — replaying the same trace through the same plan
 reproduces the same fault points, which is what lets the chaos-smoke CI
-gate (``scripts/check_chaos.py``) assert exact survival properties.
+gate (``scripts/gates.py chaos``) assert exact survival properties.
 
 Spec grammar (one comma-separated string)::
 

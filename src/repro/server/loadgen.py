@@ -1,27 +1,19 @@
-"""Closed/open-loop load generator for the serving layer (``repro loadgen``).
+"""Closed-loop HTTP load generator for the serving layer (``repro loadgen``).
 
-Drives a target — an HTTP endpoint started by ``repro serve`` or an
-in-process :class:`repro.server.ReproServer` — with a deterministic mixed
-workload, verifies every answer bit-exactly against an in-process reference
-:class:`repro.session.Session`, and writes a throughput/latency JSON
-artifact (by default under ``benchmarks/results/``) that
-``scripts/check_serve.py`` gates in CI.
+Drives a ``repro serve`` endpoint with a deterministic mixed workload —
+``clients`` threads issuing requests back to back, so offered load adapts
+to service rate and the run measures capacity — verifies every answer
+against an in-process reference :class:`repro.session.Session`, and writes
+a throughput/latency JSON artifact (by default under
+``benchmarks/results/``) that ``scripts/gates.py`` gates in CI.
 
-* **closed loop** (default): ``clients`` threads issue requests
-  back-to-back; offered load adapts to service rate, so this measures
-  capacity.
-* **open loop** (``rate_rps``): requests fire on a fixed arrival schedule
-  regardless of completions, so queueing delay (and eventually
-  backpressure) becomes visible.
-
-Verification keys off the *(grid, witness)* fingerprint pair: the reference
+Verification keys off the *(grid, witness)* fingerprint: the reference
 session solves each distinct ``(app, dim)`` of the mix once, and every
-served answer must match its SHA-256 grid digest (HTTP) or its full grid
-bit-for-bit (in-process) — *and*, for witness-bearing apps, the witness
-digest / array exactly — the "grids identical to in-process solving"
-acceptance criterion, enforced on every request.  Digesting the witness
-separately means a traceback bug cannot pass verification on a perfect
-value grid.
+served answer must carry its grid SHA-256, its checksum and — for
+witness-bearing apps — its witness SHA-256, the "grids identical to
+in-process solving" acceptance criterion, enforced on every request.
+Digesting the witness separately means a traceback bug cannot pass
+verification on a perfect value grid.
 """
 
 from __future__ import annotations
@@ -33,20 +25,12 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.exceptions import (
-    BackpressureError,
-    DeadlineError,
-    ServerError,
-    UsageError,
-)
+from repro.core.exceptions import ServerError, UsageError
 from repro.server.http import grid_digest, witness_digest
-from repro.server.service import ReproServer
-from repro.session import Session
 from repro.server.metrics import summarise_latencies
+from repro.session import Session
 
 #: Schema marker of the loadgen artifact (bumped on layout changes).
 #: v2: ``results.skipped_verification`` (completed-but-unverified requests
@@ -61,9 +45,15 @@ from repro.server.metrics import summarise_latencies
 #: v5: an ``adaptive`` section (per-run delta of the server's adaptive-tuning
 #: counters — observations, drift events, shadow evaluations, swaps),
 #: mirroring the ``cache`` section's cold/warm accounting.
-LOADGEN_FORMAT_VERSION = 5
+#: v6: every answer is verified, so ``results.skipped_verification`` is
+#: gone, and so are the ``reference`` timing section and the open-loop /
+#: mode fields of ``meta``.
+LOADGEN_FORMAT_VERSION = 6
 
-#: Cap of the jittered exponential retry backoff (seconds).
+#: Seconds one request attempt may take before it counts as failed.
+REQUEST_TIMEOUT_S = 120.0
+#: Base and cap of the jittered exponential retry backoff (seconds).
+RETRY_BASE_S = 0.05
 RETRY_CAP_S = 1.0
 
 #: Default request mix: three small DP apps, distinct signatures.
@@ -102,30 +92,19 @@ class LoadgenConfig:
 
     ``mix`` is the request cycle (request *i* targets ``mix[i % len]``,
     making the workload deterministic); ``requests`` is the total issued;
-    ``clients`` the number of concurrent issuing threads; ``rate_rps``
-    switches to open-loop arrivals at that aggregate rate; ``mode`` is the
-    execution mode forwarded with every request; ``timeout_s`` bounds each
-    individual request attempt.
-
-    ``retries`` bounds how many times a backpressured (429) request is
-    retried — with jittered exponential backoff from ``retry_base_s``,
-    capped at :data:`RETRY_CAP_S` — before it is recorded as rejected;
-    every retried attempt is counted in the artifact's ``retries`` field.
-    ``deadline_s`` is an optional per-request deadline sent with every
-    request; a 504 (:class:`~repro.core.exceptions.DeadlineError`) is
-    recorded as the distinct ``deadline_expired`` outcome, never retried
+    ``clients`` the number of concurrent issuing threads.  ``retries``
+    bounds how many times a backpressured (429) request is retried — with
+    jittered exponential backoff from :data:`RETRY_BASE_S`, capped at
+    :data:`RETRY_CAP_S` — before it is recorded as rejected; every retried
+    attempt is counted in the artifact's ``retries`` field.  A 504 (deadline)
+    is recorded as the distinct ``deadline_expired`` outcome, never retried
     (the deadline already passed — more attempts cannot help).
     """
 
     mix: tuple[tuple[str, int], ...]
     requests: int = 60
     clients: int = 4
-    rate_rps: float | None = None
-    mode: str = "functional"
-    timeout_s: float = 120.0
     retries: int = 3
-    retry_base_s: float = 0.05
-    deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         """Validate the workload shape once."""
@@ -133,229 +112,67 @@ class LoadgenConfig:
             raise UsageError(f"requests must be >= 1, got {self.requests}")
         if self.clients < 1:
             raise UsageError(f"clients must be >= 1, got {self.clients}")
-        if self.rate_rps is not None and self.rate_rps <= 0:
-            raise UsageError(f"rate must be > 0, got {self.rate_rps}")
         if self.retries < 0:
             raise UsageError(f"retries must be >= 0, got {self.retries}")
-        if self.retry_base_s <= 0:
-            raise UsageError(
-                f"retry_base_s must be > 0, got {self.retry_base_s}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise UsageError(f"deadline must be > 0, got {self.deadline_s}")
 
 
-# ----------------------------------------------------------------------
-# Targets
-# ----------------------------------------------------------------------
 class HTTPTarget:
-    """A remote ``repro serve`` endpoint driven over HTTP/JSON."""
-
-    kind = "http"
+    """A ``repro serve`` endpoint driven over HTTP/JSON."""
 
     def __init__(self, url: str) -> None:
         self.url = url.rstrip("/")
 
-    def describe(self) -> str:
-        """The target identifier recorded in the artifact."""
-        return self.url
-
-    def solve(
-        self,
-        app: str,
-        dim: int,
-        mode: str,
-        timeout_s: float,
-        deadline_s: float | None = None,
-    ) -> dict:
-        """POST one solve; return the response payload.
+    def solve(self, app: str, dim: int) -> dict:
+        """POST one functional solve; return the response payload.
 
         Raises :class:`~repro.core.exceptions.ServerError` carrying the
         endpoint's HTTP status on the error's ``status`` attribute for
         non-200 answers, so callers can branch on 429 (backpressure) and
         504 (deadline) without string matching.
         """
-        request_body: dict = {"app": app, "dim": dim, "mode": mode}
-        if deadline_s is not None:
-            request_body["deadline_s"] = deadline_s
-        body = json.dumps(request_body).encode("utf-8")
+        body = json.dumps({"app": app, "dim": dim, "mode": "functional"})
         request = urllib.request.Request(
             f"{self.url}/solve",
-            data=body,
+            data=body.encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
         )
         try:
-            with urllib.request.urlopen(request, timeout=timeout_s) as response:
+            with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as response:
                 return json.loads(response.read())
         except urllib.error.HTTPError as http_error:
-            payload = _safe_json(http_error)
-            error = ServerError(
-                f"{app}[dim={dim}] -> HTTP {http_error.code}: "
-                f"{payload.get('error', {}).get('message', http_error.reason)}"
-            )
+            try:
+                message = json.loads(http_error.read())["error"]["message"]
+            except (OSError, ValueError, KeyError, TypeError):
+                message = http_error.reason  # an unreadable body has no message
+            error = ServerError(f"{app}[dim={dim}] -> HTTP {http_error.code}: {message}")
             error.status = http_error.code  # type: ignore[attr-defined]
             raise error from None
 
-    def metrics(self, timeout_s: float = 10.0) -> dict:
+    def metrics(self) -> dict:
         """Fetch the endpoint's ``GET /metrics`` snapshot."""
-        with urllib.request.urlopen(
-            f"{self.url}/metrics", timeout=timeout_s
-        ) as response:
+        with urllib.request.urlopen(f"{self.url}/metrics", timeout=10.0) as response:
             return json.loads(response.read())
-
-    def shutdown(self, timeout_s: float = 10.0) -> None:
-        """Request a graceful remote shutdown (``POST /shutdown``)."""
-        request = urllib.request.Request(f"{self.url}/shutdown", method="POST")
-        with urllib.request.urlopen(request, timeout=timeout_s):
-            pass
-
-
-class InProcessTarget:
-    """An in-process :class:`ReproServer` driven directly (no sockets).
-
-    The test-friendly mode: same queue, scheduler and metrics as the HTTP
-    path, but answers carry the full grid so verification can compare
-    bit-for-bit instead of by digest.
-    """
-
-    kind = "in-process"
-
-    def __init__(self, server: ReproServer) -> None:
-        self.server = server
-
-    def describe(self) -> str:
-        """The target identifier recorded in the artifact."""
-        return f"in-process:{self.server.session.system.name}"
-
-    def solve(
-        self,
-        app: str,
-        dim: int,
-        mode: str,
-        timeout_s: float,
-        deadline_s: float | None = None,
-    ) -> dict:
-        """Submit through the server's queue; normalise to the HTTP payload."""
-        result = self.server.solve(
-            app,
-            dim,
-            mode=mode,
-            timeout=None if deadline_s is not None else timeout_s,
-            deadline_s=deadline_s,
-        )
-        return {"app": app, "dim": dim, **_answer_payload(result)}
-
-    def metrics(self, timeout_s: float = 10.0) -> dict:
-        """The server's metrics snapshot."""
-        return self.server.metrics()
-
-
-def _safe_json(http_error: urllib.error.HTTPError) -> dict:
-    """Best-effort decode of an error response body."""
-    try:
-        return json.loads(http_error.read())
-    except Exception:  # noqa: BLE001 - any undecodable body is just empty
-        return {}
-
-
-def _answer_payload(result) -> dict:
-    """The verification fields of one execution result.
-
-    The single source of the fields :func:`_verify` compares — both the
-    in-process target's answers and the reference's expectations build on
-    it, so they can never drift apart field-by-field.
-    """
-    return {
-        "value": result.value if result.grid is not None else None,
-        "checksum": result.checksum if result.grid is not None else None,
-        "grid_sha256": grid_digest(result),
-        "witness_sha256": witness_digest(result),
-        "_grid": result.grid,
-        "_witness": result.witness,
-    }
-
-
-# ----------------------------------------------------------------------
-# Reference answers
-# ----------------------------------------------------------------------
-@dataclass
-class ReferenceAnswers:
-    """Per-(app, dim) expected results from one in-process reference session.
-
-    ``solve_ms`` records the best direct in-process solve wall-clock per mix
-    entry — the machine-neutral denominator ``scripts/check_serve.py`` uses
-    to turn absolute serving latency into an overhead ratio.
-    """
-
-    expected: dict[tuple[str, int], dict] = field(default_factory=dict)
-    solve_ms: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def mean_solve_ms(self) -> float:
-        """Mean direct-solve time over the mix entries."""
-        if not self.solve_ms:
-            return 0.0
-        return sum(self.solve_ms.values()) / len(self.solve_ms)
 
 
 def build_reference(
-    session: Session,
-    mix: tuple[tuple[str, int], ...],
-    mode: str,
-    repeats: int = 3,
-) -> ReferenceAnswers:
-    """Solve each distinct mix entry in-process; record answers and timings.
+    session: Session, mix: tuple[tuple[str, int], ...]
+) -> dict[tuple[str, int], dict]:
+    """Solve each distinct mix entry in-process; return its expected digests.
 
-    The first (warming) solve resolves the plan and is discarded from the
-    timing; the best of ``repeats`` warm solves is kept, matching the bench
-    verb's best-of-N convention.
+    Each ``(app, dim)`` maps to the answer fields :func:`run_loadgen`
+    compares: ``grid_sha256``, ``checksum`` and ``witness_sha256`` (``None``
+    for witness-free apps, whose HTTP answers carry no such key).
     """
-    reference = ReferenceAnswers()
+    reference = {}
     for app, dim in dict.fromkeys(mix):
-        result = session.solve(app, dim, mode=mode)
-        walls = []
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            result = session.solve(app, dim, mode=mode)
-            walls.append(time.perf_counter() - t0)
-        reference.expected[(app, dim)] = _answer_payload(result)
-        reference.solve_ms[f"{app}:{dim}"] = min(walls) * 1e3
+        result = session.solve(app, dim)
+        reference[(app, dim)] = {
+            "grid_sha256": grid_digest(result),
+            "checksum": result.checksum,
+            "witness_sha256": witness_digest(result),
+        }
     return reference
-
-
-def _verify(answer: dict, expected: dict) -> bool | None:
-    """Tri-state verdict of one served answer against the reference.
-
-    ``True``/``False`` — the *(grid, witness)* pair (or its digests) was
-    compared and matched / did not match.  ``None`` — *nothing was
-    comparable*: both sides are grid-less (simulate mode), so the request
-    completed without any verification.  Callers must count ``None`` as
-    ``skipped_verification``, never fold it into either pass or mismatch —
-    an answer missing a grid the reference *does* have stays a mismatch,
-    and so does a missing (or extra, or different) witness.
-    """
-    if answer.get("_grid") is not None and expected.get("_grid") is not None:
-        if not np.array_equal(answer["_grid"].values, expected["_grid"].values):
-            return False
-        answer_witness = answer.get("_witness")
-        expected_witness = expected.get("_witness")
-        if answer_witness is None or expected_witness is None:
-            return answer_witness is None and expected_witness is None
-        return bool(np.array_equal(answer_witness, expected_witness))
-    answer_digest = answer.get("grid_sha256")
-    expected_digest = expected.get("grid_sha256")
-    if answer_digest is None and expected_digest is None:
-        return None
-    if answer_digest is None or expected_digest is None:
-        return False
-    if answer_digest != expected_digest or answer.get("checksum") != expected.get(
-        "checksum"
-    ):
-        return False
-    # HTTP answers carry the witness digest only when a witness exists, so
-    # None == None verifies witness-free apps and any asymmetry fails.
-    return answer.get("witness_sha256") == expected.get("witness_sha256")
 
 
 def _cache_delta(before: dict | None, after: dict | None) -> dict | None:
@@ -364,7 +181,7 @@ def _cache_delta(before: dict | None, after: dict | None) -> dict | None:
     The server's cache counters are cumulative since start-up; subtracting
     the pre-run snapshot isolates what *this* workload did, so a warm
     replay reports its own hit rate, not the lifetime average.  ``None``
-    when the target exposes no cache section (cache off or old server).
+    when the target exposes no cache section (cache off).
     """
     if not isinstance(after, dict):
         return None
@@ -386,7 +203,7 @@ def _adaptive_delta(before: dict | None, after: dict | None) -> dict | None:
     pre-run snapshot isolates what this workload triggered (a stable replay
     should show zero drift events of its own even against a server that
     drifted earlier).  ``None`` when the target exposes no adaptive section
-    (``--adaptive off`` or an old server).
+    (``--adaptive off``).
     """
     if not isinstance(after, dict):
         return None
@@ -415,54 +232,38 @@ def _adaptive_delta(before: dict | None, after: dict | None) -> dict | None:
     return delta
 
 
-# ----------------------------------------------------------------------
-# The run loop
-# ----------------------------------------------------------------------
-def build_schedule(
-    config: LoadgenConfig, trace=None
-) -> list[tuple[str, int, float | None]]:
-    """The issue plan of one run: ``(app, dim, arrival offset)`` per request.
+def build_schedule(config: LoadgenConfig, trace=None) -> list[tuple[str, int]]:
+    """The issue plan of one run: ``(app, dim)`` per request.
 
     With a :class:`repro.server.trace.RequestTrace` the trace *is* the
     schedule (bit-exact replay); otherwise the config's round-robin mix is
-    unrolled, with evenly spaced offsets when ``rate_rps`` sets an open
-    loop.
+    unrolled.
     """
     if trace is not None:
         return trace.schedule()
-    return [
-        (
-            config.mix[index % len(config.mix)][0],
-            config.mix[index % len(config.mix)][1],
-            index / config.rate_rps if config.rate_rps is not None else None,
-        )
-        for index in range(config.requests)
-    ]
+    return [config.mix[index % len(config.mix)] for index in range(config.requests)]
 
 
 def run_loadgen(
-    target: HTTPTarget | InProcessTarget,
+    target: HTTPTarget,
     config: LoadgenConfig,
-    reference: ReferenceAnswers | None = None,
+    reference: dict[tuple[str, int], dict],
     progress=None,
     trace=None,
 ) -> dict:
     """Drive ``target`` with the configured workload; return the artifact.
 
-    ``reference`` enables per-request bit-exact verification (mismatches are
-    counted, never raised — the artifact reports them and the CLI turns
-    them into a non-zero exit); every completed request *not* verified (no
-    reference, or nothing comparable in simulate mode) is counted in
-    ``skipped_verification`` instead of passing silently.  ``trace``
-    replays a recorded :class:`~repro.server.trace.RequestTrace` instead of
-    the config's round-robin mix.  ``progress`` is an optional one-line
-    callback.
+    Every completed answer is checked against ``reference``
+    (:func:`build_reference`): mismatches are counted, never raised — the
+    artifact reports them and the CLI turns them into a non-zero exit.
+    ``trace`` replays a recorded :class:`~repro.server.trace.RequestTrace`
+    instead of the config's round-robin mix.  ``progress`` is an optional
+    one-line callback.
     """
     schedule = build_schedule(config, trace)
     total = len(schedule)
     counter = iter(range(total))
-    counter_lock = threading.Lock()
-    stats_lock = threading.Lock()
+    lock = threading.Lock()
     latencies: list[float] = []
     outcomes = {
         "completed": 0,
@@ -471,110 +272,78 @@ def run_loadgen(
         "deadline_expired": 0,
         "retries": 0,
         "mismatches": 0,
-        "skipped_verification": 0,
         "witness_verified": 0,
     }
     errors: list[str] = []
+
+    def record_error(message: str) -> None:
+        """Keep the first ten error messages (caller holds ``lock``)."""
+        if len(errors) < 10:
+            errors.append(message)
+
     try:
         metrics_before = target.metrics()
-        cache_before = metrics_before.get("cache")
-        adaptive_before = metrics_before.get("adaptive")
     except Exception:  # noqa: BLE001 - the pre-run snapshot is best-effort
-        cache_before = None
-        adaptive_before = None
-
-    def next_index() -> int | None:
-        """Claim the next global request index (None when exhausted)."""
-        with counter_lock:
-            return next(counter, None)
-
-    schedule_start = time.perf_counter()
+        metrics_before = {}
 
     def attempt_request(app: str, dim: int) -> tuple[dict | None, float]:
         """Fire one request with bounded backpressure retries.
 
         Returns ``(answer, latency_s)`` on success and ``(None, 0.0)``
-        after recording the terminal outcome.  Only 429/backpressure is
-        retried — with jittered exponential backoff so synchronised clients
-        de-synchronise — because shed load is explicitly transient; a 504
-        (deadline) is terminal by definition and anything else is a real
-        failure.
+        after recording the terminal outcome.  Only 429 is retried — with
+        jittered exponential backoff so synchronised clients de-synchronise
+        — because shed load is explicitly transient; a 504 (deadline) is
+        terminal by definition and anything else is a real failure.
         """
         attempt = 0
         while True:
             t0 = time.perf_counter()
             try:
-                answer = target.solve(
-                    app,
-                    dim,
-                    config.mode,
-                    config.timeout_s,
-                    deadline_s=config.deadline_s,
-                )
-                return answer, time.perf_counter() - t0
+                return target.solve(app, dim), time.perf_counter() - t0
             except Exception as error:  # noqa: BLE001 - recorded, not raised
                 status = getattr(error, "status", None)
-                deadline = status == 504 or isinstance(error, DeadlineError)
-                backpressure = not deadline and (
-                    status == 429 or isinstance(error, BackpressureError)
-                )
-                if backpressure and attempt < config.retries:
+                if status == 429 and attempt < config.retries:
                     attempt += 1
-                    with stats_lock:
+                    with lock:
                         outcomes["retries"] += 1
-                    delay = min(
-                        RETRY_CAP_S, config.retry_base_s * (2 ** (attempt - 1))
-                    )
+                    delay = min(RETRY_CAP_S, RETRY_BASE_S * (2 ** (attempt - 1)))
                     time.sleep(delay * (1.0 + 0.5 * random.random()))
                     continue
-                with stats_lock:
-                    if deadline:
-                        outcomes["deadline_expired"] += 1
-                        if len(errors) < 10:
-                            errors.append(str(error))
-                    elif backpressure:
+                with lock:
+                    if status == 429:
                         outcomes["rejected"] += 1
                     else:
-                        outcomes["failed"] += 1
-                        if len(errors) < 10:
-                            errors.append(str(error))
+                        outcomes["deadline_expired" if status == 504 else "failed"] += 1
+                        record_error(str(error))
                 return None, 0.0
 
     def client_loop() -> None:
-        """One client thread: claim, pace (open loop), fire, verify."""
+        """One client thread: claim the next request, fire, verify."""
         while True:
-            index = next_index()
+            with lock:
+                index = next(counter, None)
             if index is None:
                 return
-            app, dim, offset_s = schedule[index]
-            if offset_s is not None:
-                delay = schedule_start + offset_s - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
+            app, dim = schedule[index]
             answer, latency = attempt_request(app, dim)
             if answer is None:
                 continue
-            with stats_lock:
+            expected = reference.get((app, dim))
+            verified = expected is not None and all(
+                answer.get(key) == value for key, value in expected.items()
+            )
+            with lock:
                 latencies.append(latency)
                 outcomes["completed"] += 1
-                if reference is None:
-                    outcomes["skipped_verification"] += 1
-                    continue
-                expected = reference.expected.get((app, dim))
-                verdict = _verify(answer, expected) if expected is not None else False
-                if verdict is None:
-                    outcomes["skipped_verification"] += 1
-                elif not verdict:
-                    outcomes["mismatches"] += 1
-                    if len(errors) < 10:
-                        errors.append(
-                            f"{app}:{dim} answer does not match the "
-                            "in-process reference"
-                        )
-                else:
+                if verified:
                     # The full (grid, witness) pair matched — witness-free
                     # apps verify as (digest, None) == (digest, None).
                     outcomes["witness_verified"] += 1
+                else:
+                    outcomes["mismatches"] += 1
+                    record_error(
+                        f"{app}:{dim} answer does not match the in-process reference"
+                    )
 
     threads = [
         threading.Thread(target=client_loop, name=f"loadgen-client-{i}")
@@ -595,8 +364,7 @@ def run_loadgen(
             f"{outcomes['deadline_expired']} deadline-expired, "
             f"{outcomes['retries']} retries, "
             f"{outcomes['mismatches']} mismatches, "
-            f"{outcomes['witness_verified']} witness-verified, "
-            f"{outcomes['skipped_verification']} unverified"
+            f"{outcomes['witness_verified']} witness-verified"
         )
 
     try:
@@ -604,22 +372,14 @@ def run_loadgen(
     except Exception as error:  # noqa: BLE001 - metrics are best-effort here
         server_metrics = {"error": str(error)}
 
-    open_loop = trace is not None and any(
-        offset is not None for _, _, offset in schedule
-    ) or (trace is None and config.rate_rps is not None)
     return {
         "format_version": LOADGEN_FORMAT_VERSION,
         "meta": {
-            "target": target.describe(),
-            "target_kind": target.kind,
+            "target": target.url,
             "mix": [f"{app}:{dim}" for app, dim in config.mix],
             "requests": total,
             "clients": config.clients,
-            "rate_rps": config.rate_rps,
-            "mode": config.mode,
-            "deadline_s": config.deadline_s,
             "retry_limit": config.retries,
-            "loop": "open" if open_loop else "closed",
             "trace": dict(trace.meta) if trace is not None else None,
             "python": sys.version.split()[0],
         },
@@ -630,23 +390,9 @@ def run_loadgen(
             "latency_ms": summarise_latencies(latencies),
             "errors": errors,
         },
-        "cache": _cache_delta(
-            cache_before,
-            server_metrics.get("cache") if isinstance(server_metrics, dict) else None,
-        ),
+        "cache": _cache_delta(metrics_before.get("cache"), server_metrics.get("cache")),
         "adaptive": _adaptive_delta(
-            adaptive_before,
-            server_metrics.get("adaptive")
-            if isinstance(server_metrics, dict)
-            else None,
-        ),
-        "reference": (
-            {
-                "solve_ms": dict(reference.solve_ms),
-                "mean_solve_ms": reference.mean_solve_ms,
-            }
-            if reference is not None
-            else None
+            metrics_before.get("adaptive"), server_metrics.get("adaptive")
         ),
         "server_metrics": server_metrics,
     }

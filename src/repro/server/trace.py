@@ -1,20 +1,14 @@
 """Versioned request traces: seeded generation, record and bit-exact replay.
 
 A trace pins the *workload* the way a saved plan pins a *configuration*: the
-exact request sequence (and, for open-loop runs, the exact arrival offsets)
-is generated once from a seed and replayed any number of times — across
-machines, CI runs and cache states — so cache efficacy numbers (hit rate,
-warm/cold latency ratios) compare like with like.
+exact request sequence is generated once from a seed and replayed any number
+of times — across machines, CI runs and cache states — so cache efficacy
+numbers (hit rate, warm/cold latency ratios) compare like with like.
 
 Generation is deliberately non-uniform, because real serving workloads are:
-
-* **Zipf-skewed popularity** — mix entry *r* (1-based rank) is drawn with
-  probability proportional to ``1 / r**zipf_s``, so a few signatures
-  dominate (the regime caches exist for) while the tail stays present;
-* **bursty open-loop arrivals** — inter-arrival gaps are gamma-distributed
-  with shape ``1/burst`` and mean ``1/rate_rps``: ``burst=1`` is a Poisson
-  process, larger values clump arrivals into bursts separated by lulls
-  while preserving the aggregate rate.
+mix entry *r* (1-based rank) is drawn with probability proportional to
+``1 / r**zipf_s``, so a few signatures dominate (the regime caches exist
+for) while the tail stays present.
 
 Everything derives from one :class:`numpy.random.RandomState` seed; the
 serialised form (:func:`save_trace` / :func:`load_trace`) is plain JSON with
@@ -33,7 +27,9 @@ import numpy as np
 from repro.core.exceptions import CacheError, UsageError
 
 #: Schema version of the serialised trace (bumped on layout changes).
-TRACE_FORMAT_VERSION = 1
+#: v2: entries are ``{"app", "dim"}`` only and ``meta`` drops ``rate_rps`` /
+#: ``burst`` — the open-loop arrival offsets are gone.
+TRACE_FORMAT_VERSION = 2
 
 #: Top-level discriminator distinguishing traces from other JSON artifacts.
 TRACE_KIND = "request-trace"
@@ -41,14 +37,12 @@ TRACE_KIND = "request-trace"
 
 @dataclass(frozen=True)
 class RequestTrace:
-    """One immutable request stream: ``(app, dim, arrival offset)`` triples.
+    """One immutable request stream: ``(app, dim)`` pairs in issue order.
 
-    ``entries`` is a tuple of ``{"app", "dim", "offset_s"}`` mappings in
-    issue order (``offset_s`` is ``None`` for closed-loop traces, else the
-    arrival time in seconds from the run's start); ``meta`` records the
-    generation parameters (seed, mix, skew, rate, burst) so an artifact can
-    name the workload that produced it.  Replaying the same trace issues a
-    bit-identical request sequence.
+    ``entries`` is a tuple of ``{"app", "dim"}`` mappings; ``meta`` records
+    the generation parameters (seed, mix, skew, request count) so an
+    artifact can name the workload that produced it.  Replaying the same
+    trace issues a bit-identical request sequence.
     """
 
     entries: tuple[dict, ...]
@@ -57,12 +51,9 @@ class RequestTrace:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def schedule(self) -> list[tuple[str, int, float | None]]:
-        """The issue plan: ``(app, dim, offset_s)`` per request, in order."""
-        return [
-            (str(e["app"]), int(e["dim"]), e.get("offset_s"))
-            for e in self.entries
-        ]
+    def schedule(self) -> list[tuple[str, int]]:
+        """The issue plan: ``(app, dim)`` per request, in order."""
+        return [(str(e["app"]), int(e["dim"])) for e in self.entries]
 
     def distinct_mix(self) -> tuple[tuple[str, int], ...]:
         """The distinct ``(app, dim)`` signatures, in first-seen order.
@@ -70,18 +61,14 @@ class RequestTrace:
         This is what the loadgen verification reference solves — a replayed
         trace needs no separate ``--mix`` to know its instance set.
         """
-        return tuple(
-            dict.fromkeys((str(e["app"]), int(e["dim"])) for e in self.entries)
-        )
+        return tuple(dict.fromkeys(self.schedule()))
 
     def describe(self) -> str:
         """One-line summary for progress output."""
-        loop = "open" if self.entries and self.entries[0].get("offset_s") is not None else "closed"
         return (
             f"trace: {len(self.entries)} requests over "
             f"{len(self.distinct_mix())} signatures "
-            f"(seed={self.meta.get('seed')}, zipf_s={self.meta.get('zipf_s')}, "
-            f"{loop} loop)"
+            f"(seed={self.meta.get('seed')}, zipf_s={self.meta.get('zipf_s')})"
         )
 
 
@@ -100,47 +87,23 @@ def generate_trace(
     seed: int,
     *,
     zipf_s: float = 1.1,
-    rate_rps: float | None = None,
-    burst: float = 1.0,
 ) -> RequestTrace:
-    """Generate one seeded, Zipf-skewed (optionally bursty) request trace.
+    """Generate one seeded, Zipf-skewed request trace.
 
     ``mix`` orders the signatures by popularity rank (first entry is the
-    hottest); ``zipf_s`` is the skew exponent (0 = uniform); ``rate_rps``
-    adds open-loop arrival offsets at that aggregate rate, with ``burst``
-    shaping their clumpiness (1 = Poisson; larger = burstier at the same
-    mean rate).  The same arguments always produce the same trace.
+    hottest); ``zipf_s`` is the skew exponent (0 = uniform).  The same
+    arguments always produce the same trace.
     """
     if requests < 1:
         raise UsageError(f"trace needs requests >= 1, got {requests}")
     if zipf_s < 0:
         raise UsageError(f"zipf skew must be >= 0, got {zipf_s}")
-    if burst <= 0:
-        raise UsageError(f"burst must be > 0, got {burst}")
-    if rate_rps is not None and rate_rps <= 0:
-        raise UsageError(f"rate must be > 0, got {rate_rps}")
     rng = np.random.RandomState(int(seed))
     picks = rng.choice(len(mix), size=int(requests), p=zipf_weights(len(mix), zipf_s))
-    offsets: list[float | None]
-    if rate_rps is None:
-        offsets = [None] * int(requests)
-    else:
-        # Gamma inter-arrivals with shape 1/burst and mean 1/rate: burst=1
-        # recovers the exponential (Poisson) gap, burst>1 raises the gap's
-        # coefficient of variation to sqrt(burst) without moving the mean.
-        shape = 1.0 / float(burst)
-        scale = float(burst) / float(rate_rps)
-        gaps = rng.gamma(shape, scale, size=int(requests))
-        offsets = [float(t) for t in np.cumsum(gaps)]
-    entries = tuple(
-        {"app": mix[i][0], "dim": int(mix[i][1]), "offset_s": offsets[n]}
-        for n, i in enumerate(picks)
-    )
+    entries = tuple({"app": mix[i][0], "dim": int(mix[i][1])} for i in picks)
     meta = {
         "seed": int(seed),
         "zipf_s": float(zipf_s),
-        "rate_rps": float(rate_rps) if rate_rps is not None else None,
-        "burst": float(burst),
         "mix": [f"{app}:{dim}" for app, dim in mix],
         "requests": int(requests),
     }
@@ -200,7 +163,7 @@ def load_trace(path: str | Path) -> RequestTrace:
         ):
             raise CacheError(
                 f"trace {path} entry {n} is malformed: {entry!r} "
-                "(expected {'app': str, 'dim': int, 'offset_s': float|null})"
+                "(expected {'app': str, 'dim': int})"
             )
     return RequestTrace(
         entries=tuple(dict(e) for e in entries),

@@ -1,7 +1,6 @@
-"""Small shared utilities: deterministic RNG, ASCII tables, timing helpers."""
+"""Small shared utilities: deterministic RNG and ASCII tables."""
 
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.tables import format_table
-from repro.utils.timing import Stopwatch
 
-__all__ = ["make_rng", "spawn_rngs", "format_table", "Stopwatch"]
+__all__ = ["make_rng", "spawn_rngs", "format_table"]

@@ -1,45 +1,13 @@
-"""Tests for the timeline accumulator and the execution result object."""
+"""Tests for the execution result object."""
 
 import numpy as np
 import pytest
 
-from repro.core.exceptions import ExecutionError
 from repro.core.params import InputParams, TunableParams
 from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.result import ExecutionResult
-from repro.runtime.timeline import Timeline
 from repro.apps.synthetic import SyntheticApp
 from repro.runtime.serial import SerialExecutor
-
-
-class TestTimeline:
-    def test_charge_and_total(self):
-        tl = Timeline()
-        tl.charge("cpu", 1.5)
-        tl.charge("cpu", 0.5)
-        tl.charge("gpu", 2.0)
-        assert tl.get("cpu") == 2.0
-        assert tl.get("never") == 0.0
-        assert tl.total == 4.0
-
-    def test_merge(self):
-        a, b = Timeline(), Timeline()
-        a.charge("x", 1.0)
-        b.charge("x", 2.0)
-        b.charge("y", 3.0)
-        a.merge(b)
-        assert a.get("x") == 3.0 and a.get("y") == 3.0
-
-    def test_negative_charge_rejected(self):
-        with pytest.raises(ExecutionError):
-            Timeline().charge("x", -0.1)
-
-    def test_as_dict_copy(self):
-        tl = Timeline()
-        tl.charge("x", 1.0)
-        d = tl.as_dict()
-        d["x"] = 99.0
-        assert tl.get("x") == 1.0
 
 
 class TestExecutionResult:

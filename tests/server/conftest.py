@@ -7,12 +7,27 @@ thread-safety of *sharing* — which is exactly the serving contract.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
 
 from repro.server import ReproServer, ServerConfig, ServingEndpoint
 from repro.session import Session
+
+
+@contextlib.contextmanager
+def _serving(server: ReproServer):
+    """Bind ``server`` on an ephemeral port; shut both down on exit."""
+    ep = ServingEndpoint(server, port=0)
+    thread = threading.Thread(target=ep.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield ep
+    finally:
+        ep.begin_shutdown()
+        thread.join(timeout=10)
+        server.close()
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +38,13 @@ def serve_session(quick_tuner_i3, i3):
 
 
 @pytest.fixture()
+def serving():
+    """``with serving(server) as ep:`` — a live endpoint over any server."""
+    return _serving
+
+
+@pytest.fixture()
 def endpoint(serve_session):
     """A live endpoint on an ephemeral port, torn down after the test."""
-    server = ReproServer(serve_session, ServerConfig(queue_capacity=32))
-    ep = ServingEndpoint(server, port=0)
-    thread = threading.Thread(target=ep.serve_forever, daemon=True)
-    thread.start()
-    yield ep
-    ep.begin_shutdown()
-    thread.join(timeout=10)
-    server.close()
+    with _serving(ReproServer(serve_session, ServerConfig(queue_capacity=32))) as ep:
+        yield ep

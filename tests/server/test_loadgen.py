@@ -1,4 +1,4 @@
-"""Tests for the load generator and the scripts/check_serve.py gate."""
+"""Tests for the load generator, its ``loadgen`` verb and the serve gate."""
 
 import json
 import subprocess
@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.exceptions import UsageError
+from repro.server import loadgen
 from repro.server import (
-    InProcessTarget,
+    HTTPTarget,
     LoadgenConfig,
-    ReproServer,
-    ServerConfig,
     build_reference,
     parse_mix,
     run_loadgen,
@@ -46,20 +46,17 @@ class TestLoadgenConfig:
         with pytest.raises(UsageError):
             LoadgenConfig(mix=MIX, clients=0)
         with pytest.raises(UsageError):
-            LoadgenConfig(mix=MIX, rate_rps=0.0)
+            LoadgenConfig(mix=MIX, retries=-1)
 
 
-@pytest.fixture(scope="module")
-def loadgen_artifact(serve_session):
-    """One closed-loop in-process run, verified, shared by the tests below."""
-    reference = build_reference(serve_session, MIX, "functional")
-    with ReproServer(serve_session, ServerConfig(queue_capacity=64)) as server:
-        payload = run_loadgen(
-            InProcessTarget(server),
-            LoadgenConfig(mix=MIX, requests=24, clients=4),
-            reference,
-        )
-    return payload
+@pytest.fixture()
+def loadgen_artifact(endpoint, serve_session):
+    """One closed-loop HTTP run, every answer verified."""
+    return run_loadgen(
+        HTTPTarget(endpoint.url),
+        LoadgenConfig(mix=MIX, requests=24, clients=4),
+        build_reference(serve_session, MIX),
+    )
 
 
 class TestClosedLoop:
@@ -67,108 +64,77 @@ class TestClosedLoop:
         results = loadgen_artifact["results"]
         assert results["completed"] == 24
         assert results["failed"] == 0 and results["mismatches"] == 0
+        assert results["witness_verified"] == 24
         assert results["throughput_rps"] > 0
         assert results["latency_ms"]["samples"] == 24
 
-    def test_artifact_is_json_safe_with_reference_timings(self, loadgen_artifact):
+    def test_artifact_is_json_safe(self, loadgen_artifact):
         payload = json.loads(json.dumps(loadgen_artifact))
-        assert payload["meta"]["loop"] == "closed"
-        assert payload["reference"]["mean_solve_ms"] > 0
-        assert set(payload["reference"]["solve_ms"]) == {"lcs:48", "edit-distance:40"}
+        assert payload["format_version"] == 6
+        assert payload["meta"]["requests"] == 24 and payload["meta"]["trace"] is None
         assert payload["server_metrics"]["requests"]["completed"] >= 24
+        assert "reference" not in payload
+        assert "skipped_verification" not in payload["results"]
 
-
-class TestOpenLoop:
-    def test_rate_paced_run_completes(self, serve_session):
-        with ReproServer(serve_session, ServerConfig(queue_capacity=64)) as server:
-            payload = run_loadgen(
-                InProcessTarget(server),
-                LoadgenConfig(mix=MIX, requests=8, clients=2, rate_rps=200.0),
-            )
-        assert payload["meta"]["loop"] == "open"
-        assert payload["results"]["completed"] == 8
-        assert payload["reference"] is None
-
-
-class TestCheckServeGate:
-    def run_gate(self, *argv):
-        """Run scripts/check_serve.py; return (exit code, stdout)."""
+    def test_fresh_artifact_passes_the_serve_gate(self, loadgen_artifact, tmp_path):
+        artifact = tmp_path / "fresh.json"
+        artifact.write_text(json.dumps(loadgen_artifact))
         process = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "check_serve.py"), *argv],
+            [
+                sys.executable, str(REPO_ROOT / "scripts" / "gates.py"), "serve",
+                "--fresh", str(artifact), "--min-completed", "20",
+            ],
             capture_output=True,
             text=True,
         )
-        return process.returncode, process.stdout + process.stderr
+        assert process.returncode == 0, process.stdout + process.stderr
+        assert "serve check OK" in process.stdout
 
-    def test_fresh_artifact_passes_against_itself(self, loadgen_artifact, tmp_path):
-        artifact = tmp_path / "fresh.json"
-        artifact.write_text(json.dumps(loadgen_artifact))
-        code, output = self.run_gate(
-            "--fresh", str(artifact), "--baseline", str(artifact),
-            "--min-completed", "20",
+
+class TestLoadgenVerb:
+    def test_writes_verified_artifact(self, endpoint, capsys, tmp_path):
+        out = tmp_path / "loadgen.json"
+        code = main(
+            [
+                "loadgen",
+                "--url", endpoint.url,
+                "--system", "i3-540",
+                "--space", "tiny",
+                "--mix", "lcs:48,edit-distance:40",
+                "--requests", "12",
+                "--clients", "3",
+                "--out", str(out),
+            ]
         )
-        assert code == 0, output
-        assert "serve check OK" in output
-
-    def test_committed_baseline_is_well_formed(self, loadgen_artifact, tmp_path):
-        artifact = tmp_path / "fresh.json"
-        artifact.write_text(json.dumps(loadgen_artifact))
-        code, output = self.run_gate(
-            "--fresh", str(artifact),
-            "--baseline", str(REPO_ROOT / "benchmarks/results/serve_baseline.json"),
-            "--min-completed", "20", "--threshold", "25.0",
-        )
-        assert code == 0, output
-
-    def test_mismatches_fail_the_gate(self, loadgen_artifact, tmp_path):
-        broken = json.loads(json.dumps(loadgen_artifact))
-        broken["results"]["mismatches"] = 2
-        artifact = tmp_path / "broken.json"
-        artifact.write_text(json.dumps(broken))
-        code, output = self.run_gate(
-            "--fresh", str(artifact), "--baseline", str(artifact),
-            "--min-completed", "20",
-        )
-        assert code == 1 and "did not match" in output
-
-    def test_gross_latency_regression_fails_the_gate(
-        self, loadgen_artifact, tmp_path
-    ):
-        slow = json.loads(json.dumps(loadgen_artifact))
-        for key in ("p50", "p90", "p95", "p99", "mean", "max"):
-            slow["results"]["latency_ms"][key] *= 10
-        fresh = tmp_path / "slow.json"
-        fresh.write_text(json.dumps(slow))
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(loadgen_artifact))
-        code, output = self.run_gate(
-            "--fresh", str(fresh), "--baseline", str(baseline),
-            "--min-completed", "20",
-        )
-        assert code == 1 and "overhead" in output
+        assert code == 0
+        assert "0 mismatches" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert payload["results"]["completed"] == 12
+        assert payload["results"]["mismatches"] == 0
+        assert payload["results"]["witness_verified"] == 12
 
 
-class FlakyTarget:
+#: The digests the stub's reference expects for its one mix entry.
+EXPECTED = {"grid_sha256": "ab" * 32, "checksum": 7.0, "witness_sha256": None}
+
+
+class StubTarget:
     """A scriptable target: raises the queued errors, then answers."""
 
-    kind = "stub"
+    url = "http://stub"
 
-    def __init__(self, errors=()):
+    def __init__(self, errors=(), answer=EXPECTED):
         self.errors = list(errors)
+        self.answer = answer
         self.calls = 0
-        self.deadlines_seen = []
 
-    def describe(self):
-        return "flaky-stub"
-
-    def solve(self, app, dim, mode, timeout_s, deadline_s=None):
+    def solve(self, app, dim):
         self.calls += 1
-        self.deadlines_seen.append(deadline_s)
         if self.errors:
             raise self.errors.pop(0)
-        return {"app": app, "dim": dim, "value": 1.0}
+        return {"app": app, "dim": dim, **self.answer}
 
-    def metrics(self, timeout_s=10.0):
+    def metrics(self):
         return {}
 
 
@@ -180,56 +146,63 @@ class HTTPStatusError(Exception):
         self.status = status
 
 
+def run_one(target, **config_kwargs):
+    """One request against ``target``; return the artifact's results."""
+    config = LoadgenConfig(mix=parse_mix("lcs:48"), requests=1, clients=1, **config_kwargs)
+    return run_loadgen(target, config, {("lcs", 48): dict(EXPECTED)})["results"]
+
+
+class TestVerification:
+    """Every answer is compared to the reference digests; none passes unseen."""
+
+    def test_matching_answer_is_witness_verified(self):
+        results = run_one(StubTarget())
+        assert results["completed"] == results["witness_verified"] == 1
+        assert results["mismatches"] == 0
+
+    @pytest.mark.parametrize(
+        "key, wrong",
+        [("grid_sha256", "cd" * 32), ("checksum", 8.0), ("witness_sha256", "ef" * 32)],
+    )
+    def test_any_differing_digest_is_a_mismatch(self, key, wrong):
+        results = run_one(StubTarget(answer={**EXPECTED, key: wrong}))
+        assert results["completed"] == 1
+        assert results["mismatches"] == 1 and results["witness_verified"] == 0
+
+
 class TestClientRetries:
     """Backpressure is retried with backoff; deadline misses are terminal."""
 
-    def run_one(self, target, **config_kwargs):
-        config = LoadgenConfig(
-            mix=parse_mix("lcs:48"),
-            requests=1,
-            clients=1,
-            retry_base_s=0.001,
-            **config_kwargs,
-        )
-        return run_loadgen(target, config)["results"]
+    @pytest.fixture(autouse=True)
+    def short_backoff(self, monkeypatch):
+        monkeypatch.setattr(loadgen, "RETRY_BASE_S", 0.001)
 
     def test_backpressure_is_retried_until_it_clears(self):
-        from repro.core.exceptions import BackpressureError
-
-        target = FlakyTarget([BackpressureError("full")] * 2)
-        results = self.run_one(target, retries=3)
+        target = StubTarget([HTTPStatusError(429)] * 2)
+        results = run_one(target, retries=3)
         assert results["completed"] == 1
         assert results["retries"] == 2
         assert results["rejected"] == 0
         assert target.calls == 3
 
     def test_retry_budget_exhaustion_counts_rejected(self):
-        target = FlakyTarget([HTTPStatusError(429)] * 10)
-        results = self.run_one(target, retries=2)
+        target = StubTarget([HTTPStatusError(429)] * 10)
+        results = run_one(target, retries=2)
         assert results["completed"] == 0
         assert results["rejected"] == 1
         assert results["retries"] == 2
         assert target.calls == 3  # first attempt + the retry budget
 
     def test_deadline_expiry_is_terminal_not_retried(self):
-        from repro.core.exceptions import DeadlineError
+        target = StubTarget([HTTPStatusError(504)])
+        results = run_one(target, retries=5)
+        assert results["deadline_expired"] == 1
+        assert results["retries"] == 0
+        assert target.calls == 1  # never retried
 
-        for error in (DeadlineError("too late"), HTTPStatusError(504)):
-            target = FlakyTarget([error])
-            results = self.run_one(target, retries=5)
-            assert results["deadline_expired"] == 1
-            assert results["retries"] == 0
-            assert target.calls == 1  # never retried
-
-    def test_deadline_config_is_sent_with_every_request(self):
-        target = FlakyTarget()
-        self.run_one(target, deadline_s=2.5)
-        assert target.deadlines_seen == [2.5]
-
-    def test_retry_knob_validation(self):
-        with pytest.raises(UsageError):
-            LoadgenConfig(mix=MIX, retries=-1)
-        with pytest.raises(UsageError):
-            LoadgenConfig(mix=MIX, retry_base_s=0.0)
-        with pytest.raises(UsageError):
-            LoadgenConfig(mix=MIX, deadline_s=0.0)
+    def test_other_errors_fail_without_retry(self):
+        target = StubTarget([HTTPStatusError(500), ConnectionError("reset")])
+        config = LoadgenConfig(mix=parse_mix("lcs:48"), requests=2, clients=1)
+        results = run_loadgen(target, config, {("lcs", 48): dict(EXPECTED)})["results"]
+        assert results["failed"] == 2 and results["retries"] == 0
+        assert len(results["errors"]) == 2

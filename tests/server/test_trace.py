@@ -7,7 +7,9 @@ entries) is a typed :class:`~repro.core.exceptions.CacheError` that the CLI
 maps to exit code 3.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from repro.cli import EXIT_ARTIFACT, main
 from repro.core.exceptions import CacheError, UsageError
 from repro.server import (
-    InProcessTarget,
+    HTTPTarget,
     LoadgenConfig,
     ReproServer,
     RequestTrace,
@@ -24,6 +26,7 @@ from repro.server import (
     build_schedule,
     generate_trace,
     load_trace,
+    parse_mix,
     run_loadgen,
     save_trace,
     zipf_weights,
@@ -32,6 +35,17 @@ from repro.server.trace import TRACE_FORMAT_VERSION
 from repro.session import Session
 
 MIX = (("lcs", 20), ("edit-distance", 18), ("matrix-chain", 16))
+
+COMMITTED_TRACE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "traces" / "cache_smoke_trace.json"
+)
+
+#: SHA-256 of the committed trace's 60 ``app:dim`` lines.  The chaos and
+#: adaptive fault plans count request ordinals in this order, so a change
+#: here silently moves every committed fault onto another request.
+COMMITTED_SEQUENCE_SHA256 = (
+    "52d790880fbfdac1deb19bc9078a81dc0048ea0d3f53a89c4b46c4544a80fa59"
+)
 
 
 class TestGeneration:
@@ -57,27 +71,10 @@ class TestGeneration:
         assert head > tail, "rank 1 must dominate rank 3 under Zipf skew"
         assert set(apps) == {app for app, _ in MIX}, "the tail stays present"
 
-    def test_open_loop_offsets_are_monotone_at_the_mean_rate(self):
-        trace = generate_trace(MIX, 300, seed=2, rate_rps=50.0, burst=1.0)
-        offsets = [entry["offset_s"] for entry in trace.entries]
-        assert all(b >= a for a, b in zip(offsets, offsets[1:]))
-        mean_gap = offsets[-1] / len(offsets)
-        assert mean_gap == pytest.approx(1 / 50.0, rel=0.35)
-
-    def test_burst_raises_gap_variance_not_the_mean(self):
-        smooth = generate_trace(MIX, 600, seed=4, rate_rps=100.0, burst=1.0)
-        bursty = generate_trace(MIX, 600, seed=4, rate_rps=100.0, burst=8.0)
-
-        def gaps(trace):
-            offsets = [entry["offset_s"] for entry in trace.entries]
-            return np.diff([0.0] + offsets)
-
-        assert np.mean(gaps(bursty)) == pytest.approx(np.mean(gaps(smooth)), rel=0.4)
-        assert np.std(gaps(bursty)) > 2 * np.std(gaps(smooth))
-
-    def test_closed_loop_has_no_offsets(self):
+    def test_entries_carry_app_and_dim_only(self):
         trace = generate_trace(MIX, 10, seed=0)
-        assert all(entry["offset_s"] is None for entry in trace.entries)
+        assert all(set(entry) == {"app", "dim"} for entry in trace.entries)
+        assert set(trace.meta) == {"seed", "zipf_s", "mix", "requests"}
         assert trace.distinct_mix() and set(trace.distinct_mix()) <= set(MIX)
 
     def test_bad_arguments_are_usage_errors(self):
@@ -85,15 +82,28 @@ class TestGeneration:
             generate_trace(MIX, 0, seed=1)
         with pytest.raises(UsageError):
             generate_trace(MIX, 10, seed=1, zipf_s=-1)
-        with pytest.raises(UsageError):
-            generate_trace(MIX, 10, seed=1, burst=0)
-        with pytest.raises(UsageError):
-            generate_trace(MIX, 10, seed=1, rate_rps=0)
+
+
+class TestCommittedTrace:
+    def test_committed_trace_is_current_with_the_pinned_sequence(self):
+        trace = load_trace(COMMITTED_TRACE)  # a stale format raises here
+        lines = "\n".join(f"{app}:{dim}" for app, dim in trace.schedule())
+        assert hashlib.sha256(lines.encode()).hexdigest() == COMMITTED_SEQUENCE_SHA256
+        assert len(trace) == trace.meta["requests"] == 60
+
+    def test_committed_trace_regenerates_from_its_meta(self):
+        trace = load_trace(COMMITTED_TRACE)
+        meta = trace.meta
+        again = generate_trace(
+            parse_mix(",".join(meta["mix"])), meta["requests"], meta["seed"],
+            zipf_s=meta["zipf_s"],
+        )
+        assert again.entries == trace.entries and again.meta == meta
 
 
 class TestRoundTrip:
     def test_save_load_is_identity(self, tmp_path):
-        trace = generate_trace(MIX, 40, seed=13, rate_rps=25.0, burst=2.0)
+        trace = generate_trace(MIX, 40, seed=13, zipf_s=0.7)
         path = save_trace(trace, tmp_path / "trace.json")
         loaded = load_trace(path)
         assert loaded.entries == trace.entries
@@ -140,7 +150,7 @@ class TestRoundTrip:
         with pytest.raises(CacheError):
             load_trace(path)
 
-    def test_cli_maps_stale_trace_to_exit_3(self, tmp_path):
+    def test_cli_maps_stale_trace_to_exit_3(self, endpoint, tmp_path):
         trace = generate_trace(MIX, 5, seed=1)
         path = save_trace(trace, tmp_path / "trace.json")
         payload = json.loads(path.read_text())
@@ -149,6 +159,8 @@ class TestRoundTrip:
         code = main(
             [
                 "loadgen",
+                "--url",
+                endpoint.url,
                 "--system",
                 "i3-540",
                 "--space",
@@ -161,10 +173,12 @@ class TestRoundTrip:
         )
         assert code == EXIT_ARTIFACT
 
-    def test_cli_rejects_record_and_replay_together(self, tmp_path):
+    def test_cli_rejects_record_and_replay_together(self, endpoint, tmp_path):
         code = main(
             [
                 "loadgen",
+                "--url",
+                endpoint.url,
                 "--trace",
                 str(tmp_path / "a.json"),
                 "--trace-out",
@@ -176,17 +190,8 @@ class TestRoundTrip:
 
 class TestSchedule:
     def test_round_robin_schedule_matches_the_mix_cycle(self):
-        config = LoadgenConfig(mix=MIX, requests=7, rate_rps=None)
-        schedule = build_schedule(config)
-        assert [(app, dim) for app, dim, _ in schedule] == [
-            MIX[i % len(MIX)] for i in range(7)
-        ]
-        assert all(offset is None for _, _, offset in schedule)
-
-    def test_open_loop_schedule_paces_evenly(self):
-        config = LoadgenConfig(mix=MIX, requests=4, rate_rps=10.0)
-        schedule = build_schedule(config)
-        assert [offset for _, _, offset in schedule] == [0.0, 0.1, 0.2, 0.3]
+        config = LoadgenConfig(mix=MIX, requests=7)
+        assert build_schedule(config) == [MIX[i % len(MIX)] for i in range(7)]
 
     def test_trace_overrides_the_config(self):
         trace = generate_trace(MIX, 9, seed=3)
@@ -197,24 +202,17 @@ class TestSchedule:
 
 
 class TestCacheEfficacy:
-    def test_cold_then_warm_replay_reaches_full_hit_rate(self, tmp_path):
-        """The CI cache gate's scenario, in miniature and in-process."""
+    def test_cold_then_warm_replay_reaches_full_hit_rate(self, serving, tmp_path):
+        """The CI cache gate's scenario in miniature: restart between replays."""
         trace = generate_trace(MIX, 30, seed=21, zipf_s=1.2)
         config = LoadgenConfig(mix=trace.distinct_mix(), requests=len(trace))
         with Session(system="i3-540") as reference_session:
-            reference = build_reference(
-                reference_session, trace.distinct_mix(), "functional"
-            )
+            reference = build_reference(reference_session, trace.distinct_mix())
 
         def replay():
             session = Session(system="i3-540", cache_dir=tmp_path / "cache")
-            server = ReproServer(session, ServerConfig(), own_session=True).start()
-            try:
-                return run_loadgen(
-                    InProcessTarget(server), config, reference, trace=trace
-                )
-            finally:
-                server.close()
+            with serving(ReproServer(session, ServerConfig(), own_session=True)) as ep:
+                return run_loadgen(HTTPTarget(ep.url), config, reference, trace=trace)
 
         cold = replay()
         warm = replay()
@@ -222,26 +220,12 @@ class TestCacheEfficacy:
             assert artifact["results"]["failed"] == 0
             assert artifact["results"]["mismatches"] == 0
             assert artifact["results"]["completed"] == len(trace)
+            assert artifact["results"]["witness_verified"] == len(trace)
             assert artifact["meta"]["trace"] == trace.meta
         assert cold["cache"]["misses"] == len(trace.distinct_mix())
         assert warm["cache"]["misses"] == 0
         assert warm["cache"]["hit_rate"] == pytest.approx(1.0)
         assert warm["cache"]["disk_hits"] >= 1, "the warm run starts from disk"
-
-    def test_artifact_counts_unverified_completions(self):
-        trace = generate_trace(MIX, 6, seed=2)
-        config = LoadgenConfig(mix=trace.distinct_mix(), requests=len(trace))
-        session = Session(system="i3-540")
-        server = ReproServer(session, ServerConfig(), own_session=True).start()
-        try:
-            artifact = run_loadgen(
-                InProcessTarget(server), config, reference=None, trace=trace
-            )
-        finally:
-            server.close()
-        assert artifact["results"]["skipped_verification"] == len(trace)
-        assert artifact["results"]["mismatches"] == 0
-        assert artifact["cache"] is None, "no --cache-dir, no cache section"
 
 
 class TestRequestTrace:

@@ -1,8 +1,7 @@
-"""Tests for the shared utilities (rng, tables, timing, serialisation, logging)."""
+"""Tests for the shared utilities (rng, tables, serialisation, logging)."""
 
 import dataclasses
 import logging
-import time
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from repro.utils.logging import configure_logging, get_logger
 from repro.utils.rng import derive_seed, make_rng, sample_without_replacement, shuffled, spawn_rngs
 from repro.utils.serialization import from_json, load_json, save_json, to_json
 from repro.utils.tables import format_csv, format_grid, format_table
-from repro.utils.timing import Stopwatch, repeat_timer
 
 
 class TestRNG:
@@ -58,31 +56,6 @@ class TestTables:
     def test_format_grid(self):
         text = format_grid([500, 700], [10, 100], [[1, 2], [3, 4]], corner="dim")
         assert "dim" in text and "700" in text
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.001)
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.001)
-        assert sw.elapsed > first
-
-    def test_stopwatch_misuse(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            sw.stop()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_repeat_timer(self):
-        result, mean, std = repeat_timer(lambda: 42, repeats=3)
-        assert result == 42 and mean >= 0 and std >= 0
-        with pytest.raises(ValueError):
-            repeat_timer(lambda: 1, repeats=0)
 
 
 class TestSerialization:
