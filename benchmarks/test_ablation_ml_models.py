@@ -58,7 +58,7 @@ def test_reptree_gpu_decision_accuracy(benchmark, sweeps):
 
     def evaluate():
         train, test = dataset.split(0.7, seed=3)
-        tree = REPTree(min_leaf=2, prune=False).fit(train)
+        tree = REPTree(min_leaf=2).fit(train)
         return accuracy(test.y, tree.predict_binary(test.X))
 
     acc = benchmark(evaluate)

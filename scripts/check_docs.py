@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs coverage checks for the repository.
 
-Four guarantees, all enforced in CI and mirrored by
+Nine guarantees, all enforced in CI and mirrored by
 ``tests/test_docs_coverage.py``:
 
 1. every public class in ``repro.apps`` and ``repro.runtime`` is mentioned
@@ -26,7 +26,10 @@ Four guarantees, all enforced in CI and mirrored by
    (``repro.facade.policy``) is mentioned in ``docs/api.md`` — the typed
    override surface stays documented where users plan;
 8. every public module, class, function and method under ``src/repro`` has
-   a docstring (nested defs and ``_private`` names are exempt).
+   a docstring (nested defs and ``_private`` names are exempt);
+9. README.md and docs/*.md name no code that is gone: every backticked
+   repo-relative path exists, and every backticked ``repro.``-dotted name
+   resolves to a module, class, function or attribute under ``src/``.
 
 Run from the repository root (CI does) or anywhere inside it:
 
@@ -38,6 +41,7 @@ Exits non-zero listing the undocumented items.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -69,11 +73,18 @@ PROBABILISTIC_MODULES = (
 #: Module whose semiring helpers must appear in docs/apps.md (the rest of
 #: its public surface is generic sweep machinery, covered elsewhere).
 COMPUTE_MODULE = SRC_ROOT / "runtime" / "compute.py"
-SEMIRING_HELPERS = ("logsumexp", "logsumexp_pair", "max_product_pair")
+SEMIRING_HELPERS = ("logsumexp_pair", "max_product_pair")
 #: The session API reference page.
 API_DOC = REPO_ROOT / "docs" / "api.md"
 #: Module whose public classes must appear in docs/api.md.
 POLICY_MODULE = SRC_ROOT / "facade" / "policy.py"
+#: Pages whose code references must still resolve.
+REFERENCE_DOCS = (REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md")))
+#: Top-level directories a backticked repo-relative path starts with.
+PATH_ROOTS = ("src", "tests", "scripts", "docs", "bench", "benchmarks", "examples", ".github")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_PATH = re.compile(rf"(?:{'|'.join(re.escape(r) for r in PATH_ROOTS)})/[\w./-]*")
+_DOTTED = re.compile(r"repro(?:\.\w+)+")
 
 
 def public_classes(package: str) -> dict[str, str]:
@@ -151,6 +162,103 @@ def docstring_gaps(root: Path) -> list[str]:
     return problems
 
 
+def stale_paths(text: str) -> list[str]:
+    """Backticked repo-relative paths in ``text`` that do not exist.
+
+    The first word of a code span is a path when it starts with one of
+    :data:`PATH_ROOTS`; a ``::test`` suffix is dropped, and spans holding a
+    glob or a ``<placeholder>`` are not checked.
+    """
+    missing = []
+    for span in _CODE_SPAN.findall(text):
+        word = span.split()[0].split("::")[0]
+        match = _PATH.fullmatch(word)
+        if match and not any(c in word for c in "*<{") and not (REPO_ROOT / word).exists():
+            missing.append(word)
+    return missing
+
+
+def _module_path(parts: list[str]) -> Path | None:
+    """The source file of module ``parts`` (``["repro", "cache"]``), or ``None``."""
+    base = SRC_ROOT.parent.joinpath(*parts)
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def _defines(body: list[ast.stmt], name: str):
+    """The statement of ``body`` (or of its if/try blocks) that binds ``name``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name:
+            return node
+        if isinstance(node, ast.ImportFrom) and any((a.asname or a.name) == name for a in node.names):
+            return node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                return node
+        if isinstance(node, (ast.If, ast.Try)):
+            nested = _defines(node.body + node.orelse + getattr(node, "finalbody", []), name)
+            if nested is not None:
+                return nested
+    return None
+
+
+def _resolves(parts: list[str]) -> bool:
+    """True when the dotted name ``parts`` names something defined under src/."""
+    for cut in range(len(parts), 0, -1):
+        path = _module_path(parts[:cut])
+        if path is not None:
+            break
+    else:
+        return False
+    scope: ast.AST = ast.parse(path.read_text(encoding="utf-8"))
+    rest = parts[cut:]
+    for index, name in enumerate(rest):
+        found = _defines(scope.body, name)
+        if found is None and isinstance(scope, ast.ClassDef):
+            # An instance attribute: ``self.<name> = ...`` anywhere in the class.
+            found = next((
+                node for node in ast.walk(scope)
+                if isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+                and isinstance(node.ctx, ast.Store)
+            ), None)
+        if isinstance(found, ast.ImportFrom):
+            if not (found.module or "").startswith("repro"):
+                return True
+            alias = next(a for a in found.names if (a.asname or a.name) == name)
+            return _resolves([*found.module.split("."), alias.name, *rest[index + 1:]])
+        if found is None:
+            return False
+        if not isinstance(found, ast.ClassDef):
+            return index == len(rest) - 1
+        scope = found
+    return True
+
+
+def stale_names(text: str) -> list[str]:
+    """Backticked ``repro.``-dotted names in ``text`` that no longer resolve."""
+    missing = []
+    for span in _CODE_SPAN.findall(text):
+        for name in _DOTTED.findall(span):
+            if not _resolves(name.split(".")):
+                missing.append(name)
+    return missing
+
+
+def stale_references() -> list[str]:
+    """Rule 9 over every page in :data:`REFERENCE_DOCS`, as printable lines."""
+    problems = []
+    for doc in REFERENCE_DOCS:
+        text = doc.read_text(encoding="utf-8")
+        rel = doc.relative_to(REPO_ROOT)
+        problems += [f"{rel} names a path that does not exist: {p}" for p in stale_paths(text)]
+        problems += [f"{rel} names code that is gone: {n}" for n in stale_names(text)]
+    return problems
+
+
 def main() -> int:
     """Run every check; print problems and return the exit code."""
     problems: list[str] = []
@@ -183,8 +291,8 @@ def main() -> int:
     policy = module_classes(POLICY_MODULE)
     total_classes += len(policy)
     problems += check_classes_mentioned(API_DOC, policy)
-    gaps = docstring_gaps(SRC_ROOT)
-    problems += gaps
+    problems += docstring_gaps(SRC_ROOT)
+    problems += stale_references()
 
     if problems:
         print(f"docs check FAILED with {len(problems)} problems:")
@@ -193,7 +301,7 @@ def main() -> int:
         return 1
     print(
         f"docs check OK: {total_classes} public classes documented, "
-        f"no public docstring gaps under src/repro"
+        f"no public docstring gaps under src/repro, no stale code references"
     )
     return 0
 

@@ -284,11 +284,6 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def decisions(self) -> list[ShadowDecision]:
-        """Recent shadow decisions, oldest first (bounded history)."""
-        with self._lock:
-            return list(self._decisions)
-
     def snapshot(self) -> dict:
         """JSON-safe state of the whole loop for ``/metrics`` and reports."""
         observations = self.serve_log.snapshot()

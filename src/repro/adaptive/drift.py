@@ -207,21 +207,10 @@ class DriftDetector:
             self._events.append(event)
             return event
 
-    def is_drifted(self, signature: tuple) -> bool:
-        """True while the signature's drift latch is set."""
-        with self._lock:
-            state = self._states.get(signature)
-            return state.drifted if state is not None else False
-
     def reset(self, signature: tuple) -> None:
         """Forget a signature entirely (recalibrates from scratch)."""
         with self._lock:
             self._states.pop(signature, None)
-
-    def events(self) -> list[DriftEvent]:
-        """Recent latched events, oldest first (bounded history)."""
-        with self._lock:
-            return list(self._events)
 
     def snapshot(self) -> dict:
         """JSON-safe counters + recent events for ``/metrics``."""

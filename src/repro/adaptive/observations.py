@@ -113,25 +113,6 @@ class SignatureStats:
             self.max_s = max(self.max_s, latency_s)
             self._reservoir.append(latency_s)
 
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance of the stream (0 below two samples)."""
-        with self._lock:
-            if self.count < 2:
-                return 0.0
-            return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation of the stream."""
-        return math.sqrt(self.variance)
-
-    def percentile(self, pct: float) -> float:
-        """Nearest-rank percentile over the recent-latency reservoir."""
-        with self._lock:
-            samples = list(self._reservoir)
-        return percentile(samples, pct)
-
     def snapshot(self) -> dict:
         """JSON-safe summary: count, moments and reservoir percentiles."""
         with self._lock:
@@ -199,24 +180,10 @@ class ObservationLog:
         stats.record(latency_s, count)
         return stats
 
-    def stats_for(self, signature: Hashable) -> SignatureStats | None:
-        """The signature's stats, or ``None`` when untracked/evicted."""
-        with self._lock:
-            return self._stats.get(signature)
-
     def reset(self, signature: Hashable) -> None:
         """Forget one signature's stats (e.g. after a live plan swap)."""
         with self._lock:
             self._stats.pop(signature, None)
-
-    def signatures(self) -> list:
-        """Tracked signatures, least-recently-updated first."""
-        with self._lock:
-            return list(self._stats)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._stats)
 
     def snapshot(self, limit: int | None = None) -> dict:
         """JSON-safe view: totals plus per-signature summaries.

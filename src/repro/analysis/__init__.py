@@ -7,7 +7,7 @@
   standard deviations, grouped by dim-tsize);
 * :mod:`repro.analysis.dispersion` — Figure 8 (violin-style dispersion of the
   configuration space);
-* :mod:`repro.analysis.report`     — plain-text / CSV rendering of all of the
+* :mod:`repro.analysis.report`     — plain-text rendering of all of the
   above (this reproduction runs headless, so figures become tables);
 * :mod:`repro.analysis.measured`   — the Figure 7-style predicted-vs-measured
   report for local-host profiles (``repro profile``).
@@ -21,7 +21,7 @@ from repro.analysis.speedup import (
 )
 from repro.analysis.aggregate import GroupStats, average_case_table
 from repro.analysis.dispersion import ViolinStats, dispersion_stats
-from repro.analysis.report import render_heatmap, render_table, write_csv
+from repro.analysis.report import render_heatmap, render_table
 from repro.analysis.measured import (
     measured_report_rows,
     render_measured_report,
@@ -40,7 +40,6 @@ __all__ = [
     "dispersion_stats",
     "render_heatmap",
     "render_table",
-    "write_csv",
     "measured_report_rows",
     "render_measured_report",
     "write_measured_report",

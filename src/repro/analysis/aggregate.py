@@ -93,11 +93,3 @@ def average_case_table(
             )
         )
     return rows
-
-
-def group_by_dim(rows: list[GroupStats]) -> dict[int, list[GroupStats]]:
-    """Group Figure 7 rows by problem size, preserving tsize order."""
-    grouped: dict[int, list[GroupStats]] = {}
-    for row in rows:
-        grouped.setdefault(row.dim, []).append(row)
-    return grouped

@@ -36,11 +36,6 @@ class ViolinStats:
     density_y: np.ndarray
 
     @property
-    def iqr(self) -> float:
-        """Inter-quartile range."""
-        return self.q3 - self.q1
-
-    @property
     def best_to_median_gap(self) -> float:
         """How far the best point sits below the median (the paper's focus)."""
         if self.median <= 0:

@@ -27,25 +27,6 @@ class HeatmapData:
     tsizes: list[float]
     values: np.ndarray  # shape (len(dims), len(tsizes))
 
-    def value_at(self, dim: int, tsize: float) -> float:
-        """Heatmap value for one (dim, tsize) cell."""
-        try:
-            i = self.dims.index(dim)
-            j = self.tsizes.index(tsize)
-        except ValueError:
-            raise SearchError(
-                f"({dim}, {tsize}) not present in heatmap for {self.system}"
-            ) from None
-        return float(self.values[i, j])
-
-    def gpu_used_mask(self) -> np.ndarray:
-        """Boolean mask of cells whose best configuration offloads to a GPU.
-
-        Only meaningful for the ``band`` quantity (band > 0 means offload;
-        the paper's "computing on the GPU becomes favourable (band>0)").
-        """
-        return self.values > 0
-
     def gpu_threshold_tsize(self, dim: int) -> float | None:
         """Smallest tsize at which the best configuration uses the GPU for ``dim``.
 

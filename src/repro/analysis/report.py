@@ -1,4 +1,4 @@
-"""Plain-text and CSV rendering of the analysis results.
+"""Plain-text rendering of the analysis results.
 
 The 2014 paper presents its evaluation as figures; this reproduction runs in
 a headless environment, so every figure is regenerated as (a) the underlying
@@ -8,11 +8,10 @@ EXPERIMENTS.md records.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.heatmap import HeatmapData
-from repro.utils.tables import format_csv, format_grid, format_table
+from repro.utils.tables import format_grid, format_table
 
 
 def render_heatmap(heatmap: HeatmapData, float_fmt: str = ".0f") -> str:
@@ -39,13 +38,3 @@ def render_table(
 ) -> str:
     """Text rendering of a generic results table."""
     return format_table(headers, rows, float_fmt=float_fmt, title=title)
-
-
-def write_csv(
-    path: str | Path, headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> Path:
-    """Write a results table as CSV, creating parent directories as needed."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(format_csv(headers, rows) + "\n", encoding="utf-8")
-    return path

@@ -51,11 +51,3 @@ class WavefrontApplication(abc.ABC):
     def input_params(self, dim: int | None = None) -> InputParams:
         """The (dim, tsize, dsize) characteristics of an instance."""
         return self.problem(dim).input_params()
-
-    def describe(self) -> str:
-        """One-line description used by the examples and reports."""
-        kernel = self.make_kernel()
-        return (
-            f"{self.name}: tsize={kernel.tsize:g}, dsize={kernel.dsize}, "
-            f"default dim={self.default_dim}"
-        )

@@ -112,8 +112,3 @@ class SyntheticApp(WavefrontApplication):
         return SyntheticKernel(
             tsize=self.tsize, dsize=self.dsize, emulate_work=self.emulate_work
         )
-
-    @classmethod
-    def from_input_params(cls, params) -> "SyntheticApp":
-        """Build the synthetic app matching an :class:`InputParams` instance."""
-        return cls(dim=params.dim, tsize=params.tsize, dsize=params.dsize)

@@ -14,7 +14,6 @@ The workflow mirrors Figure 4 of the paper:
    get tuned parameter settings back.
 
 Every deployable strategy — :class:`~repro.autotuner.tuner.AutoTuner`,
-:class:`~repro.autotuner.models.LearnedTuner`,
 :class:`~repro.autotuner.measured.MeasuredTuner` and
 :class:`~repro.autotuner.protocol.ExhaustiveTuner` — speaks the common
 :class:`~repro.autotuner.protocol.Tuner` protocol
@@ -25,7 +24,6 @@ Every deployable strategy — :class:`~repro.autotuner.tuner.AutoTuner`,
 from repro.autotuner.protocol import ExhaustiveTuner, PlanDecision, Tuner
 from repro.autotuner.search_space import SearchSpace
 from repro.autotuner.exhaustive import ExhaustiveSearch, SearchRecord, SearchResults
-from repro.autotuner.random_search import RandomSearch
 from repro.autotuner.baselines import SimpleSchemes, simple_scheme_times
 from repro.autotuner.training import TrainingSetBuilder, TrainingSet
 from repro.autotuner.models import LearnedTuner
@@ -50,7 +48,6 @@ __all__ = [
     "ExhaustiveSearch",
     "SearchRecord",
     "SearchResults",
-    "RandomSearch",
     "SimpleSchemes",
     "simple_scheme_times",
     "TrainingSetBuilder",

@@ -119,19 +119,6 @@ class SearchResults:
         except KeyError:
             raise SearchError(f"no serial baseline recorded for instance {params}") from None
 
-    def best_speedup(self, params: InputParams) -> float:
-        """Speedup of the best exhaustive point over the serial baseline."""
-        return self.serial_time(params) / self.best(params).rtime
-
-    # ------------------------------------------------------------------
-    def to_records(self, include_threshold: bool = False) -> list[dict[str, float]]:
-        """Flat dictionaries of every point (for datasets / CSV output)."""
-        return [
-            r.summary()
-            for r in self.records
-            if include_threshold or not r.exceeded_threshold
-        ]
-
 
 class ExhaustiveSearch:
     """Sweep the synthetic application's tuning space on one system."""

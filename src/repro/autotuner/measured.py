@@ -159,13 +159,6 @@ class MeasuredProfile:
             seen.setdefault(record.app, None)
         return list(seen)
 
-    def backends(self) -> list[str]:
-        """Distinct backend names, in measurement order."""
-        seen: dict[str, None] = {}
-        for record in self.records:
-            seen.setdefault(record.backend, None)
-        return list(seen)
-
     def records_for(
         self,
         params: InputParams | None = None,
@@ -723,14 +716,3 @@ class MeasuredTuner(Tuner):
             workers=plan.workers,
             expected_s=plan.expected_s,
         )
-
-    def describe(self) -> str:
-        """One-line description including profile provenance."""
-        return (
-            f"measured tuner for {self.profile.system} "
-            f"({len(self.profile)} profiled records)"
-        )
-
-    def cache_info(self) -> dict[str, int]:
-        """Size and hit statistics of the tuned-plan cache."""
-        return {"plans": len(self._plan_cache), **self._plan_cache.info()}

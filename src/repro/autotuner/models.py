@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.core.exceptions import ModelNotFittedError, SearchError
 from repro.core.parameter_space import PAPER_CPU_TILES
-from repro.core.params import InputParams, TunableParams
-from repro.autotuner.protocol import PlanDecision, Tuner
+from repro.core.params import TunableParams
 from repro.autotuner.training import TrainingSet, INPUT_FEATURES
 from repro.ml.svm import LinearSVM
 from repro.ml.tree.m5p import M5ModelTree
@@ -42,10 +41,14 @@ def _snap(value: float, allowed: tuple[int, ...]) -> int:
 
 
 @dataclass
-class LearnedTuner(Tuner):
-    """The fitted gate + per-parameter models for one system."""
+class LearnedTuner:
+    """The fitted gate + per-parameter models for one system.
 
-    kind = "learned-model"
+    Not a :class:`~repro.autotuner.protocol.Tuner` itself: the deployable
+    strategies (:class:`~repro.autotuner.tuner.AutoTuner`,
+    :class:`~repro.autotuner.measured.MeasuredTuner`) call :meth:`predict`
+    and price the answer with their own clock.
+    """
 
     system_name: str
     supports_gpu: bool = True
@@ -58,19 +61,12 @@ class LearnedTuner(Tuner):
         default_factory=lambda: M5ModelTree(min_leaf=3, smoothing_k=5.0)
     )
     gpu_use_model: REPTree = field(
-        default_factory=lambda: REPTree(min_leaf=2, prune=False)
+        default_factory=lambda: REPTree(min_leaf=2)
     )
     band_model: M5ModelTree = field(
         default_factory=lambda: M5ModelTree(min_leaf=3, smoothing_k=5.0)
     )
     halo_model: M5ModelTree | None = None
-    #: Best observed runtime per training instance, keyed by
-    #: ``(dim, tsize, dsize)``.  Filled by :meth:`fit`; lets :meth:`resolve`
-    #: report an ``expected_s`` (nearest-anchor lookup) so serving-time
-    #: drift detection has a prediction to compare live latencies against.
-    runtime_anchors: dict[tuple[float, float, float], float] = field(
-        default_factory=dict
-    )
     fitted: bool = False
 
     # ------------------------------------------------------------------
@@ -108,21 +104,6 @@ class LearnedTuner(Tuner):
         else:
             self.supports_gpu = False
             self.halo_model = None
-
-        # Runtime anchors: the best rtime seen per training instance.  The
-        # training set only keeps each instance's best-n configurations, so
-        # the per-instance minimum is the instance's tuned-runtime estimate.
-        anchors: dict[tuple[float, float, float], float] = {}
-        for record in training.records:
-            key = (
-                float(record["dim"]),
-                float(record["tsize"]),
-                float(record["dsize"]),
-            )
-            rtime = float(record["rtime"])
-            if key not in anchors or rtime < anchors[key]:
-                anchors[key] = rtime
-        self.runtime_anchors = anchors
         self.fitted = True
         return self
 
@@ -175,48 +156,6 @@ class LearnedTuner(Tuner):
             cpu_tile=cpu_tile, band=band, halo=halo, gpu_tile=gpu_tile
         ).clipped(dim)
 
-    def expected_runtime(self, params: InputParams) -> float | None:
-        """Runtime estimate from the nearest training anchor, or ``None``.
-
-        Nearest in log-space on (dim, tsize) with a mismatch penalty on
-        dsize — the same geometry-dominated distance the measured tuner uses
-        for instance anchoring.  A bundle restored from a pre-anchor
-        serialisation has no anchors and answers ``None``.
-        """
-        if not self.runtime_anchors:
-            return None
-
-        def distance(key: tuple[float, float, float]) -> float:
-            dim, tsize, dsize = key
-            d = abs(np.log(max(params.dim, 1)) - np.log(max(dim, 1.0)))
-            d += abs(np.log(max(params.tsize, 1)) - np.log(max(tsize, 1.0)))
-            d += 0.0 if float(params.dsize) == dsize else 0.5
-            return float(d)
-
-        nearest = min(self.runtime_anchors, key=distance)
-        return float(self.runtime_anchors[nearest])
-
-    def resolve(self, app: str, params: InputParams) -> PlanDecision:
-        """The :class:`~repro.autotuner.protocol.Tuner` protocol entry point.
-
-        A bare model bundle carries no cost model or profile, so the answer
-        is the predicted tunables on the hybrid executor with the default
-        engine selection left to the runtime; the runtime estimate comes
-        from the nearest training anchor (:meth:`expected_runtime`).
-        """
-        tunables = self.predict(params.features())
-        return PlanDecision(
-            backend="hybrid",
-            tunables=tunables.clipped(params.dim),
-            workers=1,
-            expected_s=self.expected_runtime(params),
-        )
-
-    def describe(self) -> str:
-        """One-line description including origin system and fit state."""
-        state = "fitted" if self.fitted else "unfitted"
-        return f"learned model bundle from {self.system_name} ({state})"
-
     # ------------------------------------------------------------------
     # Persistence / reporting
     # ------------------------------------------------------------------
@@ -246,10 +185,6 @@ class LearnedTuner(Tuner):
             "gpu_use_model": self.gpu_use_model.to_dict(),
             "band_model": self.band_model.to_dict() if self.supports_gpu else None,
             "halo_model": self.halo_model.to_dict() if self.halo_model is not None else None,
-            "runtime_anchors": [
-                [dim, tsize, dsize, rtime]
-                for (dim, tsize, dsize), rtime in sorted(self.runtime_anchors.items())
-            ],
         }
 
     @classmethod
@@ -270,9 +205,5 @@ class LearnedTuner(Tuner):
             tuner.band_model = M5ModelTree.from_dict(data["band_model"])
         if data.get("halo_model"):
             tuner.halo_model = M5ModelTree.from_dict(data["halo_model"])
-        tuner.runtime_anchors = {
-            (float(dim), float(tsize), float(dsize)): float(rtime)
-            for dim, tsize, dsize, rtime in data.get("runtime_anchors", [])
-        }
         tuner.fitted = True
         return tuner

@@ -57,8 +57,7 @@ class Tuner(abc.ABC):
     """Abstract base of every tuning strategy the session can deploy.
 
     Implementations: :class:`repro.autotuner.tuner.AutoTuner` (cost-model
-    trained), :class:`repro.autotuner.models.LearnedTuner` (bare fitted
-    models), :class:`repro.autotuner.measured.MeasuredTuner` (measured
+    trained), :class:`repro.autotuner.measured.MeasuredTuner` (measured
     wall-clocks) and :class:`ExhaustiveTuner` (per-instance sweep).
     """
 
@@ -74,10 +73,6 @@ class Tuner(abc.ABC):
         measurements); ``params`` carries the (dim, tsize, dsize) features
         every strategy consumes.
         """
-
-    def describe(self) -> str:
-        """One-line human-readable identification of the strategy."""
-        return f"{self.kind} tuner"
 
 
 class ExhaustiveTuner(Tuner):
@@ -116,7 +111,3 @@ class ExhaustiveTuner(Tuner):
             engine=self.search.search_space.engines[0],
             expected_s=best.rtime,
         )
-
-    def describe(self) -> str:
-        """One-line description including the target system."""
-        return f"exhaustive search on {self.system.name}"

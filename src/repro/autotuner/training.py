@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.exceptions import SearchError
 from repro.core.params import InputParams
 from repro.autotuner.exhaustive import SearchResults
@@ -68,10 +66,6 @@ class TrainingSet:
         return any(
             r["band"] >= 0 and r.get("best_uses_gpu", 1.0) > 0.5 for r in self.records
         )
-
-    def has_dual_gpu_records(self) -> bool:
-        """True when at least one training record uses two GPUs."""
-        return any(r["halo"] >= 0 for r in self.records)
 
 
 class TrainingSetBuilder:
@@ -161,27 +155,3 @@ class TrainingSetBuilder:
             train_instances=train_instances,
             holdout_instances=holdout_instances,
         )
-
-
-def _serial_like(record) -> object:
-    """The canonical serial configuration, for the gate label."""
-    from repro.core.params import TunableParams
-
-    return TunableParams(cpu_tile=1)
-
-
-def summarise_training_set(training: TrainingSet) -> dict[str, float]:
-    """Quick statistics used by reports and tests."""
-    if not training.records:
-        raise SearchError("training set is empty")
-    bands = np.array([r["band"] for r in training.records])
-    halos = np.array([r["halo"] for r in training.records])
-    return {
-        "n_records": float(len(training.records)),
-        "n_train_instances": float(len(training.train_instances)),
-        "n_holdout_instances": float(len(training.holdout_instances)),
-        "fraction_gpu": float(np.mean(bands >= 0)),
-        "fraction_dual_gpu": float(np.mean(halos >= 0)),
-        "mean_speedup": float(np.mean([r["speedup"] for r in training.records])),
-        "max_speedup": float(np.max([r["speedup"] for r in training.records])),
-    }

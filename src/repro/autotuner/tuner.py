@@ -134,11 +134,6 @@ class AutoTuner(Tuner):
             expected_s=self.predicted_rtime(params, tunables),
         )
 
-    def describe(self) -> str:
-        """One-line description including system and training state."""
-        state = "trained" if self.trained else "untrained"
-        return f"learned cost-model tuner for {self.system.name} ({state})"
-
     def predicted_rtime(self, target, tunables: TunableParams | None = None) -> float:
         """Cost-model runtime of the tuned (or given) configuration."""
         params = self._as_input_params(target)
@@ -165,11 +160,6 @@ class AutoTuner(Tuner):
         if tuned_rtime <= 0:
             raise SearchError("tuned configuration has non-positive runtime")
         return best_rtime / tuned_rtime
-
-    def speedup_over_serial(self, target) -> float:
-        """Speedup of the tuned configuration over the serial baseline."""
-        params = self._as_input_params(target)
-        return self.cost_model.baseline_serial(params) / self.predicted_rtime(params)
 
     # ------------------------------------------------------------------
     @staticmethod

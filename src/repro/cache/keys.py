@@ -93,13 +93,6 @@ class CacheKey:
     digest: str
     payload: dict
 
-    def describe(self) -> str:
-        """Human-readable one-liner (app, dim and the digest prefix)."""
-        return (
-            f"{self.payload.get('app')}[dim={self.payload.get('dim')}] "
-            f"-> {self.digest[:12]}"
-        )
-
 
 def request_key(
     app: str,

@@ -306,20 +306,6 @@ class DiskCacheStore:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._index)
-
-    def __contains__(self, digest: str) -> bool:
-        with self._lock:
-            return digest in self._index
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes currently accounted to persisted entries."""
-        with self._lock:
-            return sum(self._index.values())
-
     def info(self) -> dict[str, int]:
         """Counters and occupancy of the disk tier (JSON-safe)."""
         with self._lock:

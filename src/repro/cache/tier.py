@@ -228,13 +228,6 @@ class ResultCache:
         """Drop the in-process tier (the disk tier is untouched)."""
         self._memory.clear()
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered without a fresh solve."""
-        with self._lock:
-            served = self.memory_hits + self.disk_hits + self.coalesced
-            return served / self.lookups if self.lookups else 0.0
-
     def info(self) -> dict:
         """JSON-safe counters of every tier (the ``/metrics`` cache section)."""
         with self._lock:

@@ -16,7 +16,6 @@ from repro.core.exceptions import (
 from repro.core.params import InputParams, TunableParams
 from repro.core.parameter_space import ParameterSpace
 from repro.core.diagonal import (
-    num_diagonals,
     diagonal_length,
     diagonal_cells,
     band_diagonal_range,
@@ -36,7 +35,6 @@ __all__ = [
     "InputParams",
     "TunableParams",
     "ParameterSpace",
-    "num_diagonals",
     "diagonal_length",
     "diagonal_cells",
     "band_diagonal_range",

@@ -13,12 +13,6 @@ import numpy as np
 from repro.core.exceptions import InvalidParameterError
 
 
-def num_diagonals(rows: int, cols: int) -> int:
-    """Number of anti-diagonals in a ``rows x cols`` grid."""
-    _check_shape(rows, cols)
-    return rows + cols - 1
-
-
 def diagonal_length(d: int, rows: int, cols: int) -> int:
     """Number of cells on anti-diagonal ``d`` of a ``rows x cols`` grid."""
     _check_shape(rows, cols)
@@ -27,13 +21,6 @@ def diagonal_length(d: int, rows: int, cols: int) -> int:
             f"diagonal {d} out of range for a {rows}x{cols} grid"
         )
     return min(d + 1, rows, cols, rows + cols - 1 - d)
-
-
-def diagonal_lengths(rows: int, cols: int) -> np.ndarray:
-    """Vector of all anti-diagonal lengths, indexed by diagonal number."""
-    _check_shape(rows, cols)
-    d = np.arange(rows + cols - 1)
-    return np.minimum.reduce([d + 1, np.full_like(d, rows), np.full_like(d, cols), rows + cols - 1 - d])
 
 
 def diagonal_bounds(d: int, rows: int, cols: int) -> tuple[int, int]:

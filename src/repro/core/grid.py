@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import diagonal as dg
 from repro.core.exceptions import InvalidParameterError
 
 
@@ -43,18 +42,6 @@ class WavefrontGrid:
         self.values = np.zeros((dim, dim), dtype=dtype)
 
     # ------------------------------------------------------------------
-    # Basic geometry
-    # ------------------------------------------------------------------
-    @property
-    def n_diagonals(self) -> int:
-        """Number of anti-diagonals."""
-        return dg.num_diagonals(self.dim, self.dim)
-
-    def diagonal_length(self, d: int) -> int:
-        """Length of anti-diagonal ``d``."""
-        return dg.diagonal_length(d, self.dim, self.dim)
-
-    # ------------------------------------------------------------------
     # Neighbour gathering (the wavefront dependency stencil)
     # ------------------------------------------------------------------
     def neighbours(
@@ -76,19 +63,6 @@ class WavefrontGrid:
             boundary,
         )
         return west, north, nw
-
-    # ------------------------------------------------------------------
-    # Whole-grid helpers
-    # ------------------------------------------------------------------
-    def copy(self) -> "WavefrontGrid":
-        """Deep copy of the grid."""
-        out = WavefrontGrid(self.dim, self.dsize, dtype=self.values.dtype)
-        out.values[...] = self.values
-        return out
-
-    def nbytes(self) -> int:
-        """Bytes of the value array."""
-        return self.values.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WavefrontGrid(dim={self.dim}, dsize={self.dsize})"

@@ -178,10 +178,6 @@ class ParameterSpace:
                             cpu_tile=cpu_tile, band=band, halo=halo, gpu_tile=gpu_tile
                         ).clipped(dim)
 
-    def count_configurations(self, instance: InputParams, max_gpus: int = 2) -> int:
-        """Number of configurations yielded for ``instance`` (after dedup)."""
-        return len(set(self.configurations(instance, max_gpus)))
-
     # ------------------------------------------------------------------
     def describe(self) -> dict[str, object]:
         """Summary dictionary (used by the Table 3 bench report)."""

@@ -22,14 +22,12 @@ Tunable parameters are the targets of the autotuner:
 The paper overloads ``band`` and ``halo`` to encode ``gpu_count``
 (Section 3.1.1): ``band == -1`` means no GPU, ``band >= 0`` with
 ``halo == -1`` means one GPU, and ``band >= 0`` with ``halo >= 0`` means two
-GPUs.  :meth:`TunableParams.from_encoding` implements exactly that decoding,
-and :meth:`TunableParams.to_encoding` the reverse.
+GPUs.  :meth:`TunableParams.from_encoding` implements exactly that decoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 from repro.core.exceptions import InvalidParameterError
 
@@ -66,27 +64,13 @@ class InputParams:
         return self.dim * self.dim
 
     @property
-    def total_nbytes(self) -> int:
-        """Total size of the grid in bytes."""
-        return self.cells * self.element_nbytes
-
-    @property
     def n_diagonals(self) -> int:
         """Number of anti-diagonals in the square grid."""
         return 2 * self.dim - 1
 
-    @property
-    def main_diagonal(self) -> int:
-        """Index of the longest (main) anti-diagonal."""
-        return self.dim - 1
-
     def features(self) -> dict[str, float]:
         """Feature dictionary used by the machine-learning tuner."""
         return {"dim": float(self.dim), "tsize": float(self.tsize), "dsize": float(self.dsize)}
-
-    def with_(self, **kwargs) -> "InputParams":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True, order=True)
@@ -164,10 +148,6 @@ class TunableParams:
             halo=halo,
         )
 
-    def to_encoding(self) -> tuple[int, int, int, int]:
-        """Return the (cpu_tile, band, halo, gpu_tile) overloaded encoding."""
-        return (self.cpu_tile, self.band, self.halo, self.gpu_tile)
-
     # ------------------------------------------------------------------
     # Convenience predicates
     # ------------------------------------------------------------------
@@ -180,13 +160,6 @@ class TunableParams:
     def is_cpu_only(self) -> bool:
         """True when the whole computation runs on the CPU."""
         return not self.uses_gpu
-
-    @property
-    def offloaded_diagonals(self) -> int:
-        """Number of diagonals assigned to the GPU phase (``2*band + 1``)."""
-        if not self.uses_gpu:
-            return 0
-        return 2 * self.band + 1
 
     def clipped(self, dim: int) -> "TunableParams":
         """Clip band/halo/tiles to the legal maxima for a ``dim`` x ``dim`` grid.
@@ -227,27 +200,6 @@ class TunableParams:
             "gpu_tile": float(self.gpu_tile),
             "halo": float(self.halo),
         }
-
-    @classmethod
-    def from_features(cls, feats: Mapping[str, float], dim: int | None = None) -> "TunableParams":
-        """Build tunables from (possibly fractional) predicted feature values.
-
-        Predictions from regression trees are real numbers; they are rounded
-        and snapped to the nearest legal value, and optionally clipped to the
-        instance ``dim``.
-        """
-        band = int(round(feats.get("band", -1)))
-        halo = int(round(feats.get("halo", -1)))
-        cpu_tile = max(1, int(round(feats.get("cpu_tile", 1))))
-        gpu_tile = max(1, int(round(feats.get("gpu_tile", 1))))
-        if band < 0:
-            params = cls(cpu_tile=cpu_tile)
-        else:
-            halo = max(-1, halo)
-            params = cls.from_encoding(cpu_tile, band, halo, gpu_tile)
-        if dim is not None:
-            params = params.clipped(dim)
-        return params
 
     def describe(self) -> str:
         """Human-readable one-line description."""

@@ -40,26 +40,6 @@ class DiagonalPartition(NamedTuple):
         """Number of diagonal cells this partition owns (halo excluded)."""
         return self.own_stop - self.own_start
 
-    @property
-    def compute_start(self) -> int:
-        """First diagonal-local offset this GPU computes (including halo)."""
-        return self.own_start - self.halo_lo
-
-    @property
-    def compute_stop(self) -> int:
-        """One past the last diagonal-local offset this GPU computes."""
-        return self.own_stop + self.halo_hi
-
-    @property
-    def compute_cells(self) -> int:
-        """Cells computed including redundant halo cells."""
-        return self.compute_stop - self.compute_start
-
-    @property
-    def redundant_cells(self) -> int:
-        """Cells computed redundantly because of the halo overlap."""
-        return self.halo_lo + self.halo_hi
-
 
 def partition_diagonal(
     length: int, gpu_count: int, halo: int
@@ -123,19 +103,6 @@ def count_halo_swaps(n_diagonals: int, halo: int) -> int:
     # A swap happens after every `interval` computed diagonals except the last
     # group (no further diagonals depend on it).
     return max(0, -(-n_diagonals // interval) - 1)
-
-
-def redundant_cells_for_band(
-    diagonal_lengths: list[int], gpu_count: int, halo: int
-) -> int:
-    """Total redundant (halo) cells computed across a band of diagonals."""
-    if gpu_count <= 1:
-        return 0
-    total = 0
-    for length in diagonal_lengths:
-        for part in partition_diagonal(length, gpu_count, halo):
-            total += part.redundant_cells
-    return total
 
 
 def halo_swap_nbytes(

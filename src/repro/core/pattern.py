@@ -68,16 +68,6 @@ class WavefrontKernel(abc.ABC):
         must be a 1-D float array of the same length.
         """
 
-    def cell(self, i: int, j: int, west: float, north: float, northwest: float) -> float:
-        """Scalar evaluation of a single cell (reference/checking path)."""
-        out = self.diagonal(
-            np.array([i]), np.array([j]),
-            np.array([west], dtype=float),
-            np.array([north], dtype=float),
-            np.array([northwest], dtype=float),
-        )
-        return float(out[0])
-
     def make_diagonal_evaluator(self, dim: int, boundary: float) -> "DiagonalEvaluator | None":
         """Optional fused fast path for sweeps that walk diagonals.
 
@@ -166,8 +156,8 @@ class FunctionKernel(WavefrontKernel):
 
     >>> import numpy as np
     >>> k = FunctionKernel(lambda i, j, w, n, nw: np.maximum(w, n) + 1.0, tsize=1.0)
-    >>> k.cell(1, 1, 2.0, 3.0, 0.0)
-    4.0
+    >>> k.diagonal(np.array([1]), np.array([1]), np.array([2.0]), np.array([3.0]), np.array([0.0]))
+    array([4.])
     """
 
     def __init__(
@@ -215,10 +205,6 @@ class WavefrontProblem:
     def make_grid(self) -> WavefrontGrid:
         """Allocate an empty value grid for this problem."""
         return WavefrontGrid(self.dim, self.kernel.dsize)
-
-    def features(self) -> dict[str, float]:
-        """Features presented to the autotuner for this problem."""
-        return self.input_params().features()
 
     def __getstate__(self) -> dict:
         """Pickle without process-local caches.

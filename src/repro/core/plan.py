@@ -127,29 +127,9 @@ class ThreePhasePlan:
     # Convenience accessors
     # ------------------------------------------------------------------
     @property
-    def is_all_cpu(self) -> bool:
-        """True when the GPU phase is empty."""
-        return self.gpu.is_empty
-
-    @property
-    def is_all_gpu(self) -> bool:
-        """True when both CPU phases are empty."""
-        return self.pre.is_empty and self.post.is_empty and not self.gpu.is_empty
-
-    @property
     def spans(self) -> tuple[PhaseSpan, PhaseSpan, PhaseSpan]:
         """The (pre, gpu, post) spans in execution order."""
         return (self.pre, self.gpu, self.post)
-
-    def phase_of_diagonal(self, d: int) -> Phase:
-        """Which phase computes diagonal ``d``."""
-        dim = self.input_params.dim
-        if d < 0 or d > 2 * dim - 2:
-            raise PlanError(f"diagonal {d} out of range for dim={dim}")
-        for span in self.spans:
-            if not span.is_empty and span.lo <= d <= span.hi:
-                return span.phase
-        raise PlanError(f"diagonal {d} not covered by any phase")  # pragma: no cover
 
     def cells_per_phase(self) -> dict[Phase, int]:
         """Number of cells computed by each phase."""

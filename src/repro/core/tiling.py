@@ -31,21 +31,6 @@ class Tile:
     col_start: int
     col_stop: int
 
-    @property
-    def n_rows(self) -> int:
-        """Number of grid rows the tile covers."""
-        return self.row_stop - self.row_start
-
-    @property
-    def n_cols(self) -> int:
-        """Number of grid columns the tile covers."""
-        return self.col_stop - self.col_start
-
-    @property
-    def n_cells(self) -> int:
-        """Number of grid cells the tile covers."""
-        return self.n_rows * self.n_cols
-
 
 class TileDecomposition:
     """Square tiling of a ``rows x cols`` grid with tile side ``tile``."""

@@ -45,11 +45,6 @@ class ExecutionPolicy:
                 f"workers must be >= 1, got {self.workers}"
             )
 
-    @property
-    def is_default(self) -> bool:
-        """True when no field is set (the tuner decides everything)."""
-        return not self.overrides()
-
     def overrides(self) -> dict:
         """The non-``None`` fields as a name -> value dict (cache keys, repr)."""
         fields = {

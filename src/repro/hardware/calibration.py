@@ -1,6 +1,6 @@
 """Calibration of the cost-model constants.
 
-Three jobs live here:
+Two jobs live here:
 
 1. :func:`constants_for_system` — per-platform adjustments of
    :class:`repro.hardware.costmodel.CostConstants`.  The paper's three
@@ -10,13 +10,7 @@ Three jobs live here:
    what make the qualitative thresholds land where Section 4.1.1 describes
    them.
 
-2. :func:`measure_host_iter_ns` — a micro-benchmark of the *actual* machine
-   running this reproduction.  The functional execution mode uses it to map
-   one ``tsize`` unit onto real work, so that wall-clock measurements of the
-   functional executors are self-consistent with the synthetic scale, even
-   though absolute values obviously differ from the 2014 testbed.
-
-3. :func:`constants_from_measurements` — the measured-profile path
+2. :func:`constants_from_measurements` — the measured-profile path
    (:mod:`repro.autotuner.measured`): invert the cost model's serial and
    vectorized time formulas against *measured* wall-clocks of the functional
    executors, so that the model's predictions for the local host line up
@@ -25,7 +19,6 @@ Three jobs live here:
 
 from __future__ import annotations
 
-import time
 from typing import Mapping
 
 import numpy as np
@@ -70,47 +63,6 @@ def constants_for_system(system: SystemSpec | str) -> CostConstants:
     name = system if isinstance(system, str) else system.name
     overrides = _SYSTEM_OVERRIDES.get(name, {})
     return BASE_CONSTANTS.scaled(**overrides)
-
-
-def measure_host_iter_ns(samples: int = 3, iterations: int = 200_000) -> float:
-    """Measure the cost of one synthetic-kernel iteration on this host (ns).
-
-    The synthetic kernel's unit of work is a dependent multiply-add chain;
-    the measurement below runs the same chain in NumPy batches so it finishes
-    quickly while still being dominated by floating-point work.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    best = float("inf")
-    x = np.linspace(0.1, 0.9, 1024)
-    for _ in range(samples):
-        t0 = time.perf_counter()
-        acc = x.copy()
-        rounds = max(1, iterations // x.size)
-        for _ in range(rounds):
-            acc = acc * 0.999 + 0.001
-        elapsed = time.perf_counter() - t0
-        per_iter = elapsed / (rounds * x.size)
-        best = min(best, per_iter)
-    return best * 1e9
-
-
-def host_calibrated_constants(system: SystemSpec | str) -> CostConstants:
-    """Platform constants with ``cpu_iter_ns`` replaced by a host measurement.
-
-    This keeps relative platform behaviour intact while anchoring absolute
-    simulated times to something measurable on the reproduction machine.
-    Useful when comparing simulated ``rtime`` to the wall-clock time of the
-    functional executors in the examples.
-    """
-    constants = constants_for_system(system)
-    measured = measure_host_iter_ns()
-    # Never let a wildly fast/slow host distort the platform ratios by more
-    # than an order of magnitude in either direction.
-    measured = float(np.clip(measured, constants.cpu_iter_ns / 10, constants.cpu_iter_ns * 10))
-    return constants.scaled(cpu_iter_ns=measured)
 
 
 def constants_from_measurements(

@@ -139,22 +139,6 @@ class PhaseBreakdown:
         """End-to-end simulated runtime (the paper's ``rtime``)."""
         return self.cpu_s + self.gpu_s
 
-    def to_dict(self) -> dict[str, float]:
-        """Flat dictionary of the components plus the total."""
-        return {
-            "pre_s": self.pre_s,
-            "post_s": self.post_s,
-            "gpu_compute_s": self.gpu_compute_s,
-            "gpu_launch_s": self.gpu_launch_s,
-            "gpu_sync_s": self.gpu_sync_s,
-            "halo_s": self.halo_s,
-            "transfer_s": self.transfer_s,
-            "startup_s": self.startup_s,
-            "cpu_s": self.cpu_s,
-            "gpu_s": self.gpu_s,
-            "total_s": self.total_s,
-        }
-
 
 class CostModel:
     """Analytic runtime model of one platform."""

@@ -47,11 +47,6 @@ class GPUSpec:
         """Work-items the device can execute concurrently on one diagonal."""
         return self.compute_units * self.lanes_per_cu
 
-    @property
-    def mem_bytes(self) -> int:
-        """Device memory in bytes."""
-        return int(self.mem_gb * 1024**3)
-
     def describe(self) -> str:
         """One-line human readable description."""
         return (

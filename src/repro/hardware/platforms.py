@@ -88,40 +88,3 @@ def resolve_system(name: str) -> SystemSpec:
     if name == LOCAL_SYSTEM_NAME:
         return detect_local_system()
     return get_system(name)
-
-
-def cpu_only_variant(system: SystemSpec) -> SystemSpec:
-    """Return a copy of ``system`` with its GPUs removed.
-
-    Used by the baseline comparisons ("parallel CPU with no GPU phase").
-    """
-    return SystemSpec(
-        name=f"{system.name} (CPU only)",
-        cpu=system.cpu,
-        gpus=(),
-        interconnect=system.interconnect,
-    )
-
-
-def custom_system(
-    name: str,
-    cpu_freq_mhz: float,
-    cores: int,
-    gpu_count: int = 1,
-    gpu_freq_mhz: float = 1200.0,
-    compute_units: int = 16,
-    mem_gb: float = 8.0,
-    gpu_mem_gb: float = 2.0,
-) -> SystemSpec:
-    """Convenience constructor for user-defined systems (examples / tests)."""
-    cpu = CPUSpec(name=f"{name}-cpu", freq_mhz=cpu_freq_mhz, cores=cores, mem_gb=mem_gb)
-    gpus = tuple(
-        GPUSpec(
-            name=f"{name}-gpu{i}",
-            freq_mhz=gpu_freq_mhz,
-            compute_units=compute_units,
-            mem_gb=gpu_mem_gb,
-        )
-        for i in range(gpu_count)
-    )
-    return SystemSpec(name=name, cpu=cpu, gpus=gpus)

@@ -8,20 +8,16 @@ NumPy:
 * :class:`repro.ml.tree.m5p.M5ModelTree` — regression tree grown with the
   standard-deviation-reduction criterion, linear models at the leaves,
   bottom-up pruning and smoothing (Quinlan's M5, Wang & Witten's M5');
-* :class:`repro.ml.tree.reptree.REPTree` — variance-reduction tree with
-  reduced-error pruning against a held-out pruning set;
+* :class:`repro.ml.tree.reptree.REPTree` — variance-reduction tree;
 * :class:`repro.ml.tree.linear_model.LinearModel` — ordinary least squares
   with optional attribute dropping (the baseline prior work found lacking);
 * :class:`repro.ml.svm.LinearSVM` — linear soft-margin SVM trained with the
-  Pegasos sub-gradient method (the "exploit parallelism?" gate);
-* :mod:`repro.ml.crossval` — k-fold cross-validation and the >=90% accuracy
-  acceptance criterion used during training.
+  Pegasos sub-gradient method (the "exploit parallelism?" gate).
 """
 
 from repro.ml.dataset import Dataset
-from repro.ml.metrics import accuracy, mae, mse, r2_score, rmse, within_tolerance
+from repro.ml.metrics import accuracy, mae
 from repro.ml.svm import LinearSVM
-from repro.ml.crossval import cross_val_score, kfold_indices, train_test_split
 from repro.ml.tree.linear_model import LinearModel
 from repro.ml.tree.reptree import REPTree
 from repro.ml.tree.m5p import M5ModelTree
@@ -30,14 +26,7 @@ __all__ = [
     "Dataset",
     "accuracy",
     "mae",
-    "mse",
-    "r2_score",
-    "rmse",
-    "within_tolerance",
     "LinearSVM",
-    "cross_val_score",
-    "kfold_indices",
-    "train_test_split",
     "LinearModel",
     "REPTree",
     "M5ModelTree",

@@ -70,24 +70,6 @@ class Dataset:
         """Number of rows (samples) in the dataset."""
         return self.X.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        """Number of feature columns in the dataset."""
-        return self.X.shape[1]
-
-    def feature_index(self, name: str) -> int:
-        """Column index of a named feature."""
-        try:
-            return self.feature_names.index(name)
-        except ValueError:
-            raise InvalidParameterError(
-                f"unknown feature {name!r}; have {self.feature_names}"
-            ) from None
-
-    def column(self, name: str) -> np.ndarray:
-        """The values of one named feature."""
-        return self.X[:, self.feature_index(name)]
-
     # ------------------------------------------------------------------
     # Subsetting
     # ------------------------------------------------------------------
@@ -99,15 +81,6 @@ class Dataset:
             y=self.y[indices],
             feature_names=list(self.feature_names),
             target_name=self.target_name,
-        )
-
-    def with_target(self, y: np.ndarray, target_name: str) -> "Dataset":
-        """Same features, different target column."""
-        return Dataset(
-            X=self.X.copy(),
-            y=np.asarray(y, dtype=float),
-            feature_names=list(self.feature_names),
-            target_name=target_name,
         )
 
     def shuffled(self, seed: int | np.random.Generator | None = None) -> "Dataset":

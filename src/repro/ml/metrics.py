@@ -19,47 +19,13 @@ def _check(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     return y_true, y_pred
 
 
-def mse(y_true, y_pred) -> float:
-    """Mean squared error."""
-    y_true, y_pred = _check(y_true, y_pred)
-    return float(np.mean((y_true - y_pred) ** 2))
-
-
-def rmse(y_true, y_pred) -> float:
-    """Root mean squared error."""
-    return float(np.sqrt(mse(y_true, y_pred)))
-
-
 def mae(y_true, y_pred) -> float:
     """Mean absolute error."""
     y_true, y_pred = _check(y_true, y_pred)
     return float(np.mean(np.abs(y_true - y_pred)))
 
 
-def r2_score(y_true, y_pred) -> float:
-    """Coefficient of determination (1.0 is a perfect fit)."""
-    y_true, y_pred = _check(y_true, y_pred)
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - np.mean(y_true)) ** 2))
-    if ss_tot < 1e-15:
-        return 1.0 if ss_res < 1e-15 else 0.0
-    return 1.0 - ss_res / ss_tot
-
-
 def accuracy(y_true, y_pred) -> float:
     """Fraction of exactly matching (integer / boolean) predictions."""
     y_true, y_pred = _check(y_true, y_pred)
     return float(np.mean(np.round(y_true) == np.round(y_pred)))
-
-
-def within_tolerance(y_true, y_pred, rel: float = 0.1, absolute: float = 1.0) -> float:
-    """Fraction of predictions within ``rel`` relative or ``absolute`` error.
-
-    The paper accepts a model once cross-validated test results are "at least
-    90% accurate"; for real-valued tuning parameters accuracy is measured as
-    the fraction of predictions close enough to the exhaustive-search optimum.
-    """
-    y_true, y_pred = _check(y_true, y_pred)
-    err = np.abs(y_true - y_pred)
-    tol = np.maximum(absolute, rel * np.abs(y_true))
-    return float(np.mean(err <= tol))

@@ -99,11 +99,6 @@ class LinearSVM:
         out = Xs @ self.weights_ + self.bias_
         return out[0] if single else out
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels in {0, 1}."""
-        scores = self.decision_function(X)
-        return (np.atleast_1d(scores) >= 0.0).astype(int) if np.ndim(scores) else int(scores >= 0)
-
     def predict_bool(self, X: np.ndarray) -> np.ndarray:
         """Predicted class labels as booleans."""
         return np.atleast_1d(self.decision_function(X)) >= 0.0

@@ -231,12 +231,6 @@ class M5ModelTree:
     # ------------------------------------------------------------------
     # Introspection (Figure 9)
     # ------------------------------------------------------------------
-    @property
-    def n_leaves(self) -> int:
-        """Number of leaf linear models after pruning."""
-        self._check_fitted()
-        return self.n_linear_models
-
     def to_text(self, equations: bool = True) -> str:
         """Text dump in the style of Weka's M5P output (Figure 9)."""
         self._check_fitted()

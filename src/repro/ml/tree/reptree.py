@@ -1,10 +1,10 @@
-"""REP tree: a regression tree with reduced-error pruning.
+"""REP tree: a variance-reduction regression tree.
 
 The paper uses Weka's REPTree for the binary gpu-tile decision (Section
-4.1.5).  The implementation here grows a variance-reduction tree and then
-prunes it bottom-up against a held-out pruning set: a subtree is replaced by
-a leaf whenever the leaf's error on the pruning set is no worse than the
-subtree's (classic reduced-error pruning).
+4.1.5).  The implementation here grows a variance-reduction tree on the
+whole training set; Weka's reduced-error pruning against a held-out split is
+not reproduced, because the tuner's training sets are a few dozen rows and
+every caller grew its trees unpruned.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.exceptions import InvalidParameterError, ModelNotFittedError
 from repro.ml.dataset import Dataset
 from repro.ml.tree.splitter import best_split
-from repro.utils.rng import make_rng
 
 
 @dataclass
@@ -66,29 +65,15 @@ class _Node:
 
 
 class REPTree:
-    """Variance-reduction regression tree with reduced-error pruning."""
+    """Variance-reduction regression tree."""
 
-    def __init__(
-        self,
-        max_depth: int = 12,
-        min_leaf: int = 3,
-        prune_fraction: float = 0.25,
-        prune: bool = True,
-        seed: int | None = None,
-    ) -> None:
+    def __init__(self, max_depth: int = 12, min_leaf: int = 3) -> None:
         if max_depth < 1:
             raise InvalidParameterError(f"max_depth must be >= 1, got {max_depth}")
         if min_leaf < 1:
             raise InvalidParameterError(f"min_leaf must be >= 1, got {min_leaf}")
-        if not 0.0 < prune_fraction < 1.0:
-            raise InvalidParameterError(
-                f"prune_fraction must be in (0, 1), got {prune_fraction}"
-            )
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.prune_fraction = prune_fraction
-        self.prune = prune
-        self.seed = seed
         self.root: _Node | None = None
         self.feature_names: list[str] | None = None
 
@@ -96,15 +81,9 @@ class REPTree:
     # Fitting
     # ------------------------------------------------------------------
     def fit(self, dataset: Dataset) -> "REPTree":
-        """Grow the tree on a growing split and prune it on the held-out rest."""
+        """Grow the tree on the whole dataset."""
         self.feature_names = list(dataset.feature_names)
-        if self.prune and dataset.n_samples >= 8:
-            grow, prune_set = dataset.split(1.0 - self.prune_fraction, seed=make_rng(self.seed))
-        else:
-            grow, prune_set = dataset, None
-        self.root = self._grow(grow.X, grow.y, depth=0)
-        if prune_set is not None and prune_set.n_samples > 0:
-            self._reduced_error_prune(self.root, prune_set.X, prune_set.y)
+        self.root = self._grow(dataset.X, dataset.y, depth=0)
         return self
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
@@ -121,25 +100,8 @@ class REPTree:
         node.right = self._grow(X[~mask], y[~mask], depth + 1)
         return node
 
-    def _reduced_error_prune(self, node: _Node, X: np.ndarray, y: np.ndarray) -> float:
-        """Prune bottom-up; returns the node's squared error on (X, y)."""
-        leaf_error = float(np.sum((y - node.prediction) ** 2)) if y.size else 0.0
-        if node.is_leaf:
-            return leaf_error
-        mask = X[:, node.feature] <= node.threshold
-        left_error = self._reduced_error_prune(node.left, X[mask], y[mask])
-        right_error = self._reduced_error_prune(node.right, X[~mask], y[~mask])
-        subtree_error = left_error + right_error
-        if leaf_error <= subtree_error + 1e-12:
-            # Collapse: the held-out data does not justify the subtree.
-            node.left = None
-            node.right = None
-            node.feature = None
-            return leaf_error
-        return subtree_error
-
     # ------------------------------------------------------------------
-    # Prediction / introspection
+    # Prediction
     # ------------------------------------------------------------------
     def _check_fitted(self) -> None:
         if self.root is None:
@@ -165,49 +127,6 @@ class REPTree:
         """Binary decisions for {0, 1} targets (the gpu-tile use case)."""
         return (self.predict(X) >= threshold).astype(int)
 
-    @property
-    def n_leaves(self) -> int:
-        """Number of leaves of the (pruned) tree."""
-        self._check_fitted()
-
-        def count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return count(node.left) + count(node.right)
-
-        return count(self.root)
-
-    @property
-    def depth(self) -> int:
-        """Depth of the (pruned) tree; 0 for a single leaf."""
-        self._check_fitted()
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
-    def to_text(self) -> str:
-        """Indented text rendering of the tree."""
-        self._check_fitted()
-        names = self.feature_names or []
-        lines: list[str] = []
-
-        def walk(node: _Node, indent: str) -> None:
-            if node.is_leaf:
-                lines.append(f"{indent}-> {node.prediction:.4g} ({node.n_samples})")
-                return
-            name = names[node.feature] if node.feature < len(names) else f"x{node.feature}"
-            lines.append(f"{indent}{name} <= {node.threshold:.4g}")
-            walk(node.left, indent + "|   ")
-            lines.append(f"{indent}{name} > {node.threshold:.4g}")
-            walk(node.right, indent + "|   ")
-
-        walk(self.root, "")
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -218,7 +137,6 @@ class REPTree:
             "type": "reptree",
             "max_depth": self.max_depth,
             "min_leaf": self.min_leaf,
-            "prune_fraction": self.prune_fraction,
             "feature_names": self.feature_names,
             "root": self.root.to_dict(),
         }
@@ -226,11 +144,7 @@ class REPTree:
     @classmethod
     def from_dict(cls, data: dict) -> "REPTree":
         """Rebuild a tree serialised by :meth:`to_dict`."""
-        tree = cls(
-            max_depth=int(data["max_depth"]),
-            min_leaf=int(data["min_leaf"]),
-            prune_fraction=float(data["prune_fraction"]),
-        )
+        tree = cls(max_depth=int(data["max_depth"]), min_leaf=int(data["min_leaf"]))
         tree.feature_names = data.get("feature_names")
         tree.root = _Node.from_dict(data["root"])
         return tree

@@ -5,9 +5,9 @@ into the host grid; what the simulated platform adds is the count of
 operations 1 or 2 GPUs would perform sweeping the band, and
 :func:`band_counters` derives those counts from the plan alone:
 
-* every diagonal is split across the devices as
-  :func:`repro.core.partition.partition_diagonal` splits it, with each
-  device also computing a redundant *halo* of its neighbour's cells;
+* every diagonal is split evenly across the devices (device 0 takes the
+  odd cell), with each device also computing a redundant *halo* of its
+  neighbour's cells;
 * a device keeps the two previous diagonals locally, each valid on one
   contiguous interval of grid rows: the offloaded boundary diagonals are
   valid everywhere, a computed diagonal is valid where its west, north and

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import diagonal as dg
-from repro.core.exceptions import ExecutionError
 from repro.core.grid import WavefrontGrid
 from repro.core.pattern import WavefrontProblem
 
@@ -88,32 +87,6 @@ def max_product_pair(a, b, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(a, b)
 
 
-def logsumexp(values, axis: int | None = None) -> np.ndarray:
-    """Stable ``log(sum(exp(values)))`` reduction along ``axis``.
-
-    The n-ary companion of :func:`logsumexp_pair` for tracebacks and
-    references: shifts by the axis maximum before exponentiating, and maps
-    all-``-inf`` reductions to ``-inf`` (an empty probability sum) without
-    emitting warnings.
-    """
-    values = np.asarray(values, dtype=float)
-    big = np.max(values, axis=axis, keepdims=True, initial=-np.inf)
-    shift = np.where(np.isfinite(big), big, 0.0)
-    with np.errstate(under="ignore", over="ignore", divide="ignore"):
-        total = np.log(np.sum(np.exp(values - shift), axis=axis, keepdims=True))
-        total = total + shift
-    # All--inf (or empty) reductions already produced -inf through log(0);
-    # +inf operands dominate through exp overflow to inf.  Only the shape
-    # bookkeeping remains.
-    if axis is not None:
-        result = np.squeeze(total, axis=axis)
-    else:
-        result = np.squeeze(total)
-    if result.ndim == 0:
-        return result[()]
-    return result
-
-
 def compute_cells(
     problem: WavefrontProblem,
     grid: WavefrontGrid,
@@ -159,15 +132,3 @@ def reference_grid(problem: WavefrontProblem) -> WavefrontGrid:
     grid = problem.make_grid()
     compute_diagonal_range(problem, grid, 0, 2 * problem.dim - 2)
     return grid
-
-
-def verify_against_reference(problem: WavefrontProblem, grid: WavefrontGrid) -> None:
-    """Raise :class:`ExecutionError` unless ``grid`` equals the serial sweep exactly."""
-    ref = reference_grid(problem)
-    if not np.array_equal(ref.values, grid.values):
-        diff = np.abs(ref.values - grid.values)
-        worst = np.unravel_index(np.argmax(diff), diff.shape)
-        raise ExecutionError(
-            f"functional result mismatch for {problem.name!r}: max error "
-            f"{diff.max():.3e} at cell {worst}"
-        )

@@ -144,8 +144,3 @@ class Executor(abc.ABC):
             stats=stats,
             witness=witness,
         )
-
-    def predict(self, problem: WavefrontProblem, tunables: TunableParams | None = None) -> float:
-        """Predicted runtime (seconds) without any functional execution."""
-        tunables = self._validate(problem, tunables or TunableParams())
-        return self._simulated(problem, tunables).total_s

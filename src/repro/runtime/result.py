@@ -99,26 +99,6 @@ class ExecutionResult:
             return self.witness is None and other.witness is None
         return np.array_equal(self.witness, other.witness)
 
-    def summary(self) -> dict[str, Any]:
-        """Flat dictionary used by reports and persistence."""
-        out: dict[str, Any] = {
-            "system": self.system,
-            "mode": self.mode,
-            "dim": self.params.dim,
-            "tsize": self.params.tsize,
-            "dsize": self.params.dsize,
-            "cpu_tile": self.tunables.cpu_tile,
-            "band": self.tunables.band,
-            "gpu_count": self.tunables.gpu_count,
-            "gpu_tile": self.tunables.gpu_tile,
-            "halo": self.tunables.halo,
-            "rtime": self.rtime,
-            "wall_time": self.wall_time,
-        }
-        out.update({f"breakdown_{k}": v for k, v in self.breakdown.to_dict().items()})
-        out.update(self.stats)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ExecutionResult(system={self.system!r}, mode={self.mode!r}, "

@@ -142,10 +142,6 @@ class DependencyGraph:
         """True once every tracked tile has been retired."""
         return len(self._retired) == len(self._tiles)
 
-    def ready_count(self) -> int:
-        """Number of tiles currently ready to acquire."""
-        return len(self._ready)
-
     def acquire(self) -> Tile | None:
         """Pop one ready tile, or ``None`` when none is ready right now."""
         if not self._ready:

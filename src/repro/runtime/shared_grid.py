@@ -79,11 +79,6 @@ class SharedGridBuffer:
             )
         return np.ndarray((dim, dim), dtype=np.float64, buffer=self._shm.buf)
 
-    @property
-    def values(self) -> np.ndarray:
-        """The zero-copy view of the whole ``(dim, dim)`` segment."""
-        return self.view(self.dim)
-
     def close(self) -> None:
         """Drop this process's mapping (views taken from it must be gone)."""
         self._closed = True

@@ -395,11 +395,6 @@ class ServingEndpoint:
         """
         self._shutdown_requested.set()
 
-    def close(self) -> None:
-        """Stop accepting and gracefully close the repro server behind."""
-        self.begin_shutdown()
-        self.repro_server.close()
-
     # ------------------------------------------------------------------
     # Connection threads
     # ------------------------------------------------------------------

@@ -81,11 +81,6 @@ class ServeRequest:
         return {"app": self.app, "dim": self.dim, **self.plan_kwargs}
 
     @property
-    def done(self) -> bool:
-        """True once the request completed (successfully or not)."""
-        return self._done.is_set()
-
-    @property
     def cancelled(self) -> bool:
         """True once the waiter abandoned the request (best-effort)."""
         return self._cancelled

@@ -259,11 +259,6 @@ class ShardSupervisor:
             self._unanswered.get().fail(error)
 
     @property
-    def ready(self) -> bool:
-        """True while the lane is healthy."""
-        return self.state == "healthy"
-
-    @property
     def circuit_open(self) -> bool:
         """True once the lane is dead (restart budget exhausted)."""
         return self.state == "dead"
@@ -545,4 +540,3 @@ class ShardSupervisor:
             "ready": lane["state"] == "healthy",
             "circuit_open": lane["state"] == "dead",
         }
-

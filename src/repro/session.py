@@ -190,22 +190,6 @@ class Session:
                     )
         return self._tuner
 
-    @property
-    def tuner_ready(self) -> bool:
-        """True once the tuner has been built (no side effects)."""
-        return self._tuner is not None
-
-    def adopt_tuner(self, tuner: Tuner) -> "Session":
-        """Swap in a ready tuner (e.g. freshly trained on a new profile).
-
-        Cached plans from the previous strategy are dropped; problems,
-        engines and the worker team are kept (they are tuner-independent).
-        """
-        with self._plan_lock:
-            self._tuner = tuner
-            self._plans.clear()
-        return self
-
     def adopt_plan(self, plan: ResolvedPlan) -> ResolvedPlan:
         """Atomically install ``plan`` as the cached answer for its query.
 
@@ -560,18 +544,11 @@ class Session:
 
         return profile_host(self.system, config, progress=progress)
 
-    def train_measured(self, profile, adopt: bool = False):
-        """Train a measured tuner on a profile; optionally adopt it.
-
-        With ``adopt=True`` the session starts answering :meth:`plan`
-        queries from the new tuner immediately (dropping cached plans).
-        """
+    def train_measured(self, profile):
+        """Train a measured tuner on a profile (see :meth:`profile`)."""
         from repro.autotuner.measured import MeasuredTuner
 
-        tuner = MeasuredTuner.train(profile)
-        if adopt:
-            self.adopt_tuner(tuner)
-        return tuner
+        return MeasuredTuner.train(profile)
 
     def sweep(self, space: ParameterSpace | None = None, instances=None):
         """Exhaustive cost-model sweep of the synthetic application.
@@ -601,16 +578,6 @@ class Session:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def describe(self) -> str:
-        """Human-readable summary of system, tuner and cache state."""
-        tuner_txt = (
-            self.tuner.describe() if self.tuner_ready else f"{self._tuner_spec!r} (lazy)"
-        )
-        return (
-            f"Session(system={self.system.name}, tuner={tuner_txt}, "
-            f"mode={self.mode.value}, cache_size={self.cache_size})"
-        )
-
     def cache_info(self) -> dict:
         """Counters of every bounded cache plus the request statistics."""
         info = {
@@ -651,4 +618,7 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.describe()
+        return (
+            f"Session(system={self.system.name}, tuner={self._tuner_spec!r}, "
+            f"mode={self.mode.value}, cache_size={self.cache_size})"
+        )

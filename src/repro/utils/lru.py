@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable
 
 from repro.core.exceptions import InvalidParameterError
 
@@ -30,8 +30,8 @@ class LRUCache:
     """Bounded mapping evicting the least-recently-used entry on overflow.
 
     ``maxsize`` must be at least 1.  Only :meth:`get`
-    and :meth:`put` refresh recency; membership tests and :meth:`values`
-    observe without touching the LRU order.
+    and :meth:`put` refresh recency; membership tests observe without
+    touching the LRU order.
 
     All operations hold one :class:`threading.RLock`.  The lock is reentrant
     because :meth:`get_or_create`'s factory may
@@ -51,17 +51,9 @@ class LRUCache:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._data
-
-    def __iter__(self) -> Iterator[Hashable]:
-        with self._lock:
-            return iter(list(self._data))
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable, default: Any = None) -> Any:
@@ -99,15 +91,6 @@ class LRUCache:
                 value = self.put(key, factory())
             return value
 
-    def pop(self, key: Hashable, default: Any = _MISSING) -> Any:
-        """Remove and return an entry (``default``, when given, if absent)."""
-        with self._lock:
-            if key in self._data:
-                return self._data.pop(key)
-        if default is _MISSING:
-            raise KeyError(key)
-        return default
-
     def clear(self) -> None:
         """Drop every entry.
 
@@ -116,11 +99,6 @@ class LRUCache:
         """
         with self._lock:
             self._data.clear()
-
-    def values(self) -> list[Any]:
-        """Current values, oldest first (does not refresh recency)."""
-        with self._lock:
-            return list(self._data.values())
 
     def info(self) -> dict[str, int]:
         """Counters in the style of :func:`functools.lru_cache`'s cache_info."""

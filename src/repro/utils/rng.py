@@ -9,8 +9,6 @@ training sets are built by sampling the exhaustive-search results.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 DEFAULT_SEED = 20140215  # PMAM'14 date; arbitrary but fixed.
@@ -28,56 +26,3 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int | np.random.Generator | None, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``seed``.
-
-    Used when fanning work out to per-device or per-worker components that
-    each need their own stream (e.g. per-GPU synthetic data initialisation).
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = make_rng(seed)
-    return [np.random.default_rng(s) for s in root.bit_generator.seed_seq.spawn(count)]
-
-
-def derive_seed(seed: int | None, *components: int | str) -> int:
-    """Deterministically mix ``components`` into ``seed``.
-
-    This gives stable but distinct seeds for e.g. (dim, tsize, dsize)
-    instances of the synthetic application without the caller having to
-    thread generators everywhere.
-    """
-    base = DEFAULT_SEED if seed is None else int(seed)
-    mix = np.uint64(base)
-    for comp in components:
-        if isinstance(comp, str):
-            comp_val = np.uint64(abs(hash(comp)) % (2**32))
-        else:
-            comp_val = np.uint64(int(comp) & 0xFFFFFFFF)
-        # SplitMix64-style mixing keeps nearby inputs well separated.
-        mix = np.uint64((int(mix) + 0x9E3779B97F4A7C15 + int(comp_val)) % (2**64))
-        z = int(mix)
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % (2**64)
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % (2**64)
-        mix = np.uint64(z ^ (z >> 31))
-    return int(mix % (2**31 - 1))
-
-
-def sample_without_replacement(
-    rng: np.random.Generator, items: Sequence, count: int
-) -> list:
-    """Sample ``count`` distinct items, or all of them if fewer exist."""
-    items = list(items)
-    if count >= len(items):
-        return items
-    idx = rng.choice(len(items), size=count, replace=False)
-    return [items[i] for i in sorted(idx)]
-
-
-def shuffled(rng: np.random.Generator, items: Iterable) -> list:
-    """Return a shuffled copy of ``items`` without mutating the input."""
-    out = list(items)
-    rng.shuffle(out)
-    return out

@@ -38,11 +38,6 @@ def to_json(obj: Any, indent: int | None = 2) -> str:
     return json.dumps(obj, cls=ReproJSONEncoder, indent=indent, sort_keys=True)
 
 
-def from_json(text: str) -> Any:
-    """Parse a JSON string produced by :func:`to_json`."""
-    return json.loads(text)
-
-
 def save_json(obj: Any, path: str | Path) -> Path:
     """Write ``obj`` as JSON to ``path`` (parent directories are created)."""
     path = Path(path)

@@ -48,14 +48,6 @@ def format_table(
     return "\n".join(out)
 
 
-def format_csv(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render rows as CSV text (no quoting needed for our numeric tables)."""
-    lines = [",".join(str(h) for h in headers)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    return "\n".join(lines)
-
-
 def format_grid(
     row_labels: Sequence[object],
     col_labels: Sequence[object],

@@ -25,7 +25,7 @@ from repro.adaptive import (
     DriftConfig,
     render_adaptive_report,
 )
-from repro.adaptive.observations import observation_signature
+from repro.adaptive.observations import observation_signature, signature_label
 from repro.autotuner.measured import (
     MeasuredProfile,
     MeasuredRecord,
@@ -325,7 +325,7 @@ class TestSessionPrimitives:
             adaptive_session.attach_observer(None)
         assert controller.run_log.observations == 2
         sig = observation_signature("lcs", 32, adaptive_session.mode.value, {})
-        assert controller.run_log.stats_for(sig).count == 2
+        assert controller.run_log.snapshot()["signatures"][signature_label(sig)]["count"] == 2
 
 
 # ----------------------------------------------------------------------

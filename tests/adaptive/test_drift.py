@@ -68,7 +68,7 @@ class TestHysteresis:
         detector = DriftDetector(CONFIG)
         events = feed(detector, [0.01] * 3 + [0.5] * 10)
         assert len(events) == 1
-        assert detector.is_drifted(SIG)
+        assert detector.snapshot()["active"] == 1
 
     def test_recovery_then_redrift_fires_a_fresh_event(self):
         detector = DriftDetector(CONFIG)
@@ -88,7 +88,7 @@ class TestHysteresis:
         detector = DriftDetector(CONFIG)
         feed(detector, [0.01] * 3 + [0.5] * 2)
         detector.reset(SIG)
-        assert not detector.is_drifted(SIG)
+        assert detector.snapshot()["active"] == 0
         # Post-reset the slow latency becomes the new normal: calibration
         # re-runs and no event fires against the old baseline.
         assert feed(detector, [0.5] * 6) == []

@@ -69,7 +69,7 @@ class TestSignatureStats:
             stats.record(float(value))
         assert stats.count == len(samples)
         assert stats.mean == pytest.approx(float(np.mean(samples)), rel=1e-9)
-        assert stats.std == pytest.approx(float(np.std(samples, ddof=1)), rel=1e-9)
+        assert stats.snapshot()["std_ms"] == pytest.approx(1e3 * float(np.std(samples, ddof=1)), rel=1e-9)
         assert stats.min_s == float(np.min(samples))
         assert stats.max_s == float(np.max(samples))
 
@@ -128,6 +128,11 @@ class TestPercentile:
         assert percentile([], 95) == 0.0
 
 
+def tracked(log):
+    """Per-signature summaries of everything the log still tracks."""
+    return log.snapshot()["signatures"]
+
+
 class TestObservationLog:
     def test_counts_every_folded_request(self):
         log = ObservationLog(maxsize=8)
@@ -135,17 +140,17 @@ class TestObservationLog:
         log.record(sig, 0.01, count=3)
         log.record(sig, 0.02)
         assert log.observations == 4
-        assert log.stats_for(sig).count == 4
+        assert tracked(log)[signature_label(sig)]["count"] == 4
 
     def test_lru_eviction_is_bounded(self):
         log = ObservationLog(maxsize=2)
         sigs = [observation_signature("lcs", d, None, {}) for d in (8, 16, 32)]
         for sig in sigs:
             log.record(sig, 0.01)
-        assert len(log) == 2
+        assert log.snapshot()["tracked_signatures"] == 2
         assert log.evictions == 1
-        assert log.stats_for(sigs[0]) is None  # oldest evicted
-        assert log.stats_for(sigs[2]) is not None
+        assert signature_label(sigs[0]) not in tracked(log)  # oldest evicted
+        assert signature_label(sigs[2]) in tracked(log)
 
     def test_update_refreshes_recency(self):
         log = ObservationLog(maxsize=2)
@@ -156,8 +161,8 @@ class TestObservationLog:
         log.record(b, 0.01)
         log.record(a, 0.01)  # refresh a; b becomes LRU
         log.record(c, 0.01)
-        assert log.stats_for(b) is None
-        assert log.stats_for(a) is not None
+        assert signature_label(b) not in tracked(log)
+        assert signature_label(a) in tracked(log)
 
     def test_snapshot_totals_cover_everything_despite_limit(self):
         log = ObservationLog(maxsize=8)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.aggregate import average_case_table, group_by_dim
+from repro.analysis.aggregate import average_case_table
 from repro.analysis.dispersion import dispersion_stats
 from repro.analysis.heatmap import build_heatmap
-from repro.analysis.report import render_heatmap, render_table, write_csv
+from repro.analysis.report import render_heatmap, render_table
 from repro.analysis.speedup import autotune_speedup_summary, scheme_speedup_summary
 from repro.core.exceptions import SearchError
 from repro.core.params import InputParams
@@ -19,10 +19,10 @@ class TestHeatmap:
         assert set(hm.dims) == set(tiny_space.dims)
         assert np.all(hm.values >= -1)
 
-    def test_value_at_matches_best_record(self, tiny_results_i7):
+    def test_cell_matches_best_record(self, tiny_results_i7):
         hm = build_heatmap(tiny_results_i7, dsize=1, quantity="band")
         params = InputParams(dim=hm.dims[0], tsize=hm.tsizes[0], dsize=1)
-        assert hm.value_at(hm.dims[0], hm.tsizes[0]) == tiny_results_i7.best(params).tunables.band
+        assert hm.values[0, 0] == tiny_results_i7.best(params).tunables.band
 
     def test_halo_heatmap(self, tiny_results_i7):
         hm = build_heatmap(tiny_results_i7, dsize=1, quantity="halo")
@@ -74,11 +74,6 @@ class TestAverageCase:
             assert row.best_rtime <= row.avg_rtime or np.isnan(row.avg_rtime)
             assert row.n_configurations > 0 or row.n_excluded > 0
 
-    def test_group_by_dim(self, tiny_results_i7):
-        rows = average_case_table(tiny_results_i7)
-        grouped = group_by_dim(rows)
-        assert sum(len(v) for v in grouped.values()) == len(rows)
-
     def test_rows_sorted(self, tiny_results_i7):
         rows = average_case_table(tiny_results_i7, dsize=1)
         keys = [(r.dim, r.tsize) for r in rows]
@@ -107,9 +102,3 @@ class TestReportHelpers:
     def test_render_table(self):
         text = render_table(["a", "b"], [[1, 2.5], [3, 4.0]], title="demo")
         assert "demo" in text and "2.500" in text
-
-    def test_write_csv(self, tmp_path):
-        path = write_csv(tmp_path / "out" / "data.csv", ["x", "y"], [[1, 2], [3, 4]])
-        content = path.read_text()
-        assert content.splitlines()[0] == "x,y"
-        assert "3,4" in content

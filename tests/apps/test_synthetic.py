@@ -51,15 +51,7 @@ class TestSyntheticApp:
         params = app.problem().input_params()
         assert params == InputParams(dim=64, tsize=2000, dsize=3)
 
-    def test_from_input_params_roundtrip(self):
-        params = InputParams(dim=128, tsize=10, dsize=5)
-        app = SyntheticApp.from_input_params(params)
-        assert app.problem().input_params() == params
-
     def test_grid_values_finite(self):
         grid = reference_grid(SyntheticApp(dim=16, tsize=10, dsize=1).problem())
         assert np.all(np.isfinite(grid.values))
         assert grid.values[-1, -1] != 0.0
-
-    def test_describe_mentions_granularity(self):
-        assert "tsize=2000" in SyntheticApp(tsize=2000).describe()

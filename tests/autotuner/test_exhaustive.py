@@ -63,7 +63,7 @@ class TestExhaustiveSearch:
 
     def test_best_speedup_at_least_cpu_parallel(self, tiny_results_i7):
         params = tiny_results_i7.instances()[-1]
-        assert tiny_results_i7.best_speedup(params) > 1.0
+        assert tiny_results_i7.serial_time(params) / tiny_results_i7.best(params).rtime > 1.0
 
     def test_threshold_flagging(self, i7_2600k, tiny_space):
         search = ExhaustiveSearch(i7_2600k, tiny_space, threshold_s=1e-9)
@@ -79,10 +79,6 @@ class TestExhaustiveSearch:
             tiny_results_i7.best(ghost)
         with pytest.raises(SearchError):
             tiny_results_i7.serial_time(ghost)
-
-    def test_to_records_flat_keys(self, tiny_results_i7):
-        records = tiny_results_i7.to_records()
-        assert {"dim", "tsize", "dsize", "band", "halo", "rtime"} <= set(records[0])
 
     def test_invalid_threshold_rejected(self, i7_2600k, tiny_space):
         with pytest.raises(SearchError):

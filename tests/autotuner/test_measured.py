@@ -67,7 +67,7 @@ class TestDetectLocalSystem:
 class TestProfileHost:
     def test_grid_is_covered(self, tiny_profile):
         assert len(tiny_profile.instances()) == 4  # 2 apps x 2 dims
-        assert set(tiny_profile.backends()) == set(TINY_CONFIG.backends)
+        assert {r.backend for r in tiny_profile.records} == set(TINY_CONFIG.backends)
         assert not tiny_profile.host["truncated"]
 
     def test_serial_reference_every_instance(self, tiny_profile):
@@ -174,7 +174,7 @@ class TestMeasuredTuner:
         first = tiny_tuner.tune("lcs", 48)
         again = tiny_tuner.tune("lcs", 48)
         assert again is first  # dict hit, not recomputed
-        assert tiny_tuner.cache_info()["plans"] >= 1
+        assert tiny_tuner._plan_cache.info()["size"] >= 1
 
     def test_unseen_dim_uses_nearest_instance(self, tiny_tuner):
         plan = tiny_tuner.tune("lcs", 56)

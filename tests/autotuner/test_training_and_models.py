@@ -6,7 +6,6 @@ from repro.autotuner.models import LearnedTuner
 from repro.autotuner.training import (
     INPUT_FEATURES,
     TrainingSetBuilder,
-    summarise_training_set,
 )
 from repro.core.exceptions import SearchError
 from repro.core.params import InputParams, TunableParams
@@ -44,12 +43,6 @@ class TestTrainingSetBuilder:
         assert training.has_gpu_records()
         ds = training.gpu_dataset("band", ("dim", "tsize", "dsize"))
         assert (ds.y >= 0).all()
-
-    def test_summary_statistics(self, tiny_training):
-        summary = summarise_training_set(tiny_training)
-        assert summary["n_records"] == len(tiny_training)
-        assert 0.0 <= summary["fraction_gpu"] <= 1.0
-        assert summary["max_speedup"] >= summary["mean_speedup"] > 0
 
     def test_builder_validation(self):
         with pytest.raises(SearchError):

@@ -44,6 +44,11 @@ def solved():
     return results
 
 
+def on_disk(store, digest):
+    """True when ``digest``'s entry file is in the store's directory."""
+    return (store.directory / f"{digest}.npz").exists()
+
+
 def _key(dim):
     return request_key("lcs", dim, overrides={"backend": "serial"})
 
@@ -57,8 +62,8 @@ class TestRoundTrip:
         assert loaded.grid.values.tobytes() == solved[16].grid.values.tobytes()
         assert loaded.witness is None and solved[16].witness is None
         assert store.hits == 1 and store.stores == 1
-        assert key.digest in store and len(store) == 1
-        assert store.total_bytes > 0
+        assert on_disk(store, key.digest) and store.info()["entries"] == 1
+        assert store.info()["bytes"] > 0
 
     def test_missing_entry_is_a_counted_miss(self, tmp_path):
         store = DiskCacheStore(tmp_path)
@@ -144,7 +149,7 @@ class TestBoundsAndEviction:
         dims = [16, 20, 24]
         for dim in dims:
             store.put(_key(dim).digest, solved[dim], request=None)
-        assert len(store) == 2 and store.evictions == 1
+        assert store.info()["entries"] == 2 and store.evictions == 1
         assert store.get(_key(16).digest) is None  # oldest evicted
         assert store.get(_key(24).digest) is not None
 
@@ -160,12 +165,12 @@ class TestBoundsAndEviction:
     def test_byte_cap_bounds_total_size(self, tmp_path, solved):
         probe = DiskCacheStore(tmp_path / "probe")
         probe.put(_key(16).digest, solved[16], request=None)
-        entry_bytes = probe.total_bytes
+        entry_bytes = probe.info()["bytes"]
         store = DiskCacheStore(tmp_path / "bounded", max_bytes=int(entry_bytes * 2.5))
         for dim in (16, 20, 24, 28):
             store.put(_key(dim).digest, solved[dim], request=None)
         assert store.evictions >= 1
-        assert store.total_bytes <= int(entry_bytes * 2.5)
+        assert store.info()["bytes"] <= int(entry_bytes * 2.5)
 
     def test_eviction_removes_the_file(self, tmp_path, solved):
         store = DiskCacheStore(tmp_path, max_entries=1)
@@ -191,8 +196,8 @@ class TestBoundsAndEviction:
         monkeypatch.setattr(store_module, "decode_result", decode_then_evict)
         loaded = store.get(_key(16).digest)
         assert np.array_equal(loaded.grid.values, solved[16].grid.values)
-        assert len(store) == 1 and store.evictions == 1
-        assert _key(16).digest not in store and _key(20).digest in store
+        assert store.info()["entries"] == 1 and store.evictions == 1
+        assert not on_disk(store, _key(16).digest) and on_disk(store, _key(20).digest)
 
 
 class TestReopen:
@@ -202,7 +207,7 @@ class TestReopen:
             key = _key(dim)
             first.put(key.digest, solved[dim], request=key.payload)
         second = DiskCacheStore(tmp_path)
-        assert len(second) == 2
+        assert second.info()["entries"] == 2
         loaded = second.get(_key(20).digest)
         assert np.array_equal(loaded.grid.values, solved[20].grid.values)
 
@@ -319,4 +324,4 @@ class TestValuesOnlyEntries:
                 ["header", "values"] + (["witness"] if result.witness is not None else [])
             )
         witness_bytes = 0 if result.witness is None else result.witness.nbytes
-        assert store.total_bytes <= result.grid.values.nbytes + witness_bytes + 2048
+        assert store.info()["bytes"] <= result.grid.values.nbytes + witness_bytes + 2048

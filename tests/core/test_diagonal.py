@@ -8,10 +8,6 @@ from repro.core.exceptions import InvalidParameterError
 
 
 class TestDiagonalGeometry:
-    def test_num_diagonals(self):
-        assert dg.num_diagonals(4, 6) == 9  # the paper's Figure 1 example
-        assert dg.num_diagonals(5, 5) == 9
-
     def test_lengths_square(self):
         lengths = [dg.diagonal_length(d, 4, 4) for d in range(7)]
         assert lengths == [1, 2, 3, 4, 3, 2, 1]
@@ -20,12 +16,6 @@ class TestDiagonalGeometry:
         lengths = [dg.diagonal_length(d, 4, 6) for d in range(9)]
         assert lengths == [1, 2, 3, 4, 4, 4, 3, 2, 1]
         assert max(lengths) == 4  # "maximum parallelism ... at iterations 3,4 and 5"
-
-    def test_diagonal_lengths_vector_matches_scalar(self):
-        vec = dg.diagonal_lengths(7, 5)
-        assert vec.shape == (11,)
-        for d in range(11):
-            assert vec[d] == dg.diagonal_length(d, 7, 5)
 
     def test_diagonal_cells_sum_to_grid(self):
         total = sum(dg.diagonal_cells(d, 5, 7).shape[0] for d in range(11))
@@ -65,7 +55,6 @@ class TestDiagonalGeometry:
     @pytest.mark.parametrize("bad_call", [
         lambda: dg.diagonal_length(-1, 4, 4),
         lambda: dg.diagonal_length(7, 4, 4),
-        lambda: dg.num_diagonals(0, 4),
         lambda: dg.band_diagonal_range(10, -1),
         lambda: dg.cells_before_diagonal(-1, 4),
     ])

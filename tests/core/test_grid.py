@@ -33,16 +33,6 @@ class TestWavefrontGrid:
         west, north, nw = grid.neighbours(np.array([2]), np.array([2]))
         assert (west[0], north[0], nw[0]) == (7.0, 6.0, 5.0)
 
-    def test_copy_is_deep(self):
-        grid = WavefrontGrid(dim=4, dsize=1)
-        clone = grid.copy()
-        clone.values[0, 0] = 42.0
-        assert grid.values[0, 0] == 0.0
-
-    def test_nbytes_is_the_value_array(self):
-        assert WavefrontGrid(dim=8, dsize=0).nbytes() == 8 * 8 * 8
-        assert WavefrontGrid(dim=8, dsize=5).nbytes() == 8 * 8 * 8
-
     def test_invalid_dim_rejected(self):
         with pytest.raises(InvalidParameterError):
             WavefrontGrid(dim=1)

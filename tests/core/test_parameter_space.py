@@ -79,13 +79,6 @@ class TestParameterSpace:
             assert config.band <= 63
             assert config.cpu_tile <= 64
 
-    def test_count_configurations_deduplicates(self):
-        space = ParameterSpace.tiny()
-        instance = InputParams(dim=64, tsize=10, dsize=1)
-        assert space.count_configurations(instance) <= len(
-            list(space.configurations(instance))
-        )
-
     def test_describe_contents(self):
         info = ParameterSpace.reduced().describe()
         assert info["n_instances"] == ParameterSpace.reduced().n_instances

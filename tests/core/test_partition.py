@@ -7,7 +7,6 @@ from repro.core.partition import (
     count_halo_swaps,
     halo_swap_nbytes,
     partition_diagonal,
-    redundant_cells_for_band,
     swap_interval,
 )
 
@@ -17,7 +16,7 @@ class TestPartitionDiagonal:
         parts = partition_diagonal(17, 1, 0)
         assert len(parts) == 1
         assert parts[0].own_cells == 17
-        assert parts[0].redundant_cells == 0
+        assert parts[0].halo_lo + parts[0].halo_hi == 0
 
     def test_two_gpus_split_evenly(self):
         parts = partition_diagonal(10, 2, 0)
@@ -41,12 +40,11 @@ class TestPartitionDiagonal:
         parts = partition_diagonal(20, 2, 3)
         assert parts[0].halo_lo == 0 and parts[0].halo_hi == 3
         assert parts[1].halo_lo == 3 and parts[1].halo_hi == 0
-        assert parts[0].compute_stop == parts[0].own_stop + 3
 
     def test_halo_clipped_to_diagonal(self):
         parts = partition_diagonal(4, 2, 100)
-        assert parts[0].compute_stop <= 4
-        assert parts[1].compute_start >= 0
+        assert parts[0].own_stop + parts[0].halo_hi <= 4
+        assert parts[1].own_start - parts[1].halo_lo >= 0
 
     def test_invalid_arguments(self):
         with pytest.raises(PartitionError):
@@ -71,14 +69,6 @@ class TestHaloBookkeeping:
         swaps = [count_halo_swaps(100, h) for h in (0, 1, 5, 10, 50)]
         assert all(a >= b for a, b in zip(swaps, swaps[1:]))
         assert count_halo_swaps(1, 0) == 0
-
-    def test_redundant_cells_grow_with_halo(self):
-        lengths = [10, 11, 12, 11, 10]
-        r0 = redundant_cells_for_band(lengths, 2, 0)
-        r3 = redundant_cells_for_band(lengths, 2, 3)
-        assert r0 == 0
-        assert r3 > r0
-        assert redundant_cells_for_band(lengths, 1, 3) == 0
 
     def test_halo_swap_nbytes(self):
         assert halo_swap_nbytes(100, 1, 5, 16) == 0

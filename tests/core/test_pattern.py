@@ -14,9 +14,10 @@ def max_plus_kernel():
 
 
 class TestFunctionKernel:
-    def test_cell_wraps_diagonal(self):
+    def test_diagonal_delegates_to_the_function(self):
         kernel = max_plus_kernel()
-        assert kernel.cell(1, 1, 2.0, 5.0, 0.0) == 6.0
+        out = kernel.diagonal(np.array([1]), np.array([1]), np.array([2.0]), np.array([5.0]), np.array([0.0]))
+        assert out.tolist() == [6.0]
 
     def test_metadata(self):
         kernel = max_plus_kernel()
@@ -56,10 +57,6 @@ class TestWavefrontProblem:
         problem = WavefrontProblem(dim=8, kernel=max_plus_kernel())
         grid = problem.make_grid()
         assert grid.dim == 8 and grid.dsize == 1
-
-    def test_features(self):
-        problem = WavefrontProblem(dim=8, kernel=max_plus_kernel())
-        assert problem.features() == {"dim": 8.0, "tsize": 2.0, "dsize": 1.0}
 
     def test_name_defaults_to_kernel_name(self):
         assert WavefrontProblem(dim=8, kernel=max_plus_kernel()).name == "max-plus"

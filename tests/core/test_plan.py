@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.exceptions import PlanError
 from repro.core.params import InputParams, TunableParams
-from repro.core.plan import PLAN_CACHE_SIZE, Phase, ThreePhasePlan
+from repro.core.plan import PLAN_CACHE_SIZE, ThreePhasePlan
 from repro.core.plan import plan_for as shared_plan
 
 
@@ -17,7 +17,6 @@ def plan_for(dim=20, band=-1, halo=-1, cpu_tile=4, tsize=100, dsize=1, gpu_tile=
 class TestThreePhasePlan:
     def test_cpu_only_plan_has_empty_gpu_phase(self):
         plan = plan_for(band=-1)
-        assert plan.is_all_cpu and not plan.is_all_gpu
         assert plan.gpu.is_empty
         assert plan.pre.cells(20) + plan.post.cells(20) == 400
 
@@ -28,7 +27,6 @@ class TestThreePhasePlan:
 
     def test_full_band_is_all_gpu(self):
         plan = plan_for(dim=20, band=19)
-        assert plan.is_all_gpu
         assert plan.pre.is_empty and plan.post.is_empty
         assert plan.gpu.cells(20) == 400
 
@@ -38,17 +36,9 @@ class TestThreePhasePlan:
             cells = plan.cells_per_phase()
             assert sum(cells.values()) == 400
 
-    def test_phase_of_diagonal(self):
-        plan = plan_for(dim=20, band=2)
-        assert plan.phase_of_diagonal(0) is Phase.CPU_PRE
-        assert plan.phase_of_diagonal(19) is Phase.GPU_BAND
-        assert plan.phase_of_diagonal(38) is Phase.CPU_POST
-        with pytest.raises(PlanError):
-            plan.phase_of_diagonal(39)
-
     def test_band_larger_than_grid_is_clipped(self):
         plan = plan_for(dim=20, band=500)
-        assert plan.is_all_gpu
+        assert plan.pre.is_empty and plan.post.is_empty and not plan.gpu.is_empty
 
     def test_gpu_diagonal_lengths(self):
         plan = plan_for(dim=10, band=1)

@@ -17,7 +17,7 @@ class TestTileDecomposition:
         decomp = TileDecomposition(10, 10, 3)
         assert decomp.tile_rows == 4
         last = decomp.tile_at(3, 3)
-        assert last.n_rows == 1 and last.n_cols == 1
+        assert last.row_stop - last.row_start == 1 and last.col_stop - last.col_start == 1
 
     def test_tiles_cover_grid_exactly(self):
         decomp = TileDecomposition(13, 9, 4)

@@ -1,13 +1,11 @@
 """Tests for the calibration layer."""
 
-import pytest
+import dataclasses
 
 from repro.hardware import platforms
 from repro.hardware.calibration import (
     BASE_CONSTANTS,
     constants_for_system,
-    host_calibrated_constants,
-    measure_host_iter_ns,
 )
 
 
@@ -21,27 +19,8 @@ class TestConstantsForSystem:
         assert tesla.gpu_iter_penalty < i7.gpu_iter_penalty
 
     def test_unknown_system_gets_baseline(self):
-        custom = platforms.custom_system("lab", 2000, 8)
+        custom = dataclasses.replace(platforms.I3_540, name="lab")
         assert constants_for_system(custom) == BASE_CONSTANTS
 
     def test_accepts_string_or_spec(self):
         assert constants_for_system("i3-540") == constants_for_system(platforms.I3_540)
-
-
-class TestHostMeasurement:
-    def test_measure_host_iter_positive(self):
-        ns = measure_host_iter_ns(samples=1, iterations=20_000)
-        assert 0.0 < ns < 1e6
-
-    def test_measure_validates_arguments(self):
-        with pytest.raises(ValueError):
-            measure_host_iter_ns(samples=0)
-        with pytest.raises(ValueError):
-            measure_host_iter_ns(iterations=0)
-
-    def test_host_calibration_clamped(self):
-        constants = host_calibrated_constants("i7-2600K")
-        base = constants_for_system("i7-2600K")
-        assert base.cpu_iter_ns / 10 <= constants.cpu_iter_ns <= base.cpu_iter_ns * 10
-        # Only the iteration time changes; platform character is preserved.
-        assert constants.gpu_iter_penalty == base.gpu_iter_penalty

@@ -1,5 +1,7 @@
 """Tests for the analytic cost model — the paper's qualitative trade-offs."""
 
+import dataclasses
+
 import pytest
 
 from repro.autotuner.measured import PROFILED_BACKENDS
@@ -32,7 +34,6 @@ class TestBreakdown:
     def test_totals_are_sums(self):
         b = PhaseBreakdown(pre_s=1, post_s=2, gpu_compute_s=3, transfer_s=4, startup_s=5)
         assert b.cpu_s == 3 and b.gpu_s == 12 and b.total_s == 15
-        assert b.to_dict()["total_s"] == 15
 
 
 class TestCostModelBasics:
@@ -64,7 +65,7 @@ class TestCostModelBasics:
         assert b.startup_s > 0 and b.transfer_s > 0 and b.gpu_launch_s > 0
 
     def test_gpu_on_cpu_only_system_rejected(self, i7_2600k):
-        model = CostModel(platforms.cpu_only_variant(i7_2600k))
+        model = CostModel(dataclasses.replace(i7_2600k, gpus=()))
         with pytest.raises(InvalidParameterError):
             model.predict(ip(), TunableParams.from_encoding(1, 10, -1, 1))
 

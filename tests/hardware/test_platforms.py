@@ -43,12 +43,3 @@ class TestTable4Systems:
         assert platforms.get_system("i3-540") is platforms.I3_540
         with pytest.raises(KeyError):
             platforms.get_system("raspberry-pi")
-
-    def test_cpu_only_variant(self):
-        variant = platforms.cpu_only_variant(platforms.I7_3820)
-        assert not variant.has_gpu
-        assert variant.cpu is platforms.I7_3820.cpu
-
-    def test_custom_system(self):
-        system = platforms.custom_system("lab", cpu_freq_mhz=2000, cores=16, gpu_count=2)
-        assert system.gpu_count == 2 and system.cpu.cores == 16

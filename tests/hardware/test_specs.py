@@ -36,7 +36,6 @@ class TestGPUSpec:
     def test_parallel_width(self):
         gpu = GPUSpec(name="g", freq_mhz=1200, compute_units=15, mem_gb=1.6)
         assert gpu.parallel_width == 15 * gpu.lanes_per_cu
-        assert gpu.mem_bytes == int(1.6 * 1024**3)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

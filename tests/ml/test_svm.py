@@ -1,18 +1,11 @@
-"""Tests for the linear SVM gate and cross-validation helpers."""
+"""Tests for the linear SVM gate."""
 
 import numpy as np
 import pytest
 
 from repro.core.exceptions import InvalidParameterError, ModelNotFittedError
-from repro.ml.crossval import (
-    cross_val_score,
-    kfold_indices,
-    meets_accuracy_threshold,
-    train_test_split,
-)
 from repro.ml.dataset import Dataset
 from repro.ml.svm import LinearSVM
-from repro.ml.tree.reptree import REPTree
 from repro.ml.metrics import accuracy
 
 
@@ -59,37 +52,3 @@ class TestLinearSVM:
         svm = LinearSVM(epochs=50, seed=2).fit(ds)
         clone = LinearSVM.from_dict(svm.to_dict())
         assert np.array_equal(clone.predict_bool(ds.X), svm.predict_bool(ds.X))
-
-
-class TestCrossValidation:
-    def test_kfold_partitions_everything(self):
-        folds = kfold_indices(23, 5, seed=1)
-        assert len(folds) == 5
-        all_test = np.concatenate([test for _, test in folds])
-        assert sorted(all_test.tolist()) == list(range(23))
-        for train, test in folds:
-            assert set(train).isdisjoint(set(test))
-
-    def test_kfold_validation(self):
-        with pytest.raises(InvalidParameterError):
-            kfold_indices(10, 1)
-        with pytest.raises(InvalidParameterError):
-            kfold_indices(3, 5)
-
-    def test_train_test_split_sizes(self):
-        ds = separable_dataset(40)
-        train, test = train_test_split(ds, test_fraction=0.25, seed=0)
-        assert train.n_samples + test.n_samples == 40
-        assert test.n_samples in (10, 11)
-
-    def test_cross_val_score_high_for_learnable_problem(self):
-        ds = separable_dataset(150)
-        scores = cross_val_score(lambda: REPTree(min_leaf=2), ds, k=4, metric=accuracy, seed=0)
-        assert len(scores) == 4
-        assert np.mean(scores) > 0.85
-
-    def test_accuracy_threshold_rule(self):
-        assert meets_accuracy_threshold([0.95, 0.92, 0.99])
-        assert not meets_accuracy_threshold([0.5, 0.6])
-        with pytest.raises(InvalidParameterError):
-            meets_accuracy_threshold([])

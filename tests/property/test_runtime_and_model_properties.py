@@ -88,6 +88,6 @@ class TestTreeProperties:
         rng = np.random.default_rng(seed)
         X = rng.uniform(0, 1, size=(60, 2))
         y = rng.choice([0.0, 1.0], size=60)
-        tree = REPTree(min_leaf=2, prune=False).fit(Dataset(X=X, y=y, feature_names=["a", "b"]))
+        tree = REPTree(min_leaf=2).fit(Dataset(X=X, y=y, feature_names=["a", "b"]))
         preds = tree.predict(X)
         assert np.all((preds >= 0.0) & (preds <= 1.0))

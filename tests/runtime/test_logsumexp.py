@@ -14,6 +14,7 @@ runs under warnings-as-errors.
 floating-point error other than underflow.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lse_oracle import logsumexp_pair as oracle_logsumexp_pair
-from repro.runtime.compute import logsumexp, logsumexp_pair, max_product_pair
+from repro.runtime.compute import logsumexp_pair, max_product_pair
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +46,11 @@ def oracle_pair(a, b):
     return float(hi + np.log1p(np.exp(lo - hi)))
 
 
+def fold(values, axis=0):
+    """log(sum(exp(values))) along ``axis`` as a chain of ``logsumexp_pair``."""
+    return functools.reduce(logsumexp_pair, np.moveaxis(np.asarray(values, dtype=float), axis, 0))
+
+
 class TestExtremes:
     @pytest.mark.parametrize(
         "a,b",
@@ -66,20 +72,20 @@ class TestExtremes:
 
     def test_no_overflow_for_logits_near_positive_700(self):
         values = np.array([700.0, 699.0, 698.0])
-        result = float(logsumexp(values))
+        result = float(fold(values))
         shifted = 700.0 + np.log(np.sum(np.exp(values - 700.0)))
         assert result == pytest.approx(shifted, rel=1e-15)
 
     def test_no_underflow_collapse_for_logits_near_negative_700(self):
         values = np.array([-700.0, -701.0, -702.0])
-        result = float(logsumexp(values))
+        result = float(fold(values))
         assert np.isfinite(result)
         assert result == pytest.approx(-700.0 + np.log(np.sum(np.exp(values + 700.0))), rel=1e-15)
 
     def test_result_at_least_the_maximum_always(self):
         rng = np.random.default_rng(7)
         values = rng.uniform(-750, 710, size=(50, 8))
-        out = logsumexp(values, axis=1)
+        out = fold(values, axis=1)
         assert np.all(out >= np.max(values, axis=1))
 
 
@@ -99,16 +105,16 @@ class TestInfinities:
     def test_all_negative_inf_column_reduces_to_negative_inf(self):
         values = np.full((4, 3), -np.inf)
         values[:, 1] = [0.0, 1.0, 2.0, 3.0]
-        out = logsumexp(values, axis=0)
+        out = fold(values, axis=0)
         assert out[0] == -np.inf and out[2] == -np.inf
         assert out[1] == pytest.approx(oracle_pair(oracle_pair(0.0, 1.0), oracle_pair(2.0, 3.0)), rel=1e-12)
 
     def test_whole_array_of_negative_inf(self):
-        assert float(logsumexp(np.full(5, -np.inf))) == -np.inf
+        assert float(fold(np.full(5, -np.inf))) == -np.inf
 
     def test_mixed_columns_stay_columnwise_independent(self):
         values = np.array([[-np.inf, 700.0], [-np.inf, 700.0]])
-        out = logsumexp(values, axis=0)
+        out = fold(values, axis=0)
         assert out[0] == -np.inf
         assert out[1] == pytest.approx(700.0 + np.log(2.0), rel=1e-15)
 
@@ -122,15 +128,6 @@ class TestOracleAgreement:
         expected = np.array([oracle_pair(x, y) for x, y in zip(a, b)])
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
 
-    def test_reduction_agrees_with_longdouble_on_random_columns(self):
-        rng = np.random.default_rng(13)
-        values = rng.uniform(-700, 700, size=(40, 6))
-        got = logsumexp(values, axis=1)
-        shifted = values.astype(np.longdouble)
-        hi = np.max(shifted, axis=1, keepdims=True)
-        expected = (hi[:, 0] + np.log(np.sum(np.exp(shifted - hi), axis=1))).astype(float)
-        assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
-
     def test_pair_agrees_with_mpmath_oracle_when_available(self):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
@@ -138,6 +135,15 @@ class TestOracleAgreement:
         for a, b in cases:
             expected = float(mpmath.log(mpmath.e**a + mpmath.e**b))
             assert float(logsumexp_pair(a, b)) == pytest.approx(expected, rel=1e-14)
+
+    def test_reduction_agrees_with_longdouble_on_random_columns(self):
+        rng = np.random.default_rng(13)
+        values = rng.uniform(-700, 700, size=(40, 6))
+        got = fold(values, axis=1)
+        shifted = values.astype(np.longdouble)
+        hi = np.max(shifted, axis=1, keepdims=True)
+        expected = (hi[:, 0] + np.log(np.sum(np.exp(shifted - hi), axis=1))).astype(float)
+        assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
 
 
 class TestSemiringAlgebra:
@@ -152,7 +158,9 @@ class TestSemiringAlgebra:
         rng = np.random.default_rng(19)
         values = rng.uniform(-700, 700, size=(2, 64))
         pairwise = logsumexp_pair(values[0], values[1])
-        reduced = logsumexp(values, axis=0)
+        shifted = values.astype(np.longdouble)
+        hi = np.max(shifted, axis=0)
+        reduced = (hi + np.log(np.sum(np.exp(shifted - hi), axis=0))).astype(float)
         assert np.allclose(pairwise, reduced, rtol=1e-13, atol=0)
 
     def test_out_parameter_writes_in_place(self):

@@ -269,11 +269,11 @@ class TestTileSweeper:
 class TestSharedGridBuffer:
     def test_create_attach_roundtrip(self):
         with SharedGridBuffer.create(8) as owner:
-            owner.values[3, 4] = 42.0
+            owner.view(8)[3, 4] = 42.0
             attached = SharedGridBuffer.attach(owner.name, 8)
-            assert attached.values[3, 4] == 42.0
-            attached.values[0, 0] = -1.0
-            assert owner.values[0, 0] == -1.0  # same memory
+            assert attached.view(8)[3, 4] == 42.0
+            attached.view(8)[0, 0] = -1.0
+            assert owner.view(8)[0, 0] == -1.0  # same memory
             attached.close()
 
     def test_only_owner_may_unlink(self):
@@ -290,7 +290,7 @@ class TestSharedGridBuffer:
         buffer.close()
         buffer.unlink()
         with pytest.raises(InvalidParameterError):
-            _ = buffer.values
+            buffer.view(4)
 
 
 class TestHybridMPEngine:

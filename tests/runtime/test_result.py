@@ -66,9 +66,3 @@ class TestExecutionResult:
         assert not a.matches(b)
         b.witness = a.witness.copy()
         assert a.matches(b)
-
-    def test_summary_includes_config_and_breakdown(self):
-        summary = self.make_result(with_grid=False).summary()
-        assert summary["cpu_tile"] == 2 and summary["band"] == -1
-        assert summary["breakdown_pre_s"] == 1.25
-        assert summary["rtime"] == 1.25

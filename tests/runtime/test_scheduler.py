@@ -14,6 +14,6 @@ class TestRunSchedule:
     def test_run_schedule_visits_every_tile_and_collects_results(self):
         decomp = TileDecomposition(10, 10, 5)
         collected = []
-        executed = run_schedule(decomp.schedule(), lambda tile: tile.n_cells, collect=collected.append)
+        executed = run_schedule(decomp.schedule(), lambda t: (t.row_stop - t.row_start) * (t.col_stop - t.col_start), collect=collected.append)
         assert executed == decomp.n_tiles == len(collected)
         assert sum(collected) == 100

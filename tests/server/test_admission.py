@@ -56,7 +56,7 @@ class TestAnsweredAtAdmission:
         served = cached_session.stats["requests_served"]
         try:
             ticket = server.submit("lcs", 24, policy=SERIAL)
-            assert ticket.done
+            assert ticket._done.is_set()
             metrics = server.metrics()
             assert metrics["queue"]["depth"] == 0
             assert metrics["requests"]["accepted"] == 1
@@ -83,7 +83,7 @@ class TestAnsweredAtAdmission:
         hits = cached_session.result_cache.memory_hits
         try:
             ticket = server.submit("lcs", 24, policy=SERIAL)
-            assert not ticket.done
+            assert not ticket._done.is_set()
             assert server.metrics()["queue"]["depth"] == 1
             assert cached_session.result_cache.memory_hits == hits
         finally:
@@ -95,7 +95,7 @@ class TestAnsweredAtAdmission:
         before = cache.info()
         try:
             ticket = server.submit("lcs", 20, policy=SERIAL)  # never solved
-            assert not ticket.done
+            assert not ticket._done.is_set()
             assert server.metrics()["queue"]["depth"] == 1
             after = cache.info()
             assert after["lookups"] == before["lookups"]
@@ -122,7 +122,7 @@ class TestAnsweredAtAdmission:
         server = unstarted(cached_session)
         try:
             ticket = server.submit("lcs", 24, **request_kwargs)
-            assert not ticket.done
+            assert not ticket._done.is_set()
             assert server.metrics()["queue"]["depth"] == 1
         finally:
             server.close()
@@ -215,7 +215,7 @@ class TestAdaptiveLoop:
             assessments = adaptive.detector.assessments
             completed = server.metrics()["requests"]["completed"]
             ticket = server.submit("lcs", 32)
-            assert ticket.done, "the second request is a memory hit"
+            assert ticket._done.is_set(), "the second request is a memory hit"
             assert len(calls) == 1
             assert adaptive.serve_log.observations == observations
             assert adaptive.detector.assessments == assessments

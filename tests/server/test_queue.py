@@ -127,7 +127,7 @@ class TestTicket:
     def test_complete_and_fail_wake_the_waiter(self):
         done = make_request()
         done.complete("answer")
-        assert done.done and done.result(timeout=0) == "answer"
+        assert done._done.is_set() and done.result(timeout=0) == "answer"
         failed = make_request()
         failed.fail(ServerError("boom"))
         with pytest.raises(ServerError, match="boom"):

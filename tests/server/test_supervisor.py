@@ -214,7 +214,7 @@ class TestSupervisorConfig:
 class TestSupervision:
     def test_execute_round_trips_through_the_shard(self, supervised):
         supervisor, stub = supervised()
-        assert supervisor.ready and not supervisor.circuit_open
+        assert supervisor.state == "healthy" and not supervisor.circuit_open
         answer = supervisor.source.run(deadline_at=soon())
         assert answer == "answer:lcs:8"
         assert stub.calls == 1
@@ -228,7 +228,7 @@ class TestSupervision:
         assert info["crashes"] == 1
         assert info["redispatches"] == 1
         wait_until(lambda: supervisor.info()["restarts"] >= 1)
-        wait_until(lambda: supervisor.ready)
+        wait_until(lambda: supervisor.state == "healthy")
 
     def test_chaos_kill_is_survived_and_counted_once(self, supervised):
         supervisor, stub = supervised(plan=FaultPlan.parse("kill@1"))
@@ -251,7 +251,7 @@ class TestSupervision:
         with pytest.raises(DeadlineError):
             supervisor.source.run(deadline_at=soon(0.2))
         wait_until(lambda: supervisor.info()["restarts"] >= 1)
-        wait_until(lambda: supervisor.ready)
+        wait_until(lambda: supervisor.state == "healthy")
         # The recovered shard serves the next request normally.
         assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
 
@@ -271,7 +271,7 @@ class TestSupervision:
         supervisor, _ = supervised(crashes=10, config=config)
         with pytest.raises(ShardCrashError):
             supervisor.source.run(deadline_at=soon())
-        assert supervisor.circuit_open and not supervisor.ready
+        assert supervisor.circuit_open and supervisor.state != "healthy"
         with pytest.raises(ShardUnavailableError):
             supervisor.source.run(deadline_at=soon())
 
@@ -294,7 +294,7 @@ class TestSupervision:
         with supervisor._lock:
             supervisor.epoch += 1  # silently retire the thread: beats stop
         wait_until(lambda: supervisor.crashes >= 1)
-        wait_until(lambda: supervisor.ready)
+        wait_until(lambda: supervisor.state == "healthy")
         assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
 
     def test_borrowed_session_is_not_closed(self, supervised):

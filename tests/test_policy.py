@@ -38,15 +38,12 @@ def i3_session(quick_tuner_i3, i3):
 
 
 class TestPolicyValue:
-    def test_default_policy_is_default(self):
-        policy = ExecutionPolicy()
-        assert policy.is_default
-        assert policy.overrides() == {}
+    def test_default_policy_overrides_nothing(self):
+        assert ExecutionPolicy().overrides() == {}
 
     def test_overrides_lists_only_set_fields(self):
         policy = ExecutionPolicy(backend="serial", workers=2)
         assert policy.overrides() == {"backend": "serial", "workers": 2}
-        assert not policy.is_default
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(InvalidParameterError, match="workers"):

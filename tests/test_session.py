@@ -85,7 +85,7 @@ class TestPlanResolution:
                 policy=ExecutionPolicy(backend="vectorized", tunables=TunableParams()),
             )
             assert plan.tuner == "manual"
-            assert not session.tuner_ready  # the tuner was never built
+            assert session._tuner is None  # the tuner was never built
             result = session.run(plan)
             assert result.grid is not None
 
@@ -298,8 +298,8 @@ class TestBoundedCaches:
         bounded = MeasuredTuner(profile, tuner.model, plan_cache_size=2)
         for dim in (16, 20, 24, 28, 32):
             bounded.tune("lcs", dim)
-        assert bounded.cache_info()["plans"] <= 2
-        assert bounded.cache_info()["evictions"] > 0
+        assert bounded._plan_cache.info()["size"] <= 2
+        assert bounded._plan_cache.info()["evictions"] > 0
 
 
 
@@ -434,7 +434,7 @@ class TestTunerProtocol:
         assert isinstance(learned, Tuner) and isinstance(exhaustive, Tuner)
         assert isinstance(learned, AutoTuner)
         params = LCSApp(dim=32).input_params(32)
-        for strategy in (learned, learned.model, exhaustive):
+        for strategy in (learned, exhaustive):
             decision = strategy.resolve("lcs", params)
             assert isinstance(decision, PlanDecision)
             assert decision.tunables.cpu_tile >= 1
