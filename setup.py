@@ -26,9 +26,15 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.23", "scipy>=1.9"],
+    install_requires=["numpy>=2.0"],
     extras_require={
-        "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
+        "dev": [
+            "pytest>=7.0",
+            "pytest-benchmark>=4.0",
+            "hypothesis>=6.0",
+            "scipy>=1.9",
+            "mpmath>=1.0",
+        ],
     },
     entry_points={"console_scripts": ["repro-tune = repro.cli:main"]},
 )

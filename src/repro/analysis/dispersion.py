@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.exceptions import SearchError
 from repro.core.params import InputParams
@@ -71,6 +70,21 @@ class ViolinStats:
         ]
 
 
+def gaussian_kde(samples: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """1-D Gaussian kernel density of ``samples`` evaluated at ``xs``.
+
+    The bandwidth is Scott's rule, ``n ** -0.2`` times the unbiased standard
+    deviation, as in ``scipy.stats.gaussian_kde``.  Each point-to-sample
+    offset is taken before it is scaled by the bandwidth, so samples packed
+    close together keep their digits (scipy scales first and loses about
+    ``1e-16 / relative spread``).  ``samples`` must not be constant.
+    """
+    n = samples.size
+    bandwidth = np.sqrt(np.var(samples, ddof=1)) * n ** -0.2
+    z = (xs[:, None] - samples) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * np.sqrt(2.0 * np.pi))
+
+
 def dispersion_stats(
     results: SearchResults, params: InputParams, density_points: int = 64
 ) -> ViolinStats:
@@ -87,11 +101,7 @@ def dispersion_stats(
     if np.ptp(rtimes) < 1e-12:
         ys = np.ones_like(xs)
     else:
-        try:
-            kde = stats.gaussian_kde(rtimes)
-            ys = kde(xs)
-        except np.linalg.LinAlgError:
-            ys = np.ones_like(xs)
+        ys = gaussian_kde(rtimes, xs)
     return ViolinStats(
         dim=params.dim,
         tsize=params.tsize,

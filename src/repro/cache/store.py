@@ -56,6 +56,13 @@ DEFAULT_MAX_ENTRIES = 1024
 #: Default bound on the total persisted bytes (256 MiB).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
+#: ``np.load`` parses every array header with ``ast.literal_eval``.  CPython
+#: 3.11 keeps the AST constructor's recursion depth per interpreter, so two
+#: threads compiling at once (a garbage collection running finalizers lets
+#: them interleave) can raise ``SystemError``, which ``DiskCacheStore.get``
+#: would take for a corrupt entry.  Decoding is one thread at a time.
+_DECODE_LOCK = threading.Lock()
+
 
 def encode_result(result: ExecutionResult, request: dict | None = None) -> dict:
     """Split one result into a JSON-safe header and raw arrays.
@@ -245,7 +252,7 @@ class DiskCacheStore:
         """
         path = self._entry_path(digest)
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            with _DECODE_LOCK, np.load(path, allow_pickle=False) as archive:
                 result = decode_result(archive)
         except CacheError:
             raise

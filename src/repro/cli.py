@@ -58,8 +58,6 @@ import time
 from pathlib import Path
 
 from repro.adaptive import ADAPTIVE_MODES, render_adaptive_report
-from repro.analysis.heatmap import build_heatmap
-from repro.analysis.report import render_heatmap
 from repro.apps.registry import available_applications
 from repro.autotuner.measured import (
     DEFAULT_MODEL_PATH,
@@ -866,6 +864,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         return _report_measured(args)
     if args.kind == "adaptive":
         return _report_adaptive(args)
+    # Imported here, not at the top: the serving verbs must not load the
+    # figure stack (tests/test_import_boundary.py).
+    from repro.analysis.heatmap import build_heatmap
+    from repro.analysis.report import render_heatmap
+
     with Session(system=args.system, tuner="exhaustive") as session:
         results = session.sweep(_space(args.space))
         print(

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.aggregate import average_case_table
-from repro.analysis.dispersion import dispersion_stats
+from repro.analysis.dispersion import dispersion_stats, gaussian_kde
 from repro.analysis.heatmap import build_heatmap
 from repro.analysis.report import render_heatmap, render_table
 from repro.analysis.speedup import autotune_speedup_summary, scheme_speedup_summary
+from repro.autotuner.exhaustive import SearchRecord, SearchResults
 from repro.core.exceptions import SearchError
-from repro.core.params import InputParams
+from repro.core.params import InputParams, TunableParams
 
 
 class TestHeatmap:
@@ -96,6 +98,79 @@ class TestDispersion:
     def test_unknown_instance_rejected(self, tiny_results_i7):
         with pytest.raises(SearchError):
             dispersion_stats(tiny_results_i7, InputParams(dim=9999, tsize=1, dsize=1))
+
+    def test_all_equal_runtimes_take_the_flat_branch(self):
+        params = InputParams(dim=64, tsize=10, dsize=1)
+        results = SearchResults(system="i3-540")
+        for tile in range(1, 6):
+            results.add(SearchRecord(params, TunableParams(cpu_tile=tile), 0.25))
+        stats = dispersion_stats(results, params, density_points=16)
+        assert np.array_equal(stats.density_x, np.full(16, 0.25))
+        assert np.array_equal(stats.density_y, np.ones(16))
+        assert stats.minimum == stats.median == stats.maximum == 0.25
+
+
+def _density_grid(samples):
+    return np.linspace(samples.min(), samples.max(), 64)
+
+
+def _normwise(actual, expected):
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+@st.composite
+def _runtimes(draw, min_relative_spread, max_n=200):
+    """Positive non-constant samples: ``base + step * k`` for integers ``k``.
+
+    Half of the draws are near-constant: every sample is ``base`` but one
+    or two, the many-ties shape a configuration space with a flat base has.
+    """
+    n = draw(st.integers(2, max_n))
+    base = draw(st.floats(1e-4, 1e3))
+    step = base * draw(st.floats(min_relative_spread, 1.0))
+    if draw(st.booleans()):
+        ks = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            ks[i] = draw(st.integers(1, 3))
+    else:
+        ks = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n))
+    samples = base + step * np.array(ks, dtype=np.float64)
+    if np.ptp(samples) == 0:
+        samples[0] += step
+    return samples
+
+
+class TestGaussianKDE:
+    """The NumPy port of ``scipy.stats.gaussian_kde`` used by Figure 8."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=_runtimes(min_relative_spread=1e-2))
+    def test_matches_scipy(self, samples):
+        stats = pytest.importorskip("scipy.stats")
+        xs = _density_grid(samples)
+        expected = stats.gaussian_kde(samples)(xs)
+        assert _normwise(gaussian_kde(samples, xs), expected) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=_runtimes(min_relative_spread=1e-8, max_n=24))
+    def test_matches_exact_density_when_samples_crowd_together(self, samples):
+        # scipy scales each point by the bandwidth before subtracting, which
+        # costs it about 1e-16 / relative spread (x n ** 0.7 with many ties);
+        # the port subtracts first, so it is held to an exact density instead.
+        mp = pytest.importorskip("mpmath")
+        xs = _density_grid(samples)
+        with mp.workdps(40):
+            values = [mp.mpf(float(v)) for v in samples]
+            n = len(values)
+            mean = mp.fsum(values) / n
+            bandwidth = mp.sqrt(mp.fsum((v - mean) ** 2 for v in values) / (n - 1))
+            bandwidth *= mp.mpf(n) ** (mp.mpf(-1) / 5)
+            norm = n * bandwidth * mp.sqrt(2 * mp.pi)
+            expected = np.array([
+                float(mp.fsum(mp.exp(-((mp.mpf(float(x)) - v) / bandwidth) ** 2 / 2) for v in values) / norm)
+                for x in xs
+            ])
+        assert _normwise(gaussian_kde(samples, xs), expected) <= 1e-12
 
 
 class TestReportHelpers:

@@ -13,6 +13,7 @@ the memory tier, the disk tier (npz round-trip across a session restart)
 and result coalescing byte-identically.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -252,6 +253,36 @@ class TestCorruptionUnderLoad:
             session.result_cache.flush()
             fresh = DiskCacheStore(tmp_path)
             assert fresh.get(digest) is not None
+
+    def test_concurrent_reads_of_valid_entries_are_never_corrupt(self, tmp_path):
+        # Cyclic garbage with finalizers makes collections run Python code
+        # inside np.load's header parse, and a 1 us switch interval lets
+        # another reader's parse interleave there.
+        store = DiskCacheStore(tmp_path)
+        with Session(system="i7-2600K") as session:
+            for dim in range(8, 20):
+                store.put(f"lcs{dim}", session.solve("lcs", dim, policy=SERIAL))
+
+        class Cycle:
+            def __init__(self):
+                self.me = self
+
+            def __del__(self):
+                sum(range(50))
+
+        def worker():
+            for i in range(300):
+                junk = [Cycle() for _ in range(50)]
+                del junk
+                assert store.get(f"lcs{8 + i % 12}") is not None
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(8, worker)
+        finally:
+            sys.setswitchinterval(previous)
+        assert store.corrupt_dropped == 0
 
     def test_stale_directory_fails_fast_at_session_construction(self, tmp_path):
         (tmp_path / "cache_format.json").write_text('{"format_version": 999}')
