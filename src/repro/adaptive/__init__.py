@@ -23,12 +23,7 @@ from repro.adaptive.controller import (
     AdaptiveController,
 )
 from repro.adaptive.drift import DriftConfig, DriftDetector, DriftEvent
-from repro.adaptive.observations import (
-    ObservationLog,
-    SignatureStats,
-    observation_signature,
-    signature_label,
-)
+from repro.adaptive.observations import ObservationLog, SignatureStats
 from repro.adaptive.report import render_adaptive_report
 from repro.adaptive.shadow import ShadowDecision, ShadowTuner
 
@@ -43,7 +38,5 @@ __all__ = [
     "ShadowDecision",
     "ShadowTuner",
     "SignatureStats",
-    "observation_signature",
     "render_adaptive_report",
-    "signature_label",
 ]

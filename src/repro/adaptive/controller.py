@@ -1,10 +1,9 @@
 """The adaptive control loop: observe → detect drift → shadow → swap.
 
 :class:`AdaptiveController` is the one stateful object tying the layer
-together.  The serving path feeds it a service-time observation per
-executed batch (:meth:`AdaptiveController.observe`), sessions feed it
-pure solve walls through their observer hook
-(:meth:`AdaptiveController.record_run`), and everything downstream is
+together.  The serving path feeds it one service-time observation per
+executed batch (:meth:`AdaptiveController.observe`), keyed by the
+signature the request was admitted under, and everything downstream is
 derived:
 
 * every observation updates the per-signature streaming statistics
@@ -35,18 +34,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.exceptions import ReproError, UsageError
-from repro.facade.plan import ResolvedPlan
-
 from repro.adaptive.drift import DriftConfig, DriftDetector
 from repro.adaptive.observations import (
     DEFAULT_RESERVOIR,
     DEFAULT_SIGNATURES,
     ObservationLog,
-    observation_signature,
-    signature_label,
 )
 from repro.adaptive.shadow import ShadowDecision, ShadowTuner
+from repro.cache.keys import RequestIdentity
+from repro.core.exceptions import ReproError, UsageError
+from repro.facade.plan import ResolvedPlan
 
 #: The ``--adaptive`` settings the serving layer understands.
 ADAPTIVE_MODES = ("off", "shadow", "live")
@@ -106,12 +103,9 @@ class _ActiveSwap:
 class AdaptiveController:
     """Owner of the whole online-tuning loop for one serving stack.
 
-    ``session`` is the server's session: plans are looked up there, live
-    swaps are installed there, and its observer hook feeds
-    :meth:`record_run`.  All decision state is guarded by one lock;
-    :meth:`record_run` deliberately bypasses it (it only touches the run
-    log's own locks) so a session observer can never deadlock against a
-    swap in progress.
+    ``session`` is the server's session: plans are looked up there and
+    live swaps are installed there.  All decision state is guarded by one
+    lock.
     """
 
     def __init__(self, session, config: AdaptiveConfig | None = None) -> None:
@@ -120,17 +114,13 @@ class AdaptiveController:
         self.serve_log = ObservationLog(
             maxsize=self.config.signatures, reservoir_size=self.config.reservoir
         )
-        self.run_log = ObservationLog(
-            maxsize=self.config.signatures, reservoir_size=self.config.reservoir
-        )
         self.detector = DriftDetector(self.config.drift)
         self.shadow = ShadowTuner(session)
         self._lock = threading.Lock()
         self._decisions: deque[ShadowDecision] = deque(maxlen=DECISION_HISTORY)
-        self._watch: dict[tuple, _ActiveSwap] = {}
-        self._swapped: dict[tuple, _ActiveSwap] = {}
-        self._pinned: set[tuple] = set()
-        self._default_mode = session.mode.value
+        self._watch: dict[RequestIdentity, _ActiveSwap] = {}
+        self._swapped: dict[RequestIdentity, _ActiveSwap] = {}
+        self._pinned: set[RequestIdentity] = set()
         self.shadow_evaluations = 0
         self.would_swap = 0
         self.swaps_applied = 0
@@ -142,13 +132,11 @@ class AdaptiveController:
         self.last_error: str | None = None
 
     # ------------------------------------------------------------------
-    # Observation entry points
+    # Observation entry point
     # ------------------------------------------------------------------
     def observe(
         self,
-        app: Any,
-        dim: int | None,
-        mode: str | None,
+        signature: RequestIdentity,
         plan_kwargs: Mapping[str, Any] | None,
         service_s: float,
         count: int = 1,
@@ -156,44 +144,27 @@ class AdaptiveController:
         """Fold one executed batch's service time into the loop.
 
         Called by the server once per coalesced batch execution with the
-        batch head's identity and the wall time spent executing (queue
-        wait excluded, so bursty arrivals cannot fake a drift).  Never
-        raises: internal failures land in the ``errors`` counter.
+        batch head's admitted signature (mode filled in), its
+        :meth:`Session.plan` keywords and the wall time spent executing
+        (queue wait excluded, so bursty arrivals cannot fake a drift).
+        Never raises: internal failures land in the ``errors`` counter.
         """
-        norm_mode = mode if mode is not None else self._default_mode
-        signature = observation_signature(app, dim, norm_mode, plan_kwargs)
         stats = self.serve_log.record(signature, service_s, count)
-        if norm_mode != "functional":
+        if signature.mode != "functional":
             return
         try:
             with self._lock:
-                self._assess(
-                    signature, app, dim, dict(plan_kwargs or {}), service_s, stats
-                )
+                self._assess(signature, dict(plan_kwargs or {}), service_s, stats)
         except Exception as error:  # noqa: BLE001 - must never break serving
             self.errors += 1
             self.last_error = f"{type(error).__name__}: {error}"
-
-    def record_run(self, plan: ResolvedPlan, mode, wall_s: float) -> None:
-        """Session observer hook: one pure solve wall, no serving overhead.
-
-        These walls are what shadow retraining treats as measured
-        evidence — they time exactly what a profile sweep would time.
-        """
-        mode_name = getattr(mode, "value", mode)
-        signature = observation_signature(
-            plan.app, plan.dim, mode_name, dict(plan.app_kwargs)
-        )
-        self.run_log.record(signature, wall_s)
 
     # ------------------------------------------------------------------
     # The loop body (under the controller lock)
     # ------------------------------------------------------------------
     def _assess(
         self,
-        signature: tuple,
-        app: Any,
-        dim: int | None,
+        signature: RequestIdentity,
         plan_kwargs: dict,
         service_s: float,
         stats,
@@ -203,7 +174,7 @@ class AdaptiveController:
         if watched is not None:
             self._judge_swap(signature, watched, stats)
             return
-        plan = self._plan_for(app, dim, plan_kwargs)
+        plan = self._plan_for(signature, plan_kwargs)
         if plan is None or plan.expected_s is None:
             self.unpredicted += 1
             return
@@ -228,7 +199,7 @@ class AdaptiveController:
         self._promote(signature, plan, decision, stats)
 
     def _plan_for(
-        self, app: Any, dim: int | None, plan_kwargs: dict
+        self, signature: RequestIdentity, plan_kwargs: dict
     ) -> ResolvedPlan | None:
         """The active plan of one signature, or ``None`` when unresolvable.
 
@@ -236,13 +207,13 @@ class AdaptiveController:
         the server admitted them: ``policy=`` plus constructor overrides.
         """
         try:
-            return self.session.plan(app, dim, **plan_kwargs)
+            return self.session.plan(signature.app, signature.dim, **plan_kwargs)
         except ReproError:
             return None
 
     def _promote(
         self,
-        signature: tuple,
+        signature: RequestIdentity,
         plan: ResolvedPlan,
         decision: ShadowDecision,
         stats,
@@ -265,7 +236,9 @@ class AdaptiveController:
         self.serve_log.reset(signature)
         self.detector.reset(signature)
 
-    def _judge_swap(self, signature: tuple, swap: _ActiveSwap, stats) -> None:
+    def _judge_swap(
+        self, signature: RequestIdentity, swap: _ActiveSwap, stats
+    ) -> None:
         """Confirm or roll back a promoted plan once evidence suffices."""
         stats.expected_s = swap.new_plan.expected_s
         if stats.count < self.config.drift.min_samples:
@@ -289,7 +262,7 @@ class AdaptiveController:
         observations = self.serve_log.snapshot()
         with self._lock:
             swapped_labels = {
-                signature_label(sig): {
+                sig.label: {
                     "from_backend": swap.old_plan.backend,
                     "to_backend": swap.new_plan.backend,
                     "to_workers": swap.new_plan.workers,
@@ -297,8 +270,8 @@ class AdaptiveController:
                 }
                 for sig, swap in self._swapped.items()
             }
-            watching = [signature_label(sig) for sig in self._watch]
-            pinned = [signature_label(sig) for sig in self._pinned]
+            watching = [sig.label for sig in self._watch]
+            pinned = [sig.label for sig in self._pinned]
             decisions = [decision.to_dict() for decision in self._decisions]
             counters = {
                 "evaluations": self.shadow_evaluations,
@@ -320,7 +293,6 @@ class AdaptiveController:
         return {
             "mode": self.config.mode,
             "observations": observations["observations"],
-            "run_observations": self.run_log.observations,
             "tracked_signatures": observations["tracked_signatures"],
             "signatures": observations["signatures"],
             "drift": self.detector.snapshot(),

@@ -32,11 +32,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Hashable
 
+from repro.cache.keys import RequestIdentity
 from repro.core.exceptions import UsageError
-
-from repro.adaptive.observations import signature_label
 
 #: Bound on remembered drift events (oldest dropped first).
 EVENT_HISTORY = 64
@@ -86,7 +84,7 @@ class DriftEvent:
     ordinal at which the event latched.
     """
 
-    signature: tuple
+    signature: RequestIdentity
     observed_s: float
     reference_s: float
     expected_s: float | None
@@ -102,7 +100,7 @@ class DriftEvent:
     def to_dict(self) -> dict:
         """JSON-safe rendering for ``/metrics`` and reports."""
         return {
-            "signature": signature_label(self.signature),
+            "signature": self.signature.label,
             "observed_ms": self.observed_s * 1e3,
             "reference_ms": self.reference_s * 1e3,
             "expected_ms": (
@@ -146,7 +144,7 @@ class DriftDetector:
     def __init__(self, config: DriftConfig | None = None) -> None:
         self.config = config if config is not None else DriftConfig()
         self._lock = threading.Lock()
-        self._states: OrderedDict[Hashable, _SignatureState] = OrderedDict()
+        self._states: OrderedDict[RequestIdentity, _SignatureState] = OrderedDict()
         self._events: deque[DriftEvent] = deque(maxlen=EVENT_HISTORY)
         self.events_total = 0
         self.recoveries = 0
@@ -154,7 +152,7 @@ class DriftDetector:
 
     def assess(
         self,
-        signature: tuple,
+        signature: RequestIdentity,
         observed_s: float,
         expected_s: float | None = None,
     ) -> DriftEvent | None:
@@ -207,7 +205,7 @@ class DriftDetector:
             self._events.append(event)
             return event
 
-    def reset(self, signature: tuple) -> None:
+    def reset(self, signature: RequestIdentity) -> None:
         """Forget a signature entirely (recalibrates from scratch)."""
         with self._lock:
             self._states.pop(signature, None)

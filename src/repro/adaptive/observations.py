@@ -10,11 +10,10 @@ percentiles stay available for operators.  An :class:`ObservationLog`
 owns one :class:`SignatureStats` per request signature, bounded LRU-style
 so an adversarial stream of distinct signatures cannot grow memory.
 
-Signatures use the same ``(app, dim, mode, overrides)`` tuple shape as
-the server queue's coalescing key (:func:`observation_signature` is the
-canonical implementation; ``repro.server.queue.request_signature``
-delegates here), so cache keys, batch coalescing and adaptive-tuning
-observations all speak about the same traffic classes.
+Signatures are the server queue's coalescing key, a
+:class:`repro.cache.RequestIdentity` with its mode filled in at admission,
+so cache keys, batch coalescing, ``/metrics`` and adaptive-tuning
+observations all speak about the same traffic classes under one label.
 
 This module must stay import-free of ``repro.server`` — the serving
 layer imports the adaptive layer, never the reverse.
@@ -25,7 +24,8 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict, deque
-from typing import Any, Hashable, Mapping
+
+from repro.cache.keys import RequestIdentity
 
 #: Default bound on distinct signatures an ObservationLog tracks.
 DEFAULT_SIGNATURES = 256
@@ -35,41 +35,12 @@ DEFAULT_RESERVOIR = 128
 SNAPSHOT_PERCENTILES = (50, 95)
 
 
-def observation_signature(
-    app: Any,
-    dim: int | None,
-    mode: str | None,
-    plan_kwargs: Mapping[str, Any] | None = None,
-) -> tuple:
-    """The canonical traffic-class key of one request.
-
-    Identical inputs produce identical signatures; the tuple is hashable
-    so it can key coalescing queues, plan caches and observation logs
-    alike.  Plan overrides are folded in by ``repr`` so unhashable values
-    (lists, arrays) cannot break the key.
-    """
-    overrides = tuple(
-        sorted((k, repr(v)) for k, v in (plan_kwargs or {}).items())
-    )
-    return (str(app), dim, mode, overrides)
-
-
-def signature_label(signature: tuple) -> str:
-    """Render a signature tuple as a compact human/JSON-friendly label."""
-    app, dim, mode, overrides = signature
-    label = f"{app}[dim={dim}]"
-    if mode is not None:
-        label += f" mode={mode}"
-    if overrides:
-        label += " " + ",".join(f"{k}={v}" for k, v in overrides)
-    return label
-
-
 def percentile(values: list[float], pct: float) -> float:
     """Nearest-rank percentile of ``values`` (0 when empty).
 
-    Uses the same rank formula as the server metrics reservoir so the
-    adaptive layer and ``/metrics`` report comparable numbers.
+    The one rank formula: the adaptive layer and ``/metrics``
+    (:func:`repro.server.metrics.summarise_latencies`) both call it, so
+    they report comparable numbers.
     """
     if not values:
         return 0.0
@@ -157,12 +128,12 @@ class ObservationLog:
         self.maxsize = int(maxsize)
         self.reservoir_size = int(reservoir_size)
         self._lock = threading.RLock()
-        self._stats: OrderedDict[Hashable, SignatureStats] = OrderedDict()
+        self._stats: OrderedDict[RequestIdentity, SignatureStats] = OrderedDict()
         self.observations = 0
         self.evictions = 0
 
     def record(
-        self, signature: Hashable, latency_s: float, count: int = 1
+        self, signature: RequestIdentity, latency_s: float, count: int = 1
     ) -> SignatureStats:
         """Fold an observation; return the signature's (live) stats."""
         count = max(1, int(count))
@@ -180,7 +151,7 @@ class ObservationLog:
         stats.record(latency_s, count)
         return stats
 
-    def reset(self, signature: Hashable) -> None:
+    def reset(self, signature: RequestIdentity) -> None:
         """Forget one signature's stats (e.g. after a live plan swap)."""
         with self._lock:
             self._stats.pop(signature, None)
@@ -202,7 +173,5 @@ class ObservationLog:
             "observations": observations,
             "tracked_signatures": tracked,
             "evictions": evictions,
-            "signatures": {
-                signature_label(sig): stats.snapshot() for sig, stats in items
-            },
+            "signatures": {sig.label: stats.snapshot() for sig, stats in items},
         }

@@ -29,8 +29,7 @@ def render_adaptive_report(adaptive: dict | None, delta: dict | None = None) -> 
     lines: list[str] = []
     lines.append(
         f"adaptive tuning [{adaptive.get('mode', '?')}]: "
-        f"{adaptive.get('observations', 0)} served observations "
-        f"(+{adaptive.get('run_observations', 0)} session runs) over "
+        f"{adaptive.get('observations', 0)} served observations over "
         f"{adaptive.get('tracked_signatures', 0)} signatures"
     )
     signatures = adaptive.get("signatures") or {}

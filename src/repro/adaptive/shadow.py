@@ -31,10 +31,11 @@ from repro.autotuner.measured import (
     MeasuredTuner,
 )
 from repro.autotuner.protocol import PlanDecision
+from repro.cache.keys import RequestIdentity
 from repro.core.exceptions import ReproError
 from repro.facade.plan import ResolvedPlan
 
-from repro.adaptive.observations import SignatureStats, signature_label
+from repro.adaptive.observations import SignatureStats
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class ShadowDecision:
     tunables — the controller's promotion predicate.
     """
 
-    signature: tuple
+    signature: RequestIdentity
     plan: ResolvedPlan
     decision: PlanDecision
     observed_s: float
@@ -69,7 +70,7 @@ class ShadowDecision:
     def to_dict(self) -> dict:
         """JSON-safe rendering for ``/metrics`` and reports."""
         return {
-            "signature": signature_label(self.signature),
+            "signature": self.signature.label,
             "active": {
                 "backend": self.plan.backend,
                 "engine": self.plan.engine,
@@ -111,7 +112,7 @@ class ShadowTuner:
         self.session = session
 
     def resolve(
-        self, plan: ResolvedPlan, stats: SignatureStats, signature: tuple
+        self, plan: ResolvedPlan, stats: SignatureStats, signature: RequestIdentity
     ) -> ShadowDecision:
         """Shadow-resolve one drifted signature's plan.
 

@@ -66,7 +66,7 @@ def measured_report_rows(
         records = profile.records_for(params, app=app)
         best = profile.best(params, app=app)
         walls = np.array([r.wall_s for r in records])
-        plan = tuner.tune(app, params.dim)
+        plan = tuner.resolve(app, params)
         predicted_ms = ""
         if model is not None:
             predicted_ms = (

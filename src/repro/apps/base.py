@@ -46,7 +46,17 @@ class WavefrontApplication(abc.ABC):
         dim = self.default_dim if dim is None else dim
         if dim < 2:
             raise InvalidParameterError(f"dim must be >= 2, got {dim}")
-        return WavefrontProblem(dim=dim, kernel=self.make_kernel(), name=self.name)
+        try:
+            kernel = self.make_kernel()
+        except InvalidParameterError:
+            raise
+        except (TypeError, ValueError) as error:
+            # Constructor arguments are only used here (a seed the RNG
+            # refuses): the caller's mistake, typed like a constructor error.
+            raise InvalidParameterError(
+                f"application {self.name!r} cannot build its kernel: {error}"
+            ) from None
+        return WavefrontProblem(dim=dim, kernel=kernel, name=self.name)
 
     def input_params(self, dim: int | None = None) -> InputParams:
         """The (dim, tsize, dsize) characteristics of an instance."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.apps.base import WavefrontApplication
 from repro.core.exceptions import InvalidParameterError, UnknownApplicationError
 from repro.apps.editdistance import EditDistanceApp
@@ -16,8 +14,8 @@ from repro.apps.stochastic_path import StochasticPathApp
 from repro.apps.synthetic import SyntheticApp
 from repro.apps.viterbi import ViterbiApp
 
-#: Application factories by name; each factory takes no required arguments.
-APPLICATIONS: dict[str, Callable[[], WavefrontApplication]] = {
+#: Application classes by name; each constructor takes no required arguments.
+APPLICATIONS: dict[str, type[WavefrontApplication]] = {
     "synthetic": SyntheticApp,
     "nash-equilibrium": NashEquilibriumApp,
     "sequence-comparison": SequenceComparisonApp,
@@ -31,6 +29,26 @@ APPLICATIONS: dict[str, Callable[[], WavefrontApplication]] = {
 }
 
 
+def _factory(name: str) -> type[WavefrontApplication]:
+    """The registered class of ``name``, or a typed unknown-name error."""
+    try:
+        return APPLICATIONS[name]
+    except KeyError:
+        known = ", ".join(sorted(APPLICATIONS))
+        raise UnknownApplicationError(
+            f"unknown application {name!r}; known: {known}"
+        ) from None
+
+
+def default_dim(name: str) -> int:
+    """The problem size a registered application builds when none is given.
+
+    Read off the class, so a cache lookup can name the instance without
+    constructing the application.
+    """
+    return _factory(name).default_dim
+
+
 def get_application(name: str, **kwargs) -> WavefrontApplication:
     """Build a registered application by name.
 
@@ -40,13 +58,7 @@ def get_application(name: str, **kwargs) -> WavefrontApplication:
     :class:`~repro.core.exceptions.InvalidParameterError` naming them — this
     is where caller-supplied overrides (CLI, ``POST /solve``) are applied.
     """
-    try:
-        factory = APPLICATIONS[name]
-    except KeyError:
-        known = ", ".join(sorted(APPLICATIONS))
-        raise UnknownApplicationError(
-            f"unknown application {name!r}; known: {known}"
-        ) from None
+    factory = _factory(name)
     try:
         return factory(**kwargs)
     except InvalidParameterError:

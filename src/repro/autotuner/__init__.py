@@ -34,7 +34,6 @@ from repro.autotuner.measured import (
     MeasuredRecord,
     MeasuredTuner,
     ProfileConfig,
-    TunedPlan,
     load_profile,
     profile_host,
     save_profile,
@@ -60,7 +59,6 @@ __all__ = [
     "MeasuredRecord",
     "MeasuredTuner",
     "ProfileConfig",
-    "TunedPlan",
     "load_profile",
     "profile_host",
     "save_profile",

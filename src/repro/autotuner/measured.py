@@ -18,12 +18,13 @@ the machine actually running the code:
    fitted on real wall-clock instead of cost-model synthetic data.  The
    fitted tuner persists via :func:`repro.autotuner.persistence.save_tuner`,
    the profile via :func:`save_profile` (both JSON, both format-versioned).
-3. **Tune** — :meth:`MeasuredTuner.tune` answers deployment queries: the
+3. **Tune** — :meth:`MeasuredTuner.resolve` answers deployment queries
+   through the :class:`~repro.autotuner.protocol.Tuner` protocol: the
    backend is resolved from the measured per-backend bests (the measured
    analogue of the cost-model engine dimension), the tile from the learned
    model snapped onto the measured tile grid, and the expected runtime is
-   the measured wall of the nearest profiled record.  Tuned plans are
-   cached by ``(app, dim, system, backend)`` so repeated calls are O(1).
+   the measured wall of the nearest profiled record.  The tuner keeps no
+   plan cache of its own: the session's plan cache answers repeats.
 
 The CLI exposes the pipeline as ``repro profile`` (steps 1+2, plus the
 predicted-vs-measured report of :mod:`repro.analysis.measured`) and
@@ -51,7 +52,6 @@ from repro.hardware.calibration import constants_from_measurements
 from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec, detect_local_system
 from repro.runtime.registry import engines_with, get_executor
-from repro.utils.lru import LRUCache
 from repro.utils.serialization import load_json, save_json
 
 #: Format marker written into every profile file (bumped on layout changes;
@@ -489,41 +489,6 @@ def profile_host(
 # ----------------------------------------------------------------------
 # The measured tuner
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TunedPlan:
-    """A deployment answer of the measured tuner for one (app, dim) query."""
-
-    app: str
-    dim: int
-    system: str
-    backend: str
-    workers: int
-    tunables: TunableParams
-    expected_s: float
-    best_measured_s: float
-
-    @property
-    def efficiency(self) -> float:
-        """Best-measured over expected runtime (1.0 = measured optimum)."""
-        if self.expected_s <= 0:
-            return 0.0
-        return self.best_measured_s / self.expected_s
-
-    def describe(self) -> str:
-        """Human-readable one-line description."""
-        return (
-            f"{self.backend}(cpu_tile={self.tunables.cpu_tile}, workers={self.workers}) "
-            f"expected {self.expected_s * 1e3:.2f} ms "
-            f"({self.efficiency:.0%} of measured best)"
-        )
-
-
-#: Default bound of the measured tuner's per-query plan cache.  Plans are a
-#: few hundred bytes each, so the default is generous; serving sessions pass
-#: their own bound through ``plan_cache_size``.
-DEFAULT_PLAN_CACHE_SIZE = 256
-
-
 class MeasuredTuner(Tuner):
     """A tuner trained on measured wall-clocks of the local host.
 
@@ -535,21 +500,9 @@ class MeasuredTuner(Tuner):
 
     kind = "measured"
 
-    def __init__(
-        self,
-        profile: MeasuredProfile,
-        model: LearnedTuner,
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, profile: MeasuredProfile, model: LearnedTuner) -> None:
         self.profile = profile
         self.model = model
-        #: Tuned plans by (app, dim, tsize, dsize, system) query; the
-        #: resolved backend — the remaining component of a plan's identity —
-        #: is carried inside the cached :class:`TunedPlan`, so a repeated
-        #: :meth:`tune` call is one cache hit.  LRU-bounded so a long-lived
-        #: serving session querying many distinct instances cannot grow the
-        #: tuner without limit.
-        self._plan_cache: LRUCache = LRUCache(plan_cache_size)
 
     # ------------------------------------------------------------------
     # Construction
@@ -583,16 +536,11 @@ class MeasuredTuner(Tuner):
         cls,
         profile_path: str | Path = DEFAULT_PROFILE_PATH,
         model_path: str | Path = DEFAULT_MODEL_PATH,
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
     ) -> "MeasuredTuner":
         """Load a persisted profile + trained model pair."""
         from repro.autotuner.persistence import load_tuner
 
-        return cls(
-            load_profile(profile_path),
-            load_tuner(model_path),
-            plan_cache_size=plan_cache_size,
-        )
+        return cls(load_profile(profile_path), load_tuner(model_path))
 
     # ------------------------------------------------------------------
     # Deployment queries
@@ -645,74 +593,24 @@ class MeasuredTuner(Tuner):
         )
         return best_at_tile.tunables, best_at_tile.workers, best_at_tile.wall_s
 
-    def tune(
-        self,
-        app: str,
-        dim: int,
-        tsize: float | None = None,
-        dsize: int | None = None,
-    ) -> TunedPlan:
-        """Tuned (backend, workers, tile) plan for one application instance.
+    def resolve(self, app: str, params: InputParams) -> PlanDecision:
+        """Tuned (backend, workers, tile) decision for one application instance.
 
-        ``tsize``/``dsize`` override the application's own granularity
-        (meaningful for ``synthetic``, whose constructor accepts them).
-        Plans are cached per (app, dim, tsize, dsize, system) query — the
-        resolved backend completes the plan's identity and is carried in
-        the cached :class:`TunedPlan` — so repeated queries, e.g. a driver
-        tuning the same kernel in a loop, are O(1) dictionary hits after
-        the first call.
+        The :class:`~repro.autotuner.protocol.Tuner` protocol entry point:
+        the measured-best backend at the nearest profiled instance of
+        ``app``, the learned tile snapped onto that backend's measured tile
+        grid (clipped to ``params.dim``), and that record's measured wall as
+        ``expected_s``.
         """
-        query = (app, int(dim), tsize, dsize, self.profile.system)
-        cached = self._plan_cache.get(query)
-        if cached is not None:
-            return cached
-
-        app_kwargs: dict[str, object] = {"dim": dim}
-        if tsize is not None:
-            app_kwargs["tsize"] = tsize
-        if dsize is not None:
-            app_kwargs["dsize"] = dsize
-        params = get_application(app, **app_kwargs).input_params(dim)
-        plan = self._plan_from_params(app, params)
-        self._plan_cache.put(query, plan)
-        return plan
-
-    def _plan_from_params(self, app: str, params: InputParams) -> TunedPlan:
-        """Resolve a :class:`TunedPlan` for explicit instance parameters."""
         anchor = self.nearest_instance(params, app)
         best = self.profile.best(anchor, app=app)
         predicted = self.model.predict(params.features())
         tunables, workers, expected = self._snap_tile(
             best.backend, anchor, predicted.cpu_tile, app
         )
-        return TunedPlan(
-            app=app,
-            dim=params.dim,
-            system=self.profile.system,
-            backend=best.backend,
-            workers=workers,
-            tunables=replace(tunables, cpu_tile=min(tunables.cpu_tile, params.dim)),
-            expected_s=expected,
-            best_measured_s=best.wall_s,
-        )
-
-    def resolve(self, app: str, params: InputParams) -> PlanDecision:
-        """The :class:`~repro.autotuner.protocol.Tuner` protocol entry point.
-
-        Same resolution as :meth:`tune` — measured-best backend at the
-        nearest profiled instance, learned tile snapped onto the measured
-        grid — but keyed directly on the caller's
-        :class:`~repro.core.params.InputParams`, so the session can resolve
-        app instances it built itself without another registry round-trip.
-        """
-        query = (app, params, self.profile.system)
-        plan = self._plan_cache.get(query)
-        if plan is None:
-            plan = self._plan_from_params(app, params)
-            self._plan_cache.put(query, plan)
         return PlanDecision(
-            backend=plan.backend,
-            tunables=plan.tunables,
-            workers=plan.workers,
-            expected_s=plan.expected_s,
+            backend=best.backend,
+            tunables=replace(tunables, cpu_tile=min(tunables.cpu_tile, params.dim)),
+            workers=workers,
+            expected_s=expected,
         )

@@ -1,14 +1,7 @@
 """The common tuner protocol every tuning strategy speaks.
 
-Before this module existed the package shipped three tuner classes with
-three different deployment interfaces — :class:`repro.autotuner.tuner.AutoTuner`
-(``tune()`` returning :class:`~repro.core.params.TunableParams` plus separate
-engine/backend selectors), :class:`repro.autotuner.models.LearnedTuner`
-(``predict()`` on raw feature dictionaries) and
-:class:`repro.autotuner.measured.MeasuredTuner` (``tune()`` returning its own
-``TunedPlan``) — and every caller had to know which one it was holding.
-
-The protocol collapses the three into one question and one answer:
+Every tuning strategy answers one question with one answer, so no caller
+needs to know which strategy it is holding:
 
 * :meth:`Tuner.resolve` takes an application name plus the instance's
   :class:`~repro.core.params.InputParams` and returns a

@@ -5,8 +5,9 @@ Every answer the framework serves is a pure function of its request —
 requests across time, threads and (future) shards should cost one solve,
 not N.  This package delivers that as three composable layers:
 
-* :mod:`repro.cache.keys` — the canonical request-key codec:
-  :func:`request_key` reduces a request to a stable JSON payload (dict
+* :mod:`repro.cache.keys` — the one request identity:
+  :func:`request_identity` names a request for every in-memory cache and
+  queue, and :func:`request_key` reduces it to a stable JSON payload (dict
   ordering, tuple/list flavour and NumPy scalar types all normalise away)
   and hashes it to a SHA-256 :class:`CacheKey`;
 * :mod:`repro.cache.store` — :class:`DiskCacheStore`, the bounded on-disk
@@ -23,7 +24,14 @@ see ``docs/caching.md`` for the key scheme, on-disk layout, eviction
 policy, metrics schema and knobs.
 """
 
-from repro.cache.keys import KEY_CODEC_VERSION, CacheKey, canonicalize, request_key
+from repro.cache.keys import (
+    KEY_CODEC_VERSION,
+    CacheKey,
+    RequestIdentity,
+    canonicalize,
+    request_identity,
+    request_key,
+)
 from repro.cache.store import (
     CACHE_FORMAT_VERSION,
     DEFAULT_MAX_BYTES,
@@ -36,6 +44,8 @@ from repro.cache.tier import DEFAULT_MEMORY_ENTRIES, ResultCache
 
 __all__ = [
     "CacheKey",
+    "RequestIdentity",
+    "request_identity",
     "request_key",
     "canonicalize",
     "KEY_CODEC_VERSION",

@@ -1,10 +1,14 @@
-"""Canonical request-key codec of the persistent result cache.
+"""Request identity: the one answer to "is this the same request?".
 
 A served answer is a pure function of the request — ``(app, dim, instance
-params, plan-relevant overrides, execution mode)`` — so the cache addresses
-results by *content*: the request is reduced to a canonical, stable JSON
-payload and hashed with SHA-256.  Two requests share a digest **iff** they
-describe the same computation, independent of
+params, plan-relevant overrides, execution mode)`` — so everything that
+reuses work across requests decides sameness here.
+:func:`request_identity` is the in-memory identity: the server's
+coalescing key, the session's plan and problem cache keys, the
+``/metrics`` and adaptive labels.  :func:`request_key` is the persistent
+result cache's content address: the same canonical payload, hashed with
+SHA-256.  Two requests are the same **iff** their canonical payloads are
+byte-equal, independent of
 
 * dictionary ordering (``{"a": 1, "b": 2}`` vs ``{"b": 2, "a": 1}``),
 * container flavour (tuples vs lists of override pairs),
@@ -12,9 +16,11 @@ describe the same computation, independent of
   ``float`` — the codec normalises NumPy scalars to their Python values).
 
 Unsupported value types raise :class:`repro.core.exceptions.CacheError`
-instead of silently falling back to ``repr`` — an unstable key is worse
-than no key, because it would turn deterministic replay hit-rates into
-machine-dependent noise.
+from :func:`canonicalize` (and a typed
+:class:`~repro.core.exceptions.InvalidParameterError`, a 400 over HTTP,
+from :func:`request_identity`) instead of silently falling back to ``repr``
+— an unstable key is worse than no key, because it would turn
+deterministic replay hit-rates into machine-dependent noise.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.core.exceptions import CacheError
+from repro.core.exceptions import CacheError, InvalidParameterError
 from repro.core.params import InputParams, TunableParams
 
 #: Version of the canonicalisation scheme; folded into every digest so a
@@ -81,6 +87,106 @@ def canonicalize(value: Any) -> Any:
     )
 
 
+def _encode(canonical: Any) -> str:
+    """The compact, key-sorted JSON text of a canonical value."""
+    return json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+
+
+def _freeze(value: Any) -> Any:
+    """A canonical value with every list made a tuple.
+
+    Maps stay maps, so :func:`canonicalize` reads the result back to the
+    very payload it came from.
+    """
+    if isinstance(value, dict):
+        return {name: _freeze(item) for name, item in value.items()}
+    if isinstance(value, list):
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
+class RequestIdentity(NamedTuple):
+    """What makes two requests the same request.
+
+    ``app_kwargs`` (the application constructor overrides) and
+    ``overrides`` (the policy's set fields) are held as the compact JSON
+    text of their :func:`canonicalize`'d form, the same bytes
+    :func:`request_key` hashes.  Equality is therefore exactly the result
+    cache's: dict order and NumPy vs Python scalars do not matter, while
+    ``1``, ``1.0`` and ``true`` stay three different values.  ``mode`` is
+    ``None`` in the session's plan and problem caches (planning does not
+    depend on it) and the execution mode in the server's coalescing key.
+    """
+
+    app: str
+    dim: int | None
+    app_kwargs: str
+    overrides: str
+    mode: str | None = None
+
+    @property
+    def instance(self) -> tuple:
+        """The problem-cache key: what builds the grid (no policy, no mode)."""
+        return self[:3]
+
+    def kwargs_pairs(self) -> tuple[tuple[str, Any], ...]:
+        """The constructor overrides as sorted ``(name, value)`` pairs.
+
+        Values are canonical with lists frozen to tuples, so a
+        :class:`~repro.facade.plan.ResolvedPlan` carrying them compares
+        equal across a JSON round trip and :func:`request_key` reads them
+        back to this identity's payload.
+        """
+        return tuple(
+            (name, _freeze(value))
+            for name, value in json.loads(self.app_kwargs).items()
+        )
+
+    @property
+    def label(self) -> str:
+        """Compact human/JSON-friendly rendering (``lcs[dim=48] mode=functional``)."""
+        label = f"{self.app}[dim={self.dim}]"
+        if self.mode is not None:
+            label += f" mode={self.mode}"
+        pairs = {**json.loads(self.app_kwargs), **json.loads(self.overrides)}
+        if pairs:
+            label += " " + ",".join(f"{k}={_encode(v)}" for k, v in pairs.items())
+        return label
+
+
+def request_identity(
+    app: str,
+    dim: int | None,
+    app_kwargs: Mapping[str, Any] | None = None,
+    policy: Any = None,
+    mode: str | None = None,
+) -> RequestIdentity:
+    """The identity of one request; the only place sameness is decided.
+
+    ``app_kwargs`` are the application constructor overrides, ``policy``
+    an :class:`~repro.facade.policy.ExecutionPolicy` (``None`` and an
+    all-unset policy are the same request) and ``mode`` the execution mode
+    when the caller's identity depends on it.  A value the codec cannot
+    canonicalise — a non-finite float, an object, nesting deeper than the
+    interpreter can walk — is a typed
+    :class:`~repro.core.exceptions.InvalidParameterError`: a request that
+    cannot be named cannot be served.
+    """
+    try:
+        overrides = policy.overrides() if policy is not None else None
+        return RequestIdentity(
+            str(app),
+            canonicalize(dim),
+            _encode(canonicalize(app_kwargs)) if app_kwargs else "{}",
+            _encode(canonicalize(overrides)) if overrides else "{}",
+            mode,
+        )
+    except (CacheError, RecursionError) as error:
+        raise InvalidParameterError(
+            f"request for {app!r} has an argument that cannot be identified: {error}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class CacheKey:
     """One content address: the canonical payload and its SHA-256 digest.
@@ -122,6 +228,5 @@ def request_key(
         "overrides": canonicalize(dict(overrides or {})),
         "mode": str(mode),
     }
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(_encode(payload).encode("utf-8")).hexdigest()
     return CacheKey(digest=digest, payload=payload)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.cache.keys import request_identity
 from repro.core.exceptions import ArtifactError
 from repro.core.params import InputParams, TunableParams
 from repro.core.pattern import WavefrontProblem
@@ -42,8 +43,10 @@ class ResolvedPlan:
     plan (``"learned"``, ``"measured"``, ``"exhaustive"``, ``"manual"``) and
     ``expected_s`` its runtime estimate, ``None`` when the strategy cannot
     estimate.  ``app_kwargs`` are the constructor overrides needed to
-    rebuild the application from the registry (sorted name/value pairs, so
-    plans hash and compare structurally).
+    rebuild the application from the registry: the sorted canonical
+    name/value pairs of the request's identity
+    (:meth:`repro.cache.RequestIdentity.kwargs_pairs`), so plans compare
+    structurally, also across a JSON round trip.
     """
 
     app: str
@@ -164,7 +167,9 @@ class ResolvedPlan:
             expected_s=(
                 float(data["expected_s"]) if data.get("expected_s") is not None else None
             ),
-            app_kwargs=tuple(sorted(dict(data.get("app_kwargs", {})).items())),
+            app_kwargs=request_identity(
+                data["app"], data["dim"], data.get("app_kwargs")
+            ).kwargs_pairs(),
         )
 
 

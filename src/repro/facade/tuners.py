@@ -35,14 +35,12 @@ def make_tuner(
     constants: CostConstants | None = None,
     model_path: str | Path | None = None,
     profile_path: str | Path | None = None,
-    plan_cache_size: int | None = None,
 ) -> Tuner:
     """Build (or pass through) the tuner behind one strategy specification.
 
     ``model_path`` restores a previously saved model: for ``"learned"`` it
     skips the training sweep, for ``"measured"`` it overrides the default
     model artifact location (``profile_path`` likewise for the profile).
-    ``plan_cache_size`` bounds the measured tuner's internal plan cache.
     Raises :class:`~repro.core.exceptions.UsageError` for an unknown
     strategy name and :class:`~repro.core.exceptions.ArtifactError` when a
     required artifact is missing or unusable.
@@ -57,7 +55,7 @@ def make_tuner(
     if spec == "learned":
         return _make_learned(system, space, constants, model_path)
     if spec == "measured":
-        return _make_measured(model_path, profile_path, plan_cache_size)
+        return _make_measured(model_path, profile_path)
     if spec == "exhaustive":
         return ExhaustiveTuner(system, space, constants)
     raise UsageError(
@@ -86,15 +84,10 @@ def _make_learned(
     return tuner
 
 
-def _make_measured(
-    model_path: str | Path | None,
-    profile_path: str | Path | None,
-    plan_cache_size: int | None,
-):
+def _make_measured(model_path: str | Path | None, profile_path: str | Path | None):
     """The ``"measured"`` strategy: load the profile/model artifact pair."""
     from repro.autotuner.measured import (
         DEFAULT_MODEL_PATH,
-        DEFAULT_PLAN_CACHE_SIZE,
         DEFAULT_PROFILE_PATH,
         MeasuredTuner,
     )
@@ -103,9 +96,6 @@ def _make_measured(
         return MeasuredTuner.from_files(
             profile_path if profile_path is not None else DEFAULT_PROFILE_PATH,
             model_path if model_path is not None else DEFAULT_MODEL_PATH,
-            plan_cache_size=(
-                plan_cache_size if plan_cache_size is not None else DEFAULT_PLAN_CACHE_SIZE
-            ),
         )
     except FileNotFoundError as exc:
         raise ArtifactError(

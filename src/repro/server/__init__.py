@@ -72,7 +72,7 @@ from repro.server.http import (
     witness_digest,
 )
 from repro.server.metrics import ServerMetrics, summarise_latencies
-from repro.server.queue import RequestQueue, ServeRequest, request_signature
+from repro.server.queue import RequestQueue, ServeRequest
 from repro.server.service import ReproServer, ServerConfig
 from repro.server.supervisor import ShardSupervisor, ShardTask, SupervisorConfig
 from repro.server.trace import (
@@ -110,7 +110,6 @@ __all__ = [
     "load_trace",
     "save_trace",
     "zipf_weights",
-    "request_signature",
     "result_payload",
     "witness_digest",
     "grid_digest",

@@ -25,9 +25,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, OrderedDict, deque
-from typing import Hashable
 
-from repro.adaptive.observations import SignatureStats, signature_label
+from repro.adaptive.observations import SignatureStats, percentile
+from repro.cache.keys import RequestIdentity
 
 #: Default number of most-recent latency samples kept for percentiles.
 DEFAULT_RESERVOIR_SIZE = 4096
@@ -54,8 +54,7 @@ def summarise_latencies(latencies_s: list[float]) -> dict[str, float | int]:
     ordered = sorted(latencies_s)
     out: dict[str, float | int] = {}
     for p in PERCENTILES:
-        rank = min(len(ordered) - 1, max(0, round(p / 100 * (len(ordered) - 1))))
-        out[f"p{p}"] = ordered[rank] * 1e3
+        out[f"p{p}"] = percentile(ordered, p) * 1e3
     out["mean"] = sum(ordered) / len(ordered) * 1e3
     out["max"] = ordered[-1] * 1e3
     out["samples"] = len(ordered)
@@ -80,7 +79,7 @@ class ServerMetrics:
         self._latencies_s: deque[float] = deque(maxlen=max(1, int(reservoir_size)))
         self._batch_sizes: Counter[int] = Counter()
         self._signature_limit = max(1, int(signature_limit))
-        self._signatures: OrderedDict[Hashable, SignatureStats] = OrderedDict()
+        self._signatures: OrderedDict[RequestIdentity, SignatureStats] = OrderedDict()
         self.accepted = 0
         self.rejected = 0
         self.completed = 0
@@ -111,7 +110,7 @@ class ServerMetrics:
                 self.in_flight -= 1
 
     def record_completed(
-        self, latency_s: float, signature: Hashable = None
+        self, latency_s: float, signature: RequestIdentity | None = None
     ) -> None:
         """One request finished successfully after ``latency_s`` seconds.
 
@@ -246,12 +245,7 @@ class ServerMetrics:
             }
             per_signature = list(self._signatures.items())[::-1]
         snapshot["signatures"] = {
-            (
-                signature_label(sig)
-                if isinstance(sig, tuple) and len(sig) == 4
-                else repr(sig)
-            ): stats.snapshot()
-            for sig, stats in per_signature
+            sig.label: stats.snapshot() for sig, stats in per_signature
         }
         snapshot["cache"] = cache
         snapshot["adaptive"] = adaptive

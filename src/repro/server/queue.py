@@ -24,26 +24,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.adaptive.observations import observation_signature
+from repro.cache.keys import RequestIdentity, request_identity
 from repro.core.exceptions import BackpressureError, DeadlineError, ServerError
-
-#: Hashable request signature: ``(app, dim, mode, sorted plan overrides)``.
-Signature = tuple
-
-
-def request_signature(
-    app: str, dim: int | None, mode: str | None, plan_kwargs: dict
-) -> Signature:
-    """The coalescing key of one request.
-
-    Two requests with equal signatures resolve to the same tuned plan (same
-    application instance, same overrides, same execution mode), so the
-    server may serve them in one batch.  Delegates to
-    :func:`repro.adaptive.observations.observation_signature` — the one
-    canonical signature implementation — so coalescing keys and adaptive
-    observation keys can never diverge.
-    """
-    return observation_signature(app, dim, mode, plan_kwargs)
 
 
 @dataclass
@@ -62,17 +44,28 @@ class ServeRequest:
     enqueued_at: float
     #: Absolute ``time.perf_counter()`` deadline; ``None`` means unbounded.
     deadline_at: float | None = None
-    signature: Signature = field(default=None)  # type: ignore[assignment]
+    #: The coalescing key: the request's :class:`~repro.cache.RequestIdentity`
+    #: with its mode.  Equal signatures resolve to the same plan and answer,
+    #: so the server may serve them in one batch; ``/metrics`` and the
+    #: adaptive loop label traffic by it.
+    signature: RequestIdentity = field(default=None)  # type: ignore[assignment]
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
     _result: Any = field(default=None, repr=False)
     _error: BaseException | None = field(default=None, repr=False)
     _cancelled: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Derive the coalescing signature once, at admission time."""
+        """Derive the coalescing signature once, at admission time.
+
+        A value the identity cannot canonicalise raises a typed
+        :class:`~repro.core.exceptions.InvalidParameterError` here, before
+        the request is queued.
+        """
         if self.signature is None:
-            self.signature = request_signature(
-                self.app, self.dim, self.mode, self.plan_kwargs
+            app_kwargs = dict(self.plan_kwargs)
+            policy = app_kwargs.pop("policy", None)
+            self.signature = request_identity(
+                self.app, self.dim, app_kwargs, policy, self.mode
             )
 
     # ------------------------------------------------------------------

@@ -52,6 +52,7 @@ from repro.core.exceptions import (
     ServerError,
     ShardUnavailableError,
 )
+from repro.runtime.executor_base import ExecutionMode
 from repro.server.faults import FaultPlan
 from repro.server.metrics import ServerMetrics
 from repro.server.queue import RequestQueue, ServeRequest
@@ -177,10 +178,6 @@ class ReproServer:
             if self._started:
                 return self
             self.supervisor.start()
-            if self.adaptive is not None:
-                # Pure solve walls feed the run-observation log (shadow
-                # retraining evidence).
-                self.session.attach_observer(self.adaptive.record_run)
             self._started = True
             return self
 
@@ -268,7 +265,12 @@ ShardUnavailableError` subclass when the shard's restart budget is
         (default: the config's ``default_deadline_s``; pass ``0`` or a
         negative value to wait unboundedly).  ``plan_kwargs`` forward to
         :meth:`repro.session.Session.solve` (``policy=`` and application
-        constructor overrides).
+        constructor overrides).  ``mode`` defaults to the session's, filled
+        in here so an omitted and an explicit default mode are one request;
+        the request's identity (:func:`repro.cache.request_identity`) is
+        fixed here too, and a value it cannot canonicalise, or an unknown
+        mode, is a typed
+        :class:`~repro.core.exceptions.InvalidParameterError`.
         """
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
@@ -285,8 +287,10 @@ ShardUnavailableError` subclass when the shard's restart budget is
         request = ServeRequest(
             app=app,
             dim=dim,
-            mode=mode,
-            plan_kwargs=dict(plan_kwargs),
+            mode=(
+                self.session.mode if mode is None else ExecutionMode.coerce(mode)
+            ).value,
+            plan_kwargs=plan_kwargs,
             enqueued_at=now,
             deadline_at=deadline_at,
         )
@@ -294,7 +298,7 @@ ShardUnavailableError` subclass when the shard's restart budget is
         # sweep, nor reaches the adaptive loop (nothing ran).  A closed queue
         # skips the lookup, so the queued path refuses exactly as before.
         if self._answer_hits and not self._queue.closed:
-            hit = self.session.serve_from_memory(app, dim, mode, **plan_kwargs)
+            hit = self.session.serve_from_memory(app, dim, request.mode, **plan_kwargs)
             if hit is not None:
                 self.metrics_store.record_accepted()
                 request.complete(hit)
@@ -455,10 +459,5 @@ ShardUnavailableError` subclass when the shard's restart budget is
             )
         if self.adaptive is not None:
             self.adaptive.observe(
-                head.app,
-                head.dim,
-                head.mode,
-                head.plan_kwargs,
-                now - taken_at,
-                count=len(batch),
+                head.signature, head.plan_kwargs, now - taken_at, count=len(batch)
             )

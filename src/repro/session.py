@@ -48,11 +48,11 @@ from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.apps.base import WavefrontApplication
-from repro.apps.registry import resolve_application
+from repro.apps.registry import default_dim, get_application
 from repro.autotuner.protocol import PlanDecision, Tuner
 from repro.autotuner.search_space import SearchSpace
-from repro.cache import ResultCache, request_key
-from repro.core.exceptions import CacheError, DeadlineError, UsageError
+from repro.cache import RequestIdentity, ResultCache, request_identity, request_key
+from repro.core.exceptions import DeadlineError, ReproError, UsageError
 from repro.core.params import TunableParams
 from repro.core.parameter_space import ParameterSpace
 from repro.core.pattern import WavefrontProblem
@@ -186,7 +186,6 @@ class Session:
                         constants=self.constants,
                         model_path=self.model_path,
                         profile_path=self.profile_path,
-                        plan_cache_size=self.cache_size,
                     )
         return self._tuner
 
@@ -194,8 +193,8 @@ class Session:
         """Atomically install ``plan`` as the cached answer for its query.
 
         The plan replaces whatever the tuned-plan LRU holds for the same
-        tuner-resolved query — ``(plan.app, plan.dim, plan.app_kwargs)``
-        under the default policy — so every subsequent :meth:`plan`/
+        tuner-resolved request — the identity of ``(plan.app, plan.dim,
+        plan.app_kwargs)`` under the default policy — so every subsequent :meth:`plan`/
         :meth:`solve` call for that signature executes the adopted plan.
         This is the adaptive controller's promotion primitive
         (:class:`repro.adaptive.AdaptiveController`): the LRU ``put`` runs
@@ -203,11 +202,11 @@ class Session:
         plan or the new one, never a mixture.  Queries under a non-default
         policy are unaffected.
         """
+        identity = request_identity(plan.app, plan.dim, plan.app_options)
         with self._plan_lock:
             self._check_open()
-            query = (plan.app, plan.dim, plan.app_kwargs, _TUNER_DECIDES)
             self.stats["plans_adopted"] += 1
-            return self._plans.put(query, plan)
+            return self._plans.put(identity, plan)
 
     def attach_observer(
         self,
@@ -247,8 +246,9 @@ class Session:
         and bypasses the tuner entirely — the plan's ``tuner`` field then
         reads ``"manual"``.
 
-        Registry-name requests are cached per (instance, policy) query,
-        so repeated requests cost one LRU hit.  Caller-supplied application
+        Registry-name requests are cached per request identity
+        (:func:`repro.cache.request_identity`), so a repeated request costs
+        one LRU hit and builds nothing.  Caller-supplied application
         instances and problems are planned against their *own* objects
         (identity-keyed, never conflated with the registry defaults of the
         same name) and the resulting plan carries the concrete problem, so
@@ -274,26 +274,29 @@ class Session:
                 dim = dim if dim is not None else app.default_dim
                 problem = self._instance_problem(app, dim)
                 return self._resolve(problem, app.name, (), policy)
-            app_obj = resolve_application(app, **self._ctor_kwargs(dim, app_kwargs))
-            dim = dim if dim is not None else app_obj.default_dim
-            kwargs_key = tuple(sorted(app_kwargs.items()))
-            query = (app, dim, kwargs_key, policy)
-            cached = self._plans.get(query)
+            identity = self._identity(app, dim, policy, app_kwargs)
+            cached = self._plans.get(identity)
             if cached is not None:
                 return cached
-            problem = self._problems.get_or_create(
-                (app, dim, kwargs_key), lambda: app_obj.problem(dim)
-            )
-            plan = self._resolve(problem, app, kwargs_key, policy)
-            return self._plans.put(query, plan)
+            problem = self._problem(identity, app_kwargs)
+            plan = self._resolve(problem, app, identity.kwargs_pairs(), policy)
+            return self._plans.put(identity, plan)
 
     @staticmethod
-    def _ctor_kwargs(dim, app_kwargs: dict) -> dict:
-        """Constructor arguments for registry resolution."""
-        kwargs = dict(app_kwargs)
-        if dim is not None:
-            kwargs["dim"] = dim
-        return kwargs
+    def _identity(app, dim, policy, app_kwargs) -> RequestIdentity:
+        """The plan-cache identity of a registry-name request (default dim filled)."""
+        return request_identity(
+            app, dim if dim is not None else default_dim(app), app_kwargs, policy
+        )
+
+    def _problem(self, identity: RequestIdentity, app_kwargs: Mapping) -> WavefrontProblem:
+        """The cached problem of one registry instance, built on a miss only."""
+        return self._problems.get_or_create(
+            identity.instance,
+            lambda: get_application(
+                identity.app, dim=identity.dim, **app_kwargs
+            ).problem(identity.dim),
+        )
 
     def _instance_problem(self, app: WavefrontApplication, dim: int) -> WavefrontProblem:
         """The cached problem of one caller-supplied application instance.
@@ -381,12 +384,8 @@ class Session:
         mode = ExecutionMode.coerce(mode) if mode is not None else self.mode
         problem = plan.problem
         if problem is None:
-            problem = self._problems.get_or_create(
-                (plan.app, plan.dim, plan.app_kwargs),
-                lambda: resolve_application(
-                    plan.app, dim=plan.dim, **plan.app_options
-                ).problem(plan.dim),
-            )
+            options = plan.app_options
+            problem = self._problem(request_identity(plan.app, plan.dim, options), options)
         with self._run_lock:
             self._check_open()
             executor = self.host.executor_for(plan.backend, plan.engine, plan.workers)
@@ -414,9 +413,8 @@ class Session:
         ``result_cache=``), functional registry-name requests are answered
         content-addressed: the resolved plan's request key is looked up
         memory → disk before any grid is swept, and concurrent misses on
-        one key run exactly one solve.  Simulate-mode requests, instance /
-        problem requests and requests whose arguments the key codec cannot
-        canonicalise bypass the cache and execute directly.
+        one key run exactly one solve.  Simulate-mode requests and instance /
+        problem requests bypass the cache and execute directly.
         """
         plan = self.plan(app, dim, policy=policy, **app_kwargs)
         key = self._request_key_for(app, plan, mode, policy)
@@ -432,8 +430,8 @@ class Session:
         simulate-mode answers have no bit-exact payload worth addressing.
         The policy's set fields enter the key under their field names, so a
         request decoded from an HTTP body and the same policy built in
-        process address the same entry.  Un-canonicalisable values make the
-        request silently uncacheable rather than unsolvable.
+        process address the same entry.  Every value was canonicalised when
+        the plan was named, so building the key cannot fail.
         """
         if self.result_cache is None or not isinstance(app, str):
             return None
@@ -445,17 +443,14 @@ class Session:
             # The session-wide override changes the executed plan, so it
             # must change the key too.
             overrides["workers"] = self.workers
-        try:
-            return request_key(
-                plan.app,
-                plan.dim,
-                params=plan.params,
-                app_kwargs=plan.app_kwargs,
-                overrides=overrides,
-                mode=resolved_mode.value,
-            )
-        except CacheError:
-            return None
+        return request_key(
+            plan.app,
+            plan.dim,
+            params=plan.params,
+            app_kwargs=plan.app_kwargs,
+            overrides=overrides,
+            mode=resolved_mode.value,
+        )
 
     def solve_many(
         self,
@@ -518,10 +513,10 @@ class Session:
         if self.result_cache is None or self._closed:
             return None
         try:
-            query = (app, dim, tuple(sorted(app_kwargs.items())), policy or _TUNER_DECIDES)
-            plan = self._plans.get(query) if query in self._plans else None
+            identity = self._identity(app, dim, policy, app_kwargs)
+            plan = self._plans.get(identity) if identity in self._plans else None
             key = None if plan is None else self._request_key_for(app, plan, mode, policy)
-        except Exception:  # noqa: BLE001 - the queued path reports it, typed
+        except ReproError:  # the queued path reports it, typed
             return None
         result = self.result_cache.peek(key) if key is not None else None
         if result is not None:

@@ -21,11 +21,9 @@ import pytest
 
 from repro.adaptive import (
     AdaptiveConfig,
-    AdaptiveController,
     DriftConfig,
     render_adaptive_report,
 )
-from repro.adaptive.observations import observation_signature, signature_label
 from repro.autotuner.measured import (
     MeasuredProfile,
     MeasuredRecord,
@@ -151,9 +149,11 @@ class TestShadowModeOnTrace:
         finally:
             server.close()
         breakdown = metrics["signatures"]
-        # requests that didn't pin a mode are labelled without the clause
-        label = "lcs[dim=48]"
-        assert label in breakdown
+        # an omitted mode is the session's default, filled in at admission:
+        # /metrics and the adaptive loop label the traffic class alike
+        label = "lcs[dim=48] mode=functional"
+        assert list(breakdown) == [label]
+        assert list(metrics["adaptive"]["signatures"]) == [label]
         stats = breakdown[label]
         assert stats["count"] == 4
         assert stats["mean_ms"] > 0
@@ -314,18 +314,6 @@ class TestSessionPrimitives:
         app, mode, wall_s = seen[0]
         assert app == "lcs"
         assert wall_s > 0
-
-    def test_controller_record_run_feeds_the_run_log(self, adaptive_session):
-        controller = AdaptiveController(adaptive_session)
-        adaptive_session.attach_observer(controller.record_run)
-        try:
-            adaptive_session.solve("lcs", 32)
-            adaptive_session.solve("lcs", 32)
-        finally:
-            adaptive_session.attach_observer(None)
-        assert controller.run_log.observations == 2
-        sig = observation_signature("lcs", 32, adaptive_session.mode.value, {})
-        assert controller.run_log.snapshot()["signatures"][signature_label(sig)]["count"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ no matter the ratio.
 import pytest
 
 from repro.adaptive.drift import DriftConfig, DriftDetector, DriftEvent
-from repro.adaptive.observations import observation_signature
+from repro.cache import request_identity
 from repro.core.exceptions import UsageError
 
-SIG = observation_signature("lcs", 48, "functional", {})
+SIG = request_identity("lcs", 48, mode="functional")
 CONFIG = DriftConfig(ratio_threshold=3.0, min_samples=3, hysteresis=2, min_excess_s=0.05)
 
 

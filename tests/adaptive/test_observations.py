@@ -4,9 +4,9 @@ The load-bearing contracts:
 
 * :class:`SignatureStats` tracks count/mean/variance exactly (Welford)
   and survives N threads hammering it — totals equal the sequential run;
-* :func:`observation_signature` is the *same* key the server queue
-  coalesces on, so observations and batches describe identical traffic
-  classes;
+* signatures are the server queue's coalescing key
+  (:func:`repro.cache.request_identity`), so observations and batches
+  describe identical traffic classes;
 * :class:`ObservationLog` is bounded: an adversarial stream of distinct
   signatures evicts LRU-style instead of growing without bound.
 """
@@ -17,15 +17,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro.adaptive.observations import (
-    ObservationLog,
-    SignatureStats,
-    observation_signature,
-    percentile,
-    signature_label,
-)
+from repro.adaptive.observations import ObservationLog, SignatureStats, percentile
+from repro.cache import request_identity
 from repro.facade.policy import ExecutionPolicy
-from repro.server.queue import request_signature
+from repro.server.queue import ServeRequest
+
+
+def sig(app, dim, mode=None, **app_kwargs):
+    """The signature the server admits a request under."""
+    return request_identity(app, dim, app_kwargs, None, mode)
 
 
 class TestObservationSignature:
@@ -35,29 +35,28 @@ class TestObservationSignature:
             ("edit-distance", 40, None, {"policy": ExecutionPolicy(workers=2)}),
             ("matrix-chain", 32, "simulate", {"policy": ExecutionPolicy(backend="serial")}),
         ]:
-            assert observation_signature(app, dim, mode, kwargs) == (
-                request_signature(app, dim, mode, kwargs)
+            policy = kwargs.get("policy")
+            ticket = ServeRequest(
+                app=app, dim=dim, mode=mode, plan_kwargs=kwargs, enqueued_at=0.0
             )
+            assert request_identity(app, dim, {}, policy, mode) == ticket.signature
 
     def test_kwargs_order_does_not_matter(self):
-        a = observation_signature("lcs", 48, "functional", {"a": 1, "b": 2})
-        b = observation_signature("lcs", 48, "functional", {"b": 2, "a": 1})
+        a = request_identity("lcs", 48, {"a": 1, "b": 2}, mode="functional")
+        b = request_identity("lcs", 48, {"b": 2, "a": 1}, mode="functional")
         assert a == b
 
     def test_unhashable_override_values_are_tolerated(self):
-        sig = observation_signature("lcs", 48, None, {"weights": [1, 2, 3]})
-        assert hash(sig) == hash(sig)  # usable as a dict key
+        signature = sig("lcs", 48, weights=[1, 2, 3])
+        assert hash(signature) == hash(sig("lcs", 48, weights=(1, 2, 3)))
 
     def test_label_is_compact_and_complete(self):
-        sig = observation_signature("lcs", 48, "functional", {"workers": 2})
-        label = signature_label(sig)
-        assert label.startswith("lcs[dim=48]")
-        assert "mode=functional" in label
-        assert "workers=2" in label
+        label = request_identity(
+            "lcs", 48, {"seed": [1]}, ExecutionPolicy(workers=2), "functional"
+        ).label
+        assert label == "lcs[dim=48] mode=functional seed=[1],workers=2"
         # mode-less signatures omit the mode clause entirely
-        assert signature_label(observation_signature("lcs", 48, None, {})) == (
-            "lcs[dim=48]"
-        )
+        assert sig("lcs", 48).label == "lcs[dim=48]"
 
 
 class TestSignatureStats:
@@ -136,38 +135,36 @@ def tracked(log):
 class TestObservationLog:
     def test_counts_every_folded_request(self):
         log = ObservationLog(maxsize=8)
-        sig = observation_signature("lcs", 48, "functional", {})
-        log.record(sig, 0.01, count=3)
-        log.record(sig, 0.02)
+        signature = sig("lcs", 48, "functional")
+        log.record(signature, 0.01, count=3)
+        log.record(signature, 0.02)
         assert log.observations == 4
-        assert tracked(log)[signature_label(sig)]["count"] == 4
+        assert tracked(log)[signature.label]["count"] == 4
 
     def test_lru_eviction_is_bounded(self):
         log = ObservationLog(maxsize=2)
-        sigs = [observation_signature("lcs", d, None, {}) for d in (8, 16, 32)]
-        for sig in sigs:
-            log.record(sig, 0.01)
+        sigs = [sig("lcs", d) for d in (8, 16, 32)]
+        for signature in sigs:
+            log.record(signature, 0.01)
         assert log.snapshot()["tracked_signatures"] == 2
         assert log.evictions == 1
-        assert signature_label(sigs[0]) not in tracked(log)  # oldest evicted
-        assert signature_label(sigs[2]) in tracked(log)
+        assert sigs[0].label not in tracked(log)  # oldest evicted
+        assert sigs[2].label in tracked(log)
 
     def test_update_refreshes_recency(self):
         log = ObservationLog(maxsize=2)
-        a = observation_signature("lcs", 8, None, {})
-        b = observation_signature("lcs", 16, None, {})
-        c = observation_signature("lcs", 32, None, {})
+        a, b, c = (sig("lcs", d) for d in (8, 16, 32))
         log.record(a, 0.01)
         log.record(b, 0.01)
         log.record(a, 0.01)  # refresh a; b becomes LRU
         log.record(c, 0.01)
-        assert signature_label(b) not in tracked(log)
-        assert signature_label(a) in tracked(log)
+        assert b.label not in tracked(log)
+        assert a.label in tracked(log)
 
     def test_snapshot_totals_cover_everything_despite_limit(self):
         log = ObservationLog(maxsize=8)
         for d in (8, 16, 32):
-            log.record(observation_signature("lcs", d, None, {}), 0.01)
+            log.record(sig("lcs", d), 0.01)
         snap = log.snapshot(limit=1)
         assert snap["observations"] == 3
         assert snap["tracked_signatures"] == 3

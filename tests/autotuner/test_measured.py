@@ -165,25 +165,27 @@ class TestMeasuredTuner:
         for params in tiny_tuner.profile.instances():
             records = tiny_tuner.profile.records_for(params)
             app = records[0].app
-            plan = tiny_tuner.tune(app, params.dim)
+            plan = tiny_tuner.resolve(app, params)
             best = tiny_tuner.profile.best(params, app=app).wall_s
             assert plan.expected_s <= 2.0 * best
             assert plan.backend in TINY_CONFIG.backends
 
     def test_plan_cache_is_o1(self, tiny_tuner):
-        first = tiny_tuner.tune("lcs", 48)
-        again = tiny_tuner.tune("lcs", 48)
-        assert again is first  # dict hit, not recomputed
-        assert tiny_tuner._plan_cache.info()["size"] >= 1
+        # The session's plan cache is the one plan cache: a repeat is one
+        # LRU hit, the tuner is asked once.
+        with Session(system=detect_local_system(), tuner=tiny_tuner) as session:
+            first = session.plan("lcs", 48)
+            again = session.plan("lcs", 48)
+            assert again is first
+            assert session.stats["plans_resolved"] == 1
+            assert session.cache_info()["plans"]["size"] == 1
 
     def test_unseen_dim_uses_nearest_instance(self, tiny_tuner):
-        plan = tiny_tuner.tune("lcs", 56)
-        assert plan.dim == 56
+        params = InputParams(dim=56, tsize=0.5, dsize=0)
+        plan = tiny_tuner.resolve("lcs", params)
         assert plan.expected_s > 0
-        anchor = tiny_tuner.nearest_instance(
-            InputParams(dim=56, tsize=0.5, dsize=0)
-        )
-        assert anchor.dim in (48, 64)
+        assert plan.tunables.cpu_tile <= 56
+        assert tiny_tuner.nearest_instance(params).dim in (48, 64)
 
     def test_model_round_trip_preserves_predictions(self, tiny_profile, tiny_tuner, tmp_path):
         path = save_tuner(tiny_tuner.model, tmp_path / "tuner.json")
@@ -191,7 +193,7 @@ class TestMeasuredTuner:
         assert restored.model.cpu_tile_choices == tiny_tuner.model.cpu_tile_choices
         for params in tiny_profile.instances():
             app = tiny_profile.records_for(params)[0].app
-            assert restored.tune(app, params.dim) == tiny_tuner.tune(app, params.dim)
+            assert restored.resolve(app, params) == tiny_tuner.resolve(app, params)
 
     def test_empty_profile_rejected(self):
         with pytest.raises(SearchError):
@@ -213,10 +215,10 @@ class TestMeasuredTuner:
         tuner = MeasuredTuner.train(profile)
         params = profile.instances()[0]
         for app in ("lcs", "edit-distance"):
-            plan = tuner.tune(app, 48)
+            plan = tuner.resolve(app, params)
             own_walls = {r.wall_s for r in profile.records_for(params, app=app)}
             assert plan.expected_s in own_walls
-            assert plan.best_measured_s == profile.best(params, app=app).wall_s
+            assert plan.backend == profile.best(params, app=app).backend
 
 
 class TestCalibration:

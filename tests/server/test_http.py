@@ -10,7 +10,13 @@ import urllib.request
 
 import pytest
 
-from repro.server import ReproServer, ServerConfig, ServingEndpoint, witness_digest
+from repro.server import (
+    ReproServer,
+    ServerConfig,
+    ServingEndpoint,
+    grid_digest,
+    witness_digest,
+)
 
 
 def get_json(url, timeout=10):
@@ -73,6 +79,20 @@ class TestRoutes:
         assert body["witness"] == [int(x) for x in reference.witness]
         assert body["witness_sha256"] == witness_digest(reference)
         assert len(body["witness_sha256"]) == 64
+
+    @pytest.mark.parametrize(
+        "app, seed", [("lcs", [1]), ("viterbi", [1, 2]), ("stochastic-path", [3, 4])]
+    )
+    def test_a_list_valued_argument_is_served(self, endpoint, serve_session, app, seed):
+        # A list is a valid seed; the request identity freezes it instead
+        # of failing to hash it.
+        status, body = post_json(
+            endpoint.url + "/solve", {"app": app, "dim": 16, "seed": seed}
+        )
+        assert status == 200
+        reference = serve_session.solve(app, 16, seed=seed)
+        assert body["grid_sha256"] == grid_digest(reference)
+        assert body.get("witness_sha256") == witness_digest(reference)
 
     def test_witness_free_app_answers_neither_witness_key(self, endpoint):
         status, body = post_json(endpoint.url + "/solve", {"app": "lcs", "dim": 48})
@@ -185,6 +205,12 @@ class TestErrorMapping:
             ({"app": "lcs", "dim": 12, "mode": 7}, "UsageError"),
             ({"app": "lcs", "dim": 12, "mode": "warp"}, "InvalidParameterError"),
             ({"app": "lcs", "dim": 12, "deadline_s": 1e999}, "UsageError"),
+            # A value the kernel refuses when it is built, after construction.
+            ({"app": "lcs", "dim": 16, "seed": 1.5}, "InvalidParameterError"),
+            ({"app": "lcs", "dim": 16, "seed": {"a": 1}}, "InvalidParameterError"),
+            # A value the request identity cannot canonicalise.
+            ({"app": "lcs", "dim": 16, "seed": float("nan")}, "InvalidParameterError"),
+            ({"app": "lcs", "dim": 16, "similarity": float("inf")}, "InvalidParameterError"),
         ],
     )
     def test_a_client_mistake_maps_to_400_not_500(self, endpoint, body, error_type):

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.exceptions import BackpressureError, ReproError, ServerError
 from repro.facade.policy import ExecutionPolicy
-from repro.server.queue import RequestQueue, ServeRequest, request_signature
+from repro.cache import request_identity
+from repro.server.queue import RequestQueue, ServeRequest
 
 
 def make_request(app="lcs", dim=48, mode=None, **plan_kwargs):
@@ -24,7 +25,7 @@ def make_request(app="lcs", dim=48, mode=None, **plan_kwargs):
 class TestSignature:
     def test_equal_requests_share_a_signature(self):
         assert make_request().signature == make_request().signature
-        assert request_signature("lcs", 48, None, {}) == make_request().signature
+        assert request_identity("lcs", 48) == make_request().signature
 
     def test_any_ingredient_changes_the_signature(self):
         base = make_request().signature
@@ -34,7 +35,7 @@ class TestSignature:
         assert make_request(policy=ExecutionPolicy(backend="serial")).signature != base
 
     def test_unhashable_override_values_are_admitted(self):
-        # repr-keying keeps admission working for list/dict override values.
+        # The canonical identity freezes list/dict override values.
         request = make_request(weights=[1, 2, 3])
         assert request.signature == make_request(weights=[1, 2, 3]).signature
 

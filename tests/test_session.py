@@ -20,7 +20,6 @@ import pytest
 from repro import ExecutionPolicy, Session
 from repro.apps.lcs import LCSApp
 from repro.apps.registry import available_applications
-from repro.autotuner.measured import MeasuredTuner, ProfileConfig, profile_host
 from repro.autotuner.protocol import PlanDecision, Tuner
 from repro.autotuner.tuner import AutoTuner
 from repro.core.exceptions import (
@@ -33,7 +32,6 @@ from repro.core.exceptions import (
 from repro.core.params import TunableParams
 from repro.facade.plan import ResolvedPlan, load_plan, save_plan
 from repro.facade.tuners import make_tuner
-from repro.hardware.system import detect_local_system
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.serial import SerialExecutor
 
@@ -282,25 +280,6 @@ class TestBoundedCaches:
         assert info["plans"]["size"] <= 2
         assert info["problems"]["size"] <= 2
         assert info["plans"]["evictions"] > 0
-
-    def test_measured_plan_cache_is_bounded(self, tmp_path):
-        system = detect_local_system()
-        config = ProfileConfig(
-            apps=("lcs",),
-            dims=(16, 24),
-            backends=("serial", "vectorized"),
-            tiles=(8,),
-            repeats=1,
-            budget_s=60.0,
-        )
-        profile = profile_host(system, config)
-        tuner = MeasuredTuner.train(profile)
-        bounded = MeasuredTuner(profile, tuner.model, plan_cache_size=2)
-        for dim in (16, 20, 24, 28, 32):
-            bounded.tune("lcs", dim)
-        assert bounded._plan_cache.info()["size"] <= 2
-        assert bounded._plan_cache.info()["evictions"] > 0
-
 
 
 def _shm_entries():
