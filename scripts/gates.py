@@ -11,7 +11,9 @@ One entry point, four gates, one per serving smoke job in ``ci.yml``:
   against one persistent ``--cache-dir`` across a server restart: the
   warm one meets the committed hit-rate floor, solves nothing fresh, and
   its served p50 stays within the committed ratio of the cold one's (both
-  numbers come from the same host and the same job);
+  numbers come from the same host and the same job); after each replay the
+  server holds no instance data (``caches.problems.bytes`` is 0: a cached
+  answer releases its inputs);
 * ``chaos --fresh A`` — a replay through the committed fault plan: every
   scheduled fault fired, the supervisor restarted within its band and
   re-dispatched the killed work, and every request resolved with a typed
@@ -179,6 +181,9 @@ def gate_cache(args: argparse.Namespace) -> int:
                 f"{name}: artifact has no cache section (server started "
                 "without --cache-dir)"
             )
+        metrics = artifact.get("server_metrics")
+        if not isinstance(metrics, dict) or "error" in metrics:
+            failures.append(f"{name}: server_metrics missing or unreadable: {metrics!r}")
     if failures:
         return report("cache", failures, "")
     cold_cache, warm_cache = cold["cache"], warm["cache"]
@@ -215,6 +220,18 @@ def gate_cache(args: argparse.Namespace) -> int:
             f"warm p50 is {ratio:.2f}x the cold p50 (limit {limit}x) — cached "
             "answers are not cheaper than solving"
         )
+    for name, artifact in (("cold", cold), ("warm", warm)):
+        problems = (artifact["server_metrics"].get("caches") or {}).get("problems") or {}
+        held = problems.get("bytes")
+        if held is None:
+            failures.append(f"{name}: server_metrics.caches.problems.bytes missing")
+        elif held != 0:
+            failures.append(
+                f"{name}: the server still holds {held} bytes of instance data "
+                "after its replay — cached answers must release their inputs"
+            )
+        else:
+            print(f"{name}: the server holds no instance data")
     return report(
         "cache",
         failures,

@@ -4,8 +4,9 @@ A served answer is a pure function of the request — ``(app, dim, instance
 params, plan-relevant overrides, execution mode)`` — so everything that
 reuses work across requests decides sameness here.
 :func:`request_identity` is the in-memory identity: the server's
-coalescing key, the session's plan and problem cache keys, the
-``/metrics`` and adaptive labels.  :func:`request_key` is the persistent
+coalescing key, the session's plan cache key, the ``/metrics`` and
+adaptive labels; :func:`instance_key`, the session's problem cache key,
+names the instance a plan builds.  :func:`request_key` is the persistent
 result cache's content address: the same canonical payload, hashed with
 SHA-256.  Two requests are the same **iff** their canonical payloads are
 byte-equal, independent of
@@ -114,7 +115,7 @@ class RequestIdentity(NamedTuple):
     :func:`request_key` hashes.  Equality is therefore exactly the result
     cache's: dict order and NumPy vs Python scalars do not matter, while
     ``1``, ``1.0`` and ``true`` stay three different values.  ``mode`` is
-    ``None`` in the session's plan and problem caches (planning does not
+    ``None`` in the session's plan cache (planning does not
     depend on it) and the execution mode in the server's coalescing key.
     """
 
@@ -123,11 +124,6 @@ class RequestIdentity(NamedTuple):
     app_kwargs: str
     overrides: str
     mode: str | None = None
-
-    @property
-    def instance(self) -> tuple:
-        """The problem-cache key: what builds the grid (no policy, no mode)."""
-        return self[:3]
 
     def kwargs_pairs(self) -> tuple[tuple[str, Any], ...]:
         """The constructor overrides as sorted ``(name, value)`` pairs.
@@ -185,6 +181,19 @@ def request_identity(
         raise InvalidParameterError(
             f"request for {app!r} has an argument that cannot be identified: {error}"
         ) from None
+
+
+def instance_key(app: str, dim: int, kwargs_pairs: tuple) -> tuple:
+    """The problem-cache key of one registry instance: what builds the grid.
+
+    Built from what a :class:`~repro.facade.plan.ResolvedPlan` carries
+    (``app``, ``dim``, ``app_kwargs``), so running a plan names its problem
+    without re-canonicalising.  The pairs are canonical
+    (:meth:`RequestIdentity.kwargs_pairs`), so their ``repr`` is exact where
+    ``==`` is not: it keeps ``1``, ``1.0`` and ``True`` apart, like the
+    identity's JSON text, and is hashable whatever the values hold.
+    """
+    return (app, dim, repr(kwargs_pairs))
 
 
 @dataclass(frozen=True)

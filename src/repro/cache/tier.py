@@ -25,7 +25,9 @@ failed write never fails the answer: it is counted as ``write_errors``.
 Counters distinguish the tiers (``memory_hits`` / ``disk_hits`` /
 ``coalesced`` / ``misses``) so the ``/metrics`` page can show *where*
 answers come from, and ``hit_rate`` condenses them into the number the CI
-cache gate replays a committed trace against.
+cache gate replays a committed trace against.  The memory tier is bounded in
+entries; ``memory.bytes`` and ``pending.bytes`` say what those entries hold
+(grids plus witnesses), since one dim-1024 grid alone is 8 MiB.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ MAX_PENDING_WRITES = 16
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 _MISS = object()
+
+
+def _result_bytes(result: ExecutionResult) -> int:
+    """Bytes of the arrays one answer holds: its grid and its witness."""
+    total = result.grid.values.nbytes if result.grid is not None else 0
+    return total + (result.witness.nbytes if result.witness is not None else 0)
 
 
 class _InFlight:
@@ -84,7 +92,7 @@ class ResultCache:
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
     ) -> None:
         self.store = DiskCacheStore(directory, max_entries, max_bytes)
-        self._memory: LRUCache = LRUCache(memory_entries)
+        self._memory: LRUCache = LRUCache(memory_entries, weigh=_result_bytes)
         self._lock = threading.Lock()
         self._inflight: dict[str, _InFlight] = {}
         #: digest -> (result, request payload) answered but not yet on disk,
@@ -240,6 +248,10 @@ class ResultCache:
                 "misses": self.misses,
                 "hit_rate": served / self.lookups if self.lookups else 0.0,
                 "memory": self._memory.info(),
+                "pending": {
+                    "entries": len(self._pending),
+                    "bytes": sum(_result_bytes(r) for r, _ in self._pending.values()),
+                },
             }
         out["disk"] = {**self.store.info(), "write_errors": self.write_errors}
         return out

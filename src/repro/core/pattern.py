@@ -206,6 +206,33 @@ class WavefrontProblem:
         """Allocate an empty value grid for this problem."""
         return WavefrontGrid(self.dim, self.kernel.dsize)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of instance data: the NumPy arrays the problem and its kernel hold.
+
+        Attributes are searched through tuples, lists and dict values, so
+        lazily built ``_cached_*`` tables count once they exist; a view
+        counts as its base, and each base once.
+        """
+        bases: dict[int, int] = {}
+
+        def visit(value) -> None:
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                bases[id(value)] = value.nbytes
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    visit(item)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    visit(item)
+
+        for owner in (self, self.kernel):
+            for value in getattr(owner, "__dict__", {}).values():
+                visit(value)
+        return sum(bases.values())
+
     def __getstate__(self) -> dict:
         """Pickle without process-local caches.
 

@@ -60,11 +60,14 @@ class ResolvedPlan:
     tuner: str = "manual"
     expected_s: float | None = None
     app_kwargs: tuple[tuple[str, object], ...] = ()
-    #: The concrete problem the plan was resolved from, when the session had
-    #: one in hand (always, for plans it resolved itself).  Excluded from
-    #: equality and from the serialised layout: a plan loaded from JSON
-    #: carries ``None`` here and is re-anchored through the application
-    #: registry at :meth:`repro.session.Session.run` time.
+    #: The concrete problem, set only on a plan resolved from a
+    #: caller-supplied application instance or problem, which no registry
+    #: name can rebuild.  A plan for a registry name carries ``None`` — in
+    #: the session's plan cache, as :meth:`repro.session.Session.plan`
+    #: returns it, and after a JSON round trip alike — and
+    #: :meth:`repro.session.Session.run` takes its instance from the
+    #: session's problem cache, the one owner of instance data.  Excluded
+    #: from equality and from the serialised layout.
     problem: WavefrontProblem | None = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------

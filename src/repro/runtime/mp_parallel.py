@@ -32,6 +32,7 @@ amortise.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import os
 import pickle
@@ -89,6 +90,22 @@ def _mp_context() -> mp.context.BaseContext:
 SWEEPER_SLOTS = 4
 #: How long ``close()`` waits for a worker to exit before killing it.
 _JOIN_TIMEOUT_S = 5.0
+#: Source of team keys: one per problem, never reused in this process.
+_TEAM_KEYS = itertools.count(1)
+
+
+def _team_key(problem: WavefrontProblem) -> int:
+    """The key every team files ``problem``'s sweepers under.
+
+    Drawn once and kept on the problem as a ``_cached_`` attribute, which
+    pickling drops, so a worker knows a shipped problem by the key its task
+    names.  Unlike ``id()`` the key is never recycled, so the parent need
+    not hold the problem to keep it unique: a released problem can die.
+    """
+    key = problem.__dict__.get("_cached_team_key")
+    if key is None:
+        key = problem._cached_team_key = next(_TEAM_KEYS)
+    return key
 
 
 def _lru_touch(lru: OrderedDict, key: int, value: object) -> None:
@@ -114,10 +131,11 @@ def _worker_main(conn, inherited, problems) -> None:
     ``tile`` of the ``dim x dim`` grid at the start of the named arena.
     ``problem`` is ``None`` when this worker already holds the sweeper for
     ``key``.  The reply is ``(True, cells)`` or ``(False, exception)``.
+    ``problems`` are the ``(key, problem)`` pairs inherited at the fork.
     """
     for other in inherited:  # the parent's ends of earlier workers' pipes
         other.close()
-    sweepers: OrderedDict = OrderedDict((id(p), TileSweeper(p)) for p in problems)
+    sweepers: OrderedDict = OrderedDict((key, TileSweeper(p)) for key, p in problems)
     arena: SharedGridBuffer | None = None
     while True:
         try:
@@ -156,12 +174,12 @@ class _Worker:
 
     __slots__ = ("process", "conn", "held", "key", "tile")
 
-    def __init__(self, process, conn, problems) -> None:
+    def __init__(self, process, conn, keys) -> None:
         self.process = process
         self.conn = conn
-        #: Mirror of the worker's sweeper LRU, ``key -> problem``.  Holding
-        #: the problem keeps its ``id()`` — the key — from being recycled.
-        self.held: OrderedDict = OrderedDict((id(p), p) for p in problems)
+        #: Mirror of the worker's sweeper LRU, keys only: a key is never
+        #: reused, so no problem is held to keep it unique.
+        self.held: OrderedDict = OrderedDict.fromkeys(keys, True)
         #: The tile in flight (``None`` when idle) and its problem's key.
         self.tile: Tile | None = None
         self.key = 0
@@ -203,15 +221,17 @@ class WorkerTeam:
         #: True once a worker died, or after :meth:`close`.
         self.broken = False
         self._workers: list[_Worker] = []
+        # Keys drawn before the fork, so every worker inherits the same ones.
+        keyed = tuple((_team_key(p), p) for p in problems)
         for _ in range(workers):
             ours, theirs = context.Pipe()
             inherited = [w.conn for w in self._workers] + [ours]
             process = context.Process(
-                target=_worker_main, args=(theirs, inherited, problems), daemon=True
+                target=_worker_main, args=(theirs, inherited, keyed), daemon=True
             )
             process.start()
             theirs.close()
-            self._workers.append(_Worker(process, ours, problems))
+            self._workers.append(_Worker(process, ours, [key for key, _ in keyed]))
         self._arena: SharedGridBuffer | None = None
         self._dim: int | None = None  # of the grid in the arena, if any
         self._backlog: deque = deque()
@@ -262,7 +282,7 @@ class WorkerTeam:
             if not idle:
                 return
             problem, tile = self._backlog.popleft()
-            key = id(problem)
+            key = _team_key(problem)
             worker = next((w for w in idle if key in w.held), idle[0])
             message = (
                 key, None if key in worker.held else problem,
@@ -281,7 +301,7 @@ class WorkerTeam:
                     "from a lambda or a local function runs on the private team of "
                     "an executor constructed without a session"
                 ) from error
-            _lru_touch(worker.held, key, problem)
+            _lru_touch(worker.held, key, True)
             worker.key, worker.tile = key, tile
 
     def completed(self) -> list[tuple[Tile, object]]:

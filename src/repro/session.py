@@ -26,13 +26,17 @@ Design points:
   instead of re-tuning and re-spawning per request.
 * **Bounded state** — every cache is an LRU with a size configured by
   ``cache_size``, so a session serving millions of requests holds a
-  constant amount of memory and worker processes.
+  bounded number of plans, problems and worker processes.  Instance data
+  has one owner, the problem cache: plans of registry names carry no
+  problem, and ``cache_info()["problems"]["bytes"]`` says what it holds.
 * **Persistent results** — with ``cache_dir`` set, functional
   :meth:`Session.solve`/:meth:`Session.solve_many` answers are served from
   a content-addressed :class:`repro.cache.ResultCache` (memory LRU → disk
   → solve): identical requests across time, threads and processes cost one
   grid sweep, and concurrent misses on one key are stampede-protected;
   :meth:`Session.serve_from_memory` answers from its memory tier alone.
+  An answered request releases its instance data: the answer replaces its
+  inputs.
 
 The CLI's workflow verbs (``run``, ``tune``, ``bench``, ``profile``,
 ``report``, ``serve``, ``loadgen``) are thin adapters over this class (the
@@ -52,6 +56,7 @@ from repro.apps.registry import default_dim, get_application
 from repro.autotuner.protocol import PlanDecision, Tuner
 from repro.autotuner.search_space import SearchSpace
 from repro.cache import RequestIdentity, ResultCache, request_identity, request_key
+from repro.cache.keys import instance_key
 from repro.core.exceptions import DeadlineError, ReproError, UsageError
 from repro.core.params import TunableParams
 from repro.core.parameter_space import ParameterSpace
@@ -72,6 +77,11 @@ from repro.utils.lru import LRUCache
 DEFAULT_CACHE_SIZE = 128
 #: The policy of a request that pins nothing: the tuner decides everything.
 _TUNER_DECIDES = ExecutionPolicy()
+
+
+def _held_bytes(entry) -> int:
+    """Instance data of one problem-cache entry: a problem, or ``(app, problem)``."""
+    return (entry[1] if isinstance(entry, tuple) else entry).nbytes
 
 
 class Session:
@@ -146,7 +156,8 @@ class Session:
         if self.result_cache is None and cache_dir is not None:
             self.result_cache = ResultCache(cache_dir)
         self._plans: LRUCache = LRUCache(self.cache_size)
-        self._problems: LRUCache = LRUCache(self.cache_size)
+        #: The one owner of instance data (plans of registry names hold none).
+        self._problems: LRUCache = LRUCache(self.cache_size, weigh=_held_bytes)
         # Reentrant so plan() may build the tuner (and close() may drain
         # both) under one acquisition; plan lock and run lock are only ever
         # taken in that order, never nested the other way round.
@@ -200,9 +211,13 @@ class Session:
         (:class:`repro.adaptive.AdaptiveController`): the LRU ``put`` runs
         under the plan lock, so concurrent planners observe either the old
         plan or the new one, never a mixture.  Queries under a non-default
-        policy are unaffected.
+        policy are unaffected.  The plan is stored without a problem, like
+        every cached plan: :meth:`run` takes the instance from the problem
+        cache.
         """
         identity = request_identity(plan.app, plan.dim, plan.app_options)
+        if plan.problem is not None:
+            plan = plan.with_(problem=None)
         with self._plan_lock:
             self._check_open()
             self.stats["plans_adopted"] += 1
@@ -248,11 +263,13 @@ class Session:
 
         Registry-name requests are cached per request identity
         (:func:`repro.cache.request_identity`), so a repeated request costs
-        one LRU hit and builds nothing.  Caller-supplied application
-        instances and problems are planned against their *own* objects
-        (identity-keyed, never conflated with the registry defaults of the
-        same name) and the resulting plan carries the concrete problem, so
-        :meth:`run` executes exactly what was handed in.
+        one LRU hit and builds nothing.  Their plans carry no problem (the
+        problem cache owns the instance, and :meth:`run` finds it there).
+        Caller-supplied application instances and problems are planned
+        against their *own* objects (identity-keyed, never conflated with
+        the registry defaults of the same name) and the resulting plan
+        carries the concrete problem, so :meth:`run` executes exactly what
+        was handed in.
         """
         self._check_open()
         if policy is None:
@@ -264,7 +281,7 @@ class Session:
                         "constructor arguments cannot be applied to an "
                         "already-built problem"
                     )
-                return self._resolve(app, app.name, (), policy)
+                return self._resolve(app, app.name, (), policy, carry=True)
             if isinstance(app, WavefrontApplication):
                 if app_kwargs:
                     raise UsageError(
@@ -273,13 +290,14 @@ class Session:
                     )
                 dim = dim if dim is not None else app.default_dim
                 problem = self._instance_problem(app, dim)
-                return self._resolve(problem, app.name, (), policy)
+                return self._resolve(problem, app.name, (), policy, carry=True)
             identity = self._identity(app, dim, policy, app_kwargs)
             cached = self._plans.get(identity)
             if cached is not None:
                 return cached
-            problem = self._problem(identity, app_kwargs)
-            plan = self._resolve(problem, app, identity.kwargs_pairs(), policy)
+            pairs = identity.kwargs_pairs()
+            problem = self._problem(identity.app, identity.dim, pairs)
+            plan = self._resolve(problem, app, pairs, policy, carry=False)
             return self._plans.put(identity, plan)
 
     @staticmethod
@@ -289,13 +307,11 @@ class Session:
             app, dim if dim is not None else default_dim(app), app_kwargs, policy
         )
 
-    def _problem(self, identity: RequestIdentity, app_kwargs: Mapping) -> WavefrontProblem:
+    def _problem(self, app: str, dim: int, kwargs_pairs: tuple) -> WavefrontProblem:
         """The cached problem of one registry instance, built on a miss only."""
         return self._problems.get_or_create(
-            identity.instance,
-            lambda: get_application(
-                identity.app, dim=identity.dim, **app_kwargs
-            ).problem(identity.dim),
+            instance_key(app, dim, kwargs_pairs),
+            lambda: get_application(app, dim=dim, **dict(kwargs_pairs)).problem(dim),
         )
 
     def _instance_problem(self, app: WavefrontApplication, dim: int) -> WavefrontProblem:
@@ -312,8 +328,14 @@ class Session:
             entry = self._problems.put(key, (app, app.problem(dim)))
         return entry[1]
 
-    def _resolve(self, problem, name, kwargs_key, policy: ExecutionPolicy) -> ResolvedPlan:
-        """Combine the tuner's decision with the policy's overrides."""
+    def _resolve(
+        self, problem, name, kwargs_key, policy: ExecutionPolicy, *, carry: bool
+    ) -> ResolvedPlan:
+        """Combine the tuner's decision with the policy's overrides.
+
+        ``carry`` keeps ``problem`` on the plan: only for caller-supplied
+        instances, which the problem cache cannot rebuild from a name.
+        """
         params = problem.input_params()
         if policy.backend is not None or policy.tunables is not None:
             decision = PlanDecision(
@@ -360,7 +382,7 @@ class Session:
             tuner=source,
             expected_s=decision.expected_s,
             app_kwargs=kwargs_key,
-            problem=problem,
+            problem=problem if carry else None,
         )
 
     # ------------------------------------------------------------------
@@ -371,10 +393,12 @@ class Session:
     ) -> ExecutionResult:
         """Execute a resolved plan (this session's or a replayed one).
 
-        Plans this session resolved carry their concrete problem and
-        execute it directly; replayed plans (loaded from JSON) rebuild the
-        problem through the application registry, cached per (app, dim,
-        overrides).  ``mode`` defaults to the session's mode.
+        A plan carrying a problem (one resolved from a caller-supplied
+        instance) executes it directly; every other plan — a registry name's,
+        an adopted or a replayed one — takes its problem from the problem
+        cache under ``(plan.app, plan.dim, plan.app_kwargs)``, built through
+        the application registry on a miss.  ``mode`` defaults to the
+        session's mode.
 
         The whole execution holds the session's run lock: borrowed worker
         pools and the shared-memory arena are single-request resources, so
@@ -384,8 +408,7 @@ class Session:
         mode = ExecutionMode.coerce(mode) if mode is not None else self.mode
         problem = plan.problem
         if problem is None:
-            options = plan.app_options
-            problem = self._problem(request_identity(plan.app, plan.dim, options), options)
+            problem = self._problem(plan.app, plan.dim, plan.app_kwargs)
         with self._run_lock:
             self._check_open()
             executor = self.host.executor_for(plan.backend, plan.engine, plan.workers)
@@ -413,14 +436,19 @@ class Session:
         ``result_cache=``), functional registry-name requests are answered
         content-addressed: the resolved plan's request key is looked up
         memory → disk before any grid is swept, and concurrent misses on
-        one key run exactly one solve.  Simulate-mode requests and instance /
-        problem requests bypass the cache and execute directly.
+        one key run exactly one solve.  Once the cache has answered, hit or
+        miss, the instance leaves the problem cache: nothing reads it again.
+        Simulate-mode requests and instance / problem requests bypass the
+        cache, execute directly and keep their problem cached.
         """
         plan = self.plan(app, dim, policy=policy, **app_kwargs)
         key = self._request_key_for(app, plan, mode, policy)
         if key is None:
             return self.run(plan, mode=mode)
-        return self.result_cache.get_or_solve(key, lambda: self.run(plan, mode=mode))
+        try:
+            return self.result_cache.get_or_solve(key, lambda: self.run(plan, mode=mode))
+        finally:
+            self._problems.pop(instance_key(plan.app, plan.dim, plan.app_kwargs))
 
     def _request_key_for(self, app, plan: ResolvedPlan, mode, policy: ExecutionPolicy | None):
         """The cache key of one solve request, or ``None`` when uncacheable.

@@ -5,7 +5,8 @@ plans, constructed problems and executors across requests; left unbounded
 those caches grow with every distinct request ever seen.  This module is the
 one bounded-cache implementation they all share: an ordered-dict LRU with a
 configurable ``maxsize`` and hit/miss counters that
-the session surfaces through :meth:`repro.session.Session.cache_info`.
+the session surfaces through :meth:`repro.session.Session.cache_info`, plus
+the bytes its entries hold when the owner says how to weigh one.
 
 The cache is **thread-safe**: every operation (including
 :meth:`LRUCache.get_or_create`'s factory call) runs under one reentrant
@@ -31,7 +32,9 @@ class LRUCache:
 
     ``maxsize`` must be at least 1.  Only :meth:`get`
     and :meth:`put` refresh recency; membership tests observe without
-    touching the LRU order.
+    touching the LRU order.  ``weigh`` (an entry's size in bytes) adds a
+    ``bytes`` total to :meth:`info`, summed when asked, so an entry that
+    grows after insertion (a lazily built table) is counted at its size.
 
     All operations hold one :class:`threading.RLock`.  The lock is reentrant
     because :meth:`get_or_create`'s factory may
@@ -40,10 +43,11 @@ class LRUCache:
     for one key build the value exactly once.
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int, weigh: Callable[[Any], int] | None = None) -> None:
         if maxsize < 1:
             raise InvalidParameterError(f"LRU maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
+        self._weigh = weigh
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -79,6 +83,11 @@ class LRUCache:
                 self.evictions += 1
             return value
 
+    def pop(self, key: Hashable) -> Any:
+        """Remove ``key`` and return its value (``None`` when absent); no counter moves."""
+        with self._lock:
+            return self._data.pop(key, None)
+
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """Return the cached value, building (and caching) it on a miss.
 
@@ -103,10 +112,13 @@ class LRUCache:
     def info(self) -> dict[str, int]:
         """Counters in the style of :func:`functools.lru_cache`'s cache_info."""
         with self._lock:
-            return {
+            info = {
                 "size": len(self._data),
                 "maxsize": self.maxsize,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
+            if self._weigh is not None:
+                info["bytes"] = sum(map(self._weigh, self._data.values()))
+            return info

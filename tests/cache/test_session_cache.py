@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.apps.lcs import LCSApp
+from repro.apps.registry import available_applications, get_application
 from repro.server import ReproServer, ServerConfig, result_payload
 from repro.facade.policy import ExecutionPolicy
 from repro.session import Session
@@ -84,6 +85,109 @@ class TestSolveCaching:
         assert np.array_equal(warm.grid.values, expected.grid.values)
 
 
+def problem_builds(session):
+    """Instances the session has built: misses of its problem cache."""
+    return session.cache_info()["problems"]["misses"]
+
+
+#: 40 distinct registry requests: every application at four sizes.
+FORTY = [(app, dim) for app in available_applications() for dim in (16, 24, 40, 64)]
+
+
+class TestAnswersReplaceInputs:
+    """A cache-backed session keeps answers, not the instances behind them."""
+
+    def test_forty_answers_leave_no_instance_data(self, tmp_path, i3, quick_tuner_i3):
+        assert len(FORTY) == 40 and ("stochastic-path", 64) in FORTY
+        with Session(system=i3, tuner=quick_tuner_i3) as plain:
+            expected = [plain.solve(app, dim) for app, dim in FORTY]
+        with Session(system=i3, tuner=quick_tuner_i3, cache_dir=tmp_path) as cached:
+            answers = [cached.solve(app, dim) for app, dim in FORTY]
+            problems = cached.cache_info()["problems"]
+            assert (problems["size"], problems["bytes"]) == (0, 0)
+            assert problem_builds(cached) == 40  # each built once, for its sweep
+        for answer, reference in zip(answers, expected):
+            assert answer.grid_sha256 == reference.grid_sha256
+            assert answer.witness_sha256 == reference.witness_sha256
+
+    def test_hits_on_cached_plans_build_no_problem(self, tmp_path):
+        with Session(system="i7-2600K", cache_dir=tmp_path) as session:
+            session.solve("viterbi", 24, policy=SERIAL)  # the miss builds one
+            assert problem_builds(session) == 1
+            assert session.serve_from_memory("viterbi", 24, policy=SERIAL) is not None
+            session.solve("viterbi", 24, policy=SERIAL)  # memory hit
+            session.result_cache.flush()
+            session.result_cache.clear_memory()
+            session.solve("viterbi", 24, policy=SERIAL)  # disk hit, plan cached
+            info = session.cache_info()
+            assert info["results"]["disk_hits"] == 1 and info["results"]["memory_hits"] == 2
+            assert problem_builds(session) == 1
+            assert info["problems"]["size"] == 0
+
+    def test_a_disk_hit_without_its_plan_builds_once_then_releases(self, tmp_path):
+        with Session(system="i7-2600K", cache_dir=tmp_path) as first:
+            first.solve("stochastic-path", 24, policy=SERIAL)
+        with Session(system="i7-2600K", cache_dir=tmp_path) as second:
+            second.solve("stochastic-path", 24, policy=SERIAL)
+            info = second.cache_info()
+            assert info["results"]["disk_hits"] == 1 and second.stats["runs"] == 0
+            assert problem_builds(second) == 1  # to read the signature
+            assert (info["problems"]["size"], info["problems"]["bytes"]) == (0, 0)
+
+    def test_uncacheable_work_keeps_its_problem(self, tmp_path):
+        with Session(system="i7-2600K", cache_dir=tmp_path) as session:
+            session.solve("lcs", 24, policy=SERIAL, mode="simulate")
+            session.run(session.plan("lcs", 24, policy=SERIAL))
+            assert session.cache_info()["problems"]["size"] == 1
+            assert problem_builds(session) == 1
+
+
+class TestOneOwner:
+    """Plans of registry names hold no problem; the problem cache does."""
+
+    def test_a_cacheless_session_builds_each_instance_once(self):
+        with Session(system="i7-2600K") as session:
+            for _ in range(3):
+                session.solve("lcs", 24, policy=SERIAL)
+            session.run(session.plan("lcs", 24, policy=SERIAL))
+            session.solve("lcs", 24, policy=ExecutionPolicy(backend="vectorized"))
+            assert problem_builds(session) == 1 and session.stats["runs"] == 5
+
+    def test_a_cacheless_session_reports_the_bytes_it_holds(self):
+        requests = [("stochastic-path", 32), ("viterbi", 40), ("lcs", 24)]
+        with Session(system="i7-2600K") as session:
+            for app, dim in requests:
+                session.solve(app, dim, policy=SERIAL)
+            held = session.cache_info()["problems"]["bytes"]
+        built = [get_application(app, dim=dim).problem(dim) for app, dim in requests]
+        assert held == sum(problem.nbytes for problem in built) > 4 * 32 * 32 * 8
+
+    def test_no_cached_plan_holds_a_problem(self):
+        with Session(system="i7-2600K") as session:
+            for app, kwargs in (("lcs", {}), ("lcs", {"seed": 3}), ("viterbi", {})):
+                for policy in (SERIAL, ExecutionPolicy(backend="vectorized")):
+                    plan = session.plan(app, 24, policy=policy, **kwargs)
+                    session.run(plan)
+                    again = session.plan(app, 24, policy=policy, **kwargs)  # the cached one
+                    assert again is plan and plan.problem is None
+            instance = session.plan(LCSApp(dim=24, seed=5), policy=SERIAL)
+            assert instance.problem is not None  # a caller's instance stays carried
+
+    def test_an_adopted_plan_runs_problem_free(self):
+        with Session(system="i7-2600K") as session:
+            plan = session.plan("lcs", 24, policy=SERIAL)
+            reference = session.run(plan)
+            carried = session.plan(LCSApp(dim=24, seed=5), policy=SERIAL)
+            swapped = plan.with_(backend="vectorized", tuner="adaptive", problem=carried.problem)
+            adopted = session.adopt_plan(swapped)
+            assert adopted.problem is None
+            live = session.plan("lcs", 24)
+            assert live is adopted
+            result = session.solve("lcs", 24)
+            assert result.stats["strategy"] == "vectorized"
+            assert result.grid_sha256 == reference.grid_sha256  # the registry instance
+
+
 class TestSharedResultIsHashedOnce:
     """A memory-tier hit hands every reader the same result object, so its
     digests are computed once per object, not once per reply."""
@@ -146,6 +250,16 @@ class TestIntrospection:
         assert snapshot["cache"]["lookups"] >= 2
         assert snapshot["cache"]["misses"] >= 1
         assert "caches" in snapshot and "results" in snapshot["caches"]
+
+    def test_server_metrics_carry_the_byte_counts(self, tmp_path):
+        session = Session(system="i7-2600K", cache_dir=tmp_path)
+        with ReproServer(session, ServerConfig(), own_session=True) as server:
+            result = server.solve("viterbi", 24, policy=SERIAL, timeout=30)
+            snapshot = server.metrics()
+        assert snapshot["caches"]["problems"]["bytes"] == 0
+        size = result.grid.values.nbytes + result.witness.nbytes
+        assert snapshot["cache"]["memory"]["bytes"] == size
+        assert snapshot["cache"]["pending"]["bytes"] in (0, size)
 
     def test_server_metrics_cache_is_none_without_cache_dir(self):
         session = Session(system="i7-2600K")

@@ -80,6 +80,19 @@ class TestAnsweredThenWritten:
             assert cache.store.info()["misses"] == 1, "only the leader read disk"
             held_writes.set()
 
+    def test_pending_and_memory_bytes_are_the_answers_arrays(self, tmp_path, held_writes):
+        with Session(system="i7-2600K", cache_dir=tmp_path) as session:
+            result = session.solve("viterbi", 16, policy=SERIAL)  # write held
+            size = result.grid.values.nbytes + result.witness.nbytes
+            info = session.result_cache.info()
+            assert info["pending"] == {"entries": 1, "bytes": size}
+            assert info["memory"]["bytes"] == size
+            held_writes.set()
+            session.result_cache.flush()
+            info = session.result_cache.info()
+            assert info["pending"] == {"entries": 0, "bytes": 0}
+            assert info["memory"]["bytes"] == size
+
     def test_past_the_bound_the_leader_writes_inline(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tier, "MAX_PENDING_WRITES", 1)
         first = request_key("lcs", 20, overrides={"backend": "serial"})

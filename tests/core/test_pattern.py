@@ -65,3 +65,24 @@ class TestWavefrontProblem:
     def test_small_dim_rejected(self):
         with pytest.raises(InvalidParameterError):
             WavefrontProblem(dim=1, kernel=max_plus_kernel())
+
+    def test_nbytes_counts_the_kernels_arrays(self):
+        from repro.apps.registry import get_application
+
+        problem = get_application("stochastic-path", dim=64).problem(64)
+        assert problem.nbytes == 4 * 64 * 64 * 8  # costs, p_west and two logs
+        assert WavefrontProblem(dim=8, kernel=max_plus_kernel()).nbytes == 0
+
+    def test_nbytes_counts_lazy_tables_once_built(self):
+        from repro.apps.registry import get_application
+
+        problem = get_application("knapsack-ev", dim=64).problem(64)
+        before = problem.nbytes
+        problem.kernel._tables(64)  # take (bool) + add + m1 (float64)
+        assert problem.nbytes == before + 64 * 64 * (1 + 8 + 8)
+
+    def test_nbytes_counts_a_view_as_its_base_once(self):
+        kernel = max_plus_kernel()
+        base = np.zeros(100)
+        kernel.table, kernel.parts = base, (base[:10], [base[10:]])
+        assert WavefrontProblem(dim=8, kernel=kernel).nbytes == base.nbytes

@@ -161,7 +161,9 @@ class TestNothingRetained:
             gc.collect()
             assert len(built_sweepers) == 1
             assert built_sweepers[0]() is None  # dead while the problem is cached
-            assert not [name for name in vars(plan.problem) if "sweeper" in name]
+            assert plan.problem is None  # the problem cache owns the instance
+            problem = session._problem(plan.app, plan.dim, plan.app_kwargs)
+            assert not [name for name in vars(problem) if "sweeper" in name]
 
     def test_hybrid_builds_one_sweeper_per_run(
         self, small_synthetic, built_sweepers, i7_2600k

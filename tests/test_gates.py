@@ -41,6 +41,8 @@ def artifact(completed=60, expired=0, trace=True, **sections):
     }
     if "supervisor" in sections:
         metrics["supervisor"] = sections.pop("supervisor")
+    if "caches" in sections:
+        metrics["caches"] = sections.pop("caches")
     return {
         "format_version": 6,
         "meta": {"requests": 60, "trace": dict(TRACE_META) if trace else None},
@@ -74,6 +76,10 @@ def cache_delta(misses):
     }
 
 
+#: The session caches of a cache-backed server after a replay: no instance data.
+NO_INSTANCE_DATA = {"plans": {"size": 4}, "problems": {"size": 0, "bytes": 0}}
+
+
 def adaptive_delta(drift_events):
     """One shadow-mode run's adaptive counters over 60 observations."""
     return {
@@ -89,7 +95,10 @@ def passing(gate):
     if gate == "serve":
         return {"fresh": artifact(trace=False)}
     if gate == "cache":
-        return {"cold": artifact(cache=cache_delta(4)), "warm": artifact(cache=cache_delta(0))}
+        return {
+            "cold": artifact(cache=cache_delta(4), caches=NO_INSTANCE_DATA),
+            "warm": artifact(cache=cache_delta(0), caches=NO_INSTANCE_DATA),
+        }
     if gate == "chaos":
         supervisor = {
             "faults_injected": 4, "restarts": 2, "redispatches": 2,
@@ -190,6 +199,7 @@ def _set(path, value):
 
 
 SUPERVISOR = ("server_metrics", "supervisor")
+PROBLEMS = ("server_metrics", "caches", "problems")
 
 
 @pytest.mark.parametrize(
@@ -200,6 +210,11 @@ SUPERVISOR = ("server_metrics", "supervisor")
         ("cache", _set(("cache",), cache_delta(1)), "warm replay solved 1 requests fresh"),
         ("cache", _set(("cache",), cache_delta(3)), "below the committed floor"),
         ("cache", _set(("results", "latency_ms", "p50"), 9.0), "warm p50 is 4.50x the cold p50"),
+        ("cache", _set(PROBLEMS + ("bytes",), 4096), "warm: the server still holds 4096 bytes"),
+        ("cache", _set(("server_metrics", "caches"), {}),
+         "warm: server_metrics.caches.problems.bytes missing"),
+        ("cache", _set(("server_metrics",), {"error": "timed out"}),
+         "warm: server_metrics missing or unreadable"),
         ("chaos", lambda a: _faults(a).update(plan="kill@7"), "does not match the committed plan"),
         ("chaos", lambda a: _faults(a).update(injected=3), "only 3 of 4 scheduled faults"),
         ("chaos", _set(SUPERVISOR + ("restarts",), 9), "9 shard restarts outside the budget band"),
@@ -210,7 +225,8 @@ SUPERVISOR = ("server_metrics", "supervisor")
     ],
     ids=[
         "serve-deadline", "serve-shape", "cache-warm-miss", "cache-hit-rate",
-        "cache-p50-ratio", "chaos-plan", "chaos-faults-injected",
+        "cache-p50-ratio", "cache-instance-bytes", "cache-no-problems-section",
+        "cache-metrics-errored", "chaos-plan", "chaos-faults-injected",
         "chaos-restarts-above", "chaos-restarts-below", "chaos-untyped",
         "adaptive-shadow-swap", "adaptive-no-drift",
     ],
@@ -219,6 +235,22 @@ def test_gate_rule_fails_with_its_message(gate, mutate, message, tmp_path, capsy
     code, output = run_mutated(gate, mutate, tmp_path, capsys)
     assert code == 1 and f"{gate} check FAILED" in output
     assert message in output
+
+
+def test_instance_data_held_after_the_cold_replay_fails(tmp_path, capsys):
+    artifacts = passing("cache")
+    artifacts["cold"]["server_metrics"]["caches"] = {"problems": {"size": 1, "bytes": 512}}
+    code, output = run_gate("cache", artifacts, tmp_path, capsys)
+    assert code == 1
+    assert "cold: the server still holds 512 bytes of instance data" in output
+
+
+def test_a_cold_artifact_without_server_metrics_fails(tmp_path, capsys):
+    artifacts = passing("cache")
+    del artifacts["cold"]["server_metrics"]
+    code, output = run_gate("cache", artifacts, tmp_path, capsys)
+    assert code == 1
+    assert "cold: server_metrics missing or unreadable: None" in output
 
 
 def test_a_stable_run_drift_event_fails(tmp_path, capsys):

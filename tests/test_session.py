@@ -327,6 +327,32 @@ class TestResidentWorkerTeam:
                 assert result.matches(serial)
         assert _shm_entries() == before
 
+    def test_a_released_problem_dies_though_the_team_swept_it(
+        self, i7_2600k, tmp_path, monkeypatch
+    ):
+        import gc
+        import weakref
+
+        with Session(system=i7_2600k, cache_dir=tmp_path) as session:
+            built, build = [], session._problems.get_or_create
+
+            def recording(key, factory):
+                problem = build(key, factory)
+                built.append(weakref.ref(problem))
+                return problem
+
+            monkeypatch.setattr(session._problems, "get_or_create", recording)
+            policy = ExecutionPolicy(
+                backend="pipelined", workers=2, tunables=TunableParams(cpu_tile=8)
+            )
+            first = session.solve("lcs", 24, policy=policy)
+            pids = session.cache_info()["teams"]["pids"]
+            gc.collect()
+            assert built and all(ref() is None for ref in built)
+            second = session.solve("viterbi", 24, policy=policy)  # the team still serves
+            assert first.stats["mode"] == second.stats["mode"] == "process-pool"
+            assert session.cache_info()["teams"]["pids"] == pids
+
     def test_a_larger_grid_grows_the_arena_without_leaking_the_old_one(self, i7_2600k):
         before = _shm_entries()
         with Session(system=i7_2600k) as session:

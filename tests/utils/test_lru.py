@@ -100,3 +100,25 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert len(builds) == 1
+
+    def test_pop_removes_without_counting(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        assert cache.pop("a") == 1 and cache.pop("a") is None
+        assert "a" not in cache
+        info = cache.info()
+        assert (info["hits"], info["misses"], info["evictions"]) == (0, 0, 0)
+
+    def test_bytes_are_weighed_when_asked(self):
+        sizes = {"a": [3], "b": [4]}
+        cache = LRUCache(2, weigh=lambda value: sum(value))
+        cache.put("a", sizes["a"])
+        cache.put("b", sizes["b"])
+        assert cache.info()["bytes"] == 7
+        sizes["b"].append(10)  # an entry that grew after insertion
+        assert cache.info()["bytes"] == 17
+        cache.put("c", [1])  # evicts 'a'
+        assert cache.info()["bytes"] == 15
+
+    def test_no_weigh_no_bytes(self):
+        assert "bytes" not in LRUCache(2).info()
