@@ -21,13 +21,15 @@ arrives from the west), ``L[i, 0] = -c + L[i-1, 0]``, and
 and costs strictly positive, so every grid value is finite (and negative).
 ``-L[dim-1, dim-1]`` is the certainty-equivalent path cost of the corner.
 
-The log-space sum routes through the shared, numerically-stable
-:func:`repro.runtime.compute.logsumexp_pair` primitive; because it is
-elementwise and the fused evaluator applies the *same* ufuncs in the same
-order as the serial :meth:`StochasticPathKernel.diagonal`, every backend
-produces bit-identical grids — which is what lets the witness below be
-byte-identical across backends even though differential tests against an
-independent reference are ``allclose`` (log-space sums round).
+The serial :meth:`StochasticPathKernel.diagonal` routes the log-space sum
+through the shared, numerically-stable
+:func:`repro.runtime.compute.logsumexp_pair` primitive.  The fused evaluator
+spells the same shift-by-max formula on finite operands without that
+primitive's ``±inf`` masking, and every rounding it makes is one
+``logsumexp_pair`` makes, so every backend produces bit-identical grids —
+which is what lets the witness below be byte-identical across backends even
+though differential tests against an independent reference are ``allclose``
+(log-space sums round).
 
 The *witness* is the maximum-a-posteriori arrival path: starting from the
 corner, each step picks the predecessor with the larger posterior mass
@@ -101,25 +103,44 @@ class StochasticPathKernel(WavefrontKernel):
         return mixed - self._cell(self.costs, i, j)
 
     def make_diagonal_evaluator(self, dim, boundary):
-        """Fused sweep path: identical ufunc order to :meth:`diagonal`.
+        """Fused sweep path: nine ufuncs per diagonal, nothing allocated.
 
         Bit-identity with the serial sweep matters here (the witness
-        traceback reads exact grid values), so the fused path applies the
-        same elementwise operations in the same order; the ``i == 0`` /
-        ``j == 0`` edge cells are at most the first / last element of any
-        anti-diagonal segment and are patched as scalars.
+        traceback reads exact grid values).  The evaluator spells the
+        log-sum itself on two scratch rows: ``big = max``, ``small = min``,
+        ``small - big``, ``exp``, ``log1p``, ``big + ...`` — the roundings of
+        :func:`~repro.runtime.compute.logsumexp_pair`, without its ``±inf``
+        machinery.  For finite operands ``small - big`` is exactly ``-(big -
+        small)``; on a tie it is ``+0.0`` where ``logsumexp_pair`` negates a
+        ``0.0``, and ``exp`` maps both zeros to 1.  The operands are finite:
+        finite tables plus the previous diagonal.  Only an overflowing
+        instance breaks that: the final subtract's ``-inf`` is reported by
+        the sweep's end-of-tile check on the diagonal it first appears, as
+        before, and a later cell whose two predecessors are both ``-inf``
+        turns NaN (numpy warns ``invalid value``) where the mask of
+        ``logsumexp_pair`` kept ``-inf``.  The
+        ``i == 0`` / ``j == 0`` edge cells are at most the first / last
+        element of any anti-diagonal segment and are patched as scalars.
         """
         cost_flat = position_table_flat(self.costs, dim)
         pw_flat = position_table_flat(self.log_pw, dim)
         pn_flat = position_table_flat(self.log_pn, dim)
-        scratch = np.empty(dim)
+        north_row = np.empty(dim)
+        big_row = np.empty(dim)
 
         def evaluate(d, i_min, i_max, west, north, northwest, out, seg):
             m = i_max - i_min + 1
-            tmp = scratch[:m]
+            tmp = north_row[:m]
+            big = big_row[:m]
             np.add(west, pw_flat[seg], out)
             np.add(north, pn_flat[seg], tmp)
-            logsumexp_pair(out, tmp, out=out)
+            # out = big + log1p(exp(small - big)), small kept in tmp.
+            np.maximum(out, tmp, out=big)
+            np.minimum(out, tmp, out=tmp)
+            np.subtract(tmp, big, tmp)
+            np.exp(tmp, tmp)
+            np.log1p(tmp, tmp)
+            np.add(big, tmp, out)
             if i_min == 0:  # first element sits in row i == 0: west only
                 out[0] = west[0]
             if i_max == d:  # last element sits in column j == 0: north only

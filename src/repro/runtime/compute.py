@@ -49,9 +49,10 @@ def logsumexp_pair(a, b, out: np.ndarray | None = None) -> np.ndarray:
     which numpy's default error state ignores.
 
     ``out`` (optional) receives the result in place and doubles as the gap
-    buffer, so the fused diagonal evaluators, which pass their output row
-    (``a`` itself), allocate only ``big`` and ``small``.  Scalars in, a
-    ``numpy.float64`` out.
+    buffer, so only ``big`` and ``small`` are allocated; it may alias ``a``
+    or ``b``.  No fused evaluator passes one: the ``stochastic-path``
+    evaluator, whose operands are finite, spells the same roundings itself
+    without the ``±inf`` masking.  Scalars in, a ``numpy.float64`` out.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

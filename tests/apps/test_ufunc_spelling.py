@@ -1,9 +1,10 @@
-"""The hot-path spelling rule, checked on the source.
+"""The hot-path spelling rule and the dispatch counts, checked on the source.
 
 Every fused evaluator (a function nested in a kernel's
 ``make_row_evaluator`` / ``make_diagonal_evaluator``) runs once per grid row
-or anti-diagonal, and ``logsumexp_pair`` once per diagonal of the serial and
-the fused ``stochastic-path`` sweeps.  In all of them:
+or anti-diagonal, and ``logsumexp_pair`` once per diagonal of the serial
+``stochastic-path`` sweep (its fused evaluator spells the log-sum itself).
+In all of them:
 
 * no augmented assignment — ``x *= c`` is a ufunc call spelled the slow
   way (``np.multiply(x, c, x)`` is the same call, cheaper to dispatch);
@@ -16,7 +17,10 @@ measured) also name every ufunc's output (third positional argument or
 ``out=``) and take no number literal (constants are 0-d float64 arrays
 built once in the factory).  A positional output on ``np.maximum`` /
 ``np.minimum`` is deprecated by numpy and already an error under
-``pytest.ini``'s DeprecationWarning filter.
+``pytest.ini``'s DeprecationWarning filter.  Their ufunc calls per
+anti-diagonal are pinned against :data:`UFUNC_CALLS`: the count does not
+depend on the host, so a change to it is the host-independent half of any
+claim about these sweeps' speed.
 """
 
 import ast
@@ -32,6 +36,14 @@ APPS_DIR = Path(repro.apps.__file__).parent
 COMPUTE = Path(repro.runtime.compute.__file__)
 FACTORIES = ("make_row_evaluator", "make_diagonal_evaluator")
 MODULES = sorted(APPS_DIR.glob("*.py")) + [COMPUTE]
+#: ``np.*`` ufunc calls per anti-diagonal of each diagonal-only evaluator:
+#: (outside the iteration loop, per loop iteration).
+UFUNC_CALLS = {
+    "nash.py": (5, 5),
+    "stochastic_path.py": (9, 0),
+    "synthetic.py": (4, 0),
+    "matrixchain.py": (6, 0),
+}
 
 
 def functions(tree: ast.AST, names) -> list[ast.FunctionDef]:
@@ -76,20 +88,31 @@ def violations(func: ast.FunctionDef) -> list[str]:
     return found
 
 
+def ufunc_calls(node: ast.AST) -> list[tuple[ast.Call, np.ufunc]]:
+    """Every ``np.<ufunc>(...)`` call inside ``node``."""
+    return [
+        (call, getattr(np, call.func.attr))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "np"
+        and isinstance(getattr(np, call.func.attr, None), np.ufunc)
+    ]
+
+
+def ufunc_counts(func: ast.FunctionDef) -> tuple[int, int]:
+    """``func``'s ufunc calls outside its one loop, and per loop iteration."""
+    loops = [node for node in ast.walk(func) if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) <= 1, f"{func.name}: nested or sequential loops"
+    inside = len(ufunc_calls(loops[0])) if loops else 0
+    return len(ufunc_calls(func)) - inside, inside
+
+
 def slow_ufunc_calls(func: ast.FunctionDef) -> list[str]:
     """``np.<ufunc>(...)`` calls inside ``func`` without an output or with a number literal."""
     found = []
-    for node in ast.walk(func):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "np"
-        ):
-            continue
-        ufunc = getattr(np, node.func.attr, None)
-        if not isinstance(ufunc, np.ufunc):
-            continue
+    for node, ufunc in ufunc_calls(func):
         if len(node.args) <= ufunc.nin and not any(k.arg == "out" for k in node.keywords):
             found.append(f"line {node.lineno}: np.{node.func.attr} without an output")
         if any(isinstance(getattr(a, "operand", a), ast.Constant) for a in node.args):
@@ -111,6 +134,15 @@ def test_diagonal_only_evaluators_name_every_output_and_take_no_literal(path):
         for v in slow_ufunc_calls(f)
     ]
     assert not bad, "\n".join(bad)
+
+
+def test_diagonal_only_evaluators_make_the_pinned_ufunc_calls():
+    counts = {
+        path.name: [ufunc_counts(f) for f in diagonal_only_evaluators(path)]
+        for path in MODULES
+        if diagonal_only_evaluators(path)
+    }
+    assert counts == {name: [calls] for name, calls in UFUNC_CALLS.items()}
 
 
 def test_logsumexp_pair_has_no_errstate_and_no_augmented_assignment():
@@ -140,3 +172,21 @@ def test_the_guard_catches_each_rule():
     (inner,) = nested(factory)
     assert len(violations(inner)) == 2
     assert len(slow_ufunc_calls(inner)) == 3
+    assert ufunc_counts(inner) == (2, 0)
+
+
+def test_the_counter_splits_a_loop_from_its_surroundings():
+    source = (
+        "def make_diagonal_evaluator(self, dim, boundary):\n"
+        "    def evaluate(out, s):\n"
+        "        np.add(out, s, out)\n"
+        "        for _ in iters:\n"
+        "            np.tanh(out, s)\n"
+        "            np.multiply(s, c, s)\n"
+        "        out.fill(0.0)\n"
+        "        np.arange(3)\n"
+        "    return evaluate\n"
+    )
+    (factory,) = functions(ast.parse(source), FACTORIES)
+    (inner,) = nested(factory)
+    assert ufunc_counts(inner) == (1, 2)

@@ -211,6 +211,10 @@ class TestErrorMapping:
             # A value the request identity cannot canonicalise.
             ({"app": "lcs", "dim": 16, "seed": float("nan")}, "InvalidParameterError"),
             ({"app": "lcs", "dim": 16, "similarity": float("inf")}, "InvalidParameterError"),
+            # An iteration count is an integer, never truncated into one.
+            ({"app": "nash-equilibrium", "dim": 16, "inner_iterations": 2.5}, "InvalidParameterError"),
+            ({"app": "nash-equilibrium", "dim": 16, "inner_iterations": 2.0}, "InvalidParameterError"),
+            ({"app": "nash-equilibrium", "dim": 16, "inner_iterations": True}, "InvalidParameterError"),
         ],
     )
     def test_a_client_mistake_maps_to_400_not_500(self, endpoint, body, error_type):

@@ -24,6 +24,7 @@ from repro.autotuner.protocol import PlanDecision, Tuner
 from repro.autotuner.tuner import AutoTuner
 from repro.core.exceptions import (
     ArtifactError,
+    InvalidParameterError,
     ReproError,
     UnknownApplicationError,
     UnknownSystemError,
@@ -424,6 +425,17 @@ class TestErrorUnification:
         )
         with pytest.raises(ArtifactError, match="repro profile"):
             session.plan("lcs", SMALL_DIM)
+
+    @pytest.mark.parametrize("iterations", [2.5, 2.0, True, np.float64(3.0), "4"])
+    def test_a_non_integer_inner_iteration_count_is_refused(self, iterations):
+        """Never truncated into another request's grid (2.5 used to solve as 2)."""
+        with Session() as session:
+            with pytest.raises(InvalidParameterError, match="inner_iterations must be an integer"):
+                session.solve("nash-equilibrium", 16, inner_iterations=iterations)
+            exact = session.solve("nash-equilibrium", 16, inner_iterations=np.int64(2))
+            assert exact.grid.values.tobytes() == session.solve(
+                "nash-equilibrium", 16, inner_iterations=2
+            ).grid.values.tobytes()
 
     def test_closed_session_refuses_work(self, i3):
         session = Session(system=i3)
