@@ -378,16 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
         "expired requests answer HTTP 504 (0 disables; default: 30)",
     )
     serve.add_argument(
-        "--degraded-fallback",
-        action="store_true",
-        help="when the shard's restart budget is exhausted, solve directly "
-        "in-process instead of shedding load with 429",
-    )
-    serve.add_argument(
         "--chaos",
         default=None,
         help="deterministic fault plan 'kind@k[:seconds],...' with kinds "
-        "kill/slow/hang/drop, e.g. 'kill@7,slow@18:0.2,drop@47' (testing)",
+        "kill/slow/drop, e.g. 'kill@7,slow@18:0.2,drop@47' (testing)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -972,7 +966,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 default_deadline_s=(
                     args.default_deadline if args.default_deadline > 0 else None
                 ),
-                degraded_fallback=args.degraded_fallback,
                 adaptive=args.adaptive,
             ),
             own_session=True,

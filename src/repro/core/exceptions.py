@@ -143,26 +143,26 @@ class DeadlineError(ServerError):
 
 
 class ShardCrashError(ServerError):
-    """A worker shard died (or was declared dead) mid-request.
+    """The serving lane crashed mid-request.
 
-    Raised inside a shard by the chaos-injection layer (a ``kill`` fault)
-    and synthesised by the supervisor's monitor when a shard misses its
-    heartbeats or hangs past a request deadline.  The supervisor restarts
-    the shard under jittered exponential backoff and re-dispatches the
-    in-flight request; only a request that exhausts its re-dispatch budget
-    surfaces this error to the client.
+    Raised inside the lane by the chaos-injection layer (a ``kill`` fault).
+    The lane thread recovers in place: it re-dispatches the in-flight
+    request and resumes after a jittered exponential backoff; only a
+    request that exhausts its re-dispatch budget surfaces this error to the
+    client.  A request that merely outlasts its deadline is not a crash:
+    it answers :class:`DeadlineError`.
     """
 
 
 class ShardUnavailableError(BackpressureError):
-    """No healthy shard can accept work (restart budget exhausted).
+    """The serving lane's circuit breaker is open (restart budget exhausted).
 
-    The supervisor's circuit breaker: every shard is dead or still backing
-    off, so the server sheds the request early instead of queueing it into
-    a black hole.  Subclasses :class:`BackpressureError`, so the HTTP
-    endpoint answers 429 with a ``Retry-After`` header and load generators
-    retry with backoff; with the degraded-fallback flag the server solves
-    the request directly in-process instead of raising this.
+    More than ``restart_budget`` crashes inside the sliding
+    ``restart_window_s``: the server sheds the request early instead of
+    queueing it into a black hole.  The breaker closes once the window
+    slides below the budget.  Subclasses :class:`BackpressureError`, so the
+    HTTP endpoint answers 429 with a ``Retry-After`` header and load
+    generators retry with backoff.
     """
 
 

@@ -23,9 +23,10 @@ Layering, bottom up:
   (``scripts/gates.py chaos``);
 * :mod:`repro.server.supervisor` — :class:`ShardSupervisor`,
   :class:`SupervisorConfig` and :class:`ShardTask`: one supervised lane on
-  the server's session that takes its work from the queue itself, with
-  heartbeats, crash detection, jittered-backoff restarts, a restart-budget
-  circuit breaker, bounded re-dispatch and deadline expiry;
+  the server's session that takes its work from the queue itself — one
+  thread that recovers from its own crashes in place, with jittered
+  backoff, a restart-budget circuit breaker that closes again, bounded
+  re-dispatch — plus a monitor that expires deadlines;
 * :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`:
   admission, the shard's work source (one coalesced batch per task), ticket
   completion, per-request deadlines and graceful drain/shutdown;

@@ -9,7 +9,7 @@ gate (``scripts/gates.py chaos``) assert exact survival properties.
 
 Spec grammar (one comma-separated string)::
 
-    kill@7,kill@31,slow@18:0.2,hang@40:3,drop@47
+    kill@7,kill@31,slow@18:0.2,drop@47
 
 Each entry is ``kind@k[:seconds]`` — fire fault ``kind`` when the ``k``-th
 request (1-based, counted over every dispatch) reaches the shard.  With a
@@ -17,17 +17,12 @@ plan armed, :class:`~repro.server.ReproServer` answers no memory hit at
 admission, so ``k`` counts requests, not only the result cache's misses:
 
 * ``kill`` — the shard raises :class:`~repro.core.exceptions.ShardCrashError`
-  *before* executing, simulating a worker death; the supervisor restarts it
+  *before* executing, simulating a worker death; the lane recovers in place
   and re-dispatches the in-flight request (at-most-once execution: the kill
   fires before any solve, and retried solves coalesce on the shared result
   cache's leader/follower keys).
 * ``slow`` — the shard sleeps ``seconds`` (default 0.25) before executing;
   the request still completes bit-exactly, exercising deadline headroom.
-* ``hang`` — the shard blocks for ``seconds`` (default 60, i.e. "forever"
-  at serving timescales); the monitor declares it crashed once the request
-  deadline (plus grace) passes, retires the hung thread's epoch and
-  restarts the shard — the woken thread notices its stale epoch and exits
-  without touching anything.
 * ``drop`` — the shard executes the request and then discards the response
   without completing the ticket; the waiter fails at its deadline with a
   typed :class:`~repro.core.exceptions.DeadlineError` (HTTP 504), proving
@@ -46,21 +41,18 @@ from dataclasses import dataclass, field
 from repro.core.exceptions import UsageError
 
 #: Fault kinds understood by the spec parser and the shard loop.
-FAULT_KINDS = ("kill", "slow", "hang", "drop")
+FAULT_KINDS = ("kill", "slow", "drop")
 
 #: Default sleep of a ``slow`` fault (seconds).
 DEFAULT_SLOW_S = 0.25
-#: Default block of a ``hang`` fault (seconds) — long enough that only the
-#: supervisor's hang detection (deadline + grace) can end it.
-DEFAULT_HANG_S = 60.0
 
 
 @dataclass(frozen=True)
 class FaultSpec:
     """One scheduled fault: ``kind`` fired at global request ordinal ``at``.
 
-    ``seconds`` parameterises ``slow`` (sleep duration) and ``hang`` (block
-    duration); it is ignored by ``kill`` and ``drop``.
+    ``seconds`` parameterises ``slow`` (its sleep); it is ignored by
+    ``kill`` and ``drop``.
     """
 
     kind: str
@@ -80,10 +72,8 @@ class FaultSpec:
 
     @property
     def sleep_s(self) -> float:
-        """The effective sleep/block duration of a slow/hang fault."""
-        if self.seconds is not None:
-            return self.seconds
-        return DEFAULT_HANG_S if self.kind == "hang" else DEFAULT_SLOW_S
+        """The effective sleep of a slow fault."""
+        return DEFAULT_SLOW_S if self.seconds is None else self.seconds
 
     def describe(self) -> str:
         """The spec entry's canonical ``kind@k[:seconds]`` form."""

@@ -27,7 +27,7 @@ Routes (all JSON):
   Answers 200 while the process serves HTTP at all — a restarting shard
   does not flip liveness, only readiness.
 * ``GET /readyz`` — readiness: the shard's state (``healthy`` /
-  ``restarting`` / ``dead``), restart counts and degraded mode
+  ``restarting`` / ``dead``) and its counters
   (:meth:`repro.server.ReproServer.readiness`); answers ``503`` when the
   shard cannot take traffic so external probes route around the instance.
 * ``POST /shutdown`` — begins a graceful drain + stop; answers ``202``.

@@ -49,6 +49,7 @@ from repro.adaptive.controller import (
 from repro.core.exceptions import (
     BackpressureError,
     DeadlineError,
+    InvalidParameterError,
     ServerError,
     ShardUnavailableError,
 )
@@ -79,9 +80,7 @@ class ServerConfig:
 
     ``default_deadline_s`` is the per-request deadline applied when the
     client sends none (``None`` disables the default — requests without an
-    explicit deadline then wait unboundedly); ``degraded_fallback`` solves
-    directly on the server's session once the shard's restart budget is
-    exhausted, instead of shedding the request with 429.
+    explicit deadline then wait unboundedly).
 
     ``adaptive`` selects how far the online tuning loop runs
     (:data:`repro.adaptive.ADAPTIVE_MODES`): ``"off"`` builds no
@@ -94,7 +93,6 @@ class ServerConfig:
     max_batch: int = DEFAULT_MAX_BATCH
     drain_timeout_s: float = 30.0
     default_deadline_s: float | None = DEFAULT_DEADLINE_S
-    degraded_fallback: bool = False
     adaptive: str = "shadow"
 
     def __post_init__(self) -> None:
@@ -257,28 +255,28 @@ class ReproServer:
         (unless a fault plan is armed: then every request queues).
         Raises :class:`~repro.core.exceptions.BackpressureError` when the
         queue is full (including its :class:`~repro.core.exceptions.\
-ShardUnavailableError` subclass when the shard's restart budget is
-        exhausted and no degraded fallback is configured — shedding early
-        beats queueing into a black hole) and
+ShardUnavailableError` subclass while the shard's circuit breaker is
+        open — shedding early beats queueing into a black hole) and
         :class:`~repro.core.exceptions.ServerError` once the server is
         shutting down.  ``deadline_s`` bounds the request end-to-end
-        (default: the config's ``default_deadline_s``; pass ``0`` or a
-        negative value to wait unboundedly).  ``plan_kwargs`` forward to
-        :meth:`repro.session.Session.solve` (``policy=`` and application
-        constructor overrides).  ``mode`` defaults to the session's, filled
-        in here so an omitted and an explicit default mode are one request;
-        the request's identity (:func:`repro.cache.request_identity`) is
-        fixed here too, and a value it cannot canonicalise, or an unknown
-        mode, is a typed
+        (default: the config's ``default_deadline_s``); one that is not
+        > 0 is an :class:`~repro.core.exceptions.InvalidParameterError`, so
+        a client cannot lift the operator's deadline.  ``plan_kwargs``
+        forward to :meth:`repro.session.Session.solve` (``policy=`` and
+        application constructor overrides).  ``mode`` defaults to the
+        session's, filled in here so an omitted and an explicit default mode
+        are one request; the request's identity
+        (:func:`repro.cache.request_identity`) is fixed here too, and a value
+        it cannot canonicalise, or an unknown mode, is a typed
         :class:`~repro.core.exceptions.InvalidParameterError`.
         """
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
+        elif not deadline_s > 0:  # NaN included
+            raise InvalidParameterError(f"deadline_s must be > 0, got {deadline_s!r}")
         now = time.perf_counter()
-        deadline_at = (
-            now + deadline_s if deadline_s is not None and deadline_s > 0 else None
-        )
-        if self.supervisor.circuit_open and not self.config.degraded_fallback:
+        deadline_at = None if deadline_s is None else now + deadline_s
+        if self.supervisor.circuit_open:
             self.metrics_store.record_rejected()
             raise ShardUnavailableError(
                 "no healthy shard available (restart budget exhausted); "
@@ -364,20 +362,14 @@ ShardUnavailableError` subclass when the shard's restart budget is
         )
 
     def readiness(self) -> dict:
-        """The ``GET /readyz`` payload: the supervisor snapshot, degraded mode.
+        """The ``GET /readyz`` payload: the supervisor snapshot.
 
-        ``ready`` is true while the shard is healthy *or* the degraded
-        fallback can still answer requests on the server's own session;
+        ``ready`` is true while the server runs and its shard is healthy;
         external probes should route traffic away on 503.
         """
         info = self.supervisor.info()
-        degraded = info["circuit_open"] and self.config.degraded_fallback
-        return {
-            **info,
-            "ready": self.running and (info["ready"] or degraded),
-            "running": self.running,
-            "degraded": degraded,
-        }
+        running = self.running
+        return {**info, "ready": running and info["ready"], "running": running}
 
     # ------------------------------------------------------------------
     # The shard's work source
@@ -432,19 +424,9 @@ ShardUnavailableError` subclass when the shard's restart budget is
 
         Callers must treat the shared :class:`ExecutionResult` as read-only,
         which every shipped consumer (HTTP payload, verification, metrics)
-        does.  A failure is delivered to each waiting client.  Graceful
-        degradation: when the shard is gone and ``degraded_fallback`` is
-        set, the batch is solved right here on the borrowed session —
-        deterministic, so bit-exact with what the shard would have produced.
+        does.  A failure is delivered to each waiting client.
         """
         head, result, error = batch[0], task.result, task.error
-        if isinstance(error, ShardUnavailableError) and self.config.degraded_fallback:
-            taken_at = time.perf_counter()
-            try:
-                result = self.session.solve_many([head.as_request()], mode=head.mode)[0]
-                error = None
-            except Exception as failure:  # noqa: BLE001 - delivered to the client
-                error = failure
         now = time.perf_counter()
         if error is not None:
             missed = isinstance(error, DeadlineError)

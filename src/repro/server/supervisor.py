@@ -1,35 +1,38 @@
-"""Supervision of the serving lane: heartbeats, restarts, re-dispatch.
+"""Supervision of the serving lane: in-place crash recovery, re-dispatch.
 
-A lane that dies mid-solve must not take the service down or lose the
+A lane that crashes mid-solve must not take the service down or lose the
 request.  :class:`ShardSupervisor` owns one worker lane (the "shard": one
-thread running on the server's own :class:`~repro.session.Session`) plus
-one monitor thread.  An idle lane thread takes its next :class:`ShardTask`
-straight from the supervisor's ``source`` (the server's admission queue)
-and resolves it on the spot; its inbox only carries re-dispatched work.
-Guarantees:
+thread, for the supervisor's whole life, running on the server's own
+:class:`~repro.session.Session`) plus one monitor thread.  An idle lane
+thread takes its next :class:`ShardTask` straight from the supervisor's
+``source`` (the server's admission queue) and resolves it on the spot; its
+inbox only carries re-dispatched work.  Guarantees:
 
-* **crash detection** — the lane is declared crashed when its loop raises
-  :class:`~repro.core.exceptions.ShardCrashError` (injected kill) or
-  :class:`~repro.core.exceptions.WorkerCrashError` (a broken
-  multiprocessing pool under the session), when an idle lane misses its
-  heartbeats, or when an executing lane hangs past the in-flight request's
-  deadline plus a grace period;
-* **automatic restart** — a crashed lane restarts under jittered
-  exponential backoff; a restart-budget circuit breaker (too many crashes
-  inside a sliding window) declares the lane ``dead`` instead of
-  restarting it forever;
-* **bounded re-dispatch** — the in-flight task of a crashed lane goes back
-  to the front of its inbox (up to ``max_redispatch`` extra attempts).
+* **crash recovery in place** — every exception that escapes a task's
+  handling is a crash: :class:`~repro.core.exceptions.ShardCrashError`
+  (an injected kill), :class:`~repro.core.exceptions.WorkerCrashError` (a
+  broken multiprocessing pool under the session, replaced on the session's
+  next borrow) or anything else.  The lane thread counts it, checks the
+  breaker, re-dispatches the task, backs off (jittered, exponential in the
+  crashes since the last clean task) and resumes — no thread is replaced;
+* **a breaker that closes** — more than ``restart_budget`` crashes inside
+  the sliding ``restart_window_s`` open the circuit (state ``dead``):
+  admission sheds load and the lane fails what was already admitted with
+  :class:`~repro.core.exceptions.ShardUnavailableError`.  Once the window
+  slides below the budget the lane is ``healthy`` again and its next task
+  is the probe;
+* **bounded re-dispatch** — the in-flight task of a crash goes back to the
+  front of the inbox (up to ``max_redispatch`` extra attempts).
   At-most-once *divergence* holds by construction: solving is
   deterministic, and with a persistent :class:`repro.cache.ResultCache`
   a retried request coalesces on the cache's leader/follower keys, so a
   retry never double-solves;
 * **deadline enforcement** — the monitor fails every task the lane holds
-  unanswered past its deadline with a typed
-  :class:`~repro.core.exceptions.DeadlineError` (HTTP 504), which is also
-  how a chaos ``drop`` fault (response discarded after solving) resolves;
-  once the lane is dead it also takes what is still admitted and fails it
-  :class:`~repro.core.exceptions.ShardUnavailableError`.
+  (executing, waiting for re-dispatch, or dropped) unanswered past its
+  deadline with a typed :class:`~repro.core.exceptions.DeadlineError`
+  (HTTP 504).  A solve past its deadline is not a crash: its waiter gets
+  the 504 and the lane takes its next task when the sweep ends.  A chaos
+  ``drop`` fault (response discarded after solving) resolves the same way.
 
 Chaos injection (:mod:`repro.server.faults`) hooks the lane loop between
 dequeue and execution, which is what keeps injected kills at-most-once:
@@ -38,7 +41,6 @@ the fault fires *before* any solve starts.
 
 from __future__ import annotations
 
-import queue
 import random
 import threading
 import time
@@ -59,27 +61,24 @@ from repro.session import Session
 #: Extra seconds the monitor allows past the deadline before failing a task,
 #: absorbing scheduler wake-up latency without weakening the guarantee.
 DEADLINE_GRACE_S = 0.1
+#: Seconds an idle lane waits on its source before looking at its inbox again.
+IDLE_POLL_S = 0.05
+#: Seconds between two deadline sweeps of the monitor.
+MONITOR_TICK_S = 0.1
 
 
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Supervision knobs of one :class:`ShardSupervisor`.
 
-    ``heartbeat_interval_s`` paces both the shard beats and the monitor;
-    an *idle* shard missing ``missed_heartbeats`` consecutive beats is
-    declared crashed, an *executing* shard only once its current task's
-    deadline is exceeded by ``hang_grace_s`` (so long legitimate solves are
-    never penalised).  Restart delays grow as
-    ``backoff_base_s * 2^(consecutive crashes - 1)`` capped at
-    ``backoff_cap_s``, with up to ``backoff_jitter`` relative jitter; more
-    than ``restart_budget`` crashes inside ``restart_window_s`` trip the
-    circuit breaker (shard state ``dead``).  ``max_redispatch`` bounds how
-    many *extra* attempts a crashed shard's in-flight task gets.
+    Resumption delays grow as ``backoff_base_s * 2^(consecutive crashes -
+    1)`` capped at ``backoff_cap_s``, with up to ``backoff_jitter`` relative
+    jitter; a task resolved without a crash resets the count.  More than
+    ``restart_budget`` crashes inside ``restart_window_s`` open the circuit
+    breaker (state ``dead``) until the window slides below the budget.
+    ``max_redispatch`` bounds how many *extra* attempts a crashed task gets.
     """
 
-    heartbeat_interval_s: float = 0.1
-    missed_heartbeats: int = 5
-    hang_grace_s: float = 0.5
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     backoff_jitter: float = 0.25
@@ -89,15 +88,11 @@ class SupervisorConfig:
 
     def __post_init__(self) -> None:
         """Validate the knobs once, at construction."""
-        for name in ("heartbeat_interval_s", "restart_window_s"):
-            if getattr(self, name) <= 0:
-                raise ServerError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.missed_heartbeats < 1:
+        if self.restart_window_s <= 0:
             raise ServerError(
-                f"missed_heartbeats must be >= 1, got {self.missed_heartbeats}"
+                f"restart_window_s must be > 0, got {self.restart_window_s}"
             )
         for name in (
-            "hang_grace_s",
             "backoff_base_s",
             "backoff_cap_s",
             "backoff_jitter",
@@ -162,21 +157,17 @@ class ShardTask:
 class ShardSupervisor:
     """One supervised execution lane over a borrowed session, and its monitor.
 
-    The lane thread loops take → chaos hooks → execute → resolve, beating
-    ``last_beat`` between tasks.  It takes from its inbox (re-dispatched
-    work) first, else from ``source(timeout)`` — the next
-    :class:`ShardTask`, or ``None`` after at most ``timeout`` seconds
-    (:class:`~repro.server.ReproServer` passes its admission queue's view) —
-    where it also waits when idle.  Every task runs on ``session``, which
-    the supervisor never closes.
+    The lane thread loops take → chaos hooks → execute → resolve.  It takes
+    from its inbox (re-dispatched work) first, else from ``source(timeout)``
+    — the next :class:`ShardTask`, or ``None`` after at most ``timeout``
+    seconds (:class:`~repro.server.ReproServer` passes its admission
+    queue's view) — where it also waits when idle.  Every task runs on
+    ``session``, which the supervisor never closes.
 
-    All mutable lane state (inbox, ``current`` task, ``state``, ``epoch``,
-    crash counters) is guarded by one lock.  The ``epoch`` counter retires
-    superseded threads: a thread that wakes from a hang after the monitor
-    already restarted the lane (or :meth:`close` retired it) sees a stale
-    epoch and exits untouched.  States: ``restarting`` (not started yet, or
-    crashed and waiting out its backoff), ``healthy`` (thread serving),
-    ``dead`` (restart budget exhausted — circuit open).
+    All mutable lane state (inbox, ``current`` task, crash counters) is
+    guarded by one lock.  States: ``restarting`` (not started yet, or
+    backing off after a crash), ``healthy`` (serving), ``dead`` (circuit
+    open: more than ``restart_budget`` crashes inside the window).
     """
 
     def __init__(
@@ -195,17 +186,15 @@ class ShardSupervisor:
         )
         self._rng = random.Random()
         self._lock = threading.Lock()
-        self._started = False
         self._closed = False
-        self._thread: threading.Thread | None = None
-        self._monitor: threading.Thread | None = None
-        self._monitor_stop = threading.Event()
-        self.state = "restarting"  # becomes healthy on start()
-        self.epoch = 0
+        self._stop = threading.Event()
+        self._threads: list[threading.Thread] = []
+        #: ``restarting`` until started and while backing off, else
+        #: ``healthy``; :attr:`state` reads ``dead`` over it while the
+        #: circuit is open.
+        self._phase = "restarting"
         self.inbox: deque[ShardTask] = deque()
         self.current: ShardTask | None = None
-        self.last_beat = time.perf_counter()
-        self.restart_at = 0.0
         self.consecutive_crashes = 0
         self.crash_times: deque[float] = deque()
         self.restarts = 0
@@ -214,7 +203,7 @@ class ShardSupervisor:
         self.dropped = 0
         #: Tasks the lane let go of without an answer (chaos drops); the
         #: monitor fails them at their deadline.
-        self._unanswered: queue.SimpleQueue[ShardTask] = queue.SimpleQueue()
+        self._unanswered: list[ShardTask] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -224,118 +213,108 @@ class ShardSupervisor:
         with self._lock:
             if self._closed:
                 raise ServerError("cannot start a closed supervisor")
-            if self._started:
+            if self._threads:
                 return self
-            self._started = True
-        self._spawn()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-shard-monitor", daemon=True
-        )
-        self._monitor.start()
+            self._phase = "healthy"
+            self._threads = [
+                threading.Thread(target=target, name=name, daemon=True)
+                for target, name in (
+                    (self._loop, "repro-shard-0"),
+                    (self._monitor_loop, "repro-shard-monitor"),
+                )
+            ]
+        for thread in self._threads:
+            thread.start()
         return self
 
     def close(self) -> None:
-        """Retire the lane, stop the monitor, fail every unanswered task."""
+        """Stop the lane and the monitor, fail every unanswered task."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self.epoch += 1  # retire any live or hung thread
-            stranded = list(self.inbox)
+            stranded = [*self.inbox, *self._unanswered]
             self.inbox.clear()
+            self._unanswered.clear()
             if self.current is not None:
                 stranded.append(self.current)
-                self.current = None
-            thread = self._thread
-        self._monitor_stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=2.0)
+        self._stop.set()
         error = ServerError("shard shut down before the request completed")
         for task in stranded:
             task.fail(error)
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=2.0)
-        while not self._unanswered.empty():
-            self._unanswered.get().fail(error)
+        for thread in self._threads:
+            if thread is not threading.current_thread():
+                thread.join(timeout=2.0)
 
     @property
     def circuit_open(self) -> bool:
-        """True once the lane is dead (restart budget exhausted)."""
+        """True while more than ``restart_budget`` crashes sit in the window."""
         return self.state == "dead"
 
-    def _spawn(self, restart: bool = False) -> None:
-        """Spawn (or respawn) the lane thread under a fresh epoch."""
+    @property
+    def state(self) -> str:
+        """``healthy``, ``restarting`` or ``dead`` (circuit open)."""
         with self._lock:
-            if self._closed:
-                return
-            self.epoch += 1
-            self.state = "healthy"
-            self.last_beat = time.perf_counter()
-            if restart:
-                self.restarts += 1
-            self._thread = threading.Thread(
-                target=self._loop,
-                args=(self.epoch,),
-                name=f"repro-shard-0-e{self.epoch}",
-                daemon=True,
-            )
-            self._thread.start()
+            return self._state(time.perf_counter())
+
+    def _state(self, now: float) -> str:
+        """Slide the crash window to ``now`` and read the state off it.
+
+        The caller holds the lock.  ``dead`` while the window holds more
+        than ``restart_budget`` crashes — which ends once it slides below.
+        """
+        window_start = now - self.config.restart_window_s
+        while self.crash_times and self.crash_times[0] < window_start:
+            self.crash_times.popleft()
+        if len(self.crash_times) > self.config.restart_budget:
+            return "dead"
+        return self._phase
 
     # ------------------------------------------------------------------
     # The lane
     # ------------------------------------------------------------------
-    def _loop(self, epoch: int) -> None:
-        """Serve tasks until superseded or closed, beating in between."""
-        interval = self.config.heartbeat_interval_s / 2
-        while True:
+    def _loop(self) -> None:
+        """Serve tasks until closed, recovering from each crash in place."""
+        while not self._stop.is_set():
             with self._lock:
-                if self.epoch != epoch:
-                    return
-                self.last_beat = time.perf_counter()
                 task = self.inbox.popleft() if self.inbox else None
             if task is None:
-                # Idle: wait on the admission queue itself, half a beat at a
-                # time, so an admitted request wakes this thread directly.
-                task = self.source(interval)
+                # Idle: wait on the admission queue itself, so an admitted
+                # request wakes this thread directly.
+                task = self.source(IDLE_POLL_S)
             if task is None or task.done:
                 continue
             with self._lock:
-                live = self.epoch == epoch
-                if live:
+                dead = self._state(time.perf_counter()) == "dead"
+                if not dead:
                     self.current = task
-            if not live:
-                # Retired while it waited: hand the unstarted task on.
-                self._redispatch(task, ShardCrashError("the shard was retired"))
-                return
+            if dead:
+                task.fail(
+                    ShardUnavailableError(
+                        f"the shard exceeded its restart budget "
+                        f"({self.config.restart_budget} crashes per "
+                        f"{self.config.restart_window_s:g}s); retry later"
+                    )
+                )
+                continue
             try:
-                self._execute(task, epoch)
-            except (ShardCrashError, WorkerCrashError) as crash:
-                self._on_crash(task, crash, epoch)
-                return
-            finally:
+                self._execute(task)
+            except Exception as crash:  # noqa: BLE001 - every escape is a crash
+                self._on_crash(task, crash)
+            else:
                 with self._lock:
-                    if self.epoch == epoch:
-                        self.current = None
-                        self.last_beat = time.perf_counter()
+                    self.current = None
+                    self.consecutive_crashes = 0
 
-    def _stale(self, epoch: int) -> bool:
-        """True when this thread was superseded by a restart or a close."""
-        with self._lock:
-            return self.epoch != epoch
-
-    def _execute(self, task: ShardTask, epoch: int) -> None:
+    def _execute(self, task: ShardTask) -> None:
         """Run one task through the chaos hooks and the session."""
         task.attempts += 1
         faults = self.injector.take(task.count)
         drop = any(fault.kind == "drop" for fault in faults)
         kill = next((fault for fault in faults if fault.kind == "kill"), None)
         for fault in faults:
-            if fault.kind in ("slow", "hang"):
+            if fault.kind == "slow":
                 time.sleep(fault.sleep_s)
-        if self._stale(epoch):
-            # A hang outlived this thread: the monitor restarted the lane
-            # and re-dispatched the task — leave it to the new epoch.
-            return
         if kill is not None:
             raise ShardCrashError(
                 f"chaos kill fault on the shard (request ordinal {kill.at})"
@@ -346,11 +325,9 @@ class ShardSupervisor:
                 [task.request], mode=task.mode, deadline_at=task.deadline_at
             )[0]
         except (ShardCrashError, WorkerCrashError):
-            raise  # shard-level crash: handled by the loop / supervisor
+            raise  # shard-level crash: handled by the lane
         except Exception as error:  # noqa: BLE001 - delivered to the waiter
             task.fail(error)
-            return
-        if self._stale(epoch):
             return
         if drop:
             # Chaos: the work happened, the response vanishes; the monitor
@@ -358,55 +335,42 @@ class ShardSupervisor:
             task.dropped = True
             with self._lock:
                 self.dropped += 1
-            self._unanswered.put(task)
+                self._unanswered.append(task)
             return
         task.complete(result)
 
     # ------------------------------------------------------------------
     # Crash handling
     # ------------------------------------------------------------------
-    def _on_crash(
-        self, task: ShardTask | None, error: BaseException, epoch: int
-    ) -> None:
-        """Handle one lane crash: retire, back off or trip, re-dispatch."""
+    def _on_crash(self, task: ShardTask, error: BaseException) -> None:
+        """Count a crash, check the breaker, re-dispatch, back off, resume."""
         now = time.perf_counter()
         with self._lock:
-            if self.epoch != epoch:
-                return  # already handled (monitor and loop can race here)
-            self.epoch += 1  # retire the crashed/hung thread
             self.current = None
             self.crashes += 1
             self.consecutive_crashes += 1
             self.crash_times.append(now)
-            window = self.config.restart_window_s
-            while self.crash_times and self.crash_times[0] < now - window:
-                self.crash_times.popleft()
-            if len(self.crash_times) > self.config.restart_budget:
-                self.state = "dead"
-                stranded = list(self.inbox)
-                self.inbox.clear()
-            else:
-                self.state = "restarting"
-                self.restart_at = now + self._backoff_delay(self.consecutive_crashes)
-                stranded = []
-        breaker = ShardUnavailableError(
-            f"the shard exceeded its restart budget "
-            f"({self.config.restart_budget} crashes per "
-            f"{self.config.restart_window_s:g}s)"
-        )
-        for queued in stranded:
-            queued.fail(breaker)
-        if task is not None and not task.done:
+            tripped = self._state(now) == "dead"
+            if not tripped:
+                self._phase = "restarting"
+                delay = self._backoff_delay(self.consecutive_crashes)
+        if not task.done:
             self._redispatch(task, error)
+        if tripped:
+            return
+        self._stop.wait(delay)
+        with self._lock:
+            self._phase = "healthy"
+            self.restarts += 1
 
     def _backoff_delay(self, consecutive: int) -> float:
-        """Jittered exponential restart delay for the Nth consecutive crash."""
+        """Jittered exponential delay after the Nth consecutive crash."""
         base = self.config.backoff_base_s * (2 ** max(0, consecutive - 1))
         delay = min(self.config.backoff_cap_s, base)
         return delay * (1.0 + self.config.backoff_jitter * self._rng.random())
 
     def _redispatch(self, task: ShardTask, error: BaseException) -> None:
-        """Give a crashed lane's in-flight task its bounded second chance."""
+        """Give a crashed task its bounded second chance."""
         if task.deadline_at is not None and time.perf_counter() > task.deadline_at:
             task.fail(
                 DeadlineError(
@@ -426,7 +390,7 @@ class ShardSupervisor:
             return
         with self._lock:
             # Ahead of everything else the lane holds, unless it is gone.
-            gone = self._closed or self.state == "dead"
+            gone = self._closed or self._state(time.perf_counter()) == "dead"
             if not gone:
                 self.inbox.appendleft(task)
                 self.redispatches += 1
@@ -437,85 +401,23 @@ class ShardSupervisor:
     # Monitor
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
-        """Detect a hung/silent lane, restart it, expire deadlines.
-
-        Once the lane is dead nothing is left to drain the source, so the
-        monitor takes what is still admitted and fails it typed (the
-        server's ``on_done`` may then degrade-serve it).
-        """
-        interval = self.config.heartbeat_interval_s
-        while not self._monitor_stop.is_set():
-            if self.circuit_open:
-                task = self.source(interval)
-                if task is not None:
-                    reason = "no shard can accept work: its restart budget is exhausted"
-                    task.fail(ShardUnavailableError(reason + "; retry later"))
-            else:
-                self._monitor_stop.wait(interval)
-            now = time.perf_counter()
-            self._check_lane(now)
-            for _ in range(self._unanswered.qsize()):
-                task = self._unanswered.get()
-                if not self._expire(task, now):
-                    self._unanswered.put(task)
-
-    @staticmethod
-    def _expire(task: ShardTask, now: float) -> bool:
-        """Fail ``task`` typed once past deadline + grace; True when done."""
-        if (
-            not task.done
-            and task.deadline_at is not None
-            and now > task.deadline_at + DEADLINE_GRACE_S
-        ):
-            task.fail(
-                DeadlineError(
-                    f"request {task.request.get('app')!r} missed its deadline "
-                    f"after {task.attempts} execution attempt(s)"
-                    + (" (response dropped)" if task.dropped else "")
-                )
-            )
-        return task.done
-
-    def _check_lane(self, now: float) -> None:
-        """One monitor tick."""
-        with self._lock:
-            state = self.state
-            epoch = self.epoch
-            current = self.current
-            last_beat = self.last_beat
-            restart_at = self.restart_at
-            held = list(self.inbox)
-        if current is not None:
-            held.append(current)
-        for task in held:
-            self._expire(task, now)
-        if state == "restarting":
-            if now >= restart_at:
-                self._spawn(restart=True)
-            return
-        if state != "healthy":
-            return
-        config = self.config
-        if current is not None:
-            # An executing lane is only hung once its task's deadline is
-            # exceeded by the grace period — long legitimate solves within
-            # deadline are never penalised.
-            deadline_at = current.deadline_at
-            if deadline_at is not None and now > deadline_at + config.hang_grace_s:
-                self._on_crash(
-                    current,
-                    ShardCrashError("the shard hung past the request deadline"),
-                    epoch,
-                )
-            return
-        if now - last_beat > config.missed_heartbeats * config.heartbeat_interval_s:
-            self._on_crash(
-                None,
-                ShardCrashError(
-                    f"the shard missed {config.missed_heartbeats} heartbeats"
-                ),
-                epoch,
-            )
+        """Fail every held task past its deadline, once a tick."""
+        while not self._stop.wait(MONITOR_TICK_S):
+            late = time.perf_counter() - DEADLINE_GRACE_S
+            with self._lock:
+                self._unanswered = [t for t in self._unanswered if not t.done]
+                held = [*self.inbox, *self._unanswered]
+                if self.current is not None:
+                    held.append(self.current)
+            for task in held:
+                if task.deadline_at is not None and task.deadline_at < late:
+                    task.fail(
+                        DeadlineError(
+                            f"request {task.request.get('app')!r} missed its "
+                            f"deadline after {task.attempts} execution attempt(s)"
+                            + (" (response dropped)" if task.dropped else "")
+                        )
+                    )
 
     # ------------------------------------------------------------------
     # Observability
@@ -525,7 +427,7 @@ class ShardSupervisor:
         faults = self.injector.info()
         with self._lock:
             lane = {
-                "state": self.state,
+                "state": self._state(time.perf_counter()),
                 "queued": len(self.inbox),
                 "in_flight": self.current is not None,
                 "dropped_responses": self.dropped,

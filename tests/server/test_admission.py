@@ -9,6 +9,7 @@ thread exists and "was it queued?" is a plain read of the queue depth.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -149,9 +150,13 @@ class TestRefusalsComeFirst:
         assert cached_session.result_cache.memory_hits == hits
         assert server.metrics()["requests"]["accepted"] == 0
 
-    def test_an_open_circuit_without_fallback_sheds_a_primed_hit(self, cached_session):
+    def test_an_open_circuit_sheds_a_primed_hit(self, cached_session):
         server = unstarted(cached_session)
-        server.supervisor.state = "dead"
+        supervisor = server.supervisor
+        # One crash over the budget, inside the window: the circuit is open.
+        supervisor.crash_times.extend(
+            [time.perf_counter()] * (supervisor.config.restart_budget + 1)
+        )
         hits = cached_session.result_cache.memory_hits
         try:
             with pytest.raises(ShardUnavailableError):

@@ -282,7 +282,6 @@ class TestFaultTolerantRoutes:
     def test_readyz_reports_per_shard_state(self, endpoint):
         body = get_json(endpoint.url + "/readyz")
         assert body["ready"] is True and body["running"] is True
-        assert body["degraded"] is False
         assert body["state"] == "healthy"
         assert "restarts" in body and "circuit_open" in body
 
@@ -303,6 +302,18 @@ class TestFaultTolerantRoutes:
                 {"app": "lcs", "dim": 48, "deadline_s": "soonish"},
             )
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("deadline_s", [0, -5, 0.0])
+    def test_a_deadline_not_above_zero_maps_to_400(self, endpoint, deadline_s):
+        # A client may tighten the operator's default deadline, never lift it.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_json(
+                endpoint.url + "/solve",
+                {"app": "lcs", "dim": 12, "deadline_s": deadline_s},
+            )
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"]["type"] == "InvalidParameterError"
 
     def test_429_carries_a_retry_after_header(self, serve_session):
         # Same back-door overflow as the backpressure mapping test above.

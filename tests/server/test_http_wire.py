@@ -341,7 +341,7 @@ class TestThreadAccounting:
             ep.begin_shutdown()
             thread.join(timeout=10)
             server.close()
-        assert len(seen) == 1 and seen[0].startswith("repro-shard-0-")
+        assert seen == ["repro-shard-0"]
         assert not [name for name in names if name.startswith("repro-serve-worker")]
         # One thread role between the connection and the session (the
         # monitor is "repro-shard-monitor").

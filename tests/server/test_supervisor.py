@@ -33,9 +33,6 @@ from repro.server import (
 
 #: Millisecond-scale supervision so every failure path runs fast.
 FAST = SupervisorConfig(
-    heartbeat_interval_s=0.02,
-    missed_heartbeats=3,
-    hang_grace_s=0.05,
     backoff_base_s=0.01,
     backoff_cap_s=0.05,
     backoff_jitter=0.1,
@@ -91,6 +88,7 @@ class StubSession:
     def __init__(self, crashes=0):
         self.crashes_left = crashes
         self.calls = 0
+        self.threads = []
         self.closed = False
         self._lock = threading.Lock()
 
@@ -99,6 +97,7 @@ class StubSession:
             raise DeadlineError("batch deadline expired")  # as Session does
         with self._lock:
             self.calls += 1
+            self.threads.append(threading.current_thread())
             if self.crashes_left > 0:
                 self.crashes_left -= 1
                 raise WorkerCrashError("stub worker pool died")
@@ -130,9 +129,9 @@ def supervised():
 
 class TestFaultPlan:
     def test_parse_round_trips_and_sorts_by_ordinal(self):
-        plan = FaultPlan.parse("drop@47,kill@7,slow@18:0.2,hang@40:3")
+        plan = FaultPlan.parse("drop@47,kill@7,slow@18:0.2,kill@31")
         assert len(plan) == 4
-        assert plan.describe() == "kill@7,slow@18:0.2,hang@40:3,drop@47"
+        assert plan.describe() == "kill@7,slow@18:0.2,kill@31,drop@47"
         assert FaultPlan.parse(plan.describe()) == plan
 
     def test_empty_specs_yield_the_empty_plan(self):
@@ -141,14 +140,13 @@ class TestFaultPlan:
         assert len(FaultPlan.parse("  ")) == 0
         assert FaultPlan.parse(None).describe() == ""
 
-    def test_sleep_defaults_differ_for_slow_and_hang(self):
+    def test_slow_sleeps_its_default_unless_given_seconds(self):
         assert FaultSpec("slow", 1).sleep_s == pytest.approx(0.25)
-        assert FaultSpec("hang", 1).sleep_s == pytest.approx(60.0)
         assert FaultSpec("slow", 1, seconds=0.02).sleep_s == pytest.approx(0.02)
 
     @pytest.mark.parametrize(
         "spec",
-        ["boom@3", "kill", "kill@x", "kill@0", "slow@3:abc", "@3", "kill@"],
+        ["boom@3", "hang@3", "kill", "kill@x", "kill@0", "slow@3:abc", "@3", "kill@"],
     )
     def test_malformed_specs_raise_usage_error(self, spec):
         with pytest.raises(UsageError):
@@ -192,9 +190,6 @@ class TestSupervisorConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"heartbeat_interval_s": 0.0},
-            {"missed_heartbeats": 0},
-            {"hang_grace_s": -1.0},
             {"backoff_base_s": -0.1},
             {"backoff_jitter": -0.1},
             {"restart_budget": -1},
@@ -246,14 +241,35 @@ class TestSupervision:
         assert stub.calls == 1  # the work happened, the response vanished
         assert supervisor.info()["dropped_responses"] == 1
 
-    def test_chaos_hang_is_detected_and_the_shard_restarted(self, supervised):
-        supervisor, stub = supervised(plan=FaultPlan.parse("hang@1:1.0"))
-        with pytest.raises(DeadlineError):
-            supervisor.source.run(deadline_at=soon(0.2))
-        wait_until(lambda: supervisor.info()["restarts"] >= 1)
-        wait_until(lambda: supervisor.state == "healthy")
-        # The recovered shard serves the next request normally.
+    def test_the_lane_is_one_thread_across_crashes(self, supervised):
+        supervisor, stub = supervised(crashes=2)
+        for _ in range(3):
+            assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
+        assert supervisor.crashes == 2 and stub.calls == 5
+        assert len(set(stub.threads)) == 1
+        assert stub.threads[0].name == "repro-shard-0"
+
+    def test_any_exception_escaping_a_task_is_a_crash(self, supervised):
+        supervisor, stub = supervised()
+
+        def explode(task):
+            raise RuntimeError("delivery failed")
+
+        supervisor.source.tasks.put(ShardTask(REQUEST, None, soon(), on_done=explode))
+        wait_until(lambda: supervisor.crashes == 1)
         assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
+        assert len(set(stub.threads)) == 1  # recovered in place
+
+    def test_a_clean_task_resets_the_backoff(self, supervised):
+        # Each round's first attempt is killed, its re-dispatch succeeds:
+        # every crash is the first since a clean task, so it backs off the
+        # base delay, never a doubled one.
+        supervisor, _ = supervised(plan=FaultPlan.parse("kill@1,kill@3,kill@5,kill@7"))
+        for crashes in range(1, 5):
+            assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
+            wait_until(lambda: not supervisor.info()["in_flight"])
+            assert supervisor.crashes == crashes
+            assert supervisor.consecutive_crashes == 0
 
     def test_request_expired_in_the_inbox_fails_typed(self, supervised):
         supervisor, _ = supervised()
@@ -262,7 +278,6 @@ class TestSupervision:
 
     def test_restart_budget_trips_the_circuit_breaker(self, supervised):
         config = SupervisorConfig(
-            heartbeat_interval_s=0.02,
             backoff_base_s=0.01,
             backoff_cap_s=0.02,
             restart_budget=0,
@@ -275,9 +290,25 @@ class TestSupervision:
         with pytest.raises(ShardUnavailableError):
             supervisor.source.run(deadline_at=soon())
 
+    def test_the_breaker_closes_after_the_window(self, supervised):
+        config = SupervisorConfig(
+            backoff_base_s=0.01,
+            restart_budget=0,
+            restart_window_s=0.3,
+            max_redispatch=0,
+        )
+        supervisor, stub = supervised(crashes=1, config=config)
+        with pytest.raises(ShardCrashError):
+            supervisor.source.run(deadline_at=soon())
+        assert supervisor.state == "dead"
+        wait_until(lambda: supervisor.state == "healthy")
+        assert not supervisor.circuit_open
+        # The next task is the probe, and it is served.
+        assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
+        assert stub.calls == 2 and supervisor.crashes == 1
+
     def test_redispatch_budget_bounds_the_attempts(self, supervised):
         config = SupervisorConfig(
-            heartbeat_interval_s=0.02,
             backoff_base_s=0.01,
             backoff_cap_s=0.02,
             restart_budget=10,
@@ -288,14 +319,6 @@ class TestSupervision:
             supervisor.source.run(deadline_at=soon())
         assert stub.calls == 2  # initial attempt + exactly one re-dispatch
         assert supervisor.info()["redispatches"] == 1
-
-    def test_missed_heartbeats_restart_an_idle_shard(self, supervised):
-        supervisor, _ = supervised()
-        with supervisor._lock:
-            supervisor.epoch += 1  # silently retire the thread: beats stop
-        wait_until(lambda: supervisor.crashes >= 1)
-        wait_until(lambda: supervisor.state == "healthy")
-        assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
 
     def test_borrowed_session_is_not_closed(self, supervised):
         supervisor, stub = supervised()
@@ -353,40 +376,10 @@ class TestServerIntegration:
         for key in ("state", "restarts", "crashes", "faults"):
             assert key in supervisor
 
-    def test_degraded_fallback_keeps_serving_past_the_breaker(
-        self, serve_session
-    ):
-        config = ServerConfig(
-            queue_capacity=16, default_deadline_s=30.0, degraded_fallback=True
-        )
-        breaker = SupervisorConfig(
-            heartbeat_interval_s=0.02,
-            backoff_base_s=0.01,
-            restart_budget=0,
-            max_redispatch=0,
-        )
-        with ReproServer(
-            serve_session,
-            config,
-            supervisor_config=breaker,
-            fault_plan=FaultPlan.parse("kill@1"),
-        ) as server:
-            # The kill trips the single shard's restart budget immediately.
-            with pytest.raises(ServerError):
-                server.solve("lcs", 48)
-            assert server.supervisor.circuit_open
-            readiness = server.readiness()
-            assert readiness["degraded"] is True
-            assert readiness["ready"] is True  # degraded, not down
-            # Further requests are served on the server's own session.
-            result = server.solve("lcs", 48)
-            assert result.checksum == serve_session.solve("lcs", 48).checksum
-
-    def test_open_circuit_without_fallback_sheds_at_admission(
+    def test_open_circuit_sheds_at_admission(
         self, serve_session
     ):
         breaker = SupervisorConfig(
-            heartbeat_interval_s=0.02,
             backoff_base_s=0.01,
             restart_budget=0,
             max_redispatch=0,
@@ -404,6 +397,36 @@ class TestServerIntegration:
             with pytest.raises(ShardUnavailableError):
                 server.submit("lcs", 48)
             assert server.metrics()["requests"]["rejected"] == before + 1
+
+    def test_sweeps_past_their_deadline_leave_the_lane_healthy(self, serve_session):
+        # More valid requests than the restart budget, each sweeping past its
+        # deadline and each sent once the lane is idle, then a small one.
+        states = []
+
+        def idle():
+            info = server.supervisor.info()
+            states.append(info["state"])
+            return not info["in_flight"]
+
+        with ReproServer(
+            serve_session,
+            ServerConfig(queue_capacity=16, adaptive="off"),
+            supervisor_config=SupervisorConfig(restart_budget=1),
+        ) as server:
+            for inner_iterations in (20, 21):
+                with pytest.raises(DeadlineError):
+                    server.solve(
+                        "nash-equilibrium",
+                        2048,
+                        deadline_s=0.1,
+                        inner_iterations=inner_iterations,
+                    )
+                wait_until(idle, timeout_s=30.0)
+            result = server.solve("lcs", 12)
+            info = server.supervisor.info()
+        assert result.checksum == serve_session.solve("lcs", 12).checksum
+        assert info["state"] == "healthy" and info["crashes"] == 0
+        assert "dead" not in states
 
     def test_deadline_expiry_is_counted_in_metrics(self, serve_session):
         with ReproServer(
