@@ -1,4 +1,4 @@
-"""Online adaptive tuning: close the loop from live traffic to plans.
+"""Online adaptive tuning: compare live traffic with the plans' predictions.
 
 The offline story (profile → train → tune) assumes the host at serving
 time behaves like the host at profiling time.  This package drops that
@@ -7,21 +7,17 @@ assumption: served requests become streaming observations
 when a plan's prediction no longer matches reality
 (:mod:`~repro.adaptive.drift`), a shadow tuner re-resolves against the
 corrected evidence without touching traffic
-(:mod:`~repro.adaptive.shadow`), and a controller optionally promotes
-the shadow's choice to a live, rollback-guarded plan swap
-(:mod:`~repro.adaptive.controller`).  ``repro serve --adaptive
-{off,shadow,live}`` selects how far the loop runs; ``repro report
---kind adaptive`` renders it (:mod:`~repro.adaptive.report`).
+(:mod:`~repro.adaptive.shadow`), and a controller ties the steps
+together and logs every proposal (:mod:`~repro.adaptive.controller`).
+The loop observes and proposes; it never changes the plan traffic runs.
+``repro serve --adaptive {off,shadow}`` turns it off or on; ``repro
+report --kind adaptive`` renders it (:mod:`~repro.adaptive.report`).
 
 Import direction: the serving layer imports this package; nothing here
 imports ``repro.server``.
 """
 
-from repro.adaptive.controller import (
-    ADAPTIVE_MODES,
-    AdaptiveConfig,
-    AdaptiveController,
-)
+from repro.adaptive.controller import ADAPTIVE_MODES, AdaptiveController
 from repro.adaptive.drift import DriftConfig, DriftDetector, DriftEvent
 from repro.adaptive.observations import ObservationLog, SignatureStats
 from repro.adaptive.report import render_adaptive_report
@@ -29,7 +25,6 @@ from repro.adaptive.shadow import ShadowDecision, ShadowTuner
 
 __all__ = [
     "ADAPTIVE_MODES",
-    "AdaptiveConfig",
     "AdaptiveController",
     "DriftConfig",
     "DriftDetector",

@@ -205,11 +205,6 @@ class DriftDetector:
             self._events.append(event)
             return event
 
-    def reset(self, signature: RequestIdentity) -> None:
-        """Forget a signature entirely (recalibrates from scratch)."""
-        with self._lock:
-            self._states.pop(signature, None)
-
     def snapshot(self) -> dict:
         """JSON-safe counters + recent events for ``/metrics``."""
         with self._lock:

@@ -118,15 +118,10 @@ class ObservationLog:
     server's completed-request counter when fed from batch completion.
     """
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_SIGNATURES,
-        reservoir_size: int = DEFAULT_RESERVOIR,
-    ) -> None:
+    def __init__(self, maxsize: int = DEFAULT_SIGNATURES) -> None:
         if maxsize < 1:
             raise ValueError(f"ObservationLog maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        self.reservoir_size = int(reservoir_size)
         self._lock = threading.RLock()
         self._stats: OrderedDict[RequestIdentity, SignatureStats] = OrderedDict()
         self.observations = 0
@@ -140,7 +135,7 @@ class ObservationLog:
         with self._lock:
             stats = self._stats.get(signature)
             if stats is None:
-                stats = SignatureStats(reservoir_size=self.reservoir_size)
+                stats = SignatureStats()
                 self._stats[signature] = stats
             else:
                 self._stats.move_to_end(signature)
@@ -150,11 +145,6 @@ class ObservationLog:
             self.observations += count
         stats.record(latency_s, count)
         return stats
-
-    def reset(self, signature: RequestIdentity) -> None:
-        """Forget one signature's stats (e.g. after a live plan swap)."""
-        with self._lock:
-            self._stats.pop(signature, None)
 
     def snapshot(self, limit: int | None = None) -> dict:
         """JSON-safe view: totals plus per-signature summaries.

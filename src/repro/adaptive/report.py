@@ -37,7 +37,6 @@ def render_adaptive_report(adaptive: dict | None, delta: dict | None = None) -> 
         d.get("signature"): d
         for d in (adaptive.get("shadow") or {}).get("decisions", [])
     }
-    installed = (adaptive.get("swaps") or {}).get("installed", {})
     if signatures:
         width = max(len("signature"), max(len(label) for label in signatures))
         header = (
@@ -57,26 +56,17 @@ def render_adaptive_report(adaptive: dict | None, delta: dict | None = None) -> 
                     f"(workers={prop.get('workers')}, "
                     f"tile={prop.get('cpu_tile')}) [{proposal.get('reason')}]"
                 )
-            if label in installed:
-                choice += "  << LIVE"
             lines.append(
                 f"{label:<{width}} {_ms(stats.get('expected_ms')):>10} "
                 f"{_ms(stats.get('mean_ms')):>10} {_ms(stats.get('p95_ms')):>10} "
                 f"{stats.get('count', 0):>5}  {choice}"
             )
     drift = adaptive.get("drift") or {}
-    swaps = adaptive.get("swaps") or {}
     lines.append(
         f"drift: {drift.get('events', 0)} events "
         f"({drift.get('active', 0)} active, "
         f"{drift.get('recoveries', 0)} recoveries) over "
-        f"{drift.get('assessments', 0)} assessments"
-    )
-    lines.append(
-        f"swaps: {swaps.get('applied', 0)} applied "
-        f"({swaps.get('confirmed', 0)} confirmed, "
-        f"{swaps.get('rolled_back', 0)} rolled back, "
-        f"budget {swaps.get('budget', 0)}); "
+        f"{drift.get('assessments', 0)} assessments; "
         f"shadow evaluations: {(adaptive.get('shadow') or {}).get('evaluations', 0)}"
     )
     if adaptive.get("errors"):
@@ -89,8 +79,7 @@ def render_adaptive_report(adaptive: dict | None, delta: dict | None = None) -> 
             "this run: "
             f"+{delta.get('observations', 0)} observations, "
             f"+{delta.get('drift_events', 0)} drift events, "
-            f"+{delta.get('shadow_evaluations', 0)} shadow evaluations, "
-            f"+{delta.get('swaps_applied', 0)} swaps "
-            f"(+{delta.get('swaps_rolled_back', 0)} rolled back)"
+            f"+{delta.get('shadow_evaluations', 0)} shadow evaluations "
+            f"(+{delta.get('would_swap', 0)} would swap)"
         )
     return "\n".join(lines)

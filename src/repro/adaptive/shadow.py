@@ -17,8 +17,8 @@ tuners (cost-model, learned, exhaustive) no profile exists to correct;
 the shadow pass degrades to a *recalibration*: keep the plan, adopt the
 observed mean as its expectation.
 
-Nothing in this module mutates the live session — promotion to a real
-plan swap is the controller's job (:mod:`repro.adaptive.controller`).
+Nothing in this module mutates the live session: a decision is logged by
+the controller (:mod:`repro.adaptive.controller`) and never installed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class ShadowDecision:
     ``"recalibrated"`` (no retrainable profile — expectation updated to
     the observed mean, plan unchanged).  ``would_swap`` is True when the
     proposal differs from the active plan in backend, engine, workers or
-    tunables — the controller's promotion predicate.
+    tunables; it is a logged verdict, and the active plan stays.
     """
 
     signature: RequestIdentity

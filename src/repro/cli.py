@@ -397,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ADAPTIVE_MODES,
         help="online adaptive tuning: 'shadow' (default) observes live "
         "latencies, detects plan-vs-reality drift and logs would-be plan "
-        "swaps without changing behaviour; 'live' additionally promotes "
-        "them to rollback-guarded plan swaps; 'off' disables the loop",
+        "swaps without changing behaviour; 'off' disables the loop",
     )
     serve.add_argument(
         "--metrics-out",
@@ -924,8 +923,15 @@ def _report_adaptive(args: argparse.Namespace) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"cannot read metrics file {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"metrics file {path} is not a JSON object")
     if "server_metrics" in payload:  # loadgen artifact
-        adaptive = (payload.get("server_metrics") or {}).get("adaptive")
+        server_metrics = payload["server_metrics"]
+        if server_metrics is not None and not isinstance(server_metrics, dict):
+            raise ArtifactError(
+                f"metrics file {path}: server_metrics is not an object"
+            )
+        adaptive = (server_metrics or {}).get("adaptive")
         delta = payload.get("adaptive")
     else:  # plain /metrics snapshot
         adaptive = payload.get("adaptive")
@@ -1037,15 +1043,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     adaptive = metrics.get("adaptive")
     if adaptive is not None:
         drift = adaptive.get("drift", {})
-        swaps = adaptive.get("swaps", {})
         shadow = adaptive.get("shadow", {})
         print(
             f"adaptive ({adaptive.get('mode')}): "
             f"{adaptive.get('observations', 0)} observations, "
             f"{drift.get('events', 0)} drift events, "
-            f"{shadow.get('would_swap', 0)} would-swap, "
-            f"{swaps.get('applied', 0)} swaps applied "
-            f"({swaps.get('rolled_back', 0)} rolled back)"
+            f"{shadow.get('would_swap', 0)} would-swap"
         )
     return EXIT_OK
 
@@ -1118,8 +1121,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             f"adaptive ({adaptive.get('mode')}): "
             f"{adaptive['observations']} observations, "
             f"{adaptive['drift_events']} drift events, "
-            f"{adaptive['would_swap']} would-swap, "
-            f"{adaptive['swaps_applied']} swaps applied this run"
+            f"{adaptive['would_swap']} would-swap this run"
         )
     results = payload["results"]
     if results["completed"] == 0:

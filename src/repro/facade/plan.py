@@ -17,7 +17,7 @@ it.  Plans are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.cache.keys import request_identity
@@ -92,10 +92,6 @@ class ResolvedPlan:
             f"({self.tunables.describe()}{engine_txt}{workers_txt}) "
             f"on {self.system} via {self.tuner}{expected_txt}"
         )
-
-    def with_(self, **kwargs) -> "ResolvedPlan":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
     # ------------------------------------------------------------------
     # Serialisation

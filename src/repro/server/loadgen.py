@@ -48,7 +48,9 @@ from repro.session import Session
 #: v6: every answer is verified, so ``results.skipped_verification`` is
 #: gone, and so are the ``reference`` timing section and the open-loop /
 #: mode fields of ``meta``.
-LOADGEN_FORMAT_VERSION = 6
+#: v7: the ``adaptive`` section loses ``swaps_applied`` and
+#: ``swaps_rolled_back``: the adaptive loop proposes plans, never swaps them.
+LOADGEN_FORMAT_VERSION = 7
 
 #: Seconds one request attempt may take before it counts as failed.
 REQUEST_TIMEOUT_S = 120.0
@@ -220,8 +222,6 @@ def _adaptive_delta(before: dict | None, after: dict | None) -> dict | None:
         "drift_events": ("drift", "events"),
         "shadow_evaluations": ("shadow", "evaluations"),
         "would_swap": ("shadow", "would_swap"),
-        "swaps_applied": ("swaps", "applied"),
-        "swaps_rolled_back": ("swaps", "rolled_back"),
         "errors": ("errors",),
     }
     delta = {

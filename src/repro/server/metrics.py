@@ -5,14 +5,14 @@ lock:
 
 * request counters — accepted, rejected (backpressure), completed, failed,
   and the number currently in flight;
-* a bounded latency reservoir (most recent ``reservoir_size`` end-to-end
-  service latencies) from which the percentiles are computed;
+* a bounded latency reservoir (most recent :data:`DEFAULT_RESERVOIR_SIZE`
+  end-to-end service latencies) from which the percentiles are computed;
 * a batch-size histogram, the direct evidence of how well the coalescing
   scheduler is amortising plan resolution;
-* a bounded per-signature latency breakdown (one
-  :class:`repro.adaptive.observations.SignatureStats` per traffic class,
-  LRU over at most ``signature_limit`` signatures) — what the drift
-  detector reasons about and what operators need to see per workload.
+* a bounded per-signature latency breakdown (an
+  :class:`repro.adaptive.observations.ObservationLog`, LRU over at most
+  :data:`DEFAULT_SIGNATURE_LIMIT` signatures) — what the drift detector
+  reasons about and what operators need to see per workload.
 
 :meth:`ServerMetrics.snapshot` renders everything as a JSON-safe dictionary
 — the payload of the HTTP endpoint's ``GET /metrics`` and of the
@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 
-from repro.adaptive.observations import SignatureStats, percentile
+from repro.adaptive.observations import ObservationLog, percentile
 from repro.cache.keys import RequestIdentity
 
-#: Default number of most-recent latency samples kept for percentiles.
+#: Number of most-recent latency samples kept for percentiles.
 DEFAULT_RESERVOIR_SIZE = 4096
 
-#: Default bound on distinct signatures in the per-signature breakdown.
+#: Bound on distinct signatures in the per-signature breakdown.
 DEFAULT_SIGNATURE_LIMIT = 64
 
 #: Percentile points reported in every snapshot.
@@ -69,17 +69,12 @@ class ServerMetrics:
     taken at any time, including after shutdown.
     """
 
-    def __init__(
-        self,
-        reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-        signature_limit: int = DEFAULT_SIGNATURE_LIMIT,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._started_at = time.perf_counter()
-        self._latencies_s: deque[float] = deque(maxlen=max(1, int(reservoir_size)))
+        self._latencies_s: deque[float] = deque(maxlen=DEFAULT_RESERVOIR_SIZE)
         self._batch_sizes: Counter[int] = Counter()
-        self._signature_limit = max(1, int(signature_limit))
-        self._signatures: OrderedDict[RequestIdentity, SignatureStats] = OrderedDict()
+        self._signatures = ObservationLog(maxsize=DEFAULT_SIGNATURE_LIMIT)
         self.accepted = 0
         self.rejected = 0
         self.completed = 0
@@ -116,23 +111,14 @@ class ServerMetrics:
 
         With ``signature`` given, the latency also feeds that traffic
         class's per-signature breakdown (bounded: the least-recently
-        updated signature is dropped past ``signature_limit``).
+        updated signature is dropped past :data:`DEFAULT_SIGNATURE_LIMIT`).
         """
         with self._lock:
             self.completed += 1
             self.in_flight -= 1
             self._latencies_s.append(latency_s)
-            if signature is not None:
-                stats = self._signatures.get(signature)
-                if stats is None:
-                    stats = SignatureStats()
-                    self._signatures[signature] = stats
-                else:
-                    self._signatures.move_to_end(signature)
-                while len(self._signatures) > self._signature_limit:
-                    self._signatures.popitem(last=False)
         if signature is not None:
-            stats.record(latency_s)
+            self._signatures.record(signature, latency_s)
 
     def record_failed(
         self, latency_s: float | None, deadline_expired: bool = False
@@ -243,10 +229,7 @@ class ServerMetrics:
                 "latency_ms": summarise_latencies(list(self._latencies_s)),
                 "throughput_rps": (self.completed / uptime) if uptime > 0 else 0.0,
             }
-            per_signature = list(self._signatures.items())[::-1]
-        snapshot["signatures"] = {
-            sig.label: stats.snapshot() for sig, stats in per_signature
-        }
+        snapshot["signatures"] = self._signatures.snapshot()["signatures"]
         snapshot["cache"] = cache
         snapshot["adaptive"] = adaptive
         if caches is not None:

@@ -41,11 +41,8 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from repro.adaptive.controller import (
-    ADAPTIVE_MODES,
-    AdaptiveConfig,
-    AdaptiveController,
-)
+from repro.adaptive.controller import ADAPTIVE_MODES, AdaptiveController
+from repro.adaptive.drift import DriftConfig
 from repro.core.exceptions import (
     BackpressureError,
     DeadlineError,
@@ -82,11 +79,10 @@ class ServerConfig:
     client sends none (``None`` disables the default — requests without an
     explicit deadline then wait unboundedly).
 
-    ``adaptive`` selects how far the online tuning loop runs
+    ``adaptive`` switches the online tuning loop
     (:data:`repro.adaptive.ADAPTIVE_MODES`): ``"off"`` builds no
     controller, ``"shadow"`` (the default) observes, detects drift and
-    logs would-be decisions, ``"live"`` additionally promotes them to
-    rollback-guarded plan swaps.
+    logs would-be decisions without ever changing the plan traffic runs.
     """
 
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
@@ -117,7 +113,9 @@ class ReproServer:
     The server *borrows* the session by default (closing the server leaves
     the session usable); pass ``own_session=True`` to transfer ownership so
     :meth:`close` also releases the session's engines and worker pools —
-    the CLI's ``repro serve`` does exactly that.
+    the CLI's ``repro serve`` does exactly that.  ``drift`` sets the
+    adaptive loop's detector thresholds (:class:`repro.adaptive.DriftConfig`
+    defaults otherwise).
 
     Use as a context manager for deterministic teardown::
 
@@ -134,7 +132,7 @@ class ReproServer:
         own_session: bool = False,
         supervisor_config: SupervisorConfig | None = None,
         fault_plan: FaultPlan | None = None,
-        adaptive_config: AdaptiveConfig | None = None,
+        drift: DriftConfig | None = None,
     ) -> None:
         self.session = session
         self.config = config if config is not None else ServerConfig()
@@ -156,14 +154,11 @@ class ReproServer:
         # Under a chaos plan every request reaches the shard, so a fault's
         # ordinal counts requests, not only the memory tier's misses.
         self._answer_hits = fault_plan is None or not len(fault_plan)
-        # The online tuning loop.  An explicit adaptive_config wins; the
-        # ServerConfig.adaptive mode otherwise selects the defaults; "off"
-        # builds nothing and costs nothing on the serving path.
-        if adaptive_config is None:
-            adaptive_config = AdaptiveConfig(mode=self.config.adaptive)
+        # The online tuning loop, with the drift detector's thresholds;
+        # "off" builds nothing and costs nothing on the serving path.
         self.adaptive: AdaptiveController | None = None
-        if adaptive_config.mode != "off":
-            self.adaptive = AdaptiveController(session, adaptive_config)
+        if self.config.adaptive != "off":
+            self.adaptive = AdaptiveController(session, drift)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -19,6 +19,7 @@ a ``format_version`` marker, and loading a stale or foreign file raises
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,8 +97,8 @@ def generate_trace(
     """
     if requests < 1:
         raise UsageError(f"trace needs requests >= 1, got {requests}")
-    if zipf_s < 0:
-        raise UsageError(f"zipf skew must be >= 0, got {zipf_s}")
+    if not math.isfinite(zipf_s) or zipf_s < 0:
+        raise UsageError(f"zipf skew must be finite and >= 0, got {zipf_s}")
     rng = np.random.RandomState(int(seed))
     picks = rng.choice(len(mix), size=int(requests), p=zipf_weights(len(mix), zipf_s))
     entries = tuple({"app": mix[i][0], "dim": int(mix[i][1])} for i in picks)

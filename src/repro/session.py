@@ -174,7 +174,6 @@ class Session:
             "plans_resolved": 0,
             "runs": 0,
             "requests_served": 0,
-            "plans_adopted": 0,
         }
 
     # ------------------------------------------------------------------
@@ -199,29 +198,6 @@ class Session:
                         profile_path=self.profile_path,
                     )
         return self._tuner
-
-    def adopt_plan(self, plan: ResolvedPlan) -> ResolvedPlan:
-        """Atomically install ``plan`` as the cached answer for its query.
-
-        The plan replaces whatever the tuned-plan LRU holds for the same
-        tuner-resolved request — the identity of ``(plan.app, plan.dim,
-        plan.app_kwargs)`` under the default policy — so every subsequent :meth:`plan`/
-        :meth:`solve` call for that signature executes the adopted plan.
-        This is the adaptive controller's promotion primitive
-        (:class:`repro.adaptive.AdaptiveController`): the LRU ``put`` runs
-        under the plan lock, so concurrent planners observe either the old
-        plan or the new one, never a mixture.  Queries under a non-default
-        policy are unaffected.  The plan is stored without a problem, like
-        every cached plan: :meth:`run` takes the instance from the problem
-        cache.
-        """
-        identity = request_identity(plan.app, plan.dim, plan.app_options)
-        if plan.problem is not None:
-            plan = plan.with_(problem=None)
-        with self._plan_lock:
-            self._check_open()
-            self.stats["plans_adopted"] += 1
-            return self._plans.put(identity, plan)
 
     def attach_observer(
         self,
@@ -394,8 +370,8 @@ class Session:
         """Execute a resolved plan (this session's or a replayed one).
 
         A plan carrying a problem (one resolved from a caller-supplied
-        instance) executes it directly; every other plan — a registry name's,
-        an adopted or a replayed one — takes its problem from the problem
+        instance) executes it directly; every other plan — a registry name's
+        or a replayed one — takes its problem from the problem
         cache under ``(plan.app, plan.dim, plan.app_kwargs)``, built through
         the application registry on a miss.  ``mode`` defaults to the
         session's mode.

@@ -7,9 +7,9 @@ The acceptance contract of the subsystem:
   *exactly there* and nowhere else (shadow mode: observed, never acted);
 * the same replay without faults is drift-free — zero events, zero
   would-be swaps, and every completed request counted as an observation;
-* in ``live`` mode a drifted measured-tuner plan is swapped through the
-  session's plan LRU, keeps serving bit-exact answers, and is confirmed —
-  or rolled back (and the signature pinned) when the regression persists;
+* on a measured tuner a drifted plan is shadow-retrained into a different
+  proposal that is logged, never installed: the session keeps its plan
+  and every answer stays bit-exact;
 * the whole loop is visible in ``/metrics`` and renderable as a report.
 """
 
@@ -19,19 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.adaptive import (
-    AdaptiveConfig,
-    DriftConfig,
-    render_adaptive_report,
-)
+from repro.adaptive import DriftConfig, render_adaptive_report
 from repro.autotuner.measured import (
     MeasuredProfile,
     MeasuredRecord,
     MeasuredTuner,
 )
-from repro.core.exceptions import UsageError
+from repro.core.exceptions import ServerError
 from repro.core.params import InputParams, TunableParams
-from repro.facade.policy import ExecutionPolicy
 from repro.server import FaultPlan, ReproServer, ServerConfig
 from repro.server.loadgen import _adaptive_delta
 from repro.session import Session
@@ -86,12 +81,12 @@ class TestShadowModeOnTrace:
             entries, "lcs", 48, after=TEST_DRIFT.min_samples
         )
         plan = f"slow@{first}:0.3,slow@{second}:0.3"
-        config = AdaptiveConfig(mode="shadow", drift=TEST_DRIFT)
+        active = adaptive_session.plan("lcs", 48)
         server = ReproServer(
             adaptive_session,
             ServerConfig(queue_capacity=128, adaptive="shadow"),
             fault_plan=FaultPlan.parse(plan),
-            adaptive_config=config,
+            drift=TEST_DRIFT,
         ).start()
         try:
             replay(server, entries)
@@ -110,18 +105,17 @@ class TestShadowModeOnTrace:
         (event,) = adaptive["drift"]["recent"]
         assert event["signature"] == "lcs[dim=48] mode=functional"
         assert event["observed_ms"] >= 300.0
-        # shadow evaluated, but shadow mode never swaps
+        # shadow evaluated, and the session's plan is unchanged
         assert adaptive["shadow"]["evaluations"] == 1
-        assert adaptive["swaps"]["applied"] == 0
-        assert adaptive_session.stats["plans_adopted"] == 0
+        assert adaptive_session.plan("lcs", 48) == active
 
     def test_stable_replay_is_drift_free(self, adaptive_session):
         entries = trace_entries()
-        config = AdaptiveConfig(mode="shadow", drift=TEST_DRIFT)
+        active = adaptive_session.plan("lcs", 48)
         server = ReproServer(
             adaptive_session,
             ServerConfig(queue_capacity=128, adaptive="shadow"),
-            adaptive_config=config,
+            drift=TEST_DRIFT,
         ).start()
         try:
             replay(server, entries)
@@ -134,7 +128,8 @@ class TestShadowModeOnTrace:
         assert adaptive["observations"] == metrics["requests"]["completed"]
         assert adaptive["drift"]["events"] == 0
         assert adaptive["shadow"]["would_swap"] == 0
-        assert adaptive["swaps"]["applied"] == 0
+        # the session's plan is unchanged
+        assert adaptive_session.plan("lcs", 48) == active
 
     def test_per_signature_breakdown_reaches_the_metrics_page(
         self, adaptive_session
@@ -163,7 +158,7 @@ class TestShadowModeOnTrace:
 
 
 # ----------------------------------------------------------------------
-# Live promotion on a measured tuner
+# Shadow retraining on a measured tuner
 # ----------------------------------------------------------------------
 def synthetic_measured_tuner():
     """A measured tuner whose profile makes vectorized the clear winner.
@@ -190,117 +185,70 @@ def synthetic_measured_tuner():
     return MeasuredTuner.train(profile)
 
 
-LIVE_CONFIG = AdaptiveConfig(mode="live", drift=TEST_DRIFT)
+@pytest.fixture(scope="module")
+def measured_shadow_run():
+    """Nine ``lcs`` 48 requests, the 4th and 5th slowed by 0.3 s.
+
+    Calibration is 3 executions, so the two faults latch one drift event
+    and the shadow pass retrains the measured tuner.  Returns the answers,
+    a fault-free reference answer, the session's plan before and after the
+    run, and the final ``/metrics`` snapshot.
+    """
+    with Session(system="local", tuner=synthetic_measured_tuner()) as ref:
+        expected = ref.solve("lcs", 48)
+    session = Session(system="local", tuner=synthetic_measured_tuner())
+    before = session.plan("lcs", 48)
+    server = ReproServer(
+        session,
+        ServerConfig(queue_capacity=16, adaptive="shadow"),
+        fault_plan=FaultPlan.parse("slow@4:0.3,slow@5:0.3"),
+        drift=TEST_DRIFT,
+        own_session=True,
+    ).start()
+    try:
+        answers = [server.solve("lcs", 48, timeout=60) for _ in range(9)]
+        after = session.plan("lcs", 48)
+        metrics = server.metrics()
+    finally:
+        server.close()
+    return {
+        "answers": answers,
+        "expected": expected,
+        "before": before,
+        "after": after,
+        "metrics": metrics,
+    }
 
 
-class TestLivePromotion:
-    def test_swapped_plan_serves_bit_exactly_and_confirms(self):
-        tuner = synthetic_measured_tuner()
-        with Session(system="local", tuner=synthetic_measured_tuner()) as ref:
-            expected = ref.solve("lcs", 48)
-        session = Session(system="local", tuner=tuner)
-        assert session.plan("lcs", 48).backend == "vectorized"
-        # calibration is 3 executions; faults at 4 and 5 latch the drift
-        server = ReproServer(
-            session,
-            ServerConfig(queue_capacity=16, adaptive="live"),
-            fault_plan=FaultPlan.parse("slow@4:0.3,slow@5:0.3"),
-            adaptive_config=LIVE_CONFIG,
-            own_session=True,
-        ).start()
-        try:
-            for index in range(9):
-                result = server.solve("lcs", 48, timeout=60)
-                assert np.array_equal(
-                    result.grid.values, expected.grid.values
-                ), f"answer diverged at request {index}"
-            swapped = session.plan("lcs", 48)
-            metrics = server.metrics()
-        finally:
-            server.close()
-
-        adaptive = metrics["adaptive"]
+class TestShadowRetrain:
+    def test_retrained_proposal_is_logged_and_never_installed(
+        self, measured_shadow_run
+    ):
+        run = measured_shadow_run
+        adaptive = run["metrics"]["adaptive"]
         assert adaptive["errors"] == 0, adaptive["last_error"]
         assert adaptive["drift"]["events"] == 1
-        assert adaptive["swaps"]["applied"] == 1
-        assert adaptive["swaps"]["confirmed"] == 1
-        assert adaptive["swaps"]["rolled_back"] == 0
-        # the swap is live in the session's plan cache, attributed to the loop
-        assert swapped.backend == "serial"
-        assert swapped.tuner == "adaptive"
-        assert session.stats["plans_adopted"] == 1
-        installed = adaptive["swaps"]["installed"]
-        assert installed["lcs[dim=48] mode=functional"]["to_backend"] == "serial"
-
-    def test_persistent_regression_rolls_back_and_pins(self):
-        session = Session(system="local", tuner=synthetic_measured_tuner())
-        # faults persist past the swap (executions 4-8), so the promoted
-        # plan looks just as slow and must be rolled back
-        server = ReproServer(
-            session,
-            ServerConfig(queue_capacity=16, adaptive="live"),
-            fault_plan=FaultPlan.parse(
-                "slow@4:0.3,slow@5:0.3,slow@6:0.3,slow@7:0.3,slow@8:0.3"
-            ),
-            adaptive_config=LIVE_CONFIG,
-            own_session=True,
-        ).start()
-        try:
-            for _ in range(10):
-                server.solve("lcs", 48, timeout=60)
-            restored = session.plan("lcs", 48)
-            metrics = server.metrics()
-        finally:
-            server.close()
-
-        adaptive = metrics["adaptive"]
-        assert adaptive["errors"] == 0, adaptive["last_error"]
-        assert adaptive["swaps"]["applied"] == 1
-        assert adaptive["swaps"]["rolled_back"] == 1
-        assert adaptive["swaps"]["confirmed"] == 0
-        assert adaptive["swaps"]["pinned"] == ["lcs[dim=48] mode=functional"]
-        # the original plan is back in charge
-        assert restored.backend == "vectorized"
-
-    def test_swap_budget_bounds_promotions(self):
-        session = Session(system="local", tuner=synthetic_measured_tuner())
-        config = AdaptiveConfig(mode="live", drift=TEST_DRIFT, swap_budget=0)
-        server = ReproServer(
-            session,
-            ServerConfig(queue_capacity=16, adaptive="live"),
-            fault_plan=FaultPlan.parse("slow@4:0.3,slow@5:0.3"),
-            adaptive_config=config,
-            own_session=True,
-        ).start()
-        try:
-            for _ in range(6):
-                server.solve("lcs", 48, timeout=60)
-            metrics = server.metrics()
-        finally:
-            server.close()
-        adaptive = metrics["adaptive"]
-        assert adaptive["drift"]["events"] == 1
-        assert adaptive["swaps"]["applied"] == 0
-        assert adaptive["swaps"]["budget_denied"] == 1
+        assert adaptive["shadow"]["evaluations"] == 1
+        assert adaptive["shadow"]["would_swap"] == 1
+        (decision,) = adaptive["shadow"]["decisions"]
+        assert decision["signature"] == "lcs[dim=48] mode=functional"
+        assert decision["reason"] == "retrained"
+        assert decision["would_swap"] is True
+        assert decision["active"]["backend"] == "vectorized"
+        assert decision["proposed"]["backend"] == "serial"
+        # the proposal stays a proposal: the session keeps its plan
+        assert run["before"].backend == "vectorized"
+        assert run["after"] == run["before"]
+        for index, result in enumerate(run["answers"]):
+            assert np.array_equal(
+                result.grid.values, run["expected"].grid.values
+            ), f"answer diverged at request {index}"
 
 
 # ----------------------------------------------------------------------
 # Session-level primitives
 # ----------------------------------------------------------------------
 class TestSessionPrimitives:
-    def test_adopt_plan_replaces_the_cached_answer(self, adaptive_session):
-        before = adaptive_session.stats["plans_adopted"]
-        plan = adaptive_session.plan("matrix-chain", 24)
-        adopted = plan.with_(expected_s=1.23, tuner="adaptive")
-        adaptive_session.adopt_plan(adopted)
-        assert adaptive_session.plan("matrix-chain", 24) is adopted
-        assert adaptive_session.stats["plans_adopted"] == before + 1
-        # manual overrides bypass the adopted plan
-        manual = adaptive_session.plan(
-            "matrix-chain", 24, policy=ExecutionPolicy(backend="serial")
-        )
-        assert manual.tuner == "manual"
-
     def test_run_observer_sees_every_solve(self, adaptive_session):
         seen = []
         adaptive_session.attach_observer(
@@ -320,26 +268,12 @@ class TestSessionPrimitives:
 # Reporting / artifact plumbing
 # ----------------------------------------------------------------------
 class TestReporting:
-    def test_report_renders_predicted_observed_and_swap(self):
-        session = Session(system="local", tuner=synthetic_measured_tuner())
-        server = ReproServer(
-            session,
-            ServerConfig(queue_capacity=16, adaptive="live"),
-            fault_plan=FaultPlan.parse("slow@4:0.3,slow@5:0.3"),
-            adaptive_config=LIVE_CONFIG,
-            own_session=True,
-        ).start()
-        try:
-            for _ in range(9):
-                server.solve("lcs", 48, timeout=60)
-            adaptive = server.metrics()["adaptive"]
-        finally:
-            server.close()
-        text = render_adaptive_report(adaptive)
-        assert "adaptive tuning [live]" in text
+    def test_report_renders_predicted_observed_and_swap(self, measured_shadow_run):
+        text = render_adaptive_report(measured_shadow_run["metrics"]["adaptive"])
+        assert "adaptive tuning [shadow]" in text
         assert "lcs[dim=48] mode=functional" in text
-        assert "<< LIVE" in text
-        assert "swaps: 1 applied" in text
+        assert "swap to serial" in text and "[retrained]" in text
+        assert "<< LIVE" not in text
 
     def test_report_renders_off_mode(self):
         assert "off" in render_adaptive_report(None)
@@ -349,7 +283,6 @@ class TestReporting:
             "observations": 100,
             "drift": {"events": 2},
             "shadow": {"evaluations": 2, "would_swap": 1},
-            "swaps": {"applied": 1, "rolled_back": 0},
             "errors": 0,
             "mode": "shadow",
         }
@@ -357,7 +290,6 @@ class TestReporting:
             "observations": 160,
             "drift": {"events": 3},
             "shadow": {"evaluations": 3, "would_swap": 1},
-            "swaps": {"applied": 1, "rolled_back": 0},
             "errors": 0,
             "mode": "shadow",
         }
@@ -366,7 +298,7 @@ class TestReporting:
         assert delta["drift_events"] == 1
         assert delta["shadow_evaluations"] == 1
         assert delta["would_swap"] == 0
-        assert delta["swaps_applied"] == 0
+        assert "swaps_applied" not in delta
         assert delta["mode"] == "shadow"
         # cold start: no before snapshot means the run owns every counter
         assert _adaptive_delta(None, after)["observations"] == 160
@@ -376,18 +308,12 @@ class TestReporting:
 
 class TestConfigSurface:
     def test_server_config_rejects_unknown_adaptive_mode(self):
-        from repro.core.exceptions import ServerError
-
         with pytest.raises(ServerError):
             ServerConfig(adaptive="everything")
 
-    def test_adaptive_config_validation(self):
-        with pytest.raises(UsageError):
-            AdaptiveConfig(mode="sometimes")
-        with pytest.raises(UsageError):
-            AdaptiveConfig(swap_budget=-1)
-        with pytest.raises(UsageError):
-            AdaptiveConfig(rollback_ratio=0.0)
+    def test_live_mode_is_refused(self):
+        with pytest.raises(ServerError):
+            ServerConfig(adaptive="live")
 
     def test_adaptive_off_builds_no_controller(self, adaptive_session):
         server = ReproServer(

@@ -84,15 +84,6 @@ class TestHysteresis:
         assert snap["events"] == 2
         assert snap["recoveries"] == 1
 
-    def test_reset_recalibrates_from_scratch(self):
-        detector = DriftDetector(CONFIG)
-        feed(detector, [0.01] * 3 + [0.5] * 2)
-        detector.reset(SIG)
-        assert detector.snapshot()["active"] == 0
-        # Post-reset the slow latency becomes the new normal: calibration
-        # re-runs and no event fires against the old baseline.
-        assert feed(detector, [0.5] * 6) == []
-
 
 class TestDeterminism:
     def test_same_sequence_same_events(self):

@@ -179,16 +179,6 @@ class TestPlansCarryTheIdentity:
             )
         assert replayed.grid_sha256 == fresh.grid_sha256
 
-    def test_adopted_plans_answer_requests_that_omit_the_dim(self):
-        # The plan cache names a dim-less request by the default dim, so a
-        # live swap reaches the traffic that never spelled it.
-        with Session(system="i3-540") as session:
-            manual = session.plan("matrix-chain", policy=SERIAL)
-            adopted = session.adopt_plan(manual.with_(tuner="adaptive"))
-            assert session.plan("matrix-chain") is adopted
-            assert session.plan("matrix-chain", manual.dim) is adopted
-            assert session.stats["plans_resolved"] == 0
-
 
 class TestOneRequestEverywhere:
     VARIANTS = [

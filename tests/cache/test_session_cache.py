@@ -173,20 +173,6 @@ class TestOneOwner:
             instance = session.plan(LCSApp(dim=24, seed=5), policy=SERIAL)
             assert instance.problem is not None  # a caller's instance stays carried
 
-    def test_an_adopted_plan_runs_problem_free(self):
-        with Session(system="i7-2600K") as session:
-            plan = session.plan("lcs", 24, policy=SERIAL)
-            reference = session.run(plan)
-            carried = session.plan(LCSApp(dim=24, seed=5), policy=SERIAL)
-            swapped = plan.with_(backend="vectorized", tuner="adaptive", problem=carried.problem)
-            adopted = session.adopt_plan(swapped)
-            assert adopted.problem is None
-            live = session.plan("lcs", 24)
-            assert live is adopted
-            result = session.solve("lcs", 24)
-            assert result.stats["strategy"] == "vectorized"
-            assert result.grid_sha256 == reference.grid_sha256  # the registry instance
-
 
 class TestSharedResultIsHashedOnce:
     """A memory-tier hit hands every reader the same result object, so its

@@ -24,7 +24,9 @@ from repro.core.exceptions import (
     ServerError,
     UnknownApplicationError,
 )
+from repro.cache import request_identity
 from repro.server import ReproServer, ServerConfig
+from repro.server.metrics import DEFAULT_SIGNATURE_LIMIT, ServerMetrics
 from repro.session import Session
 
 MIX = (("lcs", 48), ("edit-distance", 40), ("matrix-chain", 32))
@@ -239,3 +241,26 @@ class TestMetrics:
         latency = snapshot["latency_ms"]
         assert latency["samples"] >= 1 and latency["p50"] <= latency["max"]
         assert "plans" in snapshot["caches"]
+
+    def test_signature_breakdown_is_bounded_and_most_recent_first(self):
+        metrics = ServerMetrics()
+        identities = [
+            request_identity("lcs", dim, mode="functional")
+            for dim in range(8, 8 + DEFAULT_SIGNATURE_LIMIT + 6)
+        ]
+        for identity in identities:
+            metrics.record_accepted()
+            metrics.record_completed(0.001, identities[0])
+            metrics.record_accepted()
+            metrics.record_completed(0.002, identity)
+        breakdown = metrics.snapshot()["signatures"]
+        # most recent first; the first signature stays hot, so the six
+        # oldest of the others are the ones dropped
+        newest, hot = identities[-1], identities[0]
+        older = identities[-DEFAULT_SIGNATURE_LIMIT + 1:-1][::-1]
+        assert list(breakdown) == [newest.label, hot.label] + [i.label for i in older]
+        assert breakdown[identities[0].label]["count"] == len(identities) + 1
+        assert set(breakdown[identities[-1].label]) == {
+            "count", "mean_ms", "std_ms", "min_ms", "max_ms", "expected_ms",
+            "p50_ms", "p95_ms",
+        }

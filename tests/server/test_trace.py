@@ -80,8 +80,9 @@ class TestGeneration:
     def test_bad_arguments_are_usage_errors(self):
         with pytest.raises(UsageError):
             generate_trace(MIX, 0, seed=1)
-        with pytest.raises(UsageError):
-            generate_trace(MIX, 10, seed=1, zipf_s=-1)
+        for skew in (-1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(UsageError, match="finite and >= 0"):
+                generate_trace(MIX, 10, seed=1, zipf_s=skew)
 
 
 class TestCommittedTrace:

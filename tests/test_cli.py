@@ -353,6 +353,13 @@ class TestServeVerb:
         assert args.command == "serve" and args.port == 8077
         assert args.queue_size == 64 and args.max_batch == 8
         assert args.system == "local" and args.space == "tiny"
+        assert args.adaptive == "shadow"
+
+    def test_serve_refuses_adaptive_live(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--adaptive", "live"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "invalid choice: 'live'" in capsys.readouterr().err
 
     def test_serve_end_to_end_over_http(self, tmp_path):
         """serve binds, answers solve/metrics, drains on POST /shutdown."""
@@ -424,3 +431,31 @@ class TestLoadgenVerb:
         code = main(["loadgen", "--url", self.URL, "--mix", "lcs", "--system", "i3-540"])
         assert code == EXIT_USAGE
         assert "app:dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("zipf", ["nan", "inf", "-1"])
+    def test_loadgen_non_finite_or_negative_zipf_is_usage_error(self, zipf, capsys):
+        code = main(["loadgen", "--url", self.URL, "--seed", "1", "--zipf", zipf,
+                     "--system", "i3-540"])
+        assert code == EXIT_USAGE
+        assert "zipf skew must be finite and >= 0" in capsys.readouterr().err
+
+
+class TestReportAdaptive:
+    def report(self, tmp_path, payload):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(payload))
+        return main(["report", "--kind", "adaptive", "--metrics-file", str(path)])
+
+    @pytest.mark.parametrize(
+        "payload", [[], [1], "text", 3, {"server_metrics": [1]}, {"server_metrics": "x"}]
+    )
+    def test_malformed_metrics_file_is_artifact_error(self, payload, tmp_path, capsys):
+        assert self.report(tmp_path, payload) == EXIT_ARTIFACT
+        assert "metrics file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload", [{}, {"adaptive": None}, {"server_metrics": None, "adaptive": None}]
+    )
+    def test_metrics_without_an_adaptive_section_report_off(self, payload, tmp_path, capsys):
+        assert self.report(tmp_path, payload) == 0
+        assert "adaptive tuning: off" in capsys.readouterr().out

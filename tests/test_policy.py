@@ -8,6 +8,8 @@ time), the one tile rule for tiled engines named without a tile, and how
 plan files written while the tile dispatch order was a separate field load.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ class TestPipelinedIsABackend:
             )
             path = save_plan(plan, tmp_path / "plan.json")
         loaded = load_plan(path)
-        assert loaded == plan.with_(problem=None)
+        assert loaded == dataclasses.replace(plan, problem=None)
         with Session(workers=2) as fresh:
             assert fresh.run(loaded).stats["dispatch"] == "pipelined"
 
