@@ -17,10 +17,11 @@ import sys
 from repro.analysis.aggregate import average_case_table
 from repro.analysis.dispersion import dispersion_stats
 from repro.analysis.heatmap import build_heatmap
-from repro.analysis.report import render_heatmap, render_table
+from repro.analysis.report import render_heatmap
 from repro.autotuner.exhaustive import ExhaustiveSearch
 from repro.core.parameter_space import ParameterSpace
 from repro.hardware import platforms
+from repro.utils.tables import format_table
 
 
 def main() -> None:
@@ -43,7 +44,7 @@ def main() -> None:
     # Figure 7: best exhaustive runtime vs the average configuration.
     rows = average_case_table(results, dsize=1)
     print(
-        render_table(
+        format_table(
             ["dim", "tsize", "dsize", "best", "avg", "sd", "avg/best", "configs", "excluded"],
             [r.as_row() for r in rows],
             title=f"Figure 7 — best vs average runtime on {system.name} (dsize=1, seconds)",

@@ -3,19 +3,18 @@
 When drift latches on a signature, the safest first move is to *ask*, not
 act: re-run the tuner's resolution with its profile corrected by what the
 server actually observed, and log the would-be decision next to the
-active plan.  That is the paper's factory-trained decision models
-retrained from production telemetry — with production held harmless.
+active plan.  That is the paper's factory-measured decisions re-ranked
+by production telemetry — with production held harmless.
 
 For a :class:`~repro.autotuner.measured.MeasuredTuner` session the shadow
-pass is a real retrain: live observations are synthesized into
-:class:`~repro.autotuner.measured.MeasuredRecord` entries anchored at the
-nearest *profiled* instance (every profiled instance has a serial
-baseline, so the training bridge never loses its reference), the stale
-records of the active backend at that anchor are superseded, and a fresh
-:class:`MeasuredTuner` is trained on the corrected profile.  For other
-tuners (cost-model, learned, exhaustive) no profile exists to correct;
-the shadow pass degrades to a *recalibration*: keep the plan, adopt the
-observed mean as its expectation.
+pass re-ranks the profile: the live observation is synthesized into a
+:class:`~repro.autotuner.measured.MeasuredRecord` anchored at the nearest
+*profiled* instance, the stale records of the active backend at that
+anchor are superseded, and a fresh :class:`MeasuredTuner` answers from
+the corrected profile.  For other tuners (cost-model, learned,
+exhaustive) no profile exists to correct; the shadow pass degrades to a
+*recalibration*: keep the plan, adopt the observed mean as its
+expectation.
 
 Nothing in this module mutates the live session: a decision is logged by
 the controller (:mod:`repro.adaptive.controller`) and never installed.
@@ -43,8 +42,8 @@ class ShadowDecision:
     """One shadow resolution: active plan vs what live evidence suggests.
 
     ``reason`` records how the proposal was produced: ``"retrained"``
-    (a fresh measured-tuner fit on the observation-corrected profile) or
-    ``"recalibrated"`` (no retrainable profile — expectation updated to
+    (the measured tuner re-ranked on the observation-corrected profile) or
+    ``"recalibrated"`` (no re-rankable profile — expectation updated to
     the observed mean, plan unchanged).  ``would_swap`` is True when the
     proposal differs from the active plan in backend, engine, workers or
     tunables; it is a logged verdict, and the active plan stays.
@@ -155,23 +154,24 @@ class ShadowTuner:
         observed_s: float,
         samples: int,
     ) -> MeasuredTuner:
-        """A fresh measured tuner fitted on the observation-corrected profile.
+        """A measured tuner over the observation-corrected profile.
 
         The live observation supersedes the factory measurements of the
         *active backend at the anchor instance* — under drift the whole
         stale timing of that backend is suspect, and leaving any of it in
         place would let a min() over records keep picking the stale
         number.  Records of other backends (and other instances) stay:
-        they are the alternatives the retrained tuner chooses between.
+        they are the alternatives the re-ranked tuner chooses between.  An
+        observed pinned plan whose backend is not a whole-grid engine makes
+        the corrected profile unplannable (``SearchError``): no tiled or
+        hybrid executor is ever proposed.
         """
         profile = tuner.profile
         anchor = tuner.nearest_instance(plan.params, plan.app)
         synthesized = MeasuredRecord(
             app=plan.app,
             backend=plan.backend,
-            workers=plan.workers,
             params=anchor,
-            tunables=plan.tunables,
             wall_s=observed_s,
             repeats=samples,
         )
@@ -184,4 +184,4 @@ class ShadowTuner:
         corrected = MeasuredProfile(
             system=profile.system, host=dict(profile.host), records=records
         )
-        return MeasuredTuner.train(corrected)
+        return MeasuredTuner(corrected)

@@ -21,12 +21,8 @@ from repro.analysis.speedup import (
 )
 from repro.analysis.aggregate import GroupStats, average_case_table
 from repro.analysis.dispersion import ViolinStats, dispersion_stats
-from repro.analysis.report import render_heatmap, render_table
-from repro.analysis.measured import (
-    measured_report_rows,
-    render_measured_report,
-    write_measured_report,
-)
+from repro.analysis.report import render_heatmap
+from repro.analysis.measured import measured_report_rows, render_measured_report
 
 __all__ = [
     "HeatmapData",
@@ -39,8 +35,6 @@ __all__ = [
     "ViolinStats",
     "dispersion_stats",
     "render_heatmap",
-    "render_table",
     "measured_report_rows",
     "render_measured_report",
-    "write_measured_report",
 ]

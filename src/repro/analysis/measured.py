@@ -2,12 +2,12 @@
 
 Figure 7 of the paper contrasts the *best* exhaustively-searched runtime of
 each instance with the *average* across the configuration space — the gap
-that makes tuning worthwhile — and the tuned configuration's position inside
-it.  This module renders the same story for a measured local-host profile
-(:mod:`repro.autotuner.measured`): per profiled instance, the measured best,
-the measured average case, the runtime of the plan the measured tuner
-selects, and the cost model's prediction for the same instance, so the
-"analytic model vs. this machine" gap is visible in one table.
+that makes tuning worthwhile.  This module renders the same story for a
+measured local-host profile (:mod:`repro.autotuner.measured`): per profiled
+instance, the measured best engine (which is what the measured tuner plans
+there), the measured average case, and the cost model's prediction for the
+best engine, so the "analytic model vs. this machine" gap is visible in one
+table.
 
 Written to ``benchmarks/results/local_profile_report.txt`` by the CLI's
 ``repro profile`` verb.
@@ -15,14 +15,12 @@ Written to ``benchmarks/results/local_profile_report.txt`` by the CLI's
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from repro.analysis.report import render_table
-from repro.autotuner.measured import MeasuredProfile, MeasuredTuner
+from repro.autotuner.measured import MeasuredProfile
 from repro.hardware.costmodel import CostModel
 from repro.hardware.system import SystemSpec
+from repro.utils.tables import format_table
 
 #: Column headers of the per-instance report rows.
 MEASURED_REPORT_HEADERS = (
@@ -34,24 +32,18 @@ MEASURED_REPORT_HEADERS = (
     "best backend",
     "best [ms]",
     "avg [ms]",
-    "tuned backend",
-    "tuned [ms]",
-    "tuned/best",
     "model [ms]",
 )
 
 
 def measured_report_rows(
-    profile: MeasuredProfile,
-    tuner: MeasuredTuner,
-    system: SystemSpec | None = None,
+    profile: MeasuredProfile, system: SystemSpec | None = None
 ) -> list[list[object]]:
     """One row per profiled instance (see :data:`MEASURED_REPORT_HEADERS`).
 
-    ``tuned [ms]`` is the *measured* wall of the configuration the tuner
-    selects for the instance; ``model [ms]`` is the profile-calibrated cost
-    model's prediction for the tuned backend, so the last two columns are
-    the predicted-vs-measured gap.
+    ``model [ms]`` is the profile-calibrated cost model's prediction for the
+    best backend, so the ``best [ms]`` / ``model [ms]`` pair is the
+    predicted-vs-measured gap.
     """
     model = None
     if system is not None:
@@ -66,18 +58,9 @@ def measured_report_rows(
         records = profile.records_for(params, app=app)
         best = profile.best(params, app=app)
         walls = np.array([r.wall_s for r in records])
-        plan = tuner.resolve(app, params)
         predicted_ms = ""
         if model is not None:
-            predicted_ms = (
-                model.cpu_backend_time(
-                    plan.backend,
-                    params,
-                    cpu_tile=plan.tunables.cpu_tile,
-                    workers=plan.workers,
-                )
-                * 1e3
-            )
+            predicted_ms = model.engine_time(best.backend, params) * 1e3
         rows.append(
             [
                 app,
@@ -85,12 +68,9 @@ def measured_report_rows(
                 params.tsize,
                 params.dsize,
                 len(records),
-                f"{best.backend}/t{best.tunables.cpu_tile}",
+                best.backend,
                 best.wall_s * 1e3,
                 float(walls.mean()) * 1e3,
-                f"{plan.backend}/t{plan.tunables.cpu_tile}",
-                plan.expected_s * 1e3,
-                plan.expected_s / best.wall_s if best.wall_s > 0 else float("inf"),
                 predicted_ms,
             ]
         )
@@ -98,13 +78,10 @@ def measured_report_rows(
 
 
 def render_measured_report(
-    profile: MeasuredProfile,
-    tuner: MeasuredTuner,
-    system: SystemSpec | None = None,
+    profile: MeasuredProfile, system: SystemSpec | None = None
 ) -> str:
     """The full Figure 7-style text report for one measured profile."""
-    rows = measured_report_rows(profile, tuner, system)
-    tuned_over_best = np.array([float(r[10]) for r in rows])
+    rows = measured_report_rows(profile, system)
     avg_over_best = np.array([float(r[7]) / float(r[6]) for r in rows])
     host = profile.host
     title = (
@@ -112,13 +89,11 @@ def render_measured_report(
         f"({host.get('cpu', '?')}, {host.get('cores', '?')} cores), "
         f"{len(profile)} records over {len(rows)} instances"
     )
-    table = render_table(MEASURED_REPORT_HEADERS, rows, title=title, float_fmt=".3f")
+    table = format_table(MEASURED_REPORT_HEADERS, rows, float_fmt=".3f", title=title)
     summary = [
         "",
         f"average-case gap (avg/best): {avg_over_best.mean():.2f}x "
         f"(max {avg_over_best.max():.2f}x) — what tuning is worth on this host",
-        f"tuned-plan efficiency (tuned/best): mean {tuned_over_best.mean():.3f}, "
-        f"worst {tuned_over_best.max():.3f} (1.0 = measured optimum)",
         "",
         "model [ms] is the profile-calibrated analytic cost model on the paper's",
         "synthetic tsize scale; the functional kernels emulate tsize only",
@@ -130,16 +105,3 @@ def render_measured_report(
             "NOTE: the profiling sweep hit its time budget and was truncated."
         )
     return table + "\n" + "\n".join(summary) + "\n"
-
-
-def write_measured_report(
-    path: str | Path,
-    profile: MeasuredProfile,
-    tuner: MeasuredTuner,
-    system: SystemSpec | None = None,
-) -> Path:
-    """Render and write the report; parent directories are created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_measured_report(profile, tuner, system), encoding="utf-8")
-    return path

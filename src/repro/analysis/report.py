@@ -8,10 +8,8 @@ EXPERIMENTS.md records.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from repro.analysis.heatmap import HeatmapData
-from repro.utils.tables import format_grid, format_table
+from repro.utils.tables import format_grid
 
 
 def render_heatmap(heatmap: HeatmapData, float_fmt: str = ".0f") -> str:
@@ -29,12 +27,3 @@ def render_heatmap(heatmap: HeatmapData, float_fmt: str = ".0f") -> str:
     )
     return f"{title}\n{grid}"
 
-
-def render_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    title: str | None = None,
-    float_fmt: str = ".3f",
-) -> str:
-    """Text rendering of a generic results table."""
-    return format_table(headers, rows, float_fmt=float_fmt, title=title)

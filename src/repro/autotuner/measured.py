@@ -7,28 +7,25 @@ the machine actually running the code:
 
 1. **Profile** — :func:`profile_host` introspects the local host
    (:func:`repro.hardware.system.detect_local_system`), runs timed
-   functional sweeps of the registered CPU engines (``serial``,
-   ``vectorized``, ``mp-parallel``, ``pipelined``) over an instance grid,
-   and collects the wall-clocks into a :class:`MeasuredProfile`.
-2. **Train** — :meth:`MeasuredTuner.train` converts the profile into
-   :class:`repro.autotuner.exhaustive.SearchResults`-compatible records and
-   feeds them through the existing
-   :class:`repro.autotuner.training.TrainingSetBuilder` →
-   :class:`repro.autotuner.models.LearnedTuner` path, so the model trees are
-   fitted on real wall-clock instead of cost-model synthetic data.  The
-   fitted tuner persists via :func:`repro.autotuner.persistence.save_tuner`,
-   the profile via :func:`save_profile` (both JSON, both format-versioned).
-3. **Tune** — :meth:`MeasuredTuner.resolve` answers deployment queries
+   functional sweeps of the registered whole-grid engines (``serial``,
+   ``vectorized``) over an instance grid, and collects the wall-clocks into
+   a :class:`MeasuredProfile`, persisted via :func:`save_profile` (JSON,
+   format-versioned).
+2. **Tune** — :meth:`MeasuredTuner.resolve` answers deployment queries
    through the :class:`~repro.autotuner.protocol.Tuner` protocol: the
-   backend is resolved from the measured per-backend bests (the measured
-   analogue of the cost-model engine dimension), the tile from the learned
-   model snapped onto the measured tile grid, and the expected runtime is
-   the measured wall of the nearest profiled record.  The tuner keeps no
-   plan cache of its own: the session's plan cache answers repeats.
+   fastest measured engine at the nearest profiled instance, with that
+   record's wall as ``expected_s``.  The tuner holds nothing but the
+   profile and keeps no plan cache of its own: the session's plan cache
+   answers repeats.
 
-The CLI exposes the pipeline as ``repro profile`` (steps 1+2, plus the
+The tiled engines (``mp-parallel``, ``pipelined``) are not profiled and
+never planned: on the hosts this runs on their tile and worker count never
+beat the whole-grid sweep, so they stay reachable only through a pinned
+:class:`~repro.facade.policy.ExecutionPolicy`.
+
+The CLI exposes the pipeline as ``repro profile`` (step 1, plus the
 predicted-vs-measured report of :mod:`repro.analysis.measured`) and
-``repro tune --system local`` (step 3).
+``repro tune --system local`` (step 2).
 """
 
 from __future__ import annotations
@@ -37,17 +34,14 @@ import math
 import platform as _platform
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.exceptions import ArtifactError, SearchError
+from repro.core.exceptions import ArtifactError, SearchError, UsageError
 from repro.core.params import InputParams, TunableParams
 from repro.apps.registry import available_applications, get_application
-from repro.autotuner.exhaustive import SearchRecord, SearchResults
-from repro.autotuner.models import LearnedTuner
 from repro.autotuner.protocol import PlanDecision, Tuner
-from repro.autotuner.training import TrainingSetBuilder
 from repro.hardware.calibration import constants_from_measurements
 from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec, detect_local_system
@@ -55,21 +49,21 @@ from repro.runtime.registry import engines_with, get_executor
 from repro.utils.serialization import load_json, save_json
 
 #: Format marker written into every profile file (bumped on layout changes;
-#: 2: ``backend`` is a registry engine name, no ``hybrid-<engine>`` rows).
-PROFILE_FORMAT_VERSION = 2
+#: 2: ``backend`` is a registry engine name, no ``hybrid-<engine>`` rows;
+#: 3: whole-grid engines only, records carry no ``workers`` / ``cpu_tile``).
+PROFILE_FORMAT_VERSION = 3
 
 #: Default artifact locations, relative to the working directory
 #: (see ``docs/artifacts.md`` for the naming scheme).
 DEFAULT_PROFILE_PATH = Path("benchmarks") / "results" / "local_profile.json"
-DEFAULT_MODEL_PATH = Path("benchmarks") / "results" / "local_tuner.json"
 DEFAULT_REPORT_PATH = Path("benchmarks") / "results" / "local_profile_report.txt"
 
-#: CPU backends the profiler can time: every registered whole-grid and
-#: tiled engine (the hybrid executor would re-time the engine it fills with).
-PROFILED_BACKENDS = tuple(engines_with("serial") + engines_with("multicore"))
+#: Backends the profiler times and the tuner plans: every registered
+#: whole-grid engine, best first (no tile, one worker).
+PROFILED_BACKENDS = tuple(engines_with("serial"))
 
-#: The backend every profile must contain: it is the speedup reference and
-#: the source of the training set's serial baselines.
+#: The backend every profile must contain: it is the speedup reference of
+#: each instance.
 REFERENCE_BACKEND = "serial"
 
 
@@ -78,35 +72,22 @@ REFERENCE_BACKEND = "serial"
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MeasuredRecord:
-    """One timed (application, backend, configuration) point."""
+    """One timed (application, instance, backend) point."""
 
     app: str
     backend: str
-    workers: int
     params: InputParams
-    tunables: TunableParams
     wall_s: float
     repeats: int = 1
-
-    def to_search_record(self) -> SearchRecord:
-        """The :class:`SearchRecord` view used by the training pipeline."""
-        return SearchRecord(
-            params=self.params,
-            tunables=self.tunables,
-            rtime=self.wall_s,
-            exceeded_threshold=False,
-        )
 
     def to_dict(self) -> dict:
         """JSON-serialisable representation."""
         return {
             "app": self.app,
             "backend": self.backend,
-            "workers": self.workers,
             "dim": self.params.dim,
             "tsize": self.params.tsize,
             "dsize": self.params.dsize,
-            "cpu_tile": self.tunables.cpu_tile,
             "wall_s": self.wall_s,
             "repeats": self.repeats,
         }
@@ -117,11 +98,9 @@ class MeasuredRecord:
         return cls(
             app=str(data["app"]),
             backend=str(data["backend"]),
-            workers=int(data["workers"]),
             params=InputParams(
                 dim=int(data["dim"]), tsize=float(data["tsize"]), dsize=int(data["dsize"])
             ),
-            tunables=TunableParams(cpu_tile=int(data["cpu_tile"])),
             wall_s=float(data["wall_s"]),
             repeats=int(data.get("repeats", 1)),
         )
@@ -213,33 +192,6 @@ class MeasuredProfile:
         """The measured serial-reference wall of one instance."""
         return self.best_for_backend(params, REFERENCE_BACKEND, app=app).wall_s
 
-    # ------------------------------------------------------------------
-    # Bridges into the existing training pipeline
-    # ------------------------------------------------------------------
-    def to_search_results(self) -> SearchResults:
-        """:class:`SearchResults`-compatible view of the measured records.
-
-        For every (instance, tunables) point the *fastest backend's* wall is
-        kept — the backend is a separately-resolved dimension, exactly like
-        the cost-model tuner's engine dimension, so the learned models see
-        one runtime per configuration.  Serial baselines come from the
-        measured :data:`REFERENCE_BACKEND` walls.  Applications sharing an
-        input signature (same dim/tsize/dsize) pool their measurements —
-        for the learned models an instance *is* its signature.  No
-        90-second threshold applies: every measured point really ran.
-        """
-        results = SearchResults(system=self.system, threshold_s=math.inf)
-        for params in self.instances():
-            results.serial_times[params] = self.serial_time(params)
-            best_by_config: dict[TunableParams, MeasuredRecord] = {}
-            for record in self.records_for(params):
-                current = best_by_config.get(record.tunables)
-                if current is None or record.wall_s < current.wall_s:
-                    best_by_config[record.tunables] = record
-            for record in best_by_config.values():
-                results.add(record.to_search_record())
-        return results
-
     def calibrated_constants(self, system: SystemSpec) -> CostConstants:
         """Cost constants fitted to this profile's serial/vectorized walls."""
         serial_walls = {
@@ -305,18 +257,16 @@ def load_profile(path: str | Path) -> MeasuredProfile:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ProfileConfig:
-    """What :func:`profile_host` measures: the instance/configuration grid.
+    """What :func:`profile_host` measures: the instance grid.
 
-    ``tiles`` are the candidate ``cpu_tile`` sides for the tiled backends
-    (the whole-grid engines ignore the tile and are measured once at
-    ``cpu_tile=1``); ``budget_s`` truncates the sweep when the wall-clock
-    budget is exhausted, so quick runs stay quick even on slow hosts.
+    Every instance is timed on every :data:`PROFILED_BACKENDS` engine;
+    ``budget_s`` truncates the sweep when the wall-clock budget is
+    exhausted, so quick runs stay quick even on slow hosts.
 
     The default app grid spans the arithmetic-intensity classes the
     registry offers: the fine-grained comparison kernels, the probabilistic
     max-product recurrence (``viterbi``, ``tsize`` 0.75) and the
-    transcendental-heavy log-space sum (``stochastic-path``, ``tsize`` 2.0)
-    — so learned records cover the new probabilistic workload class too.
+    transcendental-heavy log-space sum (``stochastic-path``, ``tsize`` 2.0).
     """
 
     apps: tuple[str, ...] = (
@@ -327,9 +277,6 @@ class ProfileConfig:
         "stochastic-path",
     )
     dims: tuple[int, ...] = (128, 256, 512, 768)
-    backends: tuple[str, ...] = PROFILED_BACKENDS
-    tiles: tuple[int, ...] = (8, 16, 32, 64, 128)
-    workers: tuple[int, ...] | None = None
     repeats: int = 3
     budget_s: float = 300.0
 
@@ -339,57 +286,23 @@ class ProfileConfig:
         return cls(
             apps=("lcs", "synthetic", "viterbi"),
             dims=(128, 256, 512),
-            backends=("serial", "vectorized", "mp-parallel"),
-            tiles=(32, 128),
             repeats=2,
             budget_s=50.0,
         )
 
     def validate(self) -> None:
-        """Raise :class:`SearchError` on an unusable grid."""
-        if not self.apps or not self.dims or not self.backends:
-            raise SearchError("profile grid needs at least one app, dim and backend")
-        if REFERENCE_BACKEND not in self.backends:
-            raise SearchError(
-                f"profile grid must include the {REFERENCE_BACKEND!r} reference backend"
-            )
+        """Raise :class:`UsageError` on an unusable grid, before anything runs."""
+        if not self.apps or not self.dims:
+            raise UsageError("profile grid needs at least one app and one dim")
         unknown = set(self.apps) - set(available_applications())
         if unknown:
-            raise SearchError(f"unknown applications in profile grid: {sorted(unknown)}")
-        unknown = set(self.backends) - set(PROFILED_BACKENDS)
-        if unknown:
-            raise SearchError(f"unknown backends in profile grid: {sorted(unknown)}")
+            raise UsageError(f"unknown applications in profile grid: {sorted(unknown)}")
+        if min(self.dims) < 2:
+            raise UsageError(f"profile dims must be >= 2, got {min(self.dims)}")
         if self.repeats < 1:
-            raise SearchError(f"repeats must be >= 1, got {self.repeats}")
-        if self.budget_s <= 0:
-            raise SearchError(f"budget_s must be positive, got {self.budget_s}")
-
-
-def _worker_candidates(system: SystemSpec) -> tuple[int, ...]:
-    """Powers of two up to the host's core count, always including the count."""
-    budget = max(1, system.cpu.cores)
-    counts: list[int] = []
-    w = 1
-    while w < budget:
-        counts.append(w)
-        w *= 2
-    counts.append(budget)
-    return tuple(dict.fromkeys(counts))
-
-
-def _backend_configs(
-    tiled: bool, dim: int, config: ProfileConfig, worker_candidates: tuple[int, ...]
-) -> list[tuple[TunableParams, int]]:
-    """(tunables, workers) points measured for one backend at one ``dim``.
-
-    The single-core whole-grid engines ignore the tile, so they contribute
-    exactly one point; the ``tiled`` (multicore) engines sweep the tile grid
-    (clipped to the instance) and the worker counts.
-    """
-    if not tiled:
-        return [(TunableParams(cpu_tile=1), 1)]
-    tiles = dict.fromkeys(min(t, dim) for t in config.tiles)
-    return [(TunableParams(cpu_tile=t), w) for t in tiles for w in worker_candidates]
+            raise UsageError(f"repeats must be >= 1, got {self.repeats}")
+        if not (math.isfinite(self.budget_s) and self.budget_s > 0):
+            raise UsageError(f"budget_s must be finite and > 0, got {self.budget_s}")
 
 
 def profile_host(
@@ -399,7 +312,7 @@ def profile_host(
 ) -> MeasuredProfile:
     """Run the timed sweep and return the :class:`MeasuredProfile`.
 
-    Every (app, dim, backend, configuration) point is executed functionally
+    Every (app, dim, backend) point is executed functionally
     ``config.repeats`` times and the best wall is recorded, mirroring the
     ``bench`` CLI.  The sweep visits instances in order and stops early when
     ``config.budget_s`` is exhausted (recorded as ``host["truncated"]``), so
@@ -409,9 +322,6 @@ def profile_host(
     system = system if system is not None else detect_local_system()
     config = config if config is not None else ProfileConfig()
     config.validate()
-    worker_candidates = (
-        tuple(config.workers) if config.workers else _worker_candidates(system)
-    )
     say = progress if progress is not None else (lambda _msg: None)
 
     profile = MeasuredProfile(
@@ -428,12 +338,11 @@ def profile_host(
             "truncated": False,
         },
     )
-    # Reference backend first within every instance (serial baselines), then
-    # the cheap whole-grid engines, then the tiled/multicore sweeps.
+    # Reference backend first within every instance (serial baselines).
     ordered_backends = [REFERENCE_BACKEND] + [
-        b for b in config.backends if b != REFERENCE_BACKEND
+        b for b in PROFILED_BACKENDS if b != REFERENCE_BACKEND
     ]
-    tiled = engines_with("multicore")  # only these take a tile and a worker count
+    whole_grid = TunableParams()  # the whole-grid engines take no tile
     t_start = time.perf_counter()
     truncated = False
     for app_name in config.apps:
@@ -442,35 +351,27 @@ def profile_host(
             problem = app.problem(dim)
             params = problem.input_params()
             for backend in ordered_backends:
-                for tunables, workers in _backend_configs(
-                    backend in tiled, dim, config, worker_candidates
+                if (
+                    backend != REFERENCE_BACKEND
+                    and time.perf_counter() - t_start > config.budget_s
                 ):
-                    if (
-                        backend != REFERENCE_BACKEND
-                        and time.perf_counter() - t_start > config.budget_s
-                    ):
-                        truncated = True
-                        break
-                    engine_kwargs = {"workers": workers} if backend in tiled else {}
-                    executor = get_executor(backend, system, **engine_kwargs)
-                    best = math.inf
-                    for _ in range(config.repeats):
-                        t0 = time.perf_counter()
-                        executor.execute(problem, tunables, mode="functional")
-                        best = min(best, time.perf_counter() - t0)
-                    profile.add(
-                        MeasuredRecord(
-                            app=app_name,
-                            backend=backend,
-                            workers=workers,
-                            params=params,
-                            tunables=tunables.clipped(dim),
-                            wall_s=best,
-                            repeats=config.repeats,
-                        )
-                    )
-                if truncated:
+                    truncated = True
                     break
+                executor = get_executor(backend, system)
+                best = math.inf
+                for _ in range(config.repeats):
+                    t0 = time.perf_counter()
+                    executor.execute(problem, whole_grid, mode="functional")
+                    best = min(best, time.perf_counter() - t0)
+                profile.add(
+                    MeasuredRecord(
+                        app=app_name,
+                        backend=backend,
+                        params=params,
+                        wall_s=best,
+                        repeats=config.repeats,
+                    )
+                )
             say(
                 f"profiled {app_name} dim={dim}: "
                 f"{len(profile.records_for(params, app=app_name))} points"
@@ -490,68 +391,33 @@ def profile_host(
 # The measured tuner
 # ----------------------------------------------------------------------
 class MeasuredTuner(Tuner):
-    """A tuner trained on measured wall-clocks of the local host.
+    """A tuner that ranks the engines it measured on the local host.
 
-    Wraps the measured profile (ground truth for profiled instances) and the
-    :class:`LearnedTuner` fitted on it (generalisation to unseen instances).
-    Construct via :meth:`train` or, when model and profile were persisted,
-    via :meth:`from_files`.
+    Holds only the :class:`MeasuredProfile`; nothing is fitted.  An unseen
+    instance is answered from the nearest profiled one.  Construct it from
+    a persisted profile with ``MeasuredTuner(load_profile(path))``.
     """
 
     kind = "measured"
 
-    def __init__(self, profile: MeasuredProfile, model: LearnedTuner) -> None:
-        self.profile = profile
-        self.model = model
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def train(
-        cls, profile: MeasuredProfile, builder: TrainingSetBuilder | None = None
-    ) -> "MeasuredTuner":
-        """Fit the learned models on the measured records.
-
-        The profile's instance grid is small compared to the synthetic Table 3
-        sweep, so the default builder keeps every instance in the training
-        split (``instance_stride=1``) instead of holding half out.
-        """
+    def __init__(self, profile: MeasuredProfile) -> None:
         if not profile.records:
-            raise SearchError("cannot train a measured tuner on an empty profile")
-        builder = builder if builder is not None else TrainingSetBuilder(instance_stride=1)
-        results = profile.to_search_results()
-        training = builder.build(results)
-        tile_grid = tuple(sorted({r.tunables.cpu_tile for r in profile.records}))
-        model = LearnedTuner(
-            system_name=profile.system,
-            supports_gpu=False,
-            supports_dual_gpu=False,
-            cpu_tile_choices=tile_grid,
-        ).fit(training)
-        return cls(profile, model)
+            raise SearchError("a measured tuner needs a non-empty profile")
+        unplannable = {r.backend for r in profile.records} - set(PROFILED_BACKENDS)
+        if unplannable:
+            raise SearchError(
+                f"measured profile holds records of {sorted(unplannable)}; "
+                f"a measured tuner plans only {list(PROFILED_BACKENDS)}"
+            )
+        self.profile = profile
 
-    @classmethod
-    def from_files(
-        cls,
-        profile_path: str | Path = DEFAULT_PROFILE_PATH,
-        model_path: str | Path = DEFAULT_MODEL_PATH,
-    ) -> "MeasuredTuner":
-        """Load a persisted profile + trained model pair."""
-        from repro.autotuner.persistence import load_tuner
-
-        return cls(load_profile(profile_path), load_tuner(model_path))
-
-    # ------------------------------------------------------------------
-    # Deployment queries
-    # ------------------------------------------------------------------
     def nearest_instance(self, params: InputParams, app: str | None = None) -> InputParams:
         """The profiled instance closest to ``params`` in feature space.
 
-        Distance is Euclidean in (log dim, log tsize, dsize) — the scales
-        the learned models split on.  With ``app`` given and present in the
-        profile, only that application's instances are candidates, so two
-        apps sharing an input signature anchor to their own measurements.
+        Distance is Euclidean in (log dim, log tsize, dsize).  With ``app``
+        given and present in the profile, only that application's instances
+        are candidates, so two apps sharing an input signature anchor to
+        their own measurements.
         """
         if app is not None and app in self.profile.apps():
             instances = list(
@@ -559,8 +425,6 @@ class MeasuredTuner(Tuner):
             )
         else:
             instances = self.profile.instances()
-        if not instances:
-            raise SearchError("measured profile contains no instances")
 
         def distance(candidate: InputParams) -> float:
             return (
@@ -571,46 +435,19 @@ class MeasuredTuner(Tuner):
 
         return min(instances, key=distance)
 
-    def _snap_tile(
-        self, backend: str, anchor: InputParams, tile: int, app: str | None = None
-    ) -> tuple[TunableParams, int, float]:
-        """Snap a learned tile onto the measured grid of one backend.
-
-        Returns ``(tunables, workers, wall)`` of the measured record whose
-        tile is closest to the prediction (best workers for that tile).
-        """
-        candidates = self.profile.records_for(
-            anchor, backend=backend, app=self.profile._app_filter(anchor, app)
-        )
-        if not candidates:
-            raise SearchError(
-                f"no measured records for backend {backend!r} at instance {anchor}"
-            )
-        nearest = min(candidates, key=lambda r: (abs(r.tunables.cpu_tile - tile), r.wall_s))
-        best_at_tile = min(
-            (r for r in candidates if r.tunables.cpu_tile == nearest.tunables.cpu_tile),
-            key=lambda r: r.wall_s,
-        )
-        return best_at_tile.tunables, best_at_tile.workers, best_at_tile.wall_s
-
     def resolve(self, app: str, params: InputParams) -> PlanDecision:
-        """Tuned (backend, workers, tile) decision for one application instance.
+        """Tuned decision for one application instance.
 
         The :class:`~repro.autotuner.protocol.Tuner` protocol entry point:
-        the measured-best backend at the nearest profiled instance of
-        ``app``, the learned tile snapped onto that backend's measured tile
-        grid (clipped to ``params.dim``), and that record's measured wall as
-        ``expected_s``.
+        the fastest measured engine at the nearest profiled instance of
+        ``app``, on one worker with no tile, and that record's measured wall
+        as ``expected_s``.  At a profiled instance this is exactly
+        :meth:`MeasuredProfile.best`.
         """
-        anchor = self.nearest_instance(params, app)
-        best = self.profile.best(anchor, app=app)
-        predicted = self.model.predict(params.features())
-        tunables, workers, expected = self._snap_tile(
-            best.backend, anchor, predicted.cpu_tile, app
-        )
+        best = self.profile.best(self.nearest_instance(params, app), app=app)
         return PlanDecision(
             backend=best.backend,
-            tunables=replace(tunables, cpu_tile=min(tunables.cpu_tile, params.dim)),
-            workers=workers,
-            expected_s=expected,
+            tunables=TunableParams(),
+            workers=1,
+            expected_s=best.wall_s,
         )

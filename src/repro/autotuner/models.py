@@ -45,17 +45,14 @@ class LearnedTuner:
     """The fitted gate + per-parameter models for one system.
 
     Not a :class:`~repro.autotuner.protocol.Tuner` itself: the deployable
-    strategies (:class:`~repro.autotuner.tuner.AutoTuner`,
-    :class:`~repro.autotuner.measured.MeasuredTuner`) call :meth:`predict`
-    and price the answer with their own clock.
+    :class:`~repro.autotuner.tuner.AutoTuner` calls :meth:`predict` and
+    prices the answer with the cost model.  Predicted cpu tiles snap to the
+    paper's Table 3 grid (:data:`~repro.core.parameter_space.PAPER_CPU_TILES`).
     """
 
     system_name: str
     supports_gpu: bool = True
     supports_dual_gpu: bool = True
-    #: Discrete cpu-tile values predictions snap to.  The paper's Table 3
-    #: grid by default; the measured pipeline passes the tile grid it swept.
-    cpu_tile_choices: tuple[int, ...] = PAPER_CPU_TILES
     gate: LinearSVM = field(default_factory=LinearSVM)
     cpu_tile_model: M5ModelTree = field(
         default_factory=lambda: M5ModelTree(min_leaf=3, smoothing_k=5.0)
@@ -123,7 +120,7 @@ class LearnedTuner:
         # CPU tile size from the input parameters only (always needed: even a
         # "no parallelism worth it" verdict still runs the tiled CPU code path,
         # so a sensible tile size is part of the answer).
-        cpu_tile = _snap(float(self.cpu_tile_model.predict(x_input)), self.cpu_tile_choices)
+        cpu_tile = _snap(float(self.cpu_tile_model.predict(x_input)), PAPER_CPU_TILES)
 
         # Step 1: is parallelism (in particular GPU offload) worth it at all?
         if not bool(self.gate.predict_bool(x_input)[0]):
@@ -179,7 +176,6 @@ class LearnedTuner:
             "system_name": self.system_name,
             "supports_gpu": self.supports_gpu,
             "supports_dual_gpu": self.supports_dual_gpu,
-            "cpu_tile_choices": list(self.cpu_tile_choices),
             "gate": self.gate.to_dict(),
             "cpu_tile_model": self.cpu_tile_model.to_dict(),
             "gpu_use_model": self.gpu_use_model.to_dict(),
@@ -194,9 +190,6 @@ class LearnedTuner:
             system_name=data["system_name"],
             supports_gpu=bool(data["supports_gpu"]),
             supports_dual_gpu=bool(data["supports_dual_gpu"]),
-            cpu_tile_choices=tuple(
-                int(t) for t in data.get("cpu_tile_choices", PAPER_CPU_TILES)
-            ),
         )
         tuner.gate = LinearSVM.from_dict(data["gate"])
         tuner.cpu_tile_model = M5ModelTree.from_dict(data["cpu_tile_model"])

@@ -20,6 +20,8 @@ from repro.ml.dataset import Dataset
 INPUT_FEATURES = ("dim", "tsize", "dsize")
 #: Tunable parameters the learned models predict.
 TARGET_PARAMETERS = ("cpu_tile", "band", "gpu_count", "gpu_tile", "halo")
+#: Every INSTANCE_STRIDE-th (shuffled) instance trains; the rest are held out.
+INSTANCE_STRIDE = 2
 
 
 @dataclass
@@ -74,7 +76,6 @@ class TrainingSetBuilder:
     def __init__(
         self,
         best_per_instance: int = 5,
-        instance_stride: int = 2,
         parallel_margin: float = 0.95,
         seed: int | None = 13,
     ) -> None:
@@ -82,14 +83,11 @@ class TrainingSetBuilder:
             raise SearchError(
                 f"best_per_instance must be >= 1, got {best_per_instance}"
             )
-        if instance_stride < 1:
-            raise SearchError(f"instance_stride must be >= 1, got {instance_stride}")
         if not 0.0 < parallel_margin <= 1.0:
             raise SearchError(
                 f"parallel_margin must be in (0, 1], got {parallel_margin}"
             )
         self.best_per_instance = best_per_instance
-        self.instance_stride = instance_stride
         self.parallel_margin = parallel_margin
         self.seed = seed
 
@@ -113,7 +111,7 @@ class TrainingSetBuilder:
 
         shuffled = list(instances)
         make_rng(self.seed).shuffle(shuffled)
-        train = shuffled[:: self.instance_stride]
+        train = shuffled[::INSTANCE_STRIDE]
         train_set = set(train)
         # Preserve sweep order in the reported lists for readability.
         train = [p for p in instances if p in train_set]

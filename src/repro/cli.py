@@ -11,16 +11,15 @@ workflow verbs:
 * ``repro-tune tune --system i7-3820 --app nash-equilibrium --dim 1900`` —
   resolve and print the tuned plan without executing (optionally
   saving/loading the trained model so training happens only once);
-  ``--system local`` answers from the *measured* model produced by
-  ``profile``;
+  ``--system local`` answers from the *measured* profile ``profile``
+  writes;
 * ``repro-tune bench --dim 512`` — functionally execute every registered
   executor x application pair through manual session plans, print the
   wall-clock speedup table and write the raw measurements as JSON under
   ``benchmarks/results/``;
-* ``repro-tune profile`` — time the live CPU backends on this machine,
-  train a tuner on the measured wall-clocks, and write the profile, the
-  model and the predicted-vs-measured report (``--quick`` keeps it within
-  a CI-friendly budget);
+* ``repro-tune profile`` — time the whole-grid CPU engines on this
+  machine and write the measured profile and the predicted-vs-measured
+  report (``--quick`` keeps it within a CI-friendly budget);
 * ``repro-tune report`` — render analysis reports: the Figure 5 band/halo
   heatmaps of an exhaustive sweep (``--kind heatmap``) or the Figure 7
   predicted-vs-measured summary of the local profile (``--kind measured``).
@@ -59,11 +58,7 @@ from pathlib import Path
 
 from repro.adaptive import ADAPTIVE_MODES, render_adaptive_report
 from repro.apps.registry import available_applications
-from repro.autotuner.measured import (
-    DEFAULT_MODEL_PATH,
-    DEFAULT_PROFILE_PATH,
-    DEFAULT_REPORT_PATH,
-)
+from repro.autotuner.measured import DEFAULT_PROFILE_PATH, DEFAULT_REPORT_PATH
 from repro.core.exceptions import (
     ArtifactError,
     RegistryError,
@@ -187,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resolve the tuned plan for one application instance "
         "through a Session without executing it.  The learned tuner trains "
         "on the synthetic sweep (or loads a previously saved model); with "
-        "--system local the measured model produced by 'repro-tune profile' "
+        "--system local the measured profile written by 'repro-tune profile' "
         "is loaded instead and answers come from real wall-clocks.",
         epilog="examples:\n"
         "  repro-tune tune --system i7-3820 --app nash-equilibrium --dim 1900\n"
         "  repro-tune tune --system i7-2600K --app synthetic --tsize 750 --dsize 4\n"
         "  repro-tune tune --save-model model.json   # train once, reuse later\n"
         "  repro-tune tune --load-model model.json --app lcs --dim 2700\n"
-        "  repro-tune tune --system local --app lcs --dim 512   # measured model",
+        "  repro-tune tune --system local --app lcs --dim 512   # measured profile",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     _add_system_arg(tune, "i7-2600K", local=True)
@@ -210,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--dim", type=int, default=1900, help="problem size (grid side length)")
     tune.add_argument("--tsize", type=float, default=None, help="override the app's task granularity (synthetic only)")
     tune.add_argument("--dsize", type=int, default=None, help="override the app's data granularity (synthetic only)")
-    tune.add_argument("--save-model", type=Path, default=None, help="save the trained models as JSON")
-    tune.add_argument("--load-model", type=Path, default=None, help="load previously trained models instead of training")
+    tune.add_argument("--save-model", type=Path, default=None, help="save the trained models as JSON (not with --system local)")
+    tune.add_argument("--load-model", type=Path, default=None, help="load previously trained models instead of training (not with --system local)")
 
     bench = sub.add_parser(
         "bench",
@@ -256,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="measure the live CPU backends on this host and train a tuner",
+        help="measure the whole-grid CPU engines on this host",
         description="Introspect this machine, run timed functional sweeps of "
-        "the registered CPU backends over an instance grid, train the tuner "
-        "on the measured wall-clocks, and write the profile JSON, the trained "
-        "model and the Figure 7-style predicted-vs-measured report.  The "
-        "result is what 'repro-tune tune --system local' deploys.",
+        "the registered whole-grid engines over an instance grid, and write "
+        "the profile JSON and the Figure 7-style predicted-vs-measured "
+        "report.  The profile is what 'repro-tune tune --system local' "
+        "deploys: the fastest measured engine at the nearest instance.",
         epilog="examples:\n"
         "  repro-tune profile --quick      # CI / 1-core budget (< 60 s)\n"
         "  repro-tune profile --repeats 5\n"
@@ -292,12 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"profile JSON output path (default: {DEFAULT_PROFILE_PATH})",
     )
     profile.add_argument(
-        "--model-out",
-        type=Path,
-        default=DEFAULT_MODEL_PATH,
-        help=f"trained tuner output path (default: {DEFAULT_MODEL_PATH})",
-    )
-    profile.add_argument(
         "--report-out",
         type=Path,
         default=DEFAULT_REPORT_PATH,
@@ -310,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Render analysis reports through the session: "
         "--kind heatmap sweeps the synthetic application exhaustively and "
         "prints the Figure 5 band/halo heatmaps; --kind measured re-renders "
-        "the Figure 7-style predicted-vs-measured report from the artifacts "
+        "the Figure 7-style predicted-vs-measured report from the profile "
         "'repro-tune profile' wrote.",
         epilog="examples:\n"
         "  repro-tune report --system i7-2600K\n"
@@ -503,12 +492,6 @@ def _add_report_args(parser: argparse.ArgumentParser) -> None:
         help="measured profile JSON for --kind measured",
     )
     parser.add_argument(
-        "--model-file",
-        type=Path,
-        default=DEFAULT_MODEL_PATH,
-        help="trained measured model for --kind measured",
-    )
-    parser.add_argument(
         "--metrics-file",
         type=Path,
         default=DEFAULT_BENCH_DIR / "serve_metrics.json",
@@ -519,7 +502,7 @@ def _add_report_args(parser: argparse.ArgumentParser) -> None:
         "--out",
         type=Path,
         default=None,
-        help="write the measured report here instead of a temporary rendering",
+        help="also write the measured report to this file",
     )
 
 
@@ -603,16 +586,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_tune_local(args: argparse.Namespace) -> int:
-    """The measured-model deployment path (``tune --system local``)."""
-    if args.save_model is not None:
-        print("note: --save-model is ignored with --system local (nothing is trained)")
+    """The measured-profile deployment path (``tune --system local``)."""
+    if args.save_model is not None or args.load_model is not None:
+        raise UsageError(
+            "--save-model / --load-model apply to the learned tuner; "
+            "--system local plans from the measured profile alone"
+        )
     session = _session_for(args, tuner="measured")
     with session:
-        tuner = session.tuner  # raises ArtifactError when artifacts are missing
+        tuner = session.tuner  # raises ArtifactError when the profile is missing
         profile_path = args.profile_file or DEFAULT_PROFILE_PATH
-        model_path = args.load_model or DEFAULT_MODEL_PATH
         print(f"loaded measured profile {profile_path} ({len(tuner.profile)} records)")
-        print(f"loaded measured model   {model_path}")
 
         overrides = _synthetic_overrides(args)
         plan = session.plan(args.app, args.dim, **overrides)
@@ -809,46 +793,50 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """The ``profile`` verb: measure, train, persist, report."""
+    """The ``profile`` verb: measure, persist, report."""
     from dataclasses import replace
 
-    from repro.analysis.measured import write_measured_report
+    from repro.analysis.measured import render_measured_report
     from repro.autotuner.measured import ProfileConfig, save_profile
-    from repro.autotuner.persistence import save_tuner
 
     config = ProfileConfig.quick() if args.quick else ProfileConfig()
     overrides = {}
     if args.apps is not None:
         overrides["apps"] = tuple(args.apps.split(","))
     if args.dims is not None:
-        overrides["dims"] = tuple(int(d) for d in args.dims.split(","))
+        try:
+            overrides["dims"] = tuple(int(d) for d in args.dims.split(","))
+        except ValueError:
+            raise UsageError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     if args.repeats is not None:
         overrides["repeats"] = args.repeats
     if args.budget_s is not None:
         overrides["budget_s"] = args.budget_s
-    if overrides:
-        config = replace(config, **overrides)
+    config = replace(config, **overrides)
+    config.validate()  # a bad grid is a usage error before anything is measured
 
     with Session(system="local") as session:
         system = session.system
         print(system.describe())
         print(
             f"\nprofiling {len(config.apps)} applications x {len(config.dims)} dims "
-            f"on {len(config.backends)} backends "
             f"(repeats={config.repeats}, budget={config.budget_s:g}s) ...\n"
         )
         profile = session.profile(config, progress=print)
         save_profile(profile, args.out)
         print(f"\nwrote {len(profile)} measured records to {args.out}")
 
-        tuner = session.train_measured(profile)
-        save_tuner(tuner.model, args.model_out)
-        print(f"wrote trained measured tuner to {args.model_out}")
-
-        report_path = write_measured_report(args.report_out, profile, tuner, system)
-        print(f"wrote predicted-vs-measured report to {report_path}\n")
-        print(report_path.read_text(encoding="utf-8"))
+        report = render_measured_report(profile, system)
+        _write_text(args.report_out, report)
+        print(f"wrote predicted-vs-measured report to {args.report_out}\n")
+        print(report)
     return EXIT_OK
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, creating parent directories."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -876,10 +864,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _report_measured(args: argparse.Namespace) -> int:
-    """Re-render the predicted-vs-measured report from persisted artifacts."""
-    import tempfile
-
-    from repro.analysis.measured import write_measured_report
+    """Re-render the predicted-vs-measured report from a persisted profile."""
+    from repro.analysis.measured import render_measured_report
     from repro.facade.tuners import make_tuner
 
     if args.system != "i7-2600K":  # a non-default --system was requested
@@ -889,19 +875,12 @@ def _report_measured(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     with Session(system="local") as session:
-        tuner = make_tuner(
-            "measured",
-            session.system,
-            model_path=args.model_file,
-            profile_path=args.profile_file,
-        )
-        out = args.out
-        if out is None:
-            out = Path(tempfile.gettempdir()) / "repro_measured_report.txt"
-        report_path = write_measured_report(out, tuner.profile, tuner, session.system)
-        print(report_path.read_text(encoding="utf-8"))
+        tuner = make_tuner("measured", session.system, profile_path=args.profile_file)
+        report = render_measured_report(tuner.profile, session.system)
+        print(report)
         if args.out is not None:
-            print(f"wrote predicted-vs-measured report to {report_path}")
+            _write_text(args.out, report)
+            print(f"wrote predicted-vs-measured report to {args.out}")
     return EXIT_OK
 
 

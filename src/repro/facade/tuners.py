@@ -9,7 +9,7 @@ examples cannot drift apart on what a strategy name means:
   cost-model synthetic sweep at construction (or restored from a saved
   model file without retraining);
 * ``"measured"`` — :class:`repro.autotuner.measured.MeasuredTuner`, loaded
-  from the profile/model artifacts ``repro profile`` writes;
+  from the profile ``repro profile`` writes (it has no model file);
 * ``"exhaustive"`` — :class:`repro.autotuner.protocol.ExhaustiveTuner`,
   the per-instance sweep needing no training.
 """
@@ -38,12 +38,13 @@ def make_tuner(
 ) -> Tuner:
     """Build (or pass through) the tuner behind one strategy specification.
 
-    ``model_path`` restores a previously saved model: for ``"learned"`` it
-    skips the training sweep, for ``"measured"`` it overrides the default
-    model artifact location (``profile_path`` likewise for the profile).
-    Raises :class:`~repro.core.exceptions.UsageError` for an unknown
-    strategy name and :class:`~repro.core.exceptions.ArtifactError` when a
-    required artifact is missing or unusable.
+    ``model_path`` restores a previously saved ``"learned"`` model, skipping
+    the training sweep; ``profile_path`` overrides the ``"measured"``
+    profile's default location.  Raises
+    :class:`~repro.core.exceptions.UsageError` for an unknown strategy name
+    or a ``model_path`` given to the model-less ``"measured"`` strategy, and
+    :class:`~repro.core.exceptions.ArtifactError` when a required artifact
+    is missing or unusable.
     """
     if isinstance(spec, Tuner):
         return spec
@@ -55,7 +56,11 @@ def make_tuner(
     if spec == "learned":
         return _make_learned(system, space, constants, model_path)
     if spec == "measured":
-        return _make_measured(model_path, profile_path)
+        if model_path is not None:
+            raise UsageError(
+                "the measured tuner has no model file: it plans from its profile alone"
+            )
+        return _make_measured(profile_path)
     if spec == "exhaustive":
         return ExhaustiveTuner(system, space, constants)
     raise UsageError(
@@ -84,21 +89,15 @@ def _make_learned(
     return tuner
 
 
-def _make_measured(model_path: str | Path | None, profile_path: str | Path | None):
-    """The ``"measured"`` strategy: load the profile/model artifact pair."""
-    from repro.autotuner.measured import (
-        DEFAULT_MODEL_PATH,
-        DEFAULT_PROFILE_PATH,
-        MeasuredTuner,
-    )
+def _make_measured(profile_path: str | Path | None):
+    """The ``"measured"`` strategy: load the profile and rank its engines."""
+    from repro.autotuner.measured import DEFAULT_PROFILE_PATH, MeasuredTuner, load_profile
 
     try:
-        return MeasuredTuner.from_files(
-            profile_path if profile_path is not None else DEFAULT_PROFILE_PATH,
-            model_path if model_path is not None else DEFAULT_MODEL_PATH,
+        return MeasuredTuner(
+            load_profile(profile_path if profile_path is not None else DEFAULT_PROFILE_PATH)
         )
     except FileNotFoundError as exc:
         raise ArtifactError(
-            f"missing measured artifact ({exc.filename}); "
-            "run 'repro profile' first"
+            f"missing measured profile ({exc.filename}); run 'repro profile' first"
         ) from None

@@ -285,22 +285,6 @@ class CostModel:
         startup = c.mp_worker_startup_s * workers
         return startup + max(ideal_rounds, critical_chain) * tile_time
 
-    def cpu_backend_time(
-        self,
-        backend: str,
-        params: InputParams,
-        cpu_tile: int = 8,
-        workers: int | None = None,
-    ) -> float:
-        """Runtime of one CPU backend by registry name (single- or multicore)."""
-        if backend == "mp-parallel":
-            effective = workers if workers is not None else self.system.cpu.workers
-            return self.mp_parallel_time(params, cpu_tile, effective)
-        if backend == "pipelined":
-            effective = workers if workers is not None else self.system.cpu.workers
-            return self.pipelined_time(params, cpu_tile, effective)
-        return self.engine_time(backend, params)
-
     # ------------------------------------------------------------------
     # GPU band phase
     # ------------------------------------------------------------------

@@ -536,18 +536,11 @@ class Session:
 
         Thin wrapper over :func:`repro.autotuner.measured.profile_host`
         returning the :class:`~repro.autotuner.measured.MeasuredProfile`;
-        pair with :meth:`train_measured` to turn the profile into a
-        deployable tuner.
+        ``MeasuredTuner(profile)`` deploys it.
         """
         from repro.autotuner.measured import profile_host
 
         return profile_host(self.system, config, progress=progress)
-
-    def train_measured(self, profile):
-        """Train a measured tuner on a profile (see :meth:`profile`)."""
-        from repro.autotuner.measured import MeasuredTuner
-
-        return MeasuredTuner.train(profile)
 
     def sweep(self, space: ParameterSpace | None = None, instances=None):
         """Exhaustive cost-model sweep of the synthetic application.

@@ -7,7 +7,7 @@ The acceptance contract of the subsystem:
   *exactly there* and nowhere else (shadow mode: observed, never acted);
 * the same replay without faults is drift-free — zero events, zero
   would-be swaps, and every completed request counted as an observation;
-* on a measured tuner a drifted plan is shadow-retrained into a different
+* on a measured tuner a drifted plan is shadow-re-ranked into a different
   proposal that is logged, never installed: the session keeps its plan
   and every answer stays bit-exact;
 * the whole loop is visible in ``/metrics`` and renderable as a report.
@@ -26,7 +26,7 @@ from repro.autotuner.measured import (
     MeasuredTuner,
 )
 from repro.core.exceptions import ServerError
-from repro.core.params import InputParams, TunableParams
+from repro.core.params import InputParams
 from repro.server import FaultPlan, ReproServer, ServerConfig
 from repro.server.loadgen import _adaptive_delta
 from repro.session import Session
@@ -158,13 +158,13 @@ class TestShadowModeOnTrace:
 
 
 # ----------------------------------------------------------------------
-# Shadow retraining on a measured tuner
+# Shadow re-ranking on a measured tuner
 # ----------------------------------------------------------------------
 def synthetic_measured_tuner():
     """A measured tuner whose profile makes vectorized the clear winner.
 
     Serial is measured 4x slower, so a live observation showing the
-    vectorized plan at ~100ms flips the retrained choice to serial —
+    vectorized plan at ~100ms flips the re-ranked choice to serial —
     deterministically, whatever the host.
     """
     records = []
@@ -172,17 +172,10 @@ def synthetic_measured_tuner():
         params = InputParams(dim=dim, tsize=0.5, dsize=0)
         for backend, wall in (("serial", 0.004), ("vectorized", 0.001)):
             records.append(
-                MeasuredRecord(
-                    app="lcs",
-                    backend=backend,
-                    workers=1,
-                    params=params,
-                    tunables=TunableParams(cpu_tile=8),
-                    wall_s=wall,
-                )
+                MeasuredRecord(app="lcs", backend=backend, params=params, wall_s=wall)
             )
     profile = MeasuredProfile(system="local", host={"cores": 1}, records=records)
-    return MeasuredTuner.train(profile)
+    return MeasuredTuner(profile)
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +183,7 @@ def measured_shadow_run():
     """Nine ``lcs`` 48 requests, the 4th and 5th slowed by 0.3 s.
 
     Calibration is 3 executions, so the two faults latch one drift event
-    and the shadow pass retrains the measured tuner.  Returns the answers,
+    and the shadow pass re-ranks the measured profile.  Returns the answers,
     a fault-free reference answer, the session's plan before and after the
     run, and the final ``/metrics`` snapshot.
     """

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.aggregate import average_case_table
 from repro.analysis.dispersion import dispersion_stats, gaussian_kde
 from repro.analysis.heatmap import build_heatmap
-from repro.analysis.report import render_heatmap, render_table
+from repro.analysis.report import render_heatmap
 from repro.analysis.speedup import autotune_speedup_summary, scheme_speedup_summary
 from repro.autotuner.exhaustive import SearchRecord, SearchResults
 from repro.core.exceptions import SearchError
 from repro.core.params import InputParams, TunableParams
+from repro.utils.tables import format_table
 
 
 class TestHeatmap:
@@ -174,6 +175,6 @@ class TestGaussianKDE:
 
 
 class TestReportHelpers:
-    def test_render_table(self):
-        text = render_table(["a", "b"], [[1, 2.5], [3, 4.0]], title="demo")
+    def test_format_table(self):
+        text = format_table(["a", "b"], [[1, 2.5], [3, 4.0]], title="demo")
         assert "demo" in text and "2.500" in text

@@ -1,16 +1,21 @@
 """Tests for the measured-profile autotuning pipeline.
 
-Covers the whole profile → train → tune loop on a deliberately tiny
-instance grid (this runs for real), persistence round-trips including the
-stale ``format_version`` contract, and the tuned-plan cache.
+Covers the profile → tune loop on a deliberately tiny instance grid (this
+runs for real), persistence round-trips including the stale
+``format_version`` contract, and the rule every tuner keeps: no plan names
+a multicore engine or more than one worker.
 """
 
+import ast
+import dataclasses
+import inspect
 import math
 
 import pytest
 
+from repro.apps.registry import available_applications, get_application
+from repro.autotuner import measured as measured_module
 from repro.autotuner.measured import (
-    DEFAULT_MODEL_PATH,
     DEFAULT_PROFILE_PATH,
     PROFILE_FORMAT_VERSION,
     PROFILED_BACKENDS,
@@ -22,19 +27,18 @@ from repro.autotuner.measured import (
     profile_host,
     save_profile,
 )
-from repro.autotuner.persistence import load_tuner, save_tuner
-from repro.core.exceptions import ArtifactError, SearchError
-from repro.core.params import InputParams, TunableParams
+from repro.autotuner.protocol import ExhaustiveTuner
+from repro.core.exceptions import ArtifactError, SearchError, UsageError
+from repro.core.params import InputParams
 from repro.hardware.calibration import constants_from_measurements
 from repro.hardware.system import detect_local_system
+from repro.runtime.registry import engines_with, fill_engine
 from repro.session import Session
 from repro.utils.serialization import load_json, save_json
 
 TINY_CONFIG = ProfileConfig(
     apps=("lcs", "synthetic"),
     dims=(48, 64),
-    backends=("serial", "vectorized", "mp-parallel"),
-    tiles=(8, 16),
     repeats=3,
     budget_s=60.0,
 )
@@ -47,7 +51,16 @@ def tiny_profile():
 
 @pytest.fixture(scope="module")
 def tiny_tuner(tiny_profile):
-    return MeasuredTuner.train(tiny_profile)
+    return MeasuredTuner(tiny_profile)
+
+
+def record(app, backend, dim, wall, tsize=0.5):
+    return MeasuredRecord(
+        app=app,
+        backend=backend,
+        params=InputParams(dim=dim, tsize=tsize, dsize=0),
+        wall_s=wall,
+    )
 
 
 class TestDetectLocalSystem:
@@ -67,7 +80,8 @@ class TestDetectLocalSystem:
 class TestProfileHost:
     def test_grid_is_covered(self, tiny_profile):
         assert len(tiny_profile.instances()) == 4  # 2 apps x 2 dims
-        assert {r.backend for r in tiny_profile.records} == set(TINY_CONFIG.backends)
+        assert {r.backend for r in tiny_profile.records} == set(PROFILED_BACKENDS)
+        assert len(tiny_profile) == 4 * len(PROFILED_BACKENDS)
         assert not tiny_profile.host["truncated"]
 
     def test_serial_reference_every_instance(self, tiny_profile):
@@ -80,42 +94,47 @@ class TestProfileHost:
             assert all(r.wall_s > 0 for r in records)
             assert tiny_profile.best(params).wall_s == min(r.wall_s for r in records)
 
-    def test_reference_backend_required(self):
-        with pytest.raises(SearchError):
-            ProfileConfig(backends=("vectorized",)).validate()
+    def test_profiled_backends_are_the_whole_grid_engines(self):
+        # No second hand-written list, and no tiled engine: the registry's
+        # whole-grid engines, best first.
+        assert PROFILED_BACKENDS == tuple(engines_with("serial"))
+        assert PROFILED_BACKENDS == ("vectorized", "serial")
+        assert not set(PROFILED_BACKENDS) & set(engines_with("multicore"))
 
-    def test_unregistered_backend_rejected(self):
-        with pytest.raises(SearchError, match="unknown backends"):
-            ProfileConfig(backends=("serial", "compiled")).validate()
-
-    def test_profiled_backends_are_the_registered_cpu_engines(self):
-        # No second hand-written list: the registry's whole-grid engines,
-        # best first, then its tiled ones.
-        assert PROFILED_BACKENDS == ("vectorized", "serial", "mp-parallel", "pipelined")
-        assert ProfileConfig().backends == PROFILED_BACKENDS
+    def test_the_grid_is_apps_dims_repeats_and_budget(self):
+        assert [f.name for f in dataclasses.fields(ProfileConfig)] == [
+            "apps", "dims", "repeats", "budget_s",
+        ]
         ProfileConfig().validate()
+        ProfileConfig.quick().validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"apps": ()}, "at least one app"),
+            ({"dims": ()}, "at least one app and one dim"),
+            ({"apps": ("nope",)}, "unknown applications"),
+            ({"dims": (1, 64)}, "dims must be >= 2"),
+            ({"repeats": 0}, "repeats must be >= 1"),
+            ({"budget_s": 0.0}, "finite and > 0"),
+            ({"budget_s": -1.0}, "finite and > 0"),
+            ({"budget_s": math.nan}, "finite and > 0"),
+            ({"budget_s": math.inf}, "finite and > 0"),
+        ],
+    )
+    def test_an_unusable_grid_is_a_usage_error(self, overrides, message):
+        config = dataclasses.replace(ProfileConfig.quick(), **overrides)
+        with pytest.raises(UsageError, match=message):
+            config.validate()
+        with pytest.raises(UsageError, match=message):
+            profile_host(detect_local_system(), config)
 
     def test_budget_truncates_but_keeps_serial(self):
-        config = ProfileConfig(
-            apps=("lcs",),
-            dims=(32, 48),
-            backends=("serial", "vectorized", "mp-parallel"),
-            tiles=(8, 16),
-            repeats=1,
-            budget_s=1e-9,
-        )
+        config = ProfileConfig(apps=("lcs",), dims=(32, 48), repeats=1, budget_s=1e-9)
         profile = profile_host(detect_local_system(), config)
         assert profile.host["truncated"]
         for params in profile.instances():
             assert profile.serial_time(params) > 0
-
-    def test_to_search_results_is_compatible(self, tiny_profile):
-        results = tiny_profile.to_search_results()
-        assert results.system == "local"
-        assert set(results.instances()) == set(tiny_profile.instances())
-        for params in results.instances():
-            assert results.best(params).rtime == tiny_profile.best(params).wall_s
-            assert results.serial_time(params) == tiny_profile.serial_time(params)
 
 
 class TestProfilePersistence:
@@ -126,9 +145,14 @@ class TestProfilePersistence:
         assert restored.records == tiny_profile.records
         assert restored.host["cores"] == tiny_profile.host["cores"]
 
-    @pytest.mark.parametrize("version", [1, PROFILE_FORMAT_VERSION + 1])
+    def test_records_carry_no_tile_or_worker_count(self, tiny_profile):
+        keys = set(tiny_profile.to_dict()["records"][0])
+        assert keys == {"app", "backend", "dim", "tsize", "dsize", "wall_s", "repeats"}
+
+    @pytest.mark.parametrize("version", [1, 2, PROFILE_FORMAT_VERSION + 1])
     def test_stale_format_version_raises(self, tiny_profile, tmp_path, version):
-        # Version 1 profiles carry ``hybrid-<engine>`` rows no engine answers to.
+        # Version 1 profiles carry ``hybrid-<engine>`` rows no engine answers
+        # to; version 2 ones tiled ``mp-parallel`` / ``pipelined`` rows.
         path = save_profile(tiny_profile, tmp_path / "profile.json")
         payload = load_json(path)
         payload["format_version"] = version
@@ -144,31 +168,40 @@ class TestProfilePersistence:
         with pytest.raises(SearchError, match="does not contain"):
             load_profile(path)
 
-    def test_default_paths_are_under_benchmarks(self):
+    def test_default_path_is_under_benchmarks(self):
         assert "benchmarks" in str(DEFAULT_PROFILE_PATH)
-        assert "benchmarks" in str(DEFAULT_MODEL_PATH)
+
+    def test_the_committed_profile_loads_and_plans_whole_grid(self):
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / DEFAULT_PROFILE_PATH
+        tuner = MeasuredTuner(load_profile(path))
+        plan = tuner.resolve("lcs", InputParams(dim=512, tsize=0.5, dsize=0))
+        assert plan.backend in PROFILED_BACKENDS and plan.workers == 1
 
 
 class TestMeasuredTuner:
-    def test_trains_cpu_only_models(self, tiny_tuner):
-        assert tiny_tuner.model.fitted
-        assert not tiny_tuner.model.supports_gpu
-        assert tiny_tuner.model.cpu_tile_choices == (1, 8, 16)
+    def test_holds_only_its_profile(self, tiny_tuner, tiny_profile):
+        assert vars(tiny_tuner) == {"profile": tiny_profile}
 
-    def test_tuned_plan_near_measured_best(self, tiny_tuner):
-        # The pipeline's acceptance bound is 1.25x at `repro profile --quick`
-        # scale (dims >= 128, milliseconds per wall); at this test's tiny
-        # dims the walls are fractions of a millisecond and raw timer noise
-        # between two configurations alone can exceed 25%, so the bound here
-        # is deliberately looser — it still catches picking a genuinely bad
-        # backend or tile.
-        for params in tiny_tuner.profile.instances():
-            records = tiny_tuner.profile.records_for(params)
-            app = records[0].app
-            plan = tiny_tuner.resolve(app, params)
-            best = tiny_tuner.profile.best(params, app=app).wall_s
-            assert plan.expected_s <= 2.0 * best
-            assert plan.backend in TINY_CONFIG.backends
+    def test_imports_nothing_from_the_fitting_pipeline(self):
+        tree = ast.parse(inspect.getsource(measured_module))
+        imported = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+        }
+        for module in ("models", "training", "exhaustive"):
+            assert f"repro.autotuner.{module}" not in imported
+
+    def test_resolve_is_the_measured_best_at_every_profiled_instance(self, tiny_tuner):
+        profile = tiny_tuner.profile
+        for app in profile.apps():
+            for params in dict.fromkeys(r.params for r in profile.records_for(app=app)):
+                plan = tiny_tuner.resolve(app, params)
+                best = profile.best(params, app=app)
+                assert (plan.backend, plan.expected_s) == (best.backend, best.wall_s)
+                assert plan.tunables.cpu_tile == 1 and plan.workers == 1
 
     def test_plan_cache_is_o1(self, tiny_tuner):
         # The session's plan cache is the one plan cache: a repeat is one
@@ -183,42 +216,71 @@ class TestMeasuredTuner:
     def test_unseen_dim_uses_nearest_instance(self, tiny_tuner):
         params = InputParams(dim=56, tsize=0.5, dsize=0)
         plan = tiny_tuner.resolve("lcs", params)
-        assert plan.expected_s > 0
-        assert plan.tunables.cpu_tile <= 56
-        assert tiny_tuner.nearest_instance(params).dim in (48, 64)
-
-    def test_model_round_trip_preserves_predictions(self, tiny_profile, tiny_tuner, tmp_path):
-        path = save_tuner(tiny_tuner.model, tmp_path / "tuner.json")
-        restored = MeasuredTuner(tiny_profile, load_tuner(path))
-        assert restored.model.cpu_tile_choices == tiny_tuner.model.cpu_tile_choices
-        for params in tiny_profile.instances():
-            app = tiny_profile.records_for(params)[0].app
-            assert restored.resolve(app, params) == tiny_tuner.resolve(app, params)
+        anchor = tiny_tuner.nearest_instance(params)
+        assert anchor.dim in (48, 64)
+        assert plan.expected_s == tiny_tuner.profile.best(anchor, app="lcs").wall_s
 
     def test_empty_profile_rejected(self):
-        with pytest.raises(SearchError):
-            MeasuredTuner.train(MeasuredProfile(system="local"))
+        with pytest.raises(SearchError, match="non-empty profile"):
+            MeasuredTuner(MeasuredProfile(system="local"))
+
+    @pytest.mark.parametrize("backend", ["mp-parallel", "pipelined", "hybrid"])
+    def test_a_profile_holding_a_tiled_record_is_refused(self, backend):
+        # Even when that record is the fastest: it is never planned.
+        profile = MeasuredProfile(
+            system="local",
+            records=[record("lcs", "serial", 64, 0.004), record("lcs", backend, 64, 0.001)],
+        )
+        with pytest.raises(SearchError, match="plans only"):
+            MeasuredTuner(profile)
+
+    def test_a_model_file_is_a_usage_error(self, tiny_profile, tmp_path):
+        path = save_profile(tiny_profile, tmp_path / "profile.json")
+        with Session(
+            system="local", tuner="measured", profile_path=path, model_path=tmp_path / "m.json"
+        ) as session:
+            with pytest.raises(UsageError, match="no model file"):
+                session.plan("lcs", 48)
 
     def test_same_signature_apps_keep_their_own_measurements(self):
         # lcs and edit-distance share the (tsize=0.5, dsize=0) signature, so
         # they collapse onto one InputParams instance; deployment queries
         # must still answer from the asking app's own records.
-        config = ProfileConfig(
-            apps=("lcs", "edit-distance"),
-            dims=(48,),
-            backends=("serial", "vectorized"),
-            tiles=(8,),
-            repeats=1,
-        )
+        config = ProfileConfig(apps=("lcs", "edit-distance"), dims=(48,), repeats=1)
         profile = profile_host(detect_local_system(), config)
         assert len(profile.instances()) == 1  # signatures collapsed
-        tuner = MeasuredTuner.train(profile)
+        tuner = MeasuredTuner(profile)
         params = profile.instances()[0]
         for app in ("lcs", "edit-distance"):
             plan = tuner.resolve(app, params)
             own_walls = {r.wall_s for r in profile.records_for(params, app=app)}
             assert plan.expected_s in own_walls
             assert plan.backend == profile.best(params, app=app).backend
+
+
+#: Profiled (48, 64), between them, and beyond both ends.
+PLAN_DIMS = (16, 48, 56, 64, 200)
+
+
+def assert_whole_grid_single_worker(tuner):
+    for app in available_applications():
+        for dim in PLAN_DIMS:
+            plan = tuner.resolve(app, get_application(app, dim=dim).input_params(dim))
+            assert fill_engine(plan.backend, plan.engine) in engines_with("serial"), (app, dim, plan)
+            assert plan.workers == 1, (app, dim, plan)
+
+
+class TestNoTunerPlansAMulticoreEngine:
+    """Only a pinned policy reaches a tiled engine or a worker count."""
+
+    def test_measured(self, tiny_tuner):
+        assert_whole_grid_single_worker(tiny_tuner)
+
+    def test_learned(self, trained_tuner_i7):
+        assert_whole_grid_single_worker(trained_tuner_i7)
+
+    def test_exhaustive(self, i7_2600k, tiny_space):
+        assert_whole_grid_single_worker(ExhaustiveTuner(i7_2600k, tiny_space))
 
 
 class TestCalibration:
@@ -252,28 +314,32 @@ class TestCalibration:
 
 
 class TestMeasuredReport:
-    def test_report_renders_and_summarises(self, tiny_profile, tiny_tuner, tmp_path):
-        from repro.analysis.measured import write_measured_report
+    def test_report_renders_and_summarises(self, tiny_profile):
+        from repro.analysis.measured import render_measured_report
 
-        path = write_measured_report(
-            tmp_path / "report.txt", tiny_profile, tiny_tuner, detect_local_system()
-        )
-        text = path.read_text(encoding="utf-8")
-        assert "average-case gap" in text
-        assert "tuned-plan efficiency" in text
+        text = render_measured_report(tiny_profile, detect_local_system())
+        assert "average-case gap" in text and "model [ms]" in text
+        assert "tuned" not in text  # the tuned plan is the best record
         for params in tiny_profile.instances():
             assert str(params.dim) in text
+
+    def test_rows_name_the_best_backend_and_price_it(self, tiny_profile):
+        from repro.analysis.measured import measured_report_rows
+
+        rows = measured_report_rows(tiny_profile, detect_local_system())
+        assert len(rows) == len(tiny_profile.instances())
+        for row in rows:
+            assert row[5] in PROFILED_BACKENDS
+            assert row[6] <= row[7] and row[8] > 0
 
 
 class TestMeasuredRecordSerialisation:
     def test_record_round_trip(self):
-        record = MeasuredRecord(
+        rec = MeasuredRecord(
             app="lcs",
-            backend="mp-parallel",
-            workers=2,
+            backend="vectorized",
             params=InputParams(dim=64, tsize=0.5, dsize=0),
-            tunables=TunableParams(cpu_tile=16),
             wall_s=0.0123,
             repeats=3,
         )
-        assert MeasuredRecord.from_dict(record.to_dict()) == record
+        assert MeasuredRecord.from_dict(rec.to_dict()) == rec

@@ -13,14 +13,14 @@ from repro.core.params import InputParams, TunableParams
 
 class TestTrainingSetBuilder:
     def test_best_five_per_sampled_instance(self, tiny_results_i7):
-        builder = TrainingSetBuilder(best_per_instance=5, instance_stride=2)
+        builder = TrainingSetBuilder(best_per_instance=5)
         training = builder.build(tiny_results_i7)
         assert len(training.train_instances) >= 1
         assert len(training) <= 5 * len(training.train_instances)
         assert len(training) >= len(training.train_instances)
 
     def test_split_avoids_dsize_aliasing(self, tiny_results_i7):
-        builder = TrainingSetBuilder(instance_stride=2)
+        builder = TrainingSetBuilder()
         train, holdout = builder.split_instances(tiny_results_i7)
         assert train and holdout
         assert set(train).isdisjoint(holdout)
@@ -47,8 +47,6 @@ class TestTrainingSetBuilder:
     def test_builder_validation(self):
         with pytest.raises(SearchError):
             TrainingSetBuilder(best_per_instance=0)
-        with pytest.raises(SearchError):
-            TrainingSetBuilder(instance_stride=0)
         with pytest.raises(SearchError):
             TrainingSetBuilder(parallel_margin=0.0)
 

@@ -11,7 +11,9 @@ from repro.autotuner.persistence import load_tuner, save_tuner
 from repro.autotuner.tuner import AutoTuner
 from repro.session import Session
 from repro.core.exceptions import ModelNotFittedError, SearchError
+from repro.core.parameter_space import PAPER_CPU_TILES
 from repro.core.params import InputParams
+from repro.utils.serialization import load_json, save_json
 
 
 class TestAutoTuner:
@@ -75,6 +77,20 @@ class TestPersistence:
         clone = load_tuner(path)
         features = {"dim": 700, "tsize": 750, "dsize": 4}
         assert clone.predict(features) == trained_tuner_i7.model.predict(features)
+
+    def test_a_model_file_carrying_its_tile_grid_still_loads(self, trained_tuner_i7, tmp_path):
+        # Files saved while the cpu-tile grid was a LearnedTuner field carry
+        # it as "cpu_tile_choices" (the paper grid, for every learned model);
+        # the key is ignored and every plan is unchanged.
+        path = save_tuner(trained_tuner_i7.model, tmp_path / "tuner.json")
+        payload = load_json(path)
+        assert "cpu_tile_choices" not in payload["tuner"]
+        payload["tuner"]["cpu_tile_choices"] = list(PAPER_CPU_TILES)
+        save_json(payload, path)
+        tuner = AutoTuner(trained_tuner_i7.system, space=trained_tuner_i7.space)
+        tuner.model = load_tuner(path)
+        for params in trained_tuner_i7.results.instances():
+            assert tuner.resolve("synthetic", params) == trained_tuner_i7.resolve("synthetic", params)
 
     def test_bad_payload_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -82,11 +82,12 @@ class TestBackendPricing:
     def test_every_profiled_backend_is_priced(self, backend, i7_2600k):
         model = CostModel(i7_2600k)
         params = ip(dim=256, tsize=100)
-        assert 0 < model.cpu_backend_time(backend, params, cpu_tile=32, workers=2) < float("inf")
+        assert 0 < model.engine_time(backend, params) < float("inf")
 
-    def test_an_unregistered_engine_is_not_priced(self, i7_2600k):
-        with pytest.raises(InvalidParameterError, match="unknown serial engine 'compiled'"):
-            CostModel(i7_2600k).cpu_backend_time("compiled", ip())
+    @pytest.mark.parametrize("engine", ["compiled", "mp-parallel"])
+    def test_an_engine_the_profiler_does_not_time_is_not_priced(self, engine, i7_2600k):
+        with pytest.raises(InvalidParameterError, match=f"unknown serial engine '{engine}'"):
+            CostModel(i7_2600k).engine_time(engine, ip())
 
 
 class TestPaperTradeoffs:

@@ -262,7 +262,6 @@ class TestProfile:
 
     def test_profile_then_tune_local_end_to_end(self, capsys, tmp_path):
         profile_path = tmp_path / "profile.json"
-        model_path = tmp_path / "tuner.json"
         report_path = tmp_path / "report.txt"
         code = main(
             [
@@ -276,8 +275,6 @@ class TestProfile:
                 "1",
                 "--out",
                 str(profile_path),
-                "--model-out",
-                str(model_path),
                 "--report-out",
                 str(report_path),
             ]
@@ -285,11 +282,8 @@ class TestProfile:
         assert code == 0
         out = capsys.readouterr().out
         assert "measured records" in out and "predicted-vs-measured" in out
-        assert profile_path.exists() and model_path.exists() and report_path.exists()
-
-        from repro.autotuner.persistence import load_tuner
-
-        assert load_tuner(model_path).fitted
+        # The profile and its report, nothing else.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json", "report.txt"]
 
         code = main(
             [
@@ -302,15 +296,19 @@ class TestProfile:
                 "48",
                 "--profile-file",
                 str(profile_path),
-                "--load-model",
-                str(model_path),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "tuned plan" in out and "measured serial reference" in out
+        assert "workers=" not in out  # a whole-grid engine, one worker
 
-        # The measured report re-renders from the same artifacts.
+        # The measured report re-renders from the same profile, printed
+        # directly; a file is written only when asked for.
+        code = main(["report", "--kind", "measured", "--profile-file", str(profile_path)])
+        assert code == 0
+        assert "Measured profile" in capsys.readouterr().out
+        assert len(list(tmp_path.iterdir())) == 2
         code = main(
             [
                 "report",
@@ -318,14 +316,64 @@ class TestProfile:
                 "measured",
                 "--profile-file",
                 str(profile_path),
-                "--model-file",
-                str(model_path),
                 "--out",
                 str(tmp_path / "report2.txt"),
             ]
         )
         assert code == 0
         assert "Measured profile" in capsys.readouterr().out
+        assert (tmp_path / "report2.txt").read_text() == report_path.read_text()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--dims", "x"],
+            ["--dims", "1"],
+            ["--budget-s", "nan"],
+            ["--budget-s", "inf"],
+            ["--budget-s", "0"],
+            ["--apps", "nope"],
+            ["--repeats", "0"],
+        ],
+    )
+    def test_a_bad_grid_flag_is_a_usage_error_before_anything_runs(self, flags, tmp_path, capsys):
+        code = main(
+            ["profile", "--quick", *flags, "--out", str(tmp_path / "p.json"),
+             "--report-out", str(tmp_path / "r.txt")]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--save-model", "--load-model"])
+    def test_tune_local_with_a_model_file_is_a_usage_error(self, flag, tmp_path, capsys):
+        code = main(
+            ["tune", "--system", "local", "--app", "lcs", "--dim", "48",
+             flag, str(tmp_path / "model.json")]
+        )
+        assert code == EXIT_USAGE
+        assert "--system local plans from the measured profile" in capsys.readouterr().err
+
+    def test_a_v2_profile_is_refused_with_the_artifact_exit(self, tmp_path, capsys):
+        # The parent format: tiled rows with a worker count and a tile.
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps({
+            "format_version": 2,
+            "system": "local",
+            "host": {},
+            "records": [
+                {"app": "lcs", "backend": backend, "workers": 1, "dim": 48,
+                 "tsize": 0.5, "dsize": 0, "cpu_tile": tile, "wall_s": wall, "repeats": 1}
+                for backend, tile, wall in (("serial", 1, 0.004), ("mp-parallel", 32, 0.001))
+            ],
+        }))
+        for argv in (
+            ["tune", "--system", "local", "--app", "lcs", "--dim", "48", "--profile-file", str(path)],
+            ["report", "--kind", "measured", "--profile-file", str(path)],
+        ):
+            assert main(argv) == EXIT_ARTIFACT
+            assert "re-run `repro profile`" in capsys.readouterr().err
 
     def test_tune_local_without_artifacts_maps_to_artifact_exit(self, tmp_path, capsys):
         code = main(
@@ -339,8 +387,6 @@ class TestProfile:
                 "48",
                 "--profile-file",
                 str(tmp_path / "missing.json"),
-                "--load-model",
-                str(tmp_path / "missing_model.json"),
             ]
         )
         assert code == EXIT_ARTIFACT

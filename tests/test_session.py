@@ -421,7 +421,6 @@ class TestErrorUnification:
             system=i3,
             tuner="measured",
             profile_path=tmp_path / "missing.json",
-            model_path=tmp_path / "missing_model.json",
         )
         with pytest.raises(ArtifactError, match="repro profile"):
             session.plan("lcs", SMALL_DIM)
