@@ -21,7 +21,9 @@ only.
 
 With ``--plan`` (a ``repro run --plan-out`` file of the *default* plan) the
 gate also checks the tuner's engine decision against the same fresh JSON:
-the plan's CPU-phase engine may not be more than 1.25x (``PLAN_BOUND``,
+the engine that fills the plan's grid (``fill_engine(backend, engine)``:
+the backend of a whole-grid plan, the hybrid executor's engine otherwise)
+may not be more than 1.25x (``PLAN_BOUND``,
 the tuner's own acceptance bound) slower than the fastest serial-family
 engine benched on the plan's application — both walls come from one
 process on one machine, so the ratio is machine-neutral.
@@ -92,10 +94,10 @@ def check_plan(fresh: dict[tuple[str, str], float], plan_path: Path) -> list[str
     by the same serial wall, so their quotient is the plain wall ratio.
     """
     sys.path.insert(0, SRC)
-    from repro.runtime.registry import available_serial_engines
+    from repro.runtime.registry import available_serial_engines, fill_engine
 
     plan = json.loads(plan_path.read_text(encoding="utf-8"))
-    app, engine = plan["app"], plan.get("engine")
+    app, engine = plan["app"], fill_engine(plan["backend"], plan.get("engine"))
     family = {e: fresh[(app, e)] for e in available_serial_engines() if (app, e) in fresh}
     if engine not in family:
         return [

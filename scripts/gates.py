@@ -18,9 +18,10 @@ One entry point, four gates, one per serving smoke job in ``ci.yml``:
   scheduled fault fired, the supervisor restarted within its band and
   re-dispatched the killed work, and every request resolved with a typed
   outcome;
-* ``adaptive --stable A --drifted B`` — two shadow-mode replays: zero
-  drift on the clean one, drift within the committed band on the one
-  armed with the committed ``slow@`` plan, no swap acted on, no error.
+* ``adaptive --stable A --drifted B`` — two ``--adaptive on`` replays:
+  zero drift on the clean one, drift within the committed band on the one
+  armed with the committed ``slow@`` plan, every request observed, no
+  error.
 
 The gates share :func:`load`, :func:`trace_identity` (a replay names the
 committed trace), :func:`correctness` (requests completed, zero failures,
@@ -332,7 +333,7 @@ def gate_chaos(args: argparse.Namespace) -> int:
 
 
 def gate_adaptive(args: argparse.Namespace) -> int:
-    """Drift fires where it is injected and nowhere else; shadow never acts."""
+    """Drift fires where it is injected and nowhere else; every request is observed."""
     stable, drifted = load(args.stable), load(args.drifted)
     baseline = load(args.baseline)
     gates = baseline["gates"]
@@ -350,10 +351,10 @@ def gate_adaptive(args: argparse.Namespace) -> int:
         return report("adaptive", failures, "")
     for name, artifact in (("stable", stable), ("drifted", drifted)):
         adaptive, completed = artifact["adaptive"], artifact["results"]["completed"]
-        if adaptive.get("mode") != "shadow":
+        if adaptive.get("mode") != "on":
             failures.append(
                 f"{name}: server ran --adaptive {adaptive.get('mode')!r}, the "
-                "gate expects shadow"
+                "gate expects on"
             )
         if adaptive.get("errors"):
             failures.append(
@@ -365,31 +366,21 @@ def gate_adaptive(args: argparse.Namespace) -> int:
                 f"{name}: {adaptive.get('observations')} observations for "
                 f"{completed} completed requests — the loop is missing traffic"
             )
-        if adaptive.get("swaps_applied"):
-            failures.append(
-                f"{name}: {adaptive['swaps_applied']} swaps applied in shadow "
-                "mode — shadow must observe, never act"
-            )
     calm, drift = stable["adaptive"], drifted["adaptive"]
     print(
         f"stable:  {calm['observations']} observations, {calm['drift_events']} "
-        f"drift events, {calm['would_swap']} would-swap"
+        "drift events"
     )
     print(
         f"drifted: {drift['observations']} observations, {drift['drift_events']} "
         f"drift events (committed band {gates['min_drift_events']}.."
-        f"{gates['max_drift_events']}), {drift['shadow_evaluations']} shadow "
-        "evaluations"
+        f"{gates['max_drift_events']})"
     )
     if calm["drift_events"] > gates["max_stable_drift_events"]:
         failures.append(
             f"stable replay latched {calm['drift_events']} drift events "
             f"(allowed: {gates['max_stable_drift_events']}) — the detector is "
             "firing on noise"
-        )
-    if calm["would_swap"]:
-        failures.append(
-            f"stable replay proposed {calm['would_swap']} swaps with no drift injected"
         )
     if not gates["min_drift_events"] <= drift["drift_events"] <= gates["max_drift_events"]:
         failures.append(
@@ -403,7 +394,7 @@ def gate_adaptive(args: argparse.Namespace) -> int:
         failures,
         f"{trace_meta['requests']}-request replay (seed {trace_meta['seed']}) — "
         f"0 false positives stable, {drift['drift_events']} drift events under "
-        "the committed fault plan, 0 swaps acted on, 0 errors",
+        "the committed fault plan, 0 errors",
     )
 
 

@@ -17,7 +17,8 @@ The package provides:
 * :mod:`repro.ml` — from-scratch machine-learning substrate: REP trees, M5P
   model trees, linear SVM, linear regression and cross-validation.
 * :mod:`repro.autotuner` — exhaustive search, training-set generation and the
-  learned autotuner.
+  learned autotuner for the Table 4 systems; the rule and the measured
+  tuner for the introspected ``local`` host.
 * :mod:`repro.analysis` — helpers that regenerate the paper's figures
   (heatmaps, speedups, average-case aggregates, dispersion statistics).
 * :mod:`repro.session` / :mod:`repro.facade` — the high-level
@@ -36,8 +37,10 @@ The supported entry point is the session::
         plan = session.plan("lcs", 256)     # inspect / save / replay
         result = session.run(plan)
 
-Everything below it (executors, tuners, registries) remains public for
-research use.
+On ``system="local"`` (the default) the plan comes from a rule and nothing
+is trained; ``import repro`` loads no training code, which is imported only
+when a Table 4 system's learned tuner is built.  Everything below the
+session (executors, tuners, registries) remains public for research use.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from repro.hardware.system import SystemSpec
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.result import ExecutionResult
 from repro.autotuner.protocol import PlanDecision, Tuner
-from repro.autotuner.tuner import AutoTuner
 from repro.facade.plan import ResolvedPlan, load_plan, save_plan
 from repro.facade.policy import ExecutionPolicy
 from repro.runtime.registry import EngineSpec
@@ -68,7 +70,6 @@ __all__ = [
     "platforms",
     "HybridExecutor",
     "ExecutionResult",
-    "AutoTuner",
     "Session",
     "ResolvedPlan",
     "ExecutionPolicy",

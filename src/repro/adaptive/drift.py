@@ -1,11 +1,12 @@
-"""Latency drift detection: is a tuned plan still telling the truth?
+"""Latency drift detection: does a plan still run as fast as it did?
 
-A plan carries a prediction (``ResolvedPlan.expected_s``, from measured
-profiling or the learned model's runtime anchors) that was valid when the
-plan was resolved.  Hosts change — thermal throttling, noisy neighbours,
-a cache directory filling up — and the prediction silently rots.  The
-:class:`DriftDetector` watches each signature's *observed* service times
-and decides, deterministically, when they no longer match.
+Hosts change — thermal throttling, noisy neighbours, a cache directory
+filling up — and a plan that was fast when it was resolved silently
+slows down.  The :class:`DriftDetector` watches each signature's
+*observed* service times and decides, deterministically, when they no
+longer match the signature's own early behaviour.  It never needs a
+prediction (``ResolvedPlan.expected_s``), so a plan without one (the
+``local`` rule's) is watched like any other.
 
 The rule is calibrated rather than absolute, because CI hosts and laptops
 disagree wildly on base latency:
@@ -29,9 +30,11 @@ a single slow batch counts once no matter how many requests it answered.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from repro.cache.keys import RequestIdentity
 from repro.core.exceptions import UsageError
@@ -58,15 +61,20 @@ class DriftConfig:
     min_excess_s: float = 0.05
 
     def __post_init__(self) -> None:
-        """Reject impossible thresholds early, with a typed error."""
-        if self.ratio_threshold <= 1.0:
-            raise UsageError(
-                f"ratio_threshold must be > 1, got {self.ratio_threshold}"
-            )
+        """Reject thresholds that are impossible or can never fire, typed."""
+        for name, kind in (("ratio_threshold", Real), ("min_excess_s", Real),
+                           ("min_samples", Integral), ("hysteresis", Integral)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+                raise UsageError(f"{name} must be a finite {kind.__name__.lower()}, got {value!r}")
         if self.min_samples < 1:
             raise UsageError(f"min_samples must be >= 1, got {self.min_samples}")
         if self.hysteresis < 1:
             raise UsageError(f"hysteresis must be >= 1, got {self.hysteresis}")
+        if self.ratio_threshold <= 1.0:
+            raise UsageError(
+                f"ratio_threshold must be > 1, got {self.ratio_threshold}"
+            )
         if self.min_excess_s < 0:
             raise UsageError(
                 f"min_excess_s must be >= 0, got {self.min_excess_s}"
@@ -79,8 +87,8 @@ class DriftEvent:
 
     ``observed_s`` is the execution that completed the hysteresis run,
     ``reference_s`` the calibrated baseline mean it was judged against,
-    ``expected_s`` the active plan's offline prediction (``None`` for
-    unpredicted plans), and ``assessment`` the signature's execution
+    ``expected_s`` the active plan's offline prediction (``None`` when the
+    plan has none), and ``assessment`` the signature's execution
     ordinal at which the event latched.
     """
 

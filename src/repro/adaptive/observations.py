@@ -68,7 +68,7 @@ class SignatureStats:
         self.max_s = -math.inf
         self._reservoir: deque[float] = deque(maxlen=max(1, int(reservoir_size)))
         #: The active plan's predicted latency for this signature (seconds),
-        #: filled by the adaptive controller; ``None`` when unpredicted.
+        #: filled by the adaptive controller; ``None`` when the plan has none.
         self.expected_s: float | None = None
 
     def record(self, latency_s: float, count: int = 1) -> None:

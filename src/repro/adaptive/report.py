@@ -1,11 +1,11 @@
-"""Text report of the adaptive loop: predicted vs observed vs shadow choice.
+"""Text report of the adaptive loop: predicted vs observed, and drift.
 
 Renders the ``"adaptive"`` section of a ``/metrics`` snapshot (or of a
 ``repro loadgen`` artifact's final server metrics) as the fig9-style
 table ``repro report --kind adaptive`` prints: one row per observed
-signature with the plan's predicted latency, the observed mean/p95, and
-— where a drift event triggered a shadow resolution — what the online
-tuner would run instead.
+signature with the plan's predicted latency (a dash when the plan has
+none, as the ``local`` rule's does), the observed mean/p95, and the drift
+detector's counters below.
 """
 
 from __future__ import annotations
@@ -33,41 +33,26 @@ def render_adaptive_report(adaptive: dict | None, delta: dict | None = None) -> 
         f"{adaptive.get('tracked_signatures', 0)} signatures"
     )
     signatures = adaptive.get("signatures") or {}
-    proposals = {
-        d.get("signature"): d
-        for d in (adaptive.get("shadow") or {}).get("decisions", [])
-    }
     if signatures:
         width = max(len("signature"), max(len(label) for label in signatures))
         header = (
             f"{'signature':<{width}} {'predicted':>10} {'observed':>10} "
-            f"{'p95':>10} {'n':>5}  shadow choice"
+            f"{'p95':>10} {'n':>5}"
         )
         lines.append(header)
         lines.append("-" * len(header))
         for label, stats in signatures.items():
-            proposal = proposals.get(label)
-            choice = "-"
-            if proposal is not None:
-                prop = proposal.get("proposed", {})
-                verb = "swap to" if proposal.get("would_swap") else "keep"
-                choice = (
-                    f"{verb} {prop.get('backend')}"
-                    f"(workers={prop.get('workers')}, "
-                    f"tile={prop.get('cpu_tile')}) [{proposal.get('reason')}]"
-                )
             lines.append(
                 f"{label:<{width}} {_ms(stats.get('expected_ms')):>10} "
                 f"{_ms(stats.get('mean_ms')):>10} {_ms(stats.get('p95_ms')):>10} "
-                f"{stats.get('count', 0):>5}  {choice}"
+                f"{stats.get('count', 0):>5}"
             )
     drift = adaptive.get("drift") or {}
     lines.append(
         f"drift: {drift.get('events', 0)} events "
         f"({drift.get('active', 0)} active, "
         f"{drift.get('recoveries', 0)} recoveries) over "
-        f"{drift.get('assessments', 0)} assessments; "
-        f"shadow evaluations: {(adaptive.get('shadow') or {}).get('evaluations', 0)}"
+        f"{drift.get('assessments', 0)} assessments"
     )
     if adaptive.get("errors"):
         lines.append(
@@ -78,8 +63,6 @@ def render_adaptive_report(adaptive: dict | None, delta: dict | None = None) -> 
         lines.append(
             "this run: "
             f"+{delta.get('observations', 0)} observations, "
-            f"+{delta.get('drift_events', 0)} drift events, "
-            f"+{delta.get('shadow_evaluations', 0)} shadow evaluations "
-            f"(+{delta.get('would_swap', 0)} would swap)"
+            f"+{delta.get('drift_events', 0)} drift events"
         )
     return "\n".join(lines)

@@ -10,56 +10,20 @@ The workflow mirrors Figure 4 of the paper:
 3. :class:`repro.autotuner.models.LearnedTuner` holds the fitted SVM gate and
    the per-parameter M5P / REP-tree models;
 4. :class:`repro.autotuner.tuner.AutoTuner` ties it together: train once per
-   system ("in the factory"), then hand it previously unseen applications and
-   get tuned parameter settings back.
+   Table 4 system ("in the factory"), then hand it previously unseen
+   applications and get tuned parameter settings back.
 
-Every deployable strategy — :class:`~repro.autotuner.tuner.AutoTuner`,
-:class:`~repro.autotuner.measured.MeasuredTuner` and
-:class:`~repro.autotuner.protocol.ExhaustiveTuner` — speaks the common
+On the introspected ``local`` host no simulated device changes the program
+that runs, so nothing is trained there:
+:class:`~repro.autotuner.protocol.LocalRuleTuner` answers by rule, and
+:class:`~repro.autotuner.measured.MeasuredTuner` ranks measured engines.
+
+Every deployable strategy speaks the common
 :class:`~repro.autotuner.protocol.Tuner` protocol
 (``resolve(app, params) -> PlanDecision``), which is all
 :class:`repro.session.Session` consumes.
+
+The package re-exports nothing: import from the submodule that defines a
+name, so loading the protocol (or the rule) never loads the training
+stack.
 """
-
-from repro.autotuner.protocol import ExhaustiveTuner, PlanDecision, Tuner
-from repro.autotuner.search_space import SearchSpace
-from repro.autotuner.exhaustive import ExhaustiveSearch, SearchRecord, SearchResults
-from repro.autotuner.baselines import SimpleSchemes, simple_scheme_times
-from repro.autotuner.training import TrainingSetBuilder, TrainingSet
-from repro.autotuner.models import LearnedTuner
-from repro.autotuner.tuner import AutoTuner
-from repro.autotuner.persistence import save_tuner, load_tuner
-from repro.autotuner.measured import (
-    MeasuredProfile,
-    MeasuredRecord,
-    MeasuredTuner,
-    ProfileConfig,
-    load_profile,
-    profile_host,
-    save_profile,
-)
-
-__all__ = [
-    "Tuner",
-    "PlanDecision",
-    "ExhaustiveTuner",
-    "SearchSpace",
-    "ExhaustiveSearch",
-    "SearchRecord",
-    "SearchResults",
-    "SimpleSchemes",
-    "simple_scheme_times",
-    "TrainingSetBuilder",
-    "TrainingSet",
-    "LearnedTuner",
-    "AutoTuner",
-    "save_tuner",
-    "load_tuner",
-    "MeasuredProfile",
-    "MeasuredRecord",
-    "MeasuredTuner",
-    "ProfileConfig",
-    "load_profile",
-    "profile_host",
-    "save_profile",
-]

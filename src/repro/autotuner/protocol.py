@@ -10,10 +10,11 @@ needs to know which strategy it is holding:
 * :attr:`Tuner.kind` names the strategy for reports and serialized plans.
 
 :class:`repro.session.Session` is the main consumer: it accepts any
-``Tuner`` and never looks past this interface.  :class:`ExhaustiveTuner`
-rounds out the built-in strategies with a per-instance exhaustive sweep
-(slow, optimal under the cost model) so ``tuner="exhaustive"`` needs no
-training step.
+``Tuner`` and never looks past this interface.  Two strategies live here
+because neither trains: :class:`LocalRuleTuner`, the introspected host's
+plan by rule (no simulated device changes what runs there), and
+:class:`ExhaustiveTuner`, a per-instance sweep (slow, optimal under the
+cost model).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.exceptions import SearchError
 from repro.core.params import InputParams, TunableParams
+from repro.runtime.registry import engines_with
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,8 @@ class Tuner(abc.ABC):
 
     Implementations: :class:`repro.autotuner.tuner.AutoTuner` (cost-model
     trained), :class:`repro.autotuner.measured.MeasuredTuner` (measured
-    wall-clocks) and :class:`ExhaustiveTuner` (per-instance sweep).
+    wall-clocks), :class:`LocalRuleTuner` (a rule) and
+    :class:`ExhaustiveTuner` (per-instance sweep).
     """
 
     #: Strategy name recorded in resolved plans ("learned", "measured", ...).
@@ -66,6 +69,24 @@ class Tuner(abc.ABC):
         measurements); ``params`` carries the (dim, tsize, dsize) features
         every strategy consumes.
         """
+
+
+class LocalRuleTuner(Tuner):
+    """The introspected host's plan, by rule: no training, no prediction.
+
+    The paper's tunables pick CPU tile, GPU band, halo and GPU tile for a
+    CPU + multi-GPU platform.  On the GPU-less ``local`` host none of them
+    changes the program that runs, so every instance gets the same plan:
+    the preferred whole-grid engine (``engines_with("serial")[0]``), which
+    ignores the tile, on one worker.  ``expected_s`` stays ``None``: the
+    only price this host has is a measured one (``tuner="measured"``).
+    """
+
+    kind = "rule"
+
+    def resolve(self, app: str, params: InputParams) -> PlanDecision:
+        """The preferred whole-grid engine, ``cpu_tile=1``, one worker."""
+        return PlanDecision(backend=engines_with("serial")[0], tunables=TunableParams())
 
 
 class ExhaustiveTuner(Tuner):

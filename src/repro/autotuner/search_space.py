@@ -49,18 +49,6 @@ class SearchSpace:
 
         return tuple(available_serial_engines())
 
-    @staticmethod
-    def mp_tile_candidates(instance: InputParams) -> tuple[int, ...]:
-        """Candidate tile sides for the multicore engines on ``instance``.
-
-        Their sweet spot is much coarser than the paper's cache
-        tiles (the pool dispatch must be amortised), so the candidates span
-        8 .. 256 clipped to the grid.
-        """
-        return tuple(t for t in (8, 16, 32, 64, 128, 256) if t <= instance.dim) or (
-            instance.dim,
-        )
-
     def instances(self) -> Iterator[InputParams]:
         """All (dim, tsize, dsize) instances of the space."""
         return self.space.instances()

@@ -72,6 +72,7 @@ from repro.facade.policy import ExecutionPolicy
 from repro.facade.tuners import TUNER_KINDS
 from repro.hardware import platforms
 from repro.server.loadgen import DEFAULT_MIX
+from repro.server.service import finite_seconds
 from repro.session import Session
 from repro.utils.logging import configure_logging
 from repro.version import __version__
@@ -98,6 +99,19 @@ def _space(name: str) -> ParameterSpace:
         raise UsageError(
             f"unknown parameter space {name!r}; choose from {sorted(spaces)}"
         ) from None
+
+
+def _seconds(text: str) -> float:
+    """``type=`` of a serving limit: finite seconds > 0, else argparse exits 2."""
+    try:
+        return finite_seconds("the value", float(text))
+    except ValueError as exc:  # InvalidParameterError is one
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seconds_or_off(text: str) -> float:
+    """:func:`_seconds`, or ``0`` (the limit is disabled)."""
+    return 0.0 if float(text) == 0 else _seconds(text)
 
 
 def _add_system_arg(parser: argparse.ArgumentParser, default: str, local: bool) -> None:
@@ -354,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--request-timeout",
-        type=float,
+        type=_seconds,
         default=120.0,
         help="seconds an HTTP handler waits for a deadline-less result "
         "(default: 120)",
     )
     serve.add_argument(
         "--default-deadline",
-        type=float,
+        type=_seconds_or_off,
         default=30.0,
         help="per-request deadline in seconds when the client sends none; "
         "expired requests answer HTTP 504 (0 disables; default: 30)",
@@ -382,11 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--adaptive",
-        default="shadow",
+        default="on",
         choices=ADAPTIVE_MODES,
-        help="online adaptive tuning: 'shadow' (default) observes live "
-        "latencies, detects plan-vs-reality drift and logs would-be plan "
-        "swaps without changing behaviour; 'off' disables the loop",
+        help="online observation: 'on' (default) records per-signature "
+        "latencies and detects drift without changing behaviour; 'off' "
+        "disables the loop",
     )
     serve.add_argument(
         "--metrics-out",
@@ -1021,13 +1035,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     adaptive = metrics.get("adaptive")
     if adaptive is not None:
-        drift = adaptive.get("drift", {})
-        shadow = adaptive.get("shadow", {})
         print(
             f"adaptive ({adaptive.get('mode')}): "
             f"{adaptive.get('observations', 0)} observations, "
-            f"{drift.get('events', 0)} drift events, "
-            f"{shadow.get('would_swap', 0)} would-swap"
+            f"{adaptive.get('drift', {}).get('events', 0)} drift events"
         )
     return EXIT_OK
 
@@ -1099,8 +1110,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         print(
             f"adaptive ({adaptive.get('mode')}): "
             f"{adaptive['observations']} observations, "
-            f"{adaptive['drift_events']} drift events, "
-            f"{adaptive['would_swap']} would-swap this run"
+            f"{adaptive['drift_events']} drift events this run"
         )
     results = payload["results"]
     if results["completed"] == 0:

@@ -25,12 +25,14 @@ class ExecutionPolicy:
     tuner is bypassed and the plan's ``tuner`` field reads ``"manual"``.
     ``backend`` and ``engine`` are names of :mod:`repro.runtime.registry`
     and nothing else: the backend executes the plan, and ``engine`` is the
-    engine the hybrid executor fills its grid through (``engine`` alone
-    keeps the tuner's decision and swaps only that).  A name the registry
-    does not know is a typed error at plan time.  A tiled engine
-    (``"mp-parallel"`` barriers per tile-diagonal, ``"pipelined"`` drains
-    the dependency graph with no barrier) named without ``tunables`` gets
-    the coarsest tile the tuners search.
+    engine the hybrid executor fills its grid through.  ``engine`` alone
+    keeps the tuner's decision and swaps only the engine that fills the
+    grid: the hybrid executor's, or a whole-grid plan's backend.  A name
+    the registry does not know is a typed error at plan time.  A tiled
+    engine (``"mp-parallel"`` barriers per tile-diagonal, ``"pipelined"``
+    drains the dependency graph with no barrier) named without
+    ``tunables`` gets a coarse tile
+    (:func:`repro.runtime.mp_parallel.default_tile`).
     """
 
     backend: str | None = None

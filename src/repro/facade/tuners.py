@@ -5,9 +5,12 @@ ready-made :class:`repro.autotuner.protocol.Tuner`); this module is the one
 place those strings are interpreted, so the CLI, the session and the
 examples cannot drift apart on what a strategy name means:
 
-* ``"learned"`` — :class:`repro.autotuner.tuner.AutoTuner`, trained on the
-  cost-model synthetic sweep at construction (or restored from a saved
-  model file without retraining);
+* ``"learned"`` — on a Table 4 system,
+  :class:`repro.autotuner.tuner.AutoTuner`, trained on the cost-model
+  synthetic sweep at construction (or restored from a saved model file
+  without retraining); on the introspected ``local`` host, whose plan no
+  simulated device changes, :class:`repro.autotuner.protocol.LocalRuleTuner`
+  (no training, no model, and ``space`` has no effect);
 * ``"measured"`` — :class:`repro.autotuner.measured.MeasuredTuner`, loaded
   from the profile ``repro profile`` writes (it has no model file);
 * ``"exhaustive"`` — :class:`repro.autotuner.protocol.ExhaustiveTuner`,
@@ -18,11 +21,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.autotuner.protocol import ExhaustiveTuner, Tuner
+from repro.autotuner.protocol import ExhaustiveTuner, LocalRuleTuner, Tuner
 from repro.core.exceptions import ArtifactError, UsageError
 from repro.core.parameter_space import ParameterSpace
 from repro.hardware.costmodel import CostConstants
-from repro.hardware.system import SystemSpec
+from repro.hardware.system import LOCAL_SYSTEM_NAME, SystemSpec
 
 #: Strategy names :func:`make_tuner` understands.
 TUNER_KINDS = ("learned", "measured", "exhaustive")
@@ -42,7 +45,8 @@ def make_tuner(
     the training sweep; ``profile_path`` overrides the ``"measured"``
     profile's default location.  Raises
     :class:`~repro.core.exceptions.UsageError` for an unknown strategy name
-    or a ``model_path`` given to the model-less ``"measured"`` strategy, and
+    or a ``model_path`` given to a model-less strategy (``"measured"``, or
+    ``"learned"`` on the ``local`` host), and
     :class:`~repro.core.exceptions.ArtifactError` when a required artifact
     is missing or unusable.
     """
@@ -54,7 +58,13 @@ def make_tuner(
             f"got {type(spec).__name__}"
         )
     if spec == "learned":
-        return _make_learned(system, space, constants, model_path)
+        if system.name != LOCAL_SYSTEM_NAME:
+            return _make_learned(system, space, constants, model_path)
+        if model_path is not None:
+            raise UsageError(
+                f"the learned tuner on {LOCAL_SYSTEM_NAME!r} has no model file: it plans by rule"
+            )
+        return LocalRuleTuner()
     if spec == "measured":
         if model_path is not None:
             raise UsageError(
@@ -74,7 +84,7 @@ def _make_learned(
     constants: CostConstants | None,
     model_path: str | Path | None,
 ):
-    """The ``"learned"`` strategy: train (or restore) an AutoTuner."""
+    """The ``"learned"`` strategy on a Table 4 system: train (or restore) an AutoTuner."""
     from repro.autotuner.persistence import load_tuner
     from repro.autotuner.tuner import AutoTuner
 

@@ -77,6 +77,16 @@ def resolve_worker_count(workers: int | None, system: SystemSpec | None = None) 
     return available
 
 
+def default_tile(dim: int) -> int:
+    """The tile a tiled engine named without ``tunables`` runs on.
+
+    The largest of 8, 16, ..., 256 that fits ``dim`` (else ``dim``): the
+    pool dispatch must be amortised, so one-cell tiles through worker pipes
+    are never the default.
+    """
+    return max((t for t in (8, 16, 32, 64, 128, 256) if t <= dim), default=dim)
+
+
 def _mp_context() -> mp.context.BaseContext:
     """Fork where available: cheap start-up, start-up problems inherited."""
     if "fork" in mp.get_all_start_methods():

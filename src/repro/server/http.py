@@ -68,7 +68,7 @@ from repro.core.exceptions import (
 from repro.core.params import TunableParams
 from repro.facade.policy import ExecutionPolicy
 from repro.runtime.result import ExecutionResult
-from repro.server.service import ReproServer
+from repro.server.service import ReproServer, finite_seconds
 from repro.session import Session
 
 #: Default solve timeout an HTTP handler waits before answering 503
@@ -307,7 +307,7 @@ class ServingEndpoint:
         log: Callable[[str], None] | None = None,
     ) -> None:
         self.repro_server = repro_server
-        self.request_timeout_s = float(request_timeout_s)
+        self.request_timeout_s = finite_seconds("request_timeout_s", request_timeout_s)
         self._log = log
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(_ACCEPT_POLL_S)
@@ -482,9 +482,7 @@ class ServingEndpoint:
             if mode is not None:
                 _body_value("mode", mode, str, "a string")
             if deadline_s is not None:
-                _body_value("deadline_s", deadline_s, (int, float), "a number")
-                if not abs(deadline_s) < threading.TIMEOUT_MAX / 2:  # or NaN
-                    raise UsageError(f"deadline_s must be finite, got {deadline_s!r}")
+                deadline_s = finite_seconds("deadline_s", deadline_s)
             policy = policy_from_body(body)
             clash = sorted(_RESERVED_KEYS.intersection(body))
             if clash:

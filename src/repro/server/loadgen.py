@@ -50,7 +50,9 @@ from repro.session import Session
 #: mode fields of ``meta``.
 #: v7: the ``adaptive`` section loses ``swaps_applied`` and
 #: ``swaps_rolled_back``: the adaptive loop proposes plans, never swaps them.
-LOADGEN_FORMAT_VERSION = 7
+#: v8: the ``adaptive`` section loses ``shadow_evaluations`` and
+#: ``would_swap``: the loop observes and detects drift, and proposes nothing.
+LOADGEN_FORMAT_VERSION = 8
 
 #: Seconds one request attempt may take before it counts as failed.
 REQUEST_TIMEOUT_S = 120.0
@@ -220,8 +222,6 @@ def _adaptive_delta(before: dict | None, after: dict | None) -> dict | None:
     paths = {
         "observations": ("observations",),
         "drift_events": ("drift", "events"),
-        "shadow_evaluations": ("shadow", "evaluations"),
-        "would_swap": ("shadow", "would_swap"),
         "errors": ("errors",),
     }
     delta = {

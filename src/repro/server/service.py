@@ -40,6 +40,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 
 from repro.adaptive.controller import ADAPTIVE_MODES, AdaptiveController
 from repro.adaptive.drift import DriftConfig
@@ -63,6 +64,21 @@ DEFAULT_QUEUE_CAPACITY = 64
 DEFAULT_MAX_BATCH = 8
 #: Default per-request deadline (seconds) when the client sends none.
 DEFAULT_DEADLINE_S = 30.0
+#: The longest wait (seconds) a limit may set: ``threading`` waits overflow
+#: past ``threading.TIMEOUT_MAX``.
+MAX_WAIT_S = threading.TIMEOUT_MAX / 2
+
+
+def finite_seconds(name: str, value, error: type[Exception] = InvalidParameterError) -> float:
+    """``value`` as a wait in seconds, or ``error`` naming ``name``.
+
+    The one check of every serving limit an operator or client sets: a
+    number in ``(0, MAX_WAIT_S)``.  NaN, infinities and booleans are
+    refused, so no limit can overflow a wait or silently never fire.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < MAX_WAIT_S:
+        raise error(f"{name} must be a finite number of seconds > 0, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -79,28 +95,28 @@ class ServerConfig:
     client sends none (``None`` disables the default — requests without an
     explicit deadline then wait unboundedly).
 
-    ``adaptive`` switches the online tuning loop
+    Both waits are finite seconds (:func:`finite_seconds`).
+
+    ``adaptive`` switches the online observation loop
     (:data:`repro.adaptive.ADAPTIVE_MODES`): ``"off"`` builds no
-    controller, ``"shadow"`` (the default) observes, detects drift and
-    logs would-be decisions without ever changing the plan traffic runs.
+    controller, ``"on"`` (the default) observes latencies and detects
+    drift without ever changing the plan traffic runs.
     """
 
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     max_batch: int = DEFAULT_MAX_BATCH
     drain_timeout_s: float = 30.0
     default_deadline_s: float | None = DEFAULT_DEADLINE_S
-    adaptive: str = "shadow"
+    adaptive: str = "on"
 
     def __post_init__(self) -> None:
         """Validate the knobs once, at construction."""
         for name in ("queue_capacity", "max_batch"):
             if getattr(self, name) < 1:
                 raise ServerError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ServerError(
-                f"default_deadline_s must be > 0 or None, "
-                f"got {self.default_deadline_s}"
-            )
+        finite_seconds("drain_timeout_s", self.drain_timeout_s, ServerError)
+        if self.default_deadline_s is not None:
+            finite_seconds("default_deadline_s", self.default_deadline_s, ServerError)
         if self.adaptive not in ADAPTIVE_MODES:
             raise ServerError(
                 f"adaptive must be one of {ADAPTIVE_MODES}, got {self.adaptive!r}"
@@ -255,8 +271,9 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
         :class:`~repro.core.exceptions.ServerError` once the server is
         shutting down.  ``deadline_s`` bounds the request end-to-end
         (default: the config's ``default_deadline_s``); one that is not
-        > 0 is an :class:`~repro.core.exceptions.InvalidParameterError`, so
-        a client cannot lift the operator's deadline.  ``plan_kwargs``
+        finite seconds > 0 (:func:`finite_seconds`) is an
+        :class:`~repro.core.exceptions.InvalidParameterError`, so a client
+        cannot lift the operator's deadline.  ``plan_kwargs``
         forward to :meth:`repro.session.Session.solve` (``policy=`` and
         application constructor overrides).  ``mode`` defaults to the
         session's, filled in here so an omitted and an explicit default mode
@@ -267,8 +284,8 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
         """
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
-        elif not deadline_s > 0:  # NaN included
-            raise InvalidParameterError(f"deadline_s must be > 0, got {deadline_s!r}")
+        else:
+            deadline_s = finite_seconds("deadline_s", deadline_s)
         now = time.perf_counter()
         deadline_at = None if deadline_s is None else now + deadline_s
         if self.supervisor.circuit_open:

@@ -19,7 +19,10 @@ Design points:
 * **One tuner protocol** — any :class:`repro.autotuner.protocol.Tuner`
   (``"learned"``, ``"measured"``, ``"exhaustive"`` or a custom instance)
   plugs in unchanged; the session never looks past
-  :meth:`~repro.autotuner.protocol.Tuner.resolve`.
+  :meth:`~repro.autotuner.protocol.Tuner.resolve`.  On the default
+  ``system="local"``, ``"learned"`` is the rule
+  (:class:`~repro.autotuner.protocol.LocalRuleTuner`): nothing is trained
+  and no training code is imported.
 * **Batched serving** — :meth:`Session.solve_many` answers streams of
   requests out of the tuned-plan cache, the problem cache and the
   resident worker team of :class:`repro.runtime.lifecycle.EngineHost`,
@@ -54,7 +57,6 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.apps.base import WavefrontApplication
 from repro.apps.registry import default_dim, get_application
 from repro.autotuner.protocol import PlanDecision, Tuner
-from repro.autotuner.search_space import SearchSpace
 from repro.cache import RequestIdentity, ResultCache, request_identity, request_key
 from repro.cache.keys import instance_key
 from repro.core.exceptions import DeadlineError, ReproError, UsageError
@@ -69,6 +71,7 @@ from repro.hardware.platforms import resolve_system
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import ExecutionMode
 from repro.runtime.lifecycle import EngineHost
+from repro.runtime.mp_parallel import default_tile
 from repro.runtime.registry import engines_with, fill_engine
 from repro.runtime.result import ExecutionResult
 from repro.utils.lru import LRUCache
@@ -326,7 +329,10 @@ class Session:
             self.stats["plans_resolved"] += 1
             source = self.tuner.kind
             if policy.engine is not None:
-                decision = replace(decision, engine=policy.engine)
+                # Swap only the engine that fills the grid: the hybrid
+                # executor's, or a whole-grid decision's backend itself.
+                target = "engine" if decision.backend == "hybrid" else "backend"
+                decision = replace(decision, **{target: policy.engine})
         # Typed error here, at plan time, for a name the registry does not know.
         fill = fill_engine(decision.backend, decision.engine)
         tunables = decision.tunables
@@ -335,12 +341,10 @@ class Session:
             and fill in (policy.backend, policy.engine)
             and fill in engines_with("multicore")
         ):
-            # A tiled engine the caller named without a tile: the coarsest
-            # tile the tuners search, never the scalar phases' cache tile
-            # (one-cell tiles through worker pipes by default).
-            tunables = replace(
-                tunables, cpu_tile=SearchSpace.mp_tile_candidates(params)[-1]
-            )
+            # A tiled engine the caller named without a tile: a coarse
+            # tile, never the scalar phases' cache tile (one-cell tiles
+            # through worker pipes by default).
+            tunables = replace(tunables, cpu_tile=default_tile(params.dim))
         resolved_workers = (
             policy.workers if policy.workers is not None else decision.workers
         )

@@ -4,12 +4,11 @@ The acceptance contract of the subsystem:
 
 * replaying the committed cache-smoke trace with a ``slow@`` fault
   injected at two consecutive executions of one signature latches drift
-  *exactly there* and nowhere else (shadow mode: observed, never acted);
-* the same replay without faults is drift-free — zero events, zero
-  would-be swaps, and every completed request counted as an observation;
-* on a measured tuner a drifted plan is shadow-re-ranked into a different
-  proposal that is logged, never installed: the session keeps its plan
-  and every answer stays bit-exact;
+  *exactly there* and nowhere else (observed, never acted on);
+* the same replay without faults is drift-free — zero events, and every
+  completed request counted as an observation;
+* a plan without a prediction (the ``local`` rule's) is drift-assessed
+  like any other;
 * the whole loop is visible in ``/metrics`` and renderable as a report.
 """
 
@@ -19,14 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.adaptive import DriftConfig, render_adaptive_report
-from repro.autotuner.measured import (
-    MeasuredProfile,
-    MeasuredRecord,
-    MeasuredTuner,
-)
+from repro.adaptive import AdaptiveController, DriftConfig, render_adaptive_report
+from repro.cache import request_identity
 from repro.core.exceptions import ServerError
-from repro.core.params import InputParams
 from repro.server import FaultPlan, ReproServer, ServerConfig
 from repro.server.loadgen import _adaptive_delta
 from repro.session import Session
@@ -72,7 +66,7 @@ def replay(server, entries):
         server.solve(app, dim, timeout=60)
 
 
-class TestShadowModeOnTrace:
+class TestDriftOnTrace:
     def test_injected_slowdown_drifts_exactly_at_the_faulted_signature(
         self, adaptive_session
     ):
@@ -84,7 +78,7 @@ class TestShadowModeOnTrace:
         active = adaptive_session.plan("lcs", 48)
         server = ReproServer(
             adaptive_session,
-            ServerConfig(queue_capacity=128, adaptive="shadow"),
+            ServerConfig(queue_capacity=128),
             fault_plan=FaultPlan.parse(plan),
             drift=TEST_DRIFT,
         ).start()
@@ -95,7 +89,7 @@ class TestShadowModeOnTrace:
             server.close()
 
         adaptive = metrics["adaptive"]
-        assert adaptive["mode"] == "shadow"
+        assert adaptive["mode"] == "on"
         assert adaptive["errors"] == 0, adaptive["last_error"]
         # every completed request became an observation
         assert adaptive["observations"] == metrics["requests"]["completed"]
@@ -105,8 +99,7 @@ class TestShadowModeOnTrace:
         (event,) = adaptive["drift"]["recent"]
         assert event["signature"] == "lcs[dim=48] mode=functional"
         assert event["observed_ms"] >= 300.0
-        # shadow evaluated, and the session's plan is unchanged
-        assert adaptive["shadow"]["evaluations"] == 1
+        # the session's plan is unchanged
         assert adaptive_session.plan("lcs", 48) == active
 
     def test_stable_replay_is_drift_free(self, adaptive_session):
@@ -114,7 +107,7 @@ class TestShadowModeOnTrace:
         active = adaptive_session.plan("lcs", 48)
         server = ReproServer(
             adaptive_session,
-            ServerConfig(queue_capacity=128, adaptive="shadow"),
+            ServerConfig(queue_capacity=128, adaptive="on"),
             drift=TEST_DRIFT,
         ).start()
         try:
@@ -127,7 +120,6 @@ class TestShadowModeOnTrace:
         assert adaptive["errors"] == 0, adaptive["last_error"]
         assert adaptive["observations"] == metrics["requests"]["completed"]
         assert adaptive["drift"]["events"] == 0
-        assert adaptive["shadow"]["would_swap"] == 0
         # the session's plan is unchanged
         assert adaptive_session.plan("lcs", 48) == active
 
@@ -158,84 +150,47 @@ class TestShadowModeOnTrace:
 
 
 # ----------------------------------------------------------------------
-# Shadow re-ranking on a measured tuner
+# Plans without a prediction (the local rule's)
 # ----------------------------------------------------------------------
-def synthetic_measured_tuner():
-    """A measured tuner whose profile makes vectorized the clear winner.
+class TestUnpredictedPlans:
+    """Drift is judged against the signature's own baseline, never ``expected_s``."""
 
-    Serial is measured 4x slower, so a live observation showing the
-    vectorized plan at ~100ms flips the re-ranked choice to serial —
-    deterministically, whatever the host.
-    """
-    records = []
-    for dim in (32, 48, 64):
-        params = InputParams(dim=dim, tsize=0.5, dsize=0)
-        for backend, wall in (("serial", 0.004), ("vectorized", 0.001)):
-            records.append(
-                MeasuredRecord(app="lcs", backend=backend, params=params, wall_s=wall)
-            )
-    profile = MeasuredProfile(system="local", host={"cores": 1}, records=records)
-    return MeasuredTuner(profile)
+    def test_a_plan_without_a_prediction_still_latches_drift(self):
+        with Session() as session:
+            assert session.plan("lcs", 48).expected_s is None
+            controller = AdaptiveController(session, TEST_DRIFT)
+            signature = request_identity("lcs", 48, mode="functional")
+            for service_s in [0.01] * 3 + [0.5] * 2 + [0.01]:
+                controller.observe(signature, {}, service_s)
+            snapshot = controller.snapshot()
+        assert snapshot["errors"] == 0, snapshot["last_error"]
+        assert snapshot["drift"]["assessments"] == 6
+        assert snapshot["drift"]["events"] == 1
+        (event,) = snapshot["drift"]["recent"]
+        assert event["expected_ms"] is None and event["observed_ms"] == 500.0
+        stats = snapshot["signatures"]["lcs[dim=48] mode=functional"]
+        assert stats["expected_ms"] is None and stats["count"] == 6
 
-
-@pytest.fixture(scope="module")
-def measured_shadow_run():
-    """Nine ``lcs`` 48 requests, the 4th and 5th slowed by 0.3 s.
-
-    Calibration is 3 executions, so the two faults latch one drift event
-    and the shadow pass re-ranks the measured profile.  Returns the answers,
-    a fault-free reference answer, the session's plan before and after the
-    run, and the final ``/metrics`` snapshot.
-    """
-    with Session(system="local", tuner=synthetic_measured_tuner()) as ref:
-        expected = ref.solve("lcs", 48)
-    session = Session(system="local", tuner=synthetic_measured_tuner())
-    before = session.plan("lcs", 48)
-    server = ReproServer(
-        session,
-        ServerConfig(queue_capacity=16, adaptive="shadow"),
-        fault_plan=FaultPlan.parse("slow@4:0.3,slow@5:0.3"),
-        drift=TEST_DRIFT,
-        own_session=True,
-    ).start()
-    try:
-        answers = [server.solve("lcs", 48, timeout=60) for _ in range(9)]
-        after = session.plan("lcs", 48)
-        metrics = server.metrics()
-    finally:
-        server.close()
-    return {
-        "answers": answers,
-        "expected": expected,
-        "before": before,
-        "after": after,
-        "metrics": metrics,
-    }
-
-
-class TestShadowRetrain:
-    def test_retrained_proposal_is_logged_and_never_installed(
-        self, measured_shadow_run
-    ):
-        run = measured_shadow_run
-        adaptive = run["metrics"]["adaptive"]
+    def test_a_served_rule_plan_drifts_at_the_injected_slowdown(self):
+        session = Session()
+        server = ReproServer(
+            session,
+            ServerConfig(queue_capacity=16),
+            fault_plan=FaultPlan.parse("slow@4:0.3,slow@5:0.3"),
+            drift=TEST_DRIFT,
+            own_session=True,
+        ).start()
+        try:
+            answers = [server.solve("lcs", 48, timeout=60) for _ in range(7)]
+            metrics = server.metrics()
+        finally:
+            server.close()
+        adaptive = metrics["adaptive"]
+        assert adaptive["mode"] == "on"
         assert adaptive["errors"] == 0, adaptive["last_error"]
+        assert adaptive["observations"] == 7
         assert adaptive["drift"]["events"] == 1
-        assert adaptive["shadow"]["evaluations"] == 1
-        assert adaptive["shadow"]["would_swap"] == 1
-        (decision,) = adaptive["shadow"]["decisions"]
-        assert decision["signature"] == "lcs[dim=48] mode=functional"
-        assert decision["reason"] == "retrained"
-        assert decision["would_swap"] is True
-        assert decision["active"]["backend"] == "vectorized"
-        assert decision["proposed"]["backend"] == "serial"
-        # the proposal stays a proposal: the session keeps its plan
-        assert run["before"].backend == "vectorized"
-        assert run["after"] == run["before"]
-        for index, result in enumerate(run["answers"]):
-            assert np.array_equal(
-                result.grid.values, run["expected"].grid.values
-            ), f"answer diverged at request {index}"
+        assert {a.stats["strategy"] for a in answers} == {"vectorized"}
 
 
 # ----------------------------------------------------------------------
@@ -261,12 +216,18 @@ class TestSessionPrimitives:
 # Reporting / artifact plumbing
 # ----------------------------------------------------------------------
 class TestReporting:
-    def test_report_renders_predicted_observed_and_swap(self, measured_shadow_run):
-        text = render_adaptive_report(measured_shadow_run["metrics"]["adaptive"])
-        assert "adaptive tuning [shadow]" in text
-        assert "lcs[dim=48] mode=functional" in text
-        assert "swap to serial" in text and "[retrained]" in text
-        assert "<< LIVE" not in text
+    def test_report_renders_predicted_observed_and_drift(self, adaptive_session):
+        controller = AdaptiveController(adaptive_session, TEST_DRIFT)
+        signature = request_identity("lcs", 48, mode="functional")
+        for service_s in [0.01] * 3 + [0.5] * 2:
+            controller.observe(signature, {}, service_s)
+        text = render_adaptive_report(controller.snapshot())
+        assert "adaptive tuning [on]" in text
+        (row,) = [line for line in text.splitlines() if line.startswith("lcs[dim=48]")]
+        predicted_ms = adaptive_session.plan("lcs", 48).expected_s * 1e3
+        assert row.split()[2] == f"{predicted_ms:.2f}"
+        assert "drift: 1 events" in text
+        assert "shadow" not in text and "swap" not in text
 
     def test_report_renders_off_mode(self):
         assert "off" in render_adaptive_report(None)
@@ -275,24 +236,17 @@ class TestReporting:
         before = {
             "observations": 100,
             "drift": {"events": 2},
-            "shadow": {"evaluations": 2, "would_swap": 1},
             "errors": 0,
-            "mode": "shadow",
+            "mode": "on",
         }
         after = {
             "observations": 160,
             "drift": {"events": 3},
-            "shadow": {"evaluations": 3, "would_swap": 1},
             "errors": 0,
-            "mode": "shadow",
+            "mode": "on",
         }
         delta = _adaptive_delta(before, after)
-        assert delta["observations"] == 60
-        assert delta["drift_events"] == 1
-        assert delta["shadow_evaluations"] == 1
-        assert delta["would_swap"] == 0
-        assert "swaps_applied" not in delta
-        assert delta["mode"] == "shadow"
+        assert delta == {"observations": 60, "drift_events": 1, "errors": 0, "mode": "on"}
         # cold start: no before snapshot means the run owns every counter
         assert _adaptive_delta(None, after)["observations"] == 160
         # adaptive off: no section, no delta
@@ -304,9 +258,10 @@ class TestConfigSurface:
         with pytest.raises(ServerError):
             ServerConfig(adaptive="everything")
 
-    def test_live_mode_is_refused(self):
+    @pytest.mark.parametrize("retired", ["live", "shadow"])
+    def test_retired_modes_are_refused(self, retired):
         with pytest.raises(ServerError):
-            ServerConfig(adaptive="live")
+            ServerConfig(adaptive=retired)
 
     def test_adaptive_off_builds_no_controller(self, adaptive_session):
         server = ReproServer(

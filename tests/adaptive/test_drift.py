@@ -126,6 +126,16 @@ class TestConfigValidation:
             {"min_samples": 0},
             {"hysteresis": 0},
             {"min_excess_s": -0.1},
+            # A threshold that can never fire, or a count that is not a count.
+            {"ratio_threshold": float("nan")},
+            {"ratio_threshold": float("inf")},
+            {"min_excess_s": float("nan")},
+            {"min_excess_s": float("inf")},
+            {"min_samples": 2.5},
+            {"min_samples": True},
+            {"hysteresis": True},
+            {"hysteresis": 2.0},
+            {"ratio_threshold": "3"},
         ],
     )
     def test_impossible_thresholds_rejected(self, kwargs):

@@ -17,6 +17,7 @@ from repro.runtime import (
     VectorizedSerialExecutor,
     available_executors,
     available_serial_engines,
+    fill_engine,
     get_executor,
     register_executor,
 )
@@ -299,7 +300,8 @@ class TestEngineDimension:
         self, app_name, dim, decision_session
     ):
         plan = decision_session.plan(app_name, dim)
-        assert plan.engine == available_serial_engines()[0] == "vectorized"
+        assert fill_engine(plan.backend, plan.engine) == available_serial_engines()[0]
+        assert available_serial_engines()[0] == "vectorized"
 
     @pytest.mark.parametrize("tuner", ["learned", "exhaustive"])
     def test_unregistered_preferred_engine_falls_back_to_serial(

@@ -203,7 +203,7 @@ class TestMixedRun:
 class TestAdaptiveLoop:
     def test_an_admission_hit_is_not_observed(self, tmp_path, quick_tuner_i3, i3):
         session = Session(system=i3, tuner=quick_tuner_i3, cache_dir=tmp_path)
-        with ReproServer(session, ServerConfig(adaptive="shadow"), own_session=True) as server:
+        with ReproServer(session, ServerConfig(adaptive="on"), own_session=True) as server:
             adaptive = server.adaptive
             observe, observed = adaptive.observe, threading.Event()
             calls = []

@@ -204,7 +204,7 @@ class TestErrorMapping:
             ({"app": ["lcs"], "dim": 12}, "UsageError"),
             ({"app": "lcs", "dim": 12, "mode": 7}, "UsageError"),
             ({"app": "lcs", "dim": 12, "mode": "warp"}, "InvalidParameterError"),
-            ({"app": "lcs", "dim": 12, "deadline_s": 1e999}, "UsageError"),
+            ({"app": "lcs", "dim": 12, "deadline_s": 1e999}, "InvalidParameterError"),
             # A value the kernel refuses when it is built, after construction.
             ({"app": "lcs", "dim": 16, "seed": 1.5}, "InvalidParameterError"),
             ({"app": "lcs", "dim": 16, "seed": {"a": 1}}, "InvalidParameterError"),

@@ -70,7 +70,7 @@ class TestClosedLoop:
 
     def test_artifact_is_json_safe(self, loadgen_artifact):
         payload = json.loads(json.dumps(loadgen_artifact))
-        assert payload["format_version"] == 7
+        assert payload["format_version"] == 8
         assert payload["meta"]["requests"] == 24 and payload["meta"]["trace"] is None
         assert payload["server_metrics"]["requests"]["completed"] >= 24
         assert "reference" not in payload

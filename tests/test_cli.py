@@ -399,13 +399,14 @@ class TestServeVerb:
         assert args.command == "serve" and args.port == 8077
         assert args.queue_size == 64 and args.max_batch == 8
         assert args.system == "local" and args.space == "tiny"
-        assert args.adaptive == "shadow"
+        assert args.adaptive == "on"
 
-    def test_serve_refuses_adaptive_live(self, capsys):
+    @pytest.mark.parametrize("retired", ["live", "shadow"])
+    def test_serve_refuses_a_retired_adaptive_mode(self, retired, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["serve", "--adaptive", "live"])
+            build_parser().parse_args(["serve", "--adaptive", retired])
         assert exit_info.value.code == EXIT_USAGE
-        assert "invalid choice: 'live'" in capsys.readouterr().err
+        assert f"invalid choice: '{retired}'" in capsys.readouterr().err
 
     def test_serve_end_to_end_over_http(self, tmp_path):
         """serve binds, answers solve/metrics, drains on POST /shutdown."""

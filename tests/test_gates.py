@@ -81,13 +81,8 @@ NO_INSTANCE_DATA = {"plans": {"size": 4}, "problems": {"size": 0, "bytes": 0}}
 
 
 def adaptive_delta(drift_events):
-    """One shadow-mode run's adaptive counters over 60 observations."""
-    return {
-        "observations": 60, "drift_events": drift_events,
-        "shadow_evaluations": drift_events, "would_swap": 0,
-        "swaps_applied": 0, "swaps_rolled_back": 0, "errors": 0,
-        "mode": "shadow",
-    }
+    """One ``--adaptive on`` run's adaptive counters over 60 observations."""
+    return {"observations": 60, "drift_events": drift_events, "errors": 0, "mode": "on"}
 
 
 def passing(gate):
@@ -220,7 +215,8 @@ PROBLEMS = ("server_metrics", "caches", "problems")
         ("chaos", _set(SUPERVISOR + ("restarts",), 9), "9 shard restarts outside the budget band"),
         ("chaos", _set(SUPERVISOR + ("restarts",), 1), "1 shard restarts outside the budget band"),
         ("chaos", _set(("meta", "requests"), 61), "only 60 of 61 requests resolved"),
-        ("adaptive", _set(("adaptive", "swaps_applied"), 1), "1 swaps applied in shadow mode"),
+        ("adaptive", _set(("adaptive", "mode"), "shadow"), "the gate expects on"),
+        ("adaptive", _set(("adaptive", "observations"), 59), "the loop is missing traffic"),
         ("adaptive", _set(("adaptive", "drift_events"), 0), "the injected slowdown went undetected"),
     ],
     ids=[
@@ -228,7 +224,7 @@ PROBLEMS = ("server_metrics", "caches", "problems")
         "cache-p50-ratio", "cache-instance-bytes", "cache-no-problems-section",
         "cache-metrics-errored", "chaos-plan", "chaos-faults-injected",
         "chaos-restarts-above", "chaos-restarts-below", "chaos-untyped",
-        "adaptive-shadow-swap", "adaptive-no-drift",
+        "adaptive-mode", "adaptive-observations", "adaptive-no-drift",
     ],
 )
 def test_gate_rule_fails_with_its_message(gate, mutate, message, tmp_path, capsys):

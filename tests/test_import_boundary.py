@@ -1,11 +1,13 @@
-"""The serving process does not load the figure-analysis stack or scipy.
+"""The serving process loads neither the paper's training stack nor scipy.
 
 ``python -m repro serve`` enters through :mod:`repro.cli`.  Serving uses
-neither the Figure 5-8 analysis modules nor scipy, and importing them would
-cost most of the process's start-up time and memory.  The subprocess test
-replays the ``serve`` verb's construction path in a fresh interpreter and
-checks which modules it loaded.  It asserts module sets only, never a
-wall-clock time, so a slow host cannot make it flake.
+neither the Figure 5-8 analysis modules nor scipy, and on its default
+``local`` system it plans by rule, so the learned tuner's training modules
+(``repro.ml``, the sweep, the training set, the model files) have nothing
+to do there either.  The subprocess test runs the ``serve`` verb itself in
+a fresh interpreter, answers one ``/solve``, shuts it down and checks which
+modules it loaded.  It asserts module sets only, never a wall-clock time,
+so a slow host cannot make it flake.
 """
 
 import ast
@@ -21,41 +23,57 @@ SRC = REPO_ROOT / "src"
 
 _SERVE_PATH = textwrap.dedent(
     """
-    import json, sys, threading, urllib.request
+    import json, os, sys, tempfile, threading, time, urllib.request
 
     import repro.cli
-    from repro.core.parameter_space import ParameterSpace
-    from repro.server import ReproServer, ServerConfig, ServingEndpoint
-    from repro.session import Session
 
-    session = Session(system="local", tuner="learned", space=ParameterSpace.tiny())
-    session.tuner
-    server = ReproServer(session, ServerConfig(), own_session=True)
-    endpoint = ServingEndpoint(server, port=0)
-    thread = threading.Thread(target=endpoint.serve_forever, daemon=True)
+    ready = os.path.join(tempfile.mkdtemp(), "serve.addr")
+    codes = []
+    thread = threading.Thread(
+        target=lambda: codes.append(
+            repro.cli.main(["serve", "--port", "0", "--ready-file", ready])
+        ),
+        daemon=True,
+    )
     thread.start()
-    try:
-        request = urllib.request.Request(
-            endpoint.url + "/solve",
-            data=json.dumps({"app": "lcs", "dim": 16}).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=120) as response:
-            assert response.status == 200, response.status
-    finally:
-        endpoint.begin_shutdown()
-        thread.join(timeout=30)
-        server.close()
+    deadline = time.monotonic() + 120
+    while not os.path.exists(ready) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    url = "http://" + open(ready).read().strip()
+    request = urllib.request.Request(
+        url + "/solve",
+        data=json.dumps({"app": "lcs", "dim": 16}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=120) as response:
+        assert response.status == 200, response.status
+    urllib.request.urlopen(urllib.request.Request(url + "/shutdown", method="POST"), timeout=30)
+    thread.join(timeout=60)
+    assert codes == [0], codes
     print(json.dumps(sorted(sys.modules)))
     """
 )
 
+#: Modules that exist only to train the learned tuner or to re-rank plans.
+TRAINING_ONLY = {
+    "repro.ml",
+    *(f"repro.autotuner.{name}" for name in (
+        "tuner", "models", "training", "exhaustive", "baselines", "persistence",
+        "search_space",
+    )),
+    "repro.adaptive.shadow",
+}
+
 
 def _forbidden(name: str) -> bool:
-    return name == "scipy" or name.startswith(("scipy.", "repro.analysis"))
+    return (
+        name == "scipy"
+        or name.startswith(("scipy.", "repro.analysis", "repro.ml."))
+        or name in TRAINING_ONLY
+    )
 
 
-def test_serve_construction_path_loads_no_analysis_or_scipy():
+def test_serve_construction_path_loads_no_training_analysis_or_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     process = subprocess.run(

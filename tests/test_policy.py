@@ -15,7 +15,6 @@ import pytest
 
 from repro import ExecutionPolicy, Session
 from repro.autotuner.protocol import PlanDecision, Tuner
-from repro.autotuner.search_space import SearchSpace
 from repro.core.exceptions import (
     ArtifactError,
     InvalidParameterError,
@@ -24,6 +23,7 @@ from repro.core.exceptions import (
 )
 from repro.core.params import TunableParams
 from repro.facade.plan import ResolvedPlan, load_plan, save_plan
+from repro.runtime.mp_parallel import default_tile
 from repro.server.http import policy_from_body
 
 #: ``request_key`` digest of ``lcs`` at dim 48 pinned to the serial backend,
@@ -138,12 +138,17 @@ class TestTiledBackendWithoutATile:
             policy = ExecutionPolicy(**fill, workers=2)
         with Session() as session:
             plan = session.plan("lcs", 256, policy=policy)
-            assert plan.tunables.cpu_tile in SearchSpace.mp_tile_candidates(plan.params)
-            assert plan.tunables.cpu_tile == SearchSpace.mp_tile_candidates(plan.params)[-1]
+            assert plan.tunables.cpu_tile == default_tile(plan.dim) == 256
             result = session.run(plan)
             assert 1 <= result.stats["tiles_executed"] <= 64
             reference = session.solve("lcs", 256, policy=ExecutionPolicy(backend="vectorized"))
             assert np.array_equal(reference.grid.values, result.grid.values)
+
+    @pytest.mark.parametrize(
+        "dim, tile", [(2, 2), (7, 7), (8, 8), (15, 8), (16, 16), (100, 64), (255, 128), (256, 256), (5000, 256)]
+    )
+    def test_the_default_tile_is_the_largest_of_8_to_256_that_fits(self, dim, tile):
+        assert default_tile(dim) == tile
 
     def test_engine_override_keeps_what_the_tuner_decided(self, i7_2600k):
         decided = PlanDecision(
