@@ -1,16 +1,18 @@
 """Micro-benchmarks of the functional executors.
 
 Not a paper figure: these measure the reproduction's own machinery (serial
-sweep, simulated GPU band with halo exchange) on a small
-grid so regressions in the executors' overheads are visible over time.
+sweep, simulated GPU band with halo exchange) and simulate mode's pricing
+on a small grid so regressions in their overheads are visible over time.
 """
 
 import pytest
 
 from repro.apps.synthetic import SyntheticApp
 from repro.core.params import TunableParams
+from repro.facade.policy import ExecutionPolicy
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.serial import SerialExecutor
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +33,9 @@ def test_hybrid_dual_gpu_functional_sweep(benchmark, systems, small_problem):
     assert result.grid is not None
 
 
-def test_simulate_mode_prediction(benchmark, systems, small_problem):
-    executor = HybridExecutor(systems[1])
-    config = TunableParams.from_encoding(4, 20, 3, 1)
-    result = benchmark(executor.execute, small_problem, config, "simulate")
+def test_simulate_mode_prediction(benchmark, systems):
+    policy = ExecutionPolicy(backend="hybrid", tunables=TunableParams.from_encoding(4, 20, 3, 1))
+    with Session(system=systems[1]) as session:
+        plan = session.plan("synthetic", 48, policy=policy, tsize=100, dsize=1)
+        result = benchmark(session.run, plan, "simulate")
     assert result.grid is None and result.rtime > 0

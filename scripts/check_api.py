@@ -9,7 +9,10 @@ without reading the source:
 * the public method signatures of the facade types —
   :class:`repro.session.Session`, :class:`repro.facade.plan.ResolvedPlan`,
   :class:`repro.facade.policy.ExecutionPolicy`,
-  :class:`repro.runtime.registry.EngineSpec`,
+  :class:`repro.runtime.registry.EngineSpec` (and the calling convention
+  of its ``factory``: :class:`repro.runtime.executor_base.Executor` and
+  :func:`repro.runtime.registry.get_executor`),
+  :class:`repro.runtime.result.ExecutionResult`,
   :class:`repro.autotuner.protocol.Tuner`,
   :class:`repro.autotuner.protocol.PlanDecision` and the kernel interface
   :class:`repro.core.pattern.WavefrontKernel` — and of the serving
@@ -72,7 +75,9 @@ def current_surface() -> dict:
     from repro.core.pattern import WavefrontKernel
     from repro.facade.plan import ResolvedPlan
     from repro.facade.policy import ExecutionPolicy
-    from repro.runtime.registry import EngineSpec
+    from repro.runtime.executor_base import Executor
+    from repro.runtime.registry import EngineSpec, get_executor
+    from repro.runtime.result import ExecutionResult
     from repro.server import LoadgenConfig, ReproServer, ServerConfig
     from repro.session import Session
 
@@ -89,6 +94,10 @@ def current_surface() -> dict:
         "ExecutionPolicy.fields": _dataclass_fields(ExecutionPolicy),
         "ExecutionPolicy": _signatures(ExecutionPolicy),
         "EngineSpec.fields": _dataclass_fields(EngineSpec),
+        "Executor.__init__": str(inspect.signature(Executor.__init__)),
+        "Executor": _signatures(Executor),
+        "get_executor": str(inspect.signature(get_executor)),
+        "ExecutionResult.fields": _dataclass_fields(ExecutionResult),
         "PlanDecision.fields": _dataclass_fields(PlanDecision),
         "Tuner": _signatures(Tuner),
         "WavefrontKernel": _signatures(WavefrontKernel),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autotuner.measured import MeasuredProfile
+from repro.core.params import TunableParams
 from repro.hardware.costmodel import CostModel
 from repro.hardware.system import SystemSpec
 from repro.utils.tables import format_table
@@ -60,7 +61,7 @@ def measured_report_rows(
         walls = np.array([r.wall_s for r in records])
         predicted_ms = ""
         if model is not None:
-            predicted_ms = model.engine_time(best.backend, params) * 1e3
+            predicted_ms = model.price(best.backend, params, TunableParams()).total_s * 1e3
         rows.append(
             [
                 app,

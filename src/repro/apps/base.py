@@ -14,7 +14,7 @@ import abc
 import numpy as np
 
 from repro.core.exceptions import InvalidParameterError
-from repro.core.params import InputParams
+from repro.core.params import InputParams, require_int
 from repro.core.pattern import WavefrontKernel, WavefrontProblem
 
 
@@ -43,9 +43,7 @@ class WavefrontApplication(abc.ABC):
 
     def problem(self, dim: int | None = None) -> WavefrontProblem:
         """Build a concrete problem instance of side length ``dim``."""
-        dim = self.default_dim if dim is None else dim
-        if dim < 2:
-            raise InvalidParameterError(f"dim must be >= 2, got {dim}")
+        dim = require_int("dim", self.default_dim if dim is None else dim, minimum=2)
         try:
             kernel = self.make_kernel()
         except InvalidParameterError:

@@ -55,5 +55,5 @@ def simple_scheme_times(
         serial=model.baseline_serial(params),
         cpu_parallel=model.baseline_cpu_parallel(params, cpu_tile=cpu_tile),
         gpu_only=gpu_only,
-        vectorized=model.baseline_vectorized(params),
+        vectorized=model.vectorized_time(params),
     )

@@ -53,11 +53,6 @@ from repro.utils.serialization import load_json, save_json
 #: 3: whole-grid engines only, records carry no ``workers`` / ``cpu_tile``).
 PROFILE_FORMAT_VERSION = 3
 
-#: Default artifact locations, relative to the working directory
-#: (see ``docs/artifacts.md`` for the naming scheme).
-DEFAULT_PROFILE_PATH = Path("benchmarks") / "results" / "local_profile.json"
-DEFAULT_REPORT_PATH = Path("benchmarks") / "results" / "local_profile_report.txt"
-
 #: Backends the profiler times and the tuner plans: every registered
 #: whole-grid engine, best first (no tile, one worker).
 PROFILED_BACKENDS = tuple(engines_with("serial"))
@@ -361,7 +356,7 @@ def profile_host(
                 best = math.inf
                 for _ in range(config.repeats):
                     t0 = time.perf_counter()
-                    executor.execute(problem, whole_grid, mode="functional")
+                    executor.execute(problem, whole_grid)
                     best = min(best, time.perf_counter() - t0)
                 profile.add(
                     MeasuredRecord(

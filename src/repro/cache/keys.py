@@ -36,7 +36,7 @@ from typing import Any, Mapping, NamedTuple
 import numpy as np
 
 from repro.core.exceptions import CacheError, InvalidParameterError
-from repro.core.params import InputParams, TunableParams
+from repro.core.params import InputParams, TunableParams, require_int
 
 #: Version of the canonicalisation scheme; folded into every digest so a
 #: codec change can never alias entries written under the previous scheme.
@@ -166,8 +166,11 @@ def request_identity(
     canonicalise — a non-finite float, an object, nesting deeper than the
     interpreter can walk — is a typed
     :class:`~repro.core.exceptions.InvalidParameterError`: a request that
-    cannot be named cannot be served.
+    cannot be named cannot be served; so is a ``dim`` that is not an
+    integer (:func:`~repro.core.params.require_int`).
     """
+    if dim is not None:
+        require_int("dim", dim)
     try:
         overrides = policy.overrides() if policy is not None else None
         return RequestIdentity(

@@ -3,15 +3,13 @@
 On-disk layout (documented in ``docs/caching.md``)::
 
     <cache_dir>/
-        cache_format.json       # {"format_version": 1} — whole-directory marker
+        cache_format.json       # {"format_version": 2} — whole-directory marker
         <sha256-digest>.npz     # one entry: JSON header + raw grid arrays
 
 Each entry is a single NumPy ``.npz`` archive holding a JSON header (the
-result's scalar fields plus the request payload that produced it) and the
-result's raw arrays (``values``, optional ``witness``) — bit-exact, no float
-round-tripping through text.  Entries written before the grid became
-values-only also hold ``meta`` / ``payload`` members (all zeros); they are
-not read.
+functional result's scalar fields — no simulated price — plus the request
+payload that produced it) and the result's raw arrays (``values``, optional
+``witness``) — bit-exact, no float round-tripping through text.
 
 Durability contract:
 
@@ -29,7 +27,6 @@ Durability contract:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import threading
@@ -41,11 +38,11 @@ import numpy as np
 from repro.core.exceptions import CacheError, InvalidParameterError
 from repro.core.grid import WavefrontGrid
 from repro.core.params import InputParams, TunableParams
-from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.result import ExecutionResult
 
-#: Layout version of the on-disk cache (directory marker and every entry).
-CACHE_FORMAT_VERSION = 1
+#: Layout version of the on-disk cache (directory marker and every entry;
+#: 2: no ``rtime`` / ``breakdown`` in the header, and always a ``witness`` key).
+CACHE_FORMAT_VERSION = 2
 
 #: Name of the whole-directory format marker file.
 FORMAT_MARKER = "cache_format.json"
@@ -82,13 +79,8 @@ def encode_result(result: ExecutionResult, request: dict | None = None) -> dict:
         "tunables": {k: int(v) for k, v in result.tunables.features().items()},
         "system": result.system,
         "mode": result.mode,
-        "rtime": result.rtime,
         "wall_time": result.wall_time,
         "stats": result.stats,
-        "breakdown": {
-            f.name: getattr(result.breakdown, f.name)
-            for f in dataclasses.fields(PhaseBreakdown)
-        },
         "grid": None,
         "witness": None,
     }
@@ -102,8 +94,7 @@ def encode_result(result: ExecutionResult, request: dict | None = None) -> dict:
         arrays["values"] = result.grid.values
     if result.witness is not None:
         # Witness arrays are raw npz members like the grid — bit-exact, no
-        # text round-tripping.  Absence stays representable (old entries and
-        # witness-free kernels decode to None), so the format version holds.
+        # text round-tripping; a witness-free kernel's header says None.
         header["witness"] = {"dtype": str(result.witness.dtype)}
         arrays["witness"] = result.witness
     arrays["header"] = np.frombuffer(
@@ -134,7 +125,7 @@ def decode_result(archive) -> ExecutionResult:
         grid = WavefrontGrid(int(g["dim"]), int(g["dsize"]), dtype=np.dtype(g["dtype"]))
         grid.values[...] = archive["values"]
     witness = None
-    if header.get("witness") is not None:
+    if header["witness"] is not None:
         witness = np.asarray(
             archive["witness"], dtype=np.dtype(header["witness"]["dtype"])
         )
@@ -143,8 +134,6 @@ def decode_result(archive) -> ExecutionResult:
         tunables=TunableParams(**{k: int(v) for k, v in header["tunables"].items()}),
         system=str(header["system"]),
         mode=str(header["mode"]),
-        rtime=float(header["rtime"]),
-        breakdown=PhaseBreakdown(**header["breakdown"]),
         grid=grid,
         wall_time=float(header["wall_time"]),
         stats=dict(header["stats"]),

@@ -58,7 +58,6 @@ from pathlib import Path
 
 from repro.adaptive import ADAPTIVE_MODES, render_adaptive_report
 from repro.apps.registry import available_applications
-from repro.autotuner.measured import DEFAULT_PROFILE_PATH, DEFAULT_REPORT_PATH
 from repro.core.exceptions import (
     ArtifactError,
     RegistryError,
@@ -69,7 +68,7 @@ from repro.core.parameter_space import ParameterSpace
 from repro.core.params import TunableParams
 from repro.facade.plan import load_plan, save_plan
 from repro.facade.policy import ExecutionPolicy
-from repro.facade.tuners import TUNER_KINDS
+from repro.facade.tuners import DEFAULT_PROFILE_PATH, DEFAULT_REPORT_PATH, TUNER_KINDS
 from repro.hardware import platforms
 from repro.server.loadgen import DEFAULT_MIX
 from repro.server.service import finite_seconds
@@ -576,10 +575,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"wrote plan to {args.plan_out}")
 
         result = session.run(plan, mode=args.mode)
-        print(
-            f"executed: mode={result.mode}, rtime={result.rtime:.6f}s, "
-            f"wall={result.wall_time:.6f}s"
+        clock = (
+            f"rtime={result.rtime:.6f}s" if result.rtime is not None
+            else f"wall={result.wall_time:.6f}s"
         )
+        print(f"executed: mode={result.mode}, {clock}")
         if result.grid is not None:
             print(f"answer cell: {result.value:.6g}  (checksum {result.checksum:.6g})")
         if args.verify:
@@ -767,7 +767,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         "dim": args.dim,
                         "wall_s_best": best,
                         "wall_s_all": walls,
-                        "rtime_s": result.rtime,
                         "cells": plan.params.cells,
                         "speedup_vs_serial": speedup,
                         "matches_serial": matches,

@@ -27,6 +27,7 @@ GPUs.  :meth:`TunableParams.from_encoding` implements exactly that decoding.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from repro.core.exceptions import InvalidParameterError
@@ -35,6 +36,19 @@ from repro.core.exceptions import InvalidParameterError
 ELEMENT_INT_BYTES = 8
 #: Size in bytes of one floating point payload value.
 ELEMENT_FLOAT_BYTES = 8
+
+
+def require_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an ``int``: an integer (NumPy's too, never a ``bool``) >= ``minimum``.
+
+    Anything else is an :class:`InvalidParameterError` naming ``name`` —
+    never a silent truncation (``12.7`` is not the dim-12 request).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, order=True)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.exceptions import InvalidParameterError
-from repro.core.params import TunableParams
+from repro.core.params import TunableParams, require_int
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,8 @@ class ExecutionPolicy:
 
     def __post_init__(self) -> None:
         """Validate the worker count."""
-        if self.workers is not None and int(self.workers) < 1:
-            raise InvalidParameterError(
-                f"workers must be >= 1, got {self.workers}"
-            )
+        if self.workers is not None:
+            require_int("workers", self.workers, minimum=1)
 
     def overrides(self) -> dict:
         """The non-``None`` fields as a name -> value dict (cache keys, repr)."""

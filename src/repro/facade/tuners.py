@@ -20,15 +20,24 @@ examples cannot drift apart on what a strategy name means:
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.autotuner.protocol import ExhaustiveTuner, LocalRuleTuner, Tuner
 from repro.core.exceptions import ArtifactError, UsageError
 from repro.core.parameter_space import ParameterSpace
-from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import LOCAL_SYSTEM_NAME, SystemSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: the tuners load the cost model
+    from repro.hardware.costmodel import CostConstants
 
 #: Strategy names :func:`make_tuner` understands.
 TUNER_KINDS = ("learned", "measured", "exhaustive")
+
+#: Where ``repro profile`` writes the measured profile ``"measured"`` loads by
+#: default, and its report; relative to the working directory (see
+#: ``docs/artifacts.md`` for the naming scheme).
+DEFAULT_PROFILE_PATH = Path("benchmarks") / "results" / "local_profile.json"
+DEFAULT_REPORT_PATH = Path("benchmarks") / "results" / "local_profile_report.txt"
 
 
 def make_tuner(
@@ -101,7 +110,7 @@ def _make_learned(
 
 def _make_measured(profile_path: str | Path | None):
     """The ``"measured"`` strategy: load the profile and rank its engines."""
-    from repro.autotuner.measured import DEFAULT_PROFILE_PATH, MeasuredTuner, load_profile
+    from repro.autotuner.measured import MeasuredTuner, load_profile
 
     try:
         return MeasuredTuner(

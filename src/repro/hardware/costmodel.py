@@ -15,10 +15,12 @@ mechanisms the paper identifies as the tuning trade-offs (Section 2.1):
 * work-group synchronisation when tiling inside the GPU,
 * halo swaps through the host and redundant halo computation for dual GPUs.
 
-The same model backs both the ``simulate`` execution mode (where no cell
-values are produced) and the timeline that the functional executors charge
-their simulated operations to, so the two modes report identical ``rtime``
-for identical configurations.
+The model prices plans; it never runs one.  :meth:`CostModel.price` is the
+one entry point from a plan's backend to its :class:`PhaseBreakdown`: the
+``simulate`` execution mode (:meth:`repro.session.Session.run`) calls it from
+the plan's input parameters alone, and the tuners' sweeps price through the
+same per-strategy formulas.  A functional run is measured (``wall_time``),
+never priced, so no executor imports this module.
 """
 
 from __future__ import annotations
@@ -188,14 +190,6 @@ class CostModel:
         overhead = params.n_diagonals * c.vector_diag_overhead_us * 1e-6
         return overhead + self.serial_time(params) / c.cpu_vector_speedup
 
-    def engine_time(self, engine: str, params: InputParams) -> float:
-        """Runtime of one single-core engine by registry name."""
-        if engine == "serial":
-            return self.serial_time(params)
-        if engine == "vectorized":
-            return self.vectorized_time(params)
-        raise InvalidParameterError(f"unknown serial engine {engine!r}")
-
     def cpu_region_time(
         self, params: InputParams, n_diagonals: int, cells: int, cpu_tile: int
     ) -> float:
@@ -220,12 +214,6 @@ class CostModel:
         # work bound over the effective cores.
         work_bound = cells * point * cache / cpu.effective_cores
         return max(critical_path, work_bound)
-
-    def cpu_parallel_time(self, params: InputParams, cpu_tile: int) -> float:
-        """All-CPU tiled parallel execution of the whole grid."""
-        return self.cpu_region_time(
-            params, params.n_diagonals, params.cells, cpu_tile
-        )
 
     # ------------------------------------------------------------------
     # The shared-memory multicore backend (``mp-parallel``)
@@ -390,6 +378,29 @@ class CostModel:
             startup_s=comp["startup"],
         )
 
+    def price(
+        self, backend: str, params: InputParams, tunables: TunableParams, workers: int = 1
+    ) -> PhaseBreakdown:
+        """Simulated breakdown of ``backend`` running ``params`` under ``tunables``.
+
+        ``backend`` is a registry engine name and ``tunables`` are already
+        normalised by that engine's rules; ``workers`` is the tiled engines'
+        team size.  Every engine but the hybrid executor is one CPU phase.
+        """
+        if backend == "hybrid":
+            return self.hybrid_breakdown(params, tunables)
+        if backend == "serial":
+            seconds = self.serial_time(params)
+        elif backend == "vectorized":
+            seconds = self.vectorized_time(params)
+        elif backend == "mp-parallel":
+            seconds = self.mp_parallel_time(params, tunables.cpu_tile, workers)
+        elif backend == "pipelined":
+            seconds = self.pipelined_time(params, tunables.cpu_tile, workers)
+        else:
+            raise InvalidParameterError(f"the cost model has no price for engine {backend!r}")
+        return PhaseBreakdown(pre_s=seconds)
+
     def predict(self, params: InputParams, tunables: TunableParams) -> float:
         """Predicted end-to-end runtime (seconds) of one configuration."""
         return self.hybrid_breakdown(params, tunables).total_s
@@ -401,14 +412,9 @@ class CostModel:
         """Scheme (a): everything serial on one CPU core."""
         return self.serial_time(params)
 
-    def baseline_vectorized(self, params: InputParams) -> float:
-        """The vectorized single-core engine (not part of Figure 6, but the
-        baseline any modern reproduction should beat)."""
-        return self.vectorized_time(params)
-
     def baseline_cpu_parallel(self, params: InputParams, cpu_tile: int = 8) -> float:
         """Scheme (b): tiled parallel across all CPU cores, no GPU phase."""
-        return self.cpu_parallel_time(params, cpu_tile)
+        return self.cpu_region_time(params, params.n_diagonals, params.cells, cpu_tile)
 
     def baseline_gpu_only(self, params: InputParams, gpu_count: int = 1) -> float:
         """Scheme (c): the whole grid computed in the GPU phase."""

@@ -31,9 +31,9 @@ there.  Construct executors uniformly with
 :func:`repro.runtime.registry.fill_engine` says which engine fills the grid
 of a ``(backend, engine)`` choice and rejects a name that is not registered.
 
-Every executor supports two modes: ``functional`` (cell values are really
-computed, results validated against the serial sweep) and ``simulate`` (only
-the analytic cost model is evaluated, used by the large parameter sweeps).
+Executors only compute: every cell value is really computed, and the
+result carries the host's ``wall_time``.  A plan's simulated price is the
+cost model's (``Session.run(plan, mode="simulate")``), not an executor's.
 """
 
 from repro.runtime.result import ExecutionResult

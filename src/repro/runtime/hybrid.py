@@ -19,7 +19,6 @@ from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.core.plan import Phase, plan_for
-from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.band import band_counters
 from repro.runtime.executor_base import Executor
 
@@ -39,17 +38,14 @@ class HybridExecutor(Executor):
 
     strategy = "hybrid"
 
-    def __init__(self, system, constants=None, engine: str | None = None, **engine_kwargs) -> None:
-        super().__init__(system, constants)
+    def __init__(self, system, engine: str | None = None, **engine_kwargs) -> None:
+        super().__init__(system)
         from repro.runtime.registry import fill_engine, get_executor
 
         #: The executor that fills the grid, built from the ``engine`` name.
         self.fill: Executor = get_executor(
-            fill_engine(self.strategy, engine), system, constants, **engine_kwargs
+            fill_engine(self.strategy, engine), system, **engine_kwargs
         )
-
-    def _breakdown(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
-        return self.cost_model.hybrid_breakdown(problem.input_params(), tunables)
 
     # ------------------------------------------------------------------
     # Functional execution
@@ -64,7 +60,9 @@ class HybridExecutor(Executor):
         # in how their cells are computed: one sweep of this executor's
         # engine fills the grid, crossing the three spans in wavefront order.
         fill = self.fill
-        grid, fill_stats = fill._run_functional(problem, fill._validate(problem, tunables))
+        grid, fill_stats = fill._run_functional(
+            problem, fill._validate(self.system, problem.dim, tunables)
+        )
         stats: dict = {"plan": plan.describe(), "engine": fill.strategy, **fill_stats}
         cells = plan.cells_per_phase()
         stats["phase1_cells"] = cells[Phase.CPU_PRE]

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.exceptions import ExecutionError
 from repro.core.pattern import WavefrontProblem
-from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import Executor
 from repro.runtime.registry import engines_with, fill_engine, get_executor
@@ -56,14 +55,8 @@ class EngineHost:
     executions the same way (a second ``run`` on a busy team raises).
     """
 
-    def __init__(
-        self,
-        system: SystemSpec,
-        constants: CostConstants | None = None,
-        max_executors: int = DEFAULT_MAX_EXECUTORS,
-    ) -> None:
+    def __init__(self, system: SystemSpec, max_executors: int = DEFAULT_MAX_EXECUTORS) -> None:
         self.system = system
-        self.constants = constants
         self._executors: LRUCache = LRUCache(max_executors)
         #: worker count -> the resident team of that size.
         self._teams: dict[int, "WorkerTeam"] = {}
@@ -110,7 +103,7 @@ class EngineHost:
                 kwargs["engine"] = fill
             if fill in engines_with("multicore"):
                 kwargs.update(workers=workers, pool_source=self.pool_for)
-            executor = get_executor(backend, self.system, self.constants, **kwargs)
+            executor = get_executor(backend, self.system, **kwargs)
             self.stats["executors_built"] += 1
             return self._executors.put(key, executor)
 

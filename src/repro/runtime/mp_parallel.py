@@ -50,7 +50,6 @@ from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.core.tiling import Tile, TileDecomposition
-from repro.hardware.costmodel import PhaseBreakdown
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import Executor
 from repro.runtime.scheduler import DependencyGraph, run_pipelined, run_schedule
@@ -508,14 +507,8 @@ class MPParallelExecutor(Executor):
     #: Tile dispatch order handed to :meth:`MPWavefrontPool.run`.
     dispatch = "barrier"
 
-    def __init__(
-        self,
-        system,
-        constants=None,
-        workers: int | None = None,
-        pool_source=None,
-    ) -> None:
-        super().__init__(system, constants)
+    def __init__(self, system, workers: int | None = None, pool_source=None) -> None:
+        super().__init__(system)
         self.workers = workers
         #: Optional ``(problem, tile, workers) -> MPWavefrontPool`` provider
         #: of *borrowed* pools (e.g. the session's
@@ -524,22 +517,11 @@ class MPParallelExecutor(Executor):
         #: Without one every run forks (and stops) a private team.
         self.pool_source = pool_source
 
-    def _resolved_workers(self) -> int:
-        return resolve_worker_count(self.workers, self.system)
-
-    def _breakdown(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
-        params = problem.input_params()
-        return PhaseBreakdown(
-            pre_s=self.cost_model.mp_parallel_time(
-                params, tunables.cpu_tile, self._resolved_workers()
-            )
-        )
-
     def _run_functional(
         self, problem: WavefrontProblem, tunables: TunableParams
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
-        workers = self._resolved_workers()
+        workers = resolve_worker_count(self.workers, self.system)
         if self.pool_source is not None:
             pool = self.pool_source(problem, tunables.cpu_tile, workers)
         else:
@@ -559,9 +541,10 @@ class MPParallelExecutor(Executor):
             stats["pool"] = "borrowed"
         return grid, stats
 
-    def _validate(self, problem: WavefrontProblem, tunables: TunableParams) -> TunableParams:
+    @classmethod
+    def _validate(cls, system, dim: int, tunables: TunableParams) -> TunableParams:
         # A pure-CPU strategy: keep the cpu_tile choice, drop GPU settings.
-        tunables = tunables.clipped(problem.dim)
+        tunables = tunables.clipped(dim)
         return TunableParams(cpu_tile=tunables.cpu_tile)
 
 
@@ -574,17 +557,8 @@ class PipelinedMPExecutor(MPParallelExecutor):
     :class:`~repro.runtime.scheduler.DependencyGraph` of the pool instead of
     barrier-separated waves, so a tile of wave ``d + 1`` starts the moment
     its three neighbour tiles retire even while wave ``d`` stragglers are
-    still running.  The cost model drops the per-wave straggler term
-    accordingly (:meth:`repro.hardware.costmodel.CostModel.pipelined_time`).
+    still running.
     """
 
     strategy = "pipelined"
     dispatch = "pipelined"
-
-    def _breakdown(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
-        params = problem.input_params()
-        return PhaseBreakdown(
-            pre_s=self.cost_model.pipelined_time(
-                params, tunables.cpu_tile, self._resolved_workers()
-            )
-        )

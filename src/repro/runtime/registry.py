@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.exceptions import InvalidParameterError, UnknownExecutorError
-from repro.hardware.costmodel import CostConstants
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import Executor
 from repro.runtime.hybrid import HybridExecutor
@@ -85,11 +84,14 @@ def _spec(name: str) -> EngineSpec:
         raise UnknownExecutorError(f"unknown executor {name!r}; known: {known}") from None
 
 
-def get_executor(
-    name: str, system: SystemSpec, constants: CostConstants | None = None, **kwargs
-) -> Executor:
+def executor_class(name: str) -> type[Executor]:
+    """The executor class registered as ``name`` (its tunables rule, unbuilt)."""
+    return _spec(name).factory
+
+
+def get_executor(name: str, system: SystemSpec, **kwargs) -> Executor:
     """Construct a registered executor by strategy name."""
-    return _spec(name).factory(system, constants, **kwargs)
+    return executor_class(name)(system, **kwargs)
 
 
 def available_executors() -> list[str]:

@@ -11,17 +11,18 @@ import numpy as np
 
 from repro.core.grid import WavefrontGrid
 from repro.core.params import InputParams, TunableParams
-from repro.hardware.costmodel import PhaseBreakdown
 
 
 @dataclass
 class ExecutionResult:
     """Outcome of executing one wavefront instance under one configuration.
 
-    ``rtime`` is the paper's quantity of interest: the simulated end-to-end
-    runtime in seconds on the target platform.  ``wall_time`` is how long the
-    reproduction actually took on the host (only meaningful in functional
-    mode).  ``grid`` is populated in functional mode only.
+    A functional result is measured: ``wall_time`` is how long the sweep
+    took on the host, and ``grid`` holds every cell.  A simulate result is
+    priced: ``rtime`` is the paper's quantity of interest, the simulated
+    end-to-end runtime in seconds on the target platform, and ``breakdown``
+    its per-phase :class:`~repro.hardware.costmodel.PhaseBreakdown`.  Each
+    kind leaves the other's fields at ``None`` (``wall_time`` at 0).
 
     ``witness`` is the kernel's optional answer certificate (see
     :meth:`repro.core.pattern.WavefrontKernel.reconstruct_witness`) — e.g.
@@ -39,8 +40,10 @@ class ExecutionResult:
     tunables: TunableParams
     system: str
     mode: str
-    rtime: float
-    breakdown: PhaseBreakdown = field(default_factory=PhaseBreakdown)
+    rtime: float | None = None
+    #: A :class:`repro.hardware.costmodel.PhaseBreakdown`, named but not
+    #: imported: the runtime never loads the cost model.
+    breakdown: PhaseBreakdown | None = None  # noqa: F821
     grid: WavefrontGrid | None = None
     wall_time: float = 0.0
     stats: dict[str, Any] = field(default_factory=dict)
@@ -100,8 +103,11 @@ class ExecutionResult:
         return np.array_equal(self.witness, other.witness)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        clock = (
+            f"rtime={self.rtime:.4g}s" if self.rtime is not None else f"wall={self.wall_time:.4g}s"
+        )
         return (
             f"ExecutionResult(system={self.system!r}, mode={self.mode!r}, "
             f"dim={self.params.dim}, tsize={self.params.tsize}, "
-            f"config={self.tunables.describe()}, rtime={self.rtime:.4g}s)"
+            f"config={self.tunables.describe()}, {clock})"
         )

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
-from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.compute import compute_diagonal_range
 from repro.runtime.executor_base import Executor
 
@@ -21,10 +20,6 @@ class SerialExecutor(Executor):
 
     strategy = "serial"
 
-    def _breakdown(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
-        params = problem.input_params()
-        return PhaseBreakdown(pre_s=self.cost_model.serial_time(params))
-
     def _run_functional(
         self, problem: WavefrontProblem, tunables: TunableParams
     ) -> tuple[WavefrontGrid, dict]:
@@ -32,7 +27,8 @@ class SerialExecutor(Executor):
         cells = compute_diagonal_range(problem, grid, 0, 2 * problem.dim - 2)
         return grid, {"cells_computed": cells}
 
-    def _validate(self, problem: WavefrontProblem, tunables: TunableParams) -> TunableParams:
+    @classmethod
+    def _validate(cls, system, dim: int, tunables: TunableParams) -> TunableParams:
         # The serial baseline ignores tunables entirely; normalise them so the
         # result object records the canonical serial configuration.
         return TunableParams(cpu_tile=1)

@@ -41,7 +41,6 @@ from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.core.tiling import Tile
-from repro.hardware.costmodel import PhaseBreakdown
 from repro.runtime.executor_base import Executor
 
 
@@ -215,10 +214,6 @@ class VectorizedSerialExecutor(Executor):
 
     strategy = "vectorized"
 
-    def _breakdown(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
-        params = problem.input_params()
-        return PhaseBreakdown(pre_s=self.cost_model.vectorized_time(params))
-
     def _run_functional(
         self, problem: WavefrontProblem, tunables: TunableParams
     ) -> tuple[WavefrontGrid, dict]:
@@ -231,7 +226,8 @@ class VectorizedSerialExecutor(Executor):
             "traversal": sweeper.traversal,
         }
 
-    def _validate(self, problem: WavefrontProblem, tunables: TunableParams) -> TunableParams:
+    @classmethod
+    def _validate(cls, system, dim: int, tunables: TunableParams) -> TunableParams:
         # Like the scalar serial baseline this strategy ignores tunables;
         # normalise them so results record the canonical configuration.
         return TunableParams(cpu_tile=1)

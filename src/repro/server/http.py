@@ -103,6 +103,8 @@ def witness_digest(result: ExecutionResult) -> str | None:
 def result_payload(app: str, dim: int | None, result: ExecutionResult) -> dict:
     """The JSON body answering one successful ``POST /solve``.
 
+    A simulate answer carries the simulated price ``rtime_s``; a functional
+    one carries ``value`` / ``checksum`` instead, and no price.
     Witness-bearing results additionally answer ``witness`` (the full
     certificate as a list of ints — witnesses are short, one path per
     solve) and ``witness_sha256``; witness-free results answer neither key
@@ -113,11 +115,12 @@ def result_payload(app: str, dim: int | None, result: ExecutionResult) -> dict:
         "dim": result.params.dim if dim is None else dim,
         "system": result.system,
         "mode": result.mode,
-        "rtime_s": result.rtime,
         "wall_time_s": result.wall_time,
         "tunables": {k: int(v) for k, v in result.tunables.features().items()},
         "grid_sha256": grid_digest(result),
     }
+    if result.rtime is not None:
+        payload["rtime_s"] = result.rtime
     if result.grid is not None:
         payload["value"] = result.value
         payload["checksum"] = result.checksum

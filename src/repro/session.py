@@ -52,7 +52,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
-from typing import Any, Callable, Iterable, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.apps.base import WavefrontApplication
 from repro.apps.registry import default_dim, get_application
@@ -60,21 +61,23 @@ from repro.autotuner.protocol import PlanDecision, Tuner
 from repro.cache import RequestIdentity, ResultCache, request_identity, request_key
 from repro.cache.keys import instance_key
 from repro.core.exceptions import DeadlineError, ReproError, UsageError
-from repro.core.params import TunableParams
+from repro.core.params import TunableParams, require_int
 from repro.core.parameter_space import ParameterSpace
 from repro.core.pattern import WavefrontProblem
 from repro.facade.plan import ResolvedPlan
 from repro.facade.policy import ExecutionPolicy
 from repro.facade.tuners import make_tuner
-from repro.hardware.costmodel import CostConstants
 from repro.hardware.platforms import resolve_system
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import ExecutionMode
 from repro.runtime.lifecycle import EngineHost
 from repro.runtime.mp_parallel import default_tile
-from repro.runtime.registry import engines_with, fill_engine
+from repro.runtime.registry import engines_with, executor_class, fill_engine
 from repro.runtime.result import ExecutionResult
 from repro.utils.lru import LRUCache
+
+if TYPE_CHECKING:  # pragma: no cover - the cost model loads on the first simulate run
+    from repro.hardware.costmodel import CostConstants, CostModel
 
 #: Default bound of the session's plan and problem caches.
 DEFAULT_CACHE_SIZE = 128
@@ -98,10 +101,11 @@ class Session:
     (e.g. the benchmark driver) never pay for training.
 
     ``mode`` is the default execution mode (``"functional"`` really
-    computes, ``"simulate"`` evaluates the cost model only);
-    ``cache_size`` bounds the tuned-plan and problem caches;
-    ``workers`` — when set — overrides every plan's worker count (useful to
-    force or forbid multiprocessing).  ``cache_dir`` — when set — roots a
+    computes, ``"simulate"`` prices the plan with the cost model, built
+    from ``constants`` on the first simulate run); ``cache_size`` (an
+    integer >= 1) bounds the tuned-plan and problem caches; ``workers`` —
+    when set, an integer >= 1 — overrides every plan's worker count (useful
+    to force or forbid multiprocessing).  ``cache_dir`` — when set — roots a
     persistent content-addressed result cache consulted by :meth:`solve` /
     :meth:`solve_many` for functional registry-name requests (pass a ready
     :class:`repro.cache.ResultCache` as ``result_cache`` to control its
@@ -147,13 +151,13 @@ class Session:
             # results consistent with the strategy that produced them.
             constants = getattr(tuner, "constants", None)
         self.constants = constants
-        self.workers = workers
-        self.cache_size = int(cache_size)
+        self.workers = None if workers is None else require_int("workers", workers, minimum=1)
+        self.cache_size = require_int("cache_size", cache_size, minimum=1)
         self.model_path = model_path
         self.profile_path = profile_path
         self._tuner_spec: str | Tuner = tuner
         self._tuner: Tuner | None = tuner if isinstance(tuner, Tuner) else None
-        self.host = EngineHost(self.system, constants)
+        self.host = EngineHost(self.system)
         #: Content-addressed persistent result tier (None = disabled).
         self.result_cache: ResultCache | None = result_cache
         if self.result_cache is None and cache_dir is not None:
@@ -201,6 +205,13 @@ class Session:
                         profile_path=self.profile_path,
                     )
         return self._tuner
+
+    @cached_property
+    def _cost_model(self) -> "CostModel":
+        """Simulate mode's pricing model, built on the first simulate run."""
+        from repro.hardware.costmodel import CostModel
+
+        return CostModel(self.system, self.constants)
 
     def attach_observer(
         self,
@@ -373,11 +384,13 @@ class Session:
     ) -> ExecutionResult:
         """Execute a resolved plan (this session's or a replayed one).
 
-        A plan carrying a problem (one resolved from a caller-supplied
-        instance) executes it directly; every other plan — a registry name's
-        or a replayed one — takes its problem from the problem
-        cache under ``(plan.app, plan.dim, plan.app_kwargs)``, built through
-        the application registry on a miss.  ``mode`` defaults to the
+        Functionally, a plan carrying a problem (one resolved from a
+        caller-supplied instance) executes it directly; every other plan —
+        a registry name's or a replayed one — takes its problem from the
+        problem cache under ``(plan.app, plan.dim, plan.app_kwargs)``, built
+        through the application registry on a miss.  In simulate mode the
+        plan is priced from ``plan.params`` alone (:meth:`_price`): no
+        problem and no executor is built.  ``mode`` defaults to the
         session's mode.
 
         The whole execution holds the session's run lock: borrowed worker
@@ -387,17 +400,42 @@ class Session:
         self._check_open()
         mode = ExecutionMode.coerce(mode) if mode is not None else self.mode
         problem = plan.problem
-        if problem is None:
+        if problem is None and mode is ExecutionMode.FUNCTIONAL:
             problem = self._problem(plan.app, plan.dim, plan.app_kwargs)
         with self._run_lock:
             self._check_open()
-            executor = self.host.executor_for(plan.backend, plan.engine, plan.workers)
+            executor = None
+            if mode is ExecutionMode.FUNCTIONAL:
+                executor = self.host.executor_for(plan.backend, plan.engine, plan.workers)
             self.stats["runs"] += 1
             started = time.perf_counter()
-            result = executor.execute(problem, plan.tunables, mode=mode)
+            if executor is None:
+                result = self._price(plan)
+            else:
+                result = executor.execute(problem, plan.tunables)
             if self._observer is not None:
                 self._observer(plan, mode, time.perf_counter() - started)
             return result
+
+    def _price(self, plan: ResolvedPlan) -> ExecutionResult:
+        """The simulate answer of ``plan``: its cost-model price, nothing computed.
+
+        The engine names are checked and the tunables normalised by the
+        backend's executor class, exactly as a functional run would, so the
+        result records the configuration that run would execute.
+        """
+        fill_engine(plan.backend, plan.engine)
+        tunables = executor_class(plan.backend)._validate(self.system, plan.dim, plan.tunables)
+        breakdown = self._cost_model.price(plan.backend, plan.params, tunables, plan.workers)
+        return ExecutionResult(
+            params=plan.params,
+            tunables=tunables,
+            system=self.system.name,
+            mode=ExecutionMode.SIMULATE.value,
+            rtime=breakdown.total_s,
+            breakdown=breakdown,
+            stats={"strategy": plan.backend},
+        )
 
     def solve(
         self,

@@ -16,7 +16,6 @@ import pytest
 from repro.apps.registry import available_applications, get_application
 from repro.autotuner import measured as measured_module
 from repro.autotuner.measured import (
-    DEFAULT_PROFILE_PATH,
     PROFILE_FORMAT_VERSION,
     PROFILED_BACKENDS,
     MeasuredProfile,
@@ -28,6 +27,7 @@ from repro.autotuner.measured import (
     save_profile,
 )
 from repro.autotuner.protocol import ExhaustiveTuner
+from repro.facade.tuners import DEFAULT_PROFILE_PATH
 from repro.core.exceptions import ArtifactError, SearchError, UsageError
 from repro.core.params import InputParams
 from repro.hardware.calibration import constants_from_measurements

@@ -223,3 +223,45 @@ class TestOneRequestEverywhere:
                     bad.result(timeout=60)
             finally:
                 server.close()
+
+
+#: Dims that name no grid: truncating them answered a different request.
+NOT_INTEGERS = [("lcs", 12.7), ("nash-equilibrium", 9.99), ("lcs", 12.0), ("lcs", np.float64(16.5)), ("lcs", "12")]
+
+
+class TestADimIsAnInteger:
+    """A non-integer dim is refused in process, as it is on the wire."""
+
+    @pytest.mark.parametrize(("app", "dim"), NOT_INTEGERS)
+    def test_request_identity_refuses_it(self, app, dim):
+        with pytest.raises(InvalidParameterError, match="dim must be an integer"):
+            request_identity(app, dim)
+
+    @pytest.mark.parametrize(("app", "dim"), NOT_INTEGERS)
+    def test_an_application_refuses_to_build_it(self, app, dim):
+        from repro.apps.registry import get_application
+
+        with pytest.raises(InvalidParameterError, match="dim must be an integer"):
+            get_application(app).problem(dim)
+
+    @pytest.mark.parametrize(("app", "dim"), NOT_INTEGERS)
+    def test_session_solve_refuses_it_and_caches_nothing(self, tmp_path, app, dim):
+        with Session(system="i7-2600K", cache_dir=tmp_path) as session:
+            with pytest.raises(InvalidParameterError, match="dim must be an integer"):
+                session.solve(app, dim)
+            assert session.cache_info()["results"]["disk"]["entries"] == 0
+
+    @pytest.mark.parametrize(("app", "dim"), NOT_INTEGERS)
+    def test_the_server_refuses_it(self, app, dim):
+        with Session(system="i7-2600K") as session, ReproServer(
+            session, ServerConfig(adaptive="off")
+        ) as server:
+            with pytest.raises(InvalidParameterError, match="dim must be an integer"):
+                server.solve(app, dim)
+
+    @pytest.mark.parametrize("dim", [np.int64(12), np.int32(12), 12])
+    def test_numpy_integers_are_integers(self, dim):
+        assert request_identity("lcs", dim) == request_identity("lcs", 12)
+        from repro.apps.registry import get_application
+
+        assert get_application("lcs").problem(dim).dim == 12

@@ -8,8 +8,6 @@ instances over one tmp directory).
 """
 
 import json
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +26,6 @@ from repro.session import Session
 
 #: Pin the serial backend: these tests are about the cache, not the tuner.
 SERIAL = ExecutionPolicy(backend="serial")
-
-#: Entries written by the commit before the grid became values-only (they
-#: carry ``meta`` and, for nash, ``payload`` members): dim 12, serial backend.
-PARENT_LAYOUT = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +110,29 @@ class TestCorruption:
             np.savez(handle, **arrays)
         with pytest.raises(CacheError):
             store.get(key.digest)
+
+
+class TestVersionOne:
+    """A format-1 cache (its headers priced functional runs) is refused, typed."""
+
+    def test_a_version_one_directory_raises_at_open(self, tmp_path):
+        (tmp_path / FORMAT_MARKER).write_text(json.dumps({"format_version": 1}))
+        with pytest.raises(CacheError, match="format version 1"):
+            DiskCacheStore(tmp_path)
+
+    def test_a_version_one_entry_in_a_version_two_directory_raises(self, tmp_path, solved):
+        store = DiskCacheStore(tmp_path)
+        key = _key(16)
+        arrays = encode_result(solved[16], request=key.payload)
+        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
+        assert "rtime" not in header and "breakdown" not in header
+        header.update(format_version=1, rtime=1e-3, breakdown={"pre_s": 1e-3})
+        arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        with open(tmp_path / f"{key.digest}.npz", "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(CacheError, match="format version 1"):
+            store.get(key.digest)
+        assert CACHE_FORMAT_VERSION == 2
 
 
 class TestFormatMarker:
@@ -277,40 +294,9 @@ class TestWitnessCodec:
         assert header["witness"] is None
         assert decode_result(arrays).witness is None
 
-    def test_legacy_entries_without_a_witness_key_decode_to_none(self, solved):
-        """Pre-witness archives have no ``witness`` header key at all."""
-        arrays = encode_result(solved[16], request=None)
-        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-        del header["witness"]
-        arrays["header"] = np.frombuffer(
-            json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        )
-        assert decode_result(arrays).witness is None
-
 
 class TestValuesOnlyEntries:
-    """The grid planes left the entry; entries that still have them decode."""
-
-    @pytest.mark.parametrize("app", ["nash-equilibrium", "viterbi"])
-    def test_parent_layout_entry_decodes_to_the_same_result(self, tmp_path, app):
-        key = request_key(app, 12, overrides={"backend": "serial"})
-        fixture = PARENT_LAYOUT / f"parent_layout_{app}.npz"
-        with np.load(fixture, allow_pickle=False) as archive:
-            assert "meta" in archive.files  # really the old layout
-            assert ("payload" in archive.files) == (app == "nash-equilibrium")
-        shutil.copy(fixture, tmp_path / f"{key.digest}.npz")
-        store = DiskCacheStore(tmp_path)
-        loaded = store.get(key.digest)
-        assert loaded is not None and store.corrupt_dropped == 0
-        with Session(system="i7-2600K") as session:
-            fresh = session.solve(app, 12, policy=SERIAL)
-        assert loaded.grid.values.tobytes() == fresh.grid.values.tobytes()
-        assert loaded.grid.dsize == fresh.grid.dsize
-        if fresh.witness is None:
-            assert loaded.witness is None
-        else:
-            assert loaded.witness.tobytes() == fresh.witness.tobytes()
-        assert loaded.matches(fresh)
+    """An entry holds the header, the grid's values and the witness: nothing else."""
 
     @pytest.mark.parametrize("app", ["nash-equilibrium", "viterbi", "lcs"])
     def test_new_entry_is_about_the_size_of_its_values(self, tmp_path, app):

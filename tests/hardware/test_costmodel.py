@@ -9,6 +9,7 @@ from repro.core.exceptions import InvalidParameterError
 from repro.core.params import InputParams, TunableParams
 from repro.hardware import platforms
 from repro.hardware.costmodel import CostConstants, CostModel, PhaseBreakdown
+from repro.runtime.registry import available_executors
 
 
 def ip(dim=1900, tsize=500, dsize=1):
@@ -76,18 +77,38 @@ class TestCostModelBasics:
 
 
 class TestBackendPricing:
-    """Every engine the profiler times is one the model can price."""
+    """``price`` is the one entry point from a plan's backend to its breakdown."""
 
     @pytest.mark.parametrize("backend", PROFILED_BACKENDS)
     def test_every_profiled_backend_is_priced(self, backend, i7_2600k):
         model = CostModel(i7_2600k)
         params = ip(dim=256, tsize=100)
-        assert 0 < model.engine_time(backend, params) < float("inf")
+        assert 0 < model.price(backend, params, TunableParams()).total_s < float("inf")
 
-    @pytest.mark.parametrize("engine", ["compiled", "mp-parallel"])
+    @pytest.mark.parametrize("backend", available_executors())
+    def test_every_registered_engine_is_priced(self, backend, i7_2600k):
+        breakdown = CostModel(i7_2600k).price(backend, ip(dim=256), TunableParams(cpu_tile=8), 2)
+        assert 0 < breakdown.total_s < float("inf")
+
+    def test_whole_grid_engines_are_one_cpu_phase(self, i7_2600k):
+        model = CostModel(i7_2600k)
+        params = ip(dim=256, tsize=100)
+        assert model.price("serial", params, TunableParams()) == PhaseBreakdown(
+            pre_s=model.serial_time(params)
+        )
+        assert model.price("pipelined", params, TunableParams(cpu_tile=8), 2).pre_s == (
+            model.pipelined_time(params, 8, 2)
+        )
+
+    def test_the_hybrid_executor_is_priced_by_its_breakdown(self, i7_2600k):
+        model = CostModel(i7_2600k)
+        tunables = TunableParams.from_encoding(4, 100, -1, 1)
+        assert model.price("hybrid", ip(), tunables) == model.hybrid_breakdown(ip(), tunables)
+
+    @pytest.mark.parametrize("engine", ["compiled", "fpga"])
     def test_an_engine_the_profiler_does_not_time_is_not_priced(self, engine, i7_2600k):
-        with pytest.raises(InvalidParameterError, match=f"unknown serial engine '{engine}'"):
-            CostModel(i7_2600k).engine_time(engine, ip())
+        with pytest.raises(InvalidParameterError, match=f"no price for engine '{engine}'"):
+            CostModel(i7_2600k).price(engine, ip(), TunableParams())
 
 
 class TestPaperTradeoffs:

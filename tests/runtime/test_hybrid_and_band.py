@@ -12,15 +12,16 @@ import pytest
 
 from repro.core.exceptions import ExecutionError, InvalidParameterError
 from repro.core.params import InputParams, TunableParams
-from repro.core.plan import PLAN_CACHE_SIZE, ThreePhasePlan, plan_for
+from repro.core.plan import ThreePhasePlan, plan_for
 from repro.runtime.band import band_counters
 from repro.runtime import band
-from repro.runtime.executor_base import ExecutionMode
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.serial import SerialExecutor
 from repro.apps.nash import NashEquilibriumApp
 from repro.apps.sequence import SequenceComparisonApp
 from repro.apps.synthetic import SyntheticApp
+from repro.facade.policy import ExecutionPolicy
+from repro.session import Session
 
 
 CONFIGS = [
@@ -67,20 +68,19 @@ class TestHybridCorrectness:
         with pytest.raises(InvalidParameterError):
             HybridExecutor(i3).execute(problem, TunableParams.from_encoding(4, 10, 2, 1))
 
-    def test_functional_and_simulate_report_same_rtime(self, i7_2600k):
+    def test_a_functional_run_is_measured_not_priced(self, i7_2600k):
         problem = SyntheticApp(dim=28, tsize=200, dsize=1).problem()
-        executor = HybridExecutor(i7_2600k)
-        config = TunableParams.from_encoding(4, 9, 2, 1)
-        functional = executor.execute(problem, config, mode=ExecutionMode.FUNCTIONAL)
-        simulated = executor.execute(problem, config, mode=ExecutionMode.SIMULATE)
-        assert functional.rtime == pytest.approx(simulated.rtime)
+        result = HybridExecutor(i7_2600k).execute(problem, TunableParams.from_encoding(4, 9, 2, 1))
+        assert result.rtime is None and result.breakdown is None
+        assert result.mode == "functional" and result.wall_time > 0
 
     def test_breakdown_components_positive_for_gpu_config(self, i7_2600k):
-        problem = SyntheticApp(dim=28, tsize=200, dsize=1).problem()
-        result = HybridExecutor(i7_2600k).execute(
-            problem, TunableParams.from_encoding(4, 9, -1, 1), mode="simulate"
-        )
-        b = result.breakdown
+        with Session(system=i7_2600k) as session:
+            policy = ExecutionPolicy(
+                backend="hybrid", tunables=TunableParams.from_encoding(4, 9, -1, 1)
+            )
+            plan = session.plan("synthetic", 28, policy=policy, tsize=200, dsize=1)
+            b = session.run(plan, mode="simulate").breakdown
         assert b.pre_s > 0 and b.post_s > 0 and b.gpu_compute_s > 0 and b.startup_s > 0
 
 
@@ -143,7 +143,7 @@ class TestGPUOnlyPlans:
 
 
 class TestPlanDerivedStateIsNotShared:
-    """Counters and breakdowns are computed once per plan; results never share them."""
+    """Counters are computed once per plan; results never share them."""
 
     CONFIG = TunableParams.from_encoding(4, 9, 2, 1)
 
@@ -158,7 +158,6 @@ class TestPlanDerivedStateIsNotShared:
         second = executor.execute(problem, self.CONFIG)
         assert second.stats is not first.stats
         assert second.stats == pinned
-        assert second.breakdown == first.breakdown and second.rtime == first.rtime
 
     def test_counters_are_emulated_once_per_plan_and_copied_per_call(self, monkeypatch):
         sweeps = []
@@ -178,32 +177,6 @@ class TestPlanDerivedStateIsNotShared:
         for _ in range(2):
             with pytest.raises(ExecutionError):
                 band_counters(plan)
-
-    def test_breakdowns_are_priced_once_per_pair_bounded_and_not_kept_on_failure(
-        self, i7_2600k, monkeypatch
-    ):
-        executor = HybridExecutor(i7_2600k)
-        priced = []
-        price = executor.cost_model.hybrid_breakdown
-
-        def counting(params, tunables):
-            priced.append(params.dim)
-            if len(priced) == 1:
-                raise ExecutionError("first pricing fails")
-            return price(params, tunables)
-
-        monkeypatch.setattr(executor.cost_model, "hybrid_breakdown", counting)
-        problem = SyntheticApp(dim=28, tsize=200, dsize=1).problem()
-        with pytest.raises(ExecutionError):
-            executor.execute(problem, self.CONFIG, mode="simulate")
-        first = executor.execute(problem, self.CONFIG, mode="simulate")
-        assert executor.execute(problem, self.CONFIG, mode="simulate").breakdown is first.breakdown
-        assert priced == [28, 28]
-        # Distinct pairs past the bound push the first one out: it is priced again.
-        for dim in range(29, 29 + PLAN_CACHE_SIZE):
-            executor.execute(SyntheticApp(dim=dim, tsize=200, dsize=1).problem(), self.CONFIG, mode="simulate")
-        assert executor.execute(problem, self.CONFIG, mode="simulate").breakdown == first.breakdown
-        assert priced == [28, 28, *range(29, 29 + PLAN_CACHE_SIZE), 28]
 
     def test_threads_sharing_plans_all_read_the_same_counters(self):
         """More threads than cores race first use of shared plans; nobody sees a torn value."""

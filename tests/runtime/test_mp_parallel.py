@@ -16,6 +16,7 @@ from repro.core.exceptions import InvalidParameterError, KernelError, UnknownExe
 from repro.core.params import InputParams, TunableParams
 from repro.core.pattern import FunctionKernel, WavefrontKernel, WavefrontProblem
 from repro.facade.policy import ExecutionPolicy
+from repro.hardware.costmodel import CostModel
 from repro.core.tiling import TileDecomposition
 from repro.runtime import (
     HybridExecutor,
@@ -320,13 +321,13 @@ class TestRegistryAndCostModel:
         assert executor.workers == 2
 
     def test_simulated_rtime_improves_with_workers(self, i7_2600k):
-        model = MPParallelExecutor(i7_2600k).cost_model
+        model = CostModel(i7_2600k)
         params = InputParams(dim=1900, tsize=750, dsize=1)
         t2 = model.mp_parallel_time(params, 64, 2)
         t8 = model.mp_parallel_time(params, 64, 8)
         assert t8 < t2
 
     def test_single_worker_prediction_is_the_vectorized_engine(self, i7_2600k):
-        model = MPParallelExecutor(i7_2600k).cost_model
+        model = CostModel(i7_2600k)
         params = InputParams(dim=512, tsize=100, dsize=1)
         assert model.mp_parallel_time(params, 8, 1) == model.vectorized_time(params)

@@ -34,6 +34,8 @@ from repro.runtime import (
     run_pipelined,
 )
 from repro.runtime.compute import reference_grid
+from repro.facade.policy import ExecutionPolicy
+from repro.session import Session
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
@@ -206,17 +208,18 @@ class TestPipelinedExecutor:
         assert np.array_equal(barrier.grid.values, pipelined.grid.values)
         assert _witness_equal(barrier.witness, pipelined.witness)
 
-    def test_expected_time_never_exceeds_barriered(self, i7_2600k, small_synthetic):
+    def test_expected_time_never_exceeds_barriered(self, i7_2600k):
         # The cost model's pipelined term drops the per-wave straggler wait,
         # so its estimate can only improve on the barriered one.
-        tunables = TunableParams(cpu_tile=4)
-        barrier = MPParallelExecutor(i7_2600k, workers=4).execute(
-            small_synthetic, tunables, mode="simulate"
-        )
-        pipelined = PipelinedMPExecutor(i7_2600k, workers=4).execute(
-            small_synthetic, tunables, mode="simulate"
-        )
-        assert pipelined.rtime <= barrier.rtime + 1e-12
+        rtime = {}
+        with Session(system=i7_2600k) as session:
+            for backend in ("mp-parallel", "pipelined"):
+                policy = ExecutionPolicy(
+                    backend=backend, tunables=TunableParams(cpu_tile=4), workers=4
+                )
+                plan = session.plan("synthetic", 32, policy=policy, tsize=100, dsize=1)
+                rtime[backend] = session.run(plan, mode="simulate").rtime
+        assert rtime["pipelined"] <= rtime["mp-parallel"] + 1e-12
 
 
 @pytest.mark.parametrize("app_name", ("lcs", "viterbi", "edit-distance"))

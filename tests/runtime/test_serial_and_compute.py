@@ -9,8 +9,10 @@ from repro.runtime.compute import (
     compute_diagonal_range,
     reference_grid,
 )
-from repro.runtime.executor_base import ExecutionMode
+from repro.core.exceptions import InvalidParameterError
+from repro.facade.policy import ExecutionPolicy
 from repro.runtime.serial import SerialExecutor
+from repro.session import Session
 
 
 def counting_problem(dim=10):
@@ -19,6 +21,13 @@ def counting_problem(dim=10):
         lambda i, j, w, n, nw: np.maximum(w, n) + 1.0, tsize=1.0, name="counting"
     )
     return WavefrontProblem(dim=dim, kernel=kernel)
+
+
+def simulate(system, problem, backend="serial"):
+    """``Session.run(plan, mode="simulate")`` of ``problem`` pinned to ``backend``."""
+    with Session(system=system) as session:
+        plan = session.plan(problem, policy=ExecutionPolicy(backend=backend))
+        return session.run(plan, mode="simulate")
 
 
 class TestComputeHelpers:
@@ -43,18 +52,14 @@ class TestSerialExecutor:
         assert result.wall_time > 0.0
 
     def test_simulate_mode_produces_no_grid(self, i7_2600k):
-        problem = counting_problem(12)
-        result = SerialExecutor(i7_2600k).execute(problem, mode="simulate")
+        result = simulate(i7_2600k, counting_problem(12))
         assert result.grid is None and result.rtime > 0
         with pytest.raises(ValueError):
             _ = result.value
 
-    def test_rtime_identical_across_modes(self, i7_2600k):
-        problem = counting_problem(12)
-        executor = SerialExecutor(i7_2600k)
-        functional = executor.execute(problem, mode=ExecutionMode.FUNCTIONAL)
-        simulated = executor.execute(problem, mode=ExecutionMode.SIMULATE)
-        assert functional.rtime == pytest.approx(simulated.rtime)
+    def test_a_functional_run_carries_no_price(self, i7_2600k):
+        result = SerialExecutor(i7_2600k).execute(counting_problem(12))
+        assert result.rtime is None and result.breakdown is None
 
     def test_tunables_normalised_to_serial(self, i7_2600k):
         problem = counting_problem(8)
@@ -64,10 +69,12 @@ class TestSerialExecutor:
         assert result.tunables == TunableParams(cpu_tile=1)
 
     def test_unknown_mode_rejected(self, i7_2600k):
-        with pytest.raises(Exception):
-            SerialExecutor(i7_2600k).execute(counting_problem(8), mode="warp-speed")
+        with Session(system=i7_2600k) as session:
+            plan = session.plan(counting_problem(8), policy=ExecutionPolicy(backend="serial"))
+            with pytest.raises(InvalidParameterError, match="warp-speed"):
+                session.run(plan, mode="warp-speed")
 
     def test_simulated_rtime_is_the_breakdown_total(self, i7_2600k):
-        result = SerialExecutor(i7_2600k).execute(counting_problem(8), mode="simulate")
+        result = simulate(i7_2600k, counting_problem(8))
         assert result.system == "i7-2600K"
         assert result.rtime == result.breakdown.total_s

@@ -21,6 +21,7 @@ from repro.runtime import (
     get_executor,
     register_executor,
 )
+from repro.session import Session
 
 
 class TestEquivalenceWithSerial:
@@ -230,10 +231,15 @@ class TestVectorizedExecutor:
         assert result.tunables == TunableParams(cpu_tile=1)
 
     def test_simulated_rtime_beats_serial(self, i7_2600k):
-        problem = get_application("synthetic", dim=512).problem(512)
-        serial = SerialExecutor(i7_2600k).execute(problem, mode="simulate")
-        vectorized = VectorizedSerialExecutor(i7_2600k).execute(problem, mode="simulate")
-        assert vectorized.rtime < serial.rtime
+        with Session(system=i7_2600k) as session:
+            serial, vectorized = (
+                session.run(
+                    session.plan("synthetic", 512, policy=ExecutionPolicy(backend=backend)),
+                    mode="simulate",
+                ).rtime
+                for backend in ("serial", "vectorized")
+            )
+        assert vectorized < serial
 
     def test_hybrid_engine_produces_identical_grid(self, small_synthetic, i7_2600k):
         tunables = TunableParams.from_encoding(cpu_tile=4, band=6, halo=2, gpu_tile=4)

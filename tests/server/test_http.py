@@ -99,6 +99,15 @@ class TestRoutes:
         assert status == 200
         assert "witness" not in body and "witness_sha256" not in body
 
+    def test_only_a_simulate_answer_carries_a_price(self, endpoint, serve_session):
+        _, functional = post_json(endpoint.url + "/solve", {"app": "lcs", "dim": 48})
+        assert "rtime_s" not in functional and functional["wall_time_s"] > 0
+        _, simulated = post_json(
+            endpoint.url + "/solve", {"app": "lcs", "dim": 48, "mode": "simulate"}
+        )
+        assert simulated["rtime_s"] == serve_session.solve("lcs", 48, mode="simulate").rtime > 0
+        assert "value" not in simulated and "checksum" not in simulated
+
     def test_metrics_and_healthz(self, endpoint):
         post_json(endpoint.url + "/solve", {"app": "lcs", "dim": 48})
         metrics = get_json(endpoint.url + "/metrics")

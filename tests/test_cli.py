@@ -162,6 +162,17 @@ class TestRun:
         assert code == 0
         assert "via manual" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(("mode", "clock"), [("functional", "wall="), ("simulate", "rtime=")])
+    def test_run_prints_the_clock_of_its_mode(self, capsys, mode, clock):
+        code = main(
+            ["run", "--system", "i7-2600K", "--app", "synthetic", "--dim", "64",
+             "--backend", "hybrid", "--mode", mode]
+        )
+        assert code == 0
+        executed = [line for line in capsys.readouterr().out.splitlines() if "executed:" in line]
+        assert executed == [executed[0]] and f"mode={mode}, {clock}" in executed[0]
+        assert ("rtime=" in executed[0]) == (mode == "simulate")
+
     def test_run_tiled_backend_without_a_tile_verifies(self, capsys):
         code = main(
             ["run", "--app", "lcs", "--dim", "96", "--backend", "pipelined",

@@ -1,10 +1,12 @@
-"""The serving process loads neither the paper's training stack nor scipy.
+"""The serving process loads neither the paper's training stack, its pricing nor scipy.
 
 ``python -m repro serve`` enters through :mod:`repro.cli`.  Serving uses
 neither the Figure 5-8 analysis modules nor scipy, and on its default
 ``local`` system it plans by rule, so the learned tuner's training modules
 (``repro.ml``, the sweep, the training set, the model files) have nothing
-to do there either.  The subprocess test runs the ``serve`` verb itself in
+to do there either.  A functional run is measured, never priced, so the
+cost model, its calibration and the measured tuner stay unloaded too; no
+runtime module imports the cost model at all.  The subprocess test runs the ``serve`` verb itself in
 a fresh interpreter, answers one ``/solve``, shuts it down and checks which
 modules it loaded.  It asserts module sets only, never a wall-clock time,
 so a slow host cannot make it flake.
@@ -64,16 +66,20 @@ TRAINING_ONLY = {
     "repro.adaptive.shadow",
 }
 
+#: The simulated clock: simulate mode and the tuners price plans with it.
+PRICING_ONLY = {"repro.hardware.costmodel", "repro.hardware.calibration", "repro.autotuner.measured"}
+
 
 def _forbidden(name: str) -> bool:
     return (
         name == "scipy"
         or name.startswith(("scipy.", "repro.analysis", "repro.ml."))
         or name in TRAINING_ONLY
+        or name in PRICING_ONLY
     )
 
 
-def test_serve_construction_path_loads_no_training_analysis_or_scipy():
+def test_serve_construction_path_loads_no_training_pricing_analysis_or_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     process = subprocess.run(
@@ -90,14 +96,19 @@ def test_serve_construction_path_loads_no_training_analysis_or_scipy():
     assert [m for m in modules if _forbidden(m)] == []
 
 
-def _imported_roots(tree: ast.AST) -> set[str]:
-    roots = set()
+def _imported_modules(tree: ast.AST) -> set[str]:
+    modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            roots.update(alias.name.split(".")[0] for alias in node.names)
+            modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            roots.add(node.module.split(".")[0])
-    return roots
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def _imported_roots(tree: ast.AST) -> set[str]:
+    return {name.split(".")[0] for name in _imported_modules(tree)}
 
 
 def test_no_module_under_src_imports_scipy():
@@ -105,5 +116,17 @@ def test_no_module_under_src_imports_scipy():
         str(path.relative_to(REPO_ROOT))
         for path in sorted((SRC / "repro").rglob("*.py"))
         if "scipy" in _imported_roots(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_no_runtime_module_imports_the_cost_model():
+    runtime = sorted((SRC / "repro" / "runtime").rglob("*.py"))
+    assert len(runtime) > 10
+    offenders = [
+        str(path.relative_to(REPO_ROOT))
+        for path in runtime
+        if "repro.hardware.costmodel"
+        in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []

@@ -51,6 +51,11 @@ class TestPolicyValue:
         with pytest.raises(InvalidParameterError, match="workers"):
             ExecutionPolicy(workers=0)
 
+    @pytest.mark.parametrize("workers", [2.5, 1.0, "2"])
+    def test_non_integer_workers_rejected(self, workers):
+        with pytest.raises(InvalidParameterError, match="workers must be an integer"):
+            ExecutionPolicy(workers=workers)
+
     def test_policies_key_the_plan_cache_by_value(self):
         with Session() as session:
             pinned = ExecutionPolicy(backend="serial", tunables=TunableParams())
@@ -61,6 +66,25 @@ class TestPolicyValue:
             other = session.plan("lcs", 32, policy=ExecutionPolicy(backend="vectorized"))
             assert again is first
             assert other is not first and other.backend == "vectorized"
+
+
+class TestSessionIntegerArguments:
+    """``Session(workers=, cache_size=)`` refuse what they used to clamp or truncate."""
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, np.float64(2.0)])
+    def test_workers_that_name_no_team_are_refused(self, workers):
+        with pytest.raises(InvalidParameterError, match="workers must be"):
+            Session(workers=workers)
+
+    @pytest.mark.parametrize("cache_size", [2.7, "x", 16.0])
+    def test_cache_sizes_that_are_not_integers_are_refused(self, cache_size):
+        with pytest.raises(InvalidParameterError, match="cache_size must be an integer"):
+            Session(cache_size=cache_size)
+
+    def test_numpy_integers_are_accepted(self):
+        with Session(workers=np.int64(2), cache_size=np.int32(8)) as session:
+            assert (session.workers, session.cache_size) == (2, 8)
+            assert type(session.workers) is int and type(session.cache_size) is int
 
 
 class TestPipelinedIsABackend:

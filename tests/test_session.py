@@ -27,10 +27,11 @@ from repro.core.exceptions import (
     InvalidParameterError,
     ReproError,
     UnknownApplicationError,
+    UnknownExecutorError,
     UnknownSystemError,
     UsageError,
 )
-from repro.core.params import TunableParams
+from repro.core.params import InputParams, TunableParams
 from repro.facade.plan import ResolvedPlan, load_plan, save_plan
 from repro.facade.tuners import make_tuner
 from repro.runtime.hybrid import HybridExecutor
@@ -139,9 +140,7 @@ class TestEquivalenceWithLegacyPath:
 
         problem = get_application(app_name, dim=SMALL_DIM).problem(SMALL_DIM)
         decision = quick_tuner_i3.resolve(app_name, problem.input_params())
-        legacy = HybridExecutor(
-            i3, quick_tuner_i3.constants, engine=decision.engine
-        ).execute(problem, decision.tunables, mode="functional")
+        legacy = HybridExecutor(i3, engine=decision.engine).execute(problem, decision.tunables)
 
         result = i3_session.solve(app_name, SMALL_DIM)
         assert result.matches(legacy)
@@ -149,14 +148,13 @@ class TestEquivalenceWithLegacyPath:
 
     def test_simulate_mode_rtimes_match_legacy(self, i3_session, quick_tuner_i3, i3):
         from repro.apps.registry import get_application
+        from repro.hardware.costmodel import CostModel
 
-        problem = get_application("synthetic", dim=64).problem(64)
-        decision = quick_tuner_i3.resolve("synthetic", problem.input_params())
-        legacy = HybridExecutor(
-            i3, quick_tuner_i3.constants, engine=decision.engine
-        ).execute(problem, decision.tunables, mode="simulate")
+        params = get_application("synthetic", dim=64).input_params(64)
+        decision = quick_tuner_i3.resolve("synthetic", params)
+        priced = CostModel(i3, quick_tuner_i3.constants).price("hybrid", params, decision.tunables)
         result = i3_session.solve("synthetic", 64, mode="simulate")
-        assert result.rtime == pytest.approx(legacy.rtime)
+        assert result.rtime == priced.total_s
 
     def test_application_instance_solve_matches_serial(self, i3, i3_session):
         from repro.apps.nash import NashEquilibriumApp
@@ -396,6 +394,44 @@ class TestPlanSerialization:
     def test_junk_payload_raises_artifact_error(self):
         with pytest.raises(ArtifactError):
             ResolvedPlan.from_dict({"not": "a plan"})
+
+
+class TestSimulateBuildsNothing:
+    """A simulate run prices ``plan.params``: no problem, no executor, no grid."""
+
+    def _replayed(self, dim=2048, backend="vectorized"):
+        saved = ResolvedPlan(
+            app="stochastic-path", dim=dim, params=InputParams(dim=dim, tsize=2.0, dsize=0),
+            tunables=TunableParams(cpu_tile=4), backend=backend, system="i7-2600K",
+        ).to_dict()
+        return ResolvedPlan.from_dict(saved)
+
+    def test_a_replayed_paper_scale_plan_is_priced_in_under_a_megabyte(self):
+        import tracemalloc
+
+        with Session(system="i7-2600K") as session:
+            session.run(self._replayed(dim=64), mode="simulate")  # the cost model loads once
+            tracemalloc.start()
+            try:
+                result = session.run(self._replayed(), mode="simulate")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            info = session.cache_info()
+        assert peak < 1 << 20
+        assert result.rtime > 0 and result.grid is None and result.params.dim == 2048
+        assert info["problems"]["size"] == 0 and info["builds"]["executors_built"] == 0
+
+    def test_simulate_refuses_what_a_functional_run_refuses(self):
+        with Session(system="i3-540") as session:
+            with pytest.raises(UnknownExecutorError):
+                session.run(self._replayed(backend="fpga"), mode="simulate")
+            two_gpus = ResolvedPlan.from_dict(
+                {**self._replayed(dim=64).to_dict(), "backend": "hybrid",
+                 "tunables": {"cpu_tile": 4, "band": 8, "gpu_count": 2, "gpu_tile": 1, "halo": 2}}
+            )
+            with pytest.raises(InvalidParameterError, match="needs 2 GPUs"):
+                session.run(two_gpus, mode="simulate")
 
 
 class TestErrorUnification:
