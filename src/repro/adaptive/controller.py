@@ -7,7 +7,7 @@ signature the request was admitted under, and everything downstream is
 derived:
 
 * every observation updates the per-signature streaming statistics
-  (:mod:`repro.adaptive.observations`), with the active plan's
+  (:mod:`repro.adaptive.observations`), with the executed plan's
   ``expected_s`` written beside them when the plan has one;
 * every functional-mode execution is assessed by the calibrated
   :class:`~repro.adaptive.drift.DriftDetector`, which judges against its
@@ -23,12 +23,10 @@ into an ``errors`` counter that CI gates at zero.
 from __future__ import annotations
 
 import threading
-from typing import Any, Mapping
 
 from repro.adaptive.drift import DriftConfig, DriftDetector
 from repro.adaptive.observations import ObservationLog
 from repro.cache.keys import RequestIdentity
-from repro.core.exceptions import ReproError
 
 #: The ``--adaptive`` settings the serving layer understands.
 ADAPTIVE_MODES = ("off", "on")
@@ -37,14 +35,12 @@ ADAPTIVE_MODES = ("off", "on")
 class AdaptiveController:
     """Owner of the whole online observation loop for one serving stack.
 
-    ``session`` is the server's session: active plans are looked up there
-    for their predictions.  ``drift`` parameterises the detector
-    (defaults: :class:`DriftConfig`).  The error counters are guarded by
-    one lock.
+    ``drift`` parameterises the detector (defaults: :class:`DriftConfig`).
+    The error counters are guarded by one lock.  The controller plans
+    nothing: the caller hands it the prediction of the plan that ran.
     """
 
-    def __init__(self, session, drift: DriftConfig | None = None) -> None:
-        self.session = session
+    def __init__(self, drift: DriftConfig | None = None) -> None:
         self.serve_log = ObservationLog()
         self.detector = DriftDetector(drift)
         self._lock = threading.Lock()
@@ -54,23 +50,23 @@ class AdaptiveController:
     def observe(
         self,
         signature: RequestIdentity,
-        plan_kwargs: Mapping[str, Any] | None,
+        expected_s: float | None,
         service_s: float,
         count: int = 1,
     ) -> None:
         """Fold one executed batch's service time into the loop.
 
         Called by the server once per coalesced batch execution with the
-        batch head's admitted signature (mode filled in), its
-        :meth:`Session.plan` keywords and the wall time spent executing
-        (queue wait excluded, so bursty arrivals cannot fake a drift).
-        Never raises: internal failures land in the ``errors`` counter.
+        batch head's admitted signature (mode filled in), the
+        ``expected_s`` of the plan the lane ran for it (``None`` when that
+        plan predicts nothing) and the wall time spent executing (queue
+        wait excluded, so bursty arrivals cannot fake a drift).  Never
+        raises: internal failures land in the ``errors`` counter.
         """
         stats = self.serve_log.record(signature, service_s, count)
         if signature.mode != "functional":
             return
         try:
-            expected_s = self._expected_s(signature, dict(plan_kwargs or {}))
             if expected_s is not None:
                 stats.expected_s = expected_s
             self.detector.assess(signature, service_s, expected_s)
@@ -78,17 +74,6 @@ class AdaptiveController:
             with self._lock:
                 self.errors += 1
                 self.last_error = f"{type(error).__name__}: {error}"
-
-    def _expected_s(self, signature: RequestIdentity, plan_kwargs: dict) -> float | None:
-        """The active plan's prediction, ``None`` when it has none or is unresolvable.
-
-        ``plan_kwargs`` are the request's :meth:`Session.plan` keywords as
-        the server admitted them: ``policy=`` plus constructor overrides.
-        """
-        try:
-            return self.session.plan(signature.app, signature.dim, **plan_kwargs).expected_s
-        except ReproError:
-            return None
 
     def snapshot(self) -> dict:
         """JSON-safe state of the whole loop for ``/metrics`` and reports."""

@@ -140,31 +140,45 @@ class ExpectedKnapsackKernel(WavefrontKernel):
         return state
 
     # ------------------------------------------------------------------
-    def _tables(self, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(take, add, m1) tables for a ``dim x dim`` grid, cached.
+    def _tables(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """(take, add) tables for a ``dim x dim`` grid, cached.
 
-        ``take[i, w]`` is the policy decision at grid cell ``(i, w)``,
-        ``add[i, w]`` the M2 increment applied when taking, and ``m1[i, w]``
-        the first moment at the cell.  Row ``i`` of the grid considers
-        items ``0 .. i`` (item indices modulo the item count), column ``w``
-        is the capacity, with the framework's zero boundary as the empty
-        prefix — exactly the :class:`KnapsackKernel` convention.
+        ``take[i, w]`` is the policy decision at grid cell ``(i, w)`` and
+        ``add[i, w]`` the M2 increment applied when taking.  Row ``i`` of
+        the grid considers items ``0 .. i`` (item indices modulo the item
+        count), column ``w`` is the capacity, with the framework's zero
+        boundary as the empty prefix — exactly the :class:`KnapsackKernel`
+        convention.  No sweep reads the first moment, so only
+        :meth:`first_moment` builds it, and nothing keeps it.
         """
         cached = self._cached_ev_tables
         if cached is not None and cached[0] >= dim:
-            return cached[1][:dim, :dim], cached[2][:dim, :dim], cached[3][:dim, :dim]
+            return cached[1][:dim, :dim], cached[2][:dim, :dim]
         # Grow geometrically so incremental sweeps (serial per-diagonal
         # calls) trigger O(log dim) rebuilds, not one per diagonal.
         size = max(dim, self.values.size)
         if cached is not None:
             size = max(size, 2 * cached[0])
+        take, add = self._moment_dp(size)
+        self._cached_ev_tables = (size, take, add)
+        return take[:dim, :dim], add[:dim, :dim]
+
+    def _moment_dp(
+        self, size: int, m1: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The M1 DP over a ``size x size`` grid: its (take, add) tables.
+
+        The first moment itself is written into ``m1`` when one is given.
+        Cell ``(i, w)`` reads only columns ``<= w`` of row ``i - 1``, so a
+        smaller grid's tables are exactly the top-left corner of a larger
+        one's.
+        """
         n = self.values.size
         ev = self.probs * self.values  # E[X] per item
         ev2 = self.probs * self.values**2  # E[X^2] per item
         m1_prev = np.zeros(size)  # M1 of the previous row, capacities 0..size-1
         take = np.empty((size, size), dtype=bool)
         add = np.empty((size, size))
-        m1 = np.empty((size, size))
         for i in range(size):
             gain = ev[i % n]
             cand = np.empty(size)
@@ -173,26 +187,28 @@ class ExpectedKnapsackKernel(WavefrontKernel):
             take[i] = cand >= m1_prev  # ties take the item
             add[i, 0] = 0.0
             add[i, 1:] = 2.0 * m1_prev[:-1] * gain + ev2[i % n]
-            m1[i] = np.where(take[i], cand, m1_prev)
-            m1_prev = m1[i]
-        self._cached_ev_tables = (size, take, add, m1)
-        return take[:dim, :dim], add[:dim, :dim], m1[:dim, :dim]
+            m1_prev = np.where(take[i], cand, m1_prev)
+            if m1 is not None:
+                m1[i] = m1_prev
+        return take, add
 
     def first_moment(self, dim: int) -> np.ndarray:
         """The M1 grid (expected total value) for a ``dim x dim`` problem."""
-        return self._tables(dim)[2].copy()
+        m1 = np.empty((dim, dim))
+        self._moment_dp(dim, m1)
+        return m1
 
     def diagonal(self, i, j, west, north, northwest):  # noqa: D102 - see base class
         """Vectorized second-moment recurrence over one anti-diagonal."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         dim = int(max(np.max(i), np.max(j))) + 1
-        take, add, _ = self._tables(dim)
+        take, add = self._tables(dim)
         return np.where(take[i, j], northwest + add[i, j], north)
 
     def make_row_evaluator(self, dim, boundary):
         """Row-parallel (no west term): rows of the cached policy tables, as views."""
-        take, add, _ = self._tables(dim)
+        take, add = self._tables(dim)
         scratch = np.empty(dim)
 
         def evaluate(i, c0, c1, north, west, out):
@@ -213,7 +229,7 @@ class ExpectedKnapsackKernel(WavefrontKernel):
         count), i.e. the deterministic policy whose moments the grid holds.
         """
         dim = values.shape[0]
-        take, _, _ = self._tables(dim)
+        take, _ = self._tables(dim)
         n = self.values.size
         chosen = []
         i, j = dim - 1, dim - 1

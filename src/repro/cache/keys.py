@@ -30,8 +30,9 @@ import hashlib
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 

@@ -11,6 +11,7 @@ real ones.
 from __future__ import annotations
 
 import abc
+from types import FunctionType, ModuleType
 from typing import Callable
 
 import numpy as np
@@ -182,7 +183,11 @@ class FunctionKernel(WavefrontKernel):
 
 
 class WavefrontProblem:
-    """A wavefront instance: a kernel plus the size of the grid it sweeps."""
+    """A wavefront instance: a kernel plus the size of the grid it sweeps.
+
+    A problem and its kernel are not changed once built: the runtime keeps
+    state derived from them (``_cached_*`` attributes) for later runs.
+    """
 
     def __init__(
         self,
@@ -210,13 +215,19 @@ class WavefrontProblem:
     def nbytes(self) -> int:
         """Bytes of instance data: the NumPy arrays the problem and its kernel hold.
 
-        Attributes are searched through tuples, lists and dict values, so
-        lazily built ``_cached_*`` tables count once they exist; a view
+        Attributes are searched through tuples, lists, dict values, the
+        attributes of the objects held and the closure cells of the
+        functions held, so lazily built ``_cached_*`` state counts once it
+        exists — a kept sweeper with its evaluators' tables too; a view
         counts as its base, and each base once.
         """
         bases: dict[int, int] = {}
+        seen: set[int] = set()
 
         def visit(value) -> None:
+            if id(value) in seen:
+                return
+            seen.add(id(value))
             if isinstance(value, np.ndarray):
                 while isinstance(value.base, np.ndarray):
                     value = value.base
@@ -227,10 +238,13 @@ class WavefrontProblem:
             elif isinstance(value, dict):
                 for item in value.values():
                     visit(item)
+            elif isinstance(value, FunctionType):
+                for cell in value.__closure__ or ():
+                    visit(cell.cell_contents)
+            elif not isinstance(value, (type, ModuleType)) and hasattr(value, "__dict__"):
+                visit(vars(value))
 
-        for owner in (self, self.kernel):
-            for value in getattr(owner, "__dict__", {}).values():
-                visit(value)
+        visit(self)
         return sum(bases.values())
 
     def __getstate__(self) -> dict:

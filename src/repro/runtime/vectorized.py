@@ -59,13 +59,14 @@ class TileSweeper:
     where the region touches grid row 0 / column 0.
 
     One sweeper serves any number of tiles of its problem; building it pays
-    the kernel's fused-evaluator precompute exactly once, which is why an
-    execution builds one and every worker of a team keeps the few it used
-    last.
+    the kernel's fused-evaluator precompute exactly once, which is why the
+    whole-grid engine keeps one per problem between runs and every worker
+    of a team keeps the few it used last.  It holds the kernel, never the
+    problem: a problem keeps its sweeper, and a reference back would make
+    a cycle that only the cyclic collector frees.
     """
 
     def __init__(self, problem: WavefrontProblem) -> None:
-        self.problem = problem
         self.kernel = problem.kernel
         self.dim = problem.dim
         self.boundary = float(problem.boundary)
@@ -83,17 +84,12 @@ class TileSweeper:
         self._rows = np.empty((3, self.dim + 2))
         #: ``"rows"`` or ``"diagonals"``: the walk every sweep takes.
         self.traversal = "rows" if self._row_evaluator is not None else "diagonals"
-
-    @property
-    def whole_grid(self) -> Tile:
-        """The grid as one tile: what a single-core sweep hands :meth:`sweep_tile`."""
-        dim = self.dim
-        return Tile(tile_row=0, tile_col=0, row_start=0, row_stop=dim, col_start=0, col_stop=dim)
-
-    @property
-    def fused(self) -> bool:
-        """True when the kernel supplied a fused (row or diagonal) evaluator."""
-        return self._row_evaluator is not None or self._evaluator is not None
+        #: True when the kernel supplied a fused (row or diagonal) evaluator.
+        self.fused = self._row_evaluator is not None or self._evaluator is not None
+        #: The grid as one tile: what a single-core sweep hands :meth:`sweep_tile`.
+        self.whole_grid = Tile(
+            tile_row=0, tile_col=0, row_start=0, row_stop=self.dim, col_start=0, col_stop=self.dim
+        )
 
     def _load_diagonal(self, flat: np.ndarray, buf: np.ndarray, d: int, lo: int, hi: int, r0: int) -> None:
         """Fill ``buf`` with cells ``(i, d - i)`` for rows ``lo .. hi``.
@@ -210,6 +206,13 @@ class VectorizedSerialExecutor(Executor):
     (the test suite asserts cell-for-cell equality on every registered
     application) while running several times faster, and is therefore the
     first of :func:`repro.runtime.registry.available_serial_engines`.
+
+    Each problem keeps its :class:`TileSweeper`, evaluator tables and all,
+    between runs as its ``_cached_sweeper`` (pickling drops it; its arrays
+    count in :attr:`~repro.core.pattern.WavefrontProblem.nbytes`).  A run
+    checks it out with one atomic ``pop`` and puts it back after the sweep,
+    so two threads sweeping one problem never share a sweeper's buffers:
+    the second finds none and builds its own.
     """
 
     strategy = "vectorized"
@@ -218,8 +221,9 @@ class VectorizedSerialExecutor(Executor):
         self, problem: WavefrontProblem, tunables: TunableParams
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
-        sweeper = TileSweeper(problem)
+        sweeper = problem.__dict__.pop("_cached_sweeper", None) or TileSweeper(problem)
         cells = sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid)
+        problem._cached_sweeper = sweeper
         return grid, {
             "cells_computed": cells,
             "fused_kernel": sweeper.fused,

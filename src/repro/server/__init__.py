@@ -4,7 +4,7 @@ The session facade (:class:`repro.session.Session`) made the tuned runtime
 callable; this package makes it **servable**: a thread-safe bounded request
 queue with explicit backpressure, one supervised shard thread that takes
 coalesced same-signature batches from it and serves each with a single
-:meth:`~repro.session.Session.solve_many` execution (every ticket in a
+:meth:`~repro.session.Session.solve_one` execution (every ticket in a
 batch shares the one deterministic result), JSON metrics (latency
 percentiles, throughput, queue depth, batch sizes, cache hit rates), a
 small HTTP/1.1 JSON endpoint on reused connection threads and a load

@@ -44,34 +44,40 @@ class ServeRequest:
     enqueued_at: float
     #: Absolute ``time.perf_counter()`` deadline; ``None`` means unbounded.
     deadline_at: float | None = None
-    #: The coalescing key: the request's :class:`~repro.cache.RequestIdentity`
-    #: with its mode.  Equal signatures resolve to the same plan and answer,
-    #: so the server may serve them in one batch; ``/metrics`` and the
-    #: adaptive loop label traffic by it.
-    signature: RequestIdentity = field(default=None)  # type: ignore[assignment]
+    #: The request's :class:`~repro.cache.RequestIdentity` without its
+    #: mode: the key the session's plan cache and result tiers look it up
+    #: under.  Fixed once, at admission, and carried to the lane.
+    identity: RequestIdentity = field(init=False)
+    #: The coalescing key: :attr:`identity` with the mode.  Equal signatures
+    #: resolve to the same plan and answer, so the server may serve them in
+    #: one batch; ``/metrics`` and the adaptive loop label traffic by it.
+    signature: RequestIdentity = field(init=False)
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
     _result: Any = field(default=None, repr=False)
     _error: BaseException | None = field(default=None, repr=False)
     _cancelled: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Derive the coalescing signature once, at admission time.
+        """Name the request once, at admission time.
 
         A value the identity cannot canonicalise raises a typed
         :class:`~repro.core.exceptions.InvalidParameterError` here, before
         the request is queued.
         """
-        if self.signature is None:
-            app_kwargs = dict(self.plan_kwargs)
-            policy = app_kwargs.pop("policy", None)
-            self.signature = request_identity(
-                self.app, self.dim, app_kwargs, policy, self.mode
-            )
+        app_kwargs = dict(self.plan_kwargs)
+        policy = app_kwargs.pop("policy", None)
+        self.identity = request_identity(self.app, self.dim, app_kwargs, policy)
+        self.signature = self.identity._replace(mode=self.mode)
 
     # ------------------------------------------------------------------
     def as_request(self) -> dict:
-        """The :meth:`repro.session.Session.solve_many` mapping form."""
-        return {"app": self.app, "dim": self.dim, **self.plan_kwargs}
+        """The :meth:`repro.session.Session.solve_many` mapping form, named."""
+        return {
+            "app": self.app,
+            "dim": self.dim,
+            "identity": self.identity,
+            **self.plan_kwargs,
+        }
 
     @property
     def cancelled(self) -> bool:

@@ -4,7 +4,7 @@ Architecture (one box per thread role)::
 
     clients (any threads)            shard thread               session
     ---------------------            ------------               -------
-    submit() --admission--> [RequestQueue] --next_batch--> solve_many()
+    submit() --admission--> [RequestQueue] --next_batch--> solve_one()
         |   BackpressureError        |   same-signature            |
         |   memory-tier hit          v   coalescing                v
     ticket.result() <-------- complete()/fail() <-------- ExecutionResult
@@ -17,13 +17,16 @@ A request crosses threads exactly twice: the submitting thread queues it;
 the idle shard thread (:mod:`repro.server.supervisor`, one supervised lane
 on the server's own session) takes a coalesced batch from the queue itself
 and completes its tickets on the spot.  Memory hits cross none:
-:meth:`repro.session.Session.serve_from_memory` answers them at admission.  The server adds exactly three behaviours on top of
-:meth:`repro.session.Session.solve_many`:
+:meth:`repro.session.Session.serve_from_memory` answers them at admission.
+A request is named once, at admission (:attr:`ServeRequest.identity`,
+default ``dim`` filled in); the lane plans by that name and hands the plan
+it ran to the adaptive loop.  The server adds exactly three behaviours on
+top of :meth:`repro.session.Session.solve_one`:
 
 * **admission control** — a bounded queue with an explicit, typed
   backpressure rejection instead of unbounded latency;
 * **coalescing** — concurrent same-signature requests are drained as one
-  batch and served by a single ``solve_many`` execution whose deterministic
+  batch and served by a single ``solve_one`` execution whose deterministic
   result every ticket in the group shares, amortising the tuner/plan
   resolution, the worker-pool warm-up *and the grid sweep itself*;
 * **observability and lifecycle** — per-request/aggregate metrics as JSON
@@ -44,6 +47,7 @@ from numbers import Real
 
 from repro.adaptive.controller import ADAPTIVE_MODES, AdaptiveController
 from repro.adaptive.drift import DriftConfig
+from repro.apps.registry import default_dim
 from repro.core.exceptions import (
     BackpressureError,
     DeadlineError,
@@ -174,7 +178,7 @@ class ReproServer:
         # "off" builds nothing and costs nothing on the serving path.
         self.adaptive: AdaptiveController | None = None
         if self.config.adaptive != "off":
-            self.adaptive = AdaptiveController(session, drift)
+            self.adaptive = AdaptiveController(drift)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -276,11 +280,16 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
         cannot lift the operator's deadline.  ``plan_kwargs``
         forward to :meth:`repro.session.Session.solve` (``policy=`` and
         application constructor overrides).  ``mode`` defaults to the
-        session's, filled in here so an omitted and an explicit default mode
-        are one request; the request's identity
-        (:func:`repro.cache.request_identity`) is fixed here too, and a value
-        it cannot canonicalise, or an unknown mode, is a typed
-        :class:`~repro.core.exceptions.InvalidParameterError`.
+        session's and ``dim`` the application's default, both filled in here
+        so an omitted and an explicit default are one request (one batch,
+        one ``/metrics`` label).  The request's identity
+        (:func:`repro.cache.request_identity`) is fixed here, once: the
+        memory-tier lookup, the queue's coalescing, the lane's plan lookup
+        and the adaptive loop all read it.  A value it cannot canonicalise,
+        or an unknown mode, is a typed
+        :class:`~repro.core.exceptions.InvalidParameterError`; an unknown
+        application without a ``dim`` is an
+        :class:`~repro.core.exceptions.UnknownApplicationError`.
         """
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
@@ -296,7 +305,7 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
             )
         request = ServeRequest(
             app=app,
-            dim=dim,
+            dim=default_dim(app) if dim is None else dim,
             mode=(
                 self.session.mode if mode is None else ExecutionMode.coerce(mode)
             ).value,
@@ -308,7 +317,9 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
         # sweep, nor reaches the adaptive loop (nothing ran).  A closed queue
         # skips the lookup, so the queued path refuses exactly as before.
         if self._answer_hits and not self._queue.closed:
-            hit = self.session.serve_from_memory(app, dim, request.mode, **plan_kwargs)
+            hit = self.session.serve_from_memory(
+                app, request.dim, request.mode, identity=request.identity, **plan_kwargs
+            )
             if hit is not None:
                 self.metrics_store.record_accepted()
                 request.complete(hit)
@@ -453,5 +464,5 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
             )
         if self.adaptive is not None:
             self.adaptive.observe(
-                head.signature, head.plan_kwargs, now - taken_at, count=len(batch)
+                head.signature, task.plan.expected_s, now - taken_at, count=len(batch)
             )

@@ -55,6 +55,7 @@ from repro.core.exceptions import (
     ShardUnavailableError,
     WorkerCrashError,
 )
+from repro.facade.plan import ResolvedPlan
 from repro.server.faults import FaultInjector, FaultPlan
 from repro.session import Session
 
@@ -109,7 +110,9 @@ class ShardTask:
 
     Built by the supervisor's ``source``, executed by the lane, possibly
     re-dispatched after a crash.  ``request`` is the
-    :meth:`repro.session.Session.solve_many` mapping of the batch head;
+    :meth:`repro.session.Session.solve_many` mapping of the batch head,
+    carrying the identity it was admitted under; ``plan`` is the plan the
+    lane ran for it (:meth:`repro.session.Session.solve_one`);
     ``count`` is the number of coalesced client requests it answers (the
     fault injector advances its request ordinal by this much).  The task
     resolves **exactly once** — the first :meth:`complete` / :meth:`fail`
@@ -133,6 +136,7 @@ class ShardTask:
     done: bool = False
     result: Any = None
     error: BaseException | None = None
+    plan: ResolvedPlan | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def complete(self, result: Any) -> bool:
@@ -321,9 +325,9 @@ class ShardSupervisor:
             )
         try:
             # Past its deadline by now, the session itself refuses the task.
-            result = self.session.solve_many(
-                [task.request], mode=task.mode, deadline_at=task.deadline_at
-            )[0]
+            task.plan, result = self.session.solve_one(
+                task.request, task.mode, task.deadline_at
+            )
         except (ShardCrashError, WorkerCrashError):
             raise  # shard-level crash: handled by the lane
         except Exception as error:  # noqa: BLE001 - delivered to the waiter

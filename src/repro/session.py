@@ -51,9 +51,10 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.apps.base import WavefrontApplication
 from repro.apps.registry import default_dim, get_application
@@ -238,6 +239,7 @@ class Session:
         dim: int | None = None,
         *,
         policy: ExecutionPolicy | None = None,
+        identity: RequestIdentity | None = None,
         **app_kwargs,
     ) -> ResolvedPlan:
         """Resolve one application instance to an executable plan.
@@ -252,9 +254,13 @@ class Session:
         reads ``"manual"``.
 
         Registry-name requests are cached per request identity
-        (:func:`repro.cache.request_identity`), so a repeated request costs
-        one LRU hit and builds nothing.  Their plans carry no problem (the
-        problem cache owns the instance, and :meth:`run` finds it there).
+        (:func:`repro.cache.request_identity`, default ``dim`` filled, mode
+        ``None``), so a repeated request costs one LRU hit and builds
+        nothing.  A caller that already named the request passes that
+        ``identity`` (the server does, at admission); it is trusted as the
+        name of these arguments, not derived again.  Their plans carry no
+        problem (the problem cache owns the instance, and :meth:`run` finds
+        it there).
         Caller-supplied application instances and problems are planned
         against their *own* objects (identity-keyed, never conflated with
         the registry defaults of the same name) and the resulting plan
@@ -281,7 +287,8 @@ class Session:
                 dim = dim if dim is not None else app.default_dim
                 problem = self._instance_problem(app, dim)
                 return self._resolve(problem, app.name, (), policy, carry=True)
-            identity = self._identity(app, dim, policy, app_kwargs)
+            if identity is None:
+                identity = self._identity(app, dim, policy, app_kwargs)
             cached = self._plans.get(identity)
             if cached is not None:
                 return cached
@@ -444,11 +451,12 @@ class Session:
         mode: ExecutionMode | str | None = None,
         *,
         policy: ExecutionPolicy | None = None,
+        identity: RequestIdentity | None = None,
         **app_kwargs,
     ) -> ExecutionResult:
         """Plan and execute in one call (the "just solve it" entry point).
 
-        ``policy`` and ``app_kwargs`` are those of :meth:`plan`.
+        ``policy``, ``identity`` and ``app_kwargs`` are those of :meth:`plan`.
 
         With a persistent result cache configured (``cache_dir=`` /
         ``result_cache=``), functional registry-name requests are answered
@@ -459,12 +467,22 @@ class Session:
         Simulate-mode requests and instance / problem requests bypass the
         cache, execute directly and keep their problem cached.
         """
-        plan = self.plan(app, dim, policy=policy, **app_kwargs)
+        return self._solve(
+            app, dim, mode, policy=policy, identity=identity, **app_kwargs
+        )[1]
+
+    def _solve(
+        self, app, dim=None, mode=None, *, policy=None, identity=None, **app_kwargs
+    ) -> tuple[ResolvedPlan, ExecutionResult]:
+        """:meth:`solve`, returning the plan it ran beside the answer."""
+        plan = self.plan(app, dim, policy=policy, identity=identity, **app_kwargs)
         key = self._request_key_for(app, plan, mode, policy)
         if key is None:
-            return self.run(plan, mode=mode)
+            return plan, self.run(plan, mode=mode)
         try:
-            return self.result_cache.get_or_solve(key, lambda: self.run(plan, mode=mode))
+            return plan, self.result_cache.get_or_solve(
+                key, lambda: self.run(plan, mode=mode)
+            )
         finally:
             self._problems.pop(instance_key(plan.app, plan.dim, plan.app_kwargs))
 
@@ -520,25 +538,37 @@ class Session:
         instead of starting work nobody is waiting for.  A solve already
         underway runs to completion — compute is not aborted part-way.
         """
-        results = []
-        for request in requests:
-            if deadline_at is not None and time.perf_counter() > deadline_at:
-                raise DeadlineError(
-                    f"batch deadline expired with {len(results)} of its "
-                    f"requests served; not starting the next one"
-                )
-            if isinstance(request, ResolvedPlan):
-                results.append(self.run(request, mode=mode))
-            elif isinstance(request, Mapping):
-                results.append(self.solve(mode=mode, **request))
-            elif isinstance(request, (tuple, list)):
-                app, dim = request
-                results.append(self.solve(app, dim, mode=mode))
-            else:
-                results.append(self.solve(request, mode=mode))
-            with self._served_lock:
-                self.stats["requests_served"] += 1
-        return results
+        return [self.solve_one(request, mode, deadline_at)[1] for request in requests]
+
+    def solve_one(
+        self,
+        request: Any,
+        mode: ExecutionMode | str | None = None,
+        deadline_at: float | None = None,
+    ) -> tuple[ResolvedPlan, ExecutionResult]:
+        """Serve one :meth:`solve_many` request; return the plan it ran and the answer.
+
+        The serving lane's call: a mapping request that carries its
+        ``identity`` is planned by it, and the plan comes back so the
+        caller can read what ran (its ``expected_s``) without planning
+        again.  ``deadline_at`` is :meth:`solve_many`'s.
+        """
+        if deadline_at is not None and time.perf_counter() > deadline_at:
+            raise DeadlineError(
+                "deadline expired before the request started; not starting it"
+            )
+        if isinstance(request, ResolvedPlan):
+            planned = request, self.run(request, mode=mode)
+        elif isinstance(request, Mapping):
+            planned = self._solve(mode=mode, **request)
+        elif isinstance(request, (tuple, list)):
+            app, dim = request
+            planned = self._solve(app, dim, mode)
+        else:
+            planned = self._solve(request, mode=mode)
+        with self._served_lock:
+            self.stats["requests_served"] += 1
+        return planned
 
     def serve_from_memory(
         self,
@@ -547,19 +577,22 @@ class Session:
         mode: ExecutionMode | str | None = None,
         *,
         policy: ExecutionPolicy | None = None,
+        identity: RequestIdentity | None = None,
         **app_kwargs,
     ) -> ExecutionResult | None:
         """Answer one :meth:`solve` request from the result cache's memory tier.
 
         Looks only at an already resolved plan and the memory LRU — never
         builds the tuner, resolves a plan, reads disk or sweeps — so the
-        server's admission path can ask before queueing.  A hit counts as a
-        served request; a miss or error is ``None`` and counts nothing.
+        server's admission path can ask before queueing.  ``identity`` is
+        :meth:`plan`'s.  A hit counts as a served request; a miss or error
+        is ``None`` and counts nothing.
         """
         if self.result_cache is None or self._closed:
             return None
         try:
-            identity = self._identity(app, dim, policy, app_kwargs)
+            if identity is None:
+                identity = self._identity(app, dim, policy, app_kwargs)
             plan = self._plans.get(identity) if identity in self._plans else None
             key = None if plan is None else self._request_key_for(app, plan, mode, policy)
         except ReproError:  # the queued path reports it, typed

@@ -158,10 +158,10 @@ class TestUnpredictedPlans:
     def test_a_plan_without_a_prediction_still_latches_drift(self):
         with Session() as session:
             assert session.plan("lcs", 48).expected_s is None
-            controller = AdaptiveController(session, TEST_DRIFT)
+            controller = AdaptiveController(TEST_DRIFT)
             signature = request_identity("lcs", 48, mode="functional")
             for service_s in [0.01] * 3 + [0.5] * 2 + [0.01]:
-                controller.observe(signature, {}, service_s)
+                controller.observe(signature, None, service_s)
             snapshot = controller.snapshot()
         assert snapshot["errors"] == 0, snapshot["last_error"]
         assert snapshot["drift"]["assessments"] == 6
@@ -217,14 +217,15 @@ class TestSessionPrimitives:
 # ----------------------------------------------------------------------
 class TestReporting:
     def test_report_renders_predicted_observed_and_drift(self, adaptive_session):
-        controller = AdaptiveController(adaptive_session, TEST_DRIFT)
+        controller = AdaptiveController(TEST_DRIFT)
         signature = request_identity("lcs", 48, mode="functional")
+        expected_s = adaptive_session.plan("lcs", 48).expected_s
         for service_s in [0.01] * 3 + [0.5] * 2:
-            controller.observe(signature, {}, service_s)
+            controller.observe(signature, expected_s, service_s)
         text = render_adaptive_report(controller.snapshot())
         assert "adaptive tuning [on]" in text
         (row,) = [line for line in text.splitlines() if line.startswith("lcs[dim=48]")]
-        predicted_ms = adaptive_session.plan("lcs", 48).expected_s * 1e3
+        predicted_ms = expected_s * 1e3
         assert row.split()[2] == f"{predicted_ms:.2f}"
         assert "drift: 1 events" in text
         assert "shadow" not in text and "swap" not in text

@@ -78,8 +78,8 @@ class TestWavefrontProblem:
 
         problem = get_application("knapsack-ev", dim=64).problem(64)
         before = problem.nbytes
-        problem.kernel._tables(64)  # take (bool) + add + m1 (float64)
-        assert problem.nbytes == before + 64 * 64 * (1 + 8 + 8)
+        problem.kernel._tables(64)  # take (bool) + add (float64); m1 is not kept
+        assert problem.nbytes == before + 64 * 64 * (1 + 8)
 
     def test_nbytes_counts_a_view_as_its_base_once(self):
         kernel = max_plus_kernel()

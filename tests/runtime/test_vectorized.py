@@ -145,11 +145,11 @@ def built_sweepers(monkeypatch):
     return refs
 
 
-class TestNothingRetained:
-    """Evaluator tables live for one run, never for the life of a problem."""
+class TestKeptSweepers:
+    """Evaluator tables live as long as their problem, and no longer."""
 
     @pytest.mark.parametrize("app_name", ["stochastic-path", "edit-distance"])
-    def test_session_solve_drops_the_run_sweeper(
+    def test_session_solves_reuse_the_cached_problems_sweeper(
         self, app_name, built_sweepers, quick_tuner_i3, i3
     ):
         import gc
@@ -160,27 +160,34 @@ class TestNothingRetained:
             plan = session.plan(app_name, 48)
             assert plan.engine == "vectorized"
             session.solve(app_name, 48)
+            session.solve(app_name, 48)
             gc.collect()
-            assert len(built_sweepers) == 1
-            assert built_sweepers[0]() is None  # dead while the problem is cached
+            assert len(built_sweepers) == 1  # built once, kept, reused
             assert plan.problem is None  # the problem cache owns the instance
             problem = session._problem(plan.app, plan.dim, plan.app_kwargs)
-            assert not [name for name in vars(problem) if "sweeper" in name]
+            assert problem._cached_sweeper is built_sweepers[0]()
+            assert [name for name in vars(problem) if "sweeper" in name] == [
+                "_cached_sweeper"
+            ]
+        del problem
+        assert built_sweepers[0]() is None  # closing the session freed it
 
-    def test_hybrid_builds_one_sweeper_per_run(
-        self, small_synthetic, built_sweepers, i7_2600k
-    ):
+    def test_hybrid_builds_one_sweeper_per_problem(self, built_sweepers, i7_2600k):
         import gc
 
+        from repro.apps.synthetic import SyntheticApp
+
+        problem = SyntheticApp(dim=16).problem()
         tunables = TunableParams.from_encoding(cpu_tile=4, band=6, halo=2, gpu_tile=4)
         executor = HybridExecutor(i7_2600k, engine="vectorized")
-        for run in (1, 2):
-            result = executor.execute(small_synthetic, tunables)
+        for _ in (1, 2):
+            result = executor.execute(problem, tunables)
             assert result.stats["phase1_cells"] > 0
             assert result.stats["phase3_cells"] > 0
-            assert len(built_sweepers) == run  # shared by all three phases
+            assert len(built_sweepers) == 1  # shared by all phases and runs
+        del problem
         gc.collect()
-        assert all(ref() is None for ref in built_sweepers)  # nothing pinned
+        assert all(ref() is None for ref in built_sweepers)  # nothing else pins it
 
     def test_single_core_pool_builds_one_sweeper_per_run(
         self, small_synthetic, built_sweepers
@@ -200,14 +207,16 @@ class TestNothingRetained:
         self, small_synthetic, i7_2600k
     ):
         # The multicore backend ships problems to pool workers (pickled under
-        # spawn start methods); fused evaluators are closures, so a run must
-        # leave none of them on the problem.
+        # spawn start methods); fused evaluators are closures, so pickling
+        # drops the kept sweeper and the clone builds its own.
         import pickle
 
-        VectorizedSerialExecutor(i7_2600k).execute(small_synthetic)
+        executor = VectorizedSerialExecutor(i7_2600k)
+        first = executor.execute(small_synthetic)
         clone = pickle.loads(pickle.dumps(small_synthetic))
         assert clone.dim == small_synthetic.dim
-        assert vars(clone).keys() == vars(small_synthetic).keys()
+        assert vars(clone).keys() == vars(small_synthetic).keys() - {"_cached_sweeper"}
+        assert executor.execute(clone).matches(first)
 
     def test_a_run_does_not_keep_problems_alive(self, i7_2600k):
         import gc

@@ -92,17 +92,16 @@ class StubSession:
         self.closed = False
         self._lock = threading.Lock()
 
-    def solve_many(self, requests, mode=None, deadline_at=None):
+    def solve_one(self, request, mode=None, deadline_at=None):
         if deadline_at is not None and time.perf_counter() > deadline_at:
-            raise DeadlineError("batch deadline expired")  # as Session does
+            raise DeadlineError("deadline expired")  # as Session does
         with self._lock:
             self.calls += 1
             self.threads.append(threading.current_thread())
             if self.crashes_left > 0:
                 self.crashes_left -= 1
                 raise WorkerCrashError("stub worker pool died")
-        request = requests[0]
-        return [f"answer:{request['app']}:{request['dim']}"]
+        return None, f"answer:{request['app']}:{request['dim']}"
 
     def close(self):
         self.closed = True
