@@ -45,8 +45,8 @@ class WorkerCrashError(ExecutionError):
     broken pool (a worker was killed or segfaulted).  The pool marks itself
     broken; :class:`repro.runtime.lifecycle.EngineHost` rebuilds it on the
     next request, so one crashed worker costs one failed execution, never a
-    poisoned session.  The shard supervisor treats this as a shard crash
-    and re-dispatches the in-flight request to a healthy shard.
+    poisoned session.  The serving lane treats this as a crash of its own
+    and re-runs the in-flight batch on the rebuilt team.
     """
 
 

@@ -435,8 +435,8 @@ class MPWavefrontPool:
         orders respect the dependency contract of
         :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile`, so the
         resulting grids are bit-identical.  A dead worker raises
-        :class:`WorkerCrashError` — typed, so the caller (session / shard
-        supervisor) can retry on the fresh team the next request gets.
+        :class:`WorkerCrashError` — typed, so the caller (session / serving
+        lane) can retry on the fresh team the next request gets.
         The in-process path executes no tiles: it reports ``0`` of them.
         """
         if dispatch not in ("barrier", "pipelined"):

@@ -2,7 +2,7 @@
 
 The session facade (:class:`repro.session.Session`) made the tuned runtime
 callable; this package makes it **servable**: a thread-safe bounded request
-queue with explicit backpressure, one supervised shard thread that takes
+queue with explicit backpressure, one supervised lane thread that takes
 coalesced same-signature batches from it and serves each with a single
 :meth:`~repro.session.Session.solve_one` execution (every ticket in a
 batch shares the one deterministic result), JSON metrics (latency
@@ -14,22 +14,20 @@ CLI verbs.
 Layering, bottom up:
 
 * :mod:`repro.server.queue` — :class:`RequestQueue` (admission control,
-  signature-aware batch drains) and :class:`ServeRequest` (the ticket);
+  signature-aware batch drains) and :class:`ServeRequest` (the ticket: it
+  resolves exactly once, and its waiter enforces its deadline);
 * :mod:`repro.server.metrics` — :class:`ServerMetrics` and the shared
   latency summary helper;
 * :mod:`repro.server.faults` — :class:`FaultPlan` / :class:`FaultSpec` /
   :class:`FaultInjector`, the deterministic chaos-injection layer behind
   ``repro serve --chaos`` and the chaos-smoke gate
   (``scripts/gates.py chaos``);
-* :mod:`repro.server.supervisor` — :class:`ShardSupervisor`,
-  :class:`SupervisorConfig` and :class:`ShardTask`: one supervised lane on
-  the server's session that takes its work from the queue itself — one
-  thread that recovers from its own crashes in place, with jittered
-  backoff, a restart-budget circuit breaker that closes again, bounded
-  re-dispatch — plus a monitor that expires deadlines;
 * :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`:
-  admission, the shard's work source (one coalesced batch per task), ticket
-  completion, per-request deadlines and graceful drain/shutdown;
+  admission, the lane (one thread that takes coalesced batches from the
+  queue, runs each once on the server's session, completes its tickets
+  and recovers from its own crashes in place, with jittered backoff, a
+  restart-budget circuit breaker that closes again and bounded
+  re-dispatch) and graceful drain/shutdown;
 * :mod:`repro.server.http` — :class:`ServingEndpoint`, the bound HTTP
   endpoint: accept loop, reused connection threads, bounded hand-parsed
   HTTP/1.1 (``POST /solve``, ``GET /metrics``, ``GET /healthz``,
@@ -75,7 +73,6 @@ from repro.server.http import (
 from repro.server.metrics import ServerMetrics, summarise_latencies
 from repro.server.queue import RequestQueue, ServeRequest
 from repro.server.service import ReproServer, ServerConfig
-from repro.server.supervisor import ShardSupervisor, ShardTask, SupervisorConfig
 from repro.server.trace import (
     TRACE_FORMAT_VERSION,
     RequestTrace,
@@ -92,9 +89,6 @@ __all__ = [
     "ServingEndpoint",
     "RequestQueue",
     "ServeRequest",
-    "ShardSupervisor",
-    "SupervisorConfig",
-    "ShardTask",
     "FaultPlan",
     "FaultSpec",
     "FaultInjector",

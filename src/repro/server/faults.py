@@ -18,17 +18,17 @@ admission, so ``k`` counts requests, not only the result cache's misses:
 
 * ``kill`` — the shard raises :class:`~repro.core.exceptions.ShardCrashError`
   *before* executing, simulating a worker death; the lane recovers in place
-  and re-dispatches the in-flight request (at-most-once execution: the kill
+  and re-runs the in-flight batch (at-most-once execution: the kill
   fires before any solve, and retried solves coalesce on the shared result
   cache's leader/follower keys).
 * ``slow`` — the shard sleeps ``seconds`` (default 0.25) before executing;
   the request still completes bit-exactly, exercising deadline headroom.
 * ``drop`` — the shard executes the request and then discards the response
-  without completing the ticket; the waiter fails at its deadline with a
+  without completing the ticket; its waiter fails it at its deadline with a
   typed :class:`~repro.core.exceptions.DeadlineError` (HTTP 504), proving
   no request ever hangs past its deadline.
 
-:class:`FaultInjector` is the runtime consumer: one per supervisor,
+:class:`FaultInjector` is the runtime consumer: one per server,
 counting dispatched requests under a lock and handing the shard the faults
 scheduled for its slice of the ordinal space.
 """

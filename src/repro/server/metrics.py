@@ -194,8 +194,9 @@ class ServerMetrics:
         ``adaptive`` (the adaptive controller's
         :meth:`~repro.adaptive.AdaptiveController.snapshot`) follows the
         same always-present convention: ``None`` means ``--adaptive off``.
-        ``supervisor`` is the shard supervisor's :meth:`info` (shard states,
-        restarts, re-dispatches, faults survived); included when provided.
+        ``supervisor`` is the serving lane's supervision snapshot (its
+        state, restarts, re-dispatches, faults survived); included when
+        provided.
         """
         with self._lock:
             uptime = self.uptime_s

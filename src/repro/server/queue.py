@@ -7,13 +7,13 @@ latency grow without bound, which is the explicit-backpressure half of the
 serving contract (the other half, batching, lives in
 :mod:`repro.server.service`).
 
-The queue also implements *signature-aware draining*: a shard thread
+The queue also implements *signature-aware draining*: the lane thread
 calling :meth:`RequestQueue.next_batch` receives the oldest request **plus
 every queued request with the same signature** (up to the batch bound), even
 when other signatures are interleaved between them.  Same-signature requests
 resolve to one tuned plan and reuse one warm worker pool, so handing them to
-:meth:`repro.session.Session.solve_many` as one batch amortises the per-plan
-work across the whole group.
+one :meth:`repro.session.Session.solve_one` execution amortises the
+per-plan work across the whole group.
 """
 
 from __future__ import annotations
@@ -22,10 +22,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.cache.keys import RequestIdentity, request_identity
 from repro.core.exceptions import BackpressureError, DeadlineError, ServerError
+
+if TYPE_CHECKING:
+    from repro.server.metrics import ServerMetrics
 
 
 @dataclass
@@ -33,8 +36,11 @@ class ServeRequest:
     """One queued request and its completion state.
 
     Created by :meth:`repro.server.ReproServer.submit`; callers hold it as a
-    ticket and block on :meth:`result`.  The thread that resolves its batch
-    fills exactly one of ``_result`` / ``_error`` and sets the event.
+    ticket and block on :meth:`result`.  The ticket resolves **exactly
+    once**: the first :meth:`complete` / :meth:`fail` / :meth:`cancel`
+    wins, whoever makes it (the lane, the waiter at its deadline, a
+    cancelling client, shutdown), and only the winner records the outcome
+    in :attr:`metrics`, before the waiter wakes.
     """
 
     app: str
@@ -44,6 +50,9 @@ class ServeRequest:
     enqueued_at: float
     #: Absolute ``time.perf_counter()`` deadline; ``None`` means unbounded.
     deadline_at: float | None = None
+    #: The server's :class:`~repro.server.metrics.ServerMetrics`, which the
+    #: resolving call records the outcome in (``None``: nothing records).
+    metrics: ServerMetrics | None = field(default=None, repr=False)
     #: The request's :class:`~repro.cache.RequestIdentity` without its
     #: mode: the key the session's plan cache and result tiers look it up
     #: under.  Fixed once, at admission, and carried to the lane.
@@ -52,10 +61,12 @@ class ServeRequest:
     #: resolve to the same plan and answer, so the server may serve them in
     #: one batch; ``/metrics`` and the adaptive loop label traffic by it.
     signature: RequestIdentity = field(init=False)
+    #: Set by the lane when a chaos ``drop`` fault discarded the answer.
+    dropped: bool = field(default=False, repr=False)
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _result: Any = field(default=None, repr=False)
     _error: BaseException | None = field(default=None, repr=False)
-    _cancelled: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         """Name the request once, at admission time.
@@ -71,7 +82,7 @@ class ServeRequest:
 
     # ------------------------------------------------------------------
     def as_request(self) -> dict:
-        """The :meth:`repro.session.Session.solve_many` mapping form, named."""
+        """The :meth:`repro.session.Session.solve_one` mapping form, named."""
         return {
             "app": self.app,
             "dim": self.dim,
@@ -80,9 +91,9 @@ class ServeRequest:
         }
 
     @property
-    def cancelled(self) -> bool:
-        """True once the waiter abandoned the request (best-effort)."""
-        return self._cancelled
+    def done(self) -> bool:
+        """True once the ticket is resolved."""
+        return self._done.is_set()
 
     @property
     def expired(self) -> bool:
@@ -93,51 +104,85 @@ class ServeRequest:
         )
 
     def cancel(self) -> bool:
-        """Mark the request abandoned; return whether it was still pending.
+        """Abandon the request; return whether it was still pending.
 
-        Best-effort: a still-queued request is skipped by the shard
-        (no ghost work for a client that gave up); one already mid-execution
-        completes normally — compute cannot be aborted part-way.
+        A pending ticket resolves at once with a
+        :class:`~repro.core.exceptions.ServerError` and counts as
+        cancelled; the lane skips it if it is still queued (no ghost work
+        for a client that gave up) and discards its answer if it is
+        mid-execution — compute cannot be aborted part-way.
         """
-        if self._done.is_set():
-            return False
-        self._cancelled = True
+        with self._lock:
+            if self._done.is_set():
+                return False
+            self._error = ServerError("request was cancelled by its client")
+            if self.metrics is not None:
+                self.metrics.record_cancelled()
+            self._done.set()
         return True
 
-    def complete(self, result: Any) -> None:
-        """Deliver the execution result and wake the waiting client."""
-        self._result = result
-        self._done.set()
+    def complete(self, result: Any) -> bool:
+        """Deliver the result and wake the waiter; False when already resolved.
 
-    def fail(self, error: BaseException) -> None:
-        """Deliver a failure and wake the waiting client."""
-        self._error = error
-        self._done.set()
+        Like every resolution, it is counted before the waiter wakes.
+        """
+        with self._lock:
+            if self._done.is_set():
+                return False
+            self._result = result
+            if self.metrics is not None:
+                self.metrics.record_completed(
+                    time.perf_counter() - self.enqueued_at, signature=self.signature
+                )
+            self._done.set()
+        return True
+
+    def fail(self, error: BaseException, latency: bool = True) -> bool:
+        """Deliver a failure and wake the waiter; False when already resolved.
+
+        ``latency=False`` for a request that never reached the lane (expired
+        in the queue, stranded at shutdown): it counts as failed but adds no
+        latency sample.  A :class:`~repro.core.exceptions.DeadlineError` also
+        counts in ``deadline_expired``.
+        """
+        with self._lock:
+            if self._done.is_set():
+                return False
+            self._error = error
+            if self.metrics is not None:
+                self.metrics.record_failed(
+                    time.perf_counter() - self.enqueued_at if latency else None,
+                    deadline_expired=isinstance(error, DeadlineError),
+                )
+            self._done.set()
+        return True
 
     def result(self, timeout: float | None = None) -> Any:
-        """Block until the request completes; return or re-raise its outcome.
+        """Block until the request resolves; return or re-raise its outcome.
 
-        With ``timeout=None`` the wait is bounded by the request's own
-        deadline (plus a short grace for the server to deliver the typed
-        failure first): a deadline-carrying ticket raises
-        :class:`~repro.core.exceptions.DeadlineError` instead of blocking
-        forever.  An explicit ``timeout`` that expires first raises
-        :class:`~repro.core.exceptions.ServerError`.
+        The waiter enforces the request's own deadline: once
+        :attr:`deadline_at` passes unanswered, it fails the ticket with a
+        :class:`~repro.core.exceptions.DeadlineError` itself — unless the
+        lane answered first, whose answer then wins.  A ``timeout`` that
+        ends before the deadline raises
+        :class:`~repro.core.exceptions.ServerError` and leaves the ticket
+        pending.
         """
-        if timeout is None and self.deadline_at is not None:
-            # Grace of 0.25s: the server fails expired tickets with the
-            # typed DeadlineError; this local fallback only fires when the
-            # server never answered at all.
-            remaining = self.deadline_at + 0.25 - time.perf_counter()
-            if not self._done.wait(max(0.0, remaining)):
-                raise DeadlineError(
-                    f"request {self.app}[dim={self.dim}] missed its deadline "
-                    "and the server delivered no response"
+        remaining = None
+        if self.deadline_at is not None:
+            remaining = max(0.0, self.deadline_at - time.perf_counter())
+        if timeout is not None and (remaining is None or timeout < remaining):
+            if not self._done.wait(timeout):
+                raise ServerError(
+                    f"request {self.app}[dim={self.dim}] did not complete "
+                    f"within {timeout:g}s"
                 )
-        elif not self._done.wait(timeout):
-            raise ServerError(
-                f"request {self.app}[dim={self.dim}] did not complete "
-                f"within {timeout:g}s"
+        elif not self._done.wait(remaining):
+            self.fail(
+                DeadlineError(
+                    f"request {self.app}[dim={self.dim}] missed its deadline"
+                    + (" (response dropped)" if self.dropped else "")
+                )
             )
         if self._error is not None:
             raise self._error
@@ -167,7 +212,7 @@ class RequestQueue:
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
-        """Number of admitted requests not yet taken by a shard."""
+        """Number of admitted requests not yet taken by the lane."""
         with self._cond:
             return len(self._items)
 
@@ -239,13 +284,13 @@ class RequestQueue:
         """Fail every still-queued request with ``error``; return them.
 
         Used by non-graceful shutdown so no client blocks forever on a
-        request that will never run; the caller accounts the returned
-        requests in its metrics.
+        request that will never run; each failure is recorded without a
+        latency sample.
         """
         with self._cond:
             failed: list[ServeRequest] = []
             while self._items:
                 request = self._items.popleft()
-                request.fail(error)
+                request.fail(error, latency=False)
                 failed.append(request)
             return failed

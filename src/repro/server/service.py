@@ -2,26 +2,27 @@
 
 Architecture (one box per thread role)::
 
-    clients (any threads)            shard thread               session
-    ---------------------            ------------               -------
+    clients (any threads)            lane thread (repro-shard-0)      session
+    ---------------------            ---------------------------      -------
     submit() --admission--> [RequestQueue] --next_batch--> solve_one()
         |   BackpressureError        |   same-signature            |
         |   memory-tier hit          v   coalescing                v
     ticket.result() <-------- complete()/fail() <-------- ExecutionResult
+        |
+        +-- at its deadline the waiter fails its own ticket (DeadlineError)
 
-    ``start()`` starts the supervised shard; ``close()`` drains and joins
-    it and (for a server that owns its session) releases the worker pools
-    of :class:`repro.runtime.lifecycle.EngineHost`.
+    ``start()`` starts the lane; ``close()`` drains and joins it and (for a
+    server that owns its session) releases the worker pools of
+    :class:`repro.runtime.lifecycle.EngineHost`.
 
 A request crosses threads exactly twice: the submitting thread queues it;
-the idle shard thread (:mod:`repro.server.supervisor`, one supervised lane
-on the server's own session) takes a coalesced batch from the queue itself
-and completes its tickets on the spot.  Memory hits cross none:
-:meth:`repro.session.Session.serve_from_memory` answers them at admission.
-A request is named once, at admission (:attr:`ServeRequest.identity`,
-default ``dim`` filled in); the lane plans by that name and hands the plan
-it ran to the adaptive loop.  The server adds exactly three behaviours on
-top of :meth:`repro.session.Session.solve_one`:
+the lane thread takes a coalesced batch from the queue, runs it on the
+server's own session and completes its tickets on the spot.  Memory hits
+cross none: :meth:`repro.session.Session.serve_from_memory` answers them at
+admission.  A request is named once, at admission
+(:attr:`ServeRequest.identity`, default ``dim`` filled in); the lane plans
+by that name and hands the plan it ran to the adaptive loop.  The server
+adds four behaviours on top of :meth:`repro.session.Session.solve_one`:
 
 * **admission control** — a bounded queue with an explicit, typed
   backpressure rejection instead of unbounded latency;
@@ -29,20 +30,41 @@ top of :meth:`repro.session.Session.solve_one`:
   batch and served by a single ``solve_one`` execution whose deterministic
   result every ticket in the group shares, amortising the tuner/plan
   resolution, the worker-pool warm-up *and the grid sweep itself*;
+* **supervision** — every exception that escapes a batch on the lane is a
+  crash (:class:`~repro.core.exceptions.ShardCrashError` from a chaos
+  ``kill``, :class:`~repro.core.exceptions.WorkerCrashError` from a broken
+  worker team, anything else).  The lane counts it, checks the breaker,
+  backs off (jittered, exponential in the crashes since the last clean
+  batch) and re-runs the same batch, up to :data:`MAX_REDISPATCH` extra
+  attempts — in place, on the same thread.  More than
+  :data:`RESTART_BUDGET` crashes inside :data:`RESTART_WINDOW_S` open the
+  breaker (state ``dead``): admission sheds load and the lane fails what
+  was admitted with :class:`~repro.core.exceptions.ShardUnavailableError`
+  until the window slides below the budget.  Chaos faults
+  (:mod:`repro.server.faults`) fire before the solve, which keeps kills
+  at-most-once;
 * **observability and lifecycle** — per-request/aggregate metrics as JSON
   (:mod:`repro.server.metrics`) and graceful drain/shutdown.
 
+Each ticket enforces its own deadline: its waiter fails it with a typed
+:class:`~repro.core.exceptions.DeadlineError` at exactly its
+``deadline_at``, while the batch's execution is bounded by its latest live
+deadline, so a request coalesced with a tighter peer still gets its answer.
+A solve that runs past a deadline is not a crash; a chaos ``drop`` simply
+skips delivery.
+
 Requests may be submitted before :meth:`ReproServer.start`; they queue (and
-count against capacity) until the shard comes up — which also makes
+count against capacity) until the lane comes up — which also makes
 batching deterministic to test.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from numbers import Real
 
 from repro.adaptive.controller import ADAPTIVE_MODES, AdaptiveController
@@ -53,13 +75,14 @@ from repro.core.exceptions import (
     DeadlineError,
     InvalidParameterError,
     ServerError,
+    ShardCrashError,
     ShardUnavailableError,
+    WorkerCrashError,
 )
 from repro.runtime.executor_base import ExecutionMode
-from repro.server.faults import FaultPlan
+from repro.server.faults import FaultInjector, FaultPlan
 from repro.server.metrics import ServerMetrics
 from repro.server.queue import RequestQueue, ServeRequest
-from repro.server.supervisor import ShardSupervisor, ShardTask, SupervisorConfig
 from repro.session import Session
 
 #: Default bound of the request queue (admission control).
@@ -71,6 +94,20 @@ DEFAULT_DEADLINE_S = 30.0
 #: The longest wait (seconds) a limit may set: ``threading`` waits overflow
 #: past ``threading.TIMEOUT_MAX``.
 MAX_WAIT_S = threading.TIMEOUT_MAX / 2
+#: Seconds :meth:`ReproServer.close` waits for queued and in-flight work.
+DRAIN_TIMEOUT_S = 30.0
+#: The lane's backoff after the Nth crash since its last clean batch:
+#: ``BACKOFF_BASE_S * 2^(N-1)`` capped at ``BACKOFF_CAP_S``, plus up to
+#: ``BACKOFF_JITTER`` relative jitter.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+BACKOFF_JITTER = 0.25
+#: More than ``RESTART_BUDGET`` crashes inside ``RESTART_WINDOW_S`` seconds
+#: open the circuit breaker until the window slides below the budget.
+RESTART_BUDGET = 5
+RESTART_WINDOW_S = 30.0
+#: Extra attempts a crashed batch gets before it fails.
+MAX_REDISPATCH = 2
 
 
 def finite_seconds(name: str, value, error: type[Exception] = InvalidParameterError) -> float:
@@ -91,15 +128,12 @@ class ServerConfig:
 
     ``queue_capacity`` bounds admitted-but-unscheduled requests (overflow is
     rejected with backpressure); ``max_batch`` bounds how many coalesced
-    same-signature requests one coalesced execution serves;
-    ``drain_timeout_s`` bounds how long :meth:`ReproServer.close` waits for
-    in-flight work.
+    same-signature requests one coalesced execution serves.
 
     ``default_deadline_s`` is the per-request deadline applied when the
     client sends none (``None`` disables the default — requests without an
-    explicit deadline then wait unboundedly).
-
-    Both waits are finite seconds (:func:`finite_seconds`).
+    explicit deadline then wait unboundedly); it is finite seconds
+    (:func:`finite_seconds`).
 
     ``adaptive`` switches the online observation loop
     (:data:`repro.adaptive.ADAPTIVE_MODES`): ``"off"`` builds no
@@ -109,7 +143,6 @@ class ServerConfig:
 
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     max_batch: int = DEFAULT_MAX_BATCH
-    drain_timeout_s: float = 30.0
     default_deadline_s: float | None = DEFAULT_DEADLINE_S
     adaptive: str = "on"
 
@@ -118,7 +151,6 @@ class ServerConfig:
         for name in ("queue_capacity", "max_batch"):
             if getattr(self, name) < 1:
                 raise ServerError(f"{name} must be >= 1, got {getattr(self, name)}")
-        finite_seconds("drain_timeout_s", self.drain_timeout_s, ServerError)
         if self.default_deadline_s is not None:
             finite_seconds("default_deadline_s", self.default_deadline_s, ServerError)
         if self.adaptive not in ADAPTIVE_MODES:
@@ -133,7 +165,8 @@ class ReproServer:
     The server *borrows* the session by default (closing the server leaves
     the session usable); pass ``own_session=True`` to transfer ownership so
     :meth:`close` also releases the session's engines and worker pools —
-    the CLI's ``repro serve`` does exactly that.  ``drift`` sets the
+    the CLI's ``repro serve`` does exactly that.  ``fault_plan`` arms chaos
+    injection (:class:`~repro.server.faults.FaultPlan`); ``drift`` sets the
     adaptive loop's detector thresholds (:class:`repro.adaptive.DriftConfig`
     defaults otherwise).
 
@@ -150,7 +183,6 @@ class ReproServer:
         config: ServerConfig | None = None,
         *,
         own_session: bool = False,
-        supervisor_config: SupervisorConfig | None = None,
         fault_plan: FaultPlan | None = None,
         drift: DriftConfig | None = None,
     ) -> None:
@@ -162,35 +194,48 @@ class ReproServer:
         self._lifecycle = threading.Lock()
         self._started = False
         self._closed = False
-        # Every execution goes through the supervisor, whose one shard
-        # thread takes its batches from the queue itself and runs them on
-        # this server's session.
-        self.supervisor = ShardSupervisor(
-            session,
-            source=self._next_task,
-            config=supervisor_config,
-            fault_plan=fault_plan,
+        self._injector = FaultInjector(
+            plan=fault_plan if fault_plan is not None else FaultPlan()
         )
-        # Under a chaos plan every request reaches the shard, so a fault's
+        # Under a chaos plan every request reaches the lane, so a fault's
         # ordinal counts requests, not only the memory tier's misses.
-        self._answer_hits = fault_plan is None or not len(fault_plan)
+        self._answer_hits = not len(self._injector.plan)
         # The online tuning loop, with the drift detector's thresholds;
         # "off" builds nothing and costs nothing on the serving path.
         self.adaptive: AdaptiveController | None = None
         if self.config.adaptive != "off":
             self.adaptive = AdaptiveController(drift)
+        # The lane: one thread, its batch in hand, and its crash record,
+        # all guarded by one lock.  ``_phase`` reads ``restarting`` until
+        # started and while backing off; ``_state`` reads ``dead`` over it
+        # while the breaker is open.
+        self._lane_lock = threading.Lock()
+        self._lane_thread: threading.Thread | None = None
+        self._stop = threading.Event()
+        self._rng = random.Random()
+        self._phase = "restarting"
+        self._current: list[ServeRequest] | None = None
+        self._consecutive_crashes = 0
+        self._crash_times: deque[float] = deque()
+        self._counts = dict.fromkeys(
+            ("dropped_responses", "restarts", "crashes", "redispatches"), 0
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ReproServer":
-        """Start the supervised shard; idempotent until :meth:`close`."""
+        """Start the lane thread; idempotent until :meth:`close`."""
         with self._lifecycle:
             if self._closed:
                 raise ServerError("cannot start a closed server")
             if self._started:
                 return self
-            self.supervisor.start()
+            self._phase = "healthy"
+            self._lane_thread = threading.Thread(
+                target=self._lane, name="repro-shard-0", daemon=True
+            )
+            self._lane_thread.start()
             self._started = True
             return self
 
@@ -198,14 +243,14 @@ class ReproServer:
         """Stop admission and wait for queued + in-flight work to finish.
 
         Returns ``True`` when everything completed within ``timeout``
-        (default: the config's ``drain_timeout_s``).  The server cannot
-        accept requests afterwards.
+        (default :data:`DRAIN_TIMEOUT_S`).  The server cannot accept
+        requests afterwards.
         """
-        timeout = timeout if timeout is not None else self.config.drain_timeout_s
+        timeout = timeout if timeout is not None else DRAIN_TIMEOUT_S
         self._queue.close()
         with self._lifecycle:
             if not self._started:
-                # No shard thread exists, so waiting cannot make progress;
+                # No lane thread exists, so waiting cannot make progress;
                 # report the truth immediately (close() fails any stragglers).
                 timeout = 0.0
         deadline = time.perf_counter() + timeout
@@ -216,28 +261,31 @@ class ReproServer:
         return True
 
     def close(self) -> None:
-        """Graceful shutdown: drain, join the shard, release owned resources.
+        """Graceful shutdown: drain, stop the lane, release owned resources.
 
-        Safe to call more than once.  Requests still queued after the drain
-        timeout are failed with :class:`~repro.core.exceptions.ServerError`
-        so no client blocks forever.
+        Safe to call more than once.  Requests still queued or in the
+        lane's hands after the drain timeout are failed with
+        :class:`~repro.core.exceptions.ServerError` so no client blocks
+        forever.
         """
         with self._lifecycle:
             if self._closed:
                 return
             self._closed = True
-        drained = self.drain()
-        if not drained:
-            stranded = self._queue.drain_rejected(
+        if not self.drain():
+            self._queue.drain_rejected(
                 ServerError("server shut down before the request was scheduled")
             )
-            for request in stranded:
-                # Account the stranded requests so the accepted ==
-                # completed + failed + cancelled + in_flight invariant
-                # survives shutdown; no latency sample — they never ran, so
-                # their queue wait would distort the service percentiles.
-                self.metrics_store.record_failed(None)
-        self.supervisor.close()
+        with self._lane_lock:
+            # Under the lane lock: a lane that sees the stop after a crash
+            # gives up a batch this call has already taken in hand.
+            self._stop.set()
+            stranded = self._current or []
+        error = ServerError("shard shut down before the request completed")
+        for request in stranded:
+            request.fail(error)
+        if self._lane_thread is not None:
+            self._lane_thread.join(timeout=2.0)
         if self._own_session:
             self.session.close()
 
@@ -270,7 +318,7 @@ class ReproServer:
         (unless a fault plan is armed: then every request queues).
         Raises :class:`~repro.core.exceptions.BackpressureError` when the
         queue is full (including its :class:`~repro.core.exceptions.\
-ShardUnavailableError` subclass while the shard's circuit breaker is
+ShardUnavailableError` subclass while the lane's circuit breaker is
         open — shedding early beats queueing into a black hole) and
         :class:`~repro.core.exceptions.ServerError` once the server is
         shutting down.  ``deadline_s`` bounds the request end-to-end
@@ -297,7 +345,7 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
             deadline_s = finite_seconds("deadline_s", deadline_s)
         now = time.perf_counter()
         deadline_at = None if deadline_s is None else now + deadline_s
-        if self.supervisor.circuit_open:
+        if self._state() == "dead":
             self.metrics_store.record_rejected()
             raise ShardUnavailableError(
                 "no healthy shard available (restart budget exhausted); "
@@ -312,6 +360,7 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
             plan_kwargs=plan_kwargs,
             enqueued_at=now,
             deadline_at=deadline_at,
+            metrics=self.metrics_store,
         )
         # A memory hit is answered on this thread: it never queues behind a
         # sweep, nor reaches the adaptive loop (nothing ran).  A closed queue
@@ -323,11 +372,8 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
             if hit is not None:
                 self.metrics_store.record_accepted()
                 request.complete(hit)
-                self.metrics_store.record_completed(
-                    time.perf_counter() - now, signature=request.signature
-                )
                 return request
-        # Count acceptance BEFORE the request becomes visible to the shard, so
+        # Count acceptance BEFORE the request becomes visible to the lane, so
         # a fast completion can never be recorded ahead of it (in_flight
         # would transiently read -1 and drain() could return early).
         self.metrics_store.record_accepted()
@@ -357,8 +403,9 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
         """Submit and block for the result (the synchronous convenience).
 
         With ``timeout=None`` the wait is bounded by the request deadline
-        (explicit ``deadline_s`` or the config default) — no more hard-coded
-        client-side timeouts racing the server's own deadline handling.
+        (explicit ``deadline_s`` or the config default), at which the
+        ticket fails itself with a typed
+        :class:`~repro.core.exceptions.DeadlineError`.
         """
         ticket = self.submit(app, dim, mode, deadline_s=deadline_s, **plan_kwargs)
         return ticket.result(timeout)
@@ -378,91 +425,224 @@ ShardUnavailableError` subclass while the shard's circuit breaker is
                 if self.session.result_cache is not None
                 else None
             ),
-            supervisor=self.supervisor.info(),
+            supervisor=self._lane_info(),
             adaptive=(
                 self.adaptive.snapshot() if self.adaptive is not None else None
             ),
         )
 
     def readiness(self) -> dict:
-        """The ``GET /readyz`` payload: the supervisor snapshot.
+        """The ``GET /readyz`` payload: the lane's supervision snapshot.
 
-        ``ready`` is true while the server runs and its shard is healthy;
+        ``ready`` is true while the server runs and its lane is healthy;
         external probes should route traffic away on 503.
         """
-        info = self.supervisor.info()
+        info = self._lane_info()
         running = self.running
         return {**info, "ready": running and info["ready"], "running": running}
 
-    # ------------------------------------------------------------------
-    # The shard's work source
-    # ------------------------------------------------------------------
-    def _next_task(self, timeout: float) -> ShardTask | None:
-        """One coalesced batch as a shard task (the supervisor's ``source``).
+    def _lane_info(self) -> dict:
+        """The ``/metrics`` ``supervisor`` section: state and counters."""
+        faults = self._injector.info()
+        with self._lane_lock:
+            state = self._state_locked(time.perf_counter())
+            lane = {
+                "state": state,
+                "in_flight": self._current is not None,
+                **self._counts,
+            }
+        return {
+            **lane,
+            "faults_injected": faults["injected"],
+            "faults": faults,
+            "ready": state == "healthy",
+            "circuit_open": state == "dead",
+        }
 
-        Called by the idle shard thread, waiting up to ``timeout``
-        for a request.  Requests whose waiter already gave up (``cancel()``)
-        or whose deadline passed in the queue are resolved here, not
-        executed — no ghost work for absent clients.  The rest is identical
-        by construction (one signature → one plan, one deterministic
-        answer): **one** task whose result every ticket shares.
+    def _state(self) -> str:
+        """``healthy``, ``restarting`` or ``dead`` (circuit open)."""
+        with self._lane_lock:
+            return self._state_locked(time.perf_counter())
+
+    def _state_locked(self, now: float) -> str:
+        """Slide the crash window to ``now`` and read the state off it.
+
+        The caller holds the lane lock.  ``dead`` while the window holds
+        more than :data:`RESTART_BUDGET` crashes — which ends once it
+        slides below.
         """
-        batch = self._queue.next_batch(self.config.max_batch, timeout)
-        if not batch and self._queue.closed:
-            time.sleep(timeout)  # nothing will arrive: idle the poll out
-        live = []
-        for request in batch:
-            if request.cancelled:
-                request.fail(ServerError("request was cancelled by its client"))
-                self.metrics_store.record_cancelled()
-            elif request.expired:
-                request.fail(
-                    DeadlineError(
-                        f"request {request.app}[dim={request.dim}] expired "
-                        "in the queue before execution"
+        window_start = now - RESTART_WINDOW_S
+        while self._crash_times and self._crash_times[0] < window_start:
+            self._crash_times.popleft()
+        if len(self._crash_times) > RESTART_BUDGET:
+            return "dead"
+        return self._phase
+
+    # ------------------------------------------------------------------
+    # The lane
+    # ------------------------------------------------------------------
+    def _lane(self) -> None:
+        """The lane thread: serve coalesced batches until the queue closes.
+
+        Each batch is the oldest request plus its queued same-signature
+        peers.  A ticket already resolved (cancelled, or failed by its
+        waiter) is skipped, and one whose deadline passed in the queue is
+        failed, not executed — no ghost work for absent clients.  The rest
+        is identical by construction (one signature → one plan, one
+        deterministic answer): **one** execution whose result every ticket
+        shares.
+        """
+        while batch := self._queue.next_batch(self.config.max_batch):
+            live = []
+            for request in batch:
+                if request.done:
+                    continue
+                if request.expired:
+                    request.fail(
+                        DeadlineError(
+                            f"request {request.app}[dim={request.dim}] expired "
+                            "in the queue before execution"
+                        ),
+                        latency=False,
                     )
-                )
-                self.metrics_store.record_failed(None, deadline_expired=True)
-            else:
-                live.append(request)
-        if not live:
-            return None
-        self.metrics_store.record_batch(len(live))
-        # The strictest deadline in the batch bounds the shared execution;
-        # coalesced peers are identical apart from their deadlines, so the
-        # tightest one is the only one that can expire first.
-        deadlines = [r.deadline_at for r in live if r.deadline_at is not None]
-        return ShardTask(
-            live[0].as_request(),
-            live[0].mode,
-            min(deadlines) if deadlines else None,
-            count=len(live),
-            on_done=partial(self._deliver, live, time.perf_counter()),
-        )
+                else:
+                    live.append(request)
+            if live:
+                self.metrics_store.record_batch(len(live))
+                self._serve(live)
 
-    def _deliver(
-        self, batch: list[ServeRequest], taken_at: float, task: ShardTask
-    ) -> None:
-        """Complete every ticket of one resolved batch, on the resolving thread.
-
-        Callers must treat the shared :class:`ExecutionResult` as read-only,
-        which every shipped consumer (HTTP payload, verification, metrics)
-        does.  A failure is delivered to each waiting client.
-        """
-        head, result, error = batch[0], task.result, task.error
-        now = time.perf_counter()
-        if error is not None:
-            missed = isinstance(error, DeadlineError)
+    def _serve(self, batch: list[ServeRequest]) -> None:
+        """Run one batch until it is answered, recovering crashes in place."""
+        taken_at = time.perf_counter()
+        with self._lane_lock:
+            dead = self._state_locked(taken_at) == "dead"
+            if not dead:
+                self._current = batch
+        if dead:
+            error = ShardUnavailableError(
+                f"the shard exceeded its restart budget ({RESTART_BUDGET} "
+                f"crashes per {RESTART_WINDOW_S:g}s); retry later"
+            )
             for request in batch:
                 request.fail(error)
-                self.metrics_store.record_failed(now - request.enqueued_at, missed)
             return
+        attempts = 0
+        while True:
+            attempts += 1
+            # The latest live deadline bounds the shared execution: a
+            # tighter peer's waiter fails itself at its own deadline.
+            deadlines = [request.deadline_at for request in batch]
+            deadline_at = None if None in deadlines else max(deadlines)
+            try:
+                self._execute(batch, taken_at, deadline_at)
+            except Exception as crash:  # noqa: BLE001 - every escape is a crash
+                batch = [request for request in batch if not request.done]
+                if self._on_crash(batch, attempts, deadline_at, crash):
+                    if not self._stop.is_set():
+                        continue
+            else:
+                with self._lane_lock:
+                    self._consecutive_crashes = 0
+            break
+        with self._lane_lock:
+            self._current = None
+
+    def _execute(
+        self, batch: list[ServeRequest], taken_at: float, deadline_at: float | None
+    ) -> None:
+        """One attempt at a batch: chaos hooks, the solve, delivery."""
+        faults = self._injector.take(len(batch))
+        kinds = [fault.kind for fault in faults]
+        for fault in faults:
+            if fault.kind == "slow":
+                time.sleep(fault.sleep_s)
+        if "kill" in kinds:
+            raise ShardCrashError(
+                "chaos kill fault on the shard (request ordinal "
+                f"{faults[kinds.index('kill')].at})"
+            )
+        head = batch[0]
+        try:
+            # Past its deadline by now, the session itself refuses the batch.
+            plan, result = self.session.solve_one(
+                head.as_request(), head.mode, deadline_at
+            )
+        except (ShardCrashError, WorkerCrashError):
+            raise  # a lane-level crash: recovered by _serve
+        except Exception as error:  # noqa: BLE001 - delivered to the waiters
+            for request in batch:
+                request.fail(error)
+            return
+        if "drop" in kinds:
+            # Chaos: the work happened, the answer vanishes; each waiter
+            # fails itself at its deadline.
+            for request in batch:
+                request.dropped = True
+            with self._lane_lock:
+                self._counts["dropped_responses"] += 1
+            return
+        # Callers must treat the shared ExecutionResult as read-only, which
+        # every shipped consumer (HTTP payload, verification, metrics) does.
         for request in batch:
             request.complete(result)
-            self.metrics_store.record_completed(
-                now - request.enqueued_at, signature=request.signature
-            )
         if self.adaptive is not None:
             self.adaptive.observe(
-                head.signature, task.plan.expected_s, now - taken_at, count=len(batch)
+                head.signature,
+                plan.expected_s,
+                time.perf_counter() - taken_at,
+                count=len(batch),
             )
+
+    def _on_crash(
+        self,
+        batch: list[ServeRequest],
+        attempts: int,
+        deadline_at: float | None,
+        crash: BaseException,
+    ) -> bool:
+        """Count a crash, check the breaker, settle the batch, back off.
+
+        ``batch`` holds the tickets still unresolved.  Returns whether they
+        get another attempt; otherwise they are failed before the backoff
+        starts.
+        """
+        now = time.perf_counter()
+        with self._lane_lock:
+            self._counts["crashes"] += 1
+            self._consecutive_crashes += 1
+            self._crash_times.append(now)
+            tripped = self._state_locked(now) == "dead"
+            if not tripped:
+                self._phase = "restarting"
+                delay = min(
+                    BACKOFF_CAP_S,
+                    BACKOFF_BASE_S * 2 ** (self._consecutive_crashes - 1),
+                ) * (1.0 + BACKOFF_JITTER * self._rng.random())
+        retry = False
+        if batch:  # else answered before the crash: nothing to re-run
+            app = batch[0].app
+            if deadline_at is not None and now > deadline_at:
+                error: BaseException = DeadlineError(
+                    f"request {app!r} crashed with its shard and its deadline "
+                    "passed before re-dispatch"
+                )
+            elif attempts > MAX_REDISPATCH:
+                error = ShardCrashError(
+                    f"request {app!r} failed {attempts} times on a crashing "
+                    f"shard (re-dispatch budget {MAX_REDISPATCH}): {crash}"
+                )
+            elif tripped:
+                error = ShardUnavailableError("the shard is gone")
+            else:
+                retry = True
+                with self._lane_lock:
+                    self._counts["redispatches"] += 1
+            if not retry:
+                for request in batch:
+                    request.fail(error)
+        if not tripped:
+            self._stop.wait(delay)
+            with self._lane_lock:
+                self._phase = "healthy"
+                self._counts["restarts"] += 1
+        return retry

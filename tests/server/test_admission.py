@@ -17,6 +17,7 @@ import pytest
 from repro.core.exceptions import ServerError, ShardUnavailableError
 from repro.facade.policy import ExecutionPolicy
 from repro.server import FaultPlan, ReproServer, ServerConfig
+from repro.server.service import RESTART_BUDGET
 from repro.session import Session
 
 #: Pin the serial backend: a manual plan needs no tuner.
@@ -152,11 +153,8 @@ class TestRefusalsComeFirst:
 
     def test_an_open_circuit_sheds_a_primed_hit(self, cached_session):
         server = unstarted(cached_session)
-        supervisor = server.supervisor
         # One crash over the budget, inside the window: the circuit is open.
-        supervisor.crash_times.extend(
-            [time.perf_counter()] * (supervisor.config.restart_budget + 1)
-        )
+        server._crash_times.extend([time.perf_counter()] * (RESTART_BUDGET + 1))
         hits = cached_session.result_cache.memory_hits
         try:
             with pytest.raises(ShardUnavailableError):

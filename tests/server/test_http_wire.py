@@ -343,9 +343,9 @@ class TestThreadAccounting:
             server.close()
         assert seen == ["repro-shard-0"]
         assert not [name for name in names if name.startswith("repro-serve-worker")]
-        # One thread role between the connection and the session (the
-        # monitor is "repro-shard-monitor").
+        # One thread between the connection and the session: the lane.
         assert {n.split("-")[1] for n in names if n.startswith("repro-")} == {"http", "shard"}
+        assert [n for n in names if n.startswith("repro-shard")] == ["repro-shard-0"]
 
     def test_the_endpoint_threads_end_with_the_accept_loop(self, endpoint):
         with connect(endpoint) as sock:

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from repro.core.exceptions import BackpressureError, ReproError, ServerError
+from repro.core.exceptions import BackpressureError, DeadlineError, ReproError, ServerError
 from repro.facade.policy import ExecutionPolicy
 from repro.cache import request_identity
+from repro.server.metrics import ServerMetrics
 from repro.server.queue import RequestQueue, ServeRequest
 
 
@@ -133,3 +134,65 @@ class TestTicket:
         failed.fail(ServerError("boom"))
         with pytest.raises(ServerError, match="boom"):
             failed.result(timeout=0)
+
+    def test_a_ticket_resolves_exactly_once_and_is_counted_once(self):
+        metrics = ServerMetrics()
+        metrics.record_accepted()
+        ticket = make_request()
+        ticket.metrics = metrics
+        assert ticket.complete("first")
+        assert not ticket.fail(ServerError("late"))
+        assert not ticket.complete("second")
+        assert not ticket.cancel()
+        assert ticket.result(timeout=0) == "first"
+        requests = metrics.snapshot()["requests"]
+        assert requests["completed"] == 1 and requests["failed"] == 0
+        assert requests["cancelled"] == 0 and requests["in_flight"] == 0
+
+    def test_racing_resolvers_leave_one_winner_and_one_count(self):
+        for _ in range(50):
+            metrics = ServerMetrics()
+            metrics.record_accepted()
+            ticket = make_request()
+            ticket.metrics = metrics
+            start = threading.Barrier(4)
+            wins = []
+
+            def resolve(action):
+                start.wait()
+                wins.append(action())
+
+            actions = [
+                lambda: ticket.complete("answer"),
+                lambda: ticket.fail(DeadlineError("late")),
+                ticket.cancel,
+                lambda: ticket.fail(ServerError("shut down"), latency=False),
+            ]
+            threads = [threading.Thread(target=resolve, args=(a,)) for a in actions]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert sorted(wins) == [False, False, False, True]
+            requests = metrics.snapshot()["requests"]
+            assert requests["in_flight"] == 0
+            assert requests["completed"] + requests["failed"] + requests["cancelled"] == 1
+
+    def test_the_waiter_fails_its_own_ticket_at_its_deadline(self):
+        metrics = ServerMetrics()
+        metrics.record_accepted()
+        ticket = make_request()
+        ticket.metrics = metrics
+        ticket.deadline_at = time.perf_counter() + 0.05
+        with pytest.raises(DeadlineError, match="missed its deadline"):
+            ticket.result(timeout=30)  # the deadline comes first
+        assert time.perf_counter() >= ticket.deadline_at
+        assert not ticket.complete("too late")
+        requests = metrics.snapshot()["requests"]
+        assert requests["failed"] == 1 and requests["deadline_expired"] == 1
+
+    def test_an_answer_delivered_first_wins_over_the_deadline(self):
+        ticket = make_request()
+        ticket.deadline_at = time.perf_counter() - 1.0
+        ticket.complete("answer")
+        assert ticket.result() == "answer"

@@ -24,8 +24,10 @@ from repro.session import Session
 SRC = str(Path(repro.__file__).parent) + "/"
 
 #: Upper bound on the ``repro.*`` Python calls of one warm served ``lcs``
-#: dim 12 request (79 when pinned; 100 when the request was named three
-#: times, planned twice and its sweeper rebuilt on every run).
+#: dim 12 request (74 when pinned; 79 with a task object, a callback pair
+#: and a monitor between the queue and the tickets; 100 when the request
+#: was named three times, planned twice and its sweeper rebuilt on every
+#: run).
 MAX_PYTHON_CALLS = 90
 
 
@@ -64,9 +66,9 @@ class _CallCounter:
     Installed with :func:`sys.setprofile` and :func:`threading.setprofile`
     before the server starts, so the lane thread is profiled from its first
     call.  The calling thread counts while :attr:`on` is set.  The lane's
-    calls are cut into segments, one per visit to its work source
-    (``ReproServer._next_task``): the segment that executed the request is
-    its share, whatever idle polls came before or after it.
+    calls are cut into segments, one per batch it takes from the queue
+    (``RequestQueue.next_batch``): the segment that executed the request
+    (``ReproServer._execute``) is its share.
     """
 
     def __init__(self):
@@ -86,7 +88,7 @@ class _CallCounter:
             if self.on:
                 self.main_calls.append(call)
         elif thread.name == "repro-shard-0":
-            if code.co_qualname == "ReproServer._next_task":
+            if code.co_qualname == "RequestQueue.next_batch":
                 self.lane_segments.append([])
             if self.lane_segments:
                 self.lane_segments[-1].append(call)
@@ -95,7 +97,7 @@ class _CallCounter:
         """The calling thread's window plus the lane segment that served it."""
         (served,) = [
             segment for segment in self.lane_segments
-            if ("ShardSupervisor._execute", "server/supervisor.py") in segment
+            if ("ReproServer._execute", "server/service.py") in segment
         ][-1:]
         return self.main_calls + served
 

@@ -1,12 +1,12 @@
-"""Tests for shard supervision and chaos injection.
+"""Tests for the serving lane's supervision and chaos injection.
 
-The unit layer drives :class:`ShardSupervisor` against a stub session and a
-hand-fed work source so crash/restart/re-dispatch logic is exercised in
-milliseconds; the integration layer at the bottom runs a real
-:class:`ReproServer` over the shared serving session with a fault plan armed.
+The unit layer drives a :class:`ReproServer` over a stub session, with the
+lane's supervision constants shrunk to milliseconds, so crash / restart /
+re-dispatch / deadline logic runs fast and deterministically; the
+integration layer at the bottom runs a real server over the shared serving
+session with a fault plan armed.
 """
 
-import queue
 import threading
 import time
 
@@ -20,33 +20,27 @@ from repro.core.exceptions import (
     UsageError,
     WorkerCrashError,
 )
+from repro.runtime.executor_base import ExecutionMode
 from repro.server import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
     ReproServer,
     ServerConfig,
-    ShardSupervisor,
-    ShardTask,
-    SupervisorConfig,
 )
+from repro.server import service
 
 #: Millisecond-scale supervision so every failure path runs fast.
-FAST = SupervisorConfig(
-    backoff_base_s=0.01,
-    backoff_cap_s=0.05,
-    backoff_jitter=0.1,
-    restart_budget=4,
-    restart_window_s=5.0,
-    max_redispatch=2,
-)
+FAST = {
+    "BACKOFF_BASE_S": 0.01,
+    "BACKOFF_CAP_S": 0.05,
+    "BACKOFF_JITTER": 0.1,
+    "RESTART_BUDGET": 4,
+    "RESTART_WINDOW_S": 5.0,
+    "MAX_REDISPATCH": 2,
+}
 
-REQUEST = {"app": "lcs", "dim": 8}
-
-
-def soon(seconds=5.0):
-    """A deadline ``seconds`` from now on the supervisor's clock."""
-    return time.perf_counter() + seconds
+ANSWER = "answer:lcs:8"
 
 
 def wait_until(predicate, timeout_s=3.0):
@@ -59,34 +53,27 @@ def wait_until(predicate, timeout_s=3.0):
     raise AssertionError("condition not reached in time")
 
 
-class Feed:
-    """A hand-fed work source: what the server's admission queue is to a
-    real supervisor.  ``run`` feeds one task and waits for its outcome."""
-
-    def __init__(self):
-        self.tasks = queue.SimpleQueue()
-
-    def __call__(self, timeout):
-        try:
-            return self.tasks.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def run(self, deadline_at, request=REQUEST, timeout_s=5.0):
-        done = threading.Event()
-        task = ShardTask(request, None, deadline_at, on_done=lambda _: done.set())
-        self.tasks.put(task)
-        assert done.wait(timeout_s), "task was never resolved"
-        if task.error is not None:
-            raise task.error
-        return task.result
+def assert_invariant(server):
+    """``accepted == completed + failed + cancelled + in_flight``."""
+    requests = server.metrics()["requests"]
+    assert requests["accepted"] == (
+        requests["completed"] + requests["failed"]
+        + requests["cancelled"] + requests["in_flight"]
+    ), requests
 
 
 class StubSession:
-    """A deterministic stand-in session that can crash on demand."""
+    """A deterministic stand-in session that can crash, sweep slowly or block."""
 
-    def __init__(self, crashes=0):
+    mode = ExecutionMode.FUNCTIONAL
+    result_cache = None
+
+    def __init__(self, crashes=0, sweep_s=0.0):
         self.crashes_left = crashes
+        self.sweep_s = sweep_s
+        #: Cleared to hold every solve until the test sets it again.
+        self.gate = threading.Event()
+        self.gate.set()
         self.calls = 0
         self.threads = []
         self.closed = False
@@ -101,29 +88,46 @@ class StubSession:
             if self.crashes_left > 0:
                 self.crashes_left -= 1
                 raise WorkerCrashError("stub worker pool died")
+        self.gate.wait()
+        time.sleep(self.sweep_s)
         return None, f"answer:{request['app']}:{request['dim']}"
+
+    def serve_from_memory(self, *args, **kwargs):
+        return None
+
+    def cache_info(self):
+        return {}
 
     def close(self):
         self.closed = True
 
 
 @pytest.fixture()
-def supervised():
-    """One started single-shard supervisor over a fresh stub session."""
+def supervised(monkeypatch):
+    """``build(...)``: an unstarted server over a fresh stub session."""
 
-    def build(crashes=0, config=FAST, plan=None):
-        stub = StubSession(crashes=crashes)
-        supervisor = ShardSupervisor(
-            stub, source=Feed(), config=config, fault_plan=plan
+    def build(crashes=0, sweep_s=0.0, plan=None, own_session=False, **knobs):
+        for name, value in {**FAST, **knobs}.items():
+            monkeypatch.setattr(service, name, value)
+        stub = StubSession(crashes=crashes, sweep_s=sweep_s)
+        server = ReproServer(
+            stub,
+            ServerConfig(adaptive="off"),
+            own_session=own_session,
+            fault_plan=plan,
         )
-        supervisor.start()
-        built.append(supervisor)
-        return supervisor, stub
+        built.append(server)
+        return server, stub
 
     built = []
     yield build
-    for supervisor in built:
-        supervisor.close()
+    for server in built:
+        server.close()
+
+
+def lane(server):
+    """The lane's supervision snapshot (the ``/metrics`` ``supervisor`` section)."""
+    return server.readiness()
 
 
 class TestFaultPlan:
@@ -185,182 +189,221 @@ class TestFaultInjector:
         assert info["plan"] == "kill@1,drop@2,kill@3"
 
 
-class TestSupervisorConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"backoff_base_s": -0.1},
-            {"backoff_jitter": -0.1},
-            {"restart_budget": -1},
-            {"restart_window_s": 0.0},
-            {"max_redispatch": -1},
-        ],
-    )
-    def test_bad_knobs_raise_server_error(self, kwargs):
-        with pytest.raises(ServerError):
-            SupervisorConfig(**kwargs)
-
-    def test_supervisor_needs_a_session(self):
-        with pytest.raises(TypeError):
-            ShardSupervisor(source=Feed())
-
 
 class TestSupervision:
-    def test_execute_round_trips_through_the_shard(self, supervised):
-        supervisor, stub = supervised()
-        assert supervisor.state == "healthy" and not supervisor.circuit_open
-        answer = supervisor.source.run(deadline_at=soon())
-        assert answer == "answer:lcs:8"
+    def test_execute_round_trips_through_the_lane(self, supervised):
+        server, stub = supervised()
+        server.start()
+        info = lane(server)
+        assert info["state"] == "healthy" and not info["circuit_open"]
+        assert server.solve("lcs", 8) == ANSWER
         assert stub.calls == 1
 
+    def test_a_started_server_runs_one_thread_of_its_own(self, supervised):
+        before = set(threading.enumerate())
+        server, stub = supervised(crashes=1)
+        server.start()
+        assert server.solve("lcs", 8) == ANSWER
+        own = [t for t in threading.enumerate() if t not in before]
+        assert [t.name for t in own] == ["repro-shard-0"]
+        server.close()
+        assert not own[0].is_alive()
+
     def test_worker_crash_restarts_and_redispatches(self, supervised):
-        supervisor, stub = supervised(crashes=1)
-        answer = supervisor.source.run(deadline_at=soon())
-        assert answer == "answer:lcs:8"  # second attempt succeeded
+        server, stub = supervised(crashes=1)
+        server.start()
+        assert server.solve("lcs", 8) == ANSWER  # second attempt succeeded
         assert stub.calls == 2
-        info = supervisor.info()
+        info = lane(server)
         assert info["crashes"] == 1
         assert info["redispatches"] == 1
-        wait_until(lambda: supervisor.info()["restarts"] >= 1)
-        wait_until(lambda: supervisor.state == "healthy")
+        wait_until(lambda: lane(server)["restarts"] >= 1)
+        wait_until(lambda: lane(server)["state"] == "healthy")
 
     def test_chaos_kill_is_survived_and_counted_once(self, supervised):
-        supervisor, stub = supervised(plan=FaultPlan.parse("kill@1"))
-        answer = supervisor.source.run(deadline_at=soon())
-        assert answer == "answer:lcs:8"
+        server, stub = supervised(plan=FaultPlan.parse("kill@1"))
+        server.start()
+        assert server.solve("lcs", 8) == ANSWER
         assert stub.calls == 1  # the kill fired before any solve
-        info = supervisor.info()
+        info = lane(server)
         assert info["faults_injected"] == 1
         assert info["faults"]["by_kind"] == {"kill": 1}
 
     def test_chaos_drop_fails_typed_at_the_deadline(self, supervised):
-        supervisor, stub = supervised(plan=FaultPlan.parse("drop@1"))
+        server, stub = supervised(plan=FaultPlan.parse("drop@1"))
+        server.start()
+        ticket = server.submit("lcs", 8, deadline_s=0.3)
         with pytest.raises(DeadlineError, match="dropped"):
-            supervisor.source.run(deadline_at=soon(0.3))
+            ticket.result()
+        assert time.perf_counter() >= ticket.deadline_at  # never early
         assert stub.calls == 1  # the work happened, the response vanished
-        assert supervisor.info()["dropped_responses"] == 1
+        assert lane(server)["dropped_responses"] == 1
+        requests = server.metrics()["requests"]
+        assert requests["deadline_expired"] == 1 and requests["failed"] == 1
+        assert_invariant(server)
 
     def test_the_lane_is_one_thread_across_crashes(self, supervised):
-        supervisor, stub = supervised(crashes=2)
+        server, stub = supervised(crashes=2)
+        server.start()
         for _ in range(3):
-            assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
-        assert supervisor.crashes == 2 and stub.calls == 5
+            assert server.solve("lcs", 8) == ANSWER
+        assert lane(server)["crashes"] == 2 and stub.calls == 5
         assert len(set(stub.threads)) == 1
         assert stub.threads[0].name == "repro-shard-0"
 
-    def test_any_exception_escaping_a_task_is_a_crash(self, supervised):
-        supervisor, stub = supervised()
+    def test_any_exception_escaping_a_batch_is_a_crash(self, supervised):
+        server, stub = supervised()
 
-        def explode(task):
-            raise RuntimeError("delivery failed")
+        class Exploding:
+            def observe(self, *args, **kwargs):
+                server.adaptive = None
+                raise RuntimeError("observation failed")
 
-        supervisor.source.tasks.put(ShardTask(REQUEST, None, soon(), on_done=explode))
-        wait_until(lambda: supervisor.crashes == 1)
-        assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
+        server.adaptive = Exploding()
+        server.start()
+        assert server.solve("lcs", 8) == ANSWER  # answered before the escape
+        wait_until(lambda: lane(server)["crashes"] == 1)
+        assert server.solve("lcs", 9) == "answer:lcs:9"
         assert len(set(stub.threads)) == 1  # recovered in place
+        assert lane(server)["redispatches"] == 0  # nothing left to re-run
+        assert stub.calls == 2
 
-    def test_a_clean_task_resets_the_backoff(self, supervised):
+    def test_a_clean_batch_resets_the_backoff(self, supervised):
         # Each round's first attempt is killed, its re-dispatch succeeds:
-        # every crash is the first since a clean task, so it backs off the
+        # every crash is the first since a clean batch, so it backs off the
         # base delay, never a doubled one.
-        supervisor, _ = supervised(plan=FaultPlan.parse("kill@1,kill@3,kill@5,kill@7"))
+        server, _ = supervised(plan=FaultPlan.parse("kill@1,kill@3,kill@5,kill@7"))
+        server.start()
         for crashes in range(1, 5):
-            assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
-            wait_until(lambda: not supervisor.info()["in_flight"])
-            assert supervisor.crashes == crashes
-            assert supervisor.consecutive_crashes == 0
+            assert server.solve("lcs", 8) == ANSWER
+            wait_until(lambda: not lane(server)["in_flight"])
+            assert lane(server)["crashes"] == crashes
+            assert server._consecutive_crashes == 0
 
-    def test_request_expired_in_the_inbox_fails_typed(self, supervised):
-        supervisor, _ = supervised()
-        with pytest.raises(DeadlineError):
-            supervisor.source.run(deadline_at=time.perf_counter())
+    def test_request_expired_in_the_queue_is_failed_not_run(self, supervised):
+        server, stub = supervised()
+        ticket = server.submit("lcs", 8, deadline_s=0.01)
+        time.sleep(0.05)
+        server.start()
+        wait_until(lambda: ticket.done)
+        with pytest.raises(DeadlineError, match="expired in the queue"):
+            ticket.result()
+        assert stub.calls == 0
+        assert server.metrics()["requests"]["deadline_expired"] == 1
+        assert_invariant(server)
 
     def test_restart_budget_trips_the_circuit_breaker(self, supervised):
-        config = SupervisorConfig(
-            backoff_base_s=0.01,
-            backoff_cap_s=0.02,
-            restart_budget=0,
-            max_redispatch=0,
+        server, _ = supervised(
+            crashes=10, BACKOFF_CAP_S=0.02, RESTART_BUDGET=0, MAX_REDISPATCH=0
         )
-        supervisor, _ = supervised(crashes=10, config=config)
+        first = server.submit("lcs", 8)
+        admitted = server.submit("lcs", 9)  # queued behind it, then shed
+        server.start()
         with pytest.raises(ShardCrashError):
-            supervisor.source.run(deadline_at=soon())
-        assert supervisor.circuit_open and supervisor.state != "healthy"
+            first.result()
+        info = lane(server)
+        assert info["circuit_open"] and info["state"] != "healthy"
         with pytest.raises(ShardUnavailableError):
-            supervisor.source.run(deadline_at=soon())
+            admitted.result()
+        with pytest.raises(ShardUnavailableError):
+            server.submit("lcs", 8)
+        assert_invariant(server)
 
     def test_the_breaker_closes_after_the_window(self, supervised):
-        config = SupervisorConfig(
-            backoff_base_s=0.01,
-            restart_budget=0,
-            restart_window_s=0.3,
-            max_redispatch=0,
+        server, stub = supervised(
+            crashes=1, RESTART_BUDGET=0, RESTART_WINDOW_S=0.3, MAX_REDISPATCH=0
         )
-        supervisor, stub = supervised(crashes=1, config=config)
+        server.start()
         with pytest.raises(ShardCrashError):
-            supervisor.source.run(deadline_at=soon())
-        assert supervisor.state == "dead"
-        wait_until(lambda: supervisor.state == "healthy")
-        assert not supervisor.circuit_open
-        # The next task is the probe, and it is served.
-        assert supervisor.source.run(deadline_at=soon()) == "answer:lcs:8"
-        assert stub.calls == 2 and supervisor.crashes == 1
+            server.solve("lcs", 8)
+        assert lane(server)["state"] == "dead"
+        wait_until(lambda: lane(server)["state"] == "healthy")
+        assert not lane(server)["circuit_open"]
+        # The next batch is the probe, and it is served.
+        assert server.solve("lcs", 8) == ANSWER
+        assert stub.calls == 2 and lane(server)["crashes"] == 1
 
     def test_redispatch_budget_bounds_the_attempts(self, supervised):
-        config = SupervisorConfig(
-            backoff_base_s=0.01,
-            backoff_cap_s=0.02,
-            restart_budget=10,
-            max_redispatch=1,
+        server, stub = supervised(
+            crashes=5, BACKOFF_CAP_S=0.02, RESTART_BUDGET=10, MAX_REDISPATCH=1
         )
-        supervisor, stub = supervised(crashes=5, config=config)
+        server.start()
         with pytest.raises(ShardCrashError, match="2 times"):
-            supervisor.source.run(deadline_at=soon())
+            server.solve("lcs", 8)
         assert stub.calls == 2  # initial attempt + exactly one re-dispatch
-        assert supervisor.info()["redispatches"] == 1
+        assert lane(server)["redispatches"] == 1
 
     def test_borrowed_session_is_not_closed(self, supervised):
-        supervisor, stub = supervised()
-        supervisor.close()
+        server, stub = supervised()
+        server.start()
+        server.close()
         assert not stub.closed
 
-    def test_close_fails_unanswered_tasks_typed(self, supervised):
-        # A dropped response is held for the monitor's deadline check; a
-        # supervisor that closes first must not leave it unresolved.
-        supervisor, _ = supervised(plan=FaultPlan.parse("drop@1"))
-        outcome = []
+    def test_owned_session_is_closed(self, supervised):
+        server, stub = supervised(own_session=True)
+        server.start()
+        server.close()
+        assert stub.closed
 
-        def client():
-            try:
-                outcome.append(supervisor.source.run(deadline_at=soon(30)))
-            except ServerError as error:
-                outcome.append(error)
+    def test_close_fails_unanswered_requests_typed(self, supervised):
+        # The lane holds a batch it cannot finish; past the drain timeout,
+        # close() must not leave its waiter blocked until the deadline.
+        server, stub = supervised(DRAIN_TIMEOUT_S=0.1)
+        stub.gate.clear()
+        server.start()
+        ticket = server.submit("lcs", 8, deadline_s=30)
+        wait_until(lambda: lane(server)["in_flight"])
+        release = threading.Timer(1.0, stub.gate.set)  # lets the lane end
+        release.start()
+        server.close()
+        with pytest.raises(ServerError, match="shut down"):
+            ticket.result(timeout=0)
+        release.join()
+        assert_invariant(server)
+        assert server.metrics()["requests"]["in_flight"] == 0
 
-        thread = threading.Thread(target=client)
-        thread.start()
-        wait_until(lambda: supervisor.info()["dropped_responses"] == 1)
-        supervisor.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert isinstance(outcome[0], ServerError) and "shut down" in str(outcome[0])
 
-    def test_an_exactly_once_task_ignores_the_second_resolution(self):
-        calls = []
-        task = ShardTask(REQUEST, None, soon(), on_done=calls.append)
-        assert task.complete("first") and not task.fail(ServerError("late"))
-        assert calls == [task] and task.result == "first" and task.error is None
+class TestDeadlines:
+    """Each waiter enforces its own deadline; a batch runs to its latest."""
+
+    def test_a_request_coalesced_with_a_tighter_peer_gets_its_answer(self, supervised):
+        server, stub = supervised(sweep_s=0.6)
+        server.submit("lcs", 8, deadline_s=0.1)  # the tighter peer
+        loose = server.submit("lcs", 8, deadline_s=10)
+        server.start()
+        assert loose.result() == ANSWER
+        assert server.metrics()["batches"]["histogram"] == {"2": 1}
+        assert stub.calls == 1
+
+    def test_the_tight_request_fails_typed_before_the_sweep_ends(self, supervised):
+        server, stub = supervised(sweep_s=0.6)
+        tight = server.submit("lcs", 8, deadline_s=0.1)
+        loose = server.submit("lcs", 8, deadline_s=10)
+        server.start()
+        with pytest.raises(DeadlineError):
+            tight.result()
+        failed_at = time.perf_counter()
+        assert failed_at - tight.enqueued_at < 0.5  # the sweep takes 0.6 s
+        assert loose.result() == ANSWER
+        wait_until(lambda: not lane(server)["in_flight"])
+        requests = server.metrics()["requests"]
+        assert requests["deadline_expired"] == 1 and requests["failed"] == 1
+        assert requests["completed"] == 1 and requests["in_flight"] == 0
+        assert_invariant(server)
 
 
 class TestServerIntegration:
     """A real ReproServer over the shared session, supervision armed."""
 
+    @pytest.fixture(autouse=True)
+    def fast(self, monkeypatch):
+        for name, value in FAST.items():
+            monkeypatch.setattr(service, name, value)
+
     def test_chaos_kill_served_bit_exact_with_metrics(self, serve_session):
         config = ServerConfig(queue_capacity=16, default_deadline_s=30.0)
         with ReproServer(
-            serve_session,
-            config,
-            supervisor_config=FAST,
-            fault_plan=FaultPlan.parse("kill@1"),
+            serve_session, config, fault_plan=FaultPlan.parse("kill@1")
         ) as server:
             result = server.solve("lcs", 48)
             reference = serve_session.solve("lcs", 48)
@@ -374,19 +417,14 @@ class TestServerIntegration:
         assert metrics["requests"]["deadline_expired"] == 0
         for key in ("state", "restarts", "crashes", "faults"):
             assert key in supervisor
+        assert "queued" not in supervisor
 
-    def test_open_circuit_sheds_at_admission(
-        self, serve_session
-    ):
-        breaker = SupervisorConfig(
-            backoff_base_s=0.01,
-            restart_budget=0,
-            max_redispatch=0,
-        )
+    def test_open_circuit_sheds_at_admission(self, serve_session, monkeypatch):
+        monkeypatch.setattr(service, "RESTART_BUDGET", 0)
+        monkeypatch.setattr(service, "MAX_REDISPATCH", 0)
         with ReproServer(
             serve_session,
             ServerConfig(queue_capacity=16),
-            supervisor_config=breaker,
             fault_plan=FaultPlan.parse("kill@1"),
         ) as server:
             with pytest.raises(ServerError):
@@ -397,20 +435,21 @@ class TestServerIntegration:
                 server.submit("lcs", 48)
             assert server.metrics()["requests"]["rejected"] == before + 1
 
-    def test_sweeps_past_their_deadline_leave_the_lane_healthy(self, serve_session):
+    def test_sweeps_past_their_deadline_leave_the_lane_healthy(
+        self, serve_session, monkeypatch
+    ):
         # More valid requests than the restart budget, each sweeping past its
         # deadline and each sent once the lane is idle, then a small one.
+        monkeypatch.setattr(service, "RESTART_BUDGET", 1)
         states = []
 
         def idle():
-            info = server.supervisor.info()
+            info = server.readiness()
             states.append(info["state"])
             return not info["in_flight"]
 
         with ReproServer(
-            serve_session,
-            ServerConfig(queue_capacity=16, adaptive="off"),
-            supervisor_config=SupervisorConfig(restart_budget=1),
+            serve_session, ServerConfig(queue_capacity=16, adaptive="off")
         ) as server:
             for inner_iterations in (20, 21):
                 with pytest.raises(DeadlineError):
@@ -422,7 +461,7 @@ class TestServerIntegration:
                     )
                 wait_until(idle, timeout_s=30.0)
             result = server.solve("lcs", 12)
-            info = server.supervisor.info()
+            info = server.readiness()
         assert result.checksum == serve_session.solve("lcs", 12).checksum
         assert info["state"] == "healthy" and info["crashes"] == 0
         assert "dead" not in states
@@ -431,7 +470,6 @@ class TestServerIntegration:
         with ReproServer(
             serve_session,
             ServerConfig(queue_capacity=16),
-            supervisor_config=FAST,
             fault_plan=FaultPlan.parse("drop@1"),
         ) as server:
             with pytest.raises(DeadlineError):
