@@ -68,14 +68,18 @@ class StubSession:
     mode = ExecutionMode.FUNCTIONAL
     result_cache = None
 
-    def __init__(self, crashes=0, sweep_s=0.0):
+    def __init__(self, crashes=0, sweep_s=0.0, error=None):
         self.crashes_left = crashes
         self.sweep_s = sweep_s
+        #: Raised by every solve that does not crash: a request-level failure.
+        self.error = error
         #: Cleared to hold every solve until the test sets it again.
         self.gate = threading.Event()
         self.gate.set()
         self.calls = 0
         self.threads = []
+        #: The ``deadline_at`` bound each solve was given.
+        self.deadlines = []
         self.closed = False
         self._lock = threading.Lock()
 
@@ -85,9 +89,12 @@ class StubSession:
         with self._lock:
             self.calls += 1
             self.threads.append(threading.current_thread())
+            self.deadlines.append(deadline_at)
             if self.crashes_left > 0:
                 self.crashes_left -= 1
                 raise WorkerCrashError("stub worker pool died")
+        if self.error is not None:
+            raise self.error
         self.gate.wait()
         time.sleep(self.sweep_s)
         return None, f"answer:{request['app']}:{request['dim']}"
@@ -106,13 +113,16 @@ class StubSession:
 def supervised(monkeypatch):
     """``build(...)``: an unstarted server over a fresh stub session."""
 
-    def build(crashes=0, sweep_s=0.0, plan=None, own_session=False, **knobs):
+    def build(
+        crashes=0, sweep_s=0.0, error=None, plan=None, own_session=False,
+        config=None, **knobs,
+    ):
         for name, value in {**FAST, **knobs}.items():
             monkeypatch.setattr(service, name, value)
-        stub = StubSession(crashes=crashes, sweep_s=sweep_s)
+        stub = StubSession(crashes=crashes, sweep_s=sweep_s, error=error)
         server = ReproServer(
             stub,
-            ServerConfig(adaptive="off"),
+            config if config is not None else ServerConfig(adaptive="off"),
             own_session=own_session,
             fault_plan=plan,
         )
@@ -128,6 +138,19 @@ def supervised(monkeypatch):
 def lane(server):
     """The lane's supervision snapshot (the ``/metrics`` ``supervisor`` section)."""
     return server.readiness()
+
+
+def record_backoffs(server):
+    """Record every backoff the lane sleeps, in seconds, as it sleeps it."""
+    waits = []
+    sleep = server._stop.wait
+
+    def recording(timeout=None):
+        waits.append(timeout)
+        return sleep(timeout)
+
+    server._stop.wait = recording
+    return waits
 
 
 class TestFaultPlan:
@@ -333,6 +356,87 @@ class TestSupervision:
         assert stub.calls == 2  # initial attempt + exactly one re-dispatch
         assert lane(server)["redispatches"] == 1
 
+    def test_backoff_doubles_per_consecutive_crash_up_to_the_cap(self, supervised):
+        server, stub = supervised(
+            crashes=3,
+            BACKOFF_BASE_S=0.01,
+            BACKOFF_CAP_S=0.03,
+            BACKOFF_JITTER=0.0,
+            RESTART_BUDGET=10,
+            MAX_REDISPATCH=3,
+        )
+        waits = record_backoffs(server)
+        server.start()
+        assert server.solve("lcs", 8) == ANSWER
+        assert waits == pytest.approx([0.01, 0.02, 0.03])
+        assert stub.calls == 4 and lane(server)["redispatches"] == 3
+
+    def test_jitter_lengthens_the_backoff_within_its_bound(self, supervised):
+        server, _ = supervised(
+            crashes=1, BACKOFF_BASE_S=0.01, BACKOFF_CAP_S=1.0, BACKOFF_JITTER=0.5
+        )
+        waits = record_backoffs(server)
+        server.start()
+        assert server.solve("lcs", 8) == ANSWER
+        [wait] = waits
+        assert 0.01 <= wait <= 0.015
+
+    def test_a_crash_that_trips_the_breaker_fails_its_batch_unavailable(
+        self, supervised
+    ):
+        # Re-dispatch budget left, but the crash opened the circuit: the
+        # batch fails at once, with no backoff and no second attempt.
+        server, stub = supervised(crashes=10, RESTART_BUDGET=0, MAX_REDISPATCH=5)
+        waits = record_backoffs(server)
+        server.start()
+        with pytest.raises(ShardUnavailableError, match="gone"):
+            server.solve("lcs", 8)
+        info = lane(server)
+        assert stub.calls == 1 and waits == []
+        assert info["circuit_open"] and info["redispatches"] == 0
+        assert info["restarts"] == 0
+        assert_invariant(server)
+
+    def test_a_crash_past_the_deadline_is_not_redispatched(self, supervised):
+        # The slow fault outlasts the deadline, then the kill fires; nobody
+        # waits on the ticket, so the lane is the one to fail it.
+        server, stub = supervised(plan=FaultPlan.parse("slow@1:0.2,kill@1"))
+        server.start()
+        ticket = server.submit("lcs", 8, deadline_s=0.1)
+        wait_until(lambda: ticket.done)
+        with pytest.raises(DeadlineError, match="crashed with its shard"):
+            ticket.result(timeout=0)
+        wait_until(lambda: not lane(server)["in_flight"])
+        info = lane(server)
+        assert stub.calls == 0
+        assert info["crashes"] == 1 and info["redispatches"] == 0
+        assert server.metrics()["requests"]["failed"] == 1
+        assert_invariant(server)
+
+    def test_a_request_error_fails_the_batch_without_a_crash(self, supervised):
+        server, stub = supervised(error=ValueError("no such request"))
+        tickets = [server.submit("lcs", 8) for _ in range(2)]
+        server.start()
+        for ticket in tickets:
+            with pytest.raises(ValueError, match="no such request"):
+                ticket.result()
+        assert stub.calls == 1  # one coalesced attempt, never re-run
+        info = lane(server)
+        assert info["crashes"] == 0 and info["redispatches"] == 0
+        assert info["state"] == "healthy"
+        assert server.metrics()["requests"]["failed"] == 2
+        assert_invariant(server)
+
+    def test_chaos_slow_delays_the_answer_but_delivers_it(self, supervised):
+        server, stub = supervised(plan=FaultPlan.parse("slow@1:0.1"))
+        server.start()
+        began = time.perf_counter()
+        assert server.solve("lcs", 8) == ANSWER
+        assert time.perf_counter() - began >= 0.1
+        info = lane(server)
+        assert info["faults"]["by_kind"] == {"slow": 1}
+        assert info["crashes"] == 0 and stub.calls == 1
+
     def test_borrowed_session_is_not_closed(self, supervised):
         server, stub = supervised()
         server.start()
@@ -389,6 +493,42 @@ class TestDeadlines:
         requests = server.metrics()["requests"]
         assert requests["deadline_expired"] == 1 and requests["failed"] == 1
         assert requests["completed"] == 1 and requests["in_flight"] == 0
+        assert_invariant(server)
+
+
+    def test_the_lane_is_given_the_latest_deadline_of_its_batch(self, supervised):
+        server, stub = supervised()
+        tight = server.submit("lcs", 8, deadline_s=5)
+        loose = server.submit("lcs", 8, deadline_s=10)
+        server.start()
+        assert tight.result() == loose.result() == ANSWER
+        assert stub.deadlines == [loose.deadline_at]
+
+    def test_a_peer_without_a_deadline_leaves_the_batch_unbounded(self, supervised):
+        server, stub = supervised(
+            config=ServerConfig(adaptive="off", default_deadline_s=None)
+        )
+        bounded = server.submit("lcs", 8, deadline_s=5)
+        unbounded = server.submit("lcs", 8)
+        server.start()
+        assert bounded.result() == unbounded.result() == ANSWER
+        assert unbounded.deadline_at is None
+        assert stub.deadlines == [None]
+
+    def test_a_drop_fails_each_coalesced_waiter_at_its_own_deadline(
+        self, supervised
+    ):
+        server, stub = supervised(plan=FaultPlan.parse("drop@1"))
+        tickets = [server.submit("lcs", 8, deadline_s=s) for s in (0.2, 0.4)]
+        server.start()
+        for ticket in tickets:
+            with pytest.raises(DeadlineError, match="dropped"):
+                ticket.result()
+            assert time.perf_counter() >= ticket.deadline_at  # never early
+        assert stub.calls == 1
+        assert lane(server)["dropped_responses"] == 1
+        requests = server.metrics()["requests"]
+        assert requests["deadline_expired"] == 2 and requests["failed"] == 2
         assert_invariant(server)
 
 
