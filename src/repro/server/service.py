@@ -108,6 +108,8 @@ RESTART_BUDGET = 5
 RESTART_WINDOW_S = 30.0
 #: Extra attempts a crashed batch gets before it fails.
 MAX_REDISPATCH = 2
+#: The failure message of a request the server closed on before answering it.
+SHUT_DOWN = "shard shut down before the request completed"
 
 
 def finite_seconds(name: str, value, error: type[Exception] = InvalidParameterError) -> float:
@@ -215,6 +217,9 @@ class ReproServer:
         self._rng = random.Random()
         self._phase = "restarting"
         self._current: list[ServeRequest] | None = None
+        # Tickets whose answer a chaos ``drop`` discarded: only their waiter
+        # (at the deadline) or close() resolves them.
+        self._dropped: list[ServeRequest] = []
         self._consecutive_crashes = 0
         self._crash_times: deque[float] = deque()
         self._counts = dict.fromkeys(
@@ -243,8 +248,9 @@ class ReproServer:
         """Stop admission and wait for queued + in-flight work to finish.
 
         Returns ``True`` when everything completed within ``timeout``
-        (default :data:`DRAIN_TIMEOUT_S`).  The server cannot accept
-        requests afterwards.
+        (default :data:`DRAIN_TIMEOUT_S`).  A ticket whose answer a chaos
+        ``drop`` discarded is not waited for: no work is left to finish it.
+        The server cannot accept requests afterwards.
         """
         timeout = timeout if timeout is not None else DRAIN_TIMEOUT_S
         self._queue.close()
@@ -254,7 +260,12 @@ class ReproServer:
                 # report the truth immediately (close() fails any stragglers).
                 timeout = 0.0
         deadline = time.perf_counter() + timeout
-        while self._queue.depth or self.metrics_store.in_flight:
+        # ``in_flight`` is read before the dropped tickets, so a ticket that
+        # resolves in between can only make the loop wait one more tick.
+        while (
+            self._queue.depth
+            or self.metrics_store.in_flight > self._unanswered_drops()
+        ):
             if time.perf_counter() >= deadline:
                 return False
             time.sleep(0.01)
@@ -264,9 +275,9 @@ class ReproServer:
         """Graceful shutdown: drain, stop the lane, release owned resources.
 
         Safe to call more than once.  Requests still queued or in the
-        lane's hands after the drain timeout are failed with
-        :class:`~repro.core.exceptions.ServerError` so no client blocks
-        forever.
+        lane's hands after the drain timeout, and dropped ones still
+        unanswered, are failed with :class:`~repro.core.exceptions.ServerError`
+        so no client blocks forever.
         """
         with self._lifecycle:
             if self._closed:
@@ -277,11 +288,13 @@ class ReproServer:
                 ServerError("server shut down before the request was scheduled")
             )
         with self._lane_lock:
-            # Under the lane lock: a lane that sees the stop after a crash
-            # gives up a batch this call has already taken in hand.
+            # Under the lane lock: a batch the lane publishes after this
+            # point is failed by the lane itself, one published before by
+            # this call.
             self._stop.set()
-            stranded = self._current or []
-        error = ServerError("shard shut down before the request completed")
+            stranded = [*(self._current or []), *self._dropped]
+            self._dropped = []
+        error = ServerError(SHUT_DOWN)
         for request in stranded:
             request.fail(error)
         if self._lane_thread is not None:
@@ -459,6 +472,12 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
             "circuit_open": state == "dead",
         }
 
+    def _unanswered_drops(self) -> int:
+        """How many dropped tickets are still unresolved."""
+        with self._lane_lock:
+            self._dropped = [request for request in self._dropped if not request.done]
+            return len(self._dropped)
+
     def _state(self) -> str:
         """``healthy``, ``restarting`` or ``dead`` (circuit open)."""
         with self._lane_lock:
@@ -516,10 +535,11 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
         taken_at = time.perf_counter()
         with self._lane_lock:
             dead = self._state_locked(taken_at) == "dead"
-            if not dead:
+            stopped = self._stop.is_set()
+            if not (dead or stopped):
                 self._current = batch
-        if dead:
-            error = ShardUnavailableError(
+        if dead or stopped:
+            error = ServerError(SHUT_DOWN) if stopped else ShardUnavailableError(
                 f"the shard exceeded its restart budget ({RESTART_BUDGET} "
                 f"crashes per {RESTART_WINDOW_S:g}s); retry later"
             )
@@ -538,8 +558,7 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
             except Exception as crash:  # noqa: BLE001 - every escape is a crash
                 batch = [request for request in batch if not request.done]
                 if self._on_crash(batch, attempts, deadline_at, crash):
-                    if not self._stop.is_set():
-                        continue
+                    continue
             else:
                 with self._lane_lock:
                     self._consecutive_crashes = 0
@@ -580,6 +599,8 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
                 request.dropped = True
             with self._lane_lock:
                 self._counts["dropped_responses"] += 1
+                self._dropped = [held for held in self._dropped if not held.done]
+                self._dropped.extend(batch)
             return
         # Callers must treat the shared ExecutionResult as read-only, which
         # every shipped consumer (HTTP payload, verification, metrics) does.
@@ -604,9 +625,10 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
 
         ``batch`` holds the tickets still unresolved.  Returns whether they
         get another attempt; otherwise they are failed before the backoff
-        starts.
+        starts.  Once the server is closing, nothing is re-run.
         """
         now = time.perf_counter()
+        stopping = self._stop.is_set()
         with self._lane_lock:
             self._counts["crashes"] += 1
             self._consecutive_crashes += 1
@@ -626,6 +648,8 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
                     f"request {app!r} crashed with its shard and its deadline "
                     "passed before re-dispatch"
                 )
+            elif stopping:
+                error = ServerError(SHUT_DOWN)
             elif attempts > MAX_REDISPATCH:
                 error = ShardCrashError(
                     f"request {app!r} failed {attempts} times on a crashing "
@@ -635,14 +659,15 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
                 error = ShardUnavailableError("the shard is gone")
             else:
                 retry = True
-                with self._lane_lock:
-                    self._counts["redispatches"] += 1
             if not retry:
                 for request in batch:
                     request.fail(error)
         if not tripped:
             self._stop.wait(delay)
+            # A close() during the backoff has failed the batch in hand.
+            retry = retry and not self._stop.is_set()
             with self._lane_lock:
                 self._phase = "healthy"
                 self._counts["restarts"] += 1
+                self._counts["redispatches"] += retry
         return retry

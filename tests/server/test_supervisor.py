@@ -466,6 +466,84 @@ class TestSupervision:
         assert_invariant(server)
         assert server.metrics()["requests"]["in_flight"] == 0
 
+    def test_close_fails_a_dropped_request_its_waiter_still_holds(self, supervised):
+        server, stub = supervised(plan=FaultPlan.parse("drop@1"))
+        server.start()
+        ticket = server.submit("lcs", 8, deadline_s=30)
+        outcome = []
+
+        def client():
+            try:
+                outcome.append(ticket.result())
+            except ServerError as error:
+                outcome.append(error)
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        wait_until(lambda: lane(server)["dropped_responses"] == 1)
+        server.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        [error] = outcome
+        assert isinstance(error, ServerError) and "shut down" in str(error)
+        assert not isinstance(error, DeadlineError)
+        requests = server.metrics()["requests"]
+        assert requests["failed"] == 1 and requests["in_flight"] == 0
+        assert_invariant(server)
+
+    def test_close_resolves_an_unwaited_drop_without_the_drain_timeout(
+        self, supervised
+    ):
+        # No deadline and nobody waiting: only close() can resolve the
+        # ticket, and it has no work to drain for.
+        server, stub = supervised(
+            plan=FaultPlan.parse("drop@1"),
+            config=ServerConfig(adaptive="off", default_deadline_s=None),
+            DRAIN_TIMEOUT_S=5.0,
+        )
+        server.start()
+        ticket = server.submit("lcs", 8)
+        wait_until(lambda: lane(server)["dropped_responses"] == 1)
+        began = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - began < 2.0
+        with pytest.raises(ServerError, match="shut down"):
+            ticket.result(timeout=0)
+        assert server.metrics()["requests"]["in_flight"] == 0
+        assert_invariant(server)
+
+    def test_close_during_a_backoff_fails_the_batch_and_runs_nothing_more(
+        self, supervised
+    ):
+        server, stub = supervised(
+            crashes=1, BACKOFF_BASE_S=5.0, BACKOFF_CAP_S=5.0, DRAIN_TIMEOUT_S=0.1
+        )
+        server.start()
+        ticket = server.submit("lcs", 8, deadline_s=30)
+        wait_until(lambda: lane(server)["crashes"] == 1)
+        began = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - began < 2.0  # the backoff was cut short
+        with pytest.raises(ServerError, match="shut down"):
+            ticket.result(timeout=0)
+        assert stub.calls == 1 and lane(server)["redispatches"] == 0
+        assert not server._lane_thread.is_alive()
+        assert_invariant(server)
+
+    def test_a_batch_taken_after_close_stopped_the_lane_is_failed_not_run(
+        self, supervised
+    ):
+        # The lane can take a batch from the closed queue after close() has
+        # looked at the batch in hand; it must answer that batch itself.
+        server, stub = supervised()
+        ticket = server.submit("lcs", 8)
+        server._stop.set()
+        server._serve(server._queue.next_batch(1))
+        with pytest.raises(ServerError, match="shut down"):
+            ticket.result(timeout=0)
+        assert stub.calls == 0 and not lane(server)["in_flight"]
+        assert_invariant(server)
+
 
 class TestDeadlines:
     """Each waiter enforces its own deadline; a batch runs to its latest."""
