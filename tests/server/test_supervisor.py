@@ -450,45 +450,39 @@ class TestSupervision:
         assert stub.closed
 
     def test_close_fails_unanswered_requests_typed(self, supervised):
-        # The lane holds a batch it cannot finish; past the drain timeout,
-        # close() must not leave its waiter blocked until the deadline.
-        server, stub = supervised(DRAIN_TIMEOUT_S=0.1)
-        stub.gate.clear()
+        # A dropped request its waiter still holds, and a batch the lane
+        # cannot finish before the drain timeout: close() must not leave
+        # either waiter blocked until its deadline.
+        server, stub = supervised(plan=FaultPlan.parse("drop@1"), DRAIN_TIMEOUT_S=0.1)
         server.start()
-        ticket = server.submit("lcs", 8, deadline_s=30)
-        wait_until(lambda: lane(server)["in_flight"])
-        release = threading.Timer(1.0, stub.gate.set)  # lets the lane end
-        release.start()
-        server.close()
-        with pytest.raises(ServerError, match="shut down"):
-            ticket.result(timeout=0)
-        release.join()
-        assert_invariant(server)
-        assert server.metrics()["requests"]["in_flight"] == 0
-
-    def test_close_fails_a_dropped_request_its_waiter_still_holds(self, supervised):
-        server, stub = supervised(plan=FaultPlan.parse("drop@1"))
-        server.start()
-        ticket = server.submit("lcs", 8, deadline_s=30)
+        dropped = server.submit("lcs", 8, deadline_s=30)
         outcome = []
 
         def client():
             try:
-                outcome.append(ticket.result())
+                outcome.append(dropped.result())
             except ServerError as error:
                 outcome.append(error)
 
-        thread = threading.Thread(target=client)
-        thread.start()
+        waiter = threading.Thread(target=client)
+        waiter.start()
         wait_until(lambda: lane(server)["dropped_responses"] == 1)
+        stub.gate.clear()
+        held = server.submit("lcs", 9, deadline_s=30)
+        wait_until(lambda: lane(server)["in_flight"])
+        release = threading.Timer(1.0, stub.gate.set)  # lets the lane end
+        release.start()
         server.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
         [error] = outcome
         assert isinstance(error, ServerError) and "shut down" in str(error)
         assert not isinstance(error, DeadlineError)
+        with pytest.raises(ServerError, match="shut down"):
+            held.result(timeout=0)
+        release.join()
         requests = server.metrics()["requests"]
-        assert requests["failed"] == 1 and requests["in_flight"] == 0
+        assert requests["failed"] == 2 and requests["in_flight"] == 0
         assert_invariant(server)
 
     def test_close_resolves_an_unwaited_drop_without_the_drain_timeout(
