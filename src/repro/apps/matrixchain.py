@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.apps.base import WavefrontApplication
 from repro.core.exceptions import InvalidParameterError
+from repro.core.params import require_int
 from repro.core.pattern import WavefrontKernel
 from repro.utils.rng import make_rng
 
@@ -125,8 +126,31 @@ class MatrixChainKernel(WavefrontKernel):
         return float(m[0, n - 1])
 
 
+def max_exact_dim_size(n: int) -> int:
+    """The largest ``max_dim_size`` a chain of ``n`` matrices sweeps exactly.
+
+    Every value the float64 sweep forms is an integer: a product ``p[a] *
+    p[b] * p[c] <= M**3`` and a candidate ``m + product``.  By induction on
+    the interval, ``m[s, e] <= (e - s) * M**3``, so both candidates of
+    ``m[s, e]`` are at most ``(e - s) * M**3 <= (n - 1) * M**3``.  All of
+    them stay below ``2**53`` — hence exact — iff ``(n - 1) * M**3 <
+    2**53``; this returns the largest such ``M``.
+    """
+    factor = max(n - 1, 1)  # a one-matrix chain still forms its products
+    m = round(((2**53 - 1) / factor) ** (1 / 3))
+    while factor * m**3 >= 2**53:
+        m -= 1
+    while factor * (m + 1) ** 3 < 2**53:
+        m += 1
+    return m
+
+
 class MatrixChainApp(WavefrontApplication):
-    """Edge-split matrix-chain ordering with random matrix dimensions."""
+    """Edge-split matrix-chain ordering with random matrix dimensions.
+
+    ``max_dim_size`` is an integer in ``1 .. max_exact_dim_size(dim)``: past
+    it a value of the float64 sweep could reach ``2**53`` and round.
+    """
 
     name = "matrix-chain"
     default_dim = 128
@@ -137,14 +161,19 @@ class MatrixChainApp(WavefrontApplication):
         seed: int | None = None,
         max_dim_size: int = 64,
     ) -> None:
-        if max_dim_size < 1:
-            raise InvalidParameterError(
-                f"max_dim_size must be >= 1, got {max_dim_size}"
-            )
+        max_dim_size = require_int("max_dim_size", max_dim_size, minimum=1)
         if dim is not None:
             self.default_dim = int(dim)
+        bound = max_exact_dim_size(self.default_dim)
+        if max_dim_size > bound:
+            raise InvalidParameterError(
+                f"max_dim_size={max_dim_size} at dim={self.default_dim} lets the sweep "
+                f"form values up to (dim - 1) * max_dim_size**3 = "
+                f"{(self.default_dim - 1) * max_dim_size**3}, past 2**53 where float64 "
+                f"rounds (at this dim max_dim_size <= {bound})"
+            )
         self.seed = seed
-        self.max_dim_size = int(max_dim_size)
+        self.max_dim_size = max_dim_size
 
     def make_kernel(self) -> MatrixChainKernel:
         """Construct the matrix-chain kernel for the app's dimensions."""

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.apps.base import WavefrontApplication, position_table_flat
 from repro.core.exceptions import InvalidParameterError
+from repro.core.params import require_int
 from repro.core.pattern import WavefrontKernel
 from repro.runtime.compute import logsumexp_pair
 from repro.utils.rng import make_rng
@@ -53,6 +54,14 @@ from repro.utils.rng import make_rng
 STOCHASTIC_PATH_TSIZE = 2.0
 #: No per-cell payload beyond the DP value itself.
 STOCHASTIC_PATH_DSIZE = 0
+#: A cell's cost is drawn uniformly from ``[COST_LOW, COST_HIGH)``, then
+#: multiplied by ``cost_scale``.
+COST_LOW, COST_HIGH = 0.1, 1.0
+#: The most a path may be charged: half the float maximum.  The margin
+#: absorbs the log-probability terms (at most ``|log 0.05| < 3`` per step)
+#: and the rounding of a path's ``2 * dim - 1`` additions, so every grid
+#: value of an admitted instance is finite whatever the seed.
+MAX_PATH_CHARGE = 2.0**1023
 
 
 class StochasticPathKernel(WavefrontKernel):
@@ -199,11 +208,33 @@ class StochasticPathApp(WavefrontApplication):
             self.default_dim = int(dim)
         self.seed = seed
         self.cost_scale = float(cost_scale)
+        self._check_charge(self.default_dim)
+
+    def _check_charge(self, dim: int) -> None:
+        """The domain: ``cost_scale * COST_HIGH * (2 * dim - 1) <= MAX_PATH_CHARGE``.
+
+        A path crosses ``2 * dim - 1`` cells and each charges less than
+        ``cost_scale * COST_HIGH``, so the bound holds for every seed, not
+        just the drawn costs.  Checked before any array is built.
+        """
+        charge = self.cost_scale * COST_HIGH * (2 * dim - 1)
+        if not charge <= MAX_PATH_CHARGE:
+            raise InvalidParameterError(
+                f"cost_scale={self.cost_scale!r} at dim={dim} lets a path charge up to "
+                f"cost_scale x (2*dim - 1) = {charge:.6g}, past the bound 2**1023 = "
+                f"{MAX_PATH_CHARGE:.6g} (at this dim cost_scale <= "
+                f"{MAX_PATH_CHARGE / (COST_HIGH * (2 * dim - 1)):.6g})"
+            )
+
+    def problem(self, dim: int | None = None):
+        """The instance of side ``dim``, refused when its paths could overflow."""
+        self._check_charge(self.default_dim if dim is None else require_int("dim", dim, minimum=2))
+        return super().problem(dim)
 
     def make_kernel(self) -> StochasticPathKernel:
         """Construct the kernel for the app's random lattice."""
         rng = make_rng(self.seed)
         dim = self.default_dim
-        costs = rng.uniform(0.1, 1.0, size=(dim, dim)) * self.cost_scale
+        costs = rng.uniform(COST_LOW, COST_HIGH, size=(dim, dim)) * self.cost_scale
         p_west = rng.uniform(0.05, 0.95, size=(dim, dim))
         return StochasticPathKernel(costs, p_west)

@@ -1,14 +1,22 @@
 """CPU tiling of the wavefront grid.
 
-The CPU phases of the three-phase strategy partition their region into square
-``cpu_tile x cpu_tile`` tiles.  Tiles themselves form a coarser wavefront: a
-tile may be computed once its west, north and north-west neighbour tiles are
-done, and all cells inside a tile are computed sequentially to benefit from
-cache reuse (Section 2 of the paper).
+The paper's CPU phases partition their region into square ``cpu_tile x
+cpu_tile`` tiles.  Tiles themselves form a coarser wavefront: a tile may be
+computed once its west, north and north-west neighbour tiles are done, and
+all cells inside a tile are computed sequentially to benefit from cache
+reuse (Section 2 of the paper).
 
-:class:`TileDecomposition` provides both the schedule used by the functional
-CPU-parallel executor and the closed-form quantities (tiles per tile-diagonal,
-critical-path lengths) used by the analytic cost model.
+Two decompositions live here:
+
+* :class:`TileDecomposition` is that square tiling, and now the cost
+  model's only: its closed-form quantities (tiles per tile-diagonal,
+  critical-path lengths) price the paper's plans.  No engine runs it.
+* :class:`StripDecomposition` is what the tiled engines run: one strip per
+  worker, cut into ``tile``-step regions.  A square tile of side ``T`` pays
+  one batch of NumPy calls per tile row or diagonal, so square tiles
+  multiply the grid's dispatches by about ``dim / T``; a strip pays one per
+  strip row or diagonal.  Its regions keep the square tiling's W / N / NW
+  dependency shape, so the same dependency graph drives both.
 """
 
 from __future__ import annotations
@@ -22,7 +30,14 @@ from repro.core.exceptions import InvalidParameterError
 
 @dataclass(frozen=True)
 class Tile:
-    """A rectangular tile ``[row_start, row_stop) x [col_start, col_stop)``."""
+    """A region: ``[row_start, row_stop) x [col_start, col_stop)``, cut to
+    the anti-diagonals ``[diag_start, diag_stop)`` when those are given.
+
+    Without a diagonal range it is a rectangle.  ``(tile_row, tile_col)``
+    names it in its decomposition; its predecessors are the regions at
+    ``(tile_row - 1, tile_col)``, ``(tile_row, tile_col - 1)`` and
+    ``(tile_row - 1, tile_col - 1)``.
+    """
 
     tile_row: int
     tile_col: int
@@ -30,6 +45,8 @@ class Tile:
     row_stop: int
     col_start: int
     col_stop: int
+    diag_start: int | None = None
+    diag_stop: int | None = None
 
 
 class TileDecomposition:
@@ -144,6 +161,89 @@ class TileDecomposition:
         if waves == 0:
             return 1.0
         return min(1.0, ideal / waves)
+
+
+class StripDecomposition:
+    """One strip per worker, cut into ``tile``-step regions.
+
+    The geometry the tiled engines (``mp-parallel``, ``pipelined``) run,
+    shaped by the walk every region of the problem takes:
+
+    * ``"rows"`` (the kernel has a row form): vertical strips of about
+      ``dim / strips`` columns, cut into ``tile``-row rectangles.  Region
+      ``(k, p)`` is rows ``[k * tile, (k + 1) * tile)`` of strip ``p``; it
+      reads the rows above it in ``(k - 1, p)``, its west column in
+      ``(k, p - 1)`` and one corner cell in ``(k - 1, p - 1)``.
+    * ``"diagonals"``: horizontal strips of about ``dim / strips`` rows, full
+      width.  Region ``(p, k)`` is strip ``p`` cut to the anti-diagonals
+      ``[k * tile, (k + 1) * tile)`` (absolute, so regions of neighbouring
+      strips line up); it reads the strip above in ``(p - 1, k)`` and
+      ``(p - 1, k - 1)`` and its own strip in ``(p, k - 1)``.  A strip's
+      diagonals are at most ``dim / strips`` cells long.
+
+    Either way a region's predecessors sit at the W / N / NW keys
+    :class:`~repro.runtime.scheduler.DependencyGraph` tracks, and every
+    cell a region reads lies in one of them or, transitively, in theirs.
+    Regions are stored with tight bounds and empty ones are not created.
+    A worker sweeps about ``dim`` rows, or ``dim + dim / strips``
+    diagonals, whatever the tile.  ``strips`` is capped at ``dim``.
+    """
+
+    def __init__(self, dim: int, tile: int, strips: int, walk: str) -> None:
+        if dim < 1 or tile < 1 or strips < 1:
+            raise InvalidParameterError(
+                f"dim, tile and strips must be >= 1, got {dim}, {tile}, {strips}"
+            )
+        if walk not in ("rows", "diagonals"):
+            raise InvalidParameterError(f"walk must be 'rows' or 'diagonals', got {walk!r}")
+        self.dim, self.tile, self.walk = int(dim), int(tile), walk
+        self.strips = min(int(strips), self.dim)
+        bounds = [p * self.dim // self.strips for p in range(self.strips + 1)]
+        self._regions = (
+            self._row_regions(bounds) if walk == "rows" else self._diagonal_regions(bounds)
+        )
+
+    def _row_regions(self, bounds: list[int]) -> list[Tile]:
+        dim, tile = self.dim, self.tile
+        return [
+            Tile(k, p, k * tile, min((k + 1) * tile, dim), bounds[p], bounds[p + 1])
+            for k in range(-(-dim // tile))
+            for p in range(self.strips)
+        ]
+
+    def _diagonal_regions(self, bounds: list[int]) -> list[Tile]:
+        dim, tile = self.dim, self.tile
+        regions = []
+        for p in range(self.strips):
+            r0, r1 = bounds[p], bounds[p + 1]
+            last = r1 + dim - 2  # the strip's last diagonal
+            for k in range(r0 // tile, last // tile + 1):
+                d0, d1 = max(k * tile, r0), min((k + 1) * tile, last + 1)
+                rows = max(r0, d0 - dim + 1), min(r1, d1)
+                cols = max(0, d0 - rows[1] + 1), min(dim, d1 - rows[0])
+                regions.append(Tile(p, k, *rows, *cols, d0, d1))
+        return regions
+
+    def all_tiles(self) -> list[Tile]:
+        """Every region, strip by strip (row band by row band for ``"rows"``)."""
+        return list(self._regions)
+
+    @property
+    def n_tiles(self) -> int:
+        """Number of regions."""
+        return len(self._regions)
+
+    def schedule(self) -> list[list[Tile]]:
+        """Barrier waves: the regions of equal ``tile_row + tile_col``."""
+        waves: dict[int, list[Tile]] = {}
+        for region in sorted(self._regions, key=lambda r: (r.tile_row + r.tile_col, r.tile_row)):
+            waves.setdefault(region.tile_row + region.tile_col, []).append(region)
+        return list(waves.values())
+
+    @property
+    def n_tile_diagonals(self) -> int:
+        """Number of barrier waves."""
+        return len({r.tile_row + r.tile_col for r in self._regions})
 
 
 def triangular_tile_waves(dim: int, n_diagonals: int, tile: int, workers: int) -> int:

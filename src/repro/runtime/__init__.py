@@ -10,11 +10,11 @@ Five executors, each executing differently:
   by rows where the kernel offers a row evaluator and by NumPy-batched
   anti-diagonals otherwise; the preferred single-core engine;
 * :class:`repro.runtime.mp_parallel.MPParallelExecutor` /
-  :class:`repro.runtime.mp_parallel.PipelinedMPExecutor` — the tile
-  wavefront on a resident shared-memory worker team, each tile one whole
-  ``TileSweeper`` sweep, with a barrier per tile-diagonal
-  (:func:`~repro.runtime.scheduler.run_schedule`) or dependency-driven with
-  none (:func:`~repro.runtime.scheduler.run_pipelined`);
+  :class:`repro.runtime.mp_parallel.PipelinedMPExecutor` — one strip per
+  worker of a resident shared-memory worker team, cut into ``cpu_tile``-step
+  regions, each region one whole ``TileSweeper`` sweep, with a barrier per
+  wave of regions (:func:`~repro.runtime.scheduler.run_schedule`) or
+  dependency-driven with none (:func:`~repro.runtime.scheduler.run_pipelined`);
 * :class:`repro.runtime.hybrid.HybridExecutor` — the paper's three-phase
   CPU / GPU-band / CPU strategy, parameterised by
   :class:`repro.core.params.TunableParams`; any one of the engines above

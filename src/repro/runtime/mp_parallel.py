@@ -1,33 +1,45 @@
-"""True multicore wavefront execution: shared-memory tiled-vectorized backend.
+"""True multicore wavefront execution: shared-memory strip-vectorized backend.
 
 The paper's scheme (b) is *parallel* tiled CPU execution; threads cannot
 deliver it in Python (the GIL serialises the kernels), so this module runs
-the tile wavefront on worker processes:
+the wavefront on worker processes:
 
 * a :class:`WorkerTeam` is a set of **resident worker processes**, forked
   once, plus one **arena**: a :class:`repro.runtime.shared_grid.SharedGridBuffer`
   (a :mod:`multiprocessing.shared_memory` segment wrapped as a zero-copy
   NumPy view) sized for the largest grid seen.  The grid of the request
   being served lives there, so workers read neighbours and write results in
-  place — only tiny tile descriptors cross process boundaries, and a
+  place — only tiny region descriptors cross process boundaries, and a
   problem crosses once per worker;
-* an :class:`MPWavefrontPool` is the cheap per-(problem, tile size) half:
-  the tile decomposition, run over one grid at a time on a team it
-  borrows, either wave by wave with a barrier per tile-diagonal
+* an :class:`MPWavefrontPool` is the cheap per-(problem, tile size) half: a
+  :class:`~repro.core.tiling.StripDecomposition` — one strip per worker, by
+  columns for a kernel with a row form and by rows otherwise, cut into
+  ``cpu_tile``-step regions (rows of a column strip, anti-diagonals of a
+  row strip) — run over one grid at a time on a team it borrows, either
+  wave by wave with a barrier per wave of regions
   (:func:`repro.runtime.scheduler.run_schedule`) or dependency-counted
   (:func:`repro.runtime.scheduler.run_pipelined`);
-* a task is a tile and its problem.  Each worker sweeps the tile whole with
-  a :class:`TileSweeper` — by rows where the kernel offers a row evaluator,
-  by rolling-row diagonals otherwise, halo cells read from the neighbouring
-  tiles — and validates it finite before it reports it done.  The sweeper —
-  and with it the kernel's O(dim^2) evaluator precompute — is built on a
-  problem's first tile in that worker and kept in a small LRU.
+* a task is a region and its problem.  Each worker sweeps the region whole
+  with a :class:`TileSweeper` — by rows where the kernel offers a row
+  evaluator, by rolling-row diagonals otherwise, the cells it reads taken
+  from the predecessor regions — and checks it finite before it reports it
+  done.  The sweeper — and with it the kernel's O(dim^2) evaluator
+  precompute — is built on a problem's first region in that worker and
+  kept in a small LRU.
+
+Why strips: a NumPy sweep pays one batch of ufunc calls per row or
+anti-diagonal it walks, whatever its length.  A square tile of side ``T``
+pays one per *tile* row or diagonal, so square tiles multiply the grid's
+dispatches by about ``dim / T``; a strip pays one per strip row (about
+``dim`` per worker) or strip diagonal (about ``dim + dim / workers``).
+``cpu_tile`` only sets how often a strip hands its neighbour a finished
+region.  A diagonal walk's critical path is still ``2 * dim - 1`` dispatch
+steps, so on a dispatch-bound kernel two strips need not beat one
+whole-grid ``vectorized`` sweep.
 
 When fewer than two cores are available (or one worker is requested) the
 backend degrades gracefully to one in-process whole-grid ``TileSweeper``
-sweep, producing identical grids without any shared-memory machinery — and
-without paying the tile-granular dispatch that only parallel workers
-amortise.
+sweep, producing identical grids without any shared-memory machinery.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from repro.core.exceptions import (
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
-from repro.core.tiling import Tile, TileDecomposition
+from repro.core.tiling import StripDecomposition, Tile
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import Executor
 from repro.runtime.scheduler import DependencyGraph, run_pipelined, run_schedule
@@ -373,24 +385,43 @@ class WorkerTeam:
         self._drop_arena()
 
 
-class MPWavefrontPool:
-    """The tile geometry of one (problem, tile size) on a worker team.
+def walk_of(problem: WavefrontProblem) -> str:
+    """``"rows"`` when ``problem``'s kernel offers a row form, else ``"diagonals"``.
 
-    Cheap to build — a tile decomposition — and short-lived:
+    The walk every worker's :class:`TileSweeper` takes, which is what shapes
+    the strips.  The probe is one ``make_row_evaluator`` call, kept on the
+    problem: O(dim) state for the viterbi and knapsack row forms, O(alphabet
+    x dim) letter rows for the sequence apps, and for ``knapsack-ev`` the
+    policy tables the parent's witness traceback builds and caches on the
+    kernel anyway.  A kernel without a row form builds nothing.
+    """
+    walk = problem.__dict__.get("_cached_walk")
+    if walk is None:
+        row_form = problem.kernel.make_row_evaluator(problem.dim, problem.boundary)
+        walk = problem._cached_walk = "diagonals" if row_form is None else "rows"
+    return walk
+
+
+class MPWavefrontPool:
+    """The strip geometry of one (problem, tile size) on a worker team.
+
+    Cheap to build — a :class:`~repro.core.tiling.StripDecomposition` of one
+    strip per worker, cut into ``tile``-step regions — and short-lived:
     :class:`repro.runtime.lifecycle.EngineHost` makes one per request around
     its resident :class:`WorkerTeam`.  Built without a ``team`` (and
     ``workers >= 2``) the pool forks a private one, the single-shot path of
     :class:`MPParallelExecutor`, and :meth:`close` stops it.
 
-    :meth:`run` is the whole request: the grid's values are copied into the
-    team's arena, the tile wavefront runs there, and the values are copied
-    back and the arena given up on every way out — success, a kernel error
-    or a dead worker.
+    :meth:`run` is the whole request: the region wavefront runs in the
+    team's arena, and the values are copied back and the arena given up on
+    every way out — success, a kernel error or a dead worker.  Nothing is
+    copied in: every cell is written by its region before any region reads
+    it, so what an earlier (even failed) run left in the arena is never
+    read.
 
     With ``workers == 1`` no processes or shared memory are involved: the
-    grid is swept in-process as one whole-grid tile — tile-local sweeps pay
-    one NumPy dispatch per *tile* row or diagonal, which only buys anything
-    when real workers share the bill (identical grids either way).
+    grid is swept in-process as one whole-grid tile (identical grids either
+    way).
     """
 
     def __init__(
@@ -401,9 +432,10 @@ class MPWavefrontPool:
         team: WorkerTeam | None = None,
     ) -> None:
         self.problem = problem
-        dim = problem.dim
-        self.decomposition = TileDecomposition(dim, dim, tile)
         self.workers = max(1, int(workers))
+        self.decomposition = StripDecomposition(
+            problem.dim, tile, self.workers, walk_of(problem)
+        )
         self._owns_team = team is None and self.workers >= 2
         #: The worker team behind the pool (``None`` with one worker).
         self.team = WorkerTeam(self.workers, (problem,)) if self._owns_team else team
@@ -424,20 +456,20 @@ class MPWavefrontPool:
         return self.team is not None and self.team.broken
 
     def run(self, grid: WavefrontGrid, dispatch: str = "barrier") -> tuple[int, int]:
-        """Fill ``grid`` with the tile wavefront; returns ``(tiles, cells)``.
+        """Fill ``grid`` with the region wavefront; returns ``(regions, cells)``.
 
-        ``dispatch`` selects how tiles reach the workers: ``"barrier"`` fans
-        each tile-diagonal across the team and barriers between diagonals
+        ``dispatch`` selects how regions reach the workers: ``"barrier"``
+        fans each wave of regions across the team and barriers between waves
         (:func:`~repro.runtime.scheduler.run_schedule`); ``"pipelined"``
         drains a :class:`~repro.runtime.scheduler.DependencyGraph` instead,
-        starting any tile the moment its west/north/north-west neighbours
+        starting any region the moment its west/north/north-west neighbours
         retire (:func:`~repro.runtime.scheduler.run_pipelined`).  Both
         orders respect the dependency contract of
         :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile`, so the
         resulting grids are bit-identical.  A dead worker raises
         :class:`WorkerCrashError` — typed, so the caller (session / serving
         lane) can retry on the fresh team the next request gets.
-        The in-process path executes no tiles: it reports ``0`` of them.
+        The in-process path executes no regions: it reports ``0`` of them.
         """
         if dispatch not in ("barrier", "pipelined"):
             raise InvalidParameterError(
@@ -456,7 +488,6 @@ class MPWavefrontPool:
             return 0, sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid)
         shared = self.team.claim(grid.dim)
         try:
-            shared[...] = grid.values
             cells = 0
 
             def collect(n: object) -> None:
@@ -495,11 +526,12 @@ class MPWavefrontPool:
 class MPParallelExecutor(Executor):
     """Shared-memory multicore execution of the whole grid (scheme (b), real).
 
-    The grid lives in shared memory, a worker team executes the
-    tile wavefront (barrier per tile-diagonal), and every worker sweeps each
-    of its tiles whole with a :class:`TileSweeper` — combining the
-    vectorized engine's batched evaluation with parallelism that actually
-    scales with cores.
+    The grid lives in shared memory, a worker team executes the region
+    wavefront of one strip per worker (barrier per wave of regions), and
+    every worker sweeps each of its regions whole with a
+    :class:`TileSweeper` — combining the vectorized engine's batched
+    evaluation with parallelism.  ``cpu_tile`` is the region length along a
+    strip.
     Produces grids cell-for-cell identical to the serial reference.
     """
 
@@ -549,14 +581,14 @@ class MPParallelExecutor(Executor):
 
 
 class PipelinedMPExecutor(MPParallelExecutor):
-    """Dependency-driven multicore execution: no barrier between tile waves.
+    """Dependency-driven multicore execution: no barrier between region waves.
 
     Identical to :class:`MPParallelExecutor` in every observable output —
-    same shared grid, same per-worker tile sweeps, bit-identical grids and
-    witnesses — but tiles are dispatched through the
+    same shared grid, same strips and regions, bit-identical grids and
+    witnesses — but regions are dispatched through the
     :class:`~repro.runtime.scheduler.DependencyGraph` of the pool instead of
-    barrier-separated waves, so a tile of wave ``d + 1`` starts the moment
-    its three neighbour tiles retire even while wave ``d`` stragglers are
+    barrier-separated waves, so a region of wave ``d + 1`` starts the moment
+    its three neighbour regions retire even while wave ``d`` stragglers are
     still running.
     """
 

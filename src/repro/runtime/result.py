@@ -61,10 +61,16 @@ class ExecutionResult:
 
     @cached_property
     def checksum(self) -> float:
-        """Sum of all grid values; a cheap whole-grid equality fingerprint."""
+        """Sum of all grid values; a cheap whole-grid equality fingerprint.
+
+        ``±inf`` when the sum leaves the float range although every value
+        is finite (a ``stochastic-path`` grid near its cost bound): that is
+        the sum's IEEE value, not a fault, so it raises no warning.
+        """
         if self.grid is None:
             raise ValueError("functional grid not available for this result")
-        return float(np.sum(self.grid.values))
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.grid.values))
 
     @cached_property
     def grid_sha256(self) -> str | None:

@@ -1,17 +1,21 @@
-"""Dispatch of the tile wavefront to whatever executes the tiles.
+"""Dispatch of a region wavefront to whatever executes the regions.
 
-Within one tile-diagonal all tiles are independent.  :func:`run_schedule`
-walks :meth:`~repro.core.tiling.TileDecomposition.schedule` one wave at a
-time, sequentially or on a :class:`TilePool` — the multicore backend
-(:mod:`repro.runtime.mp_parallel`) passes its worker team, which fans each
-wave's tiles across real cores with a barrier per tile-diagonal.
+The regions are the tiles of a decomposition whose tile ``(r, c)`` depends
+on ``(r - 1, c)``, ``(r, c - 1)`` and ``(r - 1, c - 1)``: the strips of
+:class:`~repro.core.tiling.StripDecomposition` that the multicore engines
+run (:mod:`repro.runtime.mp_parallel`), or the square tiles of
+:class:`~repro.core.tiling.TileDecomposition`.  Regions with equal ``r +
+c`` are independent.  :func:`run_schedule` walks the decomposition's
+``schedule()`` one such wave at a time, sequentially or on a
+:class:`TilePool` — the multicore backend passes its worker team, which fans
+each wave's regions across real cores with a barrier per wave.
 
-The barrier is not required for correctness — a tile only reads its west,
-north and north-west neighbour tiles — so the module also provides the
-*pipelined* alternative: :class:`DependencyGraph` tracks per-tile
-remaining-predecessor counts and :func:`run_pipelined` drains it, starting a
-tile the moment its three neighbours retire, so tiles of wave ``d + 1``
-overlap wave ``d`` stragglers.
+The barrier is not required for correctness — a region only reads its
+west, north and north-west neighbours (or, transitively, theirs) — so the
+module also provides the *pipelined* alternative: :class:`DependencyGraph`
+tracks per-region remaining-predecessor counts and :func:`run_pipelined`
+drains it, starting a region the moment its three neighbours retire, so
+regions of wave ``d + 1`` overlap wave ``d`` stragglers.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import deque
 from typing import Callable, Iterable, Protocol
 
 from repro.core.exceptions import ExecutionError
-from repro.core.tiling import Tile, TileDecomposition
+from repro.core.tiling import StripDecomposition, Tile, TileDecomposition
 
 
 class TilePool(Protocol):
@@ -62,8 +66,8 @@ def run_schedule(
 ) -> int:
     """Execute a tile schedule; returns the number of tiles executed.
 
-    ``waves`` is a :meth:`~repro.core.tiling.TileDecomposition.schedule`:
-    one list of independent tiles per tile-diagonal.  Every wave's tiles
+    ``waves`` is a decomposition's ``schedule()``: one list of independent
+    tiles per wave.  Every wave's tiles
     are submitted to ``pool`` and the wave barriers until all of them have
     completed.  The multicore backend passes its worker
     team, and ``tile_fn`` is then whatever the team takes as the description
@@ -92,9 +96,11 @@ def run_schedule(
 class DependencyGraph:
     """Dependency-counted readiness tracking over the tile wavefront.
 
-    Each tile of a :class:`~repro.core.tiling.TileDecomposition` depends on
-    its west, north and north-west neighbour tiles — exactly the cells
-    :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile` reads, which is
+    Each tile of a :class:`~repro.core.tiling.StripDecomposition` (or
+    :class:`~repro.core.tiling.TileDecomposition`) depends on its west,
+    north and north-west neighbour tiles — every cell
+    :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile` reads lies in
+    them or, transitively, in theirs, which is
     why executing tiles in any retirement-respecting order reproduces the
     barriered sweep bit for bit.
 
@@ -107,7 +113,7 @@ class DependencyGraph:
     sequential drain visits tiles in a reproducible order.
     """
 
-    def __init__(self, decomposition: TileDecomposition) -> None:
+    def __init__(self, decomposition: StripDecomposition | TileDecomposition) -> None:
         self.decomposition = decomposition
         self._tiles: dict[tuple[int, int], Tile] = {
             (tile.tile_row, tile.tile_col): tile for tile in decomposition.all_tiles()

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.nash import NashKernel
+from repro.apps.registry import get_application
 from repro.apps.stochastic_path import StochasticPathKernel
-from repro.core.exceptions import KernelError
+from repro.core.exceptions import InvalidParameterError, KernelError
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.facade.policy import ExecutionPolicy
@@ -117,18 +118,25 @@ def test_a_tie_takes_the_zero_gap_path():
 
 
 def test_an_overflowing_instance_fails_on_the_same_diagonal():
-    """``cost_scale=1e308`` overflows the final subtract on diagonal 3, as before.
+    """Costs scaled by ``1e308`` overflow the final subtract on diagonal 3.
 
-    The cells after it whose two predecessors are both ``-inf`` turn NaN
+    The app refuses ``cost_scale=1e308`` before building an array (its
+    domain), so the instance is built from the kernel directly: the same
+    costs the app drew at ``cost_scale=1``, times ``1e308``.  The cells
+    after the overflow whose two predecessors are both ``-inf`` turn NaN
     with an ``invalid value`` warning (``logsumexp_pair`` masks that gap);
     the first non-finite diagonal, which the error names, is unchanged.
     """
+    drawn = get_application("stochastic-path", dim=16).make_kernel()
+    problem = WavefrontProblem(
+        dim=16, kernel=StochasticPathKernel(drawn.costs * 1e308, drawn.p_west)
+    )
+    with pytest.raises(InvalidParameterError, match=r"2\*\*1023"):
+        get_application("stochastic-path", dim=16, cost_scale=1e308)
     with Session() as session, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(KernelError, match=r"non-finite values on diagonal 3 of tile \(0, 0\)"):
-            session.solve(
-                "stochastic-path", 16, cost_scale=1e308, policy=ExecutionPolicy(backend="vectorized")
-            )
+            session.solve(problem, policy=ExecutionPolicy(backend="vectorized"))
     messages = {(w.category, str(w.message)) for w in caught}
     assert (RuntimeWarning, "overflow encountered in subtract") in messages
     assert messages <= {

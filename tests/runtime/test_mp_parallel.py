@@ -75,6 +75,31 @@ class TestEquivalenceWithSerial:
         assert np.array_equal(serial.grid.values, result.grid.values)
 
 
+class TestStripsMatchSerial:
+    """Every app, both tiled engines, 2-4 workers: tiles of one cell, a
+    non-divisor and past the grid, and a grid smaller than the team."""
+
+    @pytest.mark.parametrize("app_name", available_applications())
+    def test_grids_and_witnesses_are_bit_identical(self, app_name, i7_2600k):
+        with Session(system=i7_2600k) as session:
+            for dim in (3, 13):
+                reference = session.solve(app_name, dim, policy=ExecutionPolicy(backend="serial"))
+                for backend in ("mp-parallel", "pipelined"):
+                    for workers in (2, 3, 4):
+                        for tile in (1, 5, dim + 1):
+                            policy = ExecutionPolicy(
+                                backend=backend, workers=workers,
+                                tunables=TunableParams(cpu_tile=tile),
+                            )
+                            result = session.solve(app_name, dim, policy=policy)
+                            assert reference.matches(result), (dim, backend, workers, tile)
+                hybrid = ExecutionPolicy(
+                    backend="hybrid", engine="pipelined", workers=3,
+                    tunables=TunableParams.from_encoding(cpu_tile=2, band=dim // 2, halo=1, gpu_tile=1),
+                )
+                assert reference.matches(session.solve(app_name, dim, policy=hybrid))
+
+
 class TestWorkerResolution:
     def test_explicit_workers_honoured(self, i7_2600k):
         assert resolve_worker_count(3, i7_2600k) == 3
@@ -122,12 +147,25 @@ class TestMPWavefrontPool:
         problem = WavefrontProblem(dim=16, kernel=OneBadCellKernel(9, 6))
         grid = problem.make_grid()
         with MPWavefrontPool(problem, tile=4, workers=2) as pool:
-            with pytest.raises(KernelError, match=r"diagonal 15 of tile \(2, 1\)"):
+            # Cell (9, 6): strip 1 (rows 8-15), diagonals 12-15 — region (1, 3).
+            with pytest.raises(KernelError, match=r"diagonal 15 of tile \(1, 3\)"):
                 pool.run(grid, dispatch)
             pool.team.claim(problem.dim)  # free again after the failed run
             pool.team.unclaim()
         # What the team computed before the failure came back to private memory.
         assert grid.values[0, 0] == 0.0 and grid.values[3, 3] == 6.0
+
+    @pytest.mark.parametrize("app_name", ["lcs", "nash-equilibrium"])
+    def test_what_an_earlier_run_left_in_the_arena_is_never_read(self, app_name):
+        problem = get_application(app_name, dim=20).problem(20)
+        reference = reference_grid(problem).values
+        with MPWavefrontPool(problem, tile=3, workers=3) as pool:
+            for dispatch in ("barrier", "pipelined"):
+                pool.team.claim(problem.dim)[...] = np.nan  # as a failed run may leave it
+                pool.team.unclaim()
+                grid = problem.make_grid()
+                pool.run(grid, dispatch)
+                assert np.array_equal(grid.values, reference)
 
     def test_a_grid_of_another_dim_is_rejected(self, small_synthetic):
         from repro.core.exceptions import ExecutionError
@@ -164,13 +202,13 @@ class OneBadCellKernel(WavefrontKernel):
 
 
 class TestWorkersValidateWhatTheyCompute:
-    """Non-finite kernel output raises in the caller, naming tile and diagonal."""
+    """Non-finite kernel output raises in the caller, naming region and diagonal."""
 
     @pytest.mark.parametrize("backend", ["mp-parallel", "pipelined"])
-    def test_nan_in_a_whole_tile_names_its_tile_and_diagonal(self, backend, i7_2600k):
-        # Cell (9, 6): tile (2, 1) of a tile-4 decomposition, diagonal 15 —
-        # not the first diagonal of the tile (12), so the block check has
-        # to locate it.
+    def test_nan_in_a_region_names_its_region_and_diagonal(self, backend, i7_2600k):
+        # Cell (9, 6): diagonal 15 of region (1, 3) — strip 1 (rows 8-15) cut
+        # to diagonals 12-15 — not the region's first diagonal, so the check
+        # has to locate it.
         problem = WavefrontProblem(dim=16, kernel=OneBadCellKernel(9, 6))
         policy = ExecutionPolicy(
             backend=backend, workers=2, tunables=TunableParams(cpu_tile=4)
@@ -179,7 +217,7 @@ class TestWorkersValidateWhatTheyCompute:
             with pytest.raises(
                 KernelError,
                 match=r"'one-bad-cell' produced non-finite values on diagonal 15 "
-                r"of tile \(2, 1\)",
+                r"of tile \(1, 3\)",
             ):
                 session.solve(problem, policy=policy)
             # The failure cost one request: the same team serves the next.
@@ -304,7 +342,8 @@ class TestHybridMPEngine:
         assert np.array_equal(scalar.grid.values, pooled.grid.values)
         # The fill engine's own statistics ride along with the band's.
         assert pooled.stats["workers"] == 2
-        assert pooled.stats["tiles_executed"] == (small_synthetic.dim // 4) ** 2
+        # Two 16-row strips cut into 4-diagonal regions: 12 per strip.
+        assert pooled.stats["tiles_executed"] == 24
         assert pooled.stats["band_cells"] > 0
 
     @pytest.mark.parametrize("engine", ["fpga", "mp", "compiled", "hybrid"])

@@ -9,17 +9,22 @@ of the drawn application, under unknown names, and as malformed ``mode`` /
 a typed client error, never a 500.
 
 Size-like numbers stay small (no grid past dim 24, no more than 100 inner
-iterations): bounding the work a body may ask for is a separate limit.
+iterations): bounding the work a body may ask for is a separate limit.  The
+one exception is the explicit examples at each declared value bound and
+just past it (``EDGES``), which must answer exactly 200 and 400.
 """
 
 import http.client
 import inspect
 import json
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.matrixchain import max_exact_dim_size
 from repro.apps.registry import APPLICATIONS
+from repro.apps.stochastic_path import MAX_PATH_CHARGE
 from repro.core.params import TunableParams
 
 #: Constructor parameters that scale the work of one solve.
@@ -47,6 +52,35 @@ bounded = st.one_of(
     st.lists(st.integers(min_value=-100, max_value=100), max_size=3),
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
 )
+
+
+#: Bodies at each declared value bound and just past it, with the status
+#: each must answer: the largest finite stochastic-path scale at dim 16, the
+#: largest exact matrix-chain size at dim 48, and what lies beyond them.
+EDGES = [
+    ({"app": "stochastic-path", "dim": 16, "cost_scale": MAX_PATH_CHARGE / 31}, 200),
+    ({"app": "stochastic-path", "dim": 16, "cost_scale": MAX_PATH_CHARGE / 31 * (1 + 2**-52)}, 400),
+    ({"app": "stochastic-path", "dim": 16, "cost_scale": 1e308}, 400),
+    ({"app": "matrix-chain", "dim": 48, "max_dim_size": max_exact_dim_size(48)}, 200),
+    ({"app": "matrix-chain", "dim": 48, "max_dim_size": max_exact_dim_size(48) + 1}, 400),
+    ({"app": "matrix-chain", "dim": 48, "max_dim_size": 2**21}, 400),
+    ({"app": "matrix-chain", "dim": 48, "max_dim_size": 2**40}, 400),
+    ({"app": "matrix-chain", "dim": 48, "max_dim_size": 2.5}, 400),
+    ({"app": "matrix-chain", "dim": 48, "max_dim_size": True}, 400),
+]
+
+
+def post_solve(endpoint, body):
+    """``(status, payload)`` of one ``POST /solve``."""
+    host, port = endpoint.address
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        # json.dumps spells NaN and the infinities as JSON literals.
+        connection.request("POST", "/solve", body=json.dumps(body))
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 @st.composite
@@ -86,16 +120,26 @@ class TestBodyValues:
         suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
     )
     @given(body=solve_bodies())
+    @example(body=EDGES[0][0])
+    @example(body=EDGES[1][0])
+    @example(body=EDGES[2][0])
+    @example(body=EDGES[3][0])
+    @example(body=EDGES[4][0])
+    @example(body=EDGES[5][0])
+    @example(body=EDGES[6][0])
+    @example(body=EDGES[7][0])
+    @example(body=EDGES[8][0])
     def test_no_body_value_answers_500(self, endpoint, body):
-        host, port = endpoint.address
-        connection = http.client.HTTPConnection(host, port, timeout=30)
-        try:
-            # json.dumps spells NaN and the infinities as JSON literals.
-            connection.request("POST", "/solve", body=json.dumps(body))
-            response = connection.getresponse()
-            status, payload = response.status, json.loads(response.read())
-        finally:
-            connection.close()
+        status, payload = post_solve(endpoint, body)
         assert status in (200, 400, 504), (status, payload, body)
         if status != 200:
             assert payload["error"]["type"], payload
+
+    @pytest.mark.parametrize("body, expected", EDGES, ids=lambda v: str(v) if isinstance(v, int) else None)
+    def test_each_value_bound_admits_its_edge_and_refuses_past_it(self, endpoint, body, expected):
+        status, payload = post_solve(endpoint, body)
+        assert status == expected, (status, payload, body)
+        if expected == 400:
+            assert payload["error"]["type"] == "InvalidParameterError", payload
+            name = "cost_scale" if body["app"] == "stochastic-path" else "max_dim_size"
+            assert name in payload["error"]["message"], payload
