@@ -228,11 +228,6 @@ class StripDecomposition:
         """Every region, strip by strip (row band by row band for ``"rows"``)."""
         return list(self._regions)
 
-    @property
-    def n_tiles(self) -> int:
-        """Number of regions."""
-        return len(self._regions)
-
     def schedule(self) -> list[list[Tile]]:
         """Barrier waves: the regions of equal ``tile_row + tile_col``."""
         waves: dict[int, list[Tile]] = {}

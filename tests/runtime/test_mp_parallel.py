@@ -128,7 +128,7 @@ class TestMPWavefrontPool:
         with MPWavefrontPool(small_synthetic, tile=5, workers=2) as pool:
             assert pool.is_multiprocess
             tiles, cells = pool.run(grid)
-            assert tiles == pool.decomposition.n_tiles
+            assert tiles == len(pool.decomposition.all_tiles())
         assert cells == dim * dim
         assert np.array_equal(reference_grid(small_synthetic).values, grid.values)
 

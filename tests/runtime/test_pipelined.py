@@ -167,7 +167,7 @@ class TestPoolDispatch:
         with MPWavefrontPool(small_synthetic, tile=5, workers=workers) as pool:
             tiles, cells = pool.run(grid, dispatch="pipelined")
             # The in-process fallback sweeps the whole grid (0 tiles).
-            expected_tiles = pool.decomposition.n_tiles if pool.is_multiprocess else 0
+            expected_tiles = len(pool.decomposition.all_tiles()) if pool.is_multiprocess else 0
         assert cells == dim * dim
         assert tiles == expected_tiles
         assert np.array_equal(reference.values, grid.values)
