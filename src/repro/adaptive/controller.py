@@ -2,7 +2,7 @@
 
 :class:`AdaptiveController` is the one stateful object tying the layer
 together.  The serving path feeds it one service-time observation per
-executed batch (:meth:`AdaptiveController.observe`), keyed by the
+answered solve (:meth:`AdaptiveController.observe`), keyed by the
 signature the request was admitted under, and everything downstream is
 derived:
 
@@ -52,18 +52,17 @@ class AdaptiveController:
         signature: RequestIdentity,
         expected_s: float | None,
         service_s: float,
-        count: int = 1,
     ) -> None:
-        """Fold one executed batch's service time into the loop.
+        """Fold one answered request's service time into the loop.
 
-        Called by the server once per coalesced batch execution with the
-        batch head's admitted signature (mode filled in), the
-        ``expected_s`` of the plan the lane ran for it (``None`` when that
-        plan predicts nothing) and the wall time spent executing (queue
-        wait excluded, so bursty arrivals cannot fake a drift).  Never
-        raises: internal failures land in the ``errors`` counter.
+        Called by the server once per answered solve with the request's
+        admitted signature (mode filled in), the ``expected_s`` of the plan
+        the session ran for it (``None`` when that plan predicts nothing)
+        and the wall time spent executing (the wait for the run lock
+        excluded, so bursty arrivals cannot fake a drift).  Never raises:
+        internal failures land in the ``errors`` counter.
         """
-        stats = self.serve_log.record(signature, service_s, count)
+        stats = self.serve_log.record(signature, service_s)
         if signature.mode != "functional":
             return
         try:

@@ -24,8 +24,7 @@ disagree wildly on base latency:
 4. a latched signature needs ``hysteresis`` consecutive clean executions
    to **recover**; re-drifting afterwards fires a fresh event.
 
-Assessment is per *execution* (one coalesced batch = one assessment), so
-a single slow batch counts once no matter how many requests it answered.
+Assessment is per *execution*: one answered solve, one assessment.
 """
 
 from __future__ import annotations

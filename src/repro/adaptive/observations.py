@@ -10,10 +10,10 @@ percentiles stay available for operators.  An :class:`ObservationLog`
 owns one :class:`SignatureStats` per request signature, bounded LRU-style
 so an adversarial stream of distinct signatures cannot grow memory.
 
-Signatures are the server queue's coalescing key, a
+Signatures are the server's request labels, a
 :class:`repro.cache.RequestIdentity` with its mode filled in at admission,
-so cache keys, batch coalescing, ``/metrics`` and adaptive-tuning
-observations all speak about the same traffic classes under one label.
+so cache keys, ``/metrics`` and adaptive-tuning observations all speak
+about the same traffic classes under one label.
 
 This module must stay import-free of ``repro.server`` — the serving
 layer imports the adaptive layer, never the reverse.
@@ -71,15 +71,14 @@ class SignatureStats:
         #: filled by the adaptive controller; ``None`` when the plan has none.
         self.expected_s: float | None = None
 
-    def record(self, latency_s: float, count: int = 1) -> None:
-        """Fold ``count`` observations of ``latency_s`` into the stream."""
+    def record(self, latency_s: float) -> None:
+        """Fold one observation of ``latency_s`` into the stream."""
         latency_s = float(latency_s)
         with self._lock:
-            for _ in range(max(1, int(count))):
-                self.count += 1
-                delta = latency_s - self.mean
-                self.mean += delta / self.count
-                self._m2 += delta * (latency_s - self.mean)
+            self.count += 1
+            delta = latency_s - self.mean
+            self.mean += delta / self.count
+            self._m2 += delta * (latency_s - self.mean)
             self.min_s = min(self.min_s, latency_s)
             self.max_s = max(self.max_s, latency_s)
             self._reservoir.append(latency_s)
@@ -111,11 +110,10 @@ class SignatureStats:
 class ObservationLog:
     """Bounded per-signature observation store (LRU over signatures).
 
-    ``record`` folds one (possibly batch-coalesced) latency observation
-    into the signature's :class:`SignatureStats`, creating and — beyond
-    ``maxsize`` distinct signatures — evicting least-recently-updated
-    entries.  ``observations`` counts every folded request, matching the
-    server's completed-request counter when fed from batch completion.
+    ``record`` folds one latency observation into the signature's
+    :class:`SignatureStats`, creating and — beyond ``maxsize`` distinct
+    signatures — evicting least-recently-updated entries.
+    ``observations`` counts every folded request.
     """
 
     def __init__(self, maxsize: int = DEFAULT_SIGNATURES) -> None:
@@ -127,11 +125,8 @@ class ObservationLog:
         self.observations = 0
         self.evictions = 0
 
-    def record(
-        self, signature: RequestIdentity, latency_s: float, count: int = 1
-    ) -> SignatureStats:
+    def record(self, signature: RequestIdentity, latency_s: float) -> SignatureStats:
         """Fold an observation; return the signature's (live) stats."""
-        count = max(1, int(count))
         with self._lock:
             stats = self._stats.get(signature)
             if stats is None:
@@ -142,8 +137,8 @@ class ObservationLog:
             while len(self._stats) > self.maxsize:
                 self._stats.popitem(last=False)
                 self.evictions += 1
-            self.observations += count
-        stats.record(latency_s, count)
+            self.observations += 1
+        stats.record(latency_s)
         return stats
 
     def snapshot(self, limit: int | None = None) -> dict:

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.cache.keys import CacheKey
+from repro.core.exceptions import DeadlineError
 from repro.cache.store import (
     DEFAULT_MAX_BYTES,
     DEFAULT_MAX_ENTRIES,
@@ -45,6 +46,9 @@ from repro.cache.store import (
 from repro.runtime.result import ExecutionResult
 from repro.utils.logging import get_logger
 from repro.utils.lru import LRUCache
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.executor_base import Deadline
 
 #: Default bound of the in-memory result tier (entries, not bytes).
 DEFAULT_MEMORY_ENTRIES = 64
@@ -108,7 +112,10 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def get_or_solve(
-        self, key: CacheKey, solve: Callable[[], ExecutionResult]
+        self,
+        key: CacheKey,
+        solve: Callable[[], ExecutionResult],
+        deadline: Deadline | None = None,
     ) -> ExecutionResult:
         """Answer one request from the nearest tier, solving at most once.
 
@@ -116,7 +123,9 @@ class ResultCache:
         a miss runs ``solve()`` under this key's in-flight slot, so
         concurrent misses on the same digest wait for the one leader
         instead of duplicating the computation (the leader's exception, if
-        any, is re-raised in every waiter).
+        any, is re-raised in every waiter).  A waiter waits no later than
+        its own ``deadline``: past it, a
+        :class:`~repro.core.exceptions.DeadlineError`.
         """
         digest = key.digest
         while True:
@@ -138,7 +147,11 @@ class ResultCache:
                 else:
                     leader = False
             if not leader:
-                flight.done.wait()
+                if not flight.done.wait(None if deadline is None else deadline.remaining()):
+                    raise DeadlineError(
+                        "the deadline passed while the request waited for a "
+                        "concurrent solve of the same key"
+                    )
                 with self._lock:
                     if flight.error is None:
                         self.coalesced += 1

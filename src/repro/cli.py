@@ -30,7 +30,7 @@ Two serving verbs build on the ``repro.server`` subsystem:
   tuner and serve it over a stdlib HTTP/JSON endpoint with a bounded
   request queue (backpressure), a coalescing batch scheduler and a
   ``GET /metrics`` page; shuts down gracefully on SIGINT/SIGTERM or
-  ``POST /shutdown``, draining the queue and releasing worker pools;
+  ``POST /shutdown``, draining in-flight requests and releasing worker pools;
 * ``repro-tune loadgen --url http://127.0.0.1:8077`` — drive a serving
   endpoint with a deterministic mixed workload, verify every answer
   bit-exactly against in-process solving, and write a throughput/latency
@@ -357,13 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-size",
         type=int,
         default=64,
-        help="admission-control bound; overflow answers HTTP 429 (default: 64)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help="max same-signature requests coalesced per solve_many (default: 8)",
+        help="admitted, unfinished requests at most; one more answers HTTP 429 "
+        "(default: 64)",
     )
     serve.add_argument(
         "--request-timeout",
@@ -960,7 +955,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             session,
             ServerConfig(
                 queue_capacity=args.queue_size,
-                max_batch=args.max_batch,
                 default_deadline_s=(
                     args.default_deadline if args.default_deadline > 0 else None
                 ),
@@ -991,7 +985,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 signal.signal(signum, lambda *_: endpoint.begin_shutdown())
         print(
             f"serving {session.system.name} on {endpoint.url}  "
-            f"(queue={args.queue_size}, max-batch={args.max_batch}, "
+            f"(queue={args.queue_size}, "
             f"deadline={args.default_deadline:g}s, mode={args.mode}, "
             f"adaptive={args.adaptive})"
         )
@@ -1002,7 +996,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "POST /shutdown"
         )
         endpoint.serve_forever()
-        print("shutdown requested; draining the queue ...")
+        print("shutdown requested; draining in-flight requests ...")
     finally:
         # Release the session's pools on any exit path — through the server
         # once it exists, directly when warm-up/bind failed before that.

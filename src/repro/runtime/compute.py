@@ -23,6 +23,7 @@ import numpy as np
 from repro.core import diagonal as dg
 from repro.core.grid import WavefrontGrid
 from repro.core.pattern import WavefrontProblem
+from repro.runtime.executor_base import Deadline, paced
 
 
 # ----------------------------------------------------------------------
@@ -117,13 +118,18 @@ def compute_diagonal(problem: WavefrontProblem, grid: WavefrontGrid, d: int) -> 
 
 
 def compute_diagonal_range(
-    problem: WavefrontProblem, grid: WavefrontGrid, d_lo: int, d_hi: int
+    problem: WavefrontProblem,
+    grid: WavefrontGrid,
+    d_lo: int,
+    d_hi: int,
+    deadline: Deadline | None = None,
 ) -> int:
-    """Compute diagonals ``d_lo .. d_hi`` inclusive; returns total cells computed."""
-    if d_hi < d_lo:
-        return 0
+    """Compute diagonals ``d_lo .. d_hi`` inclusive; returns total cells computed.
+
+    ``deadline`` is checked once per diagonal (:func:`~repro.runtime.executor_base.paced`).
+    """
     total = 0
-    for d in range(d_lo, d_hi + 1):
+    for d in paced(range(d_lo, d_hi + 1), deadline):
         total += compute_diagonal(problem, grid, d)
     return total
 

@@ -5,15 +5,25 @@ host's ``wall_time`` and no simulated ``rtime`` — pricing a plan is the cost
 model's job (:meth:`repro.hardware.costmodel.CostModel.price`, reached
 through ``Session.run(plan, mode="simulate")``), and no module of this
 package imports it.
+
+A run may carry a :class:`Deadline`: every engine checks it once per step
+(a row or an anti-diagonal of a sweep, a region released to a worker team)
+and stops with a :class:`~repro.core.exceptions.DeadlineError` at the
+first check past it.  A run without one checks nothing.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
+import math
+import operator
+import threading
 import time
+from collections.abc import Iterable, Iterator
+from itertools import chain, compress, repeat, takewhile
 
-from repro.core.exceptions import ExecutionError, InvalidParameterError
+from repro.core.exceptions import DeadlineError, ExecutionError, InvalidParameterError
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
@@ -45,6 +55,61 @@ class ExecutionMode(enum.Enum):
             ) from None
 
 
+class Deadline:
+    """The instant a run stops at: an absolute ``clock()`` reading.
+
+    ``clock`` defaults to :func:`time.perf_counter`; tests pass a stub.
+    ``at`` is read afresh at every check, so :meth:`expire` stops a run in
+    progress at its next check (``math.inf`` never passes).  ``waited_s``
+    is the time the run spent waiting for the session's run lock.
+    """
+
+    __slots__ = ("at", "clock", "waited_s")
+
+    def __init__(self, at: float, clock=time.perf_counter) -> None:
+        self.at = at
+        self.clock = clock
+        self.waited_s = 0.0
+
+    def passed(self) -> bool:
+        """True once the clock reads past :attr:`at`."""
+        return self.clock() > self.at
+
+    def remaining(self) -> float:
+        """Seconds left (0 when passed), capped for :mod:`threading` waits."""
+        return min(max(0.0, self.at - self.clock()), threading.TIMEOUT_MAX)
+
+    def expire(self) -> None:
+        """Move the deadline to the past: the run stops at its next check."""
+        self.at = -math.inf
+
+
+def paced(steps: Iterable, deadline: Deadline | None) -> Iterable:
+    """``steps``, with ``deadline`` checked before each one.
+
+    Without a deadline this is ``steps`` itself, so a loop over it does no
+    added work per step.  With one, each step costs one ``clock()``
+    reading compared with ``deadline.at``, chained in C (no Python frame
+    per step): the steps stop at the first reading past it, and the loop
+    raises :class:`~repro.core.exceptions.DeadlineError` instead of ending.
+    """
+    if deadline is None:
+        return steps
+    on_time = map(operator.le, iter(deadline.clock, None), map(_AT, repeat(deadline)))
+    return chain(compress(steps, takewhile(bool, on_time)), _raise_if_late(deadline))
+
+
+#: ``deadline.at``, read afresh for every step.
+_AT = operator.attrgetter("at")
+
+
+def _raise_if_late(deadline: Deadline) -> Iterator:
+    """An iterator of nothing that raises once ``deadline`` has passed."""
+    if deadline.passed():
+        raise DeadlineError("the sweep reached its deadline and stopped")
+    yield from ()
+
+
 class Executor(abc.ABC):
     """Base class of all executors.
 
@@ -64,9 +129,12 @@ class Executor(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _run_functional(
-        self, problem: WavefrontProblem, tunables: TunableParams
+        self,
+        problem: WavefrontProblem,
+        tunables: TunableParams,
+        deadline: Deadline | None = None,
     ) -> tuple[WavefrontGrid, dict]:
-        """Really compute the grid; returns (grid, extra stats)."""
+        """Really compute the grid, stopping at ``deadline``; returns (grid, extra stats)."""
 
     @classmethod
     def _validate(cls, system: SystemSpec, dim: int, tunables: TunableParams) -> TunableParams:
@@ -87,12 +155,19 @@ class Executor(abc.ABC):
     # Public API
     # ------------------------------------------------------------------
     def execute(
-        self, problem: WavefrontProblem, tunables: TunableParams | None = None
+        self,
+        problem: WavefrontProblem,
+        tunables: TunableParams | None = None,
+        deadline: Deadline | None = None,
     ) -> ExecutionResult:
-        """Compute ``problem`` under ``tunables`` and time the sweep."""
+        """Compute ``problem`` under ``tunables`` and time the sweep.
+
+        Past ``deadline`` the sweep stops with a
+        :class:`~repro.core.exceptions.DeadlineError` and nothing is returned.
+        """
         tunables = self._validate(self.system, problem.dim, tunables or TunableParams())
         t0 = time.perf_counter()
-        grid, extra = self._run_functional(problem, tunables)
+        grid, extra = self._run_functional(problem, tunables, deadline)
         wall = time.perf_counter() - t0
         if grid.dim != problem.dim:
             raise ExecutionError(

@@ -20,7 +20,7 @@ from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.core.plan import Phase, plan_for
 from repro.runtime.band import band_counters
-from repro.runtime.executor_base import Executor
+from repro.runtime.executor_base import Deadline, Executor
 
 
 class HybridExecutor(Executor):
@@ -51,7 +51,10 @@ class HybridExecutor(Executor):
     # Functional execution
     # ------------------------------------------------------------------
     def _run_functional(
-        self, problem: WavefrontProblem, tunables: TunableParams
+        self,
+        problem: WavefrontProblem,
+        tunables: TunableParams,
+        deadline: Deadline | None = None,
     ) -> tuple[WavefrontGrid, dict]:
         params = problem.input_params()
         plan = plan_for(params, tunables)
@@ -61,7 +64,7 @@ class HybridExecutor(Executor):
         # engine fills the grid, crossing the three spans in wavefront order.
         fill = self.fill
         grid, fill_stats = fill._run_functional(
-            problem, fill._validate(self.system, problem.dim, tunables)
+            problem, fill._validate(self.system, problem.dim, tunables), deadline
         )
         stats: dict = {"plan": plan.describe(), "engine": fill.strategy, **fill_stats}
         cells = plan.cells_per_phase()

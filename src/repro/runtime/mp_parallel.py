@@ -63,7 +63,7 @@ from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.core.tiling import StripDecomposition, Tile
 from repro.hardware.system import SystemSpec
-from repro.runtime.executor_base import Executor
+from repro.runtime.executor_base import Deadline, Executor
 from repro.runtime.scheduler import DependencyGraph, run_pipelined, run_schedule
 from repro.runtime.shared_grid import SharedGridBuffer
 from repro.runtime.vectorized import TileSweeper
@@ -455,7 +455,9 @@ class MPWavefrontPool:
         """
         return self.team is not None and self.team.broken
 
-    def run(self, grid: WavefrontGrid, dispatch: str = "barrier") -> tuple[int, int]:
+    def run(
+        self, grid: WavefrontGrid, dispatch: str = "barrier", deadline: Deadline | None = None
+    ) -> tuple[int, int]:
         """Fill ``grid`` with the region wavefront; returns ``(regions, cells)``.
 
         ``dispatch`` selects how regions reach the workers: ``"barrier"``
@@ -470,6 +472,10 @@ class MPWavefrontPool:
         :class:`WorkerCrashError` — typed, so the caller (session / serving
         lane) can retry on the fresh team the next request gets.
         The in-process path executes no regions: it reports ``0`` of them.
+        ``deadline`` is checked at every region release (per row or
+        diagonal on the in-process path); a late run stops dispatching,
+        waits out the regions in flight and gives the arena back before its
+        :class:`~repro.core.exceptions.DeadlineError` leaves.
         """
         if dispatch not in ("barrier", "pipelined"):
             raise InvalidParameterError(
@@ -485,7 +491,7 @@ class MPWavefrontPool:
             # Single-core path: one whole-grid sweep; dispatch order is moot
             # with one in-process worker, so both modes share it.
             sweeper = TileSweeper(self.problem)
-            return 0, sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid)
+            return 0, sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid, deadline)
         shared = self.team.claim(grid.dim)
         try:
             cells = 0
@@ -497,12 +503,12 @@ class MPWavefrontPool:
             if dispatch == "pipelined":
                 executed = run_pipelined(
                     DependencyGraph(self.decomposition), self.problem,
-                    pool=self.team, collect=collect,
+                    pool=self.team, collect=collect, deadline=deadline,
                 )
             else:
                 executed = run_schedule(
                     self.decomposition.schedule(), self.problem,
-                    pool=self.team, collect=collect,
+                    pool=self.team, collect=collect, deadline=deadline,
                 )
             return executed, cells
         finally:
@@ -550,7 +556,10 @@ class MPParallelExecutor(Executor):
         self.pool_source = pool_source
 
     def _run_functional(
-        self, problem: WavefrontProblem, tunables: TunableParams
+        self,
+        problem: WavefrontProblem,
+        tunables: TunableParams,
+        deadline: Deadline | None = None,
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
         workers = resolve_worker_count(self.workers, self.system)
@@ -560,11 +569,12 @@ class MPParallelExecutor(Executor):
             pool = MPWavefrontPool(problem, tile=tunables.cpu_tile, workers=workers)
         # Leaving the block stops only a private team.
         with pool:
-            executed, cells = pool.run(grid, dispatch=self.dispatch)
+            executed, cells = pool.run(grid, self.dispatch, deadline)
             stats = {
                 "tiles_executed": executed,
                 "cells_computed": cells,
-                "tile_waves": pool.decomposition.n_tile_diagonals,
+                # The in-process path runs no regions, hence no waves of them.
+                "tile_waves": pool.decomposition.n_tile_diagonals if executed else 0,
                 "workers": pool.workers,
                 "dispatch": self.dispatch,
                 "mode": "process-pool" if pool.is_multiprocess else "in-process",

@@ -16,6 +16,11 @@ module also provides the *pipelined* alternative: :class:`DependencyGraph`
 tracks per-region remaining-predecessor counts and :func:`run_pipelined`
 drains it, starting a region the moment its three neighbours retire, so
 regions of wave ``d + 1`` overlap wave ``d`` stragglers.
+
+Both drivers take an optional :class:`~repro.runtime.executor_base.Deadline`
+and check it as they release regions: a late run dispatches nothing more,
+waits out what is in flight and raises
+:class:`~repro.core.exceptions.DeadlineError`.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Protocol
 
-from repro.core.exceptions import ExecutionError
+from repro.core.exceptions import DeadlineError, ExecutionError
 from repro.core.tiling import StripDecomposition, Tile, TileDecomposition
+from repro.runtime.executor_base import Deadline, paced
 
 
 class TilePool(Protocol):
@@ -63,6 +69,7 @@ def run_schedule(
     tile_fn: object,
     pool: TilePool | None = None,
     collect: Callable[[object], None] | None = None,
+    deadline: Deadline | None = None,
 ) -> int:
     """Execute a tile schedule; returns the number of tiles executed.
 
@@ -76,11 +83,12 @@ def run_schedule(
     kernels are NumPy-bound.
 
     ``collect`` receives each tile's return value (e.g. its cell count) in
-    completion order within a wave.
+    completion order within a wave.  ``deadline`` is checked before each
+    wave is released; the barrier means nothing is in flight then.
     """
     pool = pool if pool is not None else _InlinePool()
     executed = 0
-    for wave in waves:
+    for wave in paced(waves, deadline):
         for tile in wave:
             pool.submit(tile_fn, tile)
         outstanding = len(wave)
@@ -181,6 +189,7 @@ def run_pipelined(
     tile_fn: object,
     pool: TilePool | None = None,
     collect: Callable[[object], None] | None = None,
+    deadline: Deadline | None = None,
 ) -> int:
     """Drain a dependency graph; returns the number of tiles executed.
 
@@ -192,11 +201,15 @@ def run_pipelined(
     tile's return value in completion order.  A graph that stalls with work
     left (nothing ready, nothing in flight, not done) raises
     :class:`~repro.core.exceptions.ExecutionError` rather than hanging.
+    ``deadline`` is checked as each batch of completions releases tiles; once
+    it has passed, nothing more is submitted, the tiles in flight are
+    waited out and :class:`~repro.core.exceptions.DeadlineError` is raised.
     """
     pool = pool if pool is not None else _InlinePool()
     executed = in_flight = 0
+    late = False
     while True:
-        tile = graph.acquire()
+        tile = None if late else graph.acquire()
         while tile is not None:
             pool.submit(tile_fn, tile)
             in_flight += 1
@@ -209,7 +222,10 @@ def run_pipelined(
                 collect(result)
             executed += 1
             graph.retire(done_tile)
+        late = late or (deadline is not None and deadline.passed())
     if not graph.done:
+        if late:
+            raise DeadlineError("the sweep reached its deadline and stopped")
         raise ExecutionError(
             f"pipelined drain starved with {graph.n_tiles - executed} "
             "tiles unexecuted (cyclic or inconsistent dependency graph)"

@@ -6,7 +6,7 @@ from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.runtime.compute import compute_diagonal_range
-from repro.runtime.executor_base import Executor
+from repro.runtime.executor_base import Deadline, Executor
 
 
 class SerialExecutor(Executor):
@@ -21,10 +21,13 @@ class SerialExecutor(Executor):
     strategy = "serial"
 
     def _run_functional(
-        self, problem: WavefrontProblem, tunables: TunableParams
+        self,
+        problem: WavefrontProblem,
+        tunables: TunableParams,
+        deadline: Deadline | None = None,
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
-        cells = compute_diagonal_range(problem, grid, 0, 2 * problem.dim - 2)
+        cells = compute_diagonal_range(problem, grid, 0, 2 * problem.dim - 2, deadline)
         return grid, {"cells_computed": cells}
 
     @classmethod

@@ -43,7 +43,7 @@ from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
 from repro.core.tiling import Tile
-from repro.runtime.executor_base import Executor
+from repro.runtime.executor_base import Deadline, Executor, paced
 
 
 class TileSweeper:
@@ -106,7 +106,7 @@ class TileSweeper:
         if lo <= hi:
             buf[lo - r0 + 1 : hi - r0 + 2] = flat[lo * dim + d - lo : hi * dim + d - hi + 1 : dim - 1]
 
-    def sweep_tile(self, flat: np.ndarray, tile: Tile) -> int:
+    def sweep_tile(self, flat: np.ndarray, tile: Tile, deadline: Deadline | None = None) -> int:
         """Compute every cell of ``tile``; returns the number of cells.
 
         ``flat`` is the flattened ``dim * dim`` value array.  The region is
@@ -120,7 +120,8 @@ class TileSweeper:
         most two halo cells per later diagonal.  No other cell of ``flat``
         is read, so what the rest of it holds never matters.  The region is
         checked finite before the call returns, i.e. before it retires and a
-        successor (or the caller) may read it.
+        successor (or the caller) may read it.  ``deadline`` is checked once
+        per row or diagonal walked (:func:`~repro.runtime.executor_base.paced`).
         """
         dim = self.dim
         r0, r1 = tile.row_start, tile.row_stop
@@ -133,9 +134,9 @@ class TileSweeper:
                 f"[{d0}, {d1}) lies outside the dim={dim} grid"
             )
         if self._row_evaluator is not None:
-            cells = self._sweep_rows(flat.reshape(dim, dim), r0, r1, c0, c1, d0, d1)
+            cells = self._sweep_rows(flat.reshape(dim, dim), r0, r1, c0, c1, d0, d1, deadline)
         else:
-            cells = self._sweep_diagonals(flat, r0, r1, c0, c1, d0, d1)
+            cells = self._sweep_diagonals(flat, r0, r1, c0, c1, d0, d1, deadline)
         self._check_finite(flat, tile, d0, d1)
         return cells
 
@@ -175,13 +176,14 @@ class TileSweeper:
             f"{first} of tile ({tile.tile_row}, {tile.tile_col})"
         )
 
-    def _sweep_rows(self, values: np.ndarray, r0: int, r1: int, c0: int, c1: int, d0: int, d1: int) -> int:
+    def _sweep_rows(self, values: np.ndarray, r0: int, r1: int, c0: int, c1: int, d0: int, d1: int,
+                    deadline: Deadline | None) -> int:
         """Rows ``r0 .. r1 - 1`` of the region, each row's cells written once, in place."""
         evaluate = self._row_evaluator
         boundary = self.boundary
         halo = self._rows[0]
         cells = 0
-        for i in range(r0, r1):
+        for i in paced(range(r0, r1), deadline):
             # Row i's cells of the region: columns a .. b - 1 ([c0, c1) in a rectangle).
             a = d0 - i if d0 - i > c0 else c0
             b = d1 - i if d1 - i < c1 else c1
@@ -198,7 +200,8 @@ class TileSweeper:
             cells += b - a
         return cells
 
-    def _sweep_diagonals(self, flat: np.ndarray, r0: int, r1: int, c0: int, c1: int, d0: int, d1: int) -> int:
+    def _sweep_diagonals(self, flat: np.ndarray, r0: int, r1: int, c0: int, c1: int, d0: int, d1: int,
+                         deadline: Deadline | None) -> int:
         """Diagonals ``d0 .. d1 - 1`` of the region on the rolling rows."""
         dim = self.dim
         stride = dim - 1
@@ -211,7 +214,7 @@ class TileSweeper:
         self._load_diagonal(flat, prev1, d0 - 1, i_min - 1, i_max, r0)
         self._load_diagonal(flat, prev2, d0 - 2, i_min - 1, i_max - 1, r0)
         cells = 0
-        for d in range(d0, d1):
+        for d in paced(range(d0, d1), deadline):
             # max / min spelled as conditionals: this runs once per diagonal.
             i_min = d - (c1 - 1)
             if i_min < r0:
@@ -263,19 +266,24 @@ class VectorizedSerialExecutor(Executor):
     between runs as its ``_cached_sweeper`` (pickling drops it; its arrays
     count in :attr:`~repro.core.pattern.WavefrontProblem.nbytes`).  A run
     checks it out with one atomic ``pop`` and puts it back after the sweep,
-    so two threads sweeping one problem never share a sweeper's buffers:
-    the second finds none and builds its own.
+    a stopped one included, so two threads sweeping one problem never share
+    a sweeper's buffers: the second finds none and builds its own.
     """
 
     strategy = "vectorized"
 
     def _run_functional(
-        self, problem: WavefrontProblem, tunables: TunableParams
+        self,
+        problem: WavefrontProblem,
+        tunables: TunableParams,
+        deadline: Deadline | None = None,
     ) -> tuple[WavefrontGrid, dict]:
         grid = problem.make_grid()
         sweeper = problem.__dict__.pop("_cached_sweeper", None) or TileSweeper(problem)
-        cells = sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid)
-        problem._cached_sweeper = sweeper
+        try:
+            cells = sweeper.sweep_tile(grid.values.reshape(-1), sweeper.whole_grid, deadline)
+        finally:
+            problem._cached_sweeper = sweeper
         return grid, {
             "cells_computed": cells,
             "fused_kernel": sweeper.fused,

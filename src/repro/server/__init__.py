@@ -1,37 +1,34 @@
 """``repro.server`` — the concurrent serving subsystem over the session.
 
 The session facade (:class:`repro.session.Session`) made the tuned runtime
-callable; this package makes it **servable**: a thread-safe bounded request
-queue with explicit backpressure, one supervised lane thread that takes
-coalesced same-signature batches from it and serves each with a single
-:meth:`~repro.session.Session.solve_one` execution (every ticket in a
-batch shares the one deterministic result), JSON metrics (latency
-percentiles, throughput, queue depth, batch sizes, cache hit rates), a
-small HTTP/1.1 JSON endpoint on reused connection threads and a load
-generator — the pieces behind the ``repro serve`` and ``repro loadgen``
-CLI verbs.
+callable; this package makes it **servable**: bounded admission with
+explicit backpressure, each admitted request solved to completion on the
+thread that admitted it with its deadline checked inside the sweep,
+in-place crash supervision, JSON metrics (latency percentiles, throughput,
+run-lock waiters, cache hit rates), a small HTTP/1.1 JSON endpoint on
+reused connection threads and a load generator — the pieces behind the
+``repro serve`` and ``repro loadgen`` CLI verbs.
 
 Layering, bottom up:
 
-* :mod:`repro.server.queue` — :class:`RequestQueue` (admission control,
-  signature-aware batch drains) and :class:`ServeRequest` (the ticket: it
-  resolves exactly once, and its waiter enforces its deadline);
 * :mod:`repro.server.metrics` — :class:`ServerMetrics` and the shared
   latency summary helper;
 * :mod:`repro.server.faults` — :class:`FaultPlan` / :class:`FaultSpec` /
   :class:`FaultInjector`, the deterministic chaos-injection layer behind
   ``repro serve --chaos`` and the chaos-smoke gate
   (``scripts/gates.py chaos``);
-* :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`:
-  admission, the lane (one thread that takes coalesced batches from the
-  queue, runs each once on the server's session, completes its tickets
-  and recovers from its own crashes in place, with jittered backoff, a
-  restart-budget circuit breaker that closes again and bounded
-  re-dispatch) and graceful drain/shutdown;
+* :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`
+  + :class:`ServeRequest` (the ticket: it resolves exactly once):
+  admission, the solve on the admitting thread with crash recovery in
+  place (jittered backoff, a restart-budget circuit breaker that closes
+  again, bounded re-dispatch) and graceful drain/shutdown;
 * :mod:`repro.server.http` — :class:`ServingEndpoint`, the bound HTTP
   endpoint: accept loop, reused connection threads, bounded hand-parsed
   HTTP/1.1 (``POST /solve``, ``GET /metrics``, ``GET /healthz``,
   ``GET /readyz``, ``POST /shutdown``);
+* :mod:`repro.server.queue` — :class:`RequestQueue`, the bounded FIFO with
+  same-signature drains that the server no longer uses, kept for the
+  benchmark's hand-off probe;
 * :mod:`repro.server.loadgen` — :class:`LoadgenConfig`,
   :class:`HTTPTarget` and :func:`run_loadgen`: the closed-loop HTTP client
   that verifies every answer and writes the artifact the four
@@ -47,8 +44,8 @@ Typical embedding::
     from repro.server import ReproServer, ServerConfig
 
     with Session(system="local", tuner="measured") as session:
-        with ReproServer(session, ServerConfig(max_batch=16)) as server:
-            result = server.solve("lcs", 512, timeout=30)
+        with ReproServer(session, ServerConfig(queue_capacity=16)) as server:
+            result = server.solve("lcs", 512, deadline_s=30)
 
 See ``docs/serving.md`` for the architecture, endpoint and metrics-schema
 reference.
@@ -71,8 +68,8 @@ from repro.server.http import (
     witness_digest,
 )
 from repro.server.metrics import ServerMetrics, summarise_latencies
-from repro.server.queue import RequestQueue, ServeRequest
-from repro.server.service import ReproServer, ServerConfig
+from repro.server.queue import RequestQueue
+from repro.server.service import ReproServer, ServeRequest, ServerConfig
 from repro.server.trace import (
     TRACE_FORMAT_VERSION,
     RequestTrace,

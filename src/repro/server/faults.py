@@ -11,26 +11,25 @@ Spec grammar (one comma-separated string)::
 
     kill@7,kill@31,slow@18:0.2,drop@47
 
-Each entry is ``kind@k[:seconds]`` — fire fault ``kind`` when the ``k``-th
-request (1-based, counted over every dispatch) reaches the shard.  With a
-plan armed, :class:`~repro.server.ReproServer` answers no memory hit at
-admission, so ``k`` counts requests, not only the result cache's misses:
+Each entry is ``kind@k[:seconds]`` — fire fault ``kind`` at the ``k``-th
+solve attempt (1-based, re-runs included).  With a plan armed,
+:class:`~repro.server.ReproServer` answers no memory hit at admission, so
+``k`` counts requests, not only the result cache's misses:
 
-* ``kill`` — the shard raises :class:`~repro.core.exceptions.ShardCrashError`
-  *before* executing, simulating a worker death; the lane recovers in place
-  and re-runs the in-flight batch (at-most-once execution: the kill
-  fires before any solve, and retried solves coalesce on the shared result
-  cache's leader/follower keys).
-* ``slow`` — the shard sleeps ``seconds`` (default 0.25) before executing;
+* ``kill`` — the attempt raises :class:`~repro.core.exceptions.ShardCrashError`
+  *before* executing, simulating a worker death; the server recovers in
+  place and re-runs the request (at-most-once execution: the kill fires
+  before any solve).
+* ``slow`` — the attempt sleeps ``seconds`` (default 0.25) before executing;
   the request still completes bit-exactly, exercising deadline headroom.
-* ``drop`` — the shard executes the request and then discards the response
-  without completing the ticket; its waiter fails it at its deadline with a
-  typed :class:`~repro.core.exceptions.DeadlineError` (HTTP 504), proving
-  no request ever hangs past its deadline.
+* ``drop`` — the request is executed and its answer discarded without
+  completing the ticket; its waiter fails it at its deadline with a typed
+  :class:`~repro.core.exceptions.DeadlineError` (HTTP 504), proving no
+  request ever hangs past its deadline.
 
-:class:`FaultInjector` is the runtime consumer: one per server,
-counting dispatched requests under a lock and handing the shard the faults
-scheduled for its slice of the ordinal space.
+:class:`FaultInjector` is the runtime consumer: one per server, counting
+solve attempts under a lock and handing each the faults scheduled for its
+ordinal.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.core.exceptions import UsageError
 
-#: Fault kinds understood by the spec parser and the shard loop.
+#: Fault kinds understood by the spec parser and the server.
 FAULT_KINDS = ("kill", "slow", "drop")
 
 #: Default sleep of a ``slow`` fault (seconds).
@@ -144,47 +143,31 @@ class FaultPlan:
 class FaultInjector:
     """Runtime consumer of one :class:`FaultPlan`.
 
-    The shard calls :meth:`take` with the number of requests it is about to
-    execute; the injector advances the global ordinal under its lock and
-    returns the faults whose scheduled ordinal falls inside that window
-    (each fault fires exactly once).  Counters are JSON-safe and surface on
-    ``/metrics`` as the ``supervisor.faults`` section — the chaos gate's
-    evidence that the injected faults actually happened.
+    The server calls :meth:`take` once per solve attempt; the injector
+    advances the global ordinal under its lock and returns the faults
+    scheduled at it (each fault fires exactly once).  Counters are
+    JSON-safe and surface on ``/metrics`` as the ``supervisor.faults``
+    section — the chaos gate's evidence that the injected faults actually
+    happened.
     """
 
     plan: FaultPlan = field(default_factory=FaultPlan)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _ordinal: int = 0
-    _fired: set = field(default_factory=set, repr=False)
 
-    def take(self, count: int = 1) -> list[FaultSpec]:
-        """Claim the next ``count`` request ordinals; return due faults.
-
-        A coalesced batch of N requests advances the ordinal by N, so a
-        fault scheduled "at request k" fires whichever batch contains the
-        k-th request — replaying a fixed trace therefore replays the same
-        fault points regardless of how batching interleaves.
-        """
+    def take(self) -> list[FaultSpec]:
+        """Claim the next attempt ordinal; return the faults due at it."""
         if not self.plan.specs:
             return []
         with self._lock:
-            lo = self._ordinal
-            self._ordinal += max(1, int(count))
-            hi = self._ordinal
-            due = [
-                spec
-                for index, spec in enumerate(self.plan.specs)
-                if index not in self._fired and lo < spec.at <= hi
-            ]
-            for index, spec in enumerate(self.plan.specs):
-                if lo < spec.at <= hi:
-                    self._fired.add(index)
-            return due
+            self._ordinal += 1
+            return [spec for spec in self.plan.specs if spec.at == self._ordinal]
 
     def info(self) -> dict:
         """JSON-safe injection counters (fired vs scheduled, by kind)."""
         with self._lock:
-            fired = [self.plan.specs[index] for index in sorted(self._fired)]
+            # Ordinals only grow, so a fault has fired once the ordinal reached it.
+            fired = [spec for spec in self.plan.specs if spec.at <= self._ordinal]
             by_kind: dict[str, int] = {}
             for spec in fired:
                 by_kind[spec.kind] = by_kind.get(spec.kind, 0) + 1

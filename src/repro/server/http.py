@@ -3,13 +3,16 @@
 ``repro serve`` binds one listening socket.  The accept loop hands each
 connection to a parked connection thread and spawns one only when none is
 parked: connection-per-request clients reuse two or three threads for ever,
-every concurrent keep-alive client still has its own.  That thread does
-everything for its connection — ``recv`` into a bounded buffer, split the
-request line and the headers that matter, read the body, route, submit into
-the server's bounded queue, block on its ticket, answer with one
-``sendall`` — so HTTP concurrency is naturally capped by admission control,
-and overload answers ``429`` instead of stalling.  A result-cache memory
-hit is answered at submission and never leaves its connection thread.
+every concurrent keep-alive client still has its own, up to
+:data:`MAX_CONNECTIONS` open connections (past it, accept answers ``503``
+with ``Retry-After`` and closes).  That thread does everything for its
+connection — ``recv`` into a bounded buffer, split the request line and
+the headers that matter, read the body, route, run the request through the
+server's admission and solve (:meth:`repro.server.ReproServer.submit`, on
+this thread), answer with one ``sendall`` — so overload answers ``429``
+instead of stalling.  A request's head and body must arrive within
+:data:`READ_DEADLINE_S` of its first byte (past it, ``408``), apart from
+the idle keep-alive timeout :data:`SOCKET_TIMEOUT_S` before that byte.
 
 Routes (all JSON):
 
@@ -78,9 +81,14 @@ DEFAULT_REQUEST_TIMEOUT_S = 120.0
 MAX_HEADER_BYTES = 16 * 1024
 #: Largest declared request body accepted; beyond it, 413.
 MAX_BODY_BYTES = 1024 * 1024
-#: Seconds one ``recv`` may wait (idle keep-alive connection, stalled
-#: sender) before the connection is dropped and its thread parked.
+#: Seconds an idle keep-alive connection may wait for the first byte of its
+#: next request before it is dropped and its thread parked.
 SOCKET_TIMEOUT_S = 30.0
+#: Seconds a request's head and body may take to arrive, counted from its
+#: first byte; past it, 408 and the connection is closed.
+READ_DEADLINE_S = 10.0
+#: Open connections served at once; one more is answered 503 and closed.
+MAX_CONNECTIONS = 64
 #: Seconds between the accept loop's looks at the shutdown flag.
 _ACCEPT_POLL_S = 0.1
 #: Seconds a refused connection is drained before it is closed.
@@ -229,9 +237,23 @@ class _Reject(Exception):
     """A request refused while it is read: ``(status, message)``."""
 
 
-def _recv(conn: socket.socket) -> bytes:
-    """The next bytes from ``conn``; :class:`ConnectionError` at end of stream."""
-    chunk = conn.recv(_RECV_BYTES)
+def _recv(conn: socket.socket, deadline: float | None = None) -> bytes:
+    """The next bytes from ``conn``; :class:`ConnectionError` at end of stream.
+
+    With a ``deadline`` (a :func:`time.monotonic` instant) the wait ends at
+    it: a request that has not fully arrived by then is refused with 408.
+    """
+    if deadline is not None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise _Reject(408, f"request not received within {READ_DEADLINE_S:g}s")
+        conn.settimeout(remaining)
+    try:
+        chunk = conn.recv(_RECV_BYTES)
+    except TimeoutError:
+        if deadline is None:
+            raise
+        raise _Reject(408, f"request not received within {READ_DEADLINE_S:g}s") from None
     if not chunk:
         raise ConnectionError("peer closed the connection")
     return chunk
@@ -248,11 +270,15 @@ def _read_request(conn: socket.socket, buffer: bytes):
     its body is buffered: a head past :data:`MAX_HEADER_BYTES` (431), a
     declared body past :data:`MAX_BODY_BYTES` (413), a malformed request
     line, header or ``Content-Length`` and an unknown HTTP version (400),
-    and ``Transfer-Encoding`` (501).
+    ``Transfer-Encoding`` (501), and a request whose head and body have not
+    arrived :data:`READ_DEADLINE_S` after its first byte (408).
     """
     buffer = buffer.lstrip(b"\r\n")
+    while not buffer:  # idle: the keep-alive timeout applies
+        buffer = _recv(conn).lstrip(b"\r\n")
+    deadline = time.monotonic() + READ_DEADLINE_S
     while not (end := _HEAD_END.search(buffer)) and len(buffer) <= MAX_HEADER_BYTES:
-        buffer = (buffer + _recv(conn)).lstrip(b"\r\n")
+        buffer = (buffer + _recv(conn, deadline)).lstrip(b"\r\n")
     if end is None or end.start() > MAX_HEADER_BYTES:
         raise _Reject(431, f"request head exceeds {MAX_HEADER_BYTES} bytes")
     lines = buffer[: end.start()].splitlines()
@@ -282,7 +308,9 @@ def _read_request(conn: socket.socket, buffer: bytes):
     if headers.get(b"expect", b"").lower() == b"100-continue" and len(buffer) < length:
         conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
     while len(buffer) < length:
-        buffer += _recv(conn)
+        buffer += _recv(conn, deadline)
+    if conn.gettimeout() != SOCKET_TIMEOUT_S:  # a request read in several parts
+        conn.settimeout(SOCKET_TIMEOUT_S)
     connection = headers.get(b"connection", b"").lower()
     close = connection == b"close" or (
         version == "HTTP/1.0" and connection != b"keep-alive"
@@ -320,7 +348,7 @@ class ServingEndpoint:
         # against a thread's decision to park.
         self._lock = threading.Lock()
         self._handoff: queue.SimpleQueue = queue.SimpleQueue()
-        self._connections = self._spawned = self._idle = 0
+        self._connections = self._refused = self._spawned = self._idle = 0
         self._date = (0, "")
 
     # ------------------------------------------------------------------
@@ -341,10 +369,15 @@ class ServingEndpoint:
         return self._shutdown_requested.is_set()
 
     def info(self) -> dict:
-        """The ``http`` section of ``GET /metrics``: connection-thread counts."""
+        """The ``http`` section of ``GET /metrics``: connection-thread counts.
+
+        ``connections`` counts every accepted connection, ``refused`` those
+        answered 503 at :data:`MAX_CONNECTIONS`.
+        """
         with self._lock:
             return {
                 "connections": self._connections,
+                "refused": self._refused,
                 "threads_spawned": self._spawned,
                 "threads_idle": self._idle,
             }
@@ -369,12 +402,18 @@ class ServingEndpoint:
                     continue
                 with self._lock:
                     self._connections += 1
+                    # Every spawned thread not parked serves one connection.
+                    refused = self._spawned - self._idle >= MAX_CONNECTIONS
                     parked = self._idle > 0
-                    if parked:
+                    if refused:
+                        self._refused += 1
+                    elif parked:
                         self._idle -= 1
                     else:
                         self._spawned += 1
-                if parked:
+                if refused:
+                    self._refuse(conn)
+                elif parked:
                     self._handoff.put(conn)
                 else:
                     threading.Thread(
@@ -390,6 +429,16 @@ class ServingEndpoint:
                 parked, self._idle = self._idle, 0
             for _ in range(parked):
                 self._handoff.put(None)
+
+    def _refuse(self, conn: socket.socket) -> None:
+        """Answer 503 with ``Retry-After`` and close: no thread may take ``conn``."""
+        error = ServerError(f"too many open connections ({MAX_CONNECTIONS}); retry later")
+        with conn:
+            try:
+                self._send(conn, b"-", 503, _error_body(error, 503), close=True)
+                conn.shutdown(socket.SHUT_WR)
+            except OSError:  # the peer is gone already
+                pass
 
     def begin_shutdown(self) -> None:
         """Stop the accept loop (within one poll) from any thread; idempotent.
@@ -471,7 +520,7 @@ class ServingEndpoint:
         return 404, _error_body(ServerError(f"no route {path!r}"), 404)
 
     def _solve(self, raw: bytes) -> tuple[int, dict]:
-        """Decode one solve request, run it through the queue, answer JSON."""
+        """Decode one solve request, run it on this thread, answer JSON."""
         try:
             body = json.loads(raw or b"{}")
             if not isinstance(body, dict) or "app" not in body:
@@ -501,16 +550,17 @@ class ServingEndpoint:
             ticket = self.repro_server.submit(
                 app, dim, mode=mode, deadline_s=deadline_s, **body
             )
-            # The ticket's own deadline bounds the wait; the endpoint
-            # timeout is only the backstop for deadline-less requests.
+            # The ticket is resolved unless a chaos drop discarded its
+            # answer: its deadline bounds that wait, or, without one, the
+            # endpoint timeout.
             if ticket.deadline_at is not None:
                 result = ticket.result()
             else:
                 result = ticket.result(timeout=self.request_timeout_s)
         except Exception as error:  # noqa: BLE001 - every failure answers JSON
             # ReproErrors map to their documented statuses; anything else
-            # answers 500 instead of dropping the connection.  A pending
-            # ticket (result timeout) is cancelled: no ghost work.
+            # answers 500 instead of dropping the connection.  A ticket
+            # still pending (result timeout) is cancelled, so it resolves.
             if ticket is not None:
                 ticket.cancel()
             status = error_status(error)
@@ -535,7 +585,7 @@ class ServingEndpoint:
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(data)}\r\n"
         )
-        if status == 429:  # tell well-behaved clients when to come back
+        if status in (429, 503):  # tell well-behaved clients when to come back
             head += f"Retry-After: {RETRY_AFTER_S}\r\n"
         if close:
             head += "Connection: close\r\n"

@@ -7,8 +7,8 @@ lock:
   and the number currently in flight;
 * a bounded latency reservoir (most recent :data:`DEFAULT_RESERVOIR_SIZE`
   end-to-end service latencies) from which the percentiles are computed;
-* a batch-size histogram, the direct evidence of how well the coalescing
-  scheduler is amortising plan resolution;
+* the number of solves run — the ``batches`` section, every batch one
+  request since requests run to completion on their own threads;
 * a bounded per-signature latency breakdown (an
   :class:`repro.adaptive.observations.ObservationLog`, LRU over at most
   :data:`DEFAULT_SIGNATURE_LIMIT` signatures) — what the drift detector
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 
 from repro.adaptive.observations import ObservationLog, percentile
 from repro.cache.keys import RequestIdentity
@@ -62,18 +62,17 @@ def summarise_latencies(latencies_s: list[float]) -> dict[str, float | int]:
 
 
 class ServerMetrics:
-    """Thread-safe counters, latency reservoir and batch histogram.
+    """Thread-safe counters and latency reservoir.
 
-    All ``record_*`` methods are safe to call from any thread (HTTP handler
-    threads, shard threads, the admission path); :meth:`snapshot` can be
-    taken at any time, including after shutdown.
+    All ``record_*`` methods are safe to call from any thread;
+    :meth:`snapshot` can be taken at any time, including after shutdown.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._started_at = time.perf_counter()
         self._latencies_s: deque[float] = deque(maxlen=DEFAULT_RESERVOIR_SIZE)
-        self._batch_sizes: Counter[int] = Counter()
+        self.solves = 0
         self._signatures = ObservationLog(maxsize=DEFAULT_SIGNATURE_LIMIT)
         self.accepted = 0
         self.rejected = 0
@@ -85,24 +84,22 @@ class ServerMetrics:
 
     # ------------------------------------------------------------------
     def record_accepted(self) -> None:
-        """One request passed admission control."""
+        """One request was accepted and answered at admission (a memory hit)."""
         with self._lock:
             self.accepted += 1
             self.in_flight += 1
 
-    def record_rejected(self, rollback_accept: bool = False) -> None:
-        """One request was refused with backpressure.
+    def record_admitted(self) -> None:
+        """One request passed admission control on its way to the solve."""
+        with self._lock:
+            self.accepted += 1
+            self.in_flight += 1
+            self.solves += 1
 
-        ``rollback_accept`` undoes a prior :meth:`record_accepted` in the
-        same lock acquisition — for callers that count acceptance *before*
-        publishing the request, so completion can never be observed ahead
-        of acceptance.
-        """
+    def record_rejected(self) -> None:
+        """One request was refused with backpressure."""
         with self._lock:
             self.rejected += 1
-            if rollback_accept:
-                self.accepted -= 1
-                self.in_flight -= 1
 
     def record_completed(
         self, latency_s: float, signature: RequestIdentity | None = None
@@ -120,14 +117,9 @@ class ServerMetrics:
         if signature is not None:
             self._signatures.record(signature, latency_s)
 
-    def record_failed(
-        self, latency_s: float | None, deadline_expired: bool = False
-    ) -> None:
+    def record_failed(self, latency_s: float, deadline_expired: bool = False) -> None:
         """One admitted request failed after ``latency_s`` seconds.
 
-        Pass ``None`` for requests that never executed (e.g. stranded in
-        the queue at shutdown): they count as failed but contribute no
-        latency sample, for the same reason as :meth:`record_cancelled`.
         A missed deadline (typed 504) is a failure that *also* increments
         the dedicated ``deadline_expired`` counter in the same lock
         acquisition, so the ``accepted == completed + failed + cancelled +
@@ -138,33 +130,17 @@ class ServerMetrics:
             self.failed += 1
             self.deadline_expired += deadline_expired
             self.in_flight -= 1
-            if latency_s is not None:
-                self._latencies_s.append(latency_s)
+            self._latencies_s.append(latency_s)
 
     def record_cancelled(self) -> None:
-        """One admitted request was abandoned by its waiter and skipped.
+        """One admitted request was abandoned by its waiter.
 
-        No latency sample: the request never executed, so its queue time
-        would only distort the service-latency percentiles.
+        No latency sample: its answer never reached anyone.
         """
         with self._lock:
             self.cancelled += 1
             self.in_flight -= 1
 
-    def rollback_accepted(self) -> None:
-        """Undo one :meth:`record_accepted` for a never-admitted request.
-
-        Used when the queue is closed (shutdown): unlike backpressure this
-        is not load shedding, so it must not inflate the rejected counter.
-        """
-        with self._lock:
-            self.accepted -= 1
-            self.in_flight -= 1
-
-    def record_batch(self, size: int) -> None:
-        """A shard took one batch of ``size`` coalesced requests."""
-        with self._lock:
-            self._batch_sizes[int(size)] += 1
 
     # ------------------------------------------------------------------
     @property
@@ -184,9 +160,11 @@ class ServerMetrics:
     ) -> dict:
         """JSON-safe view of everything collected so far.
 
-        ``queue_*`` are sampled by the caller (the queue owns its own lock)
+        ``queue_*`` are sampled by the caller (the session owns the run lock)
         and ``caches`` is the session's ``cache_info()`` — both optional so
-        the metrics object stays reusable outside a full server.  ``cache``
+        the metrics object stays reusable outside a full server.  ``batches``
+        keeps the schema of the coalescing scheduler this server no longer
+        has: each solve is a batch of one.  ``cache``
         is the persistent result cache's tier counters
         (:meth:`repro.cache.ResultCache.info`); it is always present in the
         snapshot — ``None`` when no ``--cache-dir`` is configured — so
@@ -194,14 +172,12 @@ class ServerMetrics:
         ``adaptive`` (the adaptive controller's
         :meth:`~repro.adaptive.AdaptiveController.snapshot`) follows the
         same always-present convention: ``None`` means ``--adaptive off``.
-        ``supervisor`` is the serving lane's supervision snapshot (its
-        state, restarts, re-dispatches, faults survived); included when
-        provided.
+        ``supervisor`` is the supervision snapshot (its state, restarts,
+        re-dispatches, faults survived); included when provided.
         """
         with self._lock:
             uptime = self.uptime_s
-            batches = sum(self._batch_sizes.values())
-            batched_requests = sum(s * n for s, n in self._batch_sizes.items())
+            solves = self.solves
             snapshot = {
                 "uptime_s": uptime,
                 "requests": {
@@ -219,13 +195,10 @@ class ServerMetrics:
                     "high_water": queue_high_water,
                 },
                 "batches": {
-                    "count": batches,
-                    "mean_size": (batched_requests / batches) if batches else 0.0,
-                    "max_size": max(self._batch_sizes, default=0),
-                    "histogram": {
-                        str(size): count
-                        for size, count in sorted(self._batch_sizes.items())
-                    },
+                    "count": solves,
+                    "mean_size": 1.0 if solves else 0.0,
+                    "max_size": 1 if solves else 0,
+                    "histogram": {"1": solves} if solves else {},
                 },
                 "latency_ms": summarise_latencies(list(self._latencies_s)),
                 "throughput_rps": (self.completed / uptime) if uptime > 0 else 0.0,

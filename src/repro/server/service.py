@@ -1,75 +1,70 @@
-"""The concurrent serving core: :class:`ReproServer` over one session.
+"""The serving core: :class:`ReproServer` over one session, run to completion.
 
-Architecture (one box per thread role)::
+Architecture: a request is served on the thread that admits it — an HTTP
+connection thread, or whoever calls :meth:`ReproServer.submit` in
+process::
 
-    clients (any threads)            lane thread (repro-shard-0)      session
-    ---------------------            ---------------------------      -------
-    submit() --admission--> [RequestQueue] --next_batch--> solve_one()
-        |   BackpressureError        |   same-signature            |
-        |   memory-tier hit          v   coalescing                v
-    ticket.result() <-------- complete()/fail() <-------- ExecutionResult
-        |
-        +-- at its deadline the waiter fails its own ticket (DeadlineError)
+    caller thread                                                       session
+    -------------                                                       -------
+    submit() --admission--> memory-tier hit? --yes--> answered
+        |   BackpressureError      | no
+        |   (queue_capacity)       v
+        |                    chaos faults --> solve_one(deadline) --> run lock --> sweep
+        |                          ^                                   (waits no   (checks the
+        |                          +-- crash: count, breaker,           later than  deadline per
+        |                              backoff, re-run                  the deadline) row / diagonal)
+        v
+    ticket (resolved) <-- complete() / fail()
 
-    ``start()`` starts the lane; ``close()`` drains and joins it and (for a
-    server that owns its session) releases the worker pools of
-    :class:`repro.runtime.lifecycle.EngineHost`.
+``start()`` marks the server ready and starts no thread; ``close()`` drains
+and stops what is left.  A request is named once, at admission
+(:attr:`ServeRequest.identity`, default ``dim`` filled in); the session
+plans by that name and the plan it ran goes to the adaptive loop.  The
+server adds four behaviours on top of
+:meth:`repro.session.Session.solve_one`:
 
-A request crosses threads exactly twice: the submitting thread queues it;
-the lane thread takes a coalesced batch from the queue, runs it on the
-server's own session and completes its tickets on the spot.  Memory hits
-cross none: :meth:`repro.session.Session.serve_from_memory` answers them at
-admission.  A request is named once, at admission
-(:attr:`ServeRequest.identity`, default ``dim`` filled in); the lane plans
-by that name and hands the plan it ran to the adaptive loop.  The server
-adds four behaviours on top of :meth:`repro.session.Session.solve_one`:
-
-* **admission control** — a bounded queue with an explicit, typed
-  backpressure rejection instead of unbounded latency;
-* **coalescing** — concurrent same-signature requests are drained as one
-  batch and served by a single ``solve_one`` execution whose deterministic
-  result every ticket in the group shares, amortising the tuner/plan
-  resolution, the worker-pool warm-up *and the grid sweep itself*;
-* **supervision** — every exception that escapes a batch on the lane is a
+* **admission control** — at most ``queue_capacity`` admitted requests are
+  unfinished at once; one more is refused with a typed backpressure error
+  instead of adding latency without bound.  Memory-tier hits are answered
+  at admission (:meth:`repro.session.Session.serve_from_memory`) and
+  count against nothing;
+* **deadlines that stop the work** — every admitted request carries a
+  :class:`~repro.runtime.executor_base.Deadline` (``math.inf`` when it has
+  none).  The wait for the session's run lock ends at it, and the sweep
+  checks it once per row, diagonal or released region, so a request past
+  its deadline fails with :class:`~repro.core.exceptions.DeadlineError`
+  and frees the run lock for the next one.  A stopped solve caches
+  nothing;
+* **supervision** — every exception that escapes a solve attempt is a
   crash (:class:`~repro.core.exceptions.ShardCrashError` from a chaos
   ``kill``, :class:`~repro.core.exceptions.WorkerCrashError` from a broken
-  worker team, anything else).  The lane counts it, checks the breaker,
+  worker team, anything else).  The thread counts it, checks the breaker,
   backs off (jittered, exponential in the crashes since the last clean
-  batch) and re-runs the same batch, up to :data:`MAX_REDISPATCH` extra
-  attempts — in place, on the same thread.  More than
-  :data:`RESTART_BUDGET` crashes inside :data:`RESTART_WINDOW_S` open the
-  breaker (state ``dead``): admission sheds load and the lane fails what
-  was admitted with :class:`~repro.core.exceptions.ShardUnavailableError`
-  until the window slides below the budget.  Chaos faults
+  solve) and re-runs the request, up to :data:`MAX_REDISPATCH` extra
+  attempts.  More than :data:`RESTART_BUDGET` crashes inside
+  :data:`RESTART_WINDOW_S` open the breaker (state ``dead``): admission
+  sheds load until the window slides below the budget.  Chaos faults
   (:mod:`repro.server.faults`) fire before the solve, which keeps kills
   at-most-once;
 * **observability and lifecycle** — per-request/aggregate metrics as JSON
   (:mod:`repro.server.metrics`) and graceful drain/shutdown.
-
-Each ticket enforces its own deadline: its waiter fails it with a typed
-:class:`~repro.core.exceptions.DeadlineError` at exactly its
-``deadline_at``, while the batch's execution is bounded by its latest live
-deadline, so a request coalesced with a tighter peer still gets its answer.
-A solve that runs past a deadline is not a crash; a chaos ``drop`` simply
-skips delivery.
-
-Requests may be submitted before :meth:`ReproServer.start`; they queue (and
-count against capacity) until the lane comes up — which also makes
-batching deterministic to test.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
+from typing import Any
 
 from repro.adaptive.controller import ADAPTIVE_MODES, AdaptiveController
 from repro.adaptive.drift import DriftConfig
 from repro.apps.registry import default_dim
+from repro.cache.keys import RequestIdentity, request_identity
 from repro.core.exceptions import (
     BackpressureError,
     DeadlineError,
@@ -79,26 +74,27 @@ from repro.core.exceptions import (
     ShardUnavailableError,
     WorkerCrashError,
 )
-from repro.runtime.executor_base import ExecutionMode
+from repro.runtime.executor_base import Deadline, ExecutionMode
 from repro.server.faults import FaultInjector, FaultPlan
 from repro.server.metrics import ServerMetrics
-from repro.server.queue import RequestQueue, ServeRequest
 from repro.session import Session
 
-#: Default bound of the request queue (admission control).
+#: Default bound of admitted, unfinished requests (admission control).
 DEFAULT_QUEUE_CAPACITY = 64
-#: Default maximum number of same-signature requests served per batch.
-DEFAULT_MAX_BATCH = 8
 #: Default per-request deadline (seconds) when the client sends none.
 DEFAULT_DEADLINE_S = 30.0
 #: The longest wait (seconds) a limit may set: ``threading`` waits overflow
 #: past ``threading.TIMEOUT_MAX``.
 MAX_WAIT_S = threading.TIMEOUT_MAX / 2
-#: Seconds :meth:`ReproServer.close` waits for queued and in-flight work.
+#: Seconds :meth:`ReproServer.close` lets in-flight requests finish before
+#: it stops them.
 DRAIN_TIMEOUT_S = 30.0
-#: The lane's backoff after the Nth crash since its last clean batch:
-#: ``BACKOFF_BASE_S * 2^(N-1)`` capped at ``BACKOFF_CAP_S``, plus up to
-#: ``BACKOFF_JITTER`` relative jitter.
+#: Seconds :meth:`ReproServer.close` then waits for the stopped requests to
+#: leave the session.
+_STOP_TIMEOUT_S = 2.0
+#: The backoff before re-running a request after the Nth crash since the
+#: last clean solve: ``BACKOFF_BASE_S * 2^(N-1)`` capped at
+#: ``BACKOFF_CAP_S``, plus up to ``BACKOFF_JITTER`` relative jitter.
 BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
 BACKOFF_JITTER = 0.25
@@ -106,7 +102,7 @@ BACKOFF_JITTER = 0.25
 #: open the circuit breaker until the window slides below the budget.
 RESTART_BUDGET = 5
 RESTART_WINDOW_S = 30.0
-#: Extra attempts a crashed batch gets before it fails.
+#: Extra attempts a crashed request gets before it fails.
 MAX_REDISPATCH = 2
 #: The failure message of a request the server closed on before answering it.
 SHUT_DOWN = "shard shut down before the request completed"
@@ -128,13 +124,12 @@ def finite_seconds(name: str, value, error: type[Exception] = InvalidParameterEr
 class ServerConfig:
     """Tuning knobs of one :class:`ReproServer`.
 
-    ``queue_capacity`` bounds admitted-but-unscheduled requests (overflow is
-    rejected with backpressure); ``max_batch`` bounds how many coalesced
-    same-signature requests one coalesced execution serves.
+    ``queue_capacity`` bounds admitted, unfinished requests (one more is
+    rejected with backpressure).
 
     ``default_deadline_s`` is the per-request deadline applied when the
     client sends none (``None`` disables the default — requests without an
-    explicit deadline then wait unboundedly); it is finite seconds
+    explicit deadline then run to completion); it is finite seconds
     (:func:`finite_seconds`).
 
     ``adaptive`` switches the online observation loop
@@ -144,15 +139,13 @@ class ServerConfig:
     """
 
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
-    max_batch: int = DEFAULT_MAX_BATCH
     default_deadline_s: float | None = DEFAULT_DEADLINE_S
     adaptive: str = "on"
 
     def __post_init__(self) -> None:
         """Validate the knobs once, at construction."""
-        for name in ("queue_capacity", "max_batch"):
-            if getattr(self, name) < 1:
-                raise ServerError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.queue_capacity < 1:
+            raise ServerError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if self.default_deadline_s is not None:
             finite_seconds("default_deadline_s", self.default_deadline_s, ServerError)
         if self.adaptive not in ADAPTIVE_MODES:
@@ -161,8 +154,157 @@ class ServerConfig:
             )
 
 
+@dataclass(eq=False)
+class ServeRequest:
+    """One admitted request and its completion state: the ticket.
+
+    Returned by :meth:`ReproServer.submit`, answered or failed by then
+    unless a chaos ``drop`` discarded its answer.  The ticket resolves
+    **exactly once**: the first :meth:`complete` / :meth:`fail` /
+    :meth:`cancel` wins, whoever makes it (the solving thread, the waiter
+    at its deadline, a cancelling client, shutdown), and only the winner
+    records the outcome in :attr:`metrics`, before the waiter wakes.
+    """
+
+    app: str
+    dim: int | None
+    mode: str | None
+    plan_kwargs: dict
+    #: ``time.perf_counter()`` at admission: where its latency starts.
+    enqueued_at: float
+    #: Absolute ``time.perf_counter()`` deadline; ``None`` means unbounded.
+    deadline_at: float | None = None
+    #: The server's :class:`~repro.server.metrics.ServerMetrics`, which the
+    #: resolving call records the outcome in (``None``: nothing records).
+    metrics: ServerMetrics | None = field(default=None, repr=False)
+    #: The request's :class:`~repro.cache.RequestIdentity` without its
+    #: mode: the key the session's plan cache and result tiers look it up
+    #: under.  Fixed once, at admission.
+    identity: RequestIdentity = field(init=False)
+    #: :attr:`identity` with the mode: the label ``/metrics`` and the
+    #: adaptive loop give the request's traffic class.
+    signature: RequestIdentity = field(init=False)
+    #: What the solve checks: :attr:`deadline_at` (``math.inf`` without
+    #: one), which :meth:`ReproServer.close` moves to the past.
+    deadline: Deadline = field(init=False, repr=False)
+    #: Set when a chaos ``drop`` fault discarded the answer.
+    dropped: bool = field(default=False, repr=False)
+    _done: threading.Event = field(default_factory=threading.Event, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _result: Any = field(default=None, repr=False)
+    _error: BaseException | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        """Name the request once, at admission time.
+
+        A value the identity cannot canonicalise raises a typed
+        :class:`~repro.core.exceptions.InvalidParameterError` here, before
+        the request is admitted.
+        """
+        app_kwargs = dict(self.plan_kwargs)
+        policy = app_kwargs.pop("policy", None)
+        self.identity = request_identity(self.app, self.dim, app_kwargs, policy)
+        self.signature = self.identity._replace(mode=self.mode)
+        self.deadline = Deadline(math.inf if self.deadline_at is None else self.deadline_at)
+
+    # ------------------------------------------------------------------
+    def as_request(self) -> dict:
+        """The :meth:`repro.session.Session.solve_one` mapping form, named."""
+        return {
+            "app": self.app,
+            "dim": self.dim,
+            "identity": self.identity,
+            **self.plan_kwargs,
+        }
+
+    @property
+    def done(self) -> bool:
+        """True once the ticket is resolved."""
+        return self._done.is_set()
+
+    def cancel(self) -> bool:
+        """Abandon the request; return whether it was still pending.
+
+        A pending ticket resolves at once with a
+        :class:`~repro.core.exceptions.ServerError` and counts as
+        cancelled.
+        """
+        with self._lock:
+            if self._done.is_set():
+                return False
+            self._error = ServerError("request was cancelled by its client")
+            if self.metrics is not None:
+                self.metrics.record_cancelled()
+            self._done.set()
+        return True
+
+    def complete(self, result: Any) -> bool:
+        """Deliver the result and wake the waiter; False when already resolved.
+
+        Like every resolution, it is counted before the waiter wakes.
+        """
+        with self._lock:
+            if self._done.is_set():
+                return False
+            self._result = result
+            if self.metrics is not None:
+                self.metrics.record_completed(
+                    time.perf_counter() - self.enqueued_at, signature=self.signature
+                )
+            self._done.set()
+        return True
+
+    def fail(self, error: BaseException) -> bool:
+        """Deliver a failure and wake the waiter; False when already resolved.
+
+        A :class:`~repro.core.exceptions.DeadlineError` also counts in
+        ``deadline_expired``.
+        """
+        with self._lock:
+            if self._done.is_set():
+                return False
+            self._error = error
+            if self.metrics is not None:
+                self.metrics.record_failed(
+                    time.perf_counter() - self.enqueued_at,
+                    deadline_expired=isinstance(error, DeadlineError),
+                )
+            self._done.set()
+        return True
+
+    def result(self, timeout: float | None = None) -> Any:
+        """Return or re-raise the request's outcome, waiting if it has none yet.
+
+        Only a ticket whose answer a chaos ``drop`` discarded waits: its
+        waiter fails it with a :class:`~repro.core.exceptions.DeadlineError`
+        at :attr:`deadline_at` (unless :meth:`ReproServer.close` failed it
+        first).  A ``timeout`` that ends before the deadline raises
+        :class:`~repro.core.exceptions.ServerError` and leaves the ticket
+        pending.
+        """
+        remaining = None
+        if self.deadline_at is not None:
+            remaining = max(0.0, self.deadline_at - time.perf_counter())
+        if timeout is not None and (remaining is None or timeout < remaining):
+            if not self._done.wait(timeout):
+                raise ServerError(
+                    f"request {self.app}[dim={self.dim}] did not complete "
+                    f"within {timeout:g}s"
+                )
+        elif not self._done.wait(remaining):
+            self.fail(
+                DeadlineError(
+                    f"request {self.app}[dim={self.dim}] missed its deadline"
+                    + (" (response dropped)" if self.dropped else "")
+                )
+            )
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+
 class ReproServer:
-    """Concurrent, batching front-end over one :class:`~repro.session.Session`.
+    """Admission-controlled, supervised front-end over one :class:`~repro.session.Session`.
 
     The server *borrows* the session by default (closing the server leaves
     the session usable); pass ``own_session=True`` to transfer ownership so
@@ -174,9 +316,8 @@ class ReproServer:
 
     Use as a context manager for deterministic teardown::
 
-        with ReproServer(session, ServerConfig(max_batch=16)) as server:
-            ticket = server.submit("lcs", 256)
-            result = ticket.result(timeout=30)
+        with ReproServer(session, ServerConfig(queue_capacity=16)) as server:
+            result = server.solve("lcs", 256, deadline_s=30)
     """
 
     def __init__(
@@ -191,35 +332,31 @@ class ReproServer:
         self.session = session
         self.config = config if config is not None else ServerConfig()
         self.metrics_store = ServerMetrics()
-        self._queue = RequestQueue(self.config.queue_capacity)
         self._own_session = own_session
-        self._lifecycle = threading.Lock()
-        self._started = False
-        self._closed = False
         self._injector = FaultInjector(
             plan=fault_plan if fault_plan is not None else FaultPlan()
         )
-        # Under a chaos plan every request reaches the lane, so a fault's
+        # Under a chaos plan every request reaches the solve, so a fault's
         # ordinal counts requests, not only the memory tier's misses.
-        self._answer_hits = not len(self._injector.plan)
+        self._armed = len(self._injector.plan) > 0
         # The online tuning loop, with the drift detector's thresholds;
         # "off" builds nothing and costs nothing on the serving path.
         self.adaptive: AdaptiveController | None = None
         if self.config.adaptive != "off":
             self.adaptive = AdaptiveController(drift)
-        # The lane: one thread, its batch in hand, and its crash record,
-        # all guarded by one lock.  ``_phase`` reads ``restarting`` until
-        # started and while backing off; ``_state`` reads ``dead`` over it
-        # while the breaker is open.
-        self._lane_lock = threading.Lock()
-        self._lane_thread: threading.Thread | None = None
+        # Lifecycle, the admitted requests and the crash record, all guarded
+        # by one lock; ``_idle`` is notified when the last admitted request
+        # leaves.
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._started = self._draining = self._closed = False
         self._stop = threading.Event()
-        self._rng = random.Random()
-        self._phase = "restarting"
-        self._current: list[ServeRequest] | None = None
+        self._solving: set[ServeRequest] = set()
         # Tickets whose answer a chaos ``drop`` discarded: only their waiter
         # (at the deadline) or close() resolves them.
         self._dropped: list[ServeRequest] = []
+        self._rng = random.Random()
+        self._backing_off = 0
         self._consecutive_crashes = 0
         self._crash_times: deque[float] = deque()
         self._counts = dict.fromkeys(
@@ -230,82 +367,57 @@ class ReproServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ReproServer":
-        """Start the lane thread; idempotent until :meth:`close`."""
-        with self._lifecycle:
+        """Mark the server ready (it starts no thread); idempotent until :meth:`close`."""
+        with self._lock:
             if self._closed:
                 raise ServerError("cannot start a closed server")
-            if self._started:
-                return self
-            self._phase = "healthy"
-            self._lane_thread = threading.Thread(
-                target=self._lane, name="repro-shard-0", daemon=True
-            )
-            self._lane_thread.start()
             self._started = True
             return self
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Stop admission and wait for queued + in-flight work to finish.
+        """Stop admission and wait for the admitted requests to finish.
 
-        Returns ``True`` when everything completed within ``timeout``
+        Returns ``True`` when every one finished within ``timeout``
         (default :data:`DRAIN_TIMEOUT_S`).  A ticket whose answer a chaos
-        ``drop`` discarded is not waited for: no work is left to finish it.
-        The server cannot accept requests afterwards.
+        ``drop`` discarded has finished: no work is left to wait for.  The
+        server cannot admit requests afterwards.
         """
         timeout = timeout if timeout is not None else DRAIN_TIMEOUT_S
-        self._queue.close()
-        with self._lifecycle:
-            if not self._started:
-                # No lane thread exists, so waiting cannot make progress;
-                # report the truth immediately (close() fails any stragglers).
-                timeout = 0.0
-        deadline = time.perf_counter() + timeout
-        # ``in_flight`` is read before the dropped tickets, so a ticket that
-        # resolves in between can only make the loop wait one more tick.
-        while (
-            self._queue.depth
-            or self.metrics_store.in_flight > self._unanswered_drops()
-        ):
-            if time.perf_counter() >= deadline:
-                return False
-            time.sleep(0.01)
-        return True
+        with self._lock:
+            self._draining = True
+            return self._idle.wait_for(lambda: not self._solving, timeout)
 
     def close(self) -> None:
-        """Graceful shutdown: drain, stop the lane, release owned resources.
+        """Graceful shutdown: drain, stop what is left, release owned resources.
 
-        Safe to call more than once.  Requests still queued or in the
-        lane's hands after the drain timeout, and dropped ones still
-        unanswered, are failed with :class:`~repro.core.exceptions.ServerError`
-        so no client blocks forever.
+        Safe to call more than once.  Requests still running after the drain
+        timeout, and dropped ones still unanswered, are failed with
+        :class:`~repro.core.exceptions.ServerError` so no client blocks
+        forever; a running sweep stops at its next deadline check, and a
+        crashed request backing off runs nothing more.
         """
-        with self._lifecycle:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if not self.drain():
-            self._queue.drain_rejected(
-                ServerError("server shut down before the request was scheduled")
-            )
-        with self._lane_lock:
-            # Under the lane lock: a batch the lane publishes after this
-            # point is failed by the lane itself, one published before by
-            # this call.
+        self.drain()
+        with self._lock:
             self._stop.set()
-            stranded = [*(self._current or []), *self._dropped]
+            stranded = [*self._solving, *self._dropped]
             self._dropped = []
         error = ServerError(SHUT_DOWN)
         for request in stranded:
             request.fail(error)
-        if self._lane_thread is not None:
-            self._lane_thread.join(timeout=2.0)
+            request.deadline.expire()
+        with self._lock:
+            self._idle.wait_for(lambda: not self._solving, _STOP_TIMEOUT_S)
         if self._own_session:
             self.session.close()
 
     @property
     def running(self) -> bool:
         """True between :meth:`start` and :meth:`close`."""
-        with self._lifecycle:
+        with self._lock:
             return self._started and not self._closed
 
     def __enter__(self) -> "ReproServer":
@@ -325,29 +437,31 @@ class ReproServer:
         deadline_s: float | None = None,
         **plan_kwargs,
     ) -> ServeRequest:
-        """Admit one request; return its ticket immediately.
+        """Admit one request and serve it on this thread; return its ticket.
 
-        A memory-tier result-cache hit returns an already completed ticket
-        (unless a fault plan is armed: then every request queues).
-        Raises :class:`~repro.core.exceptions.BackpressureError` when the
-        queue is full (including its :class:`~repro.core.exceptions.\
-ShardUnavailableError` subclass while the lane's circuit breaker is
-        open — shedding early beats queueing into a black hole) and
+        The ticket comes back resolved — answered, or failed with a typed
+        error — unless a chaos ``drop`` discarded the answer (its
+        :meth:`ServeRequest.result` then fails at the deadline).
+        A memory-tier result-cache hit is answered without admission (unless
+        a fault plan is armed).  Raises
+        :class:`~repro.core.exceptions.BackpressureError` when
+        ``queue_capacity`` requests are already admitted and unfinished
+        (its :class:`~repro.core.exceptions.ShardUnavailableError` subclass
+        while the circuit breaker is open) and
         :class:`~repro.core.exceptions.ServerError` once the server is
-        shutting down.  ``deadline_s`` bounds the request end-to-end
-        (default: the config's ``default_deadline_s``); one that is not
-        finite seconds > 0 (:func:`finite_seconds`) is an
+        draining.  ``deadline_s`` bounds the request end-to-end (default:
+        the config's ``default_deadline_s``); one that is not finite
+        seconds > 0 (:func:`finite_seconds`) is an
         :class:`~repro.core.exceptions.InvalidParameterError`, so a client
-        cannot lift the operator's deadline.  ``plan_kwargs``
-        forward to :meth:`repro.session.Session.solve` (``policy=`` and
-        application constructor overrides).  ``mode`` defaults to the
-        session's and ``dim`` the application's default, both filled in here
-        so an omitted and an explicit default are one request (one batch,
-        one ``/metrics`` label).  The request's identity
-        (:func:`repro.cache.request_identity`) is fixed here, once: the
-        memory-tier lookup, the queue's coalescing, the lane's plan lookup
-        and the adaptive loop all read it.  A value it cannot canonicalise,
-        or an unknown mode, is a typed
+        cannot lift the operator's deadline.  ``plan_kwargs`` forward to
+        :meth:`repro.session.Session.solve` (``policy=`` and application
+        constructor overrides).  ``mode`` defaults to the session's and
+        ``dim`` the application's default, both filled in here so an
+        omitted and an explicit default are one request (one ``/metrics``
+        label).  The request's identity (:func:`repro.cache.request_identity`)
+        is fixed here, once: the memory-tier lookup, the session's plan
+        lookup and the adaptive loop all read it.  A value it cannot
+        canonicalise, or an unknown mode, is a typed
         :class:`~repro.core.exceptions.InvalidParameterError`; an unknown
         application without a ``dim`` is an
         :class:`~repro.core.exceptions.UnknownApplicationError`.
@@ -357,8 +471,8 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
         else:
             deadline_s = finite_seconds("deadline_s", deadline_s)
         now = time.perf_counter()
-        deadline_at = None if deadline_s is None else now + deadline_s
-        if self._state() == "dead":
+        # Without a crash on record the breaker is closed: no lock to take.
+        if self._crash_times and self._state() == "dead":
             self.metrics_store.record_rejected()
             raise ShardUnavailableError(
                 "no healthy shard available (restart budget exhausted); "
@@ -372,13 +486,13 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
             ).value,
             plan_kwargs=plan_kwargs,
             enqueued_at=now,
-            deadline_at=deadline_at,
+            deadline_at=None if deadline_s is None else now + deadline_s,
             metrics=self.metrics_store,
         )
-        # A memory hit is answered on this thread: it never queues behind a
-        # sweep, nor reaches the adaptive loop (nothing ran).  A closed queue
-        # skips the lookup, so the queued path refuses exactly as before.
-        if self._answer_hits and not self._queue.closed:
+        # A memory hit never waits for the run lock, nor reaches the
+        # adaptive loop (nothing ran).  A draining server skips the lookup,
+        # so it refuses hits and misses alike.
+        if not (self._armed or self._draining):
             hit = self.session.serve_from_memory(
                 app, request.dim, request.mode, identity=request.identity, **plan_kwargs
             )
@@ -386,22 +500,14 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
                 self.metrics_store.record_accepted()
                 request.complete(hit)
                 return request
-        # Count acceptance BEFORE the request becomes visible to the lane, so
-        # a fast completion can never be recorded ahead of it (in_flight
-        # would transiently read -1 and drain() could return early).
-        self.metrics_store.record_accepted()
+        self._admit(request)
         try:
-            self._queue.submit(request)
-        except BackpressureError:
-            # Load shedding: roll the acceptance back and count the
-            # rejection; re-raised unchanged so callers can branch on it.
-            self.metrics_store.record_rejected(rollback_accept=True)
-            raise
-        except ServerError:
-            # Closed queue (shutdown) is not backpressure — the request was
-            # simply never admitted, so it leaves no counter behind.
-            self.metrics_store.rollback_accepted()
-            raise
+            self._serve(request)
+        finally:
+            with self._lock:
+                self._solving.discard(request)
+                if not self._solving:
+                    self._idle.notify_all()
         return request
 
     def solve(
@@ -413,261 +519,218 @@ ShardUnavailableError` subclass while the lane's circuit breaker is
         deadline_s: float | None = None,
         **plan_kwargs,
     ):
-        """Submit and block for the result (the synchronous convenience).
+        """Submit and return the result (or raise its typed failure).
 
-        With ``timeout=None`` the wait is bounded by the request deadline
-        (explicit ``deadline_s`` or the config default), at which the
-        ticket fails itself with a typed
-        :class:`~repro.core.exceptions.DeadlineError`.
+        The deadline (explicit ``deadline_s`` or the config default) stops
+        the solve with a :class:`~repro.core.exceptions.DeadlineError`;
+        ``timeout`` only bounds the wait for a dropped answer.
         """
         ticket = self.submit(app, dim, mode, deadline_s=deadline_s, **plan_kwargs)
         return ticket.result(timeout)
+
+    def _admit(self, request: ServeRequest) -> None:
+        """Count ``request`` in, or refuse it: draining, or at capacity."""
+        with self._lock:
+            if self._draining:
+                raise ServerError("server is shutting down; request not admitted")
+            full = len(self._solving) >= self.config.queue_capacity
+            if not full:
+                self._solving.add(request)
+                self.metrics_store.record_admitted()
+        if full:
+            self.metrics_store.record_rejected()
+            raise BackpressureError(
+                f"server is full ({self.config.queue_capacity} requests admitted); "
+                "retry with backoff or reduce the offered load"
+            )
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def metrics(self) -> dict:
-        """The JSON-safe metrics snapshot (``GET /metrics`` payload)."""
+        """The JSON-safe metrics snapshot (``GET /metrics`` payload).
+
+        ``queue`` is the session's run lock: the requests waiting for it
+        now, the most ever at once, and this server's admission bound.
+        """
         return self.metrics_store.snapshot(
-            queue_depth=self._queue.depth,
-            queue_capacity=self._queue.capacity,
-            queue_high_water=self._queue.high_water,
+            queue_depth=self.session.run_waiters,
+            queue_capacity=self.config.queue_capacity,
+            queue_high_water=self.session.run_waiters_high_water,
             caches=self.session.cache_info(),
             cache=(
                 self.session.result_cache.info()
                 if self.session.result_cache is not None
                 else None
             ),
-            supervisor=self._lane_info(),
+            supervisor=self._supervision(),
             adaptive=(
                 self.adaptive.snapshot() if self.adaptive is not None else None
             ),
         )
 
     def readiness(self) -> dict:
-        """The ``GET /readyz`` payload: the lane's supervision snapshot.
+        """The ``GET /readyz`` payload: the supervision snapshot.
 
-        ``ready`` is true while the server runs and its lane is healthy;
-        external probes should route traffic away on 503.
+        ``ready`` is true while the server runs and is healthy; external
+        probes should route traffic away on 503.
         """
-        info = self._lane_info()
+        info = self._supervision()
         running = self.running
         return {**info, "ready": running and info["ready"], "running": running}
 
-    def _lane_info(self) -> dict:
+    def _supervision(self) -> dict:
         """The ``/metrics`` ``supervisor`` section: state and counters."""
         faults = self._injector.info()
-        with self._lane_lock:
+        with self._lock:
             state = self._state_locked(time.perf_counter())
-            lane = {
-                "state": state,
-                "in_flight": self._current is not None,
-                **self._counts,
-            }
+            counts = {"state": state, "in_flight": len(self._solving), **self._counts}
         return {
-            **lane,
+            **counts,
             "faults_injected": faults["injected"],
             "faults": faults,
             "ready": state == "healthy",
             "circuit_open": state == "dead",
         }
 
-    def _unanswered_drops(self) -> int:
-        """How many dropped tickets are still unresolved."""
-        with self._lane_lock:
-            self._dropped = [request for request in self._dropped if not request.done]
-            return len(self._dropped)
-
     def _state(self) -> str:
         """``healthy``, ``restarting`` or ``dead`` (circuit open)."""
-        with self._lane_lock:
+        with self._lock:
             return self._state_locked(time.perf_counter())
 
     def _state_locked(self, now: float) -> str:
         """Slide the crash window to ``now`` and read the state off it.
 
-        The caller holds the lane lock.  ``dead`` while the window holds
-        more than :data:`RESTART_BUDGET` crashes — which ends once it
-        slides below.
+        The caller holds the lock.  ``dead`` while the window holds more
+        than :data:`RESTART_BUDGET` crashes — which ends once it slides
+        below; ``restarting`` while a crashed request backs off.
         """
         window_start = now - RESTART_WINDOW_S
         while self._crash_times and self._crash_times[0] < window_start:
             self._crash_times.popleft()
         if len(self._crash_times) > RESTART_BUDGET:
             return "dead"
-        return self._phase
+        return "restarting" if self._backing_off else "healthy"
 
     # ------------------------------------------------------------------
-    # The lane
+    # Serving one request
     # ------------------------------------------------------------------
-    def _lane(self) -> None:
-        """The lane thread: serve coalesced batches until the queue closes.
-
-        Each batch is the oldest request plus its queued same-signature
-        peers.  A ticket already resolved (cancelled, or failed by its
-        waiter) is skipped, and one whose deadline passed in the queue is
-        failed, not executed — no ghost work for absent clients.  The rest
-        is identical by construction (one signature → one plan, one
-        deterministic answer): **one** execution whose result every ticket
-        shares.
-        """
-        while batch := self._queue.next_batch(self.config.max_batch):
-            live = []
-            for request in batch:
-                if request.done:
-                    continue
-                if request.expired:
-                    request.fail(
-                        DeadlineError(
-                            f"request {request.app}[dim={request.dim}] expired "
-                            "in the queue before execution"
-                        ),
-                        latency=False,
-                    )
-                else:
-                    live.append(request)
-            if live:
-                self.metrics_store.record_batch(len(live))
-                self._serve(live)
-
-    def _serve(self, batch: list[ServeRequest]) -> None:
-        """Run one batch until it is answered, recovering crashes in place."""
-        taken_at = time.perf_counter()
-        with self._lane_lock:
-            dead = self._state_locked(taken_at) == "dead"
-            stopped = self._stop.is_set()
-            if not (dead or stopped):
-                self._current = batch
-        if dead or stopped:
-            error = ServerError(SHUT_DOWN) if stopped else ShardUnavailableError(
-                f"the shard exceeded its restart budget ({RESTART_BUDGET} "
-                f"crashes per {RESTART_WINDOW_S:g}s); retry later"
-            )
-            for request in batch:
-                request.fail(error)
-            return
+    def _serve(self, request: ServeRequest) -> None:
+        """Run one admitted request until it is resolved, recovering crashes in place."""
         attempts = 0
         while True:
             attempts += 1
-            # The latest live deadline bounds the shared execution: a
-            # tighter peer's waiter fails itself at its own deadline.
-            deadlines = [request.deadline_at for request in batch]
-            deadline_at = None if None in deadlines else max(deadlines)
             try:
-                self._execute(batch, taken_at, deadline_at)
+                self._execute(request)
             except Exception as crash:  # noqa: BLE001 - every escape is a crash
-                batch = [request for request in batch if not request.done]
-                if self._on_crash(batch, attempts, deadline_at, crash):
+                if self._on_crash(request, attempts, crash):
                     continue
             else:
-                with self._lane_lock:
+                with self._lock:
                     self._consecutive_crashes = 0
-            break
-        with self._lane_lock:
-            self._current = None
+            return
 
-    def _execute(
-        self, batch: list[ServeRequest], taken_at: float, deadline_at: float | None
-    ) -> None:
-        """One attempt at a batch: chaos hooks, the solve, delivery."""
-        faults = self._injector.take(len(batch))
-        kinds = [fault.kind for fault in faults]
+    def _execute(self, request: ServeRequest) -> None:
+        """One attempt at a request: chaos hooks, the solve, delivery."""
+        taken_at = time.perf_counter()
+        request.deadline.waited_s = 0.0
+        drop = self._armed and self._inject_faults()
+        try:
+            # Past its deadline by now, the session itself refuses the request.
+            plan, result = self.session.solve_one(
+                request.as_request(), request.mode, request.deadline
+            )
+        except (ShardCrashError, WorkerCrashError):
+            raise  # a crash: recovered by _serve
+        except Exception as error:  # noqa: BLE001 - delivered to the waiter
+            request.fail(error)
+            return
+        if drop:
+            # Chaos: the work happened, the answer vanishes; the waiter
+            # fails the ticket at its deadline.
+            request.dropped = True
+            with self._lock:
+                self._counts["dropped_responses"] += 1
+                self._dropped = [held for held in self._dropped if not held.done]
+                self._dropped.append(request)
+            return
+        # Callers must treat a shared ExecutionResult as read-only, which
+        # every shipped consumer (HTTP payload, verification, metrics) does.
+        request.complete(result)
+        if self.adaptive is not None:
+            # The wait for the run lock is another request's service time.
+            self.adaptive.observe(
+                request.signature,
+                plan.expected_s,
+                time.perf_counter() - taken_at - request.deadline.waited_s,
+            )
+
+    def _inject_faults(self) -> bool:
+        """Fire the faults due at this attempt; return whether to drop its answer.
+
+        A ``slow`` fault sleeps here; a ``kill`` raises
+        :class:`~repro.core.exceptions.ShardCrashError` before any solve.
+        """
+        faults = self._injector.take()
         for fault in faults:
             if fault.kind == "slow":
                 time.sleep(fault.sleep_s)
-        if "kill" in kinds:
-            raise ShardCrashError(
-                "chaos kill fault on the shard (request ordinal "
-                f"{faults[kinds.index('kill')].at})"
-            )
-        head = batch[0]
-        try:
-            # Past its deadline by now, the session itself refuses the batch.
-            plan, result = self.session.solve_one(
-                head.as_request(), head.mode, deadline_at
-            )
-        except (ShardCrashError, WorkerCrashError):
-            raise  # a lane-level crash: recovered by _serve
-        except Exception as error:  # noqa: BLE001 - delivered to the waiters
-            for request in batch:
-                request.fail(error)
-            return
-        if "drop" in kinds:
-            # Chaos: the work happened, the answer vanishes; each waiter
-            # fails itself at its deadline.
-            for request in batch:
-                request.dropped = True
-            with self._lane_lock:
-                self._counts["dropped_responses"] += 1
-                self._dropped = [held for held in self._dropped if not held.done]
-                self._dropped.extend(batch)
-            return
-        # Callers must treat the shared ExecutionResult as read-only, which
-        # every shipped consumer (HTTP payload, verification, metrics) does.
-        for request in batch:
-            request.complete(result)
-        if self.adaptive is not None:
-            self.adaptive.observe(
-                head.signature,
-                plan.expected_s,
-                time.perf_counter() - taken_at,
-                count=len(batch),
-            )
+        for fault in faults:
+            if fault.kind == "kill":
+                raise ShardCrashError(
+                    f"chaos kill fault on the shard (request ordinal {fault.at})"
+                )
+        return any(fault.kind == "drop" for fault in faults)
 
     def _on_crash(
-        self,
-        batch: list[ServeRequest],
-        attempts: int,
-        deadline_at: float | None,
-        crash: BaseException,
+        self, request: ServeRequest, attempts: int, crash: BaseException
     ) -> bool:
-        """Count a crash, check the breaker, settle the batch, back off.
+        """Count a crash, check the breaker, settle the request, back off.
 
-        ``batch`` holds the tickets still unresolved.  Returns whether they
-        get another attempt; otherwise they are failed before the backoff
-        starts.  Once the server is closing, nothing is re-run.
+        Returns whether the request gets another attempt; otherwise it is
+        failed (unless it was answered before the crash) and nothing waits.
+        Once the server is closing, nothing is re-run.
         """
         now = time.perf_counter()
         stopping = self._stop.is_set()
-        with self._lane_lock:
+        with self._lock:
             self._counts["crashes"] += 1
             self._consecutive_crashes += 1
             self._crash_times.append(now)
             tripped = self._state_locked(now) == "dead"
+            delay = min(
+                BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (self._consecutive_crashes - 1)
+            ) * (1.0 + BACKOFF_JITTER * self._rng.random())
+        error: BaseException | None = None
+        if request.done:
+            pass  # answered before the crash: nothing to re-run
+        elif request.deadline_at is not None and now > request.deadline_at:
+            error = DeadlineError(
+                f"request {request.app!r} crashed with its shard and its deadline "
+                "passed before re-dispatch"
+            )
+        elif stopping:
+            error = ServerError(SHUT_DOWN)
+        elif attempts > MAX_REDISPATCH:
+            error = ShardCrashError(
+                f"request {request.app!r} failed {attempts} times on a crashing "
+                f"shard (re-dispatch budget {MAX_REDISPATCH}): {crash}"
+            )
+        elif tripped:
+            error = ShardUnavailableError("the shard is gone")
+        if error is not None or request.done:
+            if error is not None:
+                request.fail(error)
             if not tripped:
-                self._phase = "restarting"
-                delay = min(
-                    BACKOFF_CAP_S,
-                    BACKOFF_BASE_S * 2 ** (self._consecutive_crashes - 1),
-                ) * (1.0 + BACKOFF_JITTER * self._rng.random())
-        retry = False
-        if batch:  # else answered before the crash: nothing to re-run
-            app = batch[0].app
-            if deadline_at is not None and now > deadline_at:
-                error: BaseException = DeadlineError(
-                    f"request {app!r} crashed with its shard and its deadline "
-                    "passed before re-dispatch"
-                )
-            elif stopping:
-                error = ServerError(SHUT_DOWN)
-            elif attempts > MAX_REDISPATCH:
-                error = ShardCrashError(
-                    f"request {app!r} failed {attempts} times on a crashing "
-                    f"shard (re-dispatch budget {MAX_REDISPATCH}): {crash}"
-                )
-            elif tripped:
-                error = ShardUnavailableError("the shard is gone")
-            else:
-                retry = True
-            if not retry:
-                for request in batch:
-                    request.fail(error)
-        if not tripped:
-            self._stop.wait(delay)
-            # A close() during the backoff has failed the batch in hand.
-            retry = retry and not self._stop.is_set()
-            with self._lane_lock:
-                self._phase = "healthy"
-                self._counts["restarts"] += 1
-                self._counts["redispatches"] += retry
+                with self._lock:
+                    self._counts["restarts"] += 1
+            return False
+        with self._lock:
+            self._backing_off += 1
+        # A close() during the backoff wakes it, and has failed the request.
+        retry = not self._stop.wait(delay)
+        with self._lock:
+            self._backing_off -= 1
+            self._counts["restarts"] += 1
+            self._counts["redispatches"] += retry
         return retry

@@ -44,7 +44,7 @@ Design points:
 The CLI's workflow verbs (``run``, ``tune``, ``bench``, ``profile``,
 ``report``, ``serve``, ``loadgen``) are thin adapters over this class (the
 serving verbs through :class:`repro.server.ReproServer`, which shares one
-thread-safe session across its workers).
+thread-safe session across the threads that admit its requests).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.facade.policy import ExecutionPolicy
 from repro.facade.tuners import make_tuner
 from repro.hardware.platforms import resolve_system
 from repro.hardware.system import SystemSpec
-from repro.runtime.executor_base import ExecutionMode
+from repro.runtime.executor_base import Deadline, ExecutionMode
 from repro.runtime.lifecycle import EngineHost
 from repro.runtime.mp_parallel import default_tile
 from repro.runtime.registry import engines_with, executor_class, fill_engine
@@ -121,9 +121,9 @@ class Session:
     concurrent requests for one signature cost one resolution — and
     execution runs under a run lock, so the stateful runtime resources
     (the worker team and its shared-memory arena) are never entered
-    concurrently.  Executions therefore serialise per session; concurrent
-    throughput comes from batching (:meth:`solve_many` and the server's
-    coalescing scheduler), not from overlapping grid sweeps.
+    concurrently.  Executions therefore serialise per session, one sweep
+    at a time; :attr:`run_waiters` counts the threads waiting for the run
+    lock.
     """
 
     def __init__(
@@ -171,8 +171,11 @@ class Session:
         # taken in that order, never nested the other way round.
         self._plan_lock = threading.RLock()
         self._run_lock = threading.RLock()
-        # stats["requests_served"] only: memory hits must not wait for a run.
+        # stats["requests_served"] and the waiter gauge: never held across a run.
         self._served_lock = threading.Lock()
+        #: Threads waiting for the run lock now, and the most ever at once.
+        self.run_waiters = 0
+        self.run_waiters_high_water = 0
         self._closed = False
         #: Run observer (``observer(plan, mode, wall_s)``) — see
         #: :meth:`attach_observer`; ``None`` = no observation.
@@ -387,7 +390,10 @@ class Session:
     # Execution
     # ------------------------------------------------------------------
     def run(
-        self, plan: ResolvedPlan, mode: ExecutionMode | str | None = None
+        self,
+        plan: ResolvedPlan,
+        mode: ExecutionMode | str | None = None,
+        deadline: Deadline | None = None,
     ) -> ExecutionResult:
         """Execute a resolved plan (this session's or a replayed one).
 
@@ -402,14 +408,20 @@ class Session:
 
         The whole execution holds the session's run lock: borrowed worker
         pools and the shared-memory arena are single-request resources, so
-        concurrent callers queue here and run one after another.
+        concurrent callers queue here and run one after another.  With a
+        ``deadline`` (:class:`~repro.runtime.executor_base.Deadline`) the
+        wait for the lock ends at it, and so does the sweep, checked once per
+        row, diagonal or released region: either way a
+        :class:`~repro.core.exceptions.DeadlineError`, with the lock free.
         """
         self._check_open()
         mode = ExecutionMode.coerce(mode) if mode is not None else self.mode
         problem = plan.problem
         if problem is None and mode is ExecutionMode.FUNCTIONAL:
             problem = self._problem(plan.app, plan.dim, plan.app_kwargs)
-        with self._run_lock:
+        if not self._run_lock.acquire(blocking=False):
+            self._wait_for_run_lock(deadline)
+        try:
             self._check_open()
             executor = None
             if mode is ExecutionMode.FUNCTIONAL:
@@ -419,10 +431,34 @@ class Session:
             if executor is None:
                 result = self._price(plan)
             else:
-                result = executor.execute(problem, plan.tunables)
+                result = executor.execute(problem, plan.tunables, deadline)
             if self._observer is not None:
                 self._observer(plan, mode, time.perf_counter() - started)
             return result
+        finally:
+            self._run_lock.release()
+
+    def _wait_for_run_lock(self, deadline: Deadline | None) -> None:
+        """Block for the run lock another run holds, no later than ``deadline``.
+
+        Counted in :attr:`run_waiters` while it waits; the wait adds to the
+        deadline's ``waited_s``.
+        """
+        with self._served_lock:
+            self.run_waiters += 1
+            self.run_waiters_high_water = max(self.run_waiters_high_water, self.run_waiters)
+        began = time.perf_counter()
+        try:
+            if deadline is None:
+                acquired = self._run_lock.acquire()
+            else:
+                acquired = self._run_lock.acquire(timeout=deadline.remaining())
+                deadline.waited_s += time.perf_counter() - began
+        finally:
+            with self._served_lock:
+                self.run_waiters -= 1
+        if not acquired:
+            raise DeadlineError("the deadline passed while the request waited for its run")
 
     def _price(self, plan: ResolvedPlan) -> ExecutionResult:
         """The simulate answer of ``plan``: its cost-model price, nothing computed.
@@ -472,16 +508,21 @@ class Session:
         )[1]
 
     def _solve(
-        self, app, dim=None, mode=None, *, policy=None, identity=None, **app_kwargs
+        self, app, dim=None, mode=None, *, policy=None, identity=None, deadline=None,
+        **app_kwargs,
     ) -> tuple[ResolvedPlan, ExecutionResult]:
-        """:meth:`solve`, returning the plan it ran beside the answer."""
+        """:meth:`solve`, returning the plan it ran beside the answer.
+
+        ``deadline`` bounds the run (:meth:`run`) and a wait for a
+        concurrent solve of the same key; a stopped run caches nothing.
+        """
         plan = self.plan(app, dim, policy=policy, identity=identity, **app_kwargs)
         key = self._request_key_for(app, plan, mode, policy)
         if key is None:
-            return plan, self.run(plan, mode=mode)
+            return plan, self.run(plan, mode, deadline)
         try:
             return plan, self.result_cache.get_or_solve(
-                key, lambda: self.run(plan, mode=mode)
+                key, lambda: self.run(plan, mode, deadline), deadline
             )
         finally:
             self._problems.pop(instance_key(plan.app, plan.dim, plan.app_kwargs))
@@ -520,7 +561,7 @@ class Session:
         self,
         requests: Iterable[Any],
         mode: ExecutionMode | str | None = None,
-        deadline_at: float | None = None,
+        deadline: Deadline | None = None,
     ) -> list[ExecutionResult]:
         """Serve a batch of requests, reusing plans, engines and pools.
 
@@ -532,40 +573,40 @@ class Session:
         warm across the batch — the serving behaviour the per-call helpers
         could not offer.
 
-        ``deadline_at`` (an absolute ``time.perf_counter()`` instant) makes
-        the batch deadline-aware: a request whose turn comes after the
+        ``deadline`` (a :class:`~repro.runtime.executor_base.Deadline`)
+        makes the batch deadline-aware: a request whose turn comes after the
         deadline raises :class:`~repro.core.exceptions.DeadlineError`
-        instead of starting work nobody is waiting for.  A solve already
-        underway runs to completion — compute is not aborted part-way.
+        instead of starting work nobody is waiting for, and a sweep under
+        way stops at it (:meth:`run`).
         """
-        return [self.solve_one(request, mode, deadline_at)[1] for request in requests]
+        return [self.solve_one(request, mode, deadline)[1] for request in requests]
 
     def solve_one(
         self,
         request: Any,
         mode: ExecutionMode | str | None = None,
-        deadline_at: float | None = None,
+        deadline: Deadline | None = None,
     ) -> tuple[ResolvedPlan, ExecutionResult]:
         """Serve one :meth:`solve_many` request; return the plan it ran and the answer.
 
-        The serving lane's call: a mapping request that carries its
-        ``identity`` is planned by it, and the plan comes back so the
-        caller can read what ran (its ``expected_s``) without planning
-        again.  ``deadline_at`` is :meth:`solve_many`'s.
+        The server's call: a mapping request that carries its ``identity``
+        is planned by it, and the plan comes back so the caller can read
+        what ran (its ``expected_s``) without planning again.  ``deadline``
+        is :meth:`solve_many`'s.
         """
-        if deadline_at is not None and time.perf_counter() > deadline_at:
+        if deadline is not None and deadline.passed():
             raise DeadlineError(
                 "deadline expired before the request started; not starting it"
             )
         if isinstance(request, ResolvedPlan):
-            planned = request, self.run(request, mode=mode)
+            planned = request, self.run(request, mode, deadline)
         elif isinstance(request, Mapping):
-            planned = self._solve(mode=mode, **request)
+            planned = self._solve(mode=mode, deadline=deadline, **request)
         elif isinstance(request, (tuple, list)):
             app, dim = request
-            planned = self._solve(app, dim, mode)
+            planned = self._solve(app, dim, mode, deadline=deadline)
         else:
-            planned = self._solve(request, mode=mode)
+            planned = self._solve(request, mode=mode, deadline=deadline)
         with self._served_lock:
             self.stats["requests_served"] += 1
         return planned

@@ -20,7 +20,7 @@ import pytest
 from repro.adaptive.observations import ObservationLog, SignatureStats, percentile
 from repro.cache import request_identity
 from repro.facade.policy import ExecutionPolicy
-from repro.server.queue import ServeRequest
+from repro.server import ServeRequest
 
 
 def sig(app, dim, mode=None, **app_kwargs):
@@ -72,10 +72,10 @@ class TestSignatureStats:
         assert stats.min_s == float(np.min(samples))
         assert stats.max_s == float(np.max(samples))
 
-    def test_batch_count_folds_multiple_observations(self):
+    def test_repeated_observations_fold_into_one_mean(self):
         stats = SignatureStats()
-        stats.record(0.01, count=4)
-        stats.record(0.03, count=1)
+        for latency_s in [0.01] * 4 + [0.03]:
+            stats.record(latency_s)
         assert stats.count == 5
         assert stats.mean == pytest.approx((4 * 0.01 + 0.03) / 5)
 
@@ -136,8 +136,8 @@ class TestObservationLog:
     def test_counts_every_folded_request(self):
         log = ObservationLog(maxsize=8)
         signature = sig("lcs", 48, "functional")
-        log.record(signature, 0.01, count=3)
-        log.record(signature, 0.02)
+        for latency_s in (0.01, 0.01, 0.01, 0.02):
+            log.record(signature, latency_s)
         assert log.observations == 4
         assert tracked(log)[signature.label]["count"] == 4
 

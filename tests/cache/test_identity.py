@@ -188,20 +188,15 @@ class TestOneRequestEverywhere:
         (("functional",), {"seed": 3, "similarity": 0.5}),  # explicit default mode
     ]
 
-    def test_variants_coalesce_share_a_plan_and_a_label(self, quick_tuner_i3, i3):
+    def test_variants_share_a_plan_and_a_label(self, quick_tuner_i3, i3):
         with Session(system=i3, tuner=quick_tuner_i3) as session:
-            server = ReproServer(session, ServerConfig(max_batch=8))
-            # Submitted before start: they queue, so the drain is deterministic.
-            tickets = [server.submit("lcs", 24, *mode, **kw) for mode, kw in self.VARIANTS]
-            server.start()
-            try:
-                results = [ticket.result(timeout=60) for ticket in tickets]
+            with ReproServer(session, ServerConfig()) as server:
+                tickets = [server.submit("lcs", 24, *mode, **kw) for mode, kw in self.VARIANTS]
+                results = [ticket.result() for ticket in tickets]
                 metrics = server.metrics()
-            finally:
-                server.close()
             assert len({ticket.signature for ticket in tickets}) == 1
-            assert metrics["batches"]["histogram"] == {"4": 1}
-            assert all(result is results[0] for result in results)
+            assert metrics["batches"]["count"] == 4
+            assert len({result.grid_sha256 for result in results}) == 1
             label = "lcs[dim=24] mode=functional seed=3,similarity=0.5"
             assert list(metrics["signatures"]) == [label]
             assert list(metrics["adaptive"]["signatures"]) == [label]
@@ -210,19 +205,15 @@ class TestOneRequestEverywhere:
             plans = {id(session.plan("lcs", 24, **kw)) for _, kw in self.VARIANTS}
             assert len(plans) == 1 and session.stats["plans_resolved"] == 1
 
-    def test_a_valid_and_an_invalid_spelling_do_not_share_a_batch(self, quick_tuner_i3, i3):
+    def test_a_valid_and_an_invalid_spelling_are_answered_apart(self, quick_tuner_i3, i3):
         # seed=1 and seed=1.0 would be one request under Python equality; the
         # second is refused by the RNG, and must not take the first down.
         with Session(system=i3, tuner=quick_tuner_i3) as session:
-            server = ReproServer(session, ServerConfig(max_batch=8))
-            good, bad = (server.submit("lcs", 16, seed=seed) for seed in (1, 1.0))
-            server.start()
-            try:
-                assert good.result(timeout=60).grid is not None
+            with ReproServer(session, ServerConfig()) as server:
+                assert server.solve("lcs", 16, seed=1).grid is not None
                 with pytest.raises(InvalidParameterError):
-                    bad.result(timeout=60)
-            finally:
-                server.close()
+                    server.solve("lcs", 16, seed=1.0)
+                assert server.solve("lcs", 16, seed=1).grid is not None
 
 
 #: Dims that name no grid: truncating them answered a different request.

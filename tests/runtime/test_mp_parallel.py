@@ -167,6 +167,15 @@ class TestMPWavefrontPool:
                 pool.run(grid, dispatch)
                 assert np.array_equal(grid.values, reference)
 
+    def test_the_in_process_path_reports_no_waves_of_the_regions_it_never_ran(self):
+        with Session() as session:
+            result = session.solve(
+                "lcs", 64,
+                policy=ExecutionPolicy(backend="pipelined", workers=1, tunables=TunableParams(cpu_tile=8)),
+            )
+        assert result.stats["mode"] == "in-process"
+        assert result.stats["tiles_executed"] == 0 and result.stats["tile_waves"] == 0
+
     def test_a_grid_of_another_dim_is_rejected(self, small_synthetic):
         from repro.core.exceptions import ExecutionError
         from repro.core.grid import WavefrontGrid

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import time
 
 import pytest
 
@@ -28,6 +29,35 @@ def _serving(server: ReproServer):
         ep.begin_shutdown()
         thread.join(timeout=10)
         server.close()
+
+
+@contextlib.contextmanager
+def _blocked(server: ReproServer, count: int = 1):
+    """``count`` requests admitted and waiting for the session's run lock, held here."""
+    session = server.session
+    session._run_lock.acquire()
+    threads = [
+        threading.Thread(target=server.submit, args=("lcs", 48), daemon=True)
+        for _ in range(count)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        waited = time.monotonic() + 30
+        while session.run_waiters < count:
+            assert time.monotonic() < waited, "the requests never reached the run lock"
+            time.sleep(0.005)
+        yield
+    finally:
+        session._run_lock.release()
+        for thread in threads:
+            thread.join(timeout=30)
+
+
+@pytest.fixture()
+def blocked():
+    """``with blocked(server, n):`` — n requests in flight, waiting for the run lock."""
+    return _blocked
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,11 @@
 """Memory-tier result-cache hits are answered at admission.
 
 ``ReproServer.submit`` asks the server session for a memory-tier answer
-before it queues anything: a hit returns an already-completed ticket on the
-submitting thread, a miss queues exactly as before, and the refusals
-(closed server, open circuit without fallback) still come first.  Most
-tests here use a server that was built but never started, so no shard
-thread exists and "was it queued?" is a plain read of the queue depth.
+before it admits anything: a hit returns an already-completed ticket
+without reaching the solve, a miss is admitted and solved on the same
+thread, and the refusals (closed server, open circuit without fallback)
+still come first.  "Did it reach the solve?" is a read of the ``batches``
+count, one per solve.
 """
 
 import threading
@@ -33,8 +33,13 @@ def cached_session(tmp_path):
 
 
 def unstarted(session, **config):
-    """A server that admits requests but has no shard thread to take them."""
+    """A server that was built and never started: it serves all the same."""
     return ReproServer(session, ServerConfig(adaptive="off", **config))
+
+
+def solves(server):
+    """How many admitted requests reached the solve."""
+    return server.metrics()["batches"]["count"]
 
 
 def assert_invariants(server):
@@ -51,7 +56,7 @@ def assert_invariants(server):
 
 
 class TestAnsweredAtAdmission:
-    def test_a_primed_hit_completes_without_a_shard(self, cached_session):
+    def test_a_primed_hit_completes_without_a_solve(self, cached_session):
         server = unstarted(cached_session)
         cache = cached_session.result_cache
         lookups, hits = cache.lookups, cache.memory_hits
@@ -60,7 +65,7 @@ class TestAnsweredAtAdmission:
             ticket = server.submit("lcs", 24, policy=SERIAL)
             assert ticket._done.is_set()
             metrics = server.metrics()
-            assert metrics["queue"]["depth"] == 0
+            assert solves(server) == 0
             assert metrics["requests"]["accepted"] == 1
             assert metrics["requests"]["completed"] == 1
             assert metrics["requests"]["in_flight"] == 0
@@ -74,39 +79,37 @@ class TestAnsweredAtAdmission:
         finally:
             server.close()
 
-    def test_an_armed_fault_plan_queues_a_primed_hit(self, cached_session):
-        # A fault's ordinal counts requests reaching the shard: with a plan
+    def test_an_armed_fault_plan_solves_a_primed_hit(self, cached_session):
+        # A fault's ordinal counts requests reaching the solve: with a plan
         # armed, a hit answered at admission would never advance it.
         server = ReproServer(
             cached_session,
             ServerConfig(adaptive="off"),
             fault_plan=FaultPlan.parse("kill@2"),
         )
-        hits = cached_session.result_cache.memory_hits
         try:
             ticket = server.submit("lcs", 24, policy=SERIAL)
-            assert not ticket._done.is_set()
-            assert server.metrics()["queue"]["depth"] == 1
-            assert cached_session.result_cache.memory_hits == hits
+            assert ticket.result(timeout=0).grid is not None
+            assert solves(server) == 1
+            assert server.metrics()["supervisor"]["faults"]["requests_seen"] == 1
         finally:
             server.close()
 
-    def test_a_miss_queues_and_counts_nothing_at_admission(self, cached_session):
+    def test_a_miss_is_solved_and_counts_nothing_at_admission(self, cached_session):
         server = unstarted(cached_session)
         cache = cached_session.result_cache
         before = cache.info()
         try:
-            ticket = server.submit("lcs", 20, policy=SERIAL)  # never solved
-            assert not ticket._done.is_set()
-            assert server.metrics()["queue"]["depth"] == 1
+            ticket = server.submit("lcs", 20, policy=SERIAL)  # never solved before
+            assert ticket.result(timeout=0).grid is not None
+            assert solves(server) == 1
             after = cache.info()
-            assert after["lookups"] == before["lookups"]
-            assert after["misses"] == before["misses"]
-            assert after["memory"]["misses"] == before["memory"]["misses"]
+            # The solve's own lookup and miss; admission added neither.
+            assert after["lookups"] == before["lookups"] + 1
+            assert after["misses"] == before["misses"] + 1
+            assert after["memory"]["misses"] == before["memory"]["misses"] + 1
         finally:
             server.close()
-        with pytest.raises(ServerError):
-            ticket.result(timeout=0)
 
     @pytest.mark.parametrize(
         "request_kwargs",
@@ -117,15 +120,15 @@ class TestAnsweredAtAdmission:
         ],
         ids=["simulate", "unresolved-policy", "other-instance"],
     )
-    def test_what_the_memory_tier_cannot_answer_queues(
+    def test_what_the_memory_tier_cannot_answer_is_solved(
         self, cached_session, request_kwargs
     ):
         request_kwargs = {"policy": SERIAL, **request_kwargs}
         server = unstarted(cached_session)
         try:
             ticket = server.submit("lcs", 24, **request_kwargs)
-            assert not ticket._done.is_set()
-            assert server.metrics()["queue"]["depth"] == 1
+            assert ticket._done.is_set()
+            assert solves(server) == 1
         finally:
             server.close()
 
@@ -135,8 +138,8 @@ class TestAnsweredAtAdmission:
             assert session.serve_from_memory("lcs", 24, policy=SERIAL) is None
 
     def test_lookup_errors_read_as_a_miss(self, cached_session):
-        # An unhashable constructor argument and an unknown mode: the queued
-        # path reports them with their typed errors, admission stays silent.
+        # An unhashable constructor argument and an unknown mode: the solve
+        # path reports them with their typed errors, the lookup stays silent.
         assert cached_session.serve_from_memory("lcs", 24, policy=SERIAL, seq=[1]) is None
         assert cached_session.serve_from_memory("lcs", 24, "warp", policy=SERIAL) is None
 
@@ -171,7 +174,7 @@ class TestMixedRun:
         with Session(system="i7-2600K", cache_dir=tmp_path) as earlier:
             on_disk = earlier.solve("edit-distance", 20, policy=SERIAL)
         stream = [
-            ("edit-distance", 20),  # disk hit (queued: the plan is new)
+            ("edit-distance", 20),  # disk hit (solved: the plan is new)
             ("lcs", 20),            # miss
             ("lcs", 20),            # memory hit at admission
             ("edit-distance", 20),  # memory hit at admission
@@ -188,7 +191,7 @@ class TestMixedRun:
                 cache = session.result_cache.info()
                 assert (cache["disk_hits"], cache["misses"]) == (1, 2)
                 assert cache["memory_hits"] == 3
-                assert server.metrics()["batches"]["count"] == 3  # only 3 queued
+                assert solves(server) == 3  # the rest answered at admission
             assert session.stats["runs"] == 2
             assert session.stats["requests_served"] == len(stream)
         assert np.array_equal(results[0].grid.values, on_disk.grid.values)
@@ -212,7 +215,7 @@ class TestAdaptiveLoop:
                 observed.set()
 
             adaptive.observe = recording_observe
-            server.solve("lcs", 32, timeout=30)  # a miss: queued, executed
+            server.solve("lcs", 32, timeout=30)  # a miss: executed
             assert observed.wait(timeout=30)
             observations = adaptive.serve_log.observations
             assessments = adaptive.detector.assessments

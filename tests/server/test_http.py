@@ -266,24 +266,23 @@ class TestErrorMapping:
         body = json.loads(excinfo.value.read())
         assert body["error"]["type"] == "RuntimeError"
 
-    def test_backpressure_maps_to_429(self, serve_session):
-        # A server that is not started never drains, so filling the queue
-        # through the back door makes the next HTTP request overflow.
+    def test_backpressure_maps_to_429(self, serve_session, blocked):
+        # One request in flight fills capacity 1, so the next HTTP request
+        # overflows.
         server = ReproServer(serve_session, ServerConfig(queue_capacity=1))
         ep = ServingEndpoint(server, port=0)
         thread = threading.Thread(target=ep.accept_forever, daemon=True)
         thread.start()
         try:
-            server.submit("lcs", 48)  # occupies the single queue slot
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                post_json(ep.url + "/solve", {"app": "lcs", "dim": 48})
+            with blocked(server):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post_json(ep.url + "/solve", {"app": "lcs", "dim": 48})
             assert excinfo.value.code == 429
             body = json.loads(excinfo.value.read())
             assert body["error"]["type"] == "BackpressureError"
         finally:
             ep.begin_shutdown()
             thread.join(timeout=10)
-            server.start()
             server.close()
 
 
@@ -324,22 +323,21 @@ class TestFaultTolerantRoutes:
         body = json.loads(excinfo.value.read())
         assert body["error"]["type"] == "InvalidParameterError"
 
-    def test_429_carries_a_retry_after_header(self, serve_session):
-        # Same back-door overflow as the backpressure mapping test above.
+    def test_429_carries_a_retry_after_header(self, serve_session, blocked):
+        # Same overflow as the backpressure mapping test above.
         server = ReproServer(serve_session, ServerConfig(queue_capacity=1))
         ep = ServingEndpoint(server, port=0)
         thread = threading.Thread(target=ep.accept_forever, daemon=True)
         thread.start()
         try:
-            server.submit("lcs", 48)
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                post_json(ep.url + "/solve", {"app": "lcs", "dim": 48})
+            with blocked(server):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post_json(ep.url + "/solve", {"app": "lcs", "dim": 48})
             assert excinfo.value.code == 429
             assert excinfo.value.headers.get("Retry-After") == "1"
         finally:
             ep.begin_shutdown()
             thread.join(timeout=10)
-            server.start()
             server.close()
 
 

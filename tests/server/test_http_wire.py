@@ -3,8 +3,9 @@
 ``test_http.py`` checks routes and error mapping through well-behaved
 clients; this module sends the bytes itself: keep-alive, pipelining,
 byte-at-a-time delivery, every malformed request the loop must refuse with
-a typed JSON body, arbitrary bytes, and the accounting of the connection
-threads (reused, never leaked, one per concurrent keep-alive client).
+a typed JSON body, arbitrary bytes, the read deadline and the connection
+cap, and the accounting of the connection threads (reused, never leaked,
+one per concurrent keep-alive client up to the cap).
 """
 
 import json
@@ -183,13 +184,48 @@ class TestMalformedRequests:
             wait_until(lambda: all_parked(endpoint))
         assert endpoint.info()["threads_spawned"] <= 2
 
-    def test_a_stalled_peer_is_dropped_at_the_socket_timeout(self, endpoint, monkeypatch):
+    def test_an_idle_peer_is_dropped_at_the_socket_timeout(self, endpoint, monkeypatch):
         monkeypatch.setattr(serve_http, "SOCKET_TIMEOUT_S", 0.2)
-        with connect(endpoint) as sock:
-            sock.sendall(request_bytes()[:-3])  # the rest never comes
+        with connect(endpoint) as sock:  # it never sends a byte
             started = time.monotonic()
             assert sock.recv(1) == b""  # the server hung up, unanswered
             assert time.monotonic() - started < 5
+        wait_until(lambda: all_parked(endpoint))
+
+    def test_a_stalled_request_is_answered_408_at_the_read_deadline(
+        self, endpoint, monkeypatch
+    ):
+        monkeypatch.setattr(serve_http, "READ_DEADLINE_S", 0.2)
+        with connect(endpoint) as sock:
+            sock.sendall(request_bytes()[:-3])  # the rest never comes
+            started = time.monotonic()
+            [(status, _, body)] = read_all(sock)
+            assert time.monotonic() - started < 5
+        assert status == 408 and "0.2s" in body["error"]["message"]
+        wait_until(lambda: all_parked(endpoint))
+
+    def test_a_trickling_sender_is_cut_at_the_read_deadline(self, endpoint, monkeypatch):
+        # One byte every 0.3 s keeps every recv short of the idle timeout;
+        # only the deadline on the whole request cuts it.
+        monkeypatch.setattr(serve_http, "READ_DEADLINE_S", 0.5)
+        raw = request_bytes()
+        with connect(endpoint) as sock:
+            started = time.monotonic()
+            sock.settimeout(0.3)
+            replies = b""
+            for byte in raw:
+                try:
+                    sock.sendall(bytes([byte]))
+                    replies += sock.recv(4096)  # waits 0.3 s unless answered
+                except TimeoutError:
+                    continue
+                except OSError:  # reset after the answer: cut
+                    break
+                if replies:
+                    break
+            cut_after = time.monotonic() - started
+        assert replies.startswith(b"HTTP/1.1 408 ")
+        assert 0.5 <= cut_after < 3.0
         wait_until(lambda: all_parked(endpoint))
 
 
@@ -318,9 +354,37 @@ class TestThreadAccounting:
             sock.sendall(request_bytes("GET", "/metrics", b"", version="HTTP/1.0"))
             [(status, _, metrics)] = read_all(sock)
         assert status == 200
-        assert metrics["http"] == {"connections": 9, "threads_spawned": 8, "threads_idle": 7}
+        assert metrics["http"] == {
+            "connections": 9, "refused": 0, "threads_spawned": 8, "threads_idle": 7,
+        }
 
-    def test_a_solve_runs_on_a_shard_thread_and_no_worker_thread_exists(self, serve_session):
+    def test_connections_past_the_cap_are_refused_503_and_spawn_nothing(
+        self, endpoint, monkeypatch
+    ):
+        monkeypatch.setattr(serve_http, "MAX_CONNECTIONS", 8)
+        idle = [connect(endpoint) for _ in range(8)]
+        try:
+            wait_until(lambda: endpoint.info()["threads_spawned"] == 8)
+            refused = []
+            for _ in range(8):
+                with connect(endpoint) as sock:
+                    refused.append(read_all(sock))
+        finally:
+            for sock in idle:
+                sock.close()
+        for [(status, headers, body)] in refused:
+            assert status == 503 and headers["retry-after"] == "1"
+            assert "too many open connections (8)" in body["error"]["message"]
+        wait_until(lambda: all_parked(endpoint))
+        with connect(endpoint) as sock:
+            sock.sendall(request_bytes("GET", "/metrics", b"", version="HTTP/1.0"))
+            [(status, _, metrics)] = read_all(sock)
+        assert status == 200
+        assert metrics["http"] == {
+            "connections": 17, "refused": 8, "threads_spawned": 8, "threads_idle": 7,
+        }
+
+    def test_a_solve_runs_on_its_connection_thread_and_no_other_exists(self, serve_session):
         seen = []
         server = ReproServer(serve_session, ServerConfig(adaptive="off"))
         ep = ServingEndpoint(server, port=0)
@@ -341,11 +405,9 @@ class TestThreadAccounting:
             ep.begin_shutdown()
             thread.join(timeout=10)
             server.close()
-        assert seen == ["repro-shard-0"]
-        assert not [name for name in names if name.startswith("repro-serve-worker")]
-        # One thread between the connection and the session: the lane.
-        assert {n.split("-")[1] for n in names if n.startswith("repro-")} == {"http", "shard"}
-        assert [n for n in names if n.startswith("repro-shard")] == ["repro-shard-0"]
+        # The connection's own thread runs the solve: no thread in between.
+        assert len(seen) == 1 and seen[0].startswith("repro-http-")
+        assert {n.split("-")[1] for n in names if n.startswith("repro-")} == {"http"}
 
     def test_the_endpoint_threads_end_with_the_accept_loop(self, endpoint):
         with connect(endpoint) as sock:

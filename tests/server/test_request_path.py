@@ -1,13 +1,13 @@
 """A served request is named once, planned once, and observed from its plan.
 
 * an omitted ``dim`` is the application's default, filled in at admission:
-  ``submit("lcs", None)`` and ``submit("lcs", 512)`` are one request, one
-  batch and one ``/metrics`` label;
+  ``submit("lcs", None)`` and ``submit("lcs", 512)`` are one request under
+  one ``/metrics`` label;
 * the warm request path is pinned by call counts: the ``repro.*`` Python
-  calls of one served ``lcs`` dim 12 request on the connection thread and
-  the lane thread, one :func:`repro.cache.request_identity` per request,
+  calls of one served ``lcs`` dim 12 request, all on the thread that
+  submitted it, one :func:`repro.cache.request_identity` per request,
   one :meth:`repro.session.Session.plan`, and none from the adaptive loop
-  (it reads the ``expected_s`` of the plan the lane ran).
+  (it reads the ``expected_s`` of the plan the session ran).
 """
 
 import sys
@@ -24,34 +24,27 @@ from repro.session import Session
 SRC = str(Path(repro.__file__).parent) + "/"
 
 #: Upper bound on the ``repro.*`` Python calls of one warm served ``lcs``
-#: dim 12 request (74 when pinned; 79 with a task object, a callback pair
-#: and a monitor between the queue and the tickets; 100 when the request
-#: was named three times, planned twice and its sweeper rebuilt on every
-#: run).
-MAX_PYTHON_CALLS = 90
+#: dim 12 request (69 when pinned, all on the submitting thread; 74 with a
+#: queue and a lane thread between admission and the solve; 79 with a task
+#: object, a callback pair and a monitor between the queue and the tickets;
+#: 100 when the request was named three times, planned twice and its
+#: sweeper rebuilt on every run).
+MAX_PYTHON_CALLS = 74
 
 
 class TestOneNameAtAdmission:
-    def test_an_omitted_and_the_default_dim_are_one_batch_under_one_label(self):
+    def test_an_omitted_and_the_default_dim_are_one_request_under_one_label(self):
         with Session() as session:
-            server = ReproServer(session, ServerConfig(adaptive="off"))
-            try:
-                # Queued before the lane starts: the drain sees both at once.
+            with ReproServer(session, ServerConfig(adaptive="off")) as server:
                 omitted = server.submit("lcs", None, seed=3)
                 explicit = server.submit("lcs", 512, seed=3)
-                server.start()
-                first = omitted.result(timeout=60)
-                second = explicit.result(timeout=60)
+                first, second = omitted.result(), explicit.result()
                 metrics = server.metrics()
-            finally:
-                server.close()
-        assert first is second
+        assert first.grid_sha256 == second.grid_sha256
         assert omitted.signature == explicit.signature
-        assert metrics["batches"]["count"] == 1
-        assert metrics["batches"]["histogram"] == {"2": 1}
         assert list(metrics["signatures"]) == ["lcs[dim=512] mode=functional seed=3"]
 
-    def test_the_lane_plans_by_the_admitted_identity(self):
+    def test_the_session_plans_by_the_admitted_identity(self):
         with Session() as session:
             with ReproServer(session, ServerConfig(adaptive="off")) as server:
                 ticket = server.submit("lcs", None, seed=3)
@@ -61,45 +54,29 @@ class TestOneNameAtAdmission:
 
 
 class _CallCounter:
-    """``repro.*`` calls of one request, on the calling and the lane thread.
+    """``repro.*`` calls of one request, on the thread that submits it.
 
-    Installed with :func:`sys.setprofile` and :func:`threading.setprofile`
-    before the server starts, so the lane thread is profiled from its first
-    call.  The calling thread counts while :attr:`on` is set.  The lane's
-    calls are cut into segments, one per batch it takes from the queue
-    (``RequestQueue.next_batch``): the segment that executed the request
-    (``ReproServer._execute``) is its share.
+    Installed with :func:`sys.setprofile` and :func:`threading.setprofile`;
+    calls count while :attr:`on` is set.  Any other thread's call is kept
+    apart in :attr:`elsewhere`: a served request makes none.
     """
 
     def __init__(self):
         self.on = False
         self.main = threading.main_thread()
-        self.main_calls = []
-        self.lane_segments = []
+        self.calls = []
+        self.elsewhere = []
 
     def __call__(self, frame, event, arg):
-        if event != "call" or not frame.f_code.co_filename.startswith(SRC):
+        if event != "call" or not self.on or not frame.f_code.co_filename.startswith(SRC):
             return
-        thread = threading.current_thread()
         code = frame.f_code
         caller = frame.f_back.f_code.co_filename if frame.f_back else ""
         call = (code.co_qualname, caller[len(SRC):] if caller.startswith(SRC) else caller)
-        if thread is self.main:
-            if self.on:
-                self.main_calls.append(call)
-        elif thread.name == "repro-shard-0":
-            if code.co_qualname == "RequestQueue.next_batch":
-                self.lane_segments.append([])
-            if self.lane_segments:
-                self.lane_segments[-1].append(call)
-
-    def request_calls(self):
-        """The calling thread's window plus the lane segment that served it."""
-        (served,) = [
-            segment for segment in self.lane_segments
-            if ("ReproServer._execute", "server/service.py") in segment
-        ][-1:]
-        return self.main_calls + served
+        if threading.current_thread() is self.main:
+            self.calls.append(call)
+        else:
+            self.elsewhere.append(call)
 
 
 @pytest.fixture()
@@ -121,7 +98,8 @@ def counted_request():
         sys.setprofile(None)
         threading.setprofile(None)
         server.close()
-    return counter.request_calls()
+    assert counter.elsewhere == []
+    return counter.calls
 
 
 class TestWarmRequestCounts:

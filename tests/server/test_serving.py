@@ -1,12 +1,12 @@
-"""Tests for the in-process serving core: concurrency, batching, lifecycle.
+"""Tests for the in-process serving core: concurrency, run to completion, lifecycle.
 
 The acceptance contract of the serving layer:
 
 * N threads hammering one server (hence one shared ``Session``) get grids
   bit-identical to sequential solving;
-* the coalescing scheduler batches same-signature requests into single
-  ``solve_many`` calls (observable in the batch-size histogram and in the
-  tuner-resolution counter);
+* each request is solved on the thread that submitted it, one sweep at a
+  time under the session's run lock (every batch in the histogram is one
+  request);
 * overflow is a typed :class:`~repro.core.exceptions.BackpressureError`;
 * shutdown drains gracefully and releases the engine host's worker pools;
 * the metrics snapshot is well-formed JSON.
@@ -14,6 +14,7 @@ The acceptance contract of the serving layer:
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.core.exceptions import (
     UnknownApplicationError,
 )
 from repro.cache import request_identity
-from repro.server import ReproServer, ServerConfig
+from repro.server import FaultPlan, ReproServer, ServerConfig
 from repro.server.metrics import DEFAULT_SIGNATURE_LIMIT, ServerMetrics
 from repro.session import Session
 
@@ -72,49 +73,44 @@ class TestConcurrentEquivalence:
         assert len(values) == len(MIX)
 
 
-class TestBatching:
-    def test_queued_same_signature_requests_coalesce(self, serve_session):
-        # Submitting before start() makes the batch deterministic: all six
-        # identical requests are queued when the scheduler first drains.
-        config = ServerConfig(queue_capacity=16, max_batch=8)
-        server = ReproServer(serve_session, config)
-        resolved_before = serve_session.stats["plans_resolved"]
-        runs_before = serve_session.stats["runs"]
-        tickets = [server.submit("lcs", 48) for _ in range(6)]
-        server.start()
-        results = [t.result(timeout=60) for t in tickets]
-        server.close()
-        assert all(r.checksum == results[0].checksum for r in results)
-        histogram = server.metrics()["batches"]["histogram"]
-        assert histogram.get("6") == 1  # one coalesced batch served them all
-        # The whole batch cost at most one fresh tuner resolution and
-        # exactly ONE grid execution — followers share the result.
-        assert serve_session.stats["plans_resolved"] - resolved_before <= 1
-        assert serve_session.stats["runs"] - runs_before == 1
-
-    def test_max_batch_splits_oversized_groups(self, serve_session):
-        server = ReproServer(
-            serve_session, ServerConfig(queue_capacity=16, max_batch=2)
+class TestRunToCompletion:
+    def test_each_request_is_solved_on_the_thread_that_submitted_it(self, serve_session):
+        seen = []
+        serve_session.attach_observer(
+            lambda plan, mode, wall_s: seen.append(threading.current_thread().name)
         )
-        tickets = [server.submit("lcs", 48) for _ in range(5)]
-        server.start()
-        for ticket in tickets:
-            ticket.result(timeout=60)
-        server.close()
-        histogram = server.metrics()["batches"]["histogram"]
-        assert max(int(size) for size in histogram) <= 2
+        runs_before = serve_session.stats["runs"]
+        try:
+            with ReproServer(serve_session, ServerConfig(queue_capacity=16)) as server:
+                threads = [
+                    threading.Thread(target=server.solve, args=("lcs", 48), name=f"client-{i}")
+                    for i in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                metrics = server.metrics()
+        finally:
+            serve_session.attach_observer(None)
+        # No result cache: four identical requests are four sweeps, in turn.
+        assert sorted(seen) == [f"client-{i}" for i in range(4)]
+        assert serve_session.stats["runs"] - runs_before == 4
+        assert metrics["batches"]["histogram"] == {"1": 4}
+        assert metrics["batches"]["mean_size"] == 1.0
+        assert metrics["queue"]["depth"] == 0
 
 
 class TestBackpressure:
-    def test_overflow_is_typed_and_counted(self, serve_session):
+    def test_overflow_is_typed_and_counted(self, serve_session, blocked):
         server = ReproServer(serve_session, ServerConfig(queue_capacity=3))
-        for _ in range(3):
-            server.submit("lcs", 48)
-        with pytest.raises(BackpressureError) as excinfo:
-            server.submit("lcs", 48)
+        with blocked(server, 3):
+            assert server.metrics()["queue"]["depth"] == 3
+            with pytest.raises(BackpressureError) as excinfo:
+                server.submit("lcs", 48)
         assert isinstance(excinfo.value, ReproError)
-        assert server.metrics()["requests"]["rejected"] == 1
-        server.start()
+        requests = server.metrics()["requests"]
+        assert requests["rejected"] == 1 and requests["completed"] == 3
         server.close()
 
     def test_submit_after_close_raises_server_error(self, serve_session):
@@ -164,26 +160,15 @@ class TestLifecycle:
         with pytest.raises(ServerError):
             server.start()
 
-    def test_stranded_requests_are_failed_and_accounted(self, serve_session):
-        """A never-started server closing with a backlog fails the queued
-        tickets immediately (no pointless drain wait — there are no workers)
-        AND keeps the metrics invariant accepted == completed + failed +
-        in_flight."""
-        import time
-
-        server = ReproServer(serve_session)  # default 30s drain timeout
-        tickets = [server.submit("lcs", 48) for _ in range(2)]
+    def test_a_never_started_server_serves_and_closes_at_once(self, serve_session):
+        server = ReproServer(serve_session)  # default 30 s drain timeout
+        assert not server.running
+        assert server.solve("lcs", 48, timeout=60).grid is not None
         t0 = time.perf_counter()
         server.close()
-        assert time.perf_counter() - t0 < 5  # skipped the workerless drain
-        for ticket in tickets:
-            with pytest.raises(ServerError):
-                ticket.result(timeout=0)
+        assert time.perf_counter() - t0 < 5  # nothing in flight to drain
         requests = server.metrics()["requests"]
-        assert requests["failed"] == 2 and requests["in_flight"] == 0
-        assert requests["accepted"] == (
-            requests["completed"] + requests["failed"] + requests["cancelled"]
-        )
+        assert requests["completed"] == 1 and requests["in_flight"] == 0
 
     def test_shutdown_refusal_is_not_counted_as_backpressure(self, serve_session):
         server = ReproServer(serve_session)
@@ -197,15 +182,18 @@ class TestLifecycle:
 
 
 class TestCancellation:
-    def test_cancelled_request_is_skipped_not_executed(self, serve_session):
-        """A ticket whose waiter gave up before scheduling is dropped by the
-        scheduler (no ghost work) and counted as cancelled, not completed."""
-        server = ReproServer(serve_session, ServerConfig(queue_capacity=8))
-        abandoned = server.submit("lcs", 48)   # queued: no workers yet
+    def test_a_waiter_that_gives_up_on_a_dropped_answer_cancels_it(self, serve_session):
+        """A ticket whose answer a chaos drop discarded is the one a waiter can
+        still give up on: cancelled, counted once, the server healthy."""
+        server = ReproServer(
+            serve_session,
+            ServerConfig(queue_capacity=8, default_deadline_s=None),
+            fault_plan=FaultPlan.parse("drop@1"),
+        )
+        abandoned = server.submit("lcs", 48)   # solved, its answer dropped
         with pytest.raises(ServerError):       # waiter times out and leaves
             abandoned.result(timeout=0.01)
         assert abandoned.cancel()
-        server.start()
         live = server.solve("edit-distance", 40, timeout=60)  # server healthy
         assert live.grid is not None
         server.close()

@@ -1,18 +1,24 @@
-"""Tests for the serving lane's supervision and chaos injection.
+"""Tests for the server's supervision, deadlines and chaos injection.
 
 The unit layer drives a :class:`ReproServer` over a stub session, with the
-lane's supervision constants shrunk to milliseconds, so crash / restart /
+supervision constants shrunk to milliseconds, so crash / restart /
 re-dispatch / deadline logic runs fast and deterministically; the
 integration layer at the bottom runs a real server over the shared serving
-session with a fault plan armed.
+session with a fault plan armed.  Every request runs on the thread that
+submits it: ``submit`` returns its ticket resolved, unless a chaos ``drop``
+discarded the answer.
 """
 
+import math
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.exceptions import (
+    BackpressureError,
     DeadlineError,
     ServerError,
     ShardCrashError,
@@ -41,6 +47,8 @@ FAST = {
 }
 
 ANSWER = "answer:lcs:8"
+#: What the stub says it ran: a plan that predicts nothing.
+PLAN = SimpleNamespace(expected_s=None)
 
 
 def wait_until(predicate, timeout_s=3.0):
@@ -63,41 +71,49 @@ def assert_invariant(server):
 
 
 class StubSession:
-    """A deterministic stand-in session that can crash, sweep slowly or block."""
+    """A deterministic stand-in session that can crash, sweep slowly or block.
+
+    Its sweep checks the request's deadline every few milliseconds, as the
+    engines check it once per row or diagonal.
+    """
 
     mode = ExecutionMode.FUNCTIONAL
     result_cache = None
+    run_waiters = run_waiters_high_water = 0
 
     def __init__(self, crashes=0, sweep_s=0.0, error=None):
         self.crashes_left = crashes
         self.sweep_s = sweep_s
         #: Raised by every solve that does not crash: a request-level failure.
         self.error = error
-        #: Cleared to hold every solve until the test sets it again.
+        #: Cleared to hold every sweep until the test sets it again.
         self.gate = threading.Event()
         self.gate.set()
         self.calls = 0
         self.threads = []
-        #: The ``deadline_at`` bound each solve was given.
+        #: The deadline instant each solve was given.
         self.deadlines = []
         self.closed = False
         self._lock = threading.Lock()
 
-    def solve_one(self, request, mode=None, deadline_at=None):
-        if deadline_at is not None and time.perf_counter() > deadline_at:
+    def solve_one(self, request, mode=None, deadline=None):
+        if deadline is not None and deadline.passed():
             raise DeadlineError("deadline expired")  # as Session does
         with self._lock:
             self.calls += 1
             self.threads.append(threading.current_thread())
-            self.deadlines.append(deadline_at)
+            self.deadlines.append(deadline.at)
             if self.crashes_left > 0:
                 self.crashes_left -= 1
                 raise WorkerCrashError("stub worker pool died")
         if self.error is not None:
             raise self.error
-        self.gate.wait()
-        time.sleep(self.sweep_s)
-        return None, f"answer:{request['app']}:{request['dim']}"
+        ends = time.perf_counter() + self.sweep_s
+        while not self.gate.is_set() or time.perf_counter() < ends:
+            if deadline.passed():
+                raise DeadlineError("the sweep reached its deadline and stopped")
+            time.sleep(0.002)
+        return PLAN, f"answer:{request['app']}:{request['dim']}"
 
     def serve_from_memory(self, *args, **kwargs):
         return None
@@ -111,7 +127,7 @@ class StubSession:
 
 @pytest.fixture()
 def supervised(monkeypatch):
-    """``build(...)``: an unstarted server over a fresh stub session."""
+    """``build(...)``: a server over a fresh stub session."""
 
     def build(
         crashes=0, sweep_s=0.0, error=None, plan=None, own_session=False,
@@ -127,7 +143,7 @@ def supervised(monkeypatch):
             fault_plan=plan,
         )
         built.append(server)
-        return server, stub
+        return server.start(), stub
 
     built = []
     yield build
@@ -135,13 +151,13 @@ def supervised(monkeypatch):
         server.close()
 
 
-def lane(server):
-    """The lane's supervision snapshot (the ``/metrics`` ``supervisor`` section)."""
+def supervision(server):
+    """The ``/metrics`` ``supervisor`` section (plus readiness)."""
     return server.readiness()
 
 
 def record_backoffs(server):
-    """Record every backoff the lane sleeps, in seconds, as it sleeps it."""
+    """Record every backoff a crashed request sleeps, in seconds, as it sleeps it."""
     waits = []
     sleep = server._stop.wait
 
@@ -151,6 +167,21 @@ def record_backoffs(server):
 
     server._stop.wait = recording
     return waits
+
+
+def in_background(server, *args, **kwargs):
+    """Submit on a thread of its own; ``(thread, outcome)``, the ticket or error in it."""
+    outcome = []
+
+    def submit():
+        try:
+            outcome.append(server.submit(*args, **kwargs))
+        except Exception as error:  # noqa: BLE001 - the test inspects it
+            outcome.append(error)
+
+    thread = threading.Thread(target=submit)
+    thread.start()
+    return thread, outcome
 
 
 class TestFaultPlan:
@@ -184,26 +215,26 @@ class TestFaultPlan:
 
 
 class TestFaultInjector:
-    def test_fault_fires_in_the_batch_containing_its_ordinal(self):
+    def test_a_fault_fires_at_its_attempt_ordinal(self):
         injector = FaultInjector(plan=FaultPlan.parse("kill@3"))
-        assert injector.take(2) == []
-        due = injector.take(2)  # window (2, 4] contains ordinal 3
-        assert [spec.kind for spec in due] == ["kill"]
+        assert injector.take() == [] and injector.take() == []
+        assert [spec.kind for spec in injector.take()] == ["kill"]
 
     def test_each_fault_fires_exactly_once(self):
         injector = FaultInjector(plan=FaultPlan.parse("kill@1"))
-        assert len(injector.take(1)) == 1
-        assert injector.take(1) == []
+        assert len(injector.take()) == 1
+        assert injector.take() == []
         assert injector.info()["injected"] == 1
 
     def test_empty_plan_is_free(self):
         injector = FaultInjector()
-        assert injector.take(100) == []
+        assert all(injector.take() == [] for _ in range(100))
         assert injector.info()["scheduled"] == 0
 
     def test_info_reports_by_kind_and_plan(self):
         injector = FaultInjector(plan=FaultPlan.parse("kill@1,drop@2,kill@3"))
-        injector.take(2)
+        injector.take()
+        injector.take()
         info = injector.info()
         assert info["scheduled"] == 3
         assert info["injected"] == 2
@@ -212,69 +243,59 @@ class TestFaultInjector:
         assert info["plan"] == "kill@1,drop@2,kill@3"
 
 
-
 class TestSupervision:
-    def test_execute_round_trips_through_the_lane(self, supervised):
+    def test_a_request_round_trips_on_the_calling_thread(self, supervised):
         server, stub = supervised()
-        server.start()
-        info = lane(server)
+        info = supervision(server)
         assert info["state"] == "healthy" and not info["circuit_open"]
         assert server.solve("lcs", 8) == ANSWER
-        assert stub.calls == 1
+        assert stub.threads == [threading.current_thread()]
 
-    def test_a_started_server_runs_one_thread_of_its_own(self, supervised):
+    def test_a_started_server_runs_no_thread_of_its_own(self, supervised):
         before = set(threading.enumerate())
         server, stub = supervised(crashes=1)
-        server.start()
         assert server.solve("lcs", 8) == ANSWER
-        own = [t for t in threading.enumerate() if t not in before]
-        assert [t.name for t in own] == ["repro-shard-0"]
+        assert [t for t in threading.enumerate() if t not in before] == []
         server.close()
-        assert not own[0].is_alive()
 
     def test_worker_crash_restarts_and_redispatches(self, supervised):
         server, stub = supervised(crashes=1)
-        server.start()
         assert server.solve("lcs", 8) == ANSWER  # second attempt succeeded
         assert stub.calls == 2
-        info = lane(server)
-        assert info["crashes"] == 1
-        assert info["redispatches"] == 1
-        wait_until(lambda: lane(server)["restarts"] >= 1)
-        wait_until(lambda: lane(server)["state"] == "healthy")
+        info = supervision(server)
+        assert info["crashes"] == 1 and info["redispatches"] == 1
+        assert info["restarts"] == 1 and info["state"] == "healthy"
+        assert_invariant(server)
 
     def test_chaos_kill_is_survived_and_counted_once(self, supervised):
         server, stub = supervised(plan=FaultPlan.parse("kill@1"))
-        server.start()
         assert server.solve("lcs", 8) == ANSWER
         assert stub.calls == 1  # the kill fired before any solve
-        info = lane(server)
-        assert info["faults_injected"] == 1
+        info = supervision(server)
+        assert info["faults_injected"] == 1 and info["crashes"] == 1
         assert info["faults"]["by_kind"] == {"kill": 1}
 
     def test_chaos_drop_fails_typed_at_the_deadline(self, supervised):
         server, stub = supervised(plan=FaultPlan.parse("drop@1"))
-        server.start()
         ticket = server.submit("lcs", 8, deadline_s=0.3)
+        assert not ticket.done  # solved, its answer discarded
         with pytest.raises(DeadlineError, match="dropped"):
             ticket.result()
         assert time.perf_counter() >= ticket.deadline_at  # never early
         assert stub.calls == 1  # the work happened, the response vanished
-        assert lane(server)["dropped_responses"] == 1
+        assert supervision(server)["dropped_responses"] == 1
         requests = server.metrics()["requests"]
         assert requests["deadline_expired"] == 1 and requests["failed"] == 1
         assert_invariant(server)
 
-    def test_the_lane_is_one_thread_across_crashes(self, supervised):
+    def test_crashes_are_recovered_on_the_calling_thread(self, supervised):
         server, stub = supervised(crashes=2)
-        server.start()
         for _ in range(3):
             assert server.solve("lcs", 8) == ANSWER
-        assert lane(server)["crashes"] == 2 and stub.calls == 5
-        assert len(set(stub.threads)) == 1
-        assert stub.threads[0].name == "repro-shard-0"
+        assert supervision(server)["crashes"] == 2 and stub.calls == 5
+        assert set(stub.threads) == {threading.current_thread()}
 
-    def test_any_exception_escaping_a_batch_is_a_crash(self, supervised):
+    def test_any_exception_escaping_a_solve_attempt_is_a_crash(self, supervised):
         server, stub = supervised()
 
         class Exploding:
@@ -283,78 +304,121 @@ class TestSupervision:
                 raise RuntimeError("observation failed")
 
         server.adaptive = Exploding()
-        server.start()
         assert server.solve("lcs", 8) == ANSWER  # answered before the escape
-        wait_until(lambda: lane(server)["crashes"] == 1)
+        assert supervision(server)["crashes"] == 1
         assert server.solve("lcs", 9) == "answer:lcs:9"
-        assert len(set(stub.threads)) == 1  # recovered in place
-        assert lane(server)["redispatches"] == 0  # nothing left to re-run
+        assert supervision(server)["redispatches"] == 0  # nothing left to re-run
         assert stub.calls == 2
+        assert_invariant(server)
 
-    def test_a_clean_batch_resets_the_backoff(self, supervised):
+    def test_a_clean_solve_resets_the_backoff(self, supervised):
         # Each round's first attempt is killed, its re-dispatch succeeds:
-        # every crash is the first since a clean batch, so it backs off the
+        # every crash is the first since a clean solve, so it backs off the
         # base delay, never a doubled one.
         server, _ = supervised(plan=FaultPlan.parse("kill@1,kill@3,kill@5,kill@7"))
-        server.start()
         for crashes in range(1, 5):
             assert server.solve("lcs", 8) == ANSWER
-            wait_until(lambda: not lane(server)["in_flight"])
-            assert lane(server)["crashes"] == crashes
+            assert supervision(server)["crashes"] == crashes
             assert server._consecutive_crashes == 0
 
-    def test_request_expired_in_the_queue_is_failed_not_run(self, supervised):
-        server, stub = supervised()
+    def test_a_request_past_its_deadline_before_the_solve_is_failed_not_run(
+        self, supervised
+    ):
+        server, stub = supervised(plan=FaultPlan.parse("slow@1:0.05"))
         ticket = server.submit("lcs", 8, deadline_s=0.01)
-        time.sleep(0.05)
-        server.start()
-        wait_until(lambda: ticket.done)
-        with pytest.raises(DeadlineError, match="expired in the queue"):
+        with pytest.raises(DeadlineError, match="expired"):
             ticket.result()
         assert stub.calls == 0
         assert server.metrics()["requests"]["deadline_expired"] == 1
+        assert_invariant(server)
+
+    def test_admission_bounds_the_requests_admitted_and_unfinished(self, supervised):
+        server, stub = supervised(config=ServerConfig(queue_capacity=2, adaptive="off"))
+        stub.gate.clear()  # the two admitted requests hold their sweeps
+        held = [in_background(server, "lcs", 8, deadline_s=30) for _ in range(2)]
+        wait_until(lambda: supervision(server)["in_flight"] == 2)
+        with pytest.raises(BackpressureError, match="2 requests admitted"):
+            server.submit("lcs", 8)
+        stub.gate.set()
+        for thread, outcome in held:
+            thread.join(timeout=5)
+            assert outcome[0].result() == ANSWER
+        requests = server.metrics()["requests"]
+        assert requests["rejected"] == 1 and requests["completed"] == 2
+        assert server.solve("lcs", 8) == ANSWER  # capacity is back
+        assert_invariant(server)
+
+    def test_admission_accounting_holds_under_a_thread_storm(self, supervised):
+        # More clients than capacity and cores, switching threads often: a
+        # lost update to the admitted set or a counter breaks the totals.
+        server, stub = supervised(
+            sweep_s=0.001, config=ServerConfig(queue_capacity=3, adaptive="off")
+        )
+        outcomes = {"answered": 0, "rejected": 0}
+        lock = threading.Lock()
+
+        def client():
+            for _ in range(25):
+                try:
+                    kind = "answered" if server.solve("lcs", 8) == ANSWER else "wrong"
+                except BackpressureError:
+                    kind = "rejected"
+                with lock:
+                    outcomes[kind] = outcomes.get(kind, 0) + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        requests = server.metrics()["requests"]
+        assert outcomes["answered"] + outcomes["rejected"] == 200
+        assert requests["completed"] == outcomes["answered"] == stub.calls
+        assert requests["rejected"] == outcomes["rejected"]
+        assert requests["accepted"] == outcomes["answered"]
+        assert requests["in_flight"] == 0 and supervision(server)["in_flight"] == 0
         assert_invariant(server)
 
     def test_restart_budget_trips_the_circuit_breaker(self, supervised):
         server, _ = supervised(
             crashes=10, BACKOFF_CAP_S=0.02, RESTART_BUDGET=0, MAX_REDISPATCH=0
         )
-        first = server.submit("lcs", 8)
-        admitted = server.submit("lcs", 9)  # queued behind it, then shed
-        server.start()
         with pytest.raises(ShardCrashError):
-            first.result()
-        info = lane(server)
+            server.solve("lcs", 8)
+        info = supervision(server)
         assert info["circuit_open"] and info["state"] != "healthy"
         with pytest.raises(ShardUnavailableError):
-            admitted.result()
-        with pytest.raises(ShardUnavailableError):
             server.submit("lcs", 8)
+        assert server.metrics()["requests"]["rejected"] == 1
         assert_invariant(server)
 
     def test_the_breaker_closes_after_the_window(self, supervised):
         server, stub = supervised(
             crashes=1, RESTART_BUDGET=0, RESTART_WINDOW_S=0.3, MAX_REDISPATCH=0
         )
-        server.start()
         with pytest.raises(ShardCrashError):
             server.solve("lcs", 8)
-        assert lane(server)["state"] == "dead"
-        wait_until(lambda: lane(server)["state"] == "healthy")
-        assert not lane(server)["circuit_open"]
-        # The next batch is the probe, and it is served.
+        assert supervision(server)["state"] == "dead"
+        wait_until(lambda: supervision(server)["state"] == "healthy")
+        assert not supervision(server)["circuit_open"]
+        # The next request is the probe, and it is served.
         assert server.solve("lcs", 8) == ANSWER
-        assert stub.calls == 2 and lane(server)["crashes"] == 1
+        assert stub.calls == 2 and supervision(server)["crashes"] == 1
 
     def test_redispatch_budget_bounds_the_attempts(self, supervised):
         server, stub = supervised(
             crashes=5, BACKOFF_CAP_S=0.02, RESTART_BUDGET=10, MAX_REDISPATCH=1
         )
-        server.start()
         with pytest.raises(ShardCrashError, match="2 times"):
             server.solve("lcs", 8)
         assert stub.calls == 2  # initial attempt + exactly one re-dispatch
-        assert lane(server)["redispatches"] == 1
+        assert supervision(server)["redispatches"] == 1
 
     def test_backoff_doubles_per_consecutive_crash_up_to_the_cap(self, supervised):
         server, stub = supervised(
@@ -366,62 +430,53 @@ class TestSupervision:
             MAX_REDISPATCH=3,
         )
         waits = record_backoffs(server)
-        server.start()
         assert server.solve("lcs", 8) == ANSWER
         assert waits == pytest.approx([0.01, 0.02, 0.03])
-        assert stub.calls == 4 and lane(server)["redispatches"] == 3
+        assert stub.calls == 4 and supervision(server)["redispatches"] == 3
 
     def test_jitter_lengthens_the_backoff_within_its_bound(self, supervised):
         server, _ = supervised(
             crashes=1, BACKOFF_BASE_S=0.01, BACKOFF_CAP_S=1.0, BACKOFF_JITTER=0.5
         )
         waits = record_backoffs(server)
-        server.start()
         assert server.solve("lcs", 8) == ANSWER
         [wait] = waits
         assert 0.01 <= wait <= 0.015
 
-    def test_a_crash_that_trips_the_breaker_fails_its_batch_unavailable(
+    def test_a_crash_that_trips_the_breaker_fails_its_request_unavailable(
         self, supervised
     ):
         # Re-dispatch budget left, but the crash opened the circuit: the
-        # batch fails at once, with no backoff and no second attempt.
+        # request fails at once, with no backoff and no second attempt.
         server, stub = supervised(crashes=10, RESTART_BUDGET=0, MAX_REDISPATCH=5)
         waits = record_backoffs(server)
-        server.start()
         with pytest.raises(ShardUnavailableError, match="gone"):
             server.solve("lcs", 8)
-        info = lane(server)
+        info = supervision(server)
         assert stub.calls == 1 and waits == []
         assert info["circuit_open"] and info["redispatches"] == 0
         assert info["restarts"] == 0
         assert_invariant(server)
 
     def test_a_crash_past_the_deadline_is_not_redispatched(self, supervised):
-        # The slow fault outlasts the deadline, then the kill fires; nobody
-        # waits on the ticket, so the lane is the one to fail it.
+        # The slow fault outlasts the deadline, then the kill fires.
         server, stub = supervised(plan=FaultPlan.parse("slow@1:0.2,kill@1"))
-        server.start()
         ticket = server.submit("lcs", 8, deadline_s=0.1)
-        wait_until(lambda: ticket.done)
         with pytest.raises(DeadlineError, match="crashed with its shard"):
             ticket.result(timeout=0)
-        wait_until(lambda: not lane(server)["in_flight"])
-        info = lane(server)
-        assert stub.calls == 0
+        info = supervision(server)
+        assert stub.calls == 0 and not info["in_flight"]
         assert info["crashes"] == 1 and info["redispatches"] == 0
         assert server.metrics()["requests"]["failed"] == 1
         assert_invariant(server)
 
-    def test_a_request_error_fails_the_batch_without_a_crash(self, supervised):
+    def test_a_request_error_fails_the_request_without_a_crash(self, supervised):
         server, stub = supervised(error=ValueError("no such request"))
-        tickets = [server.submit("lcs", 8) for _ in range(2)]
-        server.start()
-        for ticket in tickets:
+        for _ in range(2):
             with pytest.raises(ValueError, match="no such request"):
-                ticket.result()
-        assert stub.calls == 1  # one coalesced attempt, never re-run
-        info = lane(server)
+                server.solve("lcs", 8)
+        assert stub.calls == 2  # one attempt each, never re-run
+        info = supervision(server)
         assert info["crashes"] == 0 and info["redispatches"] == 0
         assert info["state"] == "healthy"
         assert server.metrics()["requests"]["failed"] == 2
@@ -429,32 +484,28 @@ class TestSupervision:
 
     def test_chaos_slow_delays_the_answer_but_delivers_it(self, supervised):
         server, stub = supervised(plan=FaultPlan.parse("slow@1:0.1"))
-        server.start()
         began = time.perf_counter()
         assert server.solve("lcs", 8) == ANSWER
         assert time.perf_counter() - began >= 0.1
-        info = lane(server)
+        info = supervision(server)
         assert info["faults"]["by_kind"] == {"slow": 1}
         assert info["crashes"] == 0 and stub.calls == 1
 
     def test_borrowed_session_is_not_closed(self, supervised):
         server, stub = supervised()
-        server.start()
         server.close()
         assert not stub.closed
 
     def test_owned_session_is_closed(self, supervised):
         server, stub = supervised(own_session=True)
-        server.start()
         server.close()
         assert stub.closed
 
     def test_close_fails_unanswered_requests_typed(self, supervised):
-        # A dropped request its waiter still holds, and a batch the lane
-        # cannot finish before the drain timeout: close() must not leave
-        # either waiter blocked until its deadline.
+        # A dropped request its waiter still holds, and a sweep that would
+        # never end: close() stops the sweep through its deadline check and
+        # fails both, typed, without waiting for either deadline.
         server, stub = supervised(plan=FaultPlan.parse("drop@1"), DRAIN_TIMEOUT_S=0.1)
-        server.start()
         dropped = server.submit("lcs", 8, deadline_s=30)
         outcome = []
 
@@ -466,21 +517,20 @@ class TestSupervision:
 
         waiter = threading.Thread(target=client)
         waiter.start()
-        wait_until(lambda: lane(server)["dropped_responses"] == 1)
-        stub.gate.clear()
-        held = server.submit("lcs", 9, deadline_s=30)
-        wait_until(lambda: lane(server)["in_flight"])
-        release = threading.Timer(1.0, stub.gate.set)  # lets the lane end
-        release.start()
+        stub.gate.clear()  # never set again
+        held, held_outcome = in_background(server, "lcs", 9, deadline_s=30)
+        wait_until(lambda: supervision(server)["in_flight"] == 1 and stub.calls == 2)
+        began = time.perf_counter()
         server.close()
+        assert time.perf_counter() - began < 2.0
         waiter.join(timeout=5)
-        assert not waiter.is_alive()
+        held.join(timeout=5)
+        assert not waiter.is_alive() and not held.is_alive()
         [error] = outcome
         assert isinstance(error, ServerError) and "shut down" in str(error)
         assert not isinstance(error, DeadlineError)
         with pytest.raises(ServerError, match="shut down"):
-            held.result(timeout=0)
-        release.join()
+            held_outcome[0].result(timeout=0)
         requests = server.metrics()["requests"]
         assert requests["failed"] == 2 and requests["in_flight"] == 0
         assert_invariant(server)
@@ -495,9 +545,8 @@ class TestSupervision:
             config=ServerConfig(adaptive="off", default_deadline_s=None),
             DRAIN_TIMEOUT_S=5.0,
         )
-        server.start()
         ticket = server.submit("lcs", 8)
-        wait_until(lambda: lane(server)["dropped_responses"] == 1)
+        assert supervision(server)["dropped_responses"] == 1
         began = time.perf_counter()
         server.close()
         assert time.perf_counter() - began < 2.0
@@ -506,99 +555,64 @@ class TestSupervision:
         assert server.metrics()["requests"]["in_flight"] == 0
         assert_invariant(server)
 
-    def test_close_during_a_backoff_fails_the_batch_and_runs_nothing_more(
+    def test_close_during_a_backoff_fails_the_request_and_runs_nothing_more(
         self, supervised
     ):
         server, stub = supervised(
             crashes=1, BACKOFF_BASE_S=5.0, BACKOFF_CAP_S=5.0, DRAIN_TIMEOUT_S=0.1
         )
-        server.start()
-        ticket = server.submit("lcs", 8, deadline_s=30)
-        wait_until(lambda: lane(server)["crashes"] == 1)
+        thread, outcome = in_background(server, "lcs", 8, deadline_s=30)
+        wait_until(lambda: supervision(server)["crashes"] == 1)
         began = time.perf_counter()
         server.close()
         assert time.perf_counter() - began < 2.0  # the backoff was cut short
+        thread.join(timeout=5)
+        assert not thread.is_alive()
         with pytest.raises(ServerError, match="shut down"):
-            ticket.result(timeout=0)
-        assert stub.calls == 1 and lane(server)["redispatches"] == 0
-        assert not server._lane_thread.is_alive()
-        assert_invariant(server)
-
-    def test_a_batch_taken_after_close_stopped_the_lane_is_failed_not_run(
-        self, supervised
-    ):
-        # The lane can take a batch from the closed queue after close() has
-        # looked at the batch in hand; it must answer that batch itself.
-        server, stub = supervised()
-        ticket = server.submit("lcs", 8)
-        server._stop.set()
-        server._serve(server._queue.next_batch(1))
-        with pytest.raises(ServerError, match="shut down"):
-            ticket.result(timeout=0)
-        assert stub.calls == 0 and not lane(server)["in_flight"]
+            outcome[0].result(timeout=0)
+        assert stub.calls == 1 and supervision(server)["redispatches"] == 0
         assert_invariant(server)
 
 
 class TestDeadlines:
-    """Each waiter enforces its own deadline; a batch runs to its latest."""
+    """A deadline stops the request's own work, on its own thread."""
 
-    def test_a_request_coalesced_with_a_tighter_peer_gets_its_answer(self, supervised):
+    def test_a_deadline_stops_the_sweep_not_only_the_waiter(self, supervised):
         server, stub = supervised(sweep_s=0.6)
-        server.submit("lcs", 8, deadline_s=0.1)  # the tighter peer
-        loose = server.submit("lcs", 8, deadline_s=10)
-        server.start()
-        assert loose.result() == ANSWER
-        assert server.metrics()["batches"]["histogram"] == {"2": 1}
-        assert stub.calls == 1
-
-    def test_the_tight_request_fails_typed_before_the_sweep_ends(self, supervised):
-        server, stub = supervised(sweep_s=0.6)
-        tight = server.submit("lcs", 8, deadline_s=0.1)
-        loose = server.submit("lcs", 8, deadline_s=10)
-        server.start()
-        with pytest.raises(DeadlineError):
-            tight.result()
-        failed_at = time.perf_counter()
-        assert failed_at - tight.enqueued_at < 0.5  # the sweep takes 0.6 s
-        assert loose.result() == ANSWER
-        wait_until(lambda: not lane(server)["in_flight"])
+        ticket = server.submit("lcs", 8, deadline_s=0.1)
+        returned = time.perf_counter()
+        with pytest.raises(DeadlineError, match="sweep reached its deadline"):
+            ticket.result(timeout=0)
+        assert returned - ticket.enqueued_at < 0.5  # the sweep takes 0.6 s
+        assert returned >= ticket.deadline_at
         requests = server.metrics()["requests"]
-        assert requests["deadline_expired"] == 1 and requests["failed"] == 1
-        assert requests["completed"] == 1 and requests["in_flight"] == 0
+        assert requests["deadline_expired"] == 1 and requests["in_flight"] == 0
+        assert server.solve("lcs", 8, deadline_s=5) == ANSWER  # nothing left running
         assert_invariant(server)
 
-
-    def test_the_lane_is_given_the_latest_deadline_of_its_batch(self, supervised):
+    def test_the_solve_is_given_the_request_deadline(self, supervised):
         server, stub = supervised()
-        tight = server.submit("lcs", 8, deadline_s=5)
-        loose = server.submit("lcs", 8, deadline_s=10)
-        server.start()
-        assert tight.result() == loose.result() == ANSWER
-        assert stub.deadlines == [loose.deadline_at]
+        ticket = server.submit("lcs", 8, deadline_s=5)
+        assert ticket.result() == ANSWER
+        assert stub.deadlines == [ticket.deadline_at]
 
-    def test_a_peer_without_a_deadline_leaves_the_batch_unbounded(self, supervised):
+    def test_a_request_without_a_deadline_is_unbounded(self, supervised):
         server, stub = supervised(
             config=ServerConfig(adaptive="off", default_deadline_s=None)
         )
-        bounded = server.submit("lcs", 8, deadline_s=5)
-        unbounded = server.submit("lcs", 8)
-        server.start()
-        assert bounded.result() == unbounded.result() == ANSWER
-        assert unbounded.deadline_at is None
-        assert stub.deadlines == [None]
+        ticket = server.submit("lcs", 8)
+        assert ticket.result() == ANSWER
+        assert ticket.deadline_at is None and stub.deadlines == [math.inf]
 
-    def test_a_drop_fails_each_coalesced_waiter_at_its_own_deadline(
-        self, supervised
-    ):
-        server, stub = supervised(plan=FaultPlan.parse("drop@1"))
+    def test_each_dropped_request_fails_at_its_own_deadline(self, supervised):
+        server, stub = supervised(plan=FaultPlan.parse("drop@1,drop@2"))
         tickets = [server.submit("lcs", 8, deadline_s=s) for s in (0.2, 0.4)]
-        server.start()
         for ticket in tickets:
             with pytest.raises(DeadlineError, match="dropped"):
                 ticket.result()
             assert time.perf_counter() >= ticket.deadline_at  # never early
-        assert stub.calls == 1
-        assert lane(server)["dropped_responses"] == 1
+        assert stub.calls == 2
+        assert supervision(server)["dropped_responses"] == 2
         requests = server.metrics()["requests"]
         assert requests["deadline_expired"] == 2 and requests["failed"] == 2
         assert_invariant(server)
@@ -647,11 +661,11 @@ class TestServerIntegration:
                 server.submit("lcs", 48)
             assert server.metrics()["requests"]["rejected"] == before + 1
 
-    def test_sweeps_past_their_deadline_leave_the_lane_healthy(
+    def test_sweeps_past_their_deadline_leave_the_server_healthy(
         self, serve_session, monkeypatch
     ):
-        # More valid requests than the restart budget, each sweeping past its
-        # deadline and each sent once the lane is idle, then a small one.
+        # More valid requests than the restart budget, each stopped at its
+        # deadline mid-sweep, then a small one.
         monkeypatch.setattr(service, "RESTART_BUDGET", 1)
         states = []
 
@@ -677,6 +691,65 @@ class TestServerIntegration:
         assert result.checksum == serve_session.solve("lcs", 12).checksum
         assert info["state"] == "healthy" and info["crashes"] == 0
         assert "dead" not in states
+
+    def test_a_deadline_stops_the_sweep_and_the_next_request_answers_at_once(
+        self, serve_session
+    ):
+        # The head-of-line probe: a sweep of about 1.5 s with a 0.2 s
+        # deadline, and a small request 50 ms behind it.  The small one
+        # waits for the run lock only until the big sweep stops, at its
+        # deadline plus one diagonal, not for the sweep's natural end.
+        outcome = {}
+
+        def big():
+            began = time.perf_counter()
+            try:
+                server.solve(
+                    "nash-equilibrium", 2048, deadline_s=0.2, inner_iterations=40
+                )
+            except DeadlineError as error:
+                outcome["big"] = (time.perf_counter() - began, error)
+
+        with ReproServer(serve_session, ServerConfig(adaptive="off")) as server:
+            server.solve("lcs", 12)  # warm
+            thread = threading.Thread(target=big)
+            thread.start()
+            time.sleep(0.05)
+            began = time.perf_counter()
+            small = server.solve("lcs", 12, deadline_s=30)
+            small_s = time.perf_counter() - began
+            thread.join(timeout=30)
+        big_s, error = outcome["big"]
+        assert "sweep reached its deadline" in str(error)
+        assert 0.2 <= big_s < 0.7
+        assert small_s < 0.75  # behind the whole sweep it would be > 1.3 s
+        assert small.checksum == serve_session.solve("lcs", 12).checksum
+
+    def test_close_stops_an_in_flight_sweep_and_the_requests_behind_it(
+        self, serve_session, monkeypatch
+    ):
+        monkeypatch.setattr(service, "DRAIN_TIMEOUT_S", 0.1)
+        server = ReproServer(serve_session, ServerConfig(adaptive="off")).start()
+        sweeping = in_background(
+            server, "nash-equilibrium", 2048, deadline_s=30, inner_iterations=40
+        )
+        wait_until(lambda: serve_session.run_waiters == 0 and server.readiness()["in_flight"])
+        time.sleep(0.1)  # the sweep holds the run lock
+        behind = [in_background(server, "lcs", 12 + i, deadline_s=30) for i in range(2)]
+        wait_until(lambda: serve_session.run_waiters == 2)
+        began = time.perf_counter()
+        server.close()
+        closed_s = time.perf_counter() - began
+        for thread, outcome in [sweeping, *behind]:
+            thread.join(timeout=10)
+            with pytest.raises(ServerError, match="shut down"):
+                outcome[0].result(timeout=0)
+        assert closed_s < 1.0  # the sweep would take about 1.5 s
+        assert serve_session._run_lock.acquire(blocking=False)
+        serve_session._run_lock.release()
+        requests = server.metrics()["requests"]
+        assert requests["failed"] == 3 and requests["in_flight"] == 0
+        assert_invariant(server)
 
     def test_deadline_expiry_is_counted_in_metrics(self, serve_session):
         with ReproServer(

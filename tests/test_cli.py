@@ -408,9 +408,15 @@ class TestServeVerb:
     def test_serve_parses_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve" and args.port == 8077
-        assert args.queue_size == 64 and args.max_batch == 8
+        assert args.queue_size == 64 and not hasattr(args, "max_batch")
         assert args.system == "local" and args.space == "tiny"
         assert args.adaptive == "on"
+
+    def test_serve_refuses_the_retired_max_batch_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--max-batch", "8"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "--max-batch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("retired", ["live", "shadow"])
     def test_serve_refuses_a_retired_adaptive_mode(self, retired, capsys):
