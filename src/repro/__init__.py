@@ -25,7 +25,7 @@ The package provides:
   :class:`~repro.session.Session` facade (plan/execute separation, batched
   serving) that the CLI and new code build on.
 * :mod:`repro.server` — the concurrent serving subsystem over the session:
-  bounded request queue with backpressure, coalescing batch scheduler,
+  bounded admission with backpressure, deadlines that stop the sweep,
   JSON metrics, stdlib HTTP endpoint and load generator (the ``repro
   serve`` / ``repro loadgen`` CLI verbs).
 

@@ -3,9 +3,8 @@
 A served answer is a pure function of the request — ``(app, dim, instance
 params, plan-relevant overrides, execution mode)`` — so everything that
 reuses work across requests decides sameness here.
-:func:`request_identity` is the in-memory identity: the server's
-coalescing key, the session's plan cache key, the ``/metrics`` and
-adaptive labels; :func:`instance_key`, the session's problem cache key,
+:func:`request_identity` is the in-memory identity: the session's plan
+cache key, the ``/metrics`` and adaptive labels; :func:`instance_key`, the session's problem cache key,
 names the instance a plan builds.  :func:`request_key` is the persistent
 result cache's content address: the same canonical payload, hashed with
 SHA-256.  Two requests are the same **iff** their canonical payloads are
@@ -117,7 +116,7 @@ class RequestIdentity(NamedTuple):
     cache's: dict order and NumPy vs Python scalars do not matter, while
     ``1``, ``1.0`` and ``true`` stay three different values.  ``mode`` is
     ``None`` in the session's plan cache (planning does not
-    depend on it) and the execution mode in the server's coalescing key.
+    depend on it) and the execution mode in the server's request labels.
     """
 
     app: str

@@ -5,8 +5,7 @@
 
 1. **memory** — a bounded :class:`repro.utils.lru.LRUCache` of live
    :class:`~repro.runtime.result.ExecutionResult` objects (shared,
-   read-only — the same contract the serving layer's coalesced batches
-   already impose);
+   read-only — every reader of a cached answer shares the one object);
 2. **disk** — the persistent :class:`~repro.cache.store.DiskCacheStore`,
    surviving restarts and shared across processes pointing at one
    ``cache_dir``; disk hits are promoted into the memory tier;

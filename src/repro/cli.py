@@ -27,9 +27,9 @@ workflow verbs:
 Two serving verbs build on the ``repro.server`` subsystem:
 
 * ``repro-tune serve --port 8077 --system local`` — warm the session's
-  tuner and serve it over a stdlib HTTP/JSON endpoint with a bounded
-  request queue (backpressure), a coalescing batch scheduler and a
-  ``GET /metrics`` page; shuts down gracefully on SIGINT/SIGTERM or
+  tuner and serve it over a stdlib HTTP/JSON endpoint with bounded
+  admission (backpressure), per-request deadlines that stop the sweep and
+  a ``GET /metrics`` page; shuts down gracefully on SIGINT/SIGTERM or
   ``POST /shutdown``, draining in-flight requests and releasing worker pools;
 * ``repro-tune loadgen --url http://127.0.0.1:8077`` — drive a serving
   endpoint with a deterministic mixed workload, verify every answer
@@ -326,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve tuned wavefront solving over a concurrent HTTP endpoint",
         description="Build a Session, warm its tuner, and serve it through "
-        "the repro.server subsystem: a bounded request queue with explicit "
-        "backpressure (HTTP 429 on overflow), a coalescing scheduler "
-        "collapsing same-signature requests into single executions, and "
+        "the repro.server subsystem: bounded admission with explicit "
+        "backpressure (HTTP 429 on overflow), each request solved on its "
+        "connection thread and stopped at its deadline (HTTP 504), and "
         "a JSON metrics page.  Shuts down gracefully on SIGINT/SIGTERM or "
-        "POST /shutdown: the queue drains, worker pools are released, and "
+        "POST /shutdown: in-flight requests drain, worker pools are released, and "
         "the final metrics snapshot is printed (and saved with "
         "--metrics-out).",
         epilog="examples:\n"

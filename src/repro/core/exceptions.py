@@ -45,8 +45,8 @@ class WorkerCrashError(ExecutionError):
     broken pool (a worker was killed or segfaulted).  The pool marks itself
     broken; :class:`repro.runtime.lifecycle.EngineHost` rebuilds it on the
     next request, so one crashed worker costs one failed execution, never a
-    poisoned session.  The serving lane treats this as a crash of its own
-    and re-runs the in-flight batch on the rebuilt team.
+    poisoned session.  The server treats this as a crash of the request's
+    solve and re-runs it on the rebuilt team.
     """
 
 
@@ -135,27 +135,27 @@ class DeadlineError(ServerError):
 
     The serving layer's typed timeout: a per-request ``deadline_s``
     (defaulting to :attr:`repro.server.ServerConfig.default_deadline_s`)
-    propagates client → HTTP → queue → scheduler → shard, and a request
-    that cannot be answered in time fails with this error instead of
-    hanging — the HTTP endpoint maps it to status 504.  The failed ticket
+    propagates client → HTTP → admission → the wait for the session's run
+    lock → the sweep, which checks it once per row, diagonal or released
+    region; a request that cannot be answered in time fails with this
+    error instead of hanging — the HTTP endpoint maps it to status 504.  The failed ticket
     is counted in the ``deadline_expired`` metrics counter.
     """
 
 
 class ShardCrashError(ServerError):
-    """The serving lane crashed mid-request.
+    """A solve attempt crashed mid-request.
 
-    Raised inside the lane by the chaos-injection layer (a ``kill`` fault).
-    The lane thread recovers in place: it re-dispatches the in-flight
-    request and resumes after a jittered exponential backoff; only a
-    request that exhausts its re-dispatch budget surfaces this error to the
-    client.  A request that merely outlasts its deadline is not a crash:
+    Raised by the chaos-injection layer (a ``kill`` fault) before the
+    solve.  The thread serving the request recovers in place: it backs off
+    (jittered, exponential) and re-runs the request; only a request that
+    exhausts its re-dispatch budget surfaces this error to the client.  A request that merely outlasts its deadline is not a crash:
     it answers :class:`DeadlineError`.
     """
 
 
 class ShardUnavailableError(BackpressureError):
-    """The serving lane's circuit breaker is open (restart budget exhausted).
+    """The server's circuit breaker is open (restart budget exhausted).
 
     More than ``restart_budget`` crashes inside the sliding
     ``restart_window_s``: the server sheds the request early instead of

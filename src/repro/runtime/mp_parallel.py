@@ -469,8 +469,8 @@ class MPWavefrontPool:
         orders respect the dependency contract of
         :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile`, so the
         resulting grids are bit-identical.  A dead worker raises
-        :class:`WorkerCrashError` — typed, so the caller (session / serving
-        lane) can retry on the fresh team the next request gets.
+        :class:`WorkerCrashError` — typed, so the caller (session / server)
+        can retry on the fresh team the next request gets.
         The in-process path executes no regions: it reports ``0`` of them.
         ``deadline`` is checked at every region release (per row or
         diagonal on the in-process path); a late run stops dispatching,

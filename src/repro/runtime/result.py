@@ -31,8 +31,8 @@ class ExecutionResult:
     mode.  It is a 1-D ``int64`` array and travels with the result through
     the cache and the serving stack.
 
-    Results are read-only by contract (a cache hit and a coalesced batch
-    hand one object to many readers), so ``checksum``, ``grid_sha256`` and
+    Results are read-only by contract (a cache hit and single-flight
+    followers hand one object to many readers), so ``checksum``, ``grid_sha256`` and
     ``witness_sha256`` are computed once per object and remembered.
     """
 

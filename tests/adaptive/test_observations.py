@@ -4,8 +4,8 @@ The load-bearing contracts:
 
 * :class:`SignatureStats` tracks count/mean/variance exactly (Welford)
   and survives N threads hammering it — totals equal the sequential run;
-* signatures are the server queue's coalescing key
-  (:func:`repro.cache.request_identity`), so observations and batches
+* signatures are the server's request labels
+  (:func:`repro.cache.request_identity`), so observations and ``/metrics``
   describe identical traffic classes;
 * :class:`ObservationLog` is bounded: an adversarial stream of distinct
   signatures evicts LRU-style instead of growing without bound.
@@ -29,7 +29,7 @@ def sig(app, dim, mode=None, **app_kwargs):
 
 
 class TestObservationSignature:
-    def test_matches_the_server_coalescing_key(self):
+    def test_matches_the_server_request_label(self):
         for app, dim, mode, kwargs in [
             ("lcs", 48, "functional", {}),
             ("edit-distance", 40, None, {"policy": ExecutionPolicy(workers=2)}),

@@ -1,15 +1,15 @@
 """The one request identity, and the persistent address built beside it.
 
 ``repro.cache.keys`` decides "is this the same request?" for every consumer:
-the server's coalescing key, the session's plan and problem caches, the
+the server's request labels, the session's plan and problem caches, the
 ``/metrics`` and adaptive labels and the result cache's SHA-256 address.
 These tests pin
 
 * the on-disk address: ``request_key`` digests recorded before the identity
   moved here, for a small table of requests, byte for byte;
 * one equality everywhere: variants of one request (dict order, NumPy vs
-  Python scalars, an omitted vs the explicit default mode) coalesce into one
-  batch, share one plan-cache entry and appear under one label, while
+  Python scalars, an omitted vs the explicit default mode) share one
+  plan-cache entry and appear under one label, while
   ``1``, ``1.0`` and ``true`` stay different requests;
 * typed refusal: a value the identity cannot canonicalise is an
   :class:`~repro.core.exceptions.InvalidParameterError`.
@@ -115,7 +115,7 @@ class TestOneEquality:
 
     def test_int_float_and_bool_are_three_requests(self):
         # Exactly the result cache's equality: the digests differ, so the
-        # identities differ too (a coalesced batch shares one answer).
+        # identities differ too (one identity is one plan and one label).
         one, one_f, true = (
             request_identity("synthetic", 24, {"tsize": value}) for value in (1, 1.0, True)
         )

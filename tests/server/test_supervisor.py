@@ -733,8 +733,15 @@ class TestServerIntegration:
         sweeping = in_background(
             server, "nash-equilibrium", 2048, deadline_s=30, inner_iterations=40
         )
-        wait_until(lambda: serve_session.run_waiters == 0 and server.readiness()["in_flight"])
-        time.sleep(0.1)  # the sweep holds the run lock
+        lock = serve_session._run_lock
+
+        def held_elsewhere():
+            if lock.acquire(blocking=False):
+                lock.release()
+                return False
+            return True
+
+        wait_until(held_elsewhere)  # the sweep holds the run lock
         behind = [in_background(server, "lcs", 12 + i, deadline_s=30) for i in range(2)]
         wait_until(lambda: serve_session.run_waiters == 2)
         began = time.perf_counter()
