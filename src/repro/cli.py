@@ -361,13 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 64)",
     )
     serve.add_argument(
-        "--request-timeout",
-        type=_seconds,
-        default=120.0,
-        help="seconds an HTTP handler waits for a deadline-less result "
-        "(default: 120)",
-    )
-    serve.add_argument(
         "--default-deadline",
         type=_seconds_or_off,
         default=30.0,
@@ -968,7 +961,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 server,
                 args.host,
                 args.port,
-                request_timeout_s=args.request_timeout,
                 log=print if args.verbose else None,
             )
         except OSError as exc:

@@ -5,7 +5,7 @@ callable; this package makes it **servable**: bounded admission with
 explicit backpressure, each admitted request solved to completion on the
 thread that admitted it with its deadline checked inside the sweep,
 in-place crash supervision, JSON metrics (latency percentiles, throughput,
-run-lock waiters, cache hit rates), a small HTTP/1.1 JSON endpoint on
+admitted requests, cache hit rates), a small HTTP/1.1 JSON endpoint on
 reused connection threads and a load generator — the pieces behind the
 ``repro serve`` and ``repro loadgen`` CLI verbs.
 
@@ -18,7 +18,7 @@ Layering, bottom up:
   ``repro serve --chaos`` and the chaos-smoke gate
   (``scripts/gates.py chaos``);
 * :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`
-  + :class:`ServeRequest` (the ticket: it resolves exactly once):
+  + :class:`ServeRequest` (the ticket, resolved before ``submit`` returns):
   admission, the solve on the admitting thread with crash recovery in
   place (jittered backoff, a restart-budget circuit breaker that closes
   again, bounded re-dispatch) and graceful drain/shutdown;

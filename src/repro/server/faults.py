@@ -22,8 +22,8 @@ solve attempt (1-based, re-runs included).  With a plan armed,
   before any solve).
 * ``slow`` — the attempt sleeps ``seconds`` (default 0.25) before executing;
   the request still completes bit-exactly, exercising deadline headroom.
-* ``drop`` — the request is executed and its answer discarded without
-  completing the ticket; its waiter fails it at its deadline with a typed
+* ``drop`` — the request is executed and its answer discarded; the
+  solving thread fails it at its deadline with a typed
   :class:`~repro.core.exceptions.DeadlineError` (HTTP 504), proving no
   request ever hangs past its deadline.
 

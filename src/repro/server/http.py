@@ -8,7 +8,7 @@ every concurrent keep-alive client still has its own, up to
 with ``Retry-After`` and closes).  That thread does everything for its
 connection — ``recv`` into a bounded buffer, split the request line and
 the headers that matter, read the body, route, run the request through the
-server's admission and solve (:meth:`repro.server.ReproServer.submit`, on
+server's admission and solve (:meth:`repro.server.ReproServer.solve`, on
 this thread), answer with one ``sendall`` — so overload answers ``429``
 instead of stalling.  A request's head and body must arrive within
 :data:`READ_DEADLINE_S` of its first byte (past it, ``408``), apart from
@@ -74,9 +74,6 @@ from repro.runtime.result import ExecutionResult
 from repro.server.service import ReproServer, finite_seconds
 from repro.session import Session
 
-#: Default solve timeout an HTTP handler waits before answering 503
-#: (the timeout surfaces as a ``ServerError``).
-DEFAULT_REQUEST_TIMEOUT_S = 120.0
 #: Largest request head (request line + headers) accepted; beyond it, 431.
 MAX_HEADER_BYTES = 16 * 1024
 #: Largest declared request body accepted; beyond it, 413.
@@ -334,11 +331,9 @@ class ServingEndpoint:
         host: str = "127.0.0.1",
         port: int = 8077,
         *,
-        request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
         log: Callable[[str], None] | None = None,
     ) -> None:
         self.repro_server = repro_server
-        self.request_timeout_s = finite_seconds("request_timeout_s", request_timeout_s)
         self._log = log
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(_ACCEPT_POLL_S)
@@ -545,24 +540,13 @@ class ServingEndpoint:
             return 400, _error_body(error, 400)
         if policy is not None:
             body["policy"] = policy
-        ticket = None
         try:
-            ticket = self.repro_server.submit(
+            result = self.repro_server.solve(
                 app, dim, mode=mode, deadline_s=deadline_s, **body
             )
-            # The ticket is resolved unless a chaos drop discarded its
-            # answer: its deadline bounds that wait, or, without one, the
-            # endpoint timeout.
-            if ticket.deadline_at is not None:
-                result = ticket.result()
-            else:
-                result = ticket.result(timeout=self.request_timeout_s)
         except Exception as error:  # noqa: BLE001 - every failure answers JSON
             # ReproErrors map to their documented statuses; anything else
-            # answers 500 instead of dropping the connection.  A ticket
-            # still pending (result timeout) is cancelled, so it resolves.
-            if ticket is not None:
-                ticket.cancel()
+            # answers 500 instead of dropping the connection.
             status = error_status(error)
             return status, _error_body(error, status)
         return 200, result_payload(app, dim, result)

@@ -78,7 +78,6 @@ class ServerMetrics:
         self.rejected = 0
         self.completed = 0
         self.failed = 0
-        self.cancelled = 0
         self.in_flight = 0
         self.deadline_expired = 0
 
@@ -122,25 +121,15 @@ class ServerMetrics:
 
         A missed deadline (typed 504) is a failure that *also* increments
         the dedicated ``deadline_expired`` counter in the same lock
-        acquisition, so the ``accepted == completed + failed + cancelled +
-        in_flight`` invariant is preserved while the chaos gate can still
-        see deadline misses separately.
+        acquisition, so the ``accepted == completed + failed + in_flight``
+        invariant is preserved while the chaos gate can still see deadline
+        misses separately.
         """
         with self._lock:
             self.failed += 1
             self.deadline_expired += deadline_expired
             self.in_flight -= 1
             self._latencies_s.append(latency_s)
-
-    def record_cancelled(self) -> None:
-        """One admitted request was abandoned by its waiter.
-
-        No latency sample: its answer never reached anyone.
-        """
-        with self._lock:
-            self.cancelled += 1
-            self.in_flight -= 1
-
 
     # ------------------------------------------------------------------
     @property
@@ -160,7 +149,7 @@ class ServerMetrics:
     ) -> dict:
         """JSON-safe view of everything collected so far.
 
-        ``queue_*`` are sampled by the caller (the session owns the run lock)
+        ``queue_*`` are sampled by the caller (the server owns admission)
         and ``caches`` is the session's ``cache_info()`` — both optional so
         the metrics object stays reusable outside a full server.  ``batches``
         keeps the schema of the coalescing scheduler this server no longer
@@ -185,7 +174,6 @@ class ServerMetrics:
                     "rejected": self.rejected,
                     "completed": self.completed,
                     "failed": self.failed,
-                    "cancelled": self.cancelled,
                     "in_flight": self.in_flight,
                     "deadline_expired": self.deadline_expired,
                 },

@@ -2,7 +2,7 @@
 
 Architecture: a request is served on the thread that admits it — an HTTP
 connection thread, or whoever calls :meth:`ReproServer.submit` in
-process::
+process — and resolved there, before ``submit`` returns::
 
     caller thread                                                       session
     -------------                                                       -------
@@ -14,13 +14,14 @@ process::
         |                          +-- crash: count, breaker,           later than  deadline per
         |                              backoff, re-run                  the deadline) row / diagonal)
         v
-    ticket (resolved) <-- complete() / fail()
+    ticket (resolved) <-- complete() / fail()   (a chaos drop: fail() at the
+                                                 deadline or the drain)
 
-``start()`` marks the server ready and starts no thread; ``close()`` drains
-and stops what is left.  A request is named once, at admission
-(:attr:`ServeRequest.identity`, default ``dim`` filled in); the session
-plans by that name and the plan it ran goes to the adaptive loop.  The
-server adds four behaviours on top of
+``start()`` marks the server ready and starts no thread; ``close()`` drains,
+then stops what is left, and each solving thread fails its own request.
+A request is named once, at admission (:attr:`ServeRequest.identity`,
+default ``dim`` filled in); the session plans by that name and the plan it
+ran goes to the adaptive loop.  The server adds four behaviours on top of
 :meth:`repro.session.Session.solve_one`:
 
 * **admission control** — at most ``queue_capacity`` admitted requests are
@@ -105,7 +106,7 @@ RESTART_WINDOW_S = 30.0
 #: Extra attempts a crashed request gets before it fails.
 MAX_REDISPATCH = 2
 #: The failure message of a request the server closed on before answering it.
-SHUT_DOWN = "shard shut down before the request completed"
+SHUT_DOWN = "server shut down before the request completed"
 
 
 def finite_seconds(name: str, value, error: type[Exception] = InvalidParameterError) -> float:
@@ -156,14 +157,11 @@ class ServerConfig:
 
 @dataclass(eq=False)
 class ServeRequest:
-    """One admitted request and its completion state: the ticket.
+    """One admitted request and its outcome: the ticket.
 
-    Returned by :meth:`ReproServer.submit`, answered or failed by then
-    unless a chaos ``drop`` discarded its answer.  The ticket resolves
-    **exactly once**: the first :meth:`complete` / :meth:`fail` /
-    :meth:`cancel` wins, whoever makes it (the solving thread, the waiter
-    at its deadline, a cancelling client, shutdown), and only the winner
-    records the outcome in :attr:`metrics`, before the waiter wakes.
+    Returned by :meth:`ReproServer.submit` already resolved — answered or
+    failed with a typed error — by the one thread that served it, which
+    also recorded the outcome in :attr:`metrics`.
     """
 
     app: str
@@ -174,8 +172,9 @@ class ServeRequest:
     enqueued_at: float
     #: Absolute ``time.perf_counter()`` deadline; ``None`` means unbounded.
     deadline_at: float | None = None
-    #: The server's :class:`~repro.server.metrics.ServerMetrics`, which the
-    #: resolving call records the outcome in (``None``: nothing records).
+    #: The server's :class:`~repro.server.metrics.ServerMetrics`, which
+    #: :meth:`complete` / :meth:`fail` record the outcome in (``None``:
+    #: nothing records).
     metrics: ServerMetrics | None = field(default=None, repr=False)
     #: The request's :class:`~repro.cache.RequestIdentity` without its
     #: mode: the key the session's plan cache and result tiers look it up
@@ -187,12 +186,10 @@ class ServeRequest:
     #: What the solve checks: :attr:`deadline_at` (``math.inf`` without
     #: one), which :meth:`ReproServer.close` moves to the past.
     deadline: Deadline = field(init=False, repr=False)
-    #: Set when a chaos ``drop`` fault discarded the answer.
-    dropped: bool = field(default=False, repr=False)
-    _done: threading.Event = field(default_factory=threading.Event, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _result: Any = field(default=None, repr=False)
-    _error: BaseException | None = field(default=None, repr=False)
+    #: True once :meth:`complete` or :meth:`fail` resolved the ticket.
+    done: bool = field(default=False, init=False, repr=False)
+    _result: Any = field(default=None, init=False, repr=False)
+    _error: BaseException | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         """Name the request once, at admission time.
@@ -217,87 +214,31 @@ class ServeRequest:
             **self.plan_kwargs,
         }
 
-    @property
-    def done(self) -> bool:
-        """True once the ticket is resolved."""
-        return self._done.is_set()
+    def complete(self, result: Any) -> None:
+        """Deliver the answer and count it in :attr:`metrics`."""
+        self._result = result
+        self.done = True
+        if self.metrics is not None:
+            self.metrics.record_completed(
+                time.perf_counter() - self.enqueued_at, signature=self.signature
+            )
 
-    def cancel(self) -> bool:
-        """Abandon the request; return whether it was still pending.
-
-        A pending ticket resolves at once with a
-        :class:`~repro.core.exceptions.ServerError` and counts as
-        cancelled.
-        """
-        with self._lock:
-            if self._done.is_set():
-                return False
-            self._error = ServerError("request was cancelled by its client")
-            if self.metrics is not None:
-                self.metrics.record_cancelled()
-            self._done.set()
-        return True
-
-    def complete(self, result: Any) -> bool:
-        """Deliver the result and wake the waiter; False when already resolved.
-
-        Like every resolution, it is counted before the waiter wakes.
-        """
-        with self._lock:
-            if self._done.is_set():
-                return False
-            self._result = result
-            if self.metrics is not None:
-                self.metrics.record_completed(
-                    time.perf_counter() - self.enqueued_at, signature=self.signature
-                )
-            self._done.set()
-        return True
-
-    def fail(self, error: BaseException) -> bool:
-        """Deliver a failure and wake the waiter; False when already resolved.
+    def fail(self, error: BaseException) -> None:
+        """Deliver a typed failure and count it in :attr:`metrics`.
 
         A :class:`~repro.core.exceptions.DeadlineError` also counts in
         ``deadline_expired``.
         """
-        with self._lock:
-            if self._done.is_set():
-                return False
-            self._error = error
-            if self.metrics is not None:
-                self.metrics.record_failed(
-                    time.perf_counter() - self.enqueued_at,
-                    deadline_expired=isinstance(error, DeadlineError),
-                )
-            self._done.set()
-        return True
-
-    def result(self, timeout: float | None = None) -> Any:
-        """Return or re-raise the request's outcome, waiting if it has none yet.
-
-        Only a ticket whose answer a chaos ``drop`` discarded waits: its
-        waiter fails it with a :class:`~repro.core.exceptions.DeadlineError`
-        at :attr:`deadline_at` (unless :meth:`ReproServer.close` failed it
-        first).  A ``timeout`` that ends before the deadline raises
-        :class:`~repro.core.exceptions.ServerError` and leaves the ticket
-        pending.
-        """
-        remaining = None
-        if self.deadline_at is not None:
-            remaining = max(0.0, self.deadline_at - time.perf_counter())
-        if timeout is not None and (remaining is None or timeout < remaining):
-            if not self._done.wait(timeout):
-                raise ServerError(
-                    f"request {self.app}[dim={self.dim}] did not complete "
-                    f"within {timeout:g}s"
-                )
-        elif not self._done.wait(remaining):
-            self.fail(
-                DeadlineError(
-                    f"request {self.app}[dim={self.dim}] missed its deadline"
-                    + (" (response dropped)" if self.dropped else "")
-                )
+        self._error = error
+        self.done = True
+        if self.metrics is not None:
+            self.metrics.record_failed(
+                time.perf_counter() - self.enqueued_at,
+                deadline_expired=isinstance(error, DeadlineError),
             )
+
+    def result(self) -> Any:
+        """Return the answer, or re-raise the typed failure."""
         if self._error is not None:
             raise self._error
         return self._result
@@ -344,17 +285,15 @@ class ReproServer:
         self.adaptive: AdaptiveController | None = None
         if self.config.adaptive != "off":
             self.adaptive = AdaptiveController(drift)
-        # Lifecycle, the admitted requests and the crash record, all guarded
-        # by one lock; ``_idle`` is notified when the last admitted request
-        # leaves.
+        # Lifecycle, the admitted requests (and the most at once) and the
+        # crash record, all guarded by one lock; ``_idle`` is notified when
+        # the last admitted request leaves and when the drain begins.
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._started = self._draining = self._closed = False
         self._stop = threading.Event()
         self._solving: set[ServeRequest] = set()
-        # Tickets whose answer a chaos ``drop`` discarded: only their waiter
-        # (at the deadline) or close() resolves them.
-        self._dropped: list[ServeRequest] = []
+        self._high_water = 0
         self._rng = random.Random()
         self._backing_off = 0
         self._consecutive_crashes = 0
@@ -378,23 +317,25 @@ class ReproServer:
         """Stop admission and wait for the admitted requests to finish.
 
         Returns ``True`` when every one finished within ``timeout``
-        (default :data:`DRAIN_TIMEOUT_S`).  A ticket whose answer a chaos
-        ``drop`` discarded has finished: no work is left to wait for.  The
-        server cannot admit requests afterwards.
+        (default :data:`DRAIN_TIMEOUT_S`).  A request whose answer a chaos
+        ``drop`` discarded fails "shut down" as the drain begins: no work is
+        left to wait for.  The server cannot admit requests afterwards.
         """
         timeout = timeout if timeout is not None else DRAIN_TIMEOUT_S
         with self._lock:
             self._draining = True
+            self._idle.notify_all()  # wakes the dropped requests
             return self._idle.wait_for(lambda: not self._solving, timeout)
 
     def close(self) -> None:
         """Graceful shutdown: drain, stop what is left, release owned resources.
 
         Safe to call more than once.  Requests still running after the drain
-        timeout, and dropped ones still unanswered, are failed with
-        :class:`~repro.core.exceptions.ServerError` so no client blocks
-        forever; a running sweep stops at its next deadline check, and a
-        crashed request backing off runs nothing more.
+        timeout are stopped: their deadlines move to the past, so a running
+        sweep stops at its next deadline check, and a crashed request
+        backing off runs nothing more.  Each solving thread then fails its
+        own request with :class:`~repro.core.exceptions.ServerError` "shut
+        down", so no client blocks forever.
         """
         with self._lock:
             if self._closed:
@@ -403,13 +344,8 @@ class ReproServer:
         self.drain()
         with self._lock:
             self._stop.set()
-            stranded = [*self._solving, *self._dropped]
-            self._dropped = []
-        error = ServerError(SHUT_DOWN)
-        for request in stranded:
-            request.fail(error)
-            request.deadline.expire()
-        with self._lock:
+            for request in self._solving:
+                request.deadline.expire()
             self._idle.wait_for(lambda: not self._solving, _STOP_TIMEOUT_S)
         if self._own_session:
             self.session.close()
@@ -437,11 +373,10 @@ class ReproServer:
         deadline_s: float | None = None,
         **plan_kwargs,
     ) -> ServeRequest:
-        """Admit one request and serve it on this thread; return its ticket.
+        """Admit one request and serve it on this thread; return its ticket, resolved.
 
-        The ticket comes back resolved — answered, or failed with a typed
-        error — unless a chaos ``drop`` discarded the answer (its
-        :meth:`ServeRequest.result` then fails at the deadline).
+        The ticket comes back answered, or failed with a typed error (a
+        chaos ``drop`` fails it at its deadline, or at once without one).
         A memory-tier result-cache hit is answered without admission (unless
         a fault plan is armed).  Raises
         :class:`~repro.core.exceptions.BackpressureError` when
@@ -515,18 +450,15 @@ class ReproServer:
         app: str,
         dim: int | None = None,
         mode: str | None = None,
-        timeout: float | None = None,
         deadline_s: float | None = None,
         **plan_kwargs,
     ):
         """Submit and return the result (or raise its typed failure).
 
         The deadline (explicit ``deadline_s`` or the config default) stops
-        the solve with a :class:`~repro.core.exceptions.DeadlineError`;
-        ``timeout`` only bounds the wait for a dropped answer.
+        the solve with a :class:`~repro.core.exceptions.DeadlineError`.
         """
-        ticket = self.submit(app, dim, mode, deadline_s=deadline_s, **plan_kwargs)
-        return ticket.result(timeout)
+        return self.submit(app, dim, mode, deadline_s=deadline_s, **plan_kwargs).result()
 
     def _admit(self, request: ServeRequest) -> None:
         """Count ``request`` in, or refuse it: draining, or at capacity."""
@@ -536,6 +468,7 @@ class ReproServer:
             full = len(self._solving) >= self.config.queue_capacity
             if not full:
                 self._solving.add(request)
+                self._high_water = max(self._high_water, len(self._solving))
                 self.metrics_store.record_admitted()
         if full:
             self.metrics_store.record_rejected()
@@ -550,20 +483,21 @@ class ReproServer:
     def metrics(self) -> dict:
         """The JSON-safe metrics snapshot (``GET /metrics`` payload).
 
-        ``queue`` is the session's run lock: the requests waiting for it
-        now, the most ever at once, and this server's admission bound.
+        ``queue`` is this server's admission: the requests admitted and
+        unfinished now, the most at once, and the bound on both.
         """
+        supervisor = self._supervision()
         return self.metrics_store.snapshot(
-            queue_depth=self.session.run_waiters,
+            queue_depth=supervisor["in_flight"],
             queue_capacity=self.config.queue_capacity,
-            queue_high_water=self.session.run_waiters_high_water,
+            queue_high_water=self._high_water,
             caches=self.session.cache_info(),
             cache=(
                 self.session.result_cache.info()
                 if self.session.result_cache is not None
                 else None
             ),
-            supervisor=self._supervision(),
+            supervisor=supervisor,
             adaptive=(
                 self.adaptive.snapshot() if self.adaptive is not None else None
             ),
@@ -631,7 +565,11 @@ class ReproServer:
             return
 
     def _execute(self, request: ServeRequest) -> None:
-        """One attempt at a request: chaos hooks, the solve, delivery."""
+        """One attempt at a request: chaos hooks, the solve, delivery.
+
+        A request :meth:`close` stopped through its deadline fails "shut
+        down".
+        """
         taken_at = time.perf_counter()
         request.deadline.waited_s = 0.0
         drop = self._armed and self._inject_faults()
@@ -642,17 +580,13 @@ class ReproServer:
             )
         except (ShardCrashError, WorkerCrashError):
             raise  # a crash: recovered by _serve
-        except Exception as error:  # noqa: BLE001 - delivered to the waiter
+        except Exception as error:  # noqa: BLE001 - delivered on the ticket
+            if isinstance(error, DeadlineError) and self._stop.is_set():
+                error = ServerError(SHUT_DOWN)
             request.fail(error)
             return
         if drop:
-            # Chaos: the work happened, the answer vanishes; the waiter
-            # fails the ticket at its deadline.
-            request.dropped = True
-            with self._lock:
-                self._counts["dropped_responses"] += 1
-                self._dropped = [held for held in self._dropped if not held.done]
-                self._dropped.append(request)
+            self._drop(request)
             return
         # Callers must treat a shared ExecutionResult as read-only, which
         # every shipped consumer (HTTP payload, verification, metrics) does.
@@ -664,6 +598,25 @@ class ReproServer:
                 plan.expected_s,
                 time.perf_counter() - taken_at - request.deadline.waited_s,
             )
+
+    def _drop(self, request: ServeRequest) -> None:
+        """Chaos: the work happened, the answer vanishes.
+
+        The request stays admitted until its deadline, where it fails with
+        a :class:`~repro.core.exceptions.DeadlineError` naming the dropped
+        response, or until the drain begins, where it fails "shut down".
+        Without a deadline it fails at once, typed, naming the drop.
+        """
+        what = f"request {request.app}[dim={request.dim}]"
+        with self._lock:
+            self._counts["dropped_responses"] += 1
+            if request.deadline_at is None:
+                error = ServerError(f"the response of {what} was dropped (chaos fault)")
+            elif self._idle.wait_for(lambda: self._draining, request.deadline.remaining()):
+                error = ServerError(SHUT_DOWN)
+            else:
+                error = DeadlineError(f"{what} missed its deadline (response dropped)")
+        request.fail(error)
 
     def _inject_faults(self) -> bool:
         """Fire the faults due at this attempt; return whether to drop its answer.
@@ -727,10 +680,12 @@ class ReproServer:
             return False
         with self._lock:
             self._backing_off += 1
-        # A close() during the backoff wakes it, and has failed the request.
+        # A close() during the backoff wakes it: nothing more runs.
         retry = not self._stop.wait(delay)
         with self._lock:
             self._backing_off -= 1
             self._counts["restarts"] += 1
             self._counts["redispatches"] += retry
+        if not retry:
+            request.fail(ServerError(SHUT_DOWN))
         return retry

@@ -173,9 +173,8 @@ class Session:
         self._run_lock = threading.RLock()
         # stats["requests_served"] and the waiter gauge: never held across a run.
         self._served_lock = threading.Lock()
-        #: Threads waiting for the run lock now, and the most ever at once.
+        #: Threads waiting for the run lock now.
         self.run_waiters = 0
-        self.run_waiters_high_water = 0
         self._closed = False
         #: Run observer (``observer(plan, mode, wall_s)``) — see
         #: :meth:`attach_observer`; ``None`` = no observation.
@@ -446,7 +445,6 @@ class Session:
         """
         with self._served_lock:
             self.run_waiters += 1
-            self.run_waiters_high_water = max(self.run_waiters_high_water, self.run_waiters)
         began = time.perf_counter()
         try:
             if deadline is None:

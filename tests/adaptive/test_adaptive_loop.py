@@ -63,7 +63,7 @@ def consecutive_ordinals(entries, app, dim, *, after=0):
 def replay(server, entries):
     """Issue the trace sequentially: execution ordinal == trace position."""
     for app, dim in entries:
-        server.solve(app, dim, timeout=60)
+        server.solve(app, dim)
 
 
 class TestDriftOnTrace:
@@ -131,7 +131,7 @@ class TestDriftOnTrace:
         ).start()
         try:
             for _ in range(4):
-                server.solve("lcs", 48, timeout=60)
+                server.solve("lcs", 48)
             metrics = server.metrics()
         finally:
             server.close()
@@ -181,7 +181,7 @@ class TestUnpredictedPlans:
             own_session=True,
         ).start()
         try:
-            answers = [server.solve("lcs", 48, timeout=60) for _ in range(7)]
+            answers = [server.solve("lcs", 48) for _ in range(7)]
             metrics = server.metrics()
         finally:
             server.close()
@@ -269,7 +269,7 @@ class TestConfigSurface:
             adaptive_session, ServerConfig(queue_capacity=8, adaptive="off")
         ).start()
         try:
-            server.solve("lcs", 32, timeout=60)
+            server.solve("lcs", 32)
             metrics = server.metrics()
         finally:
             server.close()

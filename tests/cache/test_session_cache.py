@@ -229,8 +229,8 @@ class TestIntrospection:
     def test_server_metrics_carry_the_cache_section(self, tmp_path):
         session = Session(system="i7-2600K", cache_dir=tmp_path, space=None)
         with ReproServer(session, ServerConfig(), own_session=True) as server:
-            server.solve("lcs", 24, policy=SERIAL, timeout=30)
-            server.solve("lcs", 24, policy=SERIAL, timeout=30)
+            server.solve("lcs", 24, policy=SERIAL)
+            server.solve("lcs", 24, policy=SERIAL)
             snapshot = server.metrics()
         assert snapshot["cache"] is not None
         assert snapshot["cache"]["lookups"] >= 2
@@ -240,7 +240,7 @@ class TestIntrospection:
     def test_server_metrics_carry_the_byte_counts(self, tmp_path):
         session = Session(system="i7-2600K", cache_dir=tmp_path)
         with ReproServer(session, ServerConfig(), own_session=True) as server:
-            result = server.solve("viterbi", 24, policy=SERIAL, timeout=30)
+            result = server.solve("viterbi", 24, policy=SERIAL)
             snapshot = server.metrics()
         assert snapshot["caches"]["problems"]["bytes"] == 0
         size = result.grid.values.nbytes + result.witness.nbytes

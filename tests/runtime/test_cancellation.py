@@ -185,17 +185,20 @@ def test_the_wait_for_the_run_lock_ends_at_the_deadline(cached_session):
             outcome.append(error)
 
     session._run_lock.acquire()  # another run holds it throughout
+    waiting = False
     try:
         thread = threading.Thread(target=late)
         thread.start()
+        while thread.is_alive() and not waiting:
+            waiting = session.run_waiters == 1
+            thread.join(timeout=0.005)
         thread.join(timeout=10)
-        high_water = session.run_waiters_high_water
     finally:
         session._run_lock.release()
     assert not thread.is_alive()
     [error] = outcome
     assert "waited for its run" in str(error)
-    assert session.run_waiters == 0 and high_water == 1
+    assert waiting and session.run_waiters == 0
 
 
 def test_without_a_deadline_the_steps_are_the_steps_themselves():

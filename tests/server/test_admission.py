@@ -46,8 +46,7 @@ def assert_invariants(server):
     """Both accounting identities of the serving path and the cache."""
     requests = server.metrics()["requests"]
     assert requests["accepted"] == (
-        requests["completed"] + requests["failed"]
-        + requests["cancelled"] + requests["in_flight"]
+        requests["completed"] + requests["failed"] + requests["in_flight"]
     )
     cache = server.session.result_cache.info()
     assert cache["lookups"] == (
@@ -63,7 +62,7 @@ class TestAnsweredAtAdmission:
         served = cached_session.stats["requests_served"]
         try:
             ticket = server.submit("lcs", 24, policy=SERIAL)
-            assert ticket._done.is_set()
+            assert ticket.done
             metrics = server.metrics()
             assert solves(server) == 0
             assert metrics["requests"]["accepted"] == 1
@@ -75,7 +74,7 @@ class TestAnsweredAtAdmission:
             assert cache.memory_hits == hits + 1
             assert cached_session.stats["requests_served"] == served + 1
             expected = cached_session.solve("lcs", 24, policy=SERIAL)
-            assert ticket.result(timeout=0) is expected
+            assert ticket.result() is expected
         finally:
             server.close()
 
@@ -89,7 +88,7 @@ class TestAnsweredAtAdmission:
         )
         try:
             ticket = server.submit("lcs", 24, policy=SERIAL)
-            assert ticket.result(timeout=0).grid is not None
+            assert ticket.result().grid is not None
             assert solves(server) == 1
             assert server.metrics()["supervisor"]["faults"]["requests_seen"] == 1
         finally:
@@ -101,7 +100,7 @@ class TestAnsweredAtAdmission:
         before = cache.info()
         try:
             ticket = server.submit("lcs", 20, policy=SERIAL)  # never solved before
-            assert ticket.result(timeout=0).grid is not None
+            assert ticket.result().grid is not None
             assert solves(server) == 1
             after = cache.info()
             # The solve's own lookup and miss; admission added neither.
@@ -127,7 +126,7 @@ class TestAnsweredAtAdmission:
         server = unstarted(cached_session)
         try:
             ticket = server.submit("lcs", 24, **request_kwargs)
-            assert ticket._done.is_set()
+            assert ticket.done
             assert solves(server) == 1
         finally:
             server.close()
@@ -184,7 +183,7 @@ class TestMixedRun:
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
             with ReproServer(session, ServerConfig(adaptive="off")) as server:
                 results = [
-                    server.solve(app, dim, policy=SERIAL, timeout=30)
+                    server.solve(app, dim, policy=SERIAL)
                     for app, dim in stream
                 ]
                 assert_invariants(server)
@@ -215,13 +214,13 @@ class TestAdaptiveLoop:
                 observed.set()
 
             adaptive.observe = recording_observe
-            server.solve("lcs", 32, timeout=30)  # a miss: executed
+            server.solve("lcs", 32)  # a miss: executed
             assert observed.wait(timeout=30)
             observations = adaptive.serve_log.observations
             assessments = adaptive.detector.assessments
             completed = server.metrics()["requests"]["completed"]
             ticket = server.submit("lcs", 32)
-            assert ticket._done.is_set(), "the second request is a memory hit"
+            assert ticket.done, "the second request is a memory hit"
             assert len(calls) == 1
             assert adaptive.serve_log.observations == observations
             assert adaptive.detector.assessments == assessments

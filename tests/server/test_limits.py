@@ -1,9 +1,8 @@
 """Every serving limit an operator or client sets is finite seconds > 0.
 
 One check (:func:`repro.server.service.finite_seconds`) guards each entry
-point: ``ServerConfig``, ``ReproServer.submit``, ``ServingEndpoint`` and
-the ``POST /solve`` body, and the ``repro serve`` flags map a bad value to
-exit 2.  Without it an infinite deadline overflowed ``Event.wait`` into an
+point: ``ServerConfig``, ``ReproServer.submit`` and the ``POST /solve``
+body, and the ``repro serve`` flags map a bad value to exit 2.  Without it an infinite deadline overflowed ``Event.wait`` into an
 HTTP 500, and a NaN one silently never fired or fired at once.
 """
 
@@ -16,7 +15,7 @@ import pytest
 
 from repro.cli import EXIT_USAGE, build_parser
 from repro.core.exceptions import InvalidParameterError, ServerError
-from repro.server import ReproServer, ServerConfig, ServingEndpoint
+from repro.server import ReproServer, ServerConfig
 
 NAN, INF = float("nan"), float("inf")
 #: Waits no limit may be set to: never-firing, overflowing, or not seconds.
@@ -39,15 +38,6 @@ def test_submit_refuses_a_deadline_that_is_not_finite_seconds(serve_session, dea
         assert server.metrics()["requests"]["accepted"] == 0
 
 
-@pytest.mark.parametrize("timeout_s", BAD_WAITS + [0.0, -1.0], ids=repr)
-def test_endpoint_refuses_a_request_timeout_that_is_not_finite_seconds(
-    serve_session, timeout_s
-):
-    with ReproServer(serve_session, ServerConfig(queue_capacity=4)) as server:
-        with pytest.raises(InvalidParameterError, match="finite number of seconds"):
-            ServingEndpoint(server, port=0, request_timeout_s=timeout_s)
-
-
 @pytest.mark.parametrize("deadline_s", ["NaN", "Infinity", "-Infinity", "1e300"])
 def test_a_body_deadline_that_is_not_finite_seconds_answers_400(endpoint, deadline_s):
     body = b'{"app": "lcs", "dim": 12, "deadline_s": %s}' % deadline_s.encode()
@@ -66,9 +56,6 @@ def test_a_body_deadline_that_is_not_finite_seconds_answers_400(endpoint, deadli
         ["--default-deadline", "inf"],
         ["--default-deadline", "nan"],
         ["--default-deadline", "-1"],
-        ["--request-timeout", "nan"],
-        ["--request-timeout", "inf"],
-        ["--request-timeout", "0"],
     ],
     ids=" ".join,
 )

@@ -48,7 +48,7 @@ class TestOneNameAtAdmission:
         with Session() as session:
             with ReproServer(session, ServerConfig(adaptive="off")) as server:
                 ticket = server.submit("lcs", None, seed=3)
-                ticket.result(timeout=60)
+                ticket.result()
             assert ticket.identity.dim == 512 and ticket.identity.mode is None
             assert ticket.identity in session._plans
 
@@ -90,9 +90,9 @@ def counted_request():
     try:
         server.start()
         for _ in range(3):  # warm: plan, problem, executor and sweeper kept
-            server.solve("lcs", 12, timeout=60)
+            server.solve("lcs", 12)
         counter.on = True
-        server.solve("lcs", 12, timeout=60)
+        server.solve("lcs", 12)
         counter.on = False
     finally:
         sys.setprofile(None)

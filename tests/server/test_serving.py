@@ -52,7 +52,7 @@ class TestConcurrentEquivalence:
         def hammer(thread_id):
             for i in range(6):
                 app, dim = MIX[(thread_id + i) % len(MIX)]
-                result = server.solve(app, dim, timeout=60)
+                result = server.solve(app, dim)
                 if not np.array_equal(
                     result.grid.values, sequential[(app, dim)].grid.values
                 ):
@@ -69,7 +69,7 @@ class TestConcurrentEquivalence:
 
     def test_submit_returns_tickets_resolving_independently(self, server):
         tickets = [server.submit(app, dim) for app, dim in MIX]
-        values = [t.result(timeout=60).value for t in tickets]
+        values = [t.result().value for t in tickets]
         assert len(values) == len(MIX)
 
 
@@ -125,9 +125,9 @@ class TestFailuresStayIsolated:
     def test_unknown_app_fails_its_ticket_not_the_server(self, server):
         bad = server.submit("no-such-app", 16)
         with pytest.raises(UnknownApplicationError):
-            bad.result(timeout=60)
+            bad.result()
         # The worker survived and keeps serving.
-        assert server.solve("lcs", 48, timeout=60).grid is not None
+        assert server.solve("lcs", 48).grid is not None
         assert server.metrics()["requests"]["failed"] >= 1
 
 
@@ -136,7 +136,7 @@ class TestLifecycle:
         session = Session(system=i3, tuner=quick_tuner_i3)
         server = ReproServer(session, own_session=True)
         server.start()
-        assert server.solve("lcs", 48, timeout=60).grid is not None
+        assert server.solve("lcs", 48).grid is not None
         server.close()
         # Owned session (and its EngineHost team/executors) are released.
         info = session.cache_info()
@@ -148,7 +148,7 @@ class TestLifecycle:
     def test_borrowed_session_survives_server_close(self, serve_session):
         server = ReproServer(serve_session)
         server.start()
-        server.solve("lcs", 48, timeout=60)
+        server.solve("lcs", 48)
         server.close()
         assert serve_session.solve("lcs", 48).grid is not None
 
@@ -163,7 +163,7 @@ class TestLifecycle:
     def test_a_never_started_server_serves_and_closes_at_once(self, serve_session):
         server = ReproServer(serve_session)  # default 30 s drain timeout
         assert not server.running
-        assert server.solve("lcs", 48, timeout=60).grid is not None
+        assert server.solve("lcs", 48).grid is not None
         t0 = time.perf_counter()
         server.close()
         assert time.perf_counter() - t0 < 5  # nothing in flight to drain
@@ -181,38 +181,43 @@ class TestLifecycle:
         assert requests["rejected"] == 0 and requests["accepted"] == 0
 
 
-class TestCancellation:
-    def test_a_waiter_that_gives_up_on_a_dropped_answer_cancels_it(self, serve_session):
-        """A ticket whose answer a chaos drop discarded is the one a waiter can
-        still give up on: cancelled, counted once, the server healthy."""
+class TestDroppedAnswer:
+    def test_a_drop_without_a_deadline_fails_at_once_and_the_server_stays_healthy(
+        self, serve_session
+    ):
         server = ReproServer(
             serve_session,
             ServerConfig(queue_capacity=8, default_deadline_s=None),
             fault_plan=FaultPlan.parse("drop@1"),
         )
-        abandoned = server.submit("lcs", 48)   # solved, its answer dropped
-        with pytest.raises(ServerError):       # waiter times out and leaves
-            abandoned.result(timeout=0.01)
-        assert abandoned.cancel()
-        live = server.solve("edit-distance", 40, timeout=60)  # server healthy
+        dropped = server.submit("lcs", 48)  # solved, its answer dropped
+        assert dropped.done
+        with pytest.raises(ServerError, match="dropped"):
+            dropped.result()
+        live = server.solve("edit-distance", 40)  # server healthy
         assert live.grid is not None
         server.close()
         requests = server.metrics()["requests"]
-        assert requests["cancelled"] == 1 and requests["completed"] == 1
-        assert requests["accepted"] == (
-            requests["completed"] + requests["failed"] + requests["cancelled"]
-        )
-
-    def test_cancel_after_completion_is_a_no_op(self, server):
-        ticket = server.submit("lcs", 48)
-        ticket.result(timeout=60)
-        assert not ticket.cancel()
-        assert server.metrics()["requests"]["cancelled"] == 0
+        assert requests["failed"] == 1 and requests["completed"] == 1
+        assert requests["accepted"] == requests["completed"] + requests["failed"]
+        assert "cancelled" not in requests
 
 
 class TestMetrics:
+    def test_queue_counts_this_servers_admitted_requests(self, serve_session, blocked):
+        earlier = ReproServer(serve_session, ServerConfig(queue_capacity=3))
+        with blocked(earlier, 3):
+            assert earlier.metrics()["queue"] == {"depth": 3, "capacity": 3, "high_water": 3}
+        earlier.close()
+        # The session's earlier waiters are no part of a fresh server's queue.
+        fresh = ReproServer(serve_session, ServerConfig(queue_capacity=2))
+        assert fresh.metrics()["queue"] == {"depth": 0, "capacity": 2, "high_water": 0}
+        fresh.solve("lcs", 48)
+        assert fresh.metrics()["queue"] == {"depth": 0, "capacity": 2, "high_water": 1}
+        fresh.close()
+
     def test_snapshot_is_json_safe_and_complete(self, server):
-        server.solve("lcs", 48, timeout=60)
+        server.solve("lcs", 48)
         snapshot = json.loads(json.dumps(server.metrics()))
         for key in (
             "uptime_s",

@@ -5,8 +5,8 @@ supervision constants shrunk to milliseconds, so crash / restart /
 re-dispatch / deadline logic runs fast and deterministically; the
 integration layer at the bottom runs a real server over the shared serving
 session with a fault plan armed.  Every request runs on the thread that
-submits it: ``submit`` returns its ticket resolved, unless a chaos ``drop``
-discarded the answer.
+submits it, and ``submit`` returns its ticket resolved: a chaos ``drop``
+fails it on that thread, at its deadline or as the drain begins.
 """
 
 import math
@@ -62,11 +62,10 @@ def wait_until(predicate, timeout_s=3.0):
 
 
 def assert_invariant(server):
-    """``accepted == completed + failed + cancelled + in_flight``."""
+    """``accepted == completed + failed + in_flight``."""
     requests = server.metrics()["requests"]
     assert requests["accepted"] == (
-        requests["completed"] + requests["failed"]
-        + requests["cancelled"] + requests["in_flight"]
+        requests["completed"] + requests["failed"] + requests["in_flight"]
     ), requests
 
 
@@ -79,7 +78,6 @@ class StubSession:
 
     mode = ExecutionMode.FUNCTIONAL
     result_cache = None
-    run_waiters = run_waiters_high_water = 0
 
     def __init__(self, crashes=0, sweep_s=0.0, error=None):
         self.crashes_left = crashes
@@ -278,14 +276,48 @@ class TestSupervision:
     def test_chaos_drop_fails_typed_at_the_deadline(self, supervised):
         server, stub = supervised(plan=FaultPlan.parse("drop@1"))
         ticket = server.submit("lcs", 8, deadline_s=0.3)
-        assert not ticket.done  # solved, its answer discarded
+        assert time.perf_counter() >= ticket.deadline_at  # never early
         with pytest.raises(DeadlineError, match="dropped"):
             ticket.result()
-        assert time.perf_counter() >= ticket.deadline_at  # never early
         assert stub.calls == 1  # the work happened, the response vanished
         assert supervision(server)["dropped_responses"] == 1
         requests = server.metrics()["requests"]
         assert requests["deadline_expired"] == 1 and requests["failed"] == 1
+        assert_invariant(server)
+
+    @pytest.mark.parametrize("deadline_s", [0.05, None], ids=["deadline", "no-deadline"])
+    def test_submit_returns_a_dropped_request_resolved(self, supervised, deadline_s):
+        server, stub = supervised(
+            plan=FaultPlan.parse("drop@1"),
+            config=ServerConfig(adaptive="off", default_deadline_s=None),
+        )
+        ticket = server.submit("lcs", 8, deadline_s=deadline_s)
+        assert ticket.done
+        error = DeadlineError if deadline_s else ServerError
+        with pytest.raises(error, match="dropped"):
+            ticket.result()
+        assert stub.calls == 1 and supervision(server)["dropped_responses"] == 1
+        requests = server.metrics()["requests"]
+        assert requests["failed"] == 1 and requests["in_flight"] == 0
+        assert requests["deadline_expired"] == (deadline_s is not None)
+        assert_invariant(server)
+
+    def test_after_a_drop_in_flight_equals_the_admission_count(self, supervised):
+        server, stub = supervised(plan=FaultPlan.parse("drop@1,drop@2"))
+
+        def in_flight():
+            return server.metrics()["requests"]["in_flight"], supervision(server)["in_flight"]
+
+        server.submit("lcs", 8, deadline_s=0.05)
+        assert in_flight() == (0, 0)
+        # A drop waiting out its deadline is still admitted, and counted so.
+        thread, outcome = in_background(server, "lcs", 8, deadline_s=30)
+        wait_until(lambda: supervision(server)["dropped_responses"] == 2)
+        assert in_flight() == (1, 1)
+        server.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert in_flight() == (0, 0)
         assert_invariant(server)
 
     def test_crashes_are_recovered_on_the_calling_thread(self, supervised):
@@ -383,6 +415,7 @@ class TestSupervision:
         assert requests["rejected"] == outcomes["rejected"]
         assert requests["accepted"] == outcomes["answered"]
         assert requests["in_flight"] == 0 and supervision(server)["in_flight"] == 0
+        assert 1 <= server.metrics()["queue"]["high_water"] <= 3
         assert_invariant(server)
 
     def test_restart_budget_trips_the_circuit_breaker(self, supervised):
@@ -463,7 +496,7 @@ class TestSupervision:
         server, stub = supervised(plan=FaultPlan.parse("slow@1:0.2,kill@1"))
         ticket = server.submit("lcs", 8, deadline_s=0.1)
         with pytest.raises(DeadlineError, match="crashed with its shard"):
-            ticket.result(timeout=0)
+            ticket.result()
         info = supervision(server)
         assert stub.calls == 0 and not info["in_flight"]
         assert info["crashes"] == 1 and info["redispatches"] == 0
@@ -502,56 +535,43 @@ class TestSupervision:
         assert stub.closed
 
     def test_close_fails_unanswered_requests_typed(self, supervised):
-        # A dropped request its waiter still holds, and a sweep that would
-        # never end: close() stops the sweep through its deadline check and
-        # fails both, typed, without waiting for either deadline.
+        # A dropped request waiting out its deadline, and a sweep that would
+        # never end: the drain wakes the first and close() stops the second
+        # through its deadline check.  Each thread fails its own request,
+        # typed, without waiting for either deadline.
         server, stub = supervised(plan=FaultPlan.parse("drop@1"), DRAIN_TIMEOUT_S=0.1)
-        dropped = server.submit("lcs", 8, deadline_s=30)
-        outcome = []
-
-        def client():
-            try:
-                outcome.append(dropped.result())
-            except ServerError as error:
-                outcome.append(error)
-
-        waiter = threading.Thread(target=client)
-        waiter.start()
+        dropped = in_background(server, "lcs", 8, deadline_s=30)
+        wait_until(lambda: supervision(server)["dropped_responses"] == 1)
         stub.gate.clear()  # never set again
-        held, held_outcome = in_background(server, "lcs", 9, deadline_s=30)
-        wait_until(lambda: supervision(server)["in_flight"] == 1 and stub.calls == 2)
+        held = in_background(server, "lcs", 9, deadline_s=30)
+        wait_until(lambda: supervision(server)["in_flight"] == 2 and stub.calls == 2)
         began = time.perf_counter()
         server.close()
-        assert time.perf_counter() - began < 2.0
-        waiter.join(timeout=5)
-        held.join(timeout=5)
-        assert not waiter.is_alive() and not held.is_alive()
-        [error] = outcome
-        assert isinstance(error, ServerError) and "shut down" in str(error)
-        assert not isinstance(error, DeadlineError)
-        with pytest.raises(ServerError, match="shut down"):
-            held_outcome[0].result(timeout=0)
+        assert time.perf_counter() - began < 1.0
+        for thread, outcome in (dropped, held):
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            [ticket] = outcome
+            with pytest.raises(ServerError, match="shut down") as error:
+                ticket.result()
+            assert not isinstance(error.value, DeadlineError)
         requests = server.metrics()["requests"]
         assert requests["failed"] == 2 and requests["in_flight"] == 0
         assert_invariant(server)
 
-    def test_close_resolves_an_unwaited_drop_without_the_drain_timeout(
-        self, supervised
-    ):
-        # No deadline and nobody waiting: only close() can resolve the
-        # ticket, and it has no work to drain for.
-        server, stub = supervised(
-            plan=FaultPlan.parse("drop@1"),
-            config=ServerConfig(adaptive="off", default_deadline_s=None),
-            DRAIN_TIMEOUT_S=5.0,
-        )
-        ticket = server.submit("lcs", 8)
-        assert supervision(server)["dropped_responses"] == 1
+    def test_close_wakes_a_drop_waiting_on_its_deadline(self, supervised):
+        # The default drain timeout: the drop is no work to wait for.
+        server, stub = supervised(plan=FaultPlan.parse("drop@1"), DRAIN_TIMEOUT_S=30.0)
+        thread, outcome = in_background(server, "lcs", 8, deadline_s=30)
+        wait_until(lambda: supervision(server)["dropped_responses"] == 1)
         began = time.perf_counter()
         server.close()
-        assert time.perf_counter() - began < 2.0
+        assert time.perf_counter() - began < 1.0
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        [ticket] = outcome
         with pytest.raises(ServerError, match="shut down"):
-            ticket.result(timeout=0)
+            ticket.result()
         assert server.metrics()["requests"]["in_flight"] == 0
         assert_invariant(server)
 
@@ -569,7 +589,7 @@ class TestSupervision:
         thread.join(timeout=5)
         assert not thread.is_alive()
         with pytest.raises(ServerError, match="shut down"):
-            outcome[0].result(timeout=0)
+            outcome[0].result()
         assert stub.calls == 1 and supervision(server)["redispatches"] == 0
         assert_invariant(server)
 
@@ -582,7 +602,7 @@ class TestDeadlines:
         ticket = server.submit("lcs", 8, deadline_s=0.1)
         returned = time.perf_counter()
         with pytest.raises(DeadlineError, match="sweep reached its deadline"):
-            ticket.result(timeout=0)
+            ticket.result()
         assert returned - ticket.enqueued_at < 0.5  # the sweep takes 0.6 s
         assert returned >= ticket.deadline_at
         requests = server.metrics()["requests"]
@@ -606,11 +626,11 @@ class TestDeadlines:
 
     def test_each_dropped_request_fails_at_its_own_deadline(self, supervised):
         server, stub = supervised(plan=FaultPlan.parse("drop@1,drop@2"))
-        tickets = [server.submit("lcs", 8, deadline_s=s) for s in (0.2, 0.4)]
-        for ticket in tickets:
+        for deadline_s in (0.1, 0.2):
+            ticket = server.submit("lcs", 8, deadline_s=deadline_s)
+            assert time.perf_counter() >= ticket.deadline_at  # never early
             with pytest.raises(DeadlineError, match="dropped"):
                 ticket.result()
-            assert time.perf_counter() >= ticket.deadline_at  # never early
         assert stub.calls == 2
         assert supervision(server)["dropped_responses"] == 2
         requests = server.metrics()["requests"]
@@ -750,7 +770,7 @@ class TestServerIntegration:
         for thread, outcome in [sweeping, *behind]:
             thread.join(timeout=10)
             with pytest.raises(ServerError, match="shut down"):
-                outcome[0].result(timeout=0)
+                outcome[0].result()
         assert closed_s < 1.0  # the sweep would take about 1.5 s
         assert serve_session._run_lock.acquire(blocking=False)
         serve_session._run_lock.release()

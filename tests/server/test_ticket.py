@@ -1,5 +1,6 @@
-"""Tests for the ticket of a served request: its name, its one resolution, its deadline."""
+"""Tests for the ticket of a served request: its name, its one resolver, its deadline."""
 
+import inspect
 import math
 import threading
 import time
@@ -55,81 +56,33 @@ class TestConfig:
 
 
 class TestTicket:
-    def test_result_timeout_raises_server_error(self):
-        request = make_request()
-        with pytest.raises(ServerError):
-            request.result(timeout=0.01)
-
-    def test_complete_and_fail_wake_the_waiter(self):
-        done = make_request()
-        done.complete("answer")
-        assert done._done.is_set() and done.result(timeout=0) == "answer"
-        failed = make_request()
-        failed.fail(ServerError("boom"))
-        with pytest.raises(ServerError, match="boom"):
-            failed.result(timeout=0)
-
-    def test_a_ticket_resolves_exactly_once_and_is_counted_once(self):
+    def test_complete_and_fail_resolve_the_ticket_and_count_it_once(self):
         metrics = ServerMetrics()
-        metrics.record_accepted()
-        ticket = make_request()
-        ticket.metrics = metrics
-        assert ticket.complete("first")
-        assert not ticket.fail(ServerError("late"))
-        assert not ticket.complete("second")
-        assert not ticket.cancel()
-        assert ticket.result(timeout=0) == "first"
-        requests = metrics.snapshot()["requests"]
-        assert requests["completed"] == 1 and requests["failed"] == 0
-        assert requests["cancelled"] == 0 and requests["in_flight"] == 0
-
-    def test_racing_resolvers_leave_one_winner_and_one_count(self):
-        for _ in range(50):
-            metrics = ServerMetrics()
-            metrics.record_accepted()
-            ticket = make_request()
+        for _ in range(3):
+            metrics.record_admitted()
+        answered, failed, late = make_request(), make_request(), make_request()
+        for ticket in (answered, failed, late):
             ticket.metrics = metrics
-            start = threading.Barrier(4)
-            wins = []
-
-            def resolve(action):
-                start.wait()
-                wins.append(action())
-
-            actions = [
-                lambda: ticket.complete("answer"),
-                lambda: ticket.fail(DeadlineError("late")),
-                ticket.cancel,
-                lambda: ticket.fail(ServerError("shut down")),
-            ]
-            threads = [threading.Thread(target=resolve, args=(a,)) for a in actions]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert sorted(wins) == [False, False, False, True]
-            requests = metrics.snapshot()["requests"]
-            assert requests["in_flight"] == 0
-            assert requests["completed"] + requests["failed"] + requests["cancelled"] == 1
-
-    def test_the_waiter_fails_its_own_ticket_at_its_deadline(self):
-        metrics = ServerMetrics()
-        metrics.record_accepted()
-        ticket = make_request()
-        ticket.metrics = metrics
-        ticket.deadline_at = time.perf_counter() + 0.05
-        with pytest.raises(DeadlineError, match="missed its deadline"):
-            ticket.result(timeout=30)  # the deadline comes first
-        assert time.perf_counter() >= ticket.deadline_at
-        assert not ticket.complete("too late")
+            assert not ticket.done
+        answered.complete("answer")
+        failed.fail(ServerError("boom"))
+        late.fail(DeadlineError("late"))
+        assert all(ticket.done for ticket in (answered, failed, late))
+        assert answered.result() == "answer"
+        with pytest.raises(ServerError, match="boom"):
+            failed.result()
         requests = metrics.snapshot()["requests"]
-        assert requests["failed"] == 1 and requests["deadline_expired"] == 1
+        assert requests["completed"] == 1 and requests["failed"] == 2
+        assert requests["deadline_expired"] == 1 and requests["in_flight"] == 0
 
-    def test_an_answer_delivered_first_wins_over_the_deadline(self):
+    def test_one_resolver_needs_no_wait_lock_or_cancel(self):
+        # The thread that serves a request resolves it before submit
+        # returns: nothing waits on a ticket and nothing else resolves it.
         ticket = make_request()
-        ticket.deadline_at = time.perf_counter() - 1.0
-        ticket.complete("answer")
-        assert ticket.result() == "answer"
+        assert not hasattr(ticket, "cancel")
+        assert list(inspect.signature(ServeRequest.result).parameters) == ["self"]
+        lock_types = (threading.Event, type(threading.Lock()))
+        assert not [v for v in vars(ticket).values() if isinstance(v, lock_types)]
 
     def test_the_solve_checks_the_deadline_or_never_passes(self):
         bounded = ServeRequest(
