@@ -84,6 +84,14 @@ class TestTicket:
         lock_types = (threading.Event, type(threading.Lock()))
         assert not [v for v in vars(ticket).values() if isinstance(v, lock_types)]
 
+    def test_an_answer_delivered_after_the_deadline_is_still_the_answer(self):
+        # Only the solving thread resolves a ticket: a deadline that has
+        # passed does not fail a ticket that was answered.
+        ticket = make_request()
+        ticket.deadline_at = time.perf_counter() - 1.0
+        ticket.complete("answer")
+        assert ticket.done and ticket.result() == "answer"
+
     def test_the_solve_checks_the_deadline_or_never_passes(self):
         bounded = ServeRequest(
             app="lcs", dim=8, mode=None, plan_kwargs={}, enqueued_at=0.0, deadline_at=5.0
