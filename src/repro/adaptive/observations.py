@@ -1,22 +1,21 @@
-"""Streaming latency observations keyed by request signature.
+"""The per-signature table: everything a server knows about each traffic class.
 
-Every served request is a timed observation the tuner never sees during
-offline profiling.  This module collects those observations cheaply and
-exactly: a :class:`SignatureStats` tracks count/mean/M2/min/max with
+An :class:`ObservationLog` holds one :class:`SignatureEntry` per request
+signature, bounded LRU-style so an adversarial stream of distinct
+signatures cannot grow memory.  An entry carries the end-to-end latency
+stream ``/metrics`` renders and, with the adaptive loop on, the
+service-time stream and the drift state.  A :class:`SignatureStats`
+tracks one stream exactly and cheaply: count/mean/M2/min/max with
 Welford's streaming update (the constant-space moment tracking advocated
-by the probabilistic-loops literature — no raw sample log needed for mean
-or variance) plus a small bounded reservoir of recent latencies so
-percentiles stay available for operators.  An :class:`ObservationLog`
-owns one :class:`SignatureStats` per request signature, bounded LRU-style
-so an adversarial stream of distinct signatures cannot grow memory.
+by the probabilistic-loops literature) plus a small bounded reservoir of
+recent latencies for percentiles.
 
 Signatures are the server's request labels, a
 :class:`repro.cache.RequestIdentity` with its mode filled in at admission,
-so cache keys, ``/metrics`` and adaptive-tuning observations all speak
-about the same traffic classes under one label.
-
-This module must stay import-free of ``repro.server`` — the serving
-layer imports the adaptive layer, never the reverse.
+so cache keys, ``/metrics`` and the adaptive loop all speak about the same
+traffic classes under one label.  This module must stay import-free of
+``repro.server`` — the serving layer imports the adaptive layer, never
+the reverse.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from collections import OrderedDict, deque
 
 from repro.cache.keys import RequestIdentity
 
-#: Default bound on distinct signatures an ObservationLog tracks.
+#: Default bound on distinct signatures an ObservationLog holds.
 DEFAULT_SIGNATURES = 256
 #: Default per-signature reservoir of recent raw latencies (for p50/p95).
 DEFAULT_RESERVOIR = 128
@@ -50,13 +49,12 @@ def percentile(values: list[float], pct: float) -> float:
 
 
 class SignatureStats:
-    """Streaming latency statistics of one traffic class.
+    """One latency stream: Welford moments and a reservoir, under one lock.
 
-    Welford's single-pass update keeps count, mean and the centred sum of
-    squares (M2) exactly, in O(1) space, under one lock; a bounded deque
-    of recent samples backs the percentile view.  ``expected_s`` is a
-    slot the adaptive controller fills with the active plan's predicted
-    latency so snapshots can show predicted-vs-observed side by side.
+    ``expected_s`` is the executed plan's predicted latency (seconds),
+    which the adaptive controller writes on the service-time stream so
+    snapshots show predicted beside observed; ``None`` when the plan has
+    none.
     """
 
     def __init__(self, reservoir_size: int = DEFAULT_RESERVOIR) -> None:
@@ -67,8 +65,6 @@ class SignatureStats:
         self.min_s = math.inf
         self.max_s = -math.inf
         self._reservoir: deque[float] = deque(maxlen=max(1, int(reservoir_size)))
-        #: The active plan's predicted latency for this signature (seconds),
-        #: filled by the adaptive controller; ``None`` when the plan has none.
         self.expected_s: float | None = None
 
     def record(self, latency_s: float) -> None:
@@ -107,56 +103,57 @@ class SignatureStats:
         return summary
 
 
-class ObservationLog:
-    """Bounded per-signature observation store (LRU over signatures).
+class SignatureEntry:
+    """Everything one server knows about one traffic class.
 
-    ``record`` folds one latency observation into the signature's
-    :class:`SignatureStats`, creating and — beyond ``maxsize`` distinct
-    signatures — evicting least-recently-updated entries.
-    ``observations`` counts every folded request.
+    ``latency`` is the end-to-end stream.  The adaptive loop fills the
+    rest: ``service``, the service-time stream (``None`` until its first
+    observation), and the drift state that
+    :meth:`repro.adaptive.drift.DriftDetector.assess` steps.  All of it
+    leaves with the entry, so an evicted signature calibrates again.
+    """
+
+    __slots__ = ("signature", "latency", "service", "calibration", "reference_s",
+                 "breaches", "clean", "drifted", "assessments")
+
+    def __init__(self, signature: RequestIdentity) -> None:
+        self.signature = signature
+        self.latency = SignatureStats()
+        self.service: SignatureStats | None = None
+        self.calibration = self.breaches = self.clean = self.assessments = 0
+        self.reference_s = 0.0
+        self.drifted = False
+
+
+class ObservationLog:
+    """Bounded per-signature table: an LRU of :class:`SignatureEntry`.
+
+    :meth:`record` is the one lookup a completed request makes; past
+    ``maxsize`` signatures the least recently updated entry leaves with
+    all its state.
     """
 
     def __init__(self, maxsize: int = DEFAULT_SIGNATURES) -> None:
         if maxsize < 1:
             raise ValueError(f"ObservationLog maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        self._lock = threading.RLock()
-        self._stats: OrderedDict[RequestIdentity, SignatureStats] = OrderedDict()
-        self.observations = 0
-        self.evictions = 0
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[RequestIdentity, SignatureEntry] = OrderedDict()
 
-    def record(self, signature: RequestIdentity, latency_s: float) -> SignatureStats:
-        """Fold an observation; return the signature's (live) stats."""
+    def record(self, signature: RequestIdentity, latency_s: float) -> SignatureEntry:
+        """Fold an end-to-end latency; return the signature's (live) entry."""
         with self._lock:
-            stats = self._stats.get(signature)
-            if stats is None:
-                stats = SignatureStats()
-                self._stats[signature] = stats
+            entry = self._entries.get(signature)
+            if entry is None:
+                entry = self._entries[signature] = SignatureEntry(signature)
+                if len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
             else:
-                self._stats.move_to_end(signature)
-            while len(self._stats) > self.maxsize:
-                self._stats.popitem(last=False)
-                self.evictions += 1
-            self.observations += 1
-        stats.record(latency_s)
-        return stats
+                self._entries.move_to_end(signature)
+        entry.latency.record(latency_s)
+        return entry
 
-    def snapshot(self, limit: int | None = None) -> dict:
-        """JSON-safe view: totals plus per-signature summaries.
-
-        Signatures are reported most-recently-updated first; ``limit``
-        bounds how many appear (totals always cover everything).
-        """
+    def entries(self) -> list[SignatureEntry]:
+        """Every entry, most recently updated first."""
         with self._lock:
-            items = list(self._stats.items())[::-1]
-            observations = self.observations
-            evictions = self.evictions
-        tracked = len(items)
-        if limit is not None:
-            items = items[: max(0, int(limit))]
-        return {
-            "observations": observations,
-            "tracked_signatures": tracked,
-            "evictions": evictions,
-            "signatures": {sig.label: stats.snapshot() for sig, stats in items},
-        }
+            return list(reversed(self._entries.values()))

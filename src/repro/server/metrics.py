@@ -9,10 +9,11 @@ lock:
   end-to-end service latencies) from which the percentiles are computed;
 * the number of solves run — the ``batches`` section, every batch one
   request since requests run to completion on their own threads;
-* a bounded per-signature latency breakdown (an
-  :class:`repro.adaptive.observations.ObservationLog`, LRU over at most
-  :data:`DEFAULT_SIGNATURE_LIMIT` signatures) — what the drift detector
-  reasons about and what operators need to see per workload.
+* the server's one per-signature table (:attr:`ServerMetrics.signatures`,
+  an :class:`repro.adaptive.observations.ObservationLog`): end-to-end
+  latencies per traffic class, beside the adaptive loop's service times
+  and drift state; ``signatures`` renders the most recent
+  :data:`DEFAULT_SIGNATURE_LIMIT`.
 
 :meth:`ServerMetrics.snapshot` renders everything as a JSON-safe dictionary
 — the payload of the HTTP endpoint's ``GET /metrics`` and of the
@@ -26,13 +27,13 @@ import threading
 import time
 from collections import deque
 
-from repro.adaptive.observations import ObservationLog, percentile
+from repro.adaptive.observations import ObservationLog, SignatureEntry, percentile
 from repro.cache.keys import RequestIdentity
 
 #: Number of most-recent latency samples kept for percentiles.
 DEFAULT_RESERVOIR_SIZE = 4096
 
-#: Bound on distinct signatures in the per-signature breakdown.
+#: How many signatures the ``signatures`` section renders, most recent first.
 DEFAULT_SIGNATURE_LIMIT = 64
 
 #: Percentile points reported in every snapshot.
@@ -73,7 +74,8 @@ class ServerMetrics:
         self._started_at = time.perf_counter()
         self._latencies_s: deque[float] = deque(maxlen=DEFAULT_RESERVOIR_SIZE)
         self.solves = 0
-        self._signatures = ObservationLog(maxsize=DEFAULT_SIGNATURE_LIMIT)
+        #: The per-signature table, shared with the adaptive controller.
+        self.signatures = ObservationLog()
         self.accepted = 0
         self.rejected = 0
         self.completed = 0
@@ -100,21 +102,16 @@ class ServerMetrics:
         with self._lock:
             self.rejected += 1
 
-    def record_completed(
-        self, latency_s: float, signature: RequestIdentity | None = None
-    ) -> None:
-        """One request finished successfully after ``latency_s`` seconds.
+    def record_completed(self, latency_s: float, signature: RequestIdentity) -> SignatureEntry:
+        """One request of ``signature`` finished after ``latency_s`` seconds.
 
-        With ``signature`` given, the latency also feeds that traffic
-        class's per-signature breakdown (bounded: the least-recently
-        updated signature is dropped past :data:`DEFAULT_SIGNATURE_LIMIT`).
+        The latency also feeds the signature's table entry, returned.
         """
         with self._lock:
             self.completed += 1
             self.in_flight -= 1
             self._latencies_s.append(latency_s)
-        if signature is not None:
-            self._signatures.record(signature, latency_s)
+        return self.signatures.record(signature, latency_s)
 
     def record_failed(self, latency_s: float, deadline_expired: bool = False) -> None:
         """One admitted request failed after ``latency_s`` seconds.
@@ -191,7 +188,10 @@ class ServerMetrics:
                 "latency_ms": summarise_latencies(list(self._latencies_s)),
                 "throughput_rps": (self.completed / uptime) if uptime > 0 else 0.0,
             }
-        snapshot["signatures"] = self._signatures.snapshot()["signatures"]
+        snapshot["signatures"] = {
+            entry.signature.label: entry.latency.snapshot()
+            for entry in self.signatures.entries()[:DEFAULT_SIGNATURE_LIMIT]
+        }
         snapshot["cache"] = cache
         snapshot["adaptive"] = adaptive
         if caches is not None:

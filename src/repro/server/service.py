@@ -63,7 +63,7 @@ from numbers import Real
 from typing import Any
 
 from repro.adaptive.controller import ADAPTIVE_MODES, AdaptiveController
-from repro.adaptive.drift import DriftConfig
+from repro.adaptive.observations import SignatureEntry
 from repro.apps.registry import default_dim
 from repro.cache.keys import RequestIdentity, request_identity
 from repro.core.exceptions import (
@@ -214,14 +214,13 @@ class ServeRequest:
             **self.plan_kwargs,
         }
 
-    def complete(self, result: Any) -> None:
-        """Deliver the answer and count it in :attr:`metrics`."""
+    def complete(self, result: Any) -> SignatureEntry | None:
+        """Deliver the answer, count it in :attr:`metrics`; return its table entry."""
         self._result = result
         self.done = True
-        if self.metrics is not None:
-            self.metrics.record_completed(
-                time.perf_counter() - self.enqueued_at, signature=self.signature
-            )
+        if self.metrics is None:
+            return None
+        return self.metrics.record_completed(time.perf_counter() - self.enqueued_at, self.signature)
 
     def fail(self, error: BaseException) -> None:
         """Deliver a typed failure and count it in :attr:`metrics`.
@@ -251,9 +250,7 @@ class ReproServer:
     the session usable); pass ``own_session=True`` to transfer ownership so
     :meth:`close` also releases the session's engines and worker pools —
     the CLI's ``repro serve`` does exactly that.  ``fault_plan`` arms chaos
-    injection (:class:`~repro.server.faults.FaultPlan`); ``drift`` sets the
-    adaptive loop's detector thresholds (:class:`repro.adaptive.DriftConfig`
-    defaults otherwise).
+    injection (:class:`~repro.server.faults.FaultPlan`).
 
     Use as a context manager for deterministic teardown::
 
@@ -268,7 +265,6 @@ class ReproServer:
         *,
         own_session: bool = False,
         fault_plan: FaultPlan | None = None,
-        drift: DriftConfig | None = None,
     ) -> None:
         self.session = session
         self.config = config if config is not None else ServerConfig()
@@ -280,11 +276,11 @@ class ReproServer:
         # Under a chaos plan every request reaches the solve, so a fault's
         # ordinal counts requests, not only the memory tier's misses.
         self._armed = len(self._injector.plan) > 0
-        # The online tuning loop, with the drift detector's thresholds;
+        # The online observation loop, over the metrics' signature table;
         # "off" builds nothing and costs nothing on the serving path.
         self.adaptive: AdaptiveController | None = None
         if self.config.adaptive != "off":
-            self.adaptive = AdaptiveController(drift)
+            self.adaptive = AdaptiveController(self.metrics_store.signatures)
         # Lifecycle, the admitted requests (and the most at once) and the
         # crash record, all guarded by one lock; ``_idle`` is notified when
         # the last admitted request leaves and when the drain begins.
@@ -590,14 +586,11 @@ class ReproServer:
             return
         # Callers must treat a shared ExecutionResult as read-only, which
         # every shipped consumer (HTTP payload, verification, metrics) does.
-        request.complete(result)
+        entry = request.complete(result)
         if self.adaptive is not None:
             # The wait for the run lock is another request's service time.
-            self.adaptive.observe(
-                request.signature,
-                plan.expected_s,
-                time.perf_counter() - taken_at - request.deadline.waited_s,
-            )
+            service_s = time.perf_counter() - taken_at - request.deadline.waited_s
+            self.adaptive.observe(entry, plan.expected_s, service_s)
 
     def _drop(self, request: ServeRequest) -> None:
         """Chaos: the work happened, the answer vanishes.

@@ -224,10 +224,11 @@ class Session:
 
         ``observer(plan, mode, wall_s)`` receives the executed plan, the
         effective execution mode and the pure solve wall (executor time
-        only — no queueing, no serving overhead).  The adaptive layer uses
-        this as its session-side observation feed; pass ``None`` to
-        detach.  The observer is invoked outside error paths — a run that
-        raises is not observed — and must be cheap and exception-free.
+        only — no queueing, no serving overhead).  It is a public per-run
+        hook for callers that want their own record of each solve; the
+        server does not use it.  Pass ``None`` to detach.  The observer is
+        invoked outside error paths — a run that raises is not observed —
+        and must be cheap and exception-free.
         """
         self._observer = observer
         return self

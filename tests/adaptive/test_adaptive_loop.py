@@ -13,12 +13,14 @@ The acceptance contract of the subsystem:
 """
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.adaptive import AdaptiveController, DriftConfig, render_adaptive_report
+from repro.adaptive import AdaptiveController, ObservationLog, drift, render_adaptive_report
 from repro.cache import request_identity
 from repro.core.exceptions import ServerError
 from repro.server import FaultPlan, ReproServer, ServerConfig
@@ -32,10 +34,24 @@ TRACE_PATH = (
     / "cache_smoke_trace.json"
 )
 
-#: Wide absolute floor so host noise cannot breach; the injected 0.3s always does.
-TEST_DRIFT = DriftConfig(
-    ratio_threshold=3.0, min_samples=3, hysteresis=2, min_excess_s=0.1
-)
+#: Calibration samples in these tests.
+MIN_SAMPLES = 3
+
+
+@pytest.fixture(autouse=True)
+def test_thresholds(monkeypatch):
+    """Ratio 3 and hysteresis 2 (the defaults), 3 calibration samples, and a
+    wide absolute floor so host noise cannot breach; the injected 0.3 s
+    always does."""
+    monkeypatch.setattr(drift, "MIN_SAMPLES", MIN_SAMPLES)
+    monkeypatch.setattr(drift, "MIN_EXCESS_S", 0.1)
+
+
+def observe_all(controller, signature, expected_s, service_times):
+    """Complete and observe one request per service time, as the server does."""
+    for service_s in service_times:
+        entry = controller.table.record(signature, service_s)
+        controller.observe(entry, expected_s, service_s)
 
 
 def trace_entries():
@@ -72,7 +88,7 @@ class TestDriftOnTrace:
     ):
         entries = trace_entries()
         first, second = consecutive_ordinals(
-            entries, "lcs", 48, after=TEST_DRIFT.min_samples
+            entries, "lcs", 48, after=MIN_SAMPLES
         )
         plan = f"slow@{first}:0.3,slow@{second}:0.3"
         active = adaptive_session.plan("lcs", 48)
@@ -80,7 +96,6 @@ class TestDriftOnTrace:
             adaptive_session,
             ServerConfig(queue_capacity=128),
             fault_plan=FaultPlan.parse(plan),
-            drift=TEST_DRIFT,
         ).start()
         try:
             replay(server, entries)
@@ -108,7 +123,6 @@ class TestDriftOnTrace:
         server = ReproServer(
             adaptive_session,
             ServerConfig(queue_capacity=128, adaptive="on"),
-            drift=TEST_DRIFT,
         ).start()
         try:
             replay(server, entries)
@@ -158,10 +172,9 @@ class TestUnpredictedPlans:
     def test_a_plan_without_a_prediction_still_latches_drift(self):
         with Session() as session:
             assert session.plan("lcs", 48).expected_s is None
-            controller = AdaptiveController(TEST_DRIFT)
+            controller = AdaptiveController(ObservationLog())
             signature = request_identity("lcs", 48, mode="functional")
-            for service_s in [0.01] * 3 + [0.5] * 2 + [0.01]:
-                controller.observe(signature, None, service_s)
+            observe_all(controller, signature, None, [0.01] * 3 + [0.5] * 2 + [0.01])
             snapshot = controller.snapshot()
         assert snapshot["errors"] == 0, snapshot["last_error"]
         assert snapshot["drift"]["assessments"] == 6
@@ -177,7 +190,6 @@ class TestUnpredictedPlans:
             session,
             ServerConfig(queue_capacity=16),
             fault_plan=FaultPlan.parse("slow@4:0.3,slow@5:0.3"),
-            drift=TEST_DRIFT,
             own_session=True,
         ).start()
         try:
@@ -191,6 +203,64 @@ class TestUnpredictedPlans:
         assert adaptive["observations"] == 7
         assert adaptive["drift"]["events"] == 1
         assert {a.stats["strategy"] for a in answers} == {"vectorized"}
+
+
+class TestControllerContract:
+    def test_a_simulate_mode_observation_is_recorded_but_not_assessed(self):
+        controller = AdaptiveController(ObservationLog())
+        signature = request_identity("lcs", 48, mode="simulate")
+        observe_all(controller, signature, 0.02, [0.01] * 3 + [0.5] * 7)
+        snapshot = controller.snapshot()
+        assert snapshot["observations"] == 10
+        assert snapshot["drift"]["assessments"] == snapshot["drift"]["events"] == 0
+        assert snapshot["signatures"][signature.label]["count"] == 10
+        (entry,) = controller.table.entries()
+        assert (entry.calibration, entry.assessments) == (0, 0)
+
+    def test_an_internal_failure_is_counted_never_raised(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        controller = AdaptiveController(ObservationLog())
+        monkeypatch.setattr(controller.detector, "assess", broken)
+        observe_all(controller, request_identity("lcs", 48, mode="functional"), None, [0.01])
+        snapshot = controller.snapshot()
+        assert (snapshot["errors"], snapshot["last_error"]) == (1, "RuntimeError: boom")
+        assert snapshot["observations"] == 1
+
+
+class TestConcurrentObservation:
+    def test_threads_completing_and_observing_lose_no_update(self):
+        """Completions and observations of two signatures from 6 threads at once."""
+        controller = AdaptiveController(ObservationLog())
+        signatures = [request_identity("lcs", dim, mode="functional") for dim in (8, 16)]
+        per_thread = 300
+        start = threading.Barrier(6)
+
+        def serve(signature):
+            start.wait(timeout=30)  # three threads race for each new entry
+            observe_all(controller, signature, None, [0.01] * per_thread)
+
+        threads = [
+            threading.Thread(target=serve, args=(signatures[i % 2],)) for i in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snapshot = controller.snapshot()
+        assert snapshot["errors"] == 0, snapshot["last_error"]
+        assert snapshot["observations"] == snapshot["drift"]["assessments"] == 6 * per_thread
+        assert snapshot["drift"]["events"] == 0
+        for entry in controller.table.entries():
+            counts = (entry.latency.count, entry.service.count, entry.assessments)
+            assert counts == (3 * per_thread,) * 3
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +287,10 @@ class TestSessionPrimitives:
 # ----------------------------------------------------------------------
 class TestReporting:
     def test_report_renders_predicted_observed_and_drift(self, adaptive_session):
-        controller = AdaptiveController(TEST_DRIFT)
+        controller = AdaptiveController(ObservationLog())
         signature = request_identity("lcs", 48, mode="functional")
         expected_s = adaptive_session.plan("lcs", 48).expected_s
-        for service_s in [0.01] * 3 + [0.5] * 2:
-            controller.observe(signature, expected_s, service_s)
+        observe_all(controller, signature, expected_s, [0.01] * 3 + [0.5] * 2)
         text = render_adaptive_report(controller.snapshot())
         assert "adaptive tuning [on]" in text
         (row,) = [line for line in text.splitlines() if line.startswith("lcs[dim=48]")]

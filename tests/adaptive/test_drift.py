@@ -3,24 +3,32 @@
 The detector's contract is determinism plus noise-immunity: the same
 observation sequence always yields the same events, a single outlier
 never latches, and microsecond-scale noise is below the absolute floor
-no matter the ratio.
+no matter the ratio.  Its per-signature state is the signature's table
+entry, so it leaves with the entry.
 """
 
 import pytest
 
-from repro.adaptive.drift import DriftConfig, DriftDetector, DriftEvent
+from repro.adaptive import drift
+from repro.adaptive.drift import DriftDetector, DriftEvent
+from repro.adaptive.observations import ObservationLog, SignatureEntry
 from repro.cache import request_identity
-from repro.core.exceptions import UsageError
 
 SIG = request_identity("lcs", 48, mode="functional")
-CONFIG = DriftConfig(ratio_threshold=3.0, min_samples=3, hysteresis=2, min_excess_s=0.05)
 
 
-def feed(detector, values, expected_s=0.01):
-    """Assess a sequence; return the events latched along the way."""
+@pytest.fixture(autouse=True)
+def three_calibration_samples(monkeypatch):
+    """Ratio 3, floor 50 ms, hysteresis 2 (the defaults), 3 calibration samples."""
+    monkeypatch.setattr(drift, "MIN_SAMPLES", 3)
+
+
+def feed(detector, values, expected_s=0.01, entry=None):
+    """Assess a sequence on one entry; return the events latched along the way."""
+    entry = SignatureEntry(SIG) if entry is None else entry
     events = []
     for value in values:
-        event = detector.assess(SIG, value, expected_s)
+        event = detector.assess(entry, value, expected_s)
         if event is not None:
             events.append(event)
     return events
@@ -28,13 +36,13 @@ def feed(detector, values, expected_s=0.01):
 
 class TestCalibration:
     def test_no_events_while_calibrating(self):
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         # Wildly varying calibration samples still produce no event.
         assert feed(detector, [0.001, 5.0, 0.002]) == []
-        assert detector.snapshot()["events"] == 0
+        assert detector.snapshot(0)["events"] == 0
 
     def test_reference_is_the_calibration_mean(self):
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         events = feed(detector, [0.01, 0.01, 0.01, 0.5, 0.5])
         assert len(events) == 1
         assert events[0].reference_s == pytest.approx(0.01)
@@ -45,33 +53,33 @@ class TestCalibration:
 class TestBreachRule:
     def test_ratio_alone_is_not_enough_below_the_floor(self):
         # Microsecond baseline: 100x the reference is still < min_excess_s.
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         assert feed(detector, [1e-6] * 3 + [1e-4] * 10) == []
 
     def test_absolute_excess_alone_is_not_enough(self):
         # 100ms baseline + 60ms excess clears the floor but not the 3x ratio.
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         assert feed(detector, [0.1] * 3 + [0.16] * 10) == []
 
     def test_both_conditions_latch(self):
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         assert len(feed(detector, [0.01] * 3 + [0.5] * 2)) == 1
 
 
 class TestHysteresis:
     def test_single_outlier_never_latches(self):
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         values = [0.01] * 3 + [0.5] + [0.01] * 5 + [0.5] + [0.01] * 5
         assert feed(detector, values) == []
 
     def test_latched_event_does_not_refire_while_drifted(self):
-        detector = DriftDetector(CONFIG)
-        events = feed(detector, [0.01] * 3 + [0.5] * 10)
+        detector, entry = DriftDetector(), SignatureEntry(SIG)
+        events = feed(detector, [0.01] * 3 + [0.5] * 10, entry=entry)
         assert len(events) == 1
-        assert detector.snapshot()["active"] == 1
+        assert entry.drifted
 
     def test_recovery_then_redrift_fires_a_fresh_event(self):
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         values = (
             [0.01] * 3  # calibrate
             + [0.5] * 2  # latch (event 1)
@@ -80,7 +88,7 @@ class TestHysteresis:
         )
         events = feed(detector, values)
         assert len(events) == 2
-        snap = detector.snapshot()
+        snap = detector.snapshot(0)
         assert snap["events"] == 2
         assert snap["recoveries"] == 1
 
@@ -90,7 +98,7 @@ class TestDeterminism:
         values = [0.01] * 3 + [0.2, 0.5, 0.01, 0.6, 0.7, 0.01]
         runs = []
         for _ in range(3):
-            detector = DriftDetector(CONFIG)
+            detector = DriftDetector()
             runs.append(
                 [(e.observed_s, e.assessment) for e in feed(detector, values)]
             )
@@ -99,7 +107,7 @@ class TestDeterminism:
 
 class TestEventPayload:
     def test_to_dict_is_json_safe(self):
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         (event,) = feed(detector, [0.01] * 3 + [0.5] * 2, expected_s=0.012)
         payload = event.to_dict()
         assert payload["signature"] == "lcs[dim=48] mode=functional"
@@ -109,35 +117,52 @@ class TestEventPayload:
         assert DriftEvent(SIG, 0.5, 0.0, None, 1).ratio == float("inf")
 
     def test_snapshot_carries_config_and_recent_events(self):
-        detector = DriftDetector(CONFIG)
+        detector = DriftDetector()
         feed(detector, [0.01] * 3 + [0.5] * 2)
-        snap = detector.snapshot()
+        snap = detector.snapshot(1)
         assert snap["active"] == 1
-        assert snap["config"]["ratio_threshold"] == 3.0
+        assert snap["config"] == {
+            "ratio_threshold": 3.0, "min_samples": 3, "hysteresis": 2, "min_excess_s": 0.05,
+        }
         assert len(snap["recent"]) == 1
 
 
-class TestConfigValidation:
+class TestStateLivesOnTheEntry:
+    def test_each_entry_calibrates_on_its_own(self):
+        detector = DriftDetector()
+        slow, fast = SignatureEntry(SIG), SignatureEntry(request_identity("lcs", 8))
+        feed(detector, [0.01] * 3, entry=slow)
+        # a second signature's calibration neither reads nor moves the first's
+        assert feed(detector, [0.5] * 3, entry=fast) == []
+        assert (slow.calibration, fast.calibration) == (3, 3)
+        assert slow.reference_s == pytest.approx(0.01)
+        assert fast.reference_s == pytest.approx(0.5)
+        assert len(feed(detector, [0.5] * 2, entry=slow)) == 1
+
+    def test_an_evicted_signature_calibrates_again(self):
+        table, detector = ObservationLog(maxsize=1), DriftDetector()
+        for value in [0.01] * 3:
+            detector.assess(table.record(SIG, value), value)
+        table.record(request_identity("lcs", 8), 0.01)  # evicts SIG's entry
+        entry = table.record(SIG, 0.5)
+        assert (entry.calibration, entry.assessments) == (0, 0)
+        # with its calibration gone, the slow samples become the reference
+        assert feed(detector, [0.5] * 5, entry=entry) == []
+        assert entry.reference_s == pytest.approx(0.5)
+        assert not entry.drifted
+
+
+class TestConstants:
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"ratio_threshold": 1.0},
-            {"ratio_threshold": 0.5},
-            {"min_samples": 0},
-            {"hysteresis": 0},
-            {"min_excess_s": -0.1},
-            # A threshold that can never fire, or a count that is not a count.
-            {"ratio_threshold": float("nan")},
-            {"ratio_threshold": float("inf")},
-            {"min_excess_s": float("nan")},
-            {"min_excess_s": float("inf")},
-            {"min_samples": 2.5},
-            {"min_samples": True},
-            {"hysteresis": True},
-            {"hysteresis": 2.0},
-            {"ratio_threshold": "3"},
-        ],
+        "name, value",
+        [("MIN_SAMPLES", 1), ("RATIO_THRESHOLD", 100.0), ("HYSTERESIS", 3), ("MIN_EXCESS_S", 1.0)],
     )
-    def test_impossible_thresholds_rejected(self, kwargs):
-        with pytest.raises(UsageError):
-            DriftConfig(**kwargs)
+    def test_each_threshold_is_read_when_assessing(self, monkeypatch, name, value):
+        values = [0.01] * 3 + [0.5] * 2  # latches once under the test thresholds
+        assert len(feed(DriftDetector(), values)) == 1
+        monkeypatch.setattr(drift, name, value)
+        # one calibration sample makes 0.01, 0.01 clean and 0.5, 0.5 latch
+        # later; each other value keeps the sequence below its threshold
+        events = feed(DriftDetector(), values)
+        assert [e.assessment for e in events] == ([5] if name == "MIN_SAMPLES" else [])
+

@@ -8,7 +8,8 @@ The load-bearing contracts:
   (:func:`repro.cache.request_identity`), so observations and ``/metrics``
   describe identical traffic classes;
 * :class:`ObservationLog` is bounded: an adversarial stream of distinct
-  signatures evicts LRU-style instead of growing without bound.
+  signatures evicts LRU-style instead of growing without bound, and an
+  evicted entry takes everything known about its signature with it.
 """
 
 import math
@@ -128,17 +129,16 @@ class TestPercentile:
 
 
 def tracked(log):
-    """Per-signature summaries of everything the log still tracks."""
-    return log.snapshot()["signatures"]
+    """End-to-end summaries of everything the table still holds."""
+    return {entry.signature.label: entry.latency.snapshot() for entry in log.entries()}
 
 
 class TestObservationLog:
-    def test_counts_every_folded_request(self):
+    def test_counts_every_folded_request_on_one_entry(self):
         log = ObservationLog(maxsize=8)
         signature = sig("lcs", 48, "functional")
-        for latency_s in (0.01, 0.01, 0.01, 0.02):
-            log.record(signature, latency_s)
-        assert log.observations == 4
+        entries = {id(log.record(signature, latency_s)) for latency_s in (0.01, 0.01, 0.01, 0.02)}
+        assert len(entries) == 1
         assert tracked(log)[signature.label]["count"] == 4
 
     def test_lru_eviction_is_bounded(self):
@@ -146,8 +146,7 @@ class TestObservationLog:
         sigs = [sig("lcs", d) for d in (8, 16, 32)]
         for signature in sigs:
             log.record(signature, 0.01)
-        assert log.snapshot()["tracked_signatures"] == 2
-        assert log.evictions == 1
+        assert len(log.entries()) == 2
         assert sigs[0].label not in tracked(log)  # oldest evicted
         assert sigs[2].label in tracked(log)
 
@@ -161,14 +160,21 @@ class TestObservationLog:
         assert b.label not in tracked(log)
         assert a.label in tracked(log)
 
-    def test_snapshot_totals_cover_everything_despite_limit(self):
+    def test_entries_list_the_most_recently_updated_first(self):
         log = ObservationLog(maxsize=8)
-        for d in (8, 16, 32):
+        for d in (8, 16, 32, 8):
             log.record(sig("lcs", d), 0.01)
-        snap = log.snapshot(limit=1)
-        assert snap["observations"] == 3
-        assert snap["tracked_signatures"] == 3
-        assert len(snap["signatures"]) == 1  # limited rendering only
+        assert [entry.signature.dim for entry in log.entries()] == [8, 32, 16]
+
+    def test_an_evicted_entry_leaves_with_its_loop_state(self):
+        log = ObservationLog(maxsize=1)
+        first = log.record(sig("lcs", 8), 0.01)
+        first.service, first.drifted = SignatureStats(), True
+        log.record(sig("lcs", 16), 0.01)
+        again = log.record(sig("lcs", 8), 0.01)
+        assert again is not first
+        assert again.service is None and not again.drifted
+        assert again.latency.count == 1
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.adaptive.observations import ObservationLog
 from repro.core.exceptions import ServerError, ShardUnavailableError
 from repro.facade.policy import ExecutionPolicy
 from repro.server import FaultPlan, ReproServer, ServerConfig
@@ -216,12 +217,48 @@ class TestAdaptiveLoop:
             adaptive.observe = recording_observe
             server.solve("lcs", 32)  # a miss: executed
             assert observed.wait(timeout=30)
-            observations = adaptive.serve_log.observations
-            assessments = adaptive.detector.assessments
+            (entry,) = server.metrics_store.signatures.entries()
+            observations, assessments = entry.service.count, entry.assessments
             completed = server.metrics()["requests"]["completed"]
             ticket = server.submit("lcs", 32)
             assert ticket.done, "the second request is a memory hit"
             assert len(calls) == 1
-            assert adaptive.serve_log.observations == observations
-            assert adaptive.detector.assessments == assessments
+            assert server.metrics_store.signatures.entries() == [entry]
+            assert (entry.service.count, entry.assessments) == (observations, assessments)
+            assert entry.latency.count == 2
             assert server.metrics()["requests"]["completed"] == completed + 1
+
+    def test_a_signature_answered_only_from_memory_is_not_tracked(
+        self, tmp_path, quick_tuner_i3, i3
+    ):
+        session = Session(system=i3, tuner=quick_tuner_i3, cache_dir=tmp_path)
+        session.solve("lcs", 24)  # in the memory tier before the server starts
+        with ReproServer(session, ServerConfig(adaptive="on"), own_session=True) as server:
+            assert server.submit("lcs", 24).done  # a memory hit
+            server.solve("lcs", 32)  # a miss
+            metrics = server.metrics()
+        assert list(metrics["signatures"]) == [
+            "lcs[dim=32] mode=functional", "lcs[dim=24] mode=functional"
+        ]
+        adaptive = metrics["adaptive"]
+        assert list(adaptive["signatures"]) == ["lcs[dim=32] mode=functional"]
+        assert (adaptive["tracked_signatures"], adaptive["observations"]) == (1, 1)
+
+    def test_a_miss_and_a_hit_each_look_the_table_up_once(
+        self, monkeypatch, tmp_path, quick_tuner_i3, i3
+    ):
+        lookups = []
+        record = ObservationLog.record
+
+        def counting_record(table, signature, latency_s):
+            lookups.append(signature.label)
+            return record(table, signature, latency_s)
+
+        monkeypatch.setattr(ObservationLog, "record", counting_record)
+        session = Session(system=i3, tuner=quick_tuner_i3, cache_dir=tmp_path)
+        with ReproServer(session, ServerConfig(adaptive="on"), own_session=True) as server:
+            server.solve("lcs", 32)  # a miss: solved and observed
+            assert lookups == ["lcs[dim=32] mode=functional"]
+            assert server.submit("lcs", 32).done  # a memory hit
+            assert lookups == ["lcs[dim=32] mode=functional"] * 2
+            assert server.metrics()["adaptive"]["observations"] == 1

@@ -6,8 +6,9 @@
 * the warm request path is pinned by call counts: the ``repro.*`` Python
   calls of one served ``lcs`` dim 12 request, all on the thread that
   submitted it, one :func:`repro.cache.request_identity` per request,
-  one :meth:`repro.session.Session.plan`, and none from the adaptive loop
-  (it reads the ``expected_s`` of the plan the session ran).
+  one :meth:`repro.session.Session.plan`, none from the adaptive loop
+  (it reads the ``expected_s`` of the plan the session ran), and one
+  lookup of the server's per-signature table.
 """
 
 import sys
@@ -24,12 +25,14 @@ from repro.session import Session
 SRC = str(Path(repro.__file__).parent) + "/"
 
 #: Upper bound on the ``repro.*`` Python calls of one warm served ``lcs``
-#: dim 12 request (69 when pinned, all on the submitting thread; 74 with a
+#: dim 12 request (68 when pinned, all on the submitting thread, with one
+#: per-signature table; 69 when the adaptive loop kept a second table and
+#: the detector a third; 74 with a
 #: queue and a lane thread between admission and the solve; 79 with a task
 #: object, a callback pair and a monitor between the queue and the tickets;
 #: 100 when the request was named three times, planned twice and its
 #: sweeper rebuilt on every run).
-MAX_PYTHON_CALLS = 74
+MAX_PYTHON_CALLS = 68
 
 
 class TestOneNameAtAdmission:
@@ -118,6 +121,11 @@ class TestWarmRequestCounts:
         assert plans == ["session.py"]
         names = Counter(name for name, _ in counted_request)
         assert names["AdaptiveController.observe"] == 1
+
+    def test_it_looks_the_signature_table_up_once(self, counted_request):
+        names = Counter(name for name, _ in counted_request)
+        assert names["ObservationLog.record"] == 1
+        assert names["SignatureStats.record"] == 2  # end-to-end and service time
 
     def test_a_warm_request_builds_no_sweeper(self, counted_request):
         names = Counter(name for name, _ in counted_request)

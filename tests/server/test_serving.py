@@ -19,6 +19,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.adaptive import AdaptiveController
+from repro.adaptive.observations import DEFAULT_SIGNATURES
 from repro.core.exceptions import (
     BackpressureError,
     ReproError,
@@ -234,6 +236,33 @@ class TestMetrics:
         latency = snapshot["latency_ms"]
         assert latency["samples"] >= 1 and latency["p50"] <= latency["max"]
         assert "plans" in snapshot["caches"]
+
+    def test_the_adaptive_section_reports_the_drift_constants(self, serve_session):
+        with ReproServer(serve_session, ServerConfig(adaptive="on")) as server:
+            server.solve("lcs", 48)
+            drift = server.metrics()["adaptive"]["drift"]
+        assert drift["config"] == {
+            "ratio_threshold": 3.0, "min_samples": 5, "hysteresis": 2, "min_excess_s": 0.05,
+        }
+        assert drift["assessments"] == 1
+
+    def test_one_table_bounds_both_signature_sections(self):
+        metrics = ServerMetrics()
+        controller = AdaptiveController(metrics.signatures)
+        identities = [
+            request_identity("lcs", dim, mode="functional")
+            for dim in range(8, 8 + DEFAULT_SIGNATURES + 1)
+        ]
+        for identity in identities:
+            metrics.record_accepted()
+            controller.observe(metrics.record_completed(0.001, identity), None, 0.001)
+        snapshot = metrics.snapshot(adaptive=controller.snapshot())
+        adaptive = snapshot["adaptive"]
+        assert adaptive["observations"] == len(identities)
+        # the oldest signature left the table, and so both sections
+        assert adaptive["tracked_signatures"] == DEFAULT_SIGNATURES
+        assert identities[0].label not in adaptive["signatures"]
+        assert list(snapshot["signatures"]) == list(adaptive["signatures"])[:DEFAULT_SIGNATURE_LIMIT]
 
     def test_signature_breakdown_is_bounded_and_most_recent_first(self):
         metrics = ServerMetrics()
