@@ -79,7 +79,7 @@ class AdaptiveController:
                 "observations": self.observations,
                 "tracked_signatures": len(observed),
                 "signatures": signatures,
-                "drift": self.detector.snapshot(sum(entry.drifted for entry in observed)),
+                "drift": self.detector.snapshot(observed),
                 "errors": self.errors,
                 "last_error": self.last_error,
             }

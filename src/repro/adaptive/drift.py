@@ -19,9 +19,10 @@ absolute, because CI hosts and laptops disagree wildly on base latency:
 4. a latched signature needs :data:`HYSTERESIS` consecutive clean
    executions to **recover**; re-drifting afterwards fires a fresh event.
 
-One answered solve is one assessment.  The per-signature state lives on
-the signature's :class:`~repro.adaptive.observations.SignatureEntry`; the
-thresholds are module constants, not knobs (tests ``monkeypatch`` them).
+One answered solve is one assessment.  A signature's state is one
+:class:`DriftState` in its :class:`~repro.adaptive.observations.SignatureEntry`,
+so it leaves with the entry; the thresholds are module constants, not
+knobs (tests ``monkeypatch`` them).
 """
 
 from __future__ import annotations
@@ -46,15 +47,25 @@ MIN_EXCESS_S = 0.05
 EVENT_HISTORY = 64
 
 
+class DriftState:
+    """One signature's detector state: calibration, the runs, the latch."""
+
+    __slots__ = ("calibration", "reference_s", "breaches", "clean", "drifted", "assessments")
+
+    def __init__(self) -> None:
+        self.calibration = self.breaches = self.clean = self.assessments = 0
+        self.reference_s = 0.0
+        self.drifted = False
+
+
 @dataclass(frozen=True)
 class DriftEvent:
     """One latched drift detection for one signature.
 
     ``observed_s`` is the execution that completed the hysteresis run,
-    ``reference_s`` the calibrated baseline mean it was judged against,
-    ``expected_s`` the active plan's offline prediction (``None`` when the
-    plan has none), and ``assessment`` the signature's execution
-    ordinal at which the event latched.
+    ``reference_s`` the calibrated mean it was judged against,
+    ``expected_s`` the plan's prediction (``None`` when it has none), and
+    ``assessment`` the signature's execution ordinal at the latch.
     """
 
     signature: RequestIdentity
@@ -66,9 +77,7 @@ class DriftEvent:
     @property
     def ratio(self) -> float:
         """Observed over reference — how far the plan has drifted."""
-        if self.reference_s <= 0:
-            return float("inf")
-        return self.observed_s / self.reference_s
+        return self.observed_s / self.reference_s if self.reference_s > 0 else float("inf")
 
     def to_dict(self) -> dict:
         """JSON-safe rendering for ``/metrics`` and reports."""
@@ -76,9 +85,7 @@ class DriftEvent:
             "signature": self.signature.label,
             "observed_ms": self.observed_s * 1e3,
             "reference_ms": self.reference_s * 1e3,
-            "expected_ms": (
-                self.expected_s * 1e3 if self.expected_s is not None else None
-            ),
+            "expected_ms": self.expected_s * 1e3 if self.expected_s is not None else None,
             "ratio": self.ratio if self.reference_s > 0 else None,
             "assessment": self.assessment,
         }
@@ -87,11 +94,9 @@ class DriftEvent:
 class DriftDetector:
     """Deterministic, calibrated drift detection over many signatures.
 
-    Feed one :meth:`assess` call per execution; it returns the
-    :class:`DriftEvent` that latched on this execution, or ``None``.
-    The same observation sequence always produces the same events —
-    there is no clock or randomness anywhere in the detector.  It takes
-    no lock: the caller serialises (the adaptive controller does).
+    Feed one :meth:`assess` per execution.  The same observation sequence
+    always latches the same events: no clock, no randomness.  It takes no
+    lock: the caller serialises (the adaptive controller does).
     """
 
     def __init__(self) -> None:
@@ -104,42 +109,40 @@ class DriftDetector:
         self, entry: SignatureEntry, observed_s: float, expected_s: float | None = None
     ) -> DriftEvent | None:
         """Judge one execution's service time; return a newly-latched event."""
+        state = entry.drift
+        if state is None:
+            state = entry.drift = DriftState()
         self.assessments += 1
-        entry.assessments += 1
-        if entry.calibration < MIN_SAMPLES:
-            entry.calibration += 1
-            entry.reference_s += (observed_s - entry.reference_s) / entry.calibration
+        state.assessments += 1
+        if state.calibration < MIN_SAMPLES:
+            state.calibration += 1
+            state.reference_s += (observed_s - state.reference_s) / state.calibration
             return None
-        reference = entry.reference_s
-        breach = (
-            observed_s > reference * RATIO_THRESHOLD
-            and observed_s > reference + MIN_EXCESS_S
-        )
+        reference = state.reference_s
+        breach = observed_s > max(reference * RATIO_THRESHOLD, reference + MIN_EXCESS_S)
         if not breach:
-            entry.breaches = 0
-            if entry.drifted:
-                entry.clean += 1
-                if entry.clean >= HYSTERESIS:
-                    entry.drifted = False
-                    entry.clean = 0
+            state.breaches = 0
+            if state.drifted:
+                state.clean += 1
+                if state.clean >= HYSTERESIS:
+                    state.drifted = False
+                    state.clean = 0
                     self.recoveries += 1
             return None
-        entry.clean = 0
-        entry.breaches += 1
-        if entry.drifted or entry.breaches < HYSTERESIS:
+        state.clean = 0
+        state.breaches += 1
+        if state.drifted or state.breaches < HYSTERESIS:
             return None
-        entry.drifted = True
+        state.drifted = True
         self.events_total += 1
-        event = DriftEvent(entry.signature, observed_s, reference, expected_s, entry.assessments)
+        event = DriftEvent(entry.signature, observed_s, reference, expected_s, state.assessments)
         self._events.append(event)
         return event
 
-    def snapshot(self, active: int) -> dict:
-        """JSON-safe counters + recent events for ``/metrics``.
-
-        ``active`` is the number of signatures drifted now, which the
-        caller counts over its table.
-        """
+    def snapshot(self, entries: list[SignatureEntry]) -> dict:
+        """JSON-safe counters + recent events for ``/metrics``; ``active``
+        counts the drifted signatures among ``entries``."""
+        active = sum(1 for entry in entries if entry.drift is not None and entry.drift.drifted)
         return {
             "events": self.events_total,
             "recoveries": self.recoveries,

@@ -4,7 +4,7 @@ An :class:`ObservationLog` holds one :class:`SignatureEntry` per request
 signature, bounded LRU-style so an adversarial stream of distinct
 signatures cannot grow memory.  An entry carries the end-to-end latency
 stream ``/metrics`` renders and, with the adaptive loop on, the
-service-time stream and the drift state.  A :class:`SignatureStats`
+service-time stream and the detector's drift state.  A :class:`SignatureStats`
 tracks one stream exactly and cheaply: count/mean/M2/min/max with
 Welford's streaming update (the constant-space moment tracking advocated
 by the probabilistic-loops literature) plus a small bounded reservoir of
@@ -107,22 +107,19 @@ class SignatureEntry:
     """Everything one server knows about one traffic class.
 
     ``latency`` is the end-to-end stream.  The adaptive loop fills the
-    rest: ``service``, the service-time stream (``None`` until its first
-    observation), and the drift state that
-    :meth:`repro.adaptive.drift.DriftDetector.assess` steps.  All of it
-    leaves with the entry, so an evicted signature calibrates again.
+    rest: ``service``, the service-time stream, at the first observation,
+    and ``drift``, the :class:`~repro.adaptive.drift.DriftState` that only
+    :mod:`repro.adaptive.drift` reads or writes, at the first assessment.
+    Both leave with the entry, so an evicted signature calibrates again.
     """
 
-    __slots__ = ("signature", "latency", "service", "calibration", "reference_s",
-                 "breaches", "clean", "drifted", "assessments")
+    __slots__ = ("signature", "latency", "service", "drift")
 
     def __init__(self, signature: RequestIdentity) -> None:
         self.signature = signature
         self.latency = SignatureStats()
         self.service: SignatureStats | None = None
-        self.calibration = self.breaches = self.clean = self.assessments = 0
-        self.reference_s = 0.0
-        self.drifted = False
+        self.drift = None
 
 
 class ObservationLog:

@@ -13,14 +13,18 @@ The acceptance contract of the subsystem:
 """
 
 import json
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.adaptive import AdaptiveController, ObservationLog, drift, render_adaptive_report
+from repro.adaptive import (
+    AdaptiveController,
+    ObservationLog,
+    SignatureStats,
+    drift,
+    render_adaptive_report,
+)
 from repro.cache import request_identity
 from repro.core.exceptions import ServerError
 from repro.server import FaultPlan, ReproServer, ServerConfig
@@ -215,7 +219,7 @@ class TestControllerContract:
         assert snapshot["drift"]["assessments"] == snapshot["drift"]["events"] == 0
         assert snapshot["signatures"][signature.label]["count"] == 10
         (entry,) = controller.table.entries()
-        assert (entry.calibration, entry.assessments) == (0, 0)
+        assert entry.drift is None
 
     def test_an_internal_failure_is_counted_never_raised(self, monkeypatch):
         def broken(*args):
@@ -229,38 +233,50 @@ class TestControllerContract:
         assert snapshot["observations"] == 1
 
 
-class TestConcurrentObservation:
-    def test_threads_completing_and_observing_lose_no_update(self):
-        """Completions and observations of two signatures from 6 threads at once."""
+class TestControllerLock:
+    def test_the_stream_and_the_detector_are_written_under_the_lock(self, monkeypatch):
         controller = AdaptiveController(ObservationLog())
-        signatures = [request_identity("lcs", dim, mode="functional") for dim in (8, 16)]
-        per_thread = 300
-        start = threading.Barrier(6)
+        entry = controller.table.record(request_identity("lcs", 48, mode="functional"), 0.01)
+        held = []
+        record, assess = SignatureStats.record, controller.detector.assess
 
-        def serve(signature):
-            start.wait(timeout=30)  # three threads race for each new entry
-            observe_all(controller, signature, None, [0.01] * per_thread)
+        def checked_record(stats, latency_s):
+            held.append(("record", controller._lock.locked()))
+            record(stats, latency_s)
 
-        threads = [
-            threading.Thread(target=serve, args=(signatures[i % 2],)) for i in range(6)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        snapshot = controller.snapshot()
-        assert snapshot["errors"] == 0, snapshot["last_error"]
-        assert snapshot["observations"] == snapshot["drift"]["assessments"] == 6 * per_thread
-        assert snapshot["drift"]["events"] == 0
-        for entry in controller.table.entries():
-            counts = (entry.latency.count, entry.service.count, entry.assessments)
-            assert counts == (3 * per_thread,) * 3
+        def checked_assess(*args):
+            held.append(("assess", controller._lock.locked()))
+            return assess(*args)
+
+        monkeypatch.setattr(SignatureStats, "record", checked_record)
+        monkeypatch.setattr(controller.detector, "assess", checked_assess)
+        controller.observe(entry, None, 0.01)
+        assert held == [("record", True), ("assess", True)]
+        assert controller.snapshot()["errors"] == 0
+
+
+class TestActiveDrift:
+    """``drift.active`` counts the table's signatures that are drifted now."""
+
+    SIG = request_identity("lcs", 48, mode="functional")
+
+    def test_a_latched_signature_is_active_until_it_recovers(self):
+        controller = AdaptiveController(ObservationLog())
+        observe_all(controller, self.SIG, None, [0.01] * 3 + [0.5] * 2)
+        assert controller.snapshot()["drift"]["active"] == 1
+        observe_all(controller, self.SIG, None, [0.01])
+        assert controller.snapshot()["drift"]["active"] == 1
+        observe_all(controller, self.SIG, None, [0.01])  # the second clean run recovers
+        drift_section = controller.snapshot()["drift"]
+        assert (drift_section["active"], drift_section["recoveries"]) == (0, 1)
+
+    def test_an_evicted_drifted_signature_is_no_longer_active(self):
+        controller = AdaptiveController(ObservationLog(maxsize=1))
+        observe_all(controller, self.SIG, None, [0.01] * 3 + [0.5] * 2)
+        assert controller.snapshot()["drift"]["active"] == 1
+        observe_all(controller, request_identity("lcs", 8, mode="functional"), None, [0.01])
+        drift_section = controller.snapshot()["drift"]
+        assert (drift_section["active"], drift_section["events"]) == (0, 1)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ class TestCalibration:
         detector = DriftDetector()
         # Wildly varying calibration samples still produce no event.
         assert feed(detector, [0.001, 5.0, 0.002]) == []
-        assert detector.snapshot(0)["events"] == 0
+        assert detector.snapshot([])["events"] == 0
 
     def test_reference_is_the_calibration_mean(self):
         detector = DriftDetector()
@@ -76,7 +76,7 @@ class TestHysteresis:
         detector, entry = DriftDetector(), SignatureEntry(SIG)
         events = feed(detector, [0.01] * 3 + [0.5] * 10, entry=entry)
         assert len(events) == 1
-        assert entry.drifted
+        assert detector.snapshot([entry])["active"] == 1
 
     def test_recovery_then_redrift_fires_a_fresh_event(self):
         detector = DriftDetector()
@@ -86,11 +86,13 @@ class TestHysteresis:
             + [0.01] * 2  # recover (hysteresis clean executions)
             + [0.5] * 2  # latch again (event 2)
         )
-        events = feed(detector, values)
+        entry = SignatureEntry(SIG)
+        events = feed(detector, values, entry=entry)
         assert len(events) == 2
-        snap = detector.snapshot(0)
+        snap = detector.snapshot([entry])
         assert snap["events"] == 2
         assert snap["recoveries"] == 1
+        assert snap["active"] == 1
 
 
 class TestDeterminism:
@@ -117,9 +119,10 @@ class TestEventPayload:
         assert DriftEvent(SIG, 0.5, 0.0, None, 1).ratio == float("inf")
 
     def test_snapshot_carries_config_and_recent_events(self):
-        detector = DriftDetector()
-        feed(detector, [0.01] * 3 + [0.5] * 2)
-        snap = detector.snapshot(1)
+        detector, entry = DriftDetector(), SignatureEntry(SIG)
+        feed(detector, [0.01] * 3 + [0.5] * 2 + [0.01], entry=entry)
+        # one clean execution is not a recovery: the signature is still drifted
+        snap = detector.snapshot([entry, SignatureEntry(request_identity("lcs", 8))])
         assert snap["active"] == 1
         assert snap["config"] == {
             "ratio_threshold": 3.0, "min_samples": 3, "hysteresis": 2, "min_excess_s": 0.05,
@@ -134,10 +137,11 @@ class TestStateLivesOnTheEntry:
         feed(detector, [0.01] * 3, entry=slow)
         # a second signature's calibration neither reads nor moves the first's
         assert feed(detector, [0.5] * 3, entry=fast) == []
-        assert (slow.calibration, fast.calibration) == (3, 3)
-        assert slow.reference_s == pytest.approx(0.01)
-        assert fast.reference_s == pytest.approx(0.5)
+        assert (slow.drift.calibration, fast.drift.calibration) == (3, 3)
+        assert slow.drift.reference_s == pytest.approx(0.01)
+        assert fast.drift.reference_s == pytest.approx(0.5)
         assert len(feed(detector, [0.5] * 2, entry=slow)) == 1
+        assert detector.snapshot([slow, fast])["active"] == 1
 
     def test_an_evicted_signature_calibrates_again(self):
         table, detector = ObservationLog(maxsize=1), DriftDetector()
@@ -145,11 +149,11 @@ class TestStateLivesOnTheEntry:
             detector.assess(table.record(SIG, value), value)
         table.record(request_identity("lcs", 8), 0.01)  # evicts SIG's entry
         entry = table.record(SIG, 0.5)
-        assert (entry.calibration, entry.assessments) == (0, 0)
+        assert entry.drift is None
         # with its calibration gone, the slow samples become the reference
         assert feed(detector, [0.5] * 5, entry=entry) == []
-        assert entry.reference_s == pytest.approx(0.5)
-        assert not entry.drifted
+        assert entry.drift.reference_s == pytest.approx(0.5)
+        assert detector.snapshot([entry])["active"] == 0
 
 
 class TestConstants:

@@ -18,6 +18,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.adaptive.drift import DriftState
 from repro.adaptive.observations import ObservationLog, SignatureStats, percentile
 from repro.cache import request_identity
 from repro.facade.policy import ExecutionPolicy
@@ -169,11 +170,11 @@ class TestObservationLog:
     def test_an_evicted_entry_leaves_with_its_loop_state(self):
         log = ObservationLog(maxsize=1)
         first = log.record(sig("lcs", 8), 0.01)
-        first.service, first.drifted = SignatureStats(), True
+        first.service, first.drift = SignatureStats(), DriftState()
         log.record(sig("lcs", 16), 0.01)
         again = log.record(sig("lcs", 8), 0.01)
         assert again is not first
-        assert again.service is None and not again.drifted
+        assert again.service is None and again.drift is None
         assert again.latency.count == 1
 
     def test_rejects_nonpositive_bound(self):

@@ -218,13 +218,13 @@ class TestAdaptiveLoop:
             server.solve("lcs", 32)  # a miss: executed
             assert observed.wait(timeout=30)
             (entry,) = server.metrics_store.signatures.entries()
-            observations, assessments = entry.service.count, entry.assessments
+            observations, assessments = entry.service.count, entry.drift.assessments
             completed = server.metrics()["requests"]["completed"]
             ticket = server.submit("lcs", 32)
             assert ticket.done, "the second request is a memory hit"
             assert len(calls) == 1
             assert server.metrics_store.signatures.entries() == [entry]
-            assert (entry.service.count, entry.assessments) == (observations, assessments)
+            assert (entry.service.count, entry.drift.assessments) == (observations, assessments)
             assert entry.latency.count == 2
             assert server.metrics()["requests"]["completed"] == completed + 1
 
