@@ -15,8 +15,8 @@ One entry point, four gates, one per serving smoke job in ``ci.yml``:
   server holds no instance data (``caches.problems.bytes`` is 0: a cached
   answer releases its inputs);
 * ``chaos --fresh A`` — a replay through the committed fault plan: every
-  scheduled fault fired, the supervisor restarted within its band and
-  re-dispatched the killed work, and every request resolved with a typed
+  scheduled fault fired, the deadline expiries stay within their band and
+  the server counted them, and every request resolved with a typed
   outcome;
 * ``adaptive --stable A --drifted B`` — two ``--adaptive on`` replays:
   zero drift on the clean one, drift within the committed band on the one
@@ -57,8 +57,6 @@ REQUIRED_METRICS_KEYS = (
 )
 #: Percentile fields of every latency summary.
 REQUIRED_LATENCY_KEYS = ("p50", "p90", "p95", "p99", "mean", "max", "samples")
-#: Supervisor counters the /metrics snapshot must expose under chaos.
-REQUIRED_SUPERVISOR_KEYS = ("faults_injected", "restarts", "redispatches", "state")
 
 
 def load(path: Path) -> dict:
@@ -270,11 +268,6 @@ def gate_chaos(args: argparse.Namespace) -> int:
     if not isinstance(supervisor, dict):
         failures.append(f"server_metrics has no supervisor section: {metrics!r:.200}")
         return report("chaos", failures, "")
-    failures += [
-        f"supervisor.{key} missing from /metrics"
-        for key in REQUIRED_SUPERVISOR_KEYS
-        if key not in supervisor
-    ]
     faults = supervisor.get("faults") or {}
     if faults.get("plan") != plan:
         failures.append(
@@ -286,43 +279,23 @@ def gate_chaos(args: argparse.Namespace) -> int:
             f"only {faults.get('injected')} of {faults.get('scheduled')} "
             "scheduled faults were injected — the trace never reached them"
         )
-    kills = (faults.get("by_kind") or {}).get("kill", 0)
-    restarts = supervisor.get("restarts", 0)
-    redispatches = supervisor.get("redispatches", 0)
     server_requests = metrics.get("requests") or {}
     if "deadline_expired" not in server_requests:
         failures.append("requests.deadline_expired missing from /metrics")
     print(
-        f"chaos: {supervisor.get('faults_injected', 0)} faults injected "
-        f"({kills} kills), {restarts} restarts, {redispatches} redispatches"
+        f"chaos: {faults.get('injected', 0)} faults injected "
+        f"{faults.get('by_kind') or {}}, "
+        f"{supervisor.get('dropped_responses', 0)} responses dropped"
     )
     print(
         f"outcomes: {completed} completed, {expired} deadline-expired (server "
         f"counted {server_requests.get('deadline_expired', 0)}), {rejected} "
         f"rejected, {failed} failed, {results.get('retries', 0)} retries"
     )
-    if kills < gates["min_kills"]:
-        failures.append(f"only {kills} shard kills injected (need >= {gates['min_kills']})")
-    if not gates["min_restarts"] <= restarts <= gates["max_restarts"]:
-        failures.append(
-            f"{restarts} shard restarts outside the budget band "
-            f"[{gates['min_restarts']}, {gates['max_restarts']}] — the "
-            "supervisor either never recovered or thrashed"
-        )
-    if redispatches < gates["min_kills"]:
-        failures.append(
-            f"only {redispatches} re-dispatches for {kills} kills — in-flight "
-            "work of a crashed shard was abandoned"
-        )
     if expired and not server_requests.get("deadline_expired"):
         failures.append(
             "clients saw deadline expiries the server never counted — misses "
             "are untyped somewhere on the path"
-        )
-    if supervisor.get("state") == "dead":
-        failures.append(
-            "the shard ended the run dead — the restart budget was exhausted "
-            "by the committed plan"
         )
     return report(
         "chaos",

@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         default=None,
         help="deterministic fault plan 'kind@k[:seconds],...' with kinds "
-        "kill/slow/drop, e.g. 'kill@7,slow@18:0.2,drop@47' (testing)",
+        "slow/drop, e.g. 'slow@18:0.2,drop@47' (testing)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -1014,7 +1014,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     supervisor = metrics.get("supervisor") or {}
     print(
-        f"supervisor: {supervisor.get('restarts', 0)} restarts, "
+        f"supervisor: {supervisor.get('crashes', 0)} crashes, "
         f"{supervisor.get('redispatches', 0)} redispatches, "
         f"{supervisor.get('faults_injected', 0)} faults injected"
     )

@@ -40,13 +40,14 @@ class ExecutionError(ReproError):
 class WorkerCrashError(ExecutionError):
     """A worker process of a multicore pool died mid-execution.
 
-    Raised by :class:`repro.runtime.mp_parallel.MPWavefrontPool` when the
-    underlying :class:`concurrent.futures.ProcessPoolExecutor` reports a
-    broken pool (a worker was killed or segfaulted).  The pool marks itself
-    broken; :class:`repro.runtime.lifecycle.EngineHost` rebuilds it on the
-    next request, so one crashed worker costs one failed execution, never a
-    poisoned session.  The server treats this as a crash of the request's
-    solve and re-runs it on the rebuilt team.
+    Raised by :class:`repro.runtime.mp_parallel.WorkerTeam` when a worker's
+    pipe breaks or its reply does not unpickle (the worker was killed or
+    segfaulted).  The team marks itself broken;
+    :meth:`repro.runtime.lifecycle.EngineHost.pool_for` closes it and forks
+    a fresh one on the next borrow, so one crashed worker costs one failed
+    execution, never a poisoned session.  :class:`repro.server.ReproServer`
+    re-runs the request once, at once, on the fresh team; a crash that
+    outlives that re-run answers HTTP 503.
     """
 
 
@@ -140,29 +141,6 @@ class DeadlineError(ServerError):
     region; a request that cannot be answered in time fails with this
     error instead of hanging — the HTTP endpoint maps it to status 504.  The failed ticket
     is counted in the ``deadline_expired`` metrics counter.
-    """
-
-
-class ShardCrashError(ServerError):
-    """A solve attempt crashed mid-request.
-
-    Raised by the chaos-injection layer (a ``kill`` fault) before the
-    solve.  The thread serving the request recovers in place: it backs off
-    (jittered, exponential) and re-runs the request; only a request that
-    exhausts its re-dispatch budget surfaces this error to the client.  A request that merely outlasts its deadline is not a crash:
-    it answers :class:`DeadlineError`.
-    """
-
-
-class ShardUnavailableError(BackpressureError):
-    """The server's circuit breaker is open (restart budget exhausted).
-
-    More than ``restart_budget`` crashes inside the sliding
-    ``restart_window_s``: the server sheds the request early instead of
-    queueing it into a black hole.  The breaker closes once the window
-    slides below the budget.  Subclasses :class:`BackpressureError`, so the
-    HTTP endpoint answers 429 with a ``Retry-After`` header and load
-    generators retry with backoff.
     """
 
 

@@ -3,8 +3,8 @@
 The session facade (:class:`repro.session.Session`) made the tuned runtime
 callable; this package makes it **servable**: bounded admission with
 explicit backpressure, each admitted request solved to completion on the
-thread that admitted it with its deadline checked inside the sweep,
-in-place crash supervision, JSON metrics (latency percentiles, throughput,
+thread that admitted it with its deadline checked inside the sweep, one
+immediate re-run of a request whose worker team crashed, JSON metrics (latency percentiles, throughput,
 admitted requests, cache hit rates), a small HTTP/1.1 JSON endpoint on
 reused connection threads and a load generator — the pieces behind the
 ``repro serve`` and ``repro loadgen`` CLI verbs.
@@ -19,9 +19,8 @@ Layering, bottom up:
   (``scripts/gates.py chaos``);
 * :mod:`repro.server.service` — :class:`ReproServer` + :class:`ServerConfig`
   + :class:`ServeRequest` (the ticket, resolved before ``submit`` returns):
-  admission, the solve on the admitting thread with crash recovery in
-  place (jittered backoff, a restart-budget circuit breaker that closes
-  again, bounded re-dispatch) and graceful drain/shutdown;
+  admission, the solve on the admitting thread (a worker crash re-runs it
+  once, at once, on a fresh team) and graceful drain/shutdown;
 * :mod:`repro.server.http` — :class:`ServingEndpoint`, the bound HTTP
   endpoint: accept loop, reused connection threads, bounded hand-parsed
   HTTP/1.1 (``POST /solve``, ``GET /metrics``, ``GET /healthz``,

@@ -1,6 +1,6 @@
-"""Chaos injection for the supervised serving stack (``--chaos <spec>``).
+"""Chaos injection for the serving stack (``--chaos <spec>``).
 
-The PPoPP testing stance applied to serving: crash schedules must be
+The PPoPP testing stance applied to serving: fault schedules must be
 explored *deterministically*, not discovered in production.  A
 :class:`FaultPlan` is a committed, replayable schedule of faults keyed by
 the global request ordinal — replaying the same trace through the same plan
@@ -9,17 +9,13 @@ gate (``scripts/gates.py chaos``) assert exact survival properties.
 
 Spec grammar (one comma-separated string)::
 
-    kill@7,kill@31,slow@18:0.2,drop@47
+    slow@18:0.2,drop@47
 
 Each entry is ``kind@k[:seconds]`` — fire fault ``kind`` at the ``k``-th
 solve attempt (1-based, re-runs included).  With a plan armed,
 :class:`~repro.server.ReproServer` answers no memory hit at admission, so
 ``k`` counts requests, not only the result cache's misses:
 
-* ``kill`` — the attempt raises :class:`~repro.core.exceptions.ShardCrashError`
-  *before* executing, simulating a worker death; the server recovers in
-  place and re-runs the request (at-most-once execution: the kill fires
-  before any solve).
 * ``slow`` — the attempt sleeps ``seconds`` (default 0.25) before executing;
   the request still completes bit-exactly, exercising deadline headroom.
 * ``drop`` — the request is executed and its answer discarded; the
@@ -40,7 +36,7 @@ from dataclasses import dataclass, field
 from repro.core.exceptions import UsageError
 
 #: Fault kinds understood by the spec parser and the server.
-FAULT_KINDS = ("kill", "slow", "drop")
+FAULT_KINDS = ("slow", "drop")
 
 #: Default sleep of a ``slow`` fault (seconds).
 DEFAULT_SLOW_S = 0.25
@@ -51,7 +47,7 @@ class FaultSpec:
     """One scheduled fault: ``kind`` fired at global request ordinal ``at``.
 
     ``seconds`` parameterises ``slow`` (its sleep); it is ignored by
-    ``kill`` and ``drop``.
+    ``drop``.
     """
 
     kind: str
@@ -110,7 +106,7 @@ class FaultPlan:
             if not sep or not kind or not rest:
                 raise UsageError(
                     f"bad chaos entry {entry!r}: expected kind@k[:seconds] "
-                    f"(e.g. kill@7 or slow@18:0.2)"
+                    f"(e.g. drop@7 or slow@18:0.2)"
                 )
             at_text, _, seconds_text = rest.partition(":")
             try:

@@ -27,17 +27,17 @@ Routes (all JSON):
   (:meth:`repro.server.ReproServer.metrics`) plus this endpoint's ``http``
   section (:meth:`ServingEndpoint.info`).
 * ``GET /healthz`` — liveness: ``{"status": "ok", "uptime_s": ...}``.
-  Answers 200 while the process serves HTTP at all — a restarting shard
-  does not flip liveness, only readiness.
-* ``GET /readyz`` — readiness: the shard's state (``healthy`` /
-  ``restarting`` / ``dead``) and its counters
-  (:meth:`repro.server.ReproServer.readiness`); answers ``503`` when the
-  shard cannot take traffic so external probes route around the instance.
+  Answers 200 while the process serves HTTP at all.
+* ``GET /readyz`` — readiness: ``ready`` (the server runs) and the
+  supervision counters (:meth:`repro.server.ReproServer.readiness`);
+  answers ``503`` once the server stops, so external probes route around
+  the instance.
 * ``POST /shutdown`` — begins a graceful drain + stop; answers ``202``.
 
 Error mapping: deadline expiry → 504, backpressure → 429 (with a
 ``Retry-After`` header), usage/unknown-name/invalid-parameter errors → 400,
-missing artifacts → 409, any other framework error → 500; every error body
+missing artifacts → 409, any other server error (shut down, a worker crash
+that outlived its re-run) → 503, anything else → 500; every error body
 is ``{"error": {"type": ..., "message": ...}}``.  ``POST /solve`` accepts an
 optional ``deadline_s`` body key bounding the request end-to-end (default:
 the server's ``default_deadline_s``).  What the wire loop itself refuses —
@@ -67,6 +67,7 @@ from repro.core.exceptions import (
     RegistryError,
     ServerError,
     UsageError,
+    WorkerCrashError,
 )
 from repro.core.params import TunableParams
 from repro.facade.policy import ExecutionPolicy
@@ -201,10 +202,10 @@ RETRY_AFTER_S = 1
 def error_status(error: BaseException) -> int:
     """Map one framework error to its HTTP status code.
 
-    Order matters: :class:`DeadlineError` subclasses :class:`ServerError`
-    (504 before 503) and :class:`~repro.core.exceptions.\
-ShardUnavailableError` subclasses :class:`BackpressureError` (both shed
-    load as 429).
+    Order matters: :class:`DeadlineError` and :class:`BackpressureError`
+    subclass :class:`ServerError` (504 and 429 before 503).  A
+    :class:`WorkerCrashError` that outlived its re-run is the server's
+    fault, not the request's: 503.
     """
     if isinstance(error, DeadlineError):
         return 504
@@ -214,7 +215,7 @@ ShardUnavailableError` subclasses :class:`BackpressureError` (both shed
         return 400
     if isinstance(error, ArtifactError):
         return 409
-    if isinstance(error, ServerError):
+    if isinstance(error, (ServerError, WorkerCrashError)):
         return 503
     return 500
 

@@ -158,8 +158,8 @@ class ServerMetrics:
         ``adaptive`` (the adaptive controller's
         :meth:`~repro.adaptive.AdaptiveController.snapshot`) follows the
         same always-present convention: ``None`` means ``--adaptive off``.
-        ``supervisor`` is the supervision snapshot (its state, restarts,
-        re-dispatches, faults survived); included when provided.
+        ``supervisor`` is the supervision snapshot (crashes, re-dispatches,
+        dropped responses, faults injected); included when provided.
         """
         with self._lock:
             uptime = self.uptime_s

@@ -11,8 +11,8 @@ process — and resolved there, before ``submit`` returns::
         |   (queue_capacity)       v
         |                    chaos faults --> solve_one(deadline) --> run lock --> sweep
         |                          ^                                   (waits no   (checks the
-        |                          +-- crash: count, breaker,           later than  deadline per
-        |                              backoff, re-run                  the deadline) row / diagonal)
+        |                          +-- worker crash: re-run once        later than  deadline per
+        |                              on a fresh team                  the deadline) row / diagonal)
         v
     ticket (resolved) <-- complete() / fail()   (a chaos drop: fail() at the
                                                  deadline or the drain)
@@ -36,17 +36,14 @@ ran goes to the adaptive loop.  The server adds four behaviours on top of
   its deadline fails with :class:`~repro.core.exceptions.DeadlineError`
   and frees the run lock for the next one.  A stopped solve caches
   nothing;
-* **supervision** — every exception that escapes a solve attempt is a
-  crash (:class:`~repro.core.exceptions.ShardCrashError` from a chaos
-  ``kill``, :class:`~repro.core.exceptions.WorkerCrashError` from a broken
-  worker team, anything else).  The thread counts it, checks the breaker,
-  backs off (jittered, exponential in the crashes since the last clean
-  solve) and re-runs the request, up to :data:`MAX_REDISPATCH` extra
-  attempts.  More than :data:`RESTART_BUDGET` crashes inside
-  :data:`RESTART_WINDOW_S` open the breaker (state ``dead``): admission
-  sheds load until the window slides below the budget.  Chaos faults
-  (:mod:`repro.server.faults`) fire before the solve, which keeps kills
-  at-most-once;
+* **crash recovery** — every exception that escapes a solve attempt
+  counts as a crash.  A :class:`~repro.core.exceptions.WorkerCrashError`
+  (a worker of a tiled engine's team died) on the first attempt is re-run
+  once, at once, on the same thread: the session forks a fresh team for
+  it (:meth:`repro.runtime.lifecycle.EngineHost.pool_for`).  A second
+  crash, or any other escape, fails the request unless it was answered.
+  Chaos faults (:mod:`repro.server.faults`) fire before each attempt's
+  solve;
 * **observability and lifecycle** — per-request/aggregate metrics as JSON
   (:mod:`repro.server.metrics`) and graceful drain/shutdown.
 """
@@ -54,10 +51,8 @@ ran goes to the adaptive loop.  The server adds four behaviours on top of
 from __future__ import annotations
 
 import math
-import random
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Any
@@ -71,8 +66,6 @@ from repro.core.exceptions import (
     DeadlineError,
     InvalidParameterError,
     ServerError,
-    ShardCrashError,
-    ShardUnavailableError,
     WorkerCrashError,
 )
 from repro.runtime.executor_base import Deadline, ExecutionMode
@@ -93,18 +86,6 @@ DRAIN_TIMEOUT_S = 30.0
 #: Seconds :meth:`ReproServer.close` then waits for the stopped requests to
 #: leave the session.
 _STOP_TIMEOUT_S = 2.0
-#: The backoff before re-running a request after the Nth crash since the
-#: last clean solve: ``BACKOFF_BASE_S * 2^(N-1)`` capped at
-#: ``BACKOFF_CAP_S``, plus up to ``BACKOFF_JITTER`` relative jitter.
-BACKOFF_BASE_S = 0.05
-BACKOFF_CAP_S = 2.0
-BACKOFF_JITTER = 0.25
-#: More than ``RESTART_BUDGET`` crashes inside ``RESTART_WINDOW_S`` seconds
-#: open the circuit breaker until the window slides below the budget.
-RESTART_BUDGET = 5
-RESTART_WINDOW_S = 30.0
-#: Extra attempts a crashed request gets before it fails.
-MAX_REDISPATCH = 2
 #: The failure message of a request the server closed on before answering it.
 SHUT_DOWN = "server shut down before the request completed"
 
@@ -244,7 +225,7 @@ class ServeRequest:
 
 
 class ReproServer:
-    """Admission-controlled, supervised front-end over one :class:`~repro.session.Session`.
+    """Admission-controlled front-end over one :class:`~repro.session.Session`.
 
     The server *borrows* the session by default (closing the server leaves
     the session usable); pass ``own_session=True`` to transfer ownership so
@@ -282,21 +263,15 @@ class ReproServer:
         if self.config.adaptive != "off":
             self.adaptive = AdaptiveController(self.metrics_store.signatures)
         # Lifecycle, the admitted requests (and the most at once) and the
-        # crash record, all guarded by one lock; ``_idle`` is notified when
-        # the last admitted request leaves and when the drain begins.
+        # counters, all guarded by one lock; ``_idle`` is notified when the
+        # last admitted request leaves and when the drain begins.
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._started = self._draining = self._closed = False
         self._stop = threading.Event()
         self._solving: set[ServeRequest] = set()
         self._high_water = 0
-        self._rng = random.Random()
-        self._backing_off = 0
-        self._consecutive_crashes = 0
-        self._crash_times: deque[float] = deque()
-        self._counts = dict.fromkeys(
-            ("dropped_responses", "restarts", "crashes", "redispatches"), 0
-        )
+        self._counts = dict.fromkeys(("dropped_responses", "crashes", "redispatches"), 0)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -328,8 +303,8 @@ class ReproServer:
 
         Safe to call more than once.  Requests still running after the drain
         timeout are stopped: their deadlines move to the past, so a running
-        sweep stops at its next deadline check, and a crashed request
-        backing off runs nothing more.  Each solving thread then fails its
+        sweep stops at its next deadline check, and the session refuses a
+        crashed request's re-run.  Each solving thread then fails its
         own request with :class:`~repro.core.exceptions.ServerError` "shut
         down", so no client blocks forever.
         """
@@ -376,9 +351,7 @@ class ReproServer:
         A memory-tier result-cache hit is answered without admission (unless
         a fault plan is armed).  Raises
         :class:`~repro.core.exceptions.BackpressureError` when
-        ``queue_capacity`` requests are already admitted and unfinished
-        (its :class:`~repro.core.exceptions.ShardUnavailableError` subclass
-        while the circuit breaker is open) and
+        ``queue_capacity`` requests are already admitted and unfinished and
         :class:`~repro.core.exceptions.ServerError` once the server is
         draining.  ``deadline_s`` bounds the request end-to-end (default:
         the config's ``default_deadline_s``); one that is not finite
@@ -402,13 +375,6 @@ class ReproServer:
         else:
             deadline_s = finite_seconds("deadline_s", deadline_s)
         now = time.perf_counter()
-        # Without a crash on record the breaker is closed: no lock to take.
-        if self._crash_times and self._state() == "dead":
-            self.metrics_store.record_rejected()
-            raise ShardUnavailableError(
-                "no healthy shard available (restart budget exhausted); "
-                "shedding load — retry later"
-            )
         request = ServeRequest(
             app=app,
             dim=default_dim(app) if dim is None else dim,
@@ -502,63 +468,46 @@ class ReproServer:
     def readiness(self) -> dict:
         """The ``GET /readyz`` payload: the supervision snapshot.
 
-        ``ready`` is true while the server runs and is healthy; external
-        probes should route traffic away on 503.
+        ``ready`` is true while the server runs; external probes should
+        route traffic away on 503.
         """
-        info = self._supervision()
         running = self.running
-        return {**info, "ready": running and info["ready"], "running": running}
+        return {**self._supervision(), "ready": running, "running": running}
 
     def _supervision(self) -> dict:
-        """The ``/metrics`` ``supervisor`` section: state and counters."""
+        """The ``/metrics`` ``supervisor`` section: counters and faults."""
         faults = self._injector.info()
         with self._lock:
-            state = self._state_locked(time.perf_counter())
-            counts = {"state": state, "in_flight": len(self._solving), **self._counts}
-        return {
-            **counts,
-            "faults_injected": faults["injected"],
-            "faults": faults,
-            "ready": state == "healthy",
-            "circuit_open": state == "dead",
-        }
-
-    def _state(self) -> str:
-        """``healthy``, ``restarting`` or ``dead`` (circuit open)."""
-        with self._lock:
-            return self._state_locked(time.perf_counter())
-
-    def _state_locked(self, now: float) -> str:
-        """Slide the crash window to ``now`` and read the state off it.
-
-        The caller holds the lock.  ``dead`` while the window holds more
-        than :data:`RESTART_BUDGET` crashes — which ends once it slides
-        below; ``restarting`` while a crashed request backs off.
-        """
-        window_start = now - RESTART_WINDOW_S
-        while self._crash_times and self._crash_times[0] < window_start:
-            self._crash_times.popleft()
-        if len(self._crash_times) > RESTART_BUDGET:
-            return "dead"
-        return "restarting" if self._backing_off else "healthy"
+            counts = {"in_flight": len(self._solving), **self._counts}
+        return {**counts, "faults_injected": faults["injected"], "faults": faults}
 
     # ------------------------------------------------------------------
     # Serving one request
     # ------------------------------------------------------------------
     def _serve(self, request: ServeRequest) -> None:
-        """Run one admitted request until it is resolved, recovering crashes in place."""
-        attempts = 0
-        while True:
-            attempts += 1
+        """Run one admitted request until it is resolved.
+
+        Every exception that escapes an attempt counts as a crash.  A
+        :class:`~repro.core.exceptions.WorkerCrashError` on the first
+        attempt is re-run once, at once: the session forks a fresh team for
+        it.  Past the request's deadline — where :meth:`close` moves it too —
+        the session refuses the re-run, so it runs nothing and fails typed.
+        A second crash, or any other escape, fails the request unless it was
+        answered.
+        """
+        for attempt in (1, 2):
             try:
                 self._execute(request)
+                return
             except Exception as crash:  # noqa: BLE001 - every escape is a crash
-                if self._on_crash(request, attempts, crash):
-                    continue
-            else:
+                rerun = attempt == 1 and isinstance(crash, WorkerCrashError)
                 with self._lock:
-                    self._consecutive_crashes = 0
-            return
+                    self._counts["crashes"] += 1
+                    self._counts["redispatches"] += rerun and not request.deadline.passed()
+                if not rerun:
+                    if not request.done:
+                        request.fail(crash)
+                    return
 
     def _execute(self, request: ServeRequest) -> None:
         """One attempt at a request: chaos hooks, the solve, delivery.
@@ -574,8 +523,8 @@ class ReproServer:
             plan, result = self.session.solve_one(
                 request.as_request(), request.mode, request.deadline
             )
-        except (ShardCrashError, WorkerCrashError):
-            raise  # a crash: recovered by _serve
+        except WorkerCrashError:
+            raise  # re-run once by _serve
         except Exception as error:  # noqa: BLE001 - delivered on the ticket
             if isinstance(error, DeadlineError) and self._stop.is_set():
                 error = ServerError(SHUT_DOWN)
@@ -614,71 +563,10 @@ class ReproServer:
     def _inject_faults(self) -> bool:
         """Fire the faults due at this attempt; return whether to drop its answer.
 
-        A ``slow`` fault sleeps here; a ``kill`` raises
-        :class:`~repro.core.exceptions.ShardCrashError` before any solve.
+        A ``slow`` fault sleeps here, before the solve.
         """
         faults = self._injector.take()
         for fault in faults:
             if fault.kind == "slow":
                 time.sleep(fault.sleep_s)
-        for fault in faults:
-            if fault.kind == "kill":
-                raise ShardCrashError(
-                    f"chaos kill fault on the shard (request ordinal {fault.at})"
-                )
         return any(fault.kind == "drop" for fault in faults)
-
-    def _on_crash(
-        self, request: ServeRequest, attempts: int, crash: BaseException
-    ) -> bool:
-        """Count a crash, check the breaker, settle the request, back off.
-
-        Returns whether the request gets another attempt; otherwise it is
-        failed (unless it was answered before the crash) and nothing waits.
-        Once the server is closing, nothing is re-run.
-        """
-        now = time.perf_counter()
-        stopping = self._stop.is_set()
-        with self._lock:
-            self._counts["crashes"] += 1
-            self._consecutive_crashes += 1
-            self._crash_times.append(now)
-            tripped = self._state_locked(now) == "dead"
-            delay = min(
-                BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (self._consecutive_crashes - 1)
-            ) * (1.0 + BACKOFF_JITTER * self._rng.random())
-        error: BaseException | None = None
-        if request.done:
-            pass  # answered before the crash: nothing to re-run
-        elif request.deadline_at is not None and now > request.deadline_at:
-            error = DeadlineError(
-                f"request {request.app!r} crashed with its shard and its deadline "
-                "passed before re-dispatch"
-            )
-        elif stopping:
-            error = ServerError(SHUT_DOWN)
-        elif attempts > MAX_REDISPATCH:
-            error = ShardCrashError(
-                f"request {request.app!r} failed {attempts} times on a crashing "
-                f"shard (re-dispatch budget {MAX_REDISPATCH}): {crash}"
-            )
-        elif tripped:
-            error = ShardUnavailableError("the shard is gone")
-        if error is not None or request.done:
-            if error is not None:
-                request.fail(error)
-            if not tripped:
-                with self._lock:
-                    self._counts["restarts"] += 1
-            return False
-        with self._lock:
-            self._backing_off += 1
-        # A close() during the backoff wakes it: nothing more runs.
-        retry = not self._stop.wait(delay)
-        with self._lock:
-            self._backing_off -= 1
-            self._counts["restarts"] += 1
-            self._counts["redispatches"] += retry
-        if not retry:
-            request.fail(ServerError(SHUT_DOWN))
-        return retry

@@ -10,6 +10,16 @@ import urllib.request
 
 import pytest
 
+from repro.core.exceptions import (
+    ArtifactError,
+    BackpressureError,
+    DeadlineError,
+    InvalidParameterError,
+    ServerError,
+    UnknownApplicationError,
+    UsageError,
+    WorkerCrashError,
+)
 from repro.server import (
     ReproServer,
     ServerConfig,
@@ -17,6 +27,7 @@ from repro.server import (
     grid_digest,
     witness_digest,
 )
+from repro.server.http import error_status
 
 
 def get_json(url, timeout=10):
@@ -287,11 +298,46 @@ class TestErrorMapping:
 
 
 class TestFaultTolerantRoutes:
-    def test_readyz_reports_per_shard_state(self, endpoint):
+    def test_readyz_reports_readiness_and_counters(self, endpoint):
         body = get_json(endpoint.url + "/readyz")
         assert body["ready"] is True and body["running"] is True
-        assert body["state"] == "healthy"
-        assert "restarts" in body and "circuit_open" in body
+        assert body["crashes"] == 0 and body["redispatches"] == 0
+        assert set(body) == {
+            "in_flight", "dropped_responses", "crashes", "redispatches",
+            "faults_injected", "faults", "ready", "running",
+        }
+
+    @pytest.mark.parametrize(
+        "error, status",
+        [
+            (DeadlineError("late"), 504),
+            (BackpressureError("full"), 429),
+            (UsageError("bad"), 400),
+            (UnknownApplicationError("nope"), 400),
+            (InvalidParameterError("bad"), 400),
+            (ArtifactError("gone"), 409),
+            (ServerError("shut down"), 503),
+            (WorkerCrashError("worker died"), 503),
+            (RuntimeError("bug"), 500),
+        ],
+    )
+    def test_error_status_maps_each_error_class(self, error, status):
+        assert error_status(error) == status
+
+    def test_a_worker_crash_that_outlives_its_rerun_maps_to_503(
+        self, endpoint, serve_session, monkeypatch
+    ):
+        def crashing(*args, **kwargs):
+            raise WorkerCrashError("worker process 1 of the 2-worker team died")
+
+        monkeypatch.setattr(serve_session, "solve_one", crashing)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_json(endpoint.url + "/solve", {"app": "lcs", "dim": 48})
+        assert excinfo.value.code == 503
+        body = json.loads(excinfo.value.read())
+        assert body["error"]["type"] == "WorkerCrashError"
+        supervisor = get_json(endpoint.url + "/metrics")["supervisor"]
+        assert supervisor["crashes"] == 2 and supervisor["redispatches"] == 1
 
     def test_expired_deadline_maps_to_504(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

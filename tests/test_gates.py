@@ -96,11 +96,11 @@ def passing(gate):
         }
     if gate == "chaos":
         supervisor = {
-            "faults_injected": 4, "restarts": 2, "redispatches": 2,
-            "state": "healthy",
+            "faults_injected": 2, "crashes": 0, "redispatches": 0,
+            "dropped_responses": 1,
             "faults": {
-                "plan": CHAOS_PLAN, "scheduled": 4, "injected": 4,
-                "by_kind": {"kill": 2, "slow": 1, "drop": 1},
+                "plan": CHAOS_PLAN, "scheduled": 2, "injected": 2,
+                "by_kind": {"slow": 1, "drop": 1},
             },
         }
         return {"fresh": artifact(completed=56, expired=4, supervisor=supervisor)}
@@ -210,10 +210,10 @@ PROBLEMS = ("server_metrics", "caches", "problems")
          "warm: server_metrics.caches.problems.bytes missing"),
         ("cache", _set(("server_metrics",), {"error": "timed out"}),
          "warm: server_metrics missing or unreadable"),
-        ("chaos", lambda a: _faults(a).update(plan="kill@7"), "does not match the committed plan"),
-        ("chaos", lambda a: _faults(a).update(injected=3), "only 3 of 4 scheduled faults"),
-        ("chaos", _set(SUPERVISOR + ("restarts",), 9), "9 shard restarts outside the budget band"),
-        ("chaos", _set(SUPERVISOR + ("restarts",), 1), "1 shard restarts outside the budget band"),
+        ("chaos", lambda a: _faults(a).update(plan="drop@7"), "does not match the committed plan"),
+        ("chaos", lambda a: _faults(a).update(injected=1), "only 1 of 2 scheduled faults"),
+        ("chaos", _set(("results", "deadline_expired"), 0), "0 deadline expiries outside"),
+        ("chaos", _set(SUPERVISOR, "gone"), "server_metrics has no supervisor section"),
         ("chaos", _set(("meta", "requests"), 61), "only 60 of 61 requests resolved"),
         ("adaptive", _set(("adaptive", "mode"), "shadow"), "the gate expects on"),
         ("adaptive", _set(("adaptive", "observations"), 59), "the loop is missing traffic"),
@@ -223,7 +223,7 @@ PROBLEMS = ("server_metrics", "caches", "problems")
         "serve-deadline", "serve-shape", "cache-warm-miss", "cache-hit-rate",
         "cache-p50-ratio", "cache-instance-bytes", "cache-no-problems-section",
         "cache-metrics-errored", "chaos-plan", "chaos-faults-injected",
-        "chaos-restarts-above", "chaos-restarts-below", "chaos-untyped",
+        "chaos-deadline-band", "chaos-no-supervisor", "chaos-untyped",
         "adaptive-mode", "adaptive-observations", "adaptive-no-drift",
     ],
 )
