@@ -4,10 +4,11 @@ The session facade (:class:`repro.session.Session`) made the tuned runtime
 callable; this package makes it **servable**: bounded admission with
 explicit backpressure, each admitted request solved to completion on the
 thread that admitted it with its deadline checked inside the sweep, one
-immediate re-run of a request whose worker team crashed, JSON metrics (latency percentiles, throughput,
-admitted requests, cache hit rates), a small HTTP/1.1 JSON endpoint on
-reused connection threads and a load generator — the pieces behind the
-``repro serve`` and ``repro loadgen`` CLI verbs.
+immediate re-run of a request whose worker team crashed, JSON metrics
+(latency percentiles, throughput, admitted requests, cache hit rates), a
+small HTTP/1.1 JSON endpoint on reused connection threads and a load
+generator — the pieces behind the ``repro serve`` and ``repro loadgen`` CLI
+verbs.
 
 Layering, bottom up:
 

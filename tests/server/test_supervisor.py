@@ -193,7 +193,7 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize(
         "spec",
-        ["boom@3", "kill@3", "drop", "drop@x", "drop@0", "slow@3:abc", "@3", "drop@"],
+        ["boom@3", "hang@3", "kill@3", "drop", "drop@x", "drop@0", "slow@3:abc", "@3", "drop@"],
     )
     def test_malformed_specs_raise_usage_error(self, spec):
         with pytest.raises(UsageError):
