@@ -9,9 +9,8 @@ By default the sweeps use the *reduced* parameter space (same structure as
 Table 3, coarser grids) so the whole harness finishes in a few minutes.  Set
 ``REPRO_BENCH_FULL=1`` to sweep the full Table 3 space instead.
 
-Each bench writes the regenerated table/series to ``benchmarks/results/`` so
-the numbers are inspectable after a ``--benchmark-only`` run (whose stdout
-only shows timing statistics).
+Each bench computes its figure once, asserts the paper's claim on it and
+writes the regenerated table/series to ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -17,13 +17,13 @@ from benchmarks._common import write_result
 
 
 @pytest.mark.parametrize("system_name", ["i3-540", "i7-2600K", "i7-3820"])
-def test_gpu_tiling_never_wins_overall(benchmark, sweeps, system_name):
+def test_gpu_tiling_never_wins_overall(sweeps, system_name):
     results = sweeps[system_name]
 
     def best_tiles():
         return [results.best(p).tunables.gpu_tile for p in results.instances()]
 
-    tiles = benchmark(best_tiles)
+    tiles = best_tiles()
     fraction_tiled = float(np.mean([t > 1 for t in tiles]))
     write_result(
         f"ablation_gpu_tiling_{system_name}.txt",
@@ -33,7 +33,7 @@ def test_gpu_tiling_never_wins_overall(benchmark, sweeps, system_name):
     assert fraction_tiled <= 0.1
 
 
-def test_gpu_tiling_only_helps_when_cpu_wins_anyway(benchmark, systems):
+def test_gpu_tiling_only_helps_when_cpu_wins_anyway(systems):
     """Where tiling beats untiled GPU (tiny tsize), the CPU beats both."""
     system = systems[1]
     model = CostModel(system)
@@ -48,7 +48,7 @@ def test_gpu_tiling_only_helps_when_cpu_wins_anyway(benchmark, systems):
             rows.append([tsize, untiled, tiled, cpu, tiled < untiled, cpu < min(tiled, untiled)])
         return rows
 
-    rows = benchmark(analyse)
+    rows = analyse()
     write_result(
         "ablation_gpu_tiling_tradeoff.txt",
         format_table(

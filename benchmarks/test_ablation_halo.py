@@ -19,7 +19,7 @@ from benchmarks._common import write_result
 HALOS = (0, 2, 8, 30, 120)
 
 
-def test_optimal_halo_shrinks_with_granularity(benchmark, systems):
+def test_optimal_halo_shrinks_with_granularity(systems):
     system = systems[2]  # i7-3820, dual Tesla
     model = CostModel(system)
 
@@ -35,7 +35,7 @@ def test_optimal_halo_shrinks_with_granularity(benchmark, systems):
             out.append([tsize, best] + [rtimes[h] for h in HALOS])
         return out
 
-    rows = benchmark(best_halo_by_tsize)
+    rows = best_halo_by_tsize()
     write_result(
         "ablation_halo_tradeoff.txt",
         format_table(
@@ -51,7 +51,7 @@ def test_optimal_halo_shrinks_with_granularity(benchmark, systems):
     assert best_halos[0] > best_halos[-1] or best_halos[0] > 0
 
 
-def test_functional_swap_counts_match_halo(benchmark):
+def test_functional_swap_counts_match_halo():
     """The emulated band's swap counts fall as the halo grows."""
     params = InputParams(dim=40, tsize=50, dsize=1)
 
@@ -62,7 +62,7 @@ def test_functional_swap_counts_match_halo(benchmark):
     def sweep():
         return {halo: run_with_halo(halo) for halo in (0, 1, 3, 6)}
 
-    swaps = benchmark(sweep)
+    swaps = sweep()
     write_result(
         "ablation_halo_swap_counts.txt",
         "\n".join(f"halo={h}: swaps={s}" for h, s in swaps.items()),

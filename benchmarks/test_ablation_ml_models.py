@@ -22,7 +22,7 @@ from repro.utils.tables import format_table
 from benchmarks._common import write_result
 
 
-def test_m5p_beats_linear_regression_for_band(benchmark, sweeps):
+def test_m5p_beats_linear_regression_for_band(sweeps):
     results = sweeps["i7-2600K"]
     training = TrainingSetBuilder().build(results)
     dataset = training.gpu_dataset("band", BAND_FEATURES)
@@ -36,7 +36,7 @@ def test_m5p_beats_linear_regression_for_band(benchmark, sweeps):
             mae(test.y, linear.predict(test.X)),
         )
 
-    m5p_mae, linear_mae = benchmark(compare)
+    m5p_mae, linear_mae = compare()
     write_result(
         "ablation_ml_band_models.txt",
         format_table(
@@ -49,7 +49,7 @@ def test_m5p_beats_linear_regression_for_band(benchmark, sweeps):
     assert m5p_mae <= linear_mae * 1.05
 
 
-def test_reptree_gpu_decision_accuracy(benchmark, sweeps):
+def test_reptree_gpu_decision_accuracy(sweeps):
     """The binary GPU-use decision should be learned with >=90% accuracy."""
     results = sweeps["i7-3820"]
     training = TrainingSetBuilder().build(results)
@@ -61,7 +61,7 @@ def test_reptree_gpu_decision_accuracy(benchmark, sweeps):
         tree = REPTree(min_leaf=2).fit(train)
         return accuracy(test.y, tree.predict_binary(test.X))
 
-    acc = benchmark(evaluate)
+    acc = evaluate()
     write_result(
         "ablation_ml_gpu_decision.txt",
         f"REP-tree accuracy of the GPU-use decision (i7-3820): {acc:.3f}\n"
@@ -70,8 +70,8 @@ def test_reptree_gpu_decision_accuracy(benchmark, sweeps):
     assert acc >= 0.85
 
 
-def test_training_set_generation_throughput(benchmark, sweeps):
+def test_training_set_generation_throughput(sweeps):
     """Training-set construction is cheap relative to the sweep it digests."""
     results = sweeps["i3-540"]
-    training = benchmark(TrainingSetBuilder().build, results)
+    training = TrainingSetBuilder().build(results)
     assert len(training) > 0

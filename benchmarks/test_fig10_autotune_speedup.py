@@ -24,11 +24,11 @@ def nash_instances(space):
 
 
 @pytest.mark.parametrize("system_name", ["i3-540", "i7-2600K", "i7-3820"])
-def test_fig10_autotuned_vs_exhaustive_nash(benchmark, tuners, space, system_name):
+def test_fig10_autotuned_vs_exhaustive_nash(tuners, space, system_name):
     tuner = tuners[system_name]
     instances = nash_instances(space)
 
-    summary = benchmark(autotune_speedup_summary, tuner, instances)
+    summary = autotune_speedup_summary(tuner, instances)
 
     write_result(
         f"fig10_nash_{system_name}.txt",
@@ -48,7 +48,7 @@ def test_fig10_autotuned_vs_exhaustive_nash(benchmark, tuners, space, system_nam
     assert summary.achieved_fraction < 1.5
 
 
-def test_fig10_cross_system_average(benchmark, tuners, space):
+def test_fig10_cross_system_average(tuners, space):
     def fractions():
         out = {}
         for name, tuner in tuners.items():
@@ -56,7 +56,7 @@ def test_fig10_cross_system_average(benchmark, tuners, space):
             out[name] = summary.achieved_fraction
         return out
 
-    fracs = benchmark(fractions)
+    fracs = fractions()
     mean_fraction = float(np.mean(list(fracs.values())))
     write_result(
         "fig10_summary.txt",

@@ -36,9 +36,9 @@ def build_series(tuner, space):
 
 
 @pytest.mark.parametrize("system_name", ["i3-540", "i7-2600K", "i7-3820"])
-def test_fig11_runtime_series(benchmark, tuners, space, system_name):
+def test_fig11_runtime_series(tuners, space, system_name):
     tuner = tuners[system_name]
-    rows = benchmark(build_series, tuner, space)
+    rows = build_series(tuner, space)
 
     write_result(
         f"fig11_nash_runtime_{system_name}.txt",

@@ -22,9 +22,9 @@ from benchmarks._common import write_result
 
 @pytest.mark.parametrize("system_name", ["i3-540", "i7-2600K", "i7-3820"])
 @pytest.mark.parametrize("dsize", [1, 5])
-def test_fig5_band_heatmap(benchmark, sweeps, system_name, dsize):
+def test_fig5_band_heatmap(sweeps, system_name, dsize):
     results = sweeps[system_name]
-    heatmap = benchmark(build_heatmap, results, dsize, "band")
+    heatmap = build_heatmap(results, dsize, "band")
     write_result(f"fig5_band_{system_name}_dsize{dsize}.txt", render_heatmap(heatmap))
 
     # GPU offload must appear somewhere, and never for the finest granularity.
@@ -42,14 +42,14 @@ def test_fig5_band_heatmap(benchmark, sweeps, system_name, dsize):
 
 @pytest.mark.parametrize("system_name", ["i7-2600K", "i7-3820"])
 @pytest.mark.parametrize("dsize", [1, 5])
-def test_fig5_halo_heatmap(benchmark, sweeps, system_name, dsize):
+def test_fig5_halo_heatmap(sweeps, system_name, dsize):
     results = sweeps[system_name]
-    heatmap = benchmark(build_heatmap, results, dsize, "halo")
+    heatmap = build_heatmap(results, dsize, "halo")
     write_result(f"fig5_halo_{system_name}_dsize{dsize}.txt", render_heatmap(heatmap))
     assert np.any(heatmap.values >= 0)  # dual-GPU configurations do win somewhere
 
 
-def test_fig5_i3_threshold_lower_than_i7(benchmark, sweeps):
+def test_fig5_i3_threshold_lower_than_i7(sweeps):
     """Paper: GPU use becomes feasible at lower tsize on the i3 than on the i7s."""
 
     def thresholds():
@@ -60,7 +60,7 @@ def test_fig5_i3_threshold_lower_than_i7(benchmark, sweeps):
             out[name] = hm.gpu_threshold_tsize(dim) or float("inf")
         return out
 
-    ts = benchmark(thresholds)
+    ts = thresholds()
     write_result(
         "fig5_gpu_thresholds.txt",
         "GPU-offload tsize thresholds (dsize=1, second-largest dim)\n"
@@ -70,7 +70,7 @@ def test_fig5_i3_threshold_lower_than_i7(benchmark, sweeps):
     assert ts["i3-540"] <= ts["i7-3820"]
 
 
-def test_fig5_halo_shrinks_with_granularity(benchmark, sweeps):
+def test_fig5_halo_shrinks_with_granularity(sweeps):
     """Paper: halo sizes are higher when tsize values are lower."""
 
     def halo_by_tsize():
@@ -79,7 +79,7 @@ def test_fig5_halo_shrinks_with_granularity(benchmark, sweeps):
         used = row >= 0
         return row, used
 
-    row, used = benchmark(halo_by_tsize)
+    row, used = halo_by_tsize()
     if used.sum() >= 2:
         first_used = int(np.argmax(used))
         last_used = len(row) - 1 - int(np.argmax(used[::-1]))

@@ -15,11 +15,11 @@ from repro.utils.tables import format_table
 from benchmarks._common import write_result
 
 
-def test_fig6_speedup_over_simple_schemes(benchmark, sweeps, systems):
+def test_fig6_speedup_over_simple_schemes(sweeps, systems):
     def build():
         return {s.name: scheme_speedup_summary(s, sweeps[s.name]) for s in systems}
 
-    summaries = benchmark(build)
+    summaries = build()
 
     rows = [s.as_row() for s in summaries.values()]
     text = format_table(
@@ -38,7 +38,7 @@ def test_fig6_speedup_over_simple_schemes(benchmark, sweeps, systems):
     assert max(s.max_vs_serial for s in summaries.values()) > 8.0
 
 
-def test_fig6_gpu_only_loses_to_cpu_only_on_i7_average(benchmark, sweeps):
+def test_fig6_gpu_only_loses_to_cpu_only_on_i7_average(sweeps):
     """Paper: "in case of the i7 systems, on average, doing everything on the
     GPU is worse than doing everything on the CPU"."""
 
@@ -50,7 +50,7 @@ def test_fig6_gpu_only_loses_to_cpu_only_on_i7_average(benchmark, sweeps):
             ratios.append(schemes.gpu_only / schemes.cpu_parallel)
         return sum(ratios) / len(ratios)
 
-    ratio_i7 = benchmark(average_ratio, platforms.I7_3820)
+    ratio_i7 = average_ratio(platforms.I7_3820)
     write_result(
         "fig6_gpu_only_vs_cpu_only.txt",
         f"i7-3820 mean (GPU-only rtime) / (CPU-parallel rtime) = {ratio_i7:.2f}\n"

@@ -17,9 +17,9 @@ from benchmarks._common import write_result
 
 @pytest.mark.parametrize("system_name", ["i3-540", "i7-2600K", "i7-3820"])
 @pytest.mark.parametrize("dsize", [1, 5])
-def test_fig7_best_vs_average(benchmark, sweeps, system_name, dsize):
+def test_fig7_best_vs_average(sweeps, system_name, dsize):
     results = sweeps[system_name]
-    rows = benchmark(average_case_table, results, dsize)
+    rows = average_case_table(results, dsize)
 
     table = format_table(
         ["dim", "tsize", "dsize", "Best (ber)", "AVG", "S.D.", "AVG/Best", "configs", "excluded"],
@@ -42,7 +42,7 @@ def test_fig7_best_vs_average(benchmark, sweeps, system_name, dsize):
         assert any(r.n_excluded > 0 for r in rows)
 
 
-def test_fig7_runtime_scale_matches_paper_order(benchmark, sweeps):
+def test_fig7_runtime_scale_matches_paper_order(sweeps):
     """The y-axis range of Figure 7 is tens of seconds for the largest groups."""
 
     def largest_group_best():
@@ -51,7 +51,7 @@ def test_fig7_runtime_scale_matches_paper_order(benchmark, sweeps):
         biggest = max(rows, key=lambda r: (r.dim, r.tsize))
         return biggest.best_rtime
 
-    ber = benchmark(largest_group_best)
+    ber = largest_group_best()
     write_result(
         "fig7_scale_check.txt",
         f"i3-540, largest dim/tsize group, best exhaustive runtime = {ber:.1f} s\n"

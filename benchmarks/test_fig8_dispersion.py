@@ -23,7 +23,7 @@ def _nearest(values, target):
 
 
 @pytest.mark.parametrize("dsize", [1, 5])
-def test_fig8_violin_statistics(benchmark, sweeps, space, dsize):
+def test_fig8_violin_statistics(sweeps, space, dsize):
     results = sweeps["i7-2600K"]
     small_dim = _nearest(space.dims, 700)
     large_dim = _nearest(space.dims, 2700)
@@ -36,7 +36,7 @@ def test_fig8_violin_statistics(benchmark, sweeps, space, dsize):
     def build():
         return [dispersion_stats(results, p) for p in instances]
 
-    stats = benchmark(build)
+    stats = build()
     table = format_table(
         ["dim", "tsize", "dsize", "configs", "min", "q1", "median", "q3", "max"],
         [s.as_row() for s in stats],
@@ -54,7 +54,7 @@ def test_fig8_violin_statistics(benchmark, sweeps, space, dsize):
     assert any(s.maximum > 2.0 * s.minimum for s in coarse)
 
 
-def test_fig8_relative_spread_shrinks_for_large_coarse_instances(benchmark, sweeps, space):
+def test_fig8_relative_spread_shrinks_for_large_coarse_instances(sweeps, space):
     """Figure 7/8: the ber-to-average gap narrows for the big dsize=5 groups."""
     results = sweeps["i7-2600K"]
     small_dim = _nearest(space.dims, 700)
@@ -71,7 +71,7 @@ def test_fig8_relative_spread_shrinks_for_large_coarse_instances(benchmark, swee
             out[dim] = stats.best_to_median_gap
         return out
 
-    gap = benchmark(gaps)
+    gap = gaps()
     write_result(
         "fig8_best_to_median_gap.txt",
         "\n".join(f"dim={k}: best-to-median gap = {v:.3f}" for k, v in gap.items()),

@@ -13,10 +13,10 @@ from repro.autotuner.training import INPUT_FEATURES
 from benchmarks._common import write_result
 
 
-def test_fig9_halo_model_tree_dump(benchmark, tuners):
+def test_fig9_halo_model_tree_dump(tuners):
     tuner = tuners["i7-2600K"]
 
-    text = benchmark(tuner.model.model_tree_text, "halo")
+    text = tuner.model.model_tree_text("halo")
     header = (
         "Figure 9 — M5 pruned model tree predicting halo for the i7-2600K\n"
         f"features: {list(HALO_FEATURES)}\n"
@@ -29,7 +29,7 @@ def test_fig9_halo_model_tree_dump(benchmark, tuners):
     assert ("band" in text) or ("cpu_tile" in text)
 
 
-def test_fig9_feature_dependencies_match_paper(benchmark, tuners):
+def test_fig9_feature_dependencies_match_paper(tuners):
     def feature_sets():
         return {
             "halo": list(HALO_FEATURES),
@@ -37,7 +37,7 @@ def test_fig9_feature_dependencies_match_paper(benchmark, tuners):
             "cpu_tile": list(INPUT_FEATURES),
         }
 
-    feats = benchmark(feature_sets)
+    feats = feature_sets()
     write_result(
         "fig9_feature_dependencies.txt",
         "\n".join(f"{k}: {v}" for k, v in feats.items()),
@@ -49,8 +49,8 @@ def test_fig9_feature_dependencies_match_paper(benchmark, tuners):
     assert "gpu_tile" in feats["band"]
 
 
-def test_fig9_band_tree_dump(benchmark, tuners):
+def test_fig9_band_tree_dump(tuners):
     tuner = tuners["i7-3820"]
-    text = benchmark(tuner.model.model_tree_text, "band")
+    text = tuner.model.model_tree_text("band")
     write_result("fig9_band_model_tree_i7-3820.txt", text)
     assert "LM" in text

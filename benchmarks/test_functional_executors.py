@@ -20,22 +20,22 @@ def small_problem():
     return SyntheticApp(dim=48, tsize=100, dsize=1).problem()
 
 
-def test_serial_functional_sweep(benchmark, systems, small_problem):
+def test_serial_functional_sweep(systems, small_problem):
     executor = SerialExecutor(systems[1])
-    result = benchmark(executor.execute, small_problem)
+    result = executor.execute(small_problem)
     assert result.grid is not None
 
 
-def test_hybrid_dual_gpu_functional_sweep(benchmark, systems, small_problem):
+def test_hybrid_dual_gpu_functional_sweep(systems, small_problem):
     executor = HybridExecutor(systems[1])
     config = TunableParams.from_encoding(4, 20, 3, 1)
-    result = benchmark(executor.execute, small_problem, config)
+    result = executor.execute(small_problem, config)
     assert result.grid is not None
 
 
-def test_simulate_mode_prediction(benchmark, systems):
+def test_simulate_mode_prediction(systems):
     policy = ExecutionPolicy(backend="hybrid", tunables=TunableParams.from_encoding(4, 20, 3, 1))
     with Session(system=systems[1]) as session:
         plan = session.plan("synthetic", 48, policy=policy, tsize=100, dsize=1)
-        result = benchmark(session.run, plan, "simulate")
+        result = session.run(plan, "simulate")
     assert result.grid is None and result.rtime > 0

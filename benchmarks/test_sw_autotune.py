@@ -16,7 +16,7 @@ from benchmarks._common import write_result
 
 
 @pytest.mark.parametrize("system_name", ["i3-540", "i7-2600K", "i7-3820"])
-def test_sw_band_prediction_is_cpu_only(benchmark, tuners, space, system_name):
+def test_sw_band_prediction_is_cpu_only(tuners, space, system_name):
     tuner = tuners[system_name]
     dims = list(space.dims)
 
@@ -28,7 +28,7 @@ def test_sw_band_prediction_is_cpu_only(benchmark, tuners, space, system_name):
             out.append([dim, config.band, config.gpu_count, config.cpu_tile])
         return out
 
-    rows = benchmark(predictions)
+    rows = predictions()
     write_result(
         f"sw_autotune_{system_name}.txt",
         format_table(
@@ -41,7 +41,7 @@ def test_sw_band_prediction_is_cpu_only(benchmark, tuners, space, system_name):
     assert all(row[1] == -1 and row[2] == 0 for row in rows)
 
 
-def test_sw_fine_grain_threshold(benchmark, tuners):
+def test_sw_fine_grain_threshold(tuners):
     """band=-1 should hold for every tsize below 100 (the paper's statement)."""
     tuner = tuners["i7-2600K"]
 
@@ -53,7 +53,7 @@ def test_sw_fine_grain_threshold(benchmark, tuners):
                     return False, tsize, dim
         return True, None, None
 
-    ok, tsize, dim = benchmark(all_cpu_below_100)
+    ok, tsize, dim = all_cpu_below_100()
     write_result(
         "sw_fine_grain_threshold.txt",
         "band=-1 for all tsize<100, dim<=3100: " + ("confirmed" if ok else f"violated at tsize={tsize}, dim={dim}"),

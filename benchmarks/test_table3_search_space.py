@@ -12,12 +12,12 @@ from repro.utils.tables import format_table
 from benchmarks._common import write_result
 
 
-def test_table3_parameter_ranges(benchmark, space, systems):
+def test_table3_parameter_ranges(space, systems):
     system = systems[1]  # i7-2600K, the richest system (dual GPU usable)
     search = SearchSpace(space, system)
     instance = InputParams(dim=space.dims[-1], tsize=space.tsizes[-1], dsize=space.dsizes[-1])
 
-    configs = benchmark(lambda: search.configurations(instance))
+    configs = search.configurations(instance)
 
     info = search.describe()
     rows = [[k, str(v)] for k, v in sorted(info.items())]
@@ -27,11 +27,11 @@ def test_table3_parameter_ranges(benchmark, space, systems):
     assert len(configs) > 10
 
 
-def test_table3_per_system_space_size(benchmark, space, systems):
+def test_table3_per_system_space_size(space, systems):
     def sizes():
         return {s.name: SearchSpace(space, s).size_estimate() for s in systems}
 
-    estimate = benchmark(sizes)
+    estimate = sizes()
     rows = [[name, value] for name, value in estimate.items()]
     write_result(
         "table3_space_sizes.txt",

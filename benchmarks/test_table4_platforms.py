@@ -14,7 +14,7 @@ from repro.utils.tables import format_table
 from benchmarks._common import write_result
 
 
-def test_table4_system_inventory(benchmark, systems):
+def test_table4_system_inventory(systems):
     def build_rows():
         rows = []
         for s in systems:
@@ -33,7 +33,7 @@ def test_table4_system_inventory(benchmark, systems):
             )
         return rows
 
-    rows = benchmark(build_rows)
+    rows = build_rows()
     text = format_table(
         ["system", "CPU MHz", "cores(HT)", "mem GB", "GPUs", "GPU MHz", "CU", "GPU GB"],
         rows,
@@ -44,7 +44,7 @@ def test_table4_system_inventory(benchmark, systems):
 
 
 @pytest.mark.parametrize("system_index", [0, 1, 2], ids=["i3-540", "i7-2600K", "i7-3820"])
-def test_table4_costmodel_throughput(benchmark, systems, system_index):
+def test_table4_costmodel_throughput(systems, system_index):
     """Predictions/second of the analytic model on each platform description."""
     system = systems[system_index]
     model = CostModel(system)
@@ -52,5 +52,5 @@ def test_table4_costmodel_throughput(benchmark, systems, system_index):
     halo = 0 if system.max_usable_gpus >= 2 else -1
     config = TunableParams.from_encoding(8, 900, halo, 1)
 
-    rtime = benchmark(model.predict, params, config)
+    rtime = model.predict(params, config)
     assert rtime > 0

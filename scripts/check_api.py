@@ -16,8 +16,7 @@ without reading the source:
   :class:`repro.autotuner.protocol.Tuner`,
   :class:`repro.autotuner.protocol.PlanDecision` and the kernel interface
   :class:`repro.core.pattern.WavefrontKernel` — and of the serving
-  types :class:`repro.server.ReproServer` / :class:`repro.server.ServerConfig`
-  / :class:`repro.server.LoadgenConfig`;
+  types :class:`repro.server.ReproServer` / :class:`repro.server.ServerConfig`;
 * the CLI verb names.
 
 ``python scripts/check_api.py`` compares the live surface against the
@@ -78,7 +77,7 @@ def current_surface() -> dict:
     from repro.runtime.executor_base import Executor
     from repro.runtime.registry import EngineSpec, get_executor
     from repro.runtime.result import ExecutionResult
-    from repro.server import LoadgenConfig, ReproServer, ServerConfig
+    from repro.server import ReproServer, ServerConfig
     from repro.session import Session
 
     verbs = sorted(
@@ -104,7 +103,6 @@ def current_surface() -> dict:
         "ReproServer.__init__": str(inspect.signature(ReproServer.__init__)),
         "ReproServer": _signatures(ReproServer),
         "ServerConfig.fields": _dataclass_fields(ServerConfig),
-        "LoadgenConfig.fields": _dataclass_fields(LoadgenConfig),
         "cli.verbs": verbs,
     }
 

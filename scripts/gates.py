@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Counter-based CI gates over ``repro loadgen`` artifacts.
+"""Counter-based CI gates over ``scripts/loadgen.py`` artifacts.
 
 One entry point, four gates, one per serving smoke job in ``ci.yml``:
 

@@ -30,7 +30,6 @@ setup(
     extras_require={
         "dev": [
             "pytest>=7.0",
-            "pytest-benchmark>=4.0",
             "hypothesis>=6.0",
             "scipy>=1.9",
             "mpmath>=1.0",

@@ -26,8 +26,8 @@ The package provides:
   serving) that the CLI and new code build on.
 * :mod:`repro.server` — the concurrent serving subsystem over the session:
   bounded admission with backpressure, deadlines that stop the sweep,
-  JSON metrics, stdlib HTTP endpoint and load generator (the ``repro
-  serve`` / ``repro loadgen`` CLI verbs).
+  JSON metrics and a stdlib HTTP endpoint (the ``repro serve`` CLI verb;
+  ``scripts/loadgen.py`` replays a committed request trace against it).
 
 The supported entry point is the session::
 

@@ -1,7 +1,7 @@
 """Text report of the adaptive loop: predicted vs observed, and drift.
 
 Renders the ``"adaptive"`` section of a ``/metrics`` snapshot (or of a
-``repro loadgen`` artifact's final server metrics) as the fig9-style
+``scripts/loadgen.py`` artifact's final server metrics) as the fig9-style
 table ``repro report --kind adaptive`` prints: one row per observed
 signature with the plan's predicted latency (a dash when the plan has
 none, as the ``local`` rule's does), the observed mean/p95, and the drift
@@ -21,8 +21,8 @@ def render_adaptive_report(adaptive: dict | None, delta: dict | None = None) -> 
 
     ``adaptive`` is the server's ``/metrics`` ``"adaptive"`` section
     (``None`` when the server ran with ``--adaptive off``); ``delta`` —
-    when given — is a loadgen artifact's cold→warm adaptive counter delta,
-    appended as a per-run summary line.
+    when given — is a ``scripts/loadgen.py`` artifact's per-run adaptive
+    counter delta, appended as a summary line.
     """
     if not isinstance(adaptive, dict):
         return "adaptive tuning: off (no adaptive section in the metrics)"

@@ -13,10 +13,12 @@ payload that produced it) and the result's raw arrays (``values``, optional
 
 Durability contract:
 
-* **atomic writes** — entries are written to a temporary file in the same
-  directory and ``os.replace``-d into place, so a reader can never observe
-  a half-written (torn) entry, and a crash mid-write leaves at most a
-  ``*.tmp`` file the next open sweeps away;
+* **atomic writes** — each ``put`` writes its own temporary file in the
+  same directory (``<digest>.<pid>.<n>.tmp``) and ``os.replace``-s it into
+  place, so a reader can never observe a half-written (torn) entry, and two
+  writers of one digest, in one process or in several, never share a file.
+  A crash mid-write leaves at most a temporary file, which the next open
+  sweeps away once its writer process is gone;
 * **corruption-tolerant reads** — a truncated, garbage or vanished entry is
   a *miss*: it is counted (``corrupt_dropped``), deleted (repaired) and the
   caller re-solves; only a deliberately incompatible ``format_version``
@@ -27,6 +29,7 @@ Durability contract:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -59,6 +62,23 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: them interleave) can raise ``SystemError``, which ``DiskCacheStore.get``
 #: would take for a corrupt entry.  Decoding is one thread at a time.
 _DECODE_LOCK = threading.Lock()
+
+#: Numbers this process's temporary files; ``next`` on it is atomic.
+_TMP_SEQUENCE = itertools.count()
+
+
+def _writer_alive(tmp: Path) -> bool:
+    """Whether the process named in ``<digest>.<pid>.<n>.tmp`` still runs."""
+    parts = tmp.name.split(".")
+    if len(parts) != 4 or not parts[1].isdigit() or int(parts[1]) == 0:
+        return False
+    try:
+        os.kill(int(parts[1]), 0)
+    except PermissionError:
+        return True  # it runs, as another user
+    except (OSError, OverflowError):
+        return False
+    return True
 
 
 def encode_result(result: ExecutionResult, request: dict | None = None) -> dict:
@@ -171,6 +191,8 @@ class DiskCacheStore:
         self._lock = threading.Lock()
         #: digest -> size in bytes, in LRU order (oldest first).
         self._index: OrderedDict[str, int] = OrderedDict()
+        #: Sum of the index's sizes, kept in step with every index change.
+        self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -209,7 +231,7 @@ class DiskCacheStore:
         )
 
     def _scan(self) -> None:
-        """Adopt pre-existing entries (oldest first) and sweep ``*.tmp``."""
+        """Adopt pre-existing entries (oldest first) and sweep dead writers' ``*.tmp``."""
         entries = []
         for path in self.directory.glob("*.npz"):
             try:
@@ -218,11 +240,12 @@ class DiskCacheStore:
                 continue
             entries.append((stat.st_mtime, path.stem, stat.st_size))
         for _, digest, size in sorted(entries):
-            self._index[digest] = size
+            self._record(digest, size)
         for tmp in self.directory.glob("*.tmp"):
-            # A crash mid-write leaves a temp file; it was never visible to
-            # readers, so deleting it is always safe.
-            tmp.unlink(missing_ok=True)
+            # A crash mid-write leaves a temp file that no reader ever saw;
+            # a live writer's file is about to be replaced into place.
+            if not _writer_alive(tmp):
+                tmp.unlink(missing_ok=True)
         self._enforce_bounds()
 
     # ------------------------------------------------------------------
@@ -230,6 +253,16 @@ class DiskCacheStore:
     # ------------------------------------------------------------------
     def _entry_path(self, digest: str) -> Path:
         return self.directory / f"{digest}.npz"
+
+    def _record(self, digest: str, size: int) -> None:
+        """Index ``digest`` as the most recent entry (callers hold the lock)."""
+        self._forget(digest)
+        self._index[digest] = size
+        self._bytes += size
+
+    def _forget(self, digest: str) -> None:
+        """Drop ``digest`` from the index, if there (callers hold the lock)."""
+        self._bytes -= self._index.pop(digest, 0)
 
     def get(self, digest: str) -> ExecutionResult | None:
         """Load one entry, or ``None`` on a miss (including corruption).
@@ -247,14 +280,14 @@ class DiskCacheStore:
             raise
         except FileNotFoundError:
             with self._lock:
-                self._index.pop(digest, None)
+                self._forget(digest)
                 self.misses += 1
             return None
         except Exception:  # noqa: BLE001 - any undecodable entry is corruption
             with self._lock:
                 self.corrupt_dropped += 1
                 self.misses += 1
-                self._index.pop(digest, None)
+                self._forget(digest)
             path.unlink(missing_ok=True)
             return None
         with self._lock:
@@ -264,10 +297,11 @@ class DiskCacheStore:
                 # Entry appeared behind our back (another process); adopt it,
                 # unless a concurrent put evicted it while it was being read.
                 try:
-                    self._index[digest] = path.stat().st_size
+                    size = path.stat().st_size
                 except OSError:
                     pass
                 else:
+                    self._record(digest, size)
                     self._enforce_bounds()
             self.hits += 1
         return result
@@ -275,27 +309,30 @@ class DiskCacheStore:
     def put(self, digest: str, result: ExecutionResult, request: dict | None = None) -> None:
         """Persist one entry atomically, then evict down to the bounds."""
         path = self._entry_path(digest)
-        tmp = path.with_suffix(".tmp")
+        tmp = self.directory / f"{digest}.{os.getpid()}.{next(_TMP_SEQUENCE)}.tmp"
         arrays = encode_result(result, request)
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as handle:
+                np.savez(handle, **arrays)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         size = path.stat().st_size
         with self._lock:
-            self._index.pop(digest, None)
-            self._index[digest] = size
+            self._record(digest, size)
             self.stores += 1
             self._enforce_bounds()
 
     def _enforce_bounds(self) -> None:
         """Evict LRU entries until both caps hold (callers hold the lock)."""
         while self._index and (
-            len(self._index) > self.max_entries
-            or sum(self._index.values()) > self.max_bytes
+            len(self._index) > self.max_entries or self._bytes > self.max_bytes
         ):
-            digest, _ = self._index.popitem(last=False)
+            digest, size = self._index.popitem(last=False)
+            self._bytes -= size
             self._entry_path(digest).unlink(missing_ok=True)
             self.evictions += 1
 
@@ -308,7 +345,7 @@ class DiskCacheStore:
             return {
                 "entries": len(self._index),
                 "max_entries": self.max_entries,
-                "bytes": sum(self._index.values()),
+                "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
                 "hits": self.hits,
                 "misses": self.misses,

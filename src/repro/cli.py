@@ -24,18 +24,16 @@ workflow verbs:
   heatmaps of an exhaustive sweep (``--kind heatmap``) or the Figure 7
   predicted-vs-measured summary of the local profile (``--kind measured``).
 
-Two serving verbs build on the ``repro.server`` subsystem:
+One serving verb builds on the ``repro.server`` subsystem:
 
 * ``repro-tune serve --port 8077 --system local`` — warm the session's
   tuner and serve it over a stdlib HTTP/JSON endpoint with bounded
   admission (backpressure), per-request deadlines that stop the sweep and
   a ``GET /metrics`` page; shuts down gracefully on SIGINT/SIGTERM or
-  ``POST /shutdown``, draining in-flight requests and releasing worker pools;
-* ``repro-tune loadgen --url http://127.0.0.1:8077`` — drive a serving
-  endpoint with a deterministic mixed workload, verify every answer
-  bit-exactly against in-process solving, and write a throughput/latency
-  JSON artifact under ``benchmarks/results/`` that ``scripts/gates.py``
-  gates in CI.
+  ``POST /shutdown``, draining in-flight requests and releasing worker pools.
+  ``python scripts/loadgen.py --url … --trace … --out …`` replays a
+  committed request trace against it and writes the artifact that
+  ``scripts/gates.py`` gates in CI.
 
 One auxiliary verb: ``systems`` lists the Table 4 platforms plus the
 introspected local host.
@@ -70,7 +68,6 @@ from repro.facade.plan import load_plan, save_plan
 from repro.facade.policy import ExecutionPolicy
 from repro.facade.tuners import DEFAULT_PROFILE_PATH, DEFAULT_REPORT_PATH, TUNER_KINDS
 from repro.hardware import platforms
-from repro.server.loadgen import DEFAULT_MIX
 from repro.server.service import finite_seconds
 from repro.session import Session
 from repro.utils.logging import configure_logging
@@ -402,76 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write 'host:port' here once the endpoint is bound (for CI)",
     )
 
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="drive a serving endpoint with a mixed workload; write the artifact",
-        description="Generate closed-loop load against a 'repro serve' "
-        "endpoint, verify every answer bit-exactly against in-process "
-        "Session.solve, and write a throughput/latency JSON artifact.  The "
-        "--system/--tuner/--space flags describe the serving session the "
-        "verification reference is built with.",
-        epilog="examples:\n"
-        "  repro-tune loadgen --url http://127.0.0.1:8077 --system i3-540 --space tiny\n"
-        "  repro-tune loadgen --url http://127.0.0.1:8077 --seed 42 --trace-out trace.json\n"
-        "  repro-tune loadgen --url http://127.0.0.1:8077 --mix lcs:128,knapsack:96 "
-        "--out /tmp/load.json",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    _add_system_arg(loadgen, "local", local=True)
-    loadgen.add_argument("--url", required=True, help="target endpoint base URL")
-    loadgen.add_argument(
-        "--tuner", default="learned", choices=TUNER_KINDS,
-        help="tuner of the reference session",
-    )
-    loadgen.add_argument("--space", default="tiny", choices=("paper", "reduced", "tiny"))
-    loadgen.add_argument(
-        "--mix",
-        default=DEFAULT_MIX,
-        help=f"request cycle as app:dim,app:dim,... (default: {DEFAULT_MIX})",
-    )
-    loadgen.add_argument("--requests", type=int, default=60, help="total requests to issue")
-    loadgen.add_argument("--clients", type=int, default=4, help="concurrent client threads")
-    loadgen.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="max jittered-backoff retries of a backpressured (429) "
-        "request before recording it rejected (default: 3)",
-    )
-    loadgen.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        help="replay a recorded request trace bit-exactly (overrides "
-        "--mix/--requests)",
-    )
-    loadgen.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        help="record the generated request trace as versioned JSON for "
-        "later --trace replay",
-    )
-    loadgen.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="generate a seeded Zipf-skewed trace instead of cycling --mix "
-        "round-robin (implied by --trace-out)",
-    )
-    loadgen.add_argument(
-        "--zipf",
-        type=float,
-        default=1.1,
-        help="Zipf skew exponent of the generated trace's popularity "
-        "distribution; 0 = uniform (default: 1.1)",
-    )
-    loadgen.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help=f"artifact path (default: {DEFAULT_BENCH_DIR}/serve_loadgen.json)",
-    )
     return parser
 
 
@@ -496,8 +423,8 @@ def _add_report_args(parser: argparse.ArgumentParser) -> None:
         "--metrics-file",
         type=Path,
         default=DEFAULT_BENCH_DIR / "serve_metrics.json",
-        help="metrics snapshot (serve --metrics-out) or loadgen artifact "
-        "for --kind adaptive",
+        help="metrics snapshot (serve --metrics-out) or "
+        "scripts/loadgen.py artifact for --kind adaptive",
     )
     parser.add_argument(
         "--out",
@@ -888,16 +815,17 @@ def _report_measured(args: argparse.Namespace) -> int:
 def _report_adaptive(args: argparse.Namespace) -> int:
     """Render the adaptive predicted-vs-observed report from a metrics file.
 
-    Accepts either shape the serving stack writes: a ``/metrics`` snapshot
-    (``serve --metrics-out``, adaptive state under ``"adaptive"``) or a
-    loadgen artifact (server snapshot under ``"server_metrics"``, with the
-    run's counter delta under the artifact's own ``"adaptive"`` key).
+    Accepts either shape: a ``/metrics`` snapshot (``serve --metrics-out``,
+    adaptive state under ``"adaptive"``) or a ``scripts/loadgen.py``
+    artifact (server snapshot under ``"server_metrics"``, with the run's
+    counter delta under the artifact's own ``"adaptive"`` key).
     """
     path = args.metrics_file
     if not path.exists():
         raise ArtifactError(
             f"no metrics file at {path}; run 'repro-tune serve --metrics-out "
-            f"{path}' or 'repro-tune loadgen --out {path}' first"
+            f"{path}' or 'python scripts/loadgen.py --url URL --trace TRACE "
+            f"--out {path}' first"
         )
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -1028,88 +956,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """The ``loadgen`` verb: drive a serving endpoint, verify, write artifact."""
-    from repro.server import (
-        HTTPTarget,
-        LoadgenConfig,
-        build_reference,
-        generate_trace,
-        load_trace,
-        parse_mix,
-        run_loadgen,
-        save_trace,
-    )
-
-    if args.trace is not None and args.trace_out is not None:
-        raise UsageError("--trace (replay) and --trace-out (record) are exclusive")
-    mix = parse_mix(args.mix)
-    trace = None
-    if args.trace is not None:
-        trace = load_trace(args.trace)  # CacheError -> exit 3
-        print(f"replaying {trace.describe()}  [{args.trace}]")
-        mix = trace.distinct_mix()
-    elif args.trace_out is not None or args.seed is not None:
-        seed = args.seed if args.seed is not None else 0
-        trace = generate_trace(mix, args.requests, seed, zipf_s=args.zipf)
-        print(f"generated {trace.describe()}")
-        if args.trace_out is not None:
-            save_trace(trace, args.trace_out)
-            print(f"wrote trace to {args.trace_out}")
-    config = LoadgenConfig(
-        mix=mix,
-        requests=len(trace) if trace is not None else args.requests,
-        clients=args.clients,
-        retries=args.retries,
-    )
-    target = HTTPTarget(args.url)
-    print(
-        f"loadgen -> {target.url}  ({config.requests} requests, "
-        f"{args.clients} clients, "
-        f"{'trace' if trace is not None else 'mix ' + args.mix})"
-    )
-    # The reference solves uncached, so a cache bug can never vouch for itself.
-    with Session(
-        system=args.system, tuner=args.tuner, space=_space(args.space)
-    ) as reference_session:
-        reference = build_reference(reference_session, mix)
-    print(f"reference: {len(reference)} distinct instances")
-    payload = run_loadgen(target, config, reference, progress=print, trace=trace)
-
-    out = args.out
-    if out is None:
-        out = DEFAULT_BENCH_DIR / "serve_loadgen.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote loadgen artifact to {out}")
-
-    cache = payload.get("cache")
-    if cache is not None:
-        print(
-            f"cache: {cache['hit_rate']:.1%} hit rate over {cache['lookups']} "
-            f"lookups (memory {cache['memory_hits']}, disk {cache['disk_hits']}, "
-            f"coalesced {cache['coalesced']}, misses {cache['misses']})"
-        )
-    adaptive = payload.get("adaptive")
-    if adaptive is not None:
-        print(
-            f"adaptive ({adaptive.get('mode')}): "
-            f"{adaptive['observations']} observations, "
-            f"{adaptive['drift_events']} drift events this run"
-        )
-    results = payload["results"]
-    if results["completed"] == 0:
-        print("ERROR: no request completed")
-        return EXIT_ERROR
-    if results["failed"] or results["mismatches"]:
-        print(
-            f"ERROR: {results['failed']} failed requests, "
-            f"{results['mismatches']} answers not matching in-process solving"
-        )
-        return EXIT_ERROR
-    return EXIT_OK
-
-
 #: Verb dispatch table.
 _HANDLERS = {
     "systems": cmd_systems,
@@ -1119,7 +965,6 @@ _HANDLERS = {
     "profile": cmd_profile,
     "report": cmd_report,
     "serve": cmd_serve,
-    "loadgen": cmd_loadgen,
 }
 
 

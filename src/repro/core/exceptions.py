@@ -98,12 +98,12 @@ class ArtifactError(ReproError):
 
 
 class CacheError(ArtifactError):
-    """A persistent result-cache or trace artifact is unusable or stale.
+    """A persistent result-cache directory or entry is unusable or stale.
 
     Raised by :mod:`repro.cache` when an on-disk cache directory (or one of
-    its entries) carries an incompatible ``format_version``, and by the
-    trace record/replay layer (:mod:`repro.server.trace`) for stale or
-    malformed trace files.  Subclasses :class:`ArtifactError`, so the CLI
+    its entries) carries an incompatible ``format_version``.  (A stale or
+    malformed request trace is ``scripts/loadgen.py``'s own error, exit
+    code 3.)  Subclasses :class:`ArtifactError`, so the CLI
     maps it to exit code 3 — a stale artifact is a missing artifact, not a
     bug.  Note that *corrupt* cache entries (truncated or garbage files) do
     **not** raise: the store treats them as misses, counts them and deletes

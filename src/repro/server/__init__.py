@@ -5,10 +5,11 @@ callable; this package makes it **servable**: bounded admission with
 explicit backpressure, each admitted request solved to completion on the
 thread that admitted it with its deadline checked inside the sweep, one
 immediate re-run of a request whose worker team crashed, JSON metrics
-(latency percentiles, throughput, admitted requests, cache hit rates), a
-small HTTP/1.1 JSON endpoint on reused connection threads and a load
-generator — the pieces behind the ``repro serve`` and ``repro loadgen`` CLI
-verbs.
+(latency percentiles, throughput, admitted requests, cache hit rates) and a
+small HTTP/1.1 JSON endpoint on reused connection threads — the pieces
+behind the ``repro serve`` CLI verb.  The load client that drives an
+endpoint is test tooling and lives outside the package, in
+``scripts/loadgen.py``.
 
 Layering, bottom up:
 
@@ -28,15 +29,7 @@ Layering, bottom up:
   ``GET /readyz``, ``POST /shutdown``);
 * :mod:`repro.server.queue` — :class:`RequestQueue`, the bounded FIFO with
   same-signature drains that the server no longer uses, kept for the
-  benchmark's hand-off probe;
-* :mod:`repro.server.loadgen` — :class:`LoadgenConfig`,
-  :class:`HTTPTarget` and :func:`run_loadgen`: the closed-loop HTTP client
-  that verifies every answer and writes the artifact the four
-  ``scripts/gates.py`` gates (``serve``, ``cache``, ``chaos``,
-  ``adaptive``) read;
-* :mod:`repro.server.trace` — :class:`RequestTrace` and the seeded Zipf
-  workload generator behind ``loadgen --trace/--trace-out``, the
-  record/replay substrate of the cache, chaos and adaptive gates.
+  benchmark's hand-off probe.
 
 Typical embedding::
 
@@ -51,15 +44,6 @@ See ``docs/serving.md`` for the architecture, endpoint and metrics-schema
 reference.
 """
 
-from repro.server.loadgen import (
-    DEFAULT_MIX,
-    HTTPTarget,
-    LoadgenConfig,
-    build_reference,
-    build_schedule,
-    parse_mix,
-    run_loadgen,
-)
 from repro.server.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.server.http import (
     ServingEndpoint,
@@ -70,14 +54,6 @@ from repro.server.http import (
 from repro.server.metrics import ServerMetrics, summarise_latencies
 from repro.server.queue import RequestQueue
 from repro.server.service import ReproServer, ServeRequest, ServerConfig
-from repro.server.trace import (
-    TRACE_FORMAT_VERSION,
-    RequestTrace,
-    generate_trace,
-    load_trace,
-    save_trace,
-    zipf_weights,
-)
 
 __all__ = [
     "ReproServer",
@@ -89,19 +65,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultInjector",
-    "LoadgenConfig",
-    "HTTPTarget",
-    "DEFAULT_MIX",
-    "build_reference",
-    "build_schedule",
-    "parse_mix",
-    "run_loadgen",
-    "RequestTrace",
-    "TRACE_FORMAT_VERSION",
-    "generate_trace",
-    "load_trace",
-    "save_trace",
-    "zipf_weights",
     "result_payload",
     "witness_digest",
     "grid_digest",

@@ -42,8 +42,8 @@ Design points:
   inputs.
 
 The CLI's workflow verbs (``run``, ``tune``, ``bench``, ``profile``,
-``report``, ``serve``, ``loadgen``) are thin adapters over this class (the
-serving verbs through :class:`repro.server.ReproServer`, which shares one
+``report``, ``serve``) are thin adapters over this class (the serving
+verb through :class:`repro.server.ReproServer`, which shares one
 thread-safe session across the threads that admit its requests).
 """
 

@@ -28,7 +28,6 @@ from repro.adaptive import (
 from repro.cache import request_identity
 from repro.core.exceptions import ServerError
 from repro.server import FaultPlan, ReproServer, ServerConfig
-from repro.server.loadgen import _adaptive_delta
 from repro.session import Session
 
 TRACE_PATH = (
@@ -317,26 +316,6 @@ class TestReporting:
 
     def test_report_renders_off_mode(self):
         assert "off" in render_adaptive_report(None)
-
-    def test_adaptive_delta_isolates_this_run(self):
-        before = {
-            "observations": 100,
-            "drift": {"events": 2},
-            "errors": 0,
-            "mode": "on",
-        }
-        after = {
-            "observations": 160,
-            "drift": {"events": 3},
-            "errors": 0,
-            "mode": "on",
-        }
-        delta = _adaptive_delta(before, after)
-        assert delta == {"observations": 60, "drift_events": 1, "errors": 0, "mode": "on"}
-        # cold start: no before snapshot means the run owns every counter
-        assert _adaptive_delta(None, after)["observations"] == 160
-        # adaptive off: no section, no delta
-        assert _adaptive_delta(before, None) is None
 
 
 class TestConfigSurface:

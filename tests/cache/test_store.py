@@ -8,6 +8,9 @@ instances over one tmp directory).
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +191,14 @@ class TestBoundsAndEviction:
             store.put(_key(dim).digest, solved[dim], request=None)
         assert store.evictions >= 1
         assert store.info()["bytes"] <= int(entry_bytes * 2.5)
+        # The running total follows puts, evictions and a corrupt drop.
+        (store.directory / f"{_key(28).digest}.npz").write_bytes(b"garbage")
+        assert store.get(_key(28).digest) is None and store.corrupt_dropped == 1
+        for dim in (16, 20):
+            store.put(_key(dim).digest, solved[dim], request=None)
+        on_disk_bytes = sum(p.stat().st_size for p in store.directory.glob("*.npz"))
+        assert store.info()["entries"] == 2
+        assert store.info()["bytes"] == on_disk_bytes > 0
 
     def test_eviction_removes_the_file(self, tmp_path, solved):
         store = DiskCacheStore(tmp_path, max_entries=1)
@@ -234,6 +245,72 @@ class TestReopen:
         leftover.write_bytes(b"half-written")
         DiskCacheStore(tmp_path)
         assert not leftover.exists()
+
+    def test_only_a_dead_writers_tmp_file_is_swept(self, tmp_path):
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        dead = tmp_path / f"{'b' * 64}.{gone.pid}.0.tmp"
+        live = tmp_path / f"{'c' * 64}.{os.getpid()}.0.tmp"
+        for path in (dead, live):
+            path.write_bytes(b"half-written")
+        DiskCacheStore(tmp_path)
+        assert not dead.exists() and live.exists()
+
+    def test_a_failed_put_removes_its_tmp_file(self, tmp_path, solved, monkeypatch):
+        from repro.cache import store as store_module
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        store = DiskCacheStore(tmp_path)
+        monkeypatch.setattr(store_module.os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            store.put(_key(16).digest, solved[16], request=None)
+        assert list(tmp_path.glob("*.tmp")) == [] and store.info()["entries"] == 0
+
+
+class TestConcurrentWriters:
+    """A second writer or an opening store runs just before a put's ``os.replace``."""
+
+    @staticmethod
+    def before_first_replace(monkeypatch, action):
+        """Run ``action`` once, just before the next ``os.replace`` of the store."""
+        from repro.cache import store as store_module
+
+        real_replace = os.replace
+        pending = [action]
+
+        def replace(src, dst):
+            if pending:
+                pending.pop()()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_module.os, "replace", replace)
+
+    def test_two_writers_of_one_digest_both_land(self, tmp_path, solved, monkeypatch):
+        first, second = DiskCacheStore(tmp_path), DiskCacheStore(tmp_path)
+        digest = _key(20).digest
+        self.before_first_replace(
+            monkeypatch, lambda: second.put(digest, solved[20], request=None)
+        )
+        first.put(digest, solved[20], request=None)
+        assert first.stores == second.stores == 1
+        loaded = DiskCacheStore(tmp_path).get(digest)
+        assert loaded.grid.values.tobytes() == solved[20].grid.values.tobytes()
+        assert loaded.checksum == solved[20].checksum
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_an_opening_store_keeps_a_live_writers_tmp_file(
+        self, tmp_path, solved, monkeypatch
+    ):
+        writer = DiskCacheStore(tmp_path)
+        digest = _key(24).digest
+        opened = []
+        self.before_first_replace(monkeypatch, lambda: opened.append(DiskCacheStore(tmp_path)))
+        writer.put(digest, solved[24], request=None)
+        assert opened and writer.stores == 1
+        loaded = opened[0].get(digest)
+        assert np.array_equal(loaded.grid.values, solved[24].grid.values)
 
     def test_info_is_json_safe(self, tmp_path, solved):
         store = DiskCacheStore(tmp_path)

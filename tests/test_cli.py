@@ -477,33 +477,6 @@ class TestServeVerb:
         assert metrics["requests"]["in_flight"] == 0
 
 
-class TestLoadgenVerb:
-    """Parser-level checks; the verb's HTTP runs live in tests/server."""
-
-    URL = "http://127.0.0.1:9"  # never contacted: each test stops before a request
-
-    def test_loadgen_parses_defaults(self):
-        args = build_parser().parse_args(["loadgen", "--url", self.URL])
-        assert args.command == "loadgen" and args.url == self.URL
-        assert args.requests == 60 and args.clients == 4 and args.retries == 3
-
-    def test_loadgen_requires_url(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen"])
-
-    def test_loadgen_bad_mix_is_usage_error(self, capsys):
-        code = main(["loadgen", "--url", self.URL, "--mix", "lcs", "--system", "i3-540"])
-        assert code == EXIT_USAGE
-        assert "app:dim" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("zipf", ["nan", "inf", "-1"])
-    def test_loadgen_non_finite_or_negative_zipf_is_usage_error(self, zipf, capsys):
-        code = main(["loadgen", "--url", self.URL, "--seed", "1", "--zipf", zipf,
-                     "--system", "i3-540"])
-        assert code == EXIT_USAGE
-        assert "zipf skew must be finite and >= 0" in capsys.readouterr().err
-
-
 class TestReportAdaptive:
     def report(self, tmp_path, payload):
         path = tmp_path / "metrics.json"

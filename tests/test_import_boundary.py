@@ -8,8 +8,11 @@ to do there either.  A functional run is measured, never priced, so the
 cost model, its calibration and the measured tuner stay unloaded too; no
 runtime module imports the cost model at all.  The subprocess test runs the ``serve`` verb itself in
 a fresh interpreter, answers one ``/solve``, shuts it down and checks which
-modules it loaded.  It asserts module sets only, never a wall-clock time,
-so a slow host cannot make it flake.
+modules it loaded.  A second fresh interpreter imports only
+:mod:`repro.cli` and :mod:`repro.server` and checks that no HTTP client
+(``urllib.request``, ``http.client``, ``ssl``) came with them: the load
+client is ``scripts/loadgen.py``, outside the package.  Both assert module
+sets only, never a wall-clock time, so a slow host cannot make them flake.
 """
 
 import ast
@@ -94,6 +97,33 @@ def test_serve_construction_path_loads_no_training_pricing_analysis_or_scipy():
     modules = json.loads(process.stdout.strip().splitlines()[-1])
     assert "repro.server.http" in modules  # the path really ran
     assert [m for m in modules if _forbidden(m)] == []
+
+
+#: The HTTP client stack: the load client outside ``src/`` needs it, serving does not.
+HTTP_CLIENT = ("urllib.request", "http.client", "ssl")
+
+
+def test_serving_process_loads_no_http_client():
+    # The serve-path test above imports urllib.request itself, so it cannot
+    # carry this check: this interpreter imports the serving modules only.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    process = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import json, sys; import repro.cli, repro.server; "
+            "print(json.dumps(sorted(sys.modules)))",
+        ],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert process.returncode == 0, process.stderr
+    modules = set(json.loads(process.stdout.strip().splitlines()[-1]))
+    assert "repro.server.http" in modules
+    assert [name for name in HTTP_CLIENT if name in modules] == []
 
 
 def _imported_modules(tree: ast.AST) -> set[str]:
