@@ -496,3 +496,10 @@ class TestReportAdaptive:
     def test_metrics_without_an_adaptive_section_report_off(self, payload, tmp_path, capsys):
         assert self.report(tmp_path, payload) == 0
         assert "adaptive tuning: off" in capsys.readouterr().out
+
+    def test_missing_metrics_file_names_both_writers(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main(["report", "--kind", "adaptive", "--metrics-file", str(missing)])
+        assert code == EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert "serve --metrics-out" in err and "scripts/loadgen.py" in err
