@@ -10,6 +10,7 @@ other statuses are counted as distinct outcomes.
 import hashlib
 import importlib.util
 import json
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,36 @@ class TestClosedLoop:
         assert "serve check OK" in process.stdout
 
 
+def closed_port() -> int:
+    """A localhost port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestHTTPTarget:
+    def test_answer_is_status_200_and_the_decoded_payload(self, endpoint):
+        status, payload = loadgen.HTTPTarget(endpoint.url).solve("lcs", 16)
+        assert status == 200
+        expected = loadgen.build_reference([("lcs", 16)])[("lcs", 16)]
+        assert {key: payload.get(key) for key in expected} == expected
+
+    def test_http_error_returns_the_status_and_the_server_message(self, endpoint):
+        status, payload = loadgen.HTTPTarget(endpoint.url).solve("no-such-app", 16)
+        assert status == 400
+        assert isinstance(payload, str) and "no-such-app" in payload
+
+    def test_trailing_slash_of_the_url_is_dropped(self, endpoint):
+        target = loadgen.HTTPTarget(endpoint.url + "/")
+        assert target.url == endpoint.url
+        assert target.solve("lcs", 16)[0] == 200
+        assert "requests" in target.metrics()
+
+    def test_transport_failure_raises(self):
+        with pytest.raises(OSError):
+            loadgen.HTTPTarget(f"http://127.0.0.1:{closed_port()}").solve("lcs", 16)
+
+
 class TestMain:
     def test_writes_a_verified_artifact(self, endpoint, capsys, tmp_path):
         trace = write_trace(tmp_path / "trace.json", [("lcs", 48), ("viterbi", 40)] * 6, seed=1)
@@ -168,6 +199,18 @@ class TestMain:
         assert payload["results"]["mismatches"] == 0
         assert payload["results"]["witness_verified"] == 12
         assert payload["meta"]["clients"] == 3 and payload["meta"]["trace"] == {"seed": 1}
+
+    def test_unreachable_target_exits_1_with_every_request_failed(self, tmp_path, capsys):
+        trace = write_trace(tmp_path / "trace.json", [("lcs", 12)] * 3)
+        out = tmp_path / "loadgen.json"
+        code = loadgen.main([
+            "--url", f"http://127.0.0.1:{closed_port()}", "--trace", str(trace),
+            "--out", str(out),
+        ])
+        assert code == loadgen.EXIT_FAILED
+        assert "ERROR" in capsys.readouterr().out
+        results = json.loads(out.read_text())["results"]
+        assert results["failed"] == 3 and results["completed"] == 0
 
     @pytest.mark.parametrize("flag, value", [("--clients", "0"), ("--retries", "-1")])
     def test_out_of_range_counts_are_usage_errors(self, flag, value, tmp_path):
@@ -276,11 +319,50 @@ class TestClientRetries:
         assert target.calls == 1  # never retried
         assert results["errors"] == ["lcs[dim=48] -> HTTP 504: missed its deadline"]
 
+    def test_backoff_doubles_up_to_its_cap(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr(loadgen, "RETRY_CAP_S", 0.004)
+        monkeypatch.setattr(loadgen.random, "random", lambda: 0.0)
+        monkeypatch.setattr(loadgen.time, "sleep", delays.append)
+        results = run(StubTarget([(429, "queue full")] * 4), retries=4)
+        assert results["completed"] == 1 and results["retries"] == 4
+        assert delays == [0.001, 0.002, 0.004, 0.004]
+
     def test_other_errors_fail_without_retry(self):
         target = StubTarget([(500, "boom"), ConnectionError("reset")])
         results = run(target, requests=2)
         assert results["failed"] == 2 and results["retries"] == 0
         assert len(results["errors"]) == 2
+
+
+class TestReplay:
+    def test_each_request_is_issued_once_across_clients(self):
+        issued = []
+
+        class Recording(StubTarget):
+            def solve(self, app, dim):
+                issued.append((app, dim))
+                return super().solve(app, dim)
+
+        schedule = [("lcs", 48)] * 3
+        artifact = loadgen.replay(
+            Recording(), schedule, {}, {("lcs", 48): dict(EXPECTED)}, clients=8
+        )
+        assert issued == schedule
+        assert artifact["results"]["completed"] == artifact["results"]["witness_verified"] == 3
+        assert artifact["meta"]["clients"] == 8
+
+    def test_metrics_failures_are_recorded_not_raised(self):
+        class NoMetrics(StubTarget):
+            def metrics(self):
+                raise ConnectionError("metrics down")
+
+        artifact = loadgen.replay(
+            NoMetrics(), [("lcs", 48)], {}, {("lcs", 48): dict(EXPECTED)}, clients=1
+        )
+        assert artifact["results"]["completed"] == 1
+        assert artifact["server_metrics"] == {"error": "metrics down"}
+        assert artifact["cache"] is None and artifact["adaptive"] is None
 
 
 class TestDeltas:
