@@ -66,12 +66,25 @@ _DECODE_LOCK = threading.Lock()
 #: Numbers this process's temporary files; ``next`` on it is atomic.
 _TMP_SEQUENCE = itertools.count()
 
+#: Names of the temporary files this process's ``put`` calls are writing.
+_WRITING: set[str] = set()
+
 
 def _writer_alive(tmp: Path) -> bool:
-    """Whether the process named in ``<digest>.<pid>.<n>.tmp`` still runs."""
+    """Whether a ``put`` may still be writing ``<digest>.<pid>.<n>.tmp``.
+
+    A file named with this process's id is live only while one of its own
+    ``put`` calls writes it: a predecessor killed under the same (reused)
+    pid left it behind.  Another process is probed with signal 0, which
+    only POSIX sends without side effects; elsewhere its files are kept.
+    """
     parts = tmp.name.split(".")
     if len(parts) != 4 or not parts[1].isdigit() or int(parts[1]) == 0:
         return False
+    if int(parts[1]) == os.getpid():
+        return tmp.name in _WRITING
+    if os.name != "posix":
+        return True
     try:
         os.kill(int(parts[1]), 0)
     except PermissionError:
@@ -191,8 +204,6 @@ class DiskCacheStore:
         self._lock = threading.Lock()
         #: digest -> size in bytes, in LRU order (oldest first).
         self._index: OrderedDict[str, int] = OrderedDict()
-        #: Sum of the index's sizes, kept in step with every index change.
-        self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -240,7 +251,7 @@ class DiskCacheStore:
                 continue
             entries.append((stat.st_mtime, path.stem, stat.st_size))
         for _, digest, size in sorted(entries):
-            self._record(digest, size)
+            self._index[digest] = size
         for tmp in self.directory.glob("*.tmp"):
             # A crash mid-write leaves a temp file that no reader ever saw;
             # a live writer's file is about to be replaced into place.
@@ -253,16 +264,6 @@ class DiskCacheStore:
     # ------------------------------------------------------------------
     def _entry_path(self, digest: str) -> Path:
         return self.directory / f"{digest}.npz"
-
-    def _record(self, digest: str, size: int) -> None:
-        """Index ``digest`` as the most recent entry (callers hold the lock)."""
-        self._forget(digest)
-        self._index[digest] = size
-        self._bytes += size
-
-    def _forget(self, digest: str) -> None:
-        """Drop ``digest`` from the index, if there (callers hold the lock)."""
-        self._bytes -= self._index.pop(digest, 0)
 
     def get(self, digest: str) -> ExecutionResult | None:
         """Load one entry, or ``None`` on a miss (including corruption).
@@ -280,14 +281,14 @@ class DiskCacheStore:
             raise
         except FileNotFoundError:
             with self._lock:
-                self._forget(digest)
+                self._index.pop(digest, None)
                 self.misses += 1
             return None
         except Exception:  # noqa: BLE001 - any undecodable entry is corruption
             with self._lock:
                 self.corrupt_dropped += 1
                 self.misses += 1
-                self._forget(digest)
+                self._index.pop(digest, None)
             path.unlink(missing_ok=True)
             return None
         with self._lock:
@@ -297,11 +298,10 @@ class DiskCacheStore:
                 # Entry appeared behind our back (another process); adopt it,
                 # unless a concurrent put evicted it while it was being read.
                 try:
-                    size = path.stat().st_size
+                    self._index[digest] = path.stat().st_size
                 except OSError:
                     pass
                 else:
-                    self._record(digest, size)
                     self._enforce_bounds()
             self.hits += 1
         return result
@@ -311,6 +311,7 @@ class DiskCacheStore:
         path = self._entry_path(digest)
         tmp = self.directory / f"{digest}.{os.getpid()}.{next(_TMP_SEQUENCE)}.tmp"
         arrays = encode_result(result, request)
+        _WRITING.add(tmp.name)
         try:
             with open(tmp, "wb") as handle:
                 np.savez(handle, **arrays)
@@ -320,19 +321,22 @@ class DiskCacheStore:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        finally:
+            _WRITING.discard(tmp.name)
         size = path.stat().st_size
         with self._lock:
-            self._record(digest, size)
+            self._index.pop(digest, None)
+            self._index[digest] = size
             self.stores += 1
             self._enforce_bounds()
 
     def _enforce_bounds(self) -> None:
         """Evict LRU entries until both caps hold (callers hold the lock)."""
         while self._index and (
-            len(self._index) > self.max_entries or self._bytes > self.max_bytes
+            len(self._index) > self.max_entries
+            or sum(self._index.values()) > self.max_bytes
         ):
-            digest, size = self._index.popitem(last=False)
-            self._bytes -= size
+            digest, _ = self._index.popitem(last=False)
             self._entry_path(digest).unlink(missing_ok=True)
             self.evictions += 1
 
@@ -345,7 +349,7 @@ class DiskCacheStore:
             return {
                 "entries": len(self._index),
                 "max_entries": self.max_entries,
-                "bytes": self._bytes,
+                "bytes": sum(self._index.values()),
                 "max_bytes": self.max_bytes,
                 "hits": self.hits,
                 "misses": self.misses,

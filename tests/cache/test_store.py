@@ -191,7 +191,7 @@ class TestBoundsAndEviction:
             store.put(_key(dim).digest, solved[dim], request=None)
         assert store.evictions >= 1
         assert store.info()["bytes"] <= int(entry_bytes * 2.5)
-        # The running total follows puts, evictions and a corrupt drop.
+        # The byte count follows puts, evictions and a corrupt drop.
         (store.directory / f"{_key(28).digest}.npz").write_bytes(b"garbage")
         assert store.get(_key(28).digest) is None and store.corrupt_dropped == 1
         for dim in (16, 20):
@@ -249,12 +249,25 @@ class TestReopen:
     def test_only_a_dead_writers_tmp_file_is_swept(self, tmp_path):
         gone = subprocess.Popen([sys.executable, "-c", "pass"])
         gone.wait()
-        dead = tmp_path / f"{'b' * 64}.{gone.pid}.0.tmp"
-        live = tmp_path / f"{'c' * 64}.{os.getpid()}.0.tmp"
-        for path in (dead, live):
-            path.write_bytes(b"half-written")
+        running = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdin.read()"], stdin=subprocess.PIPE
+        )
+        try:
+            dead = tmp_path / f"{'b' * 64}.{gone.pid}.0.tmp"
+            live = tmp_path / f"{'c' * 64}.{running.pid}.0.tmp"
+            for path in (dead, live):
+                path.write_bytes(b"half-written")
+            DiskCacheStore(tmp_path)
+            assert not dead.exists() and live.exists()
+        finally:
+            running.communicate()
+
+    def test_an_unowned_tmp_file_under_this_pid_is_swept(self, tmp_path):
+        # A predecessor killed under the same (reused) pid left it behind.
+        leftover = tmp_path / f"{'d' * 64}.{os.getpid()}.0.tmp"
+        leftover.write_bytes(b"half-written")
         DiskCacheStore(tmp_path)
-        assert not dead.exists() and live.exists()
+        assert not leftover.exists()
 
     def test_a_failed_put_removes_its_tmp_file(self, tmp_path, solved, monkeypatch):
         from repro.cache import store as store_module
@@ -267,6 +280,16 @@ class TestReopen:
         with pytest.raises(OSError, match="disk full"):
             store.put(_key(16).digest, solved[16], request=None)
         assert list(tmp_path.glob("*.tmp")) == [] and store.info()["entries"] == 0
+
+
+    def test_info_is_json_safe(self, tmp_path, solved):
+        store = DiskCacheStore(tmp_path)
+        key = _key(16)
+        store.put(key.digest, solved[16], request=key.payload)
+        store.get(key.digest)
+        info = store.info()
+        assert json.loads(json.dumps(info)) == info
+        assert info["entries"] == 1 and info["hits"] == 1 and info["stores"] == 1
 
 
 class TestConcurrentWriters:
@@ -311,16 +334,6 @@ class TestConcurrentWriters:
         assert opened and writer.stores == 1
         loaded = opened[0].get(digest)
         assert np.array_equal(loaded.grid.values, solved[24].grid.values)
-
-    def test_info_is_json_safe(self, tmp_path, solved):
-        store = DiskCacheStore(tmp_path)
-        key = _key(16)
-        store.put(key.digest, solved[16], request=key.payload)
-        store.get(key.digest)
-        info = store.info()
-        assert json.loads(json.dumps(info)) == info
-        assert info["entries"] == 1 and info["hits"] == 1 and info["stores"] == 1
-
 
 class TestCodecHelpers:
     def test_decode_rejects_version_drift(self, solved):
