@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.params import InputParams
-from repro.hardware.costmodel import CostConstants, CostModel
+from repro.hardware.costmodel import CostModel
 from repro.hardware.system import SystemSpec
 
 
@@ -42,10 +42,9 @@ def simple_scheme_times(
     system: SystemSpec,
     params: InputParams,
     cpu_tile: int = 8,
-    constants: CostConstants | None = None,
 ) -> SimpleSchemes:
     """Cost-model runtimes of the simple schemes on one system."""
-    model = CostModel(system, constants)
+    model = CostModel(system)
     gpu_only = (
         model.baseline_gpu_only(params)
         if system.has_gpu

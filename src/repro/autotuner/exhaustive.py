@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.exceptions import SearchError
 from repro.core.parameter_space import ParameterSpace
 from repro.core.params import InputParams, TunableParams
-from repro.hardware.costmodel import CostConstants, CostModel
+from repro.hardware.costmodel import CostModel
 from repro.hardware.system import SystemSpec
 from repro.autotuner.search_space import SearchSpace
 
@@ -127,7 +127,6 @@ class ExhaustiveSearch:
         self,
         system: SystemSpec,
         space: ParameterSpace | None = None,
-        constants: CostConstants | None = None,
         threshold_s: float = RUNTIME_THRESHOLD_S,
     ) -> None:
         if threshold_s <= 0:
@@ -135,7 +134,7 @@ class ExhaustiveSearch:
         self.system = system
         self.space = space if space is not None else ParameterSpace.paper()
         self.search_space = SearchSpace(self.space, system)
-        self.cost_model = CostModel(system, constants)
+        self.cost_model = CostModel(system)
         self.threshold_s = threshold_s
 
     # ------------------------------------------------------------------

@@ -101,11 +101,11 @@ class ExhaustiveTuner(Tuner):
 
     kind = "exhaustive"
 
-    def __init__(self, system, space=None, constants=None) -> None:
+    def __init__(self, system, space=None) -> None:
         from repro.autotuner.exhaustive import ExhaustiveSearch
 
         self.system = system
-        self.search = ExhaustiveSearch(system, space, constants)
+        self.search = ExhaustiveSearch(system, space)
 
     def resolve(self, app: str, params: InputParams) -> PlanDecision:
         """Sweep the instance's configurations and return the best point."""

@@ -27,7 +27,7 @@ from repro.autotuner.exhaustive import ExhaustiveSearch, SearchResults
 from repro.autotuner.models import LearnedTuner
 from repro.autotuner.protocol import PlanDecision, Tuner
 from repro.autotuner.training import TrainingSetBuilder, TrainingSet
-from repro.hardware.costmodel import CostConstants, CostModel
+from repro.hardware.costmodel import CostModel
 from repro.hardware.system import SystemSpec
 
 
@@ -46,21 +46,11 @@ class AutoTuner(Tuner):
 
     kind = "learned"
 
-    def __init__(
-        self,
-        system: SystemSpec,
-        space: ParameterSpace | None = None,
-        constants: CostConstants | None = None,
-        builder: TrainingSetBuilder | None = None,
-        seed: int | None = None,
-    ) -> None:
+    def __init__(self, system: SystemSpec, space: ParameterSpace | None = None) -> None:
         self.system = system
         self.space = space if space is not None else ParameterSpace.reduced()
-        self.constants = constants
-        self.builder = builder if builder is not None else TrainingSetBuilder()
-        self.seed = seed
-        self.cost_model = CostModel(system, constants)
-        self.search = ExhaustiveSearch(system, self.space, constants)
+        self.cost_model = CostModel(system)
+        self.search = ExhaustiveSearch(system, self.space)
         self.results: SearchResults | None = None
         self.training: TrainingSet | None = None
         self.model: LearnedTuner | None = None
@@ -69,10 +59,10 @@ class AutoTuner(Tuner):
     # ------------------------------------------------------------------
     # Training ("in the factory")
     # ------------------------------------------------------------------
-    def train(self, instances=None) -> "AutoTuner":
+    def train(self) -> "AutoTuner":
         """Sweep the synthetic application, build the training set, fit models."""
-        self.results = self.search.sweep(instances)
-        self.training = self.builder.build(self.results)
+        self.results = self.search.sweep()
+        self.training = TrainingSetBuilder().build(self.results)
         self.model = LearnedTuner(
             system_name=self.system.name,
             supports_gpu=self.system.has_gpu,
@@ -176,6 +166,6 @@ class AutoTuner(Tuner):
 
     # ------------------------------------------------------------------
     @classmethod
-    def quick(cls, system: SystemSpec, seed: int | None = None) -> "AutoTuner":
+    def quick(cls, system: SystemSpec) -> "AutoTuner":
         """A small, fast tuner (reduced space) — used by examples and tests."""
-        return cls(system, space=ParameterSpace.reduced(), seed=seed).train()
+        return cls(system, space=ParameterSpace.reduced()).train()

@@ -275,7 +275,11 @@ class DiskCacheStore:
         """
         path = self._entry_path(digest)
         try:
-            with _DECODE_LOCK, np.load(path, allow_pickle=False) as archive:
+            # The store opens the file, so a truncated archive that fails
+            # inside np.load still has its handle closed here.
+            with _DECODE_LOCK, open(path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as archive:
                 result = decode_result(archive)
         except CacheError:
             raise

@@ -43,6 +43,10 @@ Error handling is centralised in :func:`main`: every
 (usage errors 2, missing artifacts 3, other framework errors 1) in exactly
 one place.
 
+Each verb option exists because some CI job passes it
+(``tests/test_cli.py`` holds the rule); ``serve --host``, a deployment
+setting, is the one exception.
+
 The same interface is available as ``python -m repro``.
 """
 
@@ -66,7 +70,7 @@ from repro.core.parameter_space import ParameterSpace
 from repro.core.params import TunableParams
 from repro.facade.plan import load_plan, save_plan
 from repro.facade.policy import ExecutionPolicy
-from repro.facade.tuners import DEFAULT_PROFILE_PATH, DEFAULT_REPORT_PATH, TUNER_KINDS
+from repro.facade.tuners import DEFAULT_PROFILE_PATH, DEFAULT_REPORT_PATH
 from repro.hardware import platforms
 from repro.server.service import finite_seconds
 from repro.session import Session
@@ -147,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "later with --replay.",
         epilog="examples:\n"
         "  repro-tune run --app lcs --dim 256\n"
-        "  repro-tune run --app synthetic --dim 128 --tuner exhaustive --mode simulate\n"
+        "  repro-tune run --app synthetic --dim 256 --system i7-2600K --backend hybrid --mode simulate\n"
         "  repro-tune run --app lcs --dim 128 --backend mp-parallel --workers 2\n"
         "  repro-tune run --app lcs --dim 256 --plan-out plan.json\n"
         "  repro-tune run --replay plan.json --verify",
@@ -156,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_arg(run, "local", local=True)
     run.add_argument("--app", default=None, choices=available_applications())
     run.add_argument("--dim", type=int, default=None, help="problem size (grid side length)")
-    run.add_argument(
-        "--tuner",
-        default="learned",
-        choices=TUNER_KINDS,
-        help="tuning strategy resolving the plan (default: learned)",
-    )
     run.add_argument("--space", default="reduced", choices=("paper", "reduced", "tiny"))
     run.add_argument(
         "--mode",
@@ -171,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--backend", default=None, help="pin an executor strategy (bypasses the tuner)")
     run.add_argument("--workers", type=int, default=None, help="worker processes for multicore backends")
-    run.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persistent result cache directory (identical requests are "
-        "served content-addressed instead of re-solved)",
-    )
     run.add_argument("--plan-out", type=Path, default=None, help="save the resolved plan as JSON")
     run.add_argument("--replay", type=Path, default=None, help="execute a previously saved plan")
     run.add_argument(
@@ -231,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "  repro-tune bench --dim 512 --repeats 5 --out benchmarks/results/engine_bench.json",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    _add_system_arg(bench, "i7-2600K", local=False)
     bench.add_argument("--dim", type=int, default=256, help="grid side length for every pair")
     bench.add_argument(
         "--apps",
@@ -313,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro-tune profile' wrote.",
         epilog="examples:\n"
         "  repro-tune report --system i7-2600K\n"
-        "  repro-tune report --system i7-3820 --space paper --dsize 5\n"
+        "  repro-tune report --system i7-3820 --space paper\n"
         "  repro-tune report --kind measured",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -331,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the final metrics snapshot is printed (and saved with "
         "--metrics-out).",
         epilog="examples:\n"
-        "  repro-tune serve --system i3-540 --space tiny --port 8077\n"
-        "  repro-tune serve --system local --tuner measured --queue-size 256\n"
+        "  repro-tune serve --system i3-540 --port 8077\n"
+        "  repro-tune serve --system local --queue-size 256\n"
         "  repro-tune serve --port 0 --ready-file /tmp/serve.addr  # CI/tests\n"
         "\nendpoints:  POST /solve  GET /metrics  GET /healthz  POST /shutdown",
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -342,14 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8077, help="bind port (0 picks a free port)"
     )
-    serve.add_argument(
-        "--tuner",
-        default="learned",
-        choices=TUNER_KINDS,
-        help="tuning strategy answering the plans (default: learned)",
-    )
-    serve.add_argument("--space", default="tiny", choices=("paper", "reduced", "tiny"))
-    serve.add_argument("--mode", default="functional", choices=("functional", "simulate"))
     serve.add_argument(
         "--queue-size",
         type=int,
@@ -412,7 +394,6 @@ def _add_report_args(parser: argparse.ArgumentParser) -> None:
     )
     _add_system_arg(parser, "i7-2600K", local=False)
     parser.add_argument("--space", default="reduced", choices=("paper", "reduced", "tiny"))
-    parser.add_argument("--dsize", type=int, default=1, help="element payload size slice to report")
     parser.add_argument(
         "--profile-file",
         type=Path,
@@ -447,15 +428,14 @@ def cmd_systems(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _session_for(args: argparse.Namespace, tuner: str | None = None) -> Session:
-    """Build the session behind one CLI invocation."""
+def _session_for(args: argparse.Namespace, tuner: str) -> Session:
+    """Build the session behind one ``run`` / ``tune`` invocation."""
     return Session(
         system=args.system,
-        tuner=tuner if tuner is not None else getattr(args, "tuner", "learned"),
-        space=_space(args.space) if hasattr(args, "space") else None,
+        tuner=tuner,
+        space=_space(args.space),
         model_path=getattr(args, "load_model", None),
         profile_path=getattr(args, "profile_file", None),
-        cache_dir=getattr(args, "cache_dir", None),
     )
 
 
@@ -463,7 +443,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     """The ``run`` verb: plan through the session, execute, report."""
     if args.replay is None and args.app is None:
         raise UsageError("run needs --app (or --replay with a saved plan)")
-    with _session_for(args) as session:
+    with _session_for(args, tuner="learned") as session:
         if args.replay is not None:
             plan = load_plan(args.replay)
             print(f"replaying plan from {args.replay}")
@@ -629,7 +609,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # verified against its grid and reported as a speedup over it.
         executor_names = ["serial"] + [n for n in executor_names if n != "serial"]
 
-    session = Session(system=args.system, mode="functional")
+    session = Session(system="i7-2600K")
     system = session.system
     records = []
     print(
@@ -784,17 +764,16 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"{len(results)} configuration points over "
             f"{len(results.instances())} instances\n"
         )
-        print(render_heatmap(build_heatmap(results, dsize=args.dsize, quantity="band")))
+        print(render_heatmap(build_heatmap(results, dsize=1, quantity="band")))
         if session.system.max_usable_gpus >= 2:
             print()
-            print(render_heatmap(build_heatmap(results, dsize=args.dsize, quantity="halo")))
+            print(render_heatmap(build_heatmap(results, dsize=1, quantity="halo")))
     return EXIT_OK
 
 
 def _report_measured(args: argparse.Namespace) -> int:
     """Re-render the predicted-vs-measured report from a persisted profile."""
     from repro.analysis.measured import render_measured_report
-    from repro.facade.tuners import make_tuner
 
     if args.system != "i7-2600K":  # a non-default --system was requested
         print(
@@ -802,9 +781,8 @@ def _report_measured(args: argparse.Namespace) -> int:
             f"--system {args.system} is ignored",
             file=sys.stderr,
         )
-    with Session(system="local") as session:
-        tuner = make_tuner("measured", session.system, profile_path=args.profile_file)
-        report = render_measured_report(tuner.profile, session.system)
+    with Session(system="local", tuner="measured", profile_path=args.profile_file) as session:
+        report = render_measured_report(session.tuner.profile, session.system)
         print(report)
         if args.out is not None:
             _write_text(args.out, report)
@@ -858,16 +836,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import FaultPlan, ReproServer, ServerConfig, ServingEndpoint
 
     fault_plan = FaultPlan.parse(args.chaos)  # UsageError -> exit 2
-    session = Session(
-        system=args.system,
-        tuner=args.tuner,
-        space=_space(args.space),
-        mode=args.mode,
-        cache_dir=args.cache_dir,
-    )
+    session = Session(system=args.system, space=ParameterSpace.tiny(), cache_dir=args.cache_dir)
     server = None
     try:
-        print(f"warming the {args.tuner!r} tuner for {session.system.name} ...")
+        print(f"warming the tuner for {session.system.name} ...")
         session.tuner  # noqa: B018 - train/load before accepting traffic
         # Built after the warm-up so the metrics uptime clock (the
         # denominator of throughput_rps) starts when serving can, not when
@@ -906,7 +878,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {session.system.name} on {endpoint.url}  "
             f"(queue={args.queue_size}, "
-            f"deadline={args.default_deadline:g}s, mode={args.mode}, "
+            f"deadline={args.default_deadline:g}s, "
             f"adaptive={args.adaptive})"
         )
         if len(fault_plan):

@@ -27,7 +27,7 @@ from repro.core.pattern import WavefrontProblem
 from repro.utils.serialization import load_json, save_json
 
 #: Format marker written into every persisted plan (bumped on layout changes).
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class ResolvedPlan:
     expected_s: float | None = None
     app_kwargs: tuple[tuple[str, object], ...] = ()
     #: The concrete problem, set only on a plan resolved from a
-    #: caller-supplied application instance or problem, which no registry
-    #: name can rebuild.  A plan for a registry name carries ``None`` — in
+    #: caller-supplied problem, which no registry name can rebuild.  A plan
+    #: for a registry name carries ``None`` — in
     #: the session's plan cache, as :meth:`repro.session.Session.plan`
     #: returns it, and after a JSON round trip alike — and
     #: :meth:`repro.session.Session.run` takes its instance from the
@@ -123,12 +123,9 @@ class ResolvedPlan:
     def from_dict(cls, data: dict) -> "ResolvedPlan":
         """Rebuild a plan serialised by :meth:`to_dict`.
 
-        Raises :class:`repro.core.exceptions.ArtifactError` on a stale
-        ``format_version`` or a payload that is not a plan.  Plans written
-        while the tile dispatch order was a separate field may carry a
-        ``"dispatch"`` key: ``"barrier"`` was the default and is ignored,
-        ``"pipelined"`` is only accepted on the ``pipelined`` backend (which
-        is how that request is spelled now).
+        Raises :class:`repro.core.exceptions.ArtifactError` on another
+        ``format_version`` (both versions named), a payload that is not a
+        plan, or a missing or mistyped key (the key named).
         """
         if not isinstance(data, dict) or "backend" not in data or "app" not in data:
             raise ArtifactError("payload does not contain a resolved plan")
@@ -136,40 +133,57 @@ class ResolvedPlan:
         if version != PLAN_FORMAT_VERSION:
             raise ArtifactError(
                 f"unsupported plan format version {version!r} "
-                f"(expected {PLAN_FORMAT_VERSION})"
+                f"(expected {PLAN_FORMAT_VERSION}); re-plan and save it again"
             )
-        if data.get("dispatch") == "pipelined" and data["backend"] != "pipelined":
-            raise ArtifactError(
-                f"plan asks for pipelined dispatch on backend {data['backend']!r}; "
-                "re-plan with backend='pipelined'"
-            )
-        p = data["params"]
-        t = data["tunables"]
+        app, dim = _read(data, "app", _text), _read(data, "dim", int)
         return cls(
-            app=str(data["app"]),
-            dim=int(data["dim"]),
-            params=InputParams(
-                dim=int(p["dim"]), tsize=float(p["tsize"]), dsize=int(p["dsize"])
+            app=app,
+            dim=dim,
+            params=_read(
+                data,
+                "params",
+                lambda p: InputParams(
+                    dim=int(p["dim"]), tsize=float(p["tsize"]), dsize=int(p["dsize"])
+                ),
             ),
-            tunables=TunableParams(
-                cpu_tile=int(t["cpu_tile"]),
-                band=int(t["band"]),
-                gpu_count=int(t["gpu_count"]),
-                gpu_tile=int(t["gpu_tile"]),
-                halo=int(t["halo"]),
+            tunables=_read(
+                data,
+                "tunables",
+                lambda t: TunableParams(
+                    cpu_tile=int(t["cpu_tile"]),
+                    band=int(t["band"]),
+                    gpu_count=int(t["gpu_count"]),
+                    gpu_tile=int(t["gpu_tile"]),
+                    halo=int(t["halo"]),
+                ),
             ),
-            backend=str(data["backend"]),
-            engine=data.get("engine"),
-            workers=int(data.get("workers", 1)),
-            system=str(data["system"]),
-            tuner=str(data.get("tuner", "manual")),
-            expected_s=(
-                float(data["expected_s"]) if data.get("expected_s") is not None else None
+            backend=_read(data, "backend", _text),
+            engine=_read(data, "engine", lambda v: None if v is None else _text(v)),
+            workers=_read(data, "workers", int),
+            system=_read(data, "system", _text),
+            tuner=_read(data, "tuner", _text),
+            expected_s=_read(data, "expected_s", lambda v: None if v is None else float(v)),
+            app_kwargs=_read(
+                data,
+                "app_kwargs",
+                lambda kwargs: request_identity(app, dim, kwargs).kwargs_pairs(),
             ),
-            app_kwargs=request_identity(
-                data["app"], data["dim"], data.get("app_kwargs")
-            ).kwargs_pairs(),
         )
+
+
+def _text(value) -> str:
+    """A persisted string field, refused when it holds anything else."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _read(data: dict, key: str, convert):
+    """``convert(data[key])``: a missing or mistyped value is an ArtifactError naming ``key``."""
+    try:
+        return convert(data[key])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ArtifactError(f"plan key {key!r} is missing or malformed: {exc!r}") from None
 
 
 def save_plan(plan: ResolvedPlan, path: str | Path) -> Path:

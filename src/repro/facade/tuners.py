@@ -20,15 +20,11 @@ examples cannot drift apart on what a strategy name means:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.autotuner.protocol import ExhaustiveTuner, LocalRuleTuner, Tuner
 from repro.core.exceptions import ArtifactError, UsageError
 from repro.core.parameter_space import ParameterSpace
 from repro.hardware.system import LOCAL_SYSTEM_NAME, SystemSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only: the tuners load the cost model
-    from repro.hardware.costmodel import CostConstants
 
 #: Strategy names :func:`make_tuner` understands.
 TUNER_KINDS = ("learned", "measured", "exhaustive")
@@ -41,14 +37,13 @@ DEFAULT_REPORT_PATH = Path("benchmarks") / "results" / "local_profile_report.txt
 
 
 def make_tuner(
-    spec: str | Tuner,
+    spec: str,
     system: SystemSpec,
     space: ParameterSpace | None = None,
-    constants: CostConstants | None = None,
     model_path: str | Path | None = None,
     profile_path: str | Path | None = None,
 ) -> Tuner:
-    """Build (or pass through) the tuner behind one strategy specification.
+    """Build the tuner behind one strategy name (a ready tuner never comes here).
 
     ``model_path`` restores a previously saved ``"learned"`` model, skipping
     the training sweep; ``profile_path`` overrides the ``"measured"``
@@ -59,8 +54,6 @@ def make_tuner(
     :class:`~repro.core.exceptions.ArtifactError` when a required artifact
     is missing or unusable.
     """
-    if isinstance(spec, Tuner):
-        return spec
     if not isinstance(spec, str):
         raise UsageError(
             f"tuner must be a strategy name {TUNER_KINDS} or a Tuner instance, "
@@ -68,7 +61,7 @@ def make_tuner(
         )
     if spec == "learned":
         if system.name != LOCAL_SYSTEM_NAME:
-            return _make_learned(system, space, constants, model_path)
+            return _make_learned(system, space, model_path)
         if model_path is not None:
             raise UsageError(
                 f"the learned tuner on {LOCAL_SYSTEM_NAME!r} has no model file: it plans by rule"
@@ -81,23 +74,18 @@ def make_tuner(
             )
         return _make_measured(profile_path)
     if spec == "exhaustive":
-        return ExhaustiveTuner(system, space, constants)
+        return ExhaustiveTuner(system, space)
     raise UsageError(
         f"unknown tuner strategy {spec!r}; choose from {', '.join(TUNER_KINDS)}"
     )
 
 
-def _make_learned(
-    system: SystemSpec,
-    space: ParameterSpace | None,
-    constants: CostConstants | None,
-    model_path: str | Path | None,
-):
+def _make_learned(system: SystemSpec, space: ParameterSpace | None, model_path: str | Path | None):
     """The ``"learned"`` strategy on a Table 4 system: train (or restore) an AutoTuner."""
     from repro.autotuner.persistence import load_tuner
     from repro.autotuner.tuner import AutoTuner
 
-    tuner = AutoTuner(system, space=space, constants=constants)
+    tuner = AutoTuner(system, space=space)
     if model_path is not None:
         try:
             tuner.model = load_tuner(model_path)

@@ -18,8 +18,7 @@ explicit lifetime:
 * :meth:`EngineHost.close` tears everything down deterministically.
 
 A host holds one team per worker count it has been asked for (one, in
-practice: the count comes from the plan's ``workers`` or the session-wide
-override).  :class:`repro.session.Session` owns exactly one host and routes
+practice: the count comes from the plan's ``workers``).  :class:`repro.session.Session` owns exactly one host and routes
 every execution through it.
 """
 
@@ -38,8 +37,8 @@ from repro.utils.lru import LRUCache
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.mp_parallel import MPWavefrontPool, WorkerTeam
 
-#: Default bound of the executor cache (distinct backend configurations).
-DEFAULT_MAX_EXECUTORS = 16
+#: Bound of the executor cache (distinct backend configurations).
+MAX_EXECUTORS = 16
 
 
 class EngineHost:
@@ -55,9 +54,9 @@ class EngineHost:
     executions the same way (a second ``run`` on a busy team raises).
     """
 
-    def __init__(self, system: SystemSpec, max_executors: int = DEFAULT_MAX_EXECUTORS) -> None:
+    def __init__(self, system: SystemSpec) -> None:
         self.system = system
-        self._executors: LRUCache = LRUCache(max_executors)
+        self._executors: LRUCache = LRUCache(MAX_EXECUTORS)
         #: worker count -> the resident team of that size.
         self._teams: dict[int, "WorkerTeam"] = {}
         self._lock = threading.RLock()

@@ -359,7 +359,7 @@ class ReproServer:
         :class:`~repro.core.exceptions.InvalidParameterError`, so a client
         cannot lift the operator's deadline.  ``plan_kwargs`` forward to
         :meth:`repro.session.Session.solve` (``policy=`` and application
-        constructor overrides).  ``mode`` defaults to the session's and
+        constructor overrides).  ``mode`` defaults to ``"functional"`` and
         ``dim`` the application's default, both filled in here so an
         omitted and an explicit default are one request (one ``/metrics``
         label).  The request's identity (:func:`repro.cache.request_identity`)
@@ -378,9 +378,7 @@ class ReproServer:
         request = ServeRequest(
             app=app,
             dim=default_dim(app) if dim is None else dim,
-            mode=(
-                self.session.mode if mode is None else ExecutionMode.coerce(mode)
-            ).value,
+            mode=ExecutionMode.FUNCTIONAL.value if mode is None else ExecutionMode.coerce(mode).value,
             plan_kwargs=plan_kwargs,
             enqueued_at=now,
             deadline_at=None if deadline_s is None else now + deadline_s,

@@ -78,17 +78,12 @@ from repro.runtime.result import ExecutionResult
 from repro.utils.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - the cost model loads on the first simulate run
-    from repro.hardware.costmodel import CostConstants, CostModel
+    from repro.hardware.costmodel import CostModel
 
 #: Default bound of the session's plan and problem caches.
 DEFAULT_CACHE_SIZE = 128
 #: The policy of a request that pins nothing: the tuner decides everything.
 _TUNER_DECIDES = ExecutionPolicy()
-
-
-def _held_bytes(entry) -> int:
-    """Instance data of one problem-cache entry: a problem, or ``(app, problem)``."""
-    return (entry[1] if isinstance(entry, tuple) else entry).nbytes
 
 
 class Session:
@@ -101,12 +96,8 @@ class Session:
     built lazily on first use, so sessions serving only explicit plans
     (e.g. the benchmark driver) never pay for training.
 
-    ``mode`` is the default execution mode (``"functional"`` really
-    computes, ``"simulate"`` prices the plan with the cost model, built
-    from ``constants`` on the first simulate run); ``cache_size`` (an
-    integer >= 1) bounds the tuned-plan and problem caches; ``workers`` —
-    when set, an integer >= 1 — overrides every plan's worker count (useful
-    to force or forbid multiprocessing).  ``cache_dir`` — when set — roots a
+    ``cache_size`` (an integer >= 1) bounds the tuned-plan and problem
+    caches.  ``cache_dir`` — when set — roots a
     persistent content-addressed result cache consulted by :meth:`solve` /
     :meth:`solve_many` for functional registry-name requests (pass a ready
     :class:`repro.cache.ResultCache` as ``result_cache`` to control its
@@ -132,10 +123,7 @@ class Session:
         tuner: str | Tuner = "learned",
         *,
         space: ParameterSpace | None = None,
-        constants: CostConstants | None = None,
-        mode: ExecutionMode | str = ExecutionMode.FUNCTIONAL,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        workers: int | None = None,
         model_path=None,
         profile_path=None,
         cache_dir=None,
@@ -144,15 +132,7 @@ class Session:
         self.system = (
             system if isinstance(system, SystemSpec) else resolve_system(system)
         )
-        self.mode = ExecutionMode.coerce(mode)
         self.space = space
-        if constants is None and isinstance(tuner, Tuner):
-            # A ready tuner may carry calibrated cost constants; executing
-            # with the same constants keeps plan estimates and simulate-mode
-            # results consistent with the strategy that produced them.
-            constants = getattr(tuner, "constants", None)
-        self.constants = constants
-        self.workers = None if workers is None else require_int("workers", workers, minimum=1)
         self.cache_size = require_int("cache_size", cache_size, minimum=1)
         self.model_path = model_path
         self.profile_path = profile_path
@@ -165,7 +145,7 @@ class Session:
             self.result_cache = ResultCache(cache_dir)
         self._plans: LRUCache = LRUCache(self.cache_size)
         #: The one owner of instance data (plans of registry names hold none).
-        self._problems: LRUCache = LRUCache(self.cache_size, weigh=_held_bytes)
+        self._problems: LRUCache = LRUCache(self.cache_size, weigh=lambda problem: problem.nbytes)
         # Reentrant so plan() may build the tuner (and close() may drain
         # both) under one acquisition; plan lock and run lock are only ever
         # taken in that order, never nested the other way round.
@@ -203,7 +183,6 @@ class Session:
                         self._tuner_spec,
                         self.system,
                         space=self.space,
-                        constants=self.constants,
                         model_path=self.model_path,
                         profile_path=self.profile_path,
                     )
@@ -214,7 +193,7 @@ class Session:
         """Simulate mode's pricing model, built on the first simulate run."""
         from repro.hardware.costmodel import CostModel
 
-        return CostModel(self.system, self.constants)
+        return CostModel(self.system)
 
     def attach_observer(
         self,
@@ -238,7 +217,7 @@ class Session:
     # ------------------------------------------------------------------
     def plan(
         self,
-        app: str | WavefrontApplication | WavefrontProblem,
+        app: str | WavefrontProblem,
         dim: int | None = None,
         *,
         policy: ExecutionPolicy | None = None,
@@ -248,8 +227,9 @@ class Session:
         """Resolve one application instance to an executable plan.
 
         ``app`` is a registered application name (``app_kwargs`` forward to
-        its constructor), an application instance, or a bare
-        :class:`~repro.core.pattern.WavefrontProblem`.  Without a policy
+        its constructor) or a bare :class:`~repro.core.pattern.WavefrontProblem`
+        (a caller's own application instance is passed as
+        ``app.problem(dim)``).  Without a policy
         the session's tuner decides backend, workers and tunables; passing
         a ``policy`` (:class:`~repro.facade.policy.ExecutionPolicy`) whose
         ``backend`` (or ``tunables``) is set pins an explicit configuration
@@ -264,11 +244,9 @@ class Session:
         name of these arguments, not derived again.  Their plans carry no
         problem (the problem cache owns the instance, and :meth:`run` finds
         it there).
-        Caller-supplied application instances and problems are planned
-        against their *own* objects (identity-keyed, never conflated with
-        the registry defaults of the same name) and the resulting plan
-        carries the concrete problem, so :meth:`run` executes exactly what
-        was handed in.
+        A caller-supplied problem is planned against its *own* object,
+        never the registry default of the same name, and the resulting plan
+        carries it, so :meth:`run` executes exactly what was handed in.
         """
         self._check_open()
         if policy is None:
@@ -282,14 +260,10 @@ class Session:
                     )
                 return self._resolve(app, app.name, (), policy, carry=True)
             if isinstance(app, WavefrontApplication):
-                if app_kwargs:
-                    raise UsageError(
-                        f"cannot apply constructor arguments {sorted(app_kwargs)} to "
-                        f"an already-built application instance {app.name!r}"
-                    )
-                dim = dim if dim is not None else app.default_dim
-                problem = self._instance_problem(app, dim)
-                return self._resolve(problem, app.name, (), policy, carry=True)
+                raise UsageError(
+                    f"pass the application instance {app.name!r} as its problem: "
+                    "session.plan(app.problem(dim))"
+                )
             if identity is None:
                 identity = self._identity(app, dim, policy, app_kwargs)
             cached = self._plans.get(identity)
@@ -314,27 +288,13 @@ class Session:
             lambda: get_application(app, dim=dim, **dict(kwargs_pairs)).problem(dim),
         )
 
-    def _instance_problem(self, app: WavefrontApplication, dim: int) -> WavefrontProblem:
-        """The cached problem of one caller-supplied application instance.
-
-        Keyed by the instance's identity (the cache entry keeps the
-        instance alive, so a recycled ``id()`` can never alias) — two
-        differently-configured instances sharing a registry name get two
-        problems, and neither touches the registry-default cache slots.
-        """
-        key = ("__instance__", id(app), dim)
-        entry = self._problems.get(key)
-        if entry is None or entry[0] is not app:
-            entry = self._problems.put(key, (app, app.problem(dim)))
-        return entry[1]
-
     def _resolve(
         self, problem, name, kwargs_key, policy: ExecutionPolicy, *, carry: bool
     ) -> ResolvedPlan:
         """Combine the tuner's decision with the policy's overrides.
 
-        ``carry`` keeps ``problem`` on the plan: only for caller-supplied
-        instances, which the problem cache cannot rebuild from a name.
+        ``carry`` keeps ``problem`` on the plan: only for a caller-supplied
+        problem, which the problem cache cannot rebuild from a name.
         """
         params = problem.input_params()
         if policy.backend is not None or policy.tunables is not None:
@@ -366,11 +326,7 @@ class Session:
             # tile, never the scalar phases' cache tile (one-cell tiles
             # through worker pipes by default).
             tunables = replace(tunables, cpu_tile=default_tile(params.dim))
-        resolved_workers = (
-            policy.workers if policy.workers is not None else decision.workers
-        )
-        if self.workers is not None:
-            resolved_workers = self.workers
+        workers = policy.workers if policy.workers is not None else decision.workers
         return ResolvedPlan(
             app=name,
             dim=problem.dim,
@@ -378,7 +334,7 @@ class Session:
             tunables=tunables.clipped(problem.dim),
             backend=decision.backend,
             engine=decision.engine,
-            workers=max(1, int(resolved_workers)),
+            workers=max(1, int(workers)),
             system=self.system.name,
             tuner=source,
             expected_s=decision.expected_s,
@@ -398,13 +354,13 @@ class Session:
         """Execute a resolved plan (this session's or a replayed one).
 
         Functionally, a plan carrying a problem (one resolved from a
-        caller-supplied instance) executes it directly; every other plan —
+        caller-supplied problem) executes it directly; every other plan —
         a registry name's or a replayed one — takes its problem from the
         problem cache under ``(plan.app, plan.dim, plan.app_kwargs)``, built
         through the application registry on a miss.  In simulate mode the
         plan is priced from ``plan.params`` alone (:meth:`_price`): no
-        problem and no executor is built.  ``mode`` defaults to the
-        session's mode.
+        problem and no executor is built.  ``mode`` defaults to
+        ``"functional"``.
 
         The whole execution holds the session's run lock: borrowed worker
         pools and the shared-memory arena are single-request resources, so
@@ -415,7 +371,7 @@ class Session:
         :class:`~repro.core.exceptions.DeadlineError`, with the lock free.
         """
         self._check_open()
-        mode = ExecutionMode.coerce(mode) if mode is not None else self.mode
+        mode = ExecutionMode.coerce(mode) if mode is not None else ExecutionMode.FUNCTIONAL
         problem = plan.problem
         if problem is None and mode is ExecutionMode.FUNCTIONAL:
             problem = self._problem(plan.app, plan.dim, plan.app_kwargs)
@@ -481,7 +437,7 @@ class Session:
 
     def solve(
         self,
-        app: str | WavefrontApplication | WavefrontProblem,
+        app: str | WavefrontProblem,
         dim: int | None = None,
         mode: ExecutionMode | str | None = None,
         *,
@@ -499,8 +455,8 @@ class Session:
         memory → disk before any grid is swept, and concurrent misses on
         one key run exactly one solve.  Once the cache has answered, hit or
         miss, the instance leaves the problem cache: nothing reads it again.
-        Simulate-mode requests and instance / problem requests bypass the
-        cache, execute directly and keep their problem cached.
+        Simulate-mode requests and problem requests bypass the cache,
+        execute directly and keep their problem cached.
         """
         return self._solve(
             app, dim, mode, policy=policy, identity=identity, **app_kwargs
@@ -529,8 +485,8 @@ class Session:
     def _request_key_for(self, app, plan: ResolvedPlan, mode, policy: ExecutionPolicy | None):
         """The cache key of one solve request, or ``None`` when uncacheable.
 
-        Only functional registry-name requests are cached: instance and
-        problem requests carry caller-owned state the codec cannot see, and
+        Only functional registry-name requests are cached: problem requests
+        carry caller-owned state the codec cannot see, and
         simulate-mode answers have no bit-exact payload worth addressing.
         The policy's set fields enter the key under their field names, so a
         request decoded from an HTTP body and the same policy built in
@@ -539,21 +495,15 @@ class Session:
         """
         if self.result_cache is None or not isinstance(app, str):
             return None
-        resolved_mode = ExecutionMode.coerce(mode) if mode is not None else self.mode
-        if resolved_mode is not ExecutionMode.FUNCTIONAL:
+        if mode is not None and ExecutionMode.coerce(mode) is not ExecutionMode.FUNCTIONAL:
             return None
-        overrides = policy.overrides() if policy is not None else {}
-        if self.workers is not None:
-            # The session-wide override changes the executed plan, so it
-            # must change the key too.
-            overrides["workers"] = self.workers
         return request_key(
             plan.app,
             plan.dim,
             params=plan.params,
             app_kwargs=plan.app_kwargs,
-            overrides=overrides,
-            mode=resolved_mode.value,
+            overrides=policy.overrides() if policy is not None else {},
+            mode=ExecutionMode.FUNCTIONAL.value,
         )
 
     def solve_many(
@@ -657,19 +607,16 @@ class Session:
 
         return profile_host(self.system, config, progress=progress)
 
-    def sweep(self, space: ParameterSpace | None = None, instances=None):
+    def sweep(self, space: ParameterSpace | None = None):
         """Exhaustive cost-model sweep of the synthetic application.
 
         Returns :class:`repro.autotuner.exhaustive.SearchResults` for the
         report/analysis helpers; ``space`` defaults to the session's space
-        (or the reduced space).
+        (or the paper's space).
         """
         from repro.autotuner.exhaustive import ExhaustiveSearch
 
-        search = ExhaustiveSearch(
-            self.system, space if space is not None else self.space, self.constants
-        )
-        return search.sweep(instances)
+        return ExhaustiveSearch(self.system, space if space is not None else self.space).sweep()
 
     def save_model(self, path) -> None:
         """Persist the tuner's learned model (for later ``model_path=`` use)."""
@@ -727,5 +674,5 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Session(system={self.system.name}, tuner={self._tuner_spec!r}, "
-            f"mode={self.mode.value}, cache_size={self.cache_size})"
+            f"cache_size={self.cache_size})"
         )

@@ -103,11 +103,11 @@ class TestTuneAndSolveInOneCall:
     def test_one_call_simulate(self, i3, quick_tuner_i3):
         app = SyntheticApp(dim=256, tsize=750, dsize=1)
         with Session(system=i3, tuner=quick_tuner_i3) as session:
-            result = session.solve(app, mode="simulate")
+            result = session.solve(app.problem(), mode="simulate")
         assert result.rtime > 0 and result.grid is None
 
     def test_one_call_functional_small(self, i3, quick_tuner_i3):
         app = NashEquilibriumApp(dim=20)
         with Session(system=i3, tuner=quick_tuner_i3) as session:
-            result = session.solve(app, mode="functional")
+            result = session.solve(app.problem(), mode="functional")
         assert result.grid is not None and result.wall_time > 0

@@ -156,8 +156,8 @@ class TestPlansCarryTheIdentity:
             assert ResolvedPlan.from_dict(plan.to_dict()) == plan
 
     def test_a_previously_saved_plan_replays(self):
-        # A plan file as written before the refactor (constructor overrides
-        # as a JSON object): it loads, and replays to the same grid.
+        # A plan file as written by hand (constructor overrides as a JSON
+        # object, keys in any order): it loads, and replays to the same grid.
         saved = {
             "app": "lcs",
             "app_kwargs": {"seed": 5, "similarity": 0.5},
@@ -165,7 +165,7 @@ class TestPlansCarryTheIdentity:
             "dim": 32,
             "engine": None,
             "expected_s": None,
-            "format_version": 1,
+            "format_version": 2,
             "params": {"dim": 32, "dsize": 0, "tsize": 0.5},
             "system": "i3-540",
             "tunables": {"band": -1, "cpu_tile": 1, "gpu_count": 0, "gpu_tile": 1, "halo": -1},

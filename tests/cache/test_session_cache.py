@@ -58,12 +58,12 @@ class TestSolveCaching:
             assert session.stats["runs"] == runs + 2
             assert session.cache_info()["results"]["lookups"] == 0
 
-    def test_instance_requests_bypass_the_cache(self, tmp_path):
+    def test_problem_requests_bypass_the_cache(self, tmp_path):
         with Session(system="i7-2600K", cache_dir=tmp_path) as session:
-            app = LCSApp(dim=24, seed=5)
+            problem = LCSApp(dim=24, seed=5).problem(24)
             runs = session.stats["runs"]
-            session.solve(app, 24, policy=SERIAL)
-            session.solve(app, 24, policy=SERIAL)
+            session.solve(problem, policy=SERIAL)
+            session.solve(problem, policy=SERIAL)
             assert session.stats["runs"] == runs + 2
             assert session.cache_info()["results"]["lookups"] == 0
 
@@ -170,8 +170,8 @@ class TestOneOwner:
                     session.run(plan)
                     again = session.plan(app, 24, policy=policy, **kwargs)  # the cached one
                     assert again is plan and plan.problem is None
-            instance = session.plan(LCSApp(dim=24, seed=5), policy=SERIAL)
-            assert instance.problem is not None  # a caller's instance stays carried
+            instance = session.plan(LCSApp(dim=24, seed=5).problem(24), policy=SERIAL)
+            assert instance.problem is not None  # a caller's problem stays carried
 
 
 class TestSharedResultIsHashedOnce:

@@ -7,6 +7,7 @@ existing directory across process restarts (modelled as fresh store
 instances over one tmp directory).
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -78,6 +79,10 @@ class TestRoundTrip:
 
 
 class TestCorruption:
+    # The file of a corrupt entry is closed by the store, not by the
+    # collector: an unclosed handle fails the test at gc.collect().
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_truncated_entry_self_repairs(self, tmp_path, solved):
         store = DiskCacheStore(tmp_path)
         key = _key(16)
@@ -85,6 +90,7 @@ class TestCorruption:
         path = tmp_path / f"{key.digest}.npz"
         path.write_bytes(path.read_bytes()[: 40])  # torn tail
         assert store.get(key.digest) is None
+        gc.collect()
         assert store.corrupt_dropped == 1 and store.misses == 1
         assert not path.exists(), "corrupt entry must be deleted (repaired)"
         # The caller re-solves and re-stores; the entry is healthy again.

@@ -45,7 +45,7 @@ class TestDeploymentWorkflow:
         """The tuned configuration must still compute the correct answer."""
         app = NashEquilibriumApp(dim=22)
         with Session(system=i3, tuner=quick_tuner_i3) as session:
-            result = session.solve(app, mode="functional")
+            result = session.solve(app.problem(), mode="functional")
         serial = SerialExecutor(i3).execute(app.problem())
         assert result.matches(serial)
 

@@ -1,6 +1,7 @@
 """Tests for the HTTP/JSON endpoint (routes, error mapping, shutdown)."""
 
 import http.client
+import io
 import json
 import socket
 import threading
@@ -30,10 +31,27 @@ from repro.server import (
 from repro.server.http import error_status
 
 
+def urlopen_json(request, timeout):
+    """Send one request; return (status, decoded body).
+
+    An error status raises :class:`urllib.error.HTTPError` as urllib does,
+    but with its body read and its socket closed here: a test that only
+    checks the code must not leave the connection to the collector.
+    """
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        with error:
+            body = error.read()
+        raise urllib.error.HTTPError(
+            error.url, error.code, error.msg, error.hdrs, io.BytesIO(body)
+        ) from None
+
+
 def get_json(url, timeout=10):
     """GET one JSON payload."""
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return json.loads(response.read())
+    return urlopen_json(url, timeout)[1]
 
 
 def post_json(url, payload, timeout=60):
@@ -44,8 +62,7 @@ def post_json(url, payload, timeout=60):
         headers={"Content-Type": "application/json"},
         method="POST",
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return response.status, json.loads(response.read())
+    return urlopen_json(request, timeout)
 
 
 class TestRoutes:

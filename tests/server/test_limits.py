@@ -61,8 +61,9 @@ def test_a_body_deadline_that_is_not_finite_seconds_answers_400(endpoint, deadli
     request = urllib.request.Request(endpoint.url + "/solve", data=body, method="POST")
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request, timeout=30)
-    assert excinfo.value.code == 400
-    error = json.loads(excinfo.value.read())["error"]
+    with excinfo.value as response:  # closes the error's socket
+        assert response.code == 400
+        error = json.loads(response.read())["error"]
     assert error["type"] == "InvalidParameterError"
     assert "finite number of seconds" in error["message"]
 

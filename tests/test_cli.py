@@ -5,11 +5,52 @@ tests smoke each verb end to end and pin the central error -> exit-code
 mapping of :func:`repro.cli.main` (usage errors 2, missing artifacts 3).
 """
 
+import argparse
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import EXIT_ARTIFACT, EXIT_USAGE, build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Verb options exempt from the CI rule below: deployment settings.
+DEPLOYMENT_OPTIONS = {("serve", "--host")}
+
+
+def ci_verb_options() -> dict[str, set[str]]:
+    """Verb -> the options some ``python -m repro <verb>`` command of ci.yml passes."""
+    spec = importlib.util.spec_from_file_location("reach", REPO_ROOT / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    used: dict[str, set[str]] = {}
+    for scripts in reach.ci_jobs().values():
+        for script in scripts:
+            joined = script.replace("\\\n", " ")
+            for verb, rest in re.findall(r"python -m repro (\w+)([^\n]*)", joined):
+                used.setdefault(verb, set()).update(re.findall(r"--[\w-]+", rest))
+    return used
+
+
+def test_every_verb_option_runs_in_a_ci_job():
+    """A CLI option that no CI job runs either gets a CI step or leaves."""
+    used = ci_verb_options()
+    verbs = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    missing = [
+        (verb, option)
+        for verb, parser in verbs.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in [max(action.option_strings, key=len)]
+        if (verb, option) not in DEPLOYMENT_OPTIONS and option not in used.get(verb, ())
+    ]
+    assert missing == []
 
 
 class TestParser:
@@ -23,7 +64,7 @@ class TestParser:
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "--app", "lcs"])
-        assert args.command == "run" and args.tuner == "learned" and args.mode == "functional"
+        assert args.command == "run" and args.mode == "functional"
 
     def test_report_defaults(self):
         args = build_parser().parse_args(["report"])
@@ -409,8 +450,7 @@ class TestServeVerb:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve" and args.port == 8077
         assert args.queue_size == 64 and not hasattr(args, "max_batch")
-        assert args.system == "local" and args.space == "tiny"
-        assert args.adaptive == "on"
+        assert args.system == "local" and args.adaptive == "on"
 
     def test_serve_refuses_the_retired_max_batch_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -441,7 +481,6 @@ class TestServeVerb:
                     [
                         "serve",
                         "--system", "i3-540",
-                        "--space", "tiny",
                         "--port", "0",
                         "--ready-file", str(ready),
                         "--metrics-out", str(metrics_out),

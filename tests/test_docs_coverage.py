@@ -68,7 +68,7 @@ def test_dotted_name_resolves_through_a_package_re_export():
 
 
 def test_dotted_name_resolves_to_an_instance_attribute():
-    assert _load_script("check_docs").stale_names("`repro.session.Session.workers`") == []
+    assert _load_script("check_docs").stale_names("`repro.session.Session.cache_size`") == []
 
 
 def test_dotted_name_below_a_function_does_not_resolve():

@@ -4,8 +4,8 @@ Covers the policy value itself (validation, override extraction), its
 acceptance by :meth:`Session.plan`/:meth:`Session.solve`, the HTTP body
 decoding into the same value (and the same result-cache key), the one
 engine vocabulary (registry names; anything else is a typed error at plan
-time), the one tile rule for tiled engines named without a tile, and how
-plan files written while the tile dispatch order was a separate field load.
+time), the one tile rule for tiled engines named without a tile, and the
+persisted plan format.
 """
 
 import dataclasses
@@ -47,11 +47,12 @@ class TestPolicyValue:
         policy = ExecutionPolicy(backend="serial", workers=2)
         assert policy.overrides() == {"backend": "serial", "workers": 2}
 
-    def test_nonpositive_workers_rejected(self):
-        with pytest.raises(InvalidParameterError, match="workers"):
-            ExecutionPolicy(workers=0)
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(InvalidParameterError, match="workers must be"):
+            ExecutionPolicy(workers=workers)
 
-    @pytest.mark.parametrize("workers", [2.5, 1.0, "2"])
+    @pytest.mark.parametrize("workers", [2.5, 1.0, "2", np.float64(2.0)])
     def test_non_integer_workers_rejected(self, workers):
         with pytest.raises(InvalidParameterError, match="workers must be an integer"):
             ExecutionPolicy(workers=workers)
@@ -69,12 +70,7 @@ class TestPolicyValue:
 
 
 class TestSessionIntegerArguments:
-    """``Session(workers=, cache_size=)`` refuse what they used to clamp or truncate."""
-
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, np.float64(2.0)])
-    def test_workers_that_name_no_team_are_refused(self, workers):
-        with pytest.raises(InvalidParameterError, match="workers must be"):
-            Session(workers=workers)
+    """``Session(cache_size=)`` refuses what it used to truncate."""
 
     @pytest.mark.parametrize("cache_size", [2.7, "x", 16.0])
     def test_cache_sizes_that_are_not_integers_are_refused(self, cache_size):
@@ -82,16 +78,15 @@ class TestSessionIntegerArguments:
             Session(cache_size=cache_size)
 
     def test_numpy_integers_are_accepted(self):
-        with Session(workers=np.int64(2), cache_size=np.int32(8)) as session:
-            assert (session.workers, session.cache_size) == (2, 8)
-            assert type(session.workers) is int and type(session.cache_size) is int
+        with Session(cache_size=np.int32(8)) as session:
+            assert session.cache_size == 8 and type(session.cache_size) is int
 
 
 class TestPipelinedIsABackend:
     def test_pipelined_backend_reaches_execution(self):
-        with Session(workers=2) as session:
+        with Session() as session:
             policy = ExecutionPolicy(
-                backend="pipelined", tunables=TunableParams(cpu_tile=8)
+                backend="pipelined", tunables=TunableParams(cpu_tile=8), workers=2
             )
             result = session.solve("lcs", 32, policy=policy)
             assert result.stats["dispatch"] == "pipelined"
@@ -99,7 +94,7 @@ class TestPipelinedIsABackend:
             assert np.array_equal(reference.grid.values, result.grid.values)
 
     def test_replayed_pipelined_plan_executes(self, tmp_path):
-        with Session(workers=2) as session:
+        with Session() as session:
             plan = session.plan(
                 "lcs",
                 24,
@@ -110,35 +105,37 @@ class TestPipelinedIsABackend:
             path = save_plan(plan, tmp_path / "plan.json")
         loaded = load_plan(path)
         assert loaded == dataclasses.replace(plan, problem=None)
-        with Session(workers=2) as fresh:
+        with Session() as fresh:
             assert fresh.run(loaded).stats["dispatch"] == "pipelined"
 
 
-class TestPersistedDispatchField:
-    """Plan files written while ``dispatch`` was a plan field still load."""
+class TestPlanFormat:
+    """A plan file is read at its own format version, every key required."""
 
     @staticmethod
-    def payload(backend: str, dispatch: str) -> dict:
+    def payload() -> dict:
         with Session() as session:
             plan = session.plan(
-                "lcs", 32, policy=ExecutionPolicy(backend=backend, tunables=TunableParams())
+                "lcs", 32, policy=ExecutionPolicy(backend="pipelined", workers=2)
             )
-        payload = plan.to_dict()
-        assert "dispatch" not in payload
-        payload["dispatch"] = dispatch
-        return payload
+        return plan.to_dict()
 
-    def test_barrier_is_ignored(self):
-        loaded = ResolvedPlan.from_dict(self.payload("mp-parallel", "barrier"))
-        assert loaded.backend == "mp-parallel"
-        assert "dispatch" not in loaded.to_dict()
+    def test_a_format_1_plan_is_refused_naming_both_versions(self):
+        # Format 1 still carried the retired ``dispatch`` field.
+        old = {**self.payload(), "format_version": 1, "dispatch": "barrier"}
+        with pytest.raises(ArtifactError, match=r"version 1 \(expected 2\)"):
+            ResolvedPlan.from_dict(old)
 
-    def test_pipelined_on_the_pipelined_backend_loads(self):
-        assert ResolvedPlan.from_dict(self.payload("pipelined", "pipelined")).backend == "pipelined"
+    NUMBERS = ("workers", "expected_s")
 
-    def test_pipelined_on_any_other_backend_is_an_artifact_error(self):
-        with pytest.raises(ArtifactError, match="backend='pipelined'"):
-            ResolvedPlan.from_dict(self.payload("mp-parallel", "pipelined"))
+    @pytest.mark.parametrize("key", ["engine", "workers", "tuner", "expected_s", "app_kwargs", "params"])
+    def test_a_missing_or_mistyped_key_is_an_artifact_error_naming_it(self, key):
+        missing = self.payload()
+        del missing[key]
+        with pytest.raises(ArtifactError, match=repr(key)):
+            ResolvedPlan.from_dict(missing)
+        with pytest.raises(ArtifactError, match=repr(key)):
+            ResolvedPlan.from_dict({**self.payload(), key: "x" if key in self.NUMBERS else 7})
 
 
 #: Every way of asking for a tiled fill, as the override keys of a body.

@@ -89,20 +89,11 @@ class TestPlanResolution:
             result = session.run(plan)
             assert result.grid is not None
 
-    def test_session_worker_override_wins(self, i3):
-        with Session(system=i3, workers=1) as session:
-            plan = session.plan(
-                "lcs",
-                SMALL_DIM,
-                policy=ExecutionPolicy(
-                    backend="mp-parallel", tunables=TunableParams(cpu_tile=8)
-                ),
-            )
-            assert plan.workers == 1
-
-    def test_plan_accepts_application_instance(self, i3_session):
-        plan = i3_session.plan(LCSApp(dim=SMALL_DIM))
-        assert plan.app == "lcs" and plan.dim == SMALL_DIM
+    def test_an_application_instance_is_refused_with_its_spelling(self, i3_session):
+        with pytest.raises(UsageError, match=r"app\.problem\(dim\)"):
+            i3_session.plan(LCSApp(dim=SMALL_DIM))
+        with pytest.raises(UsageError, match="'lcs'"):
+            i3_session.solve(LCSApp(dim=SMALL_DIM))
 
     def test_plan_accepts_problem(self, i3_session, small_synthetic):
         plan = i3_session.plan(small_synthetic)
@@ -110,15 +101,14 @@ class TestPlanResolution:
         reference = SerialExecutor(i3_session.system).execute(small_synthetic)
         assert result.matches(reference)
 
-    def test_custom_instance_never_aliases_registry_cache(self, i3_session):
-        """A differently-configured instance must not hit (or poison) the
-        cache slots of the registry default sharing its name."""
+    def test_custom_problem_never_aliases_registry_cache(self, i3_session):
+        """A differently-configured instance's problem must not hit (or
+        poison) the cache slots of the registry default sharing its name."""
         registry_result = i3_session.solve("lcs", SMALL_DIM)
-        custom = LCSApp(dim=SMALL_DIM, seed=99, similarity=0.1)
-        custom_result = i3_session.solve(custom)
+        custom_problem = LCSApp(dim=SMALL_DIM, seed=99, similarity=0.1).problem(SMALL_DIM)
+        custom_result = i3_session.solve(custom_problem)
         # Different sequences -> different grids; and the custom solve must
         # match a serial run of the *custom* problem, not the registry one.
-        custom_problem = custom.problem(SMALL_DIM)
         serial = SerialExecutor(i3_session.system).execute(custom_problem)
         assert custom_result.matches(serial)
         assert not np.array_equal(
@@ -152,17 +142,9 @@ class TestEquivalenceWithLegacyPath:
 
         params = get_application("synthetic", dim=64).input_params(64)
         decision = quick_tuner_i3.resolve("synthetic", params)
-        priced = CostModel(i3, quick_tuner_i3.constants).price("hybrid", params, decision.tunables)
+        priced = CostModel(i3).price("hybrid", params, decision.tunables)
         result = i3_session.solve("synthetic", 64, mode="simulate")
         assert result.rtime == priced.total_s
-
-    def test_application_instance_solve_matches_serial(self, i3, i3_session):
-        from repro.apps.nash import NashEquilibriumApp
-
-        app = NashEquilibriumApp(dim=20)
-        result = i3_session.solve(app, mode="functional")
-        serial = SerialExecutor(i3).execute(app.problem())
-        assert result.matches(serial)
 
 
 class TestSolveManyServing:
