@@ -11,7 +11,6 @@ computed correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -123,19 +122,12 @@ class SearchResults:
 class ExhaustiveSearch:
     """Sweep the synthetic application's tuning space on one system."""
 
-    def __init__(
-        self,
-        system: SystemSpec,
-        space: ParameterSpace | None = None,
-        threshold_s: float = RUNTIME_THRESHOLD_S,
-    ) -> None:
-        if threshold_s <= 0:
-            raise SearchError(f"threshold must be positive, got {threshold_s}")
+    def __init__(self, system: SystemSpec, space: ParameterSpace | None = None) -> None:
         self.system = system
         self.space = space if space is not None else ParameterSpace.paper()
         self.search_space = SearchSpace(self.space, system)
         self.cost_model = CostModel(system)
-        self.threshold_s = threshold_s
+        self.threshold_s = RUNTIME_THRESHOLD_S
 
     # ------------------------------------------------------------------
     def evaluate(self, params: InputParams, tunables: TunableParams) -> SearchRecord:
@@ -155,17 +147,10 @@ class ExhaustiveSearch:
             for tunables in self.search_space.configurations(params)
         ]
 
-    def sweep(
-        self, instances: Iterable[InputParams] | None = None
-    ) -> SearchResults:
-        """Run the full sweep; also collects the serial baselines."""
+    def sweep(self) -> SearchResults:
+        """Run the full sweep (a space is never empty); also collects the serial baselines."""
         results = SearchResults(system=self.system.name, threshold_s=self.threshold_s)
-        instance_list: Sequence[InputParams] = (
-            list(instances) if instances is not None else list(self.search_space.instances())
-        )
-        if not instance_list:
-            raise SearchError("no instances to sweep")
-        for params in instance_list:
+        for params in self.search_space.instances():
             results.serial_times[params] = self.cost_model.baseline_serial(params)
             for record in self.sweep_instance(params):
                 results.add(record)

@@ -22,7 +22,6 @@ from repro.core.exceptions import ModelNotFittedError, SearchError
 from repro.core.parameter_space import ParameterSpace
 from repro.core.params import InputParams, TunableParams
 from repro.core.pattern import WavefrontProblem
-from repro.apps.base import WavefrontApplication
 from repro.autotuner.exhaustive import ExhaustiveSearch, SearchResults
 from repro.autotuner.models import LearnedTuner
 from repro.autotuner.protocol import PlanDecision, Tuner
@@ -98,7 +97,7 @@ class AutoTuner(Tuner):
     # ------------------------------------------------------------------
     # Deployment
     # ------------------------------------------------------------------
-    def tune(self, target: WavefrontProblem | InputParams | WavefrontApplication) -> TunableParams:
+    def tune(self, target: WavefrontProblem | InputParams) -> TunableParams:
         """Predict tuned parameter settings for an unseen problem."""
         self._check_trained()
         params = self._as_input_params(target)
@@ -157,8 +156,6 @@ class AutoTuner(Tuner):
         if isinstance(target, InputParams):
             return target
         if isinstance(target, WavefrontProblem):
-            return target.input_params()
-        if isinstance(target, WavefrontApplication):
             return target.input_params()
         raise SearchError(
             f"cannot derive input parameters from object of type {type(target).__name__}"

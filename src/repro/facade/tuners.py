@@ -43,7 +43,7 @@ def make_tuner(
     model_path: str | Path | None = None,
     profile_path: str | Path | None = None,
 ) -> Tuner:
-    """Build the tuner behind one strategy name (a ready tuner never comes here).
+    """Build the tuner behind one strategy name (a session keeps a ready tuner as given).
 
     ``model_path`` restores a previously saved ``"learned"`` model, skipping
     the training sweep; ``profile_path`` overrides the ``"measured"``

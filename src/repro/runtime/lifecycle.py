@@ -18,8 +18,9 @@ explicit lifetime:
 * :meth:`EngineHost.close` tears everything down deterministically.
 
 A host holds one team per worker count it has been asked for (one, in
-practice: the count comes from the plan's ``workers``).  :class:`repro.session.Session` owns exactly one host and routes
-every execution through it.
+practice: the count comes from the plan's ``workers``).
+:class:`repro.session.Session` owns exactly one host and routes every
+execution through it.
 """
 
 from __future__ import annotations

@@ -378,7 +378,9 @@ class ReproServer:
         request = ServeRequest(
             app=app,
             dim=default_dim(app) if dim is None else dim,
-            mode=ExecutionMode.FUNCTIONAL.value if mode is None else ExecutionMode.coerce(mode).value,
+            mode=(
+                ExecutionMode.FUNCTIONAL if mode is None else ExecutionMode.coerce(mode)
+            ).value,
             plan_kwargs=plan_kwargs,
             enqueued_at=now,
             deadline_at=None if deadline_s is None else now + deadline_s,

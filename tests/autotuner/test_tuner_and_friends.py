@@ -28,19 +28,15 @@ class TestAutoTuner:
         with pytest.raises(ModelNotFittedError):
             tuner.tune(InputParams(dim=64, tsize=10, dsize=1))
 
-    def test_tune_accepts_problem_app_or_params(self, trained_tuner_i7):
+    def test_tune_accepts_problem_or_params(self, trained_tuner_i7):
         params = InputParams(dim=96, tsize=500, dsize=1)
-        app = SyntheticApp(dim=96, tsize=500, dsize=1)
-        configs = {
-            trained_tuner_i7.tune(params),
-            trained_tuner_i7.tune(app),
-            trained_tuner_i7.tune(app.problem()),
-        }
-        assert len(configs) == 1
+        problem = SyntheticApp(dim=96, tsize=500, dsize=1).problem()
+        assert trained_tuner_i7.tune(params) == trained_tuner_i7.tune(problem)
 
-    def test_tune_rejects_unknown_target(self, trained_tuner_i7):
+    @pytest.mark.parametrize("target", ["not a problem", SyntheticApp(dim=96, tsize=500, dsize=1)])
+    def test_tune_rejects_unknown_target(self, trained_tuner_i7, target):
         with pytest.raises(SearchError):
-            trained_tuner_i7.tune("not a problem")
+            trained_tuner_i7.tune(target)
 
     def test_validation_efficiency_reasonable(self, reduced_tuner_i7):
         """The learned tuner should reach a high fraction of the search optimum."""
